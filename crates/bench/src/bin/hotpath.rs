@@ -333,8 +333,11 @@ fn main() {
 
         {
             // Streaming increment: batched ingest in ring-drain-sized
-            // chunks with a trailing watermark, then finalize — the
-            // shape `ToolShared::drain_locked` produces.
+            // chunks with a trailing watermark, then finalize (which
+            // completes the live stream and runs the fused sweep) —
+            // the shape `ToolShared::drain_locked` produces. The view
+            // is built outside the timed closure: indexing has its own
+            // row.
             use ompdataperf::detect::StreamEvent;
             let mut arrivals: Vec<StreamEvent> = ops.iter().cloned().map(StreamEvent::Op).collect();
             arrivals.extend(kernels.iter().cloned().map(StreamEvent::Kernel));
@@ -342,6 +345,7 @@ fn main() {
                 StreamEvent::Op(e) => (e.span.end, e.id.0),
                 StreamEvent::Kernel(k) => (k.span.end, k.id.0),
             });
+            let view = EventView::new(&ops, &kernels, 1);
             let s = sweep(total, reps, || {
                 let start = Instant::now();
                 let mut engine = StreamingEngine::default();
@@ -353,7 +357,6 @@ fn main() {
                     };
                     engine.ingest_batch(chunk.iter().cloned(), Some(watermark));
                 }
-                let view = EventView::new(&ops, &kernels, 1);
                 black_box(engine.finalize(&view));
                 start.elapsed()
             });

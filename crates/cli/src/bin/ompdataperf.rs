@@ -73,13 +73,6 @@ fn main() -> ExitCode {
         },
     };
 
-    // Pin the post-mortem sweep's worker count before any detection
-    // runs (`--sweep-threads` overrides `ODP_SWEEP_THREADS`; findings
-    // are byte-identical at every count).
-    if let Some(n) = parsed.sweep_threads {
-        ompdataperf::detect::set_sweep_threads(n);
-    }
-
     let mut cfg = RuntimeConfig::default();
     if parsed.pre_emi {
         cfg = cfg.pre_emi();
@@ -241,13 +234,12 @@ fn main() -> ExitCode {
             println!("info: wrote chrome://tracing timeline to {path}");
         }
     }
-    // Streaming mode: the online engine already ran the detectors during
-    // the run, so detection work is done by the time the workload
-    // returns. The simulated runtime is synchronous, so this front end
+    // Streaming mode: the online engine emitted its live findings during
+    // the run. The simulated runtime is synchronous, so this front end
     // prints the accumulated findings here; a concurrent consumer would
     // drain ToolHandle::take_stream_findings while the program executes.
-    // Finalize against the trace (byte-identical to the post-mortem
-    // sweep) and build the report from those findings — no re-detection.
+    // Finalize completes the live stream and returns the fused sweep's
+    // findings over the recorded trace; the report is built from those.
     let report = if let Some(mut engine) = handle.take_stream_engine() {
         // Everything the engine emitted over the whole run — including
         // findings a --stream-interval poller already drained and

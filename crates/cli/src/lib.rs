@@ -67,10 +67,6 @@ pub struct CommonArgs {
     /// buffer after the merged watermark has not advanced for this many
     /// milliseconds (findings decided afterwards are degraded evidence).
     pub stall_timeout_ms: Option<u64>,
-    /// `--sweep-threads N`: worker count for the fused post-mortem
-    /// detector sweep (1 = sequential; findings are byte-identical at
-    /// every count). Overrides `ODP_SWEEP_THREADS`.
-    pub sweep_threads: Option<usize>,
 }
 
 /// Outcome of argument parsing.
@@ -110,8 +106,6 @@ pub fn usage(tool: &str) -> String {
          \x20 --fault-seed N        Deterministic fault seed (default: 42)\n\
          \x20 --stall-timeout MS    With --stream: force-release the reorder buffer after MS ms\n\
          \x20                       without watermark progress (degrades findings)\n\
-         \x20 --sweep-threads N     Post-mortem detector sweep workers (default: ODP_SWEEP_THREADS or 1;\n\
-         \x20                       findings are byte-identical at every count)\n\
          Programs:\n\x20 {}",
         odp_sim::FaultProfile::NAMES,
         odp_workloads::all()
@@ -144,7 +138,6 @@ pub fn parse(tool: &str, args: &[String]) -> Parsed {
         fault_profile: None,
         fault_seed: None,
         stall_timeout_ms: None,
-        sweep_threads: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -219,10 +212,6 @@ pub fn parse(tool: &str, args: &[String]) -> Parsed {
             "--stall-timeout" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(ms) => out.stall_timeout_ms = Some(ms),
                 None => return Parsed::Error("--stall-timeout needs a ms value".into()),
-            },
-            "--sweep-threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => out.sweep_threads = Some(n),
-                _ => return Parsed::Error("--sweep-threads needs a value >= 1".into()),
             },
             other if other.starts_with('-') => {
                 return Parsed::Error(format!("unknown option {other}\n\n{}", usage(tool)))
@@ -409,23 +398,6 @@ mod tests {
             Parsed::Error(_)
         ));
         assert!(usage("ompdataperf").contains("--stall-timeout"));
-    }
-
-    #[test]
-    fn sweep_threads_is_parsed() {
-        match parse("ompdataperf", &argv("--sweep-threads 4 bfs")) {
-            Parsed::Run(a) => assert_eq!(a.sweep_threads, Some(4)),
-            _ => panic!("expected run"),
-        }
-        match parse("ompdataperf", &argv("bfs")) {
-            Parsed::Run(a) => assert_eq!(a.sweep_threads, None, "default defers to the env"),
-            _ => panic!("expected run"),
-        }
-        assert!(matches!(
-            parse("ompdataperf", &argv("--sweep-threads 0 bfs")),
-            Parsed::Error(_)
-        ));
-        assert!(usage("ompdataperf").contains("--sweep-threads"));
     }
 
     #[test]

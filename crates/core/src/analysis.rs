@@ -103,9 +103,9 @@ pub fn analyze_view(
 }
 
 /// Build a report from findings that were already produced — the
-/// streaming path: the tool's online engine finalizes its own findings
-/// (byte-identical to the fused sweep), so detection must not run a
-/// second time.
+/// streaming path: `StreamingEngine::finalize` already ran the fused
+/// sweep over the trace (and tagged the result if the stream was
+/// degraded), so detection must not run a second time.
 pub fn analyze_with_findings(
     log: &TraceLog,
     dbg: Option<&DebugInfo>,

@@ -105,144 +105,74 @@ struct RxSlot {
     dest: DeviceId,
 }
 
-/// Avalanche mix of a reception-queue key for the Bloom filter: every
-/// input bit influences the selected bit, so structured hash values
-/// (sequential counters, small pools) spread evenly.
+/// The avalanche finalizer behind every key mix in this module: every
+/// input bit influences every output bit, so structured keys
+/// (sequential hash counters, small address pools) spread evenly over
+/// the Bloom filter and the open-addressed tables.
+#[inline]
+fn avalanche(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x
+}
+
+/// Mix of a reception-queue key `(hash, device)`. The build pass and
+/// Algorithm 2 compute it once per transfer and use it for both the
+/// Bloom filter bit and the [`OpenIndex`] probe position — indexing a
+/// key costs no second hash.
 #[inline]
 fn rx_key_mix(hash: HashVal, dev: DeviceId) -> u64 {
-    let mut x = hash
-        .0
-        .wrapping_add((dev.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x
+    avalanche(
+        hash.0
+            .wrapping_add((dev.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+    )
 }
 
-/// Open-addressed `(hash, dest_device)` → `rx_slots` index: linear
-/// probing over a power-of-two table sized to ≤50% load for the
-/// trace's hashed-transfer count (so it never grows), `u32::MAX` =
-/// empty. The probe position comes from [`rx_key_mix`], which the
-/// build pass and Algorithm 2 already compute for the Bloom filter —
-/// indexing a key costs no second hash. Keys live in `rx_slots`
-/// itself; the table stores only the 4-byte slot index, so a probe
-/// touches one dense array.
-struct RxIndex {
+/// Open-addressed key → `u32` record-index table: linear probing over a
+/// power-of-two table sized to ≤50% load for the caller's key count (so
+/// it never grows), [`OpenIndex::EMPTY`] = vacant, tombstone-free (keys
+/// are never removed). Keys live in the caller's own records — the
+/// reception slots, the pairing table, the group vectors — so the table
+/// stores only the 4-byte index and a probe touches one dense array;
+/// `is_key(ix)` tells the probe whether record `ix` holds the key being
+/// looked up.
+struct OpenIndex {
     mask: usize,
     slots: Box<[u32]>,
 }
 
-impl RxIndex {
-    fn with_capacity(keys: usize) -> RxIndex {
+impl OpenIndex {
+    const EMPTY: u32 = u32::MAX;
+
+    fn with_capacity(keys: usize) -> OpenIndex {
         let cap = (keys * 2).next_power_of_two().max(16);
-        RxIndex {
+        OpenIndex {
             mask: cap - 1,
-            slots: vec![u32::MAX; cap].into_boxed_slice(),
+            slots: vec![Self::EMPTY; cap].into_boxed_slice(),
         }
     }
 
+    /// Where probing for a key stops: at the slot holding the index of
+    /// the record with that key, or at the vacant slot it would fill.
     #[inline]
-    fn get(&self, mix: u64, hash: HashVal, dest: DeviceId, rx_slots: &[RxSlot]) -> Option<u32> {
+    fn probe(&self, mix: u64, is_key: impl Fn(u32) -> bool) -> usize {
         let mut i = mix as usize & self.mask;
-        loop {
-            let s = self.slots[i];
-            if s == u32::MAX {
-                return None;
-            }
-            let key = &rx_slots[s as usize];
-            if key.hash == hash && key.dest == dest {
-                return Some(s);
-            }
+        while self.slots[i] != Self::EMPTY && !is_key(self.slots[i]) {
             i = (i + 1) & self.mask;
         }
+        i
     }
 
-    /// Find the slot for a key, appending a fresh [`RxSlot`] (preserving
-    /// first-seen slot order) when the key is new.
+    /// The table slot for a key, for the caller to read or fill.
     #[inline]
-    fn find_or_insert(
-        &mut self,
-        mix: u64,
-        hash: HashVal,
-        dest: DeviceId,
-        rx_slots: &mut Vec<RxSlot>,
-    ) -> u32 {
-        let mut i = mix as usize & self.mask;
-        loop {
-            let s = self.slots[i];
-            if s == u32::MAX {
-                let slot = rx_slots.len() as u32;
-                rx_slots.push(RxSlot { hash, dest });
-                self.slots[i] = slot;
-                return slot;
-            }
-            let key = &rx_slots[s as usize];
-            if key.hash == hash && key.dest == dest {
-                return s;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-}
-
-/// Avalanche mix of an allocation identity (`(device, device_addr)`) for
-/// [`OpenAllocIndex`] probing.
-#[inline]
-fn open_key_mix(dev: DeviceId, addr: u64) -> u64 {
-    let mut x = addr.wrapping_add((dev.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x
-}
-
-/// Open-addressed `(device, device_addr)` → open-pairing index for the
-/// build pass's alloc/delete matching: linear probing, `u32::MAX` =
-/// empty, sized to ≤50% load for the trace's alloc count so it never
-/// grows. Keys are never removed — a slot always holds the *latest*
-/// pairing opened at its address (a fresh allocation shadows a stale
-/// entry by overwriting the slot), and a delete checks whether that
-/// pairing is still open instead of consuming the entry, which keeps
-/// the table tombstone-free. Keys live in the event columns themselves
-/// (`pairs[slot].alloc` points back at the allocation's row), so the
-/// table stores only a 4-byte pairing index.
-struct OpenAllocIndex {
-    mask: usize,
-    slots: Box<[u32]>,
-}
-
-impl OpenAllocIndex {
-    fn with_capacity(keys: usize) -> OpenAllocIndex {
-        let cap = (keys * 2).next_power_of_two().max(16);
-        OpenAllocIndex {
-            mask: cap - 1,
-            slots: vec![u32::MAX; cap].into_boxed_slice(),
-        }
+    fn slot_mut(&mut self, mix: u64, is_key: impl Fn(u32) -> bool) -> &mut u32 {
+        &mut self.slots[self.probe(mix, is_key)]
     }
 
-    /// The table slot for an allocation identity: either empty
-    /// (`u32::MAX`) or holding the latest pairing opened at this key.
-    /// The caller reads it (delete) or overwrites it (alloc).
     #[inline]
-    fn slot_mut(
-        &mut self,
-        dev: DeviceId,
-        addr: u64,
-        pairs: &[IdxPair],
-        ops: &DataOpColumns,
-    ) -> &mut u32 {
-        let mut i = open_key_mix(dev, addr) as usize & self.mask;
-        loop {
-            let s = self.slots[i];
-            if s == u32::MAX {
-                return &mut self.slots[i];
-            }
-            let ox = pairs[s as usize].alloc as usize;
-            if ops.dest_devices[ox] == dev && ops.dest_addrs[ox] == addr {
-                return &mut self.slots[i];
-            }
-            i = (i + 1) & self.mask;
-        }
+    fn get(&self, mix: u64, is_key: impl Fn(u32) -> bool) -> Option<u32> {
+        Some(self.slots[self.probe(mix, is_key)]).filter(|&s| s != Self::EMPTY)
     }
 }
 
@@ -282,7 +212,7 @@ pub struct EventView<'a> {
     /// Queue boundaries into `rx_events` (`rx_slots.len() + 1` entries).
     rx_bounds: Vec<u32>,
     /// `(hash, dest_device)` → index into `rx_slots`.
-    rx_index: RxIndex,
+    rx_index: OpenIndex,
     /// One-hash Bloom filter over the reception-queue keys (~8 bits per
     /// key). Algorithm 2 probes the reception index once per hashed
     /// transfer, and on real traces almost all probes miss: the filter
@@ -375,14 +305,25 @@ impl<'a> EventView<'a> {
 
         let mut rx_slots: Vec<RxSlot> = Vec::with_capacity(n_hashed_tx.min(1 << 16));
         let mut rx_counts: Vec<u32> = Vec::with_capacity(n_hashed_tx.min(1 << 16));
-        let mut rx_index = RxIndex::with_capacity(n_hashed_tx);
+        let mut rx_index = OpenIndex::with_capacity(n_hashed_tx);
         let filter_words = ((n_hashed_tx * 8).next_power_of_two() / 64).clamp(16, 1 << 17);
         let mut rx_filter = vec![0u64; filter_words].into_boxed_slice();
         let mut hashed_transfers: Vec<OpIx> = Vec::with_capacity(n_hashed_tx);
         let mut dest_slot: Vec<u32> = Vec::with_capacity(n_hashed_tx);
         let mut src_mix: Vec<u64> = Vec::with_capacity(n_hashed_tx);
         let mut pairs: Vec<IdxPair> = Vec::with_capacity(n_allocs);
-        let mut open = OpenAllocIndex::with_capacity(n_allocs);
+        // `(device, device_addr)` → the *latest* pairing opened there: a
+        // fresh allocation shadows a stale entry by overwriting the
+        // slot, and a delete checks whether that pairing is still open
+        // instead of removing the entry.
+        let mut open = OpenIndex::with_capacity(n_allocs);
+        let open_mix = |dev: DeviceId, addr: u64| {
+            avalanche(addr.wrapping_add((dev.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        };
+        let allocated_at = |pairs: &[IdxPair], p: u32, dev: DeviceId, addr: u64| {
+            let ax = pairs[p as usize].alloc as usize;
+            ops.dest_devices[ax] == dev && ops.dest_addrs[ax] == addr
+        };
         let mut tx_by_device: Vec<Vec<OpIx>> = vec![Vec::new(); nd];
         let mut pairs_by_device: Vec<Vec<u32>> = vec![Vec::new(); nd];
 
@@ -411,8 +352,16 @@ impl<'a> EventView<'a> {
                 continue; // collected above: always hashed
             };
             let dest = ops.dest_devices[ox as usize];
-            let slot = rx_index.find_or_insert(dest_mix[tix], hash, dest, &mut rx_slots);
-            dest_slot.push(slot);
+            // A new key appends its slot: first-seen slot order.
+            let slot = rx_index.slot_mut(dest_mix[tix], |s| {
+                let key = &rx_slots[s as usize];
+                key.hash == hash && key.dest == dest
+            });
+            if *slot == OpenIndex::EMPTY {
+                *slot = rx_slots.len() as u32;
+                rx_slots.push(RxSlot { hash, dest });
+            }
+            dest_slot.push(*slot);
         }
         drop(dest_mix);
         rx_counts.resize(rx_slots.len(), 0);
@@ -442,7 +391,10 @@ impl<'a> EventView<'a> {
                     });
                     // A new allocation at an address shadows any stale
                     // open entry (same contract as `alloc_delete_pairs`).
-                    *open.slot_mut(dest, ops.dest_addrs[ox as usize], &pairs, ops) = pair_ix;
+                    let addr = ops.dest_addrs[ox as usize];
+                    *open.slot_mut(open_mix(dest, addr), |p| {
+                        allocated_at(&pairs, p, dest, addr)
+                    }) = pair_ix;
                     if let Some(ix) = dest.target_index() {
                         if ix < nd {
                             pairs_by_device[ix].push(pair_ix);
@@ -453,8 +405,11 @@ impl<'a> EventView<'a> {
                 }
                 DataOpKind::Delete => {
                     let dest = ops.dest_devices[ox as usize];
-                    let pix = *open.slot_mut(dest, ops.dest_addrs[ox as usize], &pairs, ops);
-                    if pix != u32::MAX {
+                    let addr = ops.dest_addrs[ox as usize];
+                    let latest = open.get(open_mix(dest, addr), |p| {
+                        allocated_at(&pairs, p, dest, addr)
+                    });
+                    if let Some(pix) = latest {
                         let pair = &mut pairs[pix as usize];
                         // Still open: this delete closes it. Already
                         // closed (and not re-opened since): a double
@@ -624,7 +579,6 @@ struct IdxRoundTripGroup {
     len: u32,
 }
 
-#[derive(Clone, Copy)]
 struct IdxRepeatedAllocGroup {
     host_addr: u64,
     device: DeviceId,
@@ -762,144 +716,17 @@ impl IndexFindings {
 /// everything. The sweeps read only the columns they need (hash,
 /// device, address, time), streaming over dense arrays.
 pub fn detect_indexed(view: &EventView<'_>) -> IndexFindings {
-    detect_indexed_with(view, 1)
-}
-
-/// [`detect_indexed`] with an explicit worker count. `threads == 1` is
-/// the sequential sweep; `threads > 1` partitions the work across
-/// `std::thread::scope` workers (see `detect_parallel`) and merges
-/// deterministically — the output is byte-identical either way.
-pub fn detect_indexed_with(view: &EventView<'_>, threads: usize) -> IndexFindings {
-    if threads <= 1 {
-        detect_sequential(view)
-    } else {
-        detect_parallel(view, threads)
-    }
-}
-
-/// The sequential fused sweep: all five algorithms, one worker.
-fn detect_sequential(view: &EventView<'_>) -> IndexFindings {
     let mut out = IndexFindings {
         duplicates: alg1_duplicates(view),
         ..Default::default()
     };
-    let trips = alg2_scan(view, 0, 1);
+    let trips = alg2_scan(view);
     alg2_link_groups(view, &trips, &mut out);
-    let part = alg3_scan(view, 0, 1);
-    alg3_merge(vec![part], &mut out);
+    alg3_repeated_allocs(view, &mut out);
     for dev in 0..view.num_devices as usize {
         alg4_device(view, dev, &mut out.unused_allocs);
         alg5_device(view, dev, &mut out.unused_transfers);
     }
-    out
-}
-
-/// The partitioned fused sweep. The five algorithms decompose without
-/// sharing mutable state:
-///
-/// - Algorithm 2 partitions **by hash**: a transfer with hash `h` only
-///   reads the `(h, src)` queue cursor and advances the `(h, dest)`
-///   cursor, so per-hash partitions never touch each other's cursors.
-///   Workers emit raw trips tagged with the transfer's sweep position;
-///   a sort on that position plus [`alg2_link_groups`] rebuilds group
-///   creation order exactly.
-/// - Algorithm 3 partitions by allocation key; merged groups sort by
-///   their first member's pair index (= first-seen key order).
-/// - Algorithms 4/5 partition per device; results concatenate in
-///   device order.
-/// - Algorithm 1 is a trivial slot scan and stays on this thread.
-///
-/// Workers claim jobs from a shared atomic cursor, so a skewed device
-/// or hash partition does not idle the rest of the pool.
-fn detect_parallel(view: &EventView<'_>, threads: usize) -> IndexFindings {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[derive(Clone, Copy)]
-    enum Job {
-        Rt(usize),
-        Ra(usize),
-        Ua(usize),
-        Ut(usize),
-    }
-    enum JobOut {
-        Trips(Vec<(u32, OpIx, OpIx)>),
-        Allocs(RaPart),
-        UnusedAllocs(Vec<u32>),
-        UnusedTransfers(Vec<(OpIx, UnusedTransferReason)>),
-    }
-
-    let nparts = threads;
-    let nd = view.num_devices as usize;
-    let mut jobs: Vec<Job> = Vec::with_capacity(2 * nparts + 2 * nd);
-    jobs.extend((0..nparts).map(Job::Rt));
-    jobs.extend((0..nparts).map(Job::Ra));
-    jobs.extend((0..nd).map(Job::Ua));
-    jobs.extend((0..nd).map(Job::Ut));
-
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<JobOut>> = Vec::new();
-    slots.resize_with(jobs.len(), || None);
-
-    let mut out = IndexFindings::default();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads.min(jobs.len()))
-            .map(|_| {
-                s.spawn(|| {
-                    let mut mine: Vec<(usize, JobOut)> = Vec::new();
-                    loop {
-                        let j = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(j) else {
-                            break;
-                        };
-                        let produced = match *job {
-                            Job::Rt(p) => JobOut::Trips(alg2_scan(view, p, nparts)),
-                            Job::Ra(p) => JobOut::Allocs(alg3_scan(view, p, nparts)),
-                            Job::Ua(d) => {
-                                let mut v = Vec::new();
-                                alg4_device(view, d, &mut v);
-                                JobOut::UnusedAllocs(v)
-                            }
-                            Job::Ut(d) => {
-                                let mut v = Vec::new();
-                                alg5_device(view, d, &mut v);
-                                JobOut::UnusedTransfers(v)
-                            }
-                        };
-                        mine.push((j, produced));
-                    }
-                    mine
-                })
-            })
-            .collect();
-
-        // Algorithm 1 overlaps with the workers — it is a pure read.
-        out.duplicates = alg1_duplicates(view);
-
-        for h in handles {
-            let mine = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            for (j, produced) in mine {
-                slots[j] = Some(produced);
-            }
-        }
-    });
-
-    // Deterministic merge, in job order (= partition order = device
-    // order). A worker that found nothing still filled its slot.
-    let mut trips: Vec<(u32, OpIx, OpIx)> = Vec::new();
-    let mut ra_parts: Vec<RaPart> = Vec::new();
-    for produced in slots.into_iter().flatten() {
-        match produced {
-            JobOut::Trips(t) => trips.extend(t),
-            JobOut::Allocs(p) => ra_parts.push(p),
-            JobOut::UnusedAllocs(v) => out.unused_allocs.extend(v),
-            JobOut::UnusedTransfers(v) => out.unused_transfers.extend(v),
-        }
-    }
-    // Per-partition trip lists are sweep-ordered; the global rebuild
-    // needs the interleaving the sequential sweep would have seen.
-    trips.sort_unstable_by_key(|&(tix, _, _)| tix);
-    alg2_link_groups(view, &trips, &mut out);
-    alg3_merge(ra_parts, &mut out);
     out
 }
 
@@ -911,21 +738,11 @@ fn alg1_duplicates(view: &EventView<'_>) -> Vec<u32> {
         .collect()
 }
 
-/// The Algorithm 2 partition a hash belongs to. Must depend on the
-/// hash **only** (never the devices): a transfer reads its `(hash,
-/// src)` queue and advances its `(hash, dest)` queue, so hash-sharded
-/// cursors are private to one partition.
-#[inline]
-fn rt_part_of(hash: HashVal, nparts: usize) -> usize {
-    ((hash.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % nparts
-}
-
 /// Algorithm 2 scan — round trips: one chronological sweep consuming
 /// the shared reception queues through per-slot cursors (the
 /// standalone detector's FIFO pops, without cloning the queues).
-/// Returns completed trips as `(sweep position, outbound leg,
-/// completing reception)`; group linking happens afterwards in
-/// [`alg2_link_groups`] so partitioned scans merge exactly.
+/// Returns completed trips as `(outbound leg, completing reception)`
+/// in sweep order; [`alg2_link_groups`] groups them afterwards.
 ///
 /// The sweep is two-phase over chunks: phase one probes the Bloom
 /// filter for a whole chunk of precomputed key mixes (a pure scan with
@@ -934,10 +751,10 @@ fn rt_part_of(hash: HashVal, nparts: usize) -> usize {
 /// two runs the queue machinery only for the survivors. Bloom-rejected
 /// transfers have zero state effect, which is what makes the split
 /// exact.
-fn alg2_scan(view: &EventView<'_>, part: usize, nparts: usize) -> Vec<(u32, OpIx, OpIx)> {
+fn alg2_scan(view: &EventView<'_>) -> Vec<(OpIx, OpIx)> {
     let ops = view.ops();
     let mut heads: Vec<u32> = vec![0; view.rx_slots.len()];
-    let mut trips: Vec<(u32, OpIx, OpIx)> = Vec::new();
+    let mut trips: Vec<(OpIx, OpIx)> = Vec::new();
     let fmask = view.rx_filter.len() - 1;
     let n = view.hashed_transfers.len();
     let mut hits: Vec<(u32, u32)> = Vec::new();
@@ -961,16 +778,14 @@ fn alg2_scan(view: &EventView<'_>, part: usize, nparts: usize) -> Vec<(u32, OpIx
             let Some(hash) = ops.hashes[ox as usize] else {
                 continue; // hashed_transfers holds hashed events only
             };
-            if nparts > 1 && rt_part_of(hash, nparts) != part {
-                continue;
-            }
             let src = ops.src_devices[ox as usize];
             // A pending reception at the transfer's *source* device
             // completes a round trip.
-            if let Some(rx_slot) = view
-                .rx_index
-                .get(view.src_mix[tix], hash, src, &view.rx_slots)
-            {
+            let rx_slot = view.rx_index.get(view.src_mix[tix], |s| {
+                let key = &view.rx_slots[s as usize];
+                key.hash == hash && key.dest == src
+            });
+            if let Some(rx_slot) = rx_slot {
                 hit.1 = rx_slot;
             }
         }
@@ -985,7 +800,7 @@ fn alg2_scan(view: &EventView<'_>, part: usize, nparts: usize) -> Vec<(u32, OpIx
             }
             let rx = queue[heads[rx_slot as usize] as usize];
             let ox = view.hashed_transfers[tix as usize];
-            trips.push((tix, ox, rx));
+            trips.push((ox, rx));
             // Dequeue this transfer from its own destination's queue so
             // it cannot later complete a different round trip. The slot
             // was recorded at enqueue time: no second hash lookup.
@@ -996,65 +811,12 @@ fn alg2_scan(view: &EventView<'_>, part: usize, nparts: usize) -> Vec<(u32, OpIx
     trips
 }
 
-/// Open-addressed round-trip-group index for [`alg2_link_groups`]
-/// (linear probing, `u32::MAX` = empty, keys live in the group
-/// records). Sized for the trip count up front, so it never grows.
-struct RtIndex {
-    mask: usize,
-    slots: Box<[u32]>,
-}
-
-impl RtIndex {
-    fn with_capacity(keys: usize) -> RtIndex {
-        let cap = (keys * 2).next_power_of_two().max(16);
-        RtIndex {
-            mask: cap - 1,
-            slots: vec![u32::MAX; cap].into_boxed_slice(),
-        }
-    }
-
-    /// Find the group for a `(hash, src, dest)` key, appending a fresh
-    /// empty group (preserving first-seen order) when the key is new.
-    #[inline]
-    fn find_or_insert(
-        &mut self,
-        hash: HashVal,
-        src: DeviceId,
-        dest: DeviceId,
-        groups: &mut Vec<IdxRoundTripGroup>,
-    ) -> u32 {
-        let mix = rx_key_mix(hash, src) ^ (dest.0 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        let mut i = mix as usize & self.mask;
-        loop {
-            let s = self.slots[i];
-            if s == u32::MAX {
-                let gx = groups.len() as u32;
-                groups.push(IdxRoundTripGroup {
-                    hash,
-                    src,
-                    dest,
-                    head: u32::MAX,
-                    tail: u32::MAX,
-                    len: 0,
-                });
-                self.slots[i] = gx;
-                return gx;
-            }
-            let g = &groups[s as usize];
-            if g.hash == hash && g.src == src && g.dest == dest {
-                return s;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-}
-
 /// Build the Algorithm 2 groups from sweep-ordered trips: group
 /// creation order is first-trip order, member chains are sweep order —
 /// exactly what an interleaved scan-and-link would produce.
-fn alg2_link_groups(view: &EventView<'_>, trips: &[(u32, OpIx, OpIx)], out: &mut IndexFindings) {
+fn alg2_link_groups(view: &EventView<'_>, trips: &[(OpIx, OpIx)], out: &mut IndexFindings) {
     let ops = view.ops();
-    let mut group_ix = RtIndex::with_capacity(trips.len());
+    let mut group_ix = OpenIndex::with_capacity(trips.len());
     out.rt_trips.reserve(trips.len());
     // Phased like the view's reception-queue indexing: (1) gather each
     // trip's grouping key from the columns (sequential-ish reads), (2) a
@@ -1062,7 +824,7 @@ fn alg2_link_groups(view: &EventView<'_>, trips: &[(u32, OpIx, OpIx)], out: &mut
     // misses in flight), (3) chain linking over the now-dense group and
     // trip arrays.
     let mut keyed: Vec<(HashVal, DeviceId, DeviceId, OpIx, OpIx)> = Vec::with_capacity(trips.len());
-    for &(_, ox, rx) in trips {
+    for &(ox, rx) in trips {
         let Some(hash) = ops.hashes[ox as usize] else {
             continue; // trips reference hashed transfers only
         };
@@ -1075,8 +837,26 @@ fn alg2_link_groups(view: &EventView<'_>, trips: &[(u32, OpIx, OpIx)], out: &mut
         ));
     }
     let mut gxs: Vec<u32> = Vec::with_capacity(keyed.len());
+    let groups = &mut out.round_trips;
     for &(hash, src, dest, _, _) in &keyed {
-        gxs.push(group_ix.find_or_insert(hash, src, dest, &mut out.round_trips));
+        let mix = rx_key_mix(hash, src) ^ (dest.0 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+        let slot = group_ix.slot_mut(mix, |g| {
+            let g = &groups[g as usize];
+            g.hash == hash && g.src == src && g.dest == dest
+        });
+        // A new key appends an empty group: first-trip group order.
+        if *slot == OpenIndex::EMPTY {
+            *slot = groups.len() as u32;
+            groups.push(IdxRoundTripGroup {
+                hash,
+                src,
+                dest,
+                head: u32::MAX,
+                tail: u32::MAX,
+                len: 0,
+            });
+        }
+        gxs.push(*slot);
     }
     for (&gx, &(_, _, _, ox, rx)) in gxs.iter().zip(&keyed) {
         let trip = out.rt_trips.len() as u32;
@@ -1092,87 +872,14 @@ fn alg2_link_groups(view: &EventView<'_>, trips: &[(u32, OpIx, OpIx)], out: &mut
     }
 }
 
-/// Avalanche mix of an Algorithm 3 allocation key ⟨host addr, device,
-/// size⟩, used for both the open-addressed group index and the
-/// partition split.
-#[inline]
-fn ra_key_mix(host_addr: u64, device: DeviceId, bytes: u64) -> u64 {
-    let mut x = host_addr
-        .wrapping_add((device.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(bytes.wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x
-}
-
-/// Open-addressed allocation-key → group index for Algorithm 3 (same
-/// shape as [`RxIndex`]: linear probing, `u32::MAX` = empty, keys live
-/// in the group records themselves). Sized for the view's full pair
-/// count so it never grows, even under a skewed partition split.
-struct RaIndex {
-    mask: usize,
-    slots: Box<[u32]>,
-}
-
-impl RaIndex {
-    fn with_capacity(keys: usize) -> RaIndex {
-        let cap = (keys * 2).next_power_of_two().max(16);
-        RaIndex {
-            mask: cap - 1,
-            slots: vec![u32::MAX; cap].into_boxed_slice(),
-        }
-    }
-
-    /// Find the group for a key, appending a fresh empty group
-    /// (preserving first-seen order) when the key is new.
-    #[inline]
-    fn find_or_insert(
-        &mut self,
-        mix: u64,
-        host_addr: u64,
-        device: DeviceId,
-        bytes: u64,
-        groups: &mut Vec<IdxRepeatedAllocGroup>,
-    ) -> u32 {
-        let mut i = mix as usize & self.mask;
-        loop {
-            let s = self.slots[i];
-            if s == u32::MAX {
-                let gx = groups.len() as u32;
-                groups.push(IdxRepeatedAllocGroup {
-                    host_addr,
-                    device,
-                    bytes,
-                    head: u32::MAX,
-                    tail: u32::MAX,
-                    len: 0,
-                });
-                self.slots[i] = gx;
-                return gx;
-            }
-            let g = &groups[s as usize];
-            if g.host_addr == host_addr && g.device == device && g.bytes == bytes {
-                return s;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-}
-
-/// One Algorithm 3 partition's output: its groups (singletons
-/// included) plus its local chain arena `(group, next pair)` links.
-type RaPart = (Vec<IdxRepeatedAllocGroup>, Vec<(u32, u32)>);
-
-/// Algorithm 3 scan — repeated allocations, over the shared pairing
-/// table (allocation order), grouped by ⟨host addr, device, size⟩.
-/// Returns **all** groups (singletons included) plus the local chain
-/// arena; [`alg3_merge`] filters and orders.
-fn alg3_scan(view: &EventView<'_>, part: usize, nparts: usize) -> RaPart {
+/// Algorithm 3 — repeated allocations, over the shared pairing table
+/// (allocation order), grouped by ⟨host addr, device, size⟩ in
+/// first-seen key order; sites allocated only once are dropped.
+fn alg3_repeated_allocs(view: &EventView<'_>, out: &mut IndexFindings) {
     let ops = view.ops();
     let mut groups: Vec<IdxRepeatedAllocGroup> = Vec::new();
-    let mut chain: Vec<(u32, u32)> = Vec::new();
-    let mut index = RaIndex::with_capacity(view.pairs.len());
+    let chain = &mut out.ra_pairs;
+    let mut index = OpenIndex::with_capacity(view.pairs.len());
     // Allocation sites repeat in runs (the loop re-allocating the
     // same buffer is the pattern Algorithm 3 exists to catch), so a
     // one-entry cache short-circuits most of the index traffic.
@@ -1184,11 +891,27 @@ fn alg3_scan(view: &EventView<'_>, part: usize, nparts: usize) -> RaPart {
         let gx = match last {
             Some((k, gx)) if k == key => gx,
             _ => {
-                let mix = ra_key_mix(host_addr, device, bytes);
-                if nparts > 1 && (mix >> 32) as usize % nparts != part {
-                    continue;
+                let mix = avalanche(
+                    host_addr
+                        .wrapping_add((device.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                        .wrapping_add(bytes.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)),
+                );
+                let slot = index.slot_mut(mix, |g| {
+                    let g = &groups[g as usize];
+                    g.host_addr == host_addr && g.device == device && g.bytes == bytes
+                });
+                if *slot == OpenIndex::EMPTY {
+                    *slot = groups.len() as u32;
+                    groups.push(IdxRepeatedAllocGroup {
+                        host_addr,
+                        device,
+                        bytes,
+                        head: u32::MAX,
+                        tail: u32::MAX,
+                        len: 0,
+                    });
                 }
-                index.find_or_insert(mix, host_addr, device, bytes, &mut groups)
+                *slot
             }
         };
         last = Some((key, gx));
@@ -1203,38 +926,8 @@ fn alg3_scan(view: &EventView<'_>, part: usize, nparts: usize) -> RaPart {
         group.tail = link;
         group.len += 1;
     }
-    (groups, chain)
-}
-
-/// Merge Algorithm 3 partitions: concatenate the chain arenas (fixing
-/// up the intra-chain links), drop singleton groups, and order the
-/// rest by their first member's pair index — which *is* first-seen key
-/// order, because every key lives in exactly one partition.
-fn alg3_merge(parts: Vec<RaPart>, out: &mut IndexFindings) {
-    let mut merged: Vec<IdxRepeatedAllocGroup> = Vec::new();
-    let single = parts.len() == 1;
-    for (groups, chain) in parts {
-        let off = out.ra_pairs.len() as u32;
-        out.ra_pairs.extend(chain.iter().map(|&(px, next)| {
-            (
-                px,
-                if next == u32::MAX {
-                    u32::MAX
-                } else {
-                    next + off
-                },
-            )
-        }));
-        merged.extend(groups.into_iter().filter(|g| g.len >= 2).map(|mut g| {
-            g.head += off;
-            g.tail += off;
-            g
-        }));
-    }
-    if !single {
-        merged.sort_unstable_by_key(|g| out.ra_pairs[g.head as usize].0);
-    }
-    out.repeated_allocs = merged;
+    groups.retain(|g| g.len >= 2);
+    out.repeated_allocs = groups;
 }
 
 /// Algorithm 4 — unused allocations on one device: advance a kernel
@@ -1291,45 +984,12 @@ fn alg5_device(view: &EventView<'_>, dev: usize, out: &mut Vec<(OpIx, UnusedTran
     }
 }
 
-/// The process-wide fused-sweep worker count: `0` = not yet resolved.
-/// Resolution order: [`set_sweep_threads`] (the CLI's
-/// `--sweep-threads`), else the `ODP_SWEEP_THREADS` environment
-/// variable, else `1` (sequential — the byte-identity baseline).
-static SWEEP_THREADS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Pin the fused-sweep worker count (clamped to ≥ 1). Overrides
-/// `ODP_SWEEP_THREADS`.
-pub fn set_sweep_threads(threads: usize) {
-    SWEEP_THREADS.store(threads.max(1), std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The fused-sweep worker count [`detect`] will use (resolving
-/// `ODP_SWEEP_THREADS` on first call; `1` = sequential).
-pub fn sweep_threads() -> usize {
-    let n = SWEEP_THREADS.load(std::sync::atomic::Ordering::Relaxed);
-    if n != 0 {
-        return n;
-    }
-    let resolved = std::env::var("ODP_SWEEP_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1);
-    SWEEP_THREADS.store(resolved, std::sync::atomic::Ordering::Relaxed);
-    resolved
-}
-
 /// Run the fused engine end to end: indexed detection plus owned
-/// materialization, on [`sweep_threads`] workers. Equivalent to — and
-/// the implementation behind — [`Findings::detect`].
+/// materialization. The one producer of [`Findings`] outside the
+/// reference passes — [`Findings::detect`], [`Findings::detect_fused`]
+/// and the streaming engine's finalize all end here.
 pub fn detect(view: &EventView<'_>) -> Findings {
-    detect_with(view, sweep_threads())
-}
-
-/// [`detect`] with an explicit worker count (`1` = sequential). The
-/// findings are byte-identical for every count.
-pub fn detect_with(view: &EventView<'_>, threads: usize) -> Findings {
-    detect_indexed_with(view, threads).resolve(view)
+    detect_indexed(view).resolve(view)
 }
 
 #[cfg(test)]

@@ -6,9 +6,14 @@
 //! access tracking — that is the design point that keeps the tool's
 //! overhead at 5 % where instrumenting profilers pay 3.5–20×.
 //!
-//! # Architecture: fused engine + standalone references
+//! # Architecture: one producer of `Findings`, one oracle, one live engine
 //!
-//! Each algorithm exists twice, by design:
+//! Three pieces, split by *responsibility* rather than by execution
+//! mode: the fused sweep is the only shipped code that turns a trace
+//! into [`Findings`]; the reference passes are the oracle it is tested
+//! against; the streaming engine emits live [`StreamFinding`]s during
+//! the run and nothing else — at the end of a streamed run the report
+//! still comes from the fused sweep over the recorded trace.
 //!
 //! * **Standalone reference passes** — `find_duplicate_transfers`,
 //!   `find_round_trips`, `find_repeated_allocs`, `find_unused_allocs`,
@@ -40,12 +45,17 @@
 //! included. The differential suite in
 //! `crates/core/tests/fused_differential.rs` enforces this on
 //! randomized traces; `crates/bench/benches/detectors.rs` measures the
-//! speedup (shared hydration + no per-detector clones).
+//! speedup (shared hydration + no per-detector clones). The sweep is
+//! deliberately sequential: partitioning it across workers bought at
+//! most ~5 % of the report latency on the 1.2 M-event storm benchmark,
+//! inside that metric's run-to-run spread (ROADMAP has the numbers).
 //!
 //! # Streaming data flow (sharded, multi-threaded)
 //!
-//! The third execution mode, [`stream::StreamingEngine`], runs the same
-//! incremental state machines *while the program executes*. Collection
+//! [`stream::StreamingEngine`] advances its own online versions of the
+//! five algorithms *while the program executes* — they keep only what a
+//! live finding needs (a first reception and a count, an unconsumed
+//! queue, per-device pending work), not what a report needs. Collection
 //! is sharded: every runtime thread owns a tool shard, and the
 //! per-callback fast path performs **zero lock acquisitions** — it
 //! appends to its own shard's trace log, hands the completed event to
@@ -101,8 +111,10 @@
 //!              │    downgrade to alloc|release / elide — recovered
 //!              │    bytes+time accounted per cause (RemediationStats)
 //!              │
-//!              └──► finalize(&EventView) → Findings, byte-identical
-//!                   to Findings::detect on the merged trace
+//!              └──► finalize(&EventView): completes the live stream
+//!                   (frontier + pending queues resolve with the
+//!                   end-of-trace rules), then returns the fused
+//!                   sweep's Findings over the merged trace
 //!
 //! post-run: TraceLog::merge_shards orders all shard streams by
 //! (start, shard, per-shard seq) — hydration output is independent
@@ -116,10 +128,15 @@
 //! diagram and the paper-to-code crosswalk, lives in ARCHITECTURE.md.
 //!
 //! Detection state is index-based throughout; the engine clones no
-//! event after the reorder buffer releases it. The equivalence contract
-//! is enforced by `crates/core/tests/streaming_differential.rs`
-//! (randomized traces delivered in completion order *and* partitioned
-//! across shards with randomized interleavings, exact JSON equality),
+//! event after the reorder buffer releases it. **The streaming
+//! invariant** — what remediation actually consumes — is that the
+//! multiset of live findings emitted over a run equals
+//! [`Findings::stream_findings`] of the fused report over the same
+//! trace (every field; `finalize` returning the fused report makes a
+//! report-vs-report comparison vacuous). It is enforced by
+//! `crates/core/tests/streaming_differential.rs` (randomized traces
+//! delivered in completion order *and* partitioned across shards with
+//! randomized interleavings),
 //! `crates/core/tests/sharded_stress.rs` (real OS-thread callback
 //! storms + barrier-forced watermark orderings), and
 //! `tests/threaded_collection.rs` (workloads driven from N threads
@@ -171,38 +188,6 @@
 //! run-extension rule. `crates/bench/benches/reorder.rs` races the two
 //! structures directly; the `reorder` rows of the `hotpath` binary gate
 //! the standalone pipeline at ~15–25 ns/event in CI.
-//!
-//! # The post-mortem sweep: sequential → partitioned
-//!
-//! [`Findings::detect`] resolves a process-wide worker count (CLI
-//! `--sweep-threads`, env `ODP_SWEEP_THREADS`, default 1 =
-//! sequential); [`detect_with`] takes it explicitly. The five
-//! algorithms partition over the shared read-only [`EventView`]
-//! without any shared mutable state, on plain `std::thread::scope`
-//! workers pulling jobs from an atomic cursor:
-//!
-//! ```text
-//!                 EventView (shared, read-only)
-//!        │              │               │              │
-//!   Alg 2 by hash   Alg 3 by alloc   Alg 4/5 per    Alg 1 whole
-//!   (per-hash       key (pair-table  device         (slot scan on
-//!   queue cursors)  partitions)      (device-local  the calling
-//!        │              │            queues)        thread)
-//!        │              │               │              │
-//!        └──────────────┴───────┬───────┴──────────────┘
-//!                               ▼
-//!        deterministic merge in job order (= partition order =
-//!        device order); Algorithm 2 trips re-sort by sweep
-//!        position, Algorithm 3 groups by first-seen pair index
-//!                               ▼
-//!        detect_with(view, n) ≡ detect_with(view, 1), n ∈ ℕ —
-//!        byte-identical findings for every worker count
-//! ```
-//!
-//! `crates/core/tests/sweep_determinism.rs` enforces the worker-count
-//! invariant (1/2/4/8/33 workers, JSON equality), and CI re-runs the
-//! differential suites under `ODP_SWEEP_THREADS=4` so every
-//! byte-identity oracle doubles as a parallel-sweep oracle.
 
 // Detection consumes untrusted event data: malformed input must be
 // quarantined and counted, never unwrapped. Real invariants carry
@@ -224,10 +209,7 @@ use odp_model::{DataOpEvent, TargetEvent};
 use serde::{Deserialize, Serialize};
 
 pub use duplicate::{find_duplicate_transfers, DuplicateTransferGroup};
-pub use engine::{
-    detect_with, set_sweep_threads, sweep_threads, EventView, IndexFindings, OutOfRangeEvents,
-    MAX_PLAUSIBLE_DEVICES,
-};
+pub use engine::{EventView, IndexFindings, OutOfRangeEvents, MAX_PLAUSIBLE_DEVICES};
 pub use pairing::{alloc_delete_pairs, AllocDeletePair};
 pub use realloc::{find_repeated_allocs, find_repeated_allocs_keyed, RepeatedAllocGroup};
 pub use roundtrip::{find_round_trips, RoundTrip, RoundTripGroup, TripList};
@@ -246,7 +228,7 @@ pub use unused_transfer::{find_unused_transfers, UnusedTransfer, UnusedTransferR
 /// tag) but must never seed `remedy::RemediationPolicy` rules: a
 /// rewrite driven by unsettled evidence could mis-map a correct
 /// program.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum Confidence {
     /// Derived from watermark-settled, well-formed evidence.
     #[default]
@@ -379,6 +361,15 @@ pub(crate) mod testutil {
 
     pub fn span(a: u64, b: u64) -> TimeSpan {
         TimeSpan::new(SimTime(a), SimTime(b))
+    }
+
+    /// The streaming invariant: the live findings of a whole run are,
+    /// as a multiset, the projection of the report over its trace.
+    pub fn assert_live_matches(mut live: Vec<super::StreamFinding>, report: &super::Findings) {
+        let mut projected: Vec<_> = report.stream_findings().collect();
+        live.sort_unstable();
+        projected.sort_unstable();
+        assert_eq!(live, projected, "live stream ≠ projection of the report");
     }
 
     pub struct EventFactory {

@@ -1,13 +1,18 @@
 //! Online/streaming detection: the five §5 algorithms advanced live,
 //! one event at a time, from the tool's OMPT callbacks.
 //!
-//! The fused engine ([`crate::detect::engine`]) runs the five detectors
-//! as incremental state machines, but only over a fully hydrated trace
-//! after program exit. [`StreamingEngine`] feeds the *same* state
-//! machines during the run, so findings can be emitted while the
-//! program still executes — early enough to drive mapping decisions —
-//! and still materialize, at [`StreamingEngine::finalize`], findings
-//! **byte-identical** to [`Findings::detect`] over the same trace.
+//! The fused engine ([`crate::detect::engine`]) is a batch algorithm:
+//! it needs the fully hydrated, indexed trace and runs after program
+//! exit. [`StreamingEngine`] carries separately written *online*
+//! versions of the same five algorithms, so findings can be emitted
+//! while the program still executes — early enough to drive mapping
+//! decisions. Live [`StreamFinding`]s are all it produces: the owned
+//! report of a streamed run is still the fused sweep's, which
+//! [`StreamingEngine::finalize`] returns after completing the live
+//! stream. The two are held together by one invariant — the multiset of
+//! live findings emitted over a run equals
+//! [`Findings::stream_findings`] of that report — which the
+//! differential suites enforce field for field.
 //!
 //! # The two ordering problems streaming has to solve
 //!
@@ -35,10 +40,10 @@
 //! retires the moment the awaited re-send arrives or is reconciled at
 //! finalize. Because nothing behind the frontier advances while it is
 //! stalled, every queue head the sweep reads has exactly the value the
-//! post-mortem pass would see — this is what makes finalize output
-//! bit-exact instead of approximate. For steady-state workloads (data
-//! ping-pongs or content re-sends keep consuming the queues) the
-//! window stays O(1); [`StreamingEngine::buffer_stats`] exposes the
+//! post-mortem pass would see — this is what makes the live trips
+//! exactly the post-mortem ones instead of approximate. For
+//! steady-state workloads (data ping-pongs or content re-sends keep
+//! consuming the queues) the window stays O(1); [`StreamingEngine::buffer_stats`] exposes the
 //! high-water marks so tests can pin that down.
 //!
 //! Algorithms 1 and 3 are naturally incremental (a duplicate or a
@@ -50,15 +55,17 @@
 //!
 //! All detection state is index-based (`u32`/`u64` sequence numbers);
 //! the engine never clones an event after the reorder buffer releases
-//! it. Findings are materialized once, at the report boundary, from the
-//! trace's hydrated [`EventView`].
+//! it, and it keeps no history for a report: a reception queue retains
+//! its first entry, a count and the entries Algorithm 2 has not
+//! consumed; a repeated-allocation site retains a count; decided
+//! Algorithm 4/5 verdicts are emitted and forgotten. What still grows
+//! with the trace is one small record per allocation (Algorithm 4 needs
+//! the pairing until its delete and next kernel arrive) and one map
+//! entry per distinct reception key / allocation site.
 
-use crate::detect::engine::{EventView, OutOfRangeEvents};
+use crate::detect::engine::{self, EventView, OutOfRangeEvents};
 use crate::detect::reorder::{RunMergeBuffer, SortKey};
-use crate::detect::{
-    AllocDeletePair, Confidence, DuplicateTransferGroup, Findings, IssueCounts, RepeatedAllocGroup,
-    RoundTrip, RoundTripGroup, UnusedAlloc, UnusedTransfer, UnusedTransferReason,
-};
+use crate::detect::{Confidence, Findings, IssueCounts, UnusedTransferReason};
 use odp_hash::fnv::FnvHashMap;
 use odp_model::{
     CodePtr, DataOpEvent, DeviceId, HashVal, SimTime, TargetEvent, TargetKind, TraceHealth,
@@ -83,12 +90,13 @@ pub struct StreamConfig {
     /// confirmed frontier grows with trace length; with a cap, the
     /// oldest undecided transfers are *spilled*: resolved against the
     /// reception queues as they stand (almost always "no round trip")
-    /// and retired, trading exactness of late-completing trips for a
-    /// guaranteed memory ceiling. Spills are counted in
+    /// and retired, trading exactness of the *live* late-completing
+    /// trips for a guaranteed memory ceiling. Spills are counted in
     /// [`StreamBufferStats::frontier_spilled`] and surfaced through
     /// [`StreamingEngine::spill_warning`]; while the count stays zero,
-    /// finalize remains byte-identical to post-mortem detection.
-    /// `None` (default) never spills.
+    /// the live stream is exactly the final report's projection. The
+    /// final report itself is computed from the recorded trace and is
+    /// exact with or without spills. `None` (default) never spills.
     pub max_frontier: Option<usize>,
 }
 
@@ -108,7 +116,7 @@ pub enum StreamEvent {
 /// *site* — host address and code pointer — which is everything a
 /// remediation policy ([`crate::remedy`]) needs to key a mapping
 /// rewrite without resolving sequence numbers mid-run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StreamFinding {
     /// Algorithm 1: `event` re-delivered content first seen in `first`.
     DuplicateTransfer {
@@ -224,11 +232,111 @@ impl StreamFinding {
     }
 }
 
+impl Findings {
+    /// The report projected onto the live-finding vocabulary: exactly
+    /// the [`StreamFinding`]s a streaming engine emits over a run whose
+    /// trace yields this report (as a multiset — live emission order
+    /// interleaves the kinds). Algorithm 1 emits every reception after a
+    /// group's first, Algorithm 3 every allocation after a site's first,
+    /// the others one finding per trip / allocation / transfer. This is
+    /// the invariant the differential suites hold the engine to, and how
+    /// [`crate::remedy::RemediationPolicy`] seeds itself from a report.
+    pub fn stream_findings(&self) -> impl Iterator<Item = StreamFinding> + '_ {
+        let dd = self.duplicates.iter().flat_map(|g| {
+            let first = g.events.first().map_or(0, |e| e.id.0);
+            g.events.iter().enumerate().skip(1).map(move |(i, e)| {
+                StreamFinding::DuplicateTransfer {
+                    hash: g.hash,
+                    src_device: e.src_device,
+                    dest_device: e.dest_device,
+                    host_addr: host_side_addr(e),
+                    codeptr: e.codeptr,
+                    event: e.id.0,
+                    first,
+                    occurrence: i as u32 + 1,
+                    confidence: g.confidence,
+                }
+            })
+        });
+        let rt = self.round_trips.iter().flat_map(|g| {
+            g.trips.iter().map(move |t| StreamFinding::RoundTrip {
+                hash: g.hash,
+                src_device: g.src_device,
+                dest_device: g.dest_device,
+                host_addr: host_side_addr(&t.tx),
+                codeptr: t.tx.codeptr,
+                tx: t.tx.id.0,
+                rx: t.rx.id.0,
+                spilled: t.spilled,
+                confidence: g.confidence,
+            })
+        });
+        let ra = self.repeated_allocs.iter().flat_map(|g| {
+            g.pairs
+                .iter()
+                .enumerate()
+                .skip(1)
+                .map(move |(i, p)| StreamFinding::RepeatedAlloc {
+                    host_addr: g.host_addr,
+                    device: g.device,
+                    bytes: g.bytes,
+                    codeptr: p.alloc.codeptr,
+                    alloc: p.alloc.id.0,
+                    occurrence: i as u32 + 1,
+                    confidence: g.confidence,
+                })
+        });
+        let ua = self
+            .unused_allocs
+            .iter()
+            .map(|ua| StreamFinding::UnusedAlloc {
+                device: ua.pair.alloc.dest_device,
+                host_addr: ua.pair.alloc.src_addr,
+                codeptr: ua.pair.alloc.codeptr,
+                alloc: ua.pair.alloc.id.0,
+                delete: ua.pair.delete.as_ref().map(|d| d.id.0),
+                confidence: ua.confidence,
+            });
+        let ut = self
+            .unused_transfers
+            .iter()
+            .map(|ut| StreamFinding::UnusedTransfer {
+                device: ut.event.dest_device,
+                host_addr: ut.event.src_addr,
+                codeptr: ut.event.codeptr,
+                event: ut.event.id.0,
+                reason: ut.reason,
+                confidence: ut.confidence,
+            });
+        dd.chain(rt).chain(ra).chain(ua).chain(ut)
+    }
+
+    /// Tag every group of the report as degraded evidence.
+    fn mark_degraded(&mut self) {
+        let degraded = Confidence::Degraded;
+        self.duplicates
+            .iter_mut()
+            .for_each(|g| g.confidence = degraded);
+        self.round_trips
+            .iter_mut()
+            .for_each(|g| g.confidence = degraded);
+        self.repeated_allocs
+            .iter_mut()
+            .for_each(|g| g.confidence = degraded);
+        self.unused_allocs
+            .iter_mut()
+            .for_each(|g| g.confidence = degraded);
+        self.unused_transfers
+            .iter_mut()
+            .for_each(|g| g.confidence = degraded);
+    }
+}
+
 /// The host-side address of a transfer: the source of an H2D, the
-/// destination of a D2H (device-to-device transfers key on the source).
-/// Shared with [`crate::remedy`], whose rules must key on exactly the
-/// address the runtime presents at map clauses.
-pub(crate) fn host_side_addr(e: &DataOpEvent) -> u64 {
+/// destination of a D2H (device-to-device transfers key on the source)
+/// — exactly the address the runtime presents at map clauses, which is
+/// what [`crate::remedy`] keys its rules on.
+fn host_side_addr(e: &DataOpEvent) -> u64 {
     if e.src_device.is_host() {
         e.src_addr
     } else if e.dest_device.is_host() {
@@ -255,8 +363,9 @@ pub struct StreamBufferStats {
     /// Per-device pending high-water mark.
     pub device_pending_peak: usize,
     /// Undecided transfers force-retired by [`StreamConfig::max_frontier`].
-    /// Non-zero means late round trips may have been missed (finalize is
-    /// no longer guaranteed byte-identical to post-mortem detection).
+    /// Non-zero means the live stream may have missed late round trips
+    /// or emitted unconfirmed ones (`spilled: true`), so remediation saw
+    /// less than the final report, which stays exact.
     pub frontier_spilled: usize,
     /// Intra-shard arrival inversions the reorder pipeline routed to its
     /// side pocket (events that completed after a later-starting event
@@ -296,16 +405,19 @@ fn shard_of(seq: Seq) -> u32 {
     (seq >> 32) as u32
 }
 
-/// One reception queue — the streaming twin of the fused engine's
-/// `RxSlot`, holding sequence numbers instead of borrowed events.
+/// One `(hash, dest_device)` reception queue. Only what the live
+/// findings need is retained: Algorithm 1 names the first reception and
+/// an occurrence number, Algorithm 2 pops the receptions it has not
+/// consumed yet — the consumed prefix is dropped as it is dequeued.
 #[derive(Debug)]
 struct Slot {
-    hash: HashVal,
     dest: DeviceId,
-    /// Receptions, chronological (append order behind the watermark).
-    events: Vec<Seq>,
-    /// Confirmed-consumed prefix (Algorithm 2 dequeues).
-    head: u32,
+    /// The first reception ever enqueued.
+    first: Seq,
+    /// Receptions enqueued so far.
+    count: u32,
+    /// Receptions Algorithm 2 has not consumed, chronological.
+    unconsumed: VecDeque<Seq>,
 }
 
 /// A hashed transfer whose round-trip outcome is not yet determined.
@@ -321,15 +433,6 @@ struct FrontierTx {
     dest_slot: u32,
 }
 
-#[derive(Debug)]
-struct TripGroup {
-    hash: HashVal,
-    src: DeviceId,
-    dest: DeviceId,
-    /// `(tx, rx, spilled)` — `spilled` marks force-retired pairings.
-    trips: Vec<(Seq, Seq, bool)>,
-}
-
 /// The streaming twin of an alloc/delete pairing.
 #[derive(Debug)]
 struct StreamPair {
@@ -341,14 +444,6 @@ struct StreamPair {
     delete_seq: Option<Seq>,
     /// Valid iff `delete_seq.is_some()`.
     delete_end: SimTime,
-}
-
-#[derive(Debug)]
-struct ReallocGroup {
-    host_addr: u64,
-    device: DeviceId,
-    bytes: u64,
-    pair_ixs: Vec<u32>,
 }
 
 /// A buffered kernel span (per-device queues for Algorithms 4/5).
@@ -374,8 +469,6 @@ struct DeviceMachine {
     kq4: VecDeque<KSpan>,
     /// Pairings awaiting a decision, allocation order.
     pending_pairs: VecDeque<u32>,
-    /// Decided-unused pairings, allocation order.
-    unused: Vec<u32>,
     /// Algorithm 5's kernel cursor.
     kq5: VecDeque<KSpan>,
     /// Transfers awaiting the device's next kernel.
@@ -383,8 +476,6 @@ struct DeviceMachine {
     /// Source address → last transfer writing from it (candidates),
     /// with its call site for the live finding.
     candidates: FnvHashMap<u64, (Seq, CodePtr)>,
-    /// Decided-unused transfers, reference emission order.
-    unused_tx: Vec<(Seq, UnusedTransferReason)>,
 }
 
 impl DeviceMachine {
@@ -394,9 +485,9 @@ impl DeviceMachine {
 }
 
 /// The online detection engine. Push events (in completion order),
-/// advance the watermark as open operations retire, and finalize against
-/// the hydrated trace to obtain findings byte-identical to
-/// [`Findings::detect`].
+/// advance the watermark as open operations retire and drain the live
+/// findings; finalize against the hydrated trace to complete the live
+/// stream and obtain the fused sweep's report.
 #[derive(Debug, Default)]
 pub struct StreamingEngine {
     /// Fixed device count, or `None` to grow on demand.
@@ -417,14 +508,13 @@ pub struct StreamingEngine {
     slot_index: FnvHashMap<(HashVal, DeviceId), u32>,
     /// Algorithm 2's bounded lookahead window.
     frontier: VecDeque<FrontierTx>,
-    trip_groups: Vec<TripGroup>,
-    trip_index: FnvHashMap<(HashVal, DeviceId, DeviceId), u32>,
 
     /// Alloc/delete pairings in allocation order (Algorithms 3/4).
     pairs: Vec<StreamPair>,
     open_pairs: FnvHashMap<(DeviceId, u64), u32>,
-    realloc_groups: Vec<ReallocGroup>,
-    realloc_index: FnvHashMap<(u64, DeviceId, u64), u32>,
+    /// Allocations seen so far per ⟨host addr, device, size⟩ site
+    /// (Algorithm 3's occurrence number).
+    realloc_counts: FnvHashMap<(u64, DeviceId, u64), u32>,
 
     /// Per-target-device machines (Algorithms 4/5), index = device.
     machines: Vec<DeviceMachine>,
@@ -435,9 +525,12 @@ pub struct StreamingEngine {
     out_of_range: OutOfRangeEvents,
     stats: StreamBufferStats,
     finalized: bool,
+    /// Data operations offered to the engine (late-quarantined ones
+    /// included); finalize reconciles it against the view's op count.
+    ops_offered: u64,
 
     /// Set by the first forced release: every finding emitted (and
-    /// everything materialized) from then on is [`Confidence::Degraded`].
+    /// the finalize report) from then on is [`Confidence::Degraded`].
     degraded: bool,
     /// Last key released by a forced release. Events arriving at or
     /// below it can no longer be ordered correctly and are quarantined
@@ -470,6 +563,7 @@ impl StreamingEngine {
     /// Buffer an incoming data operation (any completion order).
     pub fn push_data_op(&mut self, e: DataOpEvent) {
         debug_assert!(!self.finalized, "push after finalize");
+        self.ops_offered += 1;
         let key = (e.span.start, e.id.0, 0);
         if self.quarantine_late(key) {
             return;
@@ -509,6 +603,7 @@ impl StreamingEngine {
         for ev in events {
             match ev {
                 StreamEvent::Op(e) => {
+                    self.ops_offered += 1;
                     let key = (e.span.start, e.id.0, 0);
                     if !self.quarantine_late(key) {
                         self.buffer.push(shard_of(e.id.0), key, BufEntry::Op(e));
@@ -566,8 +661,10 @@ impl StreamingEngine {
         self.note_peaks();
     }
 
-    /// Issue counts of everything emitted so far. After finalize this
-    /// equals the materialized findings' [`Findings::counts`].
+    /// Issue counts of everything emitted so far. After a finalize
+    /// that neither spilled nor degraded, this equals the returned
+    /// report's [`Findings::counts`] (the live stream is then exactly
+    /// [`Findings::stream_findings`] of it).
     pub fn live_counts(&self) -> IssueCounts {
         self.counts
     }
@@ -584,8 +681,8 @@ impl StreamingEngine {
     /// drain in `(start, id)` order so detection can proceed, but the
     /// watermark's no-future-event promise is gone — an event may yet
     /// arrive that belonged before something just released. The engine
-    /// therefore marks itself degraded: every finding from here on
-    /// (live and materialized) carries [`Confidence::Degraded`], and
+    /// therefore marks itself degraded: every live finding from here on
+    /// and the whole finalize report carry [`Confidence::Degraded`], and
     /// later events at or below the forced floor are quarantined as
     /// late. Returns the number of events released.
     pub fn force_release_all(&mut self) -> usize {
@@ -641,7 +738,11 @@ impl StreamingEngine {
     }
 
     /// A report warning when [`StreamConfig::max_frontier`] forced
-    /// spills (late round trips may be under-counted), else `None`.
+    /// spills, else `None`. It concerns the *live* stream only: round
+    /// trips completing after a spill were emitted unconfirmed
+    /// (`spilled: true`) or not at all, so remediation saw less than
+    /// the final report — which finalize computes from the recorded
+    /// trace and is exact regardless.
     pub fn spill_warning(&self) -> Option<String> {
         let spilled = self.stats.frontier_spilled;
         if spilled == 0 {
@@ -650,19 +751,40 @@ impl StreamingEngine {
         let cap = self.max_frontier.unwrap_or(0);
         Some(format!(
             "warning: the Algorithm 2 lookahead window hit its hard cap ({cap}); \
-             {spilled} undecided transfer(s) were retired early — round trips \
-             completing after the spill are not reported"
+             {spilled} undecided transfer(s) were retired early — live round-trip \
+             findings after the spill were unconfirmed and never drove remediation \
+             (the report below is computed from the recorded trace and is exact)"
         ))
     }
 
-    /// Run every state machine to completion and materialize owned
-    /// findings from the trace's hydrated view — byte-identical to
-    /// [`Findings::detect`] over the same events. Call once, after the
-    /// monitored program finished; `view` must hydrate the same trace
-    /// the engine observed.
+    /// Complete the live stream, then report: release the reorder
+    /// buffer, resolve the Algorithm 2 frontier and drain the per-device
+    /// pending queues with the end-of-trace rules (so
+    /// [`StreamingEngine::take_findings`] and
+    /// [`StreamingEngine::live_counts`] cover the whole run), and return
+    /// the fused sweep's [`Findings`] over `view` — the engine itself
+    /// produces live findings and nothing else. Call once, after the
+    /// monitored program finished; `view` must hydrate the trace the
+    /// engine observed.
+    ///
+    /// The report is always the exact post-mortem answer for the
+    /// recorded trace, also after a [`StreamConfig::max_frontier`] spill
+    /// (it never sets [`crate::detect::RoundTrip::spilled`]). It is
+    /// stamped [`Confidence::Degraded`] throughout iff the engine is
+    /// degraded: a forced release happened, or the view holds a
+    /// different number of data operations than were offered to the
+    /// engine — the difference is counted in
+    /// [`TraceHealth::missing_at_finalize`], and the live stream then no
+    /// longer corresponds to the report.
     pub fn finalize(&mut self, view: &EventView<'_>) -> Findings {
         assert!(!self.finalized, "StreamingEngine::finalize called twice");
         self.finalized = true;
+
+        let missing = self.ops_offered.abs_diff(view.op_count() as u64);
+        if missing > 0 {
+            self.health.missing_at_finalize += missing;
+            self.degraded = true;
+        }
 
         // Nothing is open anymore: release the whole reorder buffer.
         self.watermark = SimTime(u64::MAX);
@@ -688,9 +810,6 @@ impl StreamingEngine {
         for dev in 0..self.machines.len() {
             self.alg4_advance(dev, true);
             while let Some(tx) = self.machines[dev].pending_tx.pop_front() {
-                self.machines[dev]
-                    .unused_tx
-                    .push((tx.seq, UnusedTransferReason::AfterLastKernel));
                 self.emit(StreamFinding::UnusedTransfer {
                     device: DeviceId::target(dev as u32),
                     host_addr: tx.src_addr,
@@ -703,7 +822,11 @@ impl StreamingEngine {
             }
         }
 
-        self.materialize(view)
+        let mut findings = engine::detect(view);
+        if self.degraded {
+            findings.mark_degraded();
+        }
+        findings
     }
 
     // ---- event routing --------------------------------------------------
@@ -775,17 +898,18 @@ impl StreamingEngine {
             .entry((hash, e.dest_device))
             .or_insert_with(|| {
                 self.slots.push(Slot {
-                    hash,
                     dest: e.dest_device,
-                    events: Vec::new(),
-                    head: 0,
+                    first: e.id.0,
+                    count: 0,
+                    unconsumed: VecDeque::new(),
                 });
                 (self.slots.len() - 1) as u32
             });
         let slot = &mut self.slots[slot_ix as usize];
-        slot.events.push(e.id.0);
-        if slot.events.len() >= 2 {
-            let (first, occurrence) = (slot.events[0], slot.events.len() as u32);
+        slot.count += 1;
+        slot.unconsumed.push_back(e.id.0);
+        if slot.count >= 2 {
+            let (first, occurrence) = (slot.first, slot.count);
             self.emit(StreamFinding::DuplicateTransfer {
                 hash,
                 src_device: e.src_device,
@@ -838,10 +962,7 @@ impl StreamingEngine {
         while let Some(front) = self.frontier.front() {
             let undecided = match self.slot_index.get(&(front.hash, front.src)) {
                 None => true,
-                Some(&sx) => {
-                    let s = &self.slots[sx as usize];
-                    (s.head as usize) >= s.events.len()
-                }
+                Some(&sx) => self.slots[sx as usize].unconsumed.is_empty(),
             };
             if undecided {
                 break;
@@ -863,37 +984,21 @@ impl StreamingEngine {
     /// the reception its future re-send would have consumed, so every
     /// pairing completed after the first spill reads queue state the
     /// exact algorithm might not have produced. All such trips are
-    /// therefore tagged `spilled` (unconfirmed) in both the live
-    /// finding and the materialized trip; with no spills ever, nothing
-    /// is tagged and finalize stays byte-identical to post-mortem.
+    /// therefore tagged `spilled` (unconfirmed) in the live finding;
+    /// with no spills ever, nothing is tagged and the live trips are
+    /// exactly the post-mortem sweep's.
     fn try_complete_trip(&mut self, tx: &FrontierTx) {
         let spilled = self.stats.frontier_spilled > 0;
         let Some(&sx) = self.slot_index.get(&(tx.hash, tx.src)) else {
             return;
         };
-        let rx = {
-            let s = &self.slots[sx as usize];
-            if (s.head as usize) >= s.events.len() {
-                return; // the data never returns: not a round trip
-            }
-            s.events[s.head as usize]
+        let Some(&rx) = self.slots[sx as usize].unconsumed.front() else {
+            return; // the data never returns: not a round trip
         };
-        let dest = self.slots[tx.dest_slot as usize].dest;
-        let key = (tx.hash, tx.src, dest);
-        let gx = *self.trip_index.entry(key).or_insert_with(|| {
-            self.trip_groups.push(TripGroup {
-                hash: tx.hash,
-                src: tx.src,
-                dest,
-                trips: Vec::new(),
-            });
-            (self.trip_groups.len() - 1) as u32
-        });
-        self.trip_groups[gx as usize]
-            .trips
-            .push((tx.seq, rx, spilled));
         // Consume the front of the transfer's own destination queue.
-        self.slots[tx.dest_slot as usize].head += 1;
+        let own = &mut self.slots[tx.dest_slot as usize];
+        own.unconsumed.pop_front();
+        let dest = own.dest;
         self.emit(StreamFinding::RoundTrip {
             hash: tx.hash,
             src_device: tx.src,
@@ -926,20 +1031,13 @@ impl StreamingEngine {
         });
 
         // Algorithm 3: group membership is final at allocation time.
-        let key = (e.src_addr, e.dest_device, e.bytes);
-        let gx = *self.realloc_index.entry(key).or_insert_with(|| {
-            self.realloc_groups.push(ReallocGroup {
-                host_addr: e.src_addr,
-                device: e.dest_device,
-                bytes: e.bytes,
-                pair_ixs: Vec::new(),
-            });
-            (self.realloc_groups.len() - 1) as u32
-        });
-        let g = &mut self.realloc_groups[gx as usize];
-        g.pair_ixs.push(pair_ix);
-        if g.pair_ixs.len() >= 2 {
-            let occurrence = g.pair_ixs.len() as u32;
+        let seen = self
+            .realloc_counts
+            .entry((e.src_addr, e.dest_device, e.bytes))
+            .or_insert(0);
+        *seen += 1;
+        let occurrence = *seen;
+        if occurrence >= 2 {
             self.emit(StreamFinding::RepeatedAlloc {
                 host_addr: e.src_addr,
                 device: e.dest_device,
@@ -998,7 +1096,6 @@ impl StreamingEngine {
             };
             m.pending_pairs.pop_front();
             if unused {
-                m.unused.push(pix);
                 self.emit_unused_alloc(dev, pix);
             }
         }
@@ -1061,8 +1158,6 @@ impl StreamingEngine {
             None => return Some(tx),
             Some(k) if k.start > tx.start => {
                 if let Some(&(cand, cand_cp)) = m.candidates.get(&tx.src_addr) {
-                    m.unused_tx
-                        .push((cand, UnusedTransferReason::OverwrittenBeforeUse));
                     emitted.push(StreamFinding::UnusedTransfer {
                         device: DeviceId::target(dev as u32),
                         host_addr: tx.src_addr,
@@ -1103,7 +1198,7 @@ impl StreamingEngine {
         }
     }
 
-    // ---- bookkeeping & materialization ----------------------------------
+    // ---- bookkeeping --------------------------------------------------
 
     fn emit(&mut self, f: StreamFinding) {
         self.emitted.push(f);
@@ -1127,154 +1222,12 @@ impl StreamingEngine {
         self.stats.device_pending_peak = self.stats.device_pending_peak.max(pending);
         self.stats.frontier_peak = self.stats.frontier_peak.max(self.frontier.len());
     }
-
-    /// Materialize owned findings from the hydrated view, in exactly the
-    /// orders the fused engine (and the standalone passes) produce.
-    ///
-    /// A streamed sequence number absent from the view (the collector
-    /// quarantined or lost the record after the engine saw the event)
-    /// does not panic: the affected finding — or the affected event
-    /// within its group — is dropped, counted in
-    /// [`TraceHealth::missing_at_finalize`], and the whole
-    /// materialization is downgraded to [`Confidence::Degraded`].
-    fn materialize(&mut self, view: &EventView<'_>) -> Findings {
-        let mut by_seq: FnvHashMap<Seq, u32> =
-            FnvHashMap::with_capacity_and_hasher(view.op_count(), Default::default());
-        for (ix, id) in view.ops().ids.iter().enumerate() {
-            by_seq.insert(id.0, ix as u32);
-        }
-        let missing = std::cell::Cell::new(0u64);
-        let ev = |seq: Seq| -> Option<DataOpEvent> {
-            match by_seq.get(&seq) {
-                Some(&ix) => Some(view.op(ix)),
-                None => {
-                    missing.set(missing.get() + 1);
-                    None
-                }
-            }
-        };
-        let pair = |p: &StreamPair| -> Option<AllocDeletePair> {
-            Some(AllocDeletePair {
-                alloc: ev(p.alloc_seq)?,
-                // A missing delete record degrades the pair to
-                // "never freed" rather than dropping it.
-                delete: p.delete_seq.and_then(&ev),
-            })
-        };
-        let confidence = self.confidence();
-
-        let findings = Findings {
-            duplicates: self
-                .slots
-                .iter()
-                .filter(|s| s.events.len() >= 2)
-                .filter_map(|s| {
-                    let events: Vec<DataOpEvent> = s.events.iter().filter_map(|&q| ev(q)).collect();
-                    (events.len() >= 2).then_some(DuplicateTransferGroup {
-                        hash: s.hash,
-                        dest_device: s.dest,
-                        events,
-                        confidence,
-                    })
-                })
-                .collect(),
-            round_trips: self
-                .trip_groups
-                .iter()
-                .filter_map(|g| {
-                    let trips: Vec<RoundTrip> = g
-                        .trips
-                        .iter()
-                        .filter_map(|&(tx, rx, spilled)| {
-                            Some(RoundTrip {
-                                tx: ev(tx)?,
-                                rx: ev(rx)?,
-                                spilled,
-                            })
-                        })
-                        .collect();
-                    (!trips.is_empty()).then_some(RoundTripGroup {
-                        hash: g.hash,
-                        src_device: g.src,
-                        dest_device: g.dest,
-                        trips: trips.into(),
-                        confidence,
-                    })
-                })
-                .collect(),
-            repeated_allocs: self
-                .realloc_groups
-                .iter()
-                .filter(|g| g.pair_ixs.len() >= 2)
-                .filter_map(|g| {
-                    let pairs: Vec<AllocDeletePair> = g
-                        .pair_ixs
-                        .iter()
-                        .filter_map(|&px| pair(&self.pairs[px as usize]))
-                        .collect();
-                    (pairs.len() >= 2).then_some(RepeatedAllocGroup {
-                        host_addr: g.host_addr,
-                        device: g.device,
-                        bytes: g.bytes,
-                        pairs,
-                        confidence,
-                    })
-                })
-                .collect(),
-            unused_allocs: self
-                .machines
-                .iter()
-                .flat_map(|m| m.unused.iter())
-                .filter_map(|&px| {
-                    Some(UnusedAlloc {
-                        pair: pair(&self.pairs[px as usize])?,
-                        confidence,
-                    })
-                })
-                .collect(),
-            unused_transfers: self
-                .machines
-                .iter()
-                .flat_map(|m| m.unused_tx.iter())
-                .filter_map(|&(seq, reason)| {
-                    Some(UnusedTransfer {
-                        event: ev(seq)?,
-                        reason,
-                        confidence,
-                    })
-                })
-                .collect(),
-        };
-        let mut findings = findings;
-        self.health.missing_at_finalize += missing.get();
-        if missing.get() > 0 {
-            // The view disagrees with the stream: nothing materialized
-            // here is trustworthy evidence anymore.
-            self.degraded = true;
-            for g in &mut findings.duplicates {
-                g.confidence = Confidence::Degraded;
-            }
-            for g in &mut findings.round_trips {
-                g.confidence = Confidence::Degraded;
-            }
-            for g in &mut findings.repeated_allocs {
-                g.confidence = Confidence::Degraded;
-            }
-            for g in &mut findings.unused_allocs {
-                g.confidence = Confidence::Degraded;
-            }
-            for g in &mut findings.unused_transfers {
-                g.confidence = Confidence::Degraded;
-            }
-        }
-        findings
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::testutil::EventFactory;
+    use crate::detect::testutil::{assert_live_matches, EventFactory};
     use odp_model::TimeSpan;
 
     /// Feed events in chronological order with a trailing watermark.
@@ -1316,16 +1269,13 @@ mod tests {
         ];
         let mut engine = StreamingEngine::default();
         feed_chronological(&mut engine, &ops, &kernels);
-        let live = engine.take_findings();
+        let mut live = engine.take_findings();
         assert!(!live.is_empty(), "findings must be emitted mid-stream");
         let view = EventView::new(&ops, &kernels, 1);
-        let streamed = engine.finalize(&view);
-        let postmortem = Findings::detect(&ops, &kernels, 1);
-        assert_eq!(
-            serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&postmortem).unwrap()
-        );
-        assert_eq!(engine.live_counts(), postmortem.counts());
+        let report = engine.finalize(&view);
+        live.extend(engine.take_findings());
+        assert_eq!(engine.live_counts(), report.counts());
+        assert_live_matches(live, &report);
     }
 
     #[test]
@@ -1359,13 +1309,9 @@ mod tests {
         };
         let kernels = vec![kernel];
         let view = EventView::new(&ops, &kernels, 1);
-        let streamed = engine.finalize(&view);
-        let postmortem = Findings::detect(&ops, &kernels, 1);
-        assert_eq!(
-            serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&postmortem).unwrap()
-        );
-        assert_eq!(streamed.counts().dd, 1);
+        let report = engine.finalize(&view);
+        assert_eq!(report.counts().dd, 1);
+        assert_live_matches(engine.take_findings(), &report);
     }
 
     #[test]
@@ -1392,16 +1338,19 @@ mod tests {
         );
 
         let view = EventView::new(&ops, &[], 1);
-        let streamed = engine.finalize(&view);
-        assert_eq!(streamed.counts().rt, 1);
+        let report = engine.finalize(&view);
+        assert_eq!(report.counts().rt, 1);
+        assert_eq!(engine.live_counts(), report.counts());
     }
 
     #[test]
     fn steady_state_windows_stay_bounded() {
         // Iterative ping-pong: the same content travels out and back each
         // iteration, kernels keep the Algorithm 4/5 cursors moving. Every
-        // window's high-water mark must be independent of trace length.
-        fn run(iters: u64) -> StreamBufferStats {
+        // window's high-water mark must be independent of trace length,
+        // and so must the reception history the slots retain (the
+        // prefix Algorithm 2 consumed is dropped, not kept for a report).
+        fn run(iters: u64) -> (StreamBufferStats, usize) {
             let mut engine = StreamingEngine::default();
             let mut f = EventFactory::new();
             for i in 0..iters {
@@ -1422,10 +1371,16 @@ mod tests {
                 }
                 engine.advance_watermark(SimTime(t + 90));
             }
-            engine.buffer_stats()
+            let retained = engine.slots.iter().map(|s| s.unconsumed.len()).sum();
+            (engine.buffer_stats(), retained)
         }
-        let small = run(50);
-        let large = run(500);
+        let (small, small_retained) = run(50);
+        let (large, large_retained) = run(500);
+        assert_eq!(
+            small_retained, large_retained,
+            "per-slot history must not grow with trace length"
+        );
+        assert!(large_retained <= 2, "{large_retained}");
         assert_eq!(
             small.frontier_peak, large.frontier_peak,
             "Algorithm 2 window must not grow with trace length"
@@ -1477,20 +1432,18 @@ mod tests {
             .is_some_and(|w| w.contains("hard cap") && w.contains("468")));
 
         // Never-returning transfers are not round trips either way, so
-        // even the capped engine's finalize matches post-mortem here.
+        // even the capped engine's live stream is the report's
+        // projection here.
         let view = EventView::new(&ops, &[], 1);
-        let streamed = capped.finalize(&view);
-        let postmortem = Findings::detect(&ops, &[], 1);
-        assert_eq!(
-            serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&postmortem).unwrap()
-        );
+        let report = capped.finalize(&view);
+        assert_live_matches(capped.take_findings(), &report);
     }
 
     #[test]
     fn spilled_transfers_give_up_late_round_trips_with_a_warning() {
         // The documented trade: a transfer spilled before its re-send
-        // arrives loses its round trip; the warning says so.
+        // arrives loses its *live* round trip, and the warning says so.
+        // The final report is computed from the trace and stays exact.
         let mut f = EventFactory::new();
         let mut ops = vec![f.h2d(0, 0, 0x1000, 7, 64)];
         for i in 0..50u64 {
@@ -1500,37 +1453,59 @@ mod tests {
         // the cap.
         ops.push(f.d2h(2_000, 0, 0x1000, 7, 64));
 
-        let mut engine = StreamingEngine::new(StreamConfig {
-            num_devices: None,
-            max_frontier: Some(8),
-        });
-        for op in &ops {
-            engine.push_data_op(op.clone());
-            engine.advance_watermark(op.span.end);
-        }
-        let view = EventView::new(&ops, &[], 1);
-        let streamed = engine.finalize(&view);
-        let postmortem = Findings::detect(&ops, &[], 1);
-        // Exact detection pairs the outbound H2D with its late return.
-        assert_eq!(postmortem.counts().rt, 1);
-        assert!(postmortem
-            .round_trips
-            .iter()
-            .any(|g| g.src_device.is_host()));
-        // The spilled engine lost that pairing (the return leg may still
-        // complete a reverse-direction trip, but the host-outbound group
-        // is gone) — and the divergence is announced.
+        let run = |cap: Option<usize>| {
+            let mut engine = StreamingEngine::new(StreamConfig {
+                num_devices: None,
+                max_frontier: cap,
+            });
+            for op in &ops {
+                engine.push_data_op(op.clone());
+                engine.advance_watermark(op.span.end);
+            }
+            let view = EventView::new(&ops, &[], 1);
+            let report = engine.finalize(&view);
+            let mut live = engine.take_findings();
+            live.sort_unstable();
+            (engine, report, live)
+        };
+        let (exact, exact_report, exact_live) = run(None);
+        let (capped, capped_report, capped_live) = run(Some(8));
+
+        // Both engines hand back the same, exact report: the outbound
+        // H2D paired with its late return, no trip tagged as spilled.
+        assert_eq!(
+            serde_json::to_string(&capped_report).unwrap(),
+            serde_json::to_string(&exact_report).unwrap()
+        );
+        assert_eq!(exact_report.counts().rt, 1);
+        assert!(exact_report.round_trips[0].src_device.is_host());
+        assert!(!exact_report.round_trips[0].trips[0].spilled);
+        assert_eq!(exact.live_counts(), exact_report.counts());
+        assert_live_matches(exact_live.clone(), &exact_report);
+
+        // The capped live stream lost that pairing; the return leg
+        // completed a reverse-direction trip against the reception the
+        // spill left unconsumed, emitted as unconfirmed — and the
+        // divergence is announced.
+        let is_trip = |f: &&StreamFinding| matches!(f, StreamFinding::RoundTrip { .. });
+        let capped_trips: Vec<_> = capped_live.iter().filter(is_trip).collect();
         assert!(
-            !streamed.round_trips.iter().any(|g| g.src_device.is_host()),
-            "spilled outbound trip must not be reported: {streamed:?}"
+            matches!(
+                capped_trips.as_slice(),
+                [StreamFinding::RoundTrip { src_device, spilled: true, .. }] if !src_device.is_host()
+            ),
+            "{capped_trips:?}"
         );
-        assert_ne!(
-            serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&postmortem).unwrap(),
-            "this trace is built to diverge after the spill"
-        );
-        assert!(engine.spill_warning().is_some(), "divergence must warn");
-        assert!(engine.buffer_stats().frontier_spilled > 0);
+        assert!(exact_live
+            .iter()
+            .filter(is_trip)
+            .all(|f| matches!(f, StreamFinding::RoundTrip { spilled: false, .. })));
+        assert_ne!(capped_live, exact_live);
+        assert!(capped
+            .spill_warning()
+            .is_some_and(|w| w.contains("live") && w.contains("remediation")));
+        assert!(capped.buffer_stats().frontier_spilled > 0);
+        assert_eq!(exact.spill_warning(), None);
     }
 
     #[test]
@@ -1547,18 +1522,50 @@ mod tests {
         });
         feed_chronological(&mut engine, &ops, &kernels);
         let view = EventView::new(&ops, &kernels, 1);
-        let streamed = engine.finalize(&view);
-        let postmortem = Findings::detect(&ops, &kernels, 1);
-        assert_eq!(
-            serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&postmortem).unwrap()
-        );
+        let report = engine.finalize(&view);
+        assert_live_matches(engine.take_findings(), &report);
         assert_eq!(engine.out_of_range(), view.out_of_range());
         assert_eq!(engine.out_of_range().total(), 3);
         assert!(view
             .out_of_range()
             .warning(1)
             .is_some_and(|w| w.contains("Algorithms 4/5")));
+    }
+
+    #[test]
+    fn a_view_that_disagrees_with_the_stream_is_counted_and_degrades() {
+        // The live ≡ projection invariant is not vacuous: withhold one
+        // arrival (or one recorded op) and it breaks — and the count
+        // reconciliation at finalize notices, without panicking.
+        let mut f = EventFactory::new();
+        let ops = vec![
+            f.h2d(0, 0, 0x1000, 7, 64),
+            f.h2d(20, 0, 0x1000, 7, 64), // duplicate of ops[0]
+            f.h2d(40, 0, 0x2000, 9, 64),
+        ];
+        let cases: [(&[DataOpEvent], &[DataOpEvent]); 2] = [
+            (&[ops[0].clone(), ops[2].clone()], &ops), // arrival withheld
+            (&ops, &ops[..2]),                         // record withheld
+        ];
+        for (streamed, recorded) in cases {
+            let mut engine = StreamingEngine::default();
+            feed_chronological(&mut engine, streamed, &[]);
+            let view = EventView::new(recorded, &[], 1);
+            let report = engine.finalize(&view);
+            assert_eq!(engine.health().missing_at_finalize, 1);
+            assert!(engine.is_degraded());
+            assert_eq!(report.counts().dd, 1, "the report follows the view");
+            assert!(report.duplicates[0].confidence.is_degraded());
+            assert!(report
+                .unused_transfers
+                .iter()
+                .all(|ut| ut.confidence.is_degraded()));
+            let mut live = engine.take_findings();
+            let mut projected: Vec<_> = report.stream_findings().collect();
+            live.sort_unstable();
+            projected.sort_unstable();
+            assert_ne!(live, projected, "the mismatch must be observable");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use odp_model::{DataOpEvent, TargetEvent};
 use serde::Serialize;
 
 /// Why a transfer is provably unused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum UnusedTransferReason {
     /// The transfer happened after the device's last kernel execution.
     AfterLastKernel,

@@ -46,7 +46,6 @@
 //! nothing in this module runs and detection output stays byte-identical
 //! to the unremediated tool (the differential suites enforce this).
 
-use crate::detect::stream::host_side_addr;
 use crate::detect::{Findings, StreamFinding};
 use crate::report::FindingsSink;
 use crate::tool::{FindingsTap, ToolHandle};
@@ -95,46 +94,8 @@ impl RemediationPolicy {
     /// to a fixed point where the remediated kinds stay eliminated on
     /// every schedule.
     pub fn absorb(&mut self, findings: &Findings) {
-        for g in findings
-            .duplicates
-            .iter()
-            .filter(|g| !g.confidence.is_degraded())
-        {
-            for e in g.events.iter().skip(1) {
-                self.on_duplicate(e.src_device, e.dest_device, host_side_addr(e));
-            }
-        }
-        for g in findings
-            .round_trips
-            .iter()
-            .filter(|g| !g.confidence.is_degraded())
-        {
-            // A spilled trip was never confirmed — seeding a rewrite
-            // from it could drop a copy-back the program needs.
-            for t in g.trips.iter().filter(|t| !t.spilled) {
-                self.on_round_trip(g.src_device, g.dest_device, host_side_addr(&t.tx));
-            }
-        }
-        for g in findings
-            .repeated_allocs
-            .iter()
-            .filter(|g| !g.confidence.is_degraded())
-        {
-            self.on_repeated_alloc(g.device, g.host_addr);
-        }
-        for ua in findings
-            .unused_allocs
-            .iter()
-            .filter(|ua| !ua.confidence.is_degraded())
-        {
-            self.on_unused_alloc(ua.pair.alloc.dest_device, ua.pair.alloc.src_addr);
-        }
-        for ut in findings
-            .unused_transfers
-            .iter()
-            .filter(|ut| !ut.confidence.is_degraded())
-        {
-            self.on_unused_transfer(ut.event.dest_device, ut.event.src_addr);
+        for finding in findings.stream_findings() {
+            self.observe(&finding);
         }
     }
 
@@ -876,8 +837,9 @@ mod tests {
 
     /// Regression (tiny `--stream-cap`): an Algorithm-2 transfer
     /// force-retired by a frontier spill can pair with a reception "as
-    /// the queues stand" — an *unconfirmed* round trip. Such a finding
-    /// must never seed a `skip_from` rule, live or via `from_findings`.
+    /// the queues stand" — an *unconfirmed* round trip. Such a live
+    /// finding must never seed a `skip_from` rule; the final report is
+    /// computed from the trace and never carries the tag.
     #[test]
     fn spilled_round_trips_never_seed_rules() {
         use crate::detect::testutil::EventFactory;
@@ -928,22 +890,27 @@ mod tests {
             "a spilled round trip must not downgrade the copy-back"
         );
 
-        // Seeded path: the materialized findings carry the tag and
-        // from_findings skips those trips too.
+        // Seeded path: finalize reports the fused sweep over the
+        // recorded trace, where tx1 → rx is a confirmed round trip (the
+        // full reception queues are known) — untagged, so a re-run
+        // seeded from the report may act on it.
         let view = EventView::new(&ops, &[], 1);
         let findings = engine.finalize(&view);
-        assert!(
-            findings
-                .round_trips
-                .iter()
-                .flat_map(|g| g.trips.iter())
-                .any(|t| t.spilled),
-            "materialized trips must carry the spill tag"
+        assert_eq!(
+            serde_json::to_string(&findings).unwrap(),
+            serde_json::to_string(&Findings::detect_fused(&view)).unwrap(),
+            "a spill must not leak into the final report"
         );
+        assert!(findings
+            .round_trips
+            .iter()
+            .flat_map(|g| g.trips.iter())
+            .all(|t| !t.spilled));
         let mut seeded = RemediationPolicy::from_findings(&findings);
-        assert!(
-            seeded.advise(0, 0x2000).skip_from.is_none(),
-            "from_findings must ignore spilled trips"
+        assert_eq!(
+            seeded.advise(0, 0x2000).skip_from,
+            Some(AdviceCause::RoundTrip),
+            "the exact report confirms the trip"
         );
     }
 }

@@ -11,7 +11,21 @@ use odp_model::{
     CodePtr, DataOpEvent, DataOpKind, DeviceId, EventId, HashVal, SimTime, TargetEvent, TargetKind,
     TimeSpan,
 };
-use ompdataperf::detect::StreamEvent;
+use ompdataperf::detect::{Findings, StreamEvent, StreamFinding};
+
+/// The streaming invariant every differential suite holds the engine
+/// to: the live findings emitted over a whole run are, as a multiset,
+/// the projection of the fused report over the same trace — every field
+/// of every finding, `spilled` and `confidence` included.
+pub fn assert_live_matches(mut live: Vec<StreamFinding>, report: &Findings, ctx: &str) {
+    let mut projected: Vec<StreamFinding> = report.stream_findings().collect();
+    live.sort_unstable();
+    projected.sort_unstable();
+    assert_eq!(
+        live, projected,
+        "live stream ≠ projection of the report ({ctx})"
+    );
+}
 
 /// xorshift64* with splittable seeding.
 pub struct Rng(u64);

@@ -12,17 +12,20 @@
 //!    stall drops) are the only events missing from the trace; orphaned
 //!    `End`s and truncated payloads are quarantined into
 //!    [`odp_model::TraceHealth`] with nothing double- or un-counted.
-//! 3. **Byte-identity on the survivors**: streaming finalize, the fused
-//!    sweep, and the five standalone reference passes produce identical
-//!    JSON over the faulty trace — graceful degradation must not fork
-//!    the three detection paths.
+//! 3. **Agreement on the survivors**: the fused sweep and the five
+//!    standalone reference passes produce identical JSON over the
+//!    faulty trace, and the streaming engine's live findings are
+//!    exactly that report's projection — graceful degradation must not
+//!    fork the detection paths.
+
+mod common;
 
 use odp_model::{CodePtr, MapType, TraceHealth};
 use odp_sim::{
     map, FaultConfig, FaultCounts, FaultPlan, FaultProfile, Kernel, KernelCost, Runtime,
     RuntimeConfig,
 };
-use ompdataperf::detect::{EventView, Findings};
+use ompdataperf::detect::{EventView, Findings, StreamFinding};
 use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
 use proptest::prelude::*;
 
@@ -89,8 +92,8 @@ struct RunOutcome {
     trace: odp_trace::TraceLog,
     health: TraceHealth,
     counts: FaultCounts,
-    /// Streaming-engine findings, finalized against the trace.
-    streamed: Findings,
+    /// Every live finding the streaming engine emitted over the run.
+    live: Vec<StreamFinding>,
     degraded: bool,
 }
 
@@ -161,10 +164,8 @@ fn run_program(program: &Program, plan: FaultPlan) -> RunOutcome {
 
     let trace = handle.take_trace();
     let mut engine = handle.take_stream_engine().expect("streaming was enabled");
-    let streamed = {
-        let view = EventView::from_log(&trace);
-        engine.finalize(&view)
-    };
+    let _report = engine.finalize(&EventView::from_log(&trace));
+    let live = engine.take_findings();
     // CLI health order: shard-side counters (the engine left the handle
     // above), then the engine's own, then merge-time duplicate ids.
     let mut health = handle.trace_health();
@@ -175,13 +176,13 @@ fn run_program(program: &Program, plan: FaultPlan) -> RunOutcome {
         trace,
         health,
         counts: plan.counts(),
-        streamed,
+        live,
         degraded: engine.is_degraded(),
     }
 }
 
 /// The shared oracle: run `program` clean and faulty, then check
-/// reconciliation and three-way byte-identity on the faulty trace.
+/// reconciliation and three-way agreement on the faulty trace.
 fn check_differential(program: &Program, plan: FaultPlan) {
     let clean = run_program(program, FaultPlan::none());
     let faulty = run_program(program, plan);
@@ -240,7 +241,7 @@ fn check_differential(program: &Program, plan: FaultPlan) {
         "without forced releases the stream must not be degraded"
     );
 
-    // Oracle 3 — streaming == fused == separate on the surviving events.
+    // Oracle 3 — live stream ≡ fused == separate on the surviving events.
     let view = EventView::from_log(&faulty.trace);
     let fused = Findings::detect_fused(&view);
     let separate = Findings::detect_separate(
@@ -248,13 +249,9 @@ fn check_differential(program: &Program, plan: FaultPlan) {
         faulty.trace.kernel_events_sorted(),
         view.num_devices,
     );
-    let streamed_json = serde_json::to_string_pretty(&faulty.streamed).expect("serialize");
     let fused_json = serde_json::to_string_pretty(&fused).expect("serialize");
     let separate_json = serde_json::to_string_pretty(&separate).expect("serialize");
-    assert_eq!(
-        streamed_json, fused_json,
-        "streaming diverged from the fused sweep on a faulty trace"
-    );
+    common::assert_live_matches(faulty.live, &fused, "faulty trace");
     assert_eq!(
         fused_json, separate_json,
         "fused sweep diverged from the reference passes on a faulty trace"

@@ -10,19 +10,20 @@
 //!    model of the run-extension rule.
 //! 2. **Engine level**: shard-interleaved delivery (random arrival
 //!    interleavings of per-shard completion-ordered streams) must
-//!    finalize byte-identical to post-mortem detection.
+//!    emit exactly the projection of the fused report as live findings.
 //! 3. **Stats**: `StreamBufferStats` high-water marks must match an
 //!    external push/release model on both the per-event and the
 //!    batched (`ingest_batch`) ingest paths.
 //! 4. **Degradation knobs**: `--stream-cap` (`max_frontier`) spills
 //!    and `--stall-timeout` (`force_release_all`) quarantines must be
-//!    accounted exactly, and capped runs that never spill must stay
-//!    byte-identical — including over fault-profile traces produced by
-//!    the simulated runtime.
+//!    accounted exactly, capped runs that never spill must keep the live
+//!    stream exact — including over fault-profile traces produced by
+//!    the simulated runtime — and the final report must be the exact
+//!    post-mortem answer either way.
 
 mod common;
 
-use common::{random_trace, shard_partition, Rng};
+use common::{assert_live_matches, random_trace, shard_partition, Rng};
 use odp_model::{
     CodePtr, DataOpEvent, DataOpKind, DeviceId, EventId, HashVal, SimTime, TargetEvent, TimeSpan,
 };
@@ -274,23 +275,13 @@ fn assert_interleaving_matches_postmortem(
         "all shards delivered => the reorder buffer must have drained ({ctx})"
     );
     let view = EventView::new(ops, kernels, num_devices);
-    let streamed = engine.finalize(&view);
-    let postmortem = Findings::detect(ops, kernels, num_devices);
-    assert_eq!(
-        streamed.counts(),
-        postmortem.counts(),
-        "issue counts diverge ({ctx})"
-    );
-    assert_eq!(
-        serde_json::to_string_pretty(&streamed).unwrap(),
-        serde_json::to_string_pretty(&postmortem).unwrap(),
-        "findings diverge ({ctx})"
-    );
+    let report = engine.finalize(&view);
     assert_eq!(
         engine.live_counts(),
-        postmortem.counts(),
+        report.counts(),
         "live counts diverge ({ctx})"
     );
+    assert_live_matches(engine.take_findings(), &report, ctx);
 }
 
 proptest! {
@@ -420,19 +411,12 @@ fn assert_stats_match_model(seed: u64, n: usize, batch: usize) {
         "coarser watermarks cannot shrink the high-water mark"
     );
 
-    // Both ingest paths must finalize byte-identical to post-mortem.
+    // Both ingest paths must have emitted the report's projection.
     let view = EventView::new(&ops, &kernels, 2);
-    let a = engine.finalize(&view);
-    let b = batched.finalize(&view);
-    let postmortem = Findings::detect(&ops, &kernels, 2);
-    assert_eq!(
-        serde_json::to_string(&a).unwrap(),
-        serde_json::to_string(&postmortem).unwrap()
-    );
-    assert_eq!(
-        serde_json::to_string(&b).unwrap(),
-        serde_json::to_string(&postmortem).unwrap()
-    );
+    let report = engine.finalize(&view);
+    assert_live_matches(engine.take_findings(), &report, "per-push ingest");
+    let report = batched.finalize(&view);
+    assert_live_matches(batched.take_findings(), &report, "batched ingest");
 }
 
 proptest! {
@@ -487,7 +471,8 @@ impl Factory {
 
 /// `--stream-cap` through the public API: an adversarial never-returning
 /// trace must spill exactly (events - cap) undecided transfers, warn,
-/// and still finalize identical (no round trips existed to lose).
+/// and still emit the exact live stream (no round trips existed to
+/// lose).
 #[test]
 fn stream_cap_spills_are_accounted_exactly() {
     const N: u64 = 300;
@@ -521,15 +506,9 @@ fn stream_cap_spills_are_accounted_exactly() {
     assert_eq!(exact.spill_warning(), None);
 
     let view = EventView::new(&ops, &[], 1);
-    let capped_findings = capped.finalize(&view);
-    let exact_findings = exact.finalize(&view);
-    let postmortem = Findings::detect(&ops, &[], 1);
-    for (name, f) in [("capped", &capped_findings), ("exact", &exact_findings)] {
-        assert_eq!(
-            serde_json::to_string(f).unwrap(),
-            serde_json::to_string(&postmortem).unwrap(),
-            "{name} engine diverged on a trip-free trace"
-        );
+    for (name, engine) in [("capped", &mut capped), ("exact", &mut exact)] {
+        let report = engine.finalize(&view);
+        assert_live_matches(engine.take_findings(), &report, name);
     }
 }
 
@@ -537,9 +516,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The documented cap contract on realistic traces: while
-    /// `frontier_spilled` stays zero, a capped engine is byte-identical
-    /// to post-mortem; the frontier high-water mark never exceeds the
-    /// cap by more than the in-flight insert.
+    /// `frontier_spilled` stays zero, a capped engine's live stream is
+    /// exact; once it spills it warns, and the final report is the
+    /// post-mortem answer regardless. The frontier high-water mark
+    /// never exceeds the cap by more than the in-flight insert.
     #[test]
     fn capped_engine_identical_until_first_spill(
         seed in 0u64..u64::MAX,
@@ -562,13 +542,17 @@ proptest! {
         prop_assert!(stats.frontier_peak <= cap + 1, "{:?}", stats);
         let spilled = stats.frontier_spilled;
         let view = EventView::new(&ops, &kernels, 2);
-        let streamed = engine.finalize(&view);
-        let postmortem = Findings::detect(&ops, &kernels, 2);
+        let report = engine.finalize(&view);
+        prop_assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            serde_json::to_string(&Findings::detect_fused(&view)).unwrap(),
+            "a cap must never reach the final report (seed {:#x})", seed
+        );
         if spilled == 0 {
-            prop_assert_eq!(
-                serde_json::to_string(&streamed).unwrap(),
-                serde_json::to_string(&postmortem).unwrap(),
-                "zero spills must mean byte-identity (seed {:#x})", seed
+            assert_live_matches(
+                engine.take_findings(),
+                &report,
+                &format!("zero spills must mean an exact live stream (seed {seed:#x})"),
             );
         } else {
             prop_assert!(engine.spill_warning().is_some(), "spills must warn");
@@ -633,7 +617,9 @@ proptest! {
     /// Stall recovery on random traces: force-release mid-stream, then
     /// deliver the rest. Late quarantines must match the count of
     /// remaining arrivals keyed at or below the forced floor, and
-    /// finalize must survive (degraded, never panicking).
+    /// finalize must survive: degraded, never panicking, and — since
+    /// the report comes from the recorded trace — the exact post-mortem
+    /// answer but for the confidence tag.
     #[test]
     fn stall_recovery_accounting_on_random_traces(
         seed in 0u64..u64::MAX,
@@ -667,10 +653,16 @@ proptest! {
         prop_assert!(engine.is_degraded() || half == 0);
 
         let view = EventView::new(&ops, &kernels, 2);
-        let findings = engine.finalize(&view);
-        // Degradation forks results legitimately; the counts must still
-        // be internally consistent with what the engine emitted live.
-        prop_assert_eq!(findings.counts(), engine.live_counts());
+        let report = engine.finalize(&view);
+        prop_assert_eq!(engine.health().missing_at_finalize, 0, "late events were offered");
+        let degraded = half > 0;
+        prop_assert!(report
+            .stream_findings()
+            .all(|f| f.confidence().is_degraded() == degraded));
+        prop_assert_eq!(
+            serde_json::to_string(&report).unwrap().replace("\"Degraded\"", "\"Confirmed\""),
+            serde_json::to_string(&Findings::detect_fused(&view)).unwrap()
+        );
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Real OS threads hammer forked tool shards with callback storms; the
 //! merged trace must be byte-identical across runs (scheduling
-//! independence), and streaming finalize must stay byte-identical to
-//! post-mortem detection no matter how the threads interleave. The
+//! independence), and the live findings must stay exactly the
+//! projection of the fused report no matter how the threads interleave. The
 //! barrier-driven cases force the watermark-merge orderings that random
 //! scheduling only hits occasionally; the engine's internal
 //! release-order assertion (debug builds) turns any early release into
@@ -13,9 +13,12 @@
 //! `RUST_TEST_THREADS=1` so every test's *internal* threads still race
 //! while the harness adds no extra noise.
 
+mod common;
+
+use common::assert_live_matches;
 use odp_model::{CodePtr, DeviceId, SimTime};
 use odp_ompt::{CompilerProfile, DataOpCallback, DataOpType, Endpoint, SubmitCallback, Tool};
-use ompdataperf::detect::{EventView, Findings};
+use ompdataperf::detect::EventView;
 use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
 use std::sync::{Arc, Barrier};
 
@@ -145,17 +148,16 @@ fn streaming_storm_finalize_is_byte_identical_to_postmortem() {
         let trace = handle.take_trace();
         let mut engine = handle.take_stream_engine().expect("streaming enabled");
         let view = EventView::from_log(&trace);
-        let streamed = engine.finalize(&view);
-        let postmortem = Findings::detect_fused(&view);
-        assert_eq!(
-            serde_json::to_string_pretty(&streamed).unwrap(),
-            serde_json::to_string_pretty(&postmortem).unwrap(),
-            "streaming diverged under a {threads}-thread storm"
-        );
-        assert_eq!(engine.live_counts(), postmortem.counts());
+        let report = engine.finalize(&view);
+        assert_eq!(engine.live_counts(), report.counts());
         assert!(
-            postmortem.counts().dd > 0,
+            report.counts().dd > 0,
             "the storm is built to contain cross-thread duplicates"
+        );
+        assert_live_matches(
+            engine.take_findings(),
+            &report,
+            &format!("{threads}-thread storm"),
         );
     }
 }
@@ -200,6 +202,13 @@ fn live_findings_can_be_drained_while_threads_run() {
     // Everything drained live is accounted in the final counts.
     let counts = handle.stream_counts().expect("streaming on");
     assert_eq!(counts.total(), drained.len());
+    // Drained mid-run plus emitted at finalize = the report's projection.
+    let trace = handle.take_trace();
+    let mut engine = handle.take_stream_engine().expect("streaming on");
+    let report = engine.finalize(&EventView::from_log(&trace));
+    let mut live = drained;
+    live.extend(engine.take_findings());
+    assert_live_matches(live, &report, "drained while running");
 }
 
 #[test]
@@ -209,7 +218,7 @@ fn barrier_forced_interleaving_exercises_the_watermark_merge() {
     // close in *reverse* shard order while others keep emitting events
     // with identical timestamps. Any premature release trips the
     // engine's internal order assertion (debug builds) and diverges
-    // finalize from post-mortem (all builds).
+    // the live stream from the report's projection (all builds).
     const THREADS: usize = 4;
     let (tool0, handle) = OmpDataPerfTool::new(ToolConfig {
         stream: true,
@@ -258,16 +267,11 @@ fn barrier_forced_interleaving_exercises_the_watermark_merge() {
     let trace = handle.take_trace();
     let mut engine = handle.take_stream_engine().unwrap();
     let view = EventView::from_log(&trace);
-    let streamed = engine.finalize(&view);
-    let postmortem = Findings::detect_fused(&view);
-    assert_eq!(
-        serde_json::to_string_pretty(&streamed).unwrap(),
-        serde_json::to_string_pretty(&postmortem).unwrap(),
-        "forced interleaving broke the watermark merge"
-    );
+    let report = engine.finalize(&view);
     // 4 shards × 50 identical same-start transfers + 4 long ops of the
     // same content: one giant duplicate group.
-    assert_eq!(streamed.counts().dd, THREADS * 50 + THREADS - 1);
+    assert_eq!(report.counts().dd, THREADS * 50 + THREADS - 1);
+    assert_live_matches(engine.take_findings(), &report, "forced interleaving");
 }
 
 #[test]
@@ -307,9 +311,6 @@ fn open_op_on_one_thread_gates_releases_from_all_threads() {
     let trace = handle.take_trace();
     let mut engine = handle.take_stream_engine().unwrap();
     let view = EventView::from_log(&trace);
-    let streamed = engine.finalize(&view);
-    assert_eq!(
-        serde_json::to_string(&streamed).unwrap(),
-        serde_json::to_string(&Findings::detect_fused(&view)).unwrap()
-    );
+    let report = engine.finalize(&view);
+    assert_live_matches(engine.take_findings(), &report, "gated release");
 }

@@ -1,18 +1,22 @@
-//! Differential tests for the streaming engine: finalize output must be
-//! **byte-identical** (exact JSON equality) to [`Findings::detect`] on
-//! randomized traces — with events delivered the way a real run
+//! Differential tests for the streaming engine: the live findings it
+//! emits over a whole run must be, as a multiset, exactly the
+//! projection ([`Findings::stream_findings`]) of the fused report over
+//! the same randomized trace — with events delivered the way a real run
 //! delivers them: in *completion* order, gated by the open-operation
 //! watermark, not in the chronological order the detectors consume.
+//! (`finalize` itself returns the fused report, so comparing its output
+//! with the fused sweep would be vacuous; the reference passes vouch
+//! for the sweep in `fused_differential.rs`.)
 //!
 //! The trace generator is shared with the fused suite (`common/mod.rs`),
 //! so both engines face identical event distributions.
 
 mod common;
 
-use common::{random_trace, shard_partition, Rng};
+use common::{assert_live_matches, random_trace, shard_partition, Rng};
 use odp_model::{DataOpEvent, SimTime, TargetEvent};
 use odp_ompt::{GlobalWatermark, StreamClock};
-use ompdataperf::detect::{EventView, Findings, StreamConfig, StreamEvent, StreamingEngine};
+use ompdataperf::detect::{EventView, StreamConfig, StreamEvent, StreamingEngine};
 
 /// One deliverable event in arrival (completion) order.
 enum Arrival {
@@ -81,28 +85,22 @@ fn assert_streaming_identical(
         ..Default::default()
     });
     feed_completion_order(&mut engine, ops, kernels);
-    // Finalize against an explicitly columnar view: the reconciliation
-    // pass must behave identically whether the view borrows caller
-    // slices or owned columns (the merged-log path).
+    // Finalize against an explicitly columnar view (the merged-log
+    // path) rather than one converted from the caller's row slices.
     let cols = odp_trace::ColumnarView::from_events(ops, kernels);
     let view = EventView::over(&cols, num_devices);
-    let streamed = engine.finalize(&view);
-    let postmortem = Findings::detect(ops, kernels, num_devices);
-    assert_eq!(
-        streamed.counts(),
-        postmortem.counts(),
-        "issue counts diverge ({ctx})"
-    );
-    assert_eq!(
-        serde_json::to_string_pretty(&streamed).unwrap(),
-        serde_json::to_string_pretty(&postmortem).unwrap(),
-        "findings diverge ({ctx})"
-    );
+    let report = engine.finalize(&view);
     assert_eq!(
         engine.live_counts(),
-        postmortem.counts(),
-        "live counts must agree with materialized counts ({ctx})"
+        report.counts(),
+        "live counts must agree with the report's ({ctx})"
     );
+    assert_eq!(
+        engine.health(),
+        odp_model::TraceHealth::default(),
+        "clean run ({ctx})"
+    );
+    assert_live_matches(engine.take_findings(), &report, ctx);
 }
 
 #[test]
@@ -195,12 +193,11 @@ fn streaming_in_chronological_delivery_matches_too() {
             "chronological delivery must not accumulate"
         );
         let view = EventView::new(&ops, &kernels, 2);
-        let streamed = engine.finalize(&view);
-        let postmortem = Findings::detect(&ops, &kernels, 2);
-        assert_eq!(
-            serde_json::to_string_pretty(&streamed).unwrap(),
-            serde_json::to_string_pretty(&postmortem).unwrap(),
-            "chronological seed {seed}"
+        let report = engine.finalize(&view);
+        assert_live_matches(
+            engine.take_findings(),
+            &report,
+            &format!("chronological seed {seed}"),
         );
     }
 }
@@ -309,35 +306,33 @@ fn streaming_equals_postmortem_under_randomized_thread_interleavings() {
             let mut engine = StreamingEngine::default();
             feed_sharded_interleaved(&mut engine, &st.shard_events, seed ^ 0xF00D);
             let view = EventView::new(&st.ops, &st.kernels, 2);
-            let streamed = engine.finalize(&view);
-            let postmortem = Findings::detect(&st.ops, &st.kernels, 2);
-            assert_eq!(
-                serde_json::to_string_pretty(&streamed).unwrap(),
-                serde_json::to_string_pretty(&postmortem).unwrap(),
-                "interleaved shards diverged (seed {seed}, {shards} shards)"
+            let report = engine.finalize(&view);
+            assert_eq!(engine.live_counts(), report.counts());
+            assert_live_matches(
+                engine.take_findings(),
+                &report,
+                &format!("interleaved shards (seed {seed}, {shards} shards)"),
             );
-            assert_eq!(engine.live_counts(), postmortem.counts());
         }
     }
 }
 
 #[test]
 fn sharded_delivery_is_insensitive_to_the_interleaving_choice() {
-    // Same sharded trace, many different interleavings: finalize output
-    // must be identical every time (and equal to post-mortem).
+    // Same sharded trace, many different interleavings: the live
+    // stream must be the same multiset every time (the report's
+    // projection).
     let (ops, kernels) = random_trace(0xC0FFEE, 300, 2);
     let st = shard_partition(&ops, &kernels, 4, 9);
-    let reference =
-        serde_json::to_string_pretty(&Findings::detect(&st.ops, &st.kernels, 2)).unwrap();
     for interleave in [1u64, 2, 3, 99, 4096] {
         let mut engine = StreamingEngine::default();
         feed_sharded_interleaved(&mut engine, &st.shard_events, interleave);
         let view = EventView::new(&st.ops, &st.kernels, 2);
-        let streamed = engine.finalize(&view);
-        assert_eq!(
-            serde_json::to_string_pretty(&streamed).unwrap(),
-            reference,
-            "interleaving {interleave} changed the output"
+        let report = engine.finalize(&view);
+        assert_live_matches(
+            engine.take_findings(),
+            &report,
+            &format!("interleaving {interleave}"),
         );
     }
 }
@@ -436,12 +431,8 @@ fn steady_state_memory_is_independent_of_trace_length() {
         feed_completion_order(&mut engine, &ops, &kernels);
         let stats = engine.buffer_stats();
         let view = EventView::new(&ops, &kernels, 1);
-        let streamed = engine.finalize(&view);
-        let postmortem = Findings::detect(&ops, &kernels, 1);
-        assert_eq!(
-            serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&postmortem).unwrap()
-        );
+        let report = engine.finalize(&view);
+        assert_live_matches(engine.take_findings(), &report, "ping-pong");
         (stats, ops.len() + kernels.len())
     }
     let (small, small_events) = run(100);

@@ -96,8 +96,8 @@ fn run_with(w: &dyn Workload, size: ProblemSize, variant: Variant, mode: Mode) -
 
     let trace = handle.take_trace();
     let report = if let Some(mut engine) = handle.take_stream_engine() {
-        // Adaptive mode ran the detectors online; finalize against the
-        // trace (byte-identical to post-mortem) instead of re-detecting.
+        // Adaptive mode streamed: finalize completes the live stream and
+        // returns the fused sweep's findings over the trace.
         let view = EventView::from_log(&trace);
         let findings = engine.finalize(&view);
         ompdataperf::analysis::analyze_with_findings(

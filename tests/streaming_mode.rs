@@ -4,9 +4,14 @@
 //! recorded trace, for every workload, including degraded (pre-EMI)
 //! runtimes where events arrive begin-only.
 
+// The live ≡ projection assertion shared with the core differential suites.
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
+
+use common::assert_live_matches;
 use odp_sim::{Runtime, RuntimeConfig};
 use odp_workloads::{ProblemSize, Variant};
-use ompdataperf::detect::{EventView, Findings};
+use ompdataperf::detect::EventView;
 use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
 
 fn streamed_run(
@@ -37,20 +42,14 @@ fn streaming_matches_postmortem_on_every_workload() {
     for w in odp_workloads::all() {
         let (trace, mut engine) = streamed_run(w.name(), false);
         let view = EventView::from_log(&trace);
-        let streamed = engine.finalize(&view);
-        let postmortem = Findings::detect_fused(&view);
-        assert_eq!(
-            serde_json::to_string_pretty(&streamed).unwrap(),
-            serde_json::to_string_pretty(&postmortem).unwrap(),
-            "streaming diverged from post-mortem on {}",
-            w.name()
-        );
+        let report = engine.finalize(&view);
         assert_eq!(
             engine.live_counts(),
-            postmortem.counts(),
+            report.counts(),
             "live counts diverged on {}",
             w.name()
         );
+        assert_live_matches(engine.take_findings(), &report, w.name());
     }
 }
 
@@ -78,12 +77,8 @@ fn streaming_works_on_degraded_runtimes() {
     let (trace, mut engine) = streamed_run("hotspot", true);
     assert_eq!(engine.buffer_stats().buffered_now, 0);
     let view = EventView::from_log(&trace);
-    let streamed = engine.finalize(&view);
-    let postmortem = Findings::detect_fused(&view);
-    assert_eq!(
-        serde_json::to_string_pretty(&streamed).unwrap(),
-        serde_json::to_string_pretty(&postmortem).unwrap()
-    );
+    let report = engine.finalize(&view);
+    assert_live_matches(engine.take_findings(), &report, "pre-EMI hotspot");
 }
 
 #[test]

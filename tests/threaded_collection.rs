@@ -5,6 +5,11 @@
 //! streaming finalize must stay byte-identical to post-mortem
 //! detection under genuinely concurrent callback emission.
 
+// The live ≡ projection assertion shared with the core differential suites.
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
+
+use common::assert_live_matches;
 use odp_ompt::Tool;
 use odp_sim::RuntimeConfig;
 use odp_workloads::threaded::{run_threaded, threaded_workloads};
@@ -92,14 +97,13 @@ fn threaded_streaming_finalize_matches_postmortem() {
             let trace = handle.take_trace();
             let mut engine = handle.take_stream_engine().expect("streaming on");
             let view = EventView::from_log(&trace);
-            let streamed = engine.finalize(&view);
-            let postmortem = Findings::detect_fused(&view);
-            assert_eq!(
-                serde_json::to_string_pretty(&streamed).unwrap(),
-                serde_json::to_string_pretty(&postmortem).unwrap(),
-                "{name} with {threads} threads diverged"
+            let report = engine.finalize(&view);
+            assert_eq!(engine.live_counts(), report.counts());
+            assert_live_matches(
+                engine.take_findings(),
+                &report,
+                &format!("{name} with {threads} threads"),
             );
-            assert_eq!(engine.live_counts(), postmortem.counts());
         }
     }
 }

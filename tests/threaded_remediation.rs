@@ -19,13 +19,18 @@
 //!   transfer, N threads), and that one thread's advisor rewrite is
 //!   adopted by another thread's re-entry.
 
+// The live ≡ projection assertion shared with the core differential suites.
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
+
+use common::assert_live_matches;
 use odp_ompt::{MapAdvisor, Tool};
 use odp_sim::{run_on_threads_shared, RuntimeConfig, RuntimeStats};
 use odp_workloads::adaptive::{
     run_adaptive_threaded, run_baseline_threaded, run_seeded_threaded, threaded_advisors,
 };
 use odp_workloads::{ProblemSize, Variant};
-use ompdataperf::detect::{EventView, Findings};
+use ompdataperf::detect::EventView;
 use ompdataperf::remedy::RemediationPolicy;
 use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
 use std::sync::{Arc, Condvar, Mutex};
@@ -144,7 +149,7 @@ fn adaptive_threaded_run_recovers_live() {
 #[test]
 fn shared_device_streaming_finalize_matches_postmortem() {
     // Acceptance: with no advisor attached, shared-present-table runs
-    // keep streaming finalize byte-identical to the post-mortem sweep
+    // keep the live findings exactly the projection of the fused report
     // over the same merged trace — whatever interleaving the OS chose.
     for name in ["babelstream", "bfs", "xsbench"] {
         for threads in [2u32, 4] {
@@ -170,14 +175,13 @@ fn shared_device_streaming_finalize_matches_postmortem() {
             let trace = handle.take_trace();
             let mut engine = handle.take_stream_engine().expect("streaming on");
             let view = EventView::from_log(&trace);
-            let streamed = engine.finalize(&view);
-            let postmortem = Findings::detect_fused(&view);
-            assert_eq!(
-                serde_json::to_string_pretty(&streamed).unwrap(),
-                serde_json::to_string_pretty(&postmortem).unwrap(),
-                "{name} x{threads} (shared devices) diverged"
+            let report = engine.finalize(&view);
+            assert_eq!(engine.live_counts(), report.counts());
+            assert_live_matches(
+                engine.take_findings(),
+                &report,
+                &format!("{name} x{threads} (shared devices)"),
             );
-            assert_eq!(engine.live_counts(), postmortem.counts());
         }
     }
 }
