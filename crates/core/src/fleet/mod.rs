@@ -11,11 +11,11 @@
 //!                            │   (serialized shard streams, any order)
 //!                            ▼
 //!                      FleetIngest::compact()
-//!                        per run: lenient-decode every submission,
-//!                        canonically order the shard columns, re-merge
-//!                        with the k-way (start, id) shard merge, run
-//!                        the fused engine ──► RunReport
-//!                            │
+//!                        runs in parallel, one worker per core; per run:
+//!                        lenient-decode every submission, sort the shard
+//!                        blocks by content, merge their columns by
+//!                        (start, id, block), run the fused engine
+//!                            │                            ──► RunReport
 //!                            ▼
 //!                      Corpus { runs, fleet }
 //!                        fleet rollup keyed by (codeptr, device, kind)
@@ -29,16 +29,21 @@
 //! any interleaving from any number of threads, and the compacted
 //! corpus — including its JSON rendering — is identical, because event
 //! ids embed their shard and the compactor orders everything by
-//! content, never by arrival. The `fleet_ingest` stress suite pins this
-//! under free-running and pinned harnesses.
+//! content, never by arrival: shard blocks by [`ShardColumns`]' `Ord`
+//! (shard id, then the op columns, then the target columns; blocks that
+//! tie are identical, so their relative order cannot show), run reports
+//! by run id, whichever worker produced them. The `fleet_ingest` stress
+//! suite pins this under free-running and pinned harnesses.
 
 use crate::analysis::infer_num_devices_columnar;
 use crate::detect::{EventView, Findings, IssueCounts};
 use odp_model::TraceHealth;
-use odp_trace::persist::{load_trace_lenient, ShardColumns, TraceArtifact, TraceMeta};
+use odp_trace::persist::{load_trace_lenient, ShardColumns, TraceArtifact};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Which of the five §5 inefficiency classes a finding belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -262,13 +267,48 @@ impl FleetIngest {
 
     /// Compact every run and roll the fleet report up. Deterministic:
     /// independent of submission order, thread count, and interleaving.
+    ///
+    /// Runs are independent, so they compact in parallel: one worker
+    /// per available core (never more than there are runs; the caller's
+    /// thread is one of them) takes the next run index from a shared
+    /// counter and files its report under that index. Which worker
+    /// compacted which run is invisible in the result — reports come
+    /// out in run-id order and each is a pure function of its run's
+    /// submitted bytes. Every in-flight run holds its decoded blocks
+    /// and merged columns, so peak memory grows with the worker count.
     pub fn compact(&self) -> Corpus {
-        let runs = self.runs.lock();
-        let mut reports = Vec::with_capacity(runs.len());
-        for (run_id, submissions) in runs.iter() {
-            reports.push(compact_run(run_id, submissions));
-        }
-        drop(runs);
+        let guard = self.runs.lock();
+        let runs: Vec<(&String, &Vec<Vec<u8>>)> = guard.iter().collect();
+        let slots: Vec<OnceLock<RunReport>> = runs.iter().map(|_| OnceLock::new()).collect();
+        // Relaxed: the counter only hands out indices; the scope's join
+        // is what publishes the filled slots to this thread.
+        let next = AtomicUsize::new(0);
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some((run_id, submissions)) = runs.get(i) else {
+                break;
+            };
+            // Index `i` was handed out once, so the slot is empty.
+            let _ = slots[i].set(compact_run(run_id, submissions));
+        };
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(runs.len());
+        std::thread::scope(|sc| {
+            for _ in 1..workers {
+                sc.spawn(work);
+            }
+            work();
+        });
+        // Invariant, not event data: every index below `runs.len()` was
+        // claimed by exactly one worker, and the scope returned only
+        // after all of them finished (re-raising a worker's panic).
+        #[allow(clippy::expect_used)]
+        let reports: Vec<RunReport> = slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every run index was compacted"))
+            .collect();
+        drop(guard);
         let fleet = rollup(&reports);
         Corpus {
             runs: reports,
@@ -277,78 +317,63 @@ impl FleetIngest {
     }
 }
 
-/// Canonical sort key for a shard-columns block: its own serialized
-/// bytes. Total, content-based, and independent of arrival order; ties
-/// are exact duplicates, for which order cannot matter.
-fn shard_sort_key(s: &ShardColumns) -> Vec<u8> {
-    TraceArtifact {
-        meta: TraceMeta::default(),
-        health: TraceHealth::default(),
-        shards: vec![s.clone()],
-    }
-    .to_bytes()
-}
-
 /// Deterministically merge one run's submissions and run the fused
-/// engine over the combined trace.
+/// engine over the combined trace: decode, order, merge, detect — each
+/// submitted byte is read once and no column is copied before the merge.
 fn compact_run(run_id: &str, submissions: &[Vec<u8>]) -> RunReport {
-    let artifacts: Vec<TraceArtifact> = submissions.iter().map(|b| load_trace_lenient(b)).collect();
-
     let mut health = TraceHealth::default();
-    let mut meta = TraceMeta::default();
-    let mut programs: Vec<&str> = Vec::new();
+    // The run's program name: the least non-empty one any submission
+    // carries (content-ordered, like everything else here).
+    let mut program = String::new();
     let mut shards: Vec<ShardColumns> = Vec::new();
-    for a in &artifacts {
-        health.merge(&a.health);
-        meta.total_time_ns = meta.total_time_ns.max(a.meta.total_time_ns);
-        meta.peak_alloc_bytes += a.meta.peak_alloc_bytes;
-        meta.duplicate_ids += a.meta.duplicate_ids;
-        if !a.meta.program.is_empty() {
-            programs.push(&a.meta.program);
+    for bytes in submissions {
+        let artifact = load_trace_lenient(bytes);
+        // Footer-supplied counters; `merge` saturates.
+        health.merge(&artifact.health);
+        let name = artifact.meta.program;
+        if !name.is_empty() && (program.is_empty() || name < program) {
+            program = name;
         }
-        shards.extend(a.shards.iter().cloned());
+        shards.extend(artifact.shards);
     }
-    programs.sort_unstable();
-    meta.program = programs.first().map(|p| p.to_string()).unwrap_or_default();
 
-    // Arrival order carries no meaning; content order does. Sorting by
-    // serialized shard bytes makes the combined part order — and with
+    // Arrival order carries no meaning; content order does. Sorting the
+    // blocks by their columns makes the combined part order — and with
     // it the (start, id, part) merge — a pure function of the data.
-    shards.sort_by_cached_key(shard_sort_key);
+    // Honest producers' blocks differ at the shard id; blocks that
+    // compare equal are identical, so an unstable sort is enough.
+    shards.sort_unstable();
 
     // Producers are not trusted to keep (shard, seq) ids unique across
     // submissions: count every id claimed by more than one shard block
-    // (within a block, merge-time accounting already ran on save).
-    let mut claims: BTreeMap<u64, u64> = BTreeMap::new();
+    // (within a block, merge-time accounting already ran on save). With
+    // each block's ids deduplicated, an id claimed by c blocks appears
+    // c times in the sorted pool, i.e. as c - 1 adjacent repeats.
+    let mut claimed: Vec<u64> =
+        Vec::with_capacity(shards.iter().map(|s| s.ops.len() + s.targets.len()).sum());
+    let mut block: Vec<u64> = Vec::new();
     for s in &shards {
-        let mut ids: Vec<u64> = s
-            .ops
-            .ids
-            .iter()
-            .chain(s.targets.ids.iter())
-            .map(|i| i.0)
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        for id in ids {
-            *claims.entry(id).or_insert(0) += 1;
-        }
+        block.clear();
+        block.extend(s.ops.ids.iter().chain(&s.targets.ids).map(|id| id.0));
+        block.sort_unstable();
+        block.dedup();
+        claimed.extend_from_slice(&block);
     }
-    let cross_duplicates: u64 = claims.values().map(|&c| c - 1).sum();
-    health.duplicate_ids += cross_duplicates;
+    claimed.sort_unstable();
+    let cross_duplicates = claimed.windows(2).filter(|w| w[0] == w[1]).count() as u64;
+    health.duplicate_ids = health.duplicate_ids.saturating_add(cross_duplicates);
 
-    let artifact = TraceArtifact {
-        meta,
-        health,
+    let cols = TraceArtifact {
         shards,
-    };
-    let cols = artifact.columnar();
+        ..TraceArtifact::default()
+    }
+    .columnar();
     let view = EventView::over(&cols, infer_num_devices_columnar(&cols));
     let findings = Findings::detect_fused(&view);
     RunReport {
         run_id: run_id.to_string(),
-        program: artifact.meta.program.clone(),
-        health: artifact.health,
+        program,
+        health,
         counts: findings.counts(),
         findings: site_findings(&findings),
     }

@@ -4,11 +4,13 @@
 //! in seeded-shuffled arrival orders; the compacted corpus — run
 //! reports, fleet rollup, and the exact JSON bytes — must be identical
 //! whatever the schedule. CI runs this suite twice (free-running and
-//! `RUST_TEST_THREADS=1`) so the internal threads race under both
-//! harness regimes.
+//! `RUST_TEST_THREADS=1`) so the internal threads — the producers here
+//! and the compactor's own workers — race under both harness regimes.
 //!
 //! Also pinned here: duplicate submissions are *accounted* (never
-//! silently merged), a corrupt submission degrades its run's health
+//! silently merged), blocks that collide on every id are ordered by
+//! their content, parallel compaction equals compacting one run at a
+//! time, a corrupt or hostile submission degrades its run's health
 //! without poisoning the process or sibling runs, and the rollup counts
 //! per-site run occurrences across runs.
 
@@ -16,9 +18,11 @@ mod common;
 
 use common::Rng;
 use odp_model::{CodePtr, DataOpKind, DeviceId, SimTime, TargetKind, TimeSpan, TraceHealth};
+use odp_trace::persist::load_trace_lenient;
 use odp_trace::{TraceArtifact, TraceLog};
-use ompdataperf::fleet::{diff_corpora, Corpus, FindingKind, FleetIngest};
+use ompdataperf::fleet::{diff_corpora, rollup, Corpus, FindingKind, FleetIngest};
 use proptest::prelude::*;
+use serde_json::Value;
 
 fn span(a: u64, b: u64) -> TimeSpan {
     TimeSpan::new(SimTime(a), SimTime(b))
@@ -184,6 +188,179 @@ fn corrupt_submission_degrades_its_run_only() {
     );
     // The good shard in the poisoned run still contributes findings.
     assert_eq!(poisoned.counts, healthy.counts);
+}
+
+/// The run-at-a-time reference for [`FleetIngest::compact`]: every run
+/// compacted alone (one run is one worker, on the calling thread), the
+/// reports rolled up afterwards.
+fn one_run_at_a_time(pairs: &[(String, Vec<u8>)]) -> Corpus {
+    let mut run_ids: Vec<&String> = pairs.iter().map(|(run, _)| run).collect();
+    run_ids.sort();
+    run_ids.dedup();
+    let runs: Vec<_> = run_ids
+        .into_iter()
+        .flat_map(|run_id| {
+            let ingest = FleetIngest::new();
+            for (_, bytes) in pairs.iter().filter(|(run, _)| run == run_id) {
+                ingest.submit(run_id, bytes.clone());
+            }
+            ingest.compact().runs
+        })
+        .collect();
+    let fleet = rollup(&runs);
+    Corpus { runs, fleet }
+}
+
+#[test]
+fn colliding_blocks_are_ordered_by_content_not_arrival() {
+    // Two producers claim the same shard and the very same event ids;
+    // their blocks differ in exactly one non-id cell. The merge breaks
+    // every (start, id) tie by block order, so the corpus depends on
+    // which block sorts first — which must be a property of the bytes.
+    let original = TraceArtifact::from_log(&shard_log(21, 0, 40), "twin", TraceHealth::default());
+    let events = (original.data_op_count() + original.target_count()) as u64;
+    let tweaks: [fn(&mut TraceArtifact); 3] = [
+        |a| a.shards[0].ops.bytes[7] += 64,
+        |a| a.shards[0].ops.hashes[3] = Some(odp_model::HashVal(0xdead)),
+        |a| a.shards[0].targets.codeptrs[2] = CodePtr(0x99),
+    ];
+    for (i, tweak) in tweaks.into_iter().enumerate() {
+        let mut twin = original.clone();
+        tweak(&mut twin);
+        assert_ne!(twin, original, "tweak {i} must change the block");
+        let (a, b) = (original.to_bytes(), twin.to_bytes());
+
+        let in_order = |first: &[u8], second: &[u8]| {
+            let ingest = FleetIngest::new();
+            ingest.submit("run", first.to_vec());
+            ingest.submit("run", second.to_vec());
+            ingest.compact()
+        };
+        let forward = in_order(&a, &b);
+        assert_eq!(forward.to_json(), in_order(&b, &a).to_json(), "tweak {i}");
+        assert_eq!(forward.runs[0].health.duplicate_ids, events, "tweak {i}");
+
+        let pairs = [("run".to_string(), a), ("run".to_string(), b)];
+        for threads in [1, 2, 8] {
+            for order_seed in 0..4 {
+                assert_eq!(
+                    corpus_json(&pairs, threads, order_seed),
+                    forward.to_json(),
+                    "tweak {i}, {threads} producer(s), order seed {order_seed}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn parallel_compaction_equals_one_run_at_a_time() {
+    assert_eq!(FleetIngest::new().compact(), Corpus::default());
+    // One run; as many runs as a small box has cores; more runs than
+    // any CI box has workers to give them.
+    for runs in [1, 2, 11] {
+        let pairs = submissions(31, runs, 3, 40);
+        let reference = one_run_at_a_time(&pairs);
+        assert_eq!(reference.runs.len(), runs);
+        assert!(!reference.fleet.entries.is_empty());
+        for (threads, order_seed) in [(1, 0), (4, 5)] {
+            assert_eq!(
+                corpus_json(&pairs, threads, order_seed),
+                reference.to_json(),
+                "{runs} run(s), {threads} producer(s)"
+            );
+        }
+    }
+}
+
+#[test]
+fn corrupt_submission_among_many_runs_degrades_its_run_only() {
+    let mut pairs = submissions(43, 9, 2, 30);
+    let clean = one_run_at_a_time(&pairs);
+    pairs.push(("run-4".to_string(), b"definitely not a trace file".to_vec()));
+    let corpus = Corpus::from_json(&corpus_json(&pairs, 4, 9)).expect("parse");
+    assert_eq!(corpus.runs.len(), 9);
+    for (got, want) in corpus.runs.iter().zip(&clean.runs) {
+        if got.run_id == "run-4" {
+            assert_eq!(got.health.unreadable, 1);
+            assert_eq!((got.counts, &got.findings), (want.counts, &want.findings));
+        } else {
+            assert_eq!(got, want, "sibling run {} must be untouched", got.run_id);
+        }
+    }
+    assert_eq!(corpus.fleet, clean.fleet);
+}
+
+/// Set every `rows` count and every `health` counter of a footer to
+/// `u64::MAX`.
+fn maximize_footer_counts(v: &mut Value, in_health: bool) {
+    match v {
+        Value::Object(fields) => {
+            for (key, field) in fields {
+                if (key == "rows" || in_health) && matches!(field, Value::UInt(_)) {
+                    *field = Value::UInt(u64::MAX);
+                } else {
+                    maximize_footer_counts(field, key == "health");
+                }
+            }
+        }
+        Value::Array(items) => {
+            for item in items {
+                maximize_footer_counts(item, false);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Rewrite a valid `.odpt` file's footer (see the layout in
+/// `odp_trace::persist`) with `maximize_footer_counts` and re-checksum
+/// it, so only the section checks can tell it is lying.
+fn with_hostile_footer(bytes: &[u8]) -> Vec<u8> {
+    let tail = bytes.len() - 24;
+    let footer_len = u64::from_le_bytes(bytes[tail..tail + 8].try_into().expect("8 bytes"));
+    let footer_start = tail - footer_len as usize;
+    let text = std::str::from_utf8(&bytes[footer_start..tail]).expect("footer is JSON text");
+    let mut footer: Value = serde_json::from_str(text).expect("footer parses");
+    maximize_footer_counts(&mut footer, false);
+    let footer = serde_json::to_string(&footer).expect("footer renders");
+
+    let fnv1a64 = footer.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let mut out = bytes[..footer_start].to_vec();
+    out.extend_from_slice(footer.as_bytes());
+    out.extend_from_slice(&(footer.len() as u64).to_le_bytes());
+    out.extend_from_slice(&fnv1a64.to_le_bytes());
+    out.extend_from_slice(&bytes[bytes.len() - 8..]);
+    out
+}
+
+#[test]
+fn hostile_footer_counts_saturate_instead_of_overflowing() {
+    let good = TraceArtifact::from_log(&shard_log(5, 0, 30), "ok", TraceHealth::default());
+    let hostile = with_hostile_footer(&good.to_bytes());
+
+    // The footer checksums, so the envelope is accepted; the claimed
+    // row counts match no section, so every shard is quarantined and
+    // its claimed u64::MAX events are added to an already-full bucket.
+    let loaded = load_trace_lenient(&hostile);
+    assert!(loaded.shards.is_empty());
+    assert_eq!(loaded.health.unreadable, u64::MAX);
+    assert!(loaded.health.warning().is_some());
+
+    let ingest = FleetIngest::new();
+    ingest.submit("healthy", good.to_bytes());
+    ingest.submit("hostile", good.to_bytes());
+    ingest.submit("hostile", hostile.clone());
+    ingest.submit("hostile", hostile);
+    let corpus = ingest.compact();
+    let run = |id: &str| corpus.runs.iter().find(|r| r.run_id == id).expect("run");
+    assert!(run("healthy").health.is_clean());
+    assert_eq!(run("hostile").health.unreadable, u64::MAX);
+    assert_eq!(run("hostile").health.total_quarantined(), u64::MAX);
+    assert!(run("hostile").health.warning().is_some());
+    assert_eq!(run("hostile").counts, run("healthy").counts);
 }
 
 #[test]

@@ -43,7 +43,7 @@ impl fmt::Display for HashVal {
 
 /// The type of a data-management operation, mirroring
 /// `ompt_target_data_op_t`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum DataOpKind {
     /// Device memory allocation (`ompt_target_data_alloc`).
     Alloc,
@@ -144,7 +144,7 @@ impl DataOpEvent {
 }
 
 /// The kind of a target event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum TargetKind {
     /// A `target` construct (the enclosing region; data movement and the
     /// kernel launch are separate events).

@@ -57,14 +57,22 @@ impl TraceHealth {
 
     /// Events excluded from analysis. `forced_releases` is an incident
     /// count, not an event count, so it is not part of the sum.
+    ///
+    /// Saturating, like [`TraceHealth::merge`]: the counters of a
+    /// persisted trace come from its footer, which a hostile writer
+    /// controls.
     pub fn total_quarantined(&self) -> u64 {
-        self.out_of_range
-            + self.orphaned
-            + self.truncated
-            + self.duplicate_ids
-            + self.late
-            + self.missing_at_finalize
-            + self.unreadable
+        [
+            self.out_of_range,
+            self.orphaned,
+            self.truncated,
+            self.duplicate_ids,
+            self.late,
+            self.missing_at_finalize,
+            self.unreadable,
+        ]
+        .into_iter()
+        .fold(0, u64::saturating_add)
     }
 
     /// Did anything degrade at all?
@@ -72,16 +80,18 @@ impl TraceHealth {
         *self == TraceHealth::default()
     }
 
-    /// Fold another health record into this one (shard merge).
+    /// Fold another health record into this one (shard merge). Each
+    /// bucket saturates at `u64::MAX` instead of overflowing.
     pub fn merge(&mut self, other: &TraceHealth) {
-        self.out_of_range += other.out_of_range;
-        self.orphaned += other.orphaned;
-        self.truncated += other.truncated;
-        self.duplicate_ids += other.duplicate_ids;
-        self.late += other.late;
-        self.forced_releases += other.forced_releases;
-        self.missing_at_finalize += other.missing_at_finalize;
-        self.unreadable += other.unreadable;
+        let add = |a: &mut u64, b: u64| *a = a.saturating_add(b);
+        add(&mut self.out_of_range, other.out_of_range);
+        add(&mut self.orphaned, other.orphaned);
+        add(&mut self.truncated, other.truncated);
+        add(&mut self.duplicate_ids, other.duplicate_ids);
+        add(&mut self.late, other.late);
+        add(&mut self.forced_releases, other.forced_releases);
+        add(&mut self.missing_at_finalize, other.missing_at_finalize);
+        add(&mut self.unreadable, other.unreadable);
     }
 
     /// The console warning summarizing what was quarantined, or `None`
@@ -143,6 +153,23 @@ mod tests {
         assert_eq!(a.unreadable, 16);
         // forced_releases is an incident count, not quarantined events.
         assert_eq!(a.total_quarantined(), 2 + 4 + 6 + 8 + 10 + 14 + 16);
+    }
+
+    #[test]
+    fn merge_and_total_saturate_instead_of_overflowing() {
+        let mut a = TraceHealth {
+            unreadable: u64::MAX,
+            orphaned: 1,
+            forced_releases: u64::MAX - 1,
+            ..TraceHealth::default()
+        };
+        let b = a;
+        a.merge(&b);
+        assert_eq!(a.unreadable, u64::MAX);
+        assert_eq!(a.forced_releases, u64::MAX);
+        assert_eq!(a.orphaned, 2);
+        assert_eq!(a.total_quarantined(), u64::MAX);
+        assert!(a.warning().is_some());
     }
 
     #[test]

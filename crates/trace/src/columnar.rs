@@ -23,7 +23,11 @@ use odp_model::{
 /// Column-per-field storage for data-operation events, in chronological
 /// `(start, id)` order. All columns share one length; index `i` across
 /// every column is the decomposition of one [`DataOpEvent`].
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+///
+/// `Ord` compares column by column in declaration order, each column
+/// slice-lexicographically: a total content order (the fleet compactor
+/// sorts shard blocks by it), not a chronological one.
+#[derive(Debug, Default, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct DataOpColumns {
     /// Event ids (shard in the high half — see [`crate::TraceLog`]).
     pub ids: Vec<EventId>,
@@ -125,12 +129,38 @@ impl DataOpColumns {
         }
         cols
     }
+
+    /// K-way merge of `(start, id)`-sorted parts into one chronological
+    /// column set, ties going to the earlier part: the order is computed
+    /// from the `starts`/`ids` columns alone, then every column is moved
+    /// to it. Emits the order [`merge_sorted_parts`] does; that one
+    /// merges unsorted *rows* through a permutation (the live log's
+    /// packed records), this one parts that are columns and sorted
+    /// already (a loaded artifact's shards).
+    pub(crate) fn merged(parts: &[&DataOpColumns]) -> DataOpColumns {
+        let keys: Vec<_> = parts.iter().map(|p| (&p.starts[..], &p.ids[..])).collect();
+        let at = merge_positions(&keys);
+        DataOpColumns {
+            ids: scatter(&at, |p| &parts[p].ids),
+            kinds: scatter(&at, |p| &parts[p].kinds),
+            src_devices: scatter(&at, |p| &parts[p].src_devices),
+            dest_devices: scatter(&at, |p| &parts[p].dest_devices),
+            src_addrs: scatter(&at, |p| &parts[p].src_addrs),
+            dest_addrs: scatter(&at, |p| &parts[p].dest_addrs),
+            bytes: scatter(&at, |p| &parts[p].bytes),
+            hashes: scatter(&at, |p| &parts[p].hashes),
+            starts: scatter(&at, |p| &parts[p].starts),
+            ends: scatter(&at, |p| &parts[p].ends),
+            codeptrs: scatter(&at, |p| &parts[p].codeptrs),
+        }
+    }
 }
 
 /// Column-per-field storage for target-construct events (the detector
 /// paths only ever see kernel executions, but the kind column is kept
-/// so caller-provided slices round-trip exactly).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+/// so caller-provided slices round-trip exactly). `Ord` is the same
+/// column-by-column content order as [`DataOpColumns`]'.
+#[derive(Debug, Default, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TargetColumns {
     /// Event ids.
     pub ids: Vec<EventId>,
@@ -206,6 +236,21 @@ impl TargetColumns {
         }
         cols
     }
+
+    /// K-way merge of `(start, id)`-sorted parts; see
+    /// [`DataOpColumns::merged`].
+    pub(crate) fn merged(parts: &[&TargetColumns]) -> TargetColumns {
+        let keys: Vec<_> = parts.iter().map(|p| (&p.starts[..], &p.ids[..])).collect();
+        let at = merge_positions(&keys);
+        TargetColumns {
+            ids: scatter(&at, |p| &parts[p].ids),
+            devices: scatter(&at, |p| &parts[p].devices),
+            kinds: scatter(&at, |p| &parts[p].kinds),
+            starts: scatter(&at, |p| &parts[p].starts),
+            ends: scatter(&at, |p| &parts[p].ends),
+            codeptrs: scatter(&at, |p| &parts[p].codeptrs),
+        }
+    }
 }
 
 /// The memoized columnar hydration of a trace: chronological data-op
@@ -278,6 +323,71 @@ pub(crate) fn merge_sorted_parts<T, K: Ord + Copy>(
             heap.push(Reverse((key(&rows[next as usize]), px)));
         }
     }
+}
+
+/// Merged order of per-part `(starts, ids)` key columns, each already
+/// `(start, id)`-sorted: for every part, the output positions of its
+/// rows (ascending — parts are consumed front to back), the output
+/// being in ascending `(start, id, part)` order — the order
+/// [`merge_sorted_parts`] emits. A part keeps the floor while its next
+/// key stays below every other part's head, so the heap is touched once
+/// per switch of part, not once per row.
+fn merge_positions(parts: &[(&[SimTime], &[EventId])]) -> Vec<Vec<usize>> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let key = |part: usize, i: usize| (parts[part].0[i], parts[part].1[i], part);
+    let mut heads: BinaryHeap<Reverse<(SimTime, EventId, usize)>> = (0..parts.len())
+        .filter(|&p| !parts[p].1.is_empty())
+        .map(|p| Reverse(key(p, 0)))
+        .collect();
+    let mut positions: Vec<Vec<usize>> = parts
+        .iter()
+        .map(|p| Vec::with_capacity(p.1.len()))
+        .collect();
+    let mut out = 0;
+    while let Some(Reverse((_, _, part))) = heads.pop() {
+        let len = parts[part].1.len();
+        let lo = positions[part].len();
+        let mut hi = lo + 1;
+        match heads.peek() {
+            // Keys of different parts differ in the part index, so the
+            // comparison is never a tie.
+            Some(&Reverse(bound)) => {
+                while hi < len && key(part, hi) < bound {
+                    hi += 1;
+                }
+            }
+            None => hi = len,
+        }
+        positions[part].extend(out..out + (hi - lo));
+        out += hi - lo;
+        if hi < len {
+            heads.push(Reverse(key(part, hi)));
+        }
+    }
+    positions
+}
+
+/// Scatter one column to its [`merge_positions`]: `column(part)` is
+/// that column of part `part`. (A scatter rather than a gather: every
+/// store is independent, where a gather's per-part read cursors chain
+/// each load on the previous store.)
+fn scatter<'a, T: Copy + 'a>(
+    positions: &[Vec<usize>],
+    column: impl Fn(usize) -> &'a Vec<T>,
+) -> Vec<T> {
+    // Any element serves as the filler every position overwrites.
+    let Some(&fill) = (0..positions.len()).find_map(|p| column(p).first()) else {
+        return Vec::new();
+    };
+    let mut out = vec![fill; positions.iter().map(Vec::len).sum()];
+    for (part, at) in positions.iter().enumerate() {
+        for (&i, &v) in at.iter().zip(column(part)) {
+            out[i] = v;
+        }
+    }
+    out
 }
 
 #[cfg(test)]

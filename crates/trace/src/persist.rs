@@ -61,10 +61,11 @@ use crate::record::{
 };
 use crate::stats::{SpaceStats, TraceStats};
 use odp_model::{
-    CodePtr, DataOpEvent, DataOpKind, DeviceId, EventId, HashVal, SimDuration, SimTime,
-    TargetEvent, TargetKind, TraceHealth,
+    CodePtr, DataOpKind, DeviceId, EventId, HashVal, SimDuration, SimTime, TargetEvent, TargetKind,
+    TraceHealth,
 };
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Leading file magic (stable across versions).
 pub const TRACE_MAGIC: [u8; 8] = *b"ODPTRACE";
@@ -106,7 +107,11 @@ pub struct TraceMeta {
 /// The target columns carry every construct (with its kind), not just
 /// kernels, so the persisted trace reproduces target hydration and
 /// stats as well as the detector inputs.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// `Ord` is a total content order — shard id, then the op columns, then
+/// the target columns, each column slice-lexicographic — so blocks that
+/// compare equal are identical.
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ShardColumns {
     /// Shard id (the high half of this shard's event ids).
     pub shard: u32,
@@ -238,48 +243,34 @@ struct SectionWriter {
 }
 
 impl SectionWriter {
-    fn new() -> Self {
-        let mut buf = Vec::with_capacity(4096);
+    fn with_capacity(bytes: usize) -> Self {
+        let mut buf = Vec::with_capacity(bytes);
         buf.extend_from_slice(&TRACE_MAGIC);
         buf.extend_from_slice(&TRACE_VERSION.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes()); // reserved
         SectionWriter { buf }
     }
 
-    /// Append one 8-byte-aligned section and return its index entry.
-    fn section(&mut self, name: &str, bytes: &[u8]) -> ColIndex {
-        while !self.buf.len().is_multiple_of(8) {
-            self.buf.push(0);
+    /// Append one 8-byte-aligned section of little-endian `N`-byte
+    /// elements straight into the file buffer, checksum what was just
+    /// written, and return its index entry.
+    fn column<const N: usize>(
+        &mut self,
+        name: &str,
+        vals: impl Iterator<Item = [u8; N]>,
+    ) -> ColIndex {
+        self.buf.resize(self.buf.len().next_multiple_of(8), 0);
+        let off = self.buf.len();
+        for v in vals {
+            self.buf.extend_from_slice(&v);
         }
-        let off = self.buf.len() as u64;
-        self.buf.extend_from_slice(bytes);
+        let bytes = &self.buf[off..];
         ColIndex {
             name: name.to_string(),
-            off,
+            off: off as u64,
             len: bytes.len() as u64,
             crc: fnv1a64(bytes),
         }
-    }
-
-    fn u64s(&mut self, name: &str, vals: impl Iterator<Item = u64>) -> ColIndex {
-        let mut bytes = Vec::new();
-        for v in vals {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.section(name, &bytes)
-    }
-
-    fn i32s(&mut self, name: &str, vals: impl Iterator<Item = i32>) -> ColIndex {
-        let mut bytes = Vec::new();
-        for v in vals {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.section(name, &bytes)
-    }
-
-    fn u8s(&mut self, name: &str, vals: impl Iterator<Item = u8>) -> ColIndex {
-        let bytes: Vec<u8> = vals.collect();
-        self.section(name, &bytes)
     }
 }
 
@@ -312,35 +303,57 @@ impl TraceArtifact {
 
     /// Serialize to the version-1 binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SectionWriter::new();
+        // Reserve the column bytes up front, so the sections are written
+        // once, in place (4 KiB, the old starting size, covers the header
+        // and alignment padding; the footer may still grow the buffer).
+        let row = |spec: &[(&str, usize)]| spec.iter().map(|&(_, width)| width).sum::<usize>();
+        let rows: usize = self
+            .shards
+            .iter()
+            .map(|s| s.ops.len() * row(OP_COLS) + s.targets.len() * row(TARGET_COLS))
+            .sum();
+        let mut w = SectionWriter::with_capacity(4096 + rows);
         let mut shards = Vec::with_capacity(self.shards.len());
         for s in &self.shards {
             let ops = &s.ops;
+            let hash = |h: &Option<HashVal>| h.map_or(0, |v| v.0);
             let op_cols = vec![
-                w.u64s("ids", ops.ids.iter().map(|i| i.0)),
-                w.u8s("kinds", ops.kinds.iter().map(|&k| encode_data_op_kind(k))),
-                w.i32s("src_devices", ops.src_devices.iter().map(|d| d.raw())),
-                w.i32s("dest_devices", ops.dest_devices.iter().map(|d| d.raw())),
-                w.u64s("src_addrs", ops.src_addrs.iter().copied()),
-                w.u64s("dest_addrs", ops.dest_addrs.iter().copied()),
-                w.u64s("bytes", ops.bytes.iter().copied()),
-                w.u64s(
-                    "hash_values",
-                    ops.hashes.iter().map(|h| h.map(|v| v.0).unwrap_or(0)),
+                w.column("ids", ops.ids.iter().map(|i| i.0.to_le_bytes())),
+                w.column("kinds", ops.kinds.iter().map(|&k| [encode_data_op_kind(k)])),
+                w.column(
+                    "src_devices",
+                    ops.src_devices.iter().map(|d| d.raw().to_le_bytes()),
                 ),
-                w.u8s("hash_flags", ops.hashes.iter().map(|h| h.is_some() as u8)),
-                w.u64s("starts", ops.starts.iter().map(|t| t.as_nanos())),
-                w.u64s("ends", ops.ends.iter().map(|t| t.as_nanos())),
-                w.u64s("codeptrs", ops.codeptrs.iter().map(|c| c.0)),
+                w.column(
+                    "dest_devices",
+                    ops.dest_devices.iter().map(|d| d.raw().to_le_bytes()),
+                ),
+                w.column("src_addrs", ops.src_addrs.iter().map(|a| a.to_le_bytes())),
+                w.column("dest_addrs", ops.dest_addrs.iter().map(|a| a.to_le_bytes())),
+                w.column("bytes", ops.bytes.iter().map(|b| b.to_le_bytes())),
+                w.column(
+                    "hash_values",
+                    ops.hashes.iter().map(|h| hash(h).to_le_bytes()),
+                ),
+                w.column("hash_flags", ops.hashes.iter().map(|h| [h.is_some() as u8])),
+                w.column(
+                    "starts",
+                    ops.starts.iter().map(|t| t.as_nanos().to_le_bytes()),
+                ),
+                w.column("ends", ops.ends.iter().map(|t| t.as_nanos().to_le_bytes())),
+                w.column("codeptrs", ops.codeptrs.iter().map(|c| c.0.to_le_bytes())),
             ];
             let t = &s.targets;
             let target_cols = vec![
-                w.u64s("ids", t.ids.iter().map(|i| i.0)),
-                w.i32s("devices", t.devices.iter().map(|d| d.raw())),
-                w.u8s("kinds", t.kinds.iter().map(|&k| encode_target_kind(k))),
-                w.u64s("starts", t.starts.iter().map(|x| x.as_nanos())),
-                w.u64s("ends", t.ends.iter().map(|x| x.as_nanos())),
-                w.u64s("codeptrs", t.codeptrs.iter().map(|c| c.0)),
+                w.column("ids", t.ids.iter().map(|i| i.0.to_le_bytes())),
+                w.column("devices", t.devices.iter().map(|d| d.raw().to_le_bytes())),
+                w.column("kinds", t.kinds.iter().map(|&k| [encode_target_kind(k)])),
+                w.column(
+                    "starts",
+                    t.starts.iter().map(|x| x.as_nanos().to_le_bytes()),
+                ),
+                w.column("ends", t.ends.iter().map(|x| x.as_nanos().to_le_bytes())),
+                w.column("codeptrs", t.codeptrs.iter().map(|c| c.0.to_le_bytes())),
             ];
             shards.push(ShardIndex {
                 shard: s.shard,
@@ -378,37 +391,39 @@ impl TraceArtifact {
     /// Rebuild the chronological columnar hydration — the detector
     /// input. Per-shard columns are k-way merged by `(start, id,
     /// shard order)`, and kernels are filtered from the target columns
-    /// record-first, exactly mirroring [`TraceLog::columnar`]: the
+    /// before the merge, exactly mirroring [`TraceLog::columnar`]: the
     /// result is field-for-field identical to hydrating the original
     /// log in memory.
+    ///
+    /// Row-free: the shard columns are already `(start, id)`-sorted, so
+    /// the merged order is computed from their `starts`/`ids` columns
+    /// alone and every column is moved straight to its merged positions
+    /// — no `DataOpEvent` is materialised and nothing is re-sorted.
+    /// Caller-built shards that break the sort invariant (the fields
+    /// are public) are normalised on a copy first, with the loader's
+    /// stable sort.
     pub fn columnar(&self) -> ColumnarView {
-        let op_parts: Vec<(Vec<DataOpEvent>, Vec<u32>)> = self
+        let ops: Vec<Cow<'_, DataOpColumns>> = self
+            .shards
+            .iter()
+            .map(|s| sorted_ops(&s.ops).map_or(Cow::Borrowed(&s.ops), Cow::Owned))
+            .collect();
+        let kernels: Vec<TargetColumns> = self
             .shards
             .iter()
             .map(|s| {
-                let rows = s.ops.to_events();
-                let perm = sorted_perm(&rows, |e| (e.span.start, e.id));
-                (rows, perm)
+                let t = &s.targets;
+                let mut kernels = TargetColumns::default();
+                for i in (0..t.len()).filter(|&i| t.kinds[i] == TargetKind::Kernel) {
+                    kernels.push(&t.event(i));
+                }
+                sorted_targets(&kernels).unwrap_or(kernels)
             })
             .collect();
-        let kernel_parts: Vec<(Vec<TargetEvent>, Vec<u32>)> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let rows: Vec<TargetEvent> = (0..s.targets.len())
-                    .filter(|&i| s.targets.kinds[i] == TargetKind::Kernel)
-                    .map(|i| s.targets.event(i))
-                    .collect();
-                let perm = sorted_perm(&rows, |e| (e.span.start, e.id));
-                (rows, perm)
-            })
-            .collect();
-        let mut ops = DataOpColumns::with_capacity(op_parts.iter().map(|(r, _)| r.len()).sum());
-        merge_sorted_parts(&op_parts, |e| (e.span.start, e.id), |e| ops.push(e));
-        let mut kernels =
-            TargetColumns::with_capacity(kernel_parts.iter().map(|(r, _)| r.len()).sum());
-        merge_sorted_parts(&kernel_parts, |e| (e.span.start, e.id), |e| kernels.push(e));
-        ColumnarView { ops, kernels }
+        ColumnarView {
+            ops: DataOpColumns::merged(&ops.iter().map(|c| &**c).collect::<Vec<_>>()),
+            kernels: TargetColumns::merged(&kernels.iter().collect::<Vec<_>>()),
+        }
     }
 
     /// Chronological hydration of every target construct, matching
@@ -607,7 +622,7 @@ fn decode_shard(r: &SectionReader<'_>, ix: &ShardIndex) -> Result<ShardColumns, 
     let n = ix.ops.rows as usize;
     let hash_values = read_u64s(sections[7]);
     let hash_flags = sections[8];
-    let mut ops = DataOpColumns {
+    let ops = DataOpColumns {
         ids: read_u64s(sections[0]).into_iter().map(EventId).collect(),
         kinds: sections[1]
             .iter()
@@ -631,7 +646,7 @@ fn decode_shard(r: &SectionReader<'_>, ix: &ShardIndex) -> Result<ShardColumns, 
     for (col, &(_, width)) in cols.iter().zip(TARGET_COLS) {
         sections.push(r.section(shard, col, ix.targets.rows, width)?);
     }
-    let mut targets = TargetColumns {
+    let targets = TargetColumns {
         ids: read_u64s(sections[0]).into_iter().map(EventId).collect(),
         devices: read_i32s(sections[1]).into_iter().map(DeviceId).collect(),
         kinds: sections[2].iter().map(|&k| decode_target_kind(k)).collect(),
@@ -644,41 +659,43 @@ fn decode_shard(r: &SectionReader<'_>, ix: &ShardIndex) -> Result<ShardColumns, 
     // merge, the detectors). A hostile or foreign writer may have
     // emitted unsorted columns that still checksum — normalize with the
     // same stable sort hydration uses instead of trusting them.
-    ensure_sorted_ops(&mut ops);
-    ensure_sorted_targets(&mut targets);
     Ok(ShardColumns {
         shard,
-        ops,
-        targets,
+        ops: sorted_ops(&ops).unwrap_or(ops),
+        targets: sorted_targets(&targets).unwrap_or(targets),
     })
 }
 
-fn ensure_sorted_ops(cols: &mut DataOpColumns) {
-    let sorted = (1..cols.len())
-        .all(|i| (cols.starts[i - 1], cols.ids[i - 1]) <= (cols.starts[i], cols.ids[i]));
-    if sorted {
-        return;
+/// Are the key columns in ascending `(start, id)` order?
+fn is_sorted(starts: &[SimTime], ids: &[EventId]) -> bool {
+    (1..ids.len()).all(|i| (starts[i - 1], ids[i - 1]) <= (starts[i], ids[i]))
+}
+
+/// The stably `(start, id)`-sorted copy of columns that break the sort
+/// invariant; `None` when they already hold it.
+fn sorted_ops(cols: &DataOpColumns) -> Option<DataOpColumns> {
+    if is_sorted(&cols.starts, &cols.ids) {
+        return None;
     }
     let rows = cols.to_events();
     let mut out = DataOpColumns::with_capacity(rows.len());
     for &i in &sorted_perm(&rows, |e| (e.span.start, e.id)) {
         out.push(&rows[i as usize]);
     }
-    *cols = out;
+    Some(out)
 }
 
-fn ensure_sorted_targets(cols: &mut TargetColumns) {
-    let sorted = (1..cols.len())
-        .all(|i| (cols.starts[i - 1], cols.ids[i - 1]) <= (cols.starts[i], cols.ids[i]));
-    if sorted {
-        return;
+/// [`sorted_ops`] for target columns.
+fn sorted_targets(cols: &TargetColumns) -> Option<TargetColumns> {
+    if is_sorted(&cols.starts, &cols.ids) {
+        return None;
     }
     let rows = cols.to_events();
     let mut out = TargetColumns::with_capacity(rows.len());
     for &i in &sorted_perm(&rows, |e| (e.span.start, e.id)) {
         out.push(&rows[i as usize]);
     }
-    *cols = out;
+    Some(out)
 }
 
 /// Parse the envelope (magics, version, checksummed footer) and return
@@ -771,7 +788,13 @@ pub fn load_trace_lenient(bytes: &[u8]) -> TraceArtifact {
     for ix in &footer.shards {
         match decode_shard(&reader, ix) {
             Ok(s) => shards.push(s),
-            Err(_) => health.unreadable += ix.ops.rows + ix.targets.rows,
+            // Footer-supplied counts: a hostile writer controls them.
+            Err(_) => {
+                health.unreadable = health
+                    .unreadable
+                    .saturating_add(ix.ops.rows)
+                    .saturating_add(ix.targets.rows)
+            }
         }
     }
     TraceArtifact {
@@ -784,7 +807,7 @@ pub fn load_trace_lenient(bytes: &[u8]) -> TraceArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odp_model::TimeSpan;
+    use odp_model::{DataOpEvent, TimeSpan};
 
     fn span(a: u64, b: u64) -> TimeSpan {
         TimeSpan::new(SimTime(a), SimTime(b))
@@ -973,5 +996,126 @@ mod tests {
         let art = load_trace_lenient(&bytes);
         assert_eq!(art.health.unreadable, 1);
         assert!(art.shards.is_empty());
+    }
+
+    /// The row path `columnar()` replaced, kept as its oracle: hydrate
+    /// each shard into rows, permutation-sort them, heap-merge the rows
+    /// and scatter them back into columns.
+    fn columnar_by_rows(a: &TraceArtifact) -> ColumnarView {
+        let op_parts: Vec<(Vec<DataOpEvent>, Vec<u32>)> = a
+            .shards
+            .iter()
+            .map(|s| {
+                let rows = s.ops.to_events();
+                let perm = sorted_perm(&rows, |e| (e.span.start, e.id));
+                (rows, perm)
+            })
+            .collect();
+        let kernel_parts: Vec<(Vec<TargetEvent>, Vec<u32>)> = a
+            .shards
+            .iter()
+            .map(|s| {
+                let rows: Vec<TargetEvent> = (0..s.targets.len())
+                    .filter(|&i| s.targets.kinds[i] == TargetKind::Kernel)
+                    .map(|i| s.targets.event(i))
+                    .collect();
+                let perm = sorted_perm(&rows, |e| (e.span.start, e.id));
+                (rows, perm)
+            })
+            .collect();
+        let mut ops = DataOpColumns::default();
+        merge_sorted_parts(&op_parts, |e| (e.span.start, e.id), |e| ops.push(e));
+        let mut kernels = TargetColumns::default();
+        merge_sorted_parts(&kernel_parts, |e| (e.span.start, e.id), |e| kernels.push(e));
+        ColumnarView { ops, kernels }
+    }
+
+    /// A caller-built shard whose rows sit at the given `(start, id)`
+    /// keys, in the given order. Every other field is derived from the
+    /// shard and the row's position, so two rows never look alike even
+    /// when their keys collide; every other target is not a kernel.
+    fn keyed_shard(shard: u32, keys: &[(u64, u64)]) -> ShardColumns {
+        let mut ops = DataOpColumns::default();
+        let mut targets = TargetColumns::default();
+        for (i, &(start, id)) in keys.iter().enumerate() {
+            let tag = u64::from(shard) * 1_000 + i as u64;
+            ops.push(&DataOpEvent {
+                id: EventId(id),
+                kind: if i % 3 == 0 {
+                    DataOpKind::Alloc
+                } else {
+                    DataOpKind::Transfer
+                },
+                src_device: DeviceId::HOST,
+                dest_device: DeviceId::target(shard % 2),
+                src_addr: 0x1000 + tag,
+                dest_addr: 0xd000 + tag,
+                bytes: 8 + tag,
+                hash: (i % 2 == 0).then_some(HashVal(tag)),
+                span: span(start, start + 3),
+                codeptr: CodePtr(0x100 + tag),
+            });
+            targets.push(&TargetEvent {
+                id: EventId(id),
+                device: DeviceId::target(shard % 2),
+                kind: if i % 2 == 0 {
+                    TargetKind::Kernel
+                } else {
+                    TargetKind::Region
+                },
+                span: span(start, start + 2),
+                codeptr: CodePtr(0x200 + tag),
+            });
+        }
+        ShardColumns {
+            shard,
+            ops,
+            targets,
+        }
+    }
+
+    #[test]
+    fn columnar_merges_columns_like_the_row_path() {
+        // Sorted shards whose keys collide across shards — the same
+        // start, and (a hostile producer) the very same id.
+        let sorted: Vec<ShardColumns> = (0..5u32)
+            .map(|s| {
+                let keys: Vec<(u64, u64)> = (0..12u64)
+                    .map(|i| (10 * (i / 2) + u64::from(s % 2), i / 3))
+                    .collect();
+                keyed_shard(s, &keys)
+            })
+            .collect();
+        // A caller-built shard that breaks the sort invariant, with a
+        // key repeated inside the shard (stable: append order wins).
+        let unsorted = keyed_shard(9, &[(30, 2), (0, 0), (30, 2), (10, 7), (10, 1), (0, 0)]);
+
+        for shards in [1, 2, 5] {
+            for with_unsorted in [false, true] {
+                let mut artifact = TraceArtifact {
+                    shards: sorted[..shards].to_vec(),
+                    ..TraceArtifact::default()
+                };
+                if with_unsorted {
+                    artifact.shards.insert(shards / 2, unsorted.clone());
+                }
+                let merged = artifact.columnar();
+                assert_eq!(
+                    merged,
+                    columnar_by_rows(&artifact),
+                    "{shards} shard(s), unsorted shard: {with_unsorted}"
+                );
+                assert_eq!(merged.ops.len(), artifact.data_op_count());
+                assert!(is_sorted(&merged.ops.starts, &merged.ops.ids));
+                assert!(is_sorted(&merged.kernels.starts, &merged.kernels.ids));
+            }
+        }
+        // The unsorted shard on its own, and nothing at all.
+        let alone = TraceArtifact {
+            shards: vec![unsorted],
+            ..TraceArtifact::default()
+        };
+        assert_eq!(alone.columnar(), columnar_by_rows(&alone));
+        assert_eq!(TraceArtifact::default().columnar(), ColumnarView::default());
     }
 }
