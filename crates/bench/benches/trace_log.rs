@@ -46,29 +46,9 @@ fn bench_append(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_hydration(c: &mut Criterion) {
-    let mut log = TraceLog::new();
-    for i in 0..50_000u64 {
-        log.record_data_op(
-            DataOpKind::Transfer,
-            DeviceId::HOST,
-            DeviceId::target(0),
-            0x1000 + i,
-            0xd000,
-            64,
-            Some(i),
-            TimeSpan::new(SimTime(i * 10), SimTime(i * 10 + 5)),
-            CodePtr(0x42),
-        );
-    }
-    c.bench_function("hydrate_50k_data_ops", |b| {
-        b.iter(|| black_box(log.data_op_events()))
-    });
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_millis(800)).warm_up_time(std::time::Duration::from_millis(200));
-    targets = bench_append, bench_hydration
+    targets = bench_append
 );
 criterion_main!(benches);

@@ -185,8 +185,7 @@
 //! the exact sequence the retired heap would, under interleaved
 //! watermark gates, for every shard count and inversion rate, and its
 //! inversion accounting must match an external model of the
-//! run-extension rule. `crates/bench/benches/reorder.rs` races the two
-//! structures directly; the `reorder` rows of the `hotpath` binary gate
+//! run-extension rule. The `reorder` rows of the `hotpath` binary gate
 //! the standalone pipeline at ~15–25 ns/event in CI.
 
 // Detection consumes untrusted event data: malformed input must be

@@ -14,7 +14,10 @@
 mod common;
 
 use common::{assert_live_matches, random_trace, shard_partition, ShardedTrace};
-use odp_trace::{DataOpColumns, TargetColumns, TraceLog};
+use odp_model::{
+    CodePtr, DataOpEvent, DeviceId, SimTime, TargetEvent, TargetKind, TimeSpan, TraceHealth,
+};
+use odp_trace::{load_trace, ColumnarView, DataOpColumns, TargetColumns, TraceArtifact, TraceLog};
 use ompdataperf::detect::{EventView, Findings, StreamConfig, StreamEvent, StreamingEngine};
 use proptest::prelude::*;
 
@@ -202,4 +205,138 @@ fn columnar_equals_rows_on_dense_single_device_partition() {
     let view = EventView::over(log.columnar(), 1);
     let fused = Findings::detect_fused(&view);
     assert!(fused.counts().dd > 0, "dense pool must produce duplicates");
+}
+
+/// One shard log of a hostile shard set, with the rows it recorded (in
+/// append order, ids as the log assigned them) kept for the oracle.
+struct RecordedShard {
+    log: TraceLog,
+    ops: Vec<DataOpEvent>,
+    targets: Vec<TargetEvent>,
+}
+
+impl RecordedShard {
+    fn new(shard: u32) -> Self {
+        RecordedShard {
+            log: TraceLog::for_shard(shard),
+            ops: Vec::new(),
+            targets: Vec::new(),
+        }
+    }
+
+    fn op(&mut self, e: &DataOpEvent) {
+        self.ops.push(self.log.record_data_op(
+            e.kind,
+            e.src_device,
+            e.dest_device,
+            e.src_addr,
+            e.dest_addr,
+            e.bytes,
+            e.hash.map(|h| h.0),
+            e.span,
+            e.codeptr,
+        ));
+    }
+
+    fn target(&mut self, kind: TargetKind, device: DeviceId, span: TimeSpan, codeptr: CodePtr) {
+        self.targets
+            .push(self.log.record_target(kind, device, span, codeptr));
+    }
+}
+
+/// The shard sets only a hostile or `nowait` producer emits — on every
+/// measured workload each part is appended in `(start, id)` order and
+/// shard ids are unique, so nothing else exercises the normaliser's sort
+/// or the merge's part tie-break. Per set: 1, 2 or 5 recording logs whose
+/// appends are completion-ordered (starts go backwards), the same starts
+/// in every log, the last log claiming the first one's shard id (so
+/// whole `(start, id)` keys collide across parts), an empty shard in the
+/// middle, and non-kernel constructs among the targets. The live log,
+/// the artifact built from it and the artifact loaded back from bytes
+/// must all hydrate to the naive oracle: rows concatenated in part
+/// order, stably sorted by `(start, id)`.
+#[test]
+fn hostile_shard_sets_hydrate_identically_four_ways() {
+    let span = |a: u64, b: u64| TimeSpan::new(SimTime(a), SimTime(b));
+    for shards in [1usize, 2, 5] {
+        for seed in 0..6u64 {
+            let ctx = format!("{shards} shard(s), seed {seed}");
+            let (ops, kernels) = random_trace(seed ^ 0xD1FF, 120, 2);
+            let st = shard_partition(&ops, &kernels, shards, seed);
+            let mut recorded: Vec<RecordedShard> = Vec::new();
+            for (s, events) in st.shard_events.iter().enumerate() {
+                // The last log claims shard 0 a second time.
+                let claimed = if s + 1 == shards { 0 } else { s as u32 };
+                let mut shard = RecordedShard::new(claimed);
+                // Identical keys in every log: three ops at one start,
+                // then a later start appended before an earlier one.
+                let probe = |start: u64, end: u64| DataOpEvent {
+                    src_addr: 0xA000 + s as u64,
+                    span: span(start, end),
+                    ..ops[0].clone()
+                };
+                for (start, end) in [(0, 1), (0, 2), (0, 3), (30, 40), (10, 45)] {
+                    shard.op(&probe(start, end));
+                }
+                // A kernel completes before the region around it.
+                let dev = DeviceId::target(0);
+                shard.target(
+                    TargetKind::Kernel,
+                    dev,
+                    span(20, 30),
+                    CodePtr(0x10 + s as u64),
+                );
+                shard.target(
+                    TargetKind::Region,
+                    dev,
+                    span(5, 100),
+                    CodePtr(0x20 + s as u64),
+                );
+                for ev in events {
+                    match ev {
+                        StreamEvent::Op(e) => shard.op(e),
+                        StreamEvent::Kernel(k) => shard.target(k.kind, k.device, k.span, k.codeptr),
+                    }
+                }
+                recorded.push(shard);
+            }
+            recorded.insert(shards / 2, RecordedShard::new(9));
+
+            let mut naive_ops: Vec<DataOpEvent> =
+                recorded.iter().flat_map(|r| r.ops.clone()).collect();
+            assert!(
+                !naive_ops.is_sorted_by_key(|e| (e.span.start, e.id)),
+                "appends must not already be chronological ({ctx})"
+            );
+            naive_ops.sort_by_key(|e| (e.span.start, e.id));
+            let mut naive_targets: Vec<TargetEvent> =
+                recorded.iter().flat_map(|r| r.targets.clone()).collect();
+            naive_targets.sort_by_key(|e| (e.span.start, e.id));
+            let naive_kernels: Vec<TargetEvent> = naive_targets
+                .iter()
+                .filter(|e| e.kind == TargetKind::Kernel)
+                .cloned()
+                .collect();
+            assert!(naive_kernels.len() < naive_targets.len());
+            let oracle = ColumnarView::from_events(&naive_ops, &naive_kernels);
+
+            let live = TraceLog::merge_shards(recorded.into_iter().map(|r| r.log).collect());
+            assert_eq!(live.duplicate_id_count() > 0, shards > 1, "{ctx}");
+            let artifact = TraceArtifact::from_log(&live, "hostile", TraceHealth::default());
+            assert_eq!(artifact.shards.len(), shards, "empty shard skipped ({ctx})");
+            let loaded = load_trace(&artifact.to_bytes()).expect("own output loads");
+
+            assert_eq!(live.columnar(), &oracle, "live log ({ctx})");
+            assert_eq!(artifact.columnar(), oracle, "artifact from log ({ctx})");
+            assert_eq!(loaded.columnar(), oracle, "artifact from bytes ({ctx})");
+            assert_eq!(live.target_events_sorted(), naive_targets, "live ({ctx})");
+            assert_eq!(artifact.target_events_sorted(), naive_targets, "{ctx}");
+            assert_eq!(loaded.target_events_sorted(), naive_targets, "{ctx}");
+            assert_eq!(
+                live.data_op_events_sorted(),
+                naive_ops,
+                "row gather ({ctx})"
+            );
+        }
+    }
 }

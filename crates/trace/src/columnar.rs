@@ -5,20 +5,39 @@
 //! into row-oriented `Vec<DataOpEvent>` makes every step drag a full
 //! ~96-byte row through the cache; hydrating into one column per field
 //! lets each state machine stream over the handful of dense arrays it
-//! actually reads. [`ColumnarView`] is that layout: the memoized
-//! product of [`crate::TraceLog`] hydration, built in a single indexing
-//! pass (per-part permutation sort + k-way shard merge) and shared by
-//! the fused sweep, streaming finalize, export, and stats paths.
+//! actually reads. [`ColumnarView`] is that layout.
+//!
+//! # The one hydration pipeline
+//!
+//! Every §5 algorithm has one precondition — events in chronological
+//! `(start, id)` order — and this module is the only place that knows
+//! the rule. Every producer of a view goes through the same two steps:
+//!
+//! 1. **Sorted part columns.** Each part — a live shard log's packed
+//!    records, a file's column sections, a caller-built
+//!    [`ShardColumns`] — is decoded into columns and handed to the
+//!    normaliser (`DataOpColumns::sorted` / `TargetColumns::sorted`):
+//!    one pass checks the `(start, id)` order and only a part that
+//!    breaks it is stably sorted. A thread appends its events as they
+//!    complete and one thread's events complete in the order they
+//!    start, so on every measured workload the check is all that runs;
+//!    the sort exists for `nowait` completions and for hostile or
+//!    foreign input.
+//! 2. **Column merge.** `DataOpColumns::merged` /
+//!    `TargetColumns::merged` compute the `(start, id, part)` order
+//!    from the parts' `starts`/`ids` columns alone and move every column
+//!    straight to it — the order a stable sort of the concatenated
+//!    parts gives, ties across parts going to the earlier part.
 //!
 //! Row views are *derived* from the columns on demand
 //! ([`DataOpColumns::to_events`]), so row and columnar consumers can
-//! never disagree: both read the same scatter of the same packed
-//! records, in the same `(start, id)` order the algorithms require.
+//! never disagree.
 
 use odp_model::{
     CodePtr, DataOpEvent, DataOpKind, DeviceId, EventId, HashVal, SimTime, TargetEvent, TargetKind,
     TimeSpan,
 };
+use std::borrow::Borrow;
 
 /// Column-per-field storage for data-operation events, in chronological
 /// `(start, id)` order. All columns share one length; index `i` across
@@ -130,14 +149,34 @@ impl DataOpColumns {
         cols
     }
 
+    /// The normaliser: these columns stably sorted into the
+    /// `(start, id)` order [`DataOpColumns::merged`] requires of every
+    /// part, or `None` when they hold it already — the usual case (see
+    /// the module docs), which costs one comparison per row.
+    pub(crate) fn sorted(&self) -> Option<DataOpColumns> {
+        let order = sort_order(&self.starts, &self.ids)?;
+        Some(DataOpColumns {
+            ids: gather(&order, &self.ids),
+            kinds: gather(&order, &self.kinds),
+            src_devices: gather(&order, &self.src_devices),
+            dest_devices: gather(&order, &self.dest_devices),
+            src_addrs: gather(&order, &self.src_addrs),
+            dest_addrs: gather(&order, &self.dest_addrs),
+            bytes: gather(&order, &self.bytes),
+            hashes: gather(&order, &self.hashes),
+            starts: gather(&order, &self.starts),
+            ends: gather(&order, &self.ends),
+            codeptrs: gather(&order, &self.codeptrs),
+        })
+    }
+
     /// K-way merge of `(start, id)`-sorted parts into one chronological
-    /// column set, ties going to the earlier part: the order is computed
-    /// from the `starts`/`ids` columns alone, then every column is moved
-    /// to it. Emits the order [`merge_sorted_parts`] does; that one
-    /// merges unsorted *rows* through a permutation (the live log's
-    /// packed records), this one parts that are columns and sorted
-    /// already (a loaded artifact's shards).
-    pub(crate) fn merged(parts: &[&DataOpColumns]) -> DataOpColumns {
+    /// column set, ties going to the earlier part — the order a stable
+    /// sort of the concatenated parts gives. The order is computed from
+    /// the `starts`/`ids` columns alone, then every column is moved to
+    /// it; no row is materialised.
+    pub(crate) fn merged(parts: &[impl Borrow<DataOpColumns>]) -> DataOpColumns {
+        let parts: Vec<&DataOpColumns> = parts.iter().map(Borrow::borrow).collect();
         let keys: Vec<_> = parts.iter().map(|p| (&p.starts[..], &p.ids[..])).collect();
         let at = merge_positions(&keys);
         DataOpColumns {
@@ -237,9 +276,23 @@ impl TargetColumns {
         cols
     }
 
+    /// The normaliser for target columns; see [`DataOpColumns::sorted`].
+    pub(crate) fn sorted(&self) -> Option<TargetColumns> {
+        let order = sort_order(&self.starts, &self.ids)?;
+        Some(TargetColumns {
+            ids: gather(&order, &self.ids),
+            devices: gather(&order, &self.devices),
+            kinds: gather(&order, &self.kinds),
+            starts: gather(&order, &self.starts),
+            ends: gather(&order, &self.ends),
+            codeptrs: gather(&order, &self.codeptrs),
+        })
+    }
+
     /// K-way merge of `(start, id)`-sorted parts; see
     /// [`DataOpColumns::merged`].
-    pub(crate) fn merged(parts: &[&TargetColumns]) -> TargetColumns {
+    pub(crate) fn merged(parts: &[impl Borrow<TargetColumns>]) -> TargetColumns {
+        let parts: Vec<&TargetColumns> = parts.iter().map(Borrow::borrow).collect();
         let keys: Vec<_> = parts.iter().map(|p| (&p.starts[..], &p.ids[..])).collect();
         let at = merge_positions(&keys);
         TargetColumns {
@@ -251,6 +304,26 @@ impl TargetColumns {
             codeptrs: scatter(&at, |p| &parts[p].codeptrs),
         }
     }
+}
+
+/// One part of a trace — a shard log, or one shard of a persisted file
+/// — as columns, both tables `(start, id)`-sorted: the one intermediate
+/// form between packed records / file sections and the merged
+/// [`ColumnarView`]. The target columns carry every construct (with its
+/// kind), not just kernels, so a persisted trace reproduces target
+/// hydration and stats as well as the detector inputs.
+///
+/// `Ord` is a total content order — shard id, then the op columns, then
+/// the target columns, each column slice-lexicographic — so blocks that
+/// compare equal are identical.
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ShardColumns {
+    /// Shard id (the high half of this shard's event ids).
+    pub shard: u32,
+    /// Data-operation columns.
+    pub ops: DataOpColumns,
+    /// Target-construct columns.
+    pub targets: TargetColumns,
 }
 
 /// The memoized columnar hydration of a trace: chronological data-op
@@ -267,7 +340,7 @@ pub struct ColumnarView {
 impl ColumnarView {
     /// Build a view from caller-sorted row slices (the slice-input
     /// detector entry points; [`crate::TraceLog`] builds its memoized
-    /// view straight from packed records instead).
+    /// view through the module's hydration pipeline instead).
     pub fn from_events(ops: &[DataOpEvent], kernels: &[TargetEvent]) -> Self {
         ColumnarView {
             ops: DataOpColumns::from_events(ops),
@@ -276,62 +349,30 @@ impl ColumnarView {
     }
 }
 
-/// Permutation of `rows` sorted by `key` (stable: equal keys keep
-/// append order, matching the row hydration's stable sort).
-pub(crate) fn sorted_perm<T, K: Ord>(rows: &[T], key: impl Fn(&T) -> K) -> Vec<u32> {
-    let mut perm: Vec<u32> = (0..rows.len() as u32).collect();
-    perm.sort_by_key(|&i| key(&rows[i as usize]));
-    perm
+/// The stable permutation that puts key columns in ascending
+/// `(start, id)` order (equal keys keep append order); `None` when they
+/// hold it already.
+fn sort_order(starts: &[SimTime], ids: &[EventId]) -> Option<Vec<usize>> {
+    let key = |i: usize| (starts[i], ids[i]);
+    if (1..ids.len()).all(|i| key(i - 1) <= key(i)) {
+        return None;
+    }
+    let mut order: Vec<usize> = (0..ids.len()).collect();
+    order.sort_by_key(|&i| key(i));
+    Some(order)
 }
 
-/// K-way merge of per-part sorted permutations.
-///
-/// Each part supplies `(rows, perm)` where `perm` orders `rows` by
-/// `key`. Emits every row across all parts in ascending
-/// `(key, part index)` order — the part index tie-break reproduces the
-/// stable concat-then-sort order the row hydration used, including for
-/// adversarial shard sets whose event ids collide.
-pub(crate) fn merge_sorted_parts<T, K: Ord + Copy>(
-    parts: &[(Vec<T>, Vec<u32>)],
-    key: impl Fn(&T) -> K,
-    mut emit: impl FnMut(&T),
-) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    if parts.len() == 1 {
-        let (rows, perm) = &parts[0];
-        for &i in perm {
-            emit(&rows[i as usize]);
-        }
-        return;
-    }
-    // Heap of (next key, part index); cursors index into each perm.
-    let mut cursors = vec![0usize; parts.len()];
-    let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::with_capacity(parts.len());
-    for (px, (rows, perm)) in parts.iter().enumerate() {
-        if let Some(&first) = perm.first() {
-            heap.push(Reverse((key(&rows[first as usize]), px)));
-        }
-    }
-    while let Some(Reverse((_, px))) = heap.pop() {
-        let (rows, perm) = &parts[px];
-        let cur = cursors[px];
-        emit(&rows[perm[cur] as usize]);
-        cursors[px] = cur + 1;
-        if let Some(&next) = perm.get(cur + 1) {
-            heap.push(Reverse((key(&rows[next as usize]), px)));
-        }
-    }
+/// One column read in [`sort_order`].
+fn gather<T: Copy>(order: &[usize], column: &[T]) -> Vec<T> {
+    order.iter().map(|&i| column[i]).collect()
 }
 
 /// Merged order of per-part `(starts, ids)` key columns, each already
 /// `(start, id)`-sorted: for every part, the output positions of its
 /// rows (ascending — parts are consumed front to back), the output
-/// being in ascending `(start, id, part)` order — the order
-/// [`merge_sorted_parts`] emits. A part keeps the floor while its next
-/// key stays below every other part's head, so the heap is touched once
-/// per switch of part, not once per row.
+/// being in ascending `(start, id, part)` order. A part keeps the floor
+/// while its next key stays below every other part's head, so the heap
+/// is touched once per switch of part, not once per row.
 fn merge_positions(parts: &[(&[SimTime], &[EventId])]) -> Vec<Vec<usize>> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -439,28 +480,58 @@ mod tests {
         assert_eq!(cols.to_events(), rows);
     }
 
+    /// Columns holding `op(id, start)` for each `(start, id)` key, in
+    /// the given order. `src_addr` carries `tag + position`, so rows
+    /// with equal keys stay distinguishable after a merge.
+    fn keyed(tag: u64, keys: &[(u64, u64)]) -> DataOpColumns {
+        let mut cols = DataOpColumns::default();
+        for (i, &(start, id)) in keys.iter().enumerate() {
+            let mut e = op(id, start);
+            e.src_addr = tag + i as u64;
+            cols.push(&e);
+        }
+        cols
+    }
+
     #[test]
     fn merge_orders_by_key_then_part() {
-        // Part 0: keys 1, 5, 5; part 1: keys 1, 5, 9. Equal keys must
-        // come out part-0-first (the stable concat order).
-        let parts = vec![
-            (vec![(1u64, "a0"), (5, "a1"), (5, "a2")], vec![0u32, 1, 2]),
-            (vec![(1u64, "b0"), (5, "b1"), (9, "b2")], vec![0u32, 1, 2]),
-        ];
-        let mut out = Vec::new();
-        merge_sorted_parts(&parts, |t| t.0, |t| out.push(t.1));
-        assert_eq!(out, vec!["a0", "b0", "a1", "a2", "b1", "b2"]);
+        // Part a: keys 1, 5, 5; part b: keys 1, 5, 9 — the same ids, as
+        // two producers claiming one shard would emit. Equal (start, id)
+        // must come out earlier-part-first (the stable concat order).
+        let a = keyed(0xa0, &[(1, 0), (5, 1), (5, 1)]);
+        let b = keyed(0xb0, &[(1, 0), (5, 1), (9, 2)]);
+        assert!(a.sorted().is_none() && b.sorted().is_none());
+        let merged = DataOpColumns::merged(&[&a, &b]);
+        assert_eq!(merged.src_addrs, vec![0xa0, 0xb0, 0xa1, 0xa2, 0xb1, 0xb2]);
+        assert_eq!(merged.to_events().len(), 6);
+        let swapped = DataOpColumns::merged(&[&b, &a]);
+        assert_eq!(swapped.src_addrs, vec![0xb0, 0xa0, 0xb1, 0xa1, 0xa2, 0xb2]);
     }
 
     #[test]
     fn merge_respects_permutations() {
-        // Rows stored out of order; perms present them sorted.
-        let parts = vec![
-            (vec![(5u64, "a1"), (1, "a0")], vec![1u32, 0]),
-            (vec![(9u64, "b1"), (2, "b0")], vec![1u32, 0]),
-        ];
-        let mut out = Vec::new();
-        merge_sorted_parts(&parts, |t| t.0, |t| out.push(t.1));
-        assert_eq!(out, vec!["a0", "b0", "a1", "b1"]);
+        // Parts stored out of order (completion-ordered appends): the
+        // normaliser presents them sorted, stably, before the merge.
+        let a = keyed(0xa0, &[(5, 1), (1, 0), (5, 1)]);
+        let b = keyed(0xb0, &[(9, 1), (2, 0)]);
+        let (a, b) = (a.sorted().unwrap(), b.sorted().unwrap());
+        assert_eq!(
+            a.src_addrs,
+            vec![0xa1, 0xa0, 0xa2],
+            "equal keys keep append order"
+        );
+        assert!(a.sorted().is_none(), "normalising is idempotent");
+        let merged = DataOpColumns::merged(&[&a, &b]);
+        assert_eq!(merged.src_addrs, vec![0xa1, 0xb1, 0xa0, 0xa2, 0xb0]);
+        assert_eq!(
+            merged.starts.iter().map(|t| t.0).collect::<Vec<_>>(),
+            vec![1, 2, 5, 5, 9]
+        );
+        // Every column moves with its key, not just the probe column.
+        for i in 0..merged.len() {
+            let e = merged.event(i);
+            assert_eq!(e.hash, Some(HashVal(e.id.0 ^ 0xabc)));
+            assert_eq!(e.span.end.0, e.span.start.0 + 10);
+        }
     }
 }

@@ -44,11 +44,9 @@ pub mod record;
 pub mod stats;
 
 pub use chunked::ChunkedVec;
-pub use columnar::{ColumnarView, DataOpColumns, TargetColumns};
+pub use columnar::{ColumnarView, DataOpColumns, ShardColumns, TargetColumns};
 pub use intern::CodePtrTable;
 pub use log::TraceLog;
-pub use persist::{
-    load_trace, load_trace_lenient, PersistError, ShardColumns, TraceArtifact, TraceMeta,
-};
+pub use persist::{load_trace, load_trace_lenient, PersistError, TraceArtifact, TraceMeta};
 pub use record::{DataOpRecord, TargetRecord, DATA_OP_RECORD_BYTES, TARGET_RECORD_BYTES};
 pub use stats::{SpaceStats, TraceStats};

@@ -2,9 +2,7 @@
 //! hydrated view the detectors consume afterwards.
 
 use crate::chunked::ChunkedVec;
-use crate::columnar::{
-    merge_sorted_parts, sorted_perm, ColumnarView, DataOpColumns, TargetColumns,
-};
+use crate::columnar::{ColumnarView, DataOpColumns, ShardColumns, TargetColumns};
 use crate::intern::CodePtrTable;
 use crate::record::{DataOpRecord, TargetRecord};
 use crate::stats::{SpaceStats, TraceStats};
@@ -23,18 +21,25 @@ use std::sync::OnceLock;
 /// (with log order breaking ties), which is the precondition of every
 /// algorithm in §5.
 ///
-/// Hydration is memoized and **columnar-first**: the first call to
-/// [`TraceLog::columnar`] (or any accessor that needs it — data-op /
-/// kernel events, [`TraceLog::to_json`]) runs one indexing pass that
-/// hydrates the packed records straight into a struct-of-arrays
-/// [`ColumnarView`] (per-part permutation sort + k-way shard merge) and
-/// caches it; the detectors sweep those cache-dense columns directly.
-/// The row slices returned by the `*_sorted` accessors are *derived*
-/// from the columns by a memoized gather — no second sort — so row and
-/// columnar consumers can never disagree. Appending a record
-/// invalidates the caches (appends take `&mut self`, so no reader can
-/// hold a stale borrow). [`TraceLog::sort_count`] exposes how many sort
-/// passes have actually run, so the memoization is testable.
+/// Hydration is memoized and **columnar-first**, and there is one of
+/// it: every part (the log itself, plus every merged shard) has its
+/// packed records decoded straight into columns, the columns are put in
+/// `(start, id)` order, and the parts are merged by
+/// [`crate::columnar`]'s column merge — the pipeline a persisted trace
+/// is loaded through as well. A thread's records are appended as its
+/// events complete, which on every measured workload is already the
+/// order they started in, so ordering a part is normally a check and
+/// nothing else; the sort behind it exists for `nowait` completions.
+/// The first call to [`TraceLog::columnar`] (or any accessor that needs
+/// it — data-op / kernel events, [`TraceLog::to_json`]) runs that pass
+/// and caches the [`ColumnarView`]; the detectors sweep those
+/// cache-dense columns directly. The row slices returned by the
+/// `*_sorted` accessors are *derived* from merged columns by a memoized
+/// gather, so row and columnar consumers can never disagree. Appending
+/// a record invalidates the caches (appends take `&mut self`, so no
+/// reader can hold a stale borrow). [`TraceLog::sort_count`] exposes
+/// how many hydration passes have actually run, so the memoization is
+/// testable.
 ///
 /// # Sharded collection
 ///
@@ -80,7 +85,7 @@ pub struct TraceLog {
     hydrated_kernels: OnceLock<Vec<TargetEvent>>,
     /// Memoized aggregate statistics.
     cached_stats: OnceLock<TraceStats>,
-    /// Number of hydration sort passes performed (observability for the
+    /// Number of hydration passes performed (observability for the
     /// memoization contract; not part of the trace).
     sort_passes: AtomicUsize,
 }
@@ -308,49 +313,49 @@ impl TraceLog {
         }
     }
 
+    /// This part's data-op records as `(start, id)`-ordered columns.
+    fn op_columns(&self) -> DataOpColumns {
+        let mut cols = DataOpColumns::with_capacity(self.data_ops.len());
+        for r in self.data_ops.iter() {
+            let mut e = r.to_event();
+            e.id = EventId(self.id_base | e.id.0);
+            cols.push(&e);
+        }
+        cols.sorted().unwrap_or(cols)
+    }
+
+    /// This part's target records that pass `keep`, as `(start, id)`-
+    /// ordered columns. The filter reads the packed *record*, so a part
+    /// dominated by non-kernel constructs never decodes them for the
+    /// detectors.
+    fn target_columns(&self, keep: impl Fn(&TargetRecord) -> bool) -> TargetColumns {
+        let mut cols = TargetColumns::default();
+        for r in self.targets.iter().filter(|r| keep(r)) {
+            let cp = self.codeptrs.resolve(r.codeptr_ix);
+            cols.push(&r.to_event(self.id_base | r.seq() as u64, cp));
+        }
+        cols.sorted().unwrap_or(cols)
+    }
+
     /// Borrow the memoized columnar hydration: data-op and kernel
     /// events decomposed into `(start, id)`-ordered struct-of-arrays
     /// columns — the representation the fused detector sweeps consume
-    /// directly. Built in one indexing pass per batch of appends: each
-    /// part (the log itself, plus every merged shard) is hydrated in
-    /// append order and permutation-sorted, then the parts are k-way
-    /// merged by `(start, id, part)` — byte-identical to sorting the
+    /// directly. Built in one pass per batch of appends: each part is
+    /// decoded into ordered columns and the parts are merged by
+    /// `(start, id, part)` — byte-identical to stably sorting the
     /// concatenation, but without re-sorting already-ordered shards.
     pub fn columnar(&self) -> &ColumnarView {
         self.columnar.get_or_init(|| {
             self.sort_passes.fetch_add(1, Ordering::Relaxed);
-            let mut op_parts: Vec<(Vec<DataOpEvent>, Vec<u32>)> = Vec::new();
-            let mut kernel_parts: Vec<(Vec<TargetEvent>, Vec<u32>)> = Vec::new();
-            for p in self.parts() {
-                let ops: Vec<DataOpEvent> = p
-                    .data_ops
-                    .iter()
-                    .map(|r| {
-                        let mut e = r.to_event();
-                        e.id = EventId(p.id_base | e.id.0);
-                        e
-                    })
-                    .collect();
-                let op_perm = sorted_perm(&ops, |e| (e.span.start, e.id));
-                op_parts.push((ops, op_perm));
-                let kernels: Vec<TargetEvent> = p
-                    .targets
-                    .iter()
-                    .filter(|r| r.kind() == TargetKind::Kernel)
-                    .map(|r| {
-                        let cp = p.codeptrs.resolve(r.codeptr_ix);
-                        r.to_event(p.id_base | r.seq() as u64, cp)
-                    })
-                    .collect();
-                let kernel_perm = sorted_perm(&kernels, |e| (e.span.start, e.id));
-                kernel_parts.push((kernels, kernel_perm));
+            let ops: Vec<DataOpColumns> = self.parts().map(|p| p.op_columns()).collect();
+            let kernels: Vec<TargetColumns> = self
+                .parts()
+                .map(|p| p.target_columns(|r| r.kind() == TargetKind::Kernel))
+                .collect();
+            ColumnarView {
+                ops: DataOpColumns::merged(&ops),
+                kernels: TargetColumns::merged(&kernels),
             }
-            let mut ops = DataOpColumns::with_capacity(op_parts.iter().map(|(r, _)| r.len()).sum());
-            merge_sorted_parts(&op_parts, |e| (e.span.start, e.id), |e| ops.push(e));
-            let mut kernels =
-                TargetColumns::with_capacity(kernel_parts.iter().map(|(r, _)| r.len()).sum());
-            merge_sorted_parts(&kernel_parts, |e| (e.span.start, e.id), |e| kernels.push(e));
-            ColumnarView { ops, kernels }
         })
     }
 
@@ -370,21 +375,15 @@ impl TraceLog {
         self.data_op_events_sorted().to_vec()
     }
 
-    /// Borrow the memoized chronological target events.
+    /// Borrow the memoized chronological target events: every
+    /// construct, not only the kernels, through the same decode and
+    /// merge as [`TraceLog::columnar`].
     pub fn target_events_sorted(&self) -> &[TargetEvent] {
         self.hydrated_targets.get_or_init(|| {
             self.sort_passes.fetch_add(1, Ordering::Relaxed);
-            let mut events: Vec<TargetEvent> = self
-                .parts()
-                .flat_map(|p| {
-                    p.targets.iter().map(|r| {
-                        let cp = p.codeptrs.resolve(r.codeptr_ix);
-                        r.to_event(p.id_base | r.seq() as u64, cp)
-                    })
-                })
-                .collect();
-            events.sort_by_key(|e| (e.span.start, e.id));
-            events
+            let parts: Vec<TargetColumns> =
+                self.parts().map(|p| p.target_columns(|_| true)).collect();
+            TargetColumns::merged(&parts).to_events()
         })
     }
 
@@ -394,9 +393,7 @@ impl TraceLog {
     }
 
     /// Borrow the memoized kernel-execution events (input to Algorithms
-    /// 4/5). A gather from the columnar hydration — which filters the
-    /// packed *records* before hydrating, so non-kernel target
-    /// constructs are never hydrated or sorted on this path.
+    /// 4/5). A gather from the columnar hydration.
     pub fn kernel_events_sorted(&self) -> &[TargetEvent] {
         self.hydrated_kernels
             .get_or_init(|| self.columnar().kernels.to_events())
@@ -408,56 +405,29 @@ impl TraceLog {
     }
 
     /// Export every part of this log — the log itself plus each merged
-    /// shard, in merge order, empty parts skipped — as `(shard id,
-    /// sorted data-op columns, sorted target columns)` triples: the
-    /// input of [`crate::persist`].
+    /// shard, in merge order, empty parts skipped — as [`ShardColumns`]:
+    /// the input of [`crate::persist`].
     ///
-    /// Each part's columns are `(start, id)`-sorted with the same
-    /// stable permutation sort hydration uses, and parts keep the merge
-    /// order [`TraceLog::columnar`] tie-breaks on, so re-merging the
-    /// exported parts by `(start, id, part)` reproduces the in-memory
-    /// hydration exactly — including adversarial shard sets whose event
-    /// ids collide. Unlike the columnar hydration, the exported target
-    /// columns carry *every* target construct (with its kind column),
-    /// so a persisted trace also reproduces
-    /// [`TraceLog::target_events_sorted`], stats, and space accounting.
-    pub fn shard_parts(&self) -> Vec<(u32, DataOpColumns, TargetColumns)> {
-        let mut out = Vec::new();
-        for p in self.parts() {
-            if p.data_ops.is_empty() && p.targets.is_empty() {
-                continue;
-            }
-            let op_rows: Vec<DataOpEvent> = p
-                .data_ops
-                .iter()
-                .map(|r| {
-                    let mut e = r.to_event();
-                    e.id = EventId(p.id_base | e.id.0);
-                    e
-                })
-                .collect();
-            let mut ops = DataOpColumns::with_capacity(op_rows.len());
-            for &i in &sorted_perm(&op_rows, |e| (e.span.start, e.id)) {
-                ops.push(&op_rows[i as usize]);
-            }
-            let target_rows: Vec<TargetEvent> = p
-                .targets
-                .iter()
-                .map(|r| {
-                    let cp = p.codeptrs.resolve(r.codeptr_ix);
-                    r.to_event(p.id_base | r.seq() as u64, cp)
-                })
-                .collect();
-            let mut targets = TargetColumns::with_capacity(target_rows.len());
-            for &i in &sorted_perm(&target_rows, |e| (e.span.start, e.id)) {
-                targets.push(&target_rows[i as usize]);
-            }
-            out.push((p.shard(), ops, targets));
-        }
-        out
+    /// These are the ordered part columns [`TraceLog::columnar`] merges,
+    /// in the part order its merge tie-breaks on, so merging them again
+    /// reproduces the in-memory hydration exactly — including
+    /// adversarial shard sets whose event ids collide. Unlike the
+    /// columnar hydration, the exported target columns carry *every*
+    /// target construct (with its kind column), so a persisted trace
+    /// also reproduces [`TraceLog::target_events_sorted`], stats, and
+    /// space accounting.
+    pub fn shard_parts(&self) -> Vec<ShardColumns> {
+        self.parts()
+            .filter(|p| !(p.data_ops.is_empty() && p.targets.is_empty()))
+            .map(|p| ShardColumns {
+                shard: p.shard(),
+                ops: p.op_columns(),
+                targets: p.target_columns(|_| true),
+            })
+            .collect()
     }
 
-    /// Number of hydration sort passes performed so far. Repeated calls
+    /// Number of hydration passes performed so far. Repeated calls
     /// to the event accessors must not grow this (the memoization
     /// contract); appending a record resets the caches and allows one
     /// more pass per view.
@@ -473,34 +443,10 @@ impl TraceLog {
             for p in self.parts() {
                 for r in p.data_ops.iter() {
                     let e = r.to_event();
-                    match e.kind {
-                        DataOpKind::Transfer => {
-                            s.transfers += 1;
-                            s.bytes_transferred += e.bytes;
-                            s.transfer_time += e.duration();
-                            if e.is_host_to_device() {
-                                s.h2d_transfers += 1;
-                            } else if e.is_device_to_host() {
-                                s.d2h_transfers += 1;
-                            }
-                        }
-                        DataOpKind::Alloc => {
-                            s.allocs += 1;
-                            s.bytes_allocated += e.bytes;
-                            s.alloc_time += e.duration();
-                        }
-                        DataOpKind::Delete => {
-                            s.deletes += 1;
-                            s.alloc_time += e.duration();
-                        }
-                        _ => {}
-                    }
+                    s.add_op(e.kind, e.src_device, e.dest_device, e.bytes, e.duration());
                 }
-                for r in p.targets.iter() {
-                    if r.kind() == TargetKind::Kernel {
-                        s.kernels += 1;
-                        s.kernel_time += SimDuration(r.end.saturating_sub(r.start));
-                    }
+                for r in p.targets.iter().filter(|r| r.kind() == TargetKind::Kernel) {
+                    s.add_kernel(SimDuration(r.end.saturating_sub(r.start)));
                 }
             }
             s.total_time = self.total_time;

@@ -51,9 +51,8 @@
 //! one). [`load_trace`] is the strict variant for writers validating
 //! their own output.
 
-use crate::columnar::{
-    merge_sorted_parts, sorted_perm, ColumnarView, DataOpColumns, TargetColumns,
-};
+pub use crate::columnar::ShardColumns;
+use crate::columnar::{ColumnarView, DataOpColumns, TargetColumns};
 use crate::log::TraceLog;
 use crate::record::{
     decode_data_op_kind, decode_target_kind, encode_data_op_kind, encode_target_kind,
@@ -61,8 +60,7 @@ use crate::record::{
 };
 use crate::stats::{SpaceStats, TraceStats};
 use odp_model::{
-    CodePtr, DataOpKind, DeviceId, EventId, HashVal, SimDuration, SimTime, TargetEvent, TargetKind,
-    TraceHealth,
+    CodePtr, DeviceId, EventId, HashVal, SimDuration, SimTime, TargetEvent, TargetKind, TraceHealth,
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -101,24 +99,6 @@ pub struct TraceMeta {
     pub peak_alloc_bytes: u64,
     /// Merge-time duplicate-id count ([`TraceLog::duplicate_id_count`]).
     pub duplicate_ids: u64,
-}
-
-/// One shard's persisted columns, both tables `(start, id)`-sorted.
-/// The target columns carry every construct (with its kind), not just
-/// kernels, so the persisted trace reproduces target hydration and
-/// stats as well as the detector inputs.
-///
-/// `Ord` is a total content order — shard id, then the op columns, then
-/// the target columns, each column slice-lexicographic — so blocks that
-/// compare equal are identical.
-#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ShardColumns {
-    /// Shard id (the high half of this shard's event ids).
-    pub shard: u32,
-    /// Data-operation columns.
-    pub ops: DataOpColumns,
-    /// Target-construct columns.
-    pub targets: TargetColumns,
 }
 
 /// A trace in its persistable form: metadata + health + per-shard
@@ -280,15 +260,6 @@ impl TraceArtifact {
     /// everything else — shard ids, per-shard sorted columns, stats
     /// metadata — is derived from the log so the round trip is closed.
     pub fn from_log(log: &TraceLog, program: &str, health: TraceHealth) -> TraceArtifact {
-        let shards = log
-            .shard_parts()
-            .into_iter()
-            .map(|(shard, ops, targets)| ShardColumns {
-                shard,
-                ops,
-                targets,
-            })
-            .collect();
         TraceArtifact {
             meta: TraceMeta {
                 program: program.to_string(),
@@ -297,7 +268,7 @@ impl TraceArtifact {
                 duplicate_ids: log.duplicate_id_count(),
             },
             health,
-            shards,
+            shards: log.shard_parts(),
         }
     }
 
@@ -389,24 +360,20 @@ impl TraceArtifact {
     }
 
     /// Rebuild the chronological columnar hydration — the detector
-    /// input. Per-shard columns are k-way merged by `(start, id,
-    /// shard order)`, and kernels are filtered from the target columns
-    /// before the merge, exactly mirroring [`TraceLog::columnar`]: the
+    /// input — through the pipeline [`TraceLog::columnar`] runs on the
+    /// live log: ordered part columns, kernels filtered from the target
+    /// columns, one column merge by `(start, id, shard order)`. The
     /// result is field-for-field identical to hydrating the original
     /// log in memory.
     ///
-    /// Row-free: the shard columns are already `(start, id)`-sorted, so
-    /// the merged order is computed from their `starts`/`ids` columns
-    /// alone and every column is moved straight to its merged positions
-    /// — no `DataOpEvent` is materialised and nothing is re-sorted.
-    /// Caller-built shards that break the sort invariant (the fields
-    /// are public) are normalised on a copy first, with the loader's
-    /// stable sort.
+    /// A loaded or log-built shard is ordered already and is merged
+    /// where it lies; caller-built shards that break the order (the
+    /// fields are public) are normalised on a copy first.
     pub fn columnar(&self) -> ColumnarView {
         let ops: Vec<Cow<'_, DataOpColumns>> = self
             .shards
             .iter()
-            .map(|s| sorted_ops(&s.ops).map_or(Cow::Borrowed(&s.ops), Cow::Owned))
+            .map(|s| s.ops.sorted().map_or(Cow::Borrowed(&s.ops), Cow::Owned))
             .collect();
         let kernels: Vec<TargetColumns> = self
             .shards
@@ -417,30 +384,27 @@ impl TraceArtifact {
                 for i in (0..t.len()).filter(|&i| t.kinds[i] == TargetKind::Kernel) {
                     kernels.push(&t.event(i));
                 }
-                sorted_targets(&kernels).unwrap_or(kernels)
+                kernels.sorted().unwrap_or(kernels)
             })
             .collect();
         ColumnarView {
-            ops: DataOpColumns::merged(&ops.iter().map(|c| &**c).collect::<Vec<_>>()),
-            kernels: TargetColumns::merged(&kernels.iter().collect::<Vec<_>>()),
+            ops: DataOpColumns::merged(&ops),
+            kernels: TargetColumns::merged(&kernels),
         }
     }
 
     /// Chronological hydration of every target construct, matching
     /// [`TraceLog::target_events_sorted`] on the original log.
     pub fn target_events_sorted(&self) -> Vec<TargetEvent> {
-        let parts: Vec<(Vec<TargetEvent>, Vec<u32>)> = self
+        let parts: Vec<Cow<'_, TargetColumns>> = self
             .shards
             .iter()
             .map(|s| {
-                let rows = s.targets.to_events();
-                let perm = sorted_perm(&rows, |e| (e.span.start, e.id));
-                (rows, perm)
+                let t = &s.targets;
+                t.sorted().map_or(Cow::Borrowed(t), Cow::Owned)
             })
             .collect();
-        let mut out = Vec::with_capacity(parts.iter().map(|(r, _)| r.len()).sum());
-        merge_sorted_parts(&parts, |e| (e.span.start, e.id), |e| out.push(e.clone()));
-        out
+        TargetColumns::merged(&parts).to_events()
     }
 
     /// Number of persisted data-op events.
@@ -462,42 +426,17 @@ impl TraceArtifact {
         for shard in &self.shards {
             let ops = &shard.ops;
             for i in 0..ops.len() {
-                let dur = SimDuration(
-                    ops.ends[i]
-                        .as_nanos()
-                        .saturating_sub(ops.starts[i].as_nanos()),
+                s.add_op(
+                    ops.kinds[i],
+                    ops.src_devices[i],
+                    ops.dest_devices[i],
+                    ops.bytes[i],
+                    ops.ends[i] - ops.starts[i],
                 );
-                match ops.kinds[i] {
-                    DataOpKind::Transfer => {
-                        s.transfers += 1;
-                        s.bytes_transferred += ops.bytes[i];
-                        s.transfer_time += dur;
-                        let (src, dest) = (ops.src_devices[i], ops.dest_devices[i]);
-                        if src.is_host() && dest.is_target() {
-                            s.h2d_transfers += 1;
-                        } else if src.is_target() && dest.is_host() {
-                            s.d2h_transfers += 1;
-                        }
-                    }
-                    DataOpKind::Alloc => {
-                        s.allocs += 1;
-                        s.bytes_allocated += ops.bytes[i];
-                        s.alloc_time += dur;
-                    }
-                    DataOpKind::Delete => {
-                        s.deletes += 1;
-                        s.alloc_time += dur;
-                    }
-                    _ => {}
-                }
             }
             let t = &shard.targets;
-            for i in 0..t.len() {
-                if t.kinds[i] == TargetKind::Kernel {
-                    s.kernels += 1;
-                    s.kernel_time +=
-                        SimDuration(t.ends[i].as_nanos().saturating_sub(t.starts[i].as_nanos()));
-                }
+            for i in (0..t.len()).filter(|&i| t.kinds[i] == TargetKind::Kernel) {
+                s.add_kernel(t.ends[i] - t.starts[i]);
             }
         }
         s.total_time = SimDuration(self.meta.total_time_ns);
@@ -661,41 +600,9 @@ fn decode_shard(r: &SectionReader<'_>, ix: &ShardIndex) -> Result<ShardColumns, 
     // same stable sort hydration uses instead of trusting them.
     Ok(ShardColumns {
         shard,
-        ops: sorted_ops(&ops).unwrap_or(ops),
-        targets: sorted_targets(&targets).unwrap_or(targets),
+        ops: ops.sorted().unwrap_or(ops),
+        targets: targets.sorted().unwrap_or(targets),
     })
-}
-
-/// Are the key columns in ascending `(start, id)` order?
-fn is_sorted(starts: &[SimTime], ids: &[EventId]) -> bool {
-    (1..ids.len()).all(|i| (starts[i - 1], ids[i - 1]) <= (starts[i], ids[i]))
-}
-
-/// The stably `(start, id)`-sorted copy of columns that break the sort
-/// invariant; `None` when they already hold it.
-fn sorted_ops(cols: &DataOpColumns) -> Option<DataOpColumns> {
-    if is_sorted(&cols.starts, &cols.ids) {
-        return None;
-    }
-    let rows = cols.to_events();
-    let mut out = DataOpColumns::with_capacity(rows.len());
-    for &i in &sorted_perm(&rows, |e| (e.span.start, e.id)) {
-        out.push(&rows[i as usize]);
-    }
-    Some(out)
-}
-
-/// [`sorted_ops`] for target columns.
-fn sorted_targets(cols: &TargetColumns) -> Option<TargetColumns> {
-    if is_sorted(&cols.starts, &cols.ids) {
-        return None;
-    }
-    let rows = cols.to_events();
-    let mut out = TargetColumns::with_capacity(rows.len());
-    for &i in &sorted_perm(&rows, |e| (e.span.start, e.id)) {
-        out.push(&rows[i as usize]);
-    }
-    Some(out)
 }
 
 /// Parse the envelope (magics, version, checksummed footer) and return
@@ -807,7 +714,7 @@ pub fn load_trace_lenient(bytes: &[u8]) -> TraceArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odp_model::{DataOpEvent, TimeSpan};
+    use odp_model::{DataOpEvent, DataOpKind, TimeSpan};
 
     fn span(a: u64, b: u64) -> TimeSpan {
         TimeSpan::new(SimTime(a), SimTime(b))
@@ -998,36 +905,19 @@ mod tests {
         assert!(art.shards.is_empty());
     }
 
-    /// The row path `columnar()` replaced, kept as its oracle: hydrate
-    /// each shard into rows, permutation-sort them, heap-merge the rows
-    /// and scatter them back into columns.
+    /// The reference `columnar()` answers to: every shard's rows
+    /// concatenated in shard order, then stably sorted by `(start, id)`.
     fn columnar_by_rows(a: &TraceArtifact) -> ColumnarView {
-        let op_parts: Vec<(Vec<DataOpEvent>, Vec<u32>)> = a
+        let mut ops: Vec<DataOpEvent> = a.shards.iter().flat_map(|s| s.ops.to_events()).collect();
+        ops.sort_by_key(|e| (e.span.start, e.id));
+        let mut kernels: Vec<TargetEvent> = a
             .shards
             .iter()
-            .map(|s| {
-                let rows = s.ops.to_events();
-                let perm = sorted_perm(&rows, |e| (e.span.start, e.id));
-                (rows, perm)
-            })
+            .flat_map(|s| s.targets.to_events())
+            .filter(|e| e.kind == TargetKind::Kernel)
             .collect();
-        let kernel_parts: Vec<(Vec<TargetEvent>, Vec<u32>)> = a
-            .shards
-            .iter()
-            .map(|s| {
-                let rows: Vec<TargetEvent> = (0..s.targets.len())
-                    .filter(|&i| s.targets.kinds[i] == TargetKind::Kernel)
-                    .map(|i| s.targets.event(i))
-                    .collect();
-                let perm = sorted_perm(&rows, |e| (e.span.start, e.id));
-                (rows, perm)
-            })
-            .collect();
-        let mut ops = DataOpColumns::default();
-        merge_sorted_parts(&op_parts, |e| (e.span.start, e.id), |e| ops.push(e));
-        let mut kernels = TargetColumns::default();
-        merge_sorted_parts(&kernel_parts, |e| (e.span.start, e.id), |e| kernels.push(e));
-        ColumnarView { ops, kernels }
+        kernels.sort_by_key(|e| (e.span.start, e.id));
+        ColumnarView::from_events(&ops, &kernels)
     }
 
     /// A caller-built shard whose rows sit at the given `(start, id)`
@@ -1106,8 +996,11 @@ mod tests {
                     "{shards} shard(s), unsorted shard: {with_unsorted}"
                 );
                 assert_eq!(merged.ops.len(), artifact.data_op_count());
-                assert!(is_sorted(&merged.ops.starts, &merged.ops.ids));
-                assert!(is_sorted(&merged.kernels.starts, &merged.kernels.ids));
+                assert!(merged.ops.sorted().is_none(), "ops come out ordered");
+                assert!(
+                    merged.kernels.sorted().is_none(),
+                    "kernels come out ordered"
+                );
             }
         }
         // The unsorted shard on its own, and nothing at all.

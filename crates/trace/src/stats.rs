@@ -1,7 +1,7 @@
 //! Aggregate trace statistics used by reports and the space-overhead
 //! experiment.
 
-use odp_model::SimDuration;
+use odp_model::{DataOpKind, DeviceId, SimDuration};
 use serde::Serialize;
 
 /// Space accounting (Figure 3).
@@ -60,6 +60,45 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
+    /// Account one data operation.
+    pub(crate) fn add_op(
+        &mut self,
+        kind: DataOpKind,
+        src: DeviceId,
+        dest: DeviceId,
+        bytes: u64,
+        duration: SimDuration,
+    ) {
+        match kind {
+            DataOpKind::Transfer => {
+                self.transfers += 1;
+                self.bytes_transferred += bytes;
+                self.transfer_time += duration;
+                if src.is_host() && dest.is_target() {
+                    self.h2d_transfers += 1;
+                } else if src.is_target() && dest.is_host() {
+                    self.d2h_transfers += 1;
+                }
+            }
+            DataOpKind::Alloc => {
+                self.allocs += 1;
+                self.bytes_allocated += bytes;
+                self.alloc_time += duration;
+            }
+            DataOpKind::Delete => {
+                self.deletes += 1;
+                self.alloc_time += duration;
+            }
+            _ => {}
+        }
+    }
+
+    /// Account one kernel execution.
+    pub(crate) fn add_kernel(&mut self, duration: SimDuration) {
+        self.kernels += 1;
+        self.kernel_time += duration;
+    }
+
     /// Fraction of total time spent in data transfers.
     pub fn transfer_fraction(&self) -> f64 {
         let total = self.total_time.as_nanos();
