@@ -19,7 +19,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use odp_model::MapType;
 use odp_ompt::MapAdvisor as _;
 use odp_sim::{map, Kernel, KernelCost, Runtime, RuntimeConfig};
-use ompdataperf::remedy::{LiveRemediator, RemediationPolicy, SharedRemediator};
+use ompdataperf::remedy::{RemediationPolicy, SharedRemediator};
 use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
 use std::hint::black_box;
 
@@ -35,8 +35,8 @@ fn drive(iters: usize, remediate: bool) -> (u64, u64) {
     let mut rt = Runtime::new(RuntimeConfig::default());
     rt.attach_tool(Box::new(tool));
     if remediate {
-        let (remediator, _policy) = LiveRemediator::new(handle.clone());
-        rt.attach_advisor(Box::new(remediator));
+        let (remediator, _policy) = SharedRemediator::new(handle.clone());
+        rt.attach_advisor(Box::new(remediator.fork_advisor()));
     }
     let a = rt.host_alloc("a", 4096);
     rt.host_fill_u32(a, |i| i as u32);

@@ -31,7 +31,7 @@ fn main() {
         for &size in args.sizes() {
             let run = run_with_tool(w.as_ref(), size, Variant::Original, ToolConfig::default());
             let space = run.report.space;
-            let rate = space.rate_bytes_per_sec(run.sim_time);
+            let rate = space.rate_bytes_per_sec(run.stats.total_time);
             if rate > 0.0 {
                 rates.push(rate);
             }

@@ -34,7 +34,7 @@ fn main() {
         };
         for &size in args.sizes() {
             let run = run_with_tool(w.as_ref(), size, before_v, ToolConfig::default());
-            let t_before = run.sim_time;
+            let t_before = run.stats.total_time;
             let predicted = run.report.prediction.predicted_speedup;
             let (t_after, _) = run_without_tool(w.as_ref(), size, after_v);
             let actual = t_before.as_nanos() as f64 / t_after.as_nanos().max(1) as f64;

@@ -15,7 +15,7 @@ pub mod runner;
 
 pub use render::Table;
 pub use runner::{
-    geometric_mean, measure_wall, run_with_arbalest, run_with_tool, run_without_tool, ToolRun,
+    geometric_mean, measure_wall, run_with_arbalest, run_with_tool, run_without_tool,
 };
 
 /// Parse the common bench-binary flags (`--quick`, `--json`).

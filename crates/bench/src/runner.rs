@@ -3,54 +3,27 @@
 use odp_arbalest::{ArbalestReport, ArbalestVecTool};
 use odp_model::SimDuration;
 use odp_sim::{Runtime, RuntimeConfig};
+use odp_workloads::session::{self, RunOutcome, RunSpec};
 use odp_workloads::{ProblemSize, Variant, Workload};
-use ompdataperf::attrib::DebugInfo;
-use ompdataperf::tool::{OmpDataPerfTool, ToolConfig, ToolHandle};
-use ompdataperf::Report;
+use ompdataperf::tool::ToolConfig;
 use std::time::{Duration, Instant};
 
-/// Everything a tool-on run produces.
-pub struct ToolRun {
-    /// The analysis report.
-    pub report: Report,
-    /// The tool handle (hash meter, collision counts, console lines).
-    pub handle: ToolHandle,
-    /// Simulated program time.
-    pub sim_time: SimDuration,
-    /// Wall-clock time of the monitored run (tool attached).
-    pub wall: Duration,
-    /// Debug info the workload registered.
-    pub debug_info: DebugInfo,
-}
-
-/// Run `w` with OMPDataPerf attached and analyze the trace.
+/// Run `w` with OMPDataPerf attached and analyze the trace — through
+/// the run driver, so a streaming `cfg` is finalized like `odp run
+/// --stream` does. `RunOutcome::wall` times the monitored program.
 pub fn run_with_tool(
     w: &dyn Workload,
     size: ProblemSize,
     variant: Variant,
     cfg: ToolConfig,
-) -> ToolRun {
-    let mut rt = Runtime::new(RuntimeConfig::default());
-    let (tool, handle) = OmpDataPerfTool::new(cfg);
-    rt.attach_tool(Box::new(tool));
-    let start = Instant::now();
-    let debug_info = w.run(&mut rt, size, variant);
-    let stats = rt.finish();
-    let wall = start.elapsed();
-    let trace = handle.take_trace();
-    let report = ompdataperf::analysis::analyze_named(
-        &trace,
-        Some(&debug_info),
-        w.name(),
-        handle.console_lines(),
-    );
-    ToolRun {
-        report,
-        handle,
-        sim_time: stats.total_time,
-        wall,
-        debug_info,
-    }
+) -> RunOutcome {
+    let spec = RunSpec {
+        size,
+        variant,
+        tool: cfg,
+        ..RunSpec::default()
+    };
+    session::run(w, &spec)
 }
 
 /// Run `w` without any tool; returns (simulated time, wall-clock).
@@ -68,11 +41,8 @@ pub fn run_without_tool(
 
 /// Run `w` under the Arbalest-Vec baseline.
 pub fn run_with_arbalest(w: &dyn Workload, size: ProblemSize, variant: Variant) -> ArbalestReport {
-    let mut rt = Runtime::new(RuntimeConfig::default());
     let (tool, handle) = ArbalestVecTool::new();
-    rt.attach_tool(Box::new(tool));
-    w.run(&mut rt, size, variant);
-    rt.finish();
+    session::run_under(w, size, variant, 1, tool, || handle.fork_tool());
     handle.report()
 }
 
@@ -129,9 +99,30 @@ mod tests {
             ToolConfig::default(),
         );
         assert_eq!(run.report.counts.dd, 2);
-        assert!(run.sim_time.as_nanos() > 0);
+        assert!(run.stats.total_time.as_nanos() > 0);
         assert!(!run.debug_info.is_empty());
         let (sim, _wall) = run_without_tool(w.as_ref(), ProblemSize::Small, Variant::Original);
-        assert_eq!(sim, run.sim_time, "tool must not change virtual time");
+        assert_eq!(
+            sim, run.stats.total_time,
+            "tool must not change virtual time"
+        );
+    }
+
+    #[test]
+    fn a_streaming_config_is_finalized_not_ignored() {
+        let w = odp_workloads::by_name("bfs").unwrap();
+        let run = |stream| {
+            let cfg = ToolConfig {
+                stream,
+                ..ToolConfig::default()
+            };
+            run_with_tool(w.as_ref(), ProblemSize::Small, Variant::Original, cfg)
+        };
+        let (post, streamed) = (run(false), run(true));
+        assert!(post.live.is_none());
+        let live = streamed.live.expect("the engine ran and was settled");
+        assert!(live.emitted > 0);
+        assert!(!streamed.handle.streaming(), "the engine left the handle");
+        assert_eq!(streamed.report.to_json(), post.report.to_json());
     }
 }

@@ -1,341 +1,6 @@
-//! `odp` — corpus tooling for the persistent trace backend, plus the
-//! static analysis front end.
-//!
-//! ```text
-//! odp trace save --out corpus.json --runs babelstream,bfs [--size s]
-//!                [--variant original] [--remediate] [--trace-dir DIR]
-//! odp trace load FILE.odpt
-//! odp trace diff BASE.json NEW.json [--json]
-//! odp static analyze <workload> [--size s|m|l] [--json]
-//! odp static crosscheck <workload> [--size s|m|l] [--json]
-//! odp static plan <workload> [--size s|m|l] [--json]
-//! ```
-//!
-//! `save` captures one instrumented run per named workload, feeds the
-//! serialized traces through the fleet ingest compactor, and writes the
-//! corpus JSON (optionally keeping the binary `.odpt` trace per run).
-//! `load` hydrates one binary trace leniently and summarizes it —
-//! corrupt files degrade to a health warning, never a failure. `diff`
-//! compares two corpora and exits non-zero when new findings appear:
-//! the CI regression gate.
-//!
-//! `static analyze` predicts the five inefficiency classes from the
-//! declarative mapping IR without running the program; `crosscheck`
-//! also lowers the IR onto the simulated runtime and scores the
-//! predictions against the fused dynamic engine (exits non-zero if any
-//! `Certain` prediction is refuted); `plan` emits machine-readable
-//! directive rewrites from the `Certain` predictions and validates them
-//! by applying, re-lowering and re-running (exits non-zero if the
-//! rewritten program regresses).
+//! The `odp` binary: every subcommand lives in `odp_cli`.
 
-use odp_trace::persist::load_trace_lenient;
-use odp_workloads::{by_name, ProblemSize, Variant};
-use ompdataperf::fleet::{diff_corpora, Corpus, FleetIngest};
-use std::process::ExitCode;
-
-const USAGE: &str = "\
-odp — persistent trace corpus tooling & static analysis
-
-USAGE:
-    odp trace save --out <corpus.json> --runs <w1,w2,...> [options]
-    odp trace load <file.odpt>
-    odp trace diff <base.json> <new.json> [--json]
-    odp static analyze <workload> [--size s|m|l] [--json]
-    odp static crosscheck <workload> [--size s|m|l] [--json]
-    odp static plan <workload> [--size s|m|l] [--json]
-
-SAVE OPTIONS:
-    --out PATH        corpus JSON output path (required)
-    --runs LIST       comma-separated workload names (required)
-    --size s|m|l      problem size (default s)
-    --variant NAME    original | fixed | synthetic (default original)
-    --remediate       capture remediated executions (live rewrite loop)
-    --trace-dir DIR   also write each run's binary trace as DIR/<run>.odpt
-
-DIFF:
-    exits 1 when the new corpus contains finding sites absent from the
-    baseline (new regressions); prints new/fixed/persisting either as
-    text or, with --json, as a machine-readable document.
-
-STATIC:
-    workloads: babelstream, bfs, xsbench (declarative IR descriptions).
-    analyze     print Certain / MayDependOnData predictions per site
-    crosscheck  score predictions against a lowered dynamic run; exits 1
-                if any Certain prediction is dynamically refuted
-    plan        emit directive rewrites from Certain predictions and
-                validate by re-running; exits 1 on apply failure or if
-                the rewrite does not strictly help
-";
-
-fn main() -> ExitCode {
+fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let strs: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
-    match strs.as_slice() {
-        [] | ["-h" | "--help"] => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        ["--version"] => {
-            println!("odp {}", env!("CARGO_PKG_VERSION"));
-            ExitCode::SUCCESS
-        }
-        ["trace", "save", rest @ ..] => cmd_save(rest),
-        ["trace", "load", rest @ ..] => cmd_load(rest),
-        ["trace", "diff", rest @ ..] => cmd_diff(rest),
-        ["static", rest @ ..] => cmd_static(rest),
-        other => {
-            eprintln!("unknown command {:?}\n\n{USAGE}", other.join(" "));
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}");
-    ExitCode::FAILURE
-}
-
-fn cmd_save(args: &[&str]) -> ExitCode {
-    let mut out: Option<String> = None;
-    let mut runs: Vec<String> = Vec::new();
-    let mut size = ProblemSize::Small;
-    let mut variant = Variant::Original;
-    let mut remediate = false;
-    let mut trace_dir: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match *arg {
-            "--out" => match it.next() {
-                Some(p) => out = Some(p.to_string()),
-                None => return fail("--out needs a path"),
-            },
-            "--runs" => match it.next() {
-                Some(list) => runs.extend(
-                    list.split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_string),
-                ),
-                None => return fail("--runs needs a comma-separated list"),
-            },
-            "--size" => match it.next().copied() {
-                Some("s") | Some("small") => size = ProblemSize::Small,
-                Some("m") | Some("medium") => size = ProblemSize::Medium,
-                Some("l") | Some("large") => size = ProblemSize::Large,
-                other => return fail(&format!("bad --size {other:?}")),
-            },
-            "--variant" => match it.next().copied() {
-                Some("original") => variant = Variant::Original,
-                Some("fixed") | Some("fix") => variant = Variant::Fixed,
-                Some("synthetic") | Some("syn") => variant = Variant::Synthetic,
-                other => return fail(&format!("bad --variant {other:?}")),
-            },
-            "--remediate" => remediate = true,
-            "--trace-dir" => match it.next() {
-                Some(d) => trace_dir = Some(d.to_string()),
-                None => return fail("--trace-dir needs a directory"),
-            },
-            other => return fail(&format!("unknown save option {other}")),
-        }
-    }
-    let Some(out) = out else {
-        return fail("save needs --out");
-    };
-    if runs.is_empty() {
-        return fail("save needs --runs");
-    }
-
-    let ingest = FleetIngest::new();
-    for run_id in &runs {
-        let Some(w) = by_name(run_id) else {
-            return fail(&format!("unknown workload '{run_id}'"));
-        };
-        let artifact = odp_workloads::capture::capture_artifact(&*w, size, variant, remediate);
-        if let Some(warning) = artifact.health.warning() {
-            eprintln!("{run_id}: {warning}");
-        }
-        let bytes = artifact.to_bytes();
-        if let Some(dir) = &trace_dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                return fail(&format!("cannot create {dir}: {e}"));
-            }
-            let path = format!("{dir}/{run_id}.odpt");
-            if let Err(e) = std::fs::write(&path, &bytes) {
-                return fail(&format!("cannot write {path}: {e}"));
-            }
-            println!("wrote {path} ({} bytes)", bytes.len());
-        }
-        ingest.submit(run_id, bytes);
-    }
-    let corpus = ingest.compact();
-    if let Err(e) = std::fs::write(&out, corpus.to_json()) {
-        return fail(&format!("cannot write {out}: {e}"));
-    }
-    println!(
-        "wrote {out}: {} run(s), {} fleet finding site(s)",
-        corpus.runs.len(),
-        corpus.fleet.entries.len()
-    );
-    ExitCode::SUCCESS
-}
-
-fn cmd_load(args: &[&str]) -> ExitCode {
-    let [path] = args else {
-        return fail("load needs exactly one file");
-    };
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
-    };
-    let artifact = load_trace_lenient(&bytes);
-    let stats = artifact.stats();
-    println!(
-        "{path}: program '{}', {} shard(s), {} data op(s), {} target event(s)",
-        artifact.meta.program,
-        artifact.shards.len(),
-        artifact.data_op_count(),
-        artifact.target_count(),
-    );
-    println!(
-        "  transfers {} ({} bytes), allocs {}, kernels {}, total time {} ns",
-        stats.transfers,
-        stats.bytes_transferred,
-        stats.allocs,
-        stats.kernels,
-        stats.total_time.as_nanos(),
-    );
-    match artifact.health.warning() {
-        Some(w) => println!("  {w}"),
-        None => println!("  health: clean"),
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_static(args: &[&str]) -> ExitCode {
-    let (verb, rest) = match args {
-        [verb @ ("analyze" | "crosscheck" | "plan"), rest @ ..] => (*verb, rest),
-        _ => {
-            return fail("static needs analyze|crosscheck|plan <workload> [--size s|m|l] [--json]")
-        }
-    };
-    let mut workload: Option<&str> = None;
-    let mut size = odp_static::Size::S;
-    let mut json = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match *arg {
-            "--size" => match it.next().copied().and_then(odp_static::Size::parse) {
-                Some(s) => size = s,
-                None => return fail("--size needs s|m|l"),
-            },
-            "--json" => json = true,
-            name if workload.is_none() && !name.starts_with('-') => workload = Some(name),
-            other => return fail(&format!("unknown static option {other}")),
-        }
-    }
-    let Some(name) = workload else {
-        return fail(&format!(
-            "static {verb} needs a workload: {}",
-            odp_static::NAMES.join(", ")
-        ));
-    };
-    let Some(program) = odp_static::by_name(name, size) else {
-        return fail(&format!(
-            "unknown workload '{name}' (have: {})",
-            odp_static::NAMES.join(", ")
-        ));
-    };
-
-    match verb {
-        "analyze" => {
-            let report = odp_static::analyze(&program);
-            if json {
-                println!("{}", report.to_json());
-            } else {
-                print!("{}", odp_static::analysis::render_report(&program, &report));
-            }
-            ExitCode::SUCCESS
-        }
-        "crosscheck" => {
-            let (check, _report, run) = odp_static::crosscheck(&program);
-            if json {
-                println!("{}", check.to_json());
-            } else {
-                print!("{}", check.render(&program));
-                for w in &run.warnings {
-                    println!("  runtime warning: {w}");
-                }
-            }
-            if check.summary.certain_precision_is_total() {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!(
-                    "refuted: {} Certain prediction(s) not dynamically confirmed",
-                    check.summary.certain_refuted
-                );
-                ExitCode::FAILURE
-            }
-        }
-        "plan" => {
-            let report = odp_static::analyze(&program);
-            let plan = odp_static::emit_plan(&program, &report);
-            match odp_static::validate_plan(&program, &plan) {
-                Ok((outcome, _rewritten)) => {
-                    if json {
-                        println!("{}", plan.to_json());
-                    } else {
-                        print!("{}", plan.render());
-                    }
-                    println!(
-                        "validated: {} dynamic finding(s) before, {} after",
-                        outcome.before_total, outcome.after_total
-                    );
-                    if outcome.non_increasing() {
-                        ExitCode::SUCCESS
-                    } else {
-                        eprintln!("rewrite regressed the program");
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => fail(&format!("plan failed to apply: {e}")),
-            }
-        }
-        _ => unreachable!(),
-    }
-}
-
-fn cmd_diff(args: &[&str]) -> ExitCode {
-    let (base_path, new_path, json) = match args {
-        [b, n] => (b, n, false),
-        [b, n, "--json"] => (b, n, true),
-        _ => return fail("diff needs <base.json> <new.json> [--json]"),
-    };
-    let load = |path: &str| -> Result<Corpus, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Corpus::from_json(&text).map_err(|e| format!("cannot parse {path}: {e}"))
-    };
-    let base = match load(base_path) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
-    let new = match load(new_path) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
-    let diff = diff_corpora(&base, &new);
-    if json {
-        println!("{}", diff.to_json());
-    } else {
-        print!("{}", diff.render());
-    }
-    if diff.is_regression() {
-        eprintln!(
-            "regression: {} new finding site(s) vs {base_path}",
-            diff.new.len()
-        );
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    odp_cli::exit_code(odp_cli::dispatch(&args, &mut std::io::stdout()))
 }

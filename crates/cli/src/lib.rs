@@ -1,300 +1,241 @@
-//! Shared argument handling for the command-line front ends.
+//! `odp` — the one command-line front end.
+//!
+//! ```text
+//! odp run <program> [§A.5.3 options]    profile a workload under the tool
+//! odp arbalest <program> [options]      the §7.7 correctness baseline
+//! odp trace save|load|diff ...          persistent trace corpus tooling
+//! odp static analyze|crosscheck|plan    static map-clause analysis
+//! ```
+//!
+//! Every subcommand parses only its own flags ([`Scale`] is the shared
+//! `--size` / `--variant` parser), writes its standard output to the
+//! writer [`dispatch`] was given — so the commands run in-process under
+//! test and a closed pipe ends them quietly — and reports failure as a
+//! [`Stop`] instead of exiting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod arbalest;
+pub mod run;
+pub mod static_cmd;
+pub mod trace;
+
 use odp_workloads::{ProblemSize, Variant};
+use std::io::{self, Write};
+use std::process::ExitCode;
 
-/// Parsed common arguments.
-#[derive(Clone, Debug)]
-pub struct CommonArgs {
-    /// Workload name.
-    pub program: String,
-    /// Problem size.
-    pub size: ProblemSize,
-    /// Program variant.
-    pub variant: Variant,
-    /// `-q`.
-    pub quiet: bool,
-    /// `-v`.
-    pub verbose: bool,
-    /// `--json`.
-    pub json: bool,
-    /// `--hash <name>`.
-    pub hash: Option<String>,
-    /// `--audit-collisions`.
-    pub audit: bool,
-    /// `--pre-emi` (simulate an OMPT 5.0-preview runtime).
-    pub pre_emi: bool,
-    /// `--profile <compiler>` (Table 6 capability profile).
-    pub profile: Option<String>,
-    /// `--trace-out <path>`: write the event log as Chrome Trace Format
-    /// JSON for chrome://tracing / Perfetto.
-    pub trace_out: Option<String>,
-    /// `--stream`: run the detection engine online. Findings are
-    /// computed as events arrive; live consumers pull them via
-    /// `ToolHandle::take_stream_findings` (the synchronous CLI prints
-    /// them once the run returns).
-    pub stream: bool,
-    /// `--stream-interval <ms>`: while streaming, print live findings
-    /// and an incremental §A.6 snapshot line every that-many
-    /// milliseconds from a consumer thread (implies `--stream`).
-    pub stream_interval_ms: Option<u64>,
-    /// `--stream-cap <n>`: hard cap for Algorithm 2's streaming
-    /// lookahead window (spills trade exactness for bounded memory).
-    pub stream_cap: Option<usize>,
-    /// `--threads <n>`: drive the workload's offload pattern from N OS
-    /// threads, each with its own runtime and tool shard (workloads
-    /// that support it: babelstream, bfs, xsbench).
-    pub threads: u32,
-    /// `--remediate`: close the detect→fix loop — stream findings into
-    /// a live remediation policy and rewrite inefficient mappings
-    /// mid-run, then print the recovered-transfer summary (implies
-    /// `--stream`). With `--threads N` the threads share one device
-    /// data environment and one policy behind per-thread advisor
-    /// handles; composes with `--stream-interval` (the live findings
-    /// stream is teed to both consumers).
-    pub remediate: bool,
-    /// `--fault-profile NAME`: inject seeded faults into the simulated
-    /// runtime's callback stream (drops, duplicates, truncation,
-    /// corruption, transfer failures, OOM, a stalled shard). The
-    /// pipeline must survive every profile without panicking.
-    pub fault_profile: Option<odp_sim::FaultProfile>,
-    /// `--fault-seed N`: the deterministic seed for the fault plan
-    /// (default 42). Same seed + same profile = same faults.
-    pub fault_seed: Option<u64>,
-    /// `--stall-timeout MS`: with `--stream`, force-release the reorder
-    /// buffer after the merged watermark has not advanced for this many
-    /// milliseconds (findings decided afterwards are degraded evidence).
-    pub stall_timeout_ms: Option<u64>,
-}
+/// Where a command's standard output goes. `Send`, because
+/// `odp run --stream-interval` prints from a poller thread while the
+/// program runs.
+pub type Out<'a> = &'a mut (dyn Write + Send);
 
-/// Outcome of argument parsing.
-pub enum Parsed {
-    /// Run with these arguments.
-    Run(Box<CommonArgs>),
-    /// Print this text and exit successfully.
+/// Why a command stopped before finishing its work.
+#[derive(Debug)]
+pub enum Stop {
+    /// Print this text to the output and succeed (`--help`, `--version`).
     Exit(String),
-    /// Print this error and exit with failure.
-    Error(String),
+    /// Print this message to stderr and exit with failure.
+    Fail(String),
+    /// Writing the output failed (typically a closed pipe).
+    Io(io::Error),
 }
 
-/// The §A.5.3 usage text, extended with the simulator's knobs.
-pub fn usage(tool: &str) -> String {
-    format!(
-        "Usage: {tool} [options] [program] [program arguments]\n\
-         Options:\n\
-         \x20 -h, --help            Show this help message\n\
-         \x20 -q, --quiet           Suppress warnings\n\
-         \x20 -v, --verbose         Enable verbose output\n\
-         \x20 --version             Print the version of {tool}\n\
-         \x20 --size s|m|l          Problem size (default: s)\n\
-         \x20 --variant NAME        original|fixed|synthetic (default: original)\n\
-         \x20 --json                Emit the report as JSON\n\
-         \x20 --hash NAME           Content hash (default: t1ha0_avx2)\n\
-         \x20 --audit-collisions    Keep payload copies, verify hashes (§B.1)\n\
-         \x20 --pre-emi             Simulate a pre-5.1 OMPT runtime (§A.6)\n\
-         \x20 --profile NAME        Compiler capability profile (Table 6)\n\
-         \x20 --trace-out PATH      Write a chrome://tracing JSON timeline\n\
-         \x20 --stream              Run the detectors online during execution\n\
-         \x20 --stream-interval MS  Print live findings + snapshot every MS ms (implies --stream)\n\
-         \x20 --stream-cap N        Cap the streaming round-trip lookahead window at N\n\
-         \x20 --threads N           Drive the workload from N OS threads (sharded collection)\n\
-         \x20 --remediate           Rewrite inefficient mappings mid-run from live findings (implies --stream;\n\
-         \x20                       with --threads: shared device tables + per-thread advisors)\n\
-         \x20 --fault-profile NAME  Inject seeded runtime faults: {}\n\
-         \x20 --fault-seed N        Deterministic fault seed (default: 42)\n\
-         \x20 --stall-timeout MS    With --stream: force-release the reorder buffer after MS ms\n\
-         \x20                       without watermark progress (degrades findings)\n\
-         Programs:\n\x20 {}",
-        odp_sim::FaultProfile::NAMES,
-        odp_workloads::all()
-            .iter()
-            .map(|w| w.name())
-            .collect::<Vec<_>>()
-            .join(", ")
-    )
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Stop {
+        Stop::Io(e)
+    }
 }
 
-/// Parse command-line arguments (everything after `argv[0]`).
-pub fn parse(tool: &str, args: &[String]) -> Parsed {
-    let mut out = CommonArgs {
-        program: String::new(),
-        size: ProblemSize::Small,
-        variant: Variant::Original,
-        quiet: false,
-        verbose: false,
-        json: false,
-        hash: None,
-        audit: false,
-        pre_emi: false,
-        profile: None,
-        trace_out: None,
-        stream: false,
-        stream_interval_ms: None,
-        stream_cap: None,
-        threads: 1,
-        remediate: false,
-        fault_profile: None,
-        fault_seed: None,
-        stall_timeout_ms: None,
+/// What every command returns.
+pub type CmdResult = Result<(), Stop>;
+
+/// `Stop::Fail("error: <msg>")`.
+pub(crate) fn error(msg: impl std::fmt::Display) -> Stop {
+    Stop::Fail(format!("error: {msg}"))
+}
+
+/// `Err(error(msg))`.
+pub(crate) fn fail<T>(msg: impl std::fmt::Display) -> Result<T, Stop> {
+    Err(error(msg))
+}
+
+/// The value after a flag, or `error: <needs>`.
+pub(crate) fn value<'a>(
+    it: &mut impl Iterator<Item = &'a String>,
+    needs: &str,
+) -> Result<&'a String, Stop> {
+    it.next().ok_or_else(|| error(needs))
+}
+
+/// The number `>= min` after a flag, or `error: <needs>`.
+pub(crate) fn number<'a, T: std::str::FromStr + PartialOrd>(
+    it: &mut impl Iterator<Item = &'a String>,
+    min: T,
+    needs: &str,
+) -> Result<T, Stop> {
+    match it.next().and_then(|v| v.parse::<T>().ok()) {
+        Some(n) if n >= min => Ok(n),
+        _ => fail(needs),
+    }
+}
+
+const USAGE: &str = "\
+odp — data-mapping profiler for (simulated) heterogeneous OpenMP programs
+
+USAGE:
+    odp run <program> [options]         profile a program; prints the §A.6 report
+    odp arbalest <program> [options]    Arbalest-Vec correctness baseline (§7.7)
+    odp trace save|load|diff ...        persistent trace corpus tooling
+    odp static analyze|crosscheck|plan <workload> [options]
+    odp --version
+
+`odp <command> --help` lists that command's options.";
+
+/// Run the command line `args` (everything after `argv[0]`), writing
+/// standard output to `out`.
+pub fn dispatch(args: &[String], out: Out<'_>) -> CmdResult {
+    let routed = match args.split_first() {
+        None => Err(Stop::Exit(USAGE.to_string())),
+        Some((cmd, rest)) => match cmd.as_str() {
+            "-h" | "--help" => Err(Stop::Exit(USAGE.to_string())),
+            "--version" => Err(Stop::Exit(version())),
+            "run" => run::execute(rest, out),
+            "arbalest" => arbalest::execute(rest, out),
+            "trace" => trace::execute(rest, out),
+            "static" => static_cmd::execute(rest, out),
+            other => Err(Stop::Fail(format!("unknown command '{other}'\n\n{USAGE}"))),
+        },
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "-h" | "--help" => return Parsed::Exit(usage(tool)),
-            "--version" => return Parsed::Exit(format!("{tool} {}", env!("CARGO_PKG_VERSION"))),
-            "-q" | "--quiet" => out.quiet = true,
-            "-v" | "--verbose" => out.verbose = true,
-            "--json" => out.json = true,
-            "--audit-collisions" => out.audit = true,
-            "--pre-emi" => out.pre_emi = true,
-            "--stream" => out.stream = true,
-            "--remediate" => {
-                out.remediate = true;
-                out.stream = true;
-            }
-            "--size" => match it.next().map(|s| s.as_str()) {
-                Some("s") | Some("small") => out.size = ProblemSize::Small,
-                Some("m") | Some("medium") => out.size = ProblemSize::Medium,
-                Some("l") | Some("large") => out.size = ProblemSize::Large,
-                other => return Parsed::Error(format!("bad --size {other:?}")),
-            },
-            "--variant" => match it.next().map(|s| s.as_str()) {
-                Some("original") => out.variant = Variant::Original,
-                Some("fixed") | Some("fix") => out.variant = Variant::Fixed,
-                Some("synthetic") | Some("syn") => out.variant = Variant::Synthetic,
-                other => return Parsed::Error(format!("bad --variant {other:?}")),
-            },
-            "--hash" => match it.next() {
-                Some(h) => out.hash = Some(h.clone()),
-                None => return Parsed::Error("--hash needs a value".into()),
-            },
-            "--profile" => match it.next() {
-                Some(p) => out.profile = Some(p.clone()),
-                None => return Parsed::Error("--profile needs a value".into()),
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => out.trace_out = Some(p.clone()),
-                None => return Parsed::Error("--trace-out needs a path".into()),
-            },
-            "--stream-interval" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(ms) if ms > 0 => {
-                    out.stream_interval_ms = Some(ms);
-                    out.stream = true;
-                }
-                _ => return Parsed::Error("--stream-interval needs a positive ms value".into()),
-            },
-            "--stream-cap" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => out.stream_cap = Some(n),
-                _ => return Parsed::Error("--stream-cap needs a positive value".into()),
-            },
-            "--threads" => match it.next().and_then(|v| v.parse::<u32>().ok()) {
-                Some(n) if n >= 1 => out.threads = n,
-                _ => return Parsed::Error("--threads needs a value >= 1".into()),
-            },
-            "--fault-profile" => match it.next().map(|s| s.as_str()) {
-                Some(name) => match odp_sim::FaultProfile::parse(name) {
-                    Some(p) => out.fault_profile = Some(p),
-                    None => {
-                        return Parsed::Error(format!(
-                            "unknown fault profile '{name}'; available: {}",
-                            odp_sim::FaultProfile::NAMES
-                        ))
-                    }
-                },
-                None => return Parsed::Error("--fault-profile needs a name".into()),
-            },
-            "--fault-seed" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(seed) => out.fault_seed = Some(seed),
-                None => return Parsed::Error("--fault-seed needs an integer value".into()),
-            },
-            "--stall-timeout" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(ms) => out.stall_timeout_ms = Some(ms),
-                None => return Parsed::Error("--stall-timeout needs a ms value".into()),
-            },
-            other if other.starts_with('-') => {
-                return Parsed::Error(format!("unknown option {other}\n\n{}", usage(tool)))
-            }
-            other => {
-                if out.program.is_empty() {
-                    out.program = other.to_string();
-                }
-                // Remaining positional args are the program's own; the
-                // simulated workloads take their inputs from --size.
-            }
+    match routed {
+        Err(Stop::Exit(text)) => Ok(writeln!(out, "{text}")?),
+        other => other,
+    }
+}
+
+/// The process exit code for a finished command; failures are reported
+/// on stderr, a closed output pipe is not.
+pub fn exit_code(result: CmdResult) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Stop::Io(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Stop::Io(e)) => {
+            eprintln!("error: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+        // `dispatch` prints these itself; none escapes it.
+        Err(Stop::Exit(_)) => ExitCode::SUCCESS,
+        Err(Stop::Fail(text)) => {
+            eprintln!("{text}");
+            ExitCode::FAILURE
         }
     }
-    if out.program.is_empty() {
-        return Parsed::Error(format!("no program given\n\n{}", usage(tool)));
-    }
-    // --remediate composes with --threads (shared-device semantics, one
-    // policy behind per-thread advisors) and with --stream-interval
-    // (the live findings stream is teed to every consumer).
-    Parsed::Run(Box::new(out))
 }
 
-/// Resolve a Table 6 profile name.
-pub fn resolve_profile(name: &str) -> Option<odp_ompt::CompilerProfile> {
-    use odp_ompt::CompilerProfile as P;
-    Some(match name.to_ascii_lowercase().as_str() {
-        "llvm" | "clang" => P::LlvmClang,
-        "aocc" => P::AmdAocc,
-        "aomp" => P::AmdAomp,
-        "rocm" => P::AmdRocm,
-        "acfl" | "arm" => P::ArmAcfl,
-        "gcc" | "gnu" => P::GnuGcc,
-        "cce" | "cray" => P::HpeCce,
-        "icx" | "intel" => P::IntelIcx,
-        "nvhpc" | "nvidia" => P::NvidiaHpc,
-        _ => return None,
+pub(crate) fn version() -> String {
+    format!("odp {}", env!("CARGO_PKG_VERSION"))
+}
+
+/// The `--size` / `--variant` pair, parsed the same way by every
+/// subcommand that takes either.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Scale {
+    /// Problem size (default Small).
+    pub size: ProblemSize,
+    /// Program variant (default Original).
+    pub variant: Variant,
+}
+
+impl Default for Scale {
+    fn default() -> Scale {
+        Scale {
+            size: ProblemSize::Small,
+            variant: Variant::Original,
+        }
+    }
+}
+
+impl Scale {
+    /// Apply `flag` (`--size` or `--variant`) with its `value`.
+    pub fn set(&mut self, flag: &str, value: Option<&String>) -> Result<(), Stop> {
+        let value = value.map(|v| v.to_ascii_lowercase());
+        match (flag, value.as_deref()) {
+            ("--size", Some("s" | "small")) => self.size = ProblemSize::Small,
+            ("--size", Some("m" | "medium")) => self.size = ProblemSize::Medium,
+            ("--size", Some("l" | "large")) => self.size = ProblemSize::Large,
+            ("--variant", Some("original")) => self.variant = Variant::Original,
+            ("--variant", Some("fixed" | "fix")) => self.variant = Variant::Fixed,
+            ("--variant", Some("synthetic" | "syn")) => self.variant = Variant::Synthetic,
+            (flag, other) => return fail(format!("bad {flag} {other:?}")),
+        }
+        Ok(())
+    }
+}
+
+/// The workload called `name`, or the error listing every program.
+pub(crate) fn workload(name: &str) -> Result<Box<dyn odp_workloads::Workload>, Stop> {
+    odp_workloads::by_name(name).ok_or_else(|| {
+        error(format!(
+            "unknown program '{name}'; available: {}",
+            names(&odp_workloads::all())
+        ))
     })
+}
+
+/// `--threads N` must name a workload with a threaded variant.
+pub(crate) fn check_threads(w: &dyn odp_workloads::Workload, threads: u32) -> Result<(), Stop> {
+    if threads > 1 && !w.supports_threads() {
+        return fail(format!(
+            "{} has no threaded variant; --threads supports: {}",
+            w.name(),
+            names(&odp_workloads::threaded::threaded_workloads())
+        ));
+    }
+    Ok(())
+}
+
+pub(crate) fn names(workloads: &[Box<dyn odp_workloads::Workload>]) -> String {
+    let names: Vec<&str> = workloads.iter().map(|w| w.name()).collect();
+    names.join(", ")
 }
 
 #[cfg(test)]
 mod tests {
+    use super::run::{parse, resolve_profile, usage, RunArgs};
     use super::*;
+    use odp_workloads::adaptive::Remedy;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(|x| x.to_string()).collect()
     }
 
+    fn is_error<T>(parsed: Result<T, Stop>) -> bool {
+        matches!(parsed, Err(Stop::Fail(_)))
+    }
+
     #[test]
     fn help_and_version() {
-        assert!(matches!(
-            parse("ompdataperf", &argv("--help")),
-            Parsed::Exit(_)
-        ));
-        match parse("ompdataperf", &argv("--version")) {
-            Parsed::Exit(s) => assert!(s.starts_with("ompdataperf")),
+        assert!(matches!(parse(&argv("--help")), Err(Stop::Exit(_))));
+        match parse(&argv("--version")) {
+            Err(Stop::Exit(s)) => assert!(s.starts_with("odp ")),
             _ => panic!("expected version exit"),
         }
     }
 
     #[test]
     fn full_run_line() {
-        match parse(
-            "ompdataperf",
-            &argv("--size m --variant fixed --json -q bfs"),
-        ) {
-            Parsed::Run(a) => {
-                assert_eq!(a.program, "bfs");
-                assert_eq!(a.size, ProblemSize::Medium);
-                assert_eq!(a.variant, Variant::Fixed);
-                assert!(a.json && a.quiet && !a.verbose);
-                assert!(!a.stream, "streaming is opt-in");
-            }
-            _ => panic!("expected run"),
-        }
+        let a = parse(&argv("--size m --variant fixed --json -q bfs")).unwrap();
+        assert_eq!(a.program, "bfs");
+        assert_eq!(a.spec.size, ProblemSize::Medium);
+        assert_eq!(a.spec.variant, Variant::Fixed);
+        assert!(a.json && a.spec.tool.quiet && !a.spec.tool.verbose);
+        assert!(!a.spec.tool.stream, "streaming is opt-in");
     }
 
     #[test]
     fn stream_flag_is_parsed() {
-        match parse("ompdataperf", &argv("--stream bfs")) {
-            Parsed::Run(a) => assert!(a.stream),
-            _ => panic!("expected run"),
-        }
-        let usage = usage("ompdataperf");
+        assert!(parse(&argv("--stream bfs")).unwrap().spec.tool.stream);
+        let usage = usage();
         assert!(usage.contains("--stream"));
         assert!(usage.contains("--threads"));
         assert!(usage.contains("--stream-interval"));
@@ -302,83 +243,61 @@ mod tests {
 
     #[test]
     fn threads_and_stream_interval_are_parsed() {
-        match parse(
-            "ompdataperf",
-            &argv("--threads 4 --stream-interval 50 --stream-cap 4096 bfs"),
-        ) {
-            Parsed::Run(a) => {
-                assert_eq!(a.threads, 4);
-                assert_eq!(a.stream_interval_ms, Some(50));
-                assert_eq!(a.stream_cap, Some(4096));
-                assert!(a.stream, "--stream-interval implies --stream");
-            }
-            _ => panic!("expected run"),
-        }
-        assert!(matches!(
-            parse("ompdataperf", &argv("--threads 0 bfs")),
-            Parsed::Error(_)
-        ));
-        assert!(matches!(
-            parse("ompdataperf", &argv("--stream-interval nope bfs")),
-            Parsed::Error(_)
-        ));
-        match parse("ompdataperf", &argv("bfs")) {
-            Parsed::Run(a) => assert_eq!(a.threads, 1),
-            _ => panic!("expected run"),
-        }
+        let a = parse(&argv(
+            "--threads 4 --stream-interval 50 --stream-cap 4096 bfs",
+        ))
+        .unwrap();
+        assert_eq!(a.spec.threads, 4);
+        assert_eq!(a.stream_interval_ms, Some(50));
+        assert_eq!(a.spec.tool.stream_max_frontier, Some(4096));
+        assert!(a.spec.tool.stream, "--stream-interval implies --stream");
+        assert!(is_error(parse(&argv("--threads 0 bfs"))));
+        assert!(is_error(parse(&argv("--stream-interval nope bfs"))));
+        assert!(is_error(parse(&argv("--stream-interval 0 bfs"))));
+        assert_eq!(parse(&argv("bfs")).unwrap().spec.threads, 1);
     }
 
     #[test]
     fn remediate_implies_stream_and_composes_with_threads_and_interval() {
-        match parse("ompdataperf", &argv("--remediate babelstream")) {
-            Parsed::Run(a) => {
-                assert!(a.remediate);
-                assert!(a.stream, "--remediate implies --stream");
-            }
-            _ => panic!("expected run"),
-        }
-        match parse("ompdataperf", &argv("--remediate --threads 4 babelstream")) {
-            Parsed::Run(a) => {
-                assert!(a.remediate && a.threads == 4, "threaded remediation runs");
-            }
-            _ => panic!("expected run: --remediate --threads is supported"),
-        }
-        match parse(
-            "ompdataperf",
-            &argv("--remediate --stream-interval 10 babelstream"),
-        ) {
-            Parsed::Run(a) => {
-                assert!(
-                    a.remediate && a.stream_interval_ms == Some(10),
-                    "the findings tee lets the poller and the policy coexist"
-                );
-            }
-            _ => panic!("expected run: --remediate --stream-interval is supported"),
-        }
-        assert!(usage("ompdataperf").contains("--remediate"));
+        let adaptive = |a: &RunArgs| matches!(a.spec.remedy, Remedy::Adaptive);
+        let a = parse(&argv("--remediate babelstream")).unwrap();
+        assert!(adaptive(&a));
+        assert!(a.spec.tool.stream, "--remediate implies --stream");
+        assert!(matches!(
+            parse(&argv("bfs")).unwrap().spec.remedy,
+            Remedy::Off
+        ));
+        let a = parse(&argv("--remediate --threads 4 babelstream")).unwrap();
+        assert!(
+            adaptive(&a) && a.spec.threads == 4,
+            "threaded remediation runs"
+        );
+        let a = parse(&argv("--remediate --stream-interval 10 babelstream")).unwrap();
+        assert!(
+            adaptive(&a) && a.stream_interval_ms == Some(10),
+            "the findings tee lets the poller and the policy coexist"
+        );
+        assert!(usage().contains("--remediate"));
     }
 
     #[test]
     fn fault_flags_are_parsed() {
-        match parse(
-            "ompdataperf",
-            &argv("--fault-profile lossy --fault-seed 7 bfs"),
-        ) {
-            Parsed::Run(a) => {
-                assert_eq!(a.fault_profile, Some(odp_sim::FaultProfile::Lossy));
-                assert_eq!(a.fault_seed, Some(7));
-            }
-            _ => panic!("expected run"),
-        }
-        assert!(matches!(
-            parse("ompdataperf", &argv("--fault-profile bogus bfs")),
-            Parsed::Error(_)
-        ));
-        assert!(matches!(
-            parse("ompdataperf", &argv("--fault-seed nope bfs")),
-            Parsed::Error(_)
-        ));
-        let u = usage("ompdataperf");
+        use odp_sim::{FaultPlan, FaultProfile};
+        let plan = |line: &str| format!("{:?}", parse(&argv(line)).unwrap().spec.runtime.faults);
+        let expect = |profile, seed| format!("{:?}", FaultPlan::from_profile(profile, seed));
+        assert_eq!(
+            plan("--fault-profile lossy --fault-seed 7 bfs"),
+            expect(FaultProfile::Lossy, 7)
+        );
+        assert_eq!(
+            plan("--fault-profile hostile bfs"),
+            expect(FaultProfile::Hostile, 42),
+            "the default seed is 42"
+        );
+        assert_eq!(plan("bfs"), expect(FaultProfile::None, 42));
+        assert!(is_error(parse(&argv("--fault-profile bogus bfs"))));
+        assert!(is_error(parse(&argv("--fault-seed nope bfs"))));
+        let u = usage();
         assert!(u.contains("--fault-profile"));
         assert!(u.contains("--fault-seed"));
         assert!(u.contains("lossy"));
@@ -386,34 +305,59 @@ mod tests {
 
     #[test]
     fn stall_timeout_is_parsed() {
-        match parse("ompdataperf", &argv("--stream --stall-timeout 250 bfs")) {
-            Parsed::Run(a) => {
-                assert_eq!(a.stall_timeout_ms, Some(250));
-                assert!(a.stream);
+        let a = parse(&argv("--stream --stall-timeout 250 bfs")).unwrap();
+        assert_eq!(
+            a.spec.tool.stall_timeout,
+            Some(std::time::Duration::from_millis(250))
+        );
+        assert!(a.spec.tool.stream);
+        assert!(is_error(parse(&argv("--stall-timeout nope bfs"))));
+        assert!(usage().contains("--stall-timeout"));
+    }
+
+    #[test]
+    fn streaming_knobs_need_a_flag_that_turns_streaming_on() {
+        for knob in ["--stream-cap 64", "--stall-timeout 250"] {
+            assert!(is_error(parse(&argv(&format!("{knob} bfs")))), "{knob}");
+            for on in ["--stream", "--stream-interval 10", "--remediate"] {
+                assert!(parse(&argv(&format!("{knob} {on} bfs"))).is_ok());
             }
-            _ => panic!("expected run"),
         }
-        assert!(matches!(
-            parse("ompdataperf", &argv("--stall-timeout nope bfs")),
-            Parsed::Error(_)
-        ));
-        assert!(usage("ompdataperf").contains("--stall-timeout"));
+    }
+
+    #[test]
+    fn hash_and_profile_names_are_resolved_while_parsing() {
+        let a = parse(&argv(
+            "--hash XXH64 --profile gcc --pre-emi --audit-collisions bfs",
+        ))
+        .unwrap();
+        assert_eq!(a.spec.tool.hash_algo.name(), "XXH64");
+        assert_eq!(a.spec.runtime.profile, odp_ompt::CompilerProfile::GnuGcc);
+        assert!(a.spec.runtime.pre_emi_runtime && a.spec.tool.collision_audit);
+        assert!(is_error(parse(&argv("--hash nope bfs"))));
+        assert!(is_error(parse(&argv("--profile tcc bfs"))));
+        assert!(is_error(parse(&argv("bfs --hash"))));
     }
 
     #[test]
     fn missing_program_is_an_error() {
-        assert!(matches!(
-            parse("ompdataperf", &argv("-q")),
-            Parsed::Error(_)
-        ));
+        assert!(is_error(parse(&argv("-q"))));
     }
 
     #[test]
     fn unknown_flag_is_an_error() {
-        assert!(matches!(
-            parse("ompdataperf", &argv("--frobnicate bfs")),
-            Parsed::Error(_)
-        ));
+        assert!(is_error(parse(&argv("--frobnicate bfs"))));
+    }
+
+    #[test]
+    fn size_and_variant_parse_the_same_everywhere() {
+        let mut scale = Scale::default();
+        scale.set("--size", Some(&"M".to_string())).unwrap();
+        scale.set("--variant", Some(&"syn".to_string())).unwrap();
+        assert_eq!(scale.size, ProblemSize::Medium);
+        assert_eq!(scale.variant, Variant::Synthetic);
+        assert!(is_error(scale.set("--size", Some(&"z".to_string()))));
+        assert!(is_error(scale.set("--variant", None)));
     }
 
     #[test]

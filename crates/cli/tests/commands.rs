@@ -1,0 +1,224 @@
+//! The `odp` subcommands, run in-process: `odp_cli::dispatch` writes
+//! to a buffer instead of stdout, so `cargo test` exercises what CI's
+//! smoke step only launches.
+
+use odp_cli::{dispatch, Stop};
+use serde_json::Value;
+
+fn argv(line: &str) -> Vec<String> {
+    line.split_whitespace().map(str::to_string).collect()
+}
+
+/// Run `odp <line>`; the captured stdout and how the command ended.
+fn odp(line: &str) -> (String, Result<(), Stop>) {
+    let mut out = Vec::new();
+    let result = dispatch(&argv(line), &mut out);
+    (String::from_utf8(out).expect("utf-8 output"), result)
+}
+
+/// Stdout of a command that must succeed.
+fn ok(line: &str) -> String {
+    let (out, result) = odp(line);
+    assert!(result.is_ok(), "odp {line}: {result:?}");
+    out
+}
+
+/// The stderr message of a command that must fail.
+fn failure(line: &str) -> String {
+    match odp(line) {
+        (_, Err(Stop::Fail(msg))) => msg,
+        (out, other) => panic!("odp {line} should fail, got {other:?}\n{out}"),
+    }
+}
+
+fn json(line: &str) -> Value {
+    serde_json::from_str(&ok(line)).unwrap_or_else(|e| panic!("odp {line}: bad JSON: {e}"))
+}
+
+fn counts(report: &Value) -> [u64; 5] {
+    ["dd", "rt", "ra", "ua", "ut"].map(|kind| {
+        report["counts"][kind]
+            .as_u64()
+            .unwrap_or_else(|| panic!("no counts.{kind}"))
+    })
+}
+
+#[test]
+fn run_json_reports_the_table1_bfs_row_streamed_or_not() {
+    // tests/table1_issue_counts.rs::bfs_original.
+    const BFS_MEDIUM: [u64; 5] = [18, 10, 9, 0, 0];
+    let post = json("run bfs --size m --json");
+    assert_eq!(post["program"], "bfs");
+    assert_eq!(counts(&post), BFS_MEDIUM);
+    assert_eq!(
+        counts(&json("run bfs --size m --json --stream")),
+        BFS_MEDIUM
+    );
+}
+
+#[test]
+fn a_sharded_streamed_run_prints_the_postmortem_document() {
+    assert_eq!(
+        ok("run bfs --size s --stream --threads 4 --json"),
+        ok("run bfs --size s --threads 4 --json")
+    );
+}
+
+#[test]
+fn run_text_mode_prints_live_lines_then_the_report() {
+    let text = ok("run bfs --size s --stream");
+    let live = text.find("stream: duplicate transfer").expect("live lines");
+    let info = text
+        .find("info: streaming detection emitted")
+        .expect("info");
+    let summary = text.find("=== Summary ===").expect("report");
+    assert!(live < info && info < summary, "{text}");
+    let quiet = ok("run bfs --size s --stream -q");
+    assert!(!quiet.contains("stream:"), "{quiet}");
+}
+
+#[test]
+fn run_remediate_reports_recovered_bytes() {
+    let doc = json("run babelstream --remediate --json");
+    assert!(doc["remediation"]["recovered_transfer_bytes"].as_u64() > Some(0));
+    assert!(doc["report"]["counts"]["dd"].as_u64() > Some(0));
+    let text = ok("run babelstream --remediate");
+    assert!(text.contains("=== OpenMP Adaptive Mapping Remediation ==="));
+    assert!(text.contains("recovered bytes"));
+}
+
+#[test]
+fn run_stream_interval_polls_while_the_program_runs() {
+    // Timing decides who prints a finding (poller or the end-of-run
+    // residue), never whether it is printed, and the report is last.
+    let text = ok("run bfs --size s --threads 2 --stream-interval 1");
+    assert!(text.contains("stream: "), "{text}");
+    let last_live = text.rfind("stream: ").expect("live lines");
+    assert!(last_live < text.find("=== Summary ===").expect("report"));
+    // --json keeps stdout one document.
+    json("run bfs --size s --stream-interval 1 --json");
+}
+
+#[test]
+fn run_rejects_what_it_cannot_do() {
+    assert!(failure("run bfs --frobnicate").contains("Usage: odp run"));
+    assert!(failure("run").contains("no program given"));
+    assert!(failure("run nonesuch").contains("available: babelstream"));
+    assert!(failure("run bfs --hash nope").contains("unknown hash"));
+    assert!(failure("run hotspot --threads 2").contains("no threaded variant"));
+    assert!(failure("run lud --variant fixed").contains("variant"));
+    // The streaming knobs need a flag that turns streaming on.
+    assert!(failure("run bfs --stream-cap 64").contains("--stream-cap needs --stream"));
+    assert!(failure("run bfs --stall-timeout 50").contains("--stall-timeout needs --stream"));
+    ok("run bfs --stream-cap 64 --stream -q");
+    ok("run bfs --stall-timeout 500 --remediate -q");
+}
+
+#[test]
+fn arbalest_reports_and_takes_only_its_own_flags() {
+    let text = ok("arbalest bfs");
+    assert!(text.starts_with("=== Arbalest-Vec Data Mapping Correctness Report ==="));
+    assert!(text.contains("program        : bfs"));
+    assert!(ok("arbalest bfs --threads 4 --size s -q").contains("native runtime"));
+    // It used to share the profiler's parser and ignore what it did not
+    // read — including an invalid hash name.
+    for line in [
+        "arbalest bfs --json",
+        "arbalest bfs --stream",
+        "arbalest bfs --remediate",
+        "arbalest bfs --hash nope",
+    ] {
+        assert!(failure(line).contains("Usage: odp arbalest"), "{line}");
+    }
+    assert!(failure("arbalest hotspot --threads 2").contains("no threaded variant"));
+}
+
+#[test]
+fn trace_save_load_diff_round_trip_in_a_temp_dir() {
+    let dir = std::env::temp_dir().join(format!("odp-cli-test-{}", std::process::id()));
+    let dir = dir.to_str().expect("utf-8 temp dir").to_string();
+    let saved = ok(&format!(
+        "trace save --out {dir}/corpus.json --runs babelstream,bfs --size s --trace-dir {dir}"
+    ));
+    assert!(saved.contains(&format!("wrote {dir}/bfs.odpt")));
+    assert!(saved.contains("2 run(s)"));
+    let loaded = ok(&format!("trace load {dir}/babelstream.odpt"));
+    assert!(loaded.contains("program 'babelstream'"));
+    assert!(loaded.contains("health: clean"));
+    // A corpus never regresses against itself.
+    ok(&format!("trace diff {dir}/corpus.json {dir}/corpus.json"));
+    let diff = json(&format!(
+        "trace diff {dir}/corpus.json {dir}/corpus.json --json"
+    ));
+    assert_eq!(diff["new"].as_array().map(Vec::len), Some(0));
+    // The gate: the checked-in reference has sites this corpus lacks.
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/reference_corpus.json"
+    );
+    let gate = failure(&format!("trace diff {dir}/corpus.json {fixture}"));
+    assert!(gate.starts_with("regression: "), "{gate}");
+    std::fs::remove_dir_all(&dir).expect("clean up");
+
+    assert!(failure("trace save --out x.json --runs bfs --json").contains("unknown save option"));
+    assert!(failure("trace frobnicate").contains("Usage:"));
+    assert!(failure("trace load").contains("exactly one file"));
+}
+
+#[test]
+fn static_analyze_predicts_and_takes_only_its_own_flags() {
+    let text = ok("static analyze babelstream");
+    assert!(text.contains("[certain] DD dev 0 @ babelstream"), "{text}");
+    let doc = json("static analyze babelstream --size m --json");
+    assert!(doc.is_object());
+    assert!(ok("static plan babelstream").contains("validated: "));
+    assert!(failure("static analyze babelstream --variant fixed").contains("unknown static option"));
+    assert!(failure("static analyze hotspot").contains("unknown workload"));
+    assert!(failure("static frobnicate bfs").contains("analyze|crosscheck|plan"));
+}
+
+#[test]
+fn help_lists_each_commands_own_flags_only() {
+    let top = ok("--help");
+    for command in ["odp run", "odp arbalest", "odp trace", "odp static"] {
+        assert!(top.contains(command), "{command}");
+    }
+    assert_eq!(ok(""), top, "no arguments prints the overview");
+    assert!(ok("--version").starts_with("odp "));
+    assert!(failure("frobnicate").contains("unknown command"));
+
+    let run = ok("run --help");
+    assert!(run.contains("--remediate") && run.contains("--fault-profile"));
+    assert!(!run.contains("--runs") && !run.contains("--trace-dir"));
+    let arbalest = ok("arbalest --help");
+    assert!(arbalest.contains("--threads") && !arbalest.contains("--stream"));
+    let trace = ok("trace --help");
+    assert!(trace.contains("--trace-dir") && !trace.contains("--hash"));
+    let statics = ok("static --help");
+    assert!(statics.contains("crosscheck") && !statics.contains("--variant"));
+}
+
+#[test]
+fn a_closed_pipe_is_an_io_stop_not_a_panic() {
+    struct ClosedPipe;
+    impl std::io::Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    for line in [
+        "run bfs",
+        "run bfs --stream-interval 1",
+        "arbalest bfs",
+        "static analyze bfs",
+        "--help",
+    ] {
+        match dispatch(&argv(line), &mut ClosedPipe) {
+            Err(Stop::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "{line}"),
+            other => panic!("odp {line}: expected an I/O stop, got {other:?}"),
+        }
+    }
+}

@@ -1,10 +1,13 @@
-//! End-to-end analysis: trace → findings → prediction → report.
+//! End-to-end analysis: trace → findings → prediction → report, and
+//! [`finish_run`] — the one statement of what happens between "the
+//! program exited" and "here is the report".
 
 use crate::attrib::DebugInfo;
-use crate::detect::{EventView, Findings};
+use crate::detect::{EventView, Findings, StreamBufferStats, StreamFinding};
 use crate::predict::predict;
 use crate::report::{build_sections, Report};
-use odp_model::{DataOpEvent, TargetEvent};
+use crate::tool::ToolHandle;
+use odp_model::{DataOpEvent, TargetEvent, TraceHealth};
 use odp_trace::{ColumnarView, TraceLog};
 
 /// Infer the number of target devices from the event stream (the tool
@@ -126,6 +129,79 @@ pub fn analyze_with_findings(
         space: log.space_stats(),
         console,
         sections,
+    }
+}
+
+/// Everything the end of a run produces.
+pub struct FinishedRun {
+    /// The merged trace.
+    pub trace: TraceLog,
+    /// The §A.6 report; its console carries every warning of the run.
+    pub report: Report,
+    /// What the collector, the streaming engine and the shard merge
+    /// quarantined instead of trusting.
+    pub health: TraceHealth,
+    /// The online engine's side of the run (`ToolConfig::stream` only).
+    pub live: Option<LiveStream>,
+}
+
+/// Where the live findings stream stood when the program exited.
+pub struct LiveStream {
+    /// Findings emitted over the whole run, including those a live
+    /// consumer (poller, remediation pump) already drained.
+    pub emitted: usize,
+    /// The findings no consumer had drained yet.
+    pub undrained: Vec<StreamFinding>,
+    /// Window sizes before the end-of-trace settle.
+    pub stats: StreamBufferStats,
+}
+
+/// The end-of-run protocol, post-mortem and streamed alike: extract the
+/// merged trace, take the streaming engine out (final drain), hydrate
+/// the view, produce the findings — `StreamingEngine::finalize` when
+/// the run streamed, the fused sweep otherwise — and build the report.
+/// The console gets the tool's own lines, then the lookahead-spill,
+/// trace-health (collector + engine + merge-time duplicate ids) and
+/// out-of-range-device warnings, whichever mode produced the findings.
+///
+/// Call once, after every runtime thread has finished.
+pub fn finish_run(handle: &ToolHandle, dbg: Option<&DebugInfo>, program: &str) -> FinishedRun {
+    let trace = handle.take_trace();
+    let mut engine = handle.take_stream_engine();
+    let live = engine.as_mut().map(|engine| LiveStream {
+        emitted: engine.live_counts().total(),
+        undrained: engine.take_findings(),
+        stats: engine.buffer_stats(),
+    });
+    // After the final drain, which may itself warn (stall recovery).
+    let mut console = handle.console_lines();
+    console.extend(engine.as_ref().and_then(|engine| engine.spill_warning()));
+
+    let view = EventView::from_log(&trace);
+    let out_of_range = view.out_of_range().warning(view.num_devices);
+    // The engine has left the handle, so this is the shard side only;
+    // the engine's counters are final once it has settled.
+    let mut health = handle.trace_health();
+    let findings = match engine.as_mut() {
+        Some(engine) => {
+            let findings = engine.finalize(&view);
+            health.merge(&engine.health());
+            findings
+        }
+        None => Findings::detect_fused(&view),
+    };
+    health.duplicate_ids = health
+        .duplicate_ids
+        .saturating_add(trace.duplicate_id_count());
+    console.extend(health.warning());
+    console.extend(out_of_range);
+
+    let report = analyze_with_findings(&trace, dbg, program, console, findings);
+    FinishedRun {
+        trace,
+        report,
+        health,
+        live,
     }
 }
 

@@ -12,11 +12,13 @@
 //!    OMPT EMI callbacks (here: `odp-sim`'s simulated runtime), hashes
 //!    every transfer payload with a configurable [`odp_hash::HashAlgoId`],
 //!    and appends compact records to an [`odp_trace::TraceLog`].
-//! 2. After the program finishes, [`analysis::analyze`] runs the five
-//!    detection algorithms of §5 over the chronological event log:
-//!    duplicate transfers, round-trip transfers, repeated device memory
-//!    allocations, unused device memory allocations, and unused data
-//!    transfers.
+//! 2. After the program finishes, [`analysis::finish_run`] — the one
+//!    end-of-run protocol, streamed or post-mortem — extracts the trace
+//!    from the tool's handle and runs the five detection algorithms of
+//!    §5 over the chronological event log: duplicate transfers,
+//!    round-trip transfers, repeated device memory allocations, unused
+//!    device memory allocations, and unused data transfers
+//!    ([`analysis::analyze`] does the same for a hand-built trace).
 //! 3. [`predict`] converts findings into an optimization-potential
 //!    estimate (predicted time savings and speedup, §7.6), deduplicating
 //!    overlapping findings so no event's cost is counted twice.
@@ -76,6 +78,6 @@ pub mod tool;
 pub use analysis::analyze;
 pub use detect::{Confidence, Findings, IssueCounts};
 pub use predict::Prediction;
-pub use remedy::{LiveRemediator, RemediationPolicy, RemediationReport};
+pub use remedy::{RemediationPolicy, RemediationReport};
 pub use report::Report;
 pub use tool::{OmpDataPerfTool, ToolConfig, ToolHandle};

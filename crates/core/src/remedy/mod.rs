@@ -28,16 +28,19 @@
 //! `from` copies degrade to targeted updates so host visibility is
 //! never silently lost.
 //!
-//! Two driving modes:
+//! One advisor type serves every run: a [`SharedRemediator`] owns the
+//! policy and forks one [`SharedAdvisor`] per runtime thread (one fork
+//! for a single-thread run). Two ways to fill the policy:
 //!
-//! * **Adaptive** ([`LiveRemediator`]) — the policy rides along with
-//!   the run: every advisor consult first drains the streaming
+//! * **Adaptive** ([`SharedRemediator::new`]) — the policy rides along
+//!   with the run: every advisor consult first drains the streaming
 //!   engine's new findings into the policy, so iteration *n*'s
 //!   diagnosis rewrites iteration *n+1*'s mappings.
-//! * **Seeded re-run** ([`RemediationPolicy::from_findings`]) — build
-//!   the policy from a previous run's post-mortem findings and attach
-//!   it to a fresh run; the detectors then find **zero** issues of the
-//!   remediated kinds (enforced by `tests/adaptive_remediation.rs`).
+//! * **Seeded re-run** ([`SharedRemediator::seeded`] over
+//!   [`RemediationPolicy::from_findings`]) — build the policy from a
+//!   previous run's post-mortem findings and attach it to a fresh run;
+//!   the detectors then find **zero** issues of the remediated kinds
+//!   (enforced by `tests/adaptive_remediation.rs`).
 //!
 //! What the rewrites recovered — transfers, bytes, alloc/free work,
 //! priced by the runtime's own timing model — lands in a
@@ -256,75 +259,6 @@ impl FindingsSink for RemediationPolicy {
 /// The shareable policy cell advisors and reports read from.
 pub type SharedPolicyCell = Arc<Mutex<RemediationPolicy>>;
 
-/// The adaptive-mode advisor: pumps the streaming engine's new findings
-/// into the shared policy before every advice, so the rewrite rules
-/// grow *during* the run — iteration `n`'s diagnosis rewrites iteration
-/// `n+1`'s mappings. Requires the tool to run with `ToolConfig::stream`.
-/// Consumes its **own** tee tap ([`ToolHandle::tap_stream_findings`]),
-/// so a live console poller draining the default stream concurrently
-/// loses nothing to the policy (and vice versa).
-pub struct LiveRemediator {
-    tap: FindingsTap,
-    policy: SharedPolicyCell,
-}
-
-impl LiveRemediator {
-    /// Build a live remediator over a streaming tool's handle. Returns
-    /// the advisor (box it into `Runtime::attach_advisor`) and the
-    /// shared policy for post-run reporting.
-    pub fn new(handle: ToolHandle) -> (LiveRemediator, SharedPolicyCell) {
-        let policy = Arc::new(Mutex::new(RemediationPolicy::new()));
-        (
-            LiveRemediator {
-                tap: handle.tap_stream_findings(),
-                policy: policy.clone(),
-            },
-            policy,
-        )
-    }
-
-    fn pump(&self) {
-        let findings = self.tap.take();
-        if findings.is_empty() {
-            return;
-        }
-        let mut policy = self.policy.lock();
-        for f in &findings {
-            policy.observe(f);
-        }
-    }
-}
-
-impl MapAdvisor for LiveRemediator {
-    fn advise_enter(
-        &mut self,
-        device: u32,
-        codeptr: CodePtr,
-        host_addr: u64,
-        bytes: u64,
-        map_type: MapType,
-    ) -> MapAdvice {
-        self.pump();
-        self.policy
-            .lock()
-            .advise_enter(device, codeptr, host_addr, bytes, map_type)
-    }
-
-    fn advise_exit(
-        &mut self,
-        device: u32,
-        codeptr: CodePtr,
-        host_addr: u64,
-        bytes: u64,
-        map_type: MapType,
-    ) -> MapAdvice {
-        self.pump();
-        self.policy
-            .lock()
-            .advise_exit(device, codeptr, host_addr, bytes, map_type)
-    }
-}
-
 /// What the per-thread advisor handles share: one policy, and (in
 /// adaptive mode) one tee tap on the live findings stream.
 struct SharedRemedyInner {
@@ -333,14 +267,18 @@ struct SharedRemedyInner {
     policy: SharedPolicyCell,
 }
 
-/// One `RemediationPolicy` behind cheap per-thread advisor handles —
-/// the threaded counterpart of [`LiveRemediator`], mirroring the
-/// collector's shard→watermark design: each runtime thread attaches its
-/// own [`SharedAdvisor`] ([`SharedRemediator::fork_advisor`]), every
-/// consult first pumps the shared findings tap (non-blocking: a consult
-/// never waits for another thread's drain), and all threads' rewrites
-/// land in one policy, so a pattern thread A diagnosed rewrites thread
-/// B's very next region. Per-thread `RemediationStats` stay in each
+/// One `RemediationPolicy` behind cheap per-thread advisor handles,
+/// mirroring the collector's shard→watermark design: each runtime
+/// thread attaches its own [`SharedAdvisor`]
+/// ([`SharedRemediator::fork_advisor`]), every consult first pumps the
+/// shared findings tap (non-blocking: a consult never waits for another
+/// thread's drain — and with a single advisor and no other consumer the
+/// engine lock is always free, so the pump drains on every consult),
+/// and all threads' rewrites land in one policy, so a pattern thread A
+/// diagnosed rewrites thread B's very next region. Consumes its **own**
+/// tee tap ([`ToolHandle::tap_stream_findings`]), so a live console
+/// poller draining the default stream concurrently loses nothing to the
+/// policy (and vice versa). Per-thread `RemediationStats` stay in each
 /// runtime and merge at finalize
 /// (`odp_sim::run_on_threads_shared` / `RemediationStats::merge`).
 pub struct SharedRemediator {
@@ -825,8 +763,9 @@ mod tests {
             tool.on_data_op(&op(Endpoint::End, id, t + 10, Some(payload.as_slice())));
         }
 
-        let (mut remediator, policy) = LiveRemediator::new(handle);
-        let advice = remediator.advise_enter(0, CodePtr(0x7), 0x1000, 64, MapType::To);
+        let (remediator, policy) = SharedRemediator::new(handle);
+        let mut advisor = remediator.fork_advisor();
+        let advice = advisor.advise_enter(0, CodePtr(0x7), 0x1000, 64, MapType::To);
         assert_eq!(
             advice.persist,
             Some(AdviceCause::DuplicateTransfer),

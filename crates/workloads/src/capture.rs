@@ -1,20 +1,17 @@
 //! Capture a workload run as a persistable trace artifact.
 //!
-//! The bridge between the benchmark drivers and the persistence layer:
-//! run one instrumented workload (optionally with live remediation,
-//! exactly like `ompdataperf --remediate`), compose the run's full
-//! health picture the way the CLI report does, and snapshot the trace
-//! into an [`odp_trace::TraceArtifact`] ready for
+//! The bridge between the run driver and the persistence layer: run one
+//! instrumented workload (optionally with live remediation, exactly
+//! like `odp run --remediate`) and snapshot the trace, with the run's
+//! merged health, into an [`odp_trace::TraceArtifact`] ready for
 //! `TraceArtifact::to_bytes` / fleet ingest. Shared by `odp trace save`
 //! and the golden-corpus fixtures, so both produce identical corpora
 //! for identical workloads.
 
+use crate::adaptive::Remedy;
+use crate::session::{run, RunSpec};
 use crate::{ProblemSize, Variant, Workload};
-use odp_sim::{Runtime, RuntimeConfig};
 use odp_trace::TraceArtifact;
-use ompdataperf::detect::EventView;
-use ompdataperf::remedy::LiveRemediator;
-use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
 
 /// Run `w` once under the tool and snapshot the trace as a persistable
 /// artifact carrying the run's merged health (collector quarantines,
@@ -30,30 +27,21 @@ pub fn capture_artifact(
     variant: Variant,
     remediate: bool,
 ) -> TraceArtifact {
-    let (tool, handle) = OmpDataPerfTool::new(ToolConfig {
-        stream: remediate,
-        ..Default::default()
-    });
-    let mut rt = Runtime::new(RuntimeConfig::default());
-    rt.attach_tool(Box::new(tool));
-    if remediate {
-        let (remediator, _policy) = LiveRemediator::new(handle.clone());
-        rt.attach_advisor(Box::new(remediator));
-    }
-    let _dbg = w.run(&mut rt, size, variant);
-    rt.finish();
-
-    let trace = handle.take_trace();
-    let mut health = handle.trace_health();
-    if let Some(mut engine) = handle.take_stream_engine() {
-        // Settle the engine against the merged trace (same as the CLI
-        // report path) so its degradation counters are final.
-        let view = EventView::from_log(&trace);
-        let _findings = engine.finalize(&view);
-        health.merge(&engine.health());
-    }
-    health.duplicate_ids += trace.duplicate_id_count();
-    TraceArtifact::from_log(&trace, w.name(), health)
+    let remedy = if remediate {
+        Remedy::Adaptive
+    } else {
+        Remedy::Off
+    };
+    let outcome = run(
+        w,
+        &RunSpec {
+            size,
+            variant,
+            remedy,
+            ..RunSpec::default()
+        },
+    );
+    TraceArtifact::from_log(&outcome.trace, w.name(), outcome.health)
 }
 
 #[cfg(test)]

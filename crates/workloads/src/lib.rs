@@ -17,6 +17,13 @@
 //! Table 5's input strings are preserved verbatim for reporting; the
 //! internal problem scales are reduced so the whole suite runs in
 //! seconds on a laptop (see EXPERIMENTS.md for the mapping).
+//!
+//! Running one of them under the tool goes through [`session::run`]:
+//! a [`session::RunSpec`] (size, variant, threads, tool and runtime
+//! configuration, [`adaptive::Remedy`]) in, a [`session::RunOutcome`]
+//! (report, trace, health, remediation accounting, stats) out. It is
+//! the only place that forks tool shards, builds runtimes and attaches
+//! advisors; [`capture`] snapshots such a run for the corpus tooling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +42,7 @@ pub mod minife;
 pub mod minifmm;
 pub mod nw;
 pub mod rsbench;
+pub mod session;
 pub mod tealeaf;
 pub mod threaded;
 pub mod xsbench;

@@ -1,0 +1,317 @@
+//! The run driver: one workload, under the tool, finished into a report.
+//!
+//! [`run`] is the only non-test code that forks tool shards, builds
+//! runtimes and attaches advisors — `odp run`, `odp trace save`
+//! ([`crate::capture`]), the experiment binaries, the examples and the
+//! integration tests all describe what they want in a [`RunSpec`] and
+//! read the result off a [`RunOutcome`]. What happens after the program
+//! exits is `ompdataperf::analysis::finish_run`, the one end-of-run
+//! protocol, so every caller gets the same report for the same run.
+//!
+//! How a run is laid out on threads follows from the spec alone:
+//!
+//! | `threads` | `remedy` | shape |
+//! |-----------|----------|-------|
+//! | 1 | any | one `Runtime`, the advisor (if any) attached to it |
+//! | N | `Off` | `odp_sim::run_on_threads`: a private runtime and device set per thread — the rank-per-thread shape, whose merged trace is independent of OS scheduling |
+//! | N | `Adaptive` / `Seeded` | `odp_sim::run_on_threads_shared`: one device data environment (true `libomptarget` semantics) and one policy behind per-thread advisor handles |
+
+use crate::adaptive::Remedy;
+use crate::{ProblemSize, Variant, Workload};
+use odp_model::TraceHealth;
+use odp_ompt::{MapAdvisor, RemediationStats, Tool};
+use odp_sim::{
+    merged_stats, run_on_threads, run_on_threads_shared, Runtime, RuntimeConfig, RuntimeStats,
+};
+use odp_trace::TraceLog;
+use ompdataperf::analysis::{finish_run, FinishedRun, LiveStream};
+use ompdataperf::attrib::DebugInfo;
+use ompdataperf::remedy::{RemediationReport, SharedRemediator};
+use ompdataperf::report::Report;
+use ompdataperf::tool::{OmpDataPerfTool, ToolConfig, ToolHandle};
+use std::time::{Duration, Instant};
+
+/// Everything that decides how a workload runs under the tool.
+#[derive(Clone, Debug)]
+pub struct RunSpec {
+    /// Problem size (`--size`).
+    pub size: ProblemSize,
+    /// Program variant (`--variant`).
+    pub variant: Variant,
+    /// Host threads driving the offload pattern (`--threads`); above 1
+    /// only for workloads with [`Workload::supports_threads`].
+    pub threads: u32,
+    /// The tool's configuration. [`Remedy::Adaptive`] turns
+    /// `ToolConfig::stream` on — the policy learns from live findings.
+    pub tool: ToolConfig,
+    /// The simulated runtime's configuration (capability profile,
+    /// fault plan).
+    pub runtime: RuntimeConfig,
+    /// Whether, and from what, mappings are rewritten during the run.
+    pub remedy: Remedy,
+}
+
+impl Default for RunSpec {
+    /// Small, original, one thread, default tool and runtime, no
+    /// remediation.
+    fn default() -> RunSpec {
+        RunSpec {
+            size: ProblemSize::Small,
+            variant: Variant::Original,
+            threads: 1,
+            tool: ToolConfig::default(),
+            runtime: RuntimeConfig::default(),
+            remedy: Remedy::Off,
+        }
+    }
+}
+
+/// What one instrumented run produced.
+pub struct RunOutcome {
+    /// The full §A.6 analysis report.
+    pub report: Report,
+    /// The merged trace the report was built from.
+    pub trace: TraceLog,
+    /// The run's merged health (collector, streaming engine, shard
+    /// merge).
+    pub health: TraceHealth,
+    /// The live findings stream's end state (streaming runs only).
+    pub live: Option<LiveStream>,
+    /// Recovered-vs-baseline accounting; `None` under [`Remedy::Off`].
+    pub remediation: Option<RemediationReport>,
+    /// Runtime statistics, merged across threads.
+    pub stats: RuntimeStats,
+    /// Debug info the workload registered.
+    pub debug_info: DebugInfo,
+    /// The tool handle (hash meter, collision audit).
+    pub handle: ToolHandle,
+    /// Wall-clock time of the monitored program (tool attached),
+    /// excluding set-up and analysis.
+    pub wall: Duration,
+}
+
+/// Run `w` under the tool as `spec` says and finish it into a report.
+///
+/// # Panics
+/// When `spec.threads > 1` and the workload has no threaded variant.
+pub fn run(w: &dyn Workload, spec: &RunSpec) -> RunOutcome {
+    run_observed(w, spec, |_| || ())
+}
+
+/// [`run`] with a live observer: `observe` gets the tool handle before
+/// the program starts (register findings taps, spawn a poller) and
+/// returns the closure that stops it, called when the program has
+/// exited and before the end-of-run analysis.
+pub fn run_observed<S: FnOnce()>(
+    w: &dyn Workload,
+    spec: &RunSpec,
+    observe: impl FnOnce(&ToolHandle) -> S,
+) -> RunOutcome {
+    let mut cfg = spec.tool;
+    cfg.stream |= matches!(spec.remedy, Remedy::Adaptive);
+    let (tool, handle) = OmpDataPerfTool::new(cfg);
+    let tools = shards(tool, spec.threads, || handle.fork_tool());
+    let remediator = spec.remedy.remediator(&handle);
+    let stop = observe(&handle);
+
+    let start = Instant::now();
+    let driven = drive(
+        w,
+        spec.size,
+        spec.variant,
+        &spec.runtime,
+        tools,
+        remediator.as_ref().map(|(remediator, _)| remediator),
+    );
+    let wall = start.elapsed();
+    stop();
+
+    let FinishedRun {
+        trace,
+        report,
+        health,
+        live,
+    } = finish_run(&handle, Some(&driven.debug_info), w.name());
+    let remediation = remediator.map(|(_, policy)| {
+        RemediationReport::new(
+            &policy.lock(),
+            &driven.remediation,
+            driven.stats.bytes_transferred,
+            driven.stats.transfer_time,
+        )
+    });
+    RunOutcome {
+        report,
+        trace,
+        health,
+        live,
+        remediation,
+        stats: driven.stats,
+        debug_info: driven.debug_info,
+        handle,
+        wall,
+    }
+}
+
+/// Run `w` under any other sharded OMPT tool (the Arbalest-Vec
+/// comparison baseline of §7.7): `first` on thread 0 and one `fork()`
+/// per further thread, each thread on a private default runtime.
+/// Results stay in the tool's own handle; returns the run statistics.
+///
+/// # Panics
+/// When `threads > 1` and the workload has no threaded variant.
+pub fn run_under<T: Tool + 'static>(
+    w: &dyn Workload,
+    size: ProblemSize,
+    variant: Variant,
+    threads: u32,
+    first: T,
+    fork: impl Fn() -> T,
+) -> RuntimeStats {
+    let tools = shards(first, threads, fork);
+    drive(w, size, variant, &RuntimeConfig::default(), tools, None).stats
+}
+
+/// One tool per runtime thread: `first`, then `threads - 1` forks.
+fn shards<T: Tool + 'static>(first: T, threads: u32, fork: impl Fn() -> T) -> Vec<Box<dyn Tool>> {
+    let mut tools: Vec<Box<dyn Tool>> = vec![Box::new(first)];
+    tools.extend((1..threads).map(|_| Box::new(fork()) as Box<dyn Tool>));
+    tools
+}
+
+struct Driven {
+    debug_info: DebugInfo,
+    stats: RuntimeStats,
+    remediation: RemediationStats,
+}
+
+/// Execute the program on `tools.len()` threads (the table in the
+/// module docs), every thread's advisor forked from `remediator`.
+fn drive(
+    w: &dyn Workload,
+    size: ProblemSize,
+    variant: Variant,
+    cfg: &RuntimeConfig,
+    mut tools: Vec<Box<dyn Tool>>,
+    remediator: Option<&SharedRemediator>,
+) -> Driven {
+    let advisor = || remediator.map(|r| Box::new(r.fork_advisor()) as Box<dyn MapAdvisor>);
+    let threads = tools.len() as u32;
+    if threads > 1 {
+        assert!(
+            w.supports_threads(),
+            "{} does not support --threads",
+            w.name()
+        );
+        let body = |_, rt: &mut Runtime| w.run(rt, size, variant);
+        let (results, remediation) = if remediator.is_some() {
+            let advisors = (0..threads).map(|_| advisor()).collect();
+            let shared = run_on_threads_shared(threads, cfg, tools, advisors, body);
+            (shared.results, shared.remediation)
+        } else {
+            let results = run_on_threads(threads, cfg, tools, body);
+            (results, RemediationStats::default())
+        };
+        let stats: Vec<RuntimeStats> = results.iter().map(|(_, stats)| *stats).collect();
+        // The debug info is identical on every thread; keep the first.
+        let debug_info = results
+            .into_iter()
+            .map(|(debug_info, _)| debug_info)
+            .next()
+            .unwrap_or_else(|| panic!("no worker threads ran"));
+        return Driven {
+            debug_info,
+            stats: merged_stats(&stats),
+            remediation,
+        };
+    }
+    let mut rt = Runtime::new(cfg.clone());
+    if let Some(tool) = tools.pop() {
+        rt.attach_tool(tool);
+    }
+    if let Some(advisor) = advisor() {
+        rt.attach_advisor(advisor);
+    }
+    let debug_info = w.run(&mut rt, size, variant);
+    let stats = rt.finish();
+    Driven {
+        debug_info,
+        stats,
+        remediation: rt.remediation_stats(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use odp_sim::{FaultPlan, FaultProfile};
+
+    fn warnings(report: &Report) -> Vec<&String> {
+        let mut lines: Vec<&String> = report
+            .console
+            .iter()
+            .filter(|l| l.starts_with("warning:"))
+            .collect();
+        lines.sort();
+        lines
+    }
+
+    /// A streamed report used to lose the out-of-range-device warning
+    /// the post-mortem report of the same trace carries.
+    #[test]
+    fn a_streamed_report_carries_the_postmortem_reports_warnings() {
+        let w = crate::by_name("bfs").unwrap();
+        let under_faults = |stream| {
+            let mut spec = RunSpec::default();
+            spec.tool.stream = stream;
+            spec.runtime.faults = FaultPlan::from_profile(FaultProfile::Hostile, 42);
+            run(&*w, &spec).report
+        };
+        let (post, streamed) = (under_faults(false), under_faults(true));
+        assert_eq!(warnings(&streamed), warnings(&post));
+        assert!(
+            warnings(&post)
+                .iter()
+                .any(|l| l.contains("Algorithms 4/5 exclude them")),
+            "{:?}",
+            post.console
+        );
+        assert!(warnings(&post).iter().any(|l| l.contains("degraded trace")));
+    }
+
+    #[test]
+    fn a_run_under_another_tool_reports_through_that_tools_handle() {
+        let w = crate::by_name("bfs").unwrap();
+        let (tool, handle) = OmpDataPerfTool::new(ToolConfig::default());
+        let stats = run_under(&*w, ProblemSize::Small, Variant::Original, 2, tool, || {
+            handle.fork_tool()
+        });
+        assert_eq!(handle.shard_count(), 2);
+        assert!(stats.kernels > 0);
+        assert!(handle.take_trace().data_op_count() > 0);
+    }
+
+    #[test]
+    fn the_spec_alone_decides_the_shape_of_a_threaded_run() {
+        let w = crate::by_name("babelstream").unwrap();
+        let on = |threads, remedy| {
+            run(
+                &*w,
+                &RunSpec {
+                    threads,
+                    remedy,
+                    ..RunSpec::default()
+                },
+            )
+        };
+        // Private devices: every thread allocates and sends for itself.
+        let one = on(1, Remedy::Off);
+        let private = on(4, Remedy::Off);
+        assert_eq!(private.stats.allocs, 4 * one.stats.allocs);
+        assert!(private.remediation.is_none() && private.live.is_none());
+        // Adaptive: streaming is implied, the threads share one policy.
+        let adaptive = on(4, Remedy::Adaptive);
+        assert!(adaptive.live.is_some(), "Adaptive turns streaming on");
+        assert!(adaptive.remediation.unwrap().consults > 0);
+    }
+}

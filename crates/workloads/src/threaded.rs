@@ -1,110 +1,17 @@
-//! Multi-threaded workload execution.
+//! The workloads with a multi-threaded variant.
 //!
-//! [`run_threaded`] drives one workload's offload pattern from N real
-//! OS threads at once: every thread owns a simulated [`Runtime`] (its
-//! own virtual clock and data environment — the rank-per-thread shape)
-//! and an attached tool shard, so the attached collector observes
-//! genuinely concurrent OMPT callbacks. Because each thread's virtual
-//! timeline is deterministic and sharded traces merge by `(timestamp,
-//! shard, per-shard order)`, the merged observation is identical across
-//! runs regardless of OS scheduling — while the callback *interleaving*
-//! (what the sharded fast path and the watermark merge must survive) is
-//! real.
+//! `RunSpec::threads > 1` ([`crate::session`]) drives one workload's
+//! offload pattern from N real OS threads at once: every thread owns a
+//! simulated `Runtime` (its own virtual clock; its own data environment
+//! unless the run remediates) and an attached tool shard, so the
+//! collector observes genuinely concurrent OMPT callbacks. Because each
+//! thread's virtual timeline is deterministic and sharded traces merge
+//! by `(timestamp, shard, per-shard order)`, the merged observation of
+//! a private-device run is identical across runs regardless of OS
+//! scheduling — while the callback *interleaving* (what the sharded
+//! fast path and the watermark merge must survive) is real.
 
-use crate::{ProblemSize, Variant, Workload};
-use odp_ompt::{MapAdvisor, RemediationStats, Tool};
-use odp_sim::{
-    run_on_threads, run_on_threads_shared, Runtime, RuntimeConfig, RuntimeStats, SharedDevices,
-};
-use ompdataperf::attrib::DebugInfo;
-
-/// Run `workload` on `threads` OS threads, each against its own runtime
-/// with `tools[i]` attached (fork them from one
-/// `ompdataperf::tool::ToolHandle`). Returns the workload's debug info
-/// (identical on every thread; the first is returned) and the merged
-/// run statistics.
-///
-/// # Panics
-/// When the workload does not support threaded execution
-/// ([`Workload::supports_threads`]) or `tools.len() != threads`.
-pub fn run_threaded(
-    workload: &dyn Workload,
-    threads: u32,
-    size: ProblemSize,
-    variant: Variant,
-    cfg: &RuntimeConfig,
-    tools: Vec<Box<dyn Tool>>,
-) -> (DebugInfo, RuntimeStats) {
-    assert!(
-        workload.supports_threads(),
-        "{} does not support --threads",
-        workload.name()
-    );
-    let results = run_on_threads(threads, cfg, tools, |_, rt: &mut Runtime| {
-        workload.run(rt, size, variant)
-    });
-    let stats: Vec<RuntimeStats> = results.iter().map(|(_, s)| *s).collect();
-    let dbg = results
-        .into_iter()
-        .map(|(d, _)| d)
-        .next()
-        .unwrap_or_else(|| panic!("no worker threads ran"));
-    (dbg, odp_sim::merged_stats(&stats))
-}
-
-/// Outcome of a shared-device threaded workload run.
-pub struct SharedThreadedRun {
-    /// The workload's debug info (identical on every thread).
-    pub dbg: DebugInfo,
-    /// Merged run statistics across the threads.
-    pub stats: RuntimeStats,
-    /// Per-thread advisor rewrites, merged.
-    pub remediation: RemediationStats,
-    /// The device set the threads shared.
-    pub devices: SharedDevices,
-}
-
-/// Run `workload` on `threads` OS threads that share **one** device
-/// data environment (`odp_sim::run_on_threads_shared`) — the true
-/// `libomptarget` shape, where cross-thread present-table reuse and
-/// contention are real. Each thread gets `tools[i]` and, when
-/// provided, `advisors[i]` (fork the advisors from one
-/// `ompdataperf::remedy::SharedRemediator`).
-///
-/// # Panics
-/// When the workload does not support threaded execution, or the tool
-/// or advisor counts mismatch `threads`.
-pub fn run_threaded_shared(
-    workload: &dyn Workload,
-    threads: u32,
-    size: ProblemSize,
-    variant: Variant,
-    cfg: &RuntimeConfig,
-    tools: Vec<Box<dyn Tool>>,
-    advisors: Vec<Option<Box<dyn MapAdvisor>>>,
-) -> SharedThreadedRun {
-    assert!(
-        workload.supports_threads(),
-        "{} does not support --threads",
-        workload.name()
-    );
-    let outcome = run_on_threads_shared(threads, cfg, tools, advisors, |_, rt: &mut Runtime| {
-        workload.run(rt, size, variant)
-    });
-    let stats: Vec<RuntimeStats> = outcome.results.iter().map(|(_, s)| *s).collect();
-    let dbg = outcome
-        .results
-        .into_iter()
-        .map(|(d, _)| d)
-        .next()
-        .unwrap_or_else(|| panic!("no worker threads ran"));
-    SharedThreadedRun {
-        dbg,
-        stats: odp_sim::merged_stats(&stats),
-        remediation: outcome.remediation,
-        devices: outcome.devices,
-    }
-}
+use crate::Workload;
 
 /// The workloads with threaded variants.
 pub fn threaded_workloads() -> Vec<Box<dyn Workload>> {
@@ -117,7 +24,7 @@ pub fn threaded_workloads() -> Vec<Box<dyn Workload>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
+    use crate::session::{run, RunSpec};
 
     #[test]
     fn the_three_threaded_workloads_are_marked() {
@@ -125,43 +32,32 @@ mod tests {
         assert_eq!(names, vec!["babelstream", "bfs", "xsbench"]);
     }
 
+    fn on_threads(name: &str, threads: u32) -> crate::session::RunOutcome {
+        let w = crate::by_name(name).unwrap();
+        run(
+            &*w,
+            &RunSpec {
+                threads,
+                ..RunSpec::default()
+            },
+        )
+    }
+
     #[test]
     fn threaded_run_produces_a_deterministic_merged_trace() {
-        fn run_once(threads: u32) -> String {
-            let w = crate::by_name("babelstream").unwrap();
-            let (tool, handle) = OmpDataPerfTool::new(ToolConfig::default());
-            let mut tools: Vec<Box<dyn Tool>> = vec![Box::new(tool)];
-            for _ in 1..threads {
-                tools.push(Box::new(handle.fork_tool()));
-            }
-            let (_dbg, stats) = run_threaded(
-                &*w,
-                threads,
-                ProblemSize::Small,
-                Variant::Original,
-                &RuntimeConfig::default(),
-                tools,
-            );
-            assert!(stats.kernels > 0);
-            handle.take_trace().to_json()
-        }
-        let a = run_once(3);
-        let b = run_once(3);
-        assert_eq!(a, b, "merged trace must not depend on OS scheduling");
+        let a = on_threads("babelstream", 3);
+        assert!(a.stats.kernels > 0);
+        let b = on_threads("babelstream", 3);
+        assert_eq!(
+            a.trace.to_json(),
+            b.trace.to_json(),
+            "merged trace must not depend on OS scheduling"
+        );
     }
 
     #[test]
     #[should_panic(expected = "does not support --threads")]
     fn unthreaded_workloads_are_rejected() {
-        let w = crate::by_name("hotspot").unwrap();
-        let (tool, _handle) = OmpDataPerfTool::new(ToolConfig::default());
-        let _ = run_threaded(
-            &*w,
-            1,
-            ProblemSize::Small,
-            Variant::Original,
-            &RuntimeConfig::default(),
-            vec![Box::new(tool)],
-        );
+        let _ = on_threads("hotspot", 2);
     }
 }

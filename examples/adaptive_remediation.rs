@@ -16,15 +16,25 @@
 //! 3. **seeded re-run** — a second run whose policy was built from the
 //!    baseline findings: the remediated kinds disappear entirely.
 
-use odp_workloads::adaptive::{run_adaptive, run_baseline, run_seeded};
-use odp_workloads::{ProblemSize, Variant};
+use odp_workloads::adaptive::Remedy;
+use odp_workloads::session::{run, RunSpec};
 use ompdataperf::remedy::RemediationPolicy;
 
 fn main() {
     let w = odp_workloads::by_name("babelstream").unwrap();
+    // Small, original variant, one thread; only the remedy differs.
+    let run_as = |remedy| {
+        run(
+            &*w,
+            &RunSpec {
+                remedy,
+                ..RunSpec::default()
+            },
+        )
+    };
 
     // 1. Baseline: diagnose only.
-    let baseline = run_baseline(&*w, ProblemSize::Small, Variant::Original);
+    let baseline = run_as(Remedy::Off);
     println!("baseline :");
     println!(
         "  issues DD={} RA={} | {} transfers, {} B, transfer time {}",
@@ -36,7 +46,7 @@ fn main() {
     );
 
     // 2. Adaptive: one run, findings rewrite the mappings mid-flight.
-    let adaptive = run_adaptive(&*w, ProblemSize::Small, Variant::Original);
+    let adaptive = run_as(Remedy::Adaptive);
     println!("\nadaptive (one live run):");
     println!(
         "  issues DD={} RA={} | {} transfers, {} B, transfer time {}",
@@ -46,11 +56,13 @@ fn main() {
         adaptive.stats.bytes_transferred,
         adaptive.stats.transfer_time,
     );
-    print!("{}", adaptive.remediation.render());
+    if let Some(remediation) = &adaptive.remediation {
+        print!("{}", remediation.render());
+    }
 
     // 3. Seeded re-run: the policy knows everything from directive one.
     let policy = RemediationPolicy::from_findings(&baseline.report.findings);
-    let seeded = run_seeded(&*w, ProblemSize::Small, Variant::Original, policy);
+    let seeded = run_as(Remedy::Seeded(policy));
     println!("\nseeded re-run:");
     println!(
         "  issues DD={} RA={} | {} transfers, {} B, transfer time {}",

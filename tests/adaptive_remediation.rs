@@ -13,9 +13,23 @@
 //! policy mid-run — must already recover transfer time on iterative
 //! workloads, while detection keeps reporting the pre-rewrite issues.
 
-use odp_workloads::adaptive::{run_adaptive, run_baseline, run_seeded};
-use odp_workloads::{ProblemSize, Variant};
+use odp_workloads::adaptive::Remedy;
+use odp_workloads::session::{run, RunOutcome, RunSpec};
+use odp_workloads::{ProblemSize, Variant, Workload};
 use ompdataperf::remedy::RemediationPolicy;
+
+/// One single-thread run through the run driver.
+fn run_as(w: &dyn Workload, size: ProblemSize, variant: Variant, remedy: Remedy) -> RunOutcome {
+    run(
+        w,
+        &RunSpec {
+            size,
+            variant,
+            remedy,
+            ..RunSpec::default()
+        },
+    )
+}
 
 /// The per-workload expectation for a seeded re-run. `inherent_dd`
 /// counts duplicates remediation cannot remove: identical content
@@ -60,7 +74,7 @@ const GRID: &[Expect] = &[
 fn seeded_rerun_eliminates_the_remediated_kinds() {
     for e in GRID {
         let w = odp_workloads::by_name(e.name).unwrap();
-        let baseline = run_baseline(&*w, e.size, Variant::Original);
+        let baseline = run_as(&*w, e.size, Variant::Original, Remedy::Off);
         assert!(
             baseline.report.counts.total() > 0,
             "{} must have findings to remediate",
@@ -68,7 +82,7 @@ fn seeded_rerun_eliminates_the_remediated_kinds() {
         );
 
         let policy = RemediationPolicy::from_findings(&baseline.report.findings);
-        let rerun = run_seeded(&*w, e.size, Variant::Original, policy);
+        let rerun = run_as(&*w, e.size, Variant::Original, Remedy::Seeded(policy));
 
         let c = rerun.report.counts;
         assert_eq!(
@@ -94,8 +108,9 @@ fn seeded_rerun_eliminates_the_remediated_kinds() {
             rerun.stats.bytes_transferred,
             baseline.stats.bytes_transferred
         );
+        let remediation = rerun.remediation.unwrap();
         assert!(
-            rerun.remediation.recovered_time().as_nanos() > 0,
+            remediation.recovered_time().as_nanos() > 0,
             "{} ({:?}): recovered transfer time must be measurable",
             e.name,
             e.size
@@ -103,7 +118,7 @@ fn seeded_rerun_eliminates_the_remediated_kinds() {
         // The accounting is consistent: actual + recovered = what the
         // report calls the baseline.
         assert_eq!(
-            rerun.remediation.actual_transfer_bytes,
+            remediation.actual_transfer_bytes,
             rerun.stats.bytes_transferred
         );
     }
@@ -113,12 +128,12 @@ fn seeded_rerun_eliminates_the_remediated_kinds() {
 fn empty_policy_is_a_no_op() {
     for name in ["babelstream", "bfs", "xsbench"] {
         let w = odp_workloads::by_name(name).unwrap();
-        let baseline = run_baseline(&*w, ProblemSize::Small, Variant::Original);
-        let noop = run_seeded(
+        let baseline = run_as(&*w, ProblemSize::Small, Variant::Original, Remedy::Off);
+        let noop = run_as(
             &*w,
             ProblemSize::Small,
             Variant::Original,
-            RemediationPolicy::new(),
+            Remedy::Seeded(RemediationPolicy::new()),
         );
         assert_eq!(
             serde_json::to_string(&noop.report.findings).unwrap(),
@@ -130,8 +145,9 @@ fn empty_policy_is_a_no_op() {
             baseline.stats.bytes_transferred
         );
         assert_eq!(noop.stats.transfers, baseline.stats.transfers);
-        assert!(noop.remediation.rows.is_empty(), "{name}: no rewrites");
-        assert_eq!(noop.remediation.recovered_transfer_bytes, 0);
+        let remediation = noop.remediation.unwrap();
+        assert!(remediation.rows.is_empty(), "{name}: no rewrites");
+        assert_eq!(remediation.recovered_transfer_bytes, 0);
     }
 }
 
@@ -141,10 +157,10 @@ fn adaptive_single_run_recovers_on_iterative_workloads() {
     // findings from iteration n rewrite iteration n+1 within ONE run.
     for name in ["babelstream", "bfs"] {
         let w = odp_workloads::by_name(name).unwrap();
-        let baseline = run_baseline(&*w, ProblemSize::Small, Variant::Original);
-        let adaptive = run_adaptive(&*w, ProblemSize::Small, Variant::Original);
+        let baseline = run_as(&*w, ProblemSize::Small, Variant::Original, Remedy::Off);
+        let adaptive = run_as(&*w, ProblemSize::Small, Variant::Original, Remedy::Adaptive);
         assert!(
-            adaptive.remediation.recovered_time().as_nanos() > 0,
+            adaptive.remediation.unwrap().recovered_time().as_nanos() > 0,
             "{name}: one adaptive run must recover transfer time"
         );
         assert!(
@@ -168,13 +184,13 @@ fn seeded_rerun_beats_adaptive_which_beats_baseline() {
     // baseline ≥ adaptive (learns after iteration 1) ≥ seeded (knows
     // everything from the start).
     let w = odp_workloads::by_name("babelstream").unwrap();
-    let baseline = run_baseline(&*w, ProblemSize::Small, Variant::Original);
-    let adaptive = run_adaptive(&*w, ProblemSize::Small, Variant::Original);
-    let seeded = run_seeded(
+    let baseline = run_as(&*w, ProblemSize::Small, Variant::Original, Remedy::Off);
+    let adaptive = run_as(&*w, ProblemSize::Small, Variant::Original, Remedy::Adaptive);
+    let seeded = run_as(
         &*w,
         ProblemSize::Small,
         Variant::Original,
-        RemediationPolicy::from_findings(&baseline.report.findings),
+        Remedy::Seeded(RemediationPolicy::from_findings(&baseline.report.findings)),
     );
     assert!(adaptive.stats.bytes_transferred < baseline.stats.bytes_transferred);
     assert!(seeded.stats.bytes_transferred <= adaptive.stats.bytes_transferred);
@@ -186,9 +202,14 @@ fn remediation_survives_the_fixed_variant_cleanly() {
     // The paper's hand-fixed bfs has (almost) nothing left to remediate:
     // a policy seeded from its own findings must not regress it.
     let w = odp_workloads::by_name("bfs").unwrap();
-    let fixed = run_baseline(&*w, ProblemSize::Small, Variant::Fixed);
+    let fixed = run_as(&*w, ProblemSize::Small, Variant::Fixed, Remedy::Off);
     let policy = RemediationPolicy::from_findings(&fixed.report.findings);
-    let rerun = run_seeded(&*w, ProblemSize::Small, Variant::Fixed, policy);
+    let rerun = run_as(
+        &*w,
+        ProblemSize::Small,
+        Variant::Fixed,
+        Remedy::Seeded(policy),
+    );
     assert!(
         rerun.stats.bytes_transferred <= fixed.stats.bytes_transferred,
         "remediation must never add traffic"

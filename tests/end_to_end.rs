@@ -2,18 +2,23 @@
 //! trace → detection → prediction → report.
 
 use odp_sim::Runtime;
+use odp_workloads::session::{run, RunOutcome, RunSpec};
 use odp_workloads::{ProblemSize, Variant, Workload};
-use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
 use ompdataperf::Report;
 
+fn run_outcome(w: &dyn Workload, size: ProblemSize, variant: Variant) -> RunOutcome {
+    run(
+        w,
+        &RunSpec {
+            size,
+            variant,
+            ..RunSpec::default()
+        },
+    )
+}
+
 fn run_workload(w: &dyn Workload, size: ProblemSize, variant: Variant) -> Report {
-    let mut rt = Runtime::with_defaults();
-    let (tool, handle) = OmpDataPerfTool::new(ToolConfig::default());
-    rt.attach_tool(Box::new(tool));
-    let dbg = w.run(&mut rt, size, variant);
-    rt.finish();
-    let trace = handle.take_trace();
-    ompdataperf::analysis::analyze_named(&trace, Some(&dbg), w.name(), handle.console_lines())
+    run_outcome(w, size, variant).report
 }
 
 #[test]
@@ -74,26 +79,15 @@ fn json_report_is_machine_readable() {
 fn fixing_reduces_both_issues_and_runtime() {
     let w = odp_workloads::by_name("bfs").unwrap();
 
-    let mut rt1 = Runtime::with_defaults();
-    let (tool1, h1) = OmpDataPerfTool::new(ToolConfig::default());
-    rt1.attach_tool(Box::new(tool1));
-    w.run(&mut rt1, ProblemSize::Small, Variant::Original);
-    let before = rt1.finish();
-    let report_before = ompdataperf::analyze(&h1.take_trace(), None);
+    let before = run_outcome(w.as_ref(), ProblemSize::Small, Variant::Original);
+    let after = run_outcome(w.as_ref(), ProblemSize::Small, Variant::Fixed);
 
-    let mut rt2 = Runtime::with_defaults();
-    let (tool2, h2) = OmpDataPerfTool::new(ToolConfig::default());
-    rt2.attach_tool(Box::new(tool2));
-    w.run(&mut rt2, ProblemSize::Small, Variant::Fixed);
-    let after = rt2.finish();
-    let report_after = ompdataperf::analyze(&h2.take_trace(), None);
-
-    assert!(report_after.counts.total() < report_before.counts.total());
+    assert!(after.report.counts.total() < before.report.counts.total());
     assert!(
-        after.total_time < before.total_time,
+        after.stats.total_time < before.stats.total_time,
         "fixed bfs must be faster: {} vs {}",
-        after.total_time,
-        before.total_time
+        after.stats.total_time,
+        before.stats.total_time
     );
 }
 
@@ -107,11 +101,9 @@ fn tool_off_and_tool_on_runs_have_identical_virtual_time() {
     w.run(&mut bare, ProblemSize::Small, Variant::Original);
     let t_bare = bare.finish().total_time;
 
-    let mut tooled = Runtime::with_defaults();
-    let (tool, _h) = OmpDataPerfTool::new(ToolConfig::default());
-    tooled.attach_tool(Box::new(tool));
-    w.run(&mut tooled, ProblemSize::Small, Variant::Original);
-    let t_tooled = tooled.finish().total_time;
+    let t_tooled = run_outcome(w.as_ref(), ProblemSize::Small, Variant::Original)
+        .stats
+        .total_time;
 
     assert_eq!(t_bare, t_tooled);
 }

@@ -11,8 +11,8 @@ mod common;
 
 use common::assert_live_matches;
 use odp_ompt::Tool;
-use odp_sim::RuntimeConfig;
-use odp_workloads::threaded::{run_threaded, threaded_workloads};
+use odp_sim::{run_on_threads, RuntimeConfig};
+use odp_workloads::threaded::threaded_workloads;
 use odp_workloads::{ProblemSize, Variant};
 use ompdataperf::detect::{EventView, Findings};
 use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
@@ -31,14 +31,12 @@ fn threaded_run(
     for _ in 1..threads {
         tools.push(Box::new(handle.fork_tool()));
     }
-    let (dbg, stats) = run_threaded(
-        &*w,
-        threads,
-        ProblemSize::Small,
-        Variant::Original,
-        &RuntimeConfig::default(),
-        tools,
-    );
+    // Drives the primitives on purpose (the tests below finalize the
+    // engine by hand); everything else goes through `session::run`.
+    let mut results = run_on_threads(threads, &RuntimeConfig::default(), tools, |_, rt| {
+        w.run(rt, ProblemSize::Small, Variant::Original)
+    });
+    let (dbg, stats) = results.swap_remove(0);
     assert!(stats.kernels > 0);
     (handle, dbg)
 }

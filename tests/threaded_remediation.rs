@@ -26,14 +26,34 @@ mod common;
 use common::assert_live_matches;
 use odp_ompt::{MapAdvisor, Tool};
 use odp_sim::{run_on_threads_shared, RuntimeConfig, RuntimeStats};
-use odp_workloads::adaptive::{
-    run_adaptive_threaded, run_baseline_threaded, run_seeded_threaded, threaded_advisors,
-};
-use odp_workloads::{ProblemSize, Variant};
+use odp_workloads::adaptive::Remedy;
+use odp_workloads::session::{run, RunOutcome, RunSpec};
+use odp_workloads::{ProblemSize, Variant, Workload};
 use ompdataperf::detect::EventView;
-use ompdataperf::remedy::RemediationPolicy;
+use ompdataperf::remedy::{RemediationPolicy, SharedRemediator};
 use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
 use std::sync::{Arc, Condvar, Mutex};
+
+/// One shared-device run of `w` on `threads` threads (Small, original).
+/// An empty seeded policy rewrites nothing, so `Seeded(new())` is the
+/// unremediated shared-device baseline.
+fn shared_run(w: &dyn Workload, threads: u32, remedy: Remedy) -> RunOutcome {
+    run(
+        w,
+        &RunSpec {
+            threads,
+            remedy,
+            ..RunSpec::default()
+        },
+    )
+}
+
+/// One advisor per thread, all forked from `remediator`.
+fn advisors(remediator: &SharedRemediator, threads: u32) -> Vec<Option<Box<dyn MapAdvisor>>> {
+    (0..threads)
+        .map(|_| Some(Box::new(remediator.fork_advisor()) as Box<dyn MapAdvisor>))
+        .collect()
+}
 
 /// Duplicates remediation cannot remove: identical content flowing
 /// through *different* variables (bfs's mask/visited initial images).
@@ -64,8 +84,7 @@ fn seeded_threaded_reruns_converge_to_zero_remediated_kinds() {
     for name in ["babelstream", "bfs", "xsbench"] {
         for threads in [2u32, 4, 8] {
             let w = odp_workloads::by_name(name).unwrap();
-            let baseline =
-                run_baseline_threaded(&*w, threads, ProblemSize::Small, Variant::Original);
+            let baseline = shared_run(&*w, threads, Remedy::Seeded(RemediationPolicy::new()));
 
             let mut policy = RemediationPolicy::from_findings(&baseline.report.findings);
             let mut last_unremediated_bytes =
@@ -73,15 +92,9 @@ fn seeded_threaded_reruns_converge_to_zero_remediated_kinds() {
                     .then_some(baseline.stats.bytes_transferred);
             let mut converged = None;
             for _round in 0..5 {
-                let rerun = run_seeded_threaded(
-                    &*w,
-                    threads,
-                    ProblemSize::Small,
-                    Variant::Original,
-                    policy.clone(),
-                );
+                let rerun = shared_run(&*w, threads, Remedy::Seeded(policy.clone()));
                 assert_eq!(
-                    rerun.remediation.actual_transfer_bytes,
+                    rerun.remediation.as_ref().unwrap().actual_transfer_bytes,
                     rerun.stats.bytes_transferred
                 );
                 if remediated_kinds_remain(name, &rerun.report.counts) {
@@ -113,7 +126,7 @@ fn seeded_threaded_reruns_converge_to_zero_remediated_kinds() {
                     unremediated
                 );
                 assert!(
-                    rerun.remediation.recovered_time().as_nanos() > 0,
+                    rerun.remediation.unwrap().recovered_time().as_nanos() > 0,
                     "{name} x{threads}: recovered transfer time must be measurable"
                 );
             }
@@ -130,13 +143,14 @@ fn adaptive_threaded_run_recovers_live() {
     // execution (actual + recovered = what it would have moved).
     for threads in [2u32, 4] {
         let w = odp_workloads::by_name("bfs").unwrap();
-        let adaptive = run_adaptive_threaded(&*w, threads, ProblemSize::Small, Variant::Original);
+        let adaptive = shared_run(&*w, threads, Remedy::Adaptive);
+        let remediation = adaptive.remediation.unwrap();
         assert!(
-            adaptive.remediation.recovered_time().as_nanos() > 0,
+            remediation.recovered_time().as_nanos() > 0,
             "x{threads}: live findings must rewrite later iterations"
         );
         assert!(
-            adaptive.remediation.recovered_transfer_bytes > 0,
+            remediation.recovered_transfer_bytes > 0,
             "x{threads}: recovered bytes must be accounted"
         );
         assert!(
@@ -162,16 +176,16 @@ fn shared_device_streaming_finalize_matches_postmortem() {
             for _ in 1..threads {
                 tools.push(Box::new(handle.fork_tool()));
             }
-            let run = odp_workloads::threaded::run_threaded_shared(
-                &*w,
+            // The primitives, on purpose: the engine is finalized by
+            // hand below to compare its live stream with its report.
+            let run = run_on_threads_shared(
                 threads,
-                ProblemSize::Small,
-                Variant::Original,
                 &RuntimeConfig::default(),
                 tools,
                 Vec::new(),
+                |_, rt| w.run(rt, ProblemSize::Small, Variant::Original),
             );
-            assert!(run.stats.kernels > 0);
+            assert!(run.results.iter().all(|(_, stats)| stats.kernels > 0));
             let trace = handle.take_trace();
             let mut engine = handle.take_stream_engine().expect("streaming on");
             let view = EventView::from_log(&trace);
@@ -302,7 +316,7 @@ fn forced_pattern_run(adaptive: bool) -> (u64, u64) {
         tools.push(Box::new(handle.fork_tool()));
     }
     let advisors = if adaptive {
-        threaded_advisors(&handle, THREADS, true, None).0
+        advisors(&SharedRemediator::new(handle.clone()).0, THREADS)
     } else {
         Vec::new()
     };
@@ -388,10 +402,8 @@ fn cross_thread_phantom_reference_adoption_is_sound() {
 
     let (tool, handle) = OmpDataPerfTool::new(ToolConfig::default());
     let tools: Vec<Box<dyn Tool>> = vec![Box::new(tool), Box::new(handle.fork_tool())];
-    let (advisors, policy_cell): (Vec<Option<Box<dyn MapAdvisor>>>, _) = {
-        let (advisors, cell) = threaded_advisors(&handle, 2, false, Some(policy));
-        (advisors, cell.expect("seeded policy cell"))
-    };
+    let (remediator, policy_cell) = SharedRemediator::seeded(policy);
+    let advisors = advisors(&remediator, 2);
     let turns = Turns::new();
     let outcome = run_on_threads_shared(2, &RuntimeConfig::default(), tools, advisors, |i, rt| {
         let a = rt.host_alloc("a", 256);
