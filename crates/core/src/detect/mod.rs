@@ -78,11 +78,11 @@
 //!         possible future start, None while any shard may      │
 //!         still emit at t=0)                                   │
 //!                                                              ▼
-//!          amortized drain (engine try_lock; snapshot merged
-//!          watermark, THEN consume every ring + spill in one
-//!          pass and feed StreamingEngine::ingest_batch — one
-//!          watermark snapshot and one buffer maintenance step
-//!          per batch, not per event)
+//!          batch drain, due when the pusher's own ring is half
+//!          full (engine try_lock; snapshot merged watermark, THEN
+//!          hand every ring + spill to the reorder lanes in arrival
+//!          order and advance once — one lock, one snapshot and one
+//!          release sweep per batch, not per event)
 //!                              │
 //!                              ▼
 //!         StreamingEngine reorder buffer ── released at the merged

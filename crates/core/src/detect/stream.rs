@@ -36,12 +36,13 @@
 //! behind a *confirmed frontier*: transfers whose outcome is already
 //! determined by past events retire immediately; the first undecided
 //! transfer stalls the frontier, and everything behind it waits in a
-//! compact window (16 bytes per transfer, no event clones) that either
-//! retires the moment the awaited re-send arrives or is reconciled at
-//! finalize. Because nothing behind the frontier advances while it is
-//! stalled, every queue head the sweep reads has exactly the value the
-//! post-mortem pass would see — this is what makes the live trips
-//! exactly the post-mortem ones instead of approximate. For
+//! compact window (4 bytes per transfer — an index into the arena that
+//! already holds the transfer as a reception — no event clones) that
+//! either retires the moment the awaited re-send arrives or is
+//! reconciled at finalize. Because nothing behind the frontier advances
+//! while it is stalled, every queue head the sweep reads has exactly
+//! the value the post-mortem pass would see — this is what makes the
+//! live trips exactly the post-mortem ones instead of approximate. For
 //! steady-state workloads (data ping-pongs or content re-sends keep
 //! consuming the queues) the window stays O(1); [`StreamingEngine::buffer_stats`] exposes the
 //! high-water marks so tests can pin that down.
@@ -57,7 +58,9 @@
 //! the engine never clones an event after the reorder buffer releases
 //! it, and it keeps no history for a report: a reception queue retains
 //! its first entry, a count and the entries Algorithm 2 has not
-//! consumed; a repeated-allocation site retains a count; decided
+//! consumed — one arena of 48-byte nodes chained into per-queue FIFOs,
+//! so an arriving transfer costs one map probe and one arena push; a
+//! repeated-allocation site retains a count; decided
 //! Algorithm 4/5 verdicts are emitted and forgotten. What still grows
 //! with the trace is one small record per allocation (Algorithm 4 needs
 //! the pairing until its delete and next kernel arrive) and one map
@@ -108,6 +111,20 @@ pub enum StreamEvent {
     Op(DataOpEvent),
     /// A target construct; only kernels reach the detectors.
     Kernel(TargetEvent),
+}
+
+impl StreamEvent {
+    /// The reorder buffer's release key, `(start, id, family)` — the
+    /// same key the trace log's hydration sorts by (families tie
+    /// arbitrarily; the detectors only compare spans across families).
+    /// Computed once at ingest and carried beside the event in the
+    /// reorder pipeline's lane arenas, so releases never re-derive it.
+    fn key(&self) -> SortKey {
+        match self {
+            StreamEvent::Op(e) => (e.span.start, e.id.0, 0),
+            StreamEvent::Kernel(k) => (k.span.start, k.id.0, 1),
+        }
+    }
 }
 
 /// A finding emitted while the program is still running. Events are
@@ -353,6 +370,10 @@ pub struct StreamBufferStats {
     /// Events currently in the reorder buffer.
     pub buffered_now: usize,
     /// Reorder-buffer high-water mark (bounded by open-op concurrency).
+    /// [`StreamingEngine::push`] and [`StreamingEngine::ingest_batch`]
+    /// sample it before they release; the tool's ring drain samples it
+    /// after the release — what had to wait on the watermark, not the
+    /// batch passing through.
     pub buffered_peak: usize,
     /// Transfers currently behind the Algorithm 2 frontier.
     pub frontier_now: usize,
@@ -375,26 +396,13 @@ pub struct StreamBufferStats {
     /// Side-pocket high-water mark (bounded by genuine overlap, not
     /// trace length).
     pub reorder_pocket_peak: usize,
-}
-
-/// Reorder-buffer entry, released in `(start, id, family)` order — the
-/// same key the trace log's hydration sorts by (families tie
-/// arbitrarily; the detectors only compare spans across families). The
-/// key is computed once at push time and carried beside the entry in
-/// the reorder pipeline's lane arenas, so releases never re-derive it.
-#[derive(Debug)]
-enum BufEntry {
-    Op(DataOpEvent),
-    Kernel(TargetEvent),
-}
-
-impl BufEntry {
-    fn key(&self) -> SortKey {
-        match self {
-            BufEntry::Op(e) => (e.span.start, e.id.0, 0),
-            BufEntry::Kernel(k) => (k.span.start, k.id.0, 1),
-        }
-    }
+    /// Batches ingested ([`StreamingEngine::ingest_batch`] calls; under
+    /// the tool, sweeps of the shards' ingest rings).
+    pub drains: u64,
+    /// Events those batches carried. `drained_events / drains` is the
+    /// mean batch: how many events share one engine lock, one watermark
+    /// merge and one release sweep.
+    pub drained_events: u64,
 }
 
 /// The shard an event id originated from: ids embed the recording
@@ -405,33 +413,51 @@ fn shard_of(seq: Seq) -> u32 {
     (seq >> 32) as u32
 }
 
-/// One `(hash, dest_device)` reception queue. Only what the live
-/// findings need is retained: Algorithm 1 names the first reception and
-/// an occurrence number, Algorithm 2 pops the receptions it has not
-/// consumed yet — the consumed prefix is dropped as it is dequeued.
+/// Null link in the reception arena.
+const NIL: u32 = u32::MAX;
+
+/// One `(hash, dest_device)` reception queue — the value of the
+/// reception map, so an arriving transfer finds and updates it with one
+/// probe. Only what the live findings need is retained: Algorithm 1
+/// names the first reception and an occurrence number, Algorithm 2 pops
+/// the receptions it has not consumed yet (a FIFO chained through
+/// [`Reception::next`]) — the consumed prefix is freed as it is dequeued.
 #[derive(Debug)]
 struct Slot {
-    dest: DeviceId,
     /// The first reception ever enqueued.
     first: Seq,
     /// Receptions enqueued so far.
     count: u32,
-    /// Receptions Algorithm 2 has not consumed, chronological.
-    unconsumed: VecDeque<Seq>,
+    /// Oldest reception Algorithm 2 has not consumed ([`NIL`] = none).
+    head: u32,
+    /// Newest one (meaningful while `head != NIL`).
+    tail: u32,
 }
 
-/// A hashed transfer whose round-trip outcome is not yet determined.
-#[derive(Debug)]
-struct FrontierTx {
+/// One hashed transfer in the engine's arena, in both of its roles: an
+/// unconsumed *reception* in the `(hash, dest)` queue, and — while its
+/// round-trip outcome is undetermined — the transfer a frontier entry
+/// points at. It is freed when its queue dequeues it; queues and
+/// frontier both retire in arrival order and a transfer dequeues at
+/// most the reception it enqueued itself or an older one, so no live
+/// frontier entry ever names a freed node.
+#[derive(Clone, Copy, Debug)]
+struct Reception {
     seq: Seq,
     hash: HashVal,
-    src: DeviceId,
     /// Host-side address + call site, carried into the live finding.
     host_addr: u64,
     codeptr: CodePtr,
-    /// Slot index of the transfer's own `(hash, dest)` queue.
-    dest_slot: u32,
+    src: DeviceId,
+    dest: DeviceId,
+    /// Next-younger reception of the same queue ([`NIL`] = newest).
+    next: u32,
 }
+
+/// The frontier holds arena indices, nothing else.
+type FrontierIx = u32;
+const _: () = assert!(std::mem::size_of::<FrontierIx>() == 4);
+const _: () = assert!(std::mem::size_of::<Reception>() == 48);
 
 /// The streaming twin of an alloc/delete pairing.
 #[derive(Debug)]
@@ -497,17 +523,24 @@ pub struct StreamingEngine {
     /// Reorder buffer: per-shard in-order run lanes merged by a
     /// loser tree, with a side pocket for genuine intra-shard
     /// inversions (see [`crate::detect::reorder`]).
-    buffer: RunMergeBuffer<BufEntry>,
+    buffer: RunMergeBuffer<StreamEvent>,
     /// Everything at or below this start time has been released.
     watermark: SimTime,
     /// Last released key, for the monotonicity debug check.
     last_released: Option<(SimTime, Seq, u8)>,
 
-    /// Reception queues in first-enqueue order (Algorithms 1/2).
-    slots: Vec<Slot>,
-    slot_index: FnvHashMap<(HashVal, DeviceId), u32>,
-    /// Algorithm 2's bounded lookahead window.
-    frontier: VecDeque<FrontierTx>,
+    /// Reception queues (Algorithms 1/2).
+    slots: FnvHashMap<(HashVal, DeviceId), Slot>,
+    /// Every unconsumed reception, chained per queue.
+    receptions: Vec<Reception>,
+    /// Dequeued nodes of `receptions`, reused before the arena grows.
+    free_receptions: Vec<u32>,
+    /// Algorithm 2's bounded lookahead window, oldest first.
+    frontier: VecDeque<FrontierIx>,
+    /// The reception queue the front of `frontier` waits on (`None` =
+    /// empty frontier): only an arrival in *that* queue can unblock it,
+    /// every other one skips the re-check.
+    stalled_on: Option<(HashVal, DeviceId)>,
 
     /// Alloc/delete pairings in allocation order (Algorithms 3/4).
     pairs: Vec<StreamPair>,
@@ -551,88 +584,75 @@ impl StreamingEngine {
         }
     }
 
-    /// Buffer an incoming event (any completion order) — the entry
-    /// point a sharded collector drains its per-thread queues through.
+    /// Buffer an incoming event (any completion order). Non-kernel
+    /// target constructs are ignored (no detector consumes them).
     pub fn push(&mut self, ev: StreamEvent) {
-        match ev {
-            StreamEvent::Op(e) => self.push_data_op(e),
-            StreamEvent::Kernel(k) => self.push_target(k),
-        }
+        self.buffer_event(ev);
+        self.note_buffered();
     }
 
-    /// Buffer an incoming data operation (any completion order).
+    /// [`StreamingEngine::push`] for a data operation.
     pub fn push_data_op(&mut self, e: DataOpEvent) {
-        debug_assert!(!self.finalized, "push after finalize");
-        self.ops_offered += 1;
-        let key = (e.span.start, e.id.0, 0);
-        if self.quarantine_late(key) {
-            return;
-        }
-        self.buffer.push(shard_of(e.id.0), key, BufEntry::Op(e));
-        self.note_buffered();
+        self.push(StreamEvent::Op(e));
     }
 
-    /// Buffer an incoming kernel execution. Non-kernel target constructs
-    /// are ignored (no detector consumes them).
+    /// [`StreamingEngine::push`] for a target construct.
     pub fn push_target(&mut self, k: TargetEvent) {
-        debug_assert!(!self.finalized, "push after finalize");
-        if k.kind != TargetKind::Kernel {
-            return;
-        }
-        let key = (k.span.start, k.id.0, 1);
-        if self.quarantine_late(key) {
-            return;
-        }
-        self.buffer.push(shard_of(k.id.0), key, BufEntry::Kernel(k));
-        self.note_buffered();
+        self.push(StreamEvent::Kernel(k));
     }
 
-    /// Buffer a whole drained batch, then advance once — the sharded
-    /// collector's ring-drain entry point. Equivalent to pushing each
-    /// event and calling [`StreamingEngine::advance_watermark`] with
-    /// `watermark` (when `Some`; `None` = nothing settled yet, buffer
-    /// only), but the reorder-buffer peak bookkeeping and the release
-    /// sweep are amortized over the batch instead of paid per event —
-    /// the buffer only grows inside the loop, so its peak is its size
-    /// at the end of the loop.
+    /// Buffer a whole batch, then advance once. Equivalent to pushing
+    /// each event and calling [`StreamingEngine::advance_watermark`]
+    /// with `watermark` (when `Some`; `None` = nothing settled yet,
+    /// buffer only), but the reorder-buffer peak is sampled once — the
+    /// buffer only grows inside the loop, so its peak is its size at
+    /// the end of the loop — and the release sweep runs once.
     pub fn ingest_batch<I>(&mut self, events: I, watermark: Option<SimTime>)
     where
         I: IntoIterator<Item = StreamEvent>,
     {
-        debug_assert!(!self.finalized, "ingest after finalize");
+        let mut n = 0;
         for ev in events {
-            match ev {
-                StreamEvent::Op(e) => {
-                    self.ops_offered += 1;
-                    let key = (e.span.start, e.id.0, 0);
-                    if !self.quarantine_late(key) {
-                        self.buffer.push(shard_of(e.id.0), key, BufEntry::Op(e));
-                    }
-                }
-                StreamEvent::Kernel(k) => {
-                    let key = (k.span.start, k.id.0, 1);
-                    if k.kind == TargetKind::Kernel && !self.quarantine_late(key) {
-                        self.buffer.push(shard_of(k.id.0), key, BufEntry::Kernel(k));
-                    }
-                }
-            }
+            self.buffer_event(ev);
+            n += 1;
         }
         self.note_buffered();
-        if let Some(watermark) = watermark {
-            self.advance_watermark(watermark);
+        self.end_drain(n, watermark);
+    }
+
+    /// The one ingest body: count, key, quarantine or hand to the
+    /// event's run lane. Samples nothing and releases nothing — the
+    /// tool's ring drain feeds every shard's ring through here and then
+    /// calls [`StreamingEngine::end_drain`] once.
+    pub(crate) fn buffer_event(&mut self, ev: StreamEvent) {
+        debug_assert!(!self.finalized, "ingest after finalize");
+        match &ev {
+            StreamEvent::Op(_) => self.ops_offered += 1,
+            StreamEvent::Kernel(k) if k.kind != TargetKind::Kernel => return,
+            StreamEvent::Kernel(_) => {}
+        }
+        let key = ev.key();
+        // After a forced release, events ordered at or below the forced
+        // floor arrived too late to release in order: quarantine them
+        // (counted, never ingested) instead of violating release
+        // monotonicity.
+        if self.forced_floor.is_some_and(|floor| key <= floor) {
+            self.health.late += 1;
+        } else {
+            self.buffer.push(shard_of(key.1), key, ev);
         }
     }
 
-    /// After a forced release, events ordered at or below the forced
-    /// floor arrived too late to release in order: quarantine them
-    /// (counted, never ingested) instead of violating release
-    /// monotonicity.
-    fn quarantine_late(&mut self, key: (SimTime, Seq, u8)) -> bool {
-        if self.forced_floor.is_some_and(|floor| key <= floor) {
-            self.health.late += 1;
-            return true;
+    /// Close a batch of `events` buffered events: advance to
+    /// `watermark` (`None` = some shard may still emit at time zero,
+    /// nothing is released) and sample what is left waiting.
+    pub(crate) fn end_drain(&mut self, events: usize, watermark: Option<SimTime>) {
+        self.stats.drains += 1;
+        self.stats.drained_events += events as u64;
+        if let Some(watermark) = watermark {
+            self.advance_watermark(watermark);
         }
-        false
+        self.note_buffered();
     }
 
     /// Release every buffered event whose start is at or below
@@ -640,11 +660,14 @@ impl StreamingEngine {
     /// `(start, id)` order. The caller guarantees no future event can
     /// start at or below the watermark (see [`odp_ompt::StreamClock`]).
     pub fn advance_watermark(&mut self, watermark: SimTime) {
-        if watermark > self.watermark {
-            self.watermark = watermark;
-        }
-        let wm = self.watermark;
-        while let Some(entry) = self.buffer.pop_if(|key| key.0 <= wm) {
+        self.watermark = self.watermark.max(watermark);
+        self.release_through(self.watermark);
+    }
+
+    /// The one release loop: everything buffered at or below `bound`
+    /// goes to the detectors in merge order.
+    fn release_through(&mut self, bound: SimTime) {
+        while let Some(entry) = self.buffer.pop_if(|key| key.0 <= bound) {
             debug_assert!(
                 self.last_released.is_none_or(|last| last <= entry.key()),
                 "watermark violated: released {:?} after {:?} (watermark {:?})",
@@ -654,8 +677,8 @@ impl StreamingEngine {
             );
             self.last_released = Some(entry.key());
             match entry {
-                BufEntry::Op(e) => self.ingest_op(&e),
-                BufEntry::Kernel(k) => self.ingest_kernel(&k),
+                StreamEvent::Op(e) => self.ingest_op(&e),
+                StreamEvent::Kernel(k) => self.ingest_kernel(&k),
             }
         }
         self.note_peaks();
@@ -692,17 +715,10 @@ impl StreamingEngine {
         }
         self.degraded = true;
         self.health.forced_releases += released as u64;
-        while let Some(entry) = self.buffer.pop_if(|_| true) {
-            // Merge order keeps this batch internally monotonic, and
-            // everything <= the old watermark was already released.
-            self.last_released = Some(entry.key());
-            match entry {
-                BufEntry::Op(e) => self.ingest_op(&e),
-                BufEntry::Kernel(k) => self.ingest_kernel(&k),
-            }
-        }
+        // Merge order keeps this batch internally monotonic, and
+        // everything <= the old watermark was already released.
+        self.release_through(SimTime(u64::MAX));
         self.forced_floor = self.last_released;
-        self.note_peaks();
         released
     }
 
@@ -787,22 +803,13 @@ impl StreamingEngine {
         }
 
         // Nothing is open anymore: release the whole reorder buffer.
-        self.watermark = SimTime(u64::MAX);
-        while let Some(entry) = self.buffer.pop_if(|_| true) {
-            debug_assert!(self.last_released.is_none_or(|last| last <= entry.key()));
-            self.last_released = Some(entry.key());
-            match entry {
-                BufEntry::Op(e) => self.ingest_op(&e),
-                BufEntry::Kernel(k) => self.ingest_kernel(&k),
-            }
-        }
-        self.note_peaks();
+        self.advance_watermark(SimTime(u64::MAX));
 
         // Algorithm 2: the reception queues are final; every transfer
         // still behind the frontier resolves against them (re-sends that
         // never happened are now provably never happening).
         while let Some(tx) = self.frontier.pop_front() {
-            self.try_complete_trip(&tx);
+            self.try_complete_trip(tx);
         }
 
         // Algorithms 4/5: no kernel will ever arrive; drain the pending
@@ -891,30 +898,48 @@ impl StreamingEngine {
     // ---- Algorithms 1 + 2 ----------------------------------------------
 
     fn on_hashed_transfer(&mut self, e: &DataOpEvent, hash: HashVal) {
+        let key = (hash, e.dest_device);
+        let reception = Reception {
+            seq: e.id.0,
+            hash,
+            host_addr: host_side_addr(e),
+            codeptr: e.codeptr,
+            src: e.src_device,
+            dest: e.dest_device,
+            next: NIL,
+        };
+        let ix = match self.free_receptions.pop() {
+            Some(ix) => {
+                self.receptions[ix as usize] = reception;
+                ix
+            }
+            None => {
+                self.receptions.push(reception);
+                (self.receptions.len() - 1) as u32
+            }
+        };
         // Enqueue into the (hash, dest) reception queue — Algorithm 1's
         // group membership is final immediately.
-        let slot_ix = *self
-            .slot_index
-            .entry((hash, e.dest_device))
-            .or_insert_with(|| {
-                self.slots.push(Slot {
-                    dest: e.dest_device,
-                    first: e.id.0,
-                    count: 0,
-                    unconsumed: VecDeque::new(),
-                });
-                (self.slots.len() - 1) as u32
-            });
-        let slot = &mut self.slots[slot_ix as usize];
+        let slot = self.slots.entry(key).or_insert(Slot {
+            first: e.id.0,
+            count: 0,
+            head: NIL,
+            tail: NIL,
+        });
         slot.count += 1;
-        slot.unconsumed.push_back(e.id.0);
-        if slot.count >= 2 {
-            let (first, occurrence) = (slot.first, slot.count);
+        if slot.head == NIL {
+            slot.head = ix;
+        } else {
+            self.receptions[slot.tail as usize].next = ix;
+        }
+        slot.tail = ix;
+        let (first, occurrence) = (slot.first, slot.count);
+        if occurrence >= 2 {
             self.emit(StreamFinding::DuplicateTransfer {
                 hash,
                 src_device: e.src_device,
                 dest_device: e.dest_device,
-                host_addr: host_side_addr(e),
+                host_addr: reception.host_addr,
                 codeptr: e.codeptr,
                 event: e.id.0,
                 first,
@@ -924,29 +949,26 @@ impl StreamingEngine {
             self.counts.dd += 1;
         }
 
-        // Algorithm 2: the new reception may retire stalled transfers at
-        // the front of the frontier, then this transfer joins the back.
-        self.frontier.push_back(FrontierTx {
-            seq: e.id.0,
-            hash,
-            src: e.src_device,
-            host_addr: host_side_addr(e),
-            codeptr: e.codeptr,
-            dest_slot: slot_ix,
-        });
+        // Algorithm 2: this transfer joins the back of the frontier;
+        // its reception can retire stalled transfers at the front only
+        // if it landed in the queue the front is waiting on.
+        self.frontier.push_back(ix);
         self.stats.frontier_peak = self.stats.frontier_peak.max(self.frontier.len());
-        self.alg2_advance_frontier();
+        if self.stalled_on.is_none_or(|waiting| waiting == key) {
+            self.alg2_advance_frontier();
+        }
         // Hard cap: force-retire the oldest undecided transfers. Each
         // spilled transfer is resolved against the queues as they stand
         // — a re-send that has not happened yet is treated as never
         // happening, the trade the cap buys its memory ceiling with.
-        if let Some(cap) = self.max_frontier {
-            while self.frontier.len() > cap {
-                let Some(tx) = self.frontier.pop_front() else {
-                    break;
-                };
+        let cap = self.max_frontier.unwrap_or(usize::MAX);
+        if self.frontier.len() > cap {
+            while let Some(tx) = self.frontier.pop_front() {
                 self.stats.frontier_spilled += 1;
-                self.try_complete_trip(&tx);
+                self.try_complete_trip(tx);
+                if self.frontier.len() <= cap {
+                    break;
+                }
             }
             // Spilling unblocked whatever stalled behind the front.
             self.alg2_advance_frontier();
@@ -959,25 +981,22 @@ impl StreamingEngine {
     /// still complete the trip, so nothing behind it may advance (the
     /// pending dequeue could change every later queue read).
     fn alg2_advance_frontier(&mut self) {
-        while let Some(front) = self.frontier.front() {
-            let undecided = match self.slot_index.get(&(front.hash, front.src)) {
-                None => true,
-                Some(&sx) => self.slots[sx as usize].unconsumed.is_empty(),
-            };
-            if undecided {
-                break;
+        self.stalled_on = None;
+        while let Some(&tx) = self.frontier.front() {
+            if !self.try_complete_trip(tx) {
+                let front = &self.receptions[tx as usize];
+                self.stalled_on = Some((front.hash, front.src));
+                return;
             }
-            let Some(tx) = self.frontier.pop_front() else {
-                break;
-            };
-            self.try_complete_trip(&tx);
+            self.frontier.pop_front();
         }
     }
 
     /// The reference sweep body for one transfer: completes a round trip
     /// if its source device holds an unconsumed reception of the same
-    /// content, dequeuing the transfer's own reception entry so it can
-    /// never complete a second trip.
+    /// content (else returns `false`: undecided while the trace runs,
+    /// "the data never returns" at finalize), dequeuing the transfer's
+    /// own reception queue so its entry can never complete a second trip.
     ///
     /// A spill-popped head is by definition undecided, so the spill
     /// itself never pairs — but it retires the head *without* consuming
@@ -987,30 +1006,32 @@ impl StreamingEngine {
     /// therefore tagged `spilled` (unconfirmed) in the live finding;
     /// with no spills ever, nothing is tagged and the live trips are
     /// exactly the post-mortem sweep's.
-    fn try_complete_trip(&mut self, tx: &FrontierTx) {
-        let spilled = self.stats.frontier_spilled > 0;
-        let Some(&sx) = self.slot_index.get(&(tx.hash, tx.src)) else {
-            return;
-        };
-        let Some(&rx) = self.slots[sx as usize].unconsumed.front() else {
-            return; // the data never returns: not a round trip
+    fn try_complete_trip(&mut self, tx: FrontierIx) -> bool {
+        let tx = self.receptions[tx as usize];
+        let rx = match self.slots.get(&(tx.hash, tx.src)) {
+            Some(slot) if slot.head != NIL => self.receptions[slot.head as usize].seq,
+            _ => return false,
         };
         // Consume the front of the transfer's own destination queue.
-        let own = &mut self.slots[tx.dest_slot as usize];
-        own.unconsumed.pop_front();
-        let dest = own.dest;
+        if let Some(own) = self.slots.get_mut(&(tx.hash, tx.dest)) {
+            if own.head != NIL {
+                self.free_receptions.push(own.head);
+                own.head = self.receptions[own.head as usize].next;
+            }
+        }
         self.emit(StreamFinding::RoundTrip {
             hash: tx.hash,
             src_device: tx.src,
-            dest_device: dest,
+            dest_device: tx.dest,
             host_addr: tx.host_addr,
             codeptr: tx.codeptr,
             tx: tx.seq,
             rx,
-            spilled,
+            spilled: self.stats.frontier_spilled > 0,
             confidence: self.confidence(),
         });
         self.counts.rt += 1;
+        true
     }
 
     // ---- Algorithms 3 + 4 ----------------------------------------------
@@ -1236,18 +1257,15 @@ mod tests {
         ops: &[DataOpEvent],
         kernels: &[TargetEvent],
     ) {
-        let mut merged: Vec<BufEntry> = ops.iter().cloned().map(BufEntry::Op).collect();
-        merged.extend(kernels.iter().cloned().map(BufEntry::Kernel));
+        let mut merged: Vec<StreamEvent> = ops.iter().cloned().map(StreamEvent::Op).collect();
+        merged.extend(kernels.iter().cloned().map(StreamEvent::Kernel));
         merged.sort_by_key(|e| e.key());
         for entry in merged {
             let end = match &entry {
-                BufEntry::Op(e) => e.span.end,
-                BufEntry::Kernel(k) => k.span.end,
+                StreamEvent::Op(e) => e.span.end,
+                StreamEvent::Kernel(k) => k.span.end,
             };
-            match entry {
-                BufEntry::Op(e) => engine.push_data_op(e),
-                BufEntry::Kernel(k) => engine.push_target(k),
-            }
+            engine.push(entry);
             engine.advance_watermark(end);
         }
     }
@@ -1371,7 +1389,7 @@ mod tests {
                 }
                 engine.advance_watermark(SimTime(t + 90));
             }
-            let retained = engine.slots.iter().map(|s| s.unconsumed.len()).sum();
+            let retained = engine.receptions.len() - engine.free_receptions.len();
             (engine.buffer_stats(), retained)
         }
         let (small, small_retained) = run(50);

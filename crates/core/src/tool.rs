@@ -22,17 +22,24 @@
 //! via [`PublishBatcher`] — a pair of atomic stores into the
 //! [`GlobalWatermark`]. **Zero global lock acquisitions.**
 //!
-//! Streaming mode adds an amortized batch step: after queuing its
-//! event, a callback *tries* to take the engine lock; whoever succeeds
-//! snapshots the merged watermark, sweeps every shard's ring (and its
-//! bounded spill, fed only when a ring overflows) into the
-//! [`StreamingEngine`]'s reorder buffer in one
-//! [`StreamingEngine::ingest_batch`] call, and advances it. A failed
-//! `try_lock` just means another thread is already draining — the next
-//! advance catches up. Blocking observers (`take_stream_findings`,
-//! taps, finalize, stats) drain with `flush`: they first re-publish
-//! every dirty shard clock, because batched publication deliberately
-//! lets the published bound lag the real clock (lagging is always
+//! Streaming mode pays for detection per batch, not per callback. A
+//! callback records, pushes and (every K-th edge) publishes — nothing
+//! else — until its *own* ring has reached half its capacity
+//! ([`ring::Producer::half_full`], read off the producer's cached
+//! cursors). Only then does it *try* to take the engine lock; whoever
+//! succeeds snapshots the merged watermark, hands every shard's ring
+//! (and its bounded spill, fed only when a ring overflows) straight to
+//! the [`StreamingEngine`]'s reorder lanes in arrival order, and
+//! advances it once. A shard that never reaches the mark is swept by
+//! the ones that do; a failed `try_lock` just means another thread is
+//! already draining, and the pusher asks again on its next event. So
+//! the ring capacity is also the drain batch: one engine lock, one
+//! watermark merge and one release sweep per few hundred events.
+//! Blocking observers (`take_stream_findings`, taps, finalize, stats)
+//! drain with `flush` whenever they look — they, not the callbacks,
+//! bound the latency of live findings — and first re-publish every
+//! dirty shard clock, because batched publication deliberately lets
+//! the published bound lag the real clock (lagging is always
 //! conservative — never unsound — but a flush is what makes everything
 //! decidable *now* actually decided). The snapshot-*then*-drain order
 //! is what makes all of this sound: each shard queues an event
@@ -41,13 +48,13 @@
 //! to the sweep.
 //!
 //! Lock order (outermost first): engine → shard list → one shard →
-//! control, engine → drain batch → ingest list → one spill/consumer,
-//! and engine → tap list → one tap buffer (the findings tee). The fast
-//! path takes only its own shard's (uncontended) lock — and its own
-//! spill's, only when the ring overflows; `control` guards cold data
-//! (console lines, flags, the opt-in collision audit, which serializes
-//! by design); taps are touched only by findings consumers, never by
-//! callbacks.
+//! control, engine → ingest list → one shard's ingest tail, engine →
+//! stall, and engine → tap list → one tap buffer (the findings tee).
+//! The fast path takes only its own shard's (uncontended) lock — and
+//! its own ingest tail's, only when the ring overflows; `control`
+//! guards cold data (console lines, flags, the opt-in collision audit,
+//! which serializes by design); taps are touched only by findings
+//! consumers, never by callbacks.
 //!
 //! Construction returns the tool plus a [`ToolHandle`] sharing its
 //! collector, so the harness can extract the merged trace after the
@@ -67,7 +74,6 @@ use odp_ompt::{
 };
 use odp_trace::TraceLog;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -102,9 +108,13 @@ pub struct ToolConfig {
     /// (default) waits indefinitely.
     pub stall_timeout: Option<std::time::Duration>,
     /// Capacity of each shard's SPSC ingest ring (streaming mode),
-    /// rounded up to a power of two; `None` = 1024. A full ring never
-    /// blocks or drops: overflowing events take the mutex-protected
-    /// spill path (counted in [`ToolHandle::spilled_events`]).
+    /// rounded up to a power of two; `None` = 1024. It also sets the
+    /// drain batch: a callback sweeps the rings into the engine when its
+    /// own ring is half full, so 1–2 drains on every push and larger
+    /// rings amortize the engine lock over capacity/2 events. A full
+    /// ring never blocks or drops: overflowing events take the
+    /// mutex-protected spill path (counted in
+    /// [`ToolHandle::spilled_events`]).
     pub ring_capacity: Option<usize>,
     /// Publish a shard's clock to the global watermark every K-th
     /// event edge instead of every edge; `None` =
@@ -137,19 +147,18 @@ impl HashMeter {
 /// Default capacity of a shard's SPSC ingest ring.
 const DEFAULT_RING_CAPACITY: usize = 1024;
 
-/// The consumer-facing side of one shard's ingest channel: the ring's
-/// consumer half plus the bounded overflow spill. Shared between the
-/// producer (spill only) and the drain path; the ring itself needs no
-/// lock — the consumer mutex only serializes successive drainers.
-struct IngestShared {
-    /// Consumer half of the shard's SPSC ring.
-    consumer: Mutex<ring::Consumer<StreamEvent>>,
-    /// Overflow events that arrived while the ring was full. The
-    /// producer pushes here (briefly locking) only on overflow, so the
-    /// common case never touches this mutex.
-    spill: Mutex<Vec<StreamEvent>>,
+/// The consumer-facing side of one shard's ingest channel — what a
+/// drain empties. The ring itself needs no lock; this mutex is taken by
+/// the drain, and by the producer only when its ring is full — so the
+/// common case never touches it.
+struct IngestTail {
+    consumer: ring::Consumer<StreamEvent>,
+    /// Events that found the ring full, in arrival order, each with the
+    /// ring's producer cursor at the time: everything pushed before it
+    /// sits below that position, everything pushed after at or above.
+    spill: Vec<(usize, StreamEvent)>,
     /// Total events that ever took the spill path (monotonic).
-    spilled: AtomicU64,
+    spilled: u64,
 }
 
 /// One runtime thread's slice of the collector. Only the owning thread
@@ -170,31 +179,44 @@ struct ShardState {
     batcher: PublishBatcher,
     /// This shard's watermark-publish slot.
     slot: ShardSlot,
-    /// Producer half of the ingest ring (streaming mode only). Under
-    /// the shard lock, which only the owning thread takes on the fast
-    /// path — so pushes stay effectively single-producer and
-    /// uncontended.
-    ring: Option<ring::Producer<StreamEvent>>,
-    /// The shared side of the ingest channel (spill on overflow).
-    ingest: Option<Arc<IngestShared>>,
+    /// The ingest channel (streaming mode only): the ring's producer
+    /// half — under the shard lock, which only the owning thread takes
+    /// on the fast path, so pushes stay single-producer and uncontended
+    /// — and the shared tail it spills into on overflow.
+    ingest: Option<(ring::Producer<StreamEvent>, Arc<Mutex<IngestTail>>)>,
 }
 
 impl ShardState {
     /// Hand `event` to the streaming consumer (ring; spill when full)
-    /// and note the clock edge, publishing this shard's slot when the
-    /// batcher says it is due. The caller holds the shard lock and has
+    /// and note the clock edge. The caller holds the shard lock and has
     /// already applied the edge to `clock`. The order is load-bearing:
     /// the event must be queued *before* the publish that could
     /// unblock it (the drain's snapshot-then-sweep soundness).
-    fn queue_and_note(&mut self, shared: &ToolShared, event: Option<StreamEvent>) {
-        if let (Some(event), Some(ring)) = (event, self.ring.as_mut()) {
-            if let Err(event) = ring.push(event) {
-                if let Some(ingest) = self.ingest.as_ref() {
-                    ingest.spill.lock().push(event);
-                    ingest.spilled.fetch_add(1, Ordering::Relaxed);
+    ///
+    /// Returns whether a drain is due: this shard's ring has reached
+    /// half its capacity (or overflowed). The caller drains *after*
+    /// releasing the shard lock.
+    #[must_use]
+    fn queue_and_note(&mut self, shared: &ToolShared, event: StreamEvent) -> bool {
+        let mut drain_due = false;
+        if let Some((ring, tail)) = self.ingest.as_mut() {
+            drain_due = match ring.push(event) {
+                Ok(()) => ring.half_full(),
+                Err(event) => {
+                    let mut tail = tail.lock();
+                    tail.spill.push((ring.pushed(), event));
+                    tail.spilled += 1;
+                    true
                 }
-            }
+            };
         }
+        self.note_edge(shared);
+        drain_due
+    }
+
+    /// Note a clock edge the caller already applied to `clock`,
+    /// publishing this shard's slot when the batcher says it is due.
+    fn note_edge(&mut self, shared: &ToolShared) {
         if self.batcher.note(&self.clock) {
             shared.watermark.publish(self.slot, &self.clock);
             self.batcher.mark_published(&self.clock);
@@ -223,8 +245,6 @@ struct Control {
     spawned_shards: usize,
     /// Shards whose runtime called `finalize`.
     finalized_shards: usize,
-    /// Every spawned shard finalized (program finished).
-    finalized: bool,
 }
 
 /// One tee subscriber's buffer of not-yet-consumed findings.
@@ -237,13 +257,10 @@ struct ToolShared {
     /// All shards, fork order (= shard id order).
     shards: Mutex<Vec<Arc<Mutex<ShardState>>>>,
     /// Per-shard ingest channels, fork order (streaming mode only).
-    ingests: Mutex<Vec<Arc<IngestShared>>>,
-    /// Scratch buffer the drain reuses across sweeps. Guarded by the
-    /// engine lock in practice (only a drainer touches it); its own
-    /// mutex keeps the type honest. Lock order: engine → batch.
-    batch: Mutex<Vec<StreamEvent>>,
+    ingests: Mutex<Vec<Arc<Mutex<IngestTail>>>>,
     /// The online detection engine (`stream` mode only). Fast-path
-    /// callbacks never block on it: they `try_lock` to drain.
+    /// callbacks never block on it: they `try_lock` to drain, and only
+    /// when their ring says a batch is due.
     engine: Mutex<Option<StreamingEngine>>,
     /// Per-shard clock merge (lock-free).
     watermark: GlobalWatermark,
@@ -289,22 +306,39 @@ impl ToolShared {
         // Snapshot BEFORE sweeping: every event at or below this merged
         // watermark was queued before its shard published the edge that
         // enabled it (shards queue, then publish), so the sweep below
-        // is guaranteed to see it.
+        // is guaranteed to see it. `None` = some shard may still emit
+        // at time zero: buffer only.
         let watermark = self.watermark.merged();
-        let mut batch = self.batch.lock();
-        {
-            let ingests = self.ingests.lock();
-            for ingest in ingests.iter() {
-                // Spill before ring: spilled events predate whatever
-                // the producer pushed after the consumer freed space.
-                // (The engine's reorder buffer re-sorts either way.)
-                batch.append(&mut ingest.spill.lock());
-                ingest.consumer.lock().pop_all(&mut batch);
-            }
+        let mut drained = 0;
+        for ingest in self.ingests.lock().iter() {
+            // Holding the tail across both reads keeps the producer
+            // from spilling in between, so ring + spill are exactly the
+            // shard's not-yet-drained events.
+            let mut tail = ingest.lock();
+            let IngestTail {
+                consumer, spill, ..
+            } = &mut *tail;
+            // An event spills *because* the ring ahead of it is full,
+            // and later ones ride the ring again once it has room: the
+            // two interleave. Feeding each spilled event just before
+            // the ring position it was refused at restores arrival
+            // order — the shard's lane sees no inversion the program
+            // did not have. (Not by event id: target ids wrap.)
+            drained += spill.len();
+            let mut spilled = spill.drain(..).peekable();
+            let mut at = consumer.popped();
+            drained += consumer.pop_each(|event| {
+                while let Some((_, earlier)) =
+                    spilled.next_if(|&(mark, _)| at.wrapping_sub(mark) as isize >= 0)
+                {
+                    engine.buffer_event(earlier);
+                }
+                engine.buffer_event(event);
+                at = at.wrapping_add(1);
+            });
+            spilled.for_each(|(_, event)| engine.buffer_event(event));
         }
-        // `None` = some shard may still emit at time zero: buffer only.
-        engine.ingest_batch(batch.drain(..), watermark);
-        drop(batch);
+        engine.end_drain(drained, watermark);
         // Stall recovery: a wedged shard (open Begin, thread never
         // progressing) pins the merged watermark and would buffer the
         // stream forever. Past the configured timeout the drain
@@ -328,11 +362,9 @@ impl ToolShared {
         }
     }
 
-    /// Opportunistic drain from the callback fast path: never blocks.
+    /// Opportunistic drain from the callback fast path, once its ring
+    /// says a batch is due: never blocks.
     fn maybe_drain(&self) {
-        if !self.cfg.stream {
-            return;
-        }
         let Some(mut guard) = self.engine.try_lock() else {
             return; // another thread is already draining
         };
@@ -341,12 +373,15 @@ impl ToolShared {
         }
     }
 
-    /// Blocking (flushing) drain for observers and finalization.
-    fn drain_all(&self) {
+    /// Blocking (flushing) drain for observers and finalization, then
+    /// `read` the engine while it is still locked. `None` when
+    /// streaming is off.
+    fn flushed<R>(&self, read: impl FnOnce(&mut StreamingEngine) -> R) -> Option<R> {
         let mut guard = self.engine.lock();
-        if let Some(engine) = guard.as_mut() {
+        guard.as_mut().map(|engine| {
             self.drain_locked(engine, true);
-        }
+            read(engine)
+        })
     }
 
     /// Move the engine's emitted findings into every registered tap.
@@ -380,15 +415,9 @@ impl ToolShared {
     /// emitted into the taps. `block` decides whether to wait for a
     /// contended engine lock or skip (another thread is already at it).
     fn drain_and_harvest(&self, block: bool) {
-        let mut guard = if block {
-            self.engine.lock()
-        } else {
-            match self.engine.try_lock() {
-                Some(guard) => guard,
-                None => return,
-            }
-        };
-        if let Some(engine) = guard.as_mut() {
+        if block {
+            self.flushed(|engine| self.harvest_locked(engine));
+        } else if let Some(Some(engine)) = self.engine.try_lock().as_deref_mut() {
             // Observer-initiated: flush even on the try_lock path (the
             // lock was free; shard locks are brief and uncontended).
             self.drain_locked(engine, true);
@@ -553,22 +582,14 @@ impl ToolHandle {
     /// Issue counts of everything the streaming engine has emitted so
     /// far (`None` when streaming is off).
     pub fn stream_counts(&self) -> Option<IssueCounts> {
-        let mut guard = self.shared.engine.lock();
-        guard.as_mut().map(|engine| {
-            self.shared.drain_locked(engine, true);
-            engine.live_counts()
-        })
+        self.shared.flushed(|engine| engine.live_counts())
     }
 
     /// Current streaming window sizes (`None` when streaming is off).
     /// Drains first — otherwise events sitting in the ingest rings
     /// would be invisible to the count.
     pub fn stream_buffer_stats(&self) -> Option<StreamBufferStats> {
-        let mut guard = self.shared.engine.lock();
-        guard.as_mut().map(|engine| {
-            self.shared.drain_locked(engine, true);
-            engine.buffer_stats()
-        })
+        self.shared.flushed(|engine| engine.buffer_stats())
     }
 
     /// Events that overflowed their shard's ingest ring and took the
@@ -578,10 +599,7 @@ impl ToolHandle {
     /// undersized for the callback rate between drains.
     pub fn spilled_events(&self) -> u64 {
         let ingests = self.shared.ingests.lock();
-        ingests
-            .iter()
-            .map(|i| i.spilled.load(Ordering::Relaxed))
-            .sum()
+        ingests.iter().map(|tail| tail.lock().spilled).sum()
     }
 
     /// Aggregate trace health: what the collector and the streaming
@@ -654,7 +672,6 @@ impl OmpDataPerfTool {
             }),
             shards: Mutex::new(Vec::new()),
             ingests: Mutex::new(Vec::new()),
-            batch: Mutex::new(Vec::new()),
             engine: Mutex::new(cfg.stream.then(|| {
                 StreamingEngine::new(StreamConfig {
                     num_devices: None,
@@ -681,18 +698,16 @@ impl OmpDataPerfTool {
         let cfg = shared.cfg;
         // The ingest channel exists only in streaming mode: non-stream
         // runs never queue events, so they skip the ring allocation.
-        let (producer, ingest) = if cfg.stream {
+        let ingest = cfg.stream.then(|| {
             let (tx, rx) = ring::spsc(cfg.ring_capacity.unwrap_or(DEFAULT_RING_CAPACITY));
-            let ingest = Arc::new(IngestShared {
-                consumer: Mutex::new(rx),
-                spill: Mutex::new(Vec::new()),
-                spilled: AtomicU64::new(0),
-            });
-            shared.ingests.lock().push(ingest.clone());
-            (Some(tx), Some(ingest))
-        } else {
-            (None, None)
-        };
+            let tail = Arc::new(Mutex::new(IngestTail {
+                consumer: rx,
+                spill: Vec::new(),
+                spilled: 0,
+            }));
+            shared.ingests.lock().push(tail.clone());
+            (tx, tail)
+        });
         let shard = Arc::new(Mutex::new(ShardState {
             log: TraceLog::for_shard(slot.index() as u32),
             hash_meter: HashMeter::default(),
@@ -702,7 +717,6 @@ impl OmpDataPerfTool {
                 cfg.publish_every.unwrap_or(PublishBatcher::DEFAULT_EVERY),
             ),
             slot,
-            ring: producer,
             ingest,
         }));
         shared.shards.lock().push(shard.clone());
@@ -727,6 +741,61 @@ impl OmpDataPerfTool {
     /// This instance's shard id.
     pub fn shard(&self) -> u32 {
         self.slot.index() as u32
+    }
+
+    /// The body every recording callback shares. `record` appends to
+    /// the shard's log under the shard lock and hands back the event; in
+    /// streaming mode the event then rides the ring behind the clock
+    /// edge its span closes (`start == None`: a begin-only runtime, the
+    /// op is an instant and the edge an observation), and a due drain
+    /// runs once the shard lock is released.
+    fn record(
+        &self,
+        start: Option<SimTime>,
+        end: SimTime,
+        record: impl FnOnce(&mut ShardState, TimeSpan) -> StreamEvent,
+    ) {
+        let drain_due = {
+            let mut shard = self.shard.lock();
+            let span = start.map_or(TimeSpan::at(end), |start| TimeSpan::new(start, end));
+            let event = record(&mut shard, span);
+            self.cfg.stream && {
+                match start {
+                    Some(start) => shard.clock.close(start, end),
+                    None => shard.clock.observe(end),
+                }
+                shard.queue_and_note(&self.shared, event)
+            }
+        };
+        if drain_due {
+            self.shared.maybe_drain();
+        }
+    }
+
+    /// A matched-later Begin. The open can only hold the shard's
+    /// published bound at or below where it already was; the batcher
+    /// publishes immediately iff deferral would overstate it (retreat
+    /// risk).
+    fn open_edge(&self, time: SimTime) {
+        if self.cfg.stream {
+            let mut shard = self.shard.lock();
+            shard.clock.open(time);
+            shard.note_edge(&self.shared);
+        }
+    }
+
+    /// An End whose Begin was dropped, or a duplicate End. No
+    /// trustworthy span exists, so the event is quarantined instead of
+    /// guessed — and the clock only *observes* its time: closing an
+    /// entry could hit a different op's open one and corrupt the
+    /// watermark.
+    fn orphaned_end(&self, time: SimTime) {
+        let mut shard = self.shard.lock();
+        shard.health.orphaned += 1;
+        if self.cfg.stream {
+            shard.clock.observe(time);
+            shard.note_edge(&self.shared);
+        }
     }
 
     /// Hash a payload against this shard's meter (and the shared audit
@@ -839,197 +908,94 @@ impl Tool for OmpDataPerfTool {
 
     fn on_target(&mut self, cb: &TargetCallback) {
         let key = (cb.target_id, construct_tag(cb.construct));
-        match cb.endpoint {
+        let span = match cb.endpoint {
             // Degraded mode: begin-only → record an instantaneous marker
             // (pre-EMI runtimes never deliver End).
-            Endpoint::Begin if self.degraded => {
-                self.shard.lock().log.record_target(
-                    target_kind(cb.construct),
-                    cb.device,
-                    TimeSpan::at(cb.time),
-                    cb.codeptr_ra,
-                );
-            }
+            Endpoint::Begin if self.degraded => TimeSpan::at(cb.time),
             Endpoint::Begin => {
                 self.open_targets.insert(key, cb.time);
+                return;
             }
-            Endpoint::End => {
+            Endpoint::End => match self.open_targets.remove(&key) {
+                Some(start) => TimeSpan::new(start, cb.time),
                 // Orphaned region End (dropped or duplicated Begin):
                 // quarantine rather than invent a zero-length span.
-                let Some(start) = self.open_targets.remove(&key) else {
-                    self.shard.lock().health.orphaned += 1;
-                    return;
-                };
-                self.shard.lock().log.record_target(
-                    target_kind(cb.construct),
-                    cb.device,
-                    TimeSpan::new(start, cb.time),
-                    cb.codeptr_ra,
-                );
-            }
-        }
+                None => return self.shard.lock().health.orphaned += 1,
+            },
+        };
+        let kind = target_kind(cb.construct);
+        let mut shard = self.shard.lock();
+        shard
+            .log
+            .record_target(kind, cb.device, span, cb.codeptr_ra);
     }
 
     fn on_data_op(&mut self, cb: &DataOpCallback<'_>) {
-        match cb.endpoint {
+        let start = match cb.endpoint {
             // Degraded (non-EMI) runtimes never send End: record now
             // with zero duration, hashing the payload that a pointer-
             // chasing tool reads at op start.
-            Endpoint::Begin if self.degraded => {
-                {
-                    let mut shard = self.shard.lock();
-                    let truncated = cb.payload.is_some_and(|p| p.len() as u64 != cb.bytes);
-                    let hash = if truncated {
-                        shard.health.truncated += 1;
-                        None
-                    } else {
-                        cb.payload.map(|p| self.hash_payload(&mut shard, p)).or(
-                            if data_op_kind(cb.optype) == DataOpKind::Transfer {
-                                Some(0)
-                            } else {
-                                None
-                            },
-                        )
-                    };
-                    let event = shard.log.record_data_op(
-                        data_op_kind(cb.optype),
-                        cb.src_device,
-                        cb.dest_device,
-                        cb.src_addr,
-                        cb.dest_addr,
-                        cb.bytes,
-                        hash,
-                        TimeSpan::at(cb.time),
-                        cb.codeptr_ra,
-                    );
-                    if self.cfg.stream {
-                        shard.clock.observe(cb.time);
-                        shard.queue_and_note(&self.shared, Some(StreamEvent::Op(event)));
-                    }
-                }
-                self.shared.maybe_drain();
-            }
+            Endpoint::Begin if self.degraded => None,
             Endpoint::Begin => {
-                if self.cfg.stream {
-                    // The open can only hold the shard's published
-                    // bound at or below where it already was; the
-                    // batcher publishes immediately iff deferral would
-                    // overstate it (retreat risk).
-                    let mut shard = self.shard.lock();
-                    shard.clock.open(cb.time);
-                    shard.queue_and_note(&self.shared, None);
-                }
+                self.open_edge(cb.time);
                 self.open_ops.insert(cb.host_op_id, cb.time);
+                return;
             }
-            Endpoint::End => {
-                // Close the clock only for a *matched* Begin: an
-                // unmatched End's fallback time could coincide with a
-                // different op's open entry and corrupt the watermark.
-                let Some(start) = self.open_ops.remove(&cb.host_op_id) else {
-                    // Orphaned End — its Begin was dropped, or this End
-                    // is a duplicate. No trustworthy span exists, so
-                    // quarantine the event instead of guessing one.
-                    {
-                        let mut shard = self.shard.lock();
-                        shard.health.orphaned += 1;
-                        if self.cfg.stream {
-                            shard.clock.observe(cb.time);
-                            shard.queue_and_note(&self.shared, None);
-                        }
-                    }
-                    self.shared.maybe_drain();
-                    return;
-                };
-                {
-                    let mut shard = self.shard.lock();
-                    // A payload that disagrees with the claimed byte
-                    // count cannot be hashed truthfully: keep the op
-                    // (its timing is real) but quarantine the hash.
-                    let truncated = cb.payload.is_some_and(|p| p.len() as u64 != cb.bytes);
-                    let hash = if truncated {
-                        shard.health.truncated += 1;
-                        None
-                    } else {
-                        cb.payload.map(|p| self.hash_payload(&mut shard, p))
-                    };
-                    let event = shard.log.record_data_op(
-                        data_op_kind(cb.optype),
-                        cb.src_device,
-                        cb.dest_device,
-                        cb.src_addr,
-                        cb.dest_addr,
-                        cb.bytes,
-                        hash,
-                        TimeSpan::new(start, cb.time),
-                        cb.codeptr_ra,
-                    );
-                    if self.cfg.stream {
-                        shard.clock.close(start, cb.time);
-                        shard.queue_and_note(&self.shared, Some(StreamEvent::Op(event)));
-                    }
-                }
-                self.shared.maybe_drain();
-            }
-        }
+            Endpoint::End => match self.open_ops.remove(&cb.host_op_id) {
+                Some(start) => Some(start),
+                None => return self.orphaned_end(cb.time),
+            },
+        };
+        let kind = data_op_kind(cb.optype);
+        self.record(start, cb.time, |shard, span| {
+            // A payload that disagrees with the claimed byte count
+            // cannot be hashed truthfully: keep the op (its timing is
+            // real) but quarantine the hash.
+            let truncated = cb.payload.is_some_and(|p| p.len() as u64 != cb.bytes);
+            let hash = if truncated {
+                shard.health.truncated += 1;
+                None
+            } else {
+                let begin_only_transfer = start.is_none() && kind == DataOpKind::Transfer;
+                cb.payload
+                    .map(|p| self.hash_payload(shard, p))
+                    .or(begin_only_transfer.then_some(0))
+            };
+            StreamEvent::Op(shard.log.record_data_op(
+                kind,
+                cb.src_device,
+                cb.dest_device,
+                cb.src_addr,
+                cb.dest_addr,
+                cb.bytes,
+                hash,
+                span,
+                cb.codeptr_ra,
+            ))
+        });
     }
 
     fn on_submit(&mut self, cb: &SubmitCallback) {
-        match cb.endpoint {
-            Endpoint::Begin if self.degraded => {
-                {
-                    let mut shard = self.shard.lock();
-                    let event = shard.log.record_target(
-                        TargetKind::Kernel,
-                        cb.device,
-                        TimeSpan::at(cb.time),
-                        cb.codeptr_ra,
-                    );
-                    if self.cfg.stream {
-                        shard.clock.observe(cb.time);
-                        shard.queue_and_note(&self.shared, Some(StreamEvent::Kernel(event)));
-                    }
-                }
-                self.shared.maybe_drain();
-            }
+        let start = match cb.endpoint {
+            Endpoint::Begin if self.degraded => None,
             Endpoint::Begin => {
-                if self.cfg.stream {
-                    let mut shard = self.shard.lock();
-                    shard.clock.open(cb.time);
-                    shard.queue_and_note(&self.shared, None);
-                }
+                self.open_edge(cb.time);
                 self.open_submits.insert(cb.target_id, cb.time);
+                return;
             }
-            Endpoint::End => {
-                // Matched-Begin-only close and orphan quarantine: see
-                // on_data_op.
-                let Some(start) = self.open_submits.remove(&cb.target_id) else {
-                    {
-                        let mut shard = self.shard.lock();
-                        shard.health.orphaned += 1;
-                        if self.cfg.stream {
-                            shard.clock.observe(cb.time);
-                            shard.queue_and_note(&self.shared, None);
-                        }
-                    }
-                    self.shared.maybe_drain();
-                    return;
-                };
-                {
-                    let mut shard = self.shard.lock();
-                    let event = shard.log.record_target(
-                        TargetKind::Kernel,
-                        cb.device,
-                        TimeSpan::new(start, cb.time),
-                        cb.codeptr_ra,
-                    );
-                    if self.cfg.stream {
-                        shard.clock.close(start, cb.time);
-                        shard.queue_and_note(&self.shared, Some(StreamEvent::Kernel(event)));
-                    }
-                }
-                self.shared.maybe_drain();
-            }
-        }
+            Endpoint::End => match self.open_submits.remove(&cb.target_id) {
+                Some(start) => Some(start),
+                None => return self.orphaned_end(cb.time),
+            },
+        };
+        self.record(start, cb.time, |shard, span| {
+            StreamEvent::Kernel(shard.log.record_target(
+                TargetKind::Kernel,
+                cb.device,
+                span,
+                cb.codeptr_ra,
+            ))
+        });
     }
 
     fn finalize(&mut self, total_time_ns: u64) {
@@ -1048,25 +1014,35 @@ impl Tool for OmpDataPerfTool {
         let all_done = {
             let mut c = self.shared.control.lock();
             c.finalized_shards += 1;
-            c.finalized = c.finalized_shards >= c.spawned_shards;
-            c.finalized
+            c.finalized_shards >= c.spawned_shards
         };
         if all_done {
             if self.cfg.stream {
                 // Final full (blocking) sweep: nothing may be left in a
                 // shard queue once the program is over.
-                self.shared.drain_all();
+                self.shared.flushed(|_| ());
             }
             if self.cfg.verbose {
-                let rate = ToolHandle {
+                let handle = ToolHandle {
                     shared: self.shared.clone(),
+                };
+                let rate = handle.hash_rate_gb_per_s();
+                let mut lines = vec![format!("info: effective hash rate {rate:.1} GB/s")];
+                // What the live path cost: how many events shared each
+                // engine lock, and what the rings and the reorder lanes
+                // could not take in order.
+                let stats = self.shared.engine.lock().as_ref().map(|e| e.buffer_stats());
+                if let Some(s) = stats {
+                    lines.push(format!(
+                        "info: stream: {} drains, mean batch {:.1}, {} ring overflows, \
+                         {} reorder inversions",
+                        s.drains,
+                        s.drained_events as f64 / s.drains.max(1) as f64,
+                        handle.spilled_events(),
+                        s.reorder_inversions,
+                    ));
                 }
-                .hash_rate_gb_per_s();
-                self.shared
-                    .control
-                    .lock()
-                    .info
-                    .push(format!("info: effective hash rate {rate:.1} GB/s"));
+                self.shared.control.lock().info.extend(lines);
             }
         }
     }
@@ -1572,6 +1548,10 @@ mod tests {
         assert_eq!(handle.spilled_events(), 8, "2 ring slots + 8 spilled");
         drop(engine_guard);
         tool.finalize(1_000);
+        assert!(queues_are_empty(&handle), "finalize drained ring and spill");
+        let stats = engine_stats(&handle);
+        assert_eq!(stats.drained_events, 10);
+        assert_eq!(stats.reorder_inversions, 0, "the spill re-merged in order");
         let trace = handle.take_trace();
         assert_eq!(trace.data_op_count(), 10, "no event was lost");
         let mut engine = handle.take_stream_engine().expect("engine");
@@ -1580,6 +1560,96 @@ mod tests {
         assert_eq!(report.counts().dd, 9, "all ten transfers were seen");
         // Spilled events re-merge in order: the live stream is exact.
         assert_live_matches(engine.take_findings(), &report);
+    }
+
+    /// The engine's counters, read under its lock *without* draining.
+    fn engine_stats(handle: &ToolHandle) -> StreamBufferStats {
+        let guard = handle.shared.engine.lock();
+        guard.as_ref().expect("streaming engine").buffer_stats()
+    }
+
+    /// Is every shard's ring and spill empty?
+    fn queues_are_empty(handle: &ToolHandle) -> bool {
+        handle.shared.ingests.lock().iter().all(|tail| {
+            let mut tail = tail.lock();
+            tail.spill.is_empty() && tail.consumer.is_empty()
+        })
+    }
+
+    /// `n` sequential transfers of fresh content, ids and times from `base`.
+    fn transfers(tool: &mut OmpDataPerfTool, base: u64, n: u64) {
+        for id in base..base + n {
+            let payload = id.to_le_bytes();
+            let op = DataOpType::TransferToDevice;
+            tool.on_data_op(&data_op(Endpoint::Begin, id, op, id * 10, None));
+            tool.on_data_op(&data_op(Endpoint::End, id, op, id * 10 + 5, Some(&payload)));
+        }
+    }
+
+    #[test]
+    fn a_ring_reaching_half_its_capacity_drains_every_shard() {
+        let (mut t0, handle) = OmpDataPerfTool::new(ToolConfig {
+            stream: true,
+            ring_capacity: Some(8),
+            ..Default::default()
+        });
+        let mut t1 = handle.fork_tool();
+        let caps = CompilerProfile::LlvmClang.capabilities();
+        t0.initialize(&caps);
+        t1.initialize(&caps);
+        // Below the mark on both shards: the callbacks only queue.
+        transfers(&mut t1, 100, 2);
+        transfers(&mut t0, 0, 3);
+        let stats = engine_stats(&handle);
+        assert_eq!((stats.drains, stats.drained_events), (0, 0), "{stats:?}");
+        assert!(!queues_are_empty(&handle));
+        // Shard 0's fourth event is half of eight: that push sweeps its
+        // own ring and shard 1's, which never reached the mark.
+        transfers(&mut t0, 3, 1);
+        let stats = engine_stats(&handle);
+        assert_eq!((stats.drains, stats.drained_events), (1, 6), "{stats:?}");
+        assert!(queues_are_empty(&handle));
+        // The next batch starts from an empty ring again.
+        transfers(&mut t0, 4, 3);
+        assert_eq!(engine_stats(&handle).drains, 1);
+        transfers(&mut t0, 7, 1);
+        assert_eq!(engine_stats(&handle).drained_events, 10);
+    }
+
+    #[test]
+    fn observers_and_the_last_finalize_leave_nothing_queued() {
+        let (mut t0, handle) = OmpDataPerfTool::new(ToolConfig {
+            stream: true,
+            ..Default::default()
+        });
+        let mut t1 = handle.fork_tool();
+        let caps = CompilerProfile::LlvmClang.capabilities();
+        t0.initialize(&caps);
+        t1.initialize(&caps);
+        transfers(&mut t0, 0, 5);
+        transfers(&mut t1, 100, 5);
+        assert_eq!(engine_stats(&handle).drains, 0, "far below 512");
+        // Every blocking observer flushes: both rings, whoever asks.
+        assert_eq!(handle.stream_counts(), Some(IssueCounts::default()));
+        assert!(queues_are_empty(&handle));
+        assert_eq!(engine_stats(&handle).drained_events, 10);
+        let tap = handle.tap_stream_findings();
+        transfers(&mut t0, 5, 5);
+        assert!(tap.take().is_empty());
+        assert!(queues_are_empty(&handle));
+        transfers(&mut t1, 105, 5);
+        assert!(tap.try_take().is_empty());
+        assert!(queues_are_empty(&handle));
+        // A shard that finalizes first leaves its queue to the last one.
+        transfers(&mut t0, 10, 5);
+        transfers(&mut t1, 110, 5);
+        t0.finalize(10_000);
+        assert!(!queues_are_empty(&handle));
+        t1.finalize(10_000);
+        assert!(queues_are_empty(&handle));
+        let stats = engine_stats(&handle);
+        assert_eq!(stats.drained_events, 30, "{stats:?}");
+        assert_eq!(stats.buffered_now, 0, "{stats:?}");
     }
 
     #[test]

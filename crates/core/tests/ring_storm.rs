@@ -270,3 +270,59 @@ fn ring_ingest_is_scheduling_independent() {
         "merged trace must not depend on scheduling"
     );
 }
+
+/// An event spills *because* the ring ahead of it is full, so a drain
+/// that fed the spill before the ring handed the shard's lane a later
+/// key first and every ring event after it counted as an inversion — on
+/// a program that has none. Two strictly sequential shards on two-slot
+/// rings, with an observer holding the engine so the rings overflow:
+/// whatever spills, the lanes must see each shard in arrival order.
+#[test]
+fn overflow_feeds_each_lane_in_arrival_order() {
+    let cfg = ToolConfig {
+        stream: true,
+        ring_capacity: Some(2),
+        ..Default::default()
+    };
+    let caps = CompilerProfile::LlvmClang.capabilities();
+    let payload = vec![3u8; 64];
+    let mut spilled = 0;
+    // Overflow needs the observer to hold the engine while a producer
+    // pushes a third event — all but certain per attempt, not a given.
+    for attempt in 0..20 {
+        let (tool0, handle) = OmpDataPerfTool::new(cfg);
+        let tools = vec![tool0, handle.fork_tool()];
+        let producing = std::sync::atomic::AtomicUsize::new(tools.len());
+        std::thread::scope(|s| {
+            for (i, mut tool) in tools.into_iter().enumerate() {
+                let (caps, payload, producing) = (caps.clone(), &payload, &producing);
+                s.spawn(move || {
+                    tool.initialize(&caps);
+                    for op in 0..5_000u64 {
+                        let (id, t) = (i as u64 * 1_000_000 + op, op * 20);
+                        tool.on_data_op(&data_op(Endpoint::Begin, id, t, None));
+                        tool.on_data_op(&data_op(Endpoint::End, id, t + 10, Some(payload)));
+                    }
+                    producing.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+                    tool.finalize(1_000_000);
+                });
+            }
+            while producing.load(std::sync::atomic::Ordering::SeqCst) > 0 {
+                handle.stream_counts();
+            }
+        });
+        let stats = handle.stream_buffer_stats().expect("streaming enabled");
+        assert_eq!(
+            stats.reorder_inversions,
+            0,
+            "attempt {attempt}: {} spilled, {stats:?}",
+            handle.spilled_events()
+        );
+        spilled += handle.spilled_events();
+        assert_oracle(&handle, Vec::new(), "sequential overflow");
+        if spilled > 0 {
+            break;
+        }
+    }
+    assert!(spilled > 0, "no attempt overflowed a two-slot ring");
+}

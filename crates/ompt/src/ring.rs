@@ -141,6 +141,29 @@ impl<T: Send> Producer<T> {
             .store(tail.wrapping_add(1), Ordering::Release);
         Ok(())
     }
+
+    /// Values pushed so far (the producer cursor; wraps with `usize`).
+    /// The value pushed next sits at this position — compare with
+    /// [`Consumer::popped`] to order something that bypassed the ring
+    /// against what went through it.
+    pub fn pushed(&self) -> usize {
+        self.inner.tail.0.load(Ordering::Relaxed)
+    }
+
+    /// Has the ring reached half its capacity (a one-slot ring: is it
+    /// occupied)? Decided from the producer's own cursor and its cached
+    /// view of the consumer's, which only ever overstates occupancy; the
+    /// shared cursor is re-read just when the cached view says yes, so
+    /// a producer far from the mark touches no shared cache line.
+    pub fn half_full(&mut self) -> bool {
+        let tail = self.inner.tail.0.load(Ordering::Relaxed);
+        let mark = (self.capacity() / 2).max(1);
+        if tail.wrapping_sub(self.head_cache) < mark {
+            return false;
+        }
+        self.head_cache = self.inner.head.0.load(Ordering::Acquire);
+        tail.wrapping_sub(self.head_cache) >= mark
+    }
 }
 
 impl<T> std::fmt::Debug for Producer<T> {
@@ -166,6 +189,12 @@ impl<T: Send> Consumer<T> {
         self.inner.mask + 1
     }
 
+    /// Values popped so far (the consumer cursor; wraps with `usize`):
+    /// the position of the value popped next.
+    pub fn popped(&self) -> usize {
+        self.inner.head.0.load(Ordering::Relaxed)
+    }
+
     /// Pop the oldest value, if any.
     pub fn pop(&mut self) -> Option<T> {
         let head = self.inner.head.0.load(Ordering::Relaxed);
@@ -185,23 +214,46 @@ impl<T: Send> Consumer<T> {
         Some(value)
     }
 
-    /// Drain everything currently visible into `out`; returns how many
-    /// values were appended. One acquire load amortized over the whole
-    /// batch.
-    pub fn pop_all(&mut self, out: &mut Vec<T>) -> usize {
-        let mut head = self.inner.head.0.load(Ordering::Relaxed);
-        self.tail_cache = self.inner.tail.0.load(Ordering::Acquire);
-        let n = self.tail_cache.wrapping_sub(head);
-        out.reserve(n);
-        let before = out.len();
-        while head != self.tail_cache {
-            // SAFETY: as in `pop`; each slot in head..tail is
-            // initialized and surrendered exactly once below.
-            out.push(unsafe { (*self.inner.buf[head & self.inner.mask].get()).assume_init_read() });
-            head = head.wrapping_add(1);
+    /// Hand everything currently visible to `sink`, oldest first;
+    /// returns how many values that was. One acquire load and one
+    /// release store amortized over the whole batch: the slots are
+    /// surrendered together once `sink` has seen them all.
+    pub fn pop_each(&mut self, mut sink: impl FnMut(T)) -> usize {
+        /// Publishes the consumer cursor when the batch ends — also by
+        /// unwinding out of `sink`, so a slot already moved out is
+        /// never read a second time.
+        struct Surrender<'a> {
+            head: &'a AtomicUsize,
+            at: usize,
         }
-        self.inner.head.0.store(head, Ordering::Release);
-        out.len() - before
+        impl Drop for Surrender<'_> {
+            fn drop(&mut self) {
+                self.head.store(self.at, Ordering::Release);
+            }
+        }
+        let start = self.inner.head.0.load(Ordering::Relaxed);
+        self.tail_cache = self.inner.tail.0.load(Ordering::Acquire);
+        let mut cursor = Surrender {
+            head: &self.inner.head.0,
+            at: start,
+        };
+        while cursor.at != self.tail_cache {
+            // SAFETY: as in `pop`; each slot in head..tail is
+            // initialized and read exactly once: `cursor.at` moves past
+            // it before `sink` runs, and `cursor` surrenders everything
+            // below `at` when it drops.
+            let value =
+                unsafe { (*self.inner.buf[cursor.at & self.inner.mask].get()).assume_init_read() };
+            cursor.at = cursor.at.wrapping_add(1);
+            sink(value);
+        }
+        cursor.at.wrapping_sub(start)
+    }
+
+    /// Drain everything currently visible into `out`; returns how many
+    /// values were appended.
+    pub fn pop_all(&mut self, out: &mut Vec<T>) -> usize {
+        self.pop_each(|value| out.push(value))
     }
 
     /// Is the ring empty as of the latest producer publication?
@@ -237,6 +289,28 @@ mod tests {
         assert_eq!(rx.pop_all(&mut out), 4);
         assert_eq!(out, vec![1, 2, 3, 4]);
         assert_eq!(rx.pop(), None);
+    }
+
+    #[test]
+    fn half_full_tracks_the_consumer_through_a_stale_cache() {
+        let (mut tx, mut rx) = spsc::<u32>(8);
+        for i in 0..3 {
+            tx.push(i).unwrap();
+            assert!(!tx.half_full(), "{} of 8", i + 1);
+        }
+        tx.push(3).unwrap();
+        assert!(tx.half_full(), "4 of 8");
+        // The consumer empties the ring behind the producer's back: the
+        // cached cursor still says half, the re-read corrects it.
+        assert_eq!(rx.pop_each(drop), 4);
+        assert!(!tx.half_full());
+        // A one-slot ring is at the mark whenever it is occupied.
+        let (mut tx1, mut rx1) = spsc::<u32>(1);
+        assert!(!tx1.half_full());
+        tx1.push(0).unwrap();
+        assert!(tx1.half_full());
+        assert_eq!(rx1.pop(), Some(0));
+        assert!(!tx1.half_full());
     }
 
     #[test]
