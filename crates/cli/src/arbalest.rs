@@ -9,7 +9,8 @@
 use crate::{check_threads, fail, number, workload, CmdResult, Out, Scale, Stop};
 use odp_arbalest::{AnomalyKind, ArbalestReport, ArbalestVecTool};
 use odp_model::SimDuration;
-use odp_workloads::session;
+use odp_sim::RuntimeStats;
+use odp_workloads::{session, Workload};
 
 const USAGE: &str = "\
 Usage: odp arbalest [options] <program>
@@ -19,6 +20,21 @@ Options:
   --size s|m|l      Problem size (default: s)
   --variant NAME    original|fixed|synthetic (default: original)
   --threads N       Drive the workload from N OS threads (one collector shard each)";
+
+/// Run `w` under the Arbalest-Vec collector, one shard per thread. The
+/// collector keys its state per forked shard: one thread's deletes
+/// never poison another thread's same-address mappings.
+pub(crate) fn check(
+    w: &dyn Workload,
+    scale: Scale,
+    threads: u32,
+) -> (ArbalestReport, RuntimeStats) {
+    let (tool, handle) = ArbalestVecTool::new();
+    let stats = session::run_under(w, scale.size, scale.variant, threads, tool, || {
+        handle.fork_tool()
+    });
+    (handle.report(), stats)
+}
 
 /// `odp arbalest <program> [options]`.
 pub fn execute(args: &[String], out: Out<'_>) -> CmdResult {
@@ -46,14 +62,7 @@ pub fn execute(args: &[String], out: Out<'_>) -> CmdResult {
     let workload = workload(program)?;
     check_threads(&*workload, threads)?;
 
-    // The collector keys its state per forked shard: one thread's
-    // deletes never poison another thread's same-address mappings.
-    let (tool, handle) = ArbalestVecTool::new();
-    let stats = session::run_under(&*workload, scale.size, scale.variant, threads, tool, || {
-        handle.fork_tool()
-    });
-
-    let report = handle.report();
+    let (report, stats) = check(&*workload, scale, threads);
     writeln!(out, "=== Arbalest-Vec Data Mapping Correctness Report ===")?;
     writeln!(out, "program        : {}", workload.name())?;
     writeln!(out, "anomaly classes: {}", report.summary())?;

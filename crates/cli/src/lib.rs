@@ -5,6 +5,7 @@
 //! odp arbalest <program> [options]      the §7.7 correctness baseline
 //! odp trace save|load|diff ...          persistent trace corpus tooling
 //! odp static analyze|crosscheck|plan    static map-clause analysis
+//! odp paper <table1|…|fig5|all>         regenerate the paper's tables and figures
 //! ```
 //!
 //! Every subcommand parses only its own flags ([`Scale`] is the shared
@@ -17,6 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod arbalest;
+pub mod paper;
 pub mod run;
 pub mod static_cmd;
 pub mod trace;
@@ -88,6 +90,7 @@ USAGE:
     odp arbalest <program> [options]    Arbalest-Vec correctness baseline (§7.7)
     odp trace save|load|diff ...        persistent trace corpus tooling
     odp static analyze|crosscheck|plan <workload> [options]
+    odp paper <experiment> [options]    regenerate a table or figure of the paper (or all)
     odp --version
 
 `odp <command> --help` lists that command's options.";
@@ -104,6 +107,7 @@ pub fn dispatch(args: &[String], out: Out<'_>) -> CmdResult {
             "arbalest" => arbalest::execute(rest, out),
             "trace" => trace::execute(rest, out),
             "static" => static_cmd::execute(rest, out),
+            "paper" => paper::execute(rest, out),
             other => Err(Stop::Fail(format!("unknown command '{other}'\n\n{USAGE}"))),
         },
     };

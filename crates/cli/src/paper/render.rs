@@ -1,17 +1,16 @@
-//! Plain-text table rendering for the experiment binaries.
+//! Plain-text table rendering for the experiments.
 
 use std::fmt::Write as _;
 
 /// A simple column-aligned text table.
-#[derive(Debug, Default)]
-pub struct Table {
+pub(super) struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// A table with the given column headers.
-    pub fn new(headers: &[&str]) -> Table {
+    pub(super) fn new(headers: &[&str]) -> Table {
         Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -19,23 +18,13 @@ impl Table {
     }
 
     /// Append a row (must match the header count).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(super) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with aligned columns.
-    pub fn render(&self) -> String {
+    pub(super) fn render(&self) -> String {
         let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -65,15 +54,6 @@ impl Table {
     }
 }
 
-/// Format a byte count the way Figure 3's axis does (powers of two).
-pub fn pow2_bytes(b: usize) -> String {
-    if b == 0 {
-        return "0".into();
-    }
-    let log = (b as f64).log2();
-    format!("{b} (~2^{log:.1})")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,11 +77,5 @@ mod tests {
     fn row_arity_checked() {
         let mut t = Table::new(&["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn pow2_rendering() {
-        assert_eq!(pow2_bytes(0), "0");
-        assert!(pow2_bytes(1024).contains("2^10.0"));
     }
 }

@@ -2,7 +2,8 @@
 //! to a buffer instead of stdout, so `cargo test` exercises what CI's
 //! smoke step only launches.
 
-use odp_cli::{dispatch, Stop};
+use odp_cli::paper::EXPERIMENTS;
+use odp_cli::{dispatch, exit_code, Stop};
 use serde_json::Value;
 
 fn argv(line: &str) -> Vec<String> {
@@ -178,9 +179,78 @@ fn static_analyze_predicts_and_takes_only_its_own_flags() {
 }
 
 #[test]
+fn paper_help_lists_exactly_the_registry() {
+    let registry: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    let mut unique = registry.clone();
+    unique.sort_unstable();
+    unique.dedup();
+    assert_eq!(unique.len(), registry.len(), "{registry:?}");
+
+    let help = ok("paper --help");
+    let listed: Vec<&str> = help
+        .lines()
+        .skip_while(|l| *l != "Experiments:")
+        .skip(1)
+        .take_while(|l| *l != "Options:")
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(listed.split_last(), Some((&"all", &registry[..])), "{help}");
+}
+
+#[test]
+fn paper_tables_are_reproducible_with_their_titles_pinned() {
+    for (line, title) in [
+        (
+            "paper table2",
+            "Table 2: Issues Detected by OMPDataPerf and Arbalest-Vec",
+        ),
+        (
+            "paper table3 --quick",
+            "Table 3: Runtime Measurements Before and After Fixing the Identified Issues",
+        ),
+        (
+            "paper table6",
+            "Table 6: Compiler and Runtime Support of OMPT Target Features",
+        ),
+    ] {
+        let text = ok(line);
+        assert_eq!(text.lines().next(), Some(title), "{line}");
+        assert_eq!(ok(line), text, "{line} differs between two runs");
+    }
+}
+
+#[test]
+fn paper_rejects_what_it_cannot_do() {
+    for (line, message) in [
+        ("paper", "no experiment given"),
+        ("paper nosuch", "unknown experiment 'nosuch'"),
+        ("paper fig3 --quik", "unknown option --quik"),
+        ("paper table6 table2", "unexpected argument table2"),
+    ] {
+        let stderr = failure(line);
+        assert!(stderr.contains(message), "{line}: {stderr}");
+        for e in EXPERIMENTS {
+            assert!(stderr.contains(e.name), "{line} must list {}", e.name);
+        }
+    }
+    // `--json` where there is no JSON form is an error, not a no-op.
+    for e in EXPERIMENTS.iter().filter(|e| !e.json) {
+        let stderr = failure(&format!("paper {} --json", e.name));
+        assert!(stderr.contains("has no --json form"), "{stderr}");
+    }
+    assert!(failure("paper all --json").contains("has no --json form"));
+}
+
+#[test]
 fn help_lists_each_commands_own_flags_only() {
     let top = ok("--help");
-    for command in ["odp run", "odp arbalest", "odp trace", "odp static"] {
+    for command in [
+        "odp run",
+        "odp arbalest",
+        "odp trace",
+        "odp static",
+        "odp paper",
+    ] {
         assert!(top.contains(command), "{command}");
     }
     assert_eq!(ok(""), top, "no arguments prints the overview");
@@ -196,29 +266,46 @@ fn help_lists_each_commands_own_flags_only() {
     assert!(trace.contains("--trace-dir") && !trace.contains("--hash"));
     let statics = ok("static --help");
     assert!(statics.contains("crosscheck") && !statics.contains("--variant"));
+    let paper = ok("paper --help");
+    assert!(paper.contains("--quick") && !paper.contains("--size"));
 }
 
+/// `odp … | head -n`: the reader leaves after `lines` lines (0: the
+/// pipe is already closed). The command stops with the I/O error, which
+/// `exit_code` reports as success without a message.
 #[test]
 fn a_closed_pipe_is_an_io_stop_not_a_panic() {
-    struct ClosedPipe;
-    impl std::io::Write for ClosedPipe {
-        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-            Err(std::io::ErrorKind::BrokenPipe.into())
+    struct Head {
+        lines: usize,
+    }
+    impl std::io::Write for Head {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.lines == 0 {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            let newlines = buf.iter().filter(|b| **b == b'\n').count();
+            self.lines = self.lines.saturating_sub(newlines);
+            Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
         }
     }
-    for line in [
-        "run bfs",
-        "run bfs --stream-interval 1",
-        "arbalest bfs",
-        "static analyze bfs",
-        "--help",
+    for (lines, line) in [
+        (0, "run bfs"),
+        (0, "run bfs --stream-interval 1"),
+        (0, "arbalest bfs"),
+        (0, "static analyze bfs"),
+        (0, "paper table6"),
+        (1, "paper table1"),
+        (1, "paper all --quick"),
+        (0, "--help"),
     ] {
-        match dispatch(&argv(line), &mut ClosedPipe) {
+        let result = dispatch(&argv(line), &mut Head { lines });
+        match &result {
             Err(Stop::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "{line}"),
             other => panic!("odp {line}: expected an I/O stop, got {other:?}"),
         }
+        assert_eq!(exit_code(result), std::process::ExitCode::SUCCESS, "{line}");
     }
 }

@@ -321,7 +321,7 @@ mod tests {
             span(20, 40),
             CodePtr(0x2),
         );
-        let view = EventView::new(log.data_op_events_sorted(), log.kernel_events_sorted(), 1);
+        let view = EventView::over(log.columnar(), 1);
         let report = super::analyze_view(&log, &view, None, "undersized", Vec::new());
         assert!(
             report

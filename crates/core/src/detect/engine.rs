@@ -34,7 +34,7 @@ use crate::detect::{
     RoundTripGroup, TripList, UnusedAlloc, UnusedTransfer, UnusedTransferReason,
 };
 use odp_hash::fnv::FnvHashMap;
-use odp_model::{DataOpEvent, DataOpKind, DeviceId, HashVal, SimTime, TargetEvent};
+use odp_model::{DataOpEvent, DataOpKind, DeviceId, HashVal, SimTime};
 use odp_trace::{ColumnarView, DataOpColumns, TargetColumns, TraceLog};
 
 /// Index of an event in the view's data-op columns (chronological
@@ -183,25 +183,16 @@ struct IdxPair {
     delete: Option<OpIx>,
 }
 
-/// The columnar event source behind an [`EventView`]: either the trace
-/// log's memoized hydration (borrowed — the zero-copy `from_log` path)
-/// or columns built from caller-provided row slices.
-enum ColsSource<'a> {
-    Borrowed(&'a ColumnarView),
-    Owned(Box<ColumnarView>),
-}
-
 /// The shared, hydrated, indexed view of one trace.
 ///
-/// A thin facade over the struct-of-arrays [`ColumnarView`] (borrowed
-/// from the trace log's memoized hydration, or built from caller-owned
-/// slices) carrying the side tables that the fused sweep shares across
-/// all five algorithms. Building the view is one linear pass over the
+/// A thin facade over a borrowed struct-of-arrays [`ColumnarView`]
+/// (usually the trace log's memoized hydration) carrying the side
+/// tables that the fused sweep shares across all five algorithms. Building the view is one linear pass over the
 /// columns; the sweeps then stream over exactly the columns each state
 /// machine reads.
 pub struct EventView<'a> {
     /// Columnar events, `(start, log order)`-sorted.
-    source: ColsSource<'a>,
+    cols: &'a ColumnarView,
     /// Number of target devices analyzed (Algorithms 4/5 iterate these).
     pub num_devices: u32,
     /// Reception queue keys in first-seen key order.
@@ -248,32 +239,10 @@ pub struct EventView<'a> {
 }
 
 impl<'a> EventView<'a> {
-    /// Build the view from sorted event slices: the events are
-    /// scattered into owned columns, then indexed. The `from_log` path
-    /// borrows the log's memoized columns instead.
-    pub fn new(
-        data_ops: &'a [DataOpEvent],
-        kernels: &'a [TargetEvent],
-        num_devices: u32,
-    ) -> EventView<'a> {
-        Self::build(
-            ColsSource::Owned(Box::new(ColumnarView::from_events(data_ops, kernels))),
-            num_devices,
-        )
-    }
-
-    /// Build the view over borrowed columnar hydration (zero-copy).
-    pub fn over(cols: &'a ColumnarView, num_devices: u32) -> EventView<'a> {
-        Self::build(ColsSource::Borrowed(cols), num_devices)
-    }
-
-    /// The single indexing pass: stream over the kind/hash/device/addr
+    /// Build the view over borrowed columnar hydration (zero-copy) —
+    /// the single indexing pass: stream over the kind/hash/device/addr
     /// columns and build every side table the five sweeps share.
-    fn build(source: ColsSource<'a>, num_devices: u32) -> EventView<'a> {
-        let cols = match &source {
-            ColsSource::Borrowed(c) => *c,
-            ColsSource::Owned(b) => b,
-        };
+    pub fn over(cols: &'a ColumnarView, num_devices: u32) -> EventView<'a> {
         let ops = &cols.ops;
         let kerns = &cols.kernels;
         let nd = num_devices as usize;
@@ -442,7 +411,7 @@ impl<'a> EventView<'a> {
         }
 
         EventView {
-            source,
+            cols,
             num_devices,
             rx_slots,
             rx_events,
@@ -480,10 +449,7 @@ impl<'a> EventView<'a> {
     /// view: the fused sweeps, streaming finalize, resolution).
     #[inline]
     pub fn cols(&self) -> &ColumnarView {
-        match &self.source {
-            ColsSource::Borrowed(c) => c,
-            ColsSource::Owned(b) => b,
-        }
+        self.cols
     }
 
     /// Data-op columns, `(start, log order)`-sorted.
@@ -986,8 +952,8 @@ fn alg5_device(view: &EventView<'_>, dev: usize, out: &mut Vec<(OpIx, UnusedTran
 
 /// Run the fused engine end to end: indexed detection plus owned
 /// materialization. The one producer of [`Findings`] outside the
-/// reference passes — [`Findings::detect`], [`Findings::detect_fused`]
-/// and the streaming engine's finalize all end here.
+/// reference passes — [`Findings::detect_fused`] and the streaming
+/// engine's finalize both end here.
 pub fn detect(view: &EventView<'_>) -> Findings {
     detect_indexed(view).resolve(view)
 }
@@ -1012,7 +978,8 @@ mod tests {
             f.delete(170, 0, 0x1000, 0xd000, 64),
             f.h2d(180, 0, 0x2000, 11, 64), // after last kernel
         ];
-        let view = EventView::new(&ops, &kernels, 1);
+        let cols = ColumnarView::from_events(&ops, &kernels);
+        let view = EventView::over(&cols, 1);
         let fused = detect(&view);
         let separate = Findings::detect_separate(&ops, &kernels, 1);
         assert_eq!(
@@ -1029,8 +996,8 @@ mod tests {
 
     #[test]
     fn empty_view_is_clean() {
-        let view = EventView::new(&[], &[], 1);
-        let findings = detect(&view);
+        let cols = ColumnarView::default();
+        let findings = detect(&EventView::over(&cols, 1));
         assert!(findings.counts().is_clean());
     }
 

@@ -40,12 +40,11 @@
 //! **The one-pass invariant:** the engine observes events in exactly
 //! the order the standalone passes do (chronological, with per-key and
 //! per-device side tables preserving that order as subsequences), so
-//! [`Findings::detect`] — which delegates to the engine — is
-//! byte-identical to [`Findings::detect_separate`], group order
-//! included. The differential suite in
-//! `crates/core/tests/fused_differential.rs` enforces this on
-//! randomized traces; `crates/bench/benches/detectors.rs` measures the
-//! speedup (shared hydration + no per-detector clones). The sweep is
+//! [`Findings::detect_fused`] is byte-identical to
+//! [`Findings::detect_separate`], group order included. The
+//! differential suite in `crates/core/tests/fused_differential.rs`
+//! enforces this on randomized traces, and `benchmark/` re-checks it
+//! once per process on its 1.2 M-event storm. The sweep is
 //! deliberately sequential: partitioning it across workers bought at
 //! most ~5 % of the report latency on the 1.2 M-event storm benchmark,
 //! inside that metric's run-to-run spread (ROADMAP has the numbers).
@@ -140,9 +139,10 @@
 //! `crates/core/tests/sharded_stress.rs` (real OS-thread callback
 //! storms + barrier-forced watermark orderings), and
 //! `tests/threaded_collection.rs` (workloads driven from N threads
-//! end to end). Per-callback overhead is tracked by the
-//! `streaming_vs_postmortem` and `sharded_vs_single_lock` groups of
-//! `crates/bench/benches/detectors.rs`.
+//! end to end). What streaming costs the run is the ledger's
+//! `storm_stream` workload against `storm_postmortem` (`benchmark/`:
+//! `tool.callback_s`, `tool.stream_increment_s`,
+//! `detect.stream_finalize_s`).
 //!
 //! # The reorder buffer: BinaryHeap → shard-run merge
 //!
@@ -185,8 +185,7 @@
 //! the exact sequence the retired heap would, under interleaved
 //! watermark gates, for every shard count and inversion rate, and its
 //! inversion accounting must match an external model of the
-//! run-extension rule. The `reorder` rows of the `hotpath` binary gate
-//! the standalone pipeline at ~15–25 ns/event in CI.
+//! run-extension rule.
 
 // Detection consumes untrusted event data: malformed input must be
 // quarantined and counted, never unwrapped. Real invariants carry
@@ -294,20 +293,10 @@ pub struct Findings {
 }
 
 impl Findings {
-    /// Run all five detectors through the fused single-pass engine.
-    ///
-    /// `data_op_events` and `kernel_events` must be in chronological
-    /// order (the trace log's hydration guarantees this). Output is
-    /// byte-identical to [`Findings::detect_separate`].
-    pub fn detect(
-        data_op_events: &[DataOpEvent],
-        kernel_events: &[TargetEvent],
-        num_devices: u32,
-    ) -> Findings {
-        Findings::detect_fused(&EventView::new(data_op_events, kernel_events, num_devices))
-    }
-
-    /// Run the fused engine over a prebuilt [`EventView`].
+    /// Run all five detectors through the fused single-pass engine
+    /// over a prebuilt [`EventView`] (chronological columns — the trace
+    /// log's hydration guarantees the order). Output is byte-identical
+    /// to [`Findings::detect_separate`].
     pub fn detect_fused(view: &EventView<'_>) -> Findings {
         engine::detect(view)
     }
@@ -360,6 +349,28 @@ pub(crate) mod testutil {
 
     pub fn span(a: u64, b: u64) -> TimeSpan {
         TimeSpan::new(SimTime(a), SimTime(b))
+    }
+
+    /// Settle `engine` against the trace it was fed: the report of a
+    /// streamed run over these events.
+    pub fn finalize(
+        engine: &mut super::StreamingEngine,
+        ops: &[DataOpEvent],
+        kernels: &[TargetEvent],
+        num_devices: u32,
+    ) -> super::Findings {
+        let cols = odp_trace::ColumnarView::from_events(ops, kernels);
+        engine.finalize(&super::EventView::over(&cols, num_devices))
+    }
+
+    /// The fused engine's findings over chronological row events.
+    pub fn detect(
+        ops: &[DataOpEvent],
+        kernels: &[TargetEvent],
+        num_devices: u32,
+    ) -> super::Findings {
+        let cols = odp_trace::ColumnarView::from_events(ops, kernels);
+        super::Findings::detect_fused(&super::EventView::over(&cols, num_devices))
     }
 
     /// The streaming invariant: the live findings of a whole run are,
@@ -474,8 +485,7 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use testutil::EventFactory;
+    use super::testutil::{detect, EventFactory};
 
     #[test]
     fn counts_follow_table1_conventions() {
@@ -486,7 +496,7 @@ mod tests {
             f.h2d(20, 0, 0x1000, 7, 64),
             f.h2d(40, 0, 0x1000, 7, 64),
         ];
-        let findings = Findings::detect(&ops, &[], 1);
+        let findings = detect(&ops, &[], 1);
         let counts = findings.counts();
         assert_eq!(counts.dd, 2);
         assert!(counts.total() >= 2);
@@ -497,7 +507,7 @@ mod tests {
         let mut f = EventFactory::new();
         let kernels = vec![f.kernel(10, 50, 0)];
         let ops = vec![f.h2d(0, 0, 0x1000, 1, 64), f.d2h(60, 0, 0x1000, 2, 64)];
-        let findings = Findings::detect(&ops, &kernels, 1);
+        let findings = detect(&ops, &kernels, 1);
         assert!(findings.counts().is_clean(), "{:?}", findings.counts());
     }
 }

@@ -84,7 +84,7 @@ pub type Seq = u64;
 pub struct StreamConfig {
     /// Analyze exactly this many target devices (events naming devices
     /// beyond the count are excluded from Algorithms 4/5 and counted in
-    /// [`StreamingEngine::out_of_range`], matching [`EventView::new`]).
+    /// [`StreamingEngine::out_of_range`], matching [`EventView::over`]).
     /// `None` grows the per-device machines on demand, matching the
     /// post-mortem path's inferred device count.
     pub num_devices: Option<u32>,
@@ -1248,8 +1248,9 @@ impl StreamingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::testutil::{assert_live_matches, EventFactory};
+    use crate::detect::testutil::{assert_live_matches, finalize, EventFactory};
     use odp_model::TimeSpan;
+    use odp_trace::ColumnarView;
 
     /// Feed events in chronological order with a trailing watermark.
     fn feed_chronological(
@@ -1289,8 +1290,7 @@ mod tests {
         feed_chronological(&mut engine, &ops, &kernels);
         let mut live = engine.take_findings();
         assert!(!live.is_empty(), "findings must be emitted mid-stream");
-        let view = EventView::new(&ops, &kernels, 1);
-        let report = engine.finalize(&view);
+        let report = finalize(&mut engine, &ops, &kernels, 1);
         live.extend(engine.take_findings());
         assert_eq!(engine.live_counts(), report.counts());
         assert_live_matches(live, &report);
@@ -1326,8 +1326,7 @@ mod tests {
             v
         };
         let kernels = vec![kernel];
-        let view = EventView::new(&ops, &kernels, 1);
-        let report = engine.finalize(&view);
+        let report = finalize(&mut engine, &ops, &kernels, 1);
         assert_eq!(report.counts().dd, 1);
         assert_live_matches(engine.take_findings(), &report);
     }
@@ -1355,8 +1354,7 @@ mod tests {
             "trip must retire as soon as the reception lands: {live:?}"
         );
 
-        let view = EventView::new(&ops, &[], 1);
-        let report = engine.finalize(&view);
+        let report = finalize(&mut engine, &ops, &[], 1);
         assert_eq!(report.counts().rt, 1);
         assert_eq!(engine.live_counts(), report.counts());
     }
@@ -1452,8 +1450,7 @@ mod tests {
         // Never-returning transfers are not round trips either way, so
         // even the capped engine's live stream is the report's
         // projection here.
-        let view = EventView::new(&ops, &[], 1);
-        let report = capped.finalize(&view);
+        let report = finalize(&mut capped, &ops, &[], 1);
         assert_live_matches(capped.take_findings(), &report);
     }
 
@@ -1480,8 +1477,7 @@ mod tests {
                 engine.push_data_op(op.clone());
                 engine.advance_watermark(op.span.end);
             }
-            let view = EventView::new(&ops, &[], 1);
-            let report = engine.finalize(&view);
+            let report = finalize(&mut engine, &ops, &[], 1);
             let mut live = engine.take_findings();
             live.sort_unstable();
             (engine, report, live)
@@ -1539,7 +1535,8 @@ mod tests {
             ..Default::default()
         });
         feed_chronological(&mut engine, &ops, &kernels);
-        let view = EventView::new(&ops, &kernels, 1);
+        let cols = ColumnarView::from_events(&ops, &kernels);
+        let view = EventView::over(&cols, 1);
         let report = engine.finalize(&view);
         assert_live_matches(engine.take_findings(), &report);
         assert_eq!(engine.out_of_range(), view.out_of_range());
@@ -1568,7 +1565,8 @@ mod tests {
         for (streamed, recorded) in cases {
             let mut engine = StreamingEngine::default();
             feed_chronological(&mut engine, streamed, &[]);
-            let view = EventView::new(recorded, &[], 1);
+            let cols = ColumnarView::from_events(recorded, &[]);
+            let view = EventView::over(&cols, 1);
             let report = engine.finalize(&view);
             assert_eq!(engine.health().missing_at_finalize, 1);
             assert!(engine.is_degraded());

@@ -173,7 +173,7 @@ pub fn predict(findings: &Findings, total_time: SimDuration) -> Prediction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::testutil::EventFactory;
+    use crate::detect::testutil::{detect, EventFactory};
     use crate::detect::Findings;
 
     #[test]
@@ -193,7 +193,7 @@ mod tests {
             f.h2d(100, 0, 0x1000, 7, 64),
             f.h2d(200, 0, 0x1000, 7, 64),
         ];
-        let findings = Findings::detect(&ops, &[], 1);
+        let findings = detect(&ops, &[], 1);
         let p = predict(&findings, SimDuration(1_000));
         // DD claims events 2 and 3; Algorithm 2 also sees trips here but
         // dedup ensures total ≤ all three events' durations.
@@ -213,7 +213,7 @@ mod tests {
             f.h2d(40, 0, 0x1000, 7, 64),
             f.d2h(60, 0, 0x1000, 7, 64),
         ];
-        let findings = Findings::detect(&ops, &[], 1);
+        let findings = detect(&ops, &[], 1);
         let p = predict(&findings, SimDuration(10_000));
         // Each event lasts 10 ns; 4 events exist; savings can never
         // exceed the total duration of all events.
@@ -229,7 +229,7 @@ mod tests {
     fn savings_clamped_to_total_time() {
         let mut f = EventFactory::new();
         let ops = vec![f.h2d(0, 0, 0x1000, 7, 64), f.h2d(10, 0, 0x1000, 7, 64)];
-        let findings = Findings::detect(&ops, &[], 1);
+        let findings = detect(&ops, &[], 1);
         // Absurdly short program: savings cannot exceed it.
         let p = predict(&findings, SimDuration(5));
         assert_eq!(p.time_saved, SimDuration(5));
@@ -250,7 +250,7 @@ mod tests {
             f.delete(30, 0, 0x1000, 0xd000, 64),
         ];
         let kernels = vec![f.kernel(2, 8, 0), f.kernel(22, 28, 0)];
-        let findings = Findings::detect(&ops, &kernels, 1);
+        let findings = detect(&ops, &kernels, 1);
         assert_eq!(findings.counts().ra, 1);
         let p = predict(&findings, SimDuration(1_000));
         assert_eq!(p.breakdown.realloc_ns, 7, "second alloc (5) + delete (2)");

@@ -680,7 +680,7 @@ mod tests {
 
     #[test]
     fn from_findings_seeds_the_same_rules_as_observe() {
-        use crate::detect::testutil::EventFactory;
+        use crate::detect::testutil::{detect, EventFactory};
         let mut f = EventFactory::new();
         // Duplicate pair to dev0 + a host round trip.
         let ops = vec![
@@ -688,7 +688,7 @@ mod tests {
             f.h2d(20, 0, 0x1000, 7, 64),
             f.d2h(40, 0, 0x1000, 7, 64),
         ];
-        let findings = Findings::detect(&ops, &[], 1);
+        let findings = detect(&ops, &[], 1);
         assert!(findings.counts().dd >= 1 && findings.counts().rt >= 1);
         let mut p = RemediationPolicy::from_findings(&findings);
         let advice = p.advise(0, 0x1000);
@@ -833,7 +833,8 @@ mod tests {
         // recorded trace, where tx1 → rx is a confirmed round trip (the
         // full reception queues are known) — untagged, so a re-run
         // seeded from the report may act on it.
-        let view = EventView::new(&ops, &[], 1);
+        let cols = odp_trace::ColumnarView::from_events(&ops, &[]);
+        let view = EventView::over(&cols, 1);
         let findings = engine.finalize(&view);
         assert_eq!(
             serde_json::to_string(&findings).unwrap(),

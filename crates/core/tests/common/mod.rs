@@ -11,7 +11,20 @@ use odp_model::{
     CodePtr, DataOpEvent, DataOpKind, DeviceId, EventId, HashVal, SimTime, TargetEvent, TargetKind,
     TimeSpan,
 };
-use ompdataperf::detect::{Findings, StreamEvent, StreamFinding};
+use odp_trace::ColumnarView;
+use ompdataperf::detect::{EventView, Findings, StreamEvent, StreamFinding, StreamingEngine};
+
+/// Settle `engine` against the trace it was fed: the report of a
+/// streamed run over these events.
+pub fn finalize(
+    engine: &mut StreamingEngine,
+    ops: &[DataOpEvent],
+    kernels: &[TargetEvent],
+    num_devices: u32,
+) -> Findings {
+    let cols = ColumnarView::from_events(ops, kernels);
+    engine.finalize(&EventView::over(&cols, num_devices))
+}
 
 /// The streaming invariant every differential suite holds the engine
 /// to: the live findings emitted over a whole run are, as a multiset,

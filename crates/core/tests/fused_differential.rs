@@ -14,12 +14,11 @@ use odp_trace::ColumnarView;
 use ompdataperf::detect::{EventView, Findings};
 
 /// Exact equality through the canonical JSON rendering: covers every
-/// field of every finding and the order of everything. Runs the fused
-/// sweep twice — over the slice-backed view and over an explicitly
-/// columnar one — so the borrowed and owned column paths both stay
-/// pinned to the row reference passes.
+/// field of every finding and the order of everything — the fused sweep
+/// over columns against the row reference passes.
 fn assert_identical(ops: &[DataOpEvent], kernels: &[TargetEvent], num_devices: u32, ctx: &str) {
-    let view = EventView::new(ops, kernels, num_devices);
+    let cols = ColumnarView::from_events(ops, kernels);
+    let view = EventView::over(&cols, num_devices);
     let fused = Findings::detect_fused(&view);
     let separate = Findings::detect_separate(ops, kernels, num_devices);
     assert_eq!(
@@ -31,13 +30,6 @@ fn assert_identical(ops: &[DataOpEvent], kernels: &[TargetEvent], num_devices: u
         serde_json::to_string_pretty(&fused).unwrap(),
         serde_json::to_string_pretty(&separate).unwrap(),
         "findings diverge ({ctx})"
-    );
-    let cols = ColumnarView::from_events(ops, kernels);
-    let fused_columnar = Findings::detect_fused(&EventView::over(&cols, num_devices));
-    assert_eq!(
-        serde_json::to_string_pretty(&fused_columnar).unwrap(),
-        serde_json::to_string_pretty(&separate).unwrap(),
-        "columnar-view findings diverge ({ctx})"
     );
 }
 
@@ -104,7 +96,8 @@ fn indexed_counts_match_materialized_counts() {
     use ompdataperf::detect::engine::detect_indexed;
     for seed in [7u64, 21, 63] {
         let (ops, kernels) = random_trace(seed, 600, 2);
-        let view = EventView::new(&ops, &kernels, 2);
+        let cols = ColumnarView::from_events(&ops, &kernels);
+        let view = EventView::over(&cols, 2);
         let indexed = detect_indexed(&view);
         let materialized = indexed.resolve(&view);
         assert_eq!(indexed.counts(&view), materialized.counts());
@@ -120,7 +113,8 @@ fn device_count_overflow_is_handled_identically() {
     let (ops, kernels) = random_trace(0xABCD, 300, 4);
     assert_identical(&ops, &kernels, 2, "undercounted devices");
 
-    let view = EventView::new(&ops, &kernels, 2);
+    let cols = ColumnarView::from_events(&ops, &kernels);
+    let view = EventView::over(&cols, 2);
     let dropped = view.out_of_range();
     assert!(
         dropped.total() > 0,
@@ -131,7 +125,7 @@ fn device_count_overflow_is_handled_identically() {
     assert!(warning.contains("Algorithms 4/5"), "{warning}");
 
     // A correctly sized view drops nothing and stays silent.
-    let full = EventView::new(&ops, &kernels, 4);
+    let full = EventView::over(&cols, 4);
     assert_eq!(full.out_of_range().total(), 0);
     assert!(full.out_of_range().warning(4).is_none());
 }

@@ -23,11 +23,12 @@
 
 mod common;
 
-use common::{assert_live_matches, random_trace, shard_partition, Rng};
+use common::{assert_live_matches, finalize, random_trace, shard_partition, Rng};
 use odp_model::{
     CodePtr, DataOpEvent, DataOpKind, DeviceId, EventId, HashVal, SimTime, TargetEvent, TimeSpan,
 };
 use odp_sim::{map, FaultPlan, FaultProfile, Kernel, KernelCost, Runtime, RuntimeConfig};
+use odp_trace::ColumnarView;
 use ompdataperf::detect::reorder::{RunMergeBuffer, SortKey};
 use ompdataperf::detect::{EventView, Findings, StreamConfig, StreamEvent, StreamingEngine};
 use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
@@ -274,8 +275,7 @@ fn assert_interleaving_matches_postmortem(
         0,
         "all shards delivered => the reorder buffer must have drained ({ctx})"
     );
-    let view = EventView::new(ops, kernels, num_devices);
-    let report = engine.finalize(&view);
+    let report = finalize(&mut engine, ops, kernels, num_devices);
     assert_eq!(
         engine.live_counts(),
         report.counts(),
@@ -412,7 +412,8 @@ fn assert_stats_match_model(seed: u64, n: usize, batch: usize) {
     );
 
     // Both ingest paths must have emitted the report's projection.
-    let view = EventView::new(&ops, &kernels, 2);
+    let cols = ColumnarView::from_events(&ops, &kernels);
+    let view = EventView::over(&cols, 2);
     let report = engine.finalize(&view);
     assert_live_matches(engine.take_findings(), &report, "per-push ingest");
     let report = batched.finalize(&view);
@@ -505,7 +506,8 @@ fn stream_cap_spills_are_accounted_exactly() {
     assert_eq!(exact.buffer_stats().frontier_spilled, 0);
     assert_eq!(exact.spill_warning(), None);
 
-    let view = EventView::new(&ops, &[], 1);
+    let cols = ColumnarView::from_events(&ops, &[]);
+    let view = EventView::over(&cols, 1);
     for (name, engine) in [("capped", &mut capped), ("exact", &mut exact)] {
         let report = engine.finalize(&view);
         assert_live_matches(engine.take_findings(), &report, name);
@@ -541,7 +543,8 @@ proptest! {
         let stats = engine.buffer_stats();
         prop_assert!(stats.frontier_peak <= cap + 1, "{:?}", stats);
         let spilled = stats.frontier_spilled;
-        let view = EventView::new(&ops, &kernels, 2);
+        let cols = ColumnarView::from_events(&ops, &kernels);
+        let view = EventView::over(&cols, 2);
         let report = engine.finalize(&view);
         prop_assert_eq!(
             serde_json::to_string(&report).unwrap(),
@@ -652,7 +655,8 @@ proptest! {
         );
         prop_assert!(engine.is_degraded() || half == 0);
 
-        let view = EventView::new(&ops, &kernels, 2);
+        let cols = ColumnarView::from_events(&ops, &kernels);
+        let view = EventView::over(&cols, 2);
         let report = engine.finalize(&view);
         prop_assert_eq!(engine.health().missing_at_finalize, 0, "late events were offered");
         let degraded = half > 0;

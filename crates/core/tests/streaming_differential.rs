@@ -13,9 +13,10 @@
 
 mod common;
 
-use common::{assert_live_matches, random_trace, shard_partition, Rng};
+use common::{assert_live_matches, finalize, random_trace, shard_partition, Rng};
 use odp_model::{DataOpEvent, SimTime, TargetEvent};
 use odp_ompt::{GlobalWatermark, StreamClock};
+use odp_trace::ColumnarView;
 use ompdataperf::detect::{EventView, StreamConfig, StreamEvent, StreamingEngine};
 
 /// One deliverable event in arrival (completion) order.
@@ -85,11 +86,7 @@ fn assert_streaming_identical(
         ..Default::default()
     });
     feed_completion_order(&mut engine, ops, kernels);
-    // Finalize against an explicitly columnar view (the merged-log
-    // path) rather than one converted from the caller's row slices.
-    let cols = odp_trace::ColumnarView::from_events(ops, kernels);
-    let view = EventView::over(&cols, num_devices);
-    let report = engine.finalize(&view);
+    let report = finalize(&mut engine, ops, kernels, num_devices);
     assert_eq!(
         engine.live_counts(),
         report.counts(),
@@ -153,7 +150,8 @@ fn streaming_equals_postmortem_with_out_of_range_devices() {
         ..Default::default()
     });
     feed_completion_order(&mut engine, &ops, &kernels);
-    let view = EventView::new(&ops, &kernels, 2);
+    let cols = ColumnarView::from_events(&ops, &kernels);
+    let view = EventView::over(&cols, 2);
     let _ = engine.finalize(&view);
     assert_eq!(
         engine.out_of_range(),
@@ -192,8 +190,7 @@ fn streaming_in_chronological_delivery_matches_too() {
             0,
             "chronological delivery must not accumulate"
         );
-        let view = EventView::new(&ops, &kernels, 2);
-        let report = engine.finalize(&view);
+        let report = finalize(&mut engine, &ops, &kernels, 2);
         assert_live_matches(
             engine.take_findings(),
             &report,
@@ -305,8 +302,7 @@ fn streaming_equals_postmortem_under_randomized_thread_interleavings() {
             let st = shard_partition(&ops, &kernels, shards, seed);
             let mut engine = StreamingEngine::default();
             feed_sharded_interleaved(&mut engine, &st.shard_events, seed ^ 0xF00D);
-            let view = EventView::new(&st.ops, &st.kernels, 2);
-            let report = engine.finalize(&view);
+            let report = finalize(&mut engine, &st.ops, &st.kernels, 2);
             assert_eq!(engine.live_counts(), report.counts());
             assert_live_matches(
                 engine.take_findings(),
@@ -327,8 +323,7 @@ fn sharded_delivery_is_insensitive_to_the_interleaving_choice() {
     for interleave in [1u64, 2, 3, 99, 4096] {
         let mut engine = StreamingEngine::default();
         feed_sharded_interleaved(&mut engine, &st.shard_events, interleave);
-        let view = EventView::new(&st.ops, &st.kernels, 2);
-        let report = engine.finalize(&view);
+        let report = finalize(&mut engine, &st.ops, &st.kernels, 2);
         assert_live_matches(
             engine.take_findings(),
             &report,
@@ -430,8 +425,7 @@ fn steady_state_memory_is_independent_of_trace_length() {
         let mut engine = StreamingEngine::default();
         feed_completion_order(&mut engine, &ops, &kernels);
         let stats = engine.buffer_stats();
-        let view = EventView::new(&ops, &kernels, 1);
-        let report = engine.finalize(&view);
+        let report = finalize(&mut engine, &ops, &kernels, 1);
         assert_live_matches(engine.take_findings(), &report, "ping-pong");
         (stats, ops.len() + kernels.len())
     }

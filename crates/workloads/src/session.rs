@@ -2,7 +2,7 @@
 //!
 //! [`run`] is the only non-test code that forks tool shards, builds
 //! runtimes and attaches advisors — `odp run`, `odp trace save`
-//! ([`crate::capture`]), the experiment binaries, the examples and the
+//! ([`crate::capture`]), the `odp paper` experiments, the examples and the
 //! integration tests all describe what they want in a [`RunSpec`] and
 //! read the result off a [`RunOutcome`]. What happens after the program
 //! exits is `ompdataperf::analysis::finish_run`, the one end-of-run
@@ -277,6 +277,38 @@ mod tests {
             post.console
         );
         assert!(warnings(&post).iter().any(|l| l.contains("degraded trace")));
+    }
+
+    #[test]
+    fn tool_run_smoke() {
+        let w = crate::by_name("hotspot").unwrap();
+        let tooled = run(&*w, &RunSpec::default());
+        assert_eq!(tooled.report.counts.dd, 2);
+        assert!(tooled.stats.total_time.as_nanos() > 0);
+        assert!(!tooled.debug_info.is_empty());
+        let mut untooled = Runtime::new(RuntimeConfig::default());
+        w.run(&mut untooled, ProblemSize::Small, Variant::Original);
+        assert_eq!(
+            untooled.finish().total_time,
+            tooled.stats.total_time,
+            "tool must not change virtual time"
+        );
+    }
+
+    #[test]
+    fn a_streaming_config_is_finalized_not_ignored() {
+        let w = crate::by_name("bfs").unwrap();
+        let with_stream = |stream| {
+            let mut spec = RunSpec::default();
+            spec.tool.stream = stream;
+            run(&*w, &spec)
+        };
+        let (post, streamed) = (with_stream(false), with_stream(true));
+        assert!(post.live.is_none());
+        let live = streamed.live.expect("the engine ran and was settled");
+        assert!(live.emitted > 0);
+        assert!(!streamed.handle.streaming(), "the engine left the handle");
+        assert_eq!(streamed.report.to_json(), post.report.to_json());
     }
 
     #[test]

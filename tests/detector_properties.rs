@@ -5,13 +5,20 @@ use odp_model::{
     CodePtr, DataOpEvent, DataOpKind, DeviceId, EventId, HashVal, SimTime, TargetEvent, TargetKind,
     TimeSpan,
 };
+use odp_trace::ColumnarView;
 use ompdataperf::detect::{
     alloc_delete_pairs, find_duplicate_transfers, find_repeated_allocs, find_round_trips,
-    find_unused_allocs, find_unused_transfers, Findings,
+    find_unused_allocs, find_unused_transfers, EventView, Findings,
 };
 use proptest::prelude::*;
 
 const NUM_DEVICES: u32 = 2;
+
+/// The fused engine's findings over a row log.
+fn detect(ops: &[DataOpEvent], kernels: &[TargetEvent]) -> Findings {
+    let cols = ColumnarView::from_events(ops, kernels);
+    Findings::detect_fused(&EventView::over(&cols, NUM_DEVICES))
+}
 
 /// Generate a plausible random event log: interleaved transfers,
 /// alloc/delete pairs and kernels on up to two devices, chronological.
@@ -199,7 +206,7 @@ proptest! {
 
     #[test]
     fn findings_counts_are_consistent((ops, kernels) in arb_log()) {
-        let f = Findings::detect(&ops, &kernels, NUM_DEVICES);
+        let f = detect(&ops, &kernels);
         let c = f.counts();
         prop_assert_eq!(c.ua, f.unused_allocs.len());
         prop_assert_eq!(c.ut, f.unused_transfers.len());
@@ -208,7 +215,7 @@ proptest! {
 
     #[test]
     fn prediction_savings_bounded_by_event_durations((ops, kernels) in arb_log()) {
-        let f = Findings::detect(&ops, &kernels, NUM_DEVICES);
+        let f = detect(&ops, &kernels);
         let total_event_ns: u64 = ops.iter().map(|e| e.duration().as_nanos()).sum();
         let p = ompdataperf::predict::predict(&f, odp_model::SimDuration(1 << 40));
         prop_assert!(
@@ -219,8 +226,8 @@ proptest! {
 
     #[test]
     fn detectors_are_deterministic((ops, kernels) in arb_log()) {
-        let a = Findings::detect(&ops, &kernels, NUM_DEVICES);
-        let b = Findings::detect(&ops, &kernels, NUM_DEVICES);
+        let a = detect(&ops, &kernels);
+        let b = detect(&ops, &kernels);
         prop_assert_eq!(a.counts(), b.counts());
         prop_assert_eq!(a.duplicates.len(), b.duplicates.len());
         prop_assert_eq!(a.round_trips.len(), b.round_trips.len());
