@@ -24,7 +24,8 @@ Usage:
                 if any Certain prediction is dynamically refuted
     plan        emit directive rewrites from Certain predictions and
                 validate by re-running; exits 1 on apply failure or if
-                the rewrite does not strictly help";
+                the rewritten program has more findings than before (a
+                plan that leaves unremediable findings in place exits 0)";
 
 /// `odp static analyze|crosscheck|plan <workload> [--size s|m|l] [--json]`.
 pub fn execute(args: &[String], out: Out<'_>) -> CmdResult {

@@ -172,7 +172,19 @@ fn static_analyze_predicts_and_takes_only_its_own_flags() {
     assert!(text.contains("[certain] DD dev 0 @ babelstream"), "{text}");
     let doc = json("static analyze babelstream --size m --json");
     assert!(doc.is_object());
-    assert!(ok("static plan babelstream").contains("validated: "));
+    // The gate is "no more findings than before", not "strictly fewer":
+    // bfs's one Certain row has no safe rewrite, and that is not a failure.
+    let validated = |out: &str| -> [u64; 2] {
+        let tail = &out[out.rfind("validated: ").expect("validation line")..];
+        let mut totals = tail.split_whitespace().filter_map(|w| w.parse().ok());
+        [(); 2].map(|()| totals.next().expect("before and after totals"))
+    };
+    let bfs = ok("static plan bfs");
+    assert!(bfs.contains("unremediable: "), "{bfs}");
+    let [before, after] = validated(&bfs);
+    assert!(before > 0 && after == before, "{before} → {after}");
+    let [before, after] = validated(&ok("static plan babelstream"));
+    assert!(before > 0 && after == 0, "{before} → {after}");
     assert!(failure("static analyze babelstream --variant fixed").contains("unknown static option"));
     assert!(failure("static analyze hotspot").contains("unknown workload"));
     assert!(failure("static frobnicate bfs").contains("analyze|crosscheck|plan"));

@@ -7,42 +7,18 @@ use crate::detect::{EventView, Findings, StreamBufferStats, StreamFinding};
 use crate::predict::predict;
 use crate::report::{build_sections, Report};
 use crate::tool::ToolHandle;
-use odp_model::{DataOpEvent, TargetEvent, TraceHealth};
+use odp_model::TraceHealth;
 use odp_trace::{ColumnarView, TraceLog};
 
 /// Infer the number of target devices from the event stream (the tool
-/// decodes traces offline and cannot ask the runtime).
+/// decodes traces offline and cannot ask the runtime), streaming over
+/// the dense device columns.
 ///
 /// Implausibly large device indices — a corrupted callback naming
 /// device `0x4000_0000` — are ignored here (capped by
 /// [`crate::detect::MAX_PLAUSIBLE_DEVICES`]) rather than trusted, so
 /// the per-device tables sized from this count stay bounded and the
 /// corrupt events land in [`crate::detect::OutOfRangeEvents`].
-pub fn infer_num_devices(data_ops: &[DataOpEvent], kernels: &[TargetEvent]) -> u32 {
-    let cap = crate::detect::MAX_PLAUSIBLE_DEVICES as i64;
-    let mut max_ix: i64 = -1;
-    for e in data_ops {
-        for d in [e.src_device, e.dest_device] {
-            if let Some(ix) = d.target_index() {
-                if (ix as i64) < cap {
-                    max_ix = max_ix.max(ix as i64);
-                }
-            }
-        }
-    }
-    for k in kernels {
-        if let Some(ix) = k.device.target_index() {
-            if (ix as i64) < cap {
-                max_ix = max_ix.max(ix as i64);
-            }
-        }
-    }
-    (max_ix + 1).max(1) as u32
-}
-
-/// [`infer_num_devices`] over the columnar hydration: same cap, same
-/// result, but streaming over the dense device columns instead of row
-/// slices (the `EventView::from_log` fast path).
 pub fn infer_num_devices_columnar(cols: &ColumnarView) -> u32 {
     let cap = crate::detect::MAX_PLAUSIBLE_DEVICES as i64;
     let mut max_ix: i64 = -1;
@@ -288,12 +264,9 @@ mod tests {
 
     #[test]
     fn device_inference() {
-        let log = sample_trace();
-        let ops = log.data_op_events();
-        let ks = log.kernel_events();
-        assert_eq!(infer_num_devices(&ops, &ks), 1);
+        assert_eq!(infer_num_devices_columnar(sample_trace().columnar()), 1);
         assert_eq!(
-            infer_num_devices(&[], &[]),
+            infer_num_devices_columnar(&ColumnarView::default()),
             1,
             "empty trace still has a device"
         );

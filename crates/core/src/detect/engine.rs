@@ -47,7 +47,7 @@ pub type OpIx = u32;
 /// allocate billions of entries. Indices at or beyond this cap are
 /// treated as out-of-range (quarantined from the per-device algorithms
 /// and counted in [`OutOfRangeEvents`]) by both
-/// [`crate::analysis::infer_num_devices`] and the streaming engine's
+/// [`crate::analysis::infer_num_devices_columnar`] and the streaming engine's
 /// grow-on-demand device machines.
 pub const MAX_PLAUSIBLE_DEVICES: u32 = 4096;
 

@@ -144,14 +144,12 @@
 //! `tool.callback_s`, `tool.stream_increment_s`,
 //! `detect.stream_finalize_s`).
 //!
-//! # The reorder buffer: BinaryHeap → shard-run merge
+//! # The reorder buffer: a shard-run merge
 //!
-//! The streaming engine's reorder stage used to be a
-//! `BinaryHeap<Reverse<BufEntry>>`: every push paid an `O(log n)` sift
-//! comparing full buffered entries, even though per-shard arrival
-//! order is already *nearly* sorted (a shard records events in its own
-//! completion order). [`reorder::RunMergeBuffer`] exploits exactly
-//! that:
+//! Per-shard arrival order is already *nearly* sorted (a shard records
+//! events in its own completion order), so the streaming engine's
+//! reorder stage, [`reorder::RunMergeBuffer`], keeps one append-only
+//! run per shard and compares across shards only on release:
 //!
 //! ```text
 //!        push(shard, key = (start, id, family), event)
@@ -180,12 +178,11 @@
 //!        long-lived backlogs compact amortized O(1) per event
 //! ```
 //!
-//! The equivalence oracle lives in
-//! `crates/core/tests/reorder_equivalence.rs`: the buffer must release
-//! the exact sequence the retired heap would, under interleaved
-//! watermark gates, for every shard count and inversion rate, and its
-//! inversion accounting must match an external model of the
-//! run-extension rule.
+//! `crates/core/tests/reorder_equivalence.rs` pins it: against a
+//! `BinaryHeap` of the same keys the buffer must release the identical
+//! sequence under interleaved watermark gates, for every shard count
+//! and inversion rate, and its inversion accounting must match an
+//! external model of the run-extension rule.
 
 // Detection consumes untrusted event data: malformed input must be
 // quarantined and counted, never unwrapped. Real invariants carry

@@ -882,7 +882,7 @@ impl StreamingEngine {
             // Grow-on-demand mode still bounds growth: a corrupted
             // callback naming device 0x4000_0000 must be quarantined,
             // not given a billion-entry machine table. The cap matches
-            // `infer_num_devices`, so finalize's view agrees on which
+            // `infer_num_devices_columnar`, so finalize's view agrees on which
             // events are out of range.
             None => ix < crate::detect::MAX_PLAUSIBLE_DEVICES as usize,
         }

@@ -36,8 +36,8 @@
 //! suite pins this under free-running and pinned harnesses.
 
 use crate::analysis::infer_num_devices_columnar;
-use crate::detect::{EventView, Findings, IssueCounts};
-use odp_model::TraceHealth;
+use crate::detect::{AllocDeletePair, EventView, Findings, IssueCounts, RoundTrip, UnusedTransfer};
+use odp_model::{DataOpEvent, TraceHealth};
 use odp_trace::persist::{load_trace_lenient, ShardColumns, TraceArtifact};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -158,62 +158,120 @@ impl Corpus {
     }
 }
 
+/// One redundant instance of a finding, with what it is charged to.
+#[derive(Clone, Copy, Debug)]
+pub struct Charge<'f> {
+    /// Source site the instance is attributed to.
+    pub codeptr: u64,
+    /// Raw device number the waste lands on (-1 = host).
+    pub device: i32,
+    /// Eliminable bytes.
+    pub bytes: u64,
+    /// The events behind the instance.
+    pub evidence: Evidence<'f>,
+}
+
+/// The events behind one [`Charge`], borrowed from the [`Findings`].
+#[derive(Clone, Copy, Debug)]
+pub enum Evidence<'f> {
+    /// `event` re-delivers what the group's `earlier` members delivered.
+    Duplicate {
+        /// The group's members before `event`, chronological.
+        earlier: &'f [DataOpEvent],
+        /// The redundant transfer.
+        event: &'f DataOpEvent,
+    },
+    /// A completed round trip.
+    RoundTrip(&'f RoundTrip),
+    /// `pair` re-allocates what the group's `earlier` pairs allocated.
+    RepeatedAlloc {
+        /// The group's pairs before `pair`, chronological.
+        earlier: &'f [AllocDeletePair],
+        /// The redundant allocation cycle.
+        pair: &'f AllocDeletePair,
+    },
+    /// An allocation no kernel could have used.
+    UnusedAlloc(&'f AllocDeletePair),
+    /// A transfer no kernel could have used.
+    UnusedTransfer(&'f UnusedTransfer),
+}
+
+impl Evidence<'_> {
+    /// The inefficiency class this is evidence of.
+    pub fn kind(&self) -> FindingKind {
+        match self {
+            Evidence::Duplicate { .. } => FindingKind::DuplicateTransfer,
+            Evidence::RoundTrip(_) => FindingKind::RoundTrip,
+            Evidence::RepeatedAlloc { .. } => FindingKind::RepeatedAlloc,
+            Evidence::UnusedAlloc(_) => FindingKind::UnusedAlloc,
+            Evidence::UnusedTransfer(_) => FindingKind::UnusedTransfer,
+        }
+    }
+}
+
+/// Every redundant instance in `findings`, mirroring the report's waste
+/// accounting — the one statement of which instances count and what
+/// each is charged to. A group's first member is necessary and not
+/// charged; a duplicate or repeat is charged at its own site, a round
+/// trip at its reception leg's site for both legs' bytes on the
+/// intermediate device, unused allocations and transfers at their own
+/// site for their own bytes.
+pub fn charges(findings: &Findings) -> impl Iterator<Item = Charge<'_>> {
+    let dd = findings.duplicates.iter().flat_map(|g| {
+        (1..g.events.len()).map(move |i| Charge {
+            codeptr: g.events[i].codeptr.0,
+            device: g.dest_device.raw(),
+            bytes: g.events[i].bytes,
+            evidence: Evidence::Duplicate {
+                earlier: &g.events[..i],
+                event: &g.events[i],
+            },
+        })
+    });
+    let rt = findings.round_trips.iter().flat_map(|g| {
+        g.trips.iter().map(move |t| Charge {
+            codeptr: t.rx.codeptr.0,
+            device: g.dest_device.raw(),
+            bytes: t.tx.bytes + t.rx.bytes,
+            evidence: Evidence::RoundTrip(t),
+        })
+    });
+    let ra = findings.repeated_allocs.iter().flat_map(|g| {
+        (1..g.pairs.len()).map(move |i| Charge {
+            codeptr: g.pairs[i].alloc.codeptr.0,
+            device: g.device.raw(),
+            bytes: g.bytes,
+            evidence: Evidence::RepeatedAlloc {
+                earlier: &g.pairs[..i],
+                pair: &g.pairs[i],
+            },
+        })
+    });
+    let ua = findings.unused_allocs.iter().map(|ua| Charge {
+        codeptr: ua.pair.alloc.codeptr.0,
+        device: ua.pair.alloc.dest_device.raw(),
+        bytes: ua.pair.alloc.bytes,
+        evidence: Evidence::UnusedAlloc(&ua.pair),
+    });
+    let ut = findings.unused_transfers.iter().map(|ut| Charge {
+        codeptr: ut.event.codeptr.0,
+        device: ut.event.dest_device.raw(),
+        bytes: ut.event.bytes,
+        evidence: Evidence::UnusedTransfer(ut),
+    });
+    dd.chain(rt).chain(ra).chain(ua).chain(ut)
+}
+
 /// Extract `(codeptr, device, kind)`-keyed site findings from a fused
-/// detection result, mirroring the report's waste accounting: counts
-/// are redundant instances (first occurrences are necessary and not
-/// charged), bytes are the eliminable bytes.
+/// detection result: [`charges`] counted and summed per site.
 pub fn site_findings(findings: &Findings) -> Vec<SiteFinding> {
     let mut sites: BTreeMap<(u64, i32, FindingKind), (u64, u64)> = BTreeMap::new();
-    let mut add = |codeptr: u64, device: i32, kind: FindingKind, bytes: u64| {
-        let e = sites.entry((codeptr, device, kind)).or_insert((0, 0));
+    for c in charges(findings) {
+        let e = sites
+            .entry((c.codeptr, c.device, c.evidence.kind()))
+            .or_insert((0, 0));
         e.0 += 1;
-        e.1 += bytes;
-    };
-    for g in &findings.duplicates {
-        for e in g.events.iter().skip(1) {
-            add(
-                e.codeptr.0,
-                g.dest_device.raw(),
-                FindingKind::DuplicateTransfer,
-                e.bytes,
-            );
-        }
-    }
-    for g in &findings.round_trips {
-        for t in g.trips.iter() {
-            add(
-                t.rx.codeptr.0,
-                g.dest_device.raw(),
-                FindingKind::RoundTrip,
-                t.tx.bytes + t.rx.bytes,
-            );
-        }
-    }
-    for g in &findings.repeated_allocs {
-        for p in g.pairs.iter().skip(1) {
-            add(
-                p.alloc.codeptr.0,
-                g.device.raw(),
-                FindingKind::RepeatedAlloc,
-                g.bytes,
-            );
-        }
-    }
-    for ua in &findings.unused_allocs {
-        add(
-            ua.pair.alloc.codeptr.0,
-            ua.pair.alloc.dest_device.raw(),
-            FindingKind::UnusedAlloc,
-            ua.pair.alloc.bytes,
-        );
-    }
-    for ut in &findings.unused_transfers {
-        add(
-            ut.event.codeptr.0,
-            ut.event.dest_device.raw(),
-            FindingKind::UnusedTransfer,
-            ut.event.bytes,
-        );
+        e.1 += c.bytes;
     }
     sites
         .into_iter()

@@ -573,46 +573,9 @@ impl Runtime {
     /// nor already present are mapped implicitly `tofrom`, per the
     /// OpenMP default for aggregates (the behaviour Listing 2 exhibits).
     pub fn target(&mut self, device: u32, codeptr: CodePtr, maps: &[Map], kernel: Kernel<'_>) {
-        self.assert_running(device);
-        self.dispatch_overhead();
-        let target_id = self.fresh_target_id();
-        self.emit_target(
-            TargetConstructKind::Target,
-            Endpoint::Begin,
-            device,
-            target_id,
-            codeptr,
-        );
-
-        // Effective data environment: explicit maps, then implicit tofrom
-        // for referenced-but-unmapped variables.
-        let referenced = kernel.referenced_vars();
-        let mut effective: Vec<Map> = maps.to_vec();
-        for &var in &referenced {
-            if !effective.iter().any(|m| m.var == var) {
-                effective.push(Map {
-                    var,
-                    map_type: MapType::ToFrom,
-                    modifier: MapModifier::NONE,
-                });
-            }
-        }
-        for &m in &effective {
-            self.map_enter(device, m, target_id, codeptr, referenced.contains(&m.var));
-        }
-
-        self.run_kernel(device, codeptr, target_id, kernel);
-
-        for &m in effective.iter().rev() {
-            self.map_exit(device, m, target_id, codeptr);
-        }
-        self.emit_target(
-            TargetConstructKind::Target,
-            Endpoint::End,
-            device,
-            target_id,
-            codeptr,
-        );
+        let (target_id, effective) = self.target_enter(device, codeptr, maps, &kernel);
+        self.run_kernel(device, codeptr, target_id, kernel, true);
+        self.target_exit(device, codeptr, target_id, &effective);
     }
 
     /// `#pragma omp target nowait` — asynchronous offload (OpenMP 5.1;
@@ -631,6 +594,39 @@ impl Runtime {
         maps: &[Map],
         kernel: Kernel<'_>,
     ) {
+        let (target_id, effective) = self.target_enter(device, codeptr, maps, &kernel);
+        self.run_kernel(device, codeptr, target_id, kernel, false);
+
+        // The data-environment exit must wait for the kernel whenever it
+        // moves or frees data the kernel may still be using.
+        let devices = self.devices.clone();
+        let must_sync = effective.iter().any(|m| {
+            let haddr = self.host.addr(m.var);
+            let refcount = devices
+                .lock(device)
+                .present
+                .lookup(haddr)
+                .map(|e| e.refcount)
+                .unwrap_or(0);
+            m.map_type.copies_from_device() || m.map_type == MapType::Delete || refcount <= 1
+        });
+        if must_sync {
+            self.taskwait(device);
+        }
+        self.target_exit(device, codeptr, target_id, &effective);
+    }
+
+    /// Open a `target` construct and enter its effective data
+    /// environment: explicit maps, then implicit `tofrom` for
+    /// referenced-but-unmapped variables. Returns the construct's id
+    /// and the maps [`Runtime::target_exit`] must unwind.
+    fn target_enter(
+        &mut self,
+        device: u32,
+        codeptr: CodePtr,
+        maps: &[Map],
+        kernel: &Kernel<'_>,
+    ) -> (u64, Vec<Map>) {
         self.assert_running(device);
         self.dispatch_overhead();
         let target_id = self.fresh_target_id();
@@ -655,25 +651,11 @@ impl Runtime {
         for &m in &effective {
             self.map_enter(device, m, target_id, codeptr, referenced.contains(&m.var));
         }
+        (target_id, effective)
+    }
 
-        self.launch_kernel_async(device, codeptr, target_id, kernel);
-
-        // The data-environment exit must wait for the kernel whenever it
-        // moves or frees data the kernel may still be using.
-        let devices = self.devices.clone();
-        let must_sync = effective.iter().any(|m| {
-            let haddr = self.host.addr(m.var);
-            let refcount = devices
-                .lock(device)
-                .present
-                .lookup(haddr)
-                .map(|e| e.refcount)
-                .unwrap_or(0);
-            m.map_type.copies_from_device() || m.map_type == MapType::Delete || refcount <= 1
-        });
-        if must_sync {
-            self.taskwait(device);
-        }
+    /// Unwind a `target` construct's data environment and close it.
+    fn target_exit(&mut self, device: u32, codeptr: CodePtr, target_id: u64, effective: &[Map]) {
         for &m in effective.iter().rev() {
             self.map_exit(device, m, target_id, codeptr);
         }
@@ -696,23 +678,28 @@ impl Runtime {
         }
     }
 
-    /// Launch a kernel without blocking the host: the submit events span
-    /// the device-side execution window; the host clock advances only by
-    /// the launch overhead.
-    fn launch_kernel_async(
+    /// Execute `kernel` on `device`. It queues behind any asynchronously
+    /// launched kernel and its submit events span the device-side
+    /// execution window. With `wait` the host blocks until it completes
+    /// (`target`); without, the host returns after the launch overhead
+    /// and the device stays busy (`target nowait`).
+    fn run_kernel(
         &mut self,
         device: u32,
         codeptr: CodePtr,
         target_id: u64,
         kernel: Kernel<'_>,
+        wait: bool,
     ) {
         // Hold the device lock across gather / execute / write-back:
         // the device runs one kernel at a time (its queue semantics),
-        // and no other thread may free or take a buffer mid-kernel.
+        // so concurrent threads' kernels take turns and no other thread
+        // may free or take a buffer mid-kernel.
         let devices = self.devices.clone();
         let mut dev = devices.lock(device);
         let start = dev.busy_until.max(self.clock);
-        let dur = SimDuration(self.cfg.timing.kernel_launch_ns) + kernel.cost.duration();
+        let launch = SimDuration(self.cfg.timing.kernel_launch_ns);
+        let dur = launch + kernel.cost.duration();
         let end = start + dur;
         self.emit_submit(
             Endpoint::Begin,
@@ -721,109 +708,6 @@ impl Runtime {
             kernel.num_teams,
             codeptr,
             start,
-        );
-
-        // Execute the body now (deterministically) against the device
-        // buffers; logically it completes at `end`.
-        let referenced = kernel.referenced_vars();
-        let mut taken: Vec<(VarId, u64, Vec<u8>)> = Vec::with_capacity(referenced.len());
-        for &var in &referenced {
-            let haddr = self.host.addr(var);
-            // A referenced var is mapped after map_enter — unless the
-            // mapping was skipped by a device OOM (or a concurrent
-            // map(delete:), which is a program data race). The kernel
-            // then computes on zeroed scratch storage whose writes are
-            // discarded, instead of tearing the run down.
-            let buf_for = |dev: &mut DeviceState| {
-                let entry = dev.present.lookup(haddr).copied()?;
-                let buf = dev.mem.bytes_mut(entry.dev_addr)?.split_off(0);
-                Some((entry.dev_addr, buf))
-            };
-            match buf_for(&mut dev) {
-                Some((dev_addr, buf)) => taken.push((var, dev_addr, buf)),
-                None => taken.push((var, u64::MAX, vec![0u8; self.host.size(var) as usize])),
-            }
-        }
-        let access_info = KernelAccessInfo {
-            device: DeviceId::target(device),
-            target_id,
-            reads: kernel
-                .reads
-                .iter()
-                .map(|&v| self.access_range(&dev, v, &taken))
-                .collect(),
-            writes: kernel
-                .writes
-                .iter()
-                .map(|&v| self.access_range(&dev, v, &taken))
-                .collect(),
-            masked_writes: kernel
-                .masked_writes
-                .iter()
-                .map(|&v| self.access_range(&dev, v, &taken))
-                .collect(),
-            time: start,
-        };
-        let mut kernel = kernel;
-        {
-            let mut view = DeviceView {
-                vars: taken.iter_mut().map(|(v, _, b)| (*v, b)).collect(),
-            };
-            match kernel.body.take() {
-                Some(body) => body(&mut view),
-                None => {
-                    for &var in kernel.writes.iter().chain(kernel.masked_writes.iter()) {
-                        let buf = view.bytes_mut(var);
-                        default_mutation(buf, target_id);
-                    }
-                }
-            }
-        }
-        for (_, dev_addr, buf) in taken {
-            if let Some(slot) = dev.mem.bytes_mut(dev_addr) {
-                *slot = buf;
-            }
-        }
-
-        dev.busy_until = end;
-        drop(dev);
-        // The host returns right after the enqueue.
-        self.clock += SimDuration(self.cfg.timing.kernel_launch_ns);
-        self.stats.kernels += 1;
-        self.stats.kernel_time += dur;
-        if let Some(slot) = self.tool.as_mut() {
-            slot.tool.on_kernel_access(&access_info);
-        }
-        self.emit_submit(
-            Endpoint::End,
-            device,
-            target_id,
-            kernel.num_teams,
-            codeptr,
-            end,
-        );
-    }
-
-    fn run_kernel(&mut self, device: u32, codeptr: CodePtr, target_id: u64, kernel: Kernel<'_>) {
-        // One lock for the whole kernel: the device executes kernels
-        // from a serialized queue, so concurrent threads' kernels on
-        // the same device take turns (and can never observe a buffer
-        // mid-take).
-        let devices = self.devices.clone();
-        let mut dev = devices.lock(device);
-        // Queue behind any asynchronously launched kernel on this device.
-        let busy = dev.busy_until;
-        if busy > self.clock {
-            self.clock = busy;
-        }
-        let t0 = self.clock;
-        self.emit_submit(
-            Endpoint::Begin,
-            device,
-            target_id,
-            kernel.num_teams,
-            codeptr,
-            t0,
         );
 
         // Gather device buffers for the kernel's variables: temporarily
@@ -867,10 +751,11 @@ impl Runtime {
                 .iter()
                 .map(|&v| self.access_range(&dev, v, &taken))
                 .collect(),
-            time: t0,
+            time: start,
         };
 
-        // Execute the body (real compute) or the default mutation.
+        // Execute the body (real compute) or the default mutation now,
+        // deterministically; logically it completes at `end`.
         let mut kernel = kernel;
         {
             let mut view = DeviceView {
@@ -893,25 +778,30 @@ impl Runtime {
                 *slot = buf;
             }
         }
-        drop(dev);
 
-        // Advance time: launch overhead + execution.
-        let dur = SimDuration(self.cfg.timing.kernel_launch_ns) + kernel.cost.duration();
-        self.clock += dur;
+        if wait {
+            // The host resumes when the kernel ends. `busy_until` stays
+            // untouched: threads of a shared-device run keep private
+            // clocks, and one thread's synchronous kernel must not
+            // delay another's.
+            self.clock = end;
+        } else {
+            dev.busy_until = end;
+            self.clock += launch;
+        }
+        drop(dev);
         self.stats.kernels += 1;
         self.stats.kernel_time += dur;
-
         if let Some(slot) = self.tool.as_mut() {
             slot.tool.on_kernel_access(&access_info);
         }
-        let t1 = self.clock;
         self.emit_submit(
             Endpoint::End,
             device,
             target_id,
             kernel.num_teams,
             codeptr,
-            t1,
+            end,
         );
     }
 

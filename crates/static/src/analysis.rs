@@ -1,21 +1,27 @@
-//! The static analyses: five exact analogues of the §5 dynamic
-//! detectors, run over the abstract event stream instead of a trace.
+//! The static analysis: the dynamic engine's §5 detectors run over the
+//! abstract trace, and a certainty fold over what they find.
 //!
-//! Each analogue reproduces its dynamic counterpart's structure —
-//! grouping keys, FIFO pairing, candidate clearing — with content
-//! *tokens* standing in for payload hashes and stream position standing
-//! in for timestamps (the simulated clock strictly advances between the
-//! synchronous directives the IR models, so interval logic degenerates
-//! to position comparisons). On top of the dynamic logic, every flagged
-//! instance carries a certainty bit derived from the abstract events'
-//! taint tracking; a whole row is [`Certainty::Certain`] only when at
-//! least one of its instances provably occurs in *every* execution.
+//! Detection itself is not re-implemented here. [`crate::exec`] emits
+//! the engine's own event model — content *tokens* interned as payload
+//! hashes, stream position as timestamps — so
+//! [`Findings::detect_fused`] groups, pairs and sweeps the abstract
+//! stream exactly as it would a recorded one, and
+//! [`ompdataperf::fleet::charges`] says which instances count and what
+//! each is charged to, exactly as it does for a dynamic run. What stays
+//! static-only is the question no trace can answer: does this instance
+//! occur in *every* execution? Each charged instance gets a certainty
+//! bit from the taint-tracked [`crate::exec::OpFacts`] of the events
+//! behind it; a whole row is [`Certainty::Certain`] only when at least
+//! one of its instances provably always occurs.
 
-use crate::exec::{abstract_run, AbsEvent, AbsOp, AbsOpKind, AbsTrace, Ep, Tok};
+use crate::exec::{abstract_run, AbsTrace, Tok};
 use crate::ir::MappingProgram;
-use ompdataperf::fleet::FindingKind;
+use odp_model::DataOpEvent;
+use odp_trace::ColumnarView;
+use ompdataperf::detect::{AllocDeletePair, EventView, Findings, UnusedTransferReason};
+use ompdataperf::fleet::{charges, Evidence, FindingKind};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How sure the analyzer is that a predicted finding occurs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
@@ -78,40 +84,37 @@ impl StaticReport {
     }
 }
 
-/// One flagged instance, before row aggregation.
-struct Flag {
-    codeptr: u64,
-    device: i32,
-    kind: FindingKind,
-    bytes: u64,
-    certain: bool,
-    var: usize,
-}
-
-/// Run the full static analysis: symbolic execution, then the five
-/// detector analogues, aggregated into `(codeptr, device, kind)` rows.
+/// Run the full static analysis: symbolic execution, the dynamic
+/// engine's five detectors over the abstract trace, and the certainty
+/// fold, aggregated into `(codeptr, device, kind)` rows.
 pub fn analyze(p: &MappingProgram) -> StaticReport {
     let trace = abstract_run(p);
-    let mut flags = Vec::new();
-    duplicate_transfers(&trace, &mut flags);
-    round_trips(&trace, &mut flags);
-    repeated_allocs(&trace, &mut flags);
-    unused_allocs(p, &trace, &mut flags);
-    unused_transfers(p, &trace, &mut flags);
+    let cols = ColumnarView::from_events(&trace.ops, &trace.kernels);
+    let findings = Findings::detect_fused(&EventView::over(&cols, p.num_devices));
+    let fold = CertaintyFold {
+        trace: &trace,
+        stable: stable_tokens(&trace),
+    };
 
     // (codeptr, device, kind) → (count, certain_count, bytes, var names).
     type RowAgg = BTreeMap<(u64, i32, FindingKind), (u64, u64, u64, BTreeSet<String>)>;
     let mut rows: RowAgg = BTreeMap::new();
-    for f in flags {
+    for c in charges(&findings) {
+        let (certain, named_after) = fold.judge(&c.evidence);
         let e = rows
-            .entry((f.codeptr, f.device, f.kind))
+            .entry((c.codeptr, c.device, c.evidence.kind()))
             .or_insert((0, 0, 0, BTreeSet::new()));
         e.0 += 1;
-        if f.certain {
+        if certain {
             e.1 += 1;
         }
-        e.2 += f.bytes;
-        e.3.insert(p.vars[f.var].name.clone());
+        e.2 += c.bytes;
+        if let Some(var) = trace
+            .facts_of(named_after.id)
+            .and_then(|f| p.vars.get(f.var))
+        {
+            e.3.insert(var.name.clone());
+        }
     }
     StaticReport {
         program: p.name.clone(),
@@ -138,248 +141,89 @@ pub fn analyze(p: &MappingProgram) -> StaticReport {
     }
 }
 
-fn transfers(trace: &AbsTrace) -> impl Iterator<Item = &AbsOp> {
-    trace.events.iter().filter_map(|e| match e {
-        AbsEvent::Op(op) if op.is_transfer() => Some(op),
-        _ => None,
-    })
-}
-
 /// Tokens carried only by certain transfers. A round trip may be tagged
 /// `Certain` only for such tokens: if any `May` transfer shares the
 /// token, the dynamic FIFO pairing could resolve differently across
 /// inputs.
 fn stable_tokens(trace: &AbsTrace) -> BTreeMap<Tok, bool> {
     let mut stable: BTreeMap<Tok, bool> = BTreeMap::new();
-    for op in transfers(trace) {
-        if let Some(tok) = op.tok {
-            let e = stable.entry(tok).or_insert(true);
-            *e &= op.certain;
+    for f in &trace.facts {
+        if let Some(tok) = f.tok {
+            *stable.entry(tok).or_insert(true) &= f.certain;
         }
     }
     stable
 }
 
-/// Algorithm 1 analogue: group transfers by `(token, dest)`; every
-/// event after a group's first is a duplicate.
-fn duplicate_transfers(trace: &AbsTrace, flags: &mut Vec<Flag>) {
-    let mut groups: BTreeMap<(Tok, Ep), Vec<&AbsOp>> = BTreeMap::new();
-    for op in transfers(trace) {
-        if let Some(tok) = op.tok {
-            groups.entry((tok, op.dest())).or_default().push(op);
-        }
-    }
-    for ((_, dest), events) in groups {
-        if events.len() < 2 {
-            continue;
-        }
-        for (i, e) in events.iter().enumerate().skip(1) {
-            // A certain duplicate needs a certain *earlier* delivery:
-            // the necessary first transfer must exist in every run.
-            let earlier_certain = events[..i].iter().any(|p| p.certain);
-            flags.push(Flag {
-                codeptr: e.codeptr,
-                device: dest.raw(),
-                kind: FindingKind::DuplicateTransfer,
-                bytes: e.bytes,
-                certain: e.certain && earlier_certain,
-                var: e.var,
-            });
-        }
-    }
+/// The static-only half of the analysis: given the events behind one
+/// finding instance the engine detected on the abstract trace, does the
+/// instance provably occur in every execution? An event id that does
+/// not resolve to an abstract op proves nothing.
+struct CertaintyFold<'t> {
+    trace: &'t AbsTrace,
+    stable: BTreeMap<Tok, bool>,
 }
 
-/// Algorithm 2 analogue: the exact two-pass reception-queue pairing,
-/// with tokens for hashes and endpoints for device ids.
-fn round_trips(trace: &AbsTrace, flags: &mut Vec<Flag>) {
-    let stable = stable_tokens(trace);
-    let mut received: BTreeMap<(Tok, Ep), VecDeque<&AbsOp>> = BTreeMap::new();
-    for op in transfers(trace) {
-        if let Some(tok) = op.tok {
-            received.entry((tok, op.dest())).or_default().push_back(op);
+impl CertaintyFold<'_> {
+    fn certain(&self, e: &DataOpEvent) -> bool {
+        self.trace.facts_of(e.id).is_some_and(|f| f.certain)
+    }
+
+    fn pair_certain(&self, p: &AllocDeletePair) -> bool {
+        self.certain(&p.alloc) && p.delete.as_ref().is_none_or(|d| self.certain(d))
+    }
+
+    /// The certainty bit of one instance, and the event whose variable
+    /// names it in the row.
+    fn judge<'f>(&self, evidence: &Evidence<'f>) -> (bool, &'f DataOpEvent) {
+        match *evidence {
+            // A certain duplicate (or repeat) needs a certain *earlier*
+            // member: the necessary first one must exist in every run.
+            Evidence::Duplicate { earlier, event } => (
+                self.certain(event) && earlier.iter().any(|e| self.certain(e)),
+                event,
+            ),
+            Evidence::RepeatedAlloc { earlier, pair } => (
+                self.pair_certain(pair) && earlier.iter().any(|p| self.pair_certain(p)),
+                &pair.alloc,
+            ),
+            Evidence::RoundTrip(trip) => {
+                let stable = self
+                    .trace
+                    .facts_of(trip.tx.id)
+                    .and_then(|f| f.tok)
+                    .is_some_and(|tok| self.stable.get(&tok) == Some(&true));
+                (
+                    self.certain(&trip.tx) && self.certain(&trip.rx) && stable,
+                    &trip.rx,
+                )
+            }
+            Evidence::UnusedAlloc(pair) => (self.pair_certain(pair), &pair.alloc),
+            Evidence::UnusedTransfer(ut) => {
+                let proof_certain = match ut.reason {
+                    UnusedTransferReason::AfterLastKernel => true,
+                    UnusedTransferReason::OverwrittenBeforeUse => {
+                        self.overwriter_certain(&ut.event)
+                    }
+                };
+                (self.certain(&ut.event) && proof_certain, &ut.event)
+            }
         }
     }
-    for tx in transfers(trace) {
-        let Some(tok) = tx.tok else { continue };
-        let Some(rx) = received
-            .get(&(tok, tx.src()))
-            .and_then(|q| q.front().copied())
-        else {
-            continue;
+
+    /// What overwrote `e` unused is the next H2D of the same variable
+    /// (host address) to the same device; the proof holds in every run
+    /// only if that transfer does.
+    fn overwriter_certain(&self, e: &DataOpEvent) -> bool {
+        let Some(at) = self.trace.op_index(e.id) else {
+            return false;
         };
-        // The trip is attributed to the reception leg, wasting both
-        // legs' bytes on the outbound destination.
-        flags.push(Flag {
-            codeptr: rx.codeptr,
-            device: tx.dest().raw(),
-            kind: FindingKind::RoundTrip,
-            bytes: tx.bytes + rx.bytes,
-            certain: tx.certain && rx.certain && stable.get(&tok).copied().unwrap_or(false),
-            var: rx.var,
-        });
-        if let Some(q) = received.get_mut(&(tok, tx.dest())) {
-            q.pop_front();
-        }
-    }
-}
-
-/// An alloc/delete pair of the abstract stream, by event index.
-struct AbsPair<'a> {
-    alloc: &'a AbsOp,
-    alloc_pos: usize,
-    delete: Option<&'a AbsOp>,
-    delete_pos: usize,
-}
-
-impl AbsPair<'_> {
-    fn certain(&self) -> bool {
-        self.alloc.certain && self.delete.is_none_or(|d| d.certain)
-    }
-}
-
-/// Pair allocs with their deletes per `(device, var)`. In the abstract
-/// stream these strictly alternate (present-table reference counting),
-/// mirroring the dynamic pairing by `(dest_device, dest_addr)`. Leaked
-/// allocations get an open lifetime to stream end.
-fn alloc_pairs(trace: &AbsTrace) -> Vec<AbsPair<'_>> {
-    let mut open: BTreeMap<(u32, usize), usize> = BTreeMap::new();
-    let mut pairs: Vec<AbsPair<'_>> = Vec::new();
-    for (pos, e) in trace.events.iter().enumerate() {
-        let AbsEvent::Op(op) = e else { continue };
-        match op.kind {
-            AbsOpKind::Alloc => {
-                open.insert((op.device, op.var), pairs.len());
-                pairs.push(AbsPair {
-                    alloc: op,
-                    alloc_pos: pos,
-                    delete: None,
-                    delete_pos: usize::MAX,
-                });
-            }
-            AbsOpKind::Delete => {
-                if let Some(ix) = open.remove(&(op.device, op.var)) {
-                    pairs[ix].delete = Some(op);
-                    pairs[ix].delete_pos = pos;
-                }
-            }
-            _ => {}
-        }
-    }
-    pairs
-}
-
-/// Algorithm 3 analogue: alloc/delete pairs grouped by
-/// `(var, device, bytes)` (the var stands in for the host address);
-/// every pair after a group's first is a repeat.
-fn repeated_allocs(trace: &AbsTrace, flags: &mut Vec<Flag>) {
-    let pairs = alloc_pairs(trace);
-    let mut groups: BTreeMap<(usize, u32, u64), Vec<&AbsPair<'_>>> = BTreeMap::new();
-    for p in &pairs {
-        groups
-            .entry((p.alloc.var, p.alloc.device, p.alloc.bytes))
-            .or_default()
-            .push(p);
-    }
-    for (_, group) in groups {
-        if group.len() < 2 {
-            continue;
-        }
-        for (i, p) in group.iter().enumerate().skip(1) {
-            let earlier_certain = group[..i].iter().any(|q| q.certain());
-            flags.push(Flag {
-                codeptr: p.alloc.codeptr,
-                device: p.alloc.device as i32,
-                kind: FindingKind::RepeatedAlloc,
-                bytes: p.alloc.bytes,
-                certain: p.certain() && earlier_certain,
-                var: p.alloc.var,
-            });
-        }
-    }
-}
-
-/// Positions of kernel executions per device.
-fn kernel_positions(p: &MappingProgram, trace: &AbsTrace) -> Vec<Vec<usize>> {
-    let mut per_dev: Vec<Vec<usize>> = vec![Vec::new(); p.num_devices as usize];
-    for (pos, e) in trace.events.iter().enumerate() {
-        if let AbsEvent::Kernel(k) = e {
-            per_dev[k.device as usize].push(pos);
-        }
-    }
-    per_dev
-}
-
-/// Algorithm 4 analogue: an allocation is unused when no kernel on its
-/// device executes inside its lifetime (position interval).
-fn unused_allocs(p: &MappingProgram, trace: &AbsTrace, flags: &mut Vec<Flag>) {
-    let kernels = kernel_positions(p, trace);
-    for pair in alloc_pairs(trace) {
-        let dev = pair.alloc.device as usize;
-        let used = kernels[dev]
-            .iter()
-            .any(|&k| k > pair.alloc_pos && k < pair.delete_pos);
-        if !used {
-            flags.push(Flag {
-                codeptr: pair.alloc.codeptr,
-                device: pair.alloc.device as i32,
-                kind: FindingKind::UnusedAlloc,
-                bytes: pair.alloc.bytes,
-                certain: pair.certain(),
-                var: pair.alloc.var,
-            });
-        }
-    }
-}
-
-/// Algorithm 5 analogue: per device, walk device-bound transfers in
-/// order; kernels clear the candidate map; a transfer re-sending a
-/// variable with no intervening kernel proves the candidate unused, and
-/// transfers after the device's last kernel are unused outright.
-fn unused_transfers(p: &MappingProgram, trace: &AbsTrace, flags: &mut Vec<Flag>) {
-    let kernels = kernel_positions(p, trace);
-    for (dev, tgt) in kernels.iter().enumerate() {
-        let tx_events: Vec<(usize, &AbsOp)> = trace
-            .events
-            .iter()
-            .enumerate()
-            .filter_map(|(pos, e)| match e {
-                AbsEvent::Op(op) if op.kind == AbsOpKind::H2D && op.device as usize == dev => {
-                    Some((pos, op))
-                }
-                _ => None,
+        let mut later = self.trace.ops.iter().zip(&self.trace.facts).skip(at + 1);
+        later
+            .find(|(o, _)| {
+                o.is_host_to_device() && o.dest_device == e.dest_device && o.src_addr == e.src_addr
             })
-            .collect();
-        let mut tgt_idx = 0usize;
-        // candidates: var → the last transfer writing it to the device.
-        let mut candidates: BTreeMap<usize, &AbsOp> = BTreeMap::new();
-        for (pos, tx) in tx_events {
-            while tgt_idx < tgt.len() && tgt[tgt_idx] < pos {
-                tgt_idx += 1;
-                candidates.clear();
-            }
-            if tgt_idx == tgt.len() {
-                flags.push(Flag {
-                    codeptr: tx.codeptr,
-                    device: dev as i32,
-                    kind: FindingKind::UnusedTransfer,
-                    bytes: tx.bytes,
-                    certain: tx.certain,
-                    var: tx.var,
-                });
-            } else {
-                if let Some(cand) = candidates.get(&tx.var) {
-                    flags.push(Flag {
-                        codeptr: cand.codeptr,
-                        device: dev as i32,
-                        kind: FindingKind::UnusedTransfer,
-                        bytes: cand.bytes,
-                        certain: cand.certain && tx.certain,
-                        var: cand.var,
-                    });
-                }
-                candidates.insert(tx.var, tx);
-            }
-        }
+            .is_some_and(|(_, f)| f.certain)
     }
 }
 
@@ -549,6 +393,50 @@ mod tests {
             .expect("UT row");
         assert_eq!(ut.codeptr, 0x30);
         assert_eq!(ut.certainty, Certainty::Certain);
+    }
+
+    #[test]
+    fn overwritten_transfer_is_certain_only_if_its_overwriter_is() {
+        // target data map(to: a) { <update to(a)>; target read(a) } — the
+        // region's H2D is overwritten by the update before any kernel.
+        let region = |overwrite: Step| {
+            two_var_prog(vec![Step::DataRegion {
+                site: 0x10,
+                device: 0,
+                maps: vec![MapClause::to(VarRef(0))],
+                body: vec![
+                    overwrite,
+                    Step::Target {
+                        site: 0x30,
+                        device: 0,
+                        maps: vec![],
+                        kernel: kernel_reading(VarRef(0)),
+                    },
+                ],
+            }])
+        };
+        let update = Step::UpdateTo {
+            site: 0x20,
+            device: 0,
+            vars: vec![VarRef(0)],
+        };
+        let ut_at_region = |p: &MappingProgram| {
+            analyze(p)
+                .rows
+                .into_iter()
+                .find(|x| x.kind == FindingKind::UnusedTransfer && x.codeptr == 0x10)
+                .expect("UT row at the region")
+        };
+        let always = ut_at_region(&region(update.clone()));
+        assert_eq!((always.count, always.certain_count), (1, 1));
+        // The same update under a data-dependent loop: the region's H2D
+        // is certain, what overwrites it is not.
+        let sometimes = ut_at_region(&region(Step::Loop {
+            trip: TripCount::DataDependent { executed: 2 },
+            body: vec![update],
+        }));
+        assert_eq!((sometimes.count, sometimes.certain_count), (1, 0));
+        assert_eq!(sometimes.certainty, Certainty::MayDependOnData);
     }
 
     #[test]

@@ -15,9 +15,24 @@
 //! variable or present-table entry on which the three final states
 //! disagree is tainted — its post-loop value depends on the iteration
 //! count, so nothing downstream may claim certainty from it.
+//!
+//! The output is a trace in the dynamic engine's own event model
+//! ([`DataOpEvent`] / [`TargetEvent`], laid out the way
+//! `odp_sim::Runtime` dispatches them), so the §5 detectors run over it
+//! unchanged. What the abstraction decides is only *what the events
+//! carry*: an event's id is its stream position `p`, its span is
+//! `[2p+1, 2p+2]` (the directives the IR models are synchronous, so
+//! stream order is timestamp order and no two events overlap), its
+//! content hash is the interned token, and its addresses are injective
+//! in the variable. What the event model has no column for — the
+//! variable, the token, the certainty bit — rides beside each data op
+//! as an [`OpFacts`] record.
 
 use crate::ir::{Fires, Init, MapClause, MappingProgram, Step, TripCount, VarRef, WriteContent};
-use odp_model::MapType;
+use odp_model::{
+    CodePtr, DataOpEvent, DataOpKind, DeviceId, EventId, HashVal, MapType, SimTime, TargetEvent,
+    TargetKind, TimeSpan,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How many iterations a data-dependent loop is symbolically unrolled.
@@ -45,51 +60,11 @@ pub struct Tok {
     pub len: u64,
 }
 
-/// One endpoint of a transfer, mirroring `odp_model::DeviceId`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Ep {
-    /// The host.
-    Host,
-    /// Target device by index.
-    Dev(u32),
-}
-
-impl Ep {
-    /// Raw device number as findings report it (-1 = host).
-    pub fn raw(self) -> i32 {
-        match self {
-            Ep::Host => -1,
-            Ep::Dev(d) => d as i32,
-        }
-    }
-}
-
-/// Kind of an abstract data operation.
+/// What the analyzer knows about one data op beyond the event itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AbsOpKind {
-    /// Host-to-device transfer.
-    H2D,
-    /// Device-to-host transfer.
-    D2H,
-    /// Device allocation.
-    Alloc,
-    /// Device deallocation.
-    Delete,
-}
-
-/// An abstract data-op event.
-#[derive(Clone, Debug)]
-pub struct AbsOp {
-    /// Operation kind.
-    pub kind: AbsOpKind,
+pub struct OpFacts {
     /// The variable moved/allocated.
     pub var: usize,
-    /// The target device involved.
-    pub device: u32,
-    /// Attribution site.
-    pub codeptr: u64,
-    /// Payload/allocation size.
-    pub bytes: u64,
     /// Content carried (transfers only).
     pub tok: Option<Tok>,
     /// True when the event provably occurs with exactly this content in
@@ -97,64 +72,31 @@ pub struct AbsOp {
     pub certain: bool,
 }
 
-impl AbsOp {
-    /// Transfer source endpoint.
-    pub fn src(&self) -> Ep {
-        match self.kind {
-            AbsOpKind::H2D => Ep::Host,
-            AbsOpKind::D2H => Ep::Dev(self.device),
-            AbsOpKind::Alloc | AbsOpKind::Delete => Ep::Dev(self.device),
-        }
-    }
-
-    /// Transfer destination endpoint.
-    pub fn dest(&self) -> Ep {
-        match self.kind {
-            AbsOpKind::H2D => Ep::Dev(self.device),
-            AbsOpKind::D2H => Ep::Host,
-            AbsOpKind::Alloc | AbsOpKind::Delete => Ep::Dev(self.device),
-        }
-    }
-
-    /// Is this a transfer (vs alloc/delete)?
-    pub fn is_transfer(&self) -> bool {
-        matches!(self.kind, AbsOpKind::H2D | AbsOpKind::D2H)
-    }
-}
-
-/// An abstract kernel execution.
-#[derive(Clone, Debug)]
-pub struct AbsKernel {
-    /// Executing device.
-    pub device: u32,
-    /// Attribution site.
-    pub codeptr: u64,
-    /// True when the execution occurs in every run (not inside a
-    /// data-dependent loop).
-    pub certain: bool,
-}
-
-/// One event of the abstract stream, in program (= chronological)
-/// order. The simulated clock strictly advances between directives, so
-/// for the synchronous directives the IR models, stream order *is*
-/// timestamp order — Algorithms 4/5's interval logic reduces to
-/// position comparisons.
-#[derive(Clone, Debug)]
-pub enum AbsEvent {
-    /// A data operation.
-    Op(AbsOp),
-    /// A kernel execution.
-    Kernel(AbsKernel),
-}
-
-/// The abstract event stream of one symbolic execution.
+/// The event stream of one symbolic execution, in program
+/// (= chronological) order.
 #[derive(Clone, Debug, Default)]
 pub struct AbsTrace {
-    /// Events in program order.
-    pub events: Vec<AbsEvent>,
+    /// Data operations, ascending by id.
+    pub ops: Vec<DataOpEvent>,
+    /// Kernel executions, ascending by id (one id sequence with `ops`).
+    pub kernels: Vec<TargetEvent>,
+    /// `facts[i]` describes `ops[i]`.
+    pub facts: Vec<OpFacts>,
     /// Mirrored runtime warnings (release/delete/update of absent
     /// data) encountered during symbolic execution.
     pub warnings: u32,
+}
+
+impl AbsTrace {
+    /// Index into `ops`/`facts` of the data op with event id `id`.
+    pub fn op_index(&self, id: EventId) -> Option<usize> {
+        self.ops.binary_search_by_key(&id, |e| e.id).ok()
+    }
+
+    /// The facts of the data op with event id `id`.
+    pub fn facts_of(&self, id: EventId) -> Option<&OpFacts> {
+        self.facts.get(self.op_index(id)?)
+    }
 }
 
 #[derive(Clone, PartialEq, Eq)]
@@ -191,16 +133,16 @@ struct LoopFrame {
 struct Exec<'p> {
     p: &'p MappingProgram,
     st: State,
-    events: Vec<AbsEvent>,
+    trace: AbsTrace,
+    /// Interned content tokens: equal tokens ⇔ equal [`HashVal`]s.
+    hashes: BTreeMap<Tok, u64>,
     emit: bool,
     may_depth: u32,
     loop_stack: Vec<LoopFrame>,
-    warnings: u32,
 }
 
-/// Symbolically execute `p`, producing the abstract event stream the
-/// detector analogues run over. `p` must have passed
-/// [`MappingProgram::validate`].
+/// Symbolically execute `p`, producing the event stream the detection
+/// engine runs over. `p` must have passed [`MappingProgram::validate`].
 pub fn abstract_run(p: &MappingProgram) -> AbsTrace {
     let host = p
         .vars
@@ -221,17 +163,14 @@ pub fn abstract_run(p: &MappingProgram) -> AbsTrace {
             res_taint: BTreeSet::new(),
             uniq: 0,
         },
-        events: Vec::new(),
+        trace: AbsTrace::default(),
+        hashes: BTreeMap::new(),
         emit: true,
         may_depth: 0,
         loop_stack: Vec::new(),
-        warnings: 0,
     };
     e.steps(&p.steps);
-    AbsTrace {
-        events: e.events,
-        warnings: e.warnings,
-    }
+    e.trace
 }
 
 impl<'p> Exec<'p> {
@@ -272,18 +211,18 @@ impl<'p> Exec<'p> {
             Step::UpdateTo { site, device, vars } => {
                 for &v in vars {
                     if self.st.dev[*device as usize].contains_key(&v.0) {
-                        self.transfer(AbsOpKind::H2D, *device, v, *site);
+                        self.h2d(*device, v, *site);
                     } else {
-                        self.warnings += 1;
+                        self.trace.warnings += 1;
                     }
                 }
             }
             Step::UpdateFrom { site, device, vars } => {
                 for &v in vars {
                     if self.st.dev[*device as usize].contains_key(&v.0) {
-                        self.transfer(AbsOpKind::D2H, *device, v, *site);
+                        self.d2h(*device, v, *site);
                     } else {
-                        self.warnings += 1;
+                        self.trace.warnings += 1;
                     }
                 }
             }
@@ -303,11 +242,14 @@ impl<'p> Exec<'p> {
                     self.map_enter(*device, *m, *site);
                 }
                 if self.emit {
-                    self.events.push(AbsEvent::Kernel(AbsKernel {
-                        device: *device,
-                        codeptr: *site,
-                        certain: self.may_depth == 0,
-                    }));
+                    let (id, span) = self.next_slot();
+                    self.trace.kernels.push(TargetEvent {
+                        id,
+                        device: DeviceId::target(*device),
+                        kind: TargetKind::Kernel,
+                        span,
+                        codeptr: CodePtr(*site),
+                    });
                 }
                 let is_last = self.innermost_dd_is_last();
                 for w in &kernel.writes {
@@ -381,11 +323,11 @@ impl<'p> Exec<'p> {
         let mut sub = Exec {
             p: self.p,
             st: pre.clone(),
-            events: Vec::new(),
+            trace: AbsTrace::default(),
+            hashes: BTreeMap::new(),
             emit: false,
             may_depth: self.may_depth + 1,
             loop_stack: self.loop_stack.clone(),
-            warnings: 0,
         };
         for i in 0..iters {
             sub.loop_stack.push(LoopFrame {
@@ -453,60 +395,92 @@ impl<'p> Exec<'p> {
         self.may_depth == 0 && !self.st.res_taint.contains(&(device, var.0))
     }
 
-    fn transfer(&mut self, kind: AbsOpKind, device: u32, var: VarRef, codeptr: u64) {
-        let len = self.p.vars[var.0].bytes as u64;
-        match kind {
-            AbsOpKind::H2D => {
-                let host = self.st.host[var.0].clone();
-                let certain = self.base_certain(device, var) && !host.tainted;
-                if let Some(e) = self.st.dev[device as usize].get_mut(&var.0) {
-                    e.tok = host.tok;
-                    e.tainted = host.tainted;
-                }
-                self.push_op(kind, var, device, codeptr, len, Some(host.tok), certain);
-            }
-            AbsOpKind::D2H => {
-                let (tok, tainted) = match self.st.dev[device as usize].get(&var.0) {
-                    Some(e) => (e.tok, e.tainted),
-                    None => return,
-                };
-                let res = self.st.res_taint.contains(&(device, var.0));
-                let certain = self.may_depth == 0 && !res && !tainted;
-                self.st.host[var.0] = VarContent {
-                    tok,
-                    tainted: tainted || res,
-                };
-                self.push_op(kind, var, device, codeptr, len, Some(tok), certain);
-            }
-            AbsOpKind::Alloc | AbsOpKind::Delete => {
-                let certain = self.base_certain(device, var);
-                self.push_op(kind, var, device, codeptr, len, None, certain);
-            }
+    fn h2d(&mut self, device: u32, var: VarRef, codeptr: u64) {
+        let host = self.st.host[var.0].clone();
+        let certain = self.base_certain(device, var) && !host.tainted;
+        if let Some(e) = self.st.dev[device as usize].get_mut(&var.0) {
+            e.tok = host.tok;
+            e.tainted = host.tainted;
         }
+        let facts = OpFacts {
+            var: var.0,
+            tok: Some(host.tok),
+            certain,
+        };
+        let (src, dest) = (DeviceId::HOST, DeviceId::target(device));
+        self.push_op(DataOpKind::Transfer, src, dest, codeptr, facts);
     }
 
-    #[allow(clippy::too_many_arguments)] // one field per AbsOp column
+    fn d2h(&mut self, device: u32, var: VarRef, codeptr: u64) {
+        let (tok, tainted) = match self.st.dev[device as usize].get(&var.0) {
+            Some(e) => (e.tok, e.tainted),
+            None => return,
+        };
+        let res = self.st.res_taint.contains(&(device, var.0));
+        self.st.host[var.0] = VarContent {
+            tok,
+            tainted: tainted || res,
+        };
+        let facts = OpFacts {
+            var: var.0,
+            tok: Some(tok),
+            certain: self.may_depth == 0 && !res && !tainted,
+        };
+        let (src, dest) = (DeviceId::target(device), DeviceId::HOST);
+        self.push_op(DataOpKind::Transfer, src, dest, codeptr, facts);
+    }
+
+    /// An alloc or delete: the host side is the source operand.
+    fn alloc_op(&mut self, kind: DataOpKind, device: u32, var: VarRef, codeptr: u64) {
+        let facts = OpFacts {
+            var: var.0,
+            tok: None,
+            certain: self.base_certain(device, var),
+        };
+        let (src, dest) = (DeviceId::HOST, DeviceId::target(device));
+        self.push_op(kind, src, dest, codeptr, facts);
+    }
+
+    /// Id and span of the next event: stream position `p`, `[2p+1, 2p+2]`.
+    fn next_slot(&self) -> (EventId, TimeSpan) {
+        let p = (self.trace.ops.len() + self.trace.kernels.len()) as u64;
+        let span = TimeSpan::new(SimTime(2 * p + 1), SimTime(2 * p + 2));
+        (EventId(p), span)
+    }
+
     fn push_op(
         &mut self,
-        kind: AbsOpKind,
-        var: VarRef,
-        device: u32,
+        kind: DataOpKind,
+        src_device: DeviceId,
+        dest_device: DeviceId,
         codeptr: u64,
-        bytes: u64,
-        tok: Option<Tok>,
-        certain: bool,
+        facts: OpFacts,
     ) {
-        if self.emit {
-            self.events.push(AbsEvent::Op(AbsOp {
-                kind,
-                var: var.0,
-                device,
-                codeptr,
-                bytes,
-                tok,
-                certain,
-            }));
+        if !self.emit {
+            return;
         }
+        // Addresses only have to be injective in the variable (per
+        // side): detection compares them, nothing else.
+        let host_addr = (facts.var as u64 + 1) << 32;
+        let addr = |d: DeviceId| host_addr | u64::from(d.is_target()) << 63;
+        let fresh = self.hashes.len() as u64;
+        let hash = facts
+            .tok
+            .map(|t| HashVal(*self.hashes.entry(t).or_insert(fresh)));
+        let (id, span) = self.next_slot();
+        self.trace.ops.push(DataOpEvent {
+            id,
+            kind,
+            src_device,
+            dest_device,
+            src_addr: addr(src_device),
+            dest_addr: addr(dest_device),
+            bytes: self.p.vars[facts.var].bytes as u64,
+            hash,
+            span,
+            codeptr: CodePtr(codeptr),
+        });
+        self.trace.facts.push(facts);
     }
 
     fn map_enter(&mut self, device: u32, m: MapClause, codeptr: u64) {
@@ -517,15 +491,15 @@ impl<'p> Exec<'p> {
                 e.refcount += 1;
             }
             if m.always && m.map_type.copies_to_device() {
-                self.transfer(AbsOpKind::H2D, device, var, codeptr);
+                self.h2d(device, var, codeptr);
             }
         } else {
             if !m.map_type.allocates() {
                 // release/delete of absent data on an enter path.
-                self.warnings += 1;
+                self.trace.warnings += 1;
                 return;
             }
-            self.transfer(AbsOpKind::Alloc, device, var, codeptr);
+            self.alloc_op(DataOpKind::Alloc, device, var, codeptr);
             let len = self.p.vars[var.0].bytes as u64;
             // Device allocations are zero-filled.
             self.st.dev[device as usize].insert(
@@ -540,7 +514,7 @@ impl<'p> Exec<'p> {
                 },
             );
             if m.map_type.copies_to_device() {
-                self.transfer(AbsOpKind::H2D, device, var, codeptr);
+                self.h2d(device, var, codeptr);
             }
         }
     }
@@ -549,19 +523,19 @@ impl<'p> Exec<'p> {
         let var = m.var;
         if m.map_type == MapType::Delete {
             if self.st.dev[device as usize].contains_key(&var.0) {
-                self.transfer(AbsOpKind::Delete, device, var, codeptr);
+                self.alloc_op(DataOpKind::Delete, device, var, codeptr);
                 self.st.dev[device as usize].remove(&var.0);
             } else {
-                self.warnings += 1;
+                self.trace.warnings += 1;
             }
             return;
         }
         if !self.st.dev[device as usize].contains_key(&var.0) {
-            self.warnings += 1;
+            self.trace.warnings += 1;
             return;
         }
         if m.always && m.map_type.copies_from_device() {
-            self.transfer(AbsOpKind::D2H, device, var, codeptr);
+            self.d2h(device, var, codeptr);
         }
         let freed = match self.st.dev[device as usize].get_mut(&var.0) {
             Some(e) => {
@@ -572,9 +546,9 @@ impl<'p> Exec<'p> {
         };
         if freed {
             if m.map_type.copies_from_device() && !m.always {
-                self.transfer(AbsOpKind::D2H, device, var, codeptr);
+                self.d2h(device, var, codeptr);
             }
-            self.transfer(AbsOpKind::Delete, device, var, codeptr);
+            self.alloc_op(DataOpKind::Delete, device, var, codeptr);
             self.st.dev[device as usize].remove(&var.0);
         }
     }
@@ -606,12 +580,30 @@ mod tests {
         }
     }
 
-    fn ops(t: &AbsTrace) -> Vec<&AbsOp> {
-        t.events
+    /// One data op as the tests read it: the event's shape and its facts.
+    struct Op {
+        kind: &'static str,
+        var: usize,
+        codeptr: u64,
+        tok: Option<Tok>,
+        certain: bool,
+    }
+
+    fn ops(t: &AbsTrace) -> Vec<Op> {
+        assert_eq!(t.ops.len(), t.facts.len());
+        t.ops
             .iter()
-            .filter_map(|e| match e {
-                AbsEvent::Op(o) => Some(o),
-                _ => None,
+            .zip(&t.facts)
+            .map(|(e, f)| Op {
+                kind: match e.kind {
+                    DataOpKind::Transfer if e.is_host_to_device() => "h2d",
+                    DataOpKind::Transfer => "d2h",
+                    kind => kind.name(),
+                },
+                var: f.var,
+                codeptr: e.codeptr.0,
+                tok: f.tok,
+                certain: f.certain,
             })
             .collect()
     }
@@ -628,18 +620,55 @@ mod tests {
         let t = abstract_run(&p);
         let o = ops(&t);
         let kinds: Vec<_> = o.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                AbsOpKind::Alloc,
-                AbsOpKind::H2D,
-                AbsOpKind::D2H,
-                AbsOpKind::Delete
-            ]
-        );
+        assert_eq!(kinds, vec!["alloc", "h2d", "d2h", "delete"]);
         assert!(o.iter().all(|e| e.certain));
         // Content unchanged on device: D2H carries the same token H2D sent.
         assert_eq!(o[1].tok, o[2].tok);
+    }
+
+    #[test]
+    fn events_are_laid_out_as_the_runtime_dispatches_them() {
+        let p = prog(vec![Step::Target {
+            site: 7,
+            device: 0,
+            maps: vec![MapClause::tofrom(VarRef(1))],
+            kernel: KernelSpec {
+                name: "k".into(),
+                reads: vec![VarRef(1)],
+                writes: vec![],
+            },
+        }]);
+        let t = abstract_run(&p);
+        let [alloc, h2d, d2h, delete] = &t.ops[..] else {
+            panic!("alloc, H2D, D2H, delete: {:?}", t.ops);
+        };
+        let kernel = &t.kernels[0];
+        // One id sequence in stream order; spans follow it without overlap.
+        let ids = [alloc.id, h2d.id, kernel.id, d2h.id, delete.id];
+        assert_eq!(ids, [0, 1, 2, 3, 4].map(EventId));
+        assert!(h2d.span.end < kernel.span.start && kernel.span.end < d2h.span.start);
+        // Host side is the source operand, except on the way back.
+        for e in [alloc, h2d, delete] {
+            assert_eq!(
+                (e.src_device, e.dest_device),
+                (DeviceId::HOST, DeviceId::target(0))
+            );
+            assert_eq!((e.src_addr, e.dest_addr), (alloc.src_addr, alloc.dest_addr));
+        }
+        assert_eq!(
+            (d2h.src_device, d2h.dest_device),
+            (DeviceId::target(0), DeviceId::HOST)
+        );
+        assert_eq!((d2h.src_addr, d2h.dest_addr), (h2d.dest_addr, h2d.src_addr));
+        // Equal tokens intern to equal hashes; allocs carry none.
+        assert!(h2d.hash.is_some() && h2d.hash == d2h.hash);
+        assert_eq!((alloc.hash, delete.hash), (None, None));
+        assert_eq!(t.facts_of(d2h.id).map(|f| f.var), Some(1));
+        assert!(t.facts_of(kernel.id).is_none());
+        assert!(t
+            .ops
+            .iter()
+            .all(|e| e.bytes == 16 && e.codeptr == CodePtr(7)));
     }
 
     #[test]
@@ -659,7 +688,7 @@ mod tests {
         let o = ops(&t);
         // Outer: alloc+H2D ... inner: nothing (retain/release) ... outer: delete.
         assert_eq!(o.len(), 3);
-        assert_eq!(o[2].kind, AbsOpKind::Delete);
+        assert_eq!(o[2].kind, "delete");
     }
 
     #[test]
@@ -725,10 +754,7 @@ mod tests {
         }]);
         let t = abstract_run(&p);
         let o = ops(&t);
-        let d2h_x: Vec<_> = o
-            .iter()
-            .filter(|e| e.kind == AbsOpKind::D2H && e.var == 0)
-            .collect();
+        let d2h_x: Vec<_> = o.iter().filter(|e| e.kind == "d2h" && e.var == 0).collect();
         assert_eq!(d2h_x.len(), 1);
         assert!(d2h_x[0].certain, "x untouched by the loop stays certain");
     }
@@ -759,7 +785,7 @@ mod tests {
         let o = ops(&t);
         let d2h_x: Vec<_> = o
             .iter()
-            .filter(|e| e.kind == AbsOpKind::D2H && e.var == 0 && e.codeptr == 1)
+            .filter(|e| e.kind == "d2h" && e.var == 0 && e.codeptr == 1)
             .collect();
         assert_eq!(d2h_x.len(), 1);
         assert!(!d2h_x[0].certain, "loop-written content is tainted");
@@ -798,7 +824,7 @@ mod tests {
         // The UpdateTo targets absent data (region closed) → warning,
         // but host content must be tainted either way.
         let o = ops(&t);
-        let last_h2d = o.iter().rfind(|e| e.kind == AbsOpKind::H2D).unwrap();
+        let last_h2d = o.iter().rfind(|e| e.kind == "h2d").unwrap();
         assert!(!last_h2d.certain);
     }
 

@@ -409,6 +409,59 @@ pub enum Step {
     },
 }
 
+impl Step {
+    /// Code pointer of the directive; `None` for host writes and loops.
+    pub fn site(&self) -> Option<u64> {
+        match self {
+            Step::DataRegion { site, .. }
+            | Step::EnterData { site, .. }
+            | Step::ExitData { site, .. }
+            | Step::UpdateTo { site, .. }
+            | Step::UpdateFrom { site, .. }
+            | Step::Target { site, .. } => Some(*site),
+            Step::HostWrite { .. } | Step::Loop { .. } => None,
+        }
+    }
+
+    /// Target device of the directive; `None` for host writes and loops.
+    pub fn device(&self) -> Option<u32> {
+        match self {
+            Step::DataRegion { device, .. }
+            | Step::EnterData { device, .. }
+            | Step::ExitData { device, .. }
+            | Step::UpdateTo { device, .. }
+            | Step::UpdateFrom { device, .. }
+            | Step::Target { device, .. } => Some(*device),
+            Step::HostWrite { .. } | Step::Loop { .. } => None,
+        }
+    }
+
+    /// The steps a region or loop encloses; empty for everything else.
+    pub fn body(&self) -> &[Step] {
+        match self {
+            Step::DataRegion { body, .. } | Step::Loop { body, .. } => body,
+            _ => &[],
+        }
+    }
+}
+
+/// Every step of the tree under `steps`, pre-order (a region or loop
+/// before its body, siblings in program order).
+pub fn walk(steps: &[Step]) -> impl Iterator<Item = &Step> {
+    let mut stack = vec![steps.iter()];
+    std::iter::from_fn(move || loop {
+        match stack.last_mut()?.next() {
+            Some(step) => {
+                stack.push(step.body().iter());
+                return Some(step);
+            }
+            None => {
+                stack.pop();
+            }
+        }
+    })
+}
+
 /// A whole program: variables, step tree, site labels.
 #[derive(Clone, Debug)]
 pub struct MappingProgram {
@@ -638,6 +691,47 @@ mod tests {
             vec![3, 0, 0, 0, 5, 0, 0, 0]
         );
         assert_eq!(Init::f64(1.0).materialize(8), 1.0f64.to_le_bytes().to_vec());
+    }
+
+    #[test]
+    fn walk_is_pre_order_over_regions_and_loops() {
+        let update = |site| Step::UpdateTo {
+            site,
+            device: 1,
+            vars: vec![],
+        };
+        let steps = vec![
+            Step::DataRegion {
+                site: 1,
+                device: 0,
+                maps: vec![],
+                body: vec![
+                    Step::Loop {
+                        trip: TripCount::Static(2),
+                        body: vec![update(2)],
+                    },
+                    update(3),
+                ],
+            },
+            Step::HostWrite {
+                var: VarRef(0),
+                content: WriteContent::Byte(0),
+            },
+            update(4),
+        ];
+        let visited: Vec<_> = walk(&steps).map(|s| (s.site(), s.device())).collect();
+        assert_eq!(
+            visited,
+            vec![
+                (Some(1), Some(0)),
+                (None, None), // the loop
+                (Some(2), Some(1)),
+                (Some(3), Some(1)),
+                (None, None), // the host write
+                (Some(4), Some(1)),
+            ]
+        );
+        assert_eq!(walk(&[]).count(), 0);
     }
 
     #[test]

@@ -12,13 +12,16 @@
 //!    structure. One description drives both sides.
 //! 2. [`exec`] — the abstract executor: symbolic content tokens stand
 //!    in for buffer hashes, data-dependent loops are unrolled and
-//!    probed, and every abstract event carries a certainty bit.
-//! 3. [`analysis`] — the five detector analogues over the abstract
-//!    stream, each prediction tagged [`analysis::Certainty::Certain`]
-//!    (holds in every execution) or
-//!    [`analysis::Certainty::MayDependOnData`].
+//!    probed. It emits the dynamic engine's own event model
+//!    (`odp_model::DataOpEvent` / `TargetEvent`) plus one
+//!    [`exec::OpFacts`] per data op carrying the certainty bit.
+//! 3. [`analysis`] — the fused dynamic engine (`ompdataperf::detect`)
+//!    run over that abstract trace, then a certainty fold: each
+//!    prediction is tagged [`analysis::Certainty::Certain`] (holds in
+//!    every execution) or [`analysis::Certainty::MayDependOnData`].
+//!    The §5 algorithms are not re-implemented here.
 //! 4. [`lower`] — lowers the same IR onto the real simulated runtime
-//!    and runs the fused dynamic engine over the captured trace.
+//!    and runs the same engine over the captured trace.
 //! 5. [`mod@crosscheck`] — joins both sides by `(codeptr, device, kind)`
 //!    and scores certain precision / may coverage / recall misses.
 //! 6. [`plan`] — turns `Certain` predictions into machine-readable
@@ -45,7 +48,7 @@ pub mod programs;
 
 pub use analysis::{analyze, Certainty, StaticPrediction, StaticReport};
 pub use crosscheck::{crosscheck, CrossCheck, CrossRow, CrossSummary, RowStatus};
-pub use exec::{abstract_run, AbsEvent, AbsKernel, AbsOp, AbsOpKind, AbsTrace};
+pub use exec::{abstract_run, AbsTrace, OpFacts};
 pub use ir::{
     Init, KernelSpec, KernelWrite, MapClause, MappingProgram, Step, TripCount, VarDecl, VarRef,
 };

@@ -29,7 +29,7 @@
 //!   removed outright.
 
 use crate::analysis::{Certainty, StaticPrediction, StaticReport};
-use crate::ir::{render_map, MapClause, MappingProgram, Step, VarRef};
+use crate::ir::{render_map, walk, MapClause, MappingProgram, Step, VarRef};
 use crate::lower::lower_and_run;
 use odp_model::MapType;
 use ompdataperf::fleet::FindingKind;
@@ -188,24 +188,18 @@ fn host_mutated_vars(steps: &[Step], enclosed: &BTreeSet<usize>, out: &mut BTree
 
 /// Variables any kernel in `steps` writes.
 fn kernel_written_vars(steps: &[Step], out: &mut BTreeSet<usize>) {
-    for s in steps {
-        match s {
-            Step::Target { kernel, .. } => out.extend(kernel.writes.iter().map(|w| w.var.0)),
-            Step::DataRegion { body, .. } | Step::Loop { body, .. } => {
-                kernel_written_vars(body, out)
-            }
-            _ => {}
+    for s in walk(steps) {
+        if let Step::Target { kernel, .. } = s {
+            out.extend(kernel.writes.iter().map(|w| w.var.0));
         }
     }
 }
 
 /// Variables any kernel in `steps` reads.
 fn kernel_read_vars(steps: &[Step], out: &mut BTreeSet<usize>) {
-    for s in steps {
-        match s {
-            Step::Target { kernel, .. } => out.extend(kernel.reads.iter().map(|v| v.0)),
-            Step::DataRegion { body, .. } | Step::Loop { body, .. } => kernel_read_vars(body, out),
-            _ => {}
+    for s in walk(steps) {
+        if let Step::Target { kernel, .. } = s {
+            out.extend(kernel.reads.iter().map(|v| v.0));
         }
     }
 }
@@ -213,29 +207,20 @@ fn kernel_read_vars(steps: &[Step], out: &mut BTreeSet<usize>) {
 /// Does any directive in `steps` other than site `except` map or update
 /// variable `v`?
 fn mapped_elsewhere(steps: &[Step], v: usize, except: u64) -> bool {
-    steps.iter().any(|s| match s {
-        Step::DataRegion {
-            site, maps, body, ..
-        } => {
-            (*site != except && maps.iter().any(|m| m.var.0 == v))
-                || mapped_elsewhere(body, v, except)
-        }
-        Step::EnterData { site, maps, .. } | Step::ExitData { site, maps, .. } => {
-            *site != except && maps.iter().any(|m| m.var.0 == v)
-        }
-        Step::UpdateTo { site, vars, .. } | Step::UpdateFrom { site, vars, .. } => {
-            *site != except && vars.iter().any(|x| x.0 == v)
-        }
-        Step::Target {
-            site, maps, kernel, ..
-        } => {
-            *site != except
-                && (maps.iter().any(|m| m.var.0 == v)
-                    || kernel.referenced().iter().any(|x| x.0 == v))
-        }
-        Step::HostWrite { .. } => false,
-        Step::Loop { body, .. } => mapped_elsewhere(body, v, except),
-    })
+    walk(steps)
+        .filter(|s| s.site() != Some(except))
+        .any(|s| match s {
+            Step::DataRegion { maps, .. }
+            | Step::EnterData { maps, .. }
+            | Step::ExitData { maps, .. } => maps.iter().any(|m| m.var.0 == v),
+            Step::UpdateTo { vars, .. } | Step::UpdateFrom { vars, .. } => {
+                vars.iter().any(|x| x.0 == v)
+            }
+            Step::Target { maps, kernel, .. } => {
+                maps.iter().any(|m| m.var.0 == v) || kernel.referenced().iter().any(|x| x.0 == v)
+            }
+            Step::HostWrite { .. } | Step::Loop { .. } => false,
+        })
 }
 
 fn certain_at(report: &StaticReport, site: u64, kind: FindingKind) -> Option<&StaticPrediction> {
@@ -563,22 +548,7 @@ pub fn apply_plan(p: &MappingProgram, plan: &PatchPlan) -> Result<MappingProgram
 }
 
 fn max_site(steps: &[Step]) -> u64 {
-    let mut max = 0;
-    for s in steps {
-        match s {
-            Step::DataRegion { site, body, .. } => {
-                max = max.max(*site).max(max_site(body));
-            }
-            Step::EnterData { site, .. }
-            | Step::ExitData { site, .. }
-            | Step::UpdateTo { site, .. }
-            | Step::UpdateFrom { site, .. }
-            | Step::Target { site, .. } => max = max.max(*site),
-            Step::HostWrite { .. } => {}
-            Step::Loop { body, .. } => max = max.max(max_site(body)),
-        }
-    }
-    max
+    walk(steps).filter_map(Step::site).max().unwrap_or(0)
 }
 
 fn var_by_name(p: &MappingProgram, name: &str) -> Result<VarRef, String> {
@@ -677,16 +647,7 @@ fn edit_maps_at(steps: &mut [Step], site: u64, f: &mut impl FnMut(&mut Vec<MapCl
 
 /// Does the subtree contain a directive at `site`?
 fn contains_site(steps: &[Step], site: u64) -> bool {
-    steps.iter().any(|s| match s {
-        Step::DataRegion { site: st, body, .. } => *st == site || contains_site(body, site),
-        Step::EnterData { site: st, .. }
-        | Step::ExitData { site: st, .. }
-        | Step::UpdateTo { site: st, .. }
-        | Step::UpdateFrom { site: st, .. }
-        | Step::Target { site: st, .. } => *st == site,
-        Step::HostWrite { .. } => false,
-        Step::Loop { body, .. } => contains_site(body, site),
-    })
+    walk(steps).any(|s| s.site() == Some(site))
 }
 
 fn hoist(p: &mut MappingProgram, e: &PatchEdit, next_site: &mut u64) -> Result<(), String> {
@@ -863,49 +824,9 @@ fn split(p: &mut MappingProgram, e: &PatchEdit, next_site: &mut u64) -> Result<(
 }
 
 fn device_of_site(steps: &[Step], site: u64) -> Option<u32> {
-    for s in steps {
-        match s {
-            Step::DataRegion {
-                site: st,
-                device,
-                body,
-                ..
-            } => {
-                if *st == site {
-                    return Some(*device);
-                }
-                if let Some(d) = device_of_site(body, site) {
-                    return Some(d);
-                }
-            }
-            Step::EnterData {
-                site: st, device, ..
-            }
-            | Step::ExitData {
-                site: st, device, ..
-            }
-            | Step::UpdateTo {
-                site: st, device, ..
-            }
-            | Step::UpdateFrom {
-                site: st, device, ..
-            }
-            | Step::Target {
-                site: st, device, ..
-            } => {
-                if *st == site {
-                    return Some(*device);
-                }
-            }
-            Step::Loop { body, .. } => {
-                if let Some(d) = device_of_site(body, site) {
-                    return Some(d);
-                }
-            }
-            Step::HostWrite { .. } => {}
-        }
-    }
-    None
+    walk(steps)
+        .find(|s| s.site() == Some(site))
+        .and_then(Step::device)
 }
 
 /// Insert `before`/`after` around the outermost loop containing `site`.

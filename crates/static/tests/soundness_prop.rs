@@ -2,7 +2,8 @@
 //! randomly generated mapping programs, every prediction the analyzer
 //! tags `Certain` must be confirmed by the fused dynamic engine on the
 //! lowered execution — at the same `(codeptr, device, kind)` key, with
-//! at least the proven instance count.
+//! at least the proven instance count — and where no control flow
+//! depends on data, prediction and observation are equal.
 //!
 //! The generator deliberately restricts variable initializers and
 //! kernel write contents to byte-fill patterns and unique images: for
@@ -16,8 +17,8 @@
 use odp_model::MapType;
 use odp_static::crosscheck::join;
 use odp_static::ir::{
-    Fires, Init, KernelSpec, KernelWrite, MapClause, MappingProgram, Step, TripCount, VarDecl,
-    VarRef, WriteContent,
+    walk, Fires, Init, KernelSpec, KernelWrite, MapClause, MappingProgram, Step, TripCount,
+    VarDecl, VarRef, WriteContent,
 };
 use odp_static::{analyze, lower_and_run};
 use proptest::prelude::*;
@@ -230,6 +231,41 @@ proptest! {
             check.render(&p),
             report,
         );
+    }
+
+    /// Exactness where nothing depends on data: without a
+    /// data-dependent loop the abstract execution *is* the execution,
+    /// so the static rows equal the dynamic sites — instance counts and
+    /// wasted bytes included — and every instance is certain. This is
+    /// the direct check that the symbolic present table and
+    /// `sim::Runtime`'s agree; both sides detect through one engine, so
+    /// a difference can only come from the abstraction.
+    #[test]
+    fn without_data_dependent_loops_static_equals_dynamic(seed in 0u64..u64::MAX) {
+        let p = gen_program(seed);
+        let data_dependent = |s: &Step| {
+            matches!(s, Step::Loop { trip: TripCount::DataDependent { .. }, .. })
+        };
+        if !walk(&p.steps).any(data_dependent) {
+            let report = analyze(&p);
+            let predicted: Vec<_> = report
+                .rows
+                .iter()
+                .map(|r| (r.codeptr, r.device, r.kind, r.count, r.bytes))
+                .collect();
+            let observed: Vec<_> = lower_and_run(&p)
+                .sites
+                .iter()
+                .map(|s| (s.codeptr, s.device, s.kind, s.count, s.bytes))
+                .collect();
+            prop_assert_eq!(&predicted, &observed, "seed {}", seed);
+            prop_assert!(
+                report.rows.iter().all(|r| r.certain_count == r.count),
+                "seed {}: uncertain instance without data-dependent control flow: {:#?}",
+                seed,
+                report.rows,
+            );
+        }
     }
 
     /// The analyzer and the abstract executor never panic, and a
