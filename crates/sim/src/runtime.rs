@@ -1671,6 +1671,306 @@ mod tests {
         (rt, events, hashes)
     }
 
+    /// FNV-1a fold of everything a tool can observe, one word at a time.
+    struct Digest(u64);
+
+    impl Digest {
+        fn new() -> Self {
+            Digest(0xcbf2_9ce4_8422_2325)
+        }
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        fn text(&mut self, s: &str) {
+            self.word(s.len() as u64);
+            self.word(odp_hash_stub(s.as_bytes()));
+        }
+        fn access(&mut self, ranges: &[AccessRange]) {
+            self.word(ranges.len() as u64);
+            for r in ranges {
+                self.word(r.host_addr);
+                self.word(r.dev_addr);
+                self.word(r.bytes);
+            }
+        }
+    }
+
+    /// Folds every field of every callback, in arrival order.
+    struct Transcript(Arc<Mutex<Digest>>);
+
+    impl Tool for Transcript {
+        fn initialize(&mut self, caps: &RuntimeCapabilities) -> ToolRegistration {
+            // EMI and the deprecated forms: a pre-EMI runtime grants only
+            // the latter, which is the begin-only stream.
+            ToolRegistration::negotiate(
+                &[
+                    CallbackKind::TargetEmi,
+                    CallbackKind::TargetDataOpEmi,
+                    CallbackKind::TargetSubmitEmi,
+                    CallbackKind::Target,
+                    CallbackKind::TargetDataOp,
+                    CallbackKind::TargetSubmit,
+                ],
+                caps,
+            )
+        }
+
+        fn on_target(&mut self, cb: &TargetCallback) {
+            let mut d = self.0.lock().unwrap();
+            d.word(1);
+            d.word(cb.endpoint as u64);
+            d.word(cb.construct as u64);
+            d.word(cb.device.raw() as u64);
+            d.word(cb.target_id);
+            d.word(cb.codeptr_ra.0);
+            d.word(cb.time.as_nanos());
+        }
+
+        fn on_data_op(&mut self, cb: &DataOpCallback<'_>) {
+            let mut d = self.0.lock().unwrap();
+            d.word(2);
+            d.word(cb.endpoint as u64);
+            d.word(cb.target_id);
+            d.word(cb.host_op_id);
+            d.word(cb.optype as u64);
+            d.word(cb.src_device.raw() as u64);
+            d.word(cb.src_addr);
+            d.word(cb.dest_device.raw() as u64);
+            d.word(cb.dest_addr);
+            d.word(cb.bytes);
+            d.word(cb.codeptr_ra.0);
+            d.word(cb.time.as_nanos());
+            match cb.payload {
+                Some(p) => {
+                    d.word(1 + p.len() as u64);
+                    d.word(odp_hash_stub(p));
+                }
+                None => d.word(0),
+            }
+        }
+
+        fn on_submit(&mut self, cb: &SubmitCallback) {
+            let mut d = self.0.lock().unwrap();
+            d.word(3);
+            d.word(cb.endpoint as u64);
+            d.word(cb.target_id);
+            d.word(cb.device.raw() as u64);
+            d.word(cb.requested_num_teams as u64);
+            d.word(cb.codeptr_ra.0);
+            d.word(cb.time.as_nanos());
+        }
+
+        fn on_kernel_access(&mut self, info: &KernelAccessInfo) {
+            let mut d = self.0.lock().unwrap();
+            d.word(4);
+            d.word(info.device.raw() as u64);
+            d.word(info.target_id);
+            d.access(&info.reads);
+            d.access(&info.writes);
+            d.access(&info.masked_writes);
+            d.word(info.time.as_nanos());
+        }
+
+        fn on_host_access(&mut self, info: &HostAccessInfo) {
+            let mut d = self.0.lock().unwrap();
+            d.word(5);
+            d.word(info.host_addr);
+            d.word(info.bytes);
+            d.word(info.is_write as u64);
+            d.word(info.time.as_nanos());
+        }
+
+        fn finalize(&mut self, total_time_ns: u64) {
+            let mut d = self.0.lock().unwrap();
+            d.word(6);
+            d.word(total_time_ns);
+        }
+    }
+
+    /// Every directive the runtime implements, on two devices, with
+    /// enough rounds that each seeded fault class fires.
+    fn every_directive(rt: &mut Runtime) {
+        let a = rt.host_alloc("a", 256);
+        let b = rt.host_alloc("b", 96);
+        let c = rt.host_alloc("c", 64);
+        let d = rt.host_alloc("d", 40);
+        let ghost = rt.host_alloc("ghost", 32);
+        rt.host_fill_u32(a, |i| i as u32);
+        rt.host_fill_u32(b, |i| 7 * i as u32 + 1);
+        for round in 0..8u64 {
+            let dev = (round % 2) as u32;
+            let other = 1 - dev;
+            let at = |n: u64| CodePtr(0x100 * (round % 3 + 1) + n);
+            // Nested structured regions; the inner one re-maps `a`.
+            let outer = rt.target_data_begin(
+                dev,
+                at(1),
+                &[map(MapType::ToFrom, a), map(MapType::Alloc, c)],
+            );
+            let inner =
+                rt.target_data_begin(dev, at(2), &[map(MapType::To, a), map(MapType::To, b)]);
+            // `always to` of present data; `c` is present, so not implicit.
+            rt.target(
+                dev,
+                at(3),
+                &[map_always(MapType::To, a)],
+                Kernel::new("k", KernelCost::fixed(700))
+                    .reads(&[a, b])
+                    .writes(&[c])
+                    .teams(4),
+            );
+            rt.target_update_from(dev, at(4), &[c, ghost]);
+            rt.host_load(c);
+            rt.host_store(a, 8, &round.to_le_bytes());
+            rt.target_update_to(dev, at(5), &[a]);
+            rt.target_data_end(inner);
+            // Unstructured mapping; a `release` on an enter path warns.
+            rt.target_enter_data(
+                dev,
+                at(6),
+                &[map(MapType::To, b), map(MapType::Release, ghost)],
+            );
+            // Implicit `tofrom` of `d`, masked writes.
+            rt.target(
+                dev,
+                at(7),
+                &[map(MapType::To, b)],
+                Kernel::new("implicit", KernelCost::fixed(300))
+                    .reads(&[b, d])
+                    .masked_writes(&[d]),
+            );
+            // Asynchronous kernel over resident data: the update and the
+            // host phase overlap it until the taskwait.
+            rt.target_nowait(
+                dev,
+                at(8),
+                &[map(MapType::To, b), map(MapType::Alloc, c)],
+                Kernel::new("async", KernelCost::fixed(50_000))
+                    .reads(&[b])
+                    .writes(&[c]),
+            );
+            rt.target_update_from(dev, at(9), &[a]);
+            rt.host_compute(SimDuration(1_000));
+            rt.taskwait(dev);
+            // Asynchronous kernel whose implicit copy-back forces a sync.
+            rt.target_nowait(
+                dev,
+                at(10),
+                &[],
+                Kernel::new("sync", KernelCost::fixed(9_000))
+                    .reads(&[d])
+                    .writes(&[d]),
+            );
+            // `always from` while references remain; absent release/delete.
+            rt.target_exit_data(
+                dev,
+                at(11),
+                &[
+                    map_always(MapType::From, a),
+                    map(MapType::Release, ghost),
+                    map(MapType::Delete, ghost),
+                ],
+            );
+            rt.target_exit_data(dev, at(12), &[map(MapType::Delete, b)]);
+            // The other device maps the same host data independently.
+            rt.target(
+                other,
+                at(13),
+                &[map(MapType::To, a), map(MapType::From, c)],
+                Kernel::new("other", KernelCost::fixed(200))
+                    .reads(&[a])
+                    .writes(&[c]),
+            );
+            rt.target_data_end(outer);
+        }
+    }
+
+    fn transcript_digest(pre_emi: bool, faults: crate::faults::FaultPlan) -> u64 {
+        let mut cfg = RuntimeConfig::default().with_devices(2).with_faults(faults);
+        if pre_emi {
+            cfg = cfg.pre_emi();
+        }
+        let mut rt = Runtime::new(cfg);
+        let digest = Arc::new(Mutex::new(Digest::new()));
+        rt.attach_tool(Box::new(Transcript(digest.clone())));
+        every_directive(&mut rt);
+        let stats = rt.finish();
+        let mut d = digest.lock().unwrap();
+        d.word(rt.warnings().len() as u64);
+        for w in rt.warnings() {
+            d.text(&format!("{w:?}"));
+        }
+        d.word(stats.total_time.as_nanos());
+        d.word(stats.transfers as u64);
+        d.word(stats.bytes_transferred);
+        d.word(stats.allocs as u64);
+        d.word(stats.kernels as u64);
+        d.word(stats.transfer_time.as_nanos());
+        d.word(stats.alloc_time.as_nanos());
+        d.word(stats.kernel_time.as_nanos());
+        for dev in 0..2 {
+            d.word(rt.device_peak_bytes(dev));
+            d.word(rt.present_mappings(dev) as u64);
+        }
+        d.text(&rt.fault_counts().summary());
+        d.0
+    }
+
+    /// The exact callback stream — every field, the payload content, the
+    /// warnings and the statistics — under EMI and begin-only dispatch,
+    /// clean and under each fault profile. The constants were produced by
+    /// the runtime as of PR 18; a refactor of the directive layer must
+    /// reproduce them unmodified.
+    #[test]
+    fn callback_transcript_is_pinned() {
+        use crate::faults::{FaultPlan, FaultProfile};
+        const SEED: u64 = 5;
+        const EXPECTED: [(FaultProfile, u64, u64); 5] = [
+            (
+                FaultProfile::None,
+                0xad50_4cc3_5573_0ff3,
+                0x7fd2_c3e8_5100_22bb,
+            ),
+            (
+                FaultProfile::Lossy,
+                0x5206_c6fb_512d_ea39,
+                0x642c_350b_8252_9c57,
+            ),
+            (
+                FaultProfile::Hostile,
+                0x780e_498f_c70b_108c,
+                0xeccc_dd7e_f439_0aa9,
+            ),
+            (
+                FaultProfile::Stalled,
+                0x2d85_3739_d8e3_a20b,
+                0x65c7_236d_368e_138d,
+            ),
+            (
+                FaultProfile::Oom,
+                0x7133_41ce_5377_c4df,
+                0x5f62_d294_5114_80bf,
+            ),
+        ];
+        let got: Vec<(FaultProfile, u64, u64)> = EXPECTED
+            .iter()
+            .map(|&(profile, _, _)| {
+                let plan = || FaultPlan::from_profile(profile, SEED);
+                (
+                    profile,
+                    transcript_digest(false, plan()),
+                    transcript_digest(true, plan()),
+                )
+            })
+            .collect();
+        assert_eq!(
+            got, EXPECTED,
+            "(profile, EMI digest, pre-EMI digest); got:\n{got:#x?}"
+        );
+    }
+
     #[test]
     fn listing1_duplicate_transfer_shape() {
         // Two back-to-back target regions mapping the same `to:` array:
