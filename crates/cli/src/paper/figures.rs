@@ -319,8 +319,7 @@ pub(super) fn fig5(args: &PaperArgs, out: Out<'_>) -> CmdResult {
          ~{} GB/s.\n\
          hash-beats-modeled-transfer at {hash_wins}/{big_sizes} sizes ≥ 64 KiB \
          (the paper's EPYC 7543 beat its own link everywhere; a slower test \
-         CPU against the same modeled A100 link shifts the crossover — see \
-         EXPERIMENTS.md)",
+         CPU against the same modeled A100 link shifts the crossover)",
         table.render(),
         transfer.bytes_per_ns
     )?;

@@ -15,7 +15,7 @@ use odp_hash::HashAlgoId;
 use odp_sim::{FaultPlan, FaultProfile};
 use odp_workloads::adaptive::Remedy;
 use odp_workloads::session::{self, RunSpec};
-use ompdataperf::report::{ConsoleStreamSink, FindingsSink, SnapshotStreamSink};
+use ompdataperf::report::{ConsoleStreamSink, SnapshotStreamSink};
 use ompdataperf::tool::{FindingsTap, OmpDataPerfTool};
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,7 +66,7 @@ pub fn usage() -> String {
          \x20 --remediate           Rewrite inefficient mappings mid-run from live findings (implies --stream;\n\
          \x20                       with --threads: shared device tables + per-thread advisors)\n\
          \x20 --fault-profile NAME  Inject seeded runtime faults: {}\n\
-         \x20 --fault-seed N        Deterministic fault seed (default: 42)\n\
+         \x20 --fault-seed N        With --fault-profile: deterministic fault seed (default: 42)\n\
          \x20 --stall-timeout MS    With streaming on: force-release the reorder buffer after MS ms\n\
          \x20                       without watermark progress (degrades findings)\n\
          Programs:\n\x20 {}",
@@ -86,7 +86,7 @@ pub fn parse(args: &[String]) -> Result<RunArgs, Stop> {
     };
     let spec = &mut out.spec;
     let mut scale = Scale::default();
-    let (mut fault_profile, mut fault_seed) = (FaultProfile::None, 42);
+    let (mut fault_profile, mut fault_seed) = (None, None);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -140,10 +140,10 @@ pub fn parse(args: &[String]) -> Result<RunArgs, Stop> {
                         FaultProfile::NAMES
                     ));
                 };
-                fault_profile = profile;
+                fault_profile = Some(profile);
             }
             "--fault-seed" => {
-                fault_seed = number(&mut it, 0, "--fault-seed needs an integer value")?
+                fault_seed = Some(number(&mut it, 0, "--fault-seed needs an integer value")?)
             }
             "--stall-timeout" => {
                 let ms = number(&mut it, 0, "--stall-timeout needs a ms value")?;
@@ -164,21 +164,26 @@ pub fn parse(args: &[String]) -> Result<RunArgs, Stop> {
     if out.program.is_empty() {
         return fail(format!("no program given\n\n{}", usage()));
     }
-    // The streaming knobs configure an engine that must exist.
-    for (flag, given) in [
-        ("--stream-cap", spec.tool.stream_max_frontier.is_some()),
-        ("--stall-timeout", spec.tool.stall_timeout.is_some()),
+    // A knob configures something another flag must have turned on.
+    let t = &spec.tool;
+    let streaming = (t.stream, "--stream, --stream-interval or --remediate");
+    let faults = (fault_profile.is_some(), "--fault-profile");
+    for (flag, given, (met, needs)) in [
+        ("--stream-cap", t.stream_max_frontier.is_some(), streaming),
+        ("--stall-timeout", t.stall_timeout.is_some(), streaming),
+        ("--fault-seed", fault_seed.is_some(), faults),
     ] {
-        if given && !spec.tool.stream {
-            return fail(format!(
-                "{flag} needs --stream, --stream-interval or --remediate"
-            ));
+        if given && !met {
+            return fail(format!("{flag} needs {needs}"));
         }
     }
     (spec.size, spec.variant) = (scale.size, scale.variant);
     // Cloned into every runtime; clones share the injected-fault
     // totals, so the summary after the run sees every shard.
-    spec.runtime.faults = FaultPlan::from_profile(fault_profile, fault_seed);
+    spec.runtime.faults = FaultPlan::from_profile(
+        fault_profile.unwrap_or(FaultProfile::None),
+        fault_seed.unwrap_or(42),
+    );
     Ok(out)
 }
 

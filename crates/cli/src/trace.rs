@@ -79,7 +79,7 @@ fn save(args: &[String], out: Out<'_>) -> CmdResult {
         let w = workload(run_id)?;
         let artifact = capture_artifact(&*w, scale.size, scale.variant, remediate);
         if let Some(warning) = artifact.health.warning() {
-            eprintln!("{run_id}: {warning}");
+            writeln!(out, "{run_id}: {warning}")?;
         }
         let bytes = artifact.to_bytes();
         if let Some(dir) = trace_dir {

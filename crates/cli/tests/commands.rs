@@ -113,6 +113,10 @@ fn run_rejects_what_it_cannot_do() {
     assert!(failure("run bfs --stall-timeout 50").contains("--stall-timeout needs --stream"));
     ok("run bfs --stream-cap 64 --stream -q");
     ok("run bfs --stall-timeout 500 --remediate -q");
+    // A seed alone seeds nothing.
+    assert!(failure("run bfs --fault-seed 7").contains("--fault-seed needs --fault-profile"));
+    ok("run bfs --fault-profile lossy --fault-seed 7 -q");
+    ok("run bfs --fault-profile none --fault-seed 7 -q");
 }
 
 #[test]
@@ -143,6 +147,11 @@ fn trace_save_load_diff_round_trip_in_a_temp_dir() {
     ));
     assert!(saved.contains(&format!("wrote {dir}/bfs.odpt")));
     assert!(saved.contains("2 run(s)"));
+    // Everything `save` says goes through its output — a degraded run's
+    // health warning included — and clean runs say nothing but what
+    // they wrote.
+    assert_eq!(saved.lines().count(), 3, "{saved}");
+    assert!(saved.lines().all(|l| l.starts_with("wrote ")), "{saved}");
     let loaded = ok(&format!("trace load {dir}/babelstream.odpt"));
     assert!(loaded.contains("program 'babelstream'"));
     assert!(loaded.contains("health: clean"));

@@ -18,11 +18,11 @@
 //! chronological sweep in which all five algorithms advance as
 //! incremental state machines reading only the columns they need (a
 //! hash here, a start time there — never a whole ~96-byte row),
-//! producing *index-based* findings ([`IndexFindings`]): no event is
+//! producing *index-based* findings (`IndexFindings`): no event is
 //! materialized during detection. Owned [`Findings`] (byte-identical
 //! to the standalone detectors' output, group order included) are
-//! gathered from the columns only at the report boundary via
-//! [`IndexFindings::resolve`].
+//! gathered from the columns only at the report boundary, by
+//! `IndexFindings::resolve` inside [`detect`].
 //!
 //! Equivalence with the five independent passes is enforced by the
 //! differential test suite in `crates/core/tests/fused_differential.rs`
@@ -30,8 +30,8 @@
 
 use crate::detect::pairing::AllocDeletePair;
 use crate::detect::{
-    Confidence, DuplicateTransferGroup, Findings, IssueCounts, RepeatedAllocGroup, RoundTrip,
-    RoundTripGroup, TripList, UnusedAlloc, UnusedTransfer, UnusedTransferReason,
+    Confidence, DuplicateTransferGroup, Findings, RepeatedAllocGroup, RoundTrip, RoundTripGroup,
+    TripList, UnusedAlloc, UnusedTransfer, UnusedTransferReason,
 };
 use odp_hash::fnv::FnvHashMap;
 use odp_model::{DataOpEvent, DataOpKind, DeviceId, HashVal, SimTime};
@@ -504,12 +504,10 @@ impl<'a> EventView<'a> {
 /// Index-based findings: what the fused sweep produces. Events are
 /// referenced by their chronological index ([`OpIx`]) into the view —
 /// resolve one with [`EventView::op`] (its `.id` is the stable
-/// [`odp_model::EventId`]). [`IndexFindings::counts`] computes the Table
-/// 1 issue counts without materializing a single event clone;
-/// [`IndexFindings::resolve`] materializes owned [`Findings`] for
-/// reports.
+/// [`odp_model::EventId`]). [`IndexFindings::resolve`] materializes
+/// owned [`Findings`] for reports.
 #[derive(Default)]
-pub struct IndexFindings {
+struct IndexFindings {
     /// Algorithm 1: duplicate groups as `rx_slots` indices.
     duplicates: Vec<u32>,
     /// Algorithm 2: round-trip groups.
@@ -557,29 +555,9 @@ struct IdxRepeatedAllocGroup {
 }
 
 impl IndexFindings {
-    /// Table 1 issue counts, straight from the indices (no event
-    /// materialization).
-    pub fn counts(&self, view: &EventView<'_>) -> IssueCounts {
-        IssueCounts {
-            dd: self
-                .duplicates
-                .iter()
-                .map(|&s| view.rx_queue(s).len().saturating_sub(1))
-                .sum(),
-            rt: self.round_trips.iter().map(|g| g.len as usize).sum(),
-            ra: self
-                .repeated_allocs
-                .iter()
-                .map(|g| (g.len as usize).saturating_sub(1))
-                .sum(),
-            ua: self.unused_allocs.len(),
-            ut: self.unused_transfers.len(),
-        }
-    }
-
     /// Materialize owned findings — the one place events are cloned,
     /// and only the events that appear in findings.
-    pub fn resolve(&self, view: &EventView<'_>) -> Findings {
+    fn resolve(&self, view: &EventView<'_>) -> Findings {
         Findings {
             duplicates: self
                 .duplicates
@@ -681,7 +659,7 @@ impl IndexFindings {
 /// match them byte for byte — group order, event order within groups,
 /// everything. The sweeps read only the columns they need (hash,
 /// device, address, time), streaming over dense arrays.
-pub fn detect_indexed(view: &EventView<'_>) -> IndexFindings {
+fn detect_indexed(view: &EventView<'_>) -> IndexFindings {
     let mut out = IndexFindings {
         duplicates: alg1_duplicates(view),
         ..Default::default()
@@ -987,11 +965,6 @@ mod tests {
             serde_json::to_string(&separate).unwrap()
         );
         assert_eq!(fused.counts(), separate.counts());
-        assert_eq!(
-            detect_indexed(&view).counts(&view),
-            separate.counts(),
-            "indexed counts must not require materialization"
-        );
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!   tables built in one indexing pass — then advances all five
 //!   algorithms as incremental state machines in **one** chronological
 //!   detection sweep, each reading only the columns its state machine
-//!   needs. Findings are index-based ([`engine::IndexFindings`]) until
+//!   needs. Findings are index-based (`engine::IndexFindings`) until
 //!   the report boundary; only events that appear in findings are ever
 //!   gathered back into rows. ARCHITECTURE.md's memory-layout section
 //!   has the column map and the cache story.
@@ -204,7 +204,7 @@ use odp_model::{DataOpEvent, TargetEvent};
 use serde::{Deserialize, Serialize};
 
 pub use duplicate::{find_duplicate_transfers, DuplicateTransferGroup};
-pub use engine::{EventView, IndexFindings, OutOfRangeEvents, MAX_PLAUSIBLE_DEVICES};
+pub use engine::{EventView, OutOfRangeEvents, MAX_PLAUSIBLE_DEVICES};
 pub use pairing::{alloc_delete_pairs, AllocDeletePair};
 pub use realloc::{find_repeated_allocs, find_repeated_allocs_keyed, RepeatedAllocGroup};
 pub use roundtrip::{find_round_trips, RoundTrip, RoundTripGroup, TripList};
@@ -240,7 +240,8 @@ impl Confidence {
     }
 }
 
-/// Issue counts per category, using the paper's Table 1 conventions:
+/// Issue counts per category, using the paper's Table 1 conventions
+/// (stated once, by [`charges`]):
 ///
 /// * **DD** — duplicate transfer *events* (every event in a group beyond
 ///   the first; a group of `n` identical receptions contributes `n-1`);
@@ -315,24 +316,180 @@ impl Findings {
         }
     }
 
-    /// Table 1-style issue counts.
+    /// Table 1-style issue counts: [`charges`] counted per category.
     pub fn counts(&self) -> IssueCounts {
-        IssueCounts {
-            dd: self
-                .duplicates
-                .iter()
-                .map(|g| g.events.len().saturating_sub(1))
-                .sum(),
-            rt: self.round_trips.iter().map(|g| g.trips.len()).sum(),
-            ra: self
-                .repeated_allocs
-                .iter()
-                .map(|g| g.pairs.len().saturating_sub(1))
-                .sum(),
-            ua: self.unused_allocs.len(),
-            ut: self.unused_transfers.len(),
+        let mut counts = IssueCounts::default();
+        charges(self).for_each(|c| match c.evidence.kind() {
+            FindingKind::DuplicateTransfer => counts.dd += 1,
+            FindingKind::RoundTrip => counts.rt += 1,
+            FindingKind::RepeatedAlloc => counts.ra += 1,
+            FindingKind::UnusedAlloc => counts.ua += 1,
+            FindingKind::UnusedTransfer => counts.ut += 1,
+        });
+        counts
+    }
+}
+
+/// Which of the five §5 inefficiency classes a finding belongs to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub enum FindingKind {
+    /// Algorithm 1: duplicate data transfer.
+    DuplicateTransfer,
+    /// Algorithm 2: round-trip data transfer.
+    RoundTrip,
+    /// Algorithm 3: repeated device memory allocation.
+    RepeatedAlloc,
+    /// Algorithm 4: unused device memory allocation.
+    UnusedAlloc,
+    /// Algorithm 5: unused data transfer.
+    UnusedTransfer,
+}
+
+impl FindingKind {
+    /// Table 1-style short code.
+    pub fn code(self) -> &'static str {
+        match self {
+            FindingKind::DuplicateTransfer => "DD",
+            FindingKind::RoundTrip => "RT",
+            FindingKind::RepeatedAlloc => "RA",
+            FindingKind::UnusedAlloc => "UA",
+            FindingKind::UnusedTransfer => "UT",
         }
     }
+}
+
+/// One redundant instance of a finding, with what it is charged to.
+#[derive(Clone, Copy, Debug)]
+pub struct Charge<'f> {
+    /// Source site the instance is attributed to.
+    pub codeptr: u64,
+    /// Raw device number the waste lands on (-1 = host).
+    pub device: i32,
+    /// Eliminable bytes.
+    pub bytes: u64,
+    /// The events behind the instance.
+    pub evidence: Evidence<'f>,
+}
+
+/// The events behind one [`Charge`], borrowed from the [`Findings`].
+#[derive(Clone, Copy, Debug)]
+pub enum Evidence<'f> {
+    /// `event` re-delivers what the group's `earlier` members delivered.
+    Duplicate {
+        /// The group's members before `event`, chronological.
+        earlier: &'f [DataOpEvent],
+        /// The redundant transfer.
+        event: &'f DataOpEvent,
+    },
+    /// A completed round trip.
+    RoundTrip(&'f RoundTrip),
+    /// `pair` re-allocates what the group's `earlier` pairs allocated.
+    RepeatedAlloc {
+        /// The group's pairs before `pair`, chronological.
+        earlier: &'f [AllocDeletePair],
+        /// The redundant allocation cycle.
+        pair: &'f AllocDeletePair,
+    },
+    /// An allocation no kernel could have used.
+    UnusedAlloc(&'f AllocDeletePair),
+    /// A transfer no kernel could have used.
+    UnusedTransfer(&'f UnusedTransfer),
+}
+
+impl<'f> Evidence<'f> {
+    /// The inefficiency class this is evidence of.
+    pub fn kind(&self) -> FindingKind {
+        match self {
+            Evidence::Duplicate { .. } => FindingKind::DuplicateTransfer,
+            Evidence::RoundTrip(_) => FindingKind::RoundTrip,
+            Evidence::RepeatedAlloc { .. } => FindingKind::RepeatedAlloc,
+            Evidence::UnusedAlloc(_) => FindingKind::UnusedAlloc,
+            Evidence::UnusedTransfer(_) => FindingKind::UnusedTransfer,
+        }
+    }
+
+    /// The event the instance is charged at — the one a report row
+    /// shows (site, time, bytes): the redundant transfer or allocation
+    /// itself, a round trip's reception leg.
+    pub fn charged(&self) -> &'f DataOpEvent {
+        match *self {
+            Evidence::Duplicate { event, .. } => event,
+            Evidence::RoundTrip(trip) => &trip.rx,
+            Evidence::RepeatedAlloc { pair, .. } | Evidence::UnusedAlloc(pair) => &pair.alloc,
+            Evidence::UnusedTransfer(ut) => &ut.event,
+        }
+    }
+
+    /// The events fixing the instance eliminates (§7.6): the transfer
+    /// itself, both legs of a round trip (the copy-back *and* the
+    /// re-send), the alloc and delete of an allocation cycle.
+    pub fn eliminable(&self) -> impl Iterator<Item = &'f DataOpEvent> {
+        let (first, second) = match *self {
+            Evidence::Duplicate { event, .. } => (event, None),
+            Evidence::RoundTrip(trip) => (&trip.tx, Some(&trip.rx)),
+            Evidence::RepeatedAlloc { pair, .. } | Evidence::UnusedAlloc(pair) => {
+                (&pair.alloc, pair.delete.as_ref())
+            }
+            Evidence::UnusedTransfer(ut) => (&ut.event, None),
+        };
+        std::iter::once(first).chain(second)
+    }
+}
+
+/// Every redundant instance in `findings`, in category order DD → RT →
+/// RA → UA → UT — the one statement of Table 1's conventions: which
+/// instances count and what each is charged to. A group's first member
+/// is necessary and not charged; a duplicate or repeat is charged at its
+/// own site, a round trip at its reception leg's site for both legs'
+/// bytes on the intermediate device, unused allocations and transfers at
+/// their own site for their own bytes. Counts ([`Findings::counts`]),
+/// the §7.6 estimate, the report's sections and the fleet's site
+/// findings are all folds over this walk (`for_each` over the five-way
+/// chain is measurably cheaper than stepping it with `next`).
+pub fn charges(findings: &Findings) -> impl Iterator<Item = Charge<'_>> {
+    let dd = findings.duplicates.iter().flat_map(|g| {
+        (1..g.events.len()).map(move |i| Charge {
+            codeptr: g.events[i].codeptr.0,
+            device: g.dest_device.raw(),
+            bytes: g.events[i].bytes,
+            evidence: Evidence::Duplicate {
+                earlier: &g.events[..i],
+                event: &g.events[i],
+            },
+        })
+    });
+    let rt = findings.round_trips.iter().flat_map(|g| {
+        g.trips.iter().map(move |t| Charge {
+            codeptr: t.rx.codeptr.0,
+            device: g.dest_device.raw(),
+            bytes: t.tx.bytes + t.rx.bytes,
+            evidence: Evidence::RoundTrip(t),
+        })
+    });
+    let ra = findings.repeated_allocs.iter().flat_map(|g| {
+        (1..g.pairs.len()).map(move |i| Charge {
+            codeptr: g.pairs[i].alloc.codeptr.0,
+            device: g.device.raw(),
+            bytes: g.bytes,
+            evidence: Evidence::RepeatedAlloc {
+                earlier: &g.pairs[..i],
+                pair: &g.pairs[i],
+            },
+        })
+    });
+    let ua = findings.unused_allocs.iter().map(|ua| Charge {
+        codeptr: ua.pair.alloc.codeptr.0,
+        device: ua.pair.alloc.dest_device.raw(),
+        bytes: ua.pair.alloc.bytes,
+        evidence: Evidence::UnusedAlloc(&ua.pair),
+    });
+    let ut = findings.unused_transfers.iter().map(|ut| Charge {
+        codeptr: ut.event.codeptr.0,
+        device: ut.event.dest_device.raw(),
+        bytes: ut.event.bytes,
+        evidence: Evidence::UnusedTransfer(ut),
+    });
+    dd.chain(rt).chain(ra).chain(ua).chain(ut)
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ pub fn find_repeated_allocs(data_op_events: &[DataOpEvent]) -> Vec<RepeatedAlloc
 }
 
 /// Algorithm 3 with the allocation size optionally removed from the
-/// grouping key — the ablation DESIGN.md calls out. Without the size the
+/// grouping key — the §5.3 ablation. Without the size the
 /// detector false-positives whenever a reused host address hosts
 /// *different* variables over the program's lifetime (§5.3's motivation
 /// for including it).

@@ -36,42 +36,15 @@
 //! suite pins this under free-running and pinned harnesses.
 
 use crate::analysis::infer_num_devices_columnar;
-use crate::detect::{AllocDeletePair, EventView, Findings, IssueCounts, RoundTrip, UnusedTransfer};
-use odp_model::{DataOpEvent, TraceHealth};
+pub use crate::detect::{charges, Charge, Evidence, FindingKind};
+use crate::detect::{EventView, Findings, IssueCounts};
+use odp_model::TraceHealth;
 use odp_trace::persist::{load_trace_lenient, ShardColumns, TraceArtifact};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// Which of the five §5 inefficiency classes a finding belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum FindingKind {
-    /// Algorithm 1: duplicate data transfer.
-    DuplicateTransfer,
-    /// Algorithm 2: round-trip data transfer.
-    RoundTrip,
-    /// Algorithm 3: repeated device memory allocation.
-    RepeatedAlloc,
-    /// Algorithm 4: unused device memory allocation.
-    UnusedAlloc,
-    /// Algorithm 5: unused data transfer.
-    UnusedTransfer,
-}
-
-impl FindingKind {
-    /// Table 1-style short code.
-    pub fn code(self) -> &'static str {
-        match self {
-            FindingKind::DuplicateTransfer => "DD",
-            FindingKind::RoundTrip => "RT",
-            FindingKind::RepeatedAlloc => "RA",
-            FindingKind::UnusedAlloc => "UA",
-            FindingKind::UnusedTransfer => "UT",
-        }
-    }
-}
 
 /// One run's findings at one source site, keyed the way the fleet
 /// rollup (and the static-mapping consumer downstream) wants them:
@@ -156,110 +129,6 @@ impl Corpus {
     pub fn from_json(s: &str) -> Result<Corpus, String> {
         serde_json::from_str(s).map_err(|e| e.to_string())
     }
-}
-
-/// One redundant instance of a finding, with what it is charged to.
-#[derive(Clone, Copy, Debug)]
-pub struct Charge<'f> {
-    /// Source site the instance is attributed to.
-    pub codeptr: u64,
-    /// Raw device number the waste lands on (-1 = host).
-    pub device: i32,
-    /// Eliminable bytes.
-    pub bytes: u64,
-    /// The events behind the instance.
-    pub evidence: Evidence<'f>,
-}
-
-/// The events behind one [`Charge`], borrowed from the [`Findings`].
-#[derive(Clone, Copy, Debug)]
-pub enum Evidence<'f> {
-    /// `event` re-delivers what the group's `earlier` members delivered.
-    Duplicate {
-        /// The group's members before `event`, chronological.
-        earlier: &'f [DataOpEvent],
-        /// The redundant transfer.
-        event: &'f DataOpEvent,
-    },
-    /// A completed round trip.
-    RoundTrip(&'f RoundTrip),
-    /// `pair` re-allocates what the group's `earlier` pairs allocated.
-    RepeatedAlloc {
-        /// The group's pairs before `pair`, chronological.
-        earlier: &'f [AllocDeletePair],
-        /// The redundant allocation cycle.
-        pair: &'f AllocDeletePair,
-    },
-    /// An allocation no kernel could have used.
-    UnusedAlloc(&'f AllocDeletePair),
-    /// A transfer no kernel could have used.
-    UnusedTransfer(&'f UnusedTransfer),
-}
-
-impl Evidence<'_> {
-    /// The inefficiency class this is evidence of.
-    pub fn kind(&self) -> FindingKind {
-        match self {
-            Evidence::Duplicate { .. } => FindingKind::DuplicateTransfer,
-            Evidence::RoundTrip(_) => FindingKind::RoundTrip,
-            Evidence::RepeatedAlloc { .. } => FindingKind::RepeatedAlloc,
-            Evidence::UnusedAlloc(_) => FindingKind::UnusedAlloc,
-            Evidence::UnusedTransfer(_) => FindingKind::UnusedTransfer,
-        }
-    }
-}
-
-/// Every redundant instance in `findings`, mirroring the report's waste
-/// accounting — the one statement of which instances count and what
-/// each is charged to. A group's first member is necessary and not
-/// charged; a duplicate or repeat is charged at its own site, a round
-/// trip at its reception leg's site for both legs' bytes on the
-/// intermediate device, unused allocations and transfers at their own
-/// site for their own bytes.
-pub fn charges(findings: &Findings) -> impl Iterator<Item = Charge<'_>> {
-    let dd = findings.duplicates.iter().flat_map(|g| {
-        (1..g.events.len()).map(move |i| Charge {
-            codeptr: g.events[i].codeptr.0,
-            device: g.dest_device.raw(),
-            bytes: g.events[i].bytes,
-            evidence: Evidence::Duplicate {
-                earlier: &g.events[..i],
-                event: &g.events[i],
-            },
-        })
-    });
-    let rt = findings.round_trips.iter().flat_map(|g| {
-        g.trips.iter().map(move |t| Charge {
-            codeptr: t.rx.codeptr.0,
-            device: g.dest_device.raw(),
-            bytes: t.tx.bytes + t.rx.bytes,
-            evidence: Evidence::RoundTrip(t),
-        })
-    });
-    let ra = findings.repeated_allocs.iter().flat_map(|g| {
-        (1..g.pairs.len()).map(move |i| Charge {
-            codeptr: g.pairs[i].alloc.codeptr.0,
-            device: g.device.raw(),
-            bytes: g.bytes,
-            evidence: Evidence::RepeatedAlloc {
-                earlier: &g.pairs[..i],
-                pair: &g.pairs[i],
-            },
-        })
-    });
-    let ua = findings.unused_allocs.iter().map(|ua| Charge {
-        codeptr: ua.pair.alloc.codeptr.0,
-        device: ua.pair.alloc.dest_device.raw(),
-        bytes: ua.pair.alloc.bytes,
-        evidence: Evidence::UnusedAlloc(&ua.pair),
-    });
-    let ut = findings.unused_transfers.iter().map(|ut| Charge {
-        codeptr: ut.event.codeptr.0,
-        device: ut.event.dest_device.raw(),
-        bytes: ut.event.bytes,
-        evidence: Evidence::UnusedTransfer(ut),
-    });
-    dd.chain(rt).chain(ra).chain(ua).chain(ut)
 }
 
 /// Extract `(codeptr, device, kind)`-keyed site findings from a fused

@@ -5,21 +5,15 @@
 //! eliminated through the removal of the identified excess or inefficient
 //! data transfers and allocations."
 //!
-//! Eliminable events per category:
-//!
-//! * **DD** — every transfer in a duplicate group beyond the first;
-//! * **RT** — both legs of each completed round trip (fixing the mapping
-//!   removes the copy-back *and* the re-send);
-//! * **RA** — the alloc and delete of every pair beyond the first;
-//! * **UA** — the alloc and delete of each unused allocation;
-//! * **UT** — the unused transfer itself.
+//! Which instances count is [`charges`]' statement; which events each
+//! eliminates is [`crate::detect::Evidence::eliminable`]'s.
 //!
 //! Findings overlap (a round trip's re-send is often also a duplicate;
 //! an unused allocation is often also a repeat), so elimination is
 //! tracked in a global event-id set: each event's duration is subtracted
 //! exactly once no matter how many findings implicate it.
 
-use crate::detect::Findings;
+use crate::detect::{charges, FindingKind, Findings};
 use odp_hash::fnv::FnvHashSet;
 use odp_model::{DataOpEvent, EventId, SimDuration};
 use serde::Serialize;
@@ -122,34 +116,18 @@ pub fn predict(findings: &Findings, total_time: SimDuration) -> Prediction {
     let mut acc = Accumulator::new();
     let mut breakdown = SavingsBreakdown::default();
 
-    for group in &findings.duplicates {
-        for e in group.events.iter().skip(1) {
-            breakdown.duplicate_ns += acc.claim(e);
+    charges(findings).for_each(|c| {
+        let saved = match c.evidence.kind() {
+            FindingKind::DuplicateTransfer => &mut breakdown.duplicate_ns,
+            FindingKind::RoundTrip => &mut breakdown.round_trip_ns,
+            FindingKind::RepeatedAlloc => &mut breakdown.realloc_ns,
+            FindingKind::UnusedAlloc => &mut breakdown.unused_alloc_ns,
+            FindingKind::UnusedTransfer => &mut breakdown.unused_transfer_ns,
+        };
+        for e in c.evidence.eliminable() {
+            *saved += acc.claim(e);
         }
-    }
-    for group in &findings.round_trips {
-        for trip in &group.trips {
-            breakdown.round_trip_ns += acc.claim(&trip.tx);
-            breakdown.round_trip_ns += acc.claim(&trip.rx);
-        }
-    }
-    for group in &findings.repeated_allocs {
-        for pair in group.pairs.iter().skip(1) {
-            breakdown.realloc_ns += acc.claim(&pair.alloc);
-            if let Some(del) = &pair.delete {
-                breakdown.realloc_ns += acc.claim(del);
-            }
-        }
-    }
-    for ua in &findings.unused_allocs {
-        breakdown.unused_alloc_ns += acc.claim(&ua.pair.alloc);
-        if let Some(del) = &ua.pair.delete {
-            breakdown.unused_alloc_ns += acc.claim(del);
-        }
-    }
-    for ut in &findings.unused_transfers {
-        breakdown.unused_transfer_ns += acc.claim(&ut.event);
-    }
+    });
 
     let time_saved = SimDuration(breakdown.total_ns().min(total_time.as_nanos()));
     let predicted_time = total_time.saturating_sub(time_saved);

@@ -50,7 +50,6 @@
 //! to the unremediated tool (the differential suites enforce this).
 
 use crate::detect::{Findings, StreamFinding};
-use crate::report::FindingsSink;
 use crate::tool::{FindingsTap, ToolHandle};
 use odp_hash::fnv::FnvHashMap;
 use odp_model::{CodePtr, DeviceId, MapType, SimDuration};
@@ -62,8 +61,8 @@ use std::sync::Arc;
 
 /// Translates §5 findings into mapping rewrites, keyed by
 /// `(device, host address)`. Implements [`MapAdvisor`] directly (attach
-/// a pre-seeded policy with `Runtime::attach_advisor`) and
-/// [`FindingsSink`] (subscribe it to any live findings source).
+/// a pre-seeded policy with `Runtime::attach_advisor`); feed it live
+/// findings with [`RemediationPolicy::observe`].
 #[derive(Clone, Debug, Default)]
 pub struct RemediationPolicy {
     /// Merged rewrite per site. Slots only ever go `None` → `Some`
@@ -250,12 +249,6 @@ impl MapAdvisor for RemediationPolicy {
     }
 }
 
-impl FindingsSink for RemediationPolicy {
-    fn on_finding(&mut self, finding: &StreamFinding) {
-        self.observe(finding);
-    }
-}
-
 /// The shareable policy cell advisors and reports read from.
 pub type SharedPolicyCell = Arc<Mutex<RemediationPolicy>>;
 
@@ -277,7 +270,7 @@ struct SharedRemedyInner {
 /// and all threads' rewrites land in one policy, so a pattern thread A
 /// diagnosed rewrites thread B's very next region. Consumes its **own**
 /// tee tap ([`ToolHandle::tap_stream_findings`]), so a live console
-/// poller draining the default stream concurrently loses nothing to the
+/// poller draining its own tap concurrently loses nothing to the
 /// policy (and vice versa). Per-thread `RemediationStats` stay in each
 /// runtime and merge at finalize
 /// (`odp_sim::run_on_threads_shared` / `RemediationStats::merge`).

@@ -2,7 +2,7 @@
 //! and the incremental sink for streaming-mode findings.
 
 use crate::attrib::DebugInfo;
-use crate::detect::{Findings, IssueCounts, StreamFinding};
+use crate::detect::{charges, FindingKind, Findings, IssueCounts, StreamFinding};
 use crate::predict::Prediction;
 use odp_hash::fnv::FnvHashMap;
 use odp_model::{CodePtr, DataOpEvent, SimDuration};
@@ -110,61 +110,49 @@ impl<'a> RowAggregator<'a> {
     }
 }
 
-/// Build the category sections from findings.
+/// The §A.6 sections, in [`charges`]' category order.
+const SECTIONS: [(FindingKind, &str); 5] = [
+    (
+        FindingKind::DuplicateTransfer,
+        "OpenMP Duplicate Target Data Transfer Analysis",
+    ),
+    (
+        FindingKind::RoundTrip,
+        "OpenMP Round-Trip Target Data Transfer Analysis",
+    ),
+    (
+        FindingKind::RepeatedAlloc,
+        "OpenMP Repeated Target Memory Allocation Analysis",
+    ),
+    (
+        FindingKind::UnusedAlloc,
+        "OpenMP Unused Target Memory Allocation Analysis",
+    ),
+    (
+        FindingKind::UnusedTransfer,
+        "OpenMP Unused Target Data Transfer Analysis",
+    ),
+];
+
+/// Build the category sections from findings: every charged instance is
+/// one row contribution at the event it is charged at. One walk, one
+/// aggregator alive at a time (a million-event trace has many sites).
 pub(crate) fn build_sections(
     findings: &Findings,
     dbg: Option<&DebugInfo>,
     total: SimDuration,
 ) -> Vec<ReportSection> {
-    let mut sections = Vec::new();
-
-    let mut agg = RowAggregator::new(dbg, total);
-    for g in &findings.duplicates {
-        for e in g.events.iter().skip(1) {
-            agg.add(e);
-        }
-    }
-    sections.push(agg.finish("OpenMP Duplicate Target Data Transfer Analysis"));
-
-    let mut agg = RowAggregator::new(dbg, total);
-    for g in &findings.round_trips {
-        for t in &g.trips {
-            agg.add(&t.rx);
-        }
-    }
-    sections.push(agg.finish("OpenMP Round-Trip Target Data Transfer Analysis"));
-
-    let mut agg = RowAggregator::new(dbg, total);
-    for g in &findings.repeated_allocs {
-        for p in g.pairs.iter().skip(1) {
-            agg.add(&p.alloc);
-        }
-    }
-    sections.push(agg.finish("OpenMP Repeated Target Memory Allocation Analysis"));
-
-    let mut agg = RowAggregator::new(dbg, total);
-    for ua in &findings.unused_allocs {
-        agg.add(&ua.pair.alloc);
-    }
-    sections.push(agg.finish("OpenMP Unused Target Memory Allocation Analysis"));
-
-    let mut agg = RowAggregator::new(dbg, total);
-    for ut in &findings.unused_transfers {
-        agg.add(&ut.event);
-    }
-    sections.push(agg.finish("OpenMP Unused Target Data Transfer Analysis"));
-
-    sections
-}
-
-/// Consumer of findings emitted while the program is still running
-/// (streaming mode). Implementations can render console lines, steer
-/// live mapping decisions, or forward findings over IPC — the engine
-/// only guarantees each finding is final (or provisional-reconciled at
-/// finalize, for Algorithm 2's lookahead) when delivered.
-pub trait FindingsSink {
-    /// One finding became final.
-    fn on_finding(&mut self, finding: &StreamFinding);
+    let mut charges = charges(findings).peekable();
+    SECTIONS
+        .iter()
+        .map(|&(kind, title)| {
+            let mut agg = RowAggregator::new(dbg, total);
+            while let Some(c) = charges.next_if(|c| c.evidence.kind() == kind) {
+                agg.add(c.evidence.charged());
+            }
+            agg.finish(title)
+        })
+        .collect()
 }
 
 /// Render one live finding as a console line (the streaming counterpart
@@ -232,15 +220,17 @@ pub fn render_stream_finding(f: &StreamFinding) -> String {
     }
 }
 
-/// A [`FindingsSink`] that renders findings into console lines.
+/// Renders live findings (each final when delivered) into console
+/// lines.
 #[derive(Debug, Default)]
 pub struct ConsoleStreamSink {
     /// Rendered lines, delivery order.
     pub lines: Vec<String>,
 }
 
-impl FindingsSink for ConsoleStreamSink {
-    fn on_finding(&mut self, finding: &StreamFinding) {
+impl ConsoleStreamSink {
+    /// One finding became final.
+    pub fn on_finding(&mut self, finding: &StreamFinding) {
         self.lines.push(render_stream_finding(finding));
     }
 }
@@ -260,7 +250,7 @@ pub fn render_counts_snapshot(c: &IssueCounts) -> String {
     )
 }
 
-/// A [`FindingsSink`] that renders each finding *and* interleaves a
+/// Renders each live finding *and* interleaves a
 /// [`render_counts_snapshot`] line after every `every` findings, so a
 /// console consumer sees the §A.6 summary grow during the run. The
 /// counts are accumulated from the delivered findings themselves and
@@ -300,10 +290,9 @@ impl SnapshotStreamSink {
         self.lines.push(render_counts_snapshot(&self.counts));
         self.since = 0;
     }
-}
 
-impl FindingsSink for SnapshotStreamSink {
-    fn on_finding(&mut self, finding: &StreamFinding) {
+    /// One finding became final.
+    pub fn on_finding(&mut self, finding: &StreamFinding) {
         match finding {
             StreamFinding::DuplicateTransfer { .. } => self.counts.dd += 1,
             StreamFinding::RoundTrip { .. } => self.counts.rt += 1,

@@ -35,9 +35,9 @@
 //! already draining, and the pusher asks again on its next event. So
 //! the ring capacity is also the drain batch: one engine lock, one
 //! watermark merge and one release sweep per few hundred events.
-//! Blocking observers (`take_stream_findings`, taps, finalize, stats)
-//! drain with `flush` whenever they look — they, not the callbacks,
-//! bound the latency of live findings — and first re-publish every
+//! Blocking observers (taps, finalize, stats) drain with `flush`
+//! whenever they look — they, not the callbacks, bound the latency of
+//! live findings — and first re-publish every
 //! dirty shard clock, because batched publication deliberately lets
 //! the published bound lag the real clock (lagging is always
 //! conservative — never unsound — but a flush is what makes everything
@@ -273,11 +273,6 @@ struct ToolShared {
     /// (a snapshot poller, a remediation policy) compose instead of
     /// stealing from one drain-once stream.
     taps: Mutex<Vec<TapBuf>>,
-    /// The handle's default stream ([`ToolHandle::take_stream_findings`])
-    /// — registered as a tap lazily, on first use, so runs whose only
-    /// consumers are explicit taps (e.g. `--remediate` without a
-    /// poller) never accumulate an undrained buffer.
-    default_tap: Mutex<Option<TapBuf>>,
 }
 
 impl ToolShared {
@@ -394,20 +389,6 @@ impl ToolShared {
         let taps = self.taps.lock();
         for tap in taps.iter() {
             tap.lock().extend(new.iter().copied());
-        }
-    }
-
-    /// The default stream's tap, registered on first use.
-    fn default_tap(&self) -> TapBuf {
-        let mut slot = self.default_tap.lock();
-        match &*slot {
-            Some(tap) => tap.clone(),
-            None => {
-                let tap: TapBuf = Arc::new(Mutex::new(Vec::new()));
-                self.taps.lock().push(tap.clone());
-                *slot = Some(tap.clone());
-                tap
-            }
         }
     }
 
@@ -547,29 +528,12 @@ impl ToolHandle {
         self.shared.engine.lock().is_some()
     }
 
-    /// Drain the findings the streaming engine emitted since the last
-    /// call (empty when streaming is off). Safe to call while the
-    /// program runs — this is the live consumption point. Sweeps every
-    /// shard's pending events first, so the caller sees everything
-    /// decidable at the current merged watermark. This is the handle's
-    /// *default* tee subscription (registered lazily on first call — it
-    /// observes findings emitted from then on); explicit taps
-    /// ([`ToolHandle::tap_stream_findings`]) receive the same findings
-    /// independently.
-    pub fn take_stream_findings(&self) -> Vec<StreamFinding> {
-        if !self.shared.cfg.stream {
-            return Vec::new();
-        }
-        let tap = self.shared.default_tap();
-        self.shared.drain_and_harvest(true);
-        let mut buf = tap.lock();
-        std::mem::take(&mut *buf)
-    }
-
-    /// Register an independent live-findings subscription (the tee).
-    /// Every finding emitted after registration is delivered to every
-    /// tap *and* the default stream; register before the run starts so
-    /// nothing is missed.
+    /// Register an independent live-findings subscription (the tee) —
+    /// the way to read live findings. Every finding harvested after
+    /// registration is delivered to every tap; register before the run
+    /// starts so nothing is missed. [`FindingsTap::take`] is safe to
+    /// call while the program runs and yields nothing when streaming is
+    /// off.
     pub fn tap_stream_findings(&self) -> FindingsTap {
         let buf: TapBuf = Arc::new(Mutex::new(Vec::new()));
         self.shared.taps.lock().push(buf.clone());
@@ -685,7 +649,6 @@ impl OmpDataPerfTool {
                     .map(StallDetector::new),
             ),
             taps: Mutex::new(Vec::new()),
-            default_tap: Mutex::new(None),
         });
         let handle = ToolHandle {
             shared: shared.clone(),
@@ -1385,6 +1348,7 @@ mod tests {
             ..Default::default()
         });
         let mut t1 = handle.fork_tool();
+        let tap = handle.tap_stream_findings();
         let caps = CompilerProfile::LlvmClang.capabilities();
         t0.initialize(&caps);
         t1.initialize(&caps);
@@ -1417,8 +1381,8 @@ mod tests {
         // First drain arms the detector (watermark progressed to 0);
         // the second sees no progress with events buffered → forced
         // release. The drain thread never wedges on the stalled shard.
-        let first = handle.take_stream_findings();
-        let second = handle.take_stream_findings();
+        let first = tap.take();
+        let second = tap.take();
         let findings: Vec<_> = first.into_iter().chain(second).collect();
         assert!(
             !findings.is_empty(),
@@ -1470,9 +1434,9 @@ mod tests {
     #[test]
     fn findings_tee_delivers_the_full_stream_to_every_tap() {
         // The tee is what lets --remediate compose with
-        // --stream-interval: a poller tap and a remediation tap (and
-        // the legacy default stream) each see every finding instead of
-        // stealing from one drain-once stream.
+        // --stream-interval: a poller tap and a remediation tap each
+        // see every finding instead of stealing from one drain-once
+        // stream.
         let (mut tool, handle) = OmpDataPerfTool::new(ToolConfig {
             stream: true,
             ..Default::default()
@@ -1480,9 +1444,6 @@ mod tests {
         tool.initialize(&CompilerProfile::LlvmClang.capabilities());
         let tap_a = handle.tap_stream_findings();
         let tap_b = handle.tap_stream_findings();
-        // Activate the default stream too (it registers lazily, on
-        // first use, so undrained runs never grow it).
-        assert!(handle.take_stream_findings().is_empty());
 
         let payload = vec![7u8; 64];
         // Three identical transfers → two duplicate findings.
@@ -1507,12 +1468,9 @@ mod tests {
         assert_eq!(a.len(), 2, "tap A sees both duplicates: {a:?}");
         let b = tap_b.try_take();
         assert_eq!(b.len(), 2, "tap B sees the same stream: {b:?}");
-        let legacy = handle.take_stream_findings();
-        assert_eq!(legacy.len(), 2, "the default stream is not starved");
         // Second drains are empty: each consumer has its own cursor.
         assert!(tap_a.take().is_empty());
         assert!(tap_b.take().is_empty());
-        assert!(handle.take_stream_findings().is_empty());
     }
 
     #[test]
@@ -1662,6 +1620,7 @@ mod tests {
             publish_every: Some(1_000_000),
             ..Default::default()
         });
+        let tap = handle.tap_stream_findings();
         tool.initialize(&CompilerProfile::LlvmClang.capabilities());
         let payload = vec![3u8; 64];
         for (id, t) in [(1u64, 0u64), (2, 20), (3, 40)] {
@@ -1680,7 +1639,7 @@ mod tests {
                 Some(&payload),
             ));
         }
-        let live = handle.take_stream_findings();
+        let live = tap.take();
         assert_eq!(
             live.len(),
             2,
@@ -1694,7 +1653,7 @@ mod tests {
         assert!(!handle.streaming());
         assert!(handle.stream_counts().is_none());
         assert!(handle.stream_buffer_stats().is_none());
-        assert!(handle.take_stream_findings().is_empty());
+        assert!(handle.tap_stream_findings().take().is_empty());
         assert!(handle.take_stream_engine().is_none());
     }
 

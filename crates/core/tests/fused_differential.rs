@@ -92,19 +92,6 @@ fn fused_equals_separate_on_sharded_thread_traces() {
 }
 
 #[test]
-fn indexed_counts_match_materialized_counts() {
-    use ompdataperf::detect::engine::detect_indexed;
-    for seed in [7u64, 21, 63] {
-        let (ops, kernels) = random_trace(seed, 600, 2);
-        let cols = ColumnarView::from_events(&ops, &kernels);
-        let view = EventView::over(&cols, 2);
-        let indexed = detect_indexed(&view);
-        let materialized = indexed.resolve(&view);
-        assert_eq!(indexed.counts(&view), materialized.counts());
-    }
-}
-
-#[test]
 fn device_count_overflow_is_handled_identically() {
     // Events naming devices beyond num_devices: both paths must ignore
     // them in the per-device algorithms the same way — and the view must

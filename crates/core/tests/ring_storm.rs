@@ -176,6 +176,7 @@ fn capacity_boundary_racing_with_live_observer() {
         tools.push(handle.fork_tool());
     }
     let caps = CompilerProfile::LlvmClang.capabilities();
+    let tap = handle.tap_stream_findings();
     let drained = std::thread::scope(|s| {
         let joins: Vec<_> = tools
             .into_iter()
@@ -191,13 +192,13 @@ fn capacity_boundary_racing_with_live_observer() {
             .collect();
         let mut live = Vec::new();
         while joins.iter().any(|j| !j.is_finished()) {
-            live.extend(handle.take_stream_findings());
+            live.extend(tap.take());
             std::thread::yield_now();
         }
         for j in joins {
             j.join().expect("storm thread panicked");
         }
-        live.extend(handle.take_stream_findings());
+        live.extend(tap.take());
         live
     });
     assert!(!drained.is_empty(), "findings must flow during the run");

@@ -173,6 +173,7 @@ fn live_findings_can_be_drained_while_threads_run() {
         tools.push(handle.fork_tool());
     }
     let caps = CompilerProfile::LlvmClang.capabilities();
+    let tap = handle.tap_stream_findings();
     let drained = std::thread::scope(|s| {
         let joins: Vec<_> = tools
             .into_iter()
@@ -189,13 +190,13 @@ fn live_findings_can_be_drained_while_threads_run() {
         // Concurrent observer: drain findings while the storm rages.
         let mut live = Vec::new();
         while joins.iter().any(|j| !j.is_finished()) {
-            live.extend(handle.take_stream_findings());
+            live.extend(tap.take());
             std::thread::yield_now();
         }
         for j in joins {
             j.join().expect("storm thread panicked");
         }
-        live.extend(handle.take_stream_findings());
+        live.extend(tap.take());
         live
     });
     assert!(!drained.is_empty(), "findings must flow during the run");

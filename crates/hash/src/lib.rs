@@ -15,7 +15,7 @@
 //! *-inspired* portable variants that preserve each family's structural
 //! character — lane counts, block sizes, small-key fast paths — so that the
 //! relative-throughput experiments (Table 4, Figure 5) exercise the same
-//! trade-offs. See DESIGN.md for the substitution table.
+//! trade-offs.
 //!
 //! ```
 //! use odp_hash::HashAlgoId;

@@ -102,109 +102,37 @@ impl CompilerProfile {
 
     /// Display name.
     pub fn name(self) -> &'static str {
-        match self {
-            CompilerProfile::AmdAocc => "AMD AOCC",
-            CompilerProfile::AmdAomp => "AMD AOMP",
-            CompilerProfile::AmdRocm => "AMD ROCm",
-            CompilerProfile::ArmAcfl => "Arm ACfL",
-            CompilerProfile::GnuGcc => "GNU GCC",
-            CompilerProfile::HpeCce => "HPE CCE",
-            CompilerProfile::IntelIcx => "Intel ICX/IFX",
-            CompilerProfile::LlvmClang => "LLVM Clang/Flang",
-            CompilerProfile::NvidiaHpc => "NVIDIA NVHPC",
-        }
+        TABLE6[self as usize][0]
     }
 
-    /// The capability set this compiler's runtime offers (Table 6 body).
+    /// The capability set this compiler's runtime offers: what the
+    /// Table 6 row implies.
     pub fn capabilities(self) -> RuntimeCapabilities {
         use CallbackKind::*;
-        let full_emi = vec![
-            TargetEmi,
-            TargetDataOpEmi,
-            TargetSubmitEmi,
-            Target,
-            TargetDataOp,
-            TargetSubmit,
-        ];
-        match self {
-            CompilerProfile::LlvmClang => RuntimeCapabilities {
-                profile: self,
-                ompt_version: OmptVersion::V5_1,
-                runtime_name: "LLVM OMP version: 5.0.20140926",
-                supported_callbacks: full_emi,
-                tracing_interface: false,
-                requires_recompile_flag: None,
+        let row = self.support_matrix_row();
+        let mut supported_callbacks = Vec::new();
+        if row.target_emi.is_some() {
+            supported_callbacks.extend([TargetEmi, TargetDataOpEmi, TargetSubmitEmi]);
+        }
+        if row.target_callbacks.is_some() {
+            supported_callbacks.extend([Target, TargetDataOp, TargetSubmit]);
+        }
+        if row.target_map_emi.is_some() {
+            supported_callbacks.extend([TargetMapEmi, TargetMap]);
+        }
+        RuntimeCapabilities {
+            profile: self,
+            // EMI arrived with 5.1; tool initialization alone is the 5.0
+            // (non-target) interface; GCC has no OMPT at all.
+            ompt_version: match (row.target_emi, row.tool_init) {
+                (Some(_), _) => OmptVersion::V5_1,
+                (None, Some(_)) => OmptVersion::V5_0,
+                (None, None) => OmptVersion::None,
             },
-            CompilerProfile::AmdAocc => RuntimeCapabilities {
-                profile: self,
-                ompt_version: OmptVersion::V5_1,
-                runtime_name: "AOCC libomp",
-                supported_callbacks: full_emi,
-                tracing_interface: false,
-                requires_recompile_flag: None,
-            },
-            CompilerProfile::AmdAomp => RuntimeCapabilities {
-                profile: self,
-                ompt_version: OmptVersion::V5_1,
-                runtime_name: "AOMP libomp",
-                supported_callbacks: full_emi,
-                tracing_interface: true,
-                requires_recompile_flag: None,
-            },
-            CompilerProfile::AmdRocm => RuntimeCapabilities {
-                profile: self,
-                ompt_version: OmptVersion::V5_1,
-                runtime_name: "ROCm libomp",
-                supported_callbacks: full_emi,
-                tracing_interface: true,
-                requires_recompile_flag: None,
-            },
-            CompilerProfile::HpeCce => RuntimeCapabilities {
-                profile: self,
-                ompt_version: OmptVersion::V5_1,
-                runtime_name: "libcraymp",
-                supported_callbacks: full_emi,
-                tracing_interface: false,
-                requires_recompile_flag: None,
-            },
-            CompilerProfile::IntelIcx => RuntimeCapabilities {
-                profile: self,
-                ompt_version: OmptVersion::V5_1,
-                runtime_name: "Intel libomp",
-                supported_callbacks: full_emi,
-                tracing_interface: false,
-                requires_recompile_flag: None,
-            },
-            CompilerProfile::NvidiaHpc => {
-                let mut cbs = full_emi;
-                cbs.push(TargetMapEmi);
-                cbs.push(TargetMap);
-                RuntimeCapabilities {
-                    profile: self,
-                    ompt_version: OmptVersion::V5_1,
-                    runtime_name: "libnvomp",
-                    supported_callbacks: cbs,
-                    tracing_interface: false,
-                    requires_recompile_flag: Some("-mp=ompt"),
-                }
-            }
-            CompilerProfile::ArmAcfl => RuntimeCapabilities {
-                profile: self,
-                ompt_version: OmptVersion::V5_0,
-                runtime_name: "ACfL libomp",
-                // Non-target OMPT only: no target callbacks at all.
-                supported_callbacks: vec![],
-                tracing_interface: false,
-                requires_recompile_flag: None,
-            },
-            CompilerProfile::GnuGcc => RuntimeCapabilities {
-                profile: self,
-                ompt_version: OmptVersion::None,
-                runtime_name: "libgomp",
-                supported_callbacks: vec![],
-                tracing_interface: false,
-                requires_recompile_flag: None,
-            },
+            runtime_name: row.runtime_name,
+            supported_callbacks,
+            tracing_interface: row.tracing.is_some(),
+            requires_recompile_flag: since(TABLE6[self as usize][7]),
         }
     }
 
@@ -222,100 +150,44 @@ impl CompilerProfile {
 
     /// Table 6 row (feature → first supporting release).
     pub fn support_matrix_row(self) -> SupportMatrixRow {
-        let caps = self.capabilities();
-        match self {
-            CompilerProfile::AmdAocc => SupportMatrixRow {
-                profile: self,
-                compiler: self.name(),
-                runtime_name: caps.runtime_name,
-                tool_init: Some("2.0"),
-                target_callbacks: Some("5.0"),
-                tracing: None,
-                target_emi: Some("5.0"),
-                target_map_emi: None,
-            },
-            CompilerProfile::AmdAomp => SupportMatrixRow {
-                profile: self,
-                compiler: self.name(),
-                runtime_name: caps.runtime_name,
-                tool_init: Some("0.8-0"),
-                target_callbacks: Some("17.0-3"),
-                tracing: Some("14.0-1"),
-                target_emi: Some("17.0-3"),
-                target_map_emi: None,
-            },
-            CompilerProfile::AmdRocm => SupportMatrixRow {
-                profile: self,
-                compiler: self.name(),
-                runtime_name: caps.runtime_name,
-                tool_init: Some("3.5.0"),
-                target_callbacks: Some("5.7.0"),
-                tracing: Some("5.1.0"),
-                target_emi: Some("5.7.0"),
-                target_map_emi: None,
-            },
-            CompilerProfile::ArmAcfl => SupportMatrixRow {
-                profile: self,
-                compiler: self.name(),
-                runtime_name: caps.runtime_name,
-                tool_init: Some("20.0"),
-                target_callbacks: None,
-                tracing: None,
-                target_emi: None,
-                target_map_emi: None,
-            },
-            CompilerProfile::GnuGcc => SupportMatrixRow {
-                profile: self,
-                compiler: self.name(),
-                runtime_name: caps.runtime_name,
-                tool_init: None,
-                target_callbacks: None,
-                tracing: None,
-                target_emi: None,
-                target_map_emi: None,
-            },
-            CompilerProfile::HpeCce => SupportMatrixRow {
-                profile: self,
-                compiler: self.name(),
-                runtime_name: caps.runtime_name,
-                tool_init: Some("11.0.0"),
-                target_callbacks: Some("16.0.0"),
-                tracing: None,
-                target_emi: Some("16.0.0"),
-                target_map_emi: None,
-            },
-            CompilerProfile::IntelIcx => SupportMatrixRow {
-                profile: self,
-                compiler: self.name(),
-                runtime_name: caps.runtime_name,
-                tool_init: Some("2021.1"),
-                target_callbacks: Some("2023.2"),
-                tracing: None,
-                target_emi: Some("2023.2"),
-                target_map_emi: None,
-            },
-            CompilerProfile::LlvmClang => SupportMatrixRow {
-                profile: self,
-                compiler: self.name(),
-                runtime_name: caps.runtime_name,
-                tool_init: Some("8.0.0"),
-                target_callbacks: Some("17.0.1"),
-                tracing: None,
-                target_emi: Some("17.0.1"),
-                target_map_emi: None,
-            },
-            CompilerProfile::NvidiaHpc => SupportMatrixRow {
-                profile: self,
-                compiler: self.name(),
-                runtime_name: caps.runtime_name,
-                tool_init: Some("22.7"),
-                target_callbacks: Some("22.7"),
-                tracing: None,
-                target_emi: Some("22.7"),
-                target_map_emi: Some("22.7"),
-            },
+        let cell = TABLE6[self as usize];
+        SupportMatrixRow {
+            profile: self,
+            compiler: cell[0],
+            runtime_name: cell[1],
+            tool_init: since(cell[2]),
+            target_callbacks: since(cell[3]),
+            tracing: since(cell[4]),
+            target_emi: since(cell[5]),
+            target_map_emi: since(cell[6]),
         }
     }
+}
+
+/// Table 6 as the paper prints it, one row per [`CompilerProfile`] in
+/// declaration (= [`CompilerProfile::ALL`]) order: compiler, runtime library, then the first release supporting
+/// tool initialization, the non-EMI target callbacks, the tracing
+/// interface, the EMI target callbacks and the target-map EMI callback
+/// (`-`: unsupported) — plus, from Appendix D's prose, the flag a
+/// program must be recompiled with for OMPT to engage. Names, capability
+/// sets and matrix rows all derive from it.
+#[rustfmt::skip]
+const TABLE6: [[&str; 8]; 9] = [
+    ["AMD AOCC",         "AOCC libomp",                    "2.0",    "5.0",    "-",      "5.0",    "-",    "-"],
+    ["AMD AOMP",         "AOMP libomp",                    "0.8-0",  "17.0-3", "14.0-1", "17.0-3", "-",    "-"],
+    ["AMD ROCm",         "ROCm libomp",                    "3.5.0",  "5.7.0",  "5.1.0",  "5.7.0",  "-",    "-"],
+    // Offload disabled: non-target OMPT only, no target callbacks.
+    ["Arm ACfL",         "ACfL libomp",                    "20.0",   "-",      "-",      "-",      "-",    "-"],
+    ["GNU GCC",          "libgomp",                        "-",      "-",      "-",      "-",      "-",    "-"],
+    ["HPE CCE",          "libcraymp",                      "11.0.0", "16.0.0", "-",      "16.0.0", "-",    "-"],
+    ["Intel ICX/IFX",    "Intel libomp",                   "2021.1", "2023.2", "-",      "2023.2", "-",    "-"],
+    ["LLVM Clang/Flang", "LLVM OMP version: 5.0.20140926", "8.0.0",  "17.0.1", "-",      "17.0.1", "-",    "-"],
+    ["NVIDIA NVHPC",     "libnvomp",                       "22.7",   "22.7",   "-",      "22.7",   "22.7", "-mp=ompt"],
+];
+
+/// A [`TABLE6`] cell: `-` means unsupported.
+fn since(cell: &'static str) -> Option<&'static str> {
+    Some(cell).filter(|&c| c != "-")
 }
 
 #[cfg(test)]

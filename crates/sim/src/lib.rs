@@ -1,9 +1,9 @@
 //! # odp-sim — the OpenMP offload runtime simulator
 //!
 //! Rust has no OpenMP offload runtime, so this crate *is* the substrate
-//! the paper's tool attaches to (see DESIGN.md §1). It reproduces the
-//! pieces of LLVM's `libomp`/`libomptarget` that OMPT-visible behaviour
-//! depends on:
+//! the paper's tool attaches to (see ARCHITECTURE.md §1). It reproduces
+//! the pieces of LLVM's `libomp`/`libomptarget` that OMPT-visible
+//! behaviour depends on:
 //!
 //! * a host memory space holding real byte buffers for mapped variables;
 //! * N target devices, each with its own memory space, a first-fit

@@ -17,6 +17,25 @@
 //! and is reported to the attached tool through OMPT EMI callbacks
 //! (begin/end), or the deprecated begin-only non-EMI callbacks when the
 //! configured capability profile predates OpenMP 5.1.
+//!
+//! Each of those decisions has one home:
+//!
+//! * **Construct envelope** — `open_directive` (may it run, the host
+//!   dispatch cost, the construct's id) and `construct` (Begin, body,
+//!   End) carry every directive; `target` and `target nowait` are one
+//!   `target_construct(.., wait)`.
+//! * **Map clauses** — `map_enter` resolves a clause to
+//!   `(device address, fresh?)` and then makes the one copy-in decision;
+//!   `map_exit` makes one copy-back decision and one keep-resident
+//!   decision. Clause semantics come first, the advisor's rewrite of
+//!   them second.
+//! * **Data-op primitive** — `do_alloc` / `do_delete` / `do_transfer`
+//!   keep only what differs (allocator call, byte copy, statistics);
+//!   `data_op` charges the clock, takes the op id, derives operands and
+//!   payload from the op type, draws the fault and reports the event.
+//! * **Callback gate** — `ToolSlot::sees` answers "does the tool get this
+//!   endpoint of this callback family" for the target, submit and
+//!   data-op emitters alike.
 
 use crate::config::RuntimeConfig;
 use crate::device::{DeviceState, SharedDevices};
@@ -100,11 +119,18 @@ pub enum RuntimeWarning {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataRegionHandle(usize);
 
-struct OpenRegion {
+/// The construct a map clause, data operation or kernel executes
+/// under: what every callback it causes is attributed to.
+#[derive(Clone, Copy)]
+struct Directive {
     device: u32,
-    maps: Vec<Map>,
-    codeptr: CodePtr,
     target_id: u64,
+    codeptr: CodePtr,
+}
+
+struct OpenRegion {
+    at: Directive,
+    maps: Vec<Map>,
 }
 
 struct ToolSlot {
@@ -113,8 +139,12 @@ struct ToolSlot {
 }
 
 impl ToolSlot {
-    fn wants(&self, kind: CallbackKind) -> bool {
-        self.registration.granted(kind)
+    /// The one callback gate: does the tool see `endpoint` of a callback
+    /// family? Granted as `emi` it sees both; granted only as the
+    /// deprecated `legacy` form, the event's start alone (§2.3).
+    fn sees(&self, emi: CallbackKind, legacy: CallbackKind, endpoint: Endpoint) -> bool {
+        self.registration.granted(emi)
+            || (endpoint == Endpoint::Begin && self.registration.granted(legacy))
     }
 }
 
@@ -403,6 +433,32 @@ impl Runtime {
     // Directives
     // ---------------------------------------------------------------
 
+    /// Start a directive on `device`: check it may run, charge the host
+    /// dispatch cost and take the construct's id.
+    fn open_directive(&mut self, device: u32, codeptr: CodePtr) -> Directive {
+        self.assert_running(device);
+        self.dispatch_overhead();
+        let target_id = self.next_target_id;
+        self.next_target_id += 1;
+        Directive {
+            device,
+            target_id,
+            codeptr,
+        }
+    }
+
+    /// Report `at` as a `kind` construct: Begin, `body`, End.
+    fn construct(
+        &mut self,
+        kind: TargetConstructKind,
+        at: Directive,
+        body: impl FnOnce(&mut Self),
+    ) {
+        self.emit_target(kind, Endpoint::Begin, at);
+        body(self);
+        self.emit_target(kind, Endpoint::End, at);
+    }
+
     /// `#pragma omp target data map(...)` — begin of the structured
     /// region. Must be closed with [`Runtime::target_data_end`].
     pub fn target_data_begin(
@@ -411,37 +467,22 @@ impl Runtime {
         codeptr: CodePtr,
         maps: &[Map],
     ) -> DataRegionHandle {
-        self.assert_running(device);
-        self.dispatch_overhead();
-        let target_id = self.fresh_target_id();
-        self.emit_target(
-            TargetConstructKind::TargetData,
-            Endpoint::Begin,
-            device,
-            target_id,
-            codeptr,
-        );
-        for &m in maps {
-            self.map_enter(device, m, target_id, codeptr, false);
-        }
-        self.emit_target(
-            TargetConstructKind::TargetData,
-            Endpoint::End,
-            device,
-            target_id,
-            codeptr,
-        );
+        let at = self.open_directive(device, codeptr);
+        self.construct(TargetConstructKind::TargetData, at, |rt| {
+            for &m in maps {
+                rt.map_enter(at, m, false);
+            }
+        });
         self.open_regions.push(OpenRegion {
-            device,
+            at,
             maps: maps.to_vec(),
-            codeptr,
-            target_id,
         });
         DataRegionHandle(self.open_regions.len() - 1)
     }
 
     /// End of a structured `target data` region. Regions must close in
-    /// LIFO order (they are lexically nested in the source).
+    /// LIFO order (they are lexically nested in the source). Reported
+    /// under the id the region was opened with.
     pub fn target_data_end(&mut self, handle: DataRegionHandle) {
         self.dispatch_overhead();
         assert_eq!(
@@ -452,71 +493,31 @@ impl Runtime {
         let Some(region) = self.open_regions.pop() else {
             unreachable!("length asserted above")
         };
-        self.emit_target(
-            TargetConstructKind::TargetData,
-            Endpoint::Begin,
-            region.device,
-            region.target_id,
-            region.codeptr,
-        );
-        for &m in region.maps.iter().rev() {
-            self.map_exit(region.device, m, region.target_id, region.codeptr);
-        }
-        self.emit_target(
-            TargetConstructKind::TargetData,
-            Endpoint::End,
-            region.device,
-            region.target_id,
-            region.codeptr,
-        );
+        self.construct(TargetConstructKind::TargetData, region.at, |rt| {
+            for &m in region.maps.iter().rev() {
+                rt.map_exit(region.at, m);
+            }
+        });
     }
 
     /// `#pragma omp target enter data map(to|alloc: ...)`.
     pub fn target_enter_data(&mut self, device: u32, codeptr: CodePtr, maps: &[Map]) {
-        self.assert_running(device);
-        self.dispatch_overhead();
-        let target_id = self.fresh_target_id();
-        self.emit_target(
-            TargetConstructKind::TargetEnterData,
-            Endpoint::Begin,
-            device,
-            target_id,
-            codeptr,
-        );
-        for &m in maps {
-            self.map_enter(device, m, target_id, codeptr, false);
-        }
-        self.emit_target(
-            TargetConstructKind::TargetEnterData,
-            Endpoint::End,
-            device,
-            target_id,
-            codeptr,
-        );
+        let at = self.open_directive(device, codeptr);
+        self.construct(TargetConstructKind::TargetEnterData, at, |rt| {
+            for &m in maps {
+                rt.map_enter(at, m, false);
+            }
+        });
     }
 
     /// `#pragma omp target exit data map(from|release|delete: ...)`.
     pub fn target_exit_data(&mut self, device: u32, codeptr: CodePtr, maps: &[Map]) {
-        self.assert_running(device);
-        self.dispatch_overhead();
-        let target_id = self.fresh_target_id();
-        self.emit_target(
-            TargetConstructKind::TargetExitData,
-            Endpoint::Begin,
-            device,
-            target_id,
-            codeptr,
-        );
-        for &m in maps {
-            self.map_exit(device, m, target_id, codeptr);
-        }
-        self.emit_target(
-            TargetConstructKind::TargetExitData,
-            Endpoint::End,
-            device,
-            target_id,
-            codeptr,
-        );
+        let at = self.open_directive(device, codeptr);
+        self.construct(TargetConstructKind::TargetExitData, at, |rt| {
+            for &m in maps {
+                rt.map_exit(at, m);
+            }
+        });
     }
 
     /// `#pragma omp target update to(...)`.
@@ -529,42 +530,20 @@ impl Runtime {
         self.target_update(device, codeptr, vars, false);
     }
 
-    fn target_update(&mut self, device: u32, codeptr: CodePtr, vars: &[VarId], to_device: bool) {
-        self.assert_running(device);
-        self.dispatch_overhead();
-        let target_id = self.fresh_target_id();
-        self.emit_target(
-            TargetConstructKind::TargetUpdate,
-            Endpoint::Begin,
-            device,
-            target_id,
-            codeptr,
-        );
-        let devices = self.devices.clone();
-        for &var in vars {
-            let haddr = self.host.addr(var);
-            let mut dev = devices.lock(device);
-            match dev.present.lookup(haddr) {
-                Some(entry) => {
-                    let dev_addr = entry.dev_addr;
-                    if to_device {
-                        self.do_h2d(&mut dev, device, var, dev_addr, target_id, codeptr);
-                    } else {
-                        self.do_d2h(&mut dev, device, var, dev_addr, target_id, codeptr);
-                    }
+    fn target_update(&mut self, device: u32, codeptr: CodePtr, vars: &[VarId], h2d: bool) {
+        let at = self.open_directive(device, codeptr);
+        self.construct(TargetConstructKind::TargetUpdate, at, |rt| {
+            let devices = rt.devices.clone();
+            for &var in vars {
+                let mut dev = devices.lock(device);
+                match dev.present.lookup(rt.host.addr(var)).map(|e| e.dev_addr) {
+                    Some(dev_addr) => rt.do_transfer(&mut dev, at, var, dev_addr, h2d),
+                    None => rt.warnings.push(RuntimeWarning::UpdateOfAbsentData {
+                        var: rt.host.var(var).name.clone(),
+                    }),
                 }
-                None => self.warnings.push(RuntimeWarning::UpdateOfAbsentData {
-                    var: self.host.var(var).name.clone(),
-                }),
             }
-        }
-        self.emit_target(
-            TargetConstructKind::TargetUpdate,
-            Endpoint::End,
-            device,
-            target_id,
-            codeptr,
-        );
+        });
     }
 
     /// `#pragma omp target map(...)` — map data, run the kernel, unwind.
@@ -573,9 +552,7 @@ impl Runtime {
     /// nor already present are mapped implicitly `tofrom`, per the
     /// OpenMP default for aggregates (the behaviour Listing 2 exhibits).
     pub fn target(&mut self, device: u32, codeptr: CodePtr, maps: &[Map], kernel: Kernel<'_>) {
-        let (target_id, effective) = self.target_enter(device, codeptr, maps, &kernel);
-        self.run_kernel(device, codeptr, target_id, kernel, true);
-        self.target_exit(device, codeptr, target_id, &effective);
+        self.target_construct(device, codeptr, maps, kernel, true);
     }
 
     /// `#pragma omp target nowait` — asynchronous offload (OpenMP 5.1;
@@ -594,78 +571,63 @@ impl Runtime {
         maps: &[Map],
         kernel: Kernel<'_>,
     ) {
-        let (target_id, effective) = self.target_enter(device, codeptr, maps, &kernel);
-        self.run_kernel(device, codeptr, target_id, kernel, false);
-
-        // The data-environment exit must wait for the kernel whenever it
-        // moves or frees data the kernel may still be using.
-        let devices = self.devices.clone();
-        let must_sync = effective.iter().any(|m| {
-            let haddr = self.host.addr(m.var);
-            let refcount = devices
-                .lock(device)
-                .present
-                .lookup(haddr)
-                .map(|e| e.refcount)
-                .unwrap_or(0);
-            m.map_type.copies_from_device() || m.map_type == MapType::Delete || refcount <= 1
-        });
-        if must_sync {
-            self.taskwait(device);
-        }
-        self.target_exit(device, codeptr, target_id, &effective);
+        self.target_construct(device, codeptr, maps, kernel, false);
     }
 
-    /// Open a `target` construct and enter its effective data
-    /// environment: explicit maps, then implicit `tofrom` for
-    /// referenced-but-unmapped variables. Returns the construct's id
-    /// and the maps [`Runtime::target_exit`] must unwind.
-    fn target_enter(
+    /// A `target` construct: enter the effective data environment
+    /// (explicit maps, then implicit `tofrom` for referenced-but-unmapped
+    /// variables), run the kernel — the host waits for it, or not — and
+    /// unwind the environment in reverse.
+    fn target_construct(
         &mut self,
         device: u32,
         codeptr: CodePtr,
         maps: &[Map],
-        kernel: &Kernel<'_>,
-    ) -> (u64, Vec<Map>) {
-        self.assert_running(device);
-        self.dispatch_overhead();
-        let target_id = self.fresh_target_id();
-        self.emit_target(
-            TargetConstructKind::Target,
-            Endpoint::Begin,
-            device,
-            target_id,
-            codeptr,
-        );
-        let referenced = kernel.referenced_vars();
-        let mut effective: Vec<Map> = maps.to_vec();
-        for &var in &referenced {
-            if !effective.iter().any(|m| m.var == var) {
-                effective.push(Map {
-                    var,
-                    map_type: MapType::ToFrom,
-                    modifier: MapModifier::NONE,
-                });
+        kernel: Kernel<'_>,
+        wait: bool,
+    ) {
+        let at = self.open_directive(device, codeptr);
+        self.construct(TargetConstructKind::Target, at, |rt| {
+            let referenced = kernel.referenced_vars();
+            let mut effective: Vec<Map> = maps.to_vec();
+            for &var in &referenced {
+                if !effective.iter().any(|m| m.var == var) {
+                    effective.push(Map {
+                        var,
+                        map_type: MapType::ToFrom,
+                        modifier: MapModifier::NONE,
+                    });
+                }
             }
-        }
-        for &m in &effective {
-            self.map_enter(device, m, target_id, codeptr, referenced.contains(&m.var));
-        }
-        (target_id, effective)
-    }
-
-    /// Unwind a `target` construct's data environment and close it.
-    fn target_exit(&mut self, device: u32, codeptr: CodePtr, target_id: u64, effective: &[Map]) {
-        for &m in effective.iter().rev() {
-            self.map_exit(device, m, target_id, codeptr);
-        }
-        self.emit_target(
-            TargetConstructKind::Target,
-            Endpoint::End,
-            device,
-            target_id,
-            codeptr,
-        );
+            for &m in &effective {
+                rt.map_enter(at, m, referenced.contains(&m.var));
+            }
+            rt.run_kernel(at, kernel, &referenced, wait);
+            // The data-environment exit must wait for an asynchronous
+            // kernel whenever it moves or frees data the kernel may
+            // still be using.
+            if !wait {
+                let devices = rt.devices.clone();
+                let must_sync = effective.iter().any(|m| {
+                    let haddr = rt.host.addr(m.var);
+                    let refcount = devices
+                        .lock(device)
+                        .present
+                        .lookup(haddr)
+                        .map(|e| e.refcount)
+                        .unwrap_or(0);
+                    m.map_type.copies_from_device()
+                        || m.map_type == MapType::Delete
+                        || refcount <= 1
+                });
+                if must_sync {
+                    rt.taskwait(device);
+                }
+            }
+            for &m in effective.iter().rev() {
+                rt.map_exit(at, m);
+            }
+        });
     }
 
     /// `#pragma omp taskwait` — block the host until `device`'s
@@ -678,43 +640,29 @@ impl Runtime {
         }
     }
 
-    /// Execute `kernel` on `device`. It queues behind any asynchronously
-    /// launched kernel and its submit events span the device-side
-    /// execution window. With `wait` the host blocks until it completes
+    /// Execute `kernel` (whose variables are `referenced`) on the
+    /// directive's device. It queues behind any asynchronously launched
+    /// kernel and its submit events span the device-side execution
+    /// window. With `wait` the host blocks until it completes
     /// (`target`); without, the host returns after the launch overhead
     /// and the device stays busy (`target nowait`).
-    fn run_kernel(
-        &mut self,
-        device: u32,
-        codeptr: CodePtr,
-        target_id: u64,
-        kernel: Kernel<'_>,
-        wait: bool,
-    ) {
+    fn run_kernel(&mut self, at: Directive, kernel: Kernel<'_>, referenced: &[VarId], wait: bool) {
         // Hold the device lock across gather / execute / write-back:
         // the device runs one kernel at a time (its queue semantics),
         // so concurrent threads' kernels take turns and no other thread
         // may free or take a buffer mid-kernel.
         let devices = self.devices.clone();
-        let mut dev = devices.lock(device);
+        let mut dev = devices.lock(at.device);
         let start = dev.busy_until.max(self.clock);
         let launch = SimDuration(self.cfg.timing.kernel_launch_ns);
         let dur = launch + kernel.cost.duration();
         let end = start + dur;
-        self.emit_submit(
-            Endpoint::Begin,
-            device,
-            target_id,
-            kernel.num_teams,
-            codeptr,
-            start,
-        );
+        self.emit_submit(Endpoint::Begin, at, kernel.num_teams, start);
 
         // Gather device buffers for the kernel's variables: temporarily
         // take ownership so the body can hold simultaneous &mut views.
-        let referenced = kernel.referenced_vars();
         let mut taken: Vec<(VarId, u64, Vec<u8>)> = Vec::with_capacity(referenced.len());
-        for &var in &referenced {
+        for &var in referenced {
             let haddr = self.host.addr(var);
             // A referenced var is mapped after map_enter — unless the
             // mapping was skipped by a device OOM (or a concurrent
@@ -734,8 +682,8 @@ impl Runtime {
 
         // Instrumentation feed for access-tracking tools.
         let access_info = KernelAccessInfo {
-            device: DeviceId::target(device),
-            target_id,
+            device: DeviceId::target(at.device),
+            target_id: at.target_id,
             reads: kernel
                 .reads
                 .iter()
@@ -766,7 +714,7 @@ impl Runtime {
                 None => {
                     for &var in kernel.writes.iter().chain(kernel.masked_writes.iter()) {
                         let buf = view.bytes_mut(var);
-                        default_mutation(buf, target_id);
+                        default_mutation(buf, at.target_id);
                     }
                 }
             }
@@ -795,14 +743,7 @@ impl Runtime {
         if let Some(slot) = self.tool.as_mut() {
             slot.tool.on_kernel_access(&access_info);
         }
-        self.emit_submit(
-            Endpoint::End,
-            device,
-            target_id,
-            kernel.num_teams,
-            codeptr,
-            end,
-        );
+        self.emit_submit(Endpoint::End, at, kernel.num_teams, end);
     }
 
     fn access_range(
@@ -826,20 +767,21 @@ impl Runtime {
     }
 
     // ---------------------------------------------------------------
-    // Map-clause machinery
+    // Map-clause machinery: clause semantics (§2.2), then the rewrite
+    // an attached advisor asked for
     // ---------------------------------------------------------------
 
     /// Consult the attached advisor for one map item, or keep as written.
-    fn consult(&mut self, enter: bool, device: u32, m: Map, codeptr: CodePtr) -> MapAdvice {
+    fn consult(&mut self, enter: bool, at: Directive, m: Map) -> MapAdvice {
         let Some(advisor) = self.advisor.as_mut() else {
             return MapAdvice::KEEP;
         };
         let haddr = self.host.addr(m.var);
         let bytes = self.host.size(m.var);
         if enter {
-            advisor.advise_enter(device, codeptr, haddr, bytes, m.map_type)
+            advisor.advise_enter(at.device, at.codeptr, haddr, bytes, m.map_type)
         } else {
-            advisor.advise_exit(device, codeptr, haddr, bytes, m.map_type)
+            advisor.advise_exit(at.device, at.codeptr, haddr, bytes, m.map_type)
         }
     }
 
@@ -868,19 +810,14 @@ impl Runtime {
         c.mgmt_time_avoided += dur;
     }
 
-    /// `force_map` pins the clause for a variable the launching kernel
-    /// references: elision and enter-copy downgrades (`skip_to`) are
-    /// overridden (a mispredicting advisor may waste bandwidth but never
-    /// leave a kernel without its data).
-    fn map_enter(
-        &mut self,
-        device: u32,
-        m: Map,
-        target_id: u64,
-        codeptr: CodePtr,
-        force_map: bool,
-    ) {
-        let advice = self.consult(true, device, m, codeptr);
+    /// One map item on a region-entry path. `force_map` pins the clause
+    /// for a variable the launching kernel references: elision and
+    /// enter-copy downgrades (`skip_to`) are overridden (a mispredicting
+    /// advisor may waste bandwidth but never leave a kernel without its
+    /// data).
+    fn map_enter(&mut self, at: Directive, m: Map, force_map: bool) {
+        let advice = self.consult(true, at, m);
+        let device = at.device;
         let haddr = self.host.addr(m.var);
         let bytes = self.host.size(m.var);
         // One lock for the whole clause: the lookup, the refcount or
@@ -905,7 +842,8 @@ impl Runtime {
             }
         }
 
-        match present {
+        // Present data gains a reference; absent data is allocated.
+        let (dev_addr, fresh) = match present {
             Some(entry) => {
                 // A mapping alive only because remediation skipped its
                 // release holds one *phantom* reference (the skip left
@@ -929,17 +867,7 @@ impl Runtime {
                 } else {
                     dev.present.retain(haddr);
                 }
-                if m.modifier.always && m.map_type.copies_to_device() {
-                    match advice.skip_to {
-                        Some(cause) if !force_map => {
-                            self.note_avoided_transfer(device, cause, bytes, true);
-                            self.remedy.counter_mut(device, cause).rewrites += 1;
-                        }
-                        _ => {
-                            self.do_h2d(&mut dev, device, m.var, entry.dev_addr, target_id, codeptr)
-                        }
-                    }
-                }
+                (entry.dev_addr, false)
             }
             None => {
                 if !m.map_type.allocates() {
@@ -950,138 +878,109 @@ impl Runtime {
                     });
                     return;
                 }
-                let Some(dev_addr) = self.do_alloc(&mut dev, device, m.var, target_id, codeptr)
-                else {
+                let Some(dev_addr) = self.do_alloc(&mut dev, at, m.var) else {
                     // Device OOM: the mapping is skipped; the kernel
                     // path substitutes scratch storage.
                     return;
                 };
-                dev.present.insert(haddr, dev_addr, self.host.size(m.var));
-                if m.map_type.copies_to_device() {
-                    match advice.skip_to {
-                        // to → alloc: the data lands uninitialized, which
-                        // Algorithm 5 proved no kernel will notice. Like
-                        // elision, never applied to a variable the
-                        // launching kernel references.
-                        Some(cause) if !force_map => {
-                            self.note_avoided_transfer(device, cause, bytes, true);
-                            self.remedy.counter_mut(device, cause).rewrites += 1;
-                        }
-                        _ => self.do_h2d(&mut dev, device, m.var, dev_addr, target_id, codeptr),
-                    }
+                dev.present.insert(haddr, dev_addr, bytes);
+                (dev_addr, true)
+            }
+        };
+
+        // `to` data is copied in when the mapping is new, or on every
+        // entry under `always`.
+        if m.map_type.copies_to_device() && (fresh || m.modifier.always) {
+            match advice.skip_to {
+                // to → alloc: the data lands uninitialized (or stays as
+                // it was), which Algorithm 5 proved no kernel will
+                // notice. Like elision, never applied to a variable the
+                // launching kernel references.
+                Some(cause) if !force_map => {
+                    self.note_avoided_transfer(device, cause, bytes, true);
+                    self.remedy.counter_mut(device, cause).rewrites += 1;
                 }
+                _ => self.do_transfer(&mut dev, at, m.var, dev_addr, true),
             }
         }
     }
 
-    fn map_exit(&mut self, device: u32, m: Map, target_id: u64, codeptr: CodePtr) {
-        let advice = self.consult(false, device, m, codeptr);
+    /// One map item on a region-exit path.
+    fn map_exit(&mut self, at: Directive, m: Map) {
+        let advice = self.consult(false, at, m);
+        let device = at.device;
         let haddr = self.host.addr(m.var);
         let bytes = self.host.size(m.var);
         // One lock for the whole clause (see map_enter): the release
         // decision and any copy-back/free it triggers are atomic.
         let devices = self.devices.clone();
         let mut dev = devices.lock(device);
-        match m.map_type {
-            MapType::Delete => {
-                if let Some(cause) = advice.persist.or(advice.elide) {
-                    if dev.present.contains(haddr) {
-                        // Keep the mapping resident despite the forced
-                        // delete; re-entries reuse it.
-                        dev.retained.insert(haddr, cause);
-                        self.note_avoided_delete(device, cause);
+        let delete = m.map_type == MapType::Delete;
+        let Some(entry) = dev.present.lookup(haddr).copied() else {
+            // Elided at enter: exit silently too.
+            if advice.elide.is_none() {
+                let var = self.host.var(m.var).name.clone();
+                self.warnings.push(if delete {
+                    RuntimeWarning::DeleteOfAbsentData { var }
+                } else {
+                    RuntimeWarning::ReleaseOfAbsentData { var }
+                });
+            }
+            return;
+        };
+        // `delete` drops every reference, any other type one.
+        let last = entry.refcount == 1;
+        // Persist: an exit that would free the mapping keeps it resident
+        // under a phantom reference instead; re-entries adopt it.
+        let keep = advice.persist.or(advice.elide).filter(|_| delete || last);
+
+        // `from` data is copied back when the last reference goes, or on
+        // every exit under `always`.
+        if m.map_type.copies_from_device() && (m.modifier.always || last) {
+            // The last-reference copy of a kept mapping survives as the
+            // persist rewrite's targeted update (host visibility
+            // preserved, no delete/re-send round trip) and is booked
+            // under that rewrite, not as one of its own.
+            let update_of = keep.filter(|_| !m.modifier.always);
+            match advice.skip_from {
+                // from → release: the copy-back is provably redundant
+                // (the host already holds the bytes).
+                Some(cause) => {
+                    self.note_avoided_transfer(device, cause, bytes, false);
+                    if update_of.is_none() {
                         self.remedy.counter_mut(device, cause).rewrites += 1;
-                        return;
-                    }
-                    if advice.elide.is_some() {
-                        return; // elided at enter: nothing to delete
                     }
                 }
-                match dev.present.force_remove(haddr) {
-                    Some(entry) => {
-                        self.do_delete(&mut dev, device, m.var, entry.dev_addr, target_id, codeptr)
+                None => {
+                    self.do_transfer(&mut dev, at, m.var, entry.dev_addr, false);
+                    if let Some(cause) = update_of {
+                        let c = self.remedy.counter_mut(device, cause);
+                        c.updates_injected += 1;
+                        c.update_bytes += bytes;
                     }
-                    None => self.warnings.push(RuntimeWarning::DeleteOfAbsentData {
-                        var: self.host.var(m.var).name.clone(),
-                    }),
                 }
             }
-            _ => {
-                let Some(entry) = dev.present.lookup(haddr).copied() else {
-                    if advice.elide.is_some() {
-                        return; // elided at enter: exit silently too
-                    }
-                    self.warnings.push(RuntimeWarning::ReleaseOfAbsentData {
-                        var: self.host.var(m.var).name.clone(),
-                    });
-                    return;
-                };
-                // `always from` copies back even while references remain.
-                if m.modifier.always && m.map_type.copies_from_device() {
-                    if let Some(cause) = advice.skip_from {
-                        self.note_avoided_transfer(device, cause, bytes, false);
-                        self.remedy.counter_mut(device, cause).rewrites += 1;
-                    } else {
-                        self.do_d2h(&mut dev, device, m.var, entry.dev_addr, target_id, codeptr);
-                    }
-                }
-                // Persist: when this release would free the mapping, keep
-                // it resident instead. An exit-side `from` copy degrades
-                // to a targeted update (host visibility preserved, no
-                // delete/re-send round trip) unless skip_from also holds.
-                let persist = advice.persist.or(advice.elide);
-                if let Some(cause) = persist {
-                    if entry.refcount == 1 {
-                        if m.map_type.copies_from_device() && !m.modifier.always {
-                            if let Some(skip) = advice.skip_from {
-                                self.note_avoided_transfer(device, skip, bytes, false);
-                            } else {
-                                self.do_d2h(
-                                    &mut dev,
-                                    device,
-                                    m.var,
-                                    entry.dev_addr,
-                                    target_id,
-                                    codeptr,
-                                );
-                                let c = self.remedy.counter_mut(device, cause);
-                                c.updates_injected += 1;
-                                c.update_bytes += bytes;
-                            }
-                        }
-                        dev.retained.insert(haddr, cause);
-                        self.note_avoided_delete(device, cause);
-                        self.remedy.counter_mut(device, cause).rewrites += 1;
-                        return;
-                    }
-                    // refcount > 1: the release cannot free; fall through.
-                }
-                if let Some(entry) = dev.present.release(haddr) {
-                    if m.map_type.copies_from_device() && !m.modifier.always {
-                        if let Some(cause) = advice.skip_from {
-                            // from → release: the copy-back is provably
-                            // redundant (the host already holds the bytes).
-                            self.note_avoided_transfer(device, cause, bytes, false);
-                            self.remedy.counter_mut(device, cause).rewrites += 1;
-                        } else {
-                            self.do_d2h(
-                                &mut dev,
-                                device,
-                                m.var,
-                                entry.dev_addr,
-                                target_id,
-                                codeptr,
-                            );
-                        }
-                    }
-                    self.do_delete(&mut dev, device, m.var, entry.dev_addr, target_id, codeptr);
-                }
-            }
+        }
+
+        if let Some(cause) = keep {
+            dev.retained.insert(haddr, cause);
+            self.note_avoided_delete(device, cause);
+            self.remedy.counter_mut(device, cause).rewrites += 1;
+            return;
+        }
+        let freed = if delete {
+            dev.present.force_remove(haddr)
+        } else {
+            dev.present.release(haddr)
+        };
+        if freed.is_some() {
+            self.do_delete(&mut dev, at, m.var, entry.dev_addr);
         }
     }
 
     // ---------------------------------------------------------------
-    // Primitive data operations (each = one OMPT data-op event)
+    // Primitive data operations (each = one OMPT data-op event): only
+    // what differs per operation; `data_op` does the rest
     // ---------------------------------------------------------------
 
     /// Allocate device memory for `var`. Returns `None` — with a
@@ -1089,14 +988,7 @@ impl Runtime {
     /// emitted — when capacity is exhausted or an injected OOM fault
     /// fires; the caller skips the mapping and the run degrades
     /// gracefully instead of panicking.
-    fn do_alloc(
-        &mut self,
-        dev: &mut DeviceState,
-        device: u32,
-        var: VarId,
-        target_id: u64,
-        codeptr: CodePtr,
-    ) -> Option<u64> {
+    fn do_alloc(&mut self, dev: &mut DeviceState, at: Directive, var: VarId) -> Option<u64> {
         let bytes = self.host.size(var);
         let dev_addr = if self.faults.alloc_fails() {
             None
@@ -1110,160 +1002,65 @@ impl Runtime {
             });
             return None;
         };
-        let t0 = self.clock;
         let dur = self.cfg.timing.alloc.alloc_duration(bytes);
-        self.clock += dur;
         self.stats.allocs += 1;
         self.stats.alloc_time += dur;
-        let host_op_id = self.fresh_host_op_id();
-        let haddr = self.host.addr(var);
-        self.dispatch_data_op(
-            DataOpType::Alloc,
-            device,
-            target_id,
-            host_op_id,
-            haddr,
-            dev_addr,
-            bytes,
-            codeptr,
-            t0,
-            self.clock,
-            None,
-        );
+        self.data_op(at, DataOpType::Alloc, var, dev_addr, dur);
         Some(dev_addr)
     }
 
-    fn do_delete(
-        &mut self,
-        dev: &mut DeviceState,
-        device: u32,
-        var: VarId,
-        dev_addr: u64,
-        target_id: u64,
-        codeptr: CodePtr,
-    ) {
-        let bytes = self.host.size(var);
+    fn do_delete(&mut self, dev: &mut DeviceState, at: Directive, var: VarId, dev_addr: u64) {
         let freed = dev.mem.free(dev_addr);
         debug_assert!(freed, "delete of unallocated device memory");
-        let t0 = self.clock;
         let dur = self.cfg.timing.alloc.free_duration();
-        self.clock += dur;
         self.stats.alloc_time += dur;
-        let host_op_id = self.fresh_host_op_id();
-        let haddr = self.host.addr(var);
-        self.dispatch_data_op(
-            DataOpType::Delete,
-            device,
-            target_id,
-            host_op_id,
-            haddr,
-            dev_addr,
-            bytes,
-            codeptr,
-            t0,
-            self.clock,
-            None,
-        );
+        self.data_op(at, DataOpType::Delete, var, dev_addr, dur);
     }
 
-    fn do_h2d(
+    /// Copy `var` host → device (`h2d`) or device → host.
+    fn do_transfer(
         &mut self,
         dev: &mut DeviceState,
-        device: u32,
+        at: Directive,
         var: VarId,
         dev_addr: u64,
-        target_id: u64,
-        codeptr: CodePtr,
+        h2d: bool,
     ) {
         let bytes = self.host.size(var);
-        // Real byte movement: host → device buffer. Clamped when a
-        // shared-device run reuses another thread's different-sized
-        // same-address mapping — surfaced as a warning, never silent.
-        let src: Vec<u8> = self.host.bytes(var).to_vec();
+        // Real byte movement through a staging copy (part of the
+        // simulator's per-transfer cost, which the ledger's `slowdown`
+        // divides by). Clamped when a shared-device run reuses another
+        // thread's different-sized same-address mapping — surfaced as a
+        // warning, never silent.
         if let Some(buf) = dev.mem.bytes_mut(dev_addr) {
-            if buf.len() != src.len() {
+            let host = self.host.bytes_mut(var);
+            let n = host.len().min(buf.len());
+            let (src, dest) = if h2d {
+                (&host[..n], &mut buf[..n])
+            } else {
+                (&buf[..n], &mut host[..n])
+            };
+            let staged = src.to_vec();
+            dest.copy_from_slice(&staged);
+            if buf.len() as u64 != bytes {
                 self.warnings.push(RuntimeWarning::MappingSizeMismatch {
                     var: self.host.var(var).name.clone(),
                     mapped: buf.len() as u64,
-                    requested: src.len() as u64,
+                    requested: bytes,
                 });
             }
-            let n = src.len().min(buf.len());
-            buf[..n].copy_from_slice(&src[..n]);
         }
-        self.absorb_transfer_retries(var, bytes, true);
-        let t0 = self.clock;
-        let dur = self.cfg.timing.transfer_duration(bytes, true);
-        self.clock += dur;
+        self.absorb_transfer_retries(var, bytes, h2d);
+        let dur = self.cfg.timing.transfer_duration(bytes, h2d);
         self.stats.transfers += 1;
         self.stats.bytes_transferred += bytes;
         self.stats.transfer_time += dur;
-        let host_op_id = self.fresh_host_op_id();
-        let haddr = self.host.addr(var);
-        let t1 = self.clock;
-        self.dispatch_data_op_with_payload(
-            DataOpType::TransferToDevice,
-            device,
-            target_id,
-            host_op_id,
-            haddr,
-            dev_addr,
-            bytes,
-            codeptr,
-            t0,
-            t1,
-            var,
-        );
-    }
-
-    fn do_d2h(
-        &mut self,
-        dev: &mut DeviceState,
-        device: u32,
-        var: VarId,
-        dev_addr: u64,
-        target_id: u64,
-        codeptr: CodePtr,
-    ) {
-        let bytes = self.host.size(var);
-        // Real byte movement: device buffer → host (clamped + warned on
-        // a size mismatch, see do_h2d).
-        if let Some(buf) = dev.mem.bytes(dev_addr) {
-            let copy: Vec<u8> = buf.to_vec();
-            if copy.len() != self.host.size(var) as usize {
-                self.warnings.push(RuntimeWarning::MappingSizeMismatch {
-                    var: self.host.var(var).name.clone(),
-                    mapped: copy.len() as u64,
-                    requested: self.host.size(var),
-                });
-            }
-            let host = self.host.bytes_mut(var);
-            let n = copy.len().min(host.len());
-            host[..n].copy_from_slice(&copy[..n]);
-        }
-        self.absorb_transfer_retries(var, bytes, false);
-        let t0 = self.clock;
-        let dur = self.cfg.timing.transfer_duration(bytes, false);
-        self.clock += dur;
-        self.stats.transfers += 1;
-        self.stats.bytes_transferred += bytes;
-        self.stats.transfer_time += dur;
-        let host_op_id = self.fresh_host_op_id();
-        let haddr = self.host.addr(var);
-        let t1 = self.clock;
-        self.dispatch_data_op_with_payload(
-            DataOpType::TransferFromDevice,
-            device,
-            target_id,
-            host_op_id,
-            dev_addr,
-            haddr,
-            bytes,
-            codeptr,
-            t0,
-            t1,
-            var,
-        );
+        let optype = if h2d {
+            DataOpType::TransferToDevice
+        } else {
+            DataOpType::TransferFromDevice
+        };
+        self.data_op(at, optype, var, dev_addr, dur);
     }
 
     /// Consult the fault plan for injected transfer failures: each
@@ -1294,104 +1091,70 @@ impl Runtime {
     }
 
     // ---------------------------------------------------------------
-    // OMPT dispatch
+    // OMPT dispatch (one gate: `ToolSlot::sees`)
     // ---------------------------------------------------------------
 
-    fn emit_target(
+    /// One data operation on `var`'s device copy at `dev_addr`, taking
+    /// `dur`: advance the clock, take the op id and report the event —
+    /// EMI Begin/End, or the begin-only callback — with whatever fault
+    /// the plan draws for it.
+    fn data_op(
         &mut self,
-        construct: TargetConstructKind,
-        endpoint: Endpoint,
-        device: u32,
-        target_id: u64,
-        codeptr: CodePtr,
-    ) {
-        let time = self.clock;
-        let Some(slot) = self.tool.as_mut() else {
-            return;
-        };
-        let emi = slot.wants(CallbackKind::TargetEmi);
-        let legacy = slot.wants(CallbackKind::Target);
-        if !emi && !legacy {
-            return;
-        }
-        if !emi && endpoint == Endpoint::End {
-            // Non-EMI callbacks fire only at event start (§2.3).
-            return;
-        }
-        slot.tool.on_target(&TargetCallback {
-            endpoint,
-            construct,
-            device: DeviceId::target(device),
-            target_id,
-            codeptr_ra: codeptr,
-            time,
-        });
-    }
-
-    fn emit_submit(
-        &mut self,
-        endpoint: Endpoint,
-        device: u32,
-        target_id: u64,
-        num_teams: u32,
-        codeptr: CodePtr,
-        time: SimTime,
-    ) {
-        let Some(slot) = self.tool.as_mut() else {
-            return;
-        };
-        let emi = slot.wants(CallbackKind::TargetSubmitEmi);
-        let legacy = slot.wants(CallbackKind::TargetSubmit);
-        if !emi && !legacy {
-            return;
-        }
-        if !emi && endpoint == Endpoint::End {
-            return;
-        }
-        slot.tool.on_submit(&SubmitCallback {
-            endpoint,
-            target_id,
-            device: DeviceId::target(device),
-            requested_num_teams: num_teams,
-            codeptr_ra: codeptr,
-            time,
-        });
-    }
-
-    /// Dispatch a data op with no payload (alloc/delete).
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_data_op(
-        &mut self,
+        at: Directive,
         optype: DataOpType,
-        device: u32,
-        target_id: u64,
-        host_op_id: u64,
-        src_addr: u64,
-        dest_addr: u64,
-        bytes: u64,
-        codeptr: CodePtr,
-        t0: SimTime,
-        t1: SimTime,
-        payload: Option<&[u8]>,
+        var: VarId,
+        dev_addr: u64,
+        dur: SimDuration,
     ) {
+        let (t0, t1) = (self.clock, self.clock + dur);
+        self.clock = t1;
+        let host_op_id = self.next_host_op_id;
+        self.next_host_op_id += 1;
         let Some(slot) = self.tool.as_mut() else {
             return;
         };
-        let emi = slot.wants(CallbackKind::TargetDataOpEmi);
-        let legacy = slot.wants(CallbackKind::TargetDataOp);
-        if !emi && !legacy {
+        let sees = |e| slot.sees(CallbackKind::TargetDataOpEmi, CallbackKind::TargetDataOp, e);
+        if !sees(Endpoint::Begin) {
             return;
         }
-        let fault = self.faults.on_data_op(false);
+        let emi = sees(Endpoint::End);
+        let fault = self.faults.on_data_op(optype.is_transfer());
         let device = if fault == DataOpFault::CorruptDevice {
-            device + CORRUPT_DEVICE_OFFSET
+            at.device + CORRUPT_DEVICE_OFFSET
         } else {
-            device
+            at.device
         };
-        let (src_device, dest_device) = device_endpoints(optype, device);
+        // OMPT operand conventions: the host side is the source of
+        // every operation but a copy back.
+        let host_end = (DeviceId::HOST, self.host.addr(var));
+        let dev_end = (DeviceId::target(device), dev_addr);
+        let ((src_device, src_addr), (dest_device, dest_addr)) =
+            if optype == DataOpType::TransferFromDevice {
+                (dev_end, host_end)
+            } else {
+                (host_end, dev_end)
+            };
+        // Only transfers carry content: `var`'s host bytes, in both
+        // directions (a D2H has just made the host copy equal the
+        // device's). Payload faults act on an owned copy so host memory
+        // itself stays intact.
+        let bytes = self.host.size(var);
+        let content = self.host.bytes(var);
+        let faulted: Option<Vec<u8>> = match fault {
+            DataOpFault::TruncatePayload => Some(content[..content.len() / 2].to_vec()),
+            DataOpFault::CorruptPayload => {
+                let mut p = content.to_vec();
+                flip_payload_bit(&mut p, host_op_id);
+                Some(p)
+            }
+            _ => None,
+        };
+        let payload = optype
+            .is_transfer()
+            .then(|| faulted.as_deref().unwrap_or(content));
         let mk = |endpoint, time, payload| DataOpCallback {
             endpoint,
-            target_id,
+            target_id: at.target_id,
             host_op_id,
             optype,
             src_device,
@@ -1399,7 +1162,7 @@ impl Runtime {
             dest_device,
             dest_addr,
             bytes,
-            codeptr_ra: codeptr,
+            codeptr_ra: at.codeptr,
             time,
             payload,
         };
@@ -1420,85 +1183,40 @@ impl Runtime {
         }
     }
 
-    /// Dispatch a transfer whose payload is `var`'s host bytes (valid for
-    /// both directions: after a D2H the host copy equals the device copy).
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_data_op_with_payload(
-        &mut self,
-        optype: DataOpType,
-        device: u32,
-        target_id: u64,
-        host_op_id: u64,
-        src_addr: u64,
-        dest_addr: u64,
-        bytes: u64,
-        codeptr: CodePtr,
-        t0: SimTime,
-        t1: SimTime,
-        var: VarId,
-    ) {
+    fn emit_target(&mut self, construct: TargetConstructKind, endpoint: Endpoint, at: Directive) {
+        let time = self.clock;
         let Some(slot) = self.tool.as_mut() else {
             return;
         };
-        let emi = slot.wants(CallbackKind::TargetDataOpEmi);
-        let legacy = slot.wants(CallbackKind::TargetDataOp);
-        if !emi && !legacy {
-            return;
+        if slot.sees(CallbackKind::TargetEmi, CallbackKind::Target, endpoint) {
+            slot.tool.on_target(&TargetCallback {
+                endpoint,
+                construct,
+                device: DeviceId::target(at.device),
+                target_id: at.target_id,
+                codeptr_ra: at.codeptr,
+                time,
+            });
         }
-        let fault = self.faults.on_data_op(true);
-        let device = if fault == DataOpFault::CorruptDevice {
-            device + CORRUPT_DEVICE_OFFSET
-        } else {
-            device
+    }
+
+    fn emit_submit(&mut self, endpoint: Endpoint, at: Directive, num_teams: u32, time: SimTime) {
+        let Some(slot) = self.tool.as_mut() else {
+            return;
         };
-        // For H2D the host copy *is* the payload; for D2H we just copied
-        // the device bytes into the host var, so it is content-identical.
-        // Payload faults operate on an owned copy so host memory itself
-        // stays intact.
-        let owned: Option<Vec<u8>> = match fault {
-            DataOpFault::TruncatePayload => {
-                let p = self.host.bytes(var);
-                Some(p[..p.len() / 2].to_vec())
-            }
-            DataOpFault::CorruptPayload => {
-                let mut p = self.host.bytes(var).to_vec();
-                flip_payload_bit(&mut p, host_op_id);
-                Some(p)
-            }
-            _ => None,
-        };
-        let payload = match owned.as_deref() {
-            Some(p) => p,
-            None => self.host.bytes(var),
-        };
-        let (src_device, dest_device) = device_endpoints(optype, device);
-        let mk = |endpoint, time, payload| DataOpCallback {
+        if slot.sees(
+            CallbackKind::TargetSubmitEmi,
+            CallbackKind::TargetSubmit,
             endpoint,
-            target_id,
-            host_op_id,
-            optype,
-            src_device,
-            src_addr,
-            dest_device,
-            dest_addr,
-            bytes,
-            codeptr_ra: codeptr,
-            time,
-            payload,
-        };
-        if emi {
-            if fault != DataOpFault::DropBegin {
-                slot.tool.on_data_op(&mk(Endpoint::Begin, t0, None));
-            }
-            if fault != DataOpFault::DropEnd {
-                slot.tool.on_data_op(&mk(Endpoint::End, t1, Some(payload)));
-                if fault == DataOpFault::DuplicateEnd {
-                    slot.tool.on_data_op(&mk(Endpoint::End, t1, Some(payload)));
-                }
-            }
-        } else if fault != DataOpFault::DropBegin {
-            slot.tool
-                .on_data_op(&mk(Endpoint::Begin, t0, Some(payload)));
+        ) {
+            slot.tool.on_submit(&SubmitCallback {
+                endpoint,
+                target_id: at.target_id,
+                device: DeviceId::target(at.device),
+                requested_num_teams: num_teams,
+                codeptr_ra: at.codeptr,
+                time,
+            });
         }
     }
 
@@ -1541,18 +1259,6 @@ impl Runtime {
         self.clock += SimDuration(self.cfg.timing.host_dispatch_ns);
     }
 
-    fn fresh_target_id(&mut self) -> u64 {
-        let id = self.next_target_id;
-        self.next_target_id += 1;
-        id
-    }
-
-    fn fresh_host_op_id(&mut self) -> u64 {
-        let id = self.next_host_op_id;
-        self.next_host_op_id += 1;
-        id
-    }
-
     fn assert_running(&self, device: u32) {
         assert!(!self.finished, "directive after finish()");
         assert!(
@@ -1560,15 +1266,6 @@ impl Runtime {
             "device {device} out of range ({} devices)",
             self.devices.len()
         );
-    }
-}
-
-/// OMPT device-number conventions per op type.
-fn device_endpoints(optype: DataOpType, device: u32) -> (DeviceId, DeviceId) {
-    match optype {
-        DataOpType::TransferFromDevice => (DeviceId::target(device), DeviceId::HOST),
-        // Alloc/delete/H2D/associate: host side is the source operand.
-        _ => (DeviceId::HOST, DeviceId::target(device)),
     }
 }
 

@@ -6,7 +6,7 @@
 //! hashes, stream position as timestamps — so
 //! [`Findings::detect_fused`] groups, pairs and sweeps the abstract
 //! stream exactly as it would a recorded one, and
-//! [`ompdataperf::fleet::charges`] says which instances count and what
+//! [`ompdataperf::detect::charges`] says which instances count and what
 //! each is charged to, exactly as it does for a dynamic run. What stays
 //! static-only is the question no trace can answer: does this instance
 //! occur in *every* execution? Each charged instance gets a certainty
@@ -18,8 +18,9 @@ use crate::exec::{abstract_run, AbsTrace, Tok};
 use crate::ir::MappingProgram;
 use odp_model::DataOpEvent;
 use odp_trace::ColumnarView;
-use ompdataperf::detect::{AllocDeletePair, EventView, Findings, UnusedTransferReason};
-use ompdataperf::fleet::{charges, Evidence, FindingKind};
+use ompdataperf::detect::{
+    charges, AllocDeletePair, EventView, Evidence, FindingKind, Findings, UnusedTransferReason,
+};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -100,7 +101,7 @@ pub fn analyze(p: &MappingProgram) -> StaticReport {
     type RowAgg = BTreeMap<(u64, i32, FindingKind), (u64, u64, u64, BTreeSet<String>)>;
     let mut rows: RowAgg = BTreeMap::new();
     for c in charges(&findings) {
-        let (certain, named_after) = fold.judge(&c.evidence);
+        let certain = fold.judge(&c.evidence);
         let e = rows
             .entry((c.codeptr, c.device, c.evidence.kind()))
             .or_insert((0, 0, 0, BTreeSet::new()));
@@ -110,7 +111,7 @@ pub fn analyze(p: &MappingProgram) -> StaticReport {
         }
         e.2 += c.bytes;
         if let Some(var) = trace
-            .facts_of(named_after.id)
+            .facts_of(c.evidence.charged().id)
             .and_then(|f| p.vars.get(f.var))
         {
             e.3.insert(var.name.clone());
@@ -173,32 +174,26 @@ impl CertaintyFold<'_> {
         self.certain(&p.alloc) && p.delete.as_ref().is_none_or(|d| self.certain(d))
     }
 
-    /// The certainty bit of one instance, and the event whose variable
-    /// names it in the row.
-    fn judge<'f>(&self, evidence: &Evidence<'f>) -> (bool, &'f DataOpEvent) {
+    /// The certainty bit of one instance.
+    fn judge(&self, evidence: &Evidence<'_>) -> bool {
         match *evidence {
             // A certain duplicate (or repeat) needs a certain *earlier*
             // member: the necessary first one must exist in every run.
-            Evidence::Duplicate { earlier, event } => (
-                self.certain(event) && earlier.iter().any(|e| self.certain(e)),
-                event,
-            ),
-            Evidence::RepeatedAlloc { earlier, pair } => (
-                self.pair_certain(pair) && earlier.iter().any(|p| self.pair_certain(p)),
-                &pair.alloc,
-            ),
+            Evidence::Duplicate { earlier, event } => {
+                self.certain(event) && earlier.iter().any(|e| self.certain(e))
+            }
+            Evidence::RepeatedAlloc { earlier, pair } => {
+                self.pair_certain(pair) && earlier.iter().any(|p| self.pair_certain(p))
+            }
             Evidence::RoundTrip(trip) => {
                 let stable = self
                     .trace
                     .facts_of(trip.tx.id)
                     .and_then(|f| f.tok)
                     .is_some_and(|tok| self.stable.get(&tok) == Some(&true));
-                (
-                    self.certain(&trip.tx) && self.certain(&trip.rx) && stable,
-                    &trip.rx,
-                )
+                self.certain(&trip.tx) && self.certain(&trip.rx) && stable
             }
-            Evidence::UnusedAlloc(pair) => (self.pair_certain(pair), &pair.alloc),
+            Evidence::UnusedAlloc(pair) => self.pair_certain(pair),
             Evidence::UnusedTransfer(ut) => {
                 let proof_certain = match ut.reason {
                     UnusedTransferReason::AfterLastKernel => true,
@@ -206,7 +201,7 @@ impl CertaintyFold<'_> {
                         self.overwriter_certain(&ut.event)
                     }
                 };
-                (self.certain(&ut.event) && proof_certain, &ut.event)
+                self.certain(&ut.event) && proof_certain
             }
         }
     }

@@ -16,7 +16,7 @@
 //!
 //! Table 5's input strings are preserved verbatim for reporting; the
 //! internal problem scales are reduced so the whole suite runs in
-//! seconds on a laptop (see EXPERIMENTS.md for the mapping).
+//! seconds on a laptop.
 //!
 //! Running one of them under the tool goes through [`session::run`]:
 //! a [`session::RunSpec`] (size, variant, threads, tool and runtime
