@@ -333,10 +333,12 @@ pub(super) fn fig5(args: &PaperArgs, out: Out<'_>) -> CmdResult {
 ///
 /// Appendix B motivates hash selection by throughput: "users might ...
 /// experience significant runtime overhead" with a slow hash. The tool
-/// times its own hashing (the Table-4 "effective hash rate" meter), so
-/// this ablation reports the *exact* nanoseconds each algorithm spends
-/// inside the profiler on the same workload — a noise-free signal — plus
-/// the implied overhead against the untooled wall-clock runtime.
+/// meters its own hashing (the Table-4 "effective hash rate" meter), so
+/// this ablation reports the nanoseconds each algorithm spends inside
+/// the profiler on the same workload — bytes exact, time measured around
+/// every payload of 4 KiB or more and sampled one in 16 below that
+/// (`ompdataperf::tool::HashMeter`) — plus the implied overhead against
+/// the untooled wall-clock runtime.
 pub(super) fn ablate_hash(_: &PaperArgs, out: Out<'_>) -> CmdResult {
     const REPS: NonZeroUsize = NonZeroUsize::MIN.saturating_add(2);
     let hashes = [
@@ -363,7 +365,8 @@ pub(super) fn ablate_hash(_: &PaperArgs, out: Out<'_>) -> CmdResult {
         let mut cells = Vec::new();
         for algo in hashes {
             // Median hashing time over REPS runs, from the tool's own
-            // meter — deterministic event stream, exact attribution.
+            // meter. The event stream is deterministic, so every run
+            // hashes the same bytes and times the same payloads.
             let mut metered: Vec<(u64, u64)> = (0..REPS.get())
                 .map(|_| {
                     let (tool, handle) = OmpDataPerfTool::new(ToolConfig {

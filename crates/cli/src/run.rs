@@ -345,6 +345,8 @@ pub fn execute(args: &[String], out: Out<'_>) -> CmdResult {
             "simulated time  : {} | wall-clock (host) : {:?}",
             run.stats.total_time, run.wall
         )?;
+        // Bytes are exact; the time under them is measured for
+        // payloads of 4 KiB and more and sampled (1 in 16) below.
         writeln!(
             out,
             "hash rate       : {:.1} GB/s ({})",

@@ -1,9 +1,12 @@
 //! The OMPT client — what `libompdataperf.so` is to a native program.
 //!
 //! [`OmpDataPerfTool`] registers for the EMI target callbacks, hashes
-//! every transfer payload with the configured algorithm (timing itself,
-//! which yields the Table 4 "effective hash rate"), and appends compact
-//! records to a [`TraceLog`]. On pre-5.1 runtimes it falls back to the
+//! every transfer payload with the configured algorithm (metering
+//! itself — [`HashMeter`], the Table 4 "effective hash rate"), and
+//! appends compact records to a [`TraceLog`]. A recording callback is
+//! upstream's three operations: look the begin time up in the thread's
+//! own small table of open operations, one hash, one append; it reads
+//! the wall clock only where the meter samples. On pre-5.1 runtimes it falls back to the
 //! deprecated begin-only callbacks with the §A.6 degradation warning; on
 //! runtimes without target callbacks it reports itself unusable.
 //!
@@ -125,11 +128,19 @@ pub struct ToolConfig {
 }
 
 /// Wall-clock hashing meter (Table 4's "effective hash rate").
+///
+/// `bytes` is exact. `nanos` is measured around every payload of at
+/// least 4 KiB and *estimated* below that: reading the clock twice
+/// costs several times what hashing a few hundred bytes does, so a
+/// shard times the first and then every 16th of its smaller payloads
+/// and counts each reading 16 times. Which payloads are timed depends
+/// on their sizes and order alone, never on the clock.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HashMeter {
-    /// Payload bytes hashed.
+    /// Payload bytes hashed (exact).
     pub bytes: u64,
-    /// Wall-clock nanoseconds spent hashing.
+    /// Wall-clock nanoseconds spent hashing (estimated below 4 KiB per
+    /// payload, see the type's doc).
     pub nanos: u64,
 }
 
@@ -141,6 +152,52 @@ impl HashMeter {
         } else {
             self.bytes as f64 / self.nanos as f64
         }
+    }
+}
+
+/// Payloads at least this long are always timed: from here on the hash
+/// costs more than the two clock reads around it.
+const METER_EXACT_BYTES: usize = 4096;
+/// One in this many shorter payloads is timed and stands for all of
+/// them.
+const METER_SAMPLE_EVERY: u32 = 16;
+
+/// One shard's [`HashMeter`] and the state that decides which payloads
+/// it times. [`ShardMeter::hash`] is the only place a callback reads
+/// the wall clock (`scripts/determinism_lint.sh` holds it to that).
+#[derive(Debug, Default)]
+struct ShardMeter {
+    total: HashMeter,
+    /// Payloads below [`METER_EXACT_BYTES`] hashed so far.
+    small_seen: u32,
+    /// Clock pairs read (what the tests count instead of wall time).
+    #[cfg(test)]
+    timed: u64,
+}
+
+impl ShardMeter {
+    /// Hash `payload` with `algo`, metering it.
+    fn hash(&mut self, algo: HashAlgoId, payload: &[u8]) -> u64 {
+        self.total.bytes += payload.len() as u64;
+        let weight = if payload.len() >= METER_EXACT_BYTES {
+            1
+        } else {
+            let nth = self.small_seen;
+            self.small_seen = nth.wrapping_add(1);
+            if !nth.is_multiple_of(METER_SAMPLE_EVERY) {
+                return algo.hash(payload);
+            }
+            METER_SAMPLE_EVERY
+        };
+        let t = Instant::now();
+        let h = algo.hash(payload);
+        let dt = t.elapsed().as_nanos() as u64;
+        self.total.nanos += dt.max(1) * weight as u64;
+        #[cfg(test)]
+        {
+            self.timed += 1;
+        }
+        h
     }
 }
 
@@ -168,7 +225,7 @@ struct ShardState {
     /// This thread's trace shard (event ids embed the shard id).
     log: TraceLog,
     /// This thread's hash-rate meter.
-    hash_meter: HashMeter,
+    hash_meter: ShardMeter,
     /// Evidence this shard quarantined instead of recording (orphaned
     /// `End`s, truncated payload hashes).
     health: TraceHealth,
@@ -480,14 +537,17 @@ impl ToolHandle {
         let shards = self.shared.shards.lock();
         let mut total = HashMeter::default();
         for s in shards.iter() {
-            let s = s.lock();
-            total.bytes += s.hash_meter.bytes;
-            total.nanos += s.hash_meter.nanos;
+            let meter = s.lock().hash_meter.total;
+            total.bytes += meter.bytes;
+            total.nanos += meter.nanos;
         }
         total
     }
 
-    /// Effective hash rate in GB/s (aggregate).
+    /// Effective hash rate in GB/s (aggregate) — the `-v` "hash rate"
+    /// line. Exact bytes over [`HashMeter::nanos`], so on a run of
+    /// payloads below 4 KiB it is an estimate from one timed payload in
+    /// 16.
     pub fn hash_rate_gb_per_s(&self) -> f64 {
         self.hash_meter().gb_per_s()
     }
@@ -613,12 +673,90 @@ pub struct OmpDataPerfTool {
     /// `initialize` — callbacks read this instead of taking a lock a
     /// second time per event.
     degraded: bool,
-    /// host_op_id → begin time of the open data op.
-    open_ops: FnvHashMap<u64, SimTime>,
-    /// target_id → begin time of the open kernel submit.
-    open_submits: FnvHashMap<u64, SimTime>,
-    /// (target_id, construct discriminant) → begin time.
-    open_targets: FnvHashMap<(u64, u8), SimTime>,
+    /// Begin times of this thread's open data ops, kernel submits and
+    /// target constructs.
+    open: OpenTable,
+}
+
+/// What a Begin/End pair is matched on: the id the runtime gave the
+/// operation, within the kind of callback that delivers it (an
+/// `enter data` and a `target` may share a `target_id`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+enum OpenKey {
+    /// Filler for unused table slots; never searched for.
+    #[default]
+    Vacant,
+    /// A data op, by `host_op_id`.
+    DataOp(u64),
+    /// A kernel submit, by `target_id`.
+    Submit(u64),
+    /// A target construct, by `target_id`.
+    Construct(u64, TargetConstructKind),
+}
+
+/// Begin times waiting for their End — upstream's one `thread_local`
+/// slot, widened to the few operations a thread really has open at once
+/// (a `target data` around a `target` around a data op; a
+/// `target_nowait` still in flight).
+///
+/// The newest [`OpenTable::INLINE`] opens sit in an inline array that
+/// both endpoints search from the newest entry, which is where a
+/// well-nested End finds its Begin. The scan is bounded by the array:
+/// when an open arrives and the array is full, the *oldest* entry moves
+/// to `spilled`, a map that stays empty unless a runtime nests deeper
+/// than `INLINE` or drops Ends — so leaked Begins cost later callbacks
+/// one `is_empty` test, and an End that misses the array one lookup.
+/// A key lives in at most one of the two, once: the table behaves as
+/// the map `key → begin time` it replaces (a repeated Begin overwrites,
+/// an unmatched End finds nothing).
+#[derive(Debug, Default)]
+struct OpenTable {
+    /// Oldest first; only `recent[..len]` is meaningful.
+    recent: [(OpenKey, SimTime); OpenTable::INLINE],
+    len: usize,
+    spilled: FnvHashMap<OpenKey, SimTime>,
+}
+
+impl OpenTable {
+    /// Inline entries, and so the most any callback scans.
+    const INLINE: usize = 8;
+
+    /// Note that `key` opened at `time`.
+    fn begin(&mut self, key: OpenKey, time: SimTime) {
+        if let Some(at) = self.position(key) {
+            self.recent[at].1 = time;
+            return;
+        }
+        if !self.spilled.is_empty() {
+            self.spilled.remove(&key);
+        }
+        if self.len == Self::INLINE {
+            let (oldest, began) = self.recent[0];
+            self.spilled.insert(oldest, began);
+            self.recent.copy_within(1.., 0);
+            self.len -= 1;
+        }
+        self.recent[self.len] = (key, time);
+        self.len += 1;
+    }
+
+    /// Take the begin time of `key`, if it is open.
+    fn end(&mut self, key: OpenKey) -> Option<SimTime> {
+        match self.position(key) {
+            Some(at) => {
+                let began = self.recent[at].1;
+                self.recent.copy_within(at + 1..self.len, at);
+                self.len -= 1;
+                Some(began)
+            }
+            None if self.spilled.is_empty() => None,
+            None => self.spilled.remove(&key),
+        }
+    }
+
+    fn position(&self, key: OpenKey) -> Option<usize> {
+        self.recent[..self.len].iter().rposition(|&(k, _)| k == key)
+    }
 }
 
 impl OmpDataPerfTool {
@@ -673,7 +811,7 @@ impl OmpDataPerfTool {
         });
         let shard = Arc::new(Mutex::new(ShardState {
             log: TraceLog::for_shard(slot.index() as u32),
-            hash_meter: HashMeter::default(),
+            hash_meter: ShardMeter::default(),
             health: TraceHealth::default(),
             clock: StreamClock::new(),
             batcher: PublishBatcher::new(
@@ -690,9 +828,7 @@ impl OmpDataPerfTool {
             shard,
             slot,
             degraded: false,
-            open_ops: FnvHashMap::default(),
-            open_submits: FnvHashMap::default(),
-            open_targets: FnvHashMap::default(),
+            open: OpenTable::default(),
         }
     }
 
@@ -764,11 +900,7 @@ impl OmpDataPerfTool {
     /// Hash a payload against this shard's meter (and the shared audit
     /// when enabled — the documented serialization point of audit mode).
     fn hash_payload(&self, shard: &mut ShardState, payload: &[u8]) -> u64 {
-        let t = Instant::now();
-        let h = self.cfg.hash_algo.hash(payload);
-        let dt = t.elapsed().as_nanos() as u64;
-        shard.hash_meter.bytes += payload.len() as u64;
-        shard.hash_meter.nanos += dt.max(1);
+        let h = shard.hash_meter.hash(self.cfg.hash_algo, payload);
         if self.cfg.collision_audit {
             self.shared.control.lock().audit.record(payload, h);
         }
@@ -793,16 +925,6 @@ fn target_kind(c: TargetConstructKind) -> TargetKind {
         TargetConstructKind::TargetEnterData => TargetKind::EnterData,
         TargetConstructKind::TargetExitData => TargetKind::ExitData,
         TargetConstructKind::TargetUpdate => TargetKind::Update,
-    }
-}
-
-fn construct_tag(c: TargetConstructKind) -> u8 {
-    match c {
-        TargetConstructKind::Target => 0,
-        TargetConstructKind::TargetData => 1,
-        TargetConstructKind::TargetEnterData => 2,
-        TargetConstructKind::TargetExitData => 3,
-        TargetConstructKind::TargetUpdate => 4,
     }
 }
 
@@ -870,16 +992,16 @@ impl Tool for OmpDataPerfTool {
     }
 
     fn on_target(&mut self, cb: &TargetCallback) {
-        let key = (cb.target_id, construct_tag(cb.construct));
+        let key = OpenKey::Construct(cb.target_id, cb.construct);
         let span = match cb.endpoint {
             // Degraded mode: begin-only → record an instantaneous marker
             // (pre-EMI runtimes never deliver End).
             Endpoint::Begin if self.degraded => TimeSpan::at(cb.time),
             Endpoint::Begin => {
-                self.open_targets.insert(key, cb.time);
+                self.open.begin(key, cb.time);
                 return;
             }
-            Endpoint::End => match self.open_targets.remove(&key) {
+            Endpoint::End => match self.open.end(key) {
                 Some(start) => TimeSpan::new(start, cb.time),
                 // Orphaned region End (dropped or duplicated Begin):
                 // quarantine rather than invent a zero-length span.
@@ -901,10 +1023,10 @@ impl Tool for OmpDataPerfTool {
             Endpoint::Begin if self.degraded => None,
             Endpoint::Begin => {
                 self.open_edge(cb.time);
-                self.open_ops.insert(cb.host_op_id, cb.time);
+                self.open.begin(OpenKey::DataOp(cb.host_op_id), cb.time);
                 return;
             }
-            Endpoint::End => match self.open_ops.remove(&cb.host_op_id) {
+            Endpoint::End => match self.open.end(OpenKey::DataOp(cb.host_op_id)) {
                 Some(start) => Some(start),
                 None => return self.orphaned_end(cb.time),
             },
@@ -943,10 +1065,10 @@ impl Tool for OmpDataPerfTool {
             Endpoint::Begin if self.degraded => None,
             Endpoint::Begin => {
                 self.open_edge(cb.time);
-                self.open_submits.insert(cb.target_id, cb.time);
+                self.open.begin(OpenKey::Submit(cb.target_id), cb.time);
                 return;
             }
-            Endpoint::End => match self.open_submits.remove(&cb.target_id) {
+            Endpoint::End => match self.open.end(OpenKey::Submit(cb.target_id)) {
                 Some(start) => Some(start),
                 None => return self.orphaned_end(cb.time),
             },
@@ -1096,6 +1218,190 @@ mod tests {
         assert_eq!(m.bytes, 10 * 1024);
         assert!(m.nanos > 0);
         assert!(handle.hash_rate_gb_per_s() > 0.0);
+    }
+
+    /// Payload sizes on both sides of the 4 KiB line, small ones in the
+    /// majority as on every measured workload.
+    fn mixed_sizes() -> Vec<usize> {
+        (0..200usize)
+            .map(|i| match i % 10 {
+                0 => METER_EXACT_BYTES,
+                5 => METER_EXACT_BYTES * 3 + i,
+                9 => METER_EXACT_BYTES - 1,
+                _ => (i * 37) % 1024,
+            })
+            .collect()
+    }
+
+    /// Meter `sizes` one after another; the clock pairs read so far
+    /// after each payload.
+    fn timed_after_each(sizes: &[usize]) -> (ShardMeter, Vec<u64>) {
+        let mut meter = ShardMeter::default();
+        let timed = sizes
+            .iter()
+            .map(|&n| {
+                let payload = vec![n as u8; n];
+                let h = meter.hash(HashAlgoId::default(), &payload);
+                assert_eq!(
+                    h,
+                    HashAlgoId::default().hash(&payload),
+                    "metering changes no hash"
+                );
+                meter.timed
+            })
+            .collect();
+        (meter, timed)
+    }
+
+    #[test]
+    fn meter_counts_every_byte_and_times_every_large_payload() {
+        let sizes = mixed_sizes();
+        let (meter, timed) = timed_after_each(&sizes);
+        assert_eq!(meter.total.bytes, sizes.iter().sum::<usize>() as u64);
+        // A large payload always reads the clock; of the small ones the
+        // 1st, 17th, 33rd, ... do.
+        let mut small_seen = 0u32;
+        let mut expected = 0u64;
+        for (i, &n) in sizes.iter().enumerate() {
+            if n >= METER_EXACT_BYTES {
+                expected += 1;
+            } else {
+                expected += u64::from(small_seen.is_multiple_of(METER_SAMPLE_EVERY));
+                small_seen += 1;
+            }
+            assert_eq!(timed[i], expected, "payload {i} of {n} B");
+        }
+        assert!(meter.total.nanos >= expected, "each reading counts >= 1 ns");
+    }
+
+    #[test]
+    fn meter_times_the_first_small_payload() {
+        let (meter, timed) = timed_after_each(&[82]);
+        assert_eq!(timed, [1]);
+        assert!(meter.total.nanos >= METER_SAMPLE_EVERY as u64);
+        assert!(meter.total.gb_per_s() > 0.0);
+    }
+
+    #[test]
+    fn meter_sampling_depends_on_the_payloads_alone() {
+        let sizes = mixed_sizes();
+        assert_eq!(timed_after_each(&sizes).1, timed_after_each(&sizes).1);
+    }
+
+    /// Begin or End of a 64-byte transfer `id` at `time`.
+    fn transfer_edge(tool: &mut OmpDataPerfTool, endpoint: Endpoint, id: u64, time: u64) {
+        let payload = [3u8; 64];
+        let payload = (endpoint == Endpoint::End).then_some(&payload[..]);
+        tool.on_data_op(&data_op(
+            endpoint,
+            id,
+            DataOpType::TransferToDevice,
+            time,
+            payload,
+        ));
+    }
+
+    #[test]
+    fn a_repeated_begin_keeps_the_later_time() {
+        let (mut tool, handle) = OmpDataPerfTool::new(ToolConfig::default());
+        tool.initialize(&CompilerProfile::LlvmClang.capabilities());
+        transfer_edge(&mut tool, Endpoint::Begin, 5, 100);
+        transfer_edge(&mut tool, Endpoint::Begin, 5, 120);
+        transfer_edge(&mut tool, Endpoint::End, 5, 150);
+        // One Begin was open, not two: the duplicated End is orphaned.
+        transfer_edge(&mut tool, Endpoint::End, 5, 160);
+        assert_eq!(handle.trace_health().orphaned, 1);
+        let events = handle.take_trace().data_op_events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].span.start, SimTime(120));
+        assert_eq!(events[0].span.end, SimTime(150));
+    }
+
+    #[test]
+    fn an_end_whose_begin_was_dropped_is_orphaned_and_records_nothing() {
+        let (mut tool, handle) = OmpDataPerfTool::new(ToolConfig::default());
+        tool.initialize(&CompilerProfile::LlvmClang.capabilities());
+        let target = |endpoint, time| TargetCallback {
+            endpoint,
+            construct: TargetConstructKind::Target,
+            device: DeviceId::target(0),
+            target_id: 7,
+            codeptr_ra: odp_model::CodePtr(0x70),
+            time: SimTime(time),
+        };
+        let submit = |endpoint, time| SubmitCallback {
+            endpoint,
+            target_id: 7,
+            device: DeviceId::target(0),
+            requested_num_teams: 1,
+            codeptr_ra: odp_model::CodePtr(0x70),
+            time: SimTime(time),
+        };
+        // An open data op 7 is not an open construct 7 or submit 7:
+        // ids match within their own kind of callback only.
+        transfer_edge(&mut tool, Endpoint::Begin, 7, 10);
+        tool.on_target(&target(Endpoint::End, 20));
+        tool.on_submit(&submit(Endpoint::End, 30));
+        transfer_edge(&mut tool, Endpoint::End, 8, 40);
+        assert_eq!(handle.trace_health().orphaned, 3);
+        assert_eq!(handle.hash_meter().bytes, 0, "an orphan is not hashed");
+        transfer_edge(&mut tool, Endpoint::End, 7, 50);
+        let trace = handle.take_trace();
+        assert_eq!((trace.data_op_count(), trace.target_count()), (1, 0));
+        assert_eq!(trace.data_op_events()[0].span.start, SimTime(10));
+    }
+
+    #[test]
+    fn leaked_begins_never_lengthen_a_later_scan() {
+        const LEAKED: u64 = 100_000;
+        let (mut tool, handle) = OmpDataPerfTool::new(ToolConfig::default());
+        tool.initialize(&CompilerProfile::LlvmClang.capabilities());
+        // The runtime drops every End: each Begin stays open for good.
+        for id in 0..LEAKED {
+            transfer_edge(&mut tool, Endpoint::Begin, id, id);
+            assert!(tool.open.len <= OpenTable::INLINE);
+        }
+        // What a callback scans is the inline array and nothing else;
+        // all older opens sit in the map.
+        assert_eq!(tool.open.len, OpenTable::INLINE);
+        assert_eq!(tool.open.spilled.len(), LEAKED as usize - OpenTable::INLINE);
+        // ... then delivers Ends nobody opened.
+        for id in LEAKED..2 * LEAKED {
+            transfer_edge(&mut tool, Endpoint::End, id, id);
+        }
+        assert_eq!(handle.trace_health().orphaned, LEAKED);
+        assert_eq!(tool.open.len, OpenTable::INLINE);
+        assert_eq!(tool.open.spilled.len(), LEAKED as usize - OpenTable::INLINE);
+        // A leaked Begin is still matched when its End does arrive,
+        // from the map (the oldest) as from the array (the newest).
+        transfer_edge(&mut tool, Endpoint::End, 0, 3 * LEAKED);
+        transfer_edge(&mut tool, Endpoint::End, LEAKED - 1, 3 * LEAKED);
+        assert_eq!(handle.trace_health().orphaned, LEAKED);
+        let starts: Vec<u64> = handle
+            .take_trace()
+            .data_op_events()
+            .iter()
+            .map(|e| e.span.start.0)
+            .collect();
+        assert_eq!(starts, [0, LEAKED - 1]);
+    }
+
+    #[test]
+    fn a_begin_repeated_after_spilling_leaves_one_open_entry() {
+        let mut table = OpenTable::default();
+        let key = OpenKey::DataOp;
+        table.begin(key(0), SimTime(1));
+        for id in 1..=OpenTable::INLINE as u64 {
+            table.begin(key(id), SimTime(1));
+        }
+        assert_eq!(table.spilled.len(), 1, "op 0 spilled");
+        table.begin(key(0), SimTime(9));
+        assert_eq!(table.end(key(0)), Some(SimTime(9)));
+        assert_eq!(table.end(key(0)), None, "the spilled copy was replaced");
+        // Out-of-order Ends close the entry they name.
+        assert_eq!(table.end(key(3)), Some(SimTime(1)));
+        assert_eq!(table.end(key(3)), None);
+        assert_eq!(table.end(key(OpenTable::INLINE as u64)), Some(SimTime(1)));
     }
 
     #[test]

@@ -69,7 +69,6 @@ pub struct TraceLog {
     /// Event ids claimed by more than one shard record (shard-id
     /// collisions detected at merge; see `merge_shards`).
     duplicate_ids: u64,
-    peak_alloc_bytes: usize,
     total_time: SimDuration,
     /// Memoized columnar hydration (data-op + kernel columns, both
     /// `(start, id)`-ordered) — the single indexing pass every other
@@ -137,7 +136,6 @@ impl TraceLog {
             .map(|s| s.total_time)
             .max()
             .unwrap_or_default();
-        let peak = shards.iter().map(|s| s.peak_alloc_bytes).sum();
         // Shards sharing an id_base have dense seqs 0..next_seq, so the
         // ids duplicated by a colliding group are everything beyond the
         // group's widest shard: Σ next_seq − max next_seq.
@@ -152,7 +150,6 @@ impl TraceLog {
         TraceLog {
             shards,
             total_time,
-            peak_alloc_bytes: peak,
             duplicate_ids,
             ..Self::default()
         }
@@ -206,7 +203,6 @@ impl TraceLog {
         self.data_ops.push(record);
         self.invalidate_hydration();
         self.note_end(span);
-        self.update_peak();
         event
     }
 
@@ -229,7 +225,6 @@ impl TraceLog {
         self.targets.push(record);
         self.invalidate_hydration();
         self.note_end(span);
-        self.update_peak();
         event
     }
 
@@ -247,13 +242,6 @@ impl TraceLog {
         let end = SimDuration(span.end.as_nanos());
         if end > self.total_time {
             self.total_time = end;
-        }
-    }
-
-    fn update_peak(&mut self) {
-        let now = self.current_alloc_bytes();
-        if now > self.peak_alloc_bytes {
-            self.peak_alloc_bytes = now;
         }
     }
 
@@ -289,7 +277,11 @@ impl TraceLog {
         self.parts().map(|p| p.targets.len()).sum()
     }
 
-    /// Bytes currently allocated by the log.
+    /// Bytes currently allocated by the log — and, the log being
+    /// append-only (nothing it allocates is released before it is
+    /// dropped), the most it ever held: Figure 3's peak. Every store
+    /// keeps its own running figure, so this reads three numbers per
+    /// part and an append pays nothing for it.
     pub fn current_alloc_bytes(&self) -> usize {
         self.parts()
             .map(|p| {
@@ -309,7 +301,7 @@ impl TraceLog {
                 .parts()
                 .map(|p| p.data_ops.used_bytes() + p.targets.used_bytes())
                 .sum(),
-            peak_alloc_bytes: self.peak_alloc_bytes,
+            peak_alloc_bytes: self.current_alloc_bytes(),
         }
     }
 
@@ -604,6 +596,82 @@ mod tests {
         assert_eq!(ss.data_op_records, 10_000);
         assert_eq!(ss.record_bytes, 10_000 * 72);
         assert!(ss.peak_alloc_bytes >= ss.record_bytes);
+    }
+
+    /// What space accounting was before the stores kept running
+    /// figures: every chunk's capacity re-summed.
+    fn recomputed_alloc_bytes(log: &TraceLog) -> usize {
+        log.data_ops.recomputed_allocated_bytes()
+            + log.targets.recomputed_allocated_bytes()
+            + log.codeptrs.allocated_bytes()
+    }
+
+    /// Replay `steps` (`0` = a data op, else a target construct, at
+    /// one of a few code pointers) into a fresh shard log, checking the
+    /// running figures against the recomputed walk after every append.
+    /// Returns the log and the running maximum of the recomputed sum —
+    /// the peak as it used to be tracked, record by record.
+    fn replay_checking_space(shard: u32, steps: &[(u8, u64)]) -> (TraceLog, usize) {
+        let mut log = TraceLog::for_shard(shard);
+        let mut peak = 0;
+        for (i, &(what, cp)) in steps.iter().enumerate() {
+            let at = span(i as u64, i as u64 + 1);
+            if what == 0 {
+                log.record_data_op(
+                    DataOpKind::Transfer,
+                    DeviceId::HOST,
+                    DeviceId::target(0),
+                    cp,
+                    0,
+                    8,
+                    Some(cp),
+                    at,
+                    CodePtr(cp),
+                );
+            } else {
+                log.record_target(TargetKind::Kernel, DeviceId::target(0), at, CodePtr(cp));
+            }
+            assert_eq!(
+                log.data_ops.allocated_bytes(),
+                log.data_ops.recomputed_allocated_bytes()
+            );
+            assert_eq!(
+                log.targets.allocated_bytes(),
+                log.targets.recomputed_allocated_bytes()
+            );
+            peak = peak.max(recomputed_alloc_bytes(&log));
+            assert_eq!(log.space_stats().peak_alloc_bytes, peak, "after append {i}");
+        }
+        (log, peak)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 32 }))]
+
+        #[test]
+        fn running_space_figures_equal_the_recomputed_sum(
+            steps in proptest::collection::vec(
+                (0u8..2, 0u64..40),
+                1..(if cfg!(miri) { 200 } else { 1200 }),
+            ),
+            shards in 2usize..5,
+        ) {
+            replay_checking_space(0, &steps);
+
+            // Merged: the same appends dealt round-robin to 2-4 shards;
+            // the merged peak is the sum of the shards' own.
+            let mut dealt = vec![Vec::new(); shards];
+            for (i, &step) in steps.iter().enumerate() {
+                dealt[i % shards].push(step);
+            }
+            let (logs, peaks): (Vec<TraceLog>, Vec<usize>) = dealt
+                .iter()
+                .enumerate()
+                .map(|(shard, steps)| replay_checking_space(shard as u32, steps))
+                .unzip();
+            let merged = TraceLog::merge_shards(logs);
+            assert_eq!(merged.space_stats().peak_alloc_bytes, peaks.iter().sum::<usize>());
+        }
     }
 
     #[test]

@@ -13,6 +13,9 @@
 # Vec and never exposes map order). Fixed-hasher wrappers such as
 # `FnvHashMap` (deterministic order for a fixed insertion sequence) are
 # allowed and deliberately not matched.
+#
+# A second gate, at the end, keeps the wall clock out of the collector's
+# callbacks except where the hash meter reads it.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -53,3 +56,23 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "determinism_lint: OK — no std HashMap/HashSet in gated paths"
+
+# The collector's callbacks read the wall clock in one place only: the
+# hash meter (`ShardMeter::hash`), which decides from payload sizes
+# alone whether to. A second `Instant::now` in tool.rs is a clock pair
+# on every callback — several times what the callback's hash costs.
+TOOL=crates/core/src/tool.rs
+if ! awk '
+    /fn hash\(&mut self, algo: HashAlgoId/ { metering = 1 }
+    metering && /^    }$/ { metering = 0 }
+    /Instant::now/ && !/^[[:space:]]*\/\// {
+        reads++
+        if (!metering) { print FILENAME ":" FNR ": " $0; stray = 1 }
+    }
+    END { exit (stray || reads != 1) }
+' "$TOOL" >&2; then
+    echo "determinism_lint: FAILED — $TOOL must read Instant::now exactly" >&2
+    echo "once, inside ShardMeter::hash." >&2
+    exit 1
+fi
+echo "determinism_lint: OK — one wall-clock read in $TOOL, in the hash meter"
