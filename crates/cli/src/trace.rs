@@ -3,13 +3,14 @@
 //! `save` captures one instrumented run per named workload, feeds the
 //! serialized traces through the fleet ingest compactor, and writes the
 //! corpus JSON (optionally keeping the binary `.odpt` trace per run).
-//! `load` hydrates one binary trace leniently and summarizes it —
-//! corrupt files degrade to a health warning, never a failure. `diff`
+//! `load` hydrates one binary trace and summarizes it, naming the format
+//! version it read — a corrupt file says why it was refused and then
+//! degrades to a health warning, never a failure. `diff`
 //! compares two corpora and fails when new findings appear: the CI
 //! regression gate.
 
 use crate::{error, fail, value, workload, CmdResult, Out, Scale, Stop};
-use odp_trace::persist::load_trace_lenient;
+use odp_trace::persist::{load_trace, load_trace_lenient, PersistError};
 use odp_workloads::capture::capture_artifact;
 use ompdataperf::fleet::{diff_corpora, Corpus, FleetIngest};
 
@@ -115,7 +116,24 @@ fn load(args: &[String], out: Out<'_>) -> CmdResult {
         Ok(b) => b,
         Err(e) => return fail(format!("cannot read {path}: {e}")),
     };
-    let artifact = load_trace_lenient(&bytes);
+    // The strict loader says what is wrong; the lenient one salvages
+    // what still verifies.
+    let strict = load_trace(&bytes);
+    // Unless the envelope was refused, the header's version (a
+    // little-endian u32 at offset 8) is the one the file was read as.
+    if let (Ok(_) | Err(PersistError::BadSection { .. }), Some(&[a, b, c, d])) =
+        (&strict, bytes.get(8..12))
+    {
+        let version = u32::from_le_bytes([a, b, c, d]);
+        writeln!(out, "{path}: format version {version}")?;
+    }
+    let artifact = match strict {
+        Ok(artifact) => artifact,
+        Err(why) => {
+            writeln!(out, "{path}: {why}")?;
+            load_trace_lenient(&bytes)
+        }
+    };
     let stats = artifact.stats();
     writeln!(
         out,

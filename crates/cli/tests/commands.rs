@@ -153,6 +153,7 @@ fn trace_save_load_diff_round_trip_in_a_temp_dir() {
     assert_eq!(saved.lines().count(), 3, "{saved}");
     assert!(saved.lines().all(|l| l.starts_with("wrote ")), "{saved}");
     let loaded = ok(&format!("trace load {dir}/babelstream.odpt"));
+    assert!(loaded.contains("format version 2"), "{loaded}");
     assert!(loaded.contains("program 'babelstream'"));
     assert!(loaded.contains("health: clean"));
     // A corpus never regresses against itself.
@@ -168,6 +169,43 @@ fn trace_save_load_diff_round_trip_in_a_temp_dir() {
     );
     let gate = failure(&format!("trace diff {dir}/corpus.json {fixture}"));
     assert!(gate.starts_with("regression: "), "{gate}");
+
+    // `load` names the version it read and, for a file it cannot
+    // verify, why — then degrades instead of failing.
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/babelstream_small.odpt"
+    );
+    let v1 = ok(&format!("trace load {fixture}"));
+    assert!(v1.contains("format version 1") && v1.contains("health: clean"));
+    let mut bytes = std::fs::read(fixture).expect("fixture");
+    let mut v9 = bytes.clone();
+    v9[8] = 9;
+    let refused: [(&[u8], &str); 3] = [
+        (&v9, "unsupported trace format version 9"),
+        (&bytes[..bytes.len() - 1], "not an ODPTRACE file"),
+        (
+            b"ODPTRACE but not really",
+            "file shorter than header + tail",
+        ),
+    ];
+    for (content, why) in refused {
+        let path = format!("{dir}/refused.odpt");
+        std::fs::write(&path, content).expect("write");
+        let loaded = ok(&format!("trace load {path}"));
+        assert!(loaded.contains(why), "{loaded}");
+        assert!(!loaded.contains("odpt: format version"), "{loaded}");
+        assert!(loaded.contains("program '', 0 shard(s)"), "{loaded}");
+        assert!(loaded.contains("unreadable 1"), "{loaded}");
+    }
+    // A file whose envelope verifies but one section does not.
+    bytes[16] ^= 0x40;
+    let path = format!("{dir}/torn.odpt");
+    std::fs::write(&path, &bytes).expect("write");
+    let torn = ok(&format!("trace load {path}"));
+    assert!(torn.contains("format version 1"), "{torn}");
+    assert!(torn.contains("shard 0 column 'ids': checksum mismatch"));
+    assert!(torn.contains("program 'babelstream', 0 shard(s)"), "{torn}");
     std::fs::remove_dir_all(&dir).expect("clean up");
 
     assert!(failure("trace save --out x.json --runs bfs --json").contains("unknown save option"));

@@ -18,7 +18,7 @@ mod common;
 
 use common::Rng;
 use odp_model::{CodePtr, DataOpKind, DeviceId, SimTime, TargetKind, TimeSpan, TraceHealth};
-use odp_trace::persist::load_trace_lenient;
+use odp_trace::persist::{checksum64, load_trace_lenient};
 use odp_trace::{TraceArtifact, TraceLog};
 use ompdataperf::fleet::{diff_corpora, rollup, Corpus, FindingKind, FleetIngest};
 use proptest::prelude::*;
@@ -325,13 +325,10 @@ fn with_hostile_footer(bytes: &[u8]) -> Vec<u8> {
     maximize_footer_counts(&mut footer, false);
     let footer = serde_json::to_string(&footer).expect("footer renders");
 
-    let fnv1a64 = footer.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
     let mut out = bytes[..footer_start].to_vec();
     out.extend_from_slice(footer.as_bytes());
     out.extend_from_slice(&(footer.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64.to_le_bytes());
+    out.extend_from_slice(&checksum64(footer.as_bytes()).to_le_bytes());
     out.extend_from_slice(&bytes[bytes.len() - 8..]);
     out
 }

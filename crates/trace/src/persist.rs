@@ -9,7 +9,7 @@
 //! `trace_persistence` property suite pins, fault-profile traces
 //! included.
 //!
-//! # File layout (version 1)
+//! # File layout (version 2)
 //!
 //! ```text
 //! offset 0   ┌──────────────────────────────────────────────┐
@@ -34,13 +34,33 @@
 //!            └──────────────────────────────────────────────┘
 //! ```
 //!
-//! Every column section and the footer carry an FNV-1a-64 checksum.
 //! Sections are raw fixed-width little-endian arrays at 8-byte-aligned
-//! offsets located purely through the footer index, so a later
-//! zero-copy `mmap` fast path — casting sections in place instead of
-//! copying them into `Vec`s — reads the same bytes through the same
-//! index and needs **no version bump**. (This crate is
-//! `forbid(unsafe_code)`, so version 1 hydrates by copying.)
+//! offsets located purely through the footer index. Every column
+//! section and the footer carry a 64-bit checksum (`crc`,
+//! `footer_crc`), and the checksum is the only thing the version
+//! number selects:
+//!
+//! - **version 2** (what [`TraceArtifact::to_bytes`] writes):
+//!   [`checksum64`], defined there precisely enough for a foreign
+//!   writer.
+//! - **version 1** (read only): byte-wise FNV-1a-64. The layout is
+//!   otherwise identical, so a version-1 file loads to an artifact `==`
+//!   the one its version-2 re-encoding loads to.
+//!
+//! The reader verifies a file with the checksum its own header version
+//! names, requires the footer to carry the same version, and refuses
+//! every other version with [`PersistError::BadVersion`].
+//!
+//! Version 2 exists because FNV-1a is a one-byte-per-multiply
+//! dependency chain (~0.75 GB/s) that was walked over every byte on
+//! save, on load and again by the fleet compactor; [`checksum64`] runs
+//! at memory speed (ledger `corpus_gate`, `--trace 1`: `persist.save_s`
+//! 0.125 → 0.037 s, `persist.load_s` 0.116 → 0.035 s over 71 MB).
+//! Borrowing the columns from the file instead of copying them into
+//! `Vec`s was sized after that fix and parked: verifying plus decoding
+//! one shard's 3 MB op table is 0.6 + 0.4 ms, a whole lenient load
+//! ~5 ms of the ~28 ms the compactor spends per run, and the in-place
+//! `&[u8]` → `&[u64]` cast needs `unsafe` in a crate that forbids it.
 //!
 //! # Degradation contract
 //!
@@ -69,16 +89,87 @@ use std::borrow::Cow;
 pub const TRACE_MAGIC: [u8; 8] = *b"ODPTRACE";
 /// Trailing file magic.
 pub const TAIL_MAGIC: [u8; 8] = *b"ODPTEND\0";
-/// Current format version.
-pub const TRACE_VERSION: u32 = 1;
+/// Current format version: the one [`TraceArtifact::to_bytes`] writes.
+/// Version 1 differs only in its checksum and is still read.
+pub const TRACE_VERSION: u32 = 2;
 
 const HEADER_BYTES: usize = 16;
 /// footer_len u64 + footer_crc u64 + tail magic.
 const TAIL_BYTES: usize = 24;
 
-/// FNV-1a 64-bit — dependency-free integrity check for column sections
-/// and the footer. Not cryptographic; it exists to catch the bit flips,
-/// truncations, and torn writes the loader fuzz cases inject.
+/// The version-2 checksum of a column section or of the footer. Not
+/// cryptographic; it exists to catch the bit flips, truncations, and
+/// torn writes the loader fuzz cases inject, at memory speed.
+///
+/// # Definition
+///
+/// Read `bytes` as little-endian 8-byte words `w[0], w[1], …`; the last
+/// word is zero-padded if fewer than 8 bytes remain (an empty input has
+/// no words). Four lanes start at the seeds below; word `w[i]` updates
+/// lane `i % 4`, in order, by `step`:
+///
+/// ```text
+/// seeds = 0x243f6a8885a308d3, 0x13198a2e03707344,
+///         0xa4093822299f31d0, 0x082efa98ec4e6c89      (fraction bits of π)
+/// step(lane, w) = x ^ (x >> 32)
+///         where x = (lane ^ w) * 0x9e3779b97f4a7c15   (mod 2^64)
+/// ```
+///
+/// so a 32-byte stripe advances every lane once and the four multiply
+/// chains overlap. The sum is the byte length folded through the final
+/// lanes with the same step:
+/// `step(step(step(step(len, lane0), lane1), lane2), lane3)`.
+///
+/// # What it guarantees
+///
+/// `step` is a bijection of `lane` for a fixed `w` and of `w` for a
+/// fixed `lane`: xor with a constant, multiplication by an odd constant
+/// modulo 2^64, and `x ^ (x >> 32)` are each invertible. Hence **two
+/// inputs of equal length that differ only inside one aligned 8-byte
+/// word have different sums** — every single-bit and single-byte
+/// corruption included. The lane that word feeds enters its step in
+/// the same state and leaves it in a different one; that lane's later
+/// steps see equal words, so its final value differs while the other
+/// three are untouched; and the fold, a chain of the same bijections,
+/// carries a difference in one lane to the result. The same argument
+/// on the length shows that appending zero bytes inside the padded
+/// last word changes the sum. Anything wider (a truncation, a change
+/// across words) collides with probability ~2^-64, not zero.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    const SEEDS: [u64; 4] = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    fn step(lane: u64, word: u64) -> u64 {
+        let x = (lane ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^ (x >> 32)
+    }
+    fn word(chunk: &[u8]) -> u64 {
+        let mut w = [0u8; 8];
+        w[..chunk.len()].copy_from_slice(chunk);
+        u64::from_le_bytes(w)
+    }
+    let mut lanes = SEEDS;
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, chunk) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = step(*lane, word(chunk));
+        }
+    }
+    // The sub-stripe tail: at most three whole words and a padded one.
+    for (lane, chunk) in lanes.iter_mut().zip(stripes.remainder().chunks(8)) {
+        *lane = step(*lane, word(chunk));
+    }
+    lanes
+        .iter()
+        .fold(bytes.len() as u64, |sum, &lane| step(sum, lane))
+}
+
+/// FNV-1a 64-bit: the checksum of format version 1, kept solely to
+/// verify files of that version. One byte per multiply — nothing on the
+/// write path may call it (`scripts/determinism_lint.sh` checks).
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -86,6 +177,30 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Which checksum a file carries — all that its format version selects.
+#[derive(Clone, Copy)]
+enum Checksum {
+    V1,
+    V2,
+}
+
+impl Checksum {
+    fn of_version(version: u32) -> Result<Checksum, PersistError> {
+        match version {
+            1 => Ok(Checksum::V1),
+            2 => Ok(Checksum::V2),
+            other => Err(PersistError::BadVersion(other)),
+        }
+    }
+
+    fn sum(self, bytes: &[u8]) -> u64 {
+        match self {
+            Checksum::V1 => fnv1a64(bytes),
+            Checksum::V2 => checksum64(bytes),
+        }
+    }
 }
 
 /// Run-level metadata persisted alongside the columns.
@@ -214,6 +329,12 @@ const TARGET_COLS: &[(&str, usize)] = &[
     ("codeptrs", 8),
 ];
 
+/// Upper bound on what one shard adds to a file besides its rows: 18
+/// footer index entries of at most 105 bytes (a 12-character name and
+/// three 20-digit numbers), ~130 bytes of JSON around them, and up to
+/// 7 bytes of alignment padding before each of the 18 sections.
+const SHARD_INDEX_BYTES: usize = 2304;
+
 // ------------------------------------------------------------------
 // Writer.
 // ------------------------------------------------------------------
@@ -249,7 +370,7 @@ impl SectionWriter {
             name: name.to_string(),
             off: off as u64,
             len: bytes.len() as u64,
-            crc: fnv1a64(bytes),
+            crc: checksum64(bytes),
         }
     }
 }
@@ -272,18 +393,21 @@ impl TraceArtifact {
         }
     }
 
-    /// Serialize to the version-1 binary format.
+    /// Serialize to the binary format, version [`TRACE_VERSION`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        // Reserve the column bytes up front, so the sections are written
-        // once, in place (4 KiB, the old starting size, covers the header
-        // and alignment padding; the footer may still grow the buffer).
+        // Reserve the whole file up front, so the sections are written
+        // once, in place, and appending the footer does not reallocate
+        // (which would copy the file and hand the caller twice its
+        // length in capacity). 4 KiB covers the header, tail, meta and
+        // health; `SHARD_INDEX_BYTES` a shard's index and padding.
         let row = |spec: &[(&str, usize)]| spec.iter().map(|&(_, width)| width).sum::<usize>();
         let rows: usize = self
             .shards
             .iter()
             .map(|s| s.ops.len() * row(OP_COLS) + s.targets.len() * row(TARGET_COLS))
             .sum();
-        let mut w = SectionWriter::with_capacity(4096 + rows);
+        let mut w =
+            SectionWriter::with_capacity(4096 + self.shards.len() * SHARD_INDEX_BYTES + rows);
         let mut shards = Vec::with_capacity(self.shards.len());
         for s in &self.shards {
             let ops = &s.ops;
@@ -351,7 +475,7 @@ impl TraceArtifact {
             .expect("footer serialization cannot fail")
             .into_bytes();
         let mut buf = w.buf;
-        let crc = fnv1a64(&footer_bytes);
+        let crc = checksum64(&footer_bytes);
         buf.extend_from_slice(&footer_bytes);
         buf.extend_from_slice(&(footer_bytes.len() as u64).to_le_bytes());
         buf.extend_from_slice(&crc.to_le_bytes());
@@ -466,6 +590,7 @@ struct SectionReader<'a> {
     data: &'a [u8],
     /// First byte past the column sections (start of the footer).
     data_end: usize,
+    checksum: Checksum,
 }
 
 impl<'a> SectionReader<'a> {
@@ -496,7 +621,7 @@ impl<'a> SectionReader<'a> {
             return fail("length does not match row count");
         }
         let bytes = &self.data[off..end];
-        if fnv1a64(bytes) != col.crc {
+        if self.checksum.sum(bytes) != col.crc {
             return fail("checksum mismatch");
         }
         Ok(bytes)
@@ -605,7 +730,8 @@ fn decode_shard(r: &SectionReader<'_>, ix: &ShardIndex) -> Result<ShardColumns, 
     })
 }
 
-/// Parse the envelope (magics, version, checksummed footer) and return
+/// Parse the envelope (magics, version, the footer under the checksum
+/// that version names, the same version in the footer) and return
 /// the footer plus a section reader over the column region.
 fn read_envelope(bytes: &[u8]) -> Result<(Footer, SectionReader<'_>), PersistError> {
     if bytes.len() < HEADER_BYTES + TAIL_BYTES {
@@ -617,9 +743,7 @@ fn read_envelope(bytes: &[u8]) -> Result<(Footer, SectionReader<'_>), PersistErr
     let mut v = [0u8; 4];
     v.copy_from_slice(&bytes[8..12]);
     let version = u32::from_le_bytes(v);
-    if version != TRACE_VERSION {
-        return Err(PersistError::BadVersion(version));
-    }
+    let checksum = Checksum::of_version(version)?;
     let len = bytes.len();
     if bytes[len - 8..] != TAIL_MAGIC {
         return Err(PersistError::BadMagic);
@@ -637,19 +761,20 @@ fn read_envelope(bytes: &[u8]) -> Result<(Footer, SectionReader<'_>), PersistErr
         return Err(PersistError::BadFooter("length out of bounds".to_string()));
     }
     let footer_bytes = &bytes[footer_start..footer_end];
-    if fnv1a64(footer_bytes) != footer_crc {
+    if checksum.sum(footer_bytes) != footer_crc {
         return Err(PersistError::BadFooter("checksum mismatch".to_string()));
     }
     let footer_str =
         std::str::from_utf8(footer_bytes).map_err(|e| PersistError::BadFooter(e.to_string()))?;
     let footer: Footer =
         serde_json::from_str(footer_str).map_err(|e| PersistError::BadFooter(e.to_string()))?;
-    if footer.version != TRACE_VERSION {
+    if footer.version != version {
         return Err(PersistError::BadVersion(footer.version));
     }
     let reader = SectionReader {
         data: bytes,
         data_end: footer_start,
+        checksum,
     };
     Ok((footer, reader))
 }
@@ -780,6 +905,204 @@ mod tests {
         }
     }
 
+    /// `bytes` (a file this writer produced) with `header` as the header's
+    /// version and `footer` as the footer's, every checksum recomputed
+    /// with the one `header` names — so only the version checks can
+    /// object to a mismatched pair, and `(1, 1)` is the file the
+    /// version-1 writer produced.
+    fn reencode(bytes: &[u8], header: u32, footer: u32) -> Vec<u8> {
+        let checksum = Checksum::of_version(header).unwrap();
+        let tail = bytes.len() - TAIL_BYTES;
+        let footer_len = u64::from_le_bytes(bytes[tail..tail + 8].try_into().unwrap()) as usize;
+        let data_end = tail - footer_len;
+        let text = std::str::from_utf8(&bytes[data_end..tail]).unwrap();
+        let mut index: Footer = serde_json::from_str(text).unwrap();
+        index.version = footer;
+        for shard in &mut index.shards {
+            for col in shard.ops.cols.iter_mut().chain(&mut shard.targets.cols) {
+                col.crc = checksum.sum(&bytes[col.off as usize..(col.off + col.len) as usize]);
+            }
+        }
+        let index = serde_json::to_string(&index).unwrap().into_bytes();
+        let mut out = bytes[..data_end].to_vec();
+        out[8..12].copy_from_slice(&header.to_le_bytes());
+        out.extend_from_slice(&index);
+        out.extend_from_slice(&(index.len() as u64).to_le_bytes());
+        out.extend_from_slice(&checksum.sum(&index).to_le_bytes());
+        out.extend_from_slice(&TAIL_MAGIC);
+        out
+    }
+
+    /// The sample trace as a version-1 and as a version-2 file.
+    fn sample_files() -> (TraceArtifact, [Vec<u8>; 2]) {
+        let artifact = TraceArtifact::from_log(&sample_merged_log(), "t", TraceHealth::default());
+        let v2 = artifact.to_bytes();
+        (artifact, [reencode(&v2, 1, 1), v2])
+    }
+
+    /// Deterministic filler for the pinned checksum vectors.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_mul(0x9e37_79b1) >> 24) as u8)
+            .collect()
+    }
+
+    /// [`checksum64`] written straight from its doc comment, one word
+    /// index at a time.
+    fn checksum64_by_definition(bytes: &[u8]) -> u64 {
+        let step = |lane: u64, w: u64| {
+            let x = (lane ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            x ^ (x >> 32)
+        };
+        let mut lanes = [
+            0x243f_6a88_85a3_08d3u64,
+            0x1319_8a2e_0370_7344,
+            0xa409_3822_299f_31d0,
+            0x082e_fa98_ec4e_6c89,
+        ];
+        for i in 0..bytes.len().div_ceil(8) {
+            let w = (0..8).fold(0u64, |w, b| {
+                w | u64::from(bytes.get(8 * i + b).copied().unwrap_or(0)) << (8 * b)
+            });
+            lanes[i % 4] = step(lanes[i % 4], w);
+        }
+        lanes
+            .iter()
+            .fold(bytes.len() as u64, |sum, &lane| step(sum, lane))
+    }
+
+    #[test]
+    fn checksum_vectors_are_pinned() {
+        // Version 2: the lengths around the word and stripe boundaries.
+        let pinned: [(usize, u64); 9] = [
+            (0, 0x76be_81c4_3835_fdd0),
+            (1, 0x6fa9_5859_91c6_640a),
+            (7, 0x4508_3583_62cc_9249),
+            (8, 0x8f80_9e5d_287b_88c5),
+            (9, 0xddc3_deb0_c856_f7ba),
+            (31, 0x8049_c40d_540f_9782),
+            (32, 0x98bf_102d_7eed_ec83),
+            (33, 0x071c_355d_ae93_72b8),
+            (64, 0x9898_c67e_154a_1160),
+        ];
+        for (len, sum) in pinned {
+            assert_eq!(checksum64(&pattern(len)), sum, "checksum64 at {len} bytes");
+        }
+        for len in 0..=130 {
+            let bytes = pattern(len);
+            assert_eq!(checksum64(&bytes), checksum64_by_definition(&bytes));
+        }
+        if !cfg!(miri) {
+            let mib = pattern(1 << 20);
+            assert_eq!(checksum64(&mib), 0x7112_e1fb_c176_3683);
+            assert_eq!(checksum64(&mib), checksum64_by_definition(&mib));
+        }
+        // Version 1: the published FNV-1a-64 vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+        /// The corruptions the loader fuzz injects all move the sum: a
+        /// theorem for the first two (see [`checksum64`]), 1 - 2^-64
+        /// for the others.
+        #[test]
+        fn checksum_moves_under_every_corruption(
+            words in proptest::collection::vec(0u64..u64::MAX, 0..513),
+            trim in 0usize..8,
+            at in 0usize..usize::MAX,
+            value in 0u64..u64::MAX,
+            bit in 0u8..8,
+            zeros in 1usize..65,
+        ) {
+            // 0..=4096 bytes, every length modulo 8.
+            let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            bytes.truncate(bytes.len().saturating_sub(trim));
+            let sum = checksum64(&bytes);
+            if !bytes.is_empty() {
+                // One aligned word (the last may be short) rewritten to
+                // any other value.
+                let start = 8 * (at % bytes.len().div_ceil(8));
+                let end = bytes.len().min(start + 8);
+                let mut rewritten = bytes.clone();
+                rewritten[start..end].copy_from_slice(&value.to_le_bytes()[..end - start]);
+                if rewritten == bytes {
+                    rewritten[start] ^= 1;
+                }
+                proptest::prop_assert_ne!(checksum64(&rewritten), sum);
+
+                let mut flipped = bytes.clone();
+                flipped[at % bytes.len()] ^= 1 << bit;
+                proptest::prop_assert_ne!(checksum64(&flipped), sum);
+
+                proptest::prop_assert_ne!(checksum64(&bytes[..at % bytes.len()]), sum);
+            }
+            let mut padded = bytes.clone();
+            padded.resize(bytes.len() + zeros, 0);
+            proptest::prop_assert_ne!(checksum64(&padded), sum);
+        }
+    }
+
+    #[test]
+    fn both_versions_load_to_the_same_artifact() {
+        let (artifact, [v1, v2]) = sample_files();
+        assert_eq!(v1[8], 1);
+        assert_eq!(v2[8], TRACE_VERSION as u8);
+        assert_ne!(v1, v2);
+        assert_eq!(load_trace(&v1).unwrap(), artifact);
+        assert_eq!(load_trace(&v2).unwrap(), artifact);
+        // One writer: whatever was read is written as the current version.
+        assert_eq!(load_trace(&v1).unwrap().to_bytes(), v2);
+    }
+
+    #[test]
+    fn header_and_footer_must_name_the_same_version() {
+        let (_, [_, v2]) = sample_files();
+        for (header, footer) in [(2, 1), (1, 2)] {
+            let mixed = reencode(&v2, header, footer);
+            assert_eq!(
+                load_trace(&mixed),
+                Err(PersistError::BadVersion(footer)),
+                "header {header}, footer {footer}"
+            );
+            let art = load_trace_lenient(&mixed);
+            assert_eq!(art.health.unreadable, 1);
+            assert!(art.shards.is_empty());
+        }
+        // A checksum of the other version is a checksum mismatch.
+        let mut relabelled = v2.clone();
+        relabelled[8] = 1;
+        assert!(matches!(
+            load_trace(&relabelled),
+            Err(PersistError::BadFooter(_))
+        ));
+    }
+
+    #[test]
+    fn to_bytes_reserves_for_the_footer_it_writes() {
+        // A footer that outgrows the reservation reallocates, and the
+        // caller (`FleetIngest::submit` keeps the `Vec`) then holds
+        // twice the file's length in capacity.
+        let rows = if cfg!(miri) { 300 } else { 3_000 };
+        let keys: Vec<(u64, u64)> = (0..rows).map(|i| (i, i)).collect();
+        for shards in 1..=16u32 {
+            let artifact = TraceArtifact {
+                shards: (0..shards).map(|s| keyed_shard(s, &keys)).collect(),
+                ..TraceArtifact::default()
+            };
+            let bytes = artifact.to_bytes();
+            assert!(
+                bytes.capacity() < bytes.len() + bytes.len() / 8,
+                "{shards} shard(s): capacity {} for {} bytes",
+                bytes.capacity(),
+                bytes.len()
+            );
+        }
+    }
+
     #[test]
     fn round_trip_is_field_for_field_identical() {
         let log = sample_merged_log();
@@ -815,49 +1138,49 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "O(len^2) truncation sweep is too slow under miri")]
     fn lenient_load_never_panics_on_truncation() {
-        let log = sample_merged_log();
-        let bytes = TraceArtifact::from_log(&log, "t", TraceHealth::default()).to_bytes();
-        for cut in 0..bytes.len() {
-            let art = load_trace_lenient(&bytes[..cut]);
-            assert!(
-                art.health.unreadable > 0,
-                "truncation at {cut}/{} must be accounted",
-                bytes.len()
-            );
-            assert!(art.health.warning().is_some());
+        for bytes in sample_files().1 {
+            for cut in 0..bytes.len() {
+                let art = load_trace_lenient(&bytes[..cut]);
+                assert!(
+                    art.health.unreadable > 0,
+                    "truncation at {cut}/{} must be accounted",
+                    bytes.len()
+                );
+                assert!(art.health.warning().is_some());
+            }
+            // The untruncated file is clean.
+            assert_eq!(load_trace_lenient(&bytes).health.unreadable, 0);
         }
-        // The untruncated file is clean.
-        assert_eq!(load_trace_lenient(&bytes).health.unreadable, 0);
     }
 
     #[test]
     #[cfg_attr(miri, ignore = "O(len^2) bit-flip sweep is too slow under miri")]
     fn lenient_load_quarantines_bit_flips_or_preserves_data() {
-        let log = sample_merged_log();
-        let artifact = TraceArtifact::from_log(&log, "t", TraceHealth::default());
-        let bytes = artifact.to_bytes();
-        for pos in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 0x40;
-            let art = load_trace_lenient(&corrupt);
-            // Either the flip hit slack (alignment padding) and the data
-            // is intact, or the loader accounted the drop — never a
-            // silent mutation, never a panic.
-            if art.health.unreadable == 0 {
-                assert_eq!(art, artifact, "silent corruption at byte {pos}");
+        let (artifact, files) = sample_files();
+        for bytes in files {
+            for pos in 0..bytes.len() {
+                let mut corrupt = bytes.clone();
+                corrupt[pos] ^= 0x40;
+                let art = load_trace_lenient(&corrupt);
+                // Either the flip hit slack (alignment padding) and the
+                // data is intact, or the loader accounted the drop —
+                // never a silent mutation, never a panic.
+                if art.health.unreadable == 0 {
+                    assert_eq!(art, artifact, "silent corruption at byte {pos}");
+                }
             }
         }
     }
 
     #[test]
     fn strict_load_rejects_what_lenient_quarantines() {
-        let log = sample_merged_log();
-        let bytes = TraceArtifact::from_log(&log, "t", TraceHealth::default()).to_bytes();
-        assert!(load_trace(&bytes).is_ok());
-        let mut corrupt = bytes.clone();
-        corrupt[HEADER_BYTES + 3] ^= 0xff; // inside shard 0's id column
-        assert!(load_trace(&corrupt).is_err());
-        assert!(load_trace(&bytes[..bytes.len() - 1]).is_err());
+        for bytes in sample_files().1 {
+            assert!(load_trace(&bytes).is_ok());
+            let mut corrupt = bytes.clone();
+            corrupt[HEADER_BYTES + 3] ^= 0xff; // inside shard 0's id column
+            assert!(load_trace(&corrupt).is_err());
+            assert!(load_trace(&bytes[..bytes.len() - 1]).is_err());
+        }
         assert!(load_trace(b"not a trace").is_err());
     }
 

@@ -14,8 +14,9 @@
 # `FnvHashMap` (deterministic order for a fixed insertion sequence) are
 # allowed and deliberately not matched.
 #
-# A second gate, at the end, keeps the wall clock out of the collector's
-# callbacks except where the hash meter reads it.
+# Two more gates, at the end, keep the wall clock out of the collector's
+# callbacks except where the hash meter reads it, and the version-1
+# byte-wise checksum off the `.odpt` write path.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -76,3 +77,20 @@ if ! awk '
     exit 1
 fi
 echo "determinism_lint: OK — one wall-clock read in $TOOL, in the hash meter"
+
+# `.odpt` format version 1's checksum (`fnv1a64`, one byte per multiply,
+# ~0.75 GB/s) stays only to verify version-1 files: one call site
+# outside the tests, the version-1 arm of `Checksum::sum`. A second one
+# puts the byte loop back on a path every saved or loaded byte walks.
+PERSIST=crates/trace/src/persist.rs
+calls=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /fnv1a64\(/ && !/fn fnv1a64\(/ && !/^[[:space:]]*\/\// { n++ }
+    END { print n + 0 }
+' "$PERSIST")
+if [ "$calls" -ne 1 ]; then
+    echo "determinism_lint: FAILED — $PERSIST calls fnv1a64( at $calls site(s)" >&2
+    echo "outside its tests; exactly one is allowed, the version-1 verify arm." >&2
+    exit 1
+fi
+echo "determinism_lint: OK — fnv1a64 has one call site in $PERSIST, the version-1 verifier"

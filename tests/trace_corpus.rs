@@ -13,9 +13,12 @@
 //!   CI regenerates and diffs against (the regression gate). Diffing the
 //!   babelstream-only base *against* it must trip the gate with exactly
 //!   the six bfs/xsbench sites as new.
-//! - `babelstream_small.odpt` — one binary trace; loads strictly and
-//!   byte-identically, and any corruption degrades the lenient load
-//!   into `TraceHealth::unreadable` instead of a panic.
+//! - `babelstream_small.odpt` / `babelstream_small_v2.odpt` — one
+//!   binary trace in format version 1 (what PR 9–21 wrote; must keep
+//!   loading) and version 2 (what `odp trace save --trace-dir` writes
+//!   now). Both load strictly to the same artifact, the version-2 file
+//!   byte-identically, and any corruption of either degrades the
+//!   lenient load into `TraceHealth::unreadable` instead of a panic.
 //!
 //! Every corpus is regenerated in-process through the same
 //! `capture_artifact` + `FleetIngest` path the `odp` CLI uses, so a
@@ -175,16 +178,25 @@ fn diff_json_round_trips_the_sets() {
 // The binary trace fixture
 // ---------------------------------------------------------------------
 
+/// The binary fixtures: format version 1, then version 2.
+const BINARY_FIXTURES: [&str; 2] = ["babelstream_small.odpt", "babelstream_small_v2.odpt"];
+
 #[test]
 fn binary_fixture_loads_strictly_and_matches_the_corpus() {
-    let bytes = std::fs::read(fixture_path("babelstream_small.odpt")).expect("fixture");
-    let artifact = load_trace(&bytes).expect("checked-in trace must verify");
+    let [v1, v2] = BINARY_FIXTURES.map(|name| std::fs::read(fixture_path(name)).expect("fixture"));
+    assert_eq!((v1[8], v2[8]), (1, 2), "header versions");
+    let artifact = load_trace(&v2).expect("checked-in trace must verify");
+    assert_eq!(
+        load_trace(&v1).expect("a version-1 trace must keep loading"),
+        artifact,
+        "the two versions differ only in their checksums"
+    );
     assert_eq!(artifact.meta.program, "babelstream");
     assert!(artifact.health.is_clean());
     assert!(artifact.data_op_count() > 0);
     // Re-serialization is byte-identical: the format has one canonical
-    // encoding per artifact.
-    assert_eq!(artifact.to_bytes(), bytes);
+    // encoding per artifact, in the current version.
+    assert_eq!(artifact.to_bytes(), v2);
 
     // Detection over the loaded columns reproduces the corpus counts.
     let cols = artifact.columnar();
@@ -196,40 +208,42 @@ fn binary_fixture_loads_strictly_and_matches_the_corpus() {
     // A fresh capture writes the identical file.
     let w = by_name("babelstream").expect("workload");
     let recaptured = capture_artifact(&*w, ProblemSize::Small, Variant::Original, false);
-    assert_eq!(recaptured.to_bytes(), bytes, "binary fixture drifted");
+    assert_eq!(recaptured.to_bytes(), v2, "binary fixture drifted");
 }
 
 #[test]
 fn corrupted_fixture_degrades_never_panics() {
-    let bytes = std::fs::read(fixture_path("babelstream_small.odpt")).expect("fixture");
-    let original = load_trace(&bytes).expect("fixture verifies");
+    for name in BINARY_FIXTURES {
+        let bytes = std::fs::read(fixture_path(name)).expect("fixture");
+        let original = load_trace(&bytes).expect("fixture verifies");
 
-    // Truncations at the header, mid-columns, footer, and tail.
-    for cut in [
-        0,
-        15,
-        100,
-        bytes.len() / 2,
-        bytes.len() - 25,
-        bytes.len() - 1,
-    ] {
-        let loaded = load_trace_lenient(&bytes[..cut]);
-        assert!(
-            loaded.health.unreadable > 0,
-            "truncation at {cut} must be accounted as unreadable"
-        );
-        assert!(load_trace(&bytes[..cut]).is_err());
-    }
+        // Truncations at the header, mid-columns, footer, and tail.
+        for cut in [
+            0,
+            15,
+            100,
+            bytes.len() / 2,
+            bytes.len() - 25,
+            bytes.len() - 1,
+        ] {
+            let loaded = load_trace_lenient(&bytes[..cut]);
+            assert!(
+                loaded.health.unreadable > 0,
+                "{name}: truncation at {cut} must be accounted as unreadable"
+            );
+            assert!(load_trace(&bytes[..cut]).is_err());
+        }
 
-    // Deterministic bit flips across the regions of the file.
-    for pos in (0..bytes.len()).step_by(997) {
-        let mut mutated = bytes.clone();
-        mutated[pos] ^= 0x40;
-        let loaded = load_trace_lenient(&mutated);
-        assert!(
-            loaded == original || loaded.health.unreadable > 0,
-            "flip at {pos} neither decoded identically nor degraded"
-        );
+        // Deterministic bit flips across the regions of the file.
+        for pos in (0..bytes.len()).step_by(997) {
+            let mut mutated = bytes.clone();
+            mutated[pos] ^= 0x40;
+            let loaded = load_trace_lenient(&mutated);
+            assert!(
+                loaded == original || loaded.health.unreadable > 0,
+                "{name}: flip at {pos} neither decoded identically nor degraded"
+            );
+        }
     }
 
     // An empty and a garbage file decode to the empty degraded artifact.
