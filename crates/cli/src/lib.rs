@@ -23,7 +23,7 @@ pub mod run;
 pub mod static_cmd;
 pub mod trace;
 
-use odp_workloads::{ProblemSize, Variant};
+use odp_workloads::{ProblemSize, Variant, Workload};
 use std::io::{self, Write};
 use std::process::ExitCode;
 
@@ -176,29 +176,41 @@ impl Scale {
     }
 }
 
-/// The workload called `name`, or the error listing every program.
-pub(crate) fn workload(name: &str) -> Result<Box<dyn odp_workloads::Workload>, Stop> {
-    odp_workloads::by_name(name).ok_or_else(|| {
-        error(format!(
+/// Every program a command can name: the hand-written workloads, then
+/// the IR registry (the names are disjoint).
+pub(crate) fn programs() -> Vec<Box<dyn Workload>> {
+    let ir = odp_static::registry().into_iter();
+    let ir = ir.map(|w| Box::new(w) as Box<dyn Workload>);
+    odp_workloads::all().into_iter().chain(ir).collect()
+}
+
+/// The program called `name`, or the error listing every program.
+pub(crate) fn workload(name: &str) -> Result<Box<dyn Workload>, Stop> {
+    let mut all = programs();
+    match all.iter().position(|w| w.name().eq_ignore_ascii_case(name)) {
+        Some(at) => Ok(all.swap_remove(at)),
+        None => fail(format!(
             "unknown program '{name}'; available: {}",
-            names(&odp_workloads::all())
-        ))
-    })
+            names(&all)
+        )),
+    }
 }
 
 /// `--threads N` must name a workload with a threaded variant.
-pub(crate) fn check_threads(w: &dyn odp_workloads::Workload, threads: u32) -> Result<(), Stop> {
+pub(crate) fn check_threads(w: &dyn Workload, threads: u32) -> Result<(), Stop> {
     if threads > 1 && !w.supports_threads() {
+        let mut threaded = programs();
+        threaded.retain(|w| w.supports_threads());
         return fail(format!(
             "{} has no threaded variant; --threads supports: {}",
             w.name(),
-            names(&odp_workloads::threaded::threaded_workloads())
+            names(&threaded)
         ));
     }
     Ok(())
 }
 
-pub(crate) fn names(workloads: &[Box<dyn odp_workloads::Workload>]) -> String {
+pub(crate) fn names(workloads: &[Box<dyn Workload>]) -> String {
     let names: Vec<&str> = workloads.iter().map(|w| w.name()).collect();
     names.join(", ")
 }

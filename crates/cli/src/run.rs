@@ -9,7 +9,8 @@
 //! ```
 
 use crate::{
-    check_threads, fail, names, number, value, version, workload, CmdResult, Out, Scale, Stop,
+    check_threads, fail, names, number, programs, value, version, workload, CmdResult, Out, Scale,
+    Stop,
 };
 use odp_hash::HashAlgoId;
 use odp_sim::{FaultPlan, FaultProfile};
@@ -71,7 +72,7 @@ pub fn usage() -> String {
          \x20                       without watermark progress (degrades findings)\n\
          Programs:\n\x20 {}",
         FaultProfile::NAMES,
-        names(&odp_workloads::all())
+        names(&programs())
     )
 }
 

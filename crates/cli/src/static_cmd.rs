@@ -2,30 +2,36 @@
 //!
 //! `analyze` predicts the five inefficiency classes from the
 //! declarative mapping IR without running the program; `crosscheck`
-//! also lowers the IR onto the simulated runtime and scores the
-//! predictions against the fused dynamic engine (fails if any `Certain`
-//! prediction is refuted); `plan` emits machine-readable directive
-//! rewrites from the `Certain` predictions and validates them by
-//! applying, re-lowering and re-running (fails if the rewritten program
-//! regresses).
+//! also runs the program under the tool (through `session::run`, like
+//! `odp run`) and scores the predictions against the report's findings
+//! (fails if any `Certain` prediction is refuted); `plan` emits
+//! machine-readable directive rewrites from the `Certain` predictions
+//! and validates them by applying and re-running (fails if the
+//! rewritten program regresses). The workloads are
+//! `odp_static::registry()`, the IR programs `odp run` also takes.
 
 use crate::{fail, CmdResult, Out, Scale, Stop};
-use odp_workloads::ProblemSize;
+use odp_workloads::Workload;
 
-const USAGE: &str = "\
+fn usage(have: &str) -> String {
+    format!(
+        "\
 Usage:
     odp static analyze <workload> [--size s|m|l] [--json]
     odp static crosscheck <workload> [--size s|m|l] [--json]
     odp static plan <workload> [--size s|m|l] [--json]
 
-    workloads: babelstream, bfs, xsbench (declarative IR descriptions).
+    workloads: {have}
+                (the IR programs of `odp run`; an ir- prefix is optional)
     analyze     print Certain / MayDependOnData predictions per site
-    crosscheck  score predictions against a lowered dynamic run; exits 1
+    crosscheck  score predictions against a run under the tool; exits 1
                 if any Certain prediction is dynamically refuted
     plan        emit directive rewrites from Certain predictions and
                 validate by re-running; exits 1 on apply failure or if
                 the rewritten program has more findings than before (a
-                plan that leaves unremediable findings in place exits 0)";
+                plan that leaves unremediable findings in place exits 0)"
+    )
+}
 
 /// `odp static analyze|crosscheck|plan <workload> [--size s|m|l] [--json]`.
 pub fn execute(args: &[String], out: Out<'_>) -> CmdResult {
@@ -33,10 +39,15 @@ pub fn execute(args: &[String], out: Out<'_>) -> CmdResult {
         Some((verb, rest)) => (verb.as_str(), rest),
         None => ("", args),
     };
+    let have: Vec<&str> = odp_static::registry().iter().map(|w| w.name()).collect();
+    let have = have.join(", ");
     match verb {
-        "-h" | "--help" => return Err(Stop::Exit(USAGE.to_string())),
+        "-h" | "--help" => return Err(Stop::Exit(usage(&have))),
         "analyze" | "crosscheck" | "plan" => {}
-        _ => return fail(format!("static needs analyze|crosscheck|plan\n\n{USAGE}")),
+        _ => {
+            let usage = usage(&have);
+            return fail(format!("static needs analyze|crosscheck|plan\n\n{usage}"));
+        }
     }
     let mut workload: Option<&str> = None;
     let mut scale = Scale::default();
@@ -50,37 +61,32 @@ pub fn execute(args: &[String], out: Out<'_>) -> CmdResult {
             other => return fail(format!("unknown static option {other}")),
         }
     }
-    let have = odp_static::NAMES.join(", ");
     let Some(name) = workload else {
         return fail(format!("static {verb} needs a workload: {have}"));
     };
-    let size = match scale.size {
-        ProblemSize::Small => odp_static::Size::S,
-        ProblemSize::Medium => odp_static::Size::M,
-        ProblemSize::Large => odp_static::Size::L,
-    };
-    let Some(program) = odp_static::by_name(name, size) else {
+    let Some(workload) = odp_static::by_name(name) else {
         return fail(format!("unknown workload '{name}' (have: {have})"));
     };
+    let program = workload.program(scale.size);
 
     match verb {
         "analyze" => {
-            let report = odp_static::analyze(&program);
+            let report = odp_static::analyze(program);
             if json {
                 writeln!(out, "{}", report.to_json())?;
             } else {
-                let text = odp_static::analysis::render_report(&program, &report);
+                let text = odp_static::analysis::render_report(program, &report);
                 write!(out, "{text}")?;
             }
         }
         "crosscheck" => {
-            let (check, _report, run) = odp_static::crosscheck(&program);
+            let (check, _report, run) = odp_static::crosscheck(program);
             if json {
                 writeln!(out, "{}", check.to_json())?;
             } else {
-                write!(out, "{}", check.render(&program))?;
+                write!(out, "{}", check.render(program))?;
                 for w in &run.warnings {
-                    writeln!(out, "  runtime warning: {w}")?;
+                    writeln!(out, "  runtime warning: {w:?}")?;
                 }
             }
             if !check.summary.certain_precision_is_total() {
@@ -91,9 +97,9 @@ pub fn execute(args: &[String], out: Out<'_>) -> CmdResult {
             }
         }
         _ => {
-            let report = odp_static::analyze(&program);
-            let plan = odp_static::emit_plan(&program, &report);
-            let outcome = match odp_static::validate_plan(&program, &plan) {
+            let report = odp_static::analyze(program);
+            let plan = odp_static::emit_plan(program, &report);
+            let outcome = match odp_static::validate_plan(program, &plan) {
                 Ok((outcome, _rewritten)) => outcome,
                 Err(e) => return fail(format!("plan failed to apply: {e}")),
             };

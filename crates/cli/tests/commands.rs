@@ -237,6 +237,83 @@ fn static_analyze_predicts_and_takes_only_its_own_flags() {
     assert!(failure("static frobnicate bfs").contains("analyze|crosscheck|plan"));
 }
 
+/// An IR program is a workload: every command that takes a program
+/// takes `ir-*` and `mem*`, resolved by the one `cli::workload`.
+#[test]
+fn an_ir_program_runs_wherever_a_workload_does() {
+    // crosscheck's 9 DD + 12 RA, now as a streamed `odp run` document.
+    let streamed = json("run ir-babelstream --size s --stream --json");
+    assert_eq!(streamed["program"], "ir-babelstream");
+    assert_eq!(counts(&streamed), [9, 0, 12, 0, 0]);
+    assert_eq!(
+        ok("run ir-babelstream --size s --stream --json"),
+        ok("run ir-babelstream --size s --json")
+    );
+    // Report rows resolve through the program's site labels.
+    let text = ok("run mem1");
+    assert!(text.contains("(mem1:daxpy)"), "{text}");
+    assert!(text.contains("issues: DD=9 RT=0 RA=9 UA=0 UT=0"), "{text}");
+    let threaded = ok("run mem1 --threads 2");
+    assert!(threaded.contains("issues: DD="), "{threaded}");
+    let fixed = ok("run mem1 --variant fixed");
+    assert!(
+        fixed.contains("issues: DD=0 RT=0 RA=0 UA=0 UT=0"),
+        "{fixed}"
+    );
+    assert!(failure("run mem1 --variant synthetic").contains("variant"));
+    assert!(ok("arbalest mem5 --size s").contains("program        : mem5"));
+
+    // The hand-written babelstream and its IR model, in one corpus.
+    let dir = std::env::temp_dir().join(format!("odp-cli-ir-test-{}", std::process::id()));
+    let dir = dir.to_str().expect("utf-8 temp dir").to_string();
+    let saved = ok(&format!(
+        "trace save --out {dir}/both.json --runs babelstream,ir-babelstream --trace-dir {dir}"
+    ));
+    assert!(saved.contains(&format!("wrote {dir}/ir-babelstream.odpt")));
+    assert!(saved.contains("2 run(s)"), "{saved}");
+    ok(&format!("trace diff {dir}/both.json {dir}/both.json"));
+    std::fs::remove_dir_all(&dir).expect("clean up");
+
+    let plan = ok("static plan mem1");
+    assert!(plan.contains("[SplitMapToEnterExit] at mem1:daxpy (z)"));
+    assert!(plan.ends_with("validated: 18 dynamic finding(s) before, 0 after\n"));
+    let check = json("static crosscheck mem2 --json");
+    assert_eq!(check["program"], "mem2(n=64, iters=4)");
+    assert_eq!(check["summary"]["certain_confirmed"], 2);
+    assert_eq!(check["summary"]["dynamic_only"], 0);
+    // `odp static` predates the ir- prefix: both spellings are one program.
+    assert_eq!(ok("static analyze ir-bfs"), ok("static analyze bfs"));
+}
+
+/// Help and error texts list what the registries hold, not a copy.
+#[test]
+fn program_lists_derive_from_the_registries() {
+    let hand_written = "babelstream, bfs, hotspot";
+    let ir = "ir-babelstream, ir-bfs, ir-xsbench, mem1, mem2, mem3, mem4, mem5, mem6";
+    for listing in [
+        ok("run --help"),
+        failure("run nonesuch"),
+        failure("arbalest nonesuch"),
+        failure("trace save --out x.json --runs nonesuch"),
+    ] {
+        assert!(listing.contains(hand_written), "{listing}");
+        assert!(listing.contains(ir), "{listing}");
+    }
+    for listing in [
+        ok("static --help"),
+        failure("static plan"),
+        failure("static analyze hotspot"),
+    ] {
+        assert!(listing.contains(ir), "{listing}");
+        assert!(!listing.contains(hand_written), "{listing}");
+    }
+    let unthreaded = failure("run hotspot --threads 2");
+    assert!(
+        unthreaded.contains("xsbench, ir-babelstream"),
+        "{unthreaded}"
+    );
+}
+
 #[test]
 fn paper_help_lists_exactly_the_registry() {
     let registry: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();

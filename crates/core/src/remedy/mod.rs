@@ -24,9 +24,18 @@
 //! can never disagree (the [`odp_ompt::MapAdvisor`] contract). The
 //! runtime guards soundness on its side: elision is overridden for
 //! kernel-referenced variables, persistence falls back to a plain
-//! release while other regions still hold the mapping, and exit-side
-//! `from` copies degrade to targeted updates so host visibility is
-//! never silently lost.
+//! release while other regions still hold the mapping, and the exit-side
+//! `from` copy of a persisted mapping survives as a targeted update.
+//!
+//! **Host visibility is not guaranteed.** A `skip_from` rule ("the host
+//! provably has the bytes") is honoured at every exit of its site: also
+//! the first copy-back of a seeded re-run, and after a kernel has written
+//! the variable since the host last received it — the kernel's result
+//! then never reaches the host. `crates/static/tests/remedy_oracle.rs`
+//! compares every host variable's final bytes with the unremediated
+//! run's and pins the cases that differ today (`KNOWN_UNSOUND`); the
+//! candidate rule is to honour `skip_from` only while no kernel has
+//! written the variable since the host's last copy (ROADMAP, aim 3).
 //!
 //! One advisor type serves every run: a [`SharedRemediator`] owns the
 //! policy and forks one [`SharedAdvisor`] per runtime thread (one fork

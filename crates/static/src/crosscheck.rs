@@ -1,5 +1,6 @@
 //! Static-vs-dynamic cross-check: score the analyzer's predictions
-//! against the fused dynamic engine's findings on the lowered program.
+//! against what the tool reports when the program runs
+//! ([`run_under_tool`], read as `fleet::site_findings`).
 //!
 //! Both sides key findings by `(codeptr, device, kind)`, so the join is
 //! exact. The headline metric is *certain precision*: a
@@ -13,8 +14,9 @@
 
 use crate::analysis::{analyze, Certainty, StaticReport};
 use crate::ir::MappingProgram;
-use crate::lower::{lower_and_run, LoweredRun};
-use ompdataperf::fleet::FindingKind;
+use crate::lower::run_under_tool;
+use odp_workloads::session::RunOutcome;
+use ompdataperf::fleet::{site_findings, FindingKind, SiteFinding};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -90,17 +92,17 @@ pub struct CrossCheck {
     pub summary: CrossSummary,
 }
 
-/// Run the analyzer and the lowered dynamic engine on `p` and join the
-/// results. Also returns both sides for callers that render them.
-pub fn crosscheck(p: &MappingProgram) -> (CrossCheck, StaticReport, LoweredRun) {
+/// Analyze `p`, run it under the tool and join the results. Also
+/// returns both sides for callers that render them.
+pub fn crosscheck(p: &MappingProgram) -> (CrossCheck, StaticReport, RunOutcome) {
     let report = analyze(p);
-    let run = lower_and_run(p);
-    let check = join(p, &report, &run);
+    let run = run_under_tool(p);
+    let check = join(p, &report, &site_findings(&run.report.findings));
     (check, report, run)
 }
 
-/// Join a static report against a dynamic run.
-pub fn join(p: &MappingProgram, report: &StaticReport, run: &LoweredRun) -> CrossCheck {
+/// Join a static report against a dynamic run's site findings.
+pub fn join(p: &MappingProgram, report: &StaticReport, sites: &[SiteFinding]) -> CrossCheck {
     // (codeptr, device, kind) → (static count, certain count, dynamic count, certain?).
     type JoinAgg = BTreeMap<(u64, i32, FindingKind), (u64, u64, u64, bool)>;
     let mut keys: JoinAgg = BTreeMap::new();
@@ -112,7 +114,7 @@ pub fn join(p: &MappingProgram, report: &StaticReport, run: &LoweredRun) -> Cros
         e.1 = r.certain_count;
         e.3 = r.certainty == Certainty::Certain;
     }
-    for s in &run.sites {
+    for s in sites {
         let e = keys
             .entry((s.codeptr, s.device, s.kind))
             .or_insert((0, 0, 0, false));
@@ -227,11 +229,19 @@ impl CrossCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::programs::{by_name, Size, NAMES};
+    use crate::programs::{by_name, registry};
+    use odp_workloads::{ProblemSize, Workload};
+
+    fn small(name: &str) -> MappingProgram {
+        by_name(name)
+            .expect("known")
+            .program(ProblemSize::Small)
+            .clone()
+    }
 
     #[test]
     fn babelstream_certain_precision_is_total() {
-        let p = by_name("babelstream", Size::S).expect("known");
+        let p = small("babelstream");
         let (check, report, _run) = crosscheck(&p);
         assert!(check.summary.certain_rows > 0, "{report:?}");
         assert!(
@@ -247,20 +257,21 @@ mod tests {
 
     #[test]
     fn every_program_has_total_certain_precision_at_small() {
-        for name in NAMES {
-            let p = by_name(name, Size::S).expect("known");
-            let (check, _, _) = crosscheck(&p);
+        for w in registry() {
+            let p = w.program(ProblemSize::Small);
+            let (check, _, _) = crosscheck(p);
             assert!(
                 check.summary.certain_precision_is_total(),
-                "{name}:\n{}",
-                check.render(&p)
+                "{}:\n{}",
+                w.name(),
+                check.render(p)
             );
         }
     }
 
     #[test]
     fn bfs_has_certain_cross_var_duplicate_and_may_rows() {
-        let p = by_name("bfs", Size::S).expect("known");
+        let p = small("bfs");
         let (check, report, _) = crosscheck(&p);
         let init_dd = report
             .rows
@@ -276,7 +287,7 @@ mod tests {
 
     #[test]
     fn xsbench_round_trip_is_certain_and_confirmed() {
-        let p = by_name("xsbench", Size::S).expect("known");
+        let p = small("xsbench");
         let (check, report, run) = crosscheck(&p);
         let rt = report
             .rows
@@ -285,7 +296,7 @@ mod tests {
             .expect("RT row");
         assert_eq!(rt.certainty, Certainty::Certain);
         assert_eq!(rt.codeptr, crate::programs::xsbench_sites::LOOKUP);
-        assert_eq!(run.counts.rt as u64, rt.count);
+        assert_eq!(run.report.counts.rt as u64, rt.count);
         assert!(
             check.summary.certain_precision_is_total(),
             "{}",

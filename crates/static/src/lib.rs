@@ -20,19 +20,23 @@
 //!    prediction is tagged [`analysis::Certainty::Certain`] (holds in
 //!    every execution) or [`analysis::Certainty::MayDependOnData`].
 //!    The §5 algorithms are not re-implemented here.
-//! 4. [`lower`] — lowers the same IR onto the real simulated runtime
-//!    and runs the same engine over the captured trace.
+//! 4. [`lower`] — *interprets* the same IR against a simulated runtime
+//!    it is handed ([`lower::interpret`]), and makes an IR program an
+//!    `odp_workloads::Workload` ([`lower::IrWorkload`]). This crate
+//!    builds no runtime and attaches no tool: running a program under
+//!    the tool is `odp_workloads::session::run`, as for every workload.
 //! 5. [`mod@crosscheck`] — joins both sides by `(codeptr, device, kind)`
 //!    and scores certain precision / may coverage / recall misses.
 //! 6. [`plan`] — turns `Certain` predictions into machine-readable
 //!    directive rewrites, applies them to the IR, and validates the
-//!    rewrite by re-lowering and re-running.
-//! 7. [`programs`] — declarative descriptions of the three reference
-//!    workloads (babelstream, bfs, xsbench).
+//!    rewrite by running both versions under the tool.
+//! 7. [`programs`] — the registry of IR programs: models of babelstream,
+//!    bfs and xsbench (`ir-*`), and the memory-pragma ladder
+//!    `mem1`…`mem6`, the programs whose findings are known in advance.
 //!
 //! The soundness contract — every `Certain` prediction is confirmed by
-//! the dynamic engine on the lowered program — is pinned by unit tests,
-//! a property suite, and golden fixtures.
+//! the tool on the interpreted program — is pinned by unit tests, a
+//! property suite, and golden fixtures.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -52,8 +56,8 @@ pub use exec::{abstract_run, AbsTrace, OpFacts};
 pub use ir::{
     Init, KernelSpec, KernelWrite, MapClause, MappingProgram, Step, TripCount, VarDecl, VarRef,
 };
-pub use lower::{lower_and_run, LoweredRun};
+pub use lower::{interpret, run_under_tool, IrWorkload};
 pub use plan::{
     apply_plan, emit_plan, validate_plan, PatchEdit, PatchPlan, PlanOutcome, RewriteAction,
 };
-pub use programs::{by_name, Size, NAMES};
+pub use programs::{by_name, registry};

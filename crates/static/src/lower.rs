@@ -1,12 +1,14 @@
-//! Lowering: execute a [`MappingProgram`] on the real simulated
-//! runtime under the OMPDataPerf tool, and run the fused dynamic
-//! engine over the captured trace.
+//! Interpretation: execute a [`MappingProgram`] against a simulated
+//! runtime somebody else built.
 //!
-//! This is the other half of the cross-check: the same IR description
-//! that the static analyzer reasons about symbolically is executed for
-//! real — present-table reference counting, simulated clock, content
-//! hashing — producing the dynamic `(codeptr, device, kind)` findings
-//! the static predictions are scored against.
+//! [`interpret`] allocates and initialises the program's host variables
+//! on the runtime it is handed and walks the steps; it attaches no tool,
+//! finishes nothing and detects nothing. Putting the program *under the
+//! tool* is `odp_workloads::session::run` over an [`IrWorkload`] — the
+//! driver every workload goes through, so an IR program runs streamed,
+//! threaded, remediated, under faults, into an `.odpt` and under
+//! Arbalest from one description. [`run_under_tool`] is that call as
+//! the cross-check and the plan validator make it.
 //!
 //! Content fidelity: deterministic initializers are materialized
 //! byte-exactly ([`crate::ir::Init::materialize`]), and
@@ -16,39 +18,14 @@
 //! other buffer image in the program — mirroring the abstract
 //! executor's token inequalities in the dynamic content hashes.
 
-use crate::ir::{Fires, MapClause, MappingProgram, Step, TripCount, WriteContent};
+use crate::analysis::analyze;
+use crate::ir::{walk, Fires, MapClause, MappingProgram, Step, TripCount, WriteContent};
+use crate::plan::{apply_plan, emit_plan};
 use odp_model::{CodePtr, MapModifier};
 use odp_sim::{Kernel, KernelCost, Map, Runtime, RuntimeConfig, VarId};
-use ompdataperf::detect::{EventView, Findings, IssueCounts};
-use ompdataperf::fleet::{site_findings, SiteFinding};
-use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
-
-/// The dynamic half of a cross-check: one lowered execution's findings.
-#[derive(Clone, Debug)]
-pub struct LoweredRun {
-    /// Findings keyed `(codeptr, device, kind)`, ascending.
-    pub sites: Vec<SiteFinding>,
-    /// Table 1-style totals.
-    pub counts: IssueCounts,
-    /// Runtime warnings the execution hit, rendered.
-    pub warnings: Vec<String>,
-    /// Data-op events the run produced (sanity statistic).
-    pub data_ops: usize,
-}
-
-impl LoweredRun {
-    /// The dynamic finding at a `(codeptr, device, kind)` key, if any.
-    pub fn at(
-        &self,
-        codeptr: u64,
-        device: i32,
-        kind: ompdataperf::fleet::FindingKind,
-    ) -> Option<&SiteFinding> {
-        self.sites
-            .iter()
-            .find(|s| s.codeptr == codeptr && s.device == device && s.kind == kind)
-    }
-}
+use odp_workloads::session::{self, RunOutcome, RunSpec};
+use odp_workloads::{ProblemSize, Variant, Workload};
+use ompdataperf::attrib::DebugInfo;
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -71,7 +48,7 @@ fn unique_image(serial: u64, bytes: usize) -> Vec<u8> {
 
 struct Lowerer<'p> {
     p: &'p MappingProgram,
-    rt: Runtime,
+    rt: &'p mut Runtime,
     vars: Vec<VarId>,
     /// Global unique-write serial (one sequence for the whole run, so
     /// every unique image differs from every other).
@@ -209,14 +186,15 @@ impl Lowerer<'_> {
     }
 }
 
-/// Lower `p` onto the simulated runtime, execute it under the
-/// OMPDataPerf tool, and run the fused dynamic engine over the trace.
-pub fn lower_and_run(p: &MappingProgram) -> LoweredRun {
-    let (tool, handle) = OmpDataPerfTool::new(ToolConfig::default());
-    let mut rt = Runtime::new(RuntimeConfig::default().with_devices(p.num_devices));
-    rt.attach_tool(Box::new(tool));
-
-    let vars = p
+/// Allocate and initialise `p`'s host variables on `rt`, then execute
+/// its steps in program order. Returns the runtime's id of each of
+/// [`MappingProgram::vars`], so a caller can read what the host ends up
+/// holding.
+///
+/// # Panics
+/// When a step names a device `rt` does not have.
+pub fn interpret(p: &MappingProgram, rt: &mut Runtime) -> Vec<VarId> {
+    let vars: Vec<VarId> = p
         .vars
         .iter()
         .map(|v| {
@@ -226,7 +204,6 @@ pub fn lower_and_run(p: &MappingProgram) -> LoweredRun {
             id
         })
         .collect();
-
     let mut lowerer = Lowerer {
         p,
         rt,
@@ -235,30 +212,90 @@ pub fn lower_and_run(p: &MappingProgram) -> LoweredRun {
         dd_last: Vec::new(),
     };
     lowerer.steps(&p.steps);
-    lowerer.rt.finish();
-    let warnings = lowerer
-        .rt
-        .warnings()
-        .iter()
-        .map(|w| format!("{w:?}"))
-        .collect();
+    lowerer.vars
+}
 
-    let trace = handle.take_trace();
-    let view = EventView::from_log(&trace);
-    let findings = Findings::detect_fused(&view);
-    LoweredRun {
-        sites: site_findings(&findings),
-        counts: findings.counts(),
-        warnings,
-        data_ops: view.op_count(),
+/// An IR program as a [`Workload`]: what `odp run`, `odp arbalest`,
+/// `odp trace save` and the cross-check all hand to the run driver.
+pub struct IrWorkload {
+    name: &'static str,
+    sizes: [MappingProgram; 3],
+}
+
+impl IrWorkload {
+    /// `sizes` (Small, Medium, Large), registered as `name`.
+    pub fn new(name: &'static str, sizes: [MappingProgram; 3]) -> IrWorkload {
+        IrWorkload { name, sizes }
     }
+
+    /// The program at `size`, as written ([`Variant::Original`]).
+    pub fn program(&self, size: ProblemSize) -> &MappingProgram {
+        &self.sizes[size.index()]
+    }
+}
+
+impl Workload for IrWorkload {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn domain(&self) -> &'static str {
+        "mapping IR"
+    }
+
+    fn paper_input(&self, _size: ProblemSize) -> &'static str {
+        "n/a (not one of the paper's inputs)"
+    }
+
+    /// `Fixed` is the program after its own patch plan.
+    fn supports(&self, variant: Variant) -> bool {
+        matches!(variant, Variant::Original | Variant::Fixed)
+    }
+
+    /// Interpretation is deterministic per thread.
+    fn supports_threads(&self) -> bool {
+        true
+    }
+
+    /// # Panics
+    /// Under `Fixed`, when the program's own plan does not apply to it:
+    /// an emitter bug, which the registry's tests rule out.
+    fn run(&self, rt: &mut Runtime, size: ProblemSize, variant: Variant) -> DebugInfo {
+        let fixed;
+        let mut p = self.program(size);
+        if variant == Variant::Fixed {
+            fixed = apply_plan(p, &emit_plan(p, &analyze(p)))
+                .unwrap_or_else(|why| panic!("{}: its own plan does not apply: {why}", p.name));
+            p = &fixed;
+        }
+        interpret(p, rt);
+        // The "-g" build: each directive resolves to its site label, at
+        // its position in program order.
+        let mut debug_info = DebugInfo::new();
+        let sites = walk(&p.steps).filter_map(Step::site);
+        for (line, site) in (1..).zip(sites) {
+            debug_info.register(CodePtr(site), self.name, line, &p.site_label(site));
+        }
+        debug_info
+    }
+}
+
+/// Run `p` under the tool, post-mortem on one thread, on a runtime with
+/// as many devices as `p` targets.
+pub fn run_under_tool(p: &MappingProgram) -> RunOutcome {
+    let spec = RunSpec {
+        runtime: RuntimeConfig::default().with_devices(p.num_devices),
+        ..RunSpec::default()
+    };
+    let every_size = std::array::from_fn(|_| p.clone());
+    session::run(&IrWorkload::new("mapping-ir", every_size), &spec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::{Init, KernelSpec, KernelWrite, VarDecl, VarRef};
-    use ompdataperf::fleet::FindingKind;
+    use ompdataperf::fleet::{site_findings, FindingKind, SiteFinding};
     use std::collections::BTreeMap;
 
     #[test]
@@ -270,66 +307,72 @@ mod tests {
         assert_eq!(a, c, "same serial reproduces the same image");
     }
 
+    fn one_var(steps: Vec<Step>) -> MappingProgram {
+        MappingProgram {
+            name: "t".into(),
+            num_devices: 1,
+            vars: vec![VarDecl {
+                name: "a".into(),
+                bytes: 64,
+                init: Init::f64(1.5),
+            }],
+            steps,
+            site_labels: BTreeMap::from([(0x10, "t:k".into())]),
+        }
+    }
+
+    fn target_tofrom_a(writes: Vec<KernelWrite>) -> Step {
+        Step::Target {
+            site: 0x10,
+            device: 0,
+            maps: vec![MapClause::tofrom(VarRef(0))],
+            kernel: KernelSpec {
+                name: "k".into(),
+                reads: vec![VarRef(0)],
+                writes,
+            },
+        }
+    }
+
     #[test]
     fn lowered_loop_produces_dynamic_dd_and_ra() {
         // The same shape analysis.rs pins statically: 3 iterations of
         // target map(tofrom: a) with a read-only kernel.
-        let p = MappingProgram {
-            name: "t".into(),
-            num_devices: 1,
-            vars: vec![VarDecl {
-                name: "a".into(),
-                bytes: 64,
-                init: Init::f64(1.5),
-            }],
-            steps: vec![Step::Loop {
-                trip: TripCount::Static(3),
-                body: vec![Step::Target {
-                    site: 0x10,
-                    device: 0,
-                    maps: vec![MapClause::tofrom(VarRef(0))],
-                    kernel: KernelSpec {
-                        name: "k".into(),
-                        reads: vec![VarRef(0)],
-                        writes: vec![],
-                    },
-                }],
-            }],
-            site_labels: BTreeMap::new(),
-        };
+        let p = one_var(vec![Step::Loop {
+            trip: TripCount::Static(3),
+            body: vec![target_tofrom_a(vec![])],
+        }]);
         p.validate().expect("valid");
-        let run = lower_and_run(&p);
+        let run = run_under_tool(&p);
         assert!(run.warnings.is_empty(), "{:?}", run.warnings);
-        let dd = run.at(0x10, 0, FindingKind::DuplicateTransfer).expect("DD");
-        assert_eq!(dd.count, 2);
-        let ra = run.at(0x10, 0, FindingKind::RepeatedAlloc).expect("RA");
-        assert_eq!(ra.count, 2);
+        let sites = site_findings(&run.report.findings);
+        let count = |kind| {
+            let at = |s: &&SiteFinding| (s.codeptr, s.device, s.kind) == (0x10, 0, kind);
+            sites.iter().find(at).expect("finding").count
+        };
+        assert_eq!(count(FindingKind::DuplicateTransfer), 2);
+        assert_eq!(count(FindingKind::RepeatedAlloc), 2);
+        // The driver got the program's debug info: rows name the site.
+        let rendered = run.report.render();
+        assert!(rendered.contains("mapping-ir:1 (t:k)"), "{rendered}");
     }
 
     #[test]
     fn kernel_unique_write_defeats_round_trip() {
-        let p = MappingProgram {
-            name: "t".into(),
-            num_devices: 1,
-            vars: vec![VarDecl {
-                name: "a".into(),
-                bytes: 64,
-                init: Init::f64(1.5),
-            }],
-            steps: vec![Step::Target {
-                site: 0x10,
-                device: 0,
-                maps: vec![MapClause::tofrom(VarRef(0))],
-                kernel: KernelSpec {
-                    name: "k".into(),
-                    reads: vec![VarRef(0)],
-                    writes: vec![KernelWrite::unique(VarRef(0))],
-                },
-            }],
-            site_labels: BTreeMap::new(),
-        };
-        let run = lower_and_run(&p);
-        assert!(run.at(0x10, 0, FindingKind::RoundTrip).is_none());
-        assert_eq!(run.counts.rt, 0);
+        let p = one_var(vec![target_tofrom_a(vec![KernelWrite::unique(VarRef(0))])]);
+        let run = run_under_tool(&p);
+        let sites = site_findings(&run.report.findings);
+        assert!(sites.iter().all(|s| s.kind != FindingKind::RoundTrip));
+        assert_eq!(run.report.counts.rt, 0);
+    }
+
+    #[test]
+    fn interpret_returns_the_host_variables_in_declaration_order() {
+        let p = crate::programs::xsbench(8);
+        let mut rt = Runtime::with_defaults();
+        let vars = interpret(&p, &mut rt);
+        let names: Vec<&str> = vars.iter().map(|&v| rt.var_name(v)).collect();
+        assert_eq!(names, ["energy_grid", "nuclide_grid", "results"]);
+        assert!(rt.warnings().is_empty());
     }
 }

@@ -30,7 +30,7 @@
 
 use crate::analysis::{Certainty, StaticPrediction, StaticReport};
 use crate::ir::{render_map, walk, MapClause, MappingProgram, Step, VarRef};
-use crate::lower::lower_and_run;
+use crate::lower::run_under_tool;
 use odp_model::MapType;
 use ompdataperf::fleet::FindingKind;
 use serde::Serialize;
@@ -896,19 +896,18 @@ impl PlanOutcome {
     }
 }
 
-/// Apply `plan` to `p`, lower and run both versions, and compare the
-/// dynamic totals. Returns the outcome and the rewritten program.
+/// Apply `plan` to `p`, run both versions under the tool, and compare
+/// the dynamic totals. Returns the outcome and the rewritten program.
 pub fn validate_plan(
     p: &MappingProgram,
     plan: &PatchPlan,
 ) -> Result<(PlanOutcome, MappingProgram), String> {
     let rewritten = apply_plan(p, plan)?;
-    let before = lower_and_run(p);
-    let after = lower_and_run(&rewritten);
+    let total = |p: &MappingProgram| run_under_tool(p).report.counts.total() as u64;
     Ok((
         PlanOutcome {
-            before_total: before.counts.total() as u64,
-            after_total: after.counts.total() as u64,
+            before_total: total(p),
+            after_total: total(&rewritten),
         },
         rewritten,
     ))

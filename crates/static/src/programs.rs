@@ -1,9 +1,16 @@
-//! Declarative IR descriptions of the three reference workloads.
+//! The IR programs: declarative descriptions, and the one registry that
+//! makes each a runnable workload.
 //!
-//! Each constructor expresses a workload's *data-mapping skeleton* — the
+//! Each constructor expresses a program's *data-mapping skeleton* — the
 //! map clauses, region structure and loop shape of its canonical
 //! OpenMP-offload source — so one description drives the static
-//! analyzer, the dynamic lowering, and the patch-plan emitter:
+//! analyzer, the interpreter ([`crate::lower`]), and the patch-plan
+//! emitter. [`registry`] lists them as [`IrWorkload`]s, which is what
+//! `odp static`, `odp run`, `odp arbalest` and `odp trace save` resolve
+//! names against (after `odp_workloads::all()`; the names are disjoint).
+//!
+//! Three model a hand-written workload of `odp-workloads` — not the same
+//! model, hence the `ir-` prefix (`odp static` also takes the bare name):
 //!
 //! - [`babelstream`]: the run loop re-opens a `target data` region with
 //!   `map(to:)` on all three streams every iteration, and the dot
@@ -18,59 +25,49 @@
 //!   that no directive rewrite can remove.
 //! - [`xsbench`]: a lookup kernel with `map(tofrom:)` on read-only
 //!   tables — the round-trip pattern (§7.5), fixed by `tofrom` → `to`.
+//!
+//! Six are the AMD HPCTrainingExamples memory-pragma ladder (SNIPPETS.md
+//! snippet 3), [`mem1`] … [`mem6`]: one `daxpy` kernel in a loop under
+//! six mapping styles whose transfers and allocations the README spells
+//! out — the programs with *known* answers (`tests/mem_ladder.rs`).
 
 use crate::ir::{
     Init, KernelSpec, KernelWrite, MapClause, MappingProgram, Step, TripCount, VarDecl, VarRef,
     WriteContent,
 };
+use crate::lower::IrWorkload;
 use std::collections::BTreeMap;
 
-/// Problem-size presets for the declarative workloads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Size {
-    /// Small: unit-test scale.
-    S,
-    /// Medium: CI smoke scale.
-    M,
-    /// Large: benchmark scale.
-    L,
+/// Every IR program as a workload, at Small, Medium and Large. All are
+/// single-device, which is what `RunSpec::default()`'s runtime has.
+pub fn registry() -> Vec<IrWorkload> {
+    let ladder = |name, rung: fn(usize, u32) -> MappingProgram| {
+        IrWorkload::new(name, [rung(64, 4), rung(1024, 10), rung(16384, 50)])
+    };
+    let babelstreams = [
+        babelstream(4, 32),
+        babelstream(10, 1024),
+        babelstream(50, 16384),
+    ];
+    vec![
+        IrWorkload::new("ir-babelstream", babelstreams),
+        IrWorkload::new("ir-bfs", [bfs(16, 3), bfs(64, 5), bfs(256, 8)]),
+        IrWorkload::new("ir-xsbench", [xsbench(64), xsbench(2048), xsbench(32768)]),
+        ladder("mem1", mem1),
+        ladder("mem2", mem2),
+        ladder("mem3", mem3),
+        ladder("mem4", mem4),
+        ladder("mem5", mem5),
+        ladder("mem6", mem6),
+    ]
 }
 
-impl Size {
-    /// Parse `s`/`m`/`l` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Size> {
-        match s.to_ascii_lowercase().as_str() {
-            "s" | "small" => Some(Size::S),
-            "m" | "medium" => Some(Size::M),
-            "l" | "large" => Some(Size::L),
-            _ => None,
-        }
-    }
-}
-
-/// Names accepted by [`by_name`].
-pub const NAMES: [&str; 3] = ["babelstream", "bfs", "xsbench"];
-
-/// Construct a declarative workload by name at a preset size.
-pub fn by_name(name: &str, size: Size) -> Option<MappingProgram> {
-    match name {
-        "babelstream" => Some(match size {
-            Size::S => babelstream(4, 32),
-            Size::M => babelstream(10, 1024),
-            Size::L => babelstream(50, 16384),
-        }),
-        "bfs" => Some(match size {
-            Size::S => bfs(16, 3),
-            Size::M => bfs(64, 5),
-            Size::L => bfs(256, 8),
-        }),
-        "xsbench" => Some(match size {
-            Size::S => xsbench(64),
-            Size::M => xsbench(2048),
-            Size::L => xsbench(32768),
-        }),
-        _ => None,
-    }
+/// The registered program called `name`. `odp static` predates the
+/// `ir-` prefix, so it may be left off here: `bfs` is `ir-bfs`.
+pub fn by_name(name: &str) -> Option<IrWorkload> {
+    use odp_workloads::Workload;
+    let named = |w: &IrWorkload| w.name() == name || w.name().strip_prefix("ir-") == Some(name);
+    registry().into_iter().find(named)
 }
 
 /// Directive sites of [`babelstream`].
@@ -360,29 +357,217 @@ pub fn xsbench(gridpoints: usize) -> MappingProgram {
     }
 }
 
+/// Directive sites of the memory-pragma ladder ([`mem1`] … [`mem6`]).
+pub mod mem_sites {
+    /// `target enter data`, after `new`.
+    pub const ENTER: u64 = 0x400;
+    /// `target update to`, before the computational loop.
+    pub const UPDATE_TO: u64 = 0x410;
+    /// The `daxpy` kernel's `target` line.
+    pub const DAXPY: u64 = 0x420;
+    /// `target update from`, after the computational loop.
+    pub const UPDATE_FROM: u64 = 0x430;
+    /// `target exit data`, before `delete`.
+    pub const EXIT: u64 = 0x440;
+}
+
+const X: VarRef = VarRef(0);
+const Y: VarRef = VarRef(1);
+const Z: VarRef = VarRef(2);
+
+/// One rung: `before`, then `iters` launches of `daxpy` (reads `x`, `y`,
+/// writes `z`) under `maps`, then `after`. The kernel's image is the
+/// same every launch — `z = a·x + y` does not depend on the iteration —
+/// so repeated copy-backs are duplicates, as they are in the original.
+fn rung(
+    rung: u32,
+    n: usize,
+    iters: u32,
+    before: Vec<Step>,
+    maps: Vec<MapClause>,
+    after: Vec<Step>,
+) -> MappingProgram {
+    use mem_sites as site;
+    let var = |name: &str, v: f64| VarDecl {
+        name: name.into(),
+        bytes: n * 8,
+        init: Init::f64(v),
+    };
+    let mut steps = before;
+    steps.push(Step::Loop {
+        trip: TripCount::Static(iters),
+        body: vec![Step::Target {
+            site: site::DAXPY,
+            device: 0,
+            maps,
+            kernel: KernelSpec {
+                name: "daxpy".into(),
+                reads: vec![X, Y],
+                writes: vec![KernelWrite::u32(Z, 0x4010_0000)],
+            },
+        }],
+    });
+    steps.extend(after);
+    let label = |what: &str| format!("mem{rung}:{what}");
+    MappingProgram {
+        name: format!("mem{rung}(n={n}, iters={iters})"),
+        num_devices: 1,
+        vars: vec![var("x", 1.0), var("y", 2.0), var("z", 0.0)],
+        steps,
+        site_labels: BTreeMap::from([
+            (site::ENTER, label("enter_data")),
+            (site::UPDATE_TO, label("update_to")),
+            (site::DAXPY, label("daxpy")),
+            (site::UPDATE_FROM, label("update_from")),
+            (site::EXIT, label("exit_data")),
+        ]),
+    }
+}
+
+fn enter_data(maps: Vec<MapClause>) -> Step {
+    Step::EnterData {
+        site: mem_sites::ENTER,
+        device: 0,
+        maps,
+    }
+}
+
+fn exit_data(maps: Vec<MapClause>) -> Step {
+    Step::ExitData {
+        site: mem_sites::EXIT,
+        device: 0,
+        maps,
+    }
+}
+
+fn update_from_z() -> Step {
+    Step::UpdateFrom {
+        site: mem_sites::UPDATE_FROM,
+        device: 0,
+        vars: vec![Z],
+    }
+}
+
+fn all_three(clause: fn(VarRef) -> MapClause) -> Vec<MapClause> {
+    vec![clause(X), clause(Y), clause(Z)]
+}
+
+/// Mem1: `map(to: x, y) map(from: z)` on the computational loop's own
+/// pragma line — every launch allocates, sends, fetches and frees.
+pub fn mem1(n: usize, iters: u32) -> MappingProgram {
+    let maps = vec![MapClause::to(X), MapClause::to(Y), MapClause::from(Z)];
+    rung(1, n, iters, vec![], maps, vec![])
+}
+
+/// The `always` maps Mem2 and Mem4 keep on the computational loop.
+fn always_maps() -> Vec<MapClause> {
+    vec![
+        MapClause::to(X).always(),
+        MapClause::to(Y).always(),
+        MapClause::from(Z).always(),
+    ]
+}
+
+/// Mem2: `enter data map(alloc:)` after `new`, `exit data map(delete:)`
+/// before `delete`, `map(always to/from)` on the loop — the allocations
+/// are gone, the copies stay.
+pub fn mem2(n: usize, iters: u32) -> MappingProgram {
+    let before = vec![enter_data(all_three(MapClause::alloc))];
+    let after = vec![exit_data(all_three(MapClause::delete))];
+    rung(2, n, iters, before, always_maps(), after)
+}
+
+/// Mem3: `alloc` + `target update to` before the loop, no map on it,
+/// `target update from` after — each array moves once.
+pub fn mem3(n: usize, iters: u32) -> MappingProgram {
+    let before = vec![
+        enter_data(all_three(MapClause::alloc)),
+        Step::UpdateTo {
+            site: mem_sites::UPDATE_TO,
+            device: 0,
+            vars: vec![X, Y],
+        },
+    ];
+    let after = vec![update_from_z(), exit_data(all_three(MapClause::delete))];
+    rung(3, n, iters, before, vec![], after)
+}
+
+/// Mem4: Mem2 with `map(release:)` for `map(delete:)` — reference
+/// counting instead of a forced free; the transfers are Mem2's.
+pub fn mem4(n: usize, iters: u32) -> MappingProgram {
+    let before = vec![enter_data(all_three(MapClause::alloc))];
+    let after = vec![exit_data(all_three(MapClause::release))];
+    rung(4, n, iters, before, always_maps(), after)
+}
+
+/// `enter data map(to: x, y) map(alloc: z)`, Mem5's and Mem6's opening.
+fn enter_to_xy_alloc_z() -> Step {
+    enter_data(vec![
+        MapClause::to(X),
+        MapClause::to(Y),
+        MapClause::alloc(Z),
+    ])
+}
+
+/// Mem5: `enter data map(to: x, y) map(alloc: z)` / `exit data
+/// map(from: z) map(delete: x, y)` around the loop; the loop's own
+/// `map(to/from)` finds the data present and copies nothing.
+pub fn mem5(n: usize, iters: u32) -> MappingProgram {
+    let maps = vec![MapClause::to(X), MapClause::to(Y), MapClause::from(Z)];
+    let after = vec![exit_data(vec![
+        MapClause::from(Z),
+        MapClause::delete(X),
+        MapClause::delete(Y),
+    ])];
+    rung(5, n, iters, vec![enter_to_xy_alloc_z()], maps, after)
+}
+
+/// Mem6: Mem5's `enter data`, no map on the loop, one `target update
+/// from(z)` at the end, then `delete`.
+pub fn mem6(n: usize, iters: u32) -> MappingProgram {
+    let after = vec![update_from_z(), exit_data(all_three(MapClause::delete))];
+    rung(6, n, iters, vec![enter_to_xy_alloc_z()], vec![], after)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::analyze;
+    use crate::plan::{apply_plan, emit_plan};
+    use odp_workloads::{ProblemSize, Workload};
 
+    /// What `odp run <name>` relies on: a valid single-device program at
+    /// every size, whose own plan applies (`--variant fixed`).
     #[test]
     fn all_programs_validate_at_all_sizes() {
-        for name in NAMES {
-            for size in [Size::S, Size::M, Size::L] {
-                let p = by_name(name, size).expect("known name");
-                p.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+        for w in registry() {
+            for size in ProblemSize::ALL {
+                let p = w.program(size);
+                let at = format!("{} {size:?}", w.name());
+                p.validate().unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(p.num_devices, 1, "{at}: the default runtime has one device");
+                apply_plan(p, &emit_plan(p, &analyze(p)))
+                    .unwrap_or_else(|e| panic!("{at}: its own plan does not apply: {e}"));
             }
         }
     }
 
     #[test]
-    fn unknown_name_is_none() {
-        assert!(by_name("minifmm", Size::S).is_none());
+    fn names_are_unique_across_both_registries() {
+        let mut names: Vec<&str> = odp_workloads::all().iter().map(|w| w.name()).collect();
+        names.extend(registry().iter().map(|w| w.name()));
+        let listed = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), listed, "{names:?}");
     }
 
     #[test]
-    fn size_parses_aliases() {
-        assert_eq!(Size::parse("S"), Some(Size::S));
-        assert_eq!(Size::parse("medium"), Some(Size::M));
-        assert_eq!(Size::parse("x"), None);
+    fn unknown_name_is_none() {
+        assert!(by_name("minifmm").is_none());
+        let name = |w: Option<IrWorkload>| w.map(|w| w.name());
+        assert_eq!(name(by_name("mem4")), Some("mem4"));
+        assert_eq!(name(by_name("bfs")), Some("ir-bfs"));
+        assert_eq!(name(by_name("ir-bfs")), Some("ir-bfs"));
     }
 }

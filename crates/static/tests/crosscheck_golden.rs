@@ -22,8 +22,15 @@
 //! `Certain` predictions, and its validated patch plan drops every
 //! dynamic finding to zero.
 
-use odp_static::{by_name, crosscheck, emit_plan, validate_plan, Size};
+use odp_static::ir::MappingProgram;
+use odp_static::{by_name, crosscheck, emit_plan, validate_plan};
+use odp_workloads::ProblemSize;
 use std::path::PathBuf;
+
+fn small(name: &str) -> MappingProgram {
+    let workload = by_name(name).expect("known workload");
+    workload.program(ProblemSize::Small).clone()
+}
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -51,7 +58,7 @@ fn assert_golden(name: &str, actual: &str) {
 }
 
 fn check_workload(name: &str) {
-    let p = by_name(name, Size::S).expect("known workload");
+    let p = small(name);
     let (check, report, _run) = crosscheck(&p);
     assert_golden(&format!("crosscheck_{name}.json"), &check.to_json());
     let plan = emit_plan(&p, &report);
@@ -76,7 +83,7 @@ fn xsbench_crosscheck_and_plan_are_pinned() {
 /// The acceptance bar, asserted from live values rather than fixtures.
 #[test]
 fn babelstream_certain_precision_total_and_plan_zeroes_findings() {
-    let p = by_name("babelstream", Size::S).expect("known workload");
+    let p = small("babelstream");
     let (check, report, run) = crosscheck(&p);
     assert!(check.summary.certain_rows > 0);
     assert!(
@@ -85,13 +92,13 @@ fn babelstream_certain_precision_total_and_plan_zeroes_findings() {
         check.render(&p)
     );
     assert!(
-        run.counts.total() > 0,
+        run.report.counts.total() > 0,
         "the unfixed workload must misbehave"
     );
 
     let plan = emit_plan(&p, &report);
     let (outcome, _rewritten) = validate_plan(&p, &plan).expect("plan applies");
-    assert_eq!(outcome.before_total, run.counts.total() as u64);
+    assert_eq!(outcome.before_total, run.report.counts.total() as u64);
     assert!(
         outcome.zero_after(),
         "applied plan must remove every remediable finding: {outcome:?}\n{}",
@@ -101,7 +108,7 @@ fn babelstream_certain_precision_total_and_plan_zeroes_findings() {
 
 #[test]
 fn xsbench_plan_zeroes_findings() {
-    let p = by_name("xsbench", Size::S).expect("known workload");
+    let p = small("xsbench");
     let (_check, report, _run) = crosscheck(&p);
     let plan = emit_plan(&p, &report);
     let (outcome, _) = validate_plan(&p, &plan).expect("plan applies");
@@ -110,7 +117,7 @@ fn xsbench_plan_zeroes_findings() {
 
 #[test]
 fn bfs_plan_is_non_increasing() {
-    let p = by_name("bfs", Size::S).expect("known workload");
+    let p = small("bfs");
     let (_check, report, _run) = crosscheck(&p);
     let plan = emit_plan(&p, &report);
     assert!(!plan.unremediable.is_empty(), "{}", plan.render());

@@ -1,9 +1,10 @@
 //! Property suite for the static analyzer's soundness contract: on
 //! randomly generated mapping programs, every prediction the analyzer
-//! tags `Certain` must be confirmed by the fused dynamic engine on the
-//! lowered execution — at the same `(codeptr, device, kind)` key, with
-//! at least the proven instance count — and where no control flow
-//! depends on data, prediction and observation are equal.
+//! tags `Certain` must be confirmed by the tool on the interpreted
+//! execution (through `session::run`, the one run driver) — at the
+//! same `(codeptr, device, kind)` key, with at least the proven
+//! instance count — and where no control flow depends on data,
+//! prediction and observation are equal.
 //!
 //! The generator deliberately restricts variable initializers and
 //! kernel write contents to byte-fill patterns and unique images: for
@@ -20,7 +21,8 @@ use odp_static::ir::{
     walk, Fires, Init, KernelSpec, KernelWrite, MapClause, MappingProgram, Step, TripCount,
     VarDecl, VarRef, WriteContent,
 };
-use odp_static::{analyze, lower_and_run};
+use odp_static::{analyze, run_under_tool};
+use ompdataperf::fleet::site_findings;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -222,8 +224,8 @@ proptest! {
         let p = gen_program(seed);
         p.validate().expect("generated programs are valid by construction");
         let report = analyze(&p);
-        let run = lower_and_run(&p);
-        let check = join(&p, &report, &run);
+        let sites = site_findings(&run_under_tool(&p).report.findings);
+        let check = join(&p, &report, &sites);
         prop_assert!(
             check.summary.certain_precision_is_total(),
             "seed {}: refuted Certain prediction(s):\n{}\nstatic: {:#?}",
@@ -253,8 +255,7 @@ proptest! {
                 .iter()
                 .map(|r| (r.codeptr, r.device, r.kind, r.count, r.bytes))
                 .collect();
-            let observed: Vec<_> = lower_and_run(&p)
-                .sites
+            let observed: Vec<_> = site_findings(&run_under_tool(&p).report.findings)
                 .iter()
                 .map(|s| (s.codeptr, s.device, s.kind, s.count, s.bytes))
                 .collect();
@@ -275,7 +276,7 @@ proptest! {
     fn warning_free_static_means_warning_free_dynamic(seed in 0u64..u64::MAX) {
         let p = gen_program(seed);
         let report = analyze(&p);
-        let run = lower_and_run(&p);
+        let run = run_under_tool(&p);
         if report.warnings == 0 {
             prop_assert!(
                 run.warnings.is_empty(),

@@ -2,11 +2,13 @@
 //!
 //! [`run`] is the only non-test code that forks tool shards, builds
 //! runtimes and attaches advisors — `odp run`, `odp trace save`
-//! ([`crate::capture`]), the `odp paper` experiments, the examples and the
-//! integration tests all describe what they want in a [`RunSpec`] and
-//! read the result off a [`RunOutcome`]. What happens after the program
-//! exits is `ompdataperf::analysis::finish_run`, the one end-of-run
-//! protocol, so every caller gets the same report for the same run.
+//! ([`crate::capture`]), `odp static crosscheck|plan` (an IR program is a
+//! [`Workload`], `odp_static::lower::IrWorkload`), the `odp paper`
+//! experiments, the examples and the integration tests all describe what
+//! they want in a [`RunSpec`] and read the result off a [`RunOutcome`].
+//! What happens after the program exits is
+//! `ompdataperf::analysis::finish_run`, the one end-of-run protocol, so
+//! every caller gets the same report for the same run.
 //!
 //! How a run is laid out on threads follows from the spec alone:
 //!
@@ -22,6 +24,7 @@ use odp_model::TraceHealth;
 use odp_ompt::{MapAdvisor, RemediationStats, Tool};
 use odp_sim::{
     merged_stats, run_on_threads, run_on_threads_shared, Runtime, RuntimeConfig, RuntimeStats,
+    RuntimeWarning,
 };
 use odp_trace::TraceLog;
 use ompdataperf::analysis::{finish_run, FinishedRun, LiveStream};
@@ -81,6 +84,9 @@ pub struct RunOutcome {
     pub remediation: Option<RemediationReport>,
     /// Runtime statistics, merged across threads.
     pub stats: RuntimeStats,
+    /// What the runtime complained about while executing directives
+    /// (`libomptarget`'s stderr), each thread's in order, thread 0 first.
+    pub warnings: Vec<RuntimeWarning>,
     /// Debug info the workload registered.
     pub debug_info: DebugInfo,
     /// The tool handle (hash meter, collision audit).
@@ -147,6 +153,7 @@ pub fn run_observed<S: FnOnce()>(
         live,
         remediation,
         stats: driven.stats,
+        warnings: driven.warnings,
         debug_info: driven.debug_info,
         handle,
         wall,
@@ -182,6 +189,7 @@ fn shards<T: Tool + 'static>(first: T, threads: u32, fork: impl Fn() -> T) -> Ve
 struct Driven {
     debug_info: DebugInfo,
     stats: RuntimeStats,
+    warnings: Vec<RuntimeWarning>,
     remediation: RemediationStats,
 }
 
@@ -203,7 +211,10 @@ fn drive(
             "{} does not support --threads",
             w.name()
         );
-        let body = |_, rt: &mut Runtime| w.run(rt, size, variant);
+        let body = |_, rt: &mut Runtime| {
+            let debug_info = w.run(rt, size, variant);
+            (debug_info, rt.warnings().to_vec())
+        };
         let (results, remediation) = if remediator.is_some() {
             let advisors = (0..threads).map(|_| advisor()).collect();
             let shared = run_on_threads_shared(threads, cfg, tools, advisors, body);
@@ -213,15 +224,16 @@ fn drive(
             (results, RemediationStats::default())
         };
         let stats: Vec<RuntimeStats> = results.iter().map(|(_, stats)| *stats).collect();
+        let mut outputs = results.into_iter().map(|(output, _)| output);
         // The debug info is identical on every thread; keep the first.
-        let debug_info = results
-            .into_iter()
-            .map(|(debug_info, _)| debug_info)
+        let (debug_info, mut warnings) = outputs
             .next()
             .unwrap_or_else(|| panic!("no worker threads ran"));
+        warnings.extend(outputs.flat_map(|(_, warnings)| warnings));
         return Driven {
             debug_info,
             stats: merged_stats(&stats),
+            warnings,
             remediation,
         };
     }
@@ -237,6 +249,7 @@ fn drive(
     Driven {
         debug_info,
         stats,
+        warnings: rt.warnings().to_vec(),
         remediation: rt.remediation_stats(),
     }
 }

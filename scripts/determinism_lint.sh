@@ -14,9 +14,10 @@
 # `FnvHashMap` (deterministic order for a fixed insertion sequence) are
 # allowed and deliberately not matched.
 #
-# Two more gates, at the end, keep the wall clock out of the collector's
-# callbacks except where the hash meter reads it, and the version-1
-# byte-wise checksum off the `.odpt` write path.
+# Three more gates, at the end, keep the wall clock out of the
+# collector's callbacks except where the hash meter reads it, the
+# version-1 byte-wise checksum off the `.odpt` write path, and a second
+# run driver out of `odp-static`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -94,3 +95,24 @@ if [ "$calls" -ne 1 ]; then
     exit 1
 fi
 echo "determinism_lint: OK — fnv1a64 has one call site in $PERSIST, the version-1 verifier"
+
+# `odp-static` interprets an IR program against a runtime it is handed
+# and runs it under the tool through `odp_workloads::session::run`, the
+# one run driver. Building a runtime or attaching a tool here is a
+# second driver growing back: no streaming, threads, remediation, faults
+# or `finish_run` for whatever goes through it.
+STATIC=crates/static/src
+if hits=$(for f in "$STATIC"/*.rs; do
+    awk '
+        /^#\[cfg\(test\)\]/ { exit }
+        /attach_tool\(|OmpDataPerfTool::new\(|Runtime::new\(/ && !/^[[:space:]]*\/\// {
+            print FILENAME ":" FNR ": " $0
+        }
+    ' "$f"
+done) && [ -n "$hits" ]; then
+    echo "determinism_lint: FAILED — $STATIC builds its own runtime or tool:" >&2
+    echo "$hits" >&2
+    echo "run the program through odp_workloads::session::run instead." >&2
+    exit 1
+fi
+echo "determinism_lint: OK — $STATIC builds no runtime and attaches no tool"
