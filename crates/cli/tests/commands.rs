@@ -285,6 +285,66 @@ fn an_ir_program_runs_wherever_a_workload_does() {
     assert_eq!(ok("static analyze ir-bfs"), ok("static analyze bfs"));
 }
 
+/// Derived types write their own JSON text; `serde::JsonOut::value`
+/// writes a parsed tree. Every document `odp` prints, parsed and written
+/// again, must come back byte for byte — or the two writers have drifted.
+#[test]
+fn every_json_document_is_a_fixpoint_of_the_value_writer() {
+    fn assert_fixpoint(what: &str, text: &str) {
+        // A pretty document ends at its first column-0 `}` (`static plan`
+        // prints its validation line after it).
+        let doc = &text[..text.find("\n}").map_or(text.len(), |at| at + 2)];
+        let tree: Value =
+            serde_json::from_str(doc).unwrap_or_else(|e| panic!("{what}: bad JSON: {e}"));
+        let again = serde_json::to_string_pretty(&tree).expect("a tree always serializes");
+        assert!(again == doc, "{what}: the Value writer differs");
+    }
+    let listing = failure("run nonesuch");
+    let names = &listing[listing.find("available: ").expect("program list") + 11..];
+    let names: Vec<&str> = names.trim_end().split(", ").collect();
+    assert_eq!(names.len(), 24, "{names:?}");
+    for name in names {
+        let line = format!("run {name} --size s --json");
+        assert_fixpoint(&line, &ok(&line));
+    }
+    // `run.rs` composes this one from two pretty documents.
+    let remediated = ok("run babelstream --size s --remediate --json");
+    let doc: Value = serde_json::from_str(&remediated).expect("--remediate --json");
+    let pretty = |v: &Value| serde_json::to_string_pretty(v).expect("a tree always serializes");
+    assert!(
+        remediated
+            == format!(
+                "{{\"report\":{},\"remediation\":{}}}\n",
+                pretty(&doc["report"]),
+                pretty(&doc["remediation"])
+            ),
+        "--remediate --json: the Value writer differs"
+    );
+    let dir = std::env::temp_dir().join(format!("odp-cli-fixpoint-{}", std::process::id()));
+    let dir = dir.to_str().expect("utf-8 temp dir").to_string();
+    ok(&format!(
+        "trace save --out {dir}/corpus.json --runs babelstream,mem1 --size s --trace-dir {dir}"
+    ));
+    for line in [
+        "run bfs --size s --stream --json".to_string(),
+        "run babelstream --size s --threads 4 --stream --json".to_string(),
+        "static analyze mem1 --json".to_string(),
+        "static crosscheck babelstream --json".to_string(),
+        "static plan mem1 --json".to_string(),
+        format!("trace diff {dir}/corpus.json {dir}/corpus.json --json"),
+    ] {
+        assert_fixpoint(&line, &ok(&line));
+    }
+    let corpus = std::fs::read_to_string(format!("{dir}/corpus.json")).expect("corpus");
+    assert_fixpoint("trace save", &corpus);
+    ok(&format!(
+        "run bfs --size s --trace-out {dir}/chrome.json -q"
+    ));
+    let chrome = std::fs::read_to_string(format!("{dir}/chrome.json")).expect("chrome trace");
+    assert_fixpoint("--trace-out", &chrome);
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
 /// Help and error texts list what the registries hold, not a copy.
 #[test]
 fn program_lists_derive_from_the_registries() {

@@ -83,9 +83,9 @@ impl<'a> IntoIterator for &'a TripList {
 }
 
 impl Serialize for TripList {
-    fn to_value(&self) -> serde::Value {
+    fn write_json(&self, out: &mut serde::JsonOut) {
         // Identical to `Vec<RoundTrip>`: a plain sequence.
-        (**self).to_value()
+        (**self).write_json(out)
     }
 }
 

@@ -449,15 +449,21 @@ impl TraceLog {
     /// Export the hydrated events as pretty JSON (reuses the memoized
     /// hydrations; no additional sorting).
     pub fn to_json(&self) -> String {
-        let export = serde_json::json!({
-            "data_ops": self.data_op_events_sorted(),
-            "targets": self.target_events_sorted(),
-            "total_time_ns": self.total_time.as_nanos(),
-        });
-        // Invariant, not event data: the export tree is built from
-        // plain serializable types; serialization cannot fail.
+        #[derive(serde::Serialize)]
+        struct Export<'a> {
+            data_ops: &'a [DataOpEvent],
+            targets: &'a [TargetEvent],
+            total_time_ns: u64,
+        }
+        // Invariant, not event data: the export is built from plain
+        // serializable types; serialization cannot fail.
         #[allow(clippy::expect_used)]
-        serde_json::to_string_pretty(&export).expect("trace serialization cannot fail")
+        serde_json::to_string_pretty(&Export {
+            data_ops: self.data_op_events_sorted(),
+            targets: self.target_events_sorted(),
+            total_time_ns: self.total_time.as_nanos(),
+        })
+        .expect("trace serialization cannot fail")
     }
 }
 

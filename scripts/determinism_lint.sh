@@ -116,3 +116,21 @@ done) && [ -n "$hits" ]; then
     exit 1
 fi
 echo "determinism_lint: OK — $STATIC builds no runtime and attaches no tool"
+
+# Serialization writes JSON text in one pass (`Serialize::write_json`);
+# `to_value` is that text parsed back into a tree. On an output path it
+# writes everything twice and parses it once in between. `json!`
+# interpolation calls it inside the macro and is not matched.
+if hits=$(find crates/*/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { live = 1 }
+    /^#\[cfg\(test\)\]/ { live = 0 }
+    live && /\.to_value\(\)|serde_json::to_value\(/ && !/^[[:space:]]*\/\// {
+        print FILENAME ":" FNR ": " $0
+    }
+') && [ -n "$hits" ]; then
+    echo "determinism_lint: FAILED — a Value tree on an output path:" >&2
+    echo "$hits" >&2
+    echo "serialize with serde_json::to_string(_pretty) directly." >&2
+    exit 1
+fi
+echo "determinism_lint: OK — no .to_value() or serde_json::to_value( outside tests in crates/*/src"
