@@ -131,6 +131,92 @@ fn three_ways(name: &str) -> [(u64, u64); 3] {
     ]
 }
 
+/// One remediated run's digest: `checksum64` over the trace JSON, the
+/// remediation report JSON and the bytes moved (little-endian).
+fn remediation_digest(w: &dyn Workload, remedy: Remedy) -> u64 {
+    let outcome = run(
+        w,
+        &RunSpec {
+            remedy,
+            ..RunSpec::default()
+        },
+    );
+    let report = outcome.remediation.expect("a remediated run reports");
+    let mut bytes = outcome.trace.to_json().into_bytes();
+    bytes.extend_from_slice(report.to_json().as_bytes());
+    bytes.extend_from_slice(&outcome.stats.bytes_transferred.to_le_bytes());
+    odp_trace::persist::checksum64(&bytes)
+}
+
+/// What remediation does to every program, one thread, Small: the
+/// trace, the remediation report and the bytes moved, adaptive and
+/// seeded from the program's own unremediated report. A refactor of
+/// the advisor path must reproduce these unmodified; a change to a
+/// rewrite rule re-derives them and says so.
+#[test]
+fn remediation_transcript_is_pinned() {
+    const EXPECTED: [(&str, u64, u64); 24] = [
+        ("babelstream", 0xfb26_4e3b_1828_70c0, 0xffa7_ac0c_0079_a6eb),
+        ("bfs", 0xc5a5_5251_a28d_3b69, 0xa980_2640_36c3_b404),
+        ("hotspot", 0xca83_458c_1c45_0446, 0xca83_458c_1c45_0446),
+        ("lud", 0xddae_0fe6_41a3_b54f, 0xddae_0fe6_41a3_b54f),
+        ("minife", 0x1205_4c04_e453_28e3, 0x3a03_4164_f79f_6ff4),
+        ("minifmm", 0xe4d2_e30b_2bca_b4cb, 0xe4d2_e30b_2bca_b4cb),
+        ("nw", 0x93ba_fd75_7b60_b6fc, 0x93ba_fd75_7b60_b6fc),
+        ("rsbench", 0xfd83_b7d6_33c1_6d4f, 0x0205_024a_d29a_3246),
+        ("tealeaf", 0xa935_e51c_25c5_113f, 0x642a_e1b9_520f_aea8),
+        ("xsbench", 0x6500_5330_829b_e26e, 0xd63f_3b7d_5161_53fb),
+        ("resize-omp", 0xf1c9_9cea_6d1e_f3c7, 0x5bd6_50e4_1fa8_5403),
+        (
+            "mandelbrot-omp",
+            0x1eb5_ac7b_0dec_8f4a,
+            0x67cf_6a37_5927_5bf2,
+        ),
+        ("accuracy-omp", 0xf869_85bc_143d_1020, 0x1d14_64b0_3556_e4bf),
+        ("lif-omp", 0x34a2_446d_4669_ba87, 0x34a2_446d_4669_ba87),
+        (
+            "bspline-vgh-omp",
+            0xddeb_11e5_c0d8_6beb,
+            0xe3ab_b343_8134_d653,
+        ),
+        (
+            "ir-babelstream",
+            0x7a4e_ddbd_9c1a_a272,
+            0x765c_1dd0_f4ce_52cd,
+        ),
+        ("ir-bfs", 0x6e77_7c07_68b5_3004, 0x188a_0553_7057_6c10),
+        ("ir-xsbench", 0x8222_0071_dce7_2cd0, 0xdefa_26e5_3ec6_46f3),
+        ("mem1", 0x72b2_a27b_bcc8_7004, 0x508f_7c44_a159_92cd),
+        ("mem2", 0x9b6d_8e2a_8a27_735a, 0x35e9_e7ac_3a85_898a),
+        ("mem3", 0x4e0c_39e2_05e3_f41a, 0x4e0c_39e2_05e3_f41a),
+        ("mem4", 0x9b6d_8e2a_8a27_735a, 0x35e9_e7ac_3a85_898a),
+        ("mem5", 0xcccb_693c_0738_3038, 0xcccb_693c_0738_3038),
+        ("mem6", 0x13bd_6cf9_778d_5186, 0x13bd_6cf9_778d_5186),
+    ];
+    let mut programs = odp_workloads::all();
+    programs.extend(
+        registry()
+            .into_iter()
+            .map(|p| Box::new(p) as Box<dyn Workload>),
+    );
+    let got: Vec<(&str, u64, u64)> = programs
+        .iter()
+        .map(|w| {
+            let baseline = run(&**w, &RunSpec::default());
+            let policy = RemediationPolicy::from_findings(&baseline.report.findings);
+            (
+                w.name(),
+                remediation_digest(&**w, Remedy::Adaptive),
+                remediation_digest(&**w, Remedy::Seeded(policy)),
+            )
+        })
+        .collect();
+    assert_eq!(
+        got, EXPECTED,
+        "(program, adaptive digest, seeded digest); got:\n{got:#x?}"
+    );
+}
+
 #[test]
 fn the_three_producers_of_the_fix_side_by_side() {
     // Where the plan is total and the seeded re-run is sound, both reach
