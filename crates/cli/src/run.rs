@@ -65,7 +65,7 @@ pub fn usage() -> String {
          \x20 --stream-cap N        With streaming on: cap the round-trip lookahead window at N\n\
          \x20 --threads N           Drive the workload from N OS threads (sharded collection)\n\
          \x20 --remediate           Rewrite inefficient mappings mid-run from live findings (implies --stream;\n\
-         \x20                       with --threads: shared device tables + per-thread advisors)\n\
+         \x20                       with --threads: shared device tables + one shared advisor)\n\
          \x20 --fault-profile NAME  Inject seeded runtime faults: {}\n\
          \x20 --fault-seed N        With --fault-profile: deterministic fault seed (default: 42)\n\
          \x20 --stall-timeout MS    With streaming on: force-release the reorder buffer after MS ms\n\

@@ -104,8 +104,8 @@
 //!              │        ▼
 //!              │    remedy::RemediationPolicy — finding kind →
 //!              │    mapping rewrite, keyed (device, host addr)
-//!              │        │ consulted by the runtime at every
-//!              │        ▼ map-clause item (odp_ompt::MapAdvisor)
+//!              │        │ consulted by the runtime at every map-
+//!              │        ▼ clause item (remedy::Remediator, a MapAdvisor)
 //!              │    sim::Runtime rewrites the NEXT regions: persist /
 //!              │    downgrade to alloc|release / elide — recovered
 //!              │    bytes+time accounted per cause (RemediationStats)
@@ -205,6 +205,7 @@ use serde::{Deserialize, Serialize};
 
 pub use duplicate::{find_duplicate_transfers, DuplicateTransferGroup};
 pub use engine::{EventView, OutOfRangeEvents, MAX_PLAUSIBLE_DEVICES};
+pub use odp_model::FindingKind;
 pub use pairing::{alloc_delete_pairs, AllocDeletePair};
 pub use realloc::{find_repeated_allocs, find_repeated_allocs_keyed, RepeatedAllocGroup};
 pub use roundtrip::{find_round_trips, RoundTrip, RoundTripGroup, TripList};
@@ -327,34 +328,6 @@ impl Findings {
             FindingKind::UnusedTransfer => counts.ut += 1,
         });
         counts
-    }
-}
-
-/// Which of the five §5 inefficiency classes a finding belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum FindingKind {
-    /// Algorithm 1: duplicate data transfer.
-    DuplicateTransfer,
-    /// Algorithm 2: round-trip data transfer.
-    RoundTrip,
-    /// Algorithm 3: repeated device memory allocation.
-    RepeatedAlloc,
-    /// Algorithm 4: unused device memory allocation.
-    UnusedAlloc,
-    /// Algorithm 5: unused data transfer.
-    UnusedTransfer,
-}
-
-impl FindingKind {
-    /// Table 1-style short code.
-    pub fn code(self) -> &'static str {
-        match self {
-            FindingKind::DuplicateTransfer => "DD",
-            FindingKind::RoundTrip => "RT",
-            FindingKind::RepeatedAlloc => "RA",
-            FindingKind::UnusedAlloc => "UA",
-            FindingKind::UnusedTransfer => "UT",
-        }
     }
 }
 

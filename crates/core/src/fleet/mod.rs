@@ -337,7 +337,7 @@ pub fn rollup(runs: &[RunReport]) -> FleetReport {
 }
 
 /// The differ's classification of two corpora's fleet rollups.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct CorpusDiff {
     /// Sites present in the new corpus but not the baseline — the
     /// regressions a CI gate fails on.

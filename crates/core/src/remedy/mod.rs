@@ -36,16 +36,19 @@
 //! run's and pins the cases that differ today (`KNOWN_UNSOUND`); the
 //! candidate rule is to honour `skip_from` only while no kernel has
 //! written the variable since the host's last copy (ROADMAP, aim 3).
+//! That rule has one home: the copy-back decision in `odp_sim`'s
+//! `Runtime::map_exit`, the one place the runtime reads
+//! `MapAdvice::skip_from`.
 //!
-//! One advisor type serves every run: a [`SharedRemediator`] owns the
-//! policy and forks one [`SharedAdvisor`] per runtime thread (one fork
-//! for a single-thread run). Two ways to fill the policy:
+//! One advisor serves every run: a [`Remediator`] owns the policy, and
+//! every runtime thread attaches the same one. Two ways to fill the
+//! policy:
 //!
-//! * **Adaptive** ([`SharedRemediator::new`]) — the policy rides along
+//! * **Adaptive** ([`Remediator::adaptive`]) — the policy rides along
 //!   with the run: every advisor consult first drains the streaming
 //!   engine's new findings into the policy, so iteration *n*'s
 //!   diagnosis rewrites iteration *n+1*'s mappings.
-//! * **Seeded re-run** ([`SharedRemediator::seeded`] over
+//! * **Seeded re-run** ([`Remediator::seeded`] over
 //!   [`RemediationPolicy::from_findings`]) — build the policy from a
 //!   previous run's post-mortem findings and attach it to a fresh run;
 //!   the detectors then find **zero** issues of the remediated kinds
@@ -61,24 +64,22 @@
 use crate::detect::{Findings, StreamFinding};
 use crate::tool::{FindingsTap, ToolHandle};
 use odp_hash::fnv::FnvHashMap;
-use odp_model::{CodePtr, DeviceId, MapType, SimDuration};
-use odp_ompt::{AdviceCause, MapAdvice, MapAdvisor, RemediationStats, RemedyCounter};
-use parking_lot::Mutex;
+use odp_model::{DeviceId, FindingKind, SimDuration};
+use odp_ompt::{MapAdvice, MapAdvisor, RemediationStats, RemedyCounter};
+use parking_lot::{Mutex, MutexGuard};
 use serde::Serialize;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Translates §5 findings into mapping rewrites, keyed by
-/// `(device, host address)`. Implements [`MapAdvisor`] directly (attach
-/// a pre-seeded policy with `Runtime::attach_advisor`); feed it live
-/// findings with [`RemediationPolicy::observe`].
+/// `(device, host address)`. A [`Remediator`] holds it for a run; feed
+/// it live findings with [`RemediationPolicy::observe`].
 #[derive(Clone, Debug, Default)]
 pub struct RemediationPolicy {
     /// Merged rewrite per site. Slots only ever go `None` → `Some`
     /// (monotone), first cause wins for attribution.
     rules: FnvHashMap<(u32, u64), MapAdvice>,
     /// Findings observed per cause (Table 1 order).
-    observed: [u64; AdviceCause::COUNT],
+    observed: [u64; FindingKind::ALL.len()],
     /// Advisor consults served.
     consults: u64,
 }
@@ -157,13 +158,13 @@ impl RemediationPolicy {
         self.consults
     }
 
-    /// Findings observed per cause, [`AdviceCause::ALL`] order.
-    pub fn observed(&self) -> [u64; AdviceCause::COUNT] {
+    /// Findings observed per cause, [`FindingKind::ALL`] order.
+    pub fn observed(&self) -> [u64; FindingKind::ALL.len()] {
         self.observed
     }
 
     /// The merged rewrite for a site (KEEP when unknown). This *is* the
-    /// advisor lookup; exposed for tests and the overhead bench.
+    /// advisor lookup [`Remediator`] makes.
     pub fn advise(&mut self, device: u32, host_addr: u64) -> MapAdvice {
         self.consults += 1;
         self.rules
@@ -179,211 +180,116 @@ impl RemediationPolicy {
     }
 
     fn on_duplicate(&mut self, src: DeviceId, dest: DeviceId, host_addr: u64) {
-        self.observed[AdviceCause::DuplicateTransfer.index()] += 1;
+        self.observed[FindingKind::DuplicateTransfer.index()] += 1;
         if let Some(ix) = dest.target_index() {
             // Re-send to a device: keep the mapping resident instead.
             let r = self.rule_mut(ix as u32, host_addr);
-            r.persist = r.persist.or(Some(AdviceCause::DuplicateTransfer));
+            r.persist = r.persist.or(Some(FindingKind::DuplicateTransfer));
         } else if let Some(ix) = src.target_index() {
             // Re-send to the host: the host provably has the bytes.
             let r = self.rule_mut(ix as u32, host_addr);
-            r.skip_from = r.skip_from.or(Some(AdviceCause::DuplicateTransfer));
+            r.skip_from = r.skip_from.or(Some(FindingKind::DuplicateTransfer));
         }
     }
 
     fn on_round_trip(&mut self, src: DeviceId, dest: DeviceId, host_addr: u64) {
-        self.observed[AdviceCause::RoundTrip.index()] += 1;
+        self.observed[FindingKind::RoundTrip.index()] += 1;
         if src.is_host() {
             // Host content bounced off a device and came back unchanged:
             // the copy-back is redundant.
             if let Some(ix) = dest.target_index() {
                 let r = self.rule_mut(ix as u32, host_addr);
-                r.skip_from = r.skip_from.or(Some(AdviceCause::RoundTrip));
+                r.skip_from = r.skip_from.or(Some(FindingKind::RoundTrip));
             }
         } else if let Some(ix) = src.target_index() {
             // Device content bounced via the host: persist the mapping;
             // the runtime degrades the exit copy to a targeted update
             // (the "inject an update instead of a round trip" rewrite).
             let r = self.rule_mut(ix as u32, host_addr);
-            r.persist = r.persist.or(Some(AdviceCause::RoundTrip));
+            r.persist = r.persist.or(Some(FindingKind::RoundTrip));
         }
     }
 
     fn on_repeated_alloc(&mut self, device: DeviceId, host_addr: u64) {
-        self.observed[AdviceCause::RepeatedAlloc.index()] += 1;
+        self.observed[FindingKind::RepeatedAlloc.index()] += 1;
         if let Some(ix) = device.target_index() {
             let r = self.rule_mut(ix as u32, host_addr);
-            r.persist = r.persist.or(Some(AdviceCause::RepeatedAlloc));
+            r.persist = r.persist.or(Some(FindingKind::RepeatedAlloc));
         }
     }
 
     fn on_unused_alloc(&mut self, device: DeviceId, host_addr: u64) {
-        self.observed[AdviceCause::UnusedAlloc.index()] += 1;
+        self.observed[FindingKind::UnusedAlloc.index()] += 1;
         if let Some(ix) = device.target_index() {
             let r = self.rule_mut(ix as u32, host_addr);
-            r.elide = r.elide.or(Some(AdviceCause::UnusedAlloc));
+            r.elide = r.elide.or(Some(FindingKind::UnusedAlloc));
         }
     }
 
     fn on_unused_transfer(&mut self, device: DeviceId, host_addr: u64) {
-        self.observed[AdviceCause::UnusedTransfer.index()] += 1;
+        self.observed[FindingKind::UnusedTransfer.index()] += 1;
         if let Some(ix) = device.target_index() {
             let r = self.rule_mut(ix as u32, host_addr);
-            r.skip_to = r.skip_to.or(Some(AdviceCause::UnusedTransfer));
+            r.skip_to = r.skip_to.or(Some(FindingKind::UnusedTransfer));
         }
     }
 }
 
-impl MapAdvisor for RemediationPolicy {
-    fn advise_enter(
-        &mut self,
-        device: u32,
-        _codeptr: CodePtr,
-        host_addr: u64,
-        _bytes: u64,
-        _map_type: MapType,
-    ) -> MapAdvice {
-        self.advise(device, host_addr)
-    }
-
-    fn advise_exit(
-        &mut self,
-        device: u32,
-        _codeptr: CodePtr,
-        host_addr: u64,
-        _bytes: u64,
-        _map_type: MapType,
-    ) -> MapAdvice {
-        self.advise(device, host_addr)
-    }
-}
-
-/// The shareable policy cell advisors and reports read from.
-pub type SharedPolicyCell = Arc<Mutex<RemediationPolicy>>;
-
-/// What the per-thread advisor handles share: one policy, and (in
-/// adaptive mode) one tee tap on the live findings stream.
-struct SharedRemedyInner {
+/// The one advisor of a remediated run: a [`RemediationPolicy`] behind
+/// a lock and, in adaptive mode, a tee tap on the live findings stream.
+/// Every runtime thread attaches a clone of the same `Arc`, so a pattern
+/// thread A diagnosed rewrites thread B's very next region. A consult
+/// first pumps the tap without blocking — it never waits for another
+/// thread's drain, and with one runtime thread and no other consumer
+/// the engine lock is always free, so the pump drains on every consult
+/// — then advises. The tap is the remediator's **own**
+/// ([`ToolHandle::tap_stream_findings`]), so a live console poller
+/// draining its own tap concurrently loses nothing to the policy (and
+/// vice versa). Per-thread `RemediationStats` stay in each runtime and
+/// merge at finalize (`odp_sim::run_on_threads_shared`).
+pub struct Remediator {
     /// `None` in seeded mode (nothing to learn mid-run).
     tap: Option<FindingsTap>,
-    policy: SharedPolicyCell,
+    policy: Mutex<RemediationPolicy>,
 }
 
-/// One `RemediationPolicy` behind cheap per-thread advisor handles,
-/// mirroring the collector's shard→watermark design: each runtime
-/// thread attaches its own [`SharedAdvisor`]
-/// ([`SharedRemediator::fork_advisor`]), every consult first pumps the
-/// shared findings tap (non-blocking: a consult never waits for another
-/// thread's drain — and with a single advisor and no other consumer the
-/// engine lock is always free, so the pump drains on every consult),
-/// and all threads' rewrites land in one policy, so a pattern thread A
-/// diagnosed rewrites thread B's very next region. Consumes its **own**
-/// tee tap ([`ToolHandle::tap_stream_findings`]), so a live console
-/// poller draining its own tap concurrently loses nothing to the
-/// policy (and vice versa). Per-thread `RemediationStats` stay in each
-/// runtime and merge at finalize
-/// (`odp_sim::run_on_threads_shared` / `RemediationStats::merge`).
-pub struct SharedRemediator {
-    inner: Arc<SharedRemedyInner>,
-}
-
-impl SharedRemediator {
-    /// An adaptive shared remediator over a streaming tool's handle:
-    /// the policy starts empty and learns from the live findings
-    /// stream. Returns the remediator (fork one advisor per runtime
-    /// thread) and the shared policy for post-run reporting.
-    pub fn new(handle: ToolHandle) -> (SharedRemediator, SharedPolicyCell) {
-        let policy = Arc::new(Mutex::new(RemediationPolicy::new()));
-        (
-            SharedRemediator {
-                inner: Arc::new(SharedRemedyInner {
-                    tap: Some(handle.tap_stream_findings()),
-                    policy: policy.clone(),
-                }),
-            },
-            policy,
-        )
-    }
-
-    /// A seeded shared remediator: the policy is fixed up front
-    /// (typically [`RemediationPolicy::from_findings`] over a previous
-    /// run's report) and nothing is learned mid-run.
-    pub fn seeded(policy: RemediationPolicy) -> (SharedRemediator, SharedPolicyCell) {
-        let policy = Arc::new(Mutex::new(policy));
-        (
-            SharedRemediator {
-                inner: Arc::new(SharedRemedyInner {
-                    tap: None,
-                    policy: policy.clone(),
-                }),
-            },
-            policy,
-        )
-    }
-
-    /// Fork one advisor handle for a runtime thread (box it into that
-    /// thread's `Runtime::attach_advisor`).
-    pub fn fork_advisor(&self) -> SharedAdvisor {
-        SharedAdvisor {
-            inner: self.inner.clone(),
+impl Remediator {
+    /// An adaptive remediator over a streaming tool's handle: the policy
+    /// starts empty and learns from the live findings stream.
+    pub fn adaptive(handle: &ToolHandle) -> Remediator {
+        Remediator {
+            tap: Some(handle.tap_stream_findings()),
+            policy: Mutex::new(RemediationPolicy::new()),
         }
     }
+
+    /// A seeded remediator: the policy is fixed up front (typically
+    /// [`RemediationPolicy::from_findings`] over a previous run's
+    /// report) and nothing is learned mid-run.
+    pub fn seeded(policy: RemediationPolicy) -> Remediator {
+        Remediator {
+            tap: None,
+            policy: Mutex::new(policy),
+        }
+    }
+
+    /// The policy, for post-run reporting.
+    pub fn policy(&self) -> MutexGuard<'_, RemediationPolicy> {
+        self.policy.lock()
+    }
 }
 
-/// One runtime thread's handle onto the shared policy. Object-safe
-/// [`MapAdvisor`]; cheap to fork and to consult.
-pub struct SharedAdvisor {
-    inner: Arc<SharedRemedyInner>,
-}
-
-impl SharedAdvisor {
-    fn pump(&self) {
-        let Some(tap) = &self.inner.tap else {
-            return;
-        };
+impl MapAdvisor for Remediator {
+    fn advise(&self, device: u32, host_addr: u64) -> MapAdvice {
         // Non-blocking: if another thread is mid-drain it will deliver
-        // to our shared tap; whatever is already there still lands in
-        // the policy before this consult.
-        let findings = tap.try_take();
-        if findings.is_empty() {
-            return;
-        }
-        let mut policy = self.inner.policy.lock();
-        for f in &findings {
+        // to our tap; whatever is already there still lands in the
+        // policy before this consult.
+        let findings = self.tap.as_ref().map(FindingsTap::try_take);
+        let mut policy = self.policy.lock();
+        for f in findings.iter().flatten() {
             policy.observe(f);
         }
-    }
-}
-
-impl MapAdvisor for SharedAdvisor {
-    fn advise_enter(
-        &mut self,
-        device: u32,
-        codeptr: CodePtr,
-        host_addr: u64,
-        bytes: u64,
-        map_type: MapType,
-    ) -> MapAdvice {
-        self.pump();
-        self.inner
-            .policy
-            .lock()
-            .advise_enter(device, codeptr, host_addr, bytes, map_type)
-    }
-
-    fn advise_exit(
-        &mut self,
-        device: u32,
-        codeptr: CodePtr,
-        host_addr: u64,
-        bytes: u64,
-        map_type: MapType,
-    ) -> MapAdvice {
-        self.pump();
-        self.inner
-            .policy
-            .lock()
-            .advise_exit(device, codeptr, host_addr, bytes, map_type)
+        policy.advise(device, host_addr)
     }
 }
 
@@ -429,7 +335,7 @@ pub struct RemediationReport {
     pub rules: usize,
     /// Advisor consults served (policy lookup count).
     pub consults: u64,
-    /// Findings the policy observed, per kind ([`AdviceCause::ALL`] order).
+    /// Findings the policy observed, per kind ([`FindingKind::ALL`] order).
     pub observed: Vec<u64>,
     /// Per-kind recovered rows (kinds with any activity).
     pub rows: Vec<RemediationRow>,
@@ -457,7 +363,7 @@ impl RemediationReport {
         actual_transfer_bytes: u64,
         actual_transfer_time: SimDuration,
     ) -> RemediationReport {
-        let rows = AdviceCause::ALL
+        let rows = FindingKind::ALL
             .iter()
             .filter_map(|&cause| {
                 let c = stats.per_cause(cause);
@@ -582,7 +488,7 @@ impl RemediationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odp_model::HashVal;
+    use odp_model::{CodePtr, HashVal};
 
     fn dev(n: u32) -> DeviceId {
         DeviceId::target(n)
@@ -653,15 +559,15 @@ mod tests {
         assert_eq!(p.rule_count(), 6);
         assert_eq!(
             p.advise(0, 0x100).persist,
-            Some(AdviceCause::DuplicateTransfer)
+            Some(FindingKind::DuplicateTransfer)
         );
-        assert_eq!(p.advise(0, 0x200).skip_from, Some(AdviceCause::RoundTrip));
-        assert_eq!(p.advise(1, 0x300).persist, Some(AdviceCause::RoundTrip));
-        assert_eq!(p.advise(0, 0x400).persist, Some(AdviceCause::RepeatedAlloc));
-        assert_eq!(p.advise(0, 0x500).elide, Some(AdviceCause::UnusedAlloc));
+        assert_eq!(p.advise(0, 0x200).skip_from, Some(FindingKind::RoundTrip));
+        assert_eq!(p.advise(1, 0x300).persist, Some(FindingKind::RoundTrip));
+        assert_eq!(p.advise(0, 0x400).persist, Some(FindingKind::RepeatedAlloc));
+        assert_eq!(p.advise(0, 0x500).elide, Some(FindingKind::UnusedAlloc));
         assert_eq!(
             p.advise(0, 0x600).skip_to,
-            Some(AdviceCause::UnusedTransfer)
+            Some(FindingKind::UnusedTransfer)
         );
         assert!(p.advise(0, 0x999).is_keep(), "unknown sites stay untouched");
         assert_eq!(p.observed(), [1, 2, 1, 1, 1]);
@@ -675,7 +581,7 @@ mod tests {
         let advice = p.advise(0, 0x100);
         assert_eq!(
             advice.persist,
-            Some(AdviceCause::RepeatedAlloc),
+            Some(FindingKind::RepeatedAlloc),
             "the first cause keeps the attribution"
         );
     }
@@ -704,7 +610,7 @@ mod tests {
         p.on_repeated_alloc(dev(0), 0x100);
         let mut stats = RemediationStats::default();
         {
-            let c = stats.counter_mut(0, AdviceCause::RepeatedAlloc);
+            let c = stats.counter_mut(0, FindingKind::RepeatedAlloc);
             c.rewrites = 3;
             c.transfers_avoided = 2;
             c.transfer_bytes_avoided = 2048;
@@ -765,15 +671,14 @@ mod tests {
             tool.on_data_op(&op(Endpoint::End, id, t + 10, Some(payload.as_slice())));
         }
 
-        let (remediator, policy) = SharedRemediator::new(handle);
-        let mut advisor = remediator.fork_advisor();
-        let advice = advisor.advise_enter(0, CodePtr(0x7), 0x1000, 64, MapType::To);
+        let remediator = Remediator::adaptive(&handle);
+        let advice = remediator.advise(0, 0x1000);
         assert_eq!(
             advice.persist,
-            Some(AdviceCause::DuplicateTransfer),
+            Some(FindingKind::DuplicateTransfer),
             "the live duplicate must already steer this consult"
         );
-        assert_eq!(policy.lock().rule_count(), 1);
+        assert_eq!(remediator.policy().rule_count(), 1);
     }
 
     /// Regression (tiny `--stream-cap`): an Algorithm-2 transfer
@@ -851,7 +756,7 @@ mod tests {
         let mut seeded = RemediationPolicy::from_findings(&findings);
         assert_eq!(
             seeded.advise(0, 0x2000).skip_from,
-            Some(AdviceCause::RoundTrip),
+            Some(FindingKind::RoundTrip),
             "the exact report confirms the trip"
         );
     }

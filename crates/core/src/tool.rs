@@ -488,7 +488,7 @@ impl FindingsTap {
     /// Like [`FindingsTap::take`], but never waits on a contended
     /// engine lock (another thread drains on our behalf): returns
     /// whatever has already been delivered. The cheap per-consult pump
-    /// for per-thread advisors.
+    /// of `remedy::Remediator`.
     pub fn try_take(&self) -> Vec<StreamFinding> {
         self.shared.drain_and_harvest(false);
         std::mem::take(&mut *self.buf.lock())

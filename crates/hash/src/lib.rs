@@ -44,11 +44,11 @@ pub mod xxh64;
 
 mod primitives;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifier of one evaluated hash function (the 19 columns of Table 4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 #[allow(non_camel_case_types)]
 pub enum HashAlgoId {
     /// CityHash32-inspired (32-bit arithmetic).
@@ -247,7 +247,7 @@ impl fmt::Display for HashAlgoId {
 }
 
 /// One of the six evaluated hash families (§B.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum HashFamily {
     /// Google CityHash.
     City,

@@ -5,19 +5,15 @@
 //! paper's tool keys on the pointers reported by OMPT (e.g. Algorithm 3's
 //! `(host_addr, tgt_device_num, bytes)` key).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A host virtual address.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct HostAddr(pub u64);
 
 /// A device virtual address.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct DevAddr(pub u64);
 
 impl HostAddr {
@@ -55,9 +51,7 @@ impl fmt::Display for DevAddr {
 }
 
 /// A contiguous byte range in some address space.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct MemRange {
     /// Base address (raw, space determined by context).
     pub base: u64,

@@ -75,7 +75,7 @@ impl fmt::Display for DeviceId {
 
 /// Broad classification of a device, used by the simulator's timing model
 /// and by reports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum DeviceKind {
     /// The system's main processor.
     HostCpu,

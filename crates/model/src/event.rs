@@ -144,7 +144,7 @@ impl DataOpEvent {
 }
 
 /// The kind of a target event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum TargetKind {
     /// A `target` construct (the enclosing region; data movement and the
     /// kernel launch are separate events).
@@ -183,7 +183,7 @@ impl fmt::Display for TargetKind {
 }
 
 /// A target construct / kernel execution event.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct TargetEvent {
     /// Log-order identifier (shared sequence with data ops).
     pub id: EventId,

@@ -3,8 +3,8 @@
 //! This crate defines the domain types that every other crate in the
 //! workspace speaks: device identifiers, simulated time, memory addresses,
 //! OpenMP `map` clause semantics, the OpenMP target event model that the
-//! detection algorithms of the paper consume, and source-location types used
-//! for attribution.
+//! detection algorithms of the paper consume, the five inefficiency classes
+//! they report, and source-location types used for attribution.
 //!
 //! The event model mirrors what a tool observes through the OpenMP Tools
 //! Interface (OMPT) EMI callbacks, per §5 of the paper: each event carries
@@ -23,6 +23,7 @@
 pub mod addr;
 pub mod device;
 pub mod event;
+pub mod finding;
 pub mod health;
 pub mod map;
 pub mod source;
@@ -31,6 +32,7 @@ pub mod time;
 pub use addr::{DevAddr, HostAddr, MemRange};
 pub use device::{DeviceId, DeviceKind};
 pub use event::{DataOpEvent, DataOpKind, EventId, HashVal, TargetEvent, TargetKind};
+pub use finding::FindingKind;
 pub use health::TraceHealth;
 pub use map::{MapModifier, MapType};
 pub use source::{CodePtr, SourceLoc};

@@ -6,11 +6,11 @@
 //! (`delete`/`release`). The simulator executes these semantics against its
 //! reference-counted present table, mirroring LLVM's `libomptarget`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The map type of an OpenMP `map` clause.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum MapType {
     /// `map(to: ...)` — copy host→device on region entry.
     To,
@@ -71,7 +71,7 @@ impl fmt::Display for MapType {
 }
 
 /// Map-type modifiers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct MapModifier {
     /// `always` modifier: perform the copy even if the data is already
     /// present on the device.

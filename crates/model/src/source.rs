@@ -37,7 +37,7 @@ impl fmt::Display for CodePtr {
 }
 
 /// A resolved source location.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct SourceLoc {
     /// Source file path.
     pub file: String,

@@ -17,9 +17,7 @@ use std::ops::{Add, AddAssign, Sub};
 pub struct SimTime(pub u64);
 
 /// A length of simulated time, in nanoseconds.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {

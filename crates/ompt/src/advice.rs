@@ -31,60 +31,9 @@
 //! region can never disagree in an unsound direction. The runtime
 //! accounts every applied rewrite — and every transfer, allocation, or
 //! delete it made unnecessary — in a [`RemediationStats`], attributed
-//! to the [`AdviceCause`] that motivated it.
+//! to the [`FindingKind`] that motivated it.
 
-use odp_model::{CodePtr, MapType, SimDuration};
-
-/// Why a rewrite was advised — the five §5 finding categories.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AdviceCause {
-    /// Algorithm 1: the site re-delivers content already on the device.
-    DuplicateTransfer,
-    /// Algorithm 2: the site bounces content away and back unchanged.
-    RoundTrip,
-    /// Algorithm 3: the site re-allocates the same mapping.
-    RepeatedAlloc,
-    /// Algorithm 4: no kernel ever uses the allocation.
-    UnusedAlloc,
-    /// Algorithm 5: the transferred data is provably never read.
-    UnusedTransfer,
-}
-
-impl AdviceCause {
-    /// Number of causes (array-table size).
-    pub const COUNT: usize = 5;
-
-    /// All causes, Table 1 order.
-    pub const ALL: [AdviceCause; AdviceCause::COUNT] = [
-        AdviceCause::DuplicateTransfer,
-        AdviceCause::RoundTrip,
-        AdviceCause::RepeatedAlloc,
-        AdviceCause::UnusedAlloc,
-        AdviceCause::UnusedTransfer,
-    ];
-
-    /// Dense index 0..[`AdviceCause::COUNT`].
-    pub fn index(self) -> usize {
-        match self {
-            AdviceCause::DuplicateTransfer => 0,
-            AdviceCause::RoundTrip => 1,
-            AdviceCause::RepeatedAlloc => 2,
-            AdviceCause::UnusedAlloc => 3,
-            AdviceCause::UnusedTransfer => 4,
-        }
-    }
-
-    /// Human-readable name (report rows).
-    pub fn name(self) -> &'static str {
-        match self {
-            AdviceCause::DuplicateTransfer => "duplicate transfer",
-            AdviceCause::RoundTrip => "round trip",
-            AdviceCause::RepeatedAlloc => "repeated allocation",
-            AdviceCause::UnusedAlloc => "unused allocation",
-            AdviceCause::UnusedTransfer => "unused transfer",
-        }
-    }
-}
+use odp_model::{FindingKind, SimDuration};
 
 /// The rewrite(s) advised for one map-clause item. Each slot carries the
 /// finding category that motivated it, for per-cause accounting. All
@@ -92,14 +41,14 @@ impl AdviceCause {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MapAdvice {
     /// Drop the clause entirely (never allocate or copy).
-    pub elide: Option<AdviceCause>,
+    pub elide: Option<FindingKind>,
     /// Keep the mapping resident at region exit (skip the release and
     /// the delete); later entries reuse the present-table entry.
-    pub persist: Option<AdviceCause>,
+    pub persist: Option<FindingKind>,
     /// Skip the enter-side host→device copy (`to` → `alloc`).
-    pub skip_to: Option<AdviceCause>,
+    pub skip_to: Option<FindingKind>,
     /// Skip the exit-side device→host copy (`from` → `release`).
-    pub skip_from: Option<AdviceCause>,
+    pub skip_from: Option<FindingKind>,
 }
 
 impl MapAdvice {
@@ -119,32 +68,15 @@ impl MapAdvice {
 
 /// A mapping advisor the runtime consults at every map-clause item.
 ///
-/// `device` is the target-device index the directive names, `codeptr`
-/// the directive's return address, `host_addr`/`bytes` the mapped host
-/// range, and `map_type` the clause as written. Implementations must be
-/// monotone (see the module docs) and cheap: the consult sits on the
-/// directive dispatch path (cost pinned by the `remediation_overhead`
-/// bench group).
-pub trait MapAdvisor: Send {
-    /// Advise the enter side of a map clause (region entry).
-    fn advise_enter(
-        &mut self,
-        device: u32,
-        codeptr: CodePtr,
-        host_addr: u64,
-        bytes: u64,
-        map_type: MapType,
-    ) -> MapAdvice;
-
-    /// Advise the exit side of a map clause (region exit).
-    fn advise_exit(
-        &mut self,
-        device: u32,
-        codeptr: CodePtr,
-        host_addr: u64,
-        bytes: u64,
-        map_type: MapType,
-    ) -> MapAdvice;
+/// `device` is the target-device index the directive names and
+/// `host_addr` the mapped host address; the same call serves the enter
+/// and the exit side of a clause. One advisor may serve every runtime
+/// thread of a run at once. Implementations must be monotone (see the
+/// module docs) and cheap: the consult sits on the directive dispatch
+/// path.
+pub trait MapAdvisor: Send + Sync {
+    /// Advise one map-clause item of `device` at `host_addr`.
+    fn advise(&self, device: u32, host_addr: u64) -> MapAdvice;
 }
 
 /// Per-cause counters of what remediation changed and what it saved.
@@ -193,22 +125,22 @@ impl RemedyCounter {
 #[derive(Clone, Debug, Default)]
 pub struct RemediationStats {
     /// Counters indexed by `[device][cause.index()]`.
-    devices: Vec<[RemedyCounter; AdviceCause::COUNT]>,
+    devices: Vec<[RemedyCounter; FindingKind::ALL.len()]>,
 }
 
 impl RemediationStats {
     /// Mutable counter for `(device, cause)`, growing the table.
-    pub fn counter_mut(&mut self, device: u32, cause: AdviceCause) -> &mut RemedyCounter {
+    pub fn counter_mut(&mut self, device: u32, cause: FindingKind) -> &mut RemedyCounter {
         let ix = device as usize;
         if ix >= self.devices.len() {
             self.devices
-                .resize(ix + 1, [RemedyCounter::default(); AdviceCause::COUNT]);
+                .resize(ix + 1, [RemedyCounter::default(); FindingKind::ALL.len()]);
         }
         &mut self.devices[ix][cause.index()]
     }
 
     /// Counter for `(device, cause)` (zero if never touched).
-    pub fn counter(&self, device: u32, cause: AdviceCause) -> RemedyCounter {
+    pub fn counter(&self, device: u32, cause: FindingKind) -> RemedyCounter {
         self.devices
             .get(device as usize)
             .map(|row| row[cause.index()])
@@ -221,7 +153,7 @@ impl RemediationStats {
     }
 
     /// Aggregate over all devices for one cause.
-    pub fn per_cause(&self, cause: AdviceCause) -> RemedyCounter {
+    pub fn per_cause(&self, cause: FindingKind) -> RemedyCounter {
         let mut total = RemedyCounter::default();
         for row in &self.devices {
             total.merge(&row[cause.index()]);
@@ -261,7 +193,7 @@ impl RemediationStats {
     /// thread's advisor accounting into one report.
     pub fn merge(&mut self, other: &RemediationStats) {
         for (device, row) in other.devices.iter().enumerate() {
-            for (cause, counter) in AdviceCause::ALL.iter().zip(row.iter()) {
+            for (cause, counter) in FindingKind::ALL.iter().zip(row.iter()) {
                 if *counter != RemedyCounter::default() {
                     self.counter_mut(device as u32, *cause).merge(counter);
                 }
@@ -276,7 +208,7 @@ mod tests {
 
     #[test]
     fn cause_indices_are_dense_and_stable() {
-        for (i, c) in AdviceCause::ALL.iter().enumerate() {
+        for (i, c) in FindingKind::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
             assert!(!c.name().is_empty());
         }
@@ -287,7 +219,7 @@ mod tests {
         assert!(MapAdvice::default().is_keep());
         assert!(MapAdvice::KEEP.is_keep());
         let advice = MapAdvice {
-            persist: Some(AdviceCause::DuplicateTransfer),
+            persist: Some(FindingKind::DuplicateTransfer),
             ..MapAdvice::KEEP
         };
         assert!(!advice.is_keep());
@@ -296,14 +228,14 @@ mod tests {
     #[test]
     fn stats_aggregate_per_cause_and_device() {
         let mut s = RemediationStats::default();
-        s.counter_mut(0, AdviceCause::DuplicateTransfer)
+        s.counter_mut(0, FindingKind::DuplicateTransfer)
             .transfer_bytes_avoided += 100;
-        s.counter_mut(2, AdviceCause::DuplicateTransfer)
+        s.counter_mut(2, FindingKind::DuplicateTransfer)
             .transfer_bytes_avoided += 50;
-        s.counter_mut(2, AdviceCause::RoundTrip).rewrites += 1;
+        s.counter_mut(2, FindingKind::RoundTrip).rewrites += 1;
         assert_eq!(s.device_count(), 3);
         assert_eq!(
-            s.per_cause(AdviceCause::DuplicateTransfer)
+            s.per_cause(FindingKind::DuplicateTransfer)
                 .transfer_bytes_avoided,
             150
         );
@@ -311,7 +243,7 @@ mod tests {
         assert_eq!(s.totals().transfer_bytes_avoided, 150);
         assert!(s.any_rewrites());
         assert_eq!(
-            s.counter(1, AdviceCause::UnusedAlloc),
+            s.counter(1, FindingKind::UnusedAlloc),
             RemedyCounter::default()
         );
     }

@@ -7,10 +7,10 @@
 //! (the non-EMI callbacks fire only at the start, §2.3).
 
 use odp_model::{CodePtr, DeviceId, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// `ompt_scope_endpoint_t`: which edge of the event is being reported.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum Endpoint {
     /// `ompt_scope_begin`.
     Begin,
@@ -19,7 +19,7 @@ pub enum Endpoint {
 }
 
 /// The callbacks a tool can register, including deprecated non-EMI forms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum CallbackKind {
     /// `ompt_callback_target_emi` — **required by OMPDataPerf**.
     TargetEmi,
@@ -80,7 +80,7 @@ impl CallbackKind {
 }
 
 /// `ompt_target_t`: which construct produced a target callback.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum TargetConstructKind {
     /// `omp target`.
     Target,
@@ -95,7 +95,7 @@ pub enum TargetConstructKind {
 }
 
 /// `ompt_target_data_op_t`: the operation type of a data-op callback.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum DataOpType {
     /// `ompt_target_data_alloc`.
     Alloc,
@@ -122,7 +122,7 @@ impl DataOpType {
 }
 
 /// Payload of `ompt_callback_target_emi`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct TargetCallback {
     /// Begin or end of the construct.
     pub endpoint: Endpoint,
@@ -174,7 +174,7 @@ pub struct DataOpCallback<'a> {
 }
 
 /// A contiguous access range inside a kernel (instrumentation feed).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct AccessRange {
     /// Host address of the variable backing the range.
     pub host_addr: u64,
@@ -192,7 +192,7 @@ pub struct AccessRange {
 /// never consumes it — the paper's detectors are deliberately
 /// access-blind (§5: "designed to avoid relying on information that would
 /// necessitate costly instrumentation").
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct KernelAccessInfo {
     /// Device executing the kernel.
     pub device: DeviceId,
@@ -213,7 +213,7 @@ pub struct KernelAccessInfo {
 
 /// A host-side access to a mapped variable (instrumentation feed; same
 /// caveat as [`KernelAccessInfo`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct HostAccessInfo {
     /// Host address accessed.
     pub host_addr: u64,
@@ -226,7 +226,7 @@ pub struct HostAccessInfo {
 }
 
 /// Payload of `ompt_callback_target_submit_emi` (kernel launch).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct SubmitCallback {
     /// Begin or end of kernel execution.
     pub endpoint: Endpoint,

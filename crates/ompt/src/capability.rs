@@ -9,10 +9,10 @@
 
 use crate::callback::CallbackKind;
 use crate::version::OmptVersion;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One of the nine surveyed compiler infrastructures (Table 6 columns).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum CompilerProfile {
     /// AMD Optimizing C/C++ and Fortran Compilers.
     AmdAocc,
@@ -35,7 +35,7 @@ pub enum CompilerProfile {
 }
 
 /// What a configured runtime offers to tools.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct RuntimeCapabilities {
     /// The compiler infrastructure this models.
     pub profile: CompilerProfile,

@@ -51,7 +51,7 @@ pub mod ring;
 pub mod tool;
 pub mod version;
 
-pub use advice::{AdviceCause, MapAdvice, MapAdvisor, RemediationStats, RemedyCounter};
+pub use advice::{MapAdvice, MapAdvisor, RemediationStats, RemedyCounter};
 pub use callback::{
     AccessRange, CallbackKind, DataOpCallback, DataOpType, Endpoint, HostAccessInfo,
     KernelAccessInfo, SubmitCallback, TargetCallback, TargetConstructKind,

@@ -1,6 +1,6 @@
 //! OMPT interface versions.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The OMPT interface version a runtime implements.
@@ -8,7 +8,7 @@ use std::fmt;
 /// OMPDataPerf requires 5.1 (EMI callbacks); it degrades with a warning on
 /// 5.0 (non-EMI target callbacks only) and cannot operate on runtimes
 /// without OMPT (§A.6, §D).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum OmptVersion {
     /// No OMPT support at all (e.g. GCC's libgomp).
     None,

@@ -37,8 +37,7 @@
 use crate::config::RuntimeConfig;
 use crate::memory::DeviceMemory;
 use crate::present::PresentTable;
-use odp_model::SimTime;
-use odp_ompt::AdviceCause;
+use odp_model::{FindingKind, SimTime};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -59,7 +58,7 @@ pub(crate) struct DeviceState {
     /// remediation rewrite skipped their release, with the advising
     /// cause. Shared so a re-entry from *any* thread adopts the
     /// phantom reference exactly once.
-    pub(crate) retained: HashMap<u64, AdviceCause>,
+    pub(crate) retained: HashMap<u64, FindingKind>,
 }
 
 impl DeviceState {

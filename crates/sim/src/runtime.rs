@@ -44,12 +44,13 @@ use crate::faults::{
 };
 use crate::kernel::{DeviceView, Kernel};
 use crate::memory::{HostMemory, VarId};
-use odp_model::{CodePtr, DeviceId, MapModifier, MapType, SimDuration, SimTime};
+use odp_model::{CodePtr, DeviceId, FindingKind, MapModifier, MapType, SimDuration, SimTime};
 use odp_ompt::{
-    AccessRange, AdviceCause, CallbackKind, CompilerProfile, DataOpCallback, DataOpType, Endpoint,
+    AccessRange, CallbackKind, CompilerProfile, DataOpCallback, DataOpType, Endpoint,
     HostAccessInfo, KernelAccessInfo, MapAdvice, MapAdvisor, RemediationStats, RuntimeCapabilities,
     SubmitCallback, TargetCallback, TargetConstructKind, Tool, ToolRegistration,
 };
+use std::sync::Arc;
 
 /// One map clause item: `map(<modifier><type>: <var>)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,9 +181,10 @@ pub struct Runtime {
     /// default, shared across runtimes in shared-device threaded mode.
     devices: SharedDevices,
     tool: Option<ToolSlot>,
-    /// Online mapping advisor (`--remediate`): consulted at every
-    /// map-clause item; `None` leaves directive execution bit-exact.
-    advisor: Option<Box<dyn MapAdvisor>>,
+    /// Online mapping advisor (`--remediate`), possibly shared with
+    /// other runtimes: consulted at every map-clause item; `None` leaves
+    /// directive execution bit-exact.
+    advisor: Option<Arc<dyn MapAdvisor>>,
     /// What the advisor's rewrites saved, per cause and device.
     remedy: RemediationStats,
     /// Per-runtime fault-injection state (no-op unless the config's
@@ -275,15 +277,11 @@ impl Runtime {
     /// consults it at every map-clause item and applies the advised
     /// rewrites; without an advisor, directive execution — and hence the
     /// tool-visible event stream — is untouched. Attach before any
-    /// directive executes so enter/exit advice stays consistent.
-    pub fn attach_advisor(&mut self, advisor: Box<dyn MapAdvisor>) {
+    /// directive executes so enter/exit advice stays consistent. The
+    /// runtimes of one threaded run attach clones of one advisor.
+    pub fn attach_advisor(&mut self, advisor: Arc<dyn MapAdvisor>) {
         assert!(self.advisor.is_none(), "an advisor is already attached");
         self.advisor = Some(advisor);
-    }
-
-    /// Is a mapping advisor attached?
-    pub fn advisor_attached(&self) -> bool {
-        self.advisor.is_some()
     }
 
     /// What the advisor's rewrites recovered so far (empty without one).
@@ -772,21 +770,15 @@ impl Runtime {
     // ---------------------------------------------------------------
 
     /// Consult the attached advisor for one map item, or keep as written.
-    fn consult(&mut self, enter: bool, at: Directive, m: Map) -> MapAdvice {
-        let Some(advisor) = self.advisor.as_mut() else {
-            return MapAdvice::KEEP;
-        };
-        let haddr = self.host.addr(m.var);
-        let bytes = self.host.size(m.var);
-        if enter {
-            advisor.advise_enter(at.device, at.codeptr, haddr, bytes, m.map_type)
-        } else {
-            advisor.advise_exit(at.device, at.codeptr, haddr, bytes, m.map_type)
+    fn consult(&self, device: u32, haddr: u64) -> MapAdvice {
+        match &self.advisor {
+            Some(advisor) => advisor.advise(device, haddr),
+            None => MapAdvice::KEEP,
         }
     }
 
     /// Account a transfer a rewrite made unnecessary.
-    fn note_avoided_transfer(&mut self, device: u32, cause: AdviceCause, bytes: u64, h2d: bool) {
+    fn note_avoided_transfer(&mut self, device: u32, cause: FindingKind, bytes: u64, h2d: bool) {
         let dur = self.cfg.timing.transfer_duration(bytes, h2d);
         let c = self.remedy.counter_mut(device, cause);
         c.transfers_avoided += 1;
@@ -795,7 +787,7 @@ impl Runtime {
     }
 
     /// Account an allocation a rewrite made unnecessary.
-    fn note_avoided_alloc(&mut self, device: u32, cause: AdviceCause, bytes: u64) {
+    fn note_avoided_alloc(&mut self, device: u32, cause: FindingKind, bytes: u64) {
         let dur = self.cfg.timing.alloc.alloc_duration(bytes);
         let c = self.remedy.counter_mut(device, cause);
         c.allocs_avoided += 1;
@@ -803,7 +795,7 @@ impl Runtime {
     }
 
     /// Account a deallocation a rewrite made unnecessary.
-    fn note_avoided_delete(&mut self, device: u32, cause: AdviceCause) {
+    fn note_avoided_delete(&mut self, device: u32, cause: FindingKind) {
         let dur = self.cfg.timing.alloc.free_duration();
         let c = self.remedy.counter_mut(device, cause);
         c.deletes_avoided += 1;
@@ -816,10 +808,10 @@ impl Runtime {
     /// advisor may waste bandwidth but never leave a kernel without its
     /// data).
     fn map_enter(&mut self, at: Directive, m: Map, force_map: bool) {
-        let advice = self.consult(true, at, m);
         let device = at.device;
         let haddr = self.host.addr(m.var);
         let bytes = self.host.size(m.var);
+        let advice = self.consult(device, haddr);
         // One lock for the whole clause: the lookup, the refcount or
         // insert it decides on, and phantom-reference adoption must be
         // atomic with respect to other threads mapping the same range.
@@ -907,10 +899,10 @@ impl Runtime {
 
     /// One map item on a region-exit path.
     fn map_exit(&mut self, at: Directive, m: Map) {
-        let advice = self.consult(false, at, m);
         let device = at.device;
         let haddr = self.host.addr(m.var);
         let bytes = self.host.size(m.var);
+        let advice = self.consult(device, haddr);
         // One lock for the whole clause (see map_enter): the release
         // decision and any copy-back/free it triggers are atomic.
         let devices = self.devices.clone();
@@ -1301,7 +1293,7 @@ mod tests {
     use super::*;
     use crate::kernel::KernelCost;
     use crate::{map, map_always};
-    use std::sync::{Arc, Mutex};
+    use std::sync::Mutex;
 
     /// A recording tool capturing every callback for assertions.
     #[derive(Default)]
@@ -2024,35 +2016,17 @@ mod tests {
     }
 
     impl MapAdvisor for TableAdvisor {
-        fn advise_enter(
-            &mut self,
-            _device: u32,
-            _codeptr: CodePtr,
-            host_addr: u64,
-            _bytes: u64,
-            _map_type: MapType,
-        ) -> MapAdvice {
+        fn advise(&self, _device: u32, host_addr: u64) -> MapAdvice {
             self.rules
                 .iter()
                 .find(|(a, _)| *a == host_addr)
                 .map(|(_, adv)| *adv)
                 .unwrap_or(MapAdvice::KEEP)
         }
-
-        fn advise_exit(
-            &mut self,
-            device: u32,
-            codeptr: CodePtr,
-            host_addr: u64,
-            bytes: u64,
-            map_type: MapType,
-        ) -> MapAdvice {
-            self.advise_enter(device, codeptr, host_addr, bytes, map_type)
-        }
     }
 
-    fn advise(rt: &Runtime, var: VarId, advice: MapAdvice) -> Box<TableAdvisor> {
-        Box::new(TableAdvisor {
+    fn advise(rt: &Runtime, var: VarId, advice: MapAdvice) -> Arc<TableAdvisor> {
+        Arc::new(TableAdvisor {
             rules: vec![(rt.host_addr(var), advice)],
         })
     }
@@ -2068,7 +2042,7 @@ mod tests {
             &rt,
             a,
             MapAdvice {
-                persist: Some(AdviceCause::DuplicateTransfer),
+                persist: Some(FindingKind::DuplicateTransfer),
                 ..MapAdvice::KEEP
             },
         ));
@@ -2090,7 +2064,7 @@ mod tests {
         assert_eq!(deletes, 0, "releases skipped");
         let rec = rt
             .remediation_stats()
-            .counter(0, AdviceCause::DuplicateTransfer);
+            .counter(0, FindingKind::DuplicateTransfer);
         assert_eq!(rec.transfers_avoided, 2);
         assert_eq!(rec.transfer_bytes_avoided, 2 * 1024);
         assert!(rec.transfer_time_avoided > SimDuration::ZERO);
@@ -2108,7 +2082,7 @@ mod tests {
             &rt,
             a,
             MapAdvice {
-                persist: Some(AdviceCause::RoundTrip),
+                persist: Some(FindingKind::RoundTrip),
                 ..MapAdvice::KEEP
             },
         ));
@@ -2131,7 +2105,7 @@ mod tests {
             .count();
         assert_eq!(h2d, 1, "implicit tofrom re-send dropped: {ev:?}");
         assert_eq!(d2h, 2, "copy-back survives as an update each exit");
-        let rec = rt.remediation_stats().counter(0, AdviceCause::RoundTrip);
+        let rec = rt.remediation_stats().counter(0, FindingKind::RoundTrip);
         assert_eq!(rec.updates_injected, 2);
         assert_eq!(rec.transfers_avoided, 1);
     }
@@ -2145,8 +2119,8 @@ mod tests {
             &rt,
             a,
             MapAdvice {
-                skip_to: Some(AdviceCause::UnusedTransfer),
-                skip_from: Some(AdviceCause::RoundTrip),
+                skip_to: Some(FindingKind::UnusedTransfer),
+                skip_from: Some(FindingKind::RoundTrip),
                 ..MapAdvice::KEEP
             },
         ));
@@ -2163,12 +2137,12 @@ mod tests {
         let stats = rt.remediation_stats();
         assert_eq!(
             stats
-                .counter(0, AdviceCause::UnusedTransfer)
+                .counter(0, FindingKind::UnusedTransfer)
                 .transfers_avoided,
             1
         );
         assert_eq!(
-            stats.counter(0, AdviceCause::RoundTrip).transfers_avoided,
+            stats.counter(0, FindingKind::RoundTrip).transfers_avoided,
             1
         );
     }
@@ -2178,19 +2152,19 @@ mod tests {
         let (mut rt, events, _) = recorder_runtime();
         let unused = rt.host_alloc("unused", 128);
         let needed = rt.host_alloc("needed", 128);
-        let advisor = Box::new(TableAdvisor {
+        let advisor = Arc::new(TableAdvisor {
             rules: vec![
                 (
                     rt.host_addr(unused),
                     MapAdvice {
-                        elide: Some(AdviceCause::UnusedAlloc),
+                        elide: Some(FindingKind::UnusedAlloc),
                         ..MapAdvice::KEEP
                     },
                 ),
                 (
                     rt.host_addr(needed),
                     MapAdvice {
-                        elide: Some(AdviceCause::UnusedAlloc),
+                        elide: Some(FindingKind::UnusedAlloc),
                         ..MapAdvice::KEEP
                     },
                 ),
@@ -2215,7 +2189,7 @@ mod tests {
             "only the kernel-referenced var is mapped: {ev:?}"
         );
         assert!(rt.warnings().is_empty(), "elided exit must stay silent");
-        let rec = rt.remediation_stats().counter(0, AdviceCause::UnusedAlloc);
+        let rec = rt.remediation_stats().counter(0, FindingKind::UnusedAlloc);
         assert_eq!(rec.allocs_avoided, 1);
         assert_eq!(rec.transfers_avoided, 1);
     }
@@ -2231,7 +2205,7 @@ mod tests {
             &rt,
             x,
             MapAdvice {
-                skip_to: Some(AdviceCause::UnusedTransfer),
+                skip_to: Some(FindingKind::UnusedTransfer),
                 ..MapAdvice::KEEP
             },
         ));
@@ -2259,7 +2233,6 @@ mod tests {
     #[test]
     fn no_advisor_means_no_remediation_stats() {
         let mut rt = Runtime::with_defaults();
-        assert!(!rt.advisor_attached());
         let a = rt.host_alloc("a", 64);
         rt.target(
             0,

@@ -15,8 +15,8 @@
 //! * [`run_on_threads_shared`] attaches every thread's runtime to one
 //!   [`SharedDevices`] set — `libomptarget`'s true shape: all threads
 //!   contend on the same per-device present tables, cross-thread
-//!   mapping reuse is real, and each thread may carry its own
-//!   `MapAdvisor` handle (remediation under concurrency).
+//!   mapping reuse is real, and every thread may consult one shared
+//!   `MapAdvisor` (remediation under concurrency).
 //!
 //! Each thread's virtual timeline is deterministic, and sharded trace
 //! merging orders events by `(timestamp, shard, per-shard order)`, so
@@ -28,6 +28,7 @@ use crate::config::RuntimeConfig;
 use crate::device::SharedDevices;
 use crate::runtime::{Runtime, RuntimeStats};
 use odp_ompt::{MapAdvisor, RemediationStats, Tool};
+use std::sync::Arc;
 
 /// Run `body` on `threads` OS threads, thread `i` against its own
 /// `Runtime::new(cfg.clone())` with `tools[i]` attached. Joins all
@@ -92,7 +93,7 @@ pub struct SharedThreadOutcome<R> {
 /// thread's directives contend on the same per-device present tables.
 /// Thread `i` gets its own `Runtime` (private virtual clock and host
 /// memory) attached to the shared devices, with `tools[i]` and, when
-/// provided, `advisors[i]` attached.
+/// provided, a clone of `advisor` attached.
 ///
 /// Unlike [`run_on_threads`], the *interleaving* of present-table
 /// operations is real: which thread allocates a mapping first (and who
@@ -103,13 +104,12 @@ pub struct SharedThreadOutcome<R> {
 ///
 /// # Panics
 /// Propagates a panic from any runtime thread; panics when
-/// `tools.len() != threads` or a non-empty `advisors` has a different
-/// length.
+/// `tools.len() != threads`.
 pub fn run_on_threads_shared<R, F>(
     threads: u32,
     cfg: &RuntimeConfig,
     tools: Vec<Box<dyn Tool>>,
-    advisors: Vec<Option<Box<dyn MapAdvisor>>>,
+    advisor: Option<Arc<dyn MapAdvisor>>,
     body: F,
 ) -> SharedThreadOutcome<R>
 where
@@ -117,25 +117,17 @@ where
     F: Fn(u32, &mut Runtime) -> R + Sync,
 {
     assert_eq!(tools.len(), threads as usize, "one tool per runtime thread");
-    assert!(
-        advisors.is_empty() || advisors.len() == threads as usize,
-        "advisors must be absent or one per runtime thread"
-    );
     let devices = SharedDevices::new(cfg);
-    let mut advisors = advisors;
-    if advisors.is_empty() {
-        advisors = (0..threads).map(|_| None).collect();
-    }
     let results = std::thread::scope(|scope| {
         let body = &body;
         let handles: Vec<_> = tools
             .into_iter()
-            .zip(advisors)
             .enumerate()
-            .map(|(i, (tool, advisor))| {
+            .map(|(i, tool)| {
                 let mut cfg = cfg.clone();
                 cfg.faults = cfg.faults.for_shard(i as u32);
                 let devices = devices.clone();
+                let advisor = advisor.clone();
                 scope.spawn(move || {
                     let mut rt = Runtime::with_shared_devices(cfg, devices);
                     rt.attach_tool(tool);
@@ -195,9 +187,10 @@ mod tests {
     use crate::kernel::{Kernel, KernelCost};
     use crate::map;
     use odp_model::{CodePtr, MapType};
-    use odp_ompt::{CallbackKind, DataOpCallback, Endpoint, RuntimeCapabilities, ToolRegistration};
+    use odp_ompt::{
+        CallbackKind, DataOpCallback, Endpoint, MapAdvice, RuntimeCapabilities, ToolRegistration,
+    };
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     /// Counts end-of-transfer callbacks; shared across all threads.
     struct Counter {
@@ -212,6 +205,17 @@ mod tests {
             if cb.endpoint == Endpoint::End && cb.payload.is_some() {
                 self.transfers.fetch_add(1, Ordering::Relaxed);
             }
+        }
+    }
+
+    /// Counts consults and advises nothing; shared by every thread.
+    #[derive(Default)]
+    struct Consults(AtomicUsize);
+
+    impl MapAdvisor for Consults {
+        fn advise(&self, _device: u32, _host_addr: u64) -> MapAdvice {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            MapAdvice::KEEP
         }
     }
 
@@ -273,7 +277,8 @@ mod tests {
         // All threads open a data region over the same host address and
         // hold it across a barrier: whatever the interleaving, exactly
         // one thread allocates + transfers (map_enter is atomic on the
-        // shared present table) and the rest retain the entry.
+        // shared present table) and the rest retain the entry. One
+        // advisor serves all four threads.
         let threads = 4u32;
         let transfers = Arc::new(AtomicUsize::new(0));
         let tools: Vec<Box<dyn Tool>> = (0..threads)
@@ -284,11 +289,12 @@ mod tests {
             })
             .collect();
         let barrier = Barrier::new(threads as usize);
+        let consults = Arc::new(Consults::default());
         let outcome = run_on_threads_shared(
             threads,
             &RuntimeConfig::default(),
             tools,
-            Vec::new(),
+            Some(consults.clone()),
             |_, rt| {
                 let a = rt.host_alloc("a", 256);
                 let region = rt.target_data_begin(0, CodePtr(0x10), &[map(MapType::To, a)]);
@@ -306,19 +312,12 @@ mod tests {
             0,
             "the last release frees the shared mapping"
         );
-        assert!(!outcome.remediation.any_rewrites(), "no advisor attached");
-    }
-
-    #[test]
-    #[should_panic(expected = "advisors must be absent or one per runtime thread")]
-    fn shared_advisor_count_must_match() {
-        let tools: Vec<Box<dyn Tool>> = (0..2)
-            .map(|_| {
-                Box::new(Counter {
-                    transfers: Arc::new(AtomicUsize::new(0)),
-                }) as Box<dyn Tool>
-            })
-            .collect();
-        let _ = run_on_threads_shared(2, &RuntimeConfig::default(), tools, vec![None], |_, _| ());
+        // One clause per thread, consulted at entry and at exit.
+        assert_eq!(
+            consults.0.load(Ordering::Relaxed),
+            2 * threads as usize,
+            "every thread consults the one advisor"
+        );
+        assert!(!outcome.remediation.any_rewrites(), "KEEP rewrites nothing");
     }
 }

@@ -8,10 +8,10 @@
 //! of event durations produced by this model).
 
 use odp_model::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Host↔device transfer cost: `latency + bytes / bandwidth`.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct TransferModel {
     /// Fixed per-transfer startup latency, ns (driver + DMA setup).
     pub latency_ns: u64,
@@ -54,7 +54,7 @@ impl TransferModel {
 }
 
 /// Device allocation/deallocation cost.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct AllocModel {
     /// Fixed cost of an allocation, ns (cuMemAlloc-like).
     pub alloc_base_ns: u64,
@@ -86,7 +86,7 @@ impl AllocModel {
 }
 
 /// The full per-device timing model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct TimingModel {
     /// Host→device transfers.
     pub h2d: TransferModel,

@@ -17,8 +17,9 @@
 //! accounting and the raw runtime stats, so callers can assert
 //! `bytes_transferred` strictly shrank and `recovered_time() > 0`.
 
-use ompdataperf::remedy::{RemediationPolicy, SharedPolicyCell, SharedRemediator};
+use ompdataperf::remedy::{RemediationPolicy, Remediator};
 use ompdataperf::tool::ToolHandle;
+use std::sync::Arc;
 
 /// Whether, and from what, a run rewrites its mappings.
 #[derive(Clone, Debug, Default)]
@@ -33,16 +34,12 @@ pub enum Remedy {
 }
 
 impl Remedy {
-    /// The remediator a run in this mode forks its advisors from, with
-    /// the policy cell for the post-run report.
-    pub(crate) fn remediator(
-        &self,
-        handle: &ToolHandle,
-    ) -> Option<(SharedRemediator, SharedPolicyCell)> {
+    /// The advisor every runtime thread of a run in this mode attaches.
+    pub(crate) fn remediator(&self, handle: &ToolHandle) -> Option<Arc<Remediator>> {
         match self {
             Remedy::Off => None,
-            Remedy::Adaptive => Some(SharedRemediator::new(handle.clone())),
-            Remedy::Seeded(policy) => Some(SharedRemediator::seeded(policy.clone())),
+            Remedy::Adaptive => Some(Arc::new(Remediator::adaptive(handle))),
+            Remedy::Seeded(policy) => Some(Arc::new(Remediator::seeded(policy.clone()))),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The run driver: one workload, under the tool, finished into a report.
 //!
 //! [`run`] is the only non-test code that forks tool shards, builds
-//! runtimes and attaches advisors — `odp run`, `odp trace save`
+//! runtimes and attaches the advisor — `odp run`, `odp trace save`
 //! ([`crate::capture`]), `odp static crosscheck|plan` (an IR program is a
 //! [`Workload`], `odp_static::lower::IrWorkload`), the `odp paper`
 //! experiments, the examples and the integration tests all describe what
@@ -12,11 +12,12 @@
 //!
 //! How a run is laid out on threads follows from the spec alone:
 //!
-//! | `threads` | `remedy` | shape |
-//! |-----------|----------|-------|
-//! | 1 | any | one `Runtime`, the advisor (if any) attached to it |
-//! | N | `Off` | `odp_sim::run_on_threads`: a private runtime and device set per thread — the rank-per-thread shape, whose merged trace is independent of OS scheduling |
-//! | N | `Adaptive` / `Seeded` | `odp_sim::run_on_threads_shared`: one device data environment (true `libomptarget` semantics) and one policy behind per-thread advisor handles |
+//! | `remedy` | shape |
+//! |----------|-------|
+//! | `Off` | `odp_sim::run_on_threads`: a private runtime and device set per thread — the rank-per-thread shape, whose merged trace is independent of OS scheduling |
+//! | `Adaptive` / `Seeded` | `odp_sim::run_on_threads_shared`: one device data environment (true `libomptarget` semantics) and one `Remediator` every thread attaches |
+//!
+//! A one-thread run is the same call with one thread.
 
 use crate::adaptive::Remedy;
 use crate::{ProblemSize, Variant, Workload};
@@ -29,9 +30,10 @@ use odp_sim::{
 use odp_trace::TraceLog;
 use ompdataperf::analysis::{finish_run, FinishedRun, LiveStream};
 use ompdataperf::attrib::DebugInfo;
-use ompdataperf::remedy::{RemediationReport, SharedRemediator};
+use ompdataperf::remedy::RemediationReport;
 use ompdataperf::report::Report;
 use ompdataperf::tool::{OmpDataPerfTool, ToolConfig, ToolHandle};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Everything that decides how a workload runs under the tool.
@@ -127,7 +129,7 @@ pub fn run_observed<S: FnOnce()>(
         spec.variant,
         &spec.runtime,
         tools,
-        remediator.as_ref().map(|(remediator, _)| remediator),
+        remediator.clone().map(|r| r as Arc<dyn MapAdvisor>),
     );
     let wall = start.elapsed();
     stop();
@@ -138,9 +140,9 @@ pub fn run_observed<S: FnOnce()>(
         health,
         live,
     } = finish_run(&handle, Some(&driven.debug_info), w.name());
-    let remediation = remediator.map(|(_, policy)| {
+    let remediation = remediator.map(|remediator| {
         RemediationReport::new(
-            &policy.lock(),
+            &remediator.policy(),
             &driven.remediation,
             driven.stats.bytes_transferred,
             driven.stats.transfer_time,
@@ -194,63 +196,44 @@ struct Driven {
 }
 
 /// Execute the program on `tools.len()` threads (the table in the
-/// module docs), every thread's advisor forked from `remediator`.
+/// module docs), every thread consulting `advisor`.
 fn drive(
     w: &dyn Workload,
     size: ProblemSize,
     variant: Variant,
     cfg: &RuntimeConfig,
-    mut tools: Vec<Box<dyn Tool>>,
-    remediator: Option<&SharedRemediator>,
+    tools: Vec<Box<dyn Tool>>,
+    advisor: Option<Arc<dyn MapAdvisor>>,
 ) -> Driven {
-    let advisor = || remediator.map(|r| Box::new(r.fork_advisor()) as Box<dyn MapAdvisor>);
     let threads = tools.len() as u32;
-    if threads > 1 {
-        assert!(
-            w.supports_threads(),
-            "{} does not support --threads",
-            w.name()
-        );
-        let body = |_, rt: &mut Runtime| {
-            let debug_info = w.run(rt, size, variant);
-            (debug_info, rt.warnings().to_vec())
-        };
-        let (results, remediation) = if remediator.is_some() {
-            let advisors = (0..threads).map(|_| advisor()).collect();
-            let shared = run_on_threads_shared(threads, cfg, tools, advisors, body);
-            (shared.results, shared.remediation)
-        } else {
-            let results = run_on_threads(threads, cfg, tools, body);
-            (results, RemediationStats::default())
-        };
-        let stats: Vec<RuntimeStats> = results.iter().map(|(_, stats)| *stats).collect();
-        let mut outputs = results.into_iter().map(|(output, _)| output);
-        // The debug info is identical on every thread; keep the first.
-        let (debug_info, mut warnings) = outputs
-            .next()
-            .unwrap_or_else(|| panic!("no worker threads ran"));
-        warnings.extend(outputs.flat_map(|(_, warnings)| warnings));
-        return Driven {
-            debug_info,
-            stats: merged_stats(&stats),
-            warnings,
-            remediation,
-        };
-    }
-    let mut rt = Runtime::new(cfg.clone());
-    if let Some(tool) = tools.pop() {
-        rt.attach_tool(tool);
-    }
-    if let Some(advisor) = advisor() {
-        rt.attach_advisor(advisor);
-    }
-    let debug_info = w.run(&mut rt, size, variant);
-    let stats = rt.finish();
+    assert!(
+        threads == 1 || w.supports_threads(),
+        "{} does not support --threads",
+        w.name()
+    );
+    let body = |_, rt: &mut Runtime| {
+        let debug_info = w.run(rt, size, variant);
+        (debug_info, rt.warnings().to_vec())
+    };
+    let (results, remediation) = if advisor.is_some() {
+        let shared = run_on_threads_shared(threads, cfg, tools, advisor, body);
+        (shared.results, shared.remediation)
+    } else {
+        let results = run_on_threads(threads, cfg, tools, body);
+        (results, RemediationStats::default())
+    };
+    let stats: Vec<RuntimeStats> = results.iter().map(|(_, stats)| *stats).collect();
+    let mut outputs = results.into_iter().map(|(output, _)| output);
+    // The debug info is identical on every thread; keep the first.
+    let (debug_info, mut warnings) = outputs
+        .next()
+        .unwrap_or_else(|| panic!("no worker threads ran"));
+    warnings.extend(outputs.flat_map(|(_, warnings)| warnings));
     Driven {
         debug_info,
-        stats,
-        warnings: rt.warnings().to_vec(),
-        remediation: rt.remediation_stats(),
+        stats: merged_stats(&stats),
+        warnings,
+        remediation,
     }
 }
 

@@ -30,7 +30,7 @@ use odp_workloads::adaptive::Remedy;
 use odp_workloads::session::{run, RunOutcome, RunSpec};
 use odp_workloads::{ProblemSize, Variant, Workload};
 use ompdataperf::detect::EventView;
-use ompdataperf::remedy::{RemediationPolicy, SharedRemediator};
+use ompdataperf::remedy::{RemediationPolicy, Remediator};
 use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -48,11 +48,9 @@ fn shared_run(w: &dyn Workload, threads: u32, remedy: Remedy) -> RunOutcome {
     )
 }
 
-/// One advisor per thread, all forked from `remediator`.
-fn advisors(remediator: &SharedRemediator, threads: u32) -> Vec<Option<Box<dyn MapAdvisor>>> {
-    (0..threads)
-        .map(|_| Some(Box::new(remediator.fork_advisor()) as Box<dyn MapAdvisor>))
-        .collect()
+/// The one advisor every thread of a shared-device run attaches.
+fn advisor(remediator: Remediator) -> Arc<dyn MapAdvisor> {
+    Arc::new(remediator)
 }
 
 /// Duplicates remediation cannot remove: identical content flowing
@@ -178,13 +176,10 @@ fn shared_device_streaming_finalize_matches_postmortem() {
             }
             // The primitives, on purpose: the engine is finalized by
             // hand below to compare its live stream with its report.
-            let run = run_on_threads_shared(
-                threads,
-                &RuntimeConfig::default(),
-                tools,
-                Vec::new(),
-                |_, rt| w.run(rt, ProblemSize::Small, Variant::Original),
-            );
+            let run =
+                run_on_threads_shared(threads, &RuntimeConfig::default(), tools, None, |_, rt| {
+                    w.run(rt, ProblemSize::Small, Variant::Original)
+                });
             assert!(run.results.iter().all(|(_, stats)| stats.kernels > 0));
             let trace = handle.take_trace();
             let mut engine = handle.take_stream_engine().expect("streaming on");
@@ -246,12 +241,8 @@ fn forced_interleaving_run(threads: u32) -> (String, RuntimeStats) {
         tools.push(Box::new(handle.fork_tool()));
     }
     let turns = Turns::new();
-    let outcome = run_on_threads_shared(
-        threads,
-        &RuntimeConfig::default(),
-        tools,
-        Vec::new(),
-        |i, rt| {
+    let outcome =
+        run_on_threads_shared(threads, &RuntimeConfig::default(), tools, None, |i, rt| {
             let a = rt.host_alloc("a", 512);
             rt.host_fill_u32(a, |x| x as u32);
             // Step 0: every thread (in turn order) opens a region over
@@ -273,8 +264,7 @@ fn forced_interleaving_run(threads: u32) -> (String, RuntimeStats) {
             turns.wait_for(2 * threads as u64 + i as u64);
             rt.target_data_end(region);
             turns.advance();
-        },
-    );
+        });
     assert_eq!(outcome.devices.present_mappings(0), 0, "all released");
     let stats: Vec<RuntimeStats> = outcome.results.iter().map(|(_, s)| *s).collect();
     (handle.take_trace().to_json(), odp_sim::merged_stats(&stats))
@@ -315,17 +305,13 @@ fn forced_pattern_run(adaptive: bool) -> (u64, u64) {
     for _ in 1..THREADS {
         tools.push(Box::new(handle.fork_tool()));
     }
-    let advisors = if adaptive {
-        advisors(&SharedRemediator::new(handle.clone()).0, THREADS)
-    } else {
-        Vec::new()
-    };
+    let shared = adaptive.then(|| advisor(Remediator::adaptive(&handle)));
     let turns = Turns::new();
     let outcome = run_on_threads_shared(
         THREADS,
         &RuntimeConfig::default(),
         tools,
-        advisors,
+        shared,
         |i, rt| {
             let a = rt.host_alloc("a", 4096);
             rt.host_fill_u32(a, |x| x as u32);
@@ -402,10 +388,9 @@ fn cross_thread_phantom_reference_adoption_is_sound() {
 
     let (tool, handle) = OmpDataPerfTool::new(ToolConfig::default());
     let tools: Vec<Box<dyn Tool>> = vec![Box::new(tool), Box::new(handle.fork_tool())];
-    let (remediator, policy_cell) = SharedRemediator::seeded(policy);
-    let advisors = advisors(&remediator, 2);
+    let shared = Some(advisor(Remediator::seeded(policy)));
     let turns = Turns::new();
-    let outcome = run_on_threads_shared(2, &RuntimeConfig::default(), tools, advisors, |i, rt| {
+    let outcome = run_on_threads_shared(2, &RuntimeConfig::default(), tools, shared, |i, rt| {
         let a = rt.host_alloc("a", 256);
         // Thread 0 maps and fully exits first (persist rule leaves
         // the phantom); thread 1 then re-enters the same site.
@@ -442,5 +427,4 @@ fn cross_thread_phantom_reference_adoption_is_sound() {
     let merged = odp_sim::merged_stats(&stats);
     assert_eq!(merged.allocs, 1, "{merged:?}");
     assert_eq!(merged.transfers, 1, "{merged:?}");
-    drop(policy_cell);
 }
