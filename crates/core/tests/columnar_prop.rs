@@ -15,9 +15,12 @@ mod common;
 
 use common::{assert_live_matches, random_trace, shard_partition, ShardedTrace};
 use odp_model::{
-    CodePtr, DataOpEvent, DeviceId, SimTime, TargetEvent, TargetKind, TimeSpan, TraceHealth,
+    CodePtr, DataOpEvent, DataOpKind, DeviceId, SimDuration, SimTime, TargetEvent, TargetKind,
+    TimeSpan, TraceHealth,
 };
-use odp_trace::{load_trace, ColumnarView, DataOpColumns, TargetColumns, TraceArtifact, TraceLog};
+use odp_trace::{
+    load_trace, ColumnarView, DataOpColumns, TargetColumns, TraceArtifact, TraceLog, TraceStats,
+};
 use ompdataperf::detect::{EventView, Findings, StreamConfig, StreamEvent, StreamingEngine};
 use proptest::prelude::*;
 
@@ -104,6 +107,44 @@ fn assert_columnar_matches_rows(log: &TraceLog, st: &ShardedTrace, ctx: &str) {
     assert_eq!(view.ops().len(), st.ops.len(), "op count ({ctx})");
 }
 
+/// The statistics the oracle rows add up to, folded here rather than by
+/// the trace crate: per-kind counts, bytes and durations, and the latest
+/// span end as the total time (what the log records when nothing
+/// finalizes it).
+fn oracle_stats(st: &ShardedTrace) -> TraceStats {
+    let mut s = TraceStats::default();
+    for e in &st.ops {
+        let d = e.span.duration();
+        match e.kind {
+            DataOpKind::Transfer => {
+                s.transfers += 1;
+                s.bytes_transferred += e.bytes;
+                s.transfer_time += d;
+                s.h2d_transfers += (e.src_device.is_host() && e.dest_device.is_target()) as usize;
+                s.d2h_transfers += (e.src_device.is_target() && e.dest_device.is_host()) as usize;
+            }
+            DataOpKind::Alloc => {
+                s.allocs += 1;
+                s.bytes_allocated += e.bytes;
+                s.alloc_time += d;
+            }
+            DataOpKind::Delete => {
+                s.deletes += 1;
+                s.alloc_time += d;
+            }
+            _ => {}
+        }
+    }
+    for k in &st.kernels {
+        s.kernels += 1;
+        s.kernel_time += k.span.duration();
+    }
+    let ends = st.ops.iter().map(|e| e.span.end);
+    let last = ends.chain(st.kernels.iter().map(|k| k.span.end)).max();
+    s.total_time = SimDuration(last.map_or(0, |t| t.as_nanos()));
+    s
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -120,6 +161,33 @@ proptest! {
         let st = shard_partition(&ops, &kernels, shards, seed ^ 0x5A5A);
         let log = build_merged_log(&st);
         assert_columnar_matches_rows(&log, &st, &format!("seed {seed} shards {shards}"));
+    }
+
+    /// `stats()` is the fold of the oracle rows, and the whole
+    /// post-mortem read — the columnar view, the stats, both row
+    /// gathers — costs one hydration pass.
+    #[test]
+    fn stats_fold_the_oracle_rows_within_one_hydration_pass(
+        seed in 0u64..u64::MAX,
+        len in 0usize..160,
+        num_devices in 1u32..4,
+        shards in 1usize..5,
+    ) {
+        let (ops, kernels) = random_trace(seed, len, num_devices);
+        let st = shard_partition(&ops, &kernels, shards, seed ^ 0x3C3C);
+        let log = build_merged_log(&st);
+        let _ = log.columnar();
+        prop_assert_eq!(log.sort_count(), 1, "columnar (seed {})", seed);
+        let stats = log.stats();
+        prop_assert_eq!(log.sort_count(), 1, "stats (seed {})", seed);
+        let _ = log.data_op_events_sorted();
+        let _ = log.kernel_events_sorted();
+        prop_assert_eq!(log.sort_count(), 1, "row gathers (seed {})", seed);
+        prop_assert_eq!(
+            serde_json::to_string(&stats).unwrap(),
+            serde_json::to_string(&oracle_stats(&st)).unwrap(),
+            "stats (seed {})", seed
+        );
     }
 
     /// The fused sweep over the merged log's columnar view must be
