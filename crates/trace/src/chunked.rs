@@ -98,8 +98,8 @@ impl<T> ChunkedVec<T> {
     }
 
     /// Iterate over all records in append order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.chunks.iter().flat_map(|c| c.iter())
+    pub fn iter(&self) -> std::iter::Flatten<std::slice::Iter<'_, Vec<T>>> {
+        self.chunks.iter().flatten()
     }
 
     /// Bytes of heap capacity currently allocated for records.
@@ -126,9 +126,9 @@ impl<T> ChunkedVec<T> {
 
 impl<'a, T> IntoIterator for &'a ChunkedVec<T> {
     type Item = &'a T;
-    type IntoIter = Box<dyn Iterator<Item = &'a T> + 'a>;
+    type IntoIter = std::iter::Flatten<std::slice::Iter<'a, Vec<T>>>;
     fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
+        self.iter()
     }
 }
 

@@ -11,33 +11,37 @@
 //!
 //! Every §5 algorithm has one precondition — events in chronological
 //! `(start, id)` order — and this module is the only place that knows
-//! the rule. Every producer of a view goes through the same two steps:
+//! the rule. Every producer of a view goes through one merge, `merge`:
+//! a streaming k-way merge that repeatedly takes the least
+//! `(start, id, part)` head among its parts' cursors and moves that row
+//! into the output columns — the order a stable sort of the
+//! concatenated parts gives, ties going to the earlier part. A part
+//! comes in one of two shapes:
 //!
-//! 1. **Sorted part columns.** Each part — a live shard log's packed
-//!    records, a file's column sections, a caller-built
-//!    [`ShardColumns`] — is decoded into columns and handed to the
-//!    normaliser (`DataOpColumns::sorted` / `TargetColumns::sorted`):
-//!    one pass checks the `(start, id)` order and only a part that
-//!    breaks it is stably sorted. A thread appends its events as they
-//!    complete and one thread's events complete in the order they
-//!    start, so on every measured workload the check is all that runs;
-//!    the sort exists for `nowait` completions and for hostile or
-//!    foreign input.
-//! 2. **Column merge.** `DataOpColumns::merged` /
-//!    `TargetColumns::merged` compute the `(start, id, part)` order
-//!    from the parts' `starts`/`ids` columns alone and move every column
-//!    straight to it — the order a stable sort of the concatenated
-//!    parts gives, ties across parts going to the earlier part.
+//! * **Records.** A live shard log's packed records, walked in append
+//!   order and decoded once each, straight into the merged columns (the
+//!   record cursors live in [`crate::log`]); the same pass folds every
+//!   row into the log's [`TraceStats`]. A thread appends its events as
+//!   they complete and one thread's events complete in the order they
+//!   start, so on every measured workload every log part is already in
+//!   `(start, id)` order and reaches the merge in this shape.
+//! * **Columns** (`Columns`). A file's column sections, a caller-built
+//!   [`ShardColumns`], or — when a log part's records break the order
+//!   (a `nowait` completion, hostile input) and the record merge stops
+//!   there — every log part, decoded first. The normaliser
+//!   (`Table::sorted`) checks the order in one pass and stably sorts
+//!   only a part that breaks it.
 //!
 //! Row views are *derived* from the columns on demand
 //! ([`DataOpColumns::to_events`]), so row and columnar consumers can
 //! never disagree.
 
+use crate::stats::TraceStats;
 use odp_model::{
     CodePtr, DataOpEvent, DataOpKind, DeviceId, EventId, HashVal, SimTime, TargetEvent, TargetKind,
     TimeSpan,
 };
-use std::borrow::Borrow;
+use std::borrow::Cow;
 
 /// Column-per-field storage for data-operation events, in chronological
 /// `(start, id)` order. All columns share one length; index `i` across
@@ -104,6 +108,7 @@ impl DataOpColumns {
 
     /// Scatter one event across the columns (appended at the end; the
     /// caller is responsible for feeding events in `(start, id)` order).
+    #[inline]
     pub fn push(&mut self, e: &DataOpEvent) {
         self.ids.push(e.id);
         self.kinds.push(e.kind);
@@ -149,49 +154,14 @@ impl DataOpColumns {
         cols
     }
 
-    /// The normaliser: these columns stably sorted into the
-    /// `(start, id)` order [`DataOpColumns::merged`] requires of every
-    /// part, or `None` when they hold it already — the usual case (see
-    /// the module docs), which costs one comparison per row.
-    pub(crate) fn sorted(&self) -> Option<DataOpColumns> {
-        let order = sort_order(&self.starts, &self.ids)?;
-        Some(DataOpColumns {
-            ids: gather(&order, &self.ids),
-            kinds: gather(&order, &self.kinds),
-            src_devices: gather(&order, &self.src_devices),
-            dest_devices: gather(&order, &self.dest_devices),
-            src_addrs: gather(&order, &self.src_addrs),
-            dest_addrs: gather(&order, &self.dest_addrs),
-            bytes: gather(&order, &self.bytes),
-            hashes: gather(&order, &self.hashes),
-            starts: gather(&order, &self.starts),
-            ends: gather(&order, &self.ends),
-            codeptrs: gather(&order, &self.codeptrs),
-        })
-    }
-
-    /// K-way merge of `(start, id)`-sorted parts into one chronological
-    /// column set, ties going to the earlier part — the order a stable
-    /// sort of the concatenated parts gives. The order is computed from
-    /// the `starts`/`ids` columns alone, then every column is moved to
-    /// it; no row is materialised.
-    pub(crate) fn merged(parts: &[impl Borrow<DataOpColumns>]) -> DataOpColumns {
-        let parts: Vec<&DataOpColumns> = parts.iter().map(Borrow::borrow).collect();
-        let keys: Vec<_> = parts.iter().map(|p| (&p.starts[..], &p.ids[..])).collect();
-        let at = merge_positions(&keys);
-        DataOpColumns {
-            ids: scatter(&at, |p| &parts[p].ids),
-            kinds: scatter(&at, |p| &parts[p].kinds),
-            src_devices: scatter(&at, |p| &parts[p].src_devices),
-            dest_devices: scatter(&at, |p| &parts[p].dest_devices),
-            src_addrs: scatter(&at, |p| &parts[p].src_addrs),
-            dest_addrs: scatter(&at, |p| &parts[p].dest_addrs),
-            bytes: scatter(&at, |p| &parts[p].bytes),
-            hashes: scatter(&at, |p| &parts[p].hashes),
-            starts: scatter(&at, |p| &parts[p].starts),
-            ends: scatter(&at, |p| &parts[p].ends),
-            codeptrs: scatter(&at, |p| &parts[p].codeptrs),
+    /// Append `e`, folded into `stats` when given: the one step by which
+    /// [`merge`] emits a data-op row, whatever shape its part has.
+    #[inline]
+    pub(crate) fn emit(&mut self, e: &DataOpEvent, stats: Option<&mut TraceStats>) {
+        if let Some(s) = stats {
+            s.add_op(e.kind, e.src_device, e.dest_device, e.bytes, e.duration());
         }
+        self.push(e);
     }
 }
 
@@ -241,6 +211,7 @@ impl TargetColumns {
     }
 
     /// Scatter one event across the columns.
+    #[inline]
     pub fn push(&mut self, e: &TargetEvent) {
         self.ids.push(e.id);
         self.devices.push(e.device);
@@ -276,40 +247,21 @@ impl TargetColumns {
         cols
     }
 
-    /// The normaliser for target columns; see [`DataOpColumns::sorted`].
-    pub(crate) fn sorted(&self) -> Option<TargetColumns> {
-        let order = sort_order(&self.starts, &self.ids)?;
-        Some(TargetColumns {
-            ids: gather(&order, &self.ids),
-            devices: gather(&order, &self.devices),
-            kinds: gather(&order, &self.kinds),
-            starts: gather(&order, &self.starts),
-            ends: gather(&order, &self.ends),
-            codeptrs: gather(&order, &self.codeptrs),
-        })
-    }
-
-    /// K-way merge of `(start, id)`-sorted parts; see
-    /// [`DataOpColumns::merged`].
-    pub(crate) fn merged(parts: &[impl Borrow<TargetColumns>]) -> TargetColumns {
-        let parts: Vec<&TargetColumns> = parts.iter().map(Borrow::borrow).collect();
-        let keys: Vec<_> = parts.iter().map(|p| (&p.starts[..], &p.ids[..])).collect();
-        let at = merge_positions(&keys);
-        TargetColumns {
-            ids: scatter(&at, |p| &parts[p].ids),
-            devices: scatter(&at, |p| &parts[p].devices),
-            kinds: scatter(&at, |p| &parts[p].kinds),
-            starts: scatter(&at, |p| &parts[p].starts),
-            ends: scatter(&at, |p| &parts[p].ends),
-            codeptrs: scatter(&at, |p| &parts[p].codeptrs),
+    /// Append `e`, a kernel folded into `stats` when given; see
+    /// [`DataOpColumns::emit`].
+    #[inline]
+    pub(crate) fn emit(&mut self, e: &TargetEvent, stats: Option<&mut TraceStats>) {
+        if let Some(s) = stats.filter(|_| e.kind == TargetKind::Kernel) {
+            s.add_kernel(e.span.duration());
         }
+        self.push(e);
     }
 }
 
 /// One part of a trace — a shard log, or one shard of a persisted file
-/// — as columns, both tables `(start, id)`-sorted: the one intermediate
-/// form between packed records / file sections and the merged
-/// [`ColumnarView`]. The target columns carry every construct (with its
+/// — as columns, both tables `(start, id)`-sorted: the export form of a
+/// log part and the load form of a file's shard, which the module's one
+/// merge reads as a column part. The target columns carry every construct (with its
 /// kind), not just kernels, so a persisted trace reproduces target
 /// hydration and stats as well as the detector inputs.
 ///
@@ -349,6 +301,185 @@ impl ColumnarView {
     }
 }
 
+/// A row's place in chronological order.
+pub(crate) type Key = (SimTime, EventId);
+
+/// One `(start, id)`-ordered input of [`merge`]: it shows the key of
+/// its next row and moves that row into the output columns.
+pub(crate) trait Cursor {
+    /// The columns rows are moved into.
+    type Out;
+    /// Key of the next row; `None` once every row has moved.
+    fn head(&self) -> Option<Key>;
+    /// Move the next row into `out`, folded into `stats` when given,
+    /// and step past it. Called only while [`Cursor::head`] is `Some`.
+    fn pop_into(&mut self, out: &mut Self::Out, stats: Option<&mut TraceStats>);
+}
+
+/// The one merge: every row of `parts` into `out` in ascending
+/// `(start, id, part)` order — the order a stable sort of the
+/// concatenated parts gives, ties going to the earlier part. Each row
+/// is read once, from its part straight into `out`.
+///
+/// Returns whether every part held `(start, id)` order. A column part
+/// always does (`Columns::new` normalises it); a record part is taken
+/// on trust, and at the first row that breaks the order the merge stops
+/// there and returns `false`, `out` and `stats` partial.
+///
+/// A part keeps the floor while its head stays below the least other
+/// head, so a run costs one scan of the heads and each row one
+/// comparison; the last part standing drains without another scan.
+pub(crate) fn merge<C: Cursor>(
+    mut parts: Vec<C>,
+    out: &mut C::Out,
+    mut stats: Option<&mut TraceStats>,
+) -> bool {
+    // Drained parts leave, the rest keep their order: comparing
+    // `(head, index)` sends equal heads to the earlier part, and heads
+    // of different parts never tie.
+    parts.retain(|p| p.head().is_some());
+    let least = |parts: &[C], skip: usize| {
+        let heads = parts.iter().enumerate().filter(|&(i, _)| i != skip);
+        heads.filter_map(|(i, p)| Some((p.head()?, i))).min()
+    };
+    while let Some((mut head, floor)) = least(&parts, usize::MAX) {
+        let bound = least(&parts, floor);
+        let part = &mut parts[floor];
+        loop {
+            part.pop_into(out, stats.as_deref_mut());
+            match part.head() {
+                None => {
+                    parts.remove(floor);
+                    break;
+                }
+                Some(next) if next < head => return false,
+                Some(next) if bound.is_some_and(|b| (next, floor) > b) => break,
+                Some(next) => head = next,
+            }
+        }
+    }
+    true
+}
+
+/// A column set [`Columns`] serves rows from.
+pub(crate) trait Table: Clone {
+    /// Empty columns with room for `n` rows.
+    fn with_capacity(n: usize) -> Self;
+    /// Number of rows.
+    fn rows(&self) -> usize;
+    /// Key of row `i`.
+    fn key(&self, i: usize) -> Key;
+    /// Append row `i` of `from`, folded into `stats` when given.
+    fn emit_row(&mut self, from: &Self, i: usize, stats: Option<&mut TraceStats>);
+    /// The normaliser: these columns stably sorted into `(start, id)`
+    /// order, or `None` when they hold it already — the usual case (see
+    /// the module docs), which costs one comparison per row.
+    fn sorted(&self) -> Option<Self>;
+}
+
+impl Table for DataOpColumns {
+    fn with_capacity(n: usize) -> Self {
+        DataOpColumns::with_capacity(n)
+    }
+
+    fn rows(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn key(&self, i: usize) -> Key {
+        (self.starts[i], self.ids[i])
+    }
+
+    #[inline]
+    fn emit_row(&mut self, from: &Self, i: usize, stats: Option<&mut TraceStats>) {
+        self.emit(&from.event(i), stats);
+    }
+
+    fn sorted(&self) -> Option<DataOpColumns> {
+        let order = sort_order(&self.starts, &self.ids)?;
+        Some(DataOpColumns {
+            ids: gather(&order, &self.ids),
+            kinds: gather(&order, &self.kinds),
+            src_devices: gather(&order, &self.src_devices),
+            dest_devices: gather(&order, &self.dest_devices),
+            src_addrs: gather(&order, &self.src_addrs),
+            dest_addrs: gather(&order, &self.dest_addrs),
+            bytes: gather(&order, &self.bytes),
+            hashes: gather(&order, &self.hashes),
+            starts: gather(&order, &self.starts),
+            ends: gather(&order, &self.ends),
+            codeptrs: gather(&order, &self.codeptrs),
+        })
+    }
+}
+
+impl Table for TargetColumns {
+    fn with_capacity(n: usize) -> Self {
+        TargetColumns::with_capacity(n)
+    }
+
+    fn rows(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn key(&self, i: usize) -> Key {
+        (self.starts[i], self.ids[i])
+    }
+
+    #[inline]
+    fn emit_row(&mut self, from: &Self, i: usize, stats: Option<&mut TraceStats>) {
+        self.emit(&from.event(i), stats);
+    }
+
+    fn sorted(&self) -> Option<TargetColumns> {
+        let order = sort_order(&self.starts, &self.ids)?;
+        Some(TargetColumns {
+            ids: gather(&order, &self.ids),
+            devices: gather(&order, &self.devices),
+            kinds: gather(&order, &self.kinds),
+            starts: gather(&order, &self.starts),
+            ends: gather(&order, &self.ends),
+            codeptrs: gather(&order, &self.codeptrs),
+        })
+    }
+}
+
+/// A column part of [`merge`]: `(start, id)`-ordered columns and the
+/// next row to move.
+pub(crate) struct Columns<'a, T: Clone> {
+    cols: Cow<'a, T>,
+    at: usize,
+}
+
+impl<'a, T: Table> Columns<'a, T> {
+    /// `cols` as a part: read where they lie when they hold the order,
+    /// normalised on a copy when they break it.
+    pub(crate) fn new(cols: Cow<'a, T>) -> Self {
+        let cols = match cols.sorted() {
+            Some(sorted) => Cow::Owned(sorted),
+            None => cols,
+        };
+        Columns { cols, at: 0 }
+    }
+}
+
+impl<T: Table> Cursor for Columns<'_, T> {
+    type Out = T;
+
+    #[inline]
+    fn head(&self) -> Option<Key> {
+        (self.at < self.cols.rows()).then(|| self.cols.key(self.at))
+    }
+
+    #[inline]
+    fn pop_into(&mut self, out: &mut T, stats: Option<&mut TraceStats>) {
+        out.emit_row(&self.cols, self.at, stats);
+        self.at += 1;
+    }
+}
+
 /// The stable permutation that puts key columns in ascending
 /// `(start, id)` order (equal keys keep append order); `None` when they
 /// hold it already.
@@ -365,70 +496,6 @@ fn sort_order(starts: &[SimTime], ids: &[EventId]) -> Option<Vec<usize>> {
 /// One column read in [`sort_order`].
 fn gather<T: Copy>(order: &[usize], column: &[T]) -> Vec<T> {
     order.iter().map(|&i| column[i]).collect()
-}
-
-/// Merged order of per-part `(starts, ids)` key columns, each already
-/// `(start, id)`-sorted: for every part, the output positions of its
-/// rows (ascending — parts are consumed front to back), the output
-/// being in ascending `(start, id, part)` order. A part keeps the floor
-/// while its next key stays below every other part's head, so the heap
-/// is touched once per switch of part, not once per row.
-fn merge_positions(parts: &[(&[SimTime], &[EventId])]) -> Vec<Vec<usize>> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let key = |part: usize, i: usize| (parts[part].0[i], parts[part].1[i], part);
-    let mut heads: BinaryHeap<Reverse<(SimTime, EventId, usize)>> = (0..parts.len())
-        .filter(|&p| !parts[p].1.is_empty())
-        .map(|p| Reverse(key(p, 0)))
-        .collect();
-    let mut positions: Vec<Vec<usize>> = parts
-        .iter()
-        .map(|p| Vec::with_capacity(p.1.len()))
-        .collect();
-    let mut out = 0;
-    while let Some(Reverse((_, _, part))) = heads.pop() {
-        let len = parts[part].1.len();
-        let lo = positions[part].len();
-        let mut hi = lo + 1;
-        match heads.peek() {
-            // Keys of different parts differ in the part index, so the
-            // comparison is never a tie.
-            Some(&Reverse(bound)) => {
-                while hi < len && key(part, hi) < bound {
-                    hi += 1;
-                }
-            }
-            None => hi = len,
-        }
-        positions[part].extend(out..out + (hi - lo));
-        out += hi - lo;
-        if hi < len {
-            heads.push(Reverse(key(part, hi)));
-        }
-    }
-    positions
-}
-
-/// Scatter one column to its [`merge_positions`]: `column(part)` is
-/// that column of part `part`. (A scatter rather than a gather: every
-/// store is independent, where a gather's per-part read cursors chain
-/// each load on the previous store.)
-fn scatter<'a, T: Copy + 'a>(
-    positions: &[Vec<usize>],
-    column: impl Fn(usize) -> &'a Vec<T>,
-) -> Vec<T> {
-    // Any element serves as the filler every position overwrites.
-    let Some(&fill) = (0..positions.len()).find_map(|p| column(p).first()) else {
-        return Vec::new();
-    };
-    let mut out = vec![fill; positions.iter().map(Vec::len).sum()];
-    for (part, at) in positions.iter().enumerate() {
-        for (&i, &v) in at.iter().zip(column(part)) {
-            out[i] = v;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -493,6 +560,14 @@ mod tests {
         cols
     }
 
+    /// [`merge`] over column parts, as a file's shards are hydrated.
+    fn merged(parts: &[&DataOpColumns]) -> DataOpColumns {
+        let mut out = DataOpColumns::default();
+        let parts = parts.iter().map(|&p| Columns::new(Cow::Borrowed(p)));
+        assert!(merge(parts.collect(), &mut out, None));
+        out
+    }
+
     #[test]
     fn merge_orders_by_key_then_part() {
         // Part a: keys 1, 5, 5; part b: keys 1, 5, 9 — the same ids, as
@@ -501,10 +576,13 @@ mod tests {
         let a = keyed(0xa0, &[(1, 0), (5, 1), (5, 1)]);
         let b = keyed(0xb0, &[(1, 0), (5, 1), (9, 2)]);
         assert!(a.sorted().is_none() && b.sorted().is_none());
-        let merged = DataOpColumns::merged(&[&a, &b]);
-        assert_eq!(merged.src_addrs, vec![0xa0, 0xb0, 0xa1, 0xa2, 0xb1, 0xb2]);
-        assert_eq!(merged.to_events().len(), 6);
-        let swapped = DataOpColumns::merged(&[&b, &a]);
+        let merged_ab = merged(&[&a, &b]);
+        assert_eq!(
+            merged_ab.src_addrs,
+            vec![0xa0, 0xb0, 0xa1, 0xa2, 0xb1, 0xb2]
+        );
+        assert_eq!(merged_ab.to_events().len(), 6);
+        let swapped = merged(&[&b, &a]);
         assert_eq!(swapped.src_addrs, vec![0xb0, 0xa0, 0xb1, 0xa1, 0xa2, 0xb2]);
     }
 
@@ -514,24 +592,55 @@ mod tests {
         // normaliser presents them sorted, stably, before the merge.
         let a = keyed(0xa0, &[(5, 1), (1, 0), (5, 1)]);
         let b = keyed(0xb0, &[(9, 1), (2, 0)]);
-        let (a, b) = (a.sorted().unwrap(), b.sorted().unwrap());
+        let sorted_a = a.sorted().unwrap();
         assert_eq!(
-            a.src_addrs,
+            sorted_a.src_addrs,
             vec![0xa1, 0xa0, 0xa2],
             "equal keys keep append order"
         );
-        assert!(a.sorted().is_none(), "normalising is idempotent");
-        let merged = DataOpColumns::merged(&[&a, &b]);
-        assert_eq!(merged.src_addrs, vec![0xa1, 0xb1, 0xa0, 0xa2, 0xb0]);
+        assert!(sorted_a.sorted().is_none(), "normalising is idempotent");
+        let merged_ab = merged(&[&a, &b]);
+        assert_eq!(merged_ab.src_addrs, vec![0xa1, 0xb1, 0xa0, 0xa2, 0xb0]);
         assert_eq!(
-            merged.starts.iter().map(|t| t.0).collect::<Vec<_>>(),
+            merged_ab.starts.iter().map(|t| t.0).collect::<Vec<_>>(),
             vec![1, 2, 5, 5, 9]
         );
         // Every column moves with its key, not just the probe column.
-        for i in 0..merged.len() {
-            let e = merged.event(i);
+        for i in 0..merged_ab.len() {
+            let e = merged_ab.event(i);
             assert_eq!(e.hash, Some(HashVal(e.id.0 ^ 0xabc)));
             assert_eq!(e.span.end.0, e.span.start.0 + 10);
         }
+    }
+
+    #[test]
+    fn merge_stops_at_a_part_that_breaks_the_order() {
+        // A part taken on trust, as record parts are: its second row
+        // starts before its first.
+        let trusted = keyed(0xa0, &[(1, 0), (9, 1), (4, 2)]);
+        let parts = vec![Columns {
+            cols: Cow::Borrowed(&trusted),
+            at: 0,
+        }];
+        let mut out = DataOpColumns::default();
+        assert!(!merge(parts, &mut out, None));
+        assert_eq!(out.src_addrs, vec![0xa0, 0xa1], "stopped at the break");
+        let parts = vec![Columns::new(Cow::Borrowed(&trusted))];
+        let mut out = DataOpColumns::default();
+        assert!(merge(parts, &mut out, None), "a normalised part holds");
+    }
+
+    #[test]
+    fn merge_folds_every_row_into_stats_when_asked() {
+        let a = keyed(0xa0, &[(1, 0), (5, 1)]);
+        let b = keyed(0xb0, &[(2, 0), (3, 2), (7, 4)]);
+        let mut out = DataOpColumns::default();
+        let mut stats = TraceStats::default();
+        let parts = vec![Columns::new(Cow::Borrowed(&a)), Columns::new(Cow::Owned(b))];
+        assert!(merge(parts, &mut out, Some(&mut stats)));
+        assert_eq!(out.len(), 5);
+        assert_eq!((stats.transfers, stats.h2d_transfers), (5, 5));
+        assert_eq!(stats.bytes_transferred, 5 * 64);
+        assert_eq!(stats.transfer_time.as_nanos(), 5 * 10);
     }
 }

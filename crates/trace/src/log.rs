@@ -2,14 +2,19 @@
 //! hydrated view the detectors consume afterwards.
 
 use crate::chunked::ChunkedVec;
-use crate::columnar::{ColumnarView, DataOpColumns, ShardColumns, TargetColumns};
+use crate::columnar::{
+    merge, ColumnarView, Columns, Cursor, DataOpColumns, Key, ShardColumns, Table, TargetColumns,
+};
 use crate::intern::CodePtrTable;
 use crate::record::{DataOpRecord, TargetRecord};
 use crate::stats::{SpaceStats, TraceStats};
 use odp_model::{
-    CodePtr, DataOpEvent, DataOpKind, DeviceId, EventId, SimDuration, TargetEvent, TargetKind,
-    TimeSpan,
+    CodePtr, DataOpEvent, DataOpKind, DeviceId, EventId, SimDuration, SimTime, TargetEvent,
+    TargetKind, TimeSpan,
 };
+use std::borrow::Cow;
+use std::iter::Flatten;
+use std::slice;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -22,17 +27,20 @@ use std::sync::OnceLock;
 /// algorithm in §5.
 ///
 /// Hydration is memoized and **columnar-first**, and there is one of
-/// it: every part (the log itself, plus every merged shard) has its
-/// packed records decoded straight into columns, the columns are put in
-/// `(start, id)` order, and the parts are merged by
-/// [`crate::columnar`]'s column merge — the pipeline a persisted trace
-/// is loaded through as well. A thread's records are appended as its
-/// events complete, which on every measured workload is already the
-/// order they started in, so ordering a part is normally a check and
-/// nothing else; the sort behind it exists for `nowait` completions.
+/// it: [`crate::columnar`]'s one merge, the pipeline a persisted trace
+/// is loaded through as well. Every part (the log itself, plus every
+/// merged shard) is a cursor over its packed records, and the merge
+/// decodes each record once, straight into the merged columns, folding
+/// it into the [`TraceStats`] on the way. A thread's records are
+/// appended as its events complete, which on every measured workload is
+/// already the order they started in, so record parts are taken on
+/// trust: when one breaks `(start, id)` order (a `nowait` completion),
+/// the merge stops there and runs again from the start over every
+/// part's records decoded into columns and stably sorted.
 /// The first call to [`TraceLog::columnar`] (or any accessor that needs
-/// it — data-op / kernel events, [`TraceLog::to_json`]) runs that pass
-/// and caches the [`ColumnarView`]; the detectors sweep those
+/// it — data-op / kernel events, [`TraceLog::stats`],
+/// [`TraceLog::to_json`]) runs that pass and caches the
+/// [`ColumnarView`] with its stats; the detectors sweep those
 /// cache-dense columns directly. The row slices returned by the
 /// `*_sorted` accessors are *derived* from merged columns by a memoized
 /// gather, so row and columnar consumers can never disagree. Appending
@@ -72,8 +80,9 @@ pub struct TraceLog {
     total_time: SimDuration,
     /// Memoized columnar hydration (data-op + kernel columns, both
     /// `(start, id)`-ordered) — the single indexing pass every other
-    /// hydration view derives from.
-    columnar: OnceLock<ColumnarView>,
+    /// hydration view derives from — and the stats folded in the same
+    /// pass (`total_time` aside, which [`TraceLog::stats`] reads live).
+    hydration: OnceLock<(ColumnarView, TraceStats)>,
     /// Memoized row gather of the columnar data-op hydration.
     hydrated_ops: OnceLock<Vec<DataOpEvent>>,
     /// Memoized chronological hydration of all `targets`.
@@ -82,8 +91,6 @@ pub struct TraceLog {
     /// columnar pass filters *records*, so a log dominated by
     /// non-kernel constructs never hydrates them on this path).
     hydrated_kernels: OnceLock<Vec<TargetEvent>>,
-    /// Memoized aggregate statistics.
-    cached_stats: OnceLock<TraceStats>,
     /// Number of hydration passes performed (observability for the
     /// memoization contract; not part of the trace).
     sort_passes: AtomicUsize,
@@ -231,11 +238,10 @@ impl TraceLog {
     /// Drop the memoized hydrations after an append. Cheap when nothing
     /// is cached (the steady state while the program runs).
     fn invalidate_hydration(&mut self) {
-        self.columnar.take();
+        self.hydration.take();
         self.hydrated_ops.take();
         self.hydrated_targets.take();
         self.hydrated_kernels.take();
-        self.cached_stats.take();
     }
 
     fn note_end(&mut self, span: TimeSpan) {
@@ -250,9 +256,6 @@ impl TraceLog {
     pub fn set_total_time(&mut self, t: SimDuration) {
         if t > self.total_time {
             self.total_time = t;
-            // Cached stats embed total_time; drop them so the next
-            // stats() reflects the finalized duration.
-            self.cached_stats.take();
         }
     }
 
@@ -305,7 +308,9 @@ impl TraceLog {
         }
     }
 
-    /// This part's data-op records as `(start, id)`-ordered columns.
+    /// This part's data-op records as `(start, id)`-ordered columns:
+    /// its export form, and its merge form when the records break the
+    /// order.
     fn op_columns(&self) -> DataOpColumns {
         let mut cols = DataOpColumns::with_capacity(self.data_ops.len());
         for r in self.data_ops.iter() {
@@ -317,10 +322,8 @@ impl TraceLog {
     }
 
     /// This part's target records that pass `keep`, as `(start, id)`-
-    /// ordered columns. The filter reads the packed *record*, so a part
-    /// dominated by non-kernel constructs never decodes them for the
-    /// detectors.
-    fn target_columns(&self, keep: impl Fn(&TargetRecord) -> bool) -> TargetColumns {
+    /// ordered columns; see [`TraceLog::op_columns`].
+    fn target_columns(&self, keep: fn(&TargetRecord) -> bool) -> TargetColumns {
         let mut cols = TargetColumns::default();
         for r in self.targets.iter().filter(|r| keep(r)) {
             let cp = self.codeptrs.resolve(r.codeptr_ix);
@@ -329,26 +332,70 @@ impl TraceLog {
         cols.sorted().unwrap_or(cols)
     }
 
+    /// One table of every part, `rows` long, through the one merge and
+    /// folded into `stats`: as record cursors, or — when a part's
+    /// records break `(start, id)` order (a `nowait` completion) — again
+    /// from the start over every part's normalised columns.
+    fn merged<'a, R>(
+        &'a self,
+        rows: usize,
+        records: impl Fn(&'a TraceLog) -> R,
+        columns: impl Fn(&'a TraceLog) -> R::Out,
+        stats: &mut TraceStats,
+    ) -> R::Out
+    where
+        R: Cursor,
+        R::Out: Table,
+    {
+        let before = *stats;
+        let mut out = R::Out::with_capacity(rows);
+        let parts = self.parts().map(records);
+        if merge(parts.collect(), &mut out, Some(&mut *stats)) {
+            return out;
+        }
+        *stats = before;
+        let mut out = R::Out::with_capacity(rows);
+        let parts = self.parts().map(|p| Columns::new(Cow::Owned(columns(p))));
+        merge(parts.collect(), &mut out, Some(stats));
+        out
+    }
+
+    /// The memoized hydration: both column sets, merged from every part
+    /// in one pass that also folds the stats.
+    fn hydration(&self) -> &(ColumnarView, TraceStats) {
+        self.hydration.get_or_init(|| {
+            self.sort_passes.fetch_add(1, Ordering::Relaxed);
+            let mut stats = TraceStats::default();
+            let ops = self.merged(
+                self.data_op_count(),
+                OpRecords::new,
+                TraceLog::op_columns,
+                &mut stats,
+            );
+            // Counted on the packed records first, so the kernel columns
+            // are sized exactly, like the data-op ones.
+            let kernel_rows = self
+                .parts()
+                .map(|p| p.targets.iter().filter(|r| is_kernel(r)).count());
+            let kernels = self.merged(
+                kernel_rows.sum(),
+                |p| TargetRecords::new(p, is_kernel),
+                |p| p.target_columns(is_kernel),
+                &mut stats,
+            );
+            (ColumnarView { ops, kernels }, stats)
+        })
+    }
+
     /// Borrow the memoized columnar hydration: data-op and kernel
     /// events decomposed into `(start, id)`-ordered struct-of-arrays
     /// columns — the representation the fused detector sweeps consume
-    /// directly. Built in one pass per batch of appends: each part is
-    /// decoded into ordered columns and the parts are merged by
-    /// `(start, id, part)` — byte-identical to stably sorting the
-    /// concatenation, but without re-sorting already-ordered shards.
+    /// directly. Built in one pass per batch of appends: every part's
+    /// records are decoded once, straight into the columns, in
+    /// `(start, id, part)` order — byte-identical to stably sorting the
+    /// concatenation, without sorting or copying an ordered part.
     pub fn columnar(&self) -> &ColumnarView {
-        self.columnar.get_or_init(|| {
-            self.sort_passes.fetch_add(1, Ordering::Relaxed);
-            let ops: Vec<DataOpColumns> = self.parts().map(|p| p.op_columns()).collect();
-            let kernels: Vec<TargetColumns> = self
-                .parts()
-                .map(|p| p.target_columns(|r| r.kind() == TargetKind::Kernel))
-                .collect();
-            ColumnarView {
-                ops: DataOpColumns::merged(&ops),
-                kernels: TargetColumns::merged(&kernels),
-            }
-        })
+        &self.hydration().0
     }
 
     /// Borrow the memoized chronological data-op events (start, then log
@@ -373,9 +420,14 @@ impl TraceLog {
     pub fn target_events_sorted(&self) -> &[TargetEvent] {
         self.hydrated_targets.get_or_init(|| {
             self.sort_passes.fetch_add(1, Ordering::Relaxed);
-            let parts: Vec<TargetColumns> =
-                self.parts().map(|p| p.target_columns(|_| true)).collect();
-            TargetColumns::merged(&parts).to_events()
+            let every = |_: &TargetRecord| true;
+            self.merged(
+                self.target_count(),
+                |p| TargetRecords::new(p, every),
+                |p| p.target_columns(every),
+                &mut TraceStats::default(),
+            )
+            .to_events()
         })
     }
 
@@ -400,9 +452,9 @@ impl TraceLog {
     /// shard, in merge order, empty parts skipped — as [`ShardColumns`]:
     /// the input of [`crate::persist`].
     ///
-    /// These are the ordered part columns [`TraceLog::columnar`] merges,
-    /// in the part order its merge tie-breaks on, so merging them again
-    /// reproduces the in-memory hydration exactly — including
+    /// These are the parts [`TraceLog::columnar`] merges, as ordered
+    /// columns, in the part order its merge tie-breaks on, so merging
+    /// them again reproduces the in-memory hydration exactly — including
     /// adversarial shard sets whose event ids collide. Unlike the
     /// columnar hydration, the exported target columns carry *every*
     /// target construct (with its kind column), so a persisted trace
@@ -427,23 +479,14 @@ impl TraceLog {
         self.sort_passes.load(Ordering::Relaxed)
     }
 
-    /// Aggregate statistics for reports (memoized; works on the packed
-    /// records directly, no hydration or sorting involved).
+    /// Aggregate statistics for reports: folded by the columnar
+    /// hydration's pass (run by this call if nothing ran it yet), with
+    /// the total time as it stands now.
     pub fn stats(&self) -> TraceStats {
-        *self.cached_stats.get_or_init(|| {
-            let mut s = TraceStats::default();
-            for p in self.parts() {
-                for r in p.data_ops.iter() {
-                    let e = r.to_event();
-                    s.add_op(e.kind, e.src_device, e.dest_device, e.bytes, e.duration());
-                }
-                for r in p.targets.iter().filter(|r| r.kind() == TargetKind::Kernel) {
-                    s.add_kernel(SimDuration(r.end.saturating_sub(r.start)));
-                }
-            }
-            s.total_time = self.total_time;
-            s
-        })
+        TraceStats {
+            total_time: self.total_time,
+            ..self.hydration().1
+        }
     }
 
     /// Export the hydrated events as pretty JSON (reuses the memoized
@@ -464,6 +507,99 @@ impl TraceLog {
             total_time_ns: self.total_time.as_nanos(),
         })
         .expect("trace serialization cannot fail")
+    }
+}
+
+/// The filter of the detectors' target table.
+fn is_kernel(r: &TargetRecord) -> bool {
+    r.kind() == TargetKind::Kernel
+}
+
+/// A log's data-op records as a merge part: walked in append order,
+/// each decoded once, straight into the merged columns.
+struct OpRecords<'a> {
+    records: Flatten<slice::Iter<'a, Vec<DataOpRecord>>>,
+    next: Option<&'a DataOpRecord>,
+    id_base: u64,
+}
+
+impl<'a> OpRecords<'a> {
+    fn new(log: &'a TraceLog) -> Self {
+        let mut records = log.data_ops.iter();
+        OpRecords {
+            next: records.next(),
+            records,
+            id_base: log.id_base,
+        }
+    }
+}
+
+impl Cursor for OpRecords<'_> {
+    type Out = DataOpColumns;
+
+    #[inline]
+    fn head(&self) -> Option<Key> {
+        let id = |r: &DataOpRecord| EventId(self.id_base | r.seq as u64);
+        self.next.map(|r| (SimTime(r.start), id(r)))
+    }
+
+    #[inline]
+    fn pop_into(&mut self, out: &mut DataOpColumns, stats: Option<&mut TraceStats>) {
+        if let Some(r) = self.next {
+            let mut e = r.to_event();
+            e.id = EventId(self.id_base | e.id.0);
+            out.emit(&e, stats);
+        }
+        self.next = self.records.next();
+    }
+}
+
+/// A log's target records that pass a filter — every construct, or the
+/// kernels — as a merge part; see [`OpRecords`].
+struct TargetRecords<'a> {
+    records: Flatten<slice::Iter<'a, Vec<TargetRecord>>>,
+    next: Option<&'a TargetRecord>,
+    keep: fn(&TargetRecord) -> bool,
+    log: &'a TraceLog,
+}
+
+impl<'a> TargetRecords<'a> {
+    fn new(log: &'a TraceLog, keep: fn(&TargetRecord) -> bool) -> Self {
+        let mut cursor = TargetRecords {
+            records: log.targets.iter(),
+            next: None,
+            keep,
+            log,
+        };
+        cursor.advance();
+        cursor
+    }
+
+    fn advance(&mut self) {
+        let keep = self.keep;
+        self.next = self.records.find(|r| keep(r));
+    }
+}
+
+impl Cursor for TargetRecords<'_> {
+    type Out = TargetColumns;
+
+    #[inline]
+    fn head(&self) -> Option<Key> {
+        let id = |r: &TargetRecord| EventId(self.log.id_base | r.seq() as u64);
+        self.next.map(|r| (SimTime(r.start), id(r)))
+    }
+
+    #[inline]
+    fn pop_into(&mut self, out: &mut TargetColumns, stats: Option<&mut TraceStats>) {
+        if let Some(r) = self.next {
+            let codeptr = self.log.codeptrs.resolve(r.codeptr_ix);
+            out.emit(
+                &r.to_event(self.log.id_base | r.seq() as u64, codeptr),
+                stats,
+            );
+        }
+        self.advance();
     }
 }
 
@@ -820,18 +956,103 @@ mod tests {
         assert_eq!(merged.columnar().ops.to_events(), naive_ops);
     }
 
+    /// A 3-part merged log: shard 1 appended out of `(start, id)` order
+    /// (a `nowait` completion), shards 0 and 2 claiming the same shard
+    /// id so whole keys tie across parts, and every part's kernel
+    /// completing before the region around it. The columnar view, every
+    /// target and the stats must equal the oracle: the parts' rows
+    /// concatenated in merge order and stably sorted. With shard 1 in
+    /// order the data ops take the record path alone; out of order they
+    /// take the column fallback, as the full target table always does.
     #[test]
-    fn set_total_time_invalidates_cached_stats() {
+    fn out_of_order_and_colliding_parts_hydrate_like_the_oracle() {
+        for nowait in [false, true] {
+            let ctx = format!("nowait {nowait}");
+            let unordered = if nowait { [25, 5, 40] } else { [5, 25, 40] };
+            let (mut ops, mut targets, mut logs) = (Vec::new(), Vec::new(), Vec::new());
+            for (part, (shard, starts)) in [(0, [10, 20, 30]), (1, unordered), (0, [10, 20, 35])]
+                .into_iter()
+                .enumerate()
+            {
+                let mut log = TraceLog::for_shard(shard);
+                let tag = 0x1000 * part as u64;
+                for (i, &t) in starts.iter().enumerate() {
+                    let (kind, hash) = [
+                        (DataOpKind::Alloc, None),
+                        (DataOpKind::Transfer, Some(t)),
+                        (DataOpKind::Delete, None),
+                    ][i];
+                    ops.push(log.record_data_op(
+                        kind,
+                        DeviceId::HOST,
+                        DeviceId::target(0),
+                        tag + i as u64,
+                        0xd000,
+                        64 << i,
+                        hash,
+                        span(t, t + 4 + i as u64),
+                        CodePtr(0x100),
+                    ));
+                }
+                let (dev, t) = (DeviceId::target(0), starts[0]);
+                targets.push(log.record_target(
+                    TargetKind::Kernel,
+                    dev,
+                    span(t + 1, t + 2),
+                    CodePtr(0x200 + tag),
+                ));
+                targets.push(log.record_target(
+                    TargetKind::Region,
+                    dev,
+                    span(t, t + 3),
+                    CodePtr(0x300 + tag),
+                ));
+                logs.push(log);
+            }
+            ops.sort_by_key(|e| (e.span.start, e.id));
+            targets.sort_by_key(|e| (e.span.start, e.id));
+            let kernels: Vec<TargetEvent> = targets
+                .iter()
+                .filter(|e| e.kind == TargetKind::Kernel)
+                .cloned()
+                .collect();
+            let mut oracle = TraceStats::default();
+            for e in &ops {
+                oracle.add_op(e.kind, e.src_device, e.dest_device, e.bytes, e.duration());
+            }
+            for k in &kernels {
+                oracle.add_kernel(k.span.duration());
+            }
+
+            let log = TraceLog::merge_shards(logs);
+            assert_eq!(log.duplicate_id_count(), 5, "{ctx}");
+            oracle.total_time = log.total_time();
+            let view = ColumnarView::from_events(&ops, &kernels);
+            assert_eq!(log.columnar(), &view, "{ctx}");
+            assert_eq!(log.target_events_sorted(), targets, "{ctx}");
+            assert_eq!(
+                serde_json::to_string(&log.stats()).unwrap(),
+                serde_json::to_string(&oracle).unwrap(),
+                "{ctx}"
+            );
+            assert_eq!(log.sort_count(), 2, "one pass per view ({ctx})");
+        }
+    }
+
+    #[test]
+    fn set_total_time_after_hydration_shows_in_stats() {
         let mut log = sample_log();
-        // Cache stats mid-run, then finalize with a longer total time.
         assert_eq!(log.stats().total_time, SimDuration(115));
         log.set_total_time(SimDuration(10_000));
+        let s = log.stats();
         assert_eq!(
-            log.stats().total_time,
+            s.total_time,
             SimDuration(10_000),
-            "finalized total time must reach already-cached stats"
+            "the finalized total time reaches stats of an existing hydration"
         );
-        // A no-op (shrinking) set keeps the cache.
+        assert_eq!((s.transfers, s.kernels), (2, 1), "the folded sums stay");
+        assert_eq!(log.sort_count(), 1, "no second hydration pass");
+        // A shrinking set is a no-op.
         log.set_total_time(SimDuration(5));
         assert_eq!(log.stats().total_time, SimDuration(10_000));
     }

@@ -72,7 +72,7 @@
 //! their own output.
 
 pub use crate::columnar::ShardColumns;
-use crate::columnar::{ColumnarView, DataOpColumns, TargetColumns};
+use crate::columnar::{merge, ColumnarView, Columns, DataOpColumns, Table, TargetColumns};
 use crate::log::TraceLog;
 use crate::record::{
     decode_data_op_kind, decode_target_kind, encode_data_op_kind, encode_target_kind,
@@ -484,22 +484,23 @@ impl TraceArtifact {
     }
 
     /// Rebuild the chronological columnar hydration — the detector
-    /// input — through the pipeline [`TraceLog::columnar`] runs on the
-    /// live log: ordered part columns, kernels filtered from the target
-    /// columns, one column merge by `(start, id, shard order)`. The
-    /// result is field-for-field identical to hydrating the original
-    /// log in memory.
+    /// input — through the merge [`TraceLog::columnar`] runs on the live
+    /// log, every shard a column part: kernels filtered from the target
+    /// columns, one merge by `(start, id, shard order)`. The result is
+    /// field-for-field identical to hydrating the original log in
+    /// memory.
     ///
-    /// A loaded or log-built shard is ordered already and is merged
-    /// where it lies; caller-built shards that break the order (the
-    /// fields are public) are normalised on a copy first.
+    /// A loaded or log-built shard is ordered already and is read where
+    /// it lies; caller-built shards that break the order (the fields are
+    /// public) are normalised on a copy first.
     pub fn columnar(&self) -> ColumnarView {
-        let ops: Vec<Cow<'_, DataOpColumns>> = self
+        let mut ops = DataOpColumns::with_capacity(self.data_op_count());
+        let parts = self
             .shards
             .iter()
-            .map(|s| s.ops.sorted().map_or(Cow::Borrowed(&s.ops), Cow::Owned))
-            .collect();
-        let kernels: Vec<TargetColumns> = self
+            .map(|s| Columns::new(Cow::Borrowed(&s.ops)));
+        merge(parts.collect(), &mut ops, None);
+        let parts: Vec<TargetColumns> = self
             .shards
             .iter()
             .map(|s| {
@@ -508,27 +509,25 @@ impl TraceArtifact {
                 for i in (0..t.len()).filter(|&i| t.kinds[i] == TargetKind::Kernel) {
                     kernels.push(&t.event(i));
                 }
-                kernels.sorted().unwrap_or(kernels)
+                kernels
             })
             .collect();
-        ColumnarView {
-            ops: DataOpColumns::merged(&ops),
-            kernels: TargetColumns::merged(&kernels),
-        }
+        let mut kernels = TargetColumns::with_capacity(parts.iter().map(TargetColumns::len).sum());
+        let parts = parts.into_iter().map(|p| Columns::new(Cow::Owned(p)));
+        merge(parts.collect(), &mut kernels, None);
+        ColumnarView { ops, kernels }
     }
 
     /// Chronological hydration of every target construct, matching
     /// [`TraceLog::target_events_sorted`] on the original log.
     pub fn target_events_sorted(&self) -> Vec<TargetEvent> {
-        let parts: Vec<Cow<'_, TargetColumns>> = self
+        let mut targets = TargetColumns::with_capacity(self.target_count());
+        let parts = self
             .shards
             .iter()
-            .map(|s| {
-                let t = &s.targets;
-                t.sorted().map_or(Cow::Borrowed(t), Cow::Owned)
-            })
-            .collect();
-        TargetColumns::merged(&parts).to_events()
+            .map(|s| Columns::new(Cow::Borrowed(&s.targets)));
+        merge(parts.collect(), &mut targets, None);
+        targets.to_events()
     }
 
     /// Number of persisted data-op events.
