@@ -60,9 +60,8 @@
 //! appends to its own shard's trace log, hands the completed event to
 //! the drain through its own fixed-capacity lock-free SPSC ring (one
 //! release store per side; a bounded, counted spill absorbs overflow
-//! when drains can't keep up), and publishes its `StreamClock` through
-//! a batcher that touches the shared `GlobalWatermark` every K events
-//! instead of every event:
+//! when drains can't keep up), and publishes its `StreamClock` into
+//! its own slot of the shared `GlobalWatermark` on every clock edge:
 //!
 //! ```text
 //! thread 0 ─► shard 0: TraceLog(for_shard 0) ─► SPSC ring 0 ───┐
@@ -70,18 +69,18 @@
 //!    ⋮            ⋮    (ring full ⇒ bounded, counted spill)     │
 //! thread N ─► shard N: TraceLog(for_shard N) ─► SPSC ring N ───┤
 //!      │                                                       │
-//!      └─ StreamClock ─► PublishBatcher ─► GlobalWatermark     │
-//!         (publish every K events — immediately when a queued  │
-//!         event's time could retreat behind the safe point;    │
-//!         merged watermark = min over shards of the earliest   │
-//!         possible future start, None while any shard may      │
-//!         still emit at t=0)                                   │
+//!      └─ StreamClock ─► GlobalWatermark                       │
+//!         (every edge: queue the event, then publish — two     │
+//!         release stores to the shard's own slot; merged       │
+//!         watermark = min over shards of the earliest possible │
+//!         future start, None while any shard may still emit    │
+//!         at t=0)                                              │
 //!                                                              ▼
 //!          batch drain, due when the pusher's own ring is half
-//!          full (engine try_lock; snapshot merged watermark, THEN
-//!          hand every ring + spill to the reorder lanes in arrival
-//!          order and advance once — one lock, one snapshot and one
-//!          release sweep per batch, not per event)
+//!          full, or whenever an observer looks (engine lock;
+//!          snapshot merged watermark, THEN push every ring + spill
+//!          to the reorder lanes in arrival order and advance once —
+//!          one lock, one snapshot and one release sweep per batch)
 //!                              │
 //!                              ▼
 //!         StreamingEngine reorder buffer ── released at the merged
@@ -92,8 +91,8 @@
 //!              ├─ Alg 2  confirmed frontier: trips retire when the
 //!              │         re-send arrives; stalled lookahead window is
 //!              │         compact (seqs, no clones) and reconciled at
-//!              │         finalize; `StreamConfig::max_frontier` caps
-//!              │         it with a counted, warned spill policy
+//!              │         finalize; `--stream-cap` (`max_frontier`)
+//!              │         caps it with a counted, warned spill policy
 //!              ├─ Alg 3  pairing groups: repeats final at alloc time
 //!              └─ Alg 4/5 per-device pending queues: decisions land on
 //!                        the device's next kernel (or finalize)
@@ -209,7 +208,7 @@ pub use odp_model::FindingKind;
 pub use pairing::{alloc_delete_pairs, AllocDeletePair};
 pub use realloc::{find_repeated_allocs, find_repeated_allocs_keyed, RepeatedAllocGroup};
 pub use roundtrip::{find_round_trips, RoundTrip, RoundTripGroup, TripList};
-pub use stream::{StreamBufferStats, StreamConfig, StreamEvent, StreamFinding, StreamingEngine};
+pub use stream::{StreamBufferStats, StreamEvent, StreamFinding, StreamingEngine};
 pub use unused_alloc::{find_unused_allocs, UnusedAlloc};
 pub use unused_transfer::{find_unused_transfers, UnusedTransfer, UnusedTransferReason};
 

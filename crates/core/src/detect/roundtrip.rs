@@ -28,7 +28,8 @@ pub struct RoundTrip {
     /// The reception at the outbound leg's source device.
     pub rx: DataOpEvent,
     /// The pairing was forced by a streaming lookahead spill
-    /// (`StreamConfig::max_frontier`) instead of confirmed in order.
+    /// (the `max_frontier` cap of `StreamingEngine::new`) instead of
+    /// confirmed in order.
     /// Always `false` on the post-mortem and uncapped streaming paths;
     /// remediation seeding ignores spilled trips.
     pub spilled: bool,

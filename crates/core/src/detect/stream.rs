@@ -79,30 +79,6 @@ use std::collections::VecDeque;
 /// the streaming engine refers to events without holding them.
 pub type Seq = u64;
 
-/// Streaming-engine configuration.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StreamConfig {
-    /// Analyze exactly this many target devices (events naming devices
-    /// beyond the count are excluded from Algorithms 4/5 and counted in
-    /// [`StreamingEngine::out_of_range`], matching [`EventView::over`]).
-    /// `None` grows the per-device machines on demand, matching the
-    /// post-mortem path's inferred device count.
-    pub num_devices: Option<u32>,
-    /// Hard cap on Algorithm 2's lookahead window. On adversarial
-    /// traces — every transfer a unique hash that never returns — the
-    /// confirmed frontier grows with trace length; with a cap, the
-    /// oldest undecided transfers are *spilled*: resolved against the
-    /// reception queues as they stand (almost always "no round trip")
-    /// and retired, trading exactness of the *live* late-completing
-    /// trips for a guaranteed memory ceiling. Spills are counted in
-    /// [`StreamBufferStats::frontier_spilled`] and surfaced through
-    /// [`StreamingEngine::spill_warning`]; while the count stays zero,
-    /// the live stream is exactly the final report's projection. The
-    /// final report itself is computed from the recorded trace and is
-    /// exact with or without spills. `None` (default) never spills.
-    pub max_frontier: Option<usize>,
-}
-
 /// One event in arrival (completion) order — what a sharded collector
 /// buffers per thread before the merged watermark feeds the engine.
 #[derive(Clone, Debug)]
@@ -173,9 +149,10 @@ pub enum StreamFinding {
         tx: Seq,
         /// Completing reception.
         rx: Seq,
-        /// The trip was resolved by a [`StreamConfig::max_frontier`]
-        /// spill — the pairing was forced against the reception queues
-        /// *as they stood*, not confirmed in frontier order, so it may
+        /// The trip was resolved by a lookahead-cap spill (the
+        /// `max_frontier` of [`StreamingEngine::new`]) — the pairing was
+        /// forced against the reception queues *as they stood*, not
+        /// confirmed in frontier order, so it may
         /// not be a real round trip. Remediation must never seed a
         /// `skip_from` rule from a spilled trip (dropping a copy-back
         /// on unconfirmed evidence would be unsound).
@@ -369,11 +346,9 @@ fn host_side_addr(e: &DataOpEvent) -> u64 {
 pub struct StreamBufferStats {
     /// Events currently in the reorder buffer.
     pub buffered_now: usize,
-    /// Reorder-buffer high-water mark (bounded by open-op concurrency).
-    /// [`StreamingEngine::push`] and [`StreamingEngine::ingest_batch`]
-    /// sample it before they release; the tool's ring drain samples it
-    /// after the release — what had to wait on the watermark, not the
-    /// batch passing through.
+    /// Reorder-buffer high-water mark (bounded by open-op concurrency),
+    /// sampled when [`StreamingEngine::advance`] has released a batch:
+    /// what had to wait on the watermark, not the batch passing through.
     pub buffered_peak: usize,
     /// Transfers currently behind the Algorithm 2 frontier.
     pub frontier_now: usize,
@@ -383,10 +358,11 @@ pub struct StreamBufferStats {
     pub device_pending_now: usize,
     /// Per-device pending high-water mark.
     pub device_pending_peak: usize,
-    /// Undecided transfers force-retired by [`StreamConfig::max_frontier`].
-    /// Non-zero means the live stream may have missed late round trips
-    /// or emitted unconfirmed ones (`spilled: true`), so remediation saw
-    /// less than the final report, which stays exact.
+    /// Undecided transfers force-retired by the lookahead cap (the
+    /// `max_frontier` of [`StreamingEngine::new`]). Non-zero means the
+    /// live stream may have missed late round trips or emitted
+    /// unconfirmed ones (`spilled: true`), so remediation saw less than
+    /// the final report, which stays exact.
     pub frontier_spilled: usize,
     /// Intra-shard arrival inversions the reorder pipeline routed to its
     /// side pocket (events that completed after a later-starting event
@@ -396,8 +372,8 @@ pub struct StreamBufferStats {
     /// Side-pocket high-water mark (bounded by genuine overlap, not
     /// trace length).
     pub reorder_pocket_peak: usize,
-    /// Batches ingested ([`StreamingEngine::ingest_batch`] calls; under
-    /// the tool, sweeps of the shards' ingest rings).
+    /// Batches closed ([`StreamingEngine::advance`] calls; under the
+    /// tool, sweeps of the shards' ingest rings).
     pub drains: u64,
     /// Events those batches carried. `drained_events / drains` is the
     /// mean batch: how many events share one engine lock, one watermark
@@ -511,13 +487,12 @@ impl DeviceMachine {
 }
 
 /// The online detection engine. Push events (in completion order),
-/// advance the watermark as open operations retire and drain the live
-/// findings; finalize against the hydrated trace to complete the live
-/// stream and obtain the fused sweep's report.
+/// close each batch by advancing to the watermark as open operations
+/// retire, and drain the live findings; finalize against the hydrated
+/// trace to complete the live stream and obtain the fused sweep's
+/// report.
 #[derive(Debug, Default)]
 pub struct StreamingEngine {
-    /// Fixed device count, or `None` to grow on demand.
-    fixed_devices: Option<u32>,
     /// Algorithm 2 lookahead hard cap (`None` = unbounded/exact).
     max_frontier: Option<usize>,
     /// Reorder buffer: per-shard in-order run lanes merged by a
@@ -528,6 +503,8 @@ pub struct StreamingEngine {
     watermark: SimTime,
     /// Last released key, for the monotonicity debug check.
     last_released: Option<(SimTime, Seq, u8)>,
+    /// Events pushed since the last [`StreamingEngine::advance`].
+    pushed: u64,
 
     /// Reception queues (Algorithms 1/2).
     slots: FnvHashMap<(HashVal, DeviceId), Slot>,
@@ -575,57 +552,34 @@ pub struct StreamingEngine {
 }
 
 impl StreamingEngine {
-    /// A new engine.
-    pub fn new(cfg: StreamConfig) -> StreamingEngine {
+    /// A new engine. `max_frontier` is a hard cap on Algorithm 2's
+    /// lookahead window (`--stream-cap`). On adversarial traces — every
+    /// transfer a unique hash that never returns — the confirmed
+    /// frontier grows with trace length; with a cap, the oldest
+    /// undecided transfers are *spilled*: resolved against the
+    /// reception queues as they stand (almost always "no round trip")
+    /// and retired, trading exactness of the *live* late-completing
+    /// trips for a guaranteed memory ceiling. Spills are counted in
+    /// [`StreamBufferStats::frontier_spilled`] and surfaced through
+    /// [`StreamingEngine::spill_warning`]; while the count stays zero,
+    /// the live stream is exactly the final report's projection. The
+    /// final report itself is computed from the recorded trace and is
+    /// exact with or without spills. `None` (as [`Default`]) never
+    /// spills.
+    pub fn new(max_frontier: Option<usize>) -> StreamingEngine {
         StreamingEngine {
-            fixed_devices: cfg.num_devices,
-            max_frontier: cfg.max_frontier,
+            max_frontier,
             ..Default::default()
         }
     }
 
-    /// Buffer an incoming event (any completion order). Non-kernel
-    /// target constructs are ignored (no detector consumes them).
+    /// Buffer an incoming event (any completion order) in its shard's
+    /// run lane; nothing is released until [`StreamingEngine::advance`]
+    /// closes the batch. Non-kernel target constructs are ignored (no
+    /// detector consumes them).
     pub fn push(&mut self, ev: StreamEvent) {
-        self.buffer_event(ev);
-        self.note_buffered();
-    }
-
-    /// [`StreamingEngine::push`] for a data operation.
-    pub fn push_data_op(&mut self, e: DataOpEvent) {
-        self.push(StreamEvent::Op(e));
-    }
-
-    /// [`StreamingEngine::push`] for a target construct.
-    pub fn push_target(&mut self, k: TargetEvent) {
-        self.push(StreamEvent::Kernel(k));
-    }
-
-    /// Buffer a whole batch, then advance once. Equivalent to pushing
-    /// each event and calling [`StreamingEngine::advance_watermark`]
-    /// with `watermark` (when `Some`; `None` = nothing settled yet,
-    /// buffer only), but the reorder-buffer peak is sampled once — the
-    /// buffer only grows inside the loop, so its peak is its size at
-    /// the end of the loop — and the release sweep runs once.
-    pub fn ingest_batch<I>(&mut self, events: I, watermark: Option<SimTime>)
-    where
-        I: IntoIterator<Item = StreamEvent>,
-    {
-        let mut n = 0;
-        for ev in events {
-            self.buffer_event(ev);
-            n += 1;
-        }
-        self.note_buffered();
-        self.end_drain(n, watermark);
-    }
-
-    /// The one ingest body: count, key, quarantine or hand to the
-    /// event's run lane. Samples nothing and releases nothing — the
-    /// tool's ring drain feeds every shard's ring through here and then
-    /// calls [`StreamingEngine::end_drain`] once.
-    pub(crate) fn buffer_event(&mut self, ev: StreamEvent) {
         debug_assert!(!self.finalized, "ingest after finalize");
+        self.pushed += 1;
         match &ev {
             StreamEvent::Op(_) => self.ops_offered += 1,
             StreamEvent::Kernel(k) if k.kind != TargetKind::Kernel => return,
@@ -643,25 +597,21 @@ impl StreamingEngine {
         }
     }
 
-    /// Close a batch of `events` buffered events: advance to
-    /// `watermark` (`None` = some shard may still emit at time zero,
-    /// nothing is released) and sample what is left waiting.
-    pub(crate) fn end_drain(&mut self, events: usize, watermark: Option<SimTime>) {
+    /// Close the batch pushed since the last call: count it, release
+    /// every buffered event whose start is at or below `watermark` into
+    /// the detection state machines in chronological `(start, id)`
+    /// order, then sample what is left waiting. `None` means nothing is
+    /// settled yet (some shard may still emit at time zero): nothing is
+    /// released. The caller guarantees no future event can start at or
+    /// below the watermark (see [`odp_ompt::StreamClock`]).
+    pub fn advance(&mut self, watermark: Option<SimTime>) {
         self.stats.drains += 1;
-        self.stats.drained_events += events as u64;
+        self.stats.drained_events += std::mem::take(&mut self.pushed);
         if let Some(watermark) = watermark {
-            self.advance_watermark(watermark);
+            self.watermark = self.watermark.max(watermark);
+            self.release_through(self.watermark);
         }
-        self.note_buffered();
-    }
-
-    /// Release every buffered event whose start is at or below
-    /// `watermark` into the detection state machines, in chronological
-    /// `(start, id)` order. The caller guarantees no future event can
-    /// start at or below the watermark (see [`odp_ompt::StreamClock`]).
-    pub fn advance_watermark(&mut self, watermark: SimTime) {
-        self.watermark = self.watermark.max(watermark);
-        self.release_through(self.watermark);
+        self.stats.buffered_peak = self.stats.buffered_peak.max(self.buffer.len());
     }
 
     /// The one release loop: everything buffered at or below `bound`
@@ -736,8 +686,10 @@ impl StreamingEngine {
         self.health
     }
 
-    /// Events excluded from Algorithms 4/5 because they named devices at
-    /// or beyond the configured count (fixed-device mode only).
+    /// Events excluded from Algorithms 4/5 because they named an
+    /// implausible device (at or beyond
+    /// [`crate::detect::MAX_PLAUSIBLE_DEVICES`]) — the same events
+    /// [`EventView::from_log`]'s inferred device count excludes.
     pub fn out_of_range(&self) -> OutOfRangeEvents {
         self.out_of_range
     }
@@ -753,9 +705,9 @@ impl StreamingEngine {
         s
     }
 
-    /// A report warning when [`StreamConfig::max_frontier`] forced
-    /// spills, else `None`. It concerns the *live* stream only: round
-    /// trips completing after a spill were emitted unconfirmed
+    /// A report warning when the lookahead cap forced spills, else
+    /// `None`. It concerns the *live* stream only: round trips
+    /// completing after a spill were emitted unconfirmed
     /// (`spilled: true`) or not at all, so remediation saw less than
     /// the final report — which finalize computes from the recorded
     /// trace and is exact regardless.
@@ -784,9 +736,9 @@ impl StreamingEngine {
     /// engine observed.
     ///
     /// The report is always the exact post-mortem answer for the
-    /// recorded trace, also after a [`StreamConfig::max_frontier`] spill
-    /// (it never sets [`crate::detect::RoundTrip::spilled`]). It is
-    /// stamped [`Confidence::Degraded`] throughout iff the engine is
+    /// recorded trace, also after a lookahead-cap spill (it never sets
+    /// [`crate::detect::RoundTrip::spilled`]). It is stamped
+    /// [`Confidence::Degraded`] throughout iff the engine is
     /// degraded: a forced release happened, or the view holds a
     /// different number of data operations than were offered to the
     /// engine — the difference is counted in
@@ -803,7 +755,7 @@ impl StreamingEngine {
         }
 
         // Nothing is open anymore: release the whole reorder buffer.
-        self.advance_watermark(SimTime(u64::MAX));
+        self.release_through(SimTime(u64::MAX));
 
         // Algorithm 2: the reception queues are final; every transfer
         // still behind the frontier resolves against them (re-sends that
@@ -844,7 +796,7 @@ impl StreamingEngine {
                 self.on_hashed_transfer(e, hash);
             }
             if let Some(ix) = e.dest_device.target_index() {
-                if self.in_range(ix) {
+                if Self::in_range(ix) {
                     self.alg5_on_transfer(ix, e);
                 } else {
                     self.out_of_range.transfers += 1;
@@ -861,7 +813,7 @@ impl StreamingEngine {
         let Some(ix) = k.device.target_index() else {
             return;
         };
-        if !self.in_range(ix) {
+        if !Self::in_range(ix) {
             self.out_of_range.kernels += 1;
             return;
         }
@@ -876,16 +828,13 @@ impl StreamingEngine {
         self.alg5_on_kernel(ix);
     }
 
-    fn in_range(&self, ix: usize) -> bool {
-        match self.fixed_devices {
-            Some(nd) => ix < nd as usize,
-            // Grow-on-demand mode still bounds growth: a corrupted
-            // callback naming device 0x4000_0000 must be quarantined,
-            // not given a billion-entry machine table. The cap matches
-            // `infer_num_devices_columnar`, so finalize's view agrees on which
-            // events are out of range.
-            None => ix < crate::detect::MAX_PLAUSIBLE_DEVICES as usize,
-        }
+    /// The device machines grow on demand, but bounded: a corrupted
+    /// callback naming device 0x4000_0000 must be quarantined, not given
+    /// a billion-entry machine table. The cap matches
+    /// `infer_num_devices_columnar`, so finalize's view agrees on which
+    /// events are out of range.
+    fn in_range(ix: usize) -> bool {
+        ix < crate::detect::MAX_PLAUSIBLE_DEVICES as usize
     }
 
     fn machine(&mut self, ix: usize) -> &mut DeviceMachine {
@@ -1073,7 +1022,7 @@ impl StreamingEngine {
 
         // Algorithm 4: the pairing waits for a kernel able to prove use.
         if let Some(ix) = e.dest_device.target_index() {
-            if self.in_range(ix) {
+            if Self::in_range(ix) {
                 self.machine(ix).pending_pairs.push_back(pair_ix);
                 self.alg4_advance(ix, false);
             } else {
@@ -1234,10 +1183,6 @@ impl StreamingEngine {
         }
     }
 
-    fn note_buffered(&mut self) {
-        self.stats.buffered_peak = self.stats.buffered_peak.max(self.buffer.len());
-    }
-
     fn note_peaks(&mut self) {
         let pending: usize = self.machines.iter().map(|m| m.pending_len()).sum();
         self.stats.device_pending_peak = self.stats.device_pending_peak.max(pending);
@@ -1267,7 +1212,7 @@ mod tests {
                 StreamEvent::Kernel(k) => k.span.end,
             };
             engine.push(entry);
-            engine.advance_watermark(end);
+            engine.advance(Some(end));
         }
     }
 
@@ -1310,14 +1255,14 @@ mod tests {
 
         let mut engine = StreamingEngine::default();
         // B completes at 60; A (begun at 0) is still open → watermark 0.
-        engine.push_data_op(b.clone());
-        engine.advance_watermark(SimTime(0));
+        engine.push(StreamEvent::Op(b.clone()));
+        engine.advance(Some(SimTime(0)));
         assert_eq!(engine.buffer_stats().buffered_now, 1, "B must wait on A");
-        engine.push_target(kernel.clone());
-        engine.advance_watermark(SimTime(0));
+        engine.push(StreamEvent::Kernel(kernel.clone()));
+        engine.advance(Some(SimTime(0)));
         // A completes: everything drains in (start, id) order.
-        engine.push_data_op(a.clone());
-        engine.advance_watermark(SimTime(200));
+        engine.push(StreamEvent::Op(a.clone()));
+        engine.advance(Some(SimTime(200)));
         assert_eq!(engine.buffer_stats().buffered_now, 0);
 
         let ops = {
@@ -1337,16 +1282,16 @@ mod tests {
         let ops = vec![f.h2d(0, 0, 0x1000, 7, 256), f.d2h(50, 0, 0x1000, 7, 256)];
         let mut engine = StreamingEngine::default();
 
-        engine.push_data_op(ops[0].clone());
-        engine.advance_watermark(SimTime(10));
+        engine.push(StreamEvent::Op(ops[0].clone()));
+        engine.advance(Some(SimTime(10)));
         assert!(
             engine.take_findings().is_empty(),
             "outbound leg alone is provisional"
         );
         assert_eq!(engine.buffer_stats().frontier_now, 1);
 
-        engine.push_data_op(ops[1].clone());
-        engine.advance_watermark(SimTime(60));
+        engine.push(StreamEvent::Op(ops[1].clone()));
+        engine.advance(Some(SimTime(60)));
         let live = engine.take_findings();
         assert!(
             live.iter()
@@ -1379,13 +1324,13 @@ mod tests {
                 ];
                 let kernel = f.kernel(t + 30, t + 60, 0);
                 for op in ops.drain(..2) {
-                    engine.push_data_op(op);
+                    engine.push(StreamEvent::Op(op));
                 }
-                engine.push_target(kernel);
+                engine.push(StreamEvent::Kernel(kernel));
                 for op in ops {
-                    engine.push_data_op(op);
+                    engine.push(StreamEvent::Op(op));
                 }
-                engine.advance_watermark(SimTime(t + 90));
+                engine.advance(Some(SimTime(t + 90)));
             }
             let retained = engine.receptions.len() - engine.free_receptions.len();
             (engine.buffer_stats(), retained)
@@ -1417,13 +1362,10 @@ mod tests {
             let ops: Vec<DataOpEvent> = (0..n)
                 .map(|i| f.h2d(i * 20, 0, 0x1000, 1_000 + i, 64))
                 .collect();
-            let mut engine = StreamingEngine::new(StreamConfig {
-                num_devices: None,
-                max_frontier: cap,
-            });
+            let mut engine = StreamingEngine::new(cap);
             for op in &ops {
                 engine.push(StreamEvent::Op(op.clone()));
-                engine.advance_watermark(op.span.end);
+                engine.advance(Some(op.span.end));
             }
             (engine, ops)
         }
@@ -1469,13 +1411,10 @@ mod tests {
         ops.push(f.d2h(2_000, 0, 0x1000, 7, 64));
 
         let run = |cap: Option<usize>| {
-            let mut engine = StreamingEngine::new(StreamConfig {
-                num_devices: None,
-                max_frontier: cap,
-            });
+            let mut engine = StreamingEngine::new(cap);
             for op in &ops {
-                engine.push_data_op(op.clone());
-                engine.advance_watermark(op.span.end);
+                engine.push(StreamEvent::Op(op.clone()));
+                engine.advance(Some(op.span.end));
             }
             let report = finalize(&mut engine, &ops, &[], 1);
             let mut live = engine.take_findings();
@@ -1523,27 +1462,42 @@ mod tests {
     }
 
     #[test]
-    fn fixed_device_mode_counts_out_of_range_events() {
+    fn implausible_devices_are_counted_out_of_range() {
+        // A corrupted callback can name any device: a seeded mix of
+        // devices 0/1 and ids at and beyond the plausibility cap. The
+        // engine quarantines exactly what the inferred view excludes.
+        let cap = crate::detect::MAX_PLAUSIBLE_DEVICES;
         let mut f = EventFactory::new();
-        let kernels = vec![f.kernel(10, 20, 3)];
-        let ops = vec![
-            f.alloc(0, 3, 0x1000, 0xd000, 64),
-            f.h2d(5, 3, 0x1000, 7, 64),
-        ];
-        let mut engine = StreamingEngine::new(StreamConfig {
-            num_devices: Some(1),
-            ..Default::default()
-        });
+        let (mut ops, mut kernels) = (Vec::new(), Vec::new());
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..200u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let dev = [0, 1, cap, cap + 7][(x % 4) as usize];
+            let (t, addr) = (i * 20, 0x1000 + (x >> 8) % 3 * 0x100);
+            match (x >> 4) % 4 {
+                0 => ops.push(f.alloc(t, dev, addr, 0xd000 + addr, 64)),
+                1 => kernels.push(f.kernel(t, t + 15, dev)),
+                _ => ops.push(f.h2d(t, dev, addr, (x >> 16) % 5, 64)),
+            }
+        }
+        let mut engine = StreamingEngine::default();
         feed_chronological(&mut engine, &ops, &kernels);
         let cols = ColumnarView::from_events(&ops, &kernels);
-        let view = EventView::over(&cols, 1);
+        let view = EventView::over(&cols, crate::analysis::infer_num_devices_columnar(&cols));
+        assert_eq!(view.num_devices, 2, "implausible ids never widen the view");
         let report = engine.finalize(&view);
         assert_live_matches(engine.take_findings(), &report);
         assert_eq!(engine.out_of_range(), view.out_of_range());
-        assert_eq!(engine.out_of_range().total(), 3);
+        let out = engine.out_of_range();
+        assert!(
+            out.allocs > 0 && out.kernels > 0 && out.transfers > 0,
+            "{out:?}"
+        );
         assert!(view
             .out_of_range()
-            .warning(1)
+            .warning(view.num_devices)
             .is_some_and(|w| w.contains("Algorithms 4/5")));
     }
 

@@ -689,7 +689,7 @@ mod tests {
     #[test]
     fn spilled_round_trips_never_seed_rules() {
         use crate::detect::testutil::EventFactory;
-        use crate::detect::{EventView, StreamConfig, StreamingEngine};
+        use crate::detect::{EventView, StreamEvent, StreamingEngine};
 
         let mut f = EventFactory::new();
         // tx0 (unique hash, never returns) stalls the frontier head;
@@ -704,13 +704,10 @@ mod tests {
         for i in 0..8 {
             ops.push(f.h2d(30 + i * 10, 0, 0x3000 + i * 0x100, 500 + i, 64));
         }
-        let mut engine = StreamingEngine::new(StreamConfig {
-            num_devices: None,
-            max_frontier: Some(2),
-        });
+        let mut engine = StreamingEngine::new(Some(2));
         for e in &ops {
-            engine.push_data_op(e.clone());
-            engine.advance_watermark(e.span.end);
+            engine.push(StreamEvent::Op(e.clone()));
+            engine.advance(Some(e.span.end));
         }
         let live = engine.take_findings();
         let spilled_trip = live.iter().find_map(|f| match f {

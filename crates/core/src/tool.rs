@@ -21,59 +21,56 @@
 //! deterministic regardless of OS scheduling), its own hash meter, its
 //! own [`StreamClock`], and its own lock-free SPSC ingest ring
 //! ([`odp_ompt::ring`]). Cross-thread traffic on the fast path is one
-//! slot write + release store into the ring, plus — every K-th event,
-//! via [`PublishBatcher`] — a pair of atomic stores into the
+//! slot write + release store into the ring, plus — on every clock
+//! edge — a pair of release stores into the shard's own slot of the
 //! [`GlobalWatermark`]. **Zero global lock acquisitions.**
 //!
 //! Streaming mode pays for detection per batch, not per callback. A
-//! callback records, pushes and (every K-th edge) publishes — nothing
-//! else — until its *own* ring has reached half its capacity
+//! callback records, pushes and publishes — nothing else — until its
+//! *own* ring has reached half its capacity
 //! ([`ring::Producer::half_full`], read off the producer's cached
 //! cursors). Only then does it *try* to take the engine lock; whoever
-//! succeeds snapshots the merged watermark, hands every shard's ring
-//! (and its bounded spill, fed only when a ring overflows) straight to
-//! the [`StreamingEngine`]'s reorder lanes in arrival order, and
+//! succeeds snapshots the merged watermark, pushes every shard's ring
+//! (and its bounded spill, fed only when a ring overflows) straight
+//! into the [`StreamingEngine`]'s reorder lanes in arrival order, and
 //! advances it once. A shard that never reaches the mark is swept by
 //! the ones that do; a failed `try_lock` just means another thread is
 //! already draining, and the pusher asks again on its next event. So
 //! the ring capacity is also the drain batch: one engine lock, one
 //! watermark merge and one release sweep per few hundred events.
-//! Blocking observers (taps, finalize, stats) drain with `flush`
-//! whenever they look — they, not the callbacks, bound the latency of
-//! live findings — and first re-publish every
-//! dirty shard clock, because batched publication deliberately lets
-//! the published bound lag the real clock (lagging is always
-//! conservative — never unsound — but a flush is what makes everything
-//! decidable *now* actually decided). The snapshot-*then*-drain order
-//! is what makes all of this sound: each shard queues an event
-//! *before* publishing the clock edge that could unblock it, so any
-//! event at or below a snapshotted merged watermark is already visible
-//! to the sweep.
+//! Observers (taps, finalize, stats) run the same drain whenever they
+//! look, so they, not the callbacks, bound the latency of live
+//! findings. Every shard publishes every edge, so the merged watermark
+//! any drain snapshots is the one the shards' clocks allow right now:
+//! everything decidable at that moment is decided. The
+//! snapshot-*then*-drain order is what makes this sound: each shard
+//! queues an event *before* publishing the clock edge that could
+//! unblock it, so any event at or below a snapshotted merged watermark
+//! is already visible to the sweep.
 //!
 //! Lock order (outermost first): engine → shard list → one shard →
-//! control, engine → ingest list → one shard's ingest tail, engine →
-//! stall, and engine → tap list → one tap buffer (the findings tee).
-//! The fast path takes only its own shard's (uncontended) lock — and
-//! its own ingest tail's, only when the ring overflows; `control`
-//! guards cold data (console lines, flags, the opt-in collision audit,
-//! which serializes by design); taps are touched only by findings
-//! consumers, never by callbacks.
+//! control; one shard → its ingest tail (a push that spills); engine →
+//! ingest list → one ingest tail; engine → stall → control; and engine
+//! → tap list → one tap buffer (the findings tee). The fast path takes
+//! its own shard's (uncontended) lock — and its own ingest tail's, only
+//! when the ring overflows; drains take no shard lock. `control` guards
+//! cold data (console lines, flags, the opt-in collision audit, which
+//! serializes by design); taps are touched only by findings consumers,
+//! never by callbacks.
 //!
 //! Construction returns the tool plus a [`ToolHandle`] sharing its
 //! collector, so the harness can extract the merged trace after the
 //! runtime finishes with the boxed tools.
 
 use crate::collision::CollisionAudit;
-use crate::detect::{
-    IssueCounts, StreamBufferStats, StreamConfig, StreamEvent, StreamFinding, StreamingEngine,
-};
+use crate::detect::{IssueCounts, StreamBufferStats, StreamEvent, StreamFinding, StreamingEngine};
 use odp_hash::fnv::FnvHashMap;
 use odp_hash::HashAlgoId;
 use odp_model::{DataOpKind, SimDuration, SimTime, TargetKind, TimeSpan, TraceHealth};
 use odp_ompt::{
-    ring, CallbackKind, DataOpCallback, DataOpType, Endpoint, GlobalWatermark, PublishBatcher,
-    RuntimeCapabilities, ShardSlot, StallDetector, StreamClock, SubmitCallback, TargetCallback,
-    TargetConstructKind, Tool, ToolRegistration,
+    ring, CallbackKind, DataOpCallback, DataOpType, Endpoint, GlobalWatermark, RuntimeCapabilities,
+    ShardSlot, StallDetector, StreamClock, SubmitCallback, TargetCallback, TargetConstructKind,
+    Tool, ToolRegistration,
 };
 use odp_trace::TraceLog;
 use parking_lot::Mutex;
@@ -98,9 +95,9 @@ pub struct ToolConfig {
     /// completes the live stream and returns the post-mortem sweep's
     /// findings over the recorded trace.
     pub stream: bool,
-    /// Hard cap for Algorithm 2's lookahead window
-    /// ([`StreamConfig::max_frontier`]); `None` keeps the live stream
-    /// exact.
+    /// Hard cap for Algorithm 2's lookahead window (`--stream-cap`,
+    /// the `max_frontier` of [`StreamingEngine::new`]); `None` keeps the
+    /// live stream exact.
     pub stream_max_frontier: Option<usize>,
     /// Wall-clock budget the streaming drain will wait on a
     /// non-advancing merged watermark while events are buffered before
@@ -119,12 +116,6 @@ pub struct ToolConfig {
     /// mutex-protected spill path (counted in
     /// [`ToolHandle::spilled_events`]).
     pub ring_capacity: Option<usize>,
-    /// Publish a shard's clock to the global watermark every K-th
-    /// event edge instead of every edge; `None` =
-    /// [`PublishBatcher::DEFAULT_EVERY`]. Retreat-risk edges always
-    /// publish immediately, and blocking drains flush, so batching
-    /// trades only drain latency — never soundness or final coverage.
-    pub publish_every: Option<u32>,
 }
 
 /// Wall-clock hashing meter (Table 4's "effective hash rate").
@@ -220,7 +211,7 @@ struct IngestTail {
 
 /// One runtime thread's slice of the collector. Only the owning thread
 /// touches it on the fast path; the handle's observers lock it briefly
-/// to aggregate, and flushing drains lock it to re-publish the clock.
+/// to aggregate.
 struct ShardState {
     /// This thread's trace shard (event ids embed the shard id).
     log: TraceLog,
@@ -229,11 +220,8 @@ struct ShardState {
     /// Evidence this shard quarantined instead of recording (orphaned
     /// `End`s, truncated payload hashes).
     health: TraceHealth,
-    /// This thread's reorder clock. Lives under the shard lock (not in
-    /// the tool) so a flushing drain can publish it fresh.
+    /// This thread's reorder clock, published on every edge.
     clock: StreamClock,
-    /// Amortizes watermark publication to every K-th edge.
-    batcher: PublishBatcher,
     /// This shard's watermark-publish slot.
     slot: ShardSlot,
     /// The ingest channel (streaming mode only): the ring's producer
@@ -245,7 +233,7 @@ struct ShardState {
 
 impl ShardState {
     /// Hand `event` to the streaming consumer (ring; spill when full)
-    /// and note the clock edge. The caller holds the shard lock and has
+    /// and publish the clock edge. The caller holds the shard lock and has
     /// already applied the edge to `clock`. The order is load-bearing:
     /// the event must be queued *before* the publish that could
     /// unblock it (the drain's snapshot-then-sweep soundness).
@@ -271,13 +259,9 @@ impl ShardState {
         drain_due
     }
 
-    /// Note a clock edge the caller already applied to `clock`,
-    /// publishing this shard's slot when the batcher says it is due.
-    fn note_edge(&mut self, shared: &ToolShared) {
-        if self.batcher.note(&self.clock) {
-            shared.watermark.publish(self.slot, &self.clock);
-            self.batcher.mark_published(&self.clock);
-        }
+    /// Publish a clock edge the caller already applied to `clock`.
+    fn note_edge(&self, shared: &ToolShared) {
+        shared.watermark.publish(self.slot, &self.clock);
     }
 }
 
@@ -336,32 +320,13 @@ impl ToolShared {
     /// Sweep every shard's ingest ring (and spill) into the engine and
     /// advance it to the merged watermark. `engine` must be locked by
     /// the caller.
-    ///
-    /// `flush` is for blocking observers: batched publication lets the
-    /// published bound lag each shard's real clock (conservative, so
-    /// events can sit queued behind a stale bound), and a flushing
-    /// drain first re-publishes every dirty shard fresh so everything
-    /// decidable *now* is decided. The callback fast path passes
-    /// `false` — it must never take another shard's lock.
-    fn drain_locked(&self, engine: &mut StreamingEngine, flush: bool) {
-        if flush {
-            let shards = self.shards.lock();
-            for shard in shards.iter() {
-                let mut shard = shard.lock();
-                let s = &mut *shard;
-                if s.batcher.dirty() {
-                    self.watermark.publish(s.slot, &s.clock);
-                    s.batcher.mark_published(&s.clock);
-                }
-            }
-        }
+    fn drain_locked(&self, engine: &mut StreamingEngine) {
         // Snapshot BEFORE sweeping: every event at or below this merged
         // watermark was queued before its shard published the edge that
         // enabled it (shards queue, then publish), so the sweep below
         // is guaranteed to see it. `None` = some shard may still emit
         // at time zero: buffer only.
         let watermark = self.watermark.merged();
-        let mut drained = 0;
         for ingest in self.ingests.lock().iter() {
             // Holding the tail across both reads keeps the producer
             // from spilling in between, so ring + spill are exactly the
@@ -376,21 +341,20 @@ impl ToolShared {
             // the ring position it was refused at restores arrival
             // order — the shard's lane sees no inversion the program
             // did not have. (Not by event id: target ids wrap.)
-            drained += spill.len();
             let mut spilled = spill.drain(..).peekable();
             let mut at = consumer.popped();
-            drained += consumer.pop_each(|event| {
+            consumer.pop_each(|event| {
                 while let Some((_, earlier)) =
                     spilled.next_if(|&(mark, _)| at.wrapping_sub(mark) as isize >= 0)
                 {
-                    engine.buffer_event(earlier);
+                    engine.push(earlier);
                 }
-                engine.buffer_event(event);
+                engine.push(event);
                 at = at.wrapping_add(1);
             });
-            spilled.for_each(|(_, event)| engine.buffer_event(event));
+            spilled.for_each(|(_, event)| engine.push(event));
         }
-        engine.end_drain(drained, watermark);
+        engine.advance(watermark);
         // Stall recovery: a wedged shard (open Begin, thread never
         // progressing) pins the merged watermark and would buffer the
         // stream forever. Past the configured timeout the drain
@@ -421,17 +385,16 @@ impl ToolShared {
             return; // another thread is already draining
         };
         if let Some(engine) = guard.as_mut() {
-            self.drain_locked(engine, false);
+            self.drain_locked(engine);
         }
     }
 
-    /// Blocking (flushing) drain for observers and finalization, then
-    /// `read` the engine while it is still locked. `None` when
-    /// streaming is off.
-    fn flushed<R>(&self, read: impl FnOnce(&mut StreamingEngine) -> R) -> Option<R> {
+    /// Blocking drain for observers and finalization, then `read` the
+    /// engine while it is still locked. `None` when streaming is off.
+    fn drained<R>(&self, read: impl FnOnce(&mut StreamingEngine) -> R) -> Option<R> {
         let mut guard = self.engine.lock();
         guard.as_mut().map(|engine| {
-            self.drain_locked(engine, true);
+            self.drain_locked(engine);
             read(engine)
         })
     }
@@ -453,12 +416,13 @@ impl ToolShared {
     /// emitted into the taps. `block` decides whether to wait for a
     /// contended engine lock or skip (another thread is already at it).
     fn drain_and_harvest(&self, block: bool) {
-        if block {
-            self.flushed(|engine| self.harvest_locked(engine));
-        } else if let Some(Some(engine)) = self.engine.try_lock().as_deref_mut() {
-            // Observer-initiated: flush even on the try_lock path (the
-            // lock was free; shard locks are brief and uncontended).
-            self.drain_locked(engine, true);
+        let mut guard = if block {
+            Some(self.engine.lock())
+        } else {
+            self.engine.try_lock()
+        };
+        if let Some(Some(engine)) = guard.as_deref_mut() {
+            self.drain_locked(engine);
             self.harvest_locked(engine);
         }
     }
@@ -606,21 +570,24 @@ impl ToolHandle {
     /// Issue counts of everything the streaming engine has emitted so
     /// far (`None` when streaming is off).
     pub fn stream_counts(&self) -> Option<IssueCounts> {
-        self.shared.flushed(|engine| engine.live_counts())
+        self.shared.drained(|engine| engine.live_counts())
     }
 
     /// Current streaming window sizes (`None` when streaming is off).
     /// Drains first — otherwise events sitting in the ingest rings
     /// would be invisible to the count.
     pub fn stream_buffer_stats(&self) -> Option<StreamBufferStats> {
-        self.shared.flushed(|engine| engine.buffer_stats())
+        self.shared.drained(|engine| engine.buffer_stats())
     }
 
     /// Events that overflowed their shard's ingest ring and took the
     /// mutex-protected spill path instead (streaming mode; total
-    /// across shards). Nothing is ever lost or reordered either way —
-    /// a growing count just means [`ToolConfig::ring_capacity`] is
-    /// undersized for the callback rate between drains.
+    /// across shards). From half full on, every push tries to drain,
+    /// so a ring overflows only while another drain or an observer
+    /// holds the engine for the whole second half of
+    /// [`ToolConfig::ring_capacity`]. Nothing is lost or reordered
+    /// either way: the drain feeds each spilled event back at the ring
+    /// position it was refused at.
     pub fn spilled_events(&self) -> u64 {
         let ingests = self.shared.ingests.lock();
         ingests.iter().map(|tail| tail.lock().spilled).sum()
@@ -653,7 +620,7 @@ impl ToolHandle {
     pub fn take_stream_engine(&self) -> Option<StreamingEngine> {
         let mut guard = self.shared.engine.lock();
         if let Some(engine) = guard.as_mut() {
-            self.shared.drain_locked(engine, true);
+            self.shared.drain_locked(engine);
         }
         guard.take()
     }
@@ -774,12 +741,10 @@ impl OmpDataPerfTool {
             }),
             shards: Mutex::new(Vec::new()),
             ingests: Mutex::new(Vec::new()),
-            engine: Mutex::new(cfg.stream.then(|| {
-                StreamingEngine::new(StreamConfig {
-                    num_devices: None,
-                    max_frontier: cfg.stream_max_frontier,
-                })
-            })),
+            engine: Mutex::new(
+                cfg.stream
+                    .then(|| StreamingEngine::new(cfg.stream_max_frontier)),
+            ),
             watermark: GlobalWatermark::with_capacity(GlobalWatermark::DEFAULT_SHARDS),
             stall: Mutex::new(
                 cfg.stall_timeout
@@ -814,9 +779,6 @@ impl OmpDataPerfTool {
             hash_meter: ShardMeter::default(),
             health: TraceHealth::default(),
             clock: StreamClock::new(),
-            batcher: PublishBatcher::new(
-                cfg.publish_every.unwrap_or(PublishBatcher::DEFAULT_EVERY),
-            ),
             slot,
             ingest,
         }));
@@ -871,10 +833,8 @@ impl OmpDataPerfTool {
         }
     }
 
-    /// A matched-later Begin. The open can only hold the shard's
-    /// published bound at or below where it already was; the batcher
-    /// publishes immediately iff deferral would overstate it (retreat
-    /// risk).
+    /// A matched-later Begin: publish the open, which holds the shard's
+    /// bound at its begin time until the matching End.
     fn open_edge(&self, time: SimTime) {
         if self.cfg.stream {
             let mut shard = self.shard.lock();
@@ -1084,16 +1044,10 @@ impl Tool for OmpDataPerfTool {
     }
 
     fn finalize(&mut self, total_time_ns: u64) {
-        {
-            let mut shard = self.shard.lock();
-            shard.log.set_total_time(SimDuration(total_time_ns));
-            // The batcher must read as clean after retirement: a later
-            // flushing drain re-publishes dirty shards, and doing so
-            // here would overwrite the retirement below with the stale
-            // clock and re-pin the merge.
-            let s = &mut *shard;
-            s.batcher.mark_published(&s.clock);
-        }
+        self.shard
+            .lock()
+            .log
+            .set_total_time(SimDuration(total_time_ns));
         // A finished thread must not pin the merged watermark.
         self.shared.watermark.retire(self.slot);
         let all_done = {
@@ -1105,7 +1059,7 @@ impl Tool for OmpDataPerfTool {
             if self.cfg.stream {
                 // Final full (blocking) sweep: nothing may be left in a
                 // shard queue once the program is over.
-                self.shared.flushed(|_| ());
+                self.shared.drained(|_| ());
             }
             if self.cfg.verbose {
                 let handle = ToolHandle {
@@ -1893,7 +1847,7 @@ mod tests {
         transfers(&mut t0, 0, 5);
         transfers(&mut t1, 100, 5);
         assert_eq!(engine_stats(&handle).drains, 0, "far below 512");
-        // Every blocking observer flushes: both rings, whoever asks.
+        // Every blocking observer drains both rings, whoever asks.
         assert_eq!(handle.stream_counts(), Some(IssueCounts::default()));
         assert!(queues_are_empty(&handle));
         assert_eq!(engine_stats(&handle).drained_events, 10);
@@ -1917,40 +1871,48 @@ mod tests {
     }
 
     #[test]
-    fn batched_publication_flushes_for_blocking_observers() {
-        // publish_every too large to ever fire on its own: every
-        // finding must still be visible to a blocking observer, because
-        // flushing drains re-publish dirty shard clocks themselves.
+    fn the_callback_drain_sees_the_current_clock() {
+        // A two-slot ring is half full after every push, so every End
+        // drains from the callback path — and the watermark it
+        // snapshots already covers the edge that End just closed.
         let (mut tool, handle) = OmpDataPerfTool::new(ToolConfig {
             stream: true,
-            publish_every: Some(1_000_000),
+            ring_capacity: Some(2),
+            ..Default::default()
+        });
+        tool.initialize(&CompilerProfile::LlvmClang.capabilities());
+        for id in 0..3 {
+            transfers(&mut tool, id, 1);
+            let stats = engine_stats(&handle);
+            assert_eq!(stats.drains, id + 1, "{stats:?}");
+            assert_eq!(stats.buffered_now, 0, "transfer {id}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn a_blocking_observer_sees_everything_decidable_now() {
+        let (mut tool, handle) = OmpDataPerfTool::new(ToolConfig {
+            stream: true,
             ..Default::default()
         });
         let tap = handle.tap_stream_findings();
         tool.initialize(&CompilerProfile::LlvmClang.capabilities());
         let payload = vec![3u8; 64];
+        let op = DataOpType::TransferToDevice;
+        // Three transfers of one content, far below the drain mark: two
+        // duplicates are decidable, and a tap decides them.
         for (id, t) in [(1u64, 0u64), (2, 20), (3, 40)] {
-            tool.on_data_op(&data_op(
-                Endpoint::Begin,
-                id,
-                DataOpType::TransferToDevice,
-                t,
-                None,
-            ));
-            tool.on_data_op(&data_op(
-                Endpoint::End,
-                id,
-                DataOpType::TransferToDevice,
-                t + 10,
-                Some(&payload),
-            ));
+            tool.on_data_op(&data_op(Endpoint::Begin, id, op, t, None));
+            tool.on_data_op(&data_op(Endpoint::End, id, op, t + 10, Some(&payload)));
         }
         let live = tap.take();
-        assert_eq!(
-            live.len(),
-            2,
-            "flush makes deferred edges visible: {live:?}"
-        );
+        assert_eq!(live.len(), 2, "{live:?}");
+        // A fourth, still open, pins only what starts at or after it.
+        tool.on_data_op(&data_op(Endpoint::Begin, 4, op, 60, None));
+        assert!(tap.take().is_empty());
+        assert_eq!(handle.stream_buffer_stats().unwrap().buffered_now, 0);
+        tool.on_data_op(&data_op(Endpoint::End, 4, op, 70, Some(&payload)));
+        assert_eq!(tap.take().len(), 1, "its End makes it decidable");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use odp_model::{
 use odp_trace::{
     load_trace, ColumnarView, DataOpColumns, TargetColumns, TraceArtifact, TraceLog, TraceStats,
 };
-use ompdataperf::detect::{EventView, Findings, StreamConfig, StreamEvent, StreamingEngine};
+use ompdataperf::detect::{EventView, Findings, StreamEvent, StreamingEngine};
 use proptest::prelude::*;
 
 /// Replay a sharded trace through per-shard `TraceLog`s exactly the way
@@ -215,8 +215,8 @@ proptest! {
 
     /// Streaming ingest of the shard-interleaved batches, finalized
     /// against the columnar view, must be byte-identical to post-mortem
-    /// row detection. Exercises `ingest_batch` plus the columnar
-    /// finalize path end to end.
+    /// row detection. Exercises batched `push` + `advance` plus the
+    /// columnar finalize path end to end.
     #[test]
     fn streaming_batches_finalize_identically_over_columnar(
         seed in 0u64..u64::MAX,
@@ -228,7 +228,7 @@ proptest! {
         let (ops, kernels) = random_trace(seed, len, num_devices);
         let st = shard_partition(&ops, &kernels, shards, seed ^ 0x0F0F);
         let log = build_merged_log(&st);
-        let mut engine = StreamingEngine::new(StreamConfig::default());
+        let mut engine = StreamingEngine::default();
         // Round-robin the shards' completion-order streams in `batch`-
         // sized chunks — the shape the ring drain hands the engine.
         // No watermark: everything buffers until finalize releases it;
@@ -243,7 +243,10 @@ proptest! {
                     continue;
                 }
                 let upper = (*cursor + batch).min(events.len());
-                engine.ingest_batch(events[*cursor..upper].iter().cloned(), None);
+                events[*cursor..upper]
+                    .iter()
+                    .for_each(|ev| engine.push(ev.clone()));
+                engine.advance(None);
                 *cursor = upper;
                 moved = true;
             }

@@ -11,9 +11,9 @@
 //! 2. **Engine level**: shard-interleaved delivery (random arrival
 //!    interleavings of per-shard completion-ordered streams) must
 //!    emit exactly the projection of the fused report as live findings.
-//! 3. **Stats**: `StreamBufferStats` high-water marks must match an
-//!    external push/release model on both the per-event and the
-//!    batched (`ingest_batch`) ingest paths.
+//! 3. **Stats**: `StreamBufferStats` batch counters and high-water
+//!    marks must match an external push/advance model, one event or
+//!    many per batch.
 //! 4. **Degradation knobs**: `--stream-cap` (`max_frontier`) spills
 //!    and `--stall-timeout` (`force_release_all`) quarantines must be
 //!    accounted exactly, capped runs that never spill must keep the live
@@ -30,7 +30,7 @@ use odp_model::{
 use odp_sim::{map, FaultPlan, FaultProfile, Kernel, KernelCost, Runtime, RuntimeConfig};
 use odp_trace::ColumnarView;
 use ompdataperf::detect::reorder::{RunMergeBuffer, SortKey};
-use ompdataperf::detect::{EventView, Findings, StreamConfig, StreamEvent, StreamingEngine};
+use ompdataperf::detect::{EventView, Findings, StreamEvent, StreamingEngine};
 use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -256,7 +256,7 @@ fn feed_shard_interleaved(
             .map(|t| mins[t][next[t]])
             .min()
             .unwrap_or(u64::MAX);
-        engine.advance_watermark(SimTime(floor.saturating_sub(1)));
+        engine.advance(Some(SimTime(floor.saturating_sub(1))));
     }
 }
 
@@ -349,75 +349,52 @@ fn open_floor_watermarks(arrivals: &[(StreamEvent, SortKey)]) -> Vec<SimTime> {
 }
 
 /// Count of delivered keys at or below the (monotone) watermark — the
-/// model of "released so far": `advance_watermark` drains everything
-/// eligible, every time.
+/// model of "released so far": `advance` releases everything eligible,
+/// every time.
 fn model_released(delivered: &[SortKey], wm: SimTime) -> usize {
     delivered.iter().filter(|k| k.0 <= wm).count()
 }
 
+/// Deliver a random trace in completion order, `batch` arrivals per
+/// batch, each closed by one `advance` to the watermark after its last
+/// arrival, and hold the engine's counters to the one rule: a batch
+/// counts as a drain of its events, and the peak is sampled after its
+/// release.
 fn assert_stats_match_model(seed: u64, n: usize, batch: usize) {
     let (ops, kernels) = random_trace(seed | 1, n, 2);
     let arrivals = completion_order(&ops, &kernels);
     let wms = open_floor_watermarks(&arrivals);
 
-    // Per-event path: note_buffered after every push, so the modeled
-    // peak samples the buffered count after each individual push.
     let mut engine = StreamingEngine::default();
     let mut delivered: Vec<SortKey> = Vec::new();
     let mut wm_eff = SimTime(0);
     let mut model_peak = 0usize;
-    for (i, (ev, key)) in arrivals.iter().enumerate() {
-        engine.push(ev.clone());
-        delivered.push(*key);
-        let now = delivered.len() - model_released(&delivered, wm_eff);
-        model_peak = model_peak.max(now);
-        wm_eff = wm_eff.max(wms[i]);
-        engine.advance_watermark(wms[i]);
+    for (b, chunk) in arrivals.chunks(batch).enumerate() {
+        chunk.iter().for_each(|(ev, _)| engine.push(ev.clone()));
+        delivered.extend(chunk.iter().map(|(_, k)| *k));
+        // The batch's last watermark closes it; the engine never moves
+        // its own back.
+        let wm = wms[delivered.len() - 1];
+        engine.advance(Some(wm));
+        wm_eff = wm_eff.max(wm);
+        let waiting = delivered.len() - model_released(&delivered, wm_eff);
+        model_peak = model_peak.max(waiting);
         let stats = engine.buffer_stats();
         assert_eq!(
-            stats.buffered_now,
-            delivered.len() - model_released(&delivered, wm_eff),
-            "buffered_now diverged at arrival {i} (seed {seed:#x})"
+            (stats.drains, stats.drained_events, stats.buffered_now),
+            (b as u64 + 1, delivered.len() as u64, waiting),
+            "batch {b} of {batch} (seed {seed:#x})"
         );
     }
-    let per_push_stats = engine.buffer_stats();
     assert_eq!(
-        per_push_stats.buffered_peak, model_peak,
-        "per-push buffered_peak must be the max over post-push counts (seed {seed:#x})"
+        engine.buffer_stats().buffered_peak,
+        model_peak,
+        "buffered_peak must be the max over post-release counts (seed {seed:#x})"
     );
 
-    // Batched path: ingest_batch samples the peak once per batch (the
-    // buffer only grows inside the loop), so the model samples the
-    // buffered count at batch boundaries only.
-    let mut batched = StreamingEngine::default();
-    let mut delivered: Vec<SortKey> = Vec::new();
-    let mut wm_eff = SimTime(0);
-    let mut batch_peak = 0usize;
-    for chunk in arrivals.chunks(batch) {
-        let wm = wms[delivered.len() + chunk.len() - 1];
-        batched.ingest_batch(chunk.iter().map(|(ev, _)| ev.clone()), Some(wm));
-        delivered.extend(chunk.iter().map(|(_, k)| *k));
-        let now = delivered.len() - model_released(&delivered, wm_eff);
-        batch_peak = batch_peak.max(now);
-        wm_eff = wm_eff.max(wm);
-    }
-    assert_eq!(
-        batched.buffer_stats().buffered_peak,
-        batch_peak,
-        "batch buffered_peak must sample at batch boundaries (seed {seed:#x})"
-    );
-    assert!(
-        batch_peak >= model_peak,
-        "coarser watermarks cannot shrink the high-water mark"
-    );
-
-    // Both ingest paths must have emitted the report's projection.
     let cols = ColumnarView::from_events(&ops, &kernels);
-    let view = EventView::over(&cols, 2);
-    let report = engine.finalize(&view);
-    assert_live_matches(engine.take_findings(), &report, "per-push ingest");
-    let report = batched.finalize(&view);
-    assert_live_matches(batched.take_findings(), &report, "batched ingest");
+    let report = engine.finalize(&EventView::over(&cols, 2));
+    assert_live_matches(engine.take_findings(), &report, "batched ingest");
 }
 
 proptest! {
@@ -483,16 +460,13 @@ fn stream_cap_spills_are_accounted_exactly() {
         (0..N).map(|i| f.h2d(i * 20, 1_000 + i)).collect()
     };
 
-    let mut capped = StreamingEngine::new(StreamConfig {
-        num_devices: None,
-        max_frontier: Some(CAP),
-    });
+    let mut capped = StreamingEngine::new(Some(CAP));
     let mut exact = StreamingEngine::default();
     for op in &ops {
-        capped.push_data_op(op.clone());
-        capped.advance_watermark(op.span.end);
-        exact.push_data_op(op.clone());
-        exact.advance_watermark(op.span.end);
+        for engine in [&mut capped, &mut exact] {
+            engine.push(StreamEvent::Op(op.clone()));
+            engine.advance(Some(op.span.end));
+        }
     }
 
     let stats = capped.buffer_stats();
@@ -532,13 +506,10 @@ proptest! {
         let (ops, kernels) = random_trace(seed | 1, n, 2);
         let arrivals = completion_order(&ops, &kernels);
         let wms = open_floor_watermarks(&arrivals);
-        let mut engine = StreamingEngine::new(StreamConfig {
-            num_devices: None,
-            max_frontier: Some(cap),
-        });
+        let mut engine = StreamingEngine::new(Some(cap));
         for (i, (ev, _)) in arrivals.iter().enumerate() {
             engine.push(ev.clone());
-            engine.advance_watermark(wms[i]);
+            engine.advance(Some(wms[i]));
         }
         let stats = engine.buffer_stats();
         prop_assert!(stats.frontier_peak <= cap + 1, "{:?}", stats);
@@ -575,7 +546,7 @@ fn stall_force_release_quarantines_late_events() {
 
     let mut engine = StreamingEngine::default();
     for op in &ops {
-        engine.push_data_op(op.clone());
+        engine.push(StreamEvent::Op(op.clone()));
     }
     // No watermark ever advanced: everything is still buffered.
     assert_eq!(engine.buffer_stats().buffered_now, ops.len());
@@ -595,7 +566,7 @@ fn stall_force_release_quarantines_late_events() {
         e.id = EventId(10_000);
         e
     };
-    engine.push_data_op(late);
+    engine.push(StreamEvent::Op(late));
     assert_eq!(engine.health().late, 1);
     assert_eq!(
         engine.buffer_stats().buffered_now,
@@ -609,7 +580,7 @@ fn stall_force_release_quarantines_late_events() {
         e.id = EventId(10_001);
         e
     };
-    engine.push_data_op(fresh);
+    engine.push(StreamEvent::Op(fresh));
     assert_eq!(engine.health().late, 1);
     assert_eq!(engine.buffer_stats().buffered_now, 1);
 }

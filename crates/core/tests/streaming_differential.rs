@@ -14,10 +14,10 @@
 mod common;
 
 use common::{assert_live_matches, finalize, random_trace, shard_partition, Rng};
-use odp_model::{DataOpEvent, SimTime, TargetEvent};
+use odp_model::{DataOpEvent, DeviceId, SimTime, TargetEvent};
 use odp_ompt::{GlobalWatermark, StreamClock};
-use odp_trace::ColumnarView;
-use ompdataperf::detect::{EventView, StreamConfig, StreamEvent, StreamingEngine};
+use odp_trace::TraceLog;
+use ompdataperf::detect::{EventView, StreamEvent, StreamingEngine, MAX_PLAUSIBLE_DEVICES};
 
 /// One deliverable event in arrival (completion) order.
 enum Arrival {
@@ -63,14 +63,14 @@ fn feed_completion_order(
 
     for (i, arrival) in arrivals.into_iter().enumerate() {
         let now = arrival.end_key().0;
-        match arrival {
-            Arrival::Op(e) => engine.push_data_op(e),
-            Arrival::Kernel(k) => engine.push_target(k),
-        }
+        engine.push(match arrival {
+            Arrival::Op(e) => StreamEvent::Op(e),
+            Arrival::Kernel(k) => StreamEvent::Kernel(k),
+        });
         // Open ops pin the watermark one tick below their begin (they
         // will emit an event at that start; see StreamClock::watermark).
         let open_floor = SimTime(suffix_min_start[i + 1].0.saturating_sub(1));
-        engine.advance_watermark(now.min(open_floor));
+        engine.advance(Some(now.min(open_floor)));
     }
 }
 
@@ -78,13 +78,9 @@ fn assert_streaming_identical(
     ops: &[DataOpEvent],
     kernels: &[TargetEvent],
     num_devices: u32,
-    fixed: bool,
     ctx: &str,
 ) {
-    let mut engine = StreamingEngine::new(StreamConfig {
-        num_devices: fixed.then_some(num_devices),
-        ..Default::default()
-    });
+    let mut engine = StreamingEngine::default();
     feed_completion_order(&mut engine, ops, kernels);
     let report = finalize(&mut engine, ops, kernels, num_devices);
     assert_eq!(
@@ -104,14 +100,14 @@ fn assert_streaming_identical(
 fn streaming_equals_postmortem_on_random_traces() {
     for seed in 1..=40u64 {
         let (ops, kernels) = random_trace(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15), 300, 2);
-        assert_streaming_identical(&ops, &kernels, 2, false, &format!("seed {seed}"));
+        assert_streaming_identical(&ops, &kernels, 2, &format!("seed {seed}"));
     }
 }
 
 #[test]
 fn streaming_equals_postmortem_on_large_trace() {
     let (ops, kernels) = random_trace(0xDEAD_BEEF, 20_000, 3);
-    assert_streaming_identical(&ops, &kernels, 3, false, "large trace");
+    assert_streaming_identical(&ops, &kernels, 3, "large trace");
 }
 
 #[test]
@@ -120,7 +116,7 @@ fn streaming_equals_postmortem_with_single_device_pool() {
     // the worst case for Algorithm 2's lookahead window.
     for seed in [3u64, 17, 99] {
         let (ops, kernels) = random_trace(seed, 500, 1);
-        assert_streaming_identical(&ops, &kernels, 1, false, &format!("dense seed {seed}"));
+        assert_streaming_identical(&ops, &kernels, 1, &format!("dense seed {seed}"));
     }
 }
 
@@ -129,30 +125,60 @@ fn streaming_equals_postmortem_on_kernel_free_trace() {
     // No kernels at all: Algorithms 4/5 can decide nothing before
     // finalize — the entire per-device pending state reconciles there.
     let (ops, _) = random_trace(0x5EED, 400, 2);
-    assert_streaming_identical(&ops, &[], 2, false, "kernel-free");
+    assert_streaming_identical(&ops, &[], 2, "kernel-free");
 }
 
 #[test]
 fn streaming_equals_postmortem_on_empty_trace() {
-    assert_streaming_identical(&[], &[], 1, false, "empty");
+    assert_streaming_identical(&[], &[], 1, "empty");
 }
 
 #[test]
 fn streaming_equals_postmortem_with_out_of_range_devices() {
-    // Fixed-device mode: events naming devices beyond the configured
-    // count must be excluded exactly as the post-mortem view excludes
-    // them — and counted, not silently dropped.
+    // A corrupted callback can name any device. Two of a random trace's
+    // four devices move to ids at and beyond the plausibility cap, and
+    // the trace is recorded as the collector records it: the engine
+    // must exclude exactly the events the inferred view excludes — and
+    // count them, not drop them silently.
+    let implausible = |d: DeviceId| match d.target_index() {
+        Some(2) => DeviceId::target(MAX_PLAUSIBLE_DEVICES),
+        Some(3) => DeviceId::target(MAX_PLAUSIBLE_DEVICES + 5),
+        _ => d,
+    };
     let (ops, kernels) = random_trace(0xABCD, 300, 4);
-    assert_streaming_identical(&ops, &kernels, 2, true, "undercounted devices");
-
-    let mut engine = StreamingEngine::new(StreamConfig {
-        num_devices: Some(2),
-        ..Default::default()
+    let mut events: Vec<StreamEvent> = ops.into_iter().map(StreamEvent::Op).collect();
+    events.extend(kernels.into_iter().map(StreamEvent::Kernel));
+    events.sort_by_key(|ev| match ev {
+        StreamEvent::Op(e) => e.id,
+        StreamEvent::Kernel(k) => k.id,
     });
+    let mut log = TraceLog::new();
+    let (mut ops, mut kernels) = (Vec::new(), Vec::new());
+    for ev in events {
+        match ev {
+            StreamEvent::Op(e) => ops.push(log.record_data_op(
+                e.kind,
+                implausible(e.src_device),
+                implausible(e.dest_device),
+                e.src_addr,
+                e.dest_addr,
+                e.bytes,
+                e.hash.map(|h| h.0),
+                e.span,
+                e.codeptr,
+            )),
+            StreamEvent::Kernel(k) => {
+                kernels.push(log.record_target(k.kind, implausible(k.device), k.span, k.codeptr))
+            }
+        }
+    }
+
+    let mut engine = StreamingEngine::default();
     feed_completion_order(&mut engine, &ops, &kernels);
-    let cols = ColumnarView::from_events(&ops, &kernels);
-    let view = EventView::over(&cols, 2);
-    let _ = engine.finalize(&view);
+    let view = EventView::from_log(&log);
+    assert!(view.num_devices <= MAX_PLAUSIBLE_DEVICES);
+    let report = engine.finalize(&view);
+    assert_live_matches(engine.take_findings(), &report, "implausible devices");
     assert_eq!(
         engine.out_of_range(),
         view.out_of_range(),
@@ -178,12 +204,12 @@ fn streaming_in_chronological_delivery_matches_too() {
         }
         merged.sort_by_key(|&(start, id, _, _)| (start, id));
         for &(start, _, is_kernel, i) in &merged {
-            if is_kernel {
-                engine.push_target(kernels[i].clone());
+            engine.push(if is_kernel {
+                StreamEvent::Kernel(kernels[i].clone())
             } else {
-                engine.push_data_op(ops[i].clone());
-            }
-            engine.advance_watermark(start);
+                StreamEvent::Op(ops[i].clone())
+            });
+            engine.advance(Some(start));
         }
         assert_eq!(
             engine.buffer_stats().buffered_now,
@@ -283,9 +309,7 @@ fn feed_sharded_interleaved(
                         engine.push(ev);
                     }
                 }
-                if let Some(watermark) = watermark {
-                    engine.advance_watermark(watermark);
-                }
+                engine.advance(watermark);
             }
         }
     }

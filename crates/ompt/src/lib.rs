@@ -25,9 +25,8 @@
 //!   callbacks from several shards at once. The merged watermark is
 //!   *strictly below*: it promises only that no future event can start
 //!   at or below it (`None` while any shard may still emit at t=0).
-//!   [`PublishBatcher`] amortizes the publish stores across K events on
-//!   the callback fast path without ever letting the published bound
-//!   overstate what is settled;
+//!   A shard publishes on every clock edge: two release stores to its
+//!   own cache line, so the merge is never behind any shard's clock;
 //! * [`ring`] — the lock-free SPSC ingest ring each callback shard uses
 //!   to hand completed events to the streaming drain path without a
 //!   mutex on the producer side;
@@ -57,6 +56,6 @@ pub use callback::{
     KernelAccessInfo, SubmitCallback, TargetCallback, TargetConstructKind,
 };
 pub use capability::{CompilerProfile, RuntimeCapabilities};
-pub use progress::{GlobalWatermark, PublishBatcher, ShardSlot, StallDetector, StreamClock};
+pub use progress::{GlobalWatermark, ShardSlot, StallDetector, StreamClock};
 pub use tool::{NullTool, SetCallbackResult, Tool, ToolRegistration};
 pub use version::OmptVersion;

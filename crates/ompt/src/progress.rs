@@ -268,72 +268,6 @@ impl GlobalWatermark {
     }
 }
 
-/// Batches [`GlobalWatermark::publish`] calls on the callback fast
-/// path: instead of two release stores per event, a shard publishes
-/// every K-th event edge — plus immediately whenever deferral would be
-/// *unsound*, i.e. the clock's bounds moved **backwards** relative to
-/// what was last published (an `open` pinning the shard below its
-/// published `safe_below`). Deferring a *forward* move is always safe:
-/// the published bound merely lags reality, so the merged watermark
-/// stays conservative. Liveness (events stuck behind a stale published
-/// bound) is the drain path's job — blocking observers re-publish every
-/// shard's clock fresh before snapshotting the merge.
-#[derive(Clone, Debug)]
-pub struct PublishBatcher {
-    every: u32,
-    pending: u32,
-    /// Bounds as of the last publish; `None` until the first edge (the
-    /// first edge always publishes, replacing the `register()` origin).
-    published: Option<(SimTime, SimTime)>,
-}
-
-impl PublishBatcher {
-    /// Default publish cadence: every 32nd event edge.
-    pub const DEFAULT_EVERY: u32 = 32;
-
-    /// A batcher publishing every `every`-th edge (clamped to >= 1;
-    /// `every == 1` reproduces unbatched per-event publication).
-    pub fn new(every: u32) -> PublishBatcher {
-        PublishBatcher {
-            every: every.max(1),
-            pending: 0,
-            published: None,
-        }
-    }
-
-    /// Note one event edge on `clock` (after `open`/`close`/`observe`
-    /// has been applied). Returns `true` when the caller must publish
-    /// now — then confirm with [`PublishBatcher::mark_published`].
-    pub fn note(&mut self, clock: &StreamClock) -> bool {
-        self.pending += 1;
-        let Some((safe_below, local)) = self.published else {
-            return true;
-        };
-        // Retreat risk: the published bounds now overstate what is
-        // settled; the merge could release an event this shard still
-        // owes. Publish the corrected (lower) bound immediately.
-        clock.safe_below() < safe_below || clock.watermark() < local || self.pending >= self.every
-    }
-
-    /// Record that the caller just published `clock`'s bounds.
-    pub fn mark_published(&mut self, clock: &StreamClock) {
-        self.pending = 0;
-        self.published = Some((clock.safe_below(), clock.watermark()));
-    }
-
-    /// Are there edges noted since the last publish? Blocking drains
-    /// use this to skip the publish stores for untouched shards.
-    pub fn dirty(&self) -> bool {
-        self.pending > 0
-    }
-}
-
-impl Default for PublishBatcher {
-    fn default() -> PublishBatcher {
-        PublishBatcher::new(PublishBatcher::DEFAULT_EVERY)
-    }
-}
-
 /// Detects a wedged merged watermark and authorizes timeout-based
 /// forced releases.
 ///
@@ -560,57 +494,6 @@ mod tests {
             "no progress, but the timeout has not elapsed"
         );
         assert_eq!(d.forced_count(), 0);
-    }
-
-    #[test]
-    fn batcher_first_edge_and_every_kth_publish() {
-        let mut c = StreamClock::new();
-        let mut b = PublishBatcher::new(4);
-        c.observe(SimTime(10));
-        assert!(b.note(&c), "first edge always publishes");
-        b.mark_published(&c);
-        for t in [20u64, 30, 40, 50] {
-            c.observe(SimTime(t));
-            let due = b.note(&c);
-            if t < 50 {
-                assert!(!due, "forward moves defer until the K-th edge");
-                assert!(b.dirty());
-            } else {
-                assert!(due, "4th edge since the last publish completes the batch");
-            }
-        }
-        b.mark_published(&c);
-        assert!(!b.dirty());
-    }
-
-    #[test]
-    fn batcher_publishes_immediately_on_retreat() {
-        let mut c = StreamClock::new();
-        let mut b = PublishBatcher::new(1000);
-        c.observe(SimTime(100));
-        assert!(b.note(&c));
-        b.mark_published(&c);
-        // An open below the published bound (non-monotonic callback
-        // time): deferral would leave the merge overstated.
-        c.open(SimTime(50));
-        assert!(b.note(&c), "retreat must publish on the spot");
-        b.mark_published(&c);
-        // Closing it moves the bound forward again: deferrable.
-        c.close(SimTime(50), SimTime(120));
-        assert!(!b.note(&c));
-    }
-
-    #[test]
-    fn batcher_every_one_is_per_event() {
-        let mut c = StreamClock::new();
-        let mut b = PublishBatcher::new(1);
-        for t in 1..50u64 {
-            c.observe(SimTime(t));
-            assert!(b.note(&c));
-            b.mark_published(&c);
-        }
-        let mut z = PublishBatcher::new(0);
-        assert!(z.note(&c), "every=0 clamps to 1");
     }
 
     #[test]

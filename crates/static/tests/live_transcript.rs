@@ -53,21 +53,21 @@ fn live_transcript(w: &dyn Workload) -> (u64, usize) {
 #[test]
 fn live_stream_transcript_is_pinned() {
     const EXPECTED: [(&str, u64, usize); 24] = [
-        ("babelstream", 0x76e0_9f30_bb02_c850, 16),
+        ("babelstream", 0x76e0_9f30_bb02_c850, 0),
         ("bfs", 0xee83_87d3_4ed4_d2d3, 0),
         ("hotspot", 0x805b_d719_dae4_510d, 0),
         ("lud", 0x045c_50f6_8d06_4d97, 0),
-        ("minife", 0x81e7_be87_c1ca_370d, 16),
+        ("minife", 0x81e7_be87_c1ca_370d, 0),
         ("minifmm", 0x812d_f1c6_cca9_c9d0, 0),
         ("nw", 0xffc5_7edd_5d10_b9af, 0),
         ("rsbench", 0xbf30_9f8a_df04_b740, 0),
-        ("tealeaf", 0x646c_f692_19a1_1bac, 16),
+        ("tealeaf", 0x646c_f692_19a1_1bac, 0),
         ("xsbench", 0xbf30_9f8a_df04_b740, 0),
         ("resize-omp", 0x633b_82cb_94a4_9970, 0),
         ("mandelbrot-omp", 0x2e8a_a684_a022_5956, 0),
         ("accuracy-omp", 0xeb33_bf72_b2f3_b301, 0),
         ("lif-omp", 0xc932_1abf_5665_f6e9, 0),
-        ("bspline-vgh-omp", 0x31ba_6e6e_0d93_096d, 16),
+        ("bspline-vgh-omp", 0x31ba_6e6e_0d93_096d, 0),
         ("ir-babelstream", 0x4142_7fa2_e172_6546, 0),
         ("ir-bfs", 0x3251_767b_2a63_3b03, 0),
         ("ir-xsbench", 0xc0f3_b2bd_06f4_1a12, 0),
