@@ -187,7 +187,7 @@ fn collect_payloads(w: &dyn Workload) -> Vec<Vec<u8>> {
     timed_run(w, ProblemSize::Medium, Some(tool));
     let trace = handle.take_trace();
     trace
-        .data_op_events()
+        .data_op_events_sorted()
         .iter()
         .filter(|e| e.kind == DataOpKind::Transfer)
         .map(|e| {

@@ -16,7 +16,7 @@ use odp_hash::HashAlgoId;
 use odp_sim::{FaultPlan, FaultProfile};
 use odp_workloads::adaptive::Remedy;
 use odp_workloads::session::{self, RunSpec};
-use ompdataperf::report::{ConsoleStreamSink, SnapshotStreamSink};
+use ompdataperf::report::SnapshotStreamSink;
 use ompdataperf::tool::{FindingsTap, OmpDataPerfTool};
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -211,7 +211,7 @@ pub fn resolve_profile(name: &str) -> Option<odp_ompt::CompilerProfile> {
 /// see the full findings stream). Ends after the drain that follows
 /// `done`, or when the output closes.
 fn poll(tap: FindingsTap, every: Duration, done: &AtomicBool, out: Out<'_>) -> io::Result<()> {
-    let mut sink = SnapshotStreamSink::new(0);
+    let mut sink = SnapshotStreamSink::default();
     loop {
         let last = done.load(Ordering::Acquire);
         let findings = tap.take();
@@ -292,7 +292,7 @@ pub fn execute(args: &[String], out: Out<'_>) -> CmdResult {
     // Only in the human-readable mode: with --json they would corrupt
     // the document (they are in the report JSON anyway).
     if let Some(live) = run.live.as_ref().filter(|_| !quiet && !json) {
-        let mut sink = ConsoleStreamSink::default();
+        let mut sink = SnapshotStreamSink::default();
         for finding in &live.undrained {
             sink.on_finding(finding);
         }

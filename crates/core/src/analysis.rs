@@ -16,11 +16,11 @@ use odp_trace::{ColumnarView, TraceLog};
 ///
 /// Implausibly large device indices — a corrupted callback naming
 /// device `0x4000_0000` — are ignored here (capped by
-/// [`crate::detect::MAX_PLAUSIBLE_DEVICES`]) rather than trusted, so
+/// [`odp_trace::MAX_PLAUSIBLE_DEVICES`]) rather than trusted, so
 /// the per-device tables sized from this count stay bounded and the
 /// corrupt events land in [`crate::detect::OutOfRangeEvents`].
 pub fn infer_num_devices_columnar(cols: &ColumnarView) -> u32 {
-    let cap = crate::detect::MAX_PLAUSIBLE_DEVICES as i64;
+    let cap = odp_trace::MAX_PLAUSIBLE_DEVICES as i64;
     let mut max_ix: i64 = -1;
     for d in cols.ops.src_devices.iter().chain(&cols.ops.dest_devices) {
         if let Some(ix) = d.target_index() {

@@ -41,16 +41,6 @@ use odp_trace::{ColumnarView, DataOpColumns, TargetColumns, TraceLog};
 /// order).
 pub type OpIx = u32;
 
-/// Upper bound on a *plausible* target-device index. Device numbers come
-/// from an untrusted trace: a corrupted callback can name device
-/// `0x4000_0000`, and sizing per-device tables from such an id would
-/// allocate billions of entries. Indices at or beyond this cap are
-/// treated as out-of-range (quarantined from the per-device algorithms
-/// and counted in [`OutOfRangeEvents`]) by both
-/// [`crate::analysis::infer_num_devices_columnar`] and the streaming engine's
-/// grow-on-demand device machines.
-pub const MAX_PLAUSIBLE_DEVICES: u32 = 4096;
-
 /// Events that name a target device at or beyond the view's `num_devices`
 /// and are therefore excluded from the per-device algorithms (4 and 5).
 ///

@@ -32,8 +32,8 @@
 //!   tables built in one indexing pass — then advances all five
 //!   algorithms as incremental state machines in **one** chronological
 //!   detection sweep, each reading only the columns its state machine
-//!   needs. Findings are index-based (`engine::IndexFindings`) until
-//!   the report boundary; only events that appear in findings are ever
+//!   needs. Inside the engine findings are indices into the view's
+//!   columns until the report boundary; only events that appear in findings are ever
 //!   gathered back into rows. ARCHITECTURE.md's memory-layout section
 //!   has the column map and the cache story.
 //!
@@ -60,8 +60,10 @@
 //! appends to its own shard's trace log, hands the completed event to
 //! the drain through its own fixed-capacity lock-free SPSC ring (one
 //! release store per side; a bounded, counted spill absorbs overflow
-//! when drains can't keep up), and publishes its `StreamClock` into
-//! its own slot of the shared `GlobalWatermark` on every clock edge:
+//! when drains can't keep up), and on every clock edge publishes the
+//! bound its open table gives (earliest open data-op or submit Begin,
+//! else its latest edge) into its own slot of the shared
+//! `GlobalWatermark`:
 //!
 //! ```text
 //! thread 0 ─► shard 0: TraceLog(for_shard 0) ─► SPSC ring 0 ───┐
@@ -69,7 +71,7 @@
 //!    ⋮            ⋮    (ring full ⇒ bounded, counted spill)     │
 //! thread N ─► shard N: TraceLog(for_shard N) ─► SPSC ring N ───┤
 //!      │                                                       │
-//!      └─ StreamClock ─► GlobalWatermark                       │
+//!      └─ open table ─► GlobalWatermark                        │
 //!         (every edge: queue the event, then publish — two     │
 //!         release stores to the shard's own slot; merged       │
 //!         watermark = min over shards of the earliest possible │
@@ -203,10 +205,10 @@ use odp_model::{DataOpEvent, TargetEvent};
 use serde::{Deserialize, Serialize};
 
 pub use duplicate::{find_duplicate_transfers, DuplicateTransferGroup};
-pub use engine::{EventView, OutOfRangeEvents, MAX_PLAUSIBLE_DEVICES};
+pub use engine::{EventView, OutOfRangeEvents};
 pub use odp_model::FindingKind;
 pub use pairing::{alloc_delete_pairs, AllocDeletePair};
-pub use realloc::{find_repeated_allocs, find_repeated_allocs_keyed, RepeatedAllocGroup};
+pub use realloc::{find_repeated_allocs, RepeatedAllocGroup};
 pub use roundtrip::{find_round_trips, RoundTrip, RoundTripGroup, TripList};
 pub use stream::{StreamBufferStats, StreamEvent, StreamFinding, StreamingEngine};
 pub use unused_alloc::{find_unused_allocs, UnusedAlloc};

@@ -41,18 +41,6 @@ impl RepeatedAllocGroup {
 
 /// Algorithm 3. `data_op_events` must be chronological.
 pub fn find_repeated_allocs(data_op_events: &[DataOpEvent]) -> Vec<RepeatedAllocGroup> {
-    find_repeated_allocs_keyed(data_op_events, true)
-}
-
-/// Algorithm 3 with the allocation size optionally removed from the
-/// grouping key — the §5.3 ablation. Without the size the
-/// detector false-positives whenever a reused host address hosts
-/// *different* variables over the program's lifetime (§5.3's motivation
-/// for including it).
-pub fn find_repeated_allocs_keyed(
-    data_op_events: &[DataOpEvent],
-    size_in_key: bool,
-) -> Vec<RepeatedAllocGroup> {
     let allocs = alloc_delete_pairs(data_op_events);
 
     let mut repeated: FnvHashMap<(u64, DeviceId, u64), Vec<AllocDeletePair>> =
@@ -62,7 +50,7 @@ pub fn find_repeated_allocs_keyed(
         let key = (
             pair.alloc.src_addr,
             pair.alloc.dest_device,
-            if size_in_key { pair.alloc.bytes } else { 0 },
+            pair.alloc.bytes,
         );
         let entry = repeated.entry(key).or_default();
         if entry.is_empty() {
@@ -81,11 +69,7 @@ pub fn find_repeated_allocs_keyed(
             Some(RepeatedAllocGroup {
                 host_addr: key.0,
                 device: key.1,
-                bytes: if size_in_key {
-                    key.2
-                } else {
-                    pairs.first().map_or(0, |p| p.alloc.bytes)
-                },
+                bytes: key.2,
                 pairs,
                 confidence: Confidence::Confirmed,
             })
@@ -135,32 +119,6 @@ mod tests {
             f.delete(30, 0, 0x1000, 0xd000, 128),
         ];
         assert!(find_repeated_allocs(&ops).is_empty());
-    }
-
-    #[test]
-    fn ablation_removing_size_from_key_false_positives() {
-        // The same trace WITHOUT the size in the key: the address-reuse
-        // scenario becomes a (false) repeated allocation — quantifying
-        // why §5.3 includes the size.
-        let mut f = EventFactory::new();
-        let ops = vec![
-            f.alloc(0, 0, 0x1000, 0xd000, 64),
-            f.delete(10, 0, 0x1000, 0xd000, 64),
-            f.alloc(20, 0, 0x1000, 0xd000, 128),
-            f.delete(30, 0, 0x1000, 0xd000, 128),
-        ];
-        let groups = super::find_repeated_allocs_keyed(&ops, false);
-        assert_eq!(groups.len(), 1, "no-size key must false-positive here");
-        assert_eq!(groups[0].repeat_count(), 1);
-        // And genuine repeats are still found either way.
-        let ops2 = vec![
-            f.alloc(100, 0, 0x2000, 0xd100, 64),
-            f.delete(110, 0, 0x2000, 0xd100, 64),
-            f.alloc(120, 0, 0x2000, 0xd100, 64),
-            f.delete(130, 0, 0x2000, 0xd100, 64),
-        ];
-        assert_eq!(super::find_repeated_allocs_keyed(&ops2, false).len(), 1);
-        assert_eq!(super::find_repeated_allocs_keyed(&ops2, true).len(), 1);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! minimum, and genuine intra-shard inversions fall back to a small
 //! side pocket. Events release only at or below the caller-supplied
 //! *watermark* — the earliest begin time of any still-open operation
-//! (see [`odp_ompt::StreamClock`]). The buffer is bounded by the number
+//! (see [`odp_ompt::GlobalWatermark`]). The buffer is bounded by the number
 //! of concurrently open operations, not by trace length.
 //!
 //! **Algorithm 2 needs lookahead.** Post-mortem, the round-trip pass
@@ -603,7 +603,7 @@ impl StreamingEngine {
     /// order, then sample what is left waiting. `None` means nothing is
     /// settled yet (some shard may still emit at time zero): nothing is
     /// released. The caller guarantees no future event can start at or
-    /// below the watermark (see [`odp_ompt::StreamClock`]).
+    /// below the watermark (see [`odp_ompt::GlobalWatermark`]).
     pub fn advance(&mut self, watermark: Option<SimTime>) {
         self.stats.drains += 1;
         self.stats.drained_events += std::mem::take(&mut self.pushed);
@@ -688,7 +688,7 @@ impl StreamingEngine {
 
     /// Events excluded from Algorithms 4/5 because they named an
     /// implausible device (at or beyond
-    /// [`crate::detect::MAX_PLAUSIBLE_DEVICES`]) — the same events
+    /// [`odp_trace::MAX_PLAUSIBLE_DEVICES`]) — the same events
     /// [`EventView::from_log`]'s inferred device count excludes.
     pub fn out_of_range(&self) -> OutOfRangeEvents {
         self.out_of_range
@@ -834,7 +834,7 @@ impl StreamingEngine {
     /// `infer_num_devices_columnar`, so finalize's view agrees on which
     /// events are out of range.
     fn in_range(ix: usize) -> bool {
-        ix < crate::detect::MAX_PLAUSIBLE_DEVICES as usize
+        ix < odp_trace::MAX_PLAUSIBLE_DEVICES as usize
     }
 
     fn machine(&mut self, ix: usize) -> &mut DeviceMachine {
@@ -1466,7 +1466,7 @@ mod tests {
         // A corrupted callback can name any device: a seeded mix of
         // devices 0/1 and ids at and beyond the plausibility cap. The
         // engine quarantines exactly what the inferred view excludes.
-        let cap = crate::detect::MAX_PLAUSIBLE_DEVICES;
+        let cap = odp_trace::MAX_PLAUSIBLE_DEVICES;
         let mut f = EventFactory::new();
         let (mut ops, mut kernels) = (Vec::new(), Vec::new());
         let mut x = 0x9E37_79B9_7F4A_7C15u64;

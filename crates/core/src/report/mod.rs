@@ -220,21 +220,6 @@ pub fn render_stream_finding(f: &StreamFinding) -> String {
     }
 }
 
-/// Renders live findings (each final when delivered) into console
-/// lines.
-#[derive(Debug, Default)]
-pub struct ConsoleStreamSink {
-    /// Rendered lines, delivery order.
-    pub lines: Vec<String>,
-}
-
-impl ConsoleStreamSink {
-    /// One finding became final.
-    pub fn on_finding(&mut self, finding: &StreamFinding) {
-        self.lines.push(render_stream_finding(finding));
-    }
-}
-
 /// Render a live issue-count snapshot — the incremental counterpart of
 /// the §A.6 summary table, emitted periodically while the program runs
 /// (`--stream-interval`) instead of once after it exits.
@@ -250,18 +235,14 @@ pub fn render_counts_snapshot(c: &IssueCounts) -> String {
     )
 }
 
-/// Renders each live finding *and* interleaves a
-/// [`render_counts_snapshot`] line after every `every` findings, so a
-/// console consumer sees the §A.6 summary grow during the run. The
-/// counts are accumulated from the delivered findings themselves and
-/// therefore always agree with the engine's `live_counts()` at the
-/// delivery point.
-#[derive(Debug)]
+/// Renders live findings (each final when delivered) into console
+/// lines, and on request a [`render_counts_snapshot`] line between
+/// them, so a console consumer sees the §A.6 summary grow during the
+/// run. The counts are accumulated from the delivered findings
+/// themselves and therefore always agree with the engine's
+/// `live_counts()` at the delivery point.
+#[derive(Debug, Default)]
 pub struct SnapshotStreamSink {
-    /// Emit a snapshot line after this many findings (0 = never).
-    every: usize,
-    /// Findings since the last snapshot.
-    since: usize,
     /// Running counts over everything delivered.
     counts: IssueCounts,
     /// Rendered lines (findings + snapshots), delivery order.
@@ -269,16 +250,6 @@ pub struct SnapshotStreamSink {
 }
 
 impl SnapshotStreamSink {
-    /// A sink snapshotting after every `every` findings.
-    pub fn new(every: usize) -> SnapshotStreamSink {
-        SnapshotStreamSink {
-            every,
-            since: 0,
-            counts: IssueCounts::default(),
-            lines: Vec::new(),
-        }
-    }
-
     /// Counts accumulated so far.
     pub fn counts(&self) -> IssueCounts {
         self.counts
@@ -288,7 +259,6 @@ impl SnapshotStreamSink {
     /// between finding batches).
     pub fn snapshot(&mut self) {
         self.lines.push(render_counts_snapshot(&self.counts));
-        self.since = 0;
     }
 
     /// One finding became final.
@@ -301,10 +271,6 @@ impl SnapshotStreamSink {
             StreamFinding::UnusedTransfer { .. } => self.counts.ut += 1,
         }
         self.lines.push(render_stream_finding(finding));
-        self.since += 1;
-        if self.every > 0 && self.since >= self.every {
-            self.snapshot();
-        }
     }
 }
 
@@ -412,7 +378,7 @@ mod tests {
     fn console_sink_renders_every_category() {
         use crate::detect::UnusedTransferReason;
         use odp_model::{DeviceId, HashVal};
-        let mut sink = ConsoleStreamSink::default();
+        let mut sink = SnapshotStreamSink::default();
         let findings = [
             StreamFinding::DuplicateTransfer {
                 hash: HashVal(0xab),
@@ -477,7 +443,7 @@ mod tests {
     #[test]
     fn snapshot_sink_interleaves_summary_lines() {
         use odp_model::{DeviceId, HashVal};
-        let mut sink = SnapshotStreamSink::new(2);
+        let mut sink = SnapshotStreamSink::default();
         let dup = |event| StreamFinding::DuplicateTransfer {
             hash: HashVal(0xab),
             src_device: DeviceId::HOST,
@@ -491,6 +457,9 @@ mod tests {
         };
         for i in 1..=5 {
             sink.on_finding(&dup(i));
+            if i % 2 == 0 {
+                sink.snapshot();
+            }
         }
         // 5 findings + snapshots after #2 and #4.
         assert_eq!(sink.lines.len(), 7);

@@ -19,11 +19,14 @@
 //! **only that thread's shard** — its own [`TraceLog`] shard (event ids
 //! embed the shard, so the post-run [`TraceLog::merge_shards`] is
 //! deterministic regardless of OS scheduling), its own hash meter, its
-//! own [`StreamClock`], and its own lock-free SPSC ingest ring
-//! ([`odp_ompt::ring`]). Cross-thread traffic on the fast path is one
-//! slot write + release store into the ring, plus — on every clock
-//! edge — a pair of release stores into the shard's own slot of the
-//! [`GlobalWatermark`]. **Zero global lock acquisitions.**
+//! own table of open operations, and its own lock-free SPSC ingest ring
+//! ([`odp_ompt::ring`]). The open table pairs each End with its Begin
+//! and also yields the thread's watermark bound: the earliest open
+//! data-op or submit Begin, or the latest such edge when none is open.
+//! Cross-thread traffic on the fast path is one slot write + release
+//! store into the ring, plus — on every clock edge — a pair of release
+//! stores into the shard's own slot of the [`GlobalWatermark`]. **Zero
+//! global lock acquisitions.**
 //!
 //! Streaming mode pays for detection per batch, not per callback. A
 //! callback records, pushes and publishes — nothing else — until its
@@ -69,8 +72,8 @@ use odp_hash::HashAlgoId;
 use odp_model::{DataOpKind, SimDuration, SimTime, TargetKind, TimeSpan, TraceHealth};
 use odp_ompt::{
     ring, CallbackKind, DataOpCallback, DataOpType, Endpoint, GlobalWatermark, RuntimeCapabilities,
-    ShardSlot, StallDetector, StreamClock, SubmitCallback, TargetCallback, TargetConstructKind,
-    Tool, ToolRegistration,
+    ShardSlot, StallDetector, SubmitCallback, TargetCallback, TargetConstructKind, Tool,
+    ToolRegistration,
 };
 use odp_trace::TraceLog;
 use parking_lot::Mutex;
@@ -220,10 +223,6 @@ struct ShardState {
     /// Evidence this shard quarantined instead of recording (orphaned
     /// `End`s, truncated payload hashes).
     health: TraceHealth,
-    /// This thread's reorder clock, published on every edge.
-    clock: StreamClock,
-    /// This shard's watermark-publish slot.
-    slot: ShardSlot,
     /// The ingest channel (streaming mode only): the ring's producer
     /// half — under the shard lock, which only the owning thread takes
     /// on the fast path, so pushes stay single-producer and uncontended
@@ -232,36 +231,28 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Hand `event` to the streaming consumer (ring; spill when full)
-    /// and publish the clock edge. The caller holds the shard lock and has
-    /// already applied the edge to `clock`. The order is load-bearing:
-    /// the event must be queued *before* the publish that could
-    /// unblock it (the drain's snapshot-then-sweep soundness).
+    /// Hand `event` to the streaming consumer (ring; spill when full).
+    /// The caller publishes the clock edge afterwards. The order is
+    /// load-bearing: the event must be queued *before* the publish that
+    /// could unblock it (the drain's snapshot-then-sweep soundness).
     ///
     /// Returns whether a drain is due: this shard's ring has reached
     /// half its capacity (or overflowed). The caller drains *after*
     /// releasing the shard lock.
     #[must_use]
-    fn queue_and_note(&mut self, shared: &ToolShared, event: StreamEvent) -> bool {
-        let mut drain_due = false;
-        if let Some((ring, tail)) = self.ingest.as_mut() {
-            drain_due = match ring.push(event) {
-                Ok(()) => ring.half_full(),
-                Err(event) => {
-                    let mut tail = tail.lock();
-                    tail.spill.push((ring.pushed(), event));
-                    tail.spilled += 1;
-                    true
-                }
-            };
+    fn queue(&mut self, event: StreamEvent) -> bool {
+        let Some((ring, tail)) = self.ingest.as_mut() else {
+            return false;
+        };
+        match ring.push(event) {
+            Ok(()) => ring.half_full(),
+            Err(event) => {
+                let mut tail = tail.lock();
+                tail.spill.push((ring.pushed(), event));
+                tail.spilled += 1;
+                true
+            }
         }
-        self.note_edge(shared);
-        drain_due
-    }
-
-    /// Publish a clock edge the caller already applied to `clock`.
-    fn note_edge(&self, shared: &ToolShared) {
-        shared.watermark.publish(self.slot, &self.clock);
     }
 }
 
@@ -643,6 +634,9 @@ pub struct OmpDataPerfTool {
     /// Begin times of this thread's open data ops, kernel submits and
     /// target constructs.
     open: OpenTable,
+    /// The latest data-op or submit edge this thread has seen: its
+    /// watermark bound while nothing that pins it is open.
+    last_edge: SimTime,
 }
 
 /// What a Begin/End pair is matched on: the id the runtime gave the
@@ -661,6 +655,15 @@ enum OpenKey {
     Construct(u64, TargetConstructKind),
 }
 
+impl OpenKey {
+    /// Does this open operation hold the watermark at its begin time?
+    /// Data ops and submits will emit a streamed event that starts
+    /// there; constructs are recorded but never streamed.
+    fn pins(self) -> bool {
+        matches!(self, OpenKey::DataOp(_) | OpenKey::Submit(_))
+    }
+}
+
 /// Begin times waiting for their End — upstream's one `thread_local`
 /// slot, widened to the few operations a thread really has open at once
 /// (a `target data` around a `target` around a data op; a
@@ -676,12 +679,19 @@ enum OpenKey {
 /// A key lives in at most one of the two, once: the table behaves as
 /// the map `key → begin time` it replaces (a repeated Begin overwrites,
 /// an unmatched End finds nothing).
+///
+/// The same table yields the thread's watermark bound,
+/// [`OpenTable::earliest`], from the inline array and a cached minimum
+/// of the spill — so leaked Begins do not lengthen that scan either.
 #[derive(Debug, Default)]
 struct OpenTable {
     /// Oldest first; only `recent[..len]` is meaningful.
     recent: [(OpenKey, SimTime); OpenTable::INLINE],
     len: usize,
     spilled: FnvHashMap<OpenKey, SimTime>,
+    /// The earliest begin among `spilled`'s entries that
+    /// [pin](OpenKey::pins) the watermark.
+    spilled_earliest: Option<SimTime>,
 }
 
 impl OpenTable {
@@ -694,12 +704,13 @@ impl OpenTable {
             self.recent[at].1 = time;
             return;
         }
-        if !self.spilled.is_empty() {
-            self.spilled.remove(&key);
-        }
+        self.unspill(key);
         if self.len == Self::INLINE {
             let (oldest, began) = self.recent[0];
             self.spilled.insert(oldest, began);
+            if oldest.pins() {
+                self.spilled_earliest = Some(self.spilled_earliest.map_or(began, |t| t.min(began)));
+            }
             self.recent.copy_within(1.., 0);
             self.len -= 1;
         }
@@ -716,9 +727,38 @@ impl OpenTable {
                 self.len -= 1;
                 Some(began)
             }
-            None if self.spilled.is_empty() => None,
-            None => self.spilled.remove(&key),
+            None => self.unspill(key),
         }
+    }
+
+    /// Take `key` out of the spill map, if it is there. Only removing
+    /// the spill's earliest pinning entry rescans it — leaked Begins are
+    /// the oldest and never leave, so that is the rare case.
+    fn unspill(&mut self, key: OpenKey) -> Option<SimTime> {
+        if self.spilled.is_empty() {
+            return None;
+        }
+        let began = self.spilled.remove(&key)?;
+        if key.pins() && Some(began) == self.spilled_earliest {
+            self.spilled_earliest = self
+                .spilled
+                .iter()
+                .filter(|(k, _)| k.pins())
+                .map(|(_, &t)| t)
+                .min();
+        }
+        Some(began)
+    }
+
+    /// The earliest begin time among open data ops and submits: no
+    /// event this thread streams later can start before it.
+    fn earliest(&self) -> Option<SimTime> {
+        self.recent[..self.len]
+            .iter()
+            .filter(|(k, _)| k.pins())
+            .map(|&(_, t)| t)
+            .chain(self.spilled_earliest)
+            .min()
     }
 
     fn position(&self, key: OpenKey) -> Option<usize> {
@@ -778,8 +818,6 @@ impl OmpDataPerfTool {
             log: TraceLog::for_shard(slot.index() as u32),
             hash_meter: ShardMeter::default(),
             health: TraceHealth::default(),
-            clock: StreamClock::new(),
-            slot,
             ingest,
         }));
         shared.shards.lock().push(shard.clone());
@@ -791,6 +829,7 @@ impl OmpDataPerfTool {
             slot,
             degraded: false,
             open: OpenTable::default(),
+            last_edge: SimTime::ZERO,
         }
     }
 
@@ -804,11 +843,12 @@ impl OmpDataPerfTool {
         self.slot.index() as u32
     }
 
-    /// The body every recording callback shares. `record` appends to
-    /// the shard's log under the shard lock and hands back the event; in
-    /// streaming mode the event then rides the ring behind the clock
-    /// edge its span closes (`start == None`: a begin-only runtime, the
-    /// op is an instant and the edge an observation), and a due drain
+    /// The body every recording callback shares; the caller has already
+    /// taken the op's Begin out of the open table and observed `end`.
+    /// `record` appends to the shard's log under the shard lock and
+    /// hands back the event (`start == None`: a begin-only runtime, the
+    /// op is an instant); in streaming mode the event then rides the
+    /// ring ahead of the clock edge its span closes, and a due drain
     /// runs once the shard lock is released.
     fn record(
         &self,
@@ -820,41 +860,47 @@ impl OmpDataPerfTool {
             let mut shard = self.shard.lock();
             let span = start.map_or(TimeSpan::at(end), |start| TimeSpan::new(start, end));
             let event = record(&mut shard, span);
-            self.cfg.stream && {
-                match start {
-                    Some(start) => shard.clock.close(start, end),
-                    None => shard.clock.observe(end),
-                }
-                shard.queue_and_note(&self.shared, event)
-            }
+            shard.queue(event)
         };
+        self.publish();
         if drain_due {
             self.shared.maybe_drain();
         }
     }
 
-    /// A matched-later Begin: publish the open, which holds the shard's
-    /// bound at its begin time until the matching End.
-    fn open_edge(&self, time: SimTime) {
+    /// A data-op or submit edge at `time`. The runtime's callback clock
+    /// is monotonic, so no later Begin can precede it.
+    fn observe(&mut self, time: SimTime) {
+        self.last_edge = self.last_edge.max(time);
+    }
+
+    /// Publish this shard's watermark bound (streaming mode): the
+    /// earliest open data-op or submit Begin, else the latest edge.
+    /// Call after queueing whatever event the edge closed.
+    fn publish(&self) {
         if self.cfg.stream {
-            let mut shard = self.shard.lock();
-            shard.clock.open(time);
-            shard.note_edge(&self.shared);
+            let bound = self.open.earliest();
+            self.shared
+                .watermark
+                .publish(self.slot, bound, self.last_edge);
         }
+    }
+
+    /// A matched-later Begin: the open holds the shard's bound at its
+    /// begin time until the matching End.
+    fn open_edge(&mut self, key: OpenKey, time: SimTime) {
+        self.open.begin(key, time);
+        self.observe(time);
+        self.publish();
     }
 
     /// An End whose Begin was dropped, or a duplicate End. No
     /// trustworthy span exists, so the event is quarantined instead of
-    /// guessed — and the clock only *observes* its time: closing an
-    /// entry could hit a different op's open one and corrupt the
-    /// watermark.
-    fn orphaned_end(&self, time: SimTime) {
-        let mut shard = self.shard.lock();
-        shard.health.orphaned += 1;
-        if self.cfg.stream {
-            shard.clock.observe(time);
-            shard.note_edge(&self.shared);
-        }
+    /// guessed — and the bound only *observes* its time.
+    fn orphaned_end(&mut self, time: SimTime) {
+        self.shard.lock().health.orphaned += 1;
+        self.observe(time);
+        self.publish();
     }
 
     /// Hash a payload against this shard's meter (and the shared audit
@@ -981,16 +1027,13 @@ impl Tool for OmpDataPerfTool {
             // with zero duration, hashing the payload that a pointer-
             // chasing tool reads at op start.
             Endpoint::Begin if self.degraded => None,
-            Endpoint::Begin => {
-                self.open_edge(cb.time);
-                self.open.begin(OpenKey::DataOp(cb.host_op_id), cb.time);
-                return;
-            }
+            Endpoint::Begin => return self.open_edge(OpenKey::DataOp(cb.host_op_id), cb.time),
             Endpoint::End => match self.open.end(OpenKey::DataOp(cb.host_op_id)) {
                 Some(start) => Some(start),
                 None => return self.orphaned_end(cb.time),
             },
         };
+        self.observe(cb.time);
         let kind = data_op_kind(cb.optype);
         self.record(start, cb.time, |shard, span| {
             // A payload that disagrees with the claimed byte count
@@ -1023,16 +1066,13 @@ impl Tool for OmpDataPerfTool {
     fn on_submit(&mut self, cb: &SubmitCallback) {
         let start = match cb.endpoint {
             Endpoint::Begin if self.degraded => None,
-            Endpoint::Begin => {
-                self.open_edge(cb.time);
-                self.open.begin(OpenKey::Submit(cb.target_id), cb.time);
-                return;
-            }
+            Endpoint::Begin => return self.open_edge(OpenKey::Submit(cb.target_id), cb.time),
             Endpoint::End => match self.open.end(OpenKey::Submit(cb.target_id)) {
                 Some(start) => Some(start),
                 None => return self.orphaned_end(cb.time),
             },
         };
+        self.observe(cb.time);
         self.record(start, cb.time, |shard, span| {
             StreamEvent::Kernel(shard.log.record_target(
                 TargetKind::Kernel,
@@ -1137,7 +1177,7 @@ mod tests {
         ));
         tool.finalize(1_000);
         let trace = handle.take_trace();
-        let events = trace.data_op_events();
+        let events = trace.data_op_events_sorted();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].span.duration().as_nanos(), 50);
         assert!(events[0].hash.is_some());
@@ -1265,7 +1305,8 @@ mod tests {
         // One Begin was open, not two: the duplicated End is orphaned.
         transfer_edge(&mut tool, Endpoint::End, 5, 160);
         assert_eq!(handle.trace_health().orphaned, 1);
-        let events = handle.take_trace().data_op_events();
+        let trace = handle.take_trace();
+        let events = trace.data_op_events_sorted();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].span.start, SimTime(120));
         assert_eq!(events[0].span.end, SimTime(150));
@@ -1302,7 +1343,7 @@ mod tests {
         transfer_edge(&mut tool, Endpoint::End, 7, 50);
         let trace = handle.take_trace();
         assert_eq!((trace.data_op_count(), trace.target_count()), (1, 0));
-        assert_eq!(trace.data_op_events()[0].span.start, SimTime(10));
+        assert_eq!(trace.data_op_events_sorted()[0].span.start, SimTime(10));
     }
 
     #[test]
@@ -1333,7 +1374,7 @@ mod tests {
         assert_eq!(handle.trace_health().orphaned, LEAKED);
         let starts: Vec<u64> = handle
             .take_trace()
-            .data_op_events()
+            .data_op_events_sorted()
             .iter()
             .map(|e| e.span.start.0)
             .collect();
@@ -1358,6 +1399,147 @@ mod tests {
         assert_eq!(table.end(key(OpenTable::INLINE as u64)), Some(SimTime(1)));
     }
 
+    /// The bounds a streaming shard publishes, read through the merge:
+    /// `local` from a tool that is the only shard, `safe_below` (less
+    /// one) from a twin whose second shard has retired.
+    struct Published {
+        alone: OmpDataPerfTool,
+        paired: OmpDataPerfTool,
+    }
+
+    impl Published {
+        fn new() -> Published {
+            let cfg = ToolConfig {
+                stream: true,
+                ..Default::default()
+            };
+            let caps = CompilerProfile::LlvmClang.capabilities();
+            let (mut alone, _) = OmpDataPerfTool::new(cfg);
+            let (mut paired, handle) = OmpDataPerfTool::new(cfg);
+            let retired = handle.fork_tool();
+            handle.shared.watermark.retire(retired.slot);
+            alone.initialize(&caps);
+            paired.initialize(&caps);
+            Published { alone, paired }
+        }
+
+        fn each(&mut self, mut edge: impl FnMut(&mut OmpDataPerfTool)) {
+            edge(&mut self.alone);
+            edge(&mut self.paired);
+        }
+
+        fn merged(&self) -> (Option<SimTime>, Option<SimTime>) {
+            let merged = |tool: &OmpDataPerfTool| tool.shared.watermark.merged();
+            (merged(&self.alone), merged(&self.paired))
+        }
+    }
+
+    #[test]
+    fn published_bounds_follow_the_open_begins() {
+        // Random Begin/End streams over data ops, submits and
+        // constructs: Ends that never come (leaking Begins past the
+        // inline array), duplicate Ends, Ends nobody opened, and times
+        // that now and then step back. After every edge the published
+        // bounds must be what a multiset of open data-op and submit
+        // begins plus the latest such edge yields.
+        let mut widest = 0;
+        for seed in 1..=24u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut below = |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let mut tools = Published::new();
+            let mut open: std::collections::BTreeMap<(u64, u64), SimTime> = Default::default();
+            let mut begins: std::collections::BTreeMap<SimTime, u32> = Default::default();
+            let mut latest = SimTime::ZERO;
+            let (mut next_id, mut t) = (0u64, 50u64);
+            for step in 0..400 {
+                t = if below(10) == 0 {
+                    t.saturating_sub(below(20))
+                } else {
+                    t + below(4)
+                };
+                let time = SimTime(t);
+                // 0 = data op, 1 = submit, 2 = construct.
+                let kind = below(3);
+                let target = |endpoint, id| TargetCallback {
+                    endpoint,
+                    construct: TargetConstructKind::TargetData,
+                    device: DeviceId::target(0),
+                    target_id: id,
+                    codeptr_ra: odp_model::CodePtr(0x70),
+                    time,
+                };
+                let submit = |endpoint, id| SubmitCallback {
+                    endpoint,
+                    target_id: id,
+                    device: DeviceId::target(0),
+                    requested_num_teams: 1,
+                    codeptr_ra: odp_model::CodePtr(0x71),
+                    time,
+                };
+                if below(100) < 55 {
+                    let id = next_id;
+                    next_id += 1;
+                    match kind {
+                        0 => tools.each(|tool| transfer_edge(tool, Endpoint::Begin, id, t)),
+                        1 => tools.each(|tool| tool.on_submit(&submit(Endpoint::Begin, id))),
+                        _ => tools.each(|tool| tool.on_target(&target(Endpoint::Begin, id))),
+                    }
+                    open.insert((kind, id), time);
+                    if kind < 2 {
+                        latest = latest.max(time);
+                        *begins.entry(time).or_insert(0) += 1;
+                    }
+                } else {
+                    // An open op, one already closed, or one never begun.
+                    let id = match below(3) {
+                        0 => {
+                            let ids: Vec<u64> =
+                                open.keys().filter(|k| k.0 == kind).map(|k| k.1).collect();
+                            let pick = below(ids.len().max(1) as u64) as usize;
+                            ids.get(pick).copied().unwrap_or(next_id + 7)
+                        }
+                        1 => below(next_id + 1),
+                        _ => next_id + 1_000 + below(10),
+                    };
+                    match kind {
+                        0 => tools.each(|tool| transfer_edge(tool, Endpoint::End, id, t)),
+                        1 => tools.each(|tool| tool.on_submit(&submit(Endpoint::End, id))),
+                        _ => tools.each(|tool| tool.on_target(&target(Endpoint::End, id))),
+                    }
+                    let began = open.remove(&(kind, id));
+                    if kind < 2 {
+                        latest = latest.max(time);
+                        if let Some(began) = began {
+                            let n = begins.get_mut(&began).expect("open begin");
+                            *n -= 1;
+                            if *n == 0 {
+                                begins.remove(&began);
+                            }
+                        }
+                    }
+                }
+                widest = widest.max(open.len());
+                let earliest = begins.keys().next().copied();
+                let local = earliest.map_or(latest, |e| SimTime(e.0.saturating_sub(1)));
+                let safe_below = earliest.unwrap_or(latest);
+                assert_eq!(
+                    tools.merged(),
+                    (
+                        Some(local),
+                        (safe_below.0 > 0).then(|| SimTime(safe_below.0 - 1))
+                    ),
+                    "seed {seed}, step {step}"
+                );
+            }
+        }
+        assert!(widest > 2 * OpenTable::INLINE, "{widest} open at most");
+    }
+
     #[test]
     fn degraded_runtime_sets_warning_and_zero_durations() {
         let (mut tool, handle) = OmpDataPerfTool::new(ToolConfig::default());
@@ -1379,7 +1561,7 @@ mod tests {
         ));
         tool.finalize(500);
         let trace = handle.take_trace();
-        let events = trace.data_op_events();
+        let events = trace.data_op_events_sorted();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].span.duration().as_nanos(), 0, "begin-only");
         assert!(events[0].hash.is_some());
@@ -1587,7 +1769,7 @@ mod tests {
         tool.finalize(100);
         assert_eq!(handle.trace_health().truncated, 1);
         let trace = handle.take_trace();
-        let events = trace.data_op_events();
+        let events = trace.data_op_events_sorted();
         assert_eq!(events.len(), 1, "the op itself is kept");
         assert!(events[0].hash.is_none(), "the hash is quarantined");
         assert_eq!(events[0].span.duration().as_nanos(), 40);
@@ -1940,7 +2122,7 @@ mod tests {
         tool.on_submit(&cb(Endpoint::Begin, 100));
         tool.on_submit(&cb(Endpoint::End, 400));
         let trace = handle.take_trace();
-        let kernels = trace.kernel_events();
+        let kernels = trace.kernel_events_sorted();
         assert_eq!(kernels.len(), 1);
         assert_eq!(kernels[0].span.duration().as_nanos(), 300);
     }
@@ -1991,7 +2173,7 @@ mod tests {
         t2.finalize(100);
         let trace = handle.take_trace();
         assert_eq!(trace.data_op_count(), 3);
-        let events = trace.data_op_events();
+        let events = trace.data_op_events_sorted();
         // Same start everywhere: ties break by shard id, deterministically.
         let ids: Vec<u64> = events.iter().map(|e| e.id.0).collect();
         assert_eq!(ids, vec![0, 1 << 32, 2 << 32]);

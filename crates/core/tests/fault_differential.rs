@@ -325,7 +325,7 @@ fn corrupt_device_flood_stays_bounded() {
     assert!(outcome.counts.corrupted_device > 0);
     let view = EventView::from_log(&outcome.trace);
     assert!(
-        view.num_devices <= ompdataperf::detect::MAX_PLAUSIBLE_DEVICES,
+        view.num_devices <= odp_trace::MAX_PLAUSIBLE_DEVICES,
         "inferred device count must ignore implausible ids, got {}",
         view.num_devices
     );

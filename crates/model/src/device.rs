@@ -1,4 +1,4 @@
-//! Device identifiers and kinds, following OpenMP terminology (paper §2.1).
+//! Device identifiers, following OpenMP terminology (paper §2.1).
 //!
 //! OpenMP numbers target devices `0..num_devices`; the *host device* (the
 //! device on which the program begins execution) is addressed here with a
@@ -73,29 +73,6 @@ impl fmt::Display for DeviceId {
     }
 }
 
-/// Broad classification of a device, used by the simulator's timing model
-/// and by reports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
-pub enum DeviceKind {
-    /// The system's main processor.
-    HostCpu,
-    /// A discrete GPU attached over an interconnect (PCIe-like).
-    DiscreteGpu,
-    /// An integrated accelerator sharing physical memory with the host.
-    IntegratedAccelerator,
-}
-
-impl DeviceKind {
-    /// Human-readable name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            DeviceKind::HostCpu => "host CPU",
-            DeviceKind::DiscreteGpu => "discrete GPU",
-            DeviceKind::IntegratedAccelerator => "integrated accelerator",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,11 +108,5 @@ mod tests {
             v,
             vec![DeviceId::HOST, DeviceId::target(0), DeviceId::target(1)]
         );
-    }
-
-    #[test]
-    fn kind_names_are_stable() {
-        assert_eq!(DeviceKind::HostCpu.name(), "host CPU");
-        assert_eq!(DeviceKind::DiscreteGpu.name(), "discrete GPU");
     }
 }

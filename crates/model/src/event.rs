@@ -197,14 +197,6 @@ pub struct TargetEvent {
     pub codeptr: CodePtr,
 }
 
-impl TargetEvent {
-    /// Is this a kernel-execution event (input to Algorithms 4/5)?
-    #[inline]
-    pub fn is_kernel(&self) -> bool {
-        self.kind == TargetKind::Kernel
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,16 +247,8 @@ mod tests {
     }
 
     #[test]
-    fn kernel_predicate() {
-        let t = TargetEvent {
-            id: EventId(0),
-            device: DeviceId::target(0),
-            kind: TargetKind::Kernel,
-            span: TimeSpan::new(SimTime(5), SimTime(9)),
-            codeptr: CodePtr::NULL,
-        };
-        assert!(t.is_kernel());
-        assert_eq!(t.kind.to_string(), "kernel");
+    fn kernel_kind_displays_its_name() {
+        assert_eq!(TargetKind::Kernel.to_string(), "kernel");
     }
 
     #[test]

@@ -50,11 +50,6 @@ pub struct TraceHealth {
 }
 
 impl TraceHealth {
-    /// A health record with every counter zero.
-    pub fn new() -> TraceHealth {
-        TraceHealth::default()
-    }
-
     /// Events excluded from analysis. `forced_releases` is an incident
     /// count, not an event count, so it is not part of the sum.
     ///
@@ -123,7 +118,7 @@ mod tests {
 
     #[test]
     fn clean_health_has_no_warning() {
-        let h = TraceHealth::new();
+        let h = TraceHealth::default();
         assert!(h.is_clean());
         assert_eq!(h.total_quarantined(), 0);
         assert!(h.warning().is_none());

@@ -1,7 +1,7 @@
 //! # odp-model — shared vocabulary for the OMPDataPerf reproduction
 //!
 //! This crate defines the domain types that every other crate in the
-//! workspace speaks: device identifiers, simulated time, memory addresses,
+//! workspace speaks: device identifiers, simulated time,
 //! OpenMP `map` clause semantics, the OpenMP target event model that the
 //! detection algorithms of the paper consume, the five inefficiency classes
 //! they report, and source-location types used for attribution.
@@ -20,7 +20,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod addr;
 pub mod device;
 pub mod event;
 pub mod finding;
@@ -29,8 +28,7 @@ pub mod map;
 pub mod source;
 pub mod time;
 
-pub use addr::{DevAddr, HostAddr, MemRange};
-pub use device::{DeviceId, DeviceKind};
+pub use device::DeviceId;
 pub use event::{DataOpEvent, DataOpKind, EventId, HashVal, TargetEvent, TargetKind};
 pub use finding::FindingKind;
 pub use health::TraceHealth;

@@ -29,12 +29,6 @@ impl SimTime {
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
-
-    /// Duration elapsed since `earlier` (saturating).
-    #[inline]
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -57,11 +51,6 @@ impl SimDuration {
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
-    }
-
-    /// Construct from (possibly fractional) seconds.
-    pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s.max(0.0) * 1e9).round() as u64)
     }
 
     /// Nanoseconds in this duration.
@@ -193,26 +182,6 @@ impl TimeSpan {
     pub fn duration(self) -> SimDuration {
         self.end - self.start
     }
-
-    /// Do two spans intersect (closed-interval semantics)?
-    #[inline]
-    pub fn overlaps(self, other: TimeSpan) -> bool {
-        // Mirrors the negation of Algorithm 4's disjointness test:
-        // disjoint iff other.end < self.start or other.start > self.end.
-        !(other.end < self.start || other.start > self.end)
-    }
-
-    /// Does this span end strictly before `other` starts?
-    #[inline]
-    pub fn precedes(self, other: TimeSpan) -> bool {
-        self.end < other.start
-    }
-
-    /// Does this span contain time `t` (closed)?
-    #[inline]
-    pub fn contains(self, t: SimTime) -> bool {
-        self.start <= t && t <= self.end
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +204,6 @@ mod tests {
     fn conversions() {
         assert_eq!(SimDuration::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
-        assert!((SimDuration::from_secs_f64(1.5).as_secs_f64() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -247,32 +215,9 @@ mod tests {
     }
 
     #[test]
-    fn overlap_closed_semantics() {
-        assert!(
-            span(0, 10).overlaps(span(10, 20)),
-            "touching endpoints count"
-        );
-        assert!(span(0, 10).overlaps(span(5, 6)));
-        assert!(span(5, 6).overlaps(span(0, 10)));
-        assert!(!span(0, 10).overlaps(span(11, 20)));
-        assert!(!span(11, 20).overlaps(span(0, 10)));
-    }
-
-    #[test]
     fn instantaneous_spans() {
         let p = TimeSpan::at(SimTime(5));
         assert_eq!(p.duration(), SimDuration::ZERO);
-        assert!(p.overlaps(span(5, 5)));
-        assert!(span(0, 10).contains(SimTime(5)));
-    }
-
-    #[test]
-    fn precedes_is_strict() {
-        assert!(span(0, 4).precedes(span(5, 6)));
-        assert!(
-            !span(0, 5).precedes(span(5, 6)),
-            "touching is not preceding"
-        );
     }
 
     #[test]

@@ -63,20 +63,6 @@ impl CallbackKind {
                 | CallbackKind::TargetMapEmi
         )
     }
-
-    /// The OMPT C identifier.
-    pub fn c_name(self) -> &'static str {
-        match self {
-            CallbackKind::TargetEmi => "ompt_callback_target_emi",
-            CallbackKind::TargetDataOpEmi => "ompt_callback_target_data_op_emi",
-            CallbackKind::TargetSubmitEmi => "ompt_callback_target_submit_emi",
-            CallbackKind::TargetMapEmi => "ompt_callback_target_map_emi",
-            CallbackKind::Target => "ompt_callback_target",
-            CallbackKind::TargetDataOp => "ompt_callback_target_data_op",
-            CallbackKind::TargetSubmit => "ompt_callback_target_submit",
-            CallbackKind::TargetMap => "ompt_callback_target_map",
-        }
-    }
 }
 
 /// `ompt_target_t`: which construct produced a target callback.
@@ -252,14 +238,6 @@ mod tests {
         assert!(CallbackKind::TargetDataOpEmi.is_emi());
         assert!(!CallbackKind::Target.is_emi());
         assert!(!CallbackKind::TargetMap.is_emi());
-    }
-
-    #[test]
-    fn c_names_are_distinct() {
-        let mut names: Vec<_> = CallbackKind::ALL.iter().map(|k| k.c_name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), CallbackKind::ALL.len());
     }
 
     #[test]

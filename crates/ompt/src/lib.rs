@@ -18,10 +18,11 @@
 //! * [`capability`] — the compiler/runtime support matrix from the
 //!   paper's Table 6, so that degraded-runtime behaviour (§A.6's warning)
 //!   is reproducible and testable against nine compiler profiles;
-//! * [`progress`] — the [`StreamClock`] watermark used by online
-//!   (streaming) tools to turn completion-ordered callbacks back into a
-//!   chronological event stream, and the lock-free [`GlobalWatermark`]
-//!   that merges per-thread clocks when a multi-threaded runtime drives
+//! * [`progress`] — the lock-free [`GlobalWatermark`] online
+//!   (streaming) tools use to turn completion-ordered callbacks back
+//!   into a chronological event stream: each callback shard publishes
+//!   the bound its open-operation table and latest callback time allow,
+//!   and the watermark merges them when a multi-threaded runtime drives
 //!   callbacks from several shards at once. The merged watermark is
 //!   *strictly below*: it promises only that no future event can start
 //!   at or below it (`None` while any shard may still emit at t=0).
@@ -56,6 +57,6 @@ pub use callback::{
     KernelAccessInfo, SubmitCallback, TargetCallback, TargetConstructKind,
 };
 pub use capability::{CompilerProfile, RuntimeCapabilities};
-pub use progress::{GlobalWatermark, ShardSlot, StallDetector, StreamClock};
+pub use progress::{GlobalWatermark, ShardSlot, StallDetector};
 pub use tool::{NullTool, SetCallbackResult, Tool, ToolRegistration};
 pub use version::OmptVersion;

@@ -8,23 +8,24 @@
 //! time *t*, every buffered event starting at or before *t* is safe to
 //! release.
 //!
-//! [`StreamClock`] computes that bound — the **watermark** — from the
-//! begin/end callback edges the tool already receives. The runtime's
-//! callback clock is monotonic, so a new operation can never begin
-//! before the latest callback time; open operations pin the watermark
-//! at their earliest begin time.
+//! A thread's bound — the **watermark** — follows from two facts the
+//! tool already keeps: the begin times of its open operations (the
+//! table it pairs Begins with Ends in) and the latest callback time it
+//! has seen. The runtime's callback clock is monotonic, so a new
+//! operation can never begin before the latest callback time; open
+//! operations pin the watermark at their earliest begin time.
 //!
 //! # Multi-threaded runtimes: the merged watermark
 //!
 //! A multi-threaded runtime drives callbacks from N threads, each with
-//! its own monotonic callback clock. No single [`StreamClock`] can see
-//! them all without a lock on the callback fast path, so each thread
-//! owns a clock and publishes its progress into one [`GlobalWatermark`]
-//! slot — two relaxed-size atomics per shard, no lock anywhere:
+//! its own monotonic callback clock. No one thread can see them all
+//! without a lock on the callback fast path, so each thread publishes
+//! its bound into its own [`GlobalWatermark`] slot — two relaxed-size
+//! atomics per shard, no lock anywhere:
 //!
 //! * `safe_below` — the smallest start time any *future* event from
-//!   that thread can carry (its earliest open begin, or its current
-//!   clock when idle);
+//!   that thread can carry (its earliest open begin, or its latest
+//!   callback time when idle);
 //! * the thread's own tie-safe local watermark (used verbatim when only
 //!   one shard exists, preserving single-threaded release semantics).
 //!
@@ -39,93 +40,7 @@
 //! shard's own watermark unchanged.
 
 use odp_model::SimTime;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// Tracks open operation begin times and the latest callback time, and
-/// yields the reorder watermark for streaming consumers.
-///
-/// `open`/`close` must be called with matching begin times (the tool
-/// already keeps per-id begin maps for duration pairing, so the close
-/// time is at hand). Multiple operations may share a begin time.
-#[derive(Clone, Debug, Default)]
-pub struct StreamClock {
-    /// Begin time → number of open operations that began then.
-    open: BTreeMap<SimTime, u32>,
-    /// Latest callback time observed (the runtime clock is monotonic).
-    now: SimTime,
-}
-
-impl StreamClock {
-    /// A fresh clock at time zero with nothing open.
-    pub fn new() -> StreamClock {
-        StreamClock::default()
-    }
-
-    /// Observe any callback edge at `t` (advances the monotonic clock).
-    pub fn observe(&mut self, t: SimTime) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    /// An operation began at `t`.
-    pub fn open(&mut self, t: SimTime) {
-        self.observe(t);
-        *self.open.entry(t).or_insert(0) += 1;
-    }
-
-    /// An operation that began at `begin` ended at `t`. Unmatched closes
-    /// are ignored (mirrors the tool's tolerance of unmatched End
-    /// callbacks).
-    pub fn close(&mut self, begin: SimTime, t: SimTime) {
-        self.observe(t);
-        if let Some(n) = self.open.get_mut(&begin) {
-            *n -= 1;
-            if *n == 0 {
-                self.open.remove(&begin);
-            }
-        }
-    }
-
-    /// Number of currently open operations.
-    pub fn open_count(&self) -> usize {
-        self.open.values().map(|&n| n as usize).sum()
-    }
-
-    /// The watermark: no future event can start at or before this time
-    /// minus one... precisely, no event delivered after this call will
-    /// have a start time strictly below the returned value, and any
-    /// event starting exactly at it was recorded earlier (monotonic
-    /// sequence numbers break the tie). Buffered events with
-    /// `start <= watermark()` are safe to release in `(start, id)`
-    /// order.
-    pub fn watermark(&self) -> SimTime {
-        match self.open.keys().next() {
-            // An open op will eventually emit an event at its begin
-            // time; nothing at or after that is settled yet. `- 1`
-            // (saturating) keeps `start <= watermark` releases strictly
-            // ahead of it.
-            Some(&earliest) => SimTime(earliest.0.saturating_sub(1)),
-            None => self.now,
-        }
-    }
-
-    /// The smallest start time any *future* event observed through this
-    /// clock can carry: the earliest open begin (those operations will
-    /// emit events at their begin times), or the current clock when
-    /// nothing is open (the monotonic callback clock forbids earlier
-    /// begins, but permits one at exactly `now`). This is the
-    /// per-thread contribution to [`GlobalWatermark`]: unlike
-    /// [`StreamClock::watermark`], equality is *not* safe across
-    /// threads, so the merge subtracts one.
-    pub fn safe_below(&self) -> SimTime {
-        match self.open.keys().next() {
-            Some(&earliest) => earliest,
-            None => self.now,
-        }
-    }
-}
 
 /// A registered publisher slot of a [`GlobalWatermark`] (one per
 /// runtime thread / shard).
@@ -143,14 +58,15 @@ impl ShardSlot {
 /// threads publishing concurrently never false-share.
 #[repr(align(64))]
 struct Slot {
-    /// The shard's [`StreamClock::safe_below`] bound.
+    /// The smallest start time a future event of the shard can carry.
     safe_below: AtomicU64,
-    /// The shard's tie-safe [`StreamClock::watermark`].
+    /// The shard's tie-safe watermark: no later event starts below it,
+    /// and one starting exactly at it was recorded earlier (monotonic
+    /// sequence numbers break the tie).
     local: AtomicU64,
 }
 
-/// Merges per-thread [`StreamClock`] progress into one global reorder
-/// watermark without any lock on the publish (callback) path.
+/// Merges per-thread progress into one global reorder watermark without any lock on the publish (callback) path.
 ///
 /// Threads register once (at shard creation), then publish after every
 /// clock edge; any thread may read [`GlobalWatermark::merged`] at any
@@ -210,21 +126,32 @@ impl GlobalWatermark {
     }
 
     /// Number of registered shards.
-    pub fn shard_count(&self) -> usize {
+    fn shard_count(&self) -> usize {
         self.registered
             .load(Ordering::Acquire)
             .min(self.slots.len())
     }
 
-    /// Publish `clock`'s progress for `slot`. Call *after* the event
-    /// that closed (or observed) the edge has been queued for the
-    /// consumer: the merge promises that every event at or below the
-    /// merged watermark has already been handed over, and that promise
-    /// is exactly "queue, then publish" in program order.
-    pub fn publish(&self, slot: ShardSlot, clock: &StreamClock) {
+    /// Publish `slot`'s bound after a clock edge: `earliest_open` is the
+    /// earliest begin time among the shard's open operations, `latest`
+    /// the latest callback time it has seen. Call *after* the event that
+    /// closed (or observed) the edge has been queued for the consumer:
+    /// the merge promises that every event at or below the merged
+    /// watermark has already been handed over, and that promise is
+    /// exactly "queue, then publish" in program order.
+    pub fn publish(&self, slot: ShardSlot, earliest_open: Option<SimTime>, latest: SimTime) {
         let s = &self.slots[slot.0];
-        s.safe_below.store(clock.safe_below().0, Ordering::Release);
-        s.local.store(clock.watermark().0, Ordering::Release);
+        // An open op will eventually emit an event at its begin time;
+        // nothing at or after that is settled yet. `- 1` (saturating)
+        // keeps the single-shard `start <= watermark` releases strictly
+        // ahead of it. Equality is *not* safe across threads, so the
+        // merge subtracts one from `safe_below` itself.
+        let (safe_below, local) = match earliest_open {
+            Some(t) => (t, SimTime(t.0.saturating_sub(1))),
+            None => (latest, latest),
+        };
+        s.safe_below.store(safe_below.0, Ordering::Release);
+        s.local.store(local.0, Ordering::Release);
     }
 
     /// The shard finished for good: stop pinning the merge.
@@ -245,7 +172,7 @@ impl GlobalWatermark {
         if n == 1 {
             // Single shard: same-thread ties are ordered by monotonic
             // sequence numbers, so the local (tie-safe) watermark is
-            // exact — identical to the single-threaded StreamClock path.
+            // exact.
             return Some(SimTime(self.slots[0].local.load(Ordering::Acquire)));
         }
         // Scan the whole slot array, not just `registered` slots: a
@@ -291,7 +218,6 @@ pub struct StallDetector {
     timeout: std::time::Duration,
     last_merged: Option<SimTime>,
     since: std::time::Instant,
-    forced: u64,
 }
 
 impl StallDetector {
@@ -302,7 +228,6 @@ impl StallDetector {
             timeout,
             last_merged: None,
             since: std::time::Instant::now(),
-            forced: 0,
         }
     }
 
@@ -323,13 +248,7 @@ impl StallDetector {
 
     /// Record a forced release and restart the stall timer.
     pub fn force_released(&mut self) {
-        self.forced += 1;
         self.since = std::time::Instant::now();
-    }
-
-    /// Number of forced releases recorded so far.
-    pub fn forced_count(&self) -> u64 {
-        self.forced
     }
 }
 
@@ -338,77 +257,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn idle_clock_follows_observations() {
-        let mut c = StreamClock::new();
-        assert_eq!(c.watermark(), SimTime(0));
-        c.observe(SimTime(100));
-        assert_eq!(c.watermark(), SimTime(100));
-        c.observe(SimTime(50)); // non-monotonic observations are clamped
-        assert_eq!(c.watermark(), SimTime(100));
-    }
-
-    #[test]
-    fn open_ops_pin_the_watermark() {
-        let mut c = StreamClock::new();
-        c.open(SimTime(10));
-        c.open(SimTime(30));
-        c.observe(SimTime(90));
-        assert_eq!(c.watermark(), SimTime(9), "held below the earliest open");
-        c.close(SimTime(10), SimTime(95));
-        assert_eq!(c.watermark(), SimTime(29));
-        c.close(SimTime(30), SimTime(99));
-        assert_eq!(c.watermark(), SimTime(99), "released to the clock");
-        assert_eq!(c.open_count(), 0);
-    }
-
-    #[test]
-    fn shared_begin_times_are_counted() {
-        let mut c = StreamClock::new();
-        c.open(SimTime(5));
-        c.open(SimTime(5));
-        c.close(SimTime(5), SimTime(20));
-        assert_eq!(c.watermark(), SimTime(4), "one of the two is still open");
-        c.close(SimTime(5), SimTime(25));
-        assert_eq!(c.watermark(), SimTime(25));
-    }
-
-    #[test]
-    fn unmatched_close_is_ignored() {
-        let mut c = StreamClock::new();
-        c.close(SimTime(5), SimTime(10));
-        assert_eq!(c.watermark(), SimTime(10));
-    }
-
-    #[test]
-    fn safe_below_tracks_earliest_open_then_now() {
-        let mut c = StreamClock::new();
-        assert_eq!(c.safe_below(), SimTime(0));
-        c.observe(SimTime(40));
-        assert_eq!(c.safe_below(), SimTime(40), "idle: future begins >= now");
-        c.open(SimTime(50));
-        c.open(SimTime(60));
-        c.observe(SimTime(90));
-        assert_eq!(c.safe_below(), SimTime(50), "pinned at the earliest open");
-        c.close(SimTime(50), SimTime(95));
-        assert_eq!(c.safe_below(), SimTime(60));
-        c.close(SimTime(60), SimTime(99));
-        assert_eq!(c.safe_below(), SimTime(99));
-    }
-
-    #[test]
     fn single_shard_merge_is_the_local_watermark() {
         let g = GlobalWatermark::with_capacity(4);
         let slot = g.register();
-        let mut c = StreamClock::new();
         assert_eq!(g.merged(), Some(SimTime(0)), "single shard at origin");
-        c.observe(SimTime(100));
-        g.publish(slot, &c);
+        g.publish(slot, None, SimTime(100));
         // Idle single shard: events at exactly t=100 may release (ties
         // are same-thread, ordered by sequence number).
         assert_eq!(g.merged(), Some(SimTime(100)));
-        c.open(SimTime(120));
-        g.publish(slot, &c);
-        assert_eq!(g.merged(), Some(SimTime(119)));
+        g.publish(slot, Some(SimTime(120)), SimTime(130));
+        assert_eq!(g.merged(), Some(SimTime(119)), "held below the open op");
+        g.publish(slot, Some(SimTime(0)), SimTime(130));
+        assert_eq!(g.merged(), Some(SimTime(0)), "saturates at the origin");
     }
 
     #[test]
@@ -416,25 +276,18 @@ mod tests {
         let g = GlobalWatermark::with_capacity(4);
         let a = g.register();
         let b = g.register();
-        let mut ca = StreamClock::new();
-        let mut cb = StreamClock::new();
         // Both shards still at their origin: nothing is settled — an
         // event at time zero may yet arrive from either, and no
         // watermark is strictly below zero.
         assert_eq!(g.merged(), None);
-        ca.observe(SimTime(200));
-        cb.observe(SimTime(100));
-        g.publish(a, &ca);
-        g.publish(b, &cb);
+        g.publish(a, None, SimTime(200));
+        g.publish(b, None, SimTime(100));
         // Shard b could still emit an event starting exactly at 100:
         // the merge stays strictly below it.
         assert_eq!(g.merged(), Some(SimTime(99)));
-        cb.open(SimTime(150));
-        cb.observe(SimTime(400));
-        g.publish(b, &cb);
+        g.publish(b, Some(SimTime(150)), SimTime(400));
         assert_eq!(g.merged(), Some(SimTime(149)), "open op pins its shard");
-        cb.close(SimTime(150), SimTime(410));
-        g.publish(b, &cb);
+        g.publish(b, None, SimTime(410));
         assert_eq!(g.merged(), Some(SimTime(199)), "now bounded by shard a");
     }
 
@@ -443,9 +296,7 @@ mod tests {
         let g = GlobalWatermark::with_capacity(8);
         let a = g.register();
         let b = g.register();
-        let mut ca = StreamClock::new();
-        ca.observe(SimTime(500));
-        g.publish(a, &ca);
+        g.publish(a, None, SimTime(500));
         // Shard b registered but never ran: it may still emit at time
         // zero, so nothing at all is settled.
         assert_eq!(g.merged(), None);
@@ -480,7 +331,6 @@ mod tests {
         // Same watermark, events buffered, timeout elapsed: stalled.
         assert!(d.check(Some(SimTime(20)), 5));
         d.force_released();
-        assert_eq!(d.forced_count(), 1);
         // An empty buffer is never a stall — nothing is held back.
         assert!(!d.check(Some(SimTime(20)), 0));
     }
@@ -493,16 +343,15 @@ mod tests {
             !d.check(None, 3),
             "no progress, but the timeout has not elapsed"
         );
-        assert_eq!(d.forced_count(), 0);
     }
 
     #[test]
     fn concurrent_merge_is_monotonic() {
         // Per-shard `safe_below` only ever grows (opens happen at or
-        // after `now`, closes move the pin forward), so the merged
-        // watermark a concurrent reader observes must be monotonic —
-        // the property the consumer's snapshot-then-drain protocol
-        // leans on.
+        // after the latest edge, closes move the pin forward), so the
+        // merged watermark a concurrent reader observes must be
+        // monotonic — the property the consumer's snapshot-then-drain
+        // protocol leans on.
         use std::sync::Arc;
         let g = Arc::new(GlobalWatermark::with_capacity(4));
         let slots: Vec<ShardSlot> = (0..3).map(|_| g.register()).collect();
@@ -510,15 +359,12 @@ mod tests {
             for slot in slots {
                 let g = g.clone();
                 s.spawn(move || {
-                    let mut c = StreamClock::new();
                     // Shrunk under miri; the atomics are still exercised
                     // across threads, just over fewer publishes.
                     let top = if cfg!(miri) { 400u64 } else { 20_000u64 };
                     for t in (0..top).step_by(2) {
-                        c.open(SimTime(t));
-                        g.publish(slot, &c);
-                        c.close(SimTime(t), SimTime(t + 1));
-                        g.publish(slot, &c);
+                        g.publish(slot, Some(SimTime(t)), SimTime(t));
+                        g.publish(slot, None, SimTime(t + 1));
                     }
                     g.retire(slot);
                 });

@@ -23,17 +23,6 @@ pub enum OmptVersion {
 }
 
 impl OmptVersion {
-    /// Does this version provide the EMI target callbacks?
-    pub fn has_emi(self) -> bool {
-        matches!(self, OmptVersion::V5_1 | OmptVersion::V6_0)
-    }
-
-    /// Does this version provide any (possibly deprecated non-EMI) target
-    /// callbacks?
-    pub fn has_target_callbacks(self) -> bool {
-        !matches!(self, OmptVersion::None)
-    }
-
     /// Version string as a runtime would report it.
     pub fn version_string(self) -> &'static str {
         match self {
@@ -55,15 +44,6 @@ impl fmt::Display for OmptVersion {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn emi_availability() {
-        assert!(!OmptVersion::None.has_emi());
-        assert!(!OmptVersion::Tr4Preview.has_emi());
-        assert!(!OmptVersion::V5_0.has_emi());
-        assert!(OmptVersion::V5_1.has_emi());
-        assert!(OmptVersion::V6_0.has_emi());
-    }
 
     #[test]
     fn ordering_matches_chronology() {

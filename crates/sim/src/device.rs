@@ -119,11 +119,6 @@ impl SharedDevices {
     pub fn peak_bytes(&self, device: u32) -> u64 {
         self.lock(device).mem.peak_in_use()
     }
-
-    /// Bytes currently allocated on `device`.
-    pub fn bytes_in_use(&self, device: u32) -> u64 {
-        self.lock(device).mem.in_use()
-    }
 }
 
 #[cfg(test)]

@@ -82,14 +82,6 @@ impl HostMemory {
         self.vars[id.0 as usize].data.len() as u64
     }
 
-    /// Look a variable up by its host address.
-    pub fn by_addr(&self, addr: u64) -> Option<VarId> {
-        self.vars
-            .iter()
-            .position(|v| v.addr == addr)
-            .map(|i| VarId(i as u32))
-    }
-
     /// Look a variable up by name (first match).
     pub fn by_name(&self, name: &str) -> Option<VarId> {
         self.vars
@@ -183,7 +175,6 @@ mod tests {
         let a = h.alloc("a", 100);
         let b = h.alloc("b", 100);
         assert_ne!(h.addr(a), h.addr(b));
-        assert_eq!(h.by_addr(h.addr(a)), Some(a));
         assert_eq!(h.var(a).name, "a");
         assert_eq!(h.size(a), 100);
     }

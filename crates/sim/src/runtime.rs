@@ -268,11 +268,6 @@ impl Runtime {
         self.tool = Some(ToolSlot { tool, registration });
     }
 
-    /// Detach and return the tool (used by harnesses that own the tool).
-    pub fn detach_tool(&mut self) -> Option<Box<dyn Tool>> {
-        self.tool.take().map(|s| s.tool)
-    }
-
     /// Attach a mapping advisor (online remediation). The runtime
     /// consults it at every map-clause item and applies the advised
     /// rewrites; without an advisor, directive execution — and hence the

@@ -41,7 +41,7 @@ fn lane(device: DeviceId) -> u32 {
 pub fn to_chrome_trace(log: &TraceLog) -> String {
     let mut events: Vec<ChromeEvent> = Vec::new();
 
-    for e in log.data_op_events() {
+    for e in log.data_op_events_sorted() {
         let (name, cat) = match e.kind {
             DataOpKind::Transfer => {
                 if e.is_host_to_device() {
@@ -78,7 +78,7 @@ pub fn to_chrome_trace(log: &TraceLog) -> String {
         });
     }
 
-    for t in log.target_events() {
+    for t in log.target_events_sorted() {
         let cat = match t.kind {
             TargetKind::Kernel => "kernel",
             _ => "construct",

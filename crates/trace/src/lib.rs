@@ -48,5 +48,7 @@ pub use columnar::{ColumnarView, DataOpColumns, ShardColumns, TargetColumns};
 pub use intern::CodePtrTable;
 pub use log::TraceLog;
 pub use persist::{load_trace, load_trace_lenient, PersistError, TraceArtifact, TraceMeta};
-pub use record::{DataOpRecord, TargetRecord, DATA_OP_RECORD_BYTES, TARGET_RECORD_BYTES};
+pub use record::{
+    DataOpRecord, TargetRecord, DATA_OP_RECORD_BYTES, MAX_PLAUSIBLE_DEVICES, TARGET_RECORD_BYTES,
+};
 pub use stats::{SpaceStats, TraceStats};

@@ -21,8 +21,8 @@ use std::sync::OnceLock;
 /// The tool-side event log.
 ///
 /// Records are appended in completion order while the program runs; the
-/// hydrated views returned by [`TraceLog::data_op_events`] and
-/// [`TraceLog::target_events`] are sorted chronologically by event start
+/// hydrated views returned by [`TraceLog::data_op_events_sorted`] and
+/// [`TraceLog::target_events_sorted`] are sorted chronologically by event start
 /// (with log order breaking ties), which is the precondition of every
 /// algorithm in §5.
 ///
@@ -408,12 +408,6 @@ impl TraceLog {
             .get_or_init(|| self.columnar().ops.to_events())
     }
 
-    /// Hydrate data-op events as an owned vector (copies the memoized
-    /// slice; prefer [`TraceLog::data_op_events_sorted`] on hot paths).
-    pub fn data_op_events(&self) -> Vec<DataOpEvent> {
-        self.data_op_events_sorted().to_vec()
-    }
-
     /// Borrow the memoized chronological target events: every
     /// construct, not only the kernels, through the same decode and
     /// merge as [`TraceLog::columnar`].
@@ -431,21 +425,11 @@ impl TraceLog {
         })
     }
 
-    /// Hydrate target events as an owned vector.
-    pub fn target_events(&self) -> Vec<TargetEvent> {
-        self.target_events_sorted().to_vec()
-    }
-
     /// Borrow the memoized kernel-execution events (input to Algorithms
     /// 4/5). A gather from the columnar hydration.
     pub fn kernel_events_sorted(&self) -> &[TargetEvent] {
         self.hydrated_kernels
             .get_or_init(|| self.columnar().kernels.to_events())
-    }
-
-    /// Hydrate only kernel-execution events as an owned vector.
-    pub fn kernel_events(&self) -> Vec<TargetEvent> {
-        self.kernel_events_sorted().to_vec()
     }
 
     /// Export every part of this log — the log itself plus each merged
@@ -672,10 +656,10 @@ mod tests {
         let log = sample_log();
         assert_eq!(log.data_op_count(), 4);
         assert_eq!(log.target_count(), 1);
-        let ops = log.data_op_events();
+        let ops = log.data_op_events_sorted();
         assert_eq!(ops.len(), 4);
         assert!(ops.windows(2).all(|w| w[0].span.start <= w[1].span.start));
-        let kernels = log.kernel_events();
+        let kernels = log.kernel_events_sorted();
         assert_eq!(kernels.len(), 1);
         assert_eq!(kernels[0].codeptr, CodePtr(0x400200));
     }
@@ -712,7 +696,7 @@ mod tests {
                 CodePtr::NULL,
             );
         }
-        let ops = log.data_op_events();
+        let ops = log.data_op_events_sorted();
         let addrs: Vec<u64> = ops.iter().map(|e| e.src_addr).collect();
         assert_eq!(addrs, vec![0, 1, 2, 3, 4]);
     }
@@ -832,17 +816,17 @@ mod tests {
 
         // The first event access runs the single columnar indexing
         // pass; it covers data ops AND kernels.
-        let k1 = log.kernel_events();
+        let k1 = log.kernel_events_sorted();
         assert_eq!(log.sort_count(), 1);
-        let k2 = log.kernel_events();
+        let k2 = log.kernel_events_sorted();
         assert_eq!(log.sort_count(), 1, "kernel hydration memoized");
         assert_eq!(k1, k2);
 
         // Data-op rows are a gather from the same columnar pass — no
         // second sort.
-        let ops1 = log.data_op_events();
-        let ops2 = log.data_op_events();
-        assert_eq!(ops1, ops2);
+        let ops1 = log.data_op_events_sorted().len();
+        let ops2 = log.data_op_events_sorted();
+        assert_eq!(ops1, ops2.len());
         assert_eq!(
             log.sort_count(),
             1,
@@ -870,10 +854,10 @@ mod tests {
             span(200, 210),
             CodePtr::NULL,
         );
-        let ops3 = log.data_op_events();
-        assert_eq!(ops3.len(), ops1.len() + 1);
+        let ops3 = log.data_op_events_sorted();
+        assert_eq!(ops3.len(), ops1 + 1);
         assert_eq!(log.sort_count(), 3);
-        let _ = log.data_op_events();
+        let _ = log.data_op_events_sorted();
         assert_eq!(log.sort_count(), 3);
     }
 
@@ -881,8 +865,8 @@ mod tests {
     fn columnar_hydration_matches_row_hydration() {
         let log = sample_log();
         let cols = log.columnar();
-        assert_eq!(cols.ops.to_events(), log.data_op_events());
-        assert_eq!(cols.kernels.to_events(), log.kernel_events());
+        assert_eq!(cols.ops.to_events(), log.data_op_events_sorted());
+        assert_eq!(cols.kernels.to_events(), log.kernel_events_sorted());
         for (i, e) in log.data_op_events_sorted().iter().enumerate() {
             assert_eq!(&cols.ops.event(i), e, "field-for-field at {i}");
         }
@@ -943,16 +927,20 @@ mod tests {
         // Oracle: hydrate every shard separately and stable-sort the
         // concatenation, in shard-vector order — the old row path.
         let shards = build();
-        let mut naive_ops: Vec<DataOpEvent> =
-            shards.iter().flat_map(|s| s.data_op_events()).collect();
+        let mut naive_ops: Vec<DataOpEvent> = shards
+            .iter()
+            .flat_map(|s| s.data_op_events_sorted().to_vec())
+            .collect();
         naive_ops.sort_by_key(|e| (e.span.start, e.id));
-        let mut naive_kernels: Vec<TargetEvent> =
-            shards.iter().flat_map(|s| s.kernel_events()).collect();
+        let mut naive_kernels: Vec<TargetEvent> = shards
+            .iter()
+            .flat_map(|s| s.kernel_events_sorted().to_vec())
+            .collect();
         naive_kernels.sort_by_key(|e| (e.span.start, e.id));
 
         let merged = TraceLog::merge_shards(build());
-        assert_eq!(merged.data_op_events(), naive_ops);
-        assert_eq!(merged.kernel_events(), naive_kernels);
+        assert_eq!(merged.data_op_events_sorted(), naive_ops);
+        assert_eq!(merged.kernel_events_sorted(), naive_kernels);
         assert_eq!(merged.columnar().ops.to_events(), naive_ops);
     }
 
@@ -1085,8 +1073,8 @@ mod tests {
             span(10, 20),
             CodePtr(0x400800),
         );
-        assert_eq!(log.data_op_events()[0], op);
-        assert_eq!(log.kernel_events()[0], kernel);
+        assert_eq!(log.data_op_events_sorted()[0], op);
+        assert_eq!(log.kernel_events_sorted()[0], kernel);
         assert_eq!(kernel.id.0, 1, "wrapped sequence id matches hydration");
     }
 
@@ -1137,8 +1125,12 @@ mod tests {
             CodePtr::NULL,
         );
         assert_eq!(k.id.0, (3u64 << 32) | 1);
-        assert_eq!(log.data_op_events()[0], e, "hydration matches the return");
-        assert_eq!(log.kernel_events()[0], k);
+        assert_eq!(
+            log.data_op_events_sorted()[0],
+            e,
+            "hydration matches the return"
+        );
+        assert_eq!(log.kernel_events_sorted()[0], k);
     }
 
     #[test]
@@ -1152,7 +1144,7 @@ mod tests {
         let b = shard_with_ops(1, &[10, 20, 30]);
         let merged = TraceLog::merge_shards(vec![a, b]);
         assert!(merged.is_merged());
-        let ops = merged.data_op_events();
+        let ops = merged.data_op_events_sorted();
         let key: Vec<(u64, u64)> = ops.iter().map(|e| (e.span.start.0, e.id.0)).collect();
         let mut sorted = key.clone();
         sorted.sort();
@@ -1192,7 +1184,7 @@ mod tests {
         assert_eq!(space.data_op_records, 3);
         assert_eq!(space.target_records, 2);
         assert!(space.record_bytes >= 3 * 72 + 2 * 24);
-        assert_eq!(merged.kernel_events().len(), 2);
+        assert_eq!(merged.kernel_events_sorted().len(), 2);
     }
 
     #[test]

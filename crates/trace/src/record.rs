@@ -15,6 +15,21 @@ pub const DATA_OP_RECORD_BYTES: usize = 72;
 /// Size of a [`TargetRecord`] in bytes.
 pub const TARGET_RECORD_BYTES: usize = 24;
 
+/// Upper bound on a *plausible* target-device index. Device numbers come
+/// from an untrusted trace: a corrupted callback can name device
+/// `0x4000_0000`, and sizing per-device tables from such an id would
+/// allocate billions of entries. Indices at or beyond this bound are
+/// treated as out of range (quarantined from the per-device algorithms
+/// and counted) by the device inference and the streaming engine alike.
+///
+/// Both packed records hold every device below the bound exactly, and
+/// store any device at or beyond it as an id at or beyond it — never as
+/// a real device.
+pub const MAX_PLAUSIBLE_DEVICES: u32 = 1024;
+
+const _: () = assert!(MAX_PLAUSIBLE_DEVICES <= i16::MAX as u32);
+const _: () = assert!(MAX_PLAUSIBLE_DEVICES + 1 < 1 << TargetRecord::DEV_BITS);
+
 /// Flag: the record's `hash` field is valid.
 const FLAG_HAS_HASH: u8 = 1 << 0;
 
@@ -179,13 +194,13 @@ pub struct TargetRecord {
     pub end: u64,
     /// Interned code-pointer index.
     pub codeptr_ix: u32,
-    /// Packed `[seq:18][dev:8][kind:6]` — see accessors.
+    /// Packed `[seq:18][dev:11][kind:3]` — see accessors.
     pub packed: u32,
 }
 
 impl TargetRecord {
-    const KIND_BITS: u32 = 6;
-    const DEV_BITS: u32 = 8;
+    const KIND_BITS: u32 = 3;
+    const DEV_BITS: u32 = 11;
     const SEQ_BITS: u32 = 32 - Self::KIND_BITS - Self::DEV_BITS;
 
     /// Maximum sequence number representable in the packed field.
@@ -202,7 +217,9 @@ impl TargetRecord {
         span: TimeSpan,
         codeptr_ix: u32,
     ) -> Self {
-        let dev = (device.raw().clamp(-1, 254) + 1) as u32; // bias so host (-1) fits
+        // Bias so the host (-1) fits; an implausible device is stored as
+        // the bound itself, which hydrates out of range.
+        let dev = (device.raw().clamp(-1, MAX_PLAUSIBLE_DEVICES as i32) + 1) as u32;
         let packed = ((seq & Self::MAX_SEQ) << (Self::DEV_BITS + Self::KIND_BITS))
             | (dev << Self::KIND_BITS)
             | encode_target_kind(kind) as u32;
@@ -214,7 +231,7 @@ impl TargetRecord {
         }
     }
 
-    /// Sequence number (wrapped to 18 bits).
+    /// Sequence number (wrapped to 18 bits; part of the event id).
     pub fn seq(&self) -> u32 {
         self.packed >> (Self::DEV_BITS + Self::KIND_BITS)
     }
@@ -337,6 +354,40 @@ mod tests {
                 assert_eq!(r.seq(), 12345);
                 assert_eq!(r.codeptr_ix, 3);
             }
+        }
+    }
+
+    #[test]
+    fn devices_round_trip_below_the_plausibility_bound() {
+        let bound = MAX_PLAUSIBLE_DEVICES as i32;
+        let both = |device: DeviceId| {
+            let span = TimeSpan::at(SimTime(0));
+            let op = DataOpRecord::new(
+                0,
+                DataOpKind::Alloc,
+                DeviceId::HOST,
+                device,
+                0,
+                0,
+                0,
+                None,
+                span,
+                CodePtr::NULL,
+            );
+            let target = TargetRecord::new(0, device, TargetKind::Kernel, span, 0);
+            (op.to_event().dest_device, target.device())
+        };
+        for raw in [-1, 0, 1, bound - 2, bound - 1] {
+            let device = DeviceId(raw);
+            assert_eq!(both(device), (device, device), "device {raw}");
+        }
+        for raw in [bound, bound + 1, 4096, 0x4000_0000, i32::MAX] {
+            let (op, target) = both(DeviceId(raw));
+            assert!(op.0 >= bound, "data op on device {raw} hydrates as {op}");
+            assert!(
+                target.0 >= bound,
+                "kernel on device {raw} hydrates as {target}"
+            );
         }
     }
 
