@@ -175,11 +175,6 @@ impl ArbalestHandle {
         self.shared.lock().report.clone()
     }
 
-    /// Bytes of kernel accesses the instrumentation analyzed.
-    pub fn instrumented_bytes(&self) -> u64 {
-        self.shared.lock().instrumented_bytes
-    }
-
     /// Fork a tool for one more runtime thread. All forks share this
     /// handle's collector and report, but each keys its mapping/host
     /// state by its own shard id, so one thread's deletes and writes

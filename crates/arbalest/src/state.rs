@@ -7,7 +7,7 @@
 
 /// State of one variable's mapping on one device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MappingState {
+pub(crate) struct MappingState {
     /// The mapping is live (between alloc and delete).
     pub mapped: bool,
     /// The device copy has been initialized (H2D transfer or a kernel
@@ -19,7 +19,7 @@ pub struct MappingState {
 
 impl MappingState {
     /// A freshly allocated, uninitialized mapping.
-    pub fn fresh(bytes: u64) -> Self {
+    pub(crate) fn fresh(bytes: u64) -> Self {
         MappingState {
             mapped: true,
             dev_init: false,
@@ -30,7 +30,7 @@ impl MappingState {
 
 /// Host-side freshness state of one variable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HostState {
+pub(crate) struct HostState {
     /// The host copy has ever been written.
     pub initialized: bool,
     /// The device holds a newer copy than the host (kernel wrote it and

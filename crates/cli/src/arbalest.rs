@@ -37,7 +37,7 @@ pub(crate) fn check(
 }
 
 /// `odp arbalest <program> [options]`.
-pub fn execute(args: &[String], out: Out<'_>) -> CmdResult {
+pub(crate) fn execute(args: &[String], out: Out<'_>) -> CmdResult {
     let mut program: Option<&str> = None;
     let mut scale = Scale::default();
     let mut threads = 1u32;

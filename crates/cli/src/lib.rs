@@ -50,7 +50,7 @@ impl From<io::Error> for Stop {
 }
 
 /// What every command returns.
-pub type CmdResult = Result<(), Stop>;
+pub(crate) type CmdResult = Result<(), Stop>;
 
 /// `Stop::Fail("error: <msg>")`.
 pub(crate) fn error(msg: impl std::fmt::Display) -> Stop {
@@ -161,7 +161,7 @@ impl Default for Scale {
 
 impl Scale {
     /// Apply `flag` (`--size` or `--variant`) with its `value`.
-    pub fn set(&mut self, flag: &str, value: Option<&String>) -> Result<(), Stop> {
+    pub(crate) fn set(&mut self, flag: &str, value: Option<&String>) -> Result<(), Stop> {
         let value = value.map(|v| v.to_ascii_lowercase());
         match (flag, value.as_deref()) {
             ("--size", Some("s" | "small")) => self.size = ProblemSize::Small,

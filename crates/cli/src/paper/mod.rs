@@ -165,7 +165,7 @@ fn usage() -> String {
 }
 
 /// `odp paper <experiment> [--quick] [--json]`.
-pub fn execute(args: &[String], out: Out<'_>) -> CmdResult {
+pub(crate) fn execute(args: &[String], out: Out<'_>) -> CmdResult {
     let mut name: Option<&str> = None;
     let mut flags = PaperArgs::default();
     for arg in args {

@@ -24,7 +24,7 @@ use std::time::Duration;
 
 /// Parsed `odp run` arguments: the run itself, and how to print it.
 #[derive(Clone, Debug)]
-pub struct RunArgs {
+pub(crate) struct RunArgs {
     /// Workload name.
     pub program: String,
     /// What the run driver is asked to do — every flag that shapes the
@@ -44,7 +44,7 @@ pub struct RunArgs {
 }
 
 /// The §A.5.3 usage text, extended with the simulator's knobs.
-pub fn usage() -> String {
+pub(crate) fn usage() -> String {
     format!(
         "Usage: odp run [options] [program] [program arguments]\n\
          Options:\n\
@@ -77,7 +77,7 @@ pub fn usage() -> String {
 }
 
 /// Parse `odp run`'s arguments (everything after `run`).
-pub fn parse(args: &[String]) -> Result<RunArgs, Stop> {
+pub(crate) fn parse(args: &[String]) -> Result<RunArgs, Stop> {
     let mut out = RunArgs {
         program: String::new(),
         spec: RunSpec::default(),
@@ -189,7 +189,7 @@ pub fn parse(args: &[String]) -> Result<RunArgs, Stop> {
 }
 
 /// Resolve a Table 6 profile name.
-pub fn resolve_profile(name: &str) -> Option<odp_ompt::CompilerProfile> {
+pub(crate) fn resolve_profile(name: &str) -> Option<odp_ompt::CompilerProfile> {
     use odp_ompt::CompilerProfile as P;
     Some(match name.to_ascii_lowercase().as_str() {
         "llvm" | "clang" => P::LlvmClang,
@@ -232,7 +232,7 @@ fn poll(tap: FindingsTap, every: Duration, done: &AtomicBool, out: Out<'_>) -> i
 }
 
 /// `odp run <program> [options]`.
-pub fn execute(args: &[String], out: Out<'_>) -> CmdResult {
+pub(crate) fn execute(args: &[String], out: Out<'_>) -> CmdResult {
     let RunArgs {
         program,
         spec,

@@ -34,7 +34,7 @@ Usage:
 }
 
 /// `odp static analyze|crosscheck|plan <workload> [--size s|m|l] [--json]`.
-pub fn execute(args: &[String], out: Out<'_>) -> CmdResult {
+pub(crate) fn execute(args: &[String], out: Out<'_>) -> CmdResult {
     let (verb, rest) = match args.split_first() {
         Some((verb, rest)) => (verb.as_str(), rest),
         None => ("", args),

@@ -34,7 +34,7 @@ DIFF:
     either as text or, with --json, as a machine-readable document.";
 
 /// `odp trace save|load|diff ...`.
-pub fn execute(args: &[String], out: Out<'_>) -> CmdResult {
+pub(crate) fn execute(args: &[String], out: Out<'_>) -> CmdResult {
     match args.split_first() {
         Some((verb, rest)) => match verb.as_str() {
             "-h" | "--help" => Err(Stop::Exit(USAGE.to_string())),

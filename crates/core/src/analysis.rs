@@ -67,7 +67,7 @@ pub fn analyze_named(
 /// for explicit device counts. Events the view excluded from the
 /// per-device algorithms (device `>= num_devices`) surface as a console
 /// warning instead of silently skewing Algorithms 4/5.
-pub fn analyze_view(
+pub(crate) fn analyze_view(
     log: &TraceLog,
     view: &EventView<'_>,
     dbg: Option<&DebugInfo>,

@@ -91,7 +91,7 @@ impl DebugInfo {
     }
 
     /// Resolve a code pointer to a source location.
-    pub fn resolve(&self, codeptr: CodePtr) -> Option<SourceLoc> {
+    pub(crate) fn resolve(&self, codeptr: CodePtr) -> Option<SourceLoc> {
         if codeptr.is_null() {
             return None;
         }
@@ -120,7 +120,7 @@ impl DebugInfo {
     }
 
     /// Number of registered locations (exact + ranged).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.exact.len() + self.entries.len()
     }
 

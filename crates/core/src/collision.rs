@@ -14,7 +14,7 @@ use serde::Serialize;
 
 /// A detected collision: two different payloads with one digest.
 #[derive(Clone, Debug, Serialize)]
-pub struct Collision {
+pub(crate) struct Collision {
     /// The shared digest.
     pub hash: u64,
     /// Length of the first payload.
@@ -25,7 +25,7 @@ pub struct Collision {
 
 /// The audit store. Disabled by default (extreme memory overhead).
 #[derive(Debug, Default)]
-pub struct CollisionAudit {
+pub(crate) struct CollisionAudit {
     enabled: bool,
     /// digest → distinct payloads observed with that digest.
     by_hash: FnvHashMap<u64, Vec<Vec<u8>>>,
@@ -36,21 +36,16 @@ pub struct CollisionAudit {
 
 impl CollisionAudit {
     /// Create an audit store; `enabled = false` makes `record` free.
-    pub fn new(enabled: bool) -> Self {
+    pub(crate) fn new(enabled: bool) -> Self {
         CollisionAudit {
             enabled,
             ..Default::default()
         }
     }
 
-    /// Is auditing on?
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record a transfer's payload and digest; detects and remembers any
     /// collision with previously seen payloads.
-    pub fn record(&mut self, payload: &[u8], hash: u64) {
+    pub(crate) fn record(&mut self, payload: &[u8], hash: u64) {
         if !self.enabled {
             return;
         }
@@ -73,18 +68,18 @@ impl CollisionAudit {
     }
 
     /// Collisions observed so far.
-    pub fn collisions(&self) -> &[Collision] {
+    pub(crate) fn collisions(&self) -> &[Collision] {
         &self.collisions
     }
 
     /// Number of payloads checked.
-    pub fn checks(&self) -> u64 {
+    pub(crate) fn checks(&self) -> u64 {
         self.checks
     }
 
     /// Bytes of payload copies retained (the "extremely high memory
     /// overhead" the paper warns about).
-    pub fn retained_bytes(&self) -> usize {
+    pub(crate) fn retained_bytes(&self) -> usize {
         self.payload_bytes
     }
 }

@@ -22,7 +22,7 @@
 //! materialized during detection. Owned [`Findings`] (byte-identical
 //! to the standalone detectors' output, group order included) are
 //! gathered from the columns only at the report boundary, by
-//! `IndexFindings::resolve` inside [`detect`].
+//! `IndexFindings::resolve` inside `detect`.
 //!
 //! Equivalence with the five independent passes is enforced by the
 //! differential test suite in `crates/core/tests/fused_differential.rs`
@@ -39,7 +39,7 @@ use odp_trace::{ColumnarView, DataOpColumns, TargetColumns, TraceLog};
 
 /// Index of an event in the view's data-op columns (chronological
 /// order).
-pub type OpIx = u32;
+pub(crate) type OpIx = u32;
 
 /// Events that name a target device at or beyond the view's `num_devices`
 /// and are therefore excluded from the per-device algorithms (4 and 5).
@@ -438,7 +438,7 @@ impl<'a> EventView<'a> {
     /// The columnar event source (shared by every consumer of this
     /// view: the fused sweeps, streaming finalize, resolution).
     #[inline]
-    pub fn cols(&self) -> &ColumnarView {
+    pub(crate) fn cols(&self) -> &ColumnarView {
         self.cols
     }
 
@@ -450,20 +450,20 @@ impl<'a> EventView<'a> {
 
     /// Kernel-execution columns, `(start, log order)`-sorted.
     #[inline]
-    pub fn kernels(&self) -> &TargetColumns {
+    pub(crate) fn kernels(&self) -> &TargetColumns {
         &self.cols().kernels
     }
 
     /// Number of data-op events in the view.
     #[inline]
-    pub fn op_count(&self) -> usize {
+    pub(crate) fn op_count(&self) -> usize {
         self.ops().len()
     }
 
     /// Gather the event behind an index into an owned row (report
     /// boundary only — the sweeps read individual columns instead).
     #[inline]
-    pub fn op(&self, ix: OpIx) -> DataOpEvent {
+    pub(crate) fn op(&self, ix: OpIx) -> DataOpEvent {
         self.ops().event(ix as usize)
     }
 
@@ -922,7 +922,7 @@ fn alg5_device(view: &EventView<'_>, dev: usize, out: &mut Vec<(OpIx, UnusedTran
 /// materialization. The one producer of [`Findings`] outside the
 /// reference passes — [`Findings::detect_fused`] and the streaming
 /// engine's finalize both end here.
-pub fn detect(view: &EventView<'_>) -> Findings {
+pub(crate) fn detect(view: &EventView<'_>) -> Findings {
     detect_indexed(view).resolve(view)
 }
 

@@ -397,7 +397,7 @@ impl<'f> Evidence<'f> {
     /// The events fixing the instance eliminates (§7.6): the transfer
     /// itself, both legs of a round trip (the copy-back *and* the
     /// re-send), the alloc and delete of an allocation cycle.
-    pub fn eliminable(&self) -> impl Iterator<Item = &'f DataOpEvent> {
+    pub(crate) fn eliminable(&self) -> impl Iterator<Item = &'f DataOpEvent> {
         let (first, second) = match *self {
             Evidence::Duplicate { event, .. } => (event, None),
             Evidence::RoundTrip(trip) => (&trip.tx, Some(&trip.rx)),

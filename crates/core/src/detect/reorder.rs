@@ -373,7 +373,7 @@ impl<T> RunMergeBuffer<T> {
     }
 
     /// Key of the next event the merge would release, without releasing.
-    pub fn peek_key(&mut self) -> Option<SortKey> {
+    pub(crate) fn peek_key(&mut self) -> Option<SortKey> {
         if self.pending == 0 {
             return None;
         }

@@ -77,7 +77,7 @@ use std::collections::VecDeque;
 
 /// A logged event's sequence number ([`odp_model::EventId`] value) — how
 /// the streaming engine refers to events without holding them.
-pub type Seq = u64;
+pub(crate) type Seq = u64;
 
 /// One event in arrival (completion) order — what a sharded collector
 /// buffers per thread before the merged watermark feeds the engine.

@@ -187,11 +187,6 @@ impl FleetIngest {
             .push(bytes);
     }
 
-    /// Number of runs with at least one submission.
-    pub fn run_count(&self) -> usize {
-        self.runs.lock().len()
-    }
-
     /// Compact every run and roll the fleet report up. Deterministic:
     /// independent of submission order, thread count, and interleaving.
     ///

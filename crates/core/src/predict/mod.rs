@@ -6,7 +6,7 @@
 //! data transfers and allocations."
 //!
 //! Which instances count is [`charges`]' statement; which events each
-//! eliminates is [`crate::detect::Evidence::eliminable`]'s.
+//! eliminates is `Evidence::eliminable`'s.
 //!
 //! Findings overlap (a round trip's re-send is often also a duplicate;
 //! an unused allocation is often also a repeat), so elimination is
@@ -37,7 +37,7 @@ pub struct SavingsBreakdown {
 
 impl SavingsBreakdown {
     /// Total nanoseconds saved.
-    pub fn total_ns(&self) -> u64 {
+    pub(crate) fn total_ns(&self) -> u64 {
         self.duplicate_ns
             + self.round_trip_ns
             + self.realloc_ns

@@ -149,23 +149,23 @@ impl RemediationPolicy {
     }
 
     /// Number of sites with at least one rewrite rule.
-    pub fn rule_count(&self) -> usize {
+    pub(crate) fn rule_count(&self) -> usize {
         self.rules.len()
     }
 
     /// Advisor consults served so far.
-    pub fn consults(&self) -> u64 {
+    pub(crate) fn consults(&self) -> u64 {
         self.consults
     }
 
     /// Findings observed per cause, [`FindingKind::ALL`] order.
-    pub fn observed(&self) -> [u64; FindingKind::ALL.len()] {
+    pub(crate) fn observed(&self) -> [u64; FindingKind::ALL.len()] {
         self.observed
     }
 
     /// The merged rewrite for a site (KEEP when unknown). This *is* the
     /// advisor lookup [`Remediator`] makes.
-    pub fn advise(&mut self, device: u32, host_addr: u64) -> MapAdvice {
+    pub(crate) fn advise(&mut self, device: u32, host_addr: u64) -> MapAdvice {
         self.consults += 1;
         self.rules
             .get(&(device, host_addr))

@@ -64,7 +64,7 @@ pub(crate) struct RowAggregator<'a> {
 }
 
 impl<'a> RowAggregator<'a> {
-    pub fn new(dbg: Option<&'a DebugInfo>, total: SimDuration) -> Self {
+    pub(crate) fn new(dbg: Option<&'a DebugInfo>, total: SimDuration) -> Self {
         RowAggregator {
             dbg,
             total_ns: total.as_nanos().max(1),
@@ -73,7 +73,7 @@ impl<'a> RowAggregator<'a> {
         }
     }
 
-    pub fn add(&mut self, e: &DataOpEvent) {
+    pub(crate) fn add(&mut self, e: &DataOpEvent) {
         let entry = self.by_site.entry(e.codeptr.0).or_insert_with(|| {
             self.order.push(e.codeptr.0);
             (0, 0, 0)
@@ -83,7 +83,7 @@ impl<'a> RowAggregator<'a> {
         entry.2 += e.bytes;
     }
 
-    pub fn finish(self, title: &str) -> ReportSection {
+    pub(crate) fn finish(self, title: &str) -> ReportSection {
         let mut rows: Vec<ReportRow> = self
             .order
             .iter()
@@ -223,7 +223,7 @@ pub fn render_stream_finding(f: &StreamFinding) -> String {
 /// Render a live issue-count snapshot — the incremental counterpart of
 /// the §A.6 summary table, emitted periodically while the program runs
 /// (`--stream-interval`) instead of once after it exits.
-pub fn render_counts_snapshot(c: &IssueCounts) -> String {
+pub(crate) fn render_counts_snapshot(c: &IssueCounts) -> String {
     format!(
         "stream: snapshot DD={} RT={} RA={} UA={} UT={} (total {})",
         c.dd,
@@ -236,7 +236,7 @@ pub fn render_counts_snapshot(c: &IssueCounts) -> String {
 }
 
 /// Renders live findings (each final when delivered) into console
-/// lines, and on request a [`render_counts_snapshot`] line between
+/// lines, and on request a `render_counts_snapshot` line between
 /// them, so a console consumer sees the §A.6 summary grow during the
 /// run. The counts are accumulated from the delivered findings
 /// themselves and therefore always agree with the engine's

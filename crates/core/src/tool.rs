@@ -140,7 +140,7 @@ pub struct HashMeter {
 
 impl HashMeter {
     /// Effective rate in GB/s (decimal).
-    pub fn gb_per_s(&self) -> f64 {
+    pub(crate) fn gb_per_s(&self) -> f64 {
         if self.nanos == 0 {
             0.0
         } else {
@@ -444,7 +444,7 @@ impl FindingsTap {
     /// engine lock (another thread drains on our behalf): returns
     /// whatever has already been delivered. The cheap per-consult pump
     /// of `remedy::Remediator`.
-    pub fn try_take(&self) -> Vec<StreamFinding> {
+    pub(crate) fn try_take(&self) -> Vec<StreamFinding> {
         self.shared.drain_and_harvest(false);
         std::mem::take(&mut *self.buf.lock())
     }
@@ -831,11 +831,6 @@ impl OmpDataPerfTool {
             open: OpenTable::default(),
             last_edge: SimTime::ZERO,
         }
-    }
-
-    /// The tool's configuration.
-    pub fn config(&self) -> ToolConfig {
-        self.cfg
     }
 
     /// This instance's shard id.

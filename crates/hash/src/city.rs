@@ -140,7 +140,7 @@ fn weak_hash_len32_with_seeds(
 }
 
 /// CityHash64-inspired hash.
-pub fn city64(data: &[u8]) -> u64 {
+pub(crate) fn city64(data: &[u8]) -> u64 {
     let len = data.len();
     if len <= 16 {
         return hash_len_0_to_16(data);
@@ -223,7 +223,7 @@ pub fn city64(data: &[u8]) -> u64 {
 }
 
 /// CityHash32-inspired hash (32-bit arithmetic, Murmur-style rounds).
-pub fn city32(data: &[u8]) -> u32 {
+pub(crate) fn city32(data: &[u8]) -> u32 {
     let len = data.len();
     if len <= 4 {
         let mut b: u32 = 0;
@@ -289,7 +289,7 @@ pub fn city32(data: &[u8]) -> u32 {
 }
 
 /// CityHash128-inspired: produce two 64-bit words.
-pub fn city128(data: &[u8]) -> u128 {
+pub(crate) fn city128(data: &[u8]) -> u128 {
     let len = data.len();
     let lo = city64(data);
     // Second word: rehash with seeds derived from the first and the two
@@ -305,7 +305,7 @@ pub fn city128(data: &[u8]) -> u128 {
 /// CityHashCrc128-inspired: the CRC-accelerated flavour. We model the CRC
 /// lane with a polynomial-free 32-bit folding step (no `unsafe`, no ISA
 /// intrinsics) which keeps its distinct throughput character.
-pub fn city_crc128(data: &[u8]) -> u128 {
+pub(crate) fn city_crc128(data: &[u8]) -> u128 {
     let len = data.len();
     let mut crc_lane: u64 = K0;
     let mut i = 0usize;

@@ -9,7 +9,7 @@ use crate::city::{hash128_to_64, K0, K1, K2};
 use crate::primitives::{fmix32, fmix64, read32, read64, read_tail64};
 
 /// FarmHash64-inspired hash.
-pub fn farm64(data: &[u8]) -> u64 {
+pub(crate) fn farm64(data: &[u8]) -> u64 {
     let len = data.len();
     if len <= 64 {
         // Short inputs: reuse the City short paths but with a Farm-marked
@@ -50,7 +50,7 @@ pub fn farm64(data: &[u8]) -> u64 {
 }
 
 /// FarmHash32-inspired hash.
-pub fn farm32(data: &[u8]) -> u32 {
+pub(crate) fn farm32(data: &[u8]) -> u32 {
     let len = data.len();
     if len <= 24 {
         return fmix32(crate::city::city32(data) ^ 0x9747_b28c);
@@ -76,7 +76,7 @@ pub fn farm32(data: &[u8]) -> u32 {
 }
 
 /// FarmHash128-inspired hash.
-pub fn farm128(data: &[u8]) -> u128 {
+pub(crate) fn farm128(data: &[u8]) -> u128 {
     let lo = farm64(data);
     let hi = if data.len() >= 16 {
         let a = read64(data, 0);

@@ -76,7 +76,7 @@ impl Hasher for FnvHasher {
 }
 
 /// `BuildHasher` for FNV-keyed standard collections.
-pub type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
+pub(crate) type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 
 /// A `HashMap` keyed with FNV (drop-in for detection's grouping maps).
 pub type FnvHashMap<K, V> = std::collections::HashMap<K, V, FnvBuildHasher>;

@@ -215,16 +215,10 @@ impl HashAlgoId {
             .find(|a| a.name().eq_ignore_ascii_case(name))
     }
 
-    /// Is this an exact implementation of the reference algorithm (as
-    /// opposed to a family-inspired portable variant)?
-    pub fn is_exact(self) -> bool {
-        matches!(self, HashAlgoId::XXH32 | HashAlgoId::XXH64)
-    }
-
     /// Number of meaningful digest bits. 32-bit functions are widened to
     /// `u64` for storage but only populate the low 32 bits; quality
     /// measurements must account for that.
-    pub fn digest_bits(self) -> u32 {
+    pub(crate) fn digest_bits(self) -> u32 {
         match self {
             HashAlgoId::CityHash32 | HashAlgoId::FarmHash32 | HashAlgoId::XXH32 => 32,
             _ => 64,

@@ -21,7 +21,7 @@ const LANE_KEYS: [u64; 8] = [
 ];
 
 /// MeowHash-inspired 64-bit hash.
-pub fn meow64(data: &[u8]) -> u64 {
+pub(crate) fn meow64(data: &[u8]) -> u64 {
     let len = data.len();
     let mut lanes = LANE_KEYS;
 

@@ -2,7 +2,7 @@
 
 /// Load a little-endian `u32` from `data` at `offset`.
 #[inline(always)]
-pub fn read32(data: &[u8], offset: usize) -> u32 {
+pub(crate) fn read32(data: &[u8], offset: usize) -> u32 {
     let mut buf = [0u8; 4];
     buf.copy_from_slice(&data[offset..offset + 4]);
     u32::from_le_bytes(buf)
@@ -10,7 +10,7 @@ pub fn read32(data: &[u8], offset: usize) -> u32 {
 
 /// Load a little-endian `u64` from `data` at `offset`.
 #[inline(always)]
-pub fn read64(data: &[u8], offset: usize) -> u64 {
+pub(crate) fn read64(data: &[u8], offset: usize) -> u64 {
     let mut buf = [0u8; 8];
     buf.copy_from_slice(&data[offset..offset + 8]);
     u64::from_le_bytes(buf)
@@ -18,7 +18,7 @@ pub fn read64(data: &[u8], offset: usize) -> u64 {
 
 /// Load up to 8 trailing bytes as a little-endian integer (zero padded).
 #[inline(always)]
-pub fn read_tail64(data: &[u8]) -> u64 {
+pub(crate) fn read_tail64(data: &[u8]) -> u64 {
     debug_assert!(data.len() <= 8);
     let mut buf = [0u8; 8];
     buf[..data.len()].copy_from_slice(data);
@@ -27,14 +27,14 @@ pub fn read_tail64(data: &[u8]) -> u64 {
 
 /// 64×64→128 multiply folded by XOR of halves (the wyhash "mum" mixer).
 #[inline(always)]
-pub fn mum(a: u64, b: u64) -> u64 {
+pub(crate) fn mum(a: u64, b: u64) -> u64 {
     let r = (a as u128).wrapping_mul(b as u128);
     (r as u64) ^ ((r >> 64) as u64)
 }
 
 /// The MurmurHash3/SplitMix64-style finalizer: full 64-bit avalanche.
 #[inline(always)]
-pub fn fmix64(mut k: u64) -> u64 {
+pub(crate) fn fmix64(mut k: u64) -> u64 {
     k ^= k >> 33;
     k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
     k ^= k >> 33;
@@ -45,7 +45,7 @@ pub fn fmix64(mut k: u64) -> u64 {
 
 /// MurmurHash3's 32-bit finalizer.
 #[inline(always)]
-pub fn fmix32(mut h: u32) -> u32 {
+pub(crate) fn fmix32(mut h: u32) -> u32 {
     h ^= h >> 16;
     h = h.wrapping_mul(0x85eb_ca6b);
     h ^= h >> 13;
@@ -57,7 +57,7 @@ pub fn fmix32(mut h: u32) -> u32 {
 /// Fold a 128-bit digest to 64 bits with an avalanching mix, so 128-bit
 /// functions can be stored in the tool's 64-bit hash slot.
 #[inline(always)]
-pub fn fold128(h: u128) -> u64 {
+pub(crate) fn fold128(h: u128) -> u64 {
     let lo = h as u64;
     let hi = (h >> 64) as u64;
     fmix64(lo ^ hi.rotate_left(29).wrapping_mul(0x9E37_79B9_7F4A_7C15))

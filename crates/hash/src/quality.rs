@@ -17,12 +17,12 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// Seeded generator.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
     /// Next pseudo-random u64.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -31,7 +31,7 @@ impl SplitMix64 {
     }
 
     /// Fill `buf` with pseudo-random bytes.
-    pub fn fill(&mut self, buf: &mut [u8]) {
+    pub(crate) fn fill(&mut self, buf: &mut [u8]) {
         for chunk in buf.chunks_mut(8) {
             let v = self.next_u64().to_le_bytes();
             chunk.copy_from_slice(&v[..chunk.len()]);

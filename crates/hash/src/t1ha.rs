@@ -21,7 +21,7 @@ const PRIME4: u64 = 0xCB5A_F53A_E3AA_AC31;
 /// t1ha0 with `LANES` parallel 64-bit streams (models SIMD width).
 ///
 /// `LANES = 2` ≈ no-AVX build, `4` ≈ AVX, `8` ≈ AVX2.
-pub fn t1ha0_lanes<const LANES: usize>(data: &[u8]) -> u64 {
+pub(crate) fn t1ha0_lanes<const LANES: usize>(data: &[u8]) -> u64 {
     let len = data.len();
     let block = LANES * 8;
     let mut lanes = [0u64; LANES];
@@ -57,7 +57,7 @@ pub fn t1ha0_lanes<const LANES: usize>(data: &[u8]) -> u64 {
 
 /// t1ha0_32le-inspired: 32-bit operations only in the bulk loop, which is
 /// why it lands mid-pack on a 64-bit machine (Table 4 shows ~8 GB/s).
-pub fn t1ha0_32le(data: &[u8]) -> u64 {
+pub(crate) fn t1ha0_32le(data: &[u8]) -> u64 {
     let len = data.len();
     let mut a: u32 = 0x92D7_8269;
     let mut b: u32 = 0xCA9B_4735;
@@ -99,7 +99,7 @@ pub fn t1ha0_32le(data: &[u8]) -> u64 {
 
 /// t1ha1_le-inspired: scalar 64-bit, 32-byte rounds over 4 words with a
 /// serial carry chain.
-pub fn t1ha1_le(data: &[u8]) -> u64 {
+pub(crate) fn t1ha1_le(data: &[u8]) -> u64 {
     let len = data.len();
     let mut a = PRIME0;
     let mut b = (len as u64).wrapping_mul(PRIME1);
@@ -129,7 +129,7 @@ pub fn t1ha1_le(data: &[u8]) -> u64 {
 
 /// t1ha2_atonce-inspired: 128-bit internal state (two interleaved
 /// accumulator pairs), slightly heavier finale.
-pub fn t1ha2_atonce(data: &[u8]) -> u64 {
+pub(crate) fn t1ha2_atonce(data: &[u8]) -> u64 {
     let len = data.len();
     let mut a = PRIME0;
     let mut b = PRIME1;

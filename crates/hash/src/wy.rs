@@ -14,7 +14,7 @@ const S2: u64 = 0x4b33_a62e_d433_d4a3;
 const S3: u64 = 0x4d5a_2da5_1de1_aa47;
 
 /// rapidhash-style hash of `data`.
-pub fn rapidhash(data: &[u8]) -> u64 {
+pub(crate) fn rapidhash(data: &[u8]) -> u64 {
     let len = data.len();
     let mut seed = S0 ^ (len as u64).wrapping_mul(S1);
 

@@ -116,7 +116,7 @@ fn long_hash(data: &[u8]) -> [u64; 2] {
 }
 
 /// XXH3-64-inspired hash.
-pub fn xxh3_64(data: &[u8]) -> u64 {
+pub(crate) fn xxh3_64(data: &[u8]) -> u64 {
     match data.len() {
         0..=16 => short_hash(data),
         17..=128 => mid_hash(data),
@@ -125,7 +125,7 @@ pub fn xxh3_64(data: &[u8]) -> u64 {
 }
 
 /// XXH3-128-inspired hash.
-pub fn xxh3_128(data: &[u8]) -> u128 {
+pub(crate) fn xxh3_128(data: &[u8]) -> u128 {
     match data.len() {
         0..=16 => {
             let lo = short_hash(data);

@@ -16,7 +16,7 @@ fn round(acc: u32, input: u32) -> u32 {
 }
 
 /// Hash `data` with seed `seed`.
-pub fn xxh32(data: &[u8], seed: u32) -> u32 {
+pub(crate) fn xxh32(data: &[u8], seed: u32) -> u32 {
     let len = data.len();
     let mut h: u32;
     let mut i = 0usize;

@@ -21,7 +21,7 @@ fn merge_round(acc: u64, val: u64) -> u64 {
 }
 
 /// Hash `data` with seed `seed`.
-pub fn xxh64(data: &[u8], seed: u64) -> u64 {
+pub(crate) fn xxh64(data: &[u8], seed: u64) -> u64 {
     let len = data.len();
     let mut h: u64;
     let mut i = 0usize;

@@ -35,12 +35,6 @@ impl SimDuration {
     /// The zero duration.
     pub const ZERO: SimDuration = SimDuration(0);
 
-    /// Construct from nanoseconds.
-    #[inline]
-    pub const fn from_nanos(ns: u64) -> Self {
-        SimDuration(ns)
-    }
-
     /// Construct from microseconds.
     #[inline]
     pub const fn from_micros(us: u64) -> Self {

@@ -108,7 +108,7 @@ pub struct RemedyCounter {
 
 impl RemedyCounter {
     /// Accumulate another counter into this one.
-    pub fn merge(&mut self, o: &RemedyCounter) {
+    pub(crate) fn merge(&mut self, o: &RemedyCounter) {
         self.rewrites += o.rewrites;
         self.transfers_avoided += o.transfers_avoided;
         self.transfer_bytes_avoided += o.transfer_bytes_avoided;

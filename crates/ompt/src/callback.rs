@@ -41,18 +41,6 @@ pub enum CallbackKind {
 }
 
 impl CallbackKind {
-    /// All callback kinds, EMI first.
-    pub const ALL: [CallbackKind; 8] = [
-        CallbackKind::TargetEmi,
-        CallbackKind::TargetDataOpEmi,
-        CallbackKind::TargetSubmitEmi,
-        CallbackKind::TargetMapEmi,
-        CallbackKind::Target,
-        CallbackKind::TargetDataOp,
-        CallbackKind::TargetSubmit,
-        CallbackKind::TargetMap,
-    ];
-
     /// Is this an EMI (begin+end) callback?
     pub fn is_emi(self) -> bool {
         matches!(

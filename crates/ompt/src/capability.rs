@@ -54,7 +54,7 @@ pub struct RuntimeCapabilities {
 
 impl RuntimeCapabilities {
     /// Does the runtime dispatch `kind`?
-    pub fn supports(&self, kind: CallbackKind) -> bool {
+    pub(crate) fn supports(&self, kind: CallbackKind) -> bool {
         self.supported_callbacks.contains(&kind)
     }
 
@@ -99,11 +99,6 @@ impl CompilerProfile {
         CompilerProfile::LlvmClang,
         CompilerProfile::NvidiaHpc,
     ];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        TABLE6[self as usize][0]
-    }
 
     /// The capability set this compiler's runtime offers: what the
     /// Table 6 row implies.

@@ -58,5 +58,5 @@ pub use callback::{
 };
 pub use capability::{CompilerProfile, RuntimeCapabilities};
 pub use progress::{GlobalWatermark, ShardSlot, StallDetector};
-pub use tool::{NullTool, SetCallbackResult, Tool, ToolRegistration};
+pub use tool::{NullTool, Tool, ToolRegistration};
 pub use version::OmptVersion;

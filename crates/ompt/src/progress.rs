@@ -257,6 +257,45 @@ mod tests {
     use super::*;
 
     #[test]
+    fn idle_clock_follows_observations() {
+        // Nothing open: a shard's bound is its latest callback time.
+        let g = GlobalWatermark::with_capacity(4);
+        let slot = g.register();
+        for t in [100, 250, 400] {
+            g.publish(slot, None, SimTime(t));
+            assert_eq!(g.merged(), Some(SimTime(t)));
+        }
+    }
+
+    #[test]
+    fn open_ops_pin_the_watermark() {
+        let g = GlobalWatermark::with_capacity(4);
+        let slot = g.register();
+        g.publish(slot, Some(SimTime(10)), SimTime(90));
+        assert_eq!(g.merged(), Some(SimTime(9)), "held below the earliest open");
+        g.publish(slot, Some(SimTime(30)), SimTime(95));
+        assert_eq!(g.merged(), Some(SimTime(29)));
+        g.publish(slot, None, SimTime(99));
+        assert_eq!(g.merged(), Some(SimTime(99)), "released to the clock");
+    }
+
+    #[test]
+    fn safe_below_tracks_earliest_open_then_now() {
+        // With a second, retired shard the merge reads this shard's
+        // `safe_below`, one below.
+        let g = GlobalWatermark::with_capacity(4);
+        let a = g.register();
+        g.retire(g.register());
+        assert_eq!(g.merged(), None, "at the origin");
+        g.publish(a, None, SimTime(40));
+        assert_eq!(g.merged(), Some(SimTime(39)), "idle: future begins >= now");
+        g.publish(a, Some(SimTime(50)), SimTime(90));
+        assert_eq!(g.merged(), Some(SimTime(49)), "pinned at the earliest open");
+        g.publish(a, None, SimTime(99));
+        assert_eq!(g.merged(), Some(SimTime(98)));
+    }
+
+    #[test]
     fn single_shard_merge_is_the_local_watermark() {
         let g = GlobalWatermark::with_capacity(4);
         let slot = g.register();

@@ -116,7 +116,7 @@ pub struct Producer<T> {
 
 impl<T: Send> Producer<T> {
     /// Number of slots.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.inner.mask + 1
     }
 
@@ -184,11 +184,6 @@ pub struct Consumer<T> {
 }
 
 impl<T: Send> Consumer<T> {
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.inner.mask + 1
-    }
-
     /// Values popped so far (the consumer cursor; wraps with `usize`):
     /// the position of the value popped next.
     pub fn popped(&self) -> usize {

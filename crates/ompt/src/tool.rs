@@ -3,7 +3,7 @@
 //! A tool implements [`Tool`]; when attached to a runtime it receives
 //! `initialize` with the runtime's [`RuntimeCapabilities`] and returns the
 //! set of callbacks it wants. The runtime answers each request with a
-//! [`SetCallbackResult`] — mirroring `ompt_set_callback`'s return codes —
+//! `SetCallbackResult` — mirroring `ompt_set_callback`'s return codes —
 //! and thereafter only delivers events for callbacks that registered
 //! successfully. This is exactly the negotiation that produces the
 //! degraded-mode warning in the paper's §A.6 sample output.
@@ -15,18 +15,16 @@ use crate::capability::RuntimeCapabilities;
 
 /// Result of requesting one callback, per `ompt_set_result_t`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SetCallbackResult {
+pub(crate) enum SetCallbackResult {
     /// `ompt_set_always`: the callback will be dispatched on every event.
     Always,
     /// `ompt_set_never`: the runtime will never dispatch this callback.
     Never,
-    /// `ompt_set_error`: the callback is unknown to this runtime.
-    Error,
 }
 
 impl SetCallbackResult {
     /// Did registration succeed?
-    pub fn is_registered(self) -> bool {
+    pub(crate) fn is_registered(self) -> bool {
         matches!(self, SetCallbackResult::Always)
     }
 }
@@ -37,7 +35,7 @@ pub struct ToolRegistration {
     /// Callbacks the tool requested, in request order.
     pub requested: Vec<CallbackKind>,
     /// Per-callback grant results (same order as `requested`).
-    pub results: Vec<SetCallbackResult>,
+    results: Vec<SetCallbackResult>,
 }
 
 impl ToolRegistration {

@@ -24,7 +24,7 @@ pub enum OmptVersion {
 
 impl OmptVersion {
     /// Version string as a runtime would report it.
-    pub fn version_string(self) -> &'static str {
+    pub(crate) fn version_string(self) -> &'static str {
         match self {
             OmptVersion::None => "none",
             OmptVersion::Tr4Preview => "TR4 5.0 preview 1",
@@ -44,6 +44,23 @@ impl fmt::Display for OmptVersion {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn emi_availability() {
+        // Every profile offers the EMI target callbacks exactly when it
+        // reports OMPT 5.1 or later.
+        use crate::{CallbackKind, CompilerProfile};
+        for profile in CompilerProfile::ALL {
+            for caps in [profile.capabilities(), profile.capabilities_pre_emi()] {
+                assert_eq!(
+                    caps.supports(CallbackKind::TargetEmi),
+                    caps.ompt_version >= OmptVersion::V5_1,
+                    "{profile:?} at {}",
+                    caps.ompt_version
+                );
+            }
+        }
+    }
 
     #[test]
     fn ordering_matches_chronology() {

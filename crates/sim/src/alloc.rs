@@ -21,8 +21,6 @@ fn align_up(v: u64) -> u64 {
 /// A first-fit free-list allocator over a contiguous address space.
 #[derive(Debug)]
 pub struct FreeListAllocator {
-    base: u64,
-    capacity: u64,
     /// Free blocks: start → len. Coalesced on free.
     free: BTreeMap<u64, u64>,
     /// Live blocks: start → len.
@@ -34,12 +32,10 @@ pub struct FreeListAllocator {
 
 impl FreeListAllocator {
     /// An allocator managing `[base, base+capacity)`.
-    pub fn new(base: u64, capacity: u64) -> Self {
+    pub(crate) fn new(base: u64, capacity: u64) -> Self {
         let mut free = BTreeMap::new();
         free.insert(base, capacity);
         FreeListAllocator {
-            base,
-            capacity,
             free,
             live: BTreeMap::new(),
             peak_in_use: 0,
@@ -49,7 +45,7 @@ impl FreeListAllocator {
 
     /// Allocate `bytes` (rounded up to alignment). Returns the address,
     /// or `None` if the space is exhausted (device OOM).
-    pub fn alloc(&mut self, bytes: u64) -> Option<u64> {
+    pub(crate) fn alloc(&mut self, bytes: u64) -> Option<u64> {
         let need = align_up(bytes.max(1));
         // First fit: lowest-addressed block that is large enough. This is
         // what makes a free-then-alloc of the same size reuse the same
@@ -72,7 +68,7 @@ impl FreeListAllocator {
 
     /// Free the block at `addr`. Returns the block's size, or `None` if
     /// `addr` is not a live allocation (double free / bad pointer).
-    pub fn free(&mut self, addr: u64) -> Option<u64> {
+    pub(crate) fn free(&mut self, addr: u64) -> Option<u64> {
         let len = self.live.remove(&addr)?;
         self.in_use -= len;
         // Coalesce with successor.
@@ -102,16 +98,6 @@ impl FreeListAllocator {
     /// Peak bytes ever allocated simultaneously.
     pub fn peak_in_use(&self) -> u64 {
         self.peak_in_use
-    }
-
-    /// Total managed capacity.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Base address of the managed space.
-    pub fn base(&self) -> u64 {
-        self.base
     }
 
     /// Number of live allocations.

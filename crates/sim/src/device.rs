@@ -14,7 +14,7 @@
 //! phantom-reference marks — lives behind one mutex per device.
 //! A [`crate::Runtime`] always talks to its devices through this
 //! handle; [`crate::Runtime::new`] creates a private (uncontended)
-//! set, and [`crate::Runtime::with_shared_devices`] attaches a runtime
+//! set, and `crate::Runtime::with_shared_devices` attaches a runtime
 //! to a set other runtimes share. Directive execution locks a device
 //! once per map-clause item (and across a kernel's buffer gather /
 //! execute / write-back), so refcount updates, phantom-reference
@@ -74,7 +74,7 @@ impl DeviceState {
 
 /// Handle to a set of devices whose state may be shared by several
 /// [`crate::Runtime`] instances (one per OS thread). Cloning the handle
-/// shares the devices; [`SharedDevices::new`] creates a fresh set.
+/// shares the devices; `SharedDevices::new` creates a fresh set.
 #[derive(Clone)]
 pub struct SharedDevices {
     devices: Arc<Vec<Mutex<DeviceState>>>,
@@ -83,7 +83,7 @@ pub struct SharedDevices {
 impl SharedDevices {
     /// A fresh device set for `cfg` (`cfg.num_devices` devices of
     /// `cfg.device_memory_bytes` each).
-    pub fn new(cfg: &RuntimeConfig) -> SharedDevices {
+    pub(crate) fn new(cfg: &RuntimeConfig) -> SharedDevices {
         SharedDevices {
             devices: Arc::new(
                 (0..cfg.num_devices)
@@ -94,7 +94,7 @@ impl SharedDevices {
     }
 
     /// Number of devices in the set.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.devices.len()
     }
 

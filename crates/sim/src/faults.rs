@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 /// Device-number offset used for corrupt-device faults: far above any
 /// configured device count, so the event is out of range everywhere.
-pub const CORRUPT_DEVICE_OFFSET: u32 = 0x4000_0000;
+pub(crate) const CORRUPT_DEVICE_OFFSET: u32 = 0x4000_0000;
 
 /// Per-class fault probabilities, in parts per 65536 per event, plus
 /// the two triggered (non-probabilistic) fault classes.
@@ -100,7 +100,7 @@ impl FaultProfile {
     pub const NAMES: &'static str = "none, lossy, hostile, stalled, oom";
 
     /// The fault configuration this profile stands for.
-    pub fn config(self) -> FaultConfig {
+    pub(crate) fn config(self) -> FaultConfig {
         match self {
             FaultProfile::None => FaultConfig::default(),
             FaultProfile::Lossy => FaultConfig {
@@ -220,7 +220,7 @@ impl FaultCounts {
 /// A seeded, deterministic fault-injection plan.
 ///
 /// Cloning a plan (as `RuntimeConfig` cloning does) shares the fault
-/// totals; [`FaultPlan::for_shard`] additionally splits the random
+/// totals; `FaultPlan::for_shard` additionally splits the random
 /// stream so every shard draws independent, reproducible decisions.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
@@ -273,7 +273,7 @@ impl FaultPlan {
     /// Derive the plan shard `shard` consults: an independent random
     /// stream over the same configuration and shared totals. The stall
     /// trigger stays only on `cfg.stall_shard`.
-    pub fn for_shard(&self, shard: u32) -> FaultPlan {
+    pub(crate) fn for_shard(&self, shard: u32) -> FaultPlan {
         FaultPlan {
             cfg: self.cfg,
             seed: self.seed,
@@ -300,7 +300,7 @@ impl FaultPlan {
     }
 
     /// Start the per-runtime fault session for this plan.
-    pub fn session(&self) -> FaultSession {
+    pub(crate) fn session(&self) -> FaultSession {
         // SplitMix64 over (seed, shard) so shards draw disjoint streams.
         let mut z = self
             .seed
@@ -346,12 +346,6 @@ pub struct FaultSession {
 }
 
 impl FaultSession {
-    /// Is fault injection active at all? (The hot-path guard.)
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.plan.enabled
-    }
-
     /// The plan this session draws from.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
@@ -376,7 +370,7 @@ impl FaultSession {
     /// fault class fires per event (classes are laddered over one
     /// draw), which keeps the injected-vs-quarantined reconciliation
     /// exact. `is_transfer` gates the payload classes.
-    pub fn on_data_op(&mut self, is_transfer: bool) -> DataOpFault {
+    pub(crate) fn on_data_op(&mut self, is_transfer: bool) -> DataOpFault {
         if !self.plan.enabled {
             return DataOpFault::Clean;
         }
@@ -428,7 +422,7 @@ impl FaultSession {
     /// How many attempts of this transfer fail before one succeeds
     /// (0 = first attempt succeeds). Geometric in `transfer_fail`,
     /// capped so a run always terminates.
-    pub fn transfer_failures(&mut self) -> u32 {
+    pub(crate) fn transfer_failures(&mut self) -> u32 {
         if !self.plan.enabled || self.plan.cfg.transfer_fail == 0 {
             return 0;
         }
@@ -441,7 +435,7 @@ impl FaultSession {
     }
 
     /// Does the next device allocation fail with a simulated OOM?
-    pub fn alloc_fails(&mut self) -> bool {
+    pub(crate) fn alloc_fails(&mut self) -> bool {
         if !self.plan.enabled {
             return false;
         }
@@ -460,7 +454,7 @@ impl FaultSession {
 
 /// Corrupt a payload copy in place: flip a deterministic bit derived
 /// from the draw state, guaranteed to change the content hash.
-pub fn flip_payload_bit(payload: &mut [u8], salt: u64) {
+pub(crate) fn flip_payload_bit(payload: &mut [u8], salt: u64) {
     if payload.is_empty() {
         return;
     }

@@ -54,7 +54,7 @@ impl KernelCost {
     /// `ns_per_item` defaults to 0.01 ns/item (≈ 10^11 lightweight items/s,
     /// an A100-like throughput for memory-light loops) via
     /// [`KernelCost::scaled`].
-    pub fn items(work_items: u64, ns_per_item: f64) -> Self {
+    pub(crate) fn items(work_items: u64, ns_per_item: f64) -> Self {
         KernelCost {
             fixed_ns: 0,
             work_items,
@@ -69,7 +69,7 @@ impl KernelCost {
 
     /// Total execution duration (excluding launch overhead, which the
     /// runtime's timing model adds).
-    pub fn duration(&self) -> SimDuration {
+    pub(crate) fn duration(&self) -> SimDuration {
         SimDuration(self.fixed_ns + (self.work_items as f64 * self.ns_per_item).round() as u64)
     }
 }
@@ -164,7 +164,7 @@ impl<'a> DeviceView<'a> {
 }
 
 /// The kernel body type: real compute against device buffers.
-pub type KernelBody<'a> = &'a mut dyn FnMut(&mut DeviceView<'_>);
+pub(crate) type KernelBody<'a> = &'a mut dyn FnMut(&mut DeviceView<'_>);
 
 /// Specification of one kernel launch.
 pub struct Kernel<'a> {
@@ -236,7 +236,7 @@ impl<'a> Kernel<'a> {
 
     /// All variables the kernel references (reads ∪ writes ∪ masked
     /// writes, stable order, deduplicated).
-    pub fn referenced_vars(&self) -> Vec<VarId> {
+    pub(crate) fn referenced_vars(&self) -> Vec<VarId> {
         let mut out =
             Vec::with_capacity(self.reads.len() + self.writes.len() + self.masked_writes.len());
         for &v in self

@@ -31,17 +31,17 @@
 //! runtime *and devices* (rank-per-thread; merged observation stays
 //! reproducible while the callback interleaving is genuinely
 //! concurrent), and [`threads::run_on_threads_shared`] attaches all
-//! threads to **one** [`SharedDevices`] set — `libomptarget`'s real
+//! threads to **one** [`SharedDevices`](device::SharedDevices) set — `libomptarget`'s real
 //! shape, where threads contend on the same per-device present tables
 //! and cross-thread mapping reuse is visible to tools and advisors.
 //!
 //! Beyond observation, the runtime accepts an
-//! [`odp_ompt::MapAdvisor`] ([`Runtime::attach_advisor`]): a live
+//! [`odp_ompt::MapAdvisor`] (`Runtime::attach_advisor`): a live
 //! analysis can rewrite inefficient map clauses mid-run — skip
 //! provably redundant copies, keep mappings resident across regions,
 //! elide never-used allocations — with every applied rewrite and its
 //! recovered bytes/time accounted per finding kind and device
-//! ([`Runtime::remediation_stats`]). Without an advisor, directive
+//! (`Runtime::remediation_stats`). Without an advisor, directive
 //! execution is bit-for-bit identical to the unremediated runtime.
 
 #![forbid(unsafe_code)]
@@ -61,14 +61,12 @@ pub mod threads;
 pub mod timing;
 
 pub use config::RuntimeConfig;
-pub use device::SharedDevices;
-pub use faults::{FaultConfig, FaultCounts, FaultPlan, FaultProfile, FaultSession};
+pub use faults::{FaultConfig, FaultCounts, FaultPlan, FaultProfile};
 pub use kernel::{DeviceView, Kernel, KernelCost};
 pub use memory::VarId;
-pub use present::PresentTable;
 pub use runtime::{Map, Runtime, RuntimeStats, RuntimeWarning};
-pub use threads::{merged_stats, run_on_threads, run_on_threads_shared, SharedThreadOutcome};
-pub use timing::{AllocModel, TimingModel, TransferModel};
+pub use threads::{merged_stats, run_on_threads, run_on_threads_shared};
+pub use timing::TransferModel;
 
 use odp_model::{MapModifier, MapType};
 

@@ -36,7 +36,7 @@ const HOST_BASE: u64 = 0x7f40_0000_0000;
 
 impl HostMemory {
     /// Empty host memory.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         HostMemory {
             vars: Vec::new(),
             next_addr: HOST_BASE,
@@ -44,7 +44,7 @@ impl HostMemory {
     }
 
     /// Allocate a zero-initialized host variable of `bytes`.
-    pub fn alloc(&mut self, name: &str, bytes: usize) -> VarId {
+    pub(crate) fn alloc(&mut self, name: &str, bytes: usize) -> VarId {
         let addr = self.next_addr;
         // 64-byte-aligned, cache-line style.
         self.next_addr += ((bytes as u64).max(1) + 63) & !63;
@@ -58,32 +58,32 @@ impl HostMemory {
     }
 
     /// The variable's metadata.
-    pub fn var(&self, id: VarId) -> &HostVar {
+    pub(crate) fn var(&self, id: VarId) -> &HostVar {
         &self.vars[id.0 as usize]
     }
 
     /// Mutable access to the variable's bytes.
-    pub fn bytes_mut(&mut self, id: VarId) -> &mut [u8] {
+    pub(crate) fn bytes_mut(&mut self, id: VarId) -> &mut [u8] {
         &mut self.vars[id.0 as usize].data
     }
 
     /// Shared access to the variable's bytes.
-    pub fn bytes(&self, id: VarId) -> &[u8] {
+    pub(crate) fn bytes(&self, id: VarId) -> &[u8] {
         &self.vars[id.0 as usize].data
     }
 
     /// Host address of the variable.
-    pub fn addr(&self, id: VarId) -> u64 {
+    pub(crate) fn addr(&self, id: VarId) -> u64 {
         self.vars[id.0 as usize].addr
     }
 
     /// Size of the variable in bytes.
-    pub fn size(&self, id: VarId) -> u64 {
+    pub(crate) fn size(&self, id: VarId) -> u64 {
         self.vars[id.0 as usize].data.len() as u64
     }
 
     /// Look a variable up by name (first match).
-    pub fn by_name(&self, name: &str) -> Option<VarId> {
+    pub(crate) fn by_name(&self, name: &str) -> Option<VarId> {
         self.vars
             .iter()
             .position(|v| v.name == name)
@@ -115,7 +115,7 @@ const DEV_STRIDE: u64 = 1 << 40;
 impl DeviceMemory {
     /// Memory for target device `index` with `capacity` bytes (e.g. 40 GB
     /// for an A100-40GB).
-    pub fn new(index: u32, capacity: u64) -> Self {
+    pub(crate) fn new(index: u32, capacity: u64) -> Self {
         DeviceMemory {
             allocator: FreeListAllocator::new(DEV_BASE + index as u64 * DEV_STRIDE, capacity),
             buffers: HashMap::new(),
@@ -123,14 +123,14 @@ impl DeviceMemory {
     }
 
     /// Allocate `bytes`, returning the device address.
-    pub fn alloc(&mut self, bytes: u64) -> Option<u64> {
+    pub(crate) fn alloc(&mut self, bytes: u64) -> Option<u64> {
         let addr = self.allocator.alloc(bytes)?;
         self.buffers.insert(addr, vec![0u8; bytes as usize]);
         Some(addr)
     }
 
     /// Free the allocation at `addr`.
-    pub fn free(&mut self, addr: u64) -> bool {
+    pub(crate) fn free(&mut self, addr: u64) -> bool {
         if self.allocator.free(addr).is_some() {
             self.buffers.remove(&addr);
             true
@@ -145,23 +145,13 @@ impl DeviceMemory {
     }
 
     /// Mutable buffer at `addr`.
-    pub fn bytes_mut(&mut self, addr: u64) -> Option<&mut Vec<u8>> {
+    pub(crate) fn bytes_mut(&mut self, addr: u64) -> Option<&mut Vec<u8>> {
         self.buffers.get_mut(&addr)
-    }
-
-    /// Bytes currently allocated on this device.
-    pub fn in_use(&self) -> u64 {
-        self.allocator.in_use()
     }
 
     /// Peak bytes allocated on this device.
     pub fn peak_in_use(&self) -> u64 {
         self.allocator.peak_in_use()
-    }
-
-    /// Number of live allocations.
-    pub fn live_blocks(&self) -> usize {
-        self.allocator.live_blocks()
     }
 }
 

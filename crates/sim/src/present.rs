@@ -29,12 +29,12 @@ pub struct PresentTable {
 
 impl PresentTable {
     /// Empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Look up the entry for `host_addr`.
-    pub fn lookup(&self, host_addr: u64) -> Option<&PresentEntry> {
+    pub(crate) fn lookup(&self, host_addr: u64) -> Option<&PresentEntry> {
         self.entries.get(&host_addr)
     }
 
@@ -44,7 +44,7 @@ impl PresentTable {
     }
 
     /// Insert a fresh mapping with refcount 1.
-    pub fn insert(&mut self, host_addr: u64, dev_addr: u64, bytes: u64) {
+    pub(crate) fn insert(&mut self, host_addr: u64, dev_addr: u64, bytes: u64) {
         let prev = self.entries.insert(
             host_addr,
             PresentEntry {
@@ -57,7 +57,7 @@ impl PresentTable {
     }
 
     /// Increment the reference count; returns the new count.
-    pub fn retain(&mut self, host_addr: u64) -> Option<u32> {
+    pub(crate) fn retain(&mut self, host_addr: u64) -> Option<u32> {
         self.entries.get_mut(&host_addr).map(|e| {
             e.refcount += 1;
             e.refcount
@@ -66,7 +66,7 @@ impl PresentTable {
 
     /// Decrement the reference count. Returns the entry if the count hit
     /// zero (the caller must then copy back / free); `None` otherwise.
-    pub fn release(&mut self, host_addr: u64) -> Option<PresentEntry> {
+    pub(crate) fn release(&mut self, host_addr: u64) -> Option<PresentEntry> {
         let e = self.entries.get_mut(&host_addr)?;
         e.refcount = e.refcount.saturating_sub(1);
         if e.refcount == 0 {
@@ -78,23 +78,18 @@ impl PresentTable {
 
     /// Force the reference count to zero (`map(delete: ...)`), removing
     /// and returning the entry.
-    pub fn force_remove(&mut self, host_addr: u64) -> Option<PresentEntry> {
+    pub(crate) fn force_remove(&mut self, host_addr: u64) -> Option<PresentEntry> {
         self.entries.remove(&host_addr)
     }
 
     /// Number of live mappings.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Is the table empty?
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Iterate live mappings (host addr, entry).
-    pub fn iter(&self) -> impl Iterator<Item = (&u64, &PresentEntry)> {
-        self.entries.iter()
     }
 }
 

@@ -46,9 +46,9 @@ use crate::kernel::{DeviceView, Kernel};
 use crate::memory::{HostMemory, VarId};
 use odp_model::{CodePtr, DeviceId, FindingKind, MapModifier, MapType, SimDuration, SimTime};
 use odp_ompt::{
-    AccessRange, CallbackKind, CompilerProfile, DataOpCallback, DataOpType, Endpoint,
-    HostAccessInfo, KernelAccessInfo, MapAdvice, MapAdvisor, RemediationStats, RuntimeCapabilities,
-    SubmitCallback, TargetCallback, TargetConstructKind, Tool, ToolRegistration,
+    AccessRange, CallbackKind, DataOpCallback, DataOpType, Endpoint, HostAccessInfo,
+    KernelAccessInfo, MapAdvice, MapAdvisor, RemediationStats, RuntimeCapabilities, SubmitCallback,
+    TargetCallback, TargetConstructKind, Tool, ToolRegistration,
 };
 use std::sync::Arc;
 
@@ -209,7 +209,7 @@ impl Runtime {
     /// device set: the true multi-threaded shape, where every host
     /// thread's directives operate on the **same** present tables.
     /// `devices` must match `cfg.num_devices`.
-    pub fn with_shared_devices(cfg: RuntimeConfig, devices: SharedDevices) -> Self {
+    pub(crate) fn with_shared_devices(cfg: RuntimeConfig, devices: SharedDevices) -> Self {
         assert_eq!(
             devices.len(),
             cfg.num_devices as usize,
@@ -245,21 +245,6 @@ impl Runtime {
         Self::new(RuntimeConfig::default())
     }
 
-    /// The (possibly shared) device set this runtime operates on.
-    pub fn shared_devices(&self) -> SharedDevices {
-        self.devices.clone()
-    }
-
-    /// The capability set this runtime advertises to tools.
-    pub fn capabilities(&self) -> &RuntimeCapabilities {
-        &self.caps
-    }
-
-    /// The configured compiler profile.
-    pub fn profile(&self) -> CompilerProfile {
-        self.cfg.profile
-    }
-
     /// Attach a tool (the `ompt_start_tool` handshake). Only one tool may
     /// be attached, before any directive executes.
     pub fn attach_tool(&mut self, mut tool: Box<dyn Tool>) {
@@ -274,13 +259,13 @@ impl Runtime {
     /// tool-visible event stream — is untouched. Attach before any
     /// directive executes so enter/exit advice stays consistent. The
     /// runtimes of one threaded run attach clones of one advisor.
-    pub fn attach_advisor(&mut self, advisor: Arc<dyn MapAdvisor>) {
+    pub(crate) fn attach_advisor(&mut self, advisor: Arc<dyn MapAdvisor>) {
         assert!(self.advisor.is_none(), "an advisor is already attached");
         self.advisor = Some(advisor);
     }
 
     /// What the advisor's rewrites recovered so far (empty without one).
-    pub fn remediation_stats(&self) -> RemediationStats {
+    pub(crate) fn remediation_stats(&self) -> RemediationStats {
         self.remedy.clone()
     }
 
@@ -300,11 +285,6 @@ impl Runtime {
         &self.warnings
     }
 
-    /// Number of target devices.
-    pub fn num_devices(&self) -> u32 {
-        self.cfg.num_devices
-    }
-
     // ---------------------------------------------------------------
     // Host memory API
     // ---------------------------------------------------------------
@@ -317,11 +297,6 @@ impl Runtime {
     /// Host address of a variable.
     pub fn host_addr(&self, var: VarId) -> u64 {
         self.host.addr(var)
-    }
-
-    /// Size of a variable in bytes.
-    pub fn var_size(&self, var: VarId) -> u64 {
-        self.host.size(var)
     }
 
     /// Name of a variable.

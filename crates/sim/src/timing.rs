@@ -29,7 +29,7 @@ impl TransferModel {
     }
 
     /// PCIe gen4 ×16 effective device→host (~19 GB/s, ~10 µs setup).
-    pub fn pcie_gen4_d2h() -> Self {
+    pub(crate) fn pcie_gen4_d2h() -> Self {
         TransferModel {
             latency_ns: 10_000,
             bytes_per_ns: 19.0,
@@ -37,7 +37,7 @@ impl TransferModel {
     }
 
     /// Duration of a transfer of `bytes`.
-    pub fn duration(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn duration(&self, bytes: u64) -> SimDuration {
         let flight = (bytes as f64 / self.bytes_per_ns).round() as u64;
         SimDuration(self.latency_ns + flight)
     }
@@ -66,7 +66,7 @@ pub struct AllocModel {
 
 impl AllocModel {
     /// CUDA-like defaults.
-    pub fn cuda_like() -> Self {
+    pub(crate) fn cuda_like() -> Self {
         AllocModel {
             alloc_base_ns: 8_000,
             alloc_per_mib_ns: 350,
@@ -75,12 +75,12 @@ impl AllocModel {
     }
 
     /// Duration of an allocation of `bytes`.
-    pub fn alloc_duration(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn alloc_duration(&self, bytes: u64) -> SimDuration {
         SimDuration(self.alloc_base_ns + (bytes >> 20) * self.alloc_per_mib_ns)
     }
 
     /// Duration of a free.
-    pub fn free_duration(&self) -> SimDuration {
+    pub(crate) fn free_duration(&self) -> SimDuration {
         SimDuration(self.free_base_ns)
     }
 }
@@ -116,7 +116,7 @@ impl Default for TimingModel {
 
 impl TimingModel {
     /// Transfer duration for the given direction.
-    pub fn transfer_duration(&self, bytes: u64, to_device: bool) -> SimDuration {
+    pub(crate) fn transfer_duration(&self, bytes: u64, to_device: bool) -> SimDuration {
         if to_device {
             self.h2d.duration(bytes)
         } else {

@@ -10,7 +10,7 @@
 //! each is charged to, exactly as it does for a dynamic run. What stays
 //! static-only is the question no trace can answer: does this instance
 //! occur in *every* execution? Each charged instance gets a certainty
-//! bit from the taint-tracked [`crate::exec::OpFacts`] of the events
+//! bit from the taint-tracked `crate::exec::OpFacts` of the events
 //! behind it; a whole row is [`Certainty::Certain`] only when at least
 //! one of its instances provably always occurs.
 
@@ -71,7 +71,7 @@ pub struct StaticReport {
 
 impl StaticReport {
     /// Rows tagged [`Certainty::Certain`].
-    pub fn certain_rows(&self) -> impl Iterator<Item = &StaticPrediction> {
+    pub(crate) fn certain_rows(&self) -> impl Iterator<Item = &StaticPrediction> {
         self.rows
             .iter()
             .filter(|r| r.certainty == Certainty::Certain)

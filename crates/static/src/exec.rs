@@ -5,8 +5,8 @@
 //! executes the lowered program — reference-counted present tables per
 //! device, enter/exit clause ordering, implicit `tofrom` maps — but
 //! with *content tokens* in place of byte buffers: a token names a
-//! provably-known byte pattern ([`Pat::Init`]) or a unique kernel
-//! result ([`Pat::Uniq`]). Token equality implies byte equality in any
+//! provably-known byte pattern (`Pat::Init`) or a unique kernel
+//! result (`Pat::Uniq`). Token equality implies byte equality in any
 //! concrete execution, which is what keeps `Certain` predictions sound.
 //!
 //! Data-dependent loops are unrolled a fixed number of times with every
@@ -26,7 +26,7 @@
 //! content hash is the interned token, and its addresses are injective
 //! in the variable. What the event model has no column for — the
 //! variable, the token, the certainty bit — rides beside each data op
-//! as an [`OpFacts`] record.
+//! as an `OpFacts` record.
 
 use crate::ir::{Fires, Init, MapClause, MappingProgram, Step, TripCount, VarRef, WriteContent};
 use odp_model::{
@@ -38,11 +38,11 @@ use std::collections::{BTreeMap, BTreeSet};
 /// How many iterations a data-dependent loop is symbolically unrolled.
 /// Three is the smallest count that exhibits "repeats every iteration"
 /// patterns (two duplicates, not one coincidence).
-pub const DATA_DEPENDENT_UNROLL: u32 = 3;
+pub(crate) const DATA_DEPENDENT_UNROLL: u32 = 3;
 
 /// A content pattern: the analyzer's stand-in for a buffer image.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Pat {
+pub(crate) enum Pat {
     /// A deterministic initial-image pattern (normalized).
     Init(Init),
     /// The result of one specific kernel (or host) write — unequal to
@@ -53,7 +53,7 @@ pub enum Pat {
 /// A content token: pattern plus buffer length. Equal tokens are
 /// provably byte-identical buffers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Tok {
+pub(crate) struct Tok {
     /// The byte pattern.
     pub pat: Pat,
     /// Buffer length in bytes.
@@ -62,7 +62,7 @@ pub struct Tok {
 
 /// What the analyzer knows about one data op beyond the event itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OpFacts {
+pub(crate) struct OpFacts {
     /// The variable moved/allocated.
     pub var: usize,
     /// Content carried (transfers only).
@@ -75,7 +75,7 @@ pub struct OpFacts {
 /// The event stream of one symbolic execution, in program
 /// (= chronological) order.
 #[derive(Clone, Debug, Default)]
-pub struct AbsTrace {
+pub(crate) struct AbsTrace {
     /// Data operations, ascending by id.
     pub ops: Vec<DataOpEvent>,
     /// Kernel executions, ascending by id (one id sequence with `ops`).
@@ -89,12 +89,12 @@ pub struct AbsTrace {
 
 impl AbsTrace {
     /// Index into `ops`/`facts` of the data op with event id `id`.
-    pub fn op_index(&self, id: EventId) -> Option<usize> {
+    pub(crate) fn op_index(&self, id: EventId) -> Option<usize> {
         self.ops.binary_search_by_key(&id, |e| e.id).ok()
     }
 
     /// The facts of the data op with event id `id`.
-    pub fn facts_of(&self, id: EventId) -> Option<&OpFacts> {
+    pub(crate) fn facts_of(&self, id: EventId) -> Option<&OpFacts> {
         self.facts.get(self.op_index(id)?)
     }
 }
@@ -143,7 +143,7 @@ struct Exec<'p> {
 
 /// Symbolically execute `p`, producing the event stream the detection
 /// engine runs over. `p` must have passed [`MappingProgram::validate`].
-pub fn abstract_run(p: &MappingProgram) -> AbsTrace {
+pub(crate) fn abstract_run(p: &MappingProgram) -> AbsTrace {
     let host = p
         .vars
         .iter()

@@ -62,14 +62,14 @@ pub enum Init {
 
 impl Init {
     /// An f64 fill (convenience constructor over [`Init::F64Bits`]).
-    pub fn f64(v: f64) -> Init {
+    pub(crate) fn f64(v: f64) -> Init {
         Init::F64Bits(v.to_bits())
     }
 
     /// Canonical form: variants that describe the same byte pattern map
     /// to one representative, so token equality is exactly byte
     /// equality for the patterns workloads use.
-    pub fn normalize(self) -> Init {
+    pub(crate) fn normalize(self) -> Init {
         match self {
             Init::F64Bits(0) => Init::Byte(0),
             Init::MarkFirstByte(0) => Init::Byte(0),
@@ -91,7 +91,7 @@ impl Init {
     }
 
     /// Materialize the image for a buffer of `bytes` bytes.
-    pub fn materialize(self, bytes: usize) -> Vec<u8> {
+    pub(crate) fn materialize(self, bytes: usize) -> Vec<u8> {
         let mut buf = vec![0u8; bytes];
         match self {
             Init::Byte(v) => buf.fill(v),
@@ -153,7 +153,7 @@ pub struct MapClause {
 
 impl MapClause {
     /// `map(to: var)`.
-    pub fn to(var: VarRef) -> MapClause {
+    pub(crate) fn to(var: VarRef) -> MapClause {
         MapClause {
             var,
             map_type: MapType::To,
@@ -162,7 +162,7 @@ impl MapClause {
     }
 
     /// `map(from: var)`.
-    pub fn from(var: VarRef) -> MapClause {
+    pub(crate) fn from(var: VarRef) -> MapClause {
         MapClause {
             var,
             map_type: MapType::From,
@@ -171,7 +171,7 @@ impl MapClause {
     }
 
     /// `map(tofrom: var)`.
-    pub fn tofrom(var: VarRef) -> MapClause {
+    pub(crate) fn tofrom(var: VarRef) -> MapClause {
         MapClause {
             var,
             map_type: MapType::ToFrom,
@@ -180,7 +180,7 @@ impl MapClause {
     }
 
     /// `map(alloc: var)`.
-    pub fn alloc(var: VarRef) -> MapClause {
+    pub(crate) fn alloc(var: VarRef) -> MapClause {
         MapClause {
             var,
             map_type: MapType::Alloc,
@@ -189,7 +189,7 @@ impl MapClause {
     }
 
     /// `map(release: var)`.
-    pub fn release(var: VarRef) -> MapClause {
+    pub(crate) fn release(var: VarRef) -> MapClause {
         MapClause {
             var,
             map_type: MapType::Release,
@@ -198,7 +198,7 @@ impl MapClause {
     }
 
     /// `map(delete: var)`.
-    pub fn delete(var: VarRef) -> MapClause {
+    pub(crate) fn delete(var: VarRef) -> MapClause {
         MapClause {
             var,
             map_type: MapType::Delete,
@@ -207,7 +207,7 @@ impl MapClause {
     }
 
     /// Add the `always` modifier.
-    pub fn always(mut self) -> MapClause {
+    pub(crate) fn always(mut self) -> MapClause {
         self.always = true;
         self
     }
@@ -252,7 +252,7 @@ pub struct KernelWrite {
 
 impl KernelWrite {
     /// An unconditional write of unique content.
-    pub fn unique(var: VarRef) -> KernelWrite {
+    pub(crate) fn unique(var: VarRef) -> KernelWrite {
         KernelWrite {
             var,
             content: WriteContent::Unique,
@@ -261,7 +261,7 @@ impl KernelWrite {
     }
 
     /// An unconditional byte fill.
-    pub fn byte(var: VarRef, v: u8) -> KernelWrite {
+    pub(crate) fn byte(var: VarRef, v: u8) -> KernelWrite {
         KernelWrite {
             var,
             content: WriteContent::Byte(v),
@@ -270,7 +270,7 @@ impl KernelWrite {
     }
 
     /// An unconditional u32 fill.
-    pub fn u32(var: VarRef, v: u32) -> KernelWrite {
+    pub(crate) fn u32(var: VarRef, v: u32) -> KernelWrite {
         KernelWrite {
             var,
             content: WriteContent::U32(v),
@@ -296,7 +296,7 @@ pub struct KernelSpec {
 impl KernelSpec {
     /// All referenced variables — reads then writes, deduplicated,
     /// order preserved (mirrors `odp_sim::Kernel::referenced_vars`).
-    pub fn referenced(&self) -> Vec<VarRef> {
+    pub(crate) fn referenced(&self) -> Vec<VarRef> {
         let mut out = Vec::with_capacity(self.reads.len() + self.writes.len());
         for v in self
             .reads
@@ -411,7 +411,7 @@ pub enum Step {
 
 impl Step {
     /// Code pointer of the directive; `None` for host writes and loops.
-    pub fn site(&self) -> Option<u64> {
+    pub(crate) fn site(&self) -> Option<u64> {
         match self {
             Step::DataRegion { site, .. }
             | Step::EnterData { site, .. }
@@ -424,7 +424,7 @@ impl Step {
     }
 
     /// Target device of the directive; `None` for host writes and loops.
-    pub fn device(&self) -> Option<u32> {
+    pub(crate) fn device(&self) -> Option<u32> {
         match self {
             Step::DataRegion { device, .. }
             | Step::EnterData { device, .. }
@@ -437,7 +437,7 @@ impl Step {
     }
 
     /// The steps a region or loop encloses; empty for everything else.
-    pub fn body(&self) -> &[Step] {
+    pub(crate) fn body(&self) -> &[Step] {
         match self {
             Step::DataRegion { body, .. } | Step::Loop { body, .. } => body,
             _ => &[],
@@ -479,7 +479,7 @@ pub struct MappingProgram {
 
 impl MappingProgram {
     /// Label for a site, falling back to hex.
-    pub fn site_label(&self, site: u64) -> String {
+    pub(crate) fn site_label(&self, site: u64) -> String {
         self.site_labels
             .get(&site)
             .cloned()
@@ -487,7 +487,7 @@ impl MappingProgram {
     }
 
     /// Variable name for a reference.
-    pub fn var_name(&self, v: VarRef) -> &str {
+    pub(crate) fn var_name(&self, v: VarRef) -> &str {
         &self.vars[v.0].name
     }
 
@@ -608,7 +608,7 @@ impl MappingProgram {
 
 /// Render a clause list the way it would appear in source:
 /// `map(to: a) map(tofrom: b)`.
-pub fn render_maps(p: &MappingProgram, maps: &[MapClause]) -> String {
+pub(crate) fn render_maps(p: &MappingProgram, maps: &[MapClause]) -> String {
     maps.iter()
         .map(|m| render_map(p, m))
         .collect::<Vec<_>>()
@@ -616,7 +616,7 @@ pub fn render_maps(p: &MappingProgram, maps: &[MapClause]) -> String {
 }
 
 /// Render one clause: `map(always, tofrom: x)`.
-pub fn render_map(p: &MappingProgram, m: &MapClause) -> String {
+pub(crate) fn render_map(p: &MappingProgram, m: &MapClause) -> String {
     if m.always {
         format!(
             "map(always, {}: {})",

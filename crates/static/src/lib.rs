@@ -14,7 +14,7 @@
 //!    in for buffer hashes, data-dependent loops are unrolled and
 //!    probed. It emits the dynamic engine's own event model
 //!    (`odp_model::DataOpEvent` / `TargetEvent`) plus one
-//!    [`exec::OpFacts`] per data op carrying the certainty bit.
+//!    `exec::OpFacts` per data op carrying the certainty bit.
 //! 3. [`analysis`] — the fused dynamic engine (`ompdataperf::detect`)
 //!    run over that abstract trace, then a certainty fold: each
 //!    prediction is tagged [`analysis::Certainty::Certain`] (holds in
@@ -52,12 +52,9 @@ pub mod programs;
 
 pub use analysis::{analyze, Certainty, StaticPrediction, StaticReport};
 pub use crosscheck::{crosscheck, CrossCheck, CrossRow, CrossSummary, RowStatus};
-pub use exec::{abstract_run, AbsTrace, OpFacts};
 pub use ir::{
     Init, KernelSpec, KernelWrite, MapClause, MappingProgram, Step, TripCount, VarDecl, VarRef,
 };
 pub use lower::{interpret, run_under_tool, IrWorkload};
-pub use plan::{
-    apply_plan, emit_plan, validate_plan, PatchEdit, PatchPlan, PlanOutcome, RewriteAction,
-};
+pub use plan::{emit_plan, validate_plan, PatchEdit, PatchPlan, PlanOutcome, RewriteAction};
 pub use programs::{by_name, registry};

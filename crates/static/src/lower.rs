@@ -11,7 +11,7 @@
 //! the cross-check and the plan validator make it.
 //!
 //! Content fidelity: deterministic initializers are materialized
-//! byte-exactly ([`crate::ir::Init::materialize`]), and
+//! byte-exactly (`crate::ir::Init::materialize`), and
 //! [`crate::ir::WriteContent::Unique`] kernel writes fill the device
 //! buffer with splitmix64-derived blocks keyed by a global write
 //! serial, so every unique write produces an image distinct from every
@@ -224,7 +224,7 @@ pub struct IrWorkload {
 
 impl IrWorkload {
     /// `sizes` (Small, Medium, Large), registered as `name`.
-    pub fn new(name: &'static str, sizes: [MappingProgram; 3]) -> IrWorkload {
+    pub(crate) fn new(name: &'static str, sizes: [MappingProgram; 3]) -> IrWorkload {
         IrWorkload { name, sizes }
     }
 

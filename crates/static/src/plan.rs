@@ -537,7 +537,7 @@ fn emit_clause_rules(
 /// Apply `plan` to `p`, producing the rewritten program. The result is
 /// re-validated structurally; fails if an edit no longer matches the
 /// IR (stale plan).
-pub fn apply_plan(p: &MappingProgram, plan: &PatchPlan) -> Result<MappingProgram, String> {
+pub(crate) fn apply_plan(p: &MappingProgram, plan: &PatchPlan) -> Result<MappingProgram, String> {
     let mut out = p.clone();
     let mut next_site = max_site(&out.steps).wrapping_add(1);
     for e in &plan.edits {

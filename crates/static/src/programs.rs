@@ -12,22 +12,22 @@
 //! Three model a hand-written workload of `odp-workloads` — not the same
 //! model, hence the `ir-` prefix (`odp static` also takes the bare name):
 //!
-//! - [`babelstream`]: the run loop re-opens a `target data` region with
+//! - `babelstream`: the run loop re-opens a `target data` region with
 //!   `map(to:)` on all three streams every iteration, and the dot
 //!   kernel carries a per-iteration `map(from: sum)` — the fully
 //!   `Certain`, fully remediable case (§7.5's re-mapping pattern; the
 //!   fix is SNIPPETS.md's Mem5 split: hoist the region, split the sum
 //!   map into `enter data` + deferred `exit data`).
-//! - [`bfs`]: rodinia-style level loop with a data-dependent trip count
+//! - `bfs`: rodinia-style level loop with a data-dependent trip count
 //!   and everything implicitly `tofrom`-mapped per kernel — the
 //!   canonical `MayDependOnData` flood, plus one `Certain` cross-variable
 //!   duplicate (mask and visited share a byte-identical initial image)
 //!   that no directive rewrite can remove.
-//! - [`xsbench`]: a lookup kernel with `map(tofrom:)` on read-only
+//! - `xsbench`: a lookup kernel with `map(tofrom:)` on read-only
 //!   tables — the round-trip pattern (§7.5), fixed by `tofrom` → `to`.
 //!
 //! Six are the AMD HPCTrainingExamples memory-pragma ladder (SNIPPETS.md
-//! snippet 3), [`mem1`] … [`mem6`]: one `daxpy` kernel in a loop under
+//! snippet 3), `mem1` … `mem6`: one `daxpy` kernel in a loop under
 //! six mapping styles whose transfers and allocations the README spells
 //! out — the programs with *known* answers (`tests/mem_ladder.rs`).
 
@@ -70,26 +70,26 @@ pub fn by_name(name: &str) -> Option<IrWorkload> {
     registry().into_iter().find(named)
 }
 
-/// Directive sites of [`babelstream`].
+/// Directive sites of `babelstream`.
 pub mod babelstream_sites {
     /// The per-iteration `target data` region.
-    pub const REGION: u64 = 0x100;
+    pub(crate) const REGION: u64 = 0x100;
     /// The copy kernel.
-    pub const COPY: u64 = 0x110;
+    pub(crate) const COPY: u64 = 0x110;
     /// The mul kernel.
     pub const MUL: u64 = 0x120;
     /// The add kernel.
-    pub const ADD: u64 = 0x130;
+    pub(crate) const ADD: u64 = 0x130;
     /// The triad kernel.
-    pub const TRIAD: u64 = 0x140;
+    pub(crate) const TRIAD: u64 = 0x140;
     /// The dot kernel (carries `map(from: sum)`).
-    pub const DOT: u64 = 0x150;
+    pub(crate) const DOT: u64 = 0x150;
 }
 
 /// BabelStream's mapping skeleton: `runs` iterations, each re-opening a
 /// `target data map(to: a, b, c)` region around the five kernels, with
 /// the dot kernel's reduction result mapped `from` per iteration.
-pub fn babelstream(runs: u32, elems: usize) -> MappingProgram {
+pub(crate) fn babelstream(runs: u32, elems: usize) -> MappingProgram {
     use babelstream_sites as site;
     let a = VarRef(0);
     let b = VarRef(1);
@@ -176,10 +176,10 @@ pub fn babelstream(runs: u32, elems: usize) -> MappingProgram {
     }
 }
 
-/// Directive sites of [`bfs`].
+/// Directive sites of `bfs`.
 pub mod bfs_sites {
     /// The initialization kernel (first delivery of mask/visited/cost).
-    pub const INIT: u64 = 0x200;
+    pub(crate) const INIT: u64 = 0x200;
     /// Level kernel 1 (expand frontier).
     pub const K1: u64 = 0x210;
     /// Level kernel 2 (commit frontier, raise `over`).
@@ -189,7 +189,7 @@ pub mod bfs_sites {
 /// Rodinia-style BFS: an initialization kernel, then a data-dependent
 /// level loop whose two kernels rely entirely on implicit `tofrom`
 /// mapping. `levels` is the trip count one concrete input produces.
-pub fn bfs(nodes: u32, levels: u32) -> MappingProgram {
+pub(crate) fn bfs(nodes: u32, levels: u32) -> MappingProgram {
     use bfs_sites as site;
     let graph = VarRef(0);
     let mask = VarRef(1);
@@ -305,16 +305,16 @@ pub fn bfs(nodes: u32, levels: u32) -> MappingProgram {
     }
 }
 
-/// Directive sites of [`xsbench`].
+/// Directive sites of `xsbench`.
 pub mod xsbench_sites {
     /// The cross-section lookup kernel.
-    pub const LOOKUP: u64 = 0x300;
+    pub(crate) const LOOKUP: u64 = 0x300;
 }
 
 /// XSBench's lookup skeleton: one kernel with `map(tofrom:)` on its
 /// read-only energy and nuclide grids — each makes an unmodified round
 /// trip (§7.5's rsbench/xsbench pattern).
-pub fn xsbench(gridpoints: usize) -> MappingProgram {
+pub(crate) fn xsbench(gridpoints: usize) -> MappingProgram {
     use xsbench_sites as site;
     let energy_grid = VarRef(0);
     let nuclide_grid = VarRef(1);
@@ -357,18 +357,18 @@ pub fn xsbench(gridpoints: usize) -> MappingProgram {
     }
 }
 
-/// Directive sites of the memory-pragma ladder ([`mem1`] … [`mem6`]).
+/// Directive sites of the memory-pragma ladder (`mem1` … `mem6`).
 pub mod mem_sites {
     /// `target enter data`, after `new`.
-    pub const ENTER: u64 = 0x400;
+    pub(crate) const ENTER: u64 = 0x400;
     /// `target update to`, before the computational loop.
-    pub const UPDATE_TO: u64 = 0x410;
+    pub(crate) const UPDATE_TO: u64 = 0x410;
     /// The `daxpy` kernel's `target` line.
     pub const DAXPY: u64 = 0x420;
     /// `target update from`, after the computational loop.
-    pub const UPDATE_FROM: u64 = 0x430;
+    pub(crate) const UPDATE_FROM: u64 = 0x430;
     /// `target exit data`, before `delete`.
-    pub const EXIT: u64 = 0x440;
+    pub(crate) const EXIT: u64 = 0x440;
 }
 
 const X: VarRef = VarRef(0);
@@ -454,7 +454,7 @@ fn all_three(clause: fn(VarRef) -> MapClause) -> Vec<MapClause> {
 
 /// Mem1: `map(to: x, y) map(from: z)` on the computational loop's own
 /// pragma line — every launch allocates, sends, fetches and frees.
-pub fn mem1(n: usize, iters: u32) -> MappingProgram {
+pub(crate) fn mem1(n: usize, iters: u32) -> MappingProgram {
     let maps = vec![MapClause::to(X), MapClause::to(Y), MapClause::from(Z)];
     rung(1, n, iters, vec![], maps, vec![])
 }
@@ -471,7 +471,7 @@ fn always_maps() -> Vec<MapClause> {
 /// Mem2: `enter data map(alloc:)` after `new`, `exit data map(delete:)`
 /// before `delete`, `map(always to/from)` on the loop — the allocations
 /// are gone, the copies stay.
-pub fn mem2(n: usize, iters: u32) -> MappingProgram {
+pub(crate) fn mem2(n: usize, iters: u32) -> MappingProgram {
     let before = vec![enter_data(all_three(MapClause::alloc))];
     let after = vec![exit_data(all_three(MapClause::delete))];
     rung(2, n, iters, before, always_maps(), after)
@@ -479,7 +479,7 @@ pub fn mem2(n: usize, iters: u32) -> MappingProgram {
 
 /// Mem3: `alloc` + `target update to` before the loop, no map on it,
 /// `target update from` after — each array moves once.
-pub fn mem3(n: usize, iters: u32) -> MappingProgram {
+pub(crate) fn mem3(n: usize, iters: u32) -> MappingProgram {
     let before = vec![
         enter_data(all_three(MapClause::alloc)),
         Step::UpdateTo {
@@ -494,7 +494,7 @@ pub fn mem3(n: usize, iters: u32) -> MappingProgram {
 
 /// Mem4: Mem2 with `map(release:)` for `map(delete:)` — reference
 /// counting instead of a forced free; the transfers are Mem2's.
-pub fn mem4(n: usize, iters: u32) -> MappingProgram {
+pub(crate) fn mem4(n: usize, iters: u32) -> MappingProgram {
     let before = vec![enter_data(all_three(MapClause::alloc))];
     let after = vec![exit_data(all_three(MapClause::release))];
     rung(4, n, iters, before, always_maps(), after)
@@ -512,7 +512,7 @@ fn enter_to_xy_alloc_z() -> Step {
 /// Mem5: `enter data map(to: x, y) map(alloc: z)` / `exit data
 /// map(from: z) map(delete: x, y)` around the loop; the loop's own
 /// `map(to/from)` finds the data present and copies nothing.
-pub fn mem5(n: usize, iters: u32) -> MappingProgram {
+pub(crate) fn mem5(n: usize, iters: u32) -> MappingProgram {
     let maps = vec![MapClause::to(X), MapClause::to(Y), MapClause::from(Z)];
     let after = vec![exit_data(vec![
         MapClause::from(Z),
@@ -524,7 +524,7 @@ pub fn mem5(n: usize, iters: u32) -> MappingProgram {
 
 /// Mem6: Mem5's `enter data`, no map on the loop, one `target update
 /// from(z)` at the end, then `delete`.
-pub fn mem6(n: usize, iters: u32) -> MappingProgram {
+pub(crate) fn mem6(n: usize, iters: u32) -> MappingProgram {
     let after = vec![update_from_z(), exit_data(all_three(MapClause::delete))];
     rung(6, n, iters, vec![enter_to_xy_alloc_z()], vec![], after)
 }

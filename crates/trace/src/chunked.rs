@@ -4,7 +4,7 @@
 //! (overhead preservation, §5). `ChunkedVec` therefore grows in chunks:
 //! an append is at worst one `Vec::with_capacity` of a known size, never
 //! a copy of previously logged records. Chunk capacities grow
-//! geometrically from [`MIN_CHUNK_RECORDS`] to [`MAX_CHUNK_RECORDS`], so
+//! geometrically from `MIN_CHUNK_RECORDS` to `MAX_CHUNK_RECORDS`, so
 //! a program with a handful of events allocates kilobytes (the bottom of
 //! the paper's Figure-3 range) while event-heavy programs amortize to
 //! large chunks. Allocated capacity is tracked exactly — a running
@@ -13,10 +13,10 @@
 //! asking for them costs an append nothing.
 
 /// Capacity of the first chunk.
-pub const MIN_CHUNK_RECORDS: usize = 64;
+pub(crate) const MIN_CHUNK_RECORDS: usize = 64;
 /// Capacity cap for later chunks (4096 × 72 B = 288 KiB per data-op
 /// chunk at steady state).
-pub const MAX_CHUNK_RECORDS: usize = 4096;
+pub(crate) const MAX_CHUNK_RECORDS: usize = 4096;
 
 /// An append-only vector that grows in geometrically sized chunks.
 #[derive(Debug)]
@@ -37,7 +37,7 @@ impl<T> Default for ChunkedVec<T> {
 
 impl<T> ChunkedVec<T> {
     /// An empty store (no chunks allocated yet).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ChunkedVec {
             chunks: Vec::new(),
             starts: Vec::new(),
@@ -48,19 +48,19 @@ impl<T> ChunkedVec<T> {
 
     /// Number of records appended.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Is the store empty?
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Append a record.
     #[inline]
-    pub fn push(&mut self, value: T) {
+    pub(crate) fn push(&mut self, value: T) {
         if self.chunks.last().is_none_or(|c| c.len() == c.capacity()) {
             self.push_chunk();
         }
@@ -98,13 +98,13 @@ impl<T> ChunkedVec<T> {
     }
 
     /// Iterate over all records in append order.
-    pub fn iter(&self) -> std::iter::Flatten<std::slice::Iter<'_, Vec<T>>> {
+    pub(crate) fn iter(&self) -> std::iter::Flatten<std::slice::Iter<'_, Vec<T>>> {
         self.chunks.iter().flatten()
     }
 
     /// Bytes of heap capacity currently allocated for records.
     #[inline]
-    pub fn allocated_bytes(&self) -> usize {
+    pub(crate) fn allocated_bytes(&self) -> usize {
         self.allocated_bytes
     }
 
@@ -119,7 +119,7 @@ impl<T> ChunkedVec<T> {
     }
 
     /// Bytes of heap actually occupied by records (`len × size_of::<T>()`).
-    pub fn used_bytes(&self) -> usize {
+    pub(crate) fn used_bytes(&self) -> usize {
         self.len * std::mem::size_of::<T>()
     }
 }

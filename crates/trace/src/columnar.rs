@@ -33,7 +33,7 @@
 //!   only a part that breaks it.
 //!
 //! Row views are *derived* from the columns on demand
-//! ([`DataOpColumns::to_events`]), so row and columnar consumers can
+//! (`DataOpColumns::to_events`), so row and columnar consumers can
 //! never disagree.
 
 use crate::stats::TraceStats;
@@ -78,7 +78,7 @@ pub struct DataOpColumns {
 
 impl DataOpColumns {
     /// Empty columns with room for `n` events.
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         DataOpColumns {
             ids: Vec::with_capacity(n),
             kinds: Vec::with_capacity(n),
@@ -109,7 +109,7 @@ impl DataOpColumns {
     /// Scatter one event across the columns (appended at the end; the
     /// caller is responsible for feeding events in `(start, id)` order).
     #[inline]
-    pub fn push(&mut self, e: &DataOpEvent) {
+    pub(crate) fn push(&mut self, e: &DataOpEvent) {
         self.ids.push(e.id);
         self.kinds.push(e.kind);
         self.src_devices.push(e.src_device);
@@ -141,7 +141,7 @@ impl DataOpColumns {
     }
 
     /// Gather every event into a row vector (the derived row view).
-    pub fn to_events(&self) -> Vec<DataOpEvent> {
+    pub(crate) fn to_events(&self) -> Vec<DataOpEvent> {
         (0..self.len()).map(|i| self.event(i)).collect()
     }
 
@@ -187,7 +187,7 @@ pub struct TargetColumns {
 
 impl TargetColumns {
     /// Empty columns with room for `n` events.
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         TargetColumns {
             ids: Vec::with_capacity(n),
             devices: Vec::with_capacity(n),
@@ -212,7 +212,7 @@ impl TargetColumns {
 
     /// Scatter one event across the columns.
     #[inline]
-    pub fn push(&mut self, e: &TargetEvent) {
+    pub(crate) fn push(&mut self, e: &TargetEvent) {
         self.ids.push(e.id);
         self.devices.push(e.device);
         self.kinds.push(e.kind);
@@ -223,7 +223,7 @@ impl TargetColumns {
 
     /// Gather event `i` back into a row.
     #[inline]
-    pub fn event(&self, i: usize) -> TargetEvent {
+    pub(crate) fn event(&self, i: usize) -> TargetEvent {
         TargetEvent {
             id: self.ids[i],
             device: self.devices[i],
@@ -234,7 +234,7 @@ impl TargetColumns {
     }
 
     /// Gather every event into a row vector.
-    pub fn to_events(&self) -> Vec<TargetEvent> {
+    pub(crate) fn to_events(&self) -> Vec<TargetEvent> {
         (0..self.len()).map(|i| self.event(i)).collect()
     }
 

@@ -21,7 +21,7 @@ impl CodePtrTable {
     }
 
     /// Intern `ptr`, returning its stable index.
-    pub fn intern(&mut self, ptr: CodePtr) -> u32 {
+    pub(crate) fn intern(&mut self, ptr: CodePtr) -> u32 {
         if let Some(&ix) = self.by_ptr.get(&ptr.0) {
             return ix;
         }
@@ -32,7 +32,7 @@ impl CodePtrTable {
     }
 
     /// Resolve an index back to the code pointer.
-    pub fn resolve(&self, ix: u32) -> CodePtr {
+    pub(crate) fn resolve(&self, ix: u32) -> CodePtr {
         self.ptrs
             .get(ix as usize)
             .map(|&p| CodePtr(p))
@@ -51,7 +51,7 @@ impl CodePtrTable {
 
     /// Approximate heap bytes used by the table (counted toward tool space
     /// overhead).
-    pub fn allocated_bytes(&self) -> usize {
+    pub(crate) fn allocated_bytes(&self) -> usize {
         self.ptrs.capacity() * std::mem::size_of::<u64>()
             + self.by_ptr.capacity() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>() + 8)
     }

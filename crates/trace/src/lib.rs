@@ -43,12 +43,8 @@ pub mod persist;
 pub mod record;
 pub mod stats;
 
-pub use chunked::ChunkedVec;
 pub use columnar::{ColumnarView, DataOpColumns, ShardColumns, TargetColumns};
-pub use intern::CodePtrTable;
 pub use log::TraceLog;
-pub use persist::{load_trace, load_trace_lenient, PersistError, TraceArtifact, TraceMeta};
-pub use record::{
-    DataOpRecord, TargetRecord, DATA_OP_RECORD_BYTES, MAX_PLAUSIBLE_DEVICES, TARGET_RECORD_BYTES,
-};
+pub use persist::{load_trace, load_trace_lenient, PersistError, TraceArtifact};
+pub use record::MAX_PLAUSIBLE_DEVICES;
 pub use stats::{SpaceStats, TraceStats};

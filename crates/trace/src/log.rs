@@ -114,7 +114,7 @@ impl TraceLog {
     }
 
     /// The shard id this log records for (0 for a plain log).
-    pub fn shard(&self) -> u32 {
+    pub(crate) fn shard(&self) -> u32 {
         (self.id_base >> 32) as u32
     }
 
@@ -285,7 +285,7 @@ impl TraceLog {
     /// dropped), the most it ever held: Figure 3's peak. Every store
     /// keeps its own running figure, so this reads three numbers per
     /// part and an append pays nothing for it.
-    pub fn current_alloc_bytes(&self) -> usize {
+    pub(crate) fn current_alloc_bytes(&self) -> usize {
         self.parts()
             .map(|p| {
                 p.data_ops.allocated_bytes()
@@ -444,7 +444,7 @@ impl TraceLog {
     /// target construct (with its kind column), so a persisted trace
     /// also reproduces [`TraceLog::target_events_sorted`], stats, and
     /// space accounting.
-    pub fn shard_parts(&self) -> Vec<ShardColumns> {
+    pub(crate) fn shard_parts(&self) -> Vec<ShardColumns> {
         self.parts()
             .filter(|p| !(p.data_ops.is_empty() && p.targets.is_empty()))
             .map(|p| ShardColumns {

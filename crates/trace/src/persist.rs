@@ -86,12 +86,12 @@ use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// Leading file magic (stable across versions).
-pub const TRACE_MAGIC: [u8; 8] = *b"ODPTRACE";
+pub(crate) const TRACE_MAGIC: [u8; 8] = *b"ODPTRACE";
 /// Trailing file magic.
-pub const TAIL_MAGIC: [u8; 8] = *b"ODPTEND\0";
+pub(crate) const TAIL_MAGIC: [u8; 8] = *b"ODPTEND\0";
 /// Current format version: the one [`TraceArtifact::to_bytes`] writes.
 /// Version 1 differs only in its checksum and is still read.
-pub const TRACE_VERSION: u32 = 2;
+pub(crate) const TRACE_VERSION: u32 = 2;
 
 const HEADER_BYTES: usize = 16;
 /// footer_len u64 + footer_crc u64 + tail magic.
@@ -393,7 +393,7 @@ impl TraceArtifact {
         }
     }
 
-    /// Serialize to the binary format, version [`TRACE_VERSION`].
+    /// Serialize to the binary format, version `TRACE_VERSION`.
     pub fn to_bytes(&self) -> Vec<u8> {
         // Reserve the whole file up front, so the sections are written
         // once, in place, and appending the footer does not reallocate

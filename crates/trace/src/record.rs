@@ -11,9 +11,9 @@ use odp_model::{
 };
 
 /// Size of a [`DataOpRecord`] in bytes.
-pub const DATA_OP_RECORD_BYTES: usize = 72;
+pub(crate) const DATA_OP_RECORD_BYTES: usize = 72;
 /// Size of a [`TargetRecord`] in bytes.
-pub const TARGET_RECORD_BYTES: usize = 24;
+pub(crate) const TARGET_RECORD_BYTES: usize = 24;
 
 /// Upper bound on a *plausible* target-device index. Device numbers come
 /// from an untrusted trace: a corrupted callback can name device
@@ -97,7 +97,7 @@ pub(crate) fn decode_data_op_kind(k: u8) -> DataOpKind {
 impl DataOpRecord {
     /// Build a record from event fields.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         seq: u32,
         kind: DataOpKind,
         src_dev: DeviceId,
@@ -183,7 +183,7 @@ pub(crate) fn decode_target_kind(k: u8) -> TargetKind {
 /// A 24-byte target-construct record.
 ///
 /// To fit 24 bytes the code pointer is stored as an index into the log's
-/// [`crate::CodePtrTable`] (target constructs are few and repeat the same
+/// [`crate::intern::CodePtrTable`] (target constructs are few and repeat the same
 /// code pointers, so interning is nearly free), and the sequence number is
 /// packed with the device and kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,13 +204,13 @@ impl TargetRecord {
     const SEQ_BITS: u32 = 32 - Self::KIND_BITS - Self::DEV_BITS;
 
     /// Maximum sequence number representable in the packed field.
-    pub const MAX_SEQ: u32 = (1 << Self::SEQ_BITS) - 1;
+    pub(crate) const MAX_SEQ: u32 = (1 << Self::SEQ_BITS) - 1;
 
     /// Build a record. `seq` wraps at [`Self::MAX_SEQ`] — hydration orders
     /// records by start time first, so the wrap only affects tie-breaking
     /// among simultaneous events, which cannot occur for target constructs
     /// on one device.
-    pub fn new(
+    pub(crate) fn new(
         seq: u32,
         device: DeviceId,
         kind: TargetKind,
@@ -232,17 +232,17 @@ impl TargetRecord {
     }
 
     /// Sequence number (wrapped to 18 bits; part of the event id).
-    pub fn seq(&self) -> u32 {
+    pub(crate) fn seq(&self) -> u32 {
         self.packed >> (Self::DEV_BITS + Self::KIND_BITS)
     }
 
     /// Device the construct targeted.
-    pub fn device(&self) -> DeviceId {
+    pub(crate) fn device(&self) -> DeviceId {
         DeviceId(((self.packed >> Self::KIND_BITS) & ((1 << Self::DEV_BITS) - 1)) as i32 - 1)
     }
 
     /// Construct kind.
-    pub fn kind(&self) -> TargetKind {
+    pub(crate) fn kind(&self) -> TargetKind {
         decode_target_kind((self.packed & ((1 << Self::KIND_BITS) - 1)) as u8)
     }
 

@@ -21,7 +21,7 @@ use odp_sim::{map, DeviceView, Kernel, KernelCost, Runtime};
 use ompdataperf::attrib::{DebugInfo, SourceFile};
 
 /// The bfs workload.
-pub struct Bfs;
+pub(crate) struct Bfs;
 
 struct Params {
     nodes: usize,

@@ -11,7 +11,7 @@ use odp_sim::{map, DeviceView, Kernel, KernelCost, Runtime};
 use ompdataperf::attrib::{DebugInfo, SourceFile};
 
 /// The accuracy-omp workload.
-pub struct Accuracy;
+pub(crate) struct Accuracy;
 
 struct Params {
     rows: usize,

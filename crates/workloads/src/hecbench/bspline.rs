@@ -22,7 +22,7 @@ use odp_sim::{map, DeviceView, Kernel, KernelCost, Runtime, VarId};
 use ompdataperf::attrib::{DebugInfo, SourceFile};
 
 /// The bspline-vgh-omp workload.
-pub struct BsplineVgh;
+pub(crate) struct BsplineVgh;
 
 struct Params {
     wsize: usize,

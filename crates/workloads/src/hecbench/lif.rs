@@ -13,7 +13,7 @@ use odp_sim::{map, DeviceView, Kernel, KernelCost, Runtime};
 use ompdataperf::attrib::{DebugInfo, SourceFile};
 
 /// The lif-omp workload.
-pub struct Lif;
+pub(crate) struct Lif;
 
 struct Params {
     neurons: usize,

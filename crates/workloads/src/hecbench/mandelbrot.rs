@@ -11,7 +11,7 @@ use odp_sim::{map, DeviceView, Kernel, KernelCost, Runtime};
 use ompdataperf::attrib::{DebugInfo, SourceFile};
 
 /// The mandelbrot-omp workload.
-pub struct Mandelbrot;
+pub(crate) struct Mandelbrot;
 
 struct Params {
     dim: usize,

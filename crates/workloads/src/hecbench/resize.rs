@@ -14,7 +14,7 @@ use odp_sim::{map, DeviceView, Kernel, KernelCost, Runtime};
 use ompdataperf::attrib::{DebugInfo, SourceFile};
 
 /// The resize-omp workload.
-pub struct Resize;
+pub(crate) struct Resize;
 
 struct Params {
     width: usize,

@@ -16,7 +16,7 @@ use odp_sim::{map, DeviceView, Kernel, KernelCost, Runtime};
 use ompdataperf::attrib::{DebugInfo, SourceFile};
 
 /// The hotspot workload.
-pub struct Hotspot;
+pub(crate) struct Hotspot;
 
 struct Params {
     grid: usize,

@@ -22,7 +22,7 @@ fn tick() -> KernelCost {
 
 /// Inject exactly `n` duplicate data transfers (DD), or the repaired
 /// equivalent when `fixed`.
-pub fn duplicates(
+pub(crate) fn duplicates(
     rt: &mut Runtime,
     sf: &mut SourceFile<'_>,
     dev: u32,
@@ -63,7 +63,7 @@ pub fn duplicates(
 
 /// Inject exactly `n` round-trip transfers (RT), or the repaired
 /// equivalent when `fixed`.
-pub fn round_trips(
+pub(crate) fn round_trips(
     rt: &mut Runtime,
     sf: &mut SourceFile<'_>,
     dev: u32,
@@ -107,7 +107,7 @@ pub fn round_trips(
 
 /// Inject exactly `n` repeated device memory allocations (RA), or the
 /// repaired equivalent when `fixed`.
-pub fn reallocs(rt: &mut Runtime, sf: &mut SourceFile<'_>, dev: u32, n: usize, fixed: bool) {
+pub(crate) fn reallocs(rt: &mut Runtime, sf: &mut SourceFile<'_>, dev: u32, n: usize, fixed: bool) {
     let v = rt.host_alloc("syn_ra", 1024);
     let cp_enter = sf.line(920, "inject_reallocs");
     let cp_kernel = sf.line(921, "inject_reallocs");
@@ -136,7 +136,13 @@ pub fn reallocs(rt: &mut Runtime, sf: &mut SourceFile<'_>, dev: u32, n: usize, f
 
 /// Inject exactly `n` unused device memory allocations (UA), or nothing
 /// but the anchor kernels when `fixed`.
-pub fn unused_allocs(rt: &mut Runtime, sf: &mut SourceFile<'_>, dev: u32, n: usize, fixed: bool) {
+pub(crate) fn unused_allocs(
+    rt: &mut Runtime,
+    sf: &mut SourceFile<'_>,
+    dev: u32,
+    n: usize,
+    fixed: bool,
+) {
     let cp_kernel = sf.line(930, "inject_unused_allocs");
     let cp_enter = sf.line(931, "inject_unused_allocs");
     let cp_exit = sf.line(932, "inject_unused_allocs");
@@ -170,7 +176,7 @@ pub fn unused_allocs(rt: &mut Runtime, sf: &mut SourceFile<'_>, dev: u32, n: usi
 
 /// Inject exactly `n` unused data transfers (UT), or the repaired
 /// single-transfer equivalent when `fixed`.
-pub fn unused_transfers(
+pub(crate) fn unused_transfers(
     rt: &mut Runtime,
     sf: &mut SourceFile<'_>,
     dev: u32,
@@ -207,7 +213,7 @@ pub fn unused_transfers(
 
 /// A bundle of per-category injection counts (a Table 1 "(syn)" delta).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct InjectionPlan {
+pub(crate) struct InjectionPlan {
     /// Duplicate transfers to inject.
     pub dd: usize,
     /// Round trips to inject.
@@ -223,7 +229,7 @@ pub struct InjectionPlan {
 impl InjectionPlan {
     /// Scale the Medium-size plan to another problem size the way the
     /// paper's injections scale with the program's key-kernel count.
-    pub fn scaled(self, factor_num: usize, factor_den: usize) -> InjectionPlan {
+    pub(crate) fn scaled(self, factor_num: usize, factor_den: usize) -> InjectionPlan {
         let s = |v: usize| {
             (v * factor_num)
                 .div_ceil(factor_den)
@@ -239,7 +245,7 @@ impl InjectionPlan {
     }
 
     /// Run every injector in a deterministic order.
-    pub fn apply(self, rt: &mut Runtime, sf: &mut SourceFile<'_>, dev: u32, fixed: bool) {
+    pub(crate) fn apply(self, rt: &mut Runtime, sf: &mut SourceFile<'_>, dev: u32, fixed: bool) {
         if self.dd > 0 {
             duplicates(rt, sf, dev, self.dd, 0x31, fixed);
         }

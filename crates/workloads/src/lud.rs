@@ -12,7 +12,7 @@ use odp_sim::{map, DeviceView, Kernel, KernelCost, Runtime};
 use ompdataperf::attrib::{DebugInfo, SourceFile};
 
 /// The lud workload.
-pub struct Lud;
+pub(crate) struct Lud;
 
 struct Params {
     dim: usize,

@@ -26,7 +26,7 @@ use odp_sim::{map, DeviceView, Kernel, KernelCost, Runtime};
 use ompdataperf::attrib::{DebugInfo, SourceFile};
 
 /// The minife workload.
-pub struct MiniFe;
+pub(crate) struct MiniFe;
 
 struct Params {
     n: usize,

@@ -16,7 +16,7 @@ use odp_sim::{map, DeviceView, Kernel, KernelCost, Runtime};
 use ompdataperf::attrib::{DebugInfo, SourceFile};
 
 /// The minifmm workload.
-pub struct MiniFmm;
+pub(crate) struct MiniFmm;
 
 struct Params {
     bodies: usize,

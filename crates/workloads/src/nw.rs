@@ -11,7 +11,7 @@ use odp_sim::{map, DeviceView, Kernel, KernelCost, Runtime};
 use ompdataperf::attrib::{DebugInfo, SourceFile};
 
 /// The nw workload.
-pub struct Nw;
+pub(crate) struct Nw;
 
 fn dim(size: ProblemSize) -> usize {
     match size {

@@ -10,7 +10,7 @@ use odp_sim::Runtime;
 use ompdataperf::attrib::DebugInfo;
 
 /// The rsbench workload.
-pub struct RsBench;
+pub(crate) struct RsBench;
 
 struct Params {
     lookups: usize,

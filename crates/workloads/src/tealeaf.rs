@@ -30,7 +30,7 @@ use odp_sim::{map, DeviceView, Kernel, KernelCost, Runtime};
 use ompdataperf::attrib::{DebugInfo, SourceFile};
 
 /// The tealeaf workload.
-pub struct TeaLeaf;
+pub(crate) struct TeaLeaf;
 
 struct Params {
     cells: usize,

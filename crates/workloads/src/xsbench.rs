@@ -16,7 +16,7 @@ use odp_sim::{map, DeviceView, Kernel, KernelCost, Runtime};
 use ompdataperf::attrib::{DebugInfo, SourceFile};
 
 /// The xsbench workload.
-pub struct XsBench;
+pub(crate) struct XsBench;
 
 struct Params {
     lookups: usize,
