@@ -1683,6 +1683,43 @@ mod tests {
         assert_live_matches(live, &report);
     }
 
+    /// A one-shard streaming tool and its merged watermark, which is the
+    /// shard's own bound.
+    fn streaming_tool() -> (OmpDataPerfTool, ToolHandle) {
+        let (mut tool, handle) = OmpDataPerfTool::new(ToolConfig {
+            stream: true,
+            ..Default::default()
+        });
+        tool.initialize(&CompilerProfile::LlvmClang.capabilities());
+        (tool, handle)
+    }
+
+    #[test]
+    fn shared_begin_times_are_counted() {
+        let (mut tool, handle) = streaming_tool();
+        let merged = || handle.shared.watermark.merged();
+        transfer_edge(&mut tool, Endpoint::Begin, 1, 5);
+        transfer_edge(&mut tool, Endpoint::Begin, 2, 5);
+        transfer_edge(&mut tool, Endpoint::End, 1, 20);
+        assert_eq!(merged(), Some(SimTime(4)), "one of the two is still open");
+        transfer_edge(&mut tool, Endpoint::End, 2, 25);
+        assert_eq!(merged(), Some(SimTime(25)));
+    }
+
+    #[test]
+    fn unmatched_close_is_ignored() {
+        let (mut tool, handle) = streaming_tool();
+        let merged = || handle.shared.watermark.merged();
+        // An End nobody opened only moves the bound's clock ...
+        transfer_edge(&mut tool, Endpoint::End, 9, 10);
+        assert_eq!(merged(), Some(SimTime(10)));
+        // ... and never closes an open op that began at the same time.
+        transfer_edge(&mut tool, Endpoint::Begin, 1, 12);
+        transfer_edge(&mut tool, Endpoint::End, 9, 12);
+        assert_eq!(merged(), Some(SimTime(11)));
+        assert_eq!(handle.trace_health().orphaned, 2);
+    }
+
     #[test]
     fn unmatched_end_does_not_corrupt_the_watermark() {
         use crate::detect::{testutil::assert_live_matches, EventView};

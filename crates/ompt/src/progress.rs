@@ -66,7 +66,8 @@ struct Slot {
     local: AtomicU64,
 }
 
-/// Merges per-thread progress into one global reorder watermark without any lock on the publish (callback) path.
+/// Merges per-thread progress into one global reorder watermark
+/// without any lock on the publish (callback) path.
 ///
 /// Threads register once (at shard creation), then publish after every
 /// clock edge; any thread may read [`GlobalWatermark::merged`] at any
