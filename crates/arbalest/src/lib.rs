@@ -26,7 +26,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod state;
+pub(crate) mod state;
 
 use odp_hash::fnv::FnvHashMap;
 use odp_model::{DeviceId, SimTime};

@@ -17,11 +17,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arbalest;
+pub(crate) mod arbalest;
 pub mod paper;
-pub mod run;
-pub mod static_cmd;
-pub mod trace;
+pub(crate) mod run;
+pub(crate) mod static_cmd;
+pub(crate) mod trace;
 
 use odp_workloads::{ProblemSize, Variant, Workload};
 use std::io::{self, Write};

@@ -24,7 +24,7 @@
 //!   repeats work: Algorithms 1+2 both build the reception map, 3+4
 //!   both pair allocs with deletes, 4+5 both partition by device.
 //!
-//! * **The fused engine** ([`engine`]) — the trace log memoizes one
+//! * **The fused engine** (`engine`) — the trace log memoizes one
 //!   struct-of-arrays hydration (`odp_trace::ColumnarView`: dense
 //!   id/kind/device/addr/bytes/hash/time/codeptr columns, k-way merged
 //!   across shards); the engine wraps it in a shared
@@ -191,14 +191,14 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod duplicate;
-pub mod engine;
+pub(crate) mod duplicate;
+pub(crate) mod engine;
 pub mod pairing;
-pub mod realloc;
+pub(crate) mod realloc;
 pub mod reorder;
-pub mod roundtrip;
-pub mod stream;
-pub mod unused_alloc;
+pub(crate) mod roundtrip;
+pub(crate) mod stream;
+pub(crate) mod unused_alloc;
 pub mod unused_transfer;
 
 use odp_model::{DataOpEvent, TargetEvent};

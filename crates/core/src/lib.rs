@@ -67,7 +67,7 @@
 
 pub mod analysis;
 pub mod attrib;
-pub mod collision;
+pub(crate) mod collision;
 pub mod detect;
 pub mod fleet;
 pub mod predict;

@@ -29,18 +29,18 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod city;
-pub mod farm;
+pub(crate) mod city;
+pub(crate) mod farm;
 pub mod fnv;
-pub mod meow;
+pub(crate) mod meow;
 pub mod murmur;
 pub mod quality;
-pub mod t1ha;
+pub(crate) mod t1ha;
 pub mod throughput;
-pub mod wy;
-pub mod xxh3;
-pub mod xxh32;
-pub mod xxh64;
+pub(crate) mod wy;
+pub(crate) mod xxh3;
+pub(crate) mod xxh32;
+pub(crate) mod xxh64;
 
 mod primitives;
 

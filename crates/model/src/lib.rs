@@ -20,13 +20,13 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod device;
-pub mod event;
-pub mod finding;
-pub mod health;
-pub mod map;
-pub mod source;
-pub mod time;
+pub(crate) mod device;
+pub(crate) mod event;
+pub(crate) mod finding;
+pub(crate) mod health;
+pub(crate) mod map;
+pub(crate) mod source;
+pub(crate) mod time;
 
 pub use device::DeviceId;
 pub use event::{DataOpEvent, DataOpKind, EventId, HashVal, TargetEvent, TargetKind};

@@ -15,10 +15,10 @@
 //! * the [`Tool`] trait that tools implement and the registration
 //!   machinery ([`ToolRegistration`]) modeled on `ompt_start_tool` +
 //!   `ompt_set_callback`, including per-callback availability results;
-//! * [`capability`] — the compiler/runtime support matrix from the
+//! * `capability` — the compiler/runtime support matrix from the
 //!   paper's Table 6, so that degraded-runtime behaviour (§A.6's warning)
 //!   is reproducible and testable against nine compiler profiles;
-//! * [`progress`] — the lock-free [`GlobalWatermark`] online
+//! * `progress` — the lock-free [`GlobalWatermark`] online
 //!   (streaming) tools use to turn completion-ordered callbacks back
 //!   into a chronological event stream: each callback shard publishes
 //!   the bound its open-operation table and latest callback time allow,
@@ -31,7 +31,7 @@
 //! * [`ring`] — the lock-free SPSC ingest ring each callback shard uses
 //!   to hand completed events to the streaming drain path without a
 //!   mutex on the producer side;
-//! * [`advice`] — the feedback extension real OMPT lacks: a
+//! * `advice` — the feedback extension real OMPT lacks: a
 //!   [`MapAdvisor`] the runtime consults at every map-clause item so a
 //!   live analysis can rewrite inefficient mappings mid-run, with
 //!   per-cause [`RemediationStats`] accounting what the rewrites saved.
@@ -43,13 +43,13 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod advice;
-pub mod callback;
-pub mod capability;
-pub mod progress;
+pub(crate) mod advice;
+pub(crate) mod callback;
+pub(crate) mod capability;
+pub(crate) mod progress;
 pub mod ring;
-pub mod tool;
-pub mod version;
+pub(crate) mod tool;
+pub(crate) mod version;
 
 pub use advice::{MapAdvice, MapAdvisor, RemediationStats, RemedyCounter};
 pub use callback::{

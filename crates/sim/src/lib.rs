@@ -26,12 +26,12 @@
 //! deterministic (the detection algorithms need chronologically ordered
 //! logs, and the prediction-accuracy experiment needs reproducible
 //! timings). Multi-threaded callback emission — the shape a real
-//! runtime presents to an OMPT tool — comes from [`threads`], in two
+//! runtime presents to an OMPT tool — comes from `threads`, in two
 //! flavors: [`threads::run_on_threads`] gives every OS thread its own
 //! runtime *and devices* (rank-per-thread; merged observation stays
 //! reproducible while the callback interleaving is genuinely
 //! concurrent), and [`threads::run_on_threads_shared`] attaches all
-//! threads to **one** [`SharedDevices`](device::SharedDevices) set — `libomptarget`'s real
+//! threads to **one** `SharedDevices` set — `libomptarget`'s real
 //! shape, where threads contend on the same per-device present tables
 //! and cross-thread mapping reuse is visible to tools and advisors.
 //!
@@ -50,15 +50,15 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod alloc;
-pub mod config;
-pub mod device;
-pub mod faults;
-pub mod kernel;
+pub(crate) mod config;
+pub(crate) mod device;
+pub(crate) mod faults;
+pub(crate) mod kernel;
 pub mod memory;
 pub mod present;
-pub mod runtime;
-pub mod threads;
-pub mod timing;
+pub(crate) mod runtime;
+pub(crate) mod threads;
+pub(crate) mod timing;
 
 pub use config::RuntimeConfig;
 pub use faults::{FaultConfig, FaultCounts, FaultPlan, FaultProfile};

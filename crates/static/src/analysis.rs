@@ -1,7 +1,7 @@
 //! The static analysis: the dynamic engine's §5 detectors run over the
 //! abstract trace, and a certainty fold over what they find.
 //!
-//! Detection itself is not re-implemented here. [`crate::exec`] emits
+//! Detection itself is not re-implemented here. `crate::exec` emits
 //! the engine's own event model — content *tokens* interned as payload
 //! hashes, stream position as timestamps — so
 //! [`Findings::detect_fused`] groups, pairs and sweeps the abstract

@@ -10,7 +10,7 @@
 //! 1. [`ir`] — the declarative IR: variables with deterministic
 //!    initializers, map clauses, kernels with read/write sets, loop
 //!    structure. One description drives both sides.
-//! 2. [`exec`] — the abstract executor: symbolic content tokens stand
+//! 2. `exec` — the abstract executor: symbolic content tokens stand
 //!    in for buffer hashes, data-dependent loops are unrolled and
 //!    probed. It emits the dynamic engine's own event model
 //!    (`odp_model::DataOpEvent` / `TargetEvent`) plus one
@@ -20,14 +20,14 @@
 //!    prediction is tagged [`analysis::Certainty::Certain`] (holds in
 //!    every execution) or [`analysis::Certainty::MayDependOnData`].
 //!    The §5 algorithms are not re-implemented here.
-//! 4. [`lower`] — *interprets* the same IR against a simulated runtime
+//! 4. `lower` — *interprets* the same IR against a simulated runtime
 //!    it is handed ([`lower::interpret`]), and makes an IR program an
 //!    `odp_workloads::Workload` ([`lower::IrWorkload`]). This crate
 //!    builds no runtime and attaches no tool: running a program under
 //!    the tool is `odp_workloads::session::run`, as for every workload.
 //! 5. [`mod@crosscheck`] — joins both sides by `(codeptr, device, kind)`
 //!    and scores certain precision / may coverage / recall misses.
-//! 6. [`plan`] — turns `Certain` predictions into machine-readable
+//! 6. `plan` — turns `Certain` predictions into machine-readable
 //!    directive rewrites, applies them to the IR, and validates the
 //!    rewrite by running both versions under the tool.
 //! 7. [`programs`] — the registry of IR programs: models of babelstream,
@@ -44,10 +44,10 @@
 
 pub mod analysis;
 pub mod crosscheck;
-pub mod exec;
+pub(crate) mod exec;
 pub mod ir;
-pub mod lower;
-pub mod plan;
+pub(crate) mod lower;
+pub(crate) mod plan;
 pub mod programs;
 
 pub use analysis::{analyze, Certainty, StaticPrediction, StaticReport};

@@ -4,7 +4,7 @@
 //! Each constructor expresses a program's *data-mapping skeleton* — the
 //! map clauses, region structure and loop shape of its canonical
 //! OpenMP-offload source — so one description drives the static
-//! analyzer, the interpreter ([`crate::lower`]), and the patch-plan
+//! analyzer, the interpreter (`crate::lower`), and the patch-plan
 //! emitter. [`registry`] lists them as [`IrWorkload`]s, which is what
 //! `odp static`, `odp run`, `odp arbalest` and `odp trace save` resolve
 //! names against (after `odp_workloads::all()`; the names are disjoint).

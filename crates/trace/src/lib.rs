@@ -35,13 +35,13 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chrome;
-pub mod chunked;
-pub mod columnar;
+pub(crate) mod chunked;
+pub(crate) mod columnar;
 pub mod intern;
-pub mod log;
+pub(crate) mod log;
 pub mod persist;
 pub mod record;
-pub mod stats;
+pub(crate) mod stats;
 
 pub use columnar::{ColumnarView, DataOpColumns, ShardColumns, TargetColumns};
 pub use log::TraceLog;

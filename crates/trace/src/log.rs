@@ -27,7 +27,7 @@ use std::sync::OnceLock;
 /// algorithm in §5.
 ///
 /// Hydration is memoized and **columnar-first**, and there is one of
-/// it: [`crate::columnar`]'s one merge, the pipeline a persisted trace
+/// it: `crate::columnar`'s one merge, the pipeline a persisted trace
 /// is loaded through as well. Every part (the log itself, plus every
 /// merged shard) is a cursor over its packed records, and the merge
 /// decodes each record once, straight into the merged columns, folding

@@ -5,8 +5,8 @@
 //! documents which issues OMPDataPerf reports, which (false-positive)
 //! anomalies Arbalest-Vec reports, and what the §7.7 fix changes.
 
-pub mod accuracy;
-pub mod bspline;
-pub mod lif;
-pub mod mandelbrot;
-pub mod resize;
+pub(crate) mod accuracy;
+pub(crate) mod bspline;
+pub(crate) mod lif;
+pub(crate) mod mandelbrot;
+pub(crate) mod resize;

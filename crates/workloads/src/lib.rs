@@ -31,21 +31,21 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod adaptive;
-pub mod babelstream;
-pub mod bfs;
+pub(crate) mod babelstream;
+pub(crate) mod bfs;
 pub mod capture;
-pub mod hecbench;
-pub mod hotspot;
-pub mod inject;
-pub mod lud;
-pub mod minife;
-pub mod minifmm;
-pub mod nw;
-pub mod rsbench;
+pub(crate) mod hecbench;
+pub(crate) mod hotspot;
+pub(crate) mod inject;
+pub(crate) mod lud;
+pub(crate) mod minife;
+pub(crate) mod minifmm;
+pub(crate) mod nw;
+pub(crate) mod rsbench;
 pub mod session;
-pub mod tealeaf;
+pub(crate) mod tealeaf;
 pub mod threaded;
-pub mod xsbench;
+pub(crate) mod xsbench;
 
 #[cfg(test)]
 mod tests_variants;
