@@ -16,10 +16,10 @@ use std::cell::RefCell;
 /// One streamed run of `w` (one thread, Small). The digest is
 /// `checksum64` over the live findings in emission order — a tap's
 /// takes, then what no tap had drained when the program exited — and
-/// the engine's `drains, drained_events, frontier_peak,
-/// reorder_inversions`. `buffered_peak` rides beside it in the clear:
-/// it is the one counter that depends on how fresh the published
-/// watermark is when a drain releases.
+/// the engine's `drains, drained_events, reorder_inversions`.
+/// `buffered_peak` rides beside it in the clear: it is the one counter
+/// that depends on how fresh the published watermark is when a drain
+/// releases.
 fn live_transcript(w: &dyn Workload) -> (u64, usize) {
     let spec = RunSpec {
         tool: ToolConfig {
@@ -41,8 +41,8 @@ fn live_transcript(w: &dyn Workload) -> (u64, usize) {
     }
     let s = live.stats;
     text.push_str(&format!(
-        "{} {} {} {}",
-        s.drains, s.drained_events, s.frontier_peak, s.reorder_inversions
+        "{} {} {}",
+        s.drains, s.drained_events, s.reorder_inversions
     ));
     (
         odp_trace::persist::checksum64(text.as_bytes()),
@@ -53,30 +53,30 @@ fn live_transcript(w: &dyn Workload) -> (u64, usize) {
 #[test]
 fn live_stream_transcript_is_pinned() {
     const EXPECTED: [(&str, u64, usize); 24] = [
-        ("babelstream", 0x76e0_9f30_bb02_c850, 0),
-        ("bfs", 0xee83_87d3_4ed4_d2d3, 0),
-        ("hotspot", 0x805b_d719_dae4_510d, 0),
-        ("lud", 0x045c_50f6_8d06_4d97, 0),
-        ("minife", 0x81e7_be87_c1ca_370d, 0),
-        ("minifmm", 0x812d_f1c6_cca9_c9d0, 0),
-        ("nw", 0xffc5_7edd_5d10_b9af, 0),
-        ("rsbench", 0xbf30_9f8a_df04_b740, 0),
-        ("tealeaf", 0x646c_f692_19a1_1bac, 0),
-        ("xsbench", 0xbf30_9f8a_df04_b740, 0),
-        ("resize-omp", 0x633b_82cb_94a4_9970, 0),
-        ("mandelbrot-omp", 0x2e8a_a684_a022_5956, 0),
-        ("accuracy-omp", 0xeb33_bf72_b2f3_b301, 0),
-        ("lif-omp", 0xc932_1abf_5665_f6e9, 0),
-        ("bspline-vgh-omp", 0x31ba_6e6e_0d93_096d, 0),
-        ("ir-babelstream", 0x4142_7fa2_e172_6546, 0),
-        ("ir-bfs", 0x3251_767b_2a63_3b03, 0),
-        ("ir-xsbench", 0xc0f3_b2bd_06f4_1a12, 0),
-        ("mem1", 0xe2d4_ca9c_dc62_2af3, 0),
-        ("mem2", 0x6221_1a2a_7107_2562, 0),
-        ("mem3", 0x2c45_05ab_5f68_db05, 0),
-        ("mem4", 0x6221_1a2a_7107_2562, 0),
-        ("mem5", 0x2c45_05ab_5f68_db05, 0),
-        ("mem6", 0x2c45_05ab_5f68_db05, 0),
+        ("babelstream", 0x9ab5_f560_657f_340f, 0),
+        ("bfs", 0x86bc_610c_04fa_8a16, 0),
+        ("hotspot", 0x07c9_521b_7d50_ee62, 0),
+        ("lud", 0xabfe_86a4_b3db_49bc, 0),
+        ("minife", 0xeaa7_25c9_edf4_5894, 0),
+        ("minifmm", 0xbbc3_e9c0_ac9d_da21, 0),
+        ("nw", 0x3ab0_fa4a_38f4_4cd1, 0),
+        ("rsbench", 0x94e5_219f_890c_e56d, 0),
+        ("tealeaf", 0x07d7_dbfc_d14b_053c, 0),
+        ("xsbench", 0x94e5_219f_890c_e56d, 0),
+        ("resize-omp", 0x7d89_6c5c_276a_6516, 0),
+        ("mandelbrot-omp", 0xa82e_2731_0785_7305, 0),
+        ("accuracy-omp", 0xd309_603e_9fc5_4bc2, 0),
+        ("lif-omp", 0xbdd2_7245_9d8c_a0bb, 0),
+        ("bspline-vgh-omp", 0xfbd0_7f27_592d_a22d, 0),
+        ("ir-babelstream", 0x096d_a6d8_bf66_939f, 0),
+        ("ir-bfs", 0xdecc_c036_6064_bd9f, 0),
+        ("ir-xsbench", 0x584b_e19c_e8e7_dd8b, 0),
+        ("mem1", 0x61be_6c84_c19f_33b4, 0),
+        ("mem2", 0x9a32_e883_b760_b9bc, 0),
+        ("mem3", 0x2155_6656_bddc_17fc, 0),
+        ("mem4", 0x9a32_e883_b760_b9bc, 0),
+        ("mem5", 0x2155_6656_bddc_17fc, 0),
+        ("mem6", 0x2155_6656_bddc_17fc, 0),
     ];
     let mut programs = odp_workloads::all();
     programs.extend(
