@@ -259,13 +259,9 @@ mod tests {
 
     #[test]
     fn threads_and_stream_interval_are_parsed() {
-        let a = parse(&argv(
-            "--threads 4 --stream-interval 50 --stream-cap 4096 bfs",
-        ))
-        .unwrap();
+        let a = parse(&argv("--threads 4 --stream-interval 50 bfs")).unwrap();
         assert_eq!(a.spec.threads, 4);
         assert_eq!(a.stream_interval_ms, Some(50));
-        assert_eq!(a.spec.tool.stream_max_frontier, Some(4096));
         assert!(a.spec.tool.stream, "--stream-interval implies --stream");
         assert!(is_error(parse(&argv("--threads 0 bfs"))));
         assert!(is_error(parse(&argv("--stream-interval nope bfs"))));
@@ -333,11 +329,10 @@ mod tests {
 
     #[test]
     fn streaming_knobs_need_a_flag_that_turns_streaming_on() {
-        for knob in ["--stream-cap 64", "--stall-timeout 250"] {
-            assert!(is_error(parse(&argv(&format!("{knob} bfs")))), "{knob}");
-            for on in ["--stream", "--stream-interval 10", "--remediate"] {
-                assert!(parse(&argv(&format!("{knob} {on} bfs"))).is_ok());
-            }
+        let knob = "--stall-timeout 250";
+        assert!(is_error(parse(&argv(&format!("{knob} bfs")))), "{knob}");
+        for on in ["--stream", "--stream-interval 10", "--remediate"] {
+            assert!(parse(&argv(&format!("{knob} {on} bfs"))).is_ok());
         }
     }
 

@@ -62,7 +62,6 @@ pub(crate) fn usage() -> String {
          \x20 --trace-out PATH      Write a chrome://tracing JSON timeline\n\
          \x20 --stream              Run the detectors online during execution\n\
          \x20 --stream-interval MS  Print live findings + snapshot every MS ms (implies --stream)\n\
-         \x20 --stream-cap N        With streaming on: cap the round-trip lookahead window at N\n\
          \x20 --threads N           Drive the workload from N OS threads (sharded collection)\n\
          \x20 --remediate           Rewrite inefficient mappings mid-run from live findings (implies --stream;\n\
          \x20                       with --threads: shared device tables + one shared advisor)\n\
@@ -128,10 +127,6 @@ pub(crate) fn parse(args: &[String]) -> Result<RunArgs, Stop> {
                 out.stream_interval_ms = Some(number(&mut it, 1, needs)?);
                 spec.tool.stream = true;
             }
-            "--stream-cap" => {
-                let needs = "--stream-cap needs a positive value";
-                spec.tool.stream_max_frontier = Some(number(&mut it, 1, needs)?);
-            }
             "--threads" => spec.threads = number(&mut it, 1, "--threads needs a value >= 1")?,
             "--fault-profile" => {
                 let name = value(&mut it, "--fault-profile needs a name")?;
@@ -170,7 +165,6 @@ pub(crate) fn parse(args: &[String]) -> Result<RunArgs, Stop> {
     let streaming = (t.stream, "--stream, --stream-interval or --remediate");
     let faults = (fault_profile.is_some(), "--fault-profile");
     for (flag, given, (met, needs)) in [
-        ("--stream-cap", t.stream_max_frontier.is_some(), streaming),
         ("--stall-timeout", t.stall_timeout.is_some(), streaming),
         ("--fault-seed", fault_seed.is_some(), faults),
     ] {
@@ -310,11 +304,8 @@ pub(crate) fn execute(args: &[String], out: Out<'_>) -> CmdResult {
         writeln!(
             out,
             "info: streaming detection emitted {} finding(s) live \
-             (reorder peak {}, lookahead peak {}, spilled {})",
-            live.emitted,
-            live.stats.buffered_peak,
-            live.stats.frontier_peak,
-            live.stats.frontier_spilled,
+             (reorder peak {})",
+            live.emitted, live.stats.buffered_peak,
         )?;
     }
 

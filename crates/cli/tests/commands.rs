@@ -108,11 +108,11 @@ fn run_rejects_what_it_cannot_do() {
     assert!(failure("run bfs --hash nope").contains("unknown hash"));
     assert!(failure("run hotspot --threads 2").contains("no threaded variant"));
     assert!(failure("run lud --variant fixed").contains("variant"));
-    // The streaming knobs need a flag that turns streaming on.
-    assert!(failure("run bfs --stream-cap 64").contains("--stream-cap needs --stream"));
+    // The streaming knob needs a flag that turns streaming on.
     assert!(failure("run bfs --stall-timeout 50").contains("--stall-timeout needs --stream"));
-    ok("run bfs --stream-cap 64 --stream -q");
     ok("run bfs --stall-timeout 500 --remediate -q");
+    // There is no round-trip window left to cap.
+    assert!(failure("run bfs --stream-cap 64").contains("unknown option --stream-cap"));
     // A seed alone seeds nothing.
     assert!(failure("run bfs --fault-seed 7").contains("--fault-seed needs --fault-profile"));
     ok("run bfs --fault-profile lossy --fault-seed 7 -q");

@@ -128,7 +128,8 @@ pub struct LiveStream {
     pub emitted: usize,
     /// The findings no consumer had drained yet.
     pub undrained: Vec<StreamFinding>,
-    /// Window sizes before the end-of-trace settle.
+    /// Window sizes before the end-of-trace settle (where the round
+    /// trips are emitted).
     pub stats: StreamBufferStats,
 }
 
@@ -136,8 +137,8 @@ pub struct LiveStream {
 /// merged trace, take the streaming engine out (final drain), hydrate
 /// the view, produce the findings — `StreamingEngine::finalize` when
 /// the run streamed, the fused sweep otherwise — and build the report.
-/// The console gets the tool's own lines, then the lookahead-spill,
-/// trace-health (collector + engine + merge-time duplicate ids) and
+/// The console gets the tool's own lines, then the trace-health
+/// (collector + engine + merge-time duplicate ids) and
 /// out-of-range-device warnings, whichever mode produced the findings.
 ///
 /// Call once, after every runtime thread has finished.
@@ -151,7 +152,6 @@ pub fn finish_run(handle: &ToolHandle, dbg: Option<&DebugInfo>, program: &str) -
     });
     // After the final drain, which may itself warn (stall recovery).
     let mut console = handle.console_lines();
-    console.extend(engine.as_ref().and_then(|engine| engine.spill_warning()));
 
     let view = EventView::from_log(&trace);
     let out_of_range = view.out_of_range().warning(view.num_devices);

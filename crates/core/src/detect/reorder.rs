@@ -303,6 +303,20 @@ impl<T> RunMergeBuffer<T> {
         self.lanes.len()
     }
 
+    /// Heap bytes the lane arenas and the side pocket hold (capacities:
+    /// a drained lane keeps its allocation for the next run).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let lanes: usize = self
+            .lanes
+            .iter()
+            .map(|l| {
+                l.keys.capacity() * std::mem::size_of::<SortKey>()
+                    + l.entries.capacity() * std::mem::size_of::<Option<T>>()
+            })
+            .sum();
+        lanes + self.pocket.capacity() * std::mem::size_of::<PocketEntry<T>>()
+    }
+
     #[inline]
     fn lane_ix(&mut self, shard: u32) -> usize {
         if (shard as usize) < SMALL_SHARDS {

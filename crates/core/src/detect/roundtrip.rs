@@ -27,11 +27,7 @@ pub struct RoundTrip {
     pub tx: DataOpEvent,
     /// The reception at the outbound leg's source device.
     pub rx: DataOpEvent,
-    /// The pairing was forced by a streaming lookahead spill
-    /// (the `max_frontier` cap of `StreamingEngine::new`) instead of
-    /// confirmed in order.
-    /// Always `false` on the post-mortem and uncapped streaming paths;
-    /// remediation seeding ignores spilled trips.
+    /// Always `false` (nothing is spilled any more); kept because `benchmark/` reads it.
     pub spilled: bool,
 }
 

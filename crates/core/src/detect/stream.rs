@@ -14,38 +14,38 @@
 //! [`Findings::stream_findings`] of that report — which the
 //! differential suites enforce field for field.
 //!
-//! # The two ordering problems streaming has to solve
+//! # Arrival order is completion order, not start order
 //!
-//! **Arrival order is completion order, not start order.** OMPT end
-//! callbacks fire when operations *finish*; overlapping (async) spans
-//! therefore arrive out of chronological start order, while every
-//! detector's precondition is `(start, log order)`. The engine keeps a
-//! shard-run reorder pipeline ([`crate::detect::reorder`]): each
-//! recording shard appends to an in-order run lane (arrival within a
-//! shard is near-sorted), a k-way loser-tree merge releases the global
-//! minimum, and genuine intra-shard inversions fall back to a small
-//! side pocket. Events release only at or below the caller-supplied
+//! OMPT end callbacks fire when operations *finish*; overlapping
+//! (async) spans therefore arrive out of chronological start order,
+//! while every detector's precondition is `(start, log order)`. The
+//! engine keeps a shard-run reorder pipeline ([`crate::detect::reorder`]):
+//! each recording shard appends to an in-order run lane (arrival within
+//! a shard is near-sorted), a k-way loser-tree merge releases the global
+//! minimum, and genuine intra-shard inversions fall back to a small side
+//! pocket. Events release only at or below the caller-supplied
 //! *watermark* — the earliest begin time of any still-open operation
-//! (see [`odp_ompt::GlobalWatermark`]). The buffer is bounded by the number
-//! of concurrently open operations, not by trace length.
+//! (see [`odp_ompt::GlobalWatermark`]). The buffer is bounded by the
+//! number of concurrently open operations, not by trace length.
 //!
-//! **Algorithm 2 needs lookahead.** Post-mortem, the round-trip pass
-//! consults reception queues built from the *full* trace: whether a
-//! transfer completes a round trip can depend on a re-send that has not
-//! happened yet. The streaming engine runs the exact reference sweep
-//! behind a *confirmed frontier*: transfers whose outcome is already
-//! determined by past events retire immediately; the first undecided
-//! transfer stalls the frontier, and everything behind it waits in a
-//! compact window (4 bytes per transfer — an index into the arena that
-//! already holds the transfer as a reception — no event clones) that
-//! either retires the moment the awaited re-send arrives or is
-//! reconciled at finalize. Because nothing behind the frontier advances
-//! while it is stalled, every queue head the sweep reads has exactly
-//! the value the post-mortem pass would see — this is what makes the
-//! live trips exactly the post-mortem ones instead of approximate. For
-//! steady-state workloads (data ping-pongs or content re-sends keep
-//! consuming the queues) the window stays O(1); [`StreamingEngine::buffer_stats`] exposes the
-//! high-water marks so tests can pin that down.
+//! # Round trips settle at finalize
+//!
+//! Algorithm 2 (Def. 4.2) pairs a transfer with a reception *anywhere
+//! later* in the trace, which is why the upstream tool analyzes its log
+//! once the program has completed. A live version has to hold every
+//! transfer whose content has not come back yet, and a re-send that
+//! never happens holds it to the end. The engine used to run the
+//! reference sweep behind such a confirmed frontier. Measured, the
+//! frontier stalled at the first transfer whose content never returns
+//! and decided almost nothing before exit — no round trip on 23 of the
+//! 24 shipped programs at size S, two on `ir-xsbench`, one of 35 169 on
+//! the 1.2 M-event storm — while it kept a second copy of every hashed
+//! transfer (on the storm a 24.0 MB arena, a 17.9 MB reception map and a
+//! 2.0 MB frontier). So the engine keeps no Algorithm 2 state:
+//! [`StreamingEngine::finalize`] runs the fused sweep anyway and emits
+//! the live [`StreamFinding::RoundTrip`]s from that report's trips in
+//! `(tx.start, tx.id)` order — the order the frontier retired them in,
+//! with the same fields.
 //!
 //! Algorithms 1 and 3 are naturally incremental (a duplicate or a
 //! repeated allocation is final the moment the second occurrence
@@ -56,19 +56,20 @@
 //!
 //! All detection state is index-based (`u32`/`u64` sequence numbers);
 //! the engine never clones an event after the reorder buffer releases
-//! it, and it keeps no history for a report: a reception queue retains
-//! its first entry, a count and the entries Algorithm 2 has not
-//! consumed — one arena of 48-byte nodes chained into per-queue FIFOs,
-//! so an arriving transfer costs one map probe and one arena push; a
-//! repeated-allocation site retains a count; decided
-//! Algorithm 4/5 verdicts are emitted and forgotten. What still grows
-//! with the trace is one small record per allocation (Algorithm 4 needs
-//! the pairing until its delete and next kernel arrive) and one map
-//! entry per distinct reception key / allocation site.
+//! it, and it keeps no history for a report: Algorithm 1 keeps one
+//! `(hash, dest) → (first, count)` entry per distinct reception key, an
+//! allocation site keeps a count, and decided Algorithm 4/5 verdicts are
+//! emitted and forgotten. What grows with the trace is that table, one
+//! small record per allocation (Algorithm 4 needs the pairing until its
+//! delete and next kernel arrive) and one count per allocation site;
+//! [`StreamingEngine::retained_bytes`] says how much each structure
+//! holds.
 
 use crate::detect::engine::{self, EventView, OutOfRangeEvents};
 use crate::detect::reorder::{RunMergeBuffer, SortKey};
-use crate::detect::{Confidence, Findings, IssueCounts, UnusedTransferReason};
+use crate::detect::{
+    Confidence, Findings, IssueCounts, RoundTrip, RoundTripGroup, UnusedTransferReason,
+};
 use odp_hash::fnv::FnvHashMap;
 use odp_model::{
     CodePtr, DataOpEvent, DeviceId, HashVal, SimTime, TargetEvent, TargetKind, TraceHealth,
@@ -134,6 +135,7 @@ pub enum StreamFinding {
         confidence: Confidence,
     },
     /// Algorithm 2: `tx` carried content away and `rx` returned it.
+    /// Emitted by [`StreamingEngine::finalize`], never before.
     RoundTrip {
         /// Content hash.
         hash: HashVal,
@@ -149,14 +151,6 @@ pub enum StreamFinding {
         tx: Seq,
         /// Completing reception.
         rx: Seq,
-        /// The trip was resolved by a lookahead-cap spill (the
-        /// `max_frontier` of [`StreamingEngine::new`]) — the pairing was
-        /// forced against the reception queues *as they stood*, not
-        /// confirmed in frontier order, so it may
-        /// not be a real round trip. Remediation must never seed a
-        /// `skip_from` rule from a spilled trip (dropping a copy-back
-        /// on unconfirmed evidence would be unsound).
-        spilled: bool,
         /// Trust level of the evidence (degraded once the stream was
         /// force-released; degraded findings never seed remediation).
         confidence: Confidence,
@@ -230,9 +224,10 @@ impl Findings {
     /// The report projected onto the live-finding vocabulary: exactly
     /// the [`StreamFinding`]s a streaming engine emits over a run whose
     /// trace yields this report (as a multiset — live emission order
-    /// interleaves the kinds). Algorithm 1 emits every reception after a
-    /// group's first, Algorithm 3 every allocation after a site's first,
-    /// the others one finding per trip / allocation / transfer. This is
+    /// interleaves the kinds, and round trips arrive only at finalize).
+    /// Algorithm 1 emits every reception after a group's
+    /// first, Algorithm 3 every allocation after a site's first, the
+    /// others one finding per trip / allocation / transfer. This is
     /// the invariant the differential suites hold the engine to, and how
     /// [`crate::remedy::RemediationPolicy`] seeds itself from a report.
     pub fn stream_findings(&self) -> impl Iterator<Item = StreamFinding> + '_ {
@@ -252,19 +247,10 @@ impl Findings {
                 }
             })
         });
-        let rt = self.round_trips.iter().flat_map(|g| {
-            g.trips.iter().map(move |t| StreamFinding::RoundTrip {
-                hash: g.hash,
-                src_device: g.src_device,
-                dest_device: g.dest_device,
-                host_addr: host_side_addr(&t.tx),
-                codeptr: t.tx.codeptr,
-                tx: t.tx.id.0,
-                rx: t.rx.id.0,
-                spilled: t.spilled,
-                confidence: g.confidence,
-            })
-        });
+        let rt = self
+            .round_trips
+            .iter()
+            .flat_map(|g| g.trips.iter().map(move |t| trip_finding(g, t)));
         let ra = self.repeated_allocs.iter().flat_map(|g| {
             g.pairs
                 .iter()
@@ -326,6 +312,20 @@ impl Findings {
     }
 }
 
+/// The live finding of one round trip of `group`.
+fn trip_finding(group: &RoundTripGroup, trip: &RoundTrip) -> StreamFinding {
+    StreamFinding::RoundTrip {
+        hash: group.hash,
+        src_device: group.src_device,
+        dest_device: group.dest_device,
+        host_addr: host_side_addr(&trip.tx),
+        codeptr: trip.tx.codeptr,
+        tx: trip.tx.id.0,
+        rx: trip.rx.id.0,
+        confidence: group.confidence,
+    }
+}
+
 /// The host-side address of a transfer: the source of an H2D, the
 /// destination of a D2H (device-to-device transfers key on the source)
 /// — exactly the address the runtime presents at map clauses, which is
@@ -350,19 +350,13 @@ pub struct StreamBufferStats {
     /// sampled when [`StreamingEngine::advance`] has released a batch:
     /// what had to wait on the watermark, not the batch passing through.
     pub buffered_peak: usize,
-    /// Transfers currently behind the Algorithm 2 frontier.
-    pub frontier_now: usize,
-    /// Frontier-window high-water mark.
+    /// Always 0 (there is no round-trip window); kept because `benchmark/` reads it.
     pub frontier_peak: usize,
     /// Per-device pending work (pairs + transfers + buffered kernels).
     pub device_pending_now: usize,
     /// Per-device pending high-water mark.
     pub device_pending_peak: usize,
-    /// Undecided transfers force-retired by the lookahead cap (the
-    /// `max_frontier` of [`StreamingEngine::new`]). Non-zero means the
-    /// live stream may have missed late round trips or emitted
-    /// unconfirmed ones (`spilled: true`), so remediation saw less than
-    /// the final report, which stays exact.
+    /// Always 0 (there is no round-trip window); kept because `benchmark/` reads it.
     pub frontier_spilled: usize,
     /// Intra-shard arrival inversions the reorder pipeline routed to its
     /// side pocket (events that completed after a later-starting event
@@ -389,51 +383,21 @@ fn shard_of(seq: Seq) -> u32 {
     (seq >> 32) as u32
 }
 
-/// Null link in the reception arena.
-const NIL: u32 = u32::MAX;
-
-/// One `(hash, dest_device)` reception queue — the value of the
-/// reception map, so an arriving transfer finds and updates it with one
-/// probe. Only what the live findings need is retained: Algorithm 1
-/// names the first reception and an occurrence number, Algorithm 2 pops
-/// the receptions it has not consumed yet (a FIFO chained through
-/// [`Reception::next`]) — the consumed prefix is freed as it is dequeued.
-#[derive(Debug)]
-struct Slot {
-    /// The first reception ever enqueued.
-    first: Seq,
-    /// Receptions enqueued so far.
-    count: u32,
-    /// Oldest reception Algorithm 2 has not consumed ([`NIL`] = none).
-    head: u32,
-    /// Newest one (meaningful while `head != NIL`).
-    tail: u32,
+/// Heap bytes of a hash map: its bucket array plus one control byte per
+/// bucket (buckets are the capacity over the std map's 7/8 load factor).
+fn map_bytes<K, V>(map: &FnvHashMap<K, V>) -> usize {
+    let buckets = match map.capacity() {
+        0 => 0,
+        c if c < 7 => c + 1,
+        c => c / 7 * 8,
+    };
+    buckets * (std::mem::size_of::<(K, V)>() + 1)
 }
 
-/// One hashed transfer in the engine's arena, in both of its roles: an
-/// unconsumed *reception* in the `(hash, dest)` queue, and — while its
-/// round-trip outcome is undetermined — the transfer a frontier entry
-/// points at. It is freed when its queue dequeues it; queues and
-/// frontier both retire in arrival order and a transfer dequeues at
-/// most the reception it enqueued itself or an older one, so no live
-/// frontier entry ever names a freed node.
-#[derive(Clone, Copy, Debug)]
-struct Reception {
-    seq: Seq,
-    hash: HashVal,
-    /// Host-side address + call site, carried into the live finding.
-    host_addr: u64,
-    codeptr: CodePtr,
-    src: DeviceId,
-    dest: DeviceId,
-    /// Next-younger reception of the same queue ([`NIL`] = newest).
-    next: u32,
+/// Heap bytes of a buffer with room for `capacity` `T`s.
+fn buf_bytes<T>(capacity: usize) -> usize {
+    capacity * std::mem::size_of::<T>()
 }
-
-/// The frontier holds arena indices, nothing else.
-type FrontierIx = u32;
-const _: () = assert!(std::mem::size_of::<FrontierIx>() == 4);
-const _: () = assert!(std::mem::size_of::<Reception>() == 48);
 
 /// The streaming twin of an alloc/delete pairing.
 #[derive(Debug)]
@@ -484,6 +448,13 @@ impl DeviceMachine {
     fn pending_len(&self) -> usize {
         self.kq4.len() + self.kq5.len() + self.pending_pairs.len() + self.pending_tx.len()
     }
+
+    fn heap_bytes(&self) -> usize {
+        buf_bytes::<KSpan>(self.kq4.capacity() + self.kq5.capacity())
+            + buf_bytes::<u32>(self.pending_pairs.capacity())
+            + buf_bytes::<PendingTx>(self.pending_tx.capacity())
+            + map_bytes(&self.candidates)
+    }
 }
 
 /// The online detection engine. Push events (in completion order),
@@ -493,8 +464,6 @@ impl DeviceMachine {
 /// report.
 #[derive(Debug, Default)]
 pub struct StreamingEngine {
-    /// Algorithm 2 lookahead hard cap (`None` = unbounded/exact).
-    max_frontier: Option<usize>,
     /// Reorder buffer: per-shard in-order run lanes merged by a
     /// loser tree, with a side pocket for genuine intra-shard
     /// inversions (see [`crate::detect::reorder`]).
@@ -506,18 +475,9 @@ pub struct StreamingEngine {
     /// Events pushed since the last [`StreamingEngine::advance`].
     pushed: u64,
 
-    /// Reception queues (Algorithms 1/2).
-    slots: FnvHashMap<(HashVal, DeviceId), Slot>,
-    /// Every unconsumed reception, chained per queue.
-    receptions: Vec<Reception>,
-    /// Dequeued nodes of `receptions`, reused before the arena grows.
-    free_receptions: Vec<u32>,
-    /// Algorithm 2's bounded lookahead window, oldest first.
-    frontier: VecDeque<FrontierIx>,
-    /// The reception queue the front of `frontier` waits on (`None` =
-    /// empty frontier): only an arrival in *that* queue can unblock it,
-    /// every other one skips the re-check.
-    stalled_on: Option<(HashVal, DeviceId)>,
+    /// Algorithm 1: first reception and reception count per
+    /// `(hash, dest_device)`.
+    receptions: FnvHashMap<(HashVal, DeviceId), (Seq, u32)>,
 
     /// Alloc/delete pairings in allocation order (Algorithms 3/4).
     pairs: Vec<StreamPair>,
@@ -552,27 +512,6 @@ pub struct StreamingEngine {
 }
 
 impl StreamingEngine {
-    /// A new engine. `max_frontier` is a hard cap on Algorithm 2's
-    /// lookahead window (`--stream-cap`). On adversarial traces — every
-    /// transfer a unique hash that never returns — the confirmed
-    /// frontier grows with trace length; with a cap, the oldest
-    /// undecided transfers are *spilled*: resolved against the
-    /// reception queues as they stand (almost always "no round trip")
-    /// and retired, trading exactness of the *live* late-completing
-    /// trips for a guaranteed memory ceiling. Spills are counted in
-    /// [`StreamBufferStats::frontier_spilled`] and surfaced through
-    /// [`StreamingEngine::spill_warning`]; while the count stays zero,
-    /// the live stream is exactly the final report's projection. The
-    /// final report itself is computed from the recorded trace and is
-    /// exact with or without spills. `None` (as [`Default`]) never
-    /// spills.
-    pub fn new(max_frontier: Option<usize>) -> StreamingEngine {
-        StreamingEngine {
-            max_frontier,
-            ..Default::default()
-        }
-    }
-
     /// Buffer an incoming event (any completion order) in its shard's
     /// run lane; nothing is released until [`StreamingEngine::advance`]
     /// closes the batch. Non-kernel target constructs are ignored (no
@@ -634,10 +573,11 @@ impl StreamingEngine {
         self.note_peaks();
     }
 
-    /// Issue counts of everything emitted so far. After a finalize
-    /// that neither spilled nor degraded, this equals the returned
-    /// report's [`Findings::counts`] (the live stream is then exactly
-    /// [`Findings::stream_findings`] of it).
+    /// Issue counts of everything emitted so far. Before
+    /// [`StreamingEngine::finalize`] `rt` is 0 (round trips settle
+    /// there); after a finalize that did not degrade, this equals the
+    /// returned report's [`Findings::counts`] (the live stream is then
+    /// exactly [`Findings::stream_findings`] of it).
     pub fn live_counts(&self) -> IssueCounts {
         self.counts
     }
@@ -698,50 +638,58 @@ impl StreamingEngine {
     pub fn buffer_stats(&self) -> StreamBufferStats {
         let mut s = self.stats;
         s.buffered_now = self.buffer.len();
-        s.frontier_now = self.frontier.len();
         s.device_pending_now = self.machines.iter().map(|m| m.pending_len()).sum();
         s.reorder_inversions = self.buffer.inversions() as usize;
         s.reorder_pocket_peak = self.buffer.pocket_peak();
         s
     }
 
-    /// A report warning when the lookahead cap forced spills, else
-    /// `None`. It concerns the *live* stream only: round trips
-    /// completing after a spill were emitted unconfirmed
-    /// (`spilled: true`) or not at all, so remediation saw less than
-    /// the final report — which finalize computes from the recorded
-    /// trace and is exact regardless.
+    /// Always `None` (nothing is spilled any more); kept because `benchmark/` calls it.
     pub fn spill_warning(&self) -> Option<String> {
-        let spilled = self.stats.frontier_spilled;
-        if spilled == 0 {
-            return None;
-        }
-        let cap = self.max_frontier.unwrap_or(0);
-        Some(format!(
-            "warning: the Algorithm 2 lookahead window hit its hard cap ({cap}); \
-             {spilled} undecided transfer(s) were retired early — live round-trip \
-             findings after the spill were unconfirmed and never drove remediation \
-             (the report below is computed from the recorded trace and is exact)"
-        ))
+        None
+    }
+
+    /// Heap bytes the engine holds right now, per structure: the
+    /// reorder lanes, Algorithm 1's duplicate table, the alloc/delete
+    /// pairings and allocation-site counts (Algorithms 3/4), the
+    /// per-device machines (Algorithms 4/5) and the findings no consumer
+    /// has drained. Capacities, not lengths: what the allocator holds.
+    pub fn retained_bytes(&self) -> [(&'static str, usize); 5] {
+        let pairings = buf_bytes::<StreamPair>(self.pairs.capacity())
+            + map_bytes(&self.open_pairs)
+            + map_bytes(&self.realloc_counts);
+        let devices = buf_bytes::<DeviceMachine>(self.machines.capacity())
+            + self
+                .machines
+                .iter()
+                .map(DeviceMachine::heap_bytes)
+                .sum::<usize>();
+        [
+            ("lanes", self.buffer.heap_bytes()),
+            ("duplicates", map_bytes(&self.receptions)),
+            ("pairings", pairings),
+            ("devices", devices),
+            (
+                "findings",
+                buf_bytes::<StreamFinding>(self.emitted.capacity()),
+            ),
+        ]
     }
 
     /// Complete the live stream, then report: release the reorder
-    /// buffer, resolve the Algorithm 2 frontier and drain the per-device
-    /// pending queues with the end-of-trace rules (so
-    /// [`StreamingEngine::take_findings`] and
+    /// buffer, run the fused sweep over `view`, emit its round trips and
+    /// drain the per-device pending queues with the end-of-trace rules
+    /// (so [`StreamingEngine::take_findings`] and
     /// [`StreamingEngine::live_counts`] cover the whole run), and return
-    /// the fused sweep's [`Findings`] over `view` — the engine itself
-    /// produces live findings and nothing else. Call once, after the
-    /// monitored program finished; `view` must hydrate the trace the
-    /// engine observed.
+    /// the sweep's [`Findings`] — the engine itself produces live
+    /// findings and nothing else. Call once, after the monitored program
+    /// finished; `view` must hydrate the trace the engine observed.
     ///
     /// The report is always the exact post-mortem answer for the
-    /// recorded trace, also after a lookahead-cap spill (it never sets
-    /// [`crate::detect::RoundTrip::spilled`]). It is stamped
-    /// [`Confidence::Degraded`] throughout iff the engine is
-    /// degraded: a forced release happened, or the view holds a
-    /// different number of data operations than were offered to the
-    /// engine — the difference is counted in
+    /// recorded trace. It is stamped [`Confidence::Degraded`] throughout
+    /// iff the engine is degraded: a forced release happened, or the
+    /// view holds a different number of data operations than were
+    /// offered to the engine — the difference is counted in
     /// [`TraceHealth::missing_at_finalize`], and the live stream then no
     /// longer corresponds to the report.
     pub fn finalize(&mut self, view: &EventView<'_>) -> Findings {
@@ -757,12 +705,22 @@ impl StreamingEngine {
         // Nothing is open anymore: release the whole reorder buffer.
         self.release_through(SimTime(u64::MAX));
 
-        // Algorithm 2: the reception queues are final; every transfer
-        // still behind the frontier resolves against them (re-sends that
-        // never happened are now provably never happening).
-        while let Some(tx) = self.frontier.pop_front() {
-            self.try_complete_trip(tx);
+        let mut findings = engine::detect(view);
+        if self.degraded {
+            findings.mark_degraded();
         }
+
+        // Algorithm 2: the trace is complete, so the report's trips are
+        // the live ones, emitted in the order of their outbound legs.
+        let mut trips: Vec<_> = findings
+            .round_trips
+            .iter()
+            .flat_map(|g| g.trips.iter().map(move |t| (g, t)))
+            .collect();
+        trips.sort_unstable_by_key(|(_, t)| (t.tx.span.start, t.tx.id));
+        self.counts.rt += trips.len();
+        self.emitted
+            .extend(trips.into_iter().map(|(g, t)| trip_finding(g, t)));
 
         // Algorithms 4/5: no kernel will ever arrive; drain the pending
         // queues with the end-of-trace rules.
@@ -779,11 +737,6 @@ impl StreamingEngine {
                 });
                 self.counts.ut += 1;
             }
-        }
-
-        let mut findings = engine::detect(view);
-        if self.degraded {
-            findings.mark_degraded();
         }
         findings
     }
@@ -844,51 +797,23 @@ impl StreamingEngine {
         &mut self.machines[ix]
     }
 
-    // ---- Algorithms 1 + 2 ----------------------------------------------
+    // ---- Algorithm 1 ---------------------------------------------------
 
+    /// Group membership is final on arrival: the second and every later
+    /// reception of a `(hash, dest)` key is a duplicate of the first.
     fn on_hashed_transfer(&mut self, e: &DataOpEvent, hash: HashVal) {
-        let key = (hash, e.dest_device);
-        let reception = Reception {
-            seq: e.id.0,
-            hash,
-            host_addr: host_side_addr(e),
-            codeptr: e.codeptr,
-            src: e.src_device,
-            dest: e.dest_device,
-            next: NIL,
-        };
-        let ix = match self.free_receptions.pop() {
-            Some(ix) => {
-                self.receptions[ix as usize] = reception;
-                ix
-            }
-            None => {
-                self.receptions.push(reception);
-                (self.receptions.len() - 1) as u32
-            }
-        };
-        // Enqueue into the (hash, dest) reception queue — Algorithm 1's
-        // group membership is final immediately.
-        let slot = self.slots.entry(key).or_insert(Slot {
-            first: e.id.0,
-            count: 0,
-            head: NIL,
-            tail: NIL,
-        });
-        slot.count += 1;
-        if slot.head == NIL {
-            slot.head = ix;
-        } else {
-            self.receptions[slot.tail as usize].next = ix;
-        }
-        slot.tail = ix;
-        let (first, occurrence) = (slot.first, slot.count);
+        let (first, count) = self
+            .receptions
+            .entry((hash, e.dest_device))
+            .or_insert((e.id.0, 0));
+        *count += 1;
+        let (first, occurrence) = (*first, *count);
         if occurrence >= 2 {
             self.emit(StreamFinding::DuplicateTransfer {
                 hash,
                 src_device: e.src_device,
                 dest_device: e.dest_device,
-                host_addr: reception.host_addr,
+                host_addr: host_side_addr(e),
                 codeptr: e.codeptr,
                 event: e.id.0,
                 first,
@@ -897,90 +822,6 @@ impl StreamingEngine {
             });
             self.counts.dd += 1;
         }
-
-        // Algorithm 2: this transfer joins the back of the frontier;
-        // its reception can retire stalled transfers at the front only
-        // if it landed in the queue the front is waiting on.
-        self.frontier.push_back(ix);
-        self.stats.frontier_peak = self.stats.frontier_peak.max(self.frontier.len());
-        if self.stalled_on.is_none_or(|waiting| waiting == key) {
-            self.alg2_advance_frontier();
-        }
-        // Hard cap: force-retire the oldest undecided transfers. Each
-        // spilled transfer is resolved against the queues as they stand
-        // — a re-send that has not happened yet is treated as never
-        // happening, the trade the cap buys its memory ceiling with.
-        let cap = self.max_frontier.unwrap_or(usize::MAX);
-        if self.frontier.len() > cap {
-            while let Some(tx) = self.frontier.pop_front() {
-                self.stats.frontier_spilled += 1;
-                self.try_complete_trip(tx);
-                if self.frontier.len() <= cap {
-                    break;
-                }
-            }
-            // Spilling unblocked whatever stalled behind the front.
-            self.alg2_advance_frontier();
-        }
-    }
-
-    /// Retire frontier transfers while their outcome is determined by
-    /// events already seen. The front transfer stalls when its source
-    /// slot has no unconsumed reception *yet* — a future re-send could
-    /// still complete the trip, so nothing behind it may advance (the
-    /// pending dequeue could change every later queue read).
-    fn alg2_advance_frontier(&mut self) {
-        self.stalled_on = None;
-        while let Some(&tx) = self.frontier.front() {
-            if !self.try_complete_trip(tx) {
-                let front = &self.receptions[tx as usize];
-                self.stalled_on = Some((front.hash, front.src));
-                return;
-            }
-            self.frontier.pop_front();
-        }
-    }
-
-    /// The reference sweep body for one transfer: completes a round trip
-    /// if its source device holds an unconsumed reception of the same
-    /// content (else returns `false`: undecided while the trace runs,
-    /// "the data never returns" at finalize), dequeuing the transfer's
-    /// own reception queue so its entry can never complete a second trip.
-    ///
-    /// A spill-popped head is by definition undecided, so the spill
-    /// itself never pairs — but it retires the head *without* consuming
-    /// the reception its future re-send would have consumed, so every
-    /// pairing completed after the first spill reads queue state the
-    /// exact algorithm might not have produced. All such trips are
-    /// therefore tagged `spilled` (unconfirmed) in the live finding;
-    /// with no spills ever, nothing is tagged and the live trips are
-    /// exactly the post-mortem sweep's.
-    fn try_complete_trip(&mut self, tx: FrontierIx) -> bool {
-        let tx = self.receptions[tx as usize];
-        let rx = match self.slots.get(&(tx.hash, tx.src)) {
-            Some(slot) if slot.head != NIL => self.receptions[slot.head as usize].seq,
-            _ => return false,
-        };
-        // Consume the front of the transfer's own destination queue.
-        if let Some(own) = self.slots.get_mut(&(tx.hash, tx.dest)) {
-            if own.head != NIL {
-                self.free_receptions.push(own.head);
-                own.head = self.receptions[own.head as usize].next;
-            }
-        }
-        self.emit(StreamFinding::RoundTrip {
-            hash: tx.hash,
-            src_device: tx.src,
-            dest_device: tx.dest,
-            host_addr: tx.host_addr,
-            codeptr: tx.codeptr,
-            tx: tx.seq,
-            rx,
-            spilled: self.stats.frontier_spilled > 0,
-            confidence: self.confidence(),
-        });
-        self.counts.rt += 1;
-        true
     }
 
     // ---- Algorithms 3 + 4 ----------------------------------------------
@@ -1186,7 +1027,6 @@ impl StreamingEngine {
     fn note_peaks(&mut self) {
         let pending: usize = self.machines.iter().map(|m| m.pending_len()).sum();
         self.stats.device_pending_peak = self.stats.device_pending_peak.max(pending);
-        self.stats.frontier_peak = self.stats.frontier_peak.max(self.frontier.len());
     }
 }
 
@@ -1276,32 +1116,13 @@ mod tests {
         assert_live_matches(engine.take_findings(), &report);
     }
 
-    #[test]
-    fn round_trip_retires_when_the_resend_arrives() {
-        let mut f = EventFactory::new();
-        let ops = vec![f.h2d(0, 0, 0x1000, 7, 256), f.d2h(50, 0, 0x1000, 7, 256)];
-        let mut engine = StreamingEngine::default();
-
-        engine.push(StreamEvent::Op(ops[0].clone()));
-        engine.advance(Some(SimTime(10)));
-        assert!(
-            engine.take_findings().is_empty(),
-            "outbound leg alone is provisional"
-        );
-        assert_eq!(engine.buffer_stats().frontier_now, 1);
-
-        engine.push(StreamEvent::Op(ops[1].clone()));
-        engine.advance(Some(SimTime(60)));
-        let live = engine.take_findings();
-        assert!(
-            live.iter()
-                .any(|l| matches!(l, StreamFinding::RoundTrip { .. })),
-            "trip must retire as soon as the reception lands: {live:?}"
-        );
-
-        let report = finalize(&mut engine, &ops, &[], 1);
-        assert_eq!(report.counts().rt, 1);
-        assert_eq!(engine.live_counts(), report.counts());
+    /// The retained bytes of one structure.
+    fn retained(engine: &StreamingEngine, name: &str) -> usize {
+        engine
+            .retained_bytes()
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |&(_, bytes)| bytes)
     }
 
     #[test]
@@ -1309,8 +1130,7 @@ mod tests {
         // Iterative ping-pong: the same content travels out and back each
         // iteration, kernels keep the Algorithm 4/5 cursors moving. Every
         // window's high-water mark must be independent of trace length,
-        // and so must the reception history the slots retain (the
-        // prefix Algorithm 2 consumed is dropped, not kept for a report).
+        // and so must Algorithm 1's table (one entry per reception key).
         fn run(iters: u64) -> (StreamBufferStats, usize) {
             let mut engine = StreamingEngine::default();
             let mut f = EventFactory::new();
@@ -1332,133 +1152,56 @@ mod tests {
                 }
                 engine.advance(Some(SimTime(t + 90)));
             }
-            let retained = engine.receptions.len() - engine.free_receptions.len();
-            (engine.buffer_stats(), retained)
+            (engine.buffer_stats(), retained(&engine, "duplicates"))
         }
-        let (small, small_retained) = run(50);
-        let (large, large_retained) = run(500);
+        let (small, small_table) = run(50);
+        let (large, large_table) = run(500);
         assert_eq!(
-            small_retained, large_retained,
-            "per-slot history must not grow with trace length"
-        );
-        assert!(large_retained <= 2, "{large_retained}");
-        assert_eq!(
-            small.frontier_peak, large.frontier_peak,
-            "Algorithm 2 window must not grow with trace length"
+            small_table, large_table,
+            "Algorithm 1's table must not grow with trace length"
         );
         assert_eq!(small.buffered_peak, large.buffered_peak);
         assert_eq!(small.device_pending_peak, large.device_pending_peak);
-        assert!(large.frontier_peak <= 4, "{large:?}");
         assert!(large.device_pending_peak <= 8, "{large:?}");
     }
 
     #[test]
-    fn frontier_hard_cap_bounds_adversarial_traces() {
-        // Adversarial input: every transfer carries a unique hash that
-        // never returns, so every transfer is undecided forever and the
-        // exact frontier grows linearly with the trace.
-        fn run(cap: Option<usize>, n: u64) -> (StreamingEngine, Vec<DataOpEvent>) {
+    fn never_returning_transfers_retain_one_table_entry_per_key() {
+        // Adversarial for any lookahead: every transfer's content leaves
+        // and never comes back (device-to-host, so Algorithms 4/5 hold
+        // nothing either). A consumer drains after every batch. What
+        // the engine retains grows with distinct (hash, dest) keys and
+        // nothing else.
+        fn run(transfers: u64, keys: u64) -> StreamingEngine {
             let mut f = EventFactory::new();
-            let ops: Vec<DataOpEvent> = (0..n)
-                .map(|i| f.h2d(i * 20, 0, 0x1000, 1_000 + i, 64))
-                .collect();
-            let mut engine = StreamingEngine::new(cap);
-            for op in &ops {
-                engine.push(StreamEvent::Op(op.clone()));
-                engine.advance(Some(op.span.end));
+            let mut engine = StreamingEngine::default();
+            for i in 0..transfers {
+                let op = f.d2h(i * 20, 0, 0x1000, 1_000 + i % keys, 64);
+                let end = op.span.end;
+                engine.push(StreamEvent::Op(op));
+                engine.advance(Some(end));
+                engine.take_findings();
             }
-            (engine, ops)
+            engine
         }
-
-        let (exact, _) = run(None, 500);
-        assert!(
-            exact.buffer_stats().frontier_peak >= 500,
-            "uncapped frontier grows with the trace: {:?}",
-            exact.buffer_stats()
-        );
-        assert_eq!(exact.spill_warning(), None);
-
-        let (mut capped, ops) = run(Some(32), 500);
-        let stats = capped.buffer_stats();
-        assert!(
-            stats.frontier_peak <= 33,
-            "high-water mark must respect the cap: {stats:?}"
-        );
-        assert_eq!(stats.frontier_spilled, 500 - 32);
-        assert!(capped
-            .spill_warning()
-            .is_some_and(|w| w.contains("hard cap") && w.contains("468")));
-
-        // Never-returning transfers are not round trips either way, so
-        // even the capped engine's live stream is the report's
-        // projection here.
-        let report = finalize(&mut capped, &ops, &[], 1);
-        assert_live_matches(capped.take_findings(), &report);
-    }
-
-    #[test]
-    fn spilled_transfers_give_up_late_round_trips_with_a_warning() {
-        // The documented trade: a transfer spilled before its re-send
-        // arrives loses its *live* round trip, and the warning says so.
-        // The final report is computed from the trace and stays exact.
-        let mut f = EventFactory::new();
-        let mut ops = vec![f.h2d(0, 0, 0x1000, 7, 64)];
-        for i in 0..50u64 {
-            ops.push(f.h2d(10 + i * 10, 0, 0x2000, 100 + i, 64));
-        }
-        // The re-send that would complete hash 7's round trip, far past
-        // the cap.
-        ops.push(f.d2h(2_000, 0, 0x1000, 7, 64));
-
-        let run = |cap: Option<usize>| {
-            let mut engine = StreamingEngine::new(cap);
-            for op in &ops {
-                engine.push(StreamEvent::Op(op.clone()));
-                engine.advance(Some(op.span.end));
+        let few = run(256, 256);
+        let many = run(4_096, 4_096);
+        let repeated = run(4_096, 256);
+        for (name, bytes) in few.retained_bytes() {
+            if name == "duplicates" {
+                assert_eq!(retained(&repeated, name), bytes, "same keys, same table");
+                assert!(retained(&many, name) >= 8 * bytes, "16x the keys");
+            } else {
+                assert_eq!(retained(&many, name), bytes, "{name} grew with the trace");
+                assert_eq!(
+                    retained(&repeated, name),
+                    bytes,
+                    "{name} grew with the trace"
+                );
             }
-            let report = finalize(&mut engine, &ops, &[], 1);
-            let mut live = engine.take_findings();
-            live.sort_unstable();
-            (engine, report, live)
-        };
-        let (exact, exact_report, exact_live) = run(None);
-        let (capped, capped_report, capped_live) = run(Some(8));
-
-        // Both engines hand back the same, exact report: the outbound
-        // H2D paired with its late return, no trip tagged as spilled.
-        assert_eq!(
-            serde_json::to_string(&capped_report).unwrap(),
-            serde_json::to_string(&exact_report).unwrap()
-        );
-        assert_eq!(exact_report.counts().rt, 1);
-        assert!(exact_report.round_trips[0].src_device.is_host());
-        assert!(!exact_report.round_trips[0].trips[0].spilled);
-        assert_eq!(exact.live_counts(), exact_report.counts());
-        assert_live_matches(exact_live.clone(), &exact_report);
-
-        // The capped live stream lost that pairing; the return leg
-        // completed a reverse-direction trip against the reception the
-        // spill left unconsumed, emitted as unconfirmed — and the
-        // divergence is announced.
-        let is_trip = |f: &&StreamFinding| matches!(f, StreamFinding::RoundTrip { .. });
-        let capped_trips: Vec<_> = capped_live.iter().filter(is_trip).collect();
-        assert!(
-            matches!(
-                capped_trips.as_slice(),
-                [StreamFinding::RoundTrip { src_device, spilled: true, .. }] if !src_device.is_host()
-            ),
-            "{capped_trips:?}"
-        );
-        assert!(exact_live
-            .iter()
-            .filter(is_trip)
-            .all(|f| matches!(f, StreamFinding::RoundTrip { spilled: false, .. })));
-        assert_ne!(capped_live, exact_live);
-        assert!(capped
-            .spill_warning()
-            .is_some_and(|w| w.contains("live") && w.contains("remediation")));
-        assert!(capped.buffer_stats().frontier_spilled > 0);
-        assert_eq!(exact.spill_warning(), None);
+        }
+        assert_eq!(many.buffer_stats().frontier_peak, 0);
+        assert_eq!(many.spill_warning(), None);
     }
 
     #[test]

@@ -65,18 +65,6 @@ pub struct Prediction {
     pub bytes_eliminated: u64,
 }
 
-impl Prediction {
-    /// Percentage of calls to data-management operations eliminated,
-    /// given the trace's total op count (the §7.7 "99 % reduction in the
-    /// number of calls to copy data" style metric).
-    pub fn ops_eliminated_pct(&self, total_ops: usize) -> f64 {
-        if total_ops == 0 {
-            return 0.0;
-        }
-        100.0 * self.ops_eliminated as f64 / total_ops as f64
-    }
-}
-
 struct Accumulator {
     eliminated: FnvHashSet<EventId>,
     ns: u64,
@@ -232,15 +220,5 @@ mod tests {
         assert_eq!(findings.counts().ra, 1);
         let p = predict(&findings, SimDuration(1_000));
         assert_eq!(p.breakdown.realloc_ns, 7, "second alloc (5) + delete (2)");
-    }
-
-    #[test]
-    fn ops_percentage() {
-        let p = Prediction {
-            ops_eliminated: 99,
-            ..Default::default()
-        };
-        assert!((p.ops_eliminated_pct(100) - 99.0).abs() < 1e-12);
-        assert_eq!(p.ops_eliminated_pct(0), 0.0);
     }
 }

@@ -126,10 +126,6 @@ impl RemediationPolicy {
                 host_addr,
                 ..
             } => self.on_duplicate(src_device, dest_device, host_addr),
-            StreamFinding::RoundTrip { spilled: true, .. } => {
-                // Force-retired by a lookahead spill: unconfirmed, so
-                // it must never seed a rewrite rule.
-            }
             StreamFinding::RoundTrip {
                 src_device,
                 dest_device,
@@ -516,7 +512,6 @@ mod tests {
             codeptr: CodePtr(0x2),
             tx: 2,
             rx: 3,
-            spilled: false,
             confidence: crate::detect::Confidence::Confirmed,
         });
         p.observe(&StreamFinding::RoundTrip {
@@ -527,7 +522,6 @@ mod tests {
             codeptr: CodePtr(0x3),
             tx: 4,
             rx: 5,
-            spilled: false,
             confidence: crate::detect::Confidence::Confirmed,
         });
         p.observe(&StreamFinding::RepeatedAlloc {
@@ -679,82 +673,5 @@ mod tests {
             "the live duplicate must already steer this consult"
         );
         assert_eq!(remediator.policy().rule_count(), 1);
-    }
-
-    /// Regression (tiny `--stream-cap`): an Algorithm-2 transfer
-    /// force-retired by a frontier spill can pair with a reception "as
-    /// the queues stand" — an *unconfirmed* round trip. Such a live
-    /// finding must never seed a `skip_from` rule; the final report is
-    /// computed from the trace and never carries the tag.
-    #[test]
-    fn spilled_round_trips_never_seed_rules() {
-        use crate::detect::testutil::EventFactory;
-        use crate::detect::{EventView, StreamEvent, StreamingEngine};
-
-        let mut f = EventFactory::new();
-        // tx0 (unique hash, never returns) stalls the frontier head;
-        // tx1's content comes back via a D2H (rx) behind the stall;
-        // unique-hash filler then overflows the cap, force-retiring
-        // tx0 (no trip) and tx1 — which pairs with rx while spilled.
-        let mut ops = vec![
-            f.h2d(0, 0, 0x1000, 111, 64),  // tx0: undecided head
-            f.h2d(10, 0, 0x2000, 222, 64), // tx1: will spill-pair
-            f.d2h(20, 0, 0x2000, 222, 64), // rx for tx1's content
-        ];
-        for i in 0..8 {
-            ops.push(f.h2d(30 + i * 10, 0, 0x3000 + i * 0x100, 500 + i, 64));
-        }
-        let mut engine = StreamingEngine::new(Some(2));
-        for e in &ops {
-            engine.push(StreamEvent::Op(e.clone()));
-            engine.advance(Some(e.span.end));
-        }
-        let live = engine.take_findings();
-        let spilled_trip = live.iter().find_map(|f| match f {
-            StreamFinding::RoundTrip {
-                spilled, host_addr, ..
-            } => Some((*spilled, *host_addr)),
-            _ => None,
-        });
-        assert_eq!(
-            spilled_trip,
-            Some((true, 0x2000)),
-            "the force-retired pairing must be emitted tagged as spilled: {live:?}"
-        );
-        assert!(engine.buffer_stats().frontier_spilled > 0);
-
-        // Live path: the policy ignores the spilled trip entirely.
-        let mut p = RemediationPolicy::new();
-        for finding in &live {
-            p.observe(finding);
-        }
-        assert!(
-            p.advise(0, 0x2000).skip_from.is_none(),
-            "a spilled round trip must not downgrade the copy-back"
-        );
-
-        // Seeded path: finalize reports the fused sweep over the
-        // recorded trace, where tx1 → rx is a confirmed round trip (the
-        // full reception queues are known) — untagged, so a re-run
-        // seeded from the report may act on it.
-        let cols = odp_trace::ColumnarView::from_events(&ops, &[]);
-        let view = EventView::over(&cols, 1);
-        let findings = engine.finalize(&view);
-        assert_eq!(
-            serde_json::to_string(&findings).unwrap(),
-            serde_json::to_string(&Findings::detect_fused(&view)).unwrap(),
-            "a spill must not leak into the final report"
-        );
-        assert!(findings
-            .round_trips
-            .iter()
-            .flat_map(|g| g.trips.iter())
-            .all(|t| !t.spilled));
-        let mut seeded = RemediationPolicy::from_findings(&findings);
-        assert_eq!(
-            seeded.advise(0, 0x2000).skip_from,
-            Some(FindingKind::RoundTrip),
-            "the exact report confirms the trip"
-        );
     }
 }

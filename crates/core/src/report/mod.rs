@@ -274,7 +274,7 @@ impl SnapshotStreamSink {
     }
 }
 
-fn human_bytes(b: u64) -> String {
+pub(crate) fn human_bytes(b: u64) -> String {
     if b >= 1 << 30 {
         format!("{:.2} GiB", b as f64 / (1u64 << 30) as f64)
     } else if b >= 1 << 20 {
@@ -399,7 +399,6 @@ mod tests {
                 codeptr: CodePtr(0x2),
                 tx: 3,
                 rx: 9,
-                spilled: false,
                 confidence: crate::detect::Confidence::Confirmed,
             },
             StreamFinding::RepeatedAlloc {

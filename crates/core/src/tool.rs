@@ -67,6 +67,7 @@
 
 use crate::collision::CollisionAudit;
 use crate::detect::{IssueCounts, StreamBufferStats, StreamEvent, StreamFinding, StreamingEngine};
+use crate::report::human_bytes;
 use odp_hash::fnv::FnvHashMap;
 use odp_hash::HashAlgoId;
 use odp_model::{DataOpKind, SimDuration, SimTime, TargetKind, TimeSpan, TraceHealth};
@@ -98,10 +99,6 @@ pub struct ToolConfig {
     /// completes the live stream and returns the post-mortem sweep's
     /// findings over the recorded trace.
     pub stream: bool,
-    /// Hard cap for Algorithm 2's lookahead window (`--stream-cap`,
-    /// the `max_frontier` of [`StreamingEngine::new`]); `None` keeps the
-    /// live stream exact.
-    pub stream_max_frontier: Option<usize>,
     /// Wall-clock budget the streaming drain will wait on a
     /// non-advancing merged watermark while events are buffered before
     /// force-releasing the reorder buffer (`--stall-timeout`). A wedged
@@ -781,10 +778,7 @@ impl OmpDataPerfTool {
             }),
             shards: Mutex::new(Vec::new()),
             ingests: Mutex::new(Vec::new()),
-            engine: Mutex::new(
-                cfg.stream
-                    .then(|| StreamingEngine::new(cfg.stream_max_frontier)),
-            ),
+            engine: Mutex::new(cfg.stream.then(StreamingEngine::default)),
             watermark: GlobalWatermark::with_capacity(GlobalWatermark::DEFAULT_SHARDS),
             stall: Mutex::new(
                 cfg.stall_timeout
@@ -1103,17 +1097,24 @@ impl Tool for OmpDataPerfTool {
                 let rate = handle.hash_rate_gb_per_s();
                 let mut lines = vec![format!("info: effective hash rate {rate:.1} GB/s")];
                 // What the live path cost: how many events shared each
-                // engine lock, and what the rings and the reorder lanes
-                // could not take in order.
-                let stats = self.shared.engine.lock().as_ref().map(|e| e.buffer_stats());
-                if let Some(s) = stats {
+                // engine lock, what the rings and the reorder lanes
+                // could not take in order, and the heap the engine
+                // holds at exit, per structure.
+                let stats = (self.shared.engine.lock().as_ref())
+                    .map(|e| (e.buffer_stats(), e.retained_bytes()));
+                if let Some((s, retained)) = stats {
+                    let retained: Vec<String> = retained
+                        .iter()
+                        .map(|&(name, bytes)| format!("{name} {}", human_bytes(bytes as u64)))
+                        .collect();
                     lines.push(format!(
                         "info: stream: {} drains, mean batch {:.1}, {} ring overflows, \
-                         {} reorder inversions",
+                         {} reorder inversions; retained {}",
                         s.drains,
                         s.drained_events as f64 / s.drains.max(1) as f64,
                         handle.spilled_events(),
                         s.reorder_inversions,
+                        retained.join(", "),
                     ));
                 }
                 self.shared.control.lock().info.extend(lines);

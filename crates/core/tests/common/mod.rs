@@ -29,7 +29,7 @@ pub fn finalize(
 /// The streaming invariant every differential suite holds the engine
 /// to: the live findings emitted over a whole run are, as a multiset,
 /// the projection of the fused report over the same trace — every field
-/// of every finding, `spilled` and `confidence` included.
+/// of every finding, `confidence` included.
 pub fn assert_live_matches(mut live: Vec<StreamFinding>, report: &Findings, ctx: &str) {
     let mut projected: Vec<StreamFinding> = report.stream_findings().collect();
     live.sort_unstable();

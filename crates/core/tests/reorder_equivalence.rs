@@ -14,12 +14,11 @@
 //! 3. **Stats**: `StreamBufferStats` batch counters and high-water
 //!    marks must match an external push/advance model, one event or
 //!    many per batch.
-//! 4. **Degradation knobs**: `--stream-cap` (`max_frontier`) spills
-//!    and `--stall-timeout` (`force_release_all`) quarantines must be
-//!    accounted exactly, capped runs that never spill must keep the live
-//!    stream exact — including over fault-profile traces produced by
-//!    the simulated runtime — and the final report must be the exact
-//!    post-mortem answer either way.
+//! 4. **Degradation knob**: `--stall-timeout` (`force_release_all`)
+//!    quarantines must be accounted exactly — including over
+//!    fault-profile traces produced by the simulated runtime — and the
+//!    final report must be the exact post-mortem answer but for the
+//!    confidence tag.
 
 mod common;
 
@@ -411,7 +410,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Layer 4: --stream-cap and --stall-timeout semantics.
+// Layer 4: --stall-timeout semantics.
 // ---------------------------------------------------------------------
 
 /// Minimal public-API event factory (the crate-internal test factory is
@@ -443,93 +442,6 @@ impl Factory {
             hash: Some(HashVal(hash)),
             span: TimeSpan::new(SimTime(t), SimTime(t + 10)),
             codeptr: CodePtr(0x100),
-        }
-    }
-}
-
-/// `--stream-cap` through the public API: an adversarial never-returning
-/// trace must spill exactly (events - cap) undecided transfers, warn,
-/// and still emit the exact live stream (no round trips existed to
-/// lose).
-#[test]
-fn stream_cap_spills_are_accounted_exactly() {
-    const N: u64 = 300;
-    const CAP: usize = 24;
-    let ops: Vec<DataOpEvent> = {
-        let mut f = Factory::new();
-        (0..N).map(|i| f.h2d(i * 20, 1_000 + i)).collect()
-    };
-
-    let mut capped = StreamingEngine::new(Some(CAP));
-    let mut exact = StreamingEngine::default();
-    for op in &ops {
-        for engine in [&mut capped, &mut exact] {
-            engine.push(StreamEvent::Op(op.clone()));
-            engine.advance(Some(op.span.end));
-        }
-    }
-
-    let stats = capped.buffer_stats();
-    assert_eq!(stats.frontier_spilled, N as usize - CAP);
-    assert!(stats.frontier_peak <= CAP + 1, "{stats:?}");
-    let warning = capped.spill_warning().expect("spills must warn");
-    assert!(
-        warning.contains(&(N as usize - CAP).to_string()),
-        "warning must carry the spill count: {warning}"
-    );
-    assert_eq!(exact.buffer_stats().frontier_spilled, 0);
-    assert_eq!(exact.spill_warning(), None);
-
-    let cols = ColumnarView::from_events(&ops, &[]);
-    let view = EventView::over(&cols, 1);
-    for (name, engine) in [("capped", &mut capped), ("exact", &mut exact)] {
-        let report = engine.finalize(&view);
-        assert_live_matches(engine.take_findings(), &report, name);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The documented cap contract on realistic traces: while
-    /// `frontier_spilled` stays zero, a capped engine's live stream is
-    /// exact; once it spills it warns, and the final report is the
-    /// post-mortem answer regardless. The frontier high-water mark
-    /// never exceeds the cap by more than the in-flight insert.
-    #[test]
-    fn capped_engine_identical_until_first_spill(
-        seed in 0u64..u64::MAX,
-        n in 60usize..200,
-        cap_sel in 0usize..3,
-    ) {
-        let cap = [4usize, 16, 64][cap_sel];
-        let (ops, kernels) = random_trace(seed | 1, n, 2);
-        let arrivals = completion_order(&ops, &kernels);
-        let wms = open_floor_watermarks(&arrivals);
-        let mut engine = StreamingEngine::new(Some(cap));
-        for (i, (ev, _)) in arrivals.iter().enumerate() {
-            engine.push(ev.clone());
-            engine.advance(Some(wms[i]));
-        }
-        let stats = engine.buffer_stats();
-        prop_assert!(stats.frontier_peak <= cap + 1, "{:?}", stats);
-        let spilled = stats.frontier_spilled;
-        let cols = ColumnarView::from_events(&ops, &kernels);
-        let view = EventView::over(&cols, 2);
-        let report = engine.finalize(&view);
-        prop_assert_eq!(
-            serde_json::to_string(&report).unwrap(),
-            serde_json::to_string(&Findings::detect_fused(&view)).unwrap(),
-            "a cap must never reach the final report (seed {:#x})", seed
-        );
-        if spilled == 0 {
-            assert_live_matches(
-                engine.take_findings(),
-                &report,
-                &format!("zero spills must mean an exact live stream (seed {seed:#x})"),
-            );
-        } else {
-            prop_assert!(engine.spill_warning().is_some(), "spills must warn");
         }
     }
 }

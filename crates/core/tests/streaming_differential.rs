@@ -17,7 +17,7 @@ use common::{assert_live_matches, finalize, random_trace, shard_partition, Rng};
 use odp_model::{DataOpEvent, DeviceId, SimTime, TargetEvent};
 use odp_ompt::GlobalWatermark;
 use odp_trace::{TraceLog, MAX_PLAUSIBLE_DEVICES};
-use ompdataperf::detect::{EventView, StreamEvent, StreamingEngine};
+use ompdataperf::detect::{EventView, StreamEvent, StreamFinding, StreamingEngine};
 use std::collections::BTreeMap;
 
 /// One deliverable event in arrival (completion) order.
@@ -113,8 +113,7 @@ fn streaming_equals_postmortem_on_large_trace() {
 
 #[test]
 fn streaming_equals_postmortem_with_single_device_pool() {
-    // One device + tiny hash pool: maximal duplicate / round-trip churn,
-    // the worst case for Algorithm 2's lookahead window.
+    // One device + tiny hash pool: maximal duplicate / round-trip churn.
     for seed in [3u64, 17, 99] {
         let (ops, kernels) = random_trace(seed, 500, 1);
         assert_streaming_identical(&ops, &kernels, 1, &format!("dense seed {seed}"));
@@ -390,12 +389,12 @@ fn sharded_delivery_is_insensitive_to_the_interleaving_choice() {
 
 #[test]
 fn steady_state_memory_is_independent_of_trace_length() {
-    // The acceptance criterion: Algorithm 2's lookahead buffer (and the
-    // other windows) must not grow with trace length for steady-state
-    // workloads. Build an iterative ping-pong — content leaves and
-    // returns each iteration, kernels keep every cursor moving — at 1×
-    // and 10× length and compare high-water marks.
-    fn run(iters: usize) -> (ompdataperf::detect::StreamBufferStats, usize) {
+    // The acceptance criterion: the engine's windows and Algorithm 1's
+    // table must not grow with trace length for steady-state workloads.
+    // Build an iterative ping-pong — content leaves and returns each
+    // iteration, kernels keep every cursor moving — at 1× and 10×
+    // length and compare high-water marks and the table's bytes.
+    fn run(iters: usize) -> (ompdataperf::detect::StreamBufferStats, usize, usize) {
         use odp_model::{CodePtr, DataOpKind, DeviceId, EventId, HashVal, TargetKind, TimeSpan};
         let mut ops = Vec::new();
         let mut kernels = Vec::new();
@@ -481,18 +480,47 @@ fn steady_state_memory_is_independent_of_trace_length() {
         let mut engine = StreamingEngine::default();
         feed_completion_order(&mut engine, &ops, &kernels);
         let stats = engine.buffer_stats();
+        let (name, table) = engine.retained_bytes()[1];
+        assert_eq!(name, "duplicates");
         let report = finalize(&mut engine, &ops, &kernels, 1);
         assert_live_matches(engine.take_findings(), &report, "ping-pong");
-        (stats, ops.len() + kernels.len())
+        (stats, table, ops.len() + kernels.len())
     }
-    let (small, small_events) = run(100);
-    let (large, large_events) = run(1_000);
+    let (small, small_table, small_events) = run(100);
+    let (large, large_table, large_events) = run(1_000);
     assert!(large_events >= 10 * small_events - 10);
     assert_eq!(
-        small.frontier_peak, large.frontier_peak,
-        "Algorithm 2's window grew with trace length: {small:?} vs {large:?}"
+        small_table, large_table,
+        "Algorithm 1's table grew with trace length"
     );
     assert_eq!(small.buffered_peak, large.buffered_peak);
     assert_eq!(small.device_pending_peak, large.device_pending_peak);
-    assert!(large.frontier_peak <= 4, "{large:?}");
+}
+
+#[test]
+fn round_trips_arrive_at_finalize_in_outbound_leg_order() {
+    // Nothing decides a round trip before the trace is complete; then
+    // finalize emits the report's trips in the order of their outbound
+    // legs, `(tx.start, tx.id)` — exactly, not only as a multiset.
+    let is_trip = |f: &StreamFinding| matches!(f, StreamFinding::RoundTrip { .. });
+    for seed in [3u64, 17, 99] {
+        let (ops, kernels) = random_trace(seed, 500, 1);
+        let mut engine = StreamingEngine::default();
+        feed_completion_order(&mut engine, &ops, &kernels);
+        assert!(!engine.take_findings().iter().any(is_trip), "seed {seed}");
+        assert_eq!(engine.live_counts().rt, 0);
+
+        let report = finalize(&mut engine, &ops, &kernels, 1);
+        let settled: Vec<StreamFinding> =
+            engine.take_findings().into_iter().filter(is_trip).collect();
+        let start_of: BTreeMap<u64, SimTime> = ops.iter().map(|e| (e.id.0, e.span.start)).collect();
+        let mut expected: Vec<StreamFinding> = report.stream_findings().filter(is_trip).collect();
+        expected.sort_by_key(|f| match *f {
+            StreamFinding::RoundTrip { tx, .. } => (start_of[&tx], tx),
+            _ => unreachable!("filtered to round trips"),
+        });
+        assert!(!settled.is_empty(), "seed {seed} has round trips");
+        assert_eq!(settled, expected, "seed {seed}");
+        assert_eq!(engine.live_counts().rt, settled.len());
+    }
 }

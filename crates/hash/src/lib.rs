@@ -10,7 +10,7 @@
 //! This crate provides from-scratch Rust implementations spanning the same
 //! design space. Where the reference algorithm is small and fully
 //! specified we implement it exactly and assert published test vectors
-//! (FNV-1a, xxHash32, xxHash64, Murmur3). For the larger or ISA-specific
+//! (FNV-1a, xxHash32, xxHash64). For the larger or ISA-specific
 //! families (XXH3, CityHash, FarmHash, t1ha, MeowHash) we implement
 //! *-inspired* portable variants that preserve each family's structural
 //! character — lane counts, block sizes, small-key fast paths — so that the
@@ -33,7 +33,6 @@ pub(crate) mod city;
 pub(crate) mod farm;
 pub mod fnv;
 pub(crate) mod meow;
-pub mod murmur;
 pub mod quality;
 pub(crate) mod t1ha;
 pub mod throughput;

@@ -40,19 +40,6 @@ pub enum CallbackKind {
     TargetMap,
 }
 
-impl CallbackKind {
-    /// Is this an EMI (begin+end) callback?
-    pub fn is_emi(self) -> bool {
-        matches!(
-            self,
-            CallbackKind::TargetEmi
-                | CallbackKind::TargetDataOpEmi
-                | CallbackKind::TargetSubmitEmi
-                | CallbackKind::TargetMapEmi
-        )
-    }
-}
-
 /// `ompt_target_t`: which construct produced a target callback.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum TargetConstructKind {
@@ -219,14 +206,6 @@ pub struct SubmitCallback {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn emi_classification() {
-        assert!(CallbackKind::TargetEmi.is_emi());
-        assert!(CallbackKind::TargetDataOpEmi.is_emi());
-        assert!(!CallbackKind::Target.is_emi());
-        assert!(!CallbackKind::TargetMap.is_emi());
-    }
 
     #[test]
     fn transfer_predicate() {

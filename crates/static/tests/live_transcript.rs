@@ -70,7 +70,7 @@ fn live_stream_transcript_is_pinned() {
         ("bspline-vgh-omp", 0xfbd0_7f27_592d_a22d, 0),
         ("ir-babelstream", 0x096d_a6d8_bf66_939f, 0),
         ("ir-bfs", 0xdecc_c036_6064_bd9f, 0),
-        ("ir-xsbench", 0x584b_e19c_e8e7_dd8b, 0),
+        ("ir-xsbench", 0x2155_6656_bddc_17fc, 0),
         ("mem1", 0x61be_6c84_c19f_33b4, 0),
         ("mem2", 0x9a32_e883_b760_b9bc, 0),
         ("mem3", 0x2155_6656_bddc_17fc, 0),

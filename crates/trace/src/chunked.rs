@@ -22,8 +22,6 @@ pub(crate) const MAX_CHUNK_RECORDS: usize = 4096;
 #[derive(Debug)]
 pub struct ChunkedVec<T> {
     chunks: Vec<Vec<T>>,
-    /// Cumulative start index of each chunk (for `get`).
-    starts: Vec<usize>,
     len: usize,
     /// `Σ capacity × size_of::<T>()` over `chunks`, kept by `push_chunk`.
     allocated_bytes: usize,
@@ -40,7 +38,6 @@ impl<T> ChunkedVec<T> {
     pub(crate) fn new() -> Self {
         ChunkedVec {
             chunks: Vec::new(),
-            starts: Vec::new(),
             len: 0,
             allocated_bytes: 0,
         }
@@ -81,20 +78,7 @@ impl<T> ChunkedVec<T> {
         };
         let chunk = Vec::with_capacity(cap);
         self.allocated_bytes += chunk.capacity() * std::mem::size_of::<T>();
-        self.starts.push(self.len);
         self.chunks.push(chunk);
-    }
-
-    /// Record at `index`.
-    pub fn get(&self, index: usize) -> Option<&T> {
-        if index >= self.len {
-            return None;
-        }
-        let chunk_ix = match self.starts.binary_search(&index) {
-            Ok(ix) => ix,
-            Err(ins) => ins - 1,
-        };
-        self.chunks[chunk_ix].get(index - self.starts[chunk_ix])
     }
 
     /// Iterate over all records in append order.
@@ -137,20 +121,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn push_and_get_across_chunk_boundaries() {
-        let mut v = ChunkedVec::new();
-        let n = 3 * MAX_CHUNK_RECORDS + 17;
-        for i in 0..n {
-            v.push(i as u64);
-        }
-        assert_eq!(v.len(), n);
-        assert_eq!(v.get(0), Some(&0));
-        assert_eq!(v.get(MIN_CHUNK_RECORDS), Some(&(MIN_CHUNK_RECORDS as u64)));
-        assert_eq!(v.get(n - 1), Some(&((n - 1) as u64)));
-        assert_eq!(v.get(n), None);
-    }
-
-    #[test]
     #[cfg_attr(miri, ignore = "10k-push loop is too slow under miri")]
     fn iter_preserves_append_order() {
         let mut v = ChunkedVec::new();
@@ -188,22 +158,9 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(miri, ignore = "20k-push loop is too slow under miri")]
-    fn get_random_access_after_growth() {
-        let mut v = ChunkedVec::new();
-        for i in 0..20_000u64 {
-            v.push(i * 3);
-        }
-        for probe in [0usize, 63, 64, 191, 192, 1000, 8191, 19_999] {
-            assert_eq!(v.get(probe), Some(&(probe as u64 * 3)), "index {probe}");
-        }
-    }
-
-    #[test]
     fn empty_behaviour() {
         let v: ChunkedVec<u32> = ChunkedVec::new();
         assert!(v.is_empty());
         assert_eq!(v.iter().count(), 0);
-        assert_eq!(v.get(0), None);
     }
 }

@@ -98,15 +98,6 @@ impl TraceStats {
         self.kernels += 1;
         self.kernel_time += duration;
     }
-
-    /// Fraction of total time spent in data transfers.
-    pub fn transfer_fraction(&self) -> f64 {
-        let total = self.total_time.as_nanos();
-        if total == 0 {
-            return 0.0;
-        }
-        self.transfer_time.as_nanos() as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -124,16 +115,5 @@ mod tests {
         let rate = ss.rate_bytes_per_sec(SimDuration::from_millis(500));
         assert!((rate - 144_000.0).abs() < 1e-6);
         assert_eq!(ss.rate_bytes_per_sec(SimDuration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn transfer_fraction() {
-        let ts = TraceStats {
-            transfer_time: SimDuration(250),
-            total_time: SimDuration(1000),
-            ..Default::default()
-        };
-        assert!((ts.transfer_fraction() - 0.25).abs() < 1e-12);
-        assert_eq!(TraceStats::default().transfer_fraction(), 0.0);
     }
 }
