@@ -225,10 +225,10 @@ impl Findings {
     /// the [`StreamFinding`]s a streaming engine emits over a run whose
     /// trace yields this report (as a multiset — live emission order
     /// interleaves the kinds, and round trips arrive only at finalize).
-    /// Algorithm 1 emits every reception after a group's
-    /// first, Algorithm 3 every allocation after a site's first, the
-    /// others one finding per trip / allocation / transfer. This is
-    /// the invariant the differential suites hold the engine to, and how
+    /// Algorithm 1 emits every reception after a group's first,
+    /// Algorithm 3 every allocation after a site's first, the others one
+    /// finding per trip / allocation / transfer. This is the invariant
+    /// the differential suites hold the engine to, and how
     /// [`crate::remedy::RemediationPolicy`] seeds itself from a report.
     pub fn stream_findings(&self) -> impl Iterator<Item = StreamFinding> + '_ {
         let dd = self.duplicates.iter().flat_map(|g| {
@@ -477,7 +477,7 @@ pub struct StreamingEngine {
 
     /// Algorithm 1: first reception and reception count per
     /// `(hash, dest_device)`.
-    receptions: FnvHashMap<(HashVal, DeviceId), (Seq, u32)>,
+    duplicates: FnvHashMap<(HashVal, DeviceId), (Seq, u32)>,
 
     /// Alloc/delete pairings in allocation order (Algorithms 3/4).
     pairs: Vec<StreamPair>,
@@ -666,7 +666,7 @@ impl StreamingEngine {
                 .sum::<usize>();
         [
             ("lanes", self.buffer.heap_bytes()),
-            ("duplicates", map_bytes(&self.receptions)),
+            ("duplicates", map_bytes(&self.duplicates)),
             ("pairings", pairings),
             ("devices", devices),
             (
@@ -803,7 +803,7 @@ impl StreamingEngine {
     /// reception of a `(hash, dest)` key is a duplicate of the first.
     fn on_hashed_transfer(&mut self, e: &DataOpEvent, hash: HashVal) {
         let (first, count) = self
-            .receptions
+            .duplicates
             .entry((hash, e.dest_device))
             .or_insert((e.id.0, 0));
         *count += 1;

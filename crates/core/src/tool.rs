@@ -1100,8 +1100,11 @@ impl Tool for OmpDataPerfTool {
                 // engine lock, what the rings and the reorder lanes
                 // could not take in order, and the heap the engine
                 // holds at exit, per structure.
-                let stats = (self.shared.engine.lock().as_ref())
+                let engine = self.shared.engine.lock();
+                let stats = engine
+                    .as_ref()
                     .map(|e| (e.buffer_stats(), e.retained_bytes()));
+                drop(engine);
                 if let Some((s, retained)) = stats {
                     let retained: Vec<String> = retained
                         .iter()
