@@ -91,6 +91,19 @@ mod tests {
     }
 
     #[test]
+    fn hasher_matches_oneshot_for_bytes() {
+        // Feeding the bytes in pieces gives the one-shot digest.
+        let mut oneshot = FnvHasher::default();
+        oneshot.write(b"foobar");
+        let mut pieces = FnvHasher::default();
+        pieces.write(b"foo");
+        pieces.write(b"");
+        pieces.write(b"bar");
+        assert_eq!(pieces.finish(), oneshot.finish());
+        assert_eq!(pieces.finish(), 0x85944171f73967e8);
+    }
+
+    #[test]
     fn map_works() {
         let mut m: FnvHashMap<u64, u32> = FnvHashMap::default();
         for i in 0..100 {
