@@ -61,20 +61,19 @@
 //! decide no round trip before exit on 23 of the 24 shipped programs
 //! while it held a second copy of every hashed transfer. Collection
 //! is sharded: every runtime thread owns a tool shard, and the
-//! per-callback fast path performs **zero lock acquisitions** — it
-//! appends to its own shard's trace log, hands the completed event to
-//! the drain through its own fixed-capacity lock-free SPSC ring (one
-//! release store per side; a bounded, counted spill absorbs overflow
-//! when drains can't keep up), and on every clock edge publishes the
-//! bound its open table gives (earliest open data-op or submit Begin,
-//! else its latest edge) into its own slot of the shared
-//! `GlobalWatermark`:
+//! per-callback fast path takes **no global lock** — under its own
+//! shard's lock it appends to the shard's trace log and pushes the
+//! completed event onto the shard's pending queue (a `Vec` behind its
+//! own mutex, which only drains otherwise touch), and on every clock
+//! edge it publishes the bound its open table gives (earliest open
+//! data-op or submit Begin, else its latest edge) into its own slot of
+//! the shared `GlobalWatermark`:
 //!
 //! ```text
-//! thread 0 ─► shard 0: TraceLog(for_shard 0) ─► SPSC ring 0 ───┐
-//! thread 1 ─► shard 1: TraceLog(for_shard 1) ─► SPSC ring 1 ───┤
-//!    ⋮            ⋮    (ring full ⇒ bounded, counted spill)     │
-//! thread N ─► shard N: TraceLog(for_shard N) ─► SPSC ring N ───┤
+//! thread 0 ─► shard 0: TraceLog(for_shard 0) ─► pending Vec 0 ─┐
+//! thread 1 ─► shard 1: TraceLog(for_shard 1) ─► pending Vec 1 ─┤
+//!    ⋮            ⋮                                            │
+//! thread N ─► shard N: TraceLog(for_shard N) ─► pending Vec N ─┤
 //!      │                                                       │
 //!      └─ open table ─► GlobalWatermark                        │
 //!         (every edge: queue the event, then publish — two     │
@@ -83,11 +82,12 @@
 //!         future start, None while any shard may still emit    │
 //!         at t=0)                                              │
 //!                                                              ▼
-//!          batch drain, due when the pusher's own ring is half
-//!          full, or whenever an observer looks (engine lock;
-//!          snapshot merged watermark, THEN push every ring + spill
-//!          to the reorder lanes in arrival order and advance once —
-//!          one lock, one snapshot and one release sweep per batch)
+//!          batch drain, due when the pusher's own queue holds 512
+//!          events, or whenever an observer looks (engine lock;
+//!          snapshot merged watermark, THEN swap out every queue and
+//!          push it to the reorder lanes in arrival order and advance
+//!          once — one lock, one snapshot and one release sweep per
+//!          batch)
 //!                              │
 //!                              ▼
 //!         StreamingEngine reorder buffer ── released at the merged

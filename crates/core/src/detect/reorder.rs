@@ -8,7 +8,7 @@
 //! collection itself went lock-free.
 //!
 //! This module exploits what the heap ignored: events arrive from
-//! per-shard SPSC rings, and within one shard completion order is
+//! per-shard queues, and within one shard completion order is
 //! *near*-sorted by start time (a shard's operations mostly retire in
 //! the order they began; only genuinely overlapping spans invert). So:
 //!

@@ -19,47 +19,42 @@
 //! **only that thread's shard** — its own [`TraceLog`] shard (event ids
 //! embed the shard, so the post-run [`TraceLog::merge_shards`] is
 //! deterministic regardless of OS scheduling), its own hash meter, its
-//! own table of open operations, and its own lock-free SPSC ingest ring
-//! ([`odp_ompt::ring`]). The open table pairs each End with its Begin
-//! and also yields the thread's watermark bound: the earliest open
-//! data-op or submit Begin, or the latest such edge when none is open.
-//! Cross-thread traffic on the fast path is one slot write + release
-//! store into the ring, plus — on every clock edge — a pair of release
-//! stores into the shard's own slot of the [`GlobalWatermark`]. **Zero
-//! global lock acquisitions.**
+//! own table of open operations, and, in streaming mode, its own queue
+//! of live events: a `Vec` behind the shard's own mutex, the way
+//! upstream's callback appends to a vector under one lock. The open
+//! table pairs each End with its Begin and also yields the thread's
+//! watermark bound: the earliest open data-op or submit Begin, or the
+//! latest such edge when none is open. Cross-thread traffic on the fast
+//! path is one push onto that queue, plus — on every clock edge — a pair
+//! of release stores into the shard's own slot of the
+//! [`GlobalWatermark`]. **Zero global lock acquisitions.**
 //!
 //! Streaming mode pays for detection per batch, not per callback. A
-//! callback records, pushes and publishes — nothing else — until its
-//! *own* ring has reached half its capacity
-//! ([`ring::Producer::half_full`], read off the producer's cached
-//! cursors). Only then does it *try* to take the engine lock; whoever
-//! succeeds snapshots the merged watermark, pushes every shard's ring
-//! (and its bounded spill, fed only when a ring overflows) straight
-//! into the [`StreamingEngine`]'s reorder lanes in arrival order, and
-//! advances it once. A shard that never reaches the mark is swept by
-//! the ones that do; a failed `try_lock` just means another thread is
-//! already draining, and the pusher asks again on its next event. So
-//! the ring capacity is also the drain batch: one engine lock, one
-//! watermark merge and one release sweep per few hundred events.
+//! callback records, queues and publishes until its *own* queue holds
+//! `DRAIN_BATCH` (512) events; only then does it `try_lock` the engine
+//! (a failure means another thread is draining: it asks again next
+//! event). The drain snapshots the merged watermark, swaps every
+//! shard's queue for the engine's one empty spare (O(1) under that
+//! queue's lock, so buffers circulate instead of being reallocated),
+//! pushes what it took out into the [`StreamingEngine`]'s reorder lanes
+//! in arrival order outside that lock, and advances the engine once.
 //! Observers (taps, finalize, stats) run the same drain whenever they
 //! look, so they, not the callbacks, bound the latency of live
-//! findings. Every shard publishes every edge, so the merged watermark
-//! any drain snapshots is the one the shards' clocks allow right now:
-//! everything decidable at that moment is decided. The
-//! snapshot-*then*-drain order is what makes this sound: each shard
-//! queues an event *before* publishing the clock edge that could
-//! unblock it, so any event at or below a snapshotted merged watermark
-//! is already visible to the sweep.
+//! findings. Every shard publishes every edge, so a drain decides
+//! everything its shards' clocks allow right now. Snapshot-*then*-drain
+//! is what makes this sound: each shard queues an event *before*
+//! publishing the clock edge that could unblock it, so any event at or
+//! below a snapshotted watermark is already visible to the sweep.
 //!
 //! Lock order (outermost first): engine → shard list → one shard →
-//! control; one shard → its ingest tail (a push that spills); engine →
-//! ingest list → one ingest tail; engine → stall → control; and engine
-//! → tap list → one tap buffer (the findings tee). The fast path takes
-//! its own shard's (uncontended) lock — and its own ingest tail's, only
-//! when the ring overflows; drains take no shard lock. `control` guards
-//! cold data (console lines, flags, the opt-in collision audit, which
-//! serializes by design); taps are touched only by findings consumers,
-//! never by callbacks.
+//! control; one shard → its pending queue (a push); engine → pending
+//! list → one pending queue; engine → stall → control; and engine → tap
+//! list → one tap buffer (the findings tee). The fast path takes its own
+//! shard's (uncontended) lock and, under it, its own pending queue's;
+//! drains take no shard lock. `control` guards cold data (console
+//! lines, flags, the opt-in collision audit, which serializes by
+//! design); taps are touched only by findings consumers, never by
+//! callbacks.
 //!
 //! Construction returns the tool plus a [`ToolHandle`] sharing its
 //! collector, so the harness can extract the merged trace after the
@@ -72,7 +67,7 @@ use odp_hash::fnv::FnvHashMap;
 use odp_hash::HashAlgoId;
 use odp_model::{DataOpKind, SimDuration, SimTime, TargetKind, TimeSpan, TraceHealth};
 use odp_ompt::{
-    ring, CallbackKind, DataOpCallback, DataOpType, Endpoint, GlobalWatermark, RuntimeCapabilities,
+    CallbackKind, DataOpCallback, DataOpType, Endpoint, GlobalWatermark, RuntimeCapabilities,
     ShardSlot, StallDetector, SubmitCallback, TargetCallback, TargetConstructKind, Tool,
     ToolRegistration,
 };
@@ -107,15 +102,6 @@ pub struct ToolConfig {
     /// decided afterwards [`crate::Confidence::Degraded`]. `None`
     /// (default) waits indefinitely.
     pub stall_timeout: Option<std::time::Duration>,
-    /// Capacity of each shard's SPSC ingest ring (streaming mode),
-    /// rounded up to a power of two; `None` = 1024. It also sets the
-    /// drain batch: a callback sweeps the rings into the engine when its
-    /// own ring is half full, so 1–2 drains on every push and larger
-    /// rings amortize the engine lock over capacity/2 events. A full
-    /// ring never blocks or drops: overflowing events take the
-    /// mutex-protected spill path (counted in
-    /// [`ToolHandle::spilled_events`]).
-    pub ring_capacity: Option<usize>,
 }
 
 /// Wall-clock hashing meter (Table 4's "effective hash rate").
@@ -192,22 +178,13 @@ impl ShardMeter {
     }
 }
 
-/// Default capacity of a shard's SPSC ingest ring.
-const DEFAULT_RING_CAPACITY: usize = 1024;
+/// Events a shard queues before its callback asks for a drain: one
+/// engine lock, one watermark merge and one release sweep per batch.
+const DRAIN_BATCH: usize = 512;
 
-/// The consumer-facing side of one shard's ingest channel — what a
-/// drain empties. The ring itself needs no lock; this mutex is taken by
-/// the drain, and by the producer only when its ring is full — so the
-/// common case never touches it.
-struct IngestTail {
-    consumer: ring::Consumer<StreamEvent>,
-    /// Events that found the ring full, in arrival order, each with the
-    /// ring's producer cursor at the time: everything pushed before it
-    /// sits below that position, everything pushed after at or above.
-    spill: Vec<(usize, StreamEvent)>,
-    /// Total events that ever took the spill path (monotonic).
-    spilled: u64,
-}
+/// One shard's undrained live events, in arrival order: pushed under the
+/// shard lock, swapped out whole by a drain that takes no shard lock.
+type PendingQueue = Arc<Mutex<Vec<StreamEvent>>>;
 
 /// One runtime thread's slice of the collector. Only the owning thread
 /// touches it on the fast path; the handle's observers lock it briefly
@@ -220,36 +197,22 @@ struct ShardState {
     /// Evidence this shard quarantined instead of recording (orphaned
     /// `End`s, truncated payload hashes).
     health: TraceHealth,
-    /// The ingest channel (streaming mode only): the ring's producer
-    /// half — under the shard lock, which only the owning thread takes
-    /// on the fast path, so pushes stay single-producer and uncontended
-    /// — and the shared tail it spills into on overflow.
-    ingest: Option<(ring::Producer<StreamEvent>, Arc<Mutex<IngestTail>>)>,
+    /// This shard's queue of live events (streaming mode only).
+    pending: Option<PendingQueue>,
 }
 
 impl ShardState {
-    /// Hand `event` to the streaming consumer (ring; spill when full).
-    /// The caller publishes the clock edge afterwards. The order is
-    /// load-bearing: the event must be queued *before* the publish that
-    /// could unblock it (the drain's snapshot-then-sweep soundness).
-    ///
-    /// Returns whether a drain is due: this shard's ring has reached
-    /// half its capacity (or overflowed). The caller drains *after*
-    /// releasing the shard lock.
+    /// Queue `event` for the drain, *before* the caller publishes the
+    /// clock edge that could unblock it (snapshot-then-sweep soundness).
+    /// Returns whether a drain is due ([`DRAIN_BATCH`] queued); the
+    /// caller drains *after* releasing the shard lock.
     #[must_use]
     fn queue(&mut self, event: StreamEvent) -> bool {
-        let Some((ring, tail)) = self.ingest.as_mut() else {
-            return false;
-        };
-        match ring.push(event) {
-            Ok(()) => ring.half_full(),
-            Err(event) => {
-                let mut tail = tail.lock();
-                tail.spill.push((ring.pushed(), event));
-                tail.spilled += 1;
-                true
-            }
-        }
+        self.pending.as_ref().is_some_and(|pending| {
+            let mut pending = pending.lock();
+            pending.push(event);
+            pending.len() >= DRAIN_BATCH
+        })
     }
 }
 
@@ -285,12 +248,12 @@ struct ToolShared {
     control: Mutex<Control>,
     /// All shards, fork order (= shard id order).
     shards: Mutex<Vec<Arc<Mutex<ShardState>>>>,
-    /// Per-shard ingest channels, fork order (streaming mode only).
-    ingests: Mutex<Vec<Arc<Mutex<IngestTail>>>>,
+    /// Per-shard pending queues, fork order (streaming mode only).
+    pending: Mutex<Vec<PendingQueue>>,
     /// The online detection engine (`stream` mode only). Fast-path
     /// callbacks never block on it: they `try_lock` to drain, and only
-    /// when their ring says a batch is due.
-    engine: Mutex<Option<StreamingEngine>>,
+    /// when their queue says a batch is due.
+    engine: Mutex<Option<Live>>,
     /// Per-shard clock merge (lock-free).
     watermark: GlobalWatermark,
     /// The watermark stall detector (`stall_timeout` + `stream` only).
@@ -304,43 +267,31 @@ struct ToolShared {
     taps: Mutex<Vec<TapBuf>>,
 }
 
+/// The streaming engine, and the empty queue buffer a drain swaps into
+/// the next shard it takes a queue from.
+struct Live {
+    engine: StreamingEngine,
+    spare: Vec<StreamEvent>,
+}
+
 impl ToolShared {
-    /// Sweep every shard's ingest ring (and spill) into the engine and
-    /// advance it to the merged watermark. `engine` must be locked by
-    /// the caller.
-    fn drain_locked(&self, engine: &mut StreamingEngine) {
+    /// Sweep every shard's pending queue into the engine and advance it
+    /// to the merged watermark. The engine lock must be held by the
+    /// caller.
+    fn drain_locked(&self, live: &mut Live) {
+        let Live { engine, spare } = live;
         // Snapshot BEFORE sweeping: every event at or below this merged
         // watermark was queued before its shard published the edge that
         // enabled it (shards queue, then publish), so the sweep below
         // is guaranteed to see it. `None` = some shard may still emit
         // at time zero: buffer only.
         let watermark = self.watermark.merged();
-        for ingest in self.ingests.lock().iter() {
-            // Holding the tail across both reads keeps the producer
-            // from spilling in between, so ring + spill are exactly the
-            // shard's not-yet-drained events.
-            let mut tail = ingest.lock();
-            let IngestTail {
-                consumer, spill, ..
-            } = &mut *tail;
-            // An event spills *because* the ring ahead of it is full,
-            // and later ones ride the ring again once it has room: the
-            // two interleave. Feeding each spilled event just before
-            // the ring position it was refused at restores arrival
-            // order — the shard's lane sees no inversion the program
-            // did not have. (Not by event id: target ids wrap.)
-            let mut spilled = spill.drain(..).peekable();
-            let mut at = consumer.popped();
-            consumer.pop_each(|event| {
-                while let Some((_, earlier)) =
-                    spilled.next_if(|&(mark, _)| at.wrapping_sub(mark) as isize >= 0)
-                {
-                    engine.push(earlier);
-                }
+        for pending in self.pending.lock().iter() {
+            // Outside the queue's lock, in arrival order.
+            std::mem::swap(&mut *pending.lock(), spare);
+            for event in spare.drain(..) {
                 engine.push(event);
-                at = at.wrapping_add(1);
-            });
-            spilled.for_each(|(_, event)| engine.push(event));
+            }
         }
         engine.advance(watermark);
         // Stall recovery: a wedged shard (open Begin, thread never
@@ -366,14 +317,14 @@ impl ToolShared {
         }
     }
 
-    /// Opportunistic drain from the callback fast path, once its ring
+    /// Opportunistic drain from the callback fast path, once its queue
     /// says a batch is due: never blocks.
     fn maybe_drain(&self) {
         let Some(mut guard) = self.engine.try_lock() else {
             return; // another thread is already draining
         };
-        if let Some(engine) = guard.as_mut() {
-            self.drain_locked(engine);
+        if let Some(live) = guard.as_mut() {
+            self.drain_locked(live);
         }
     }
 
@@ -381,9 +332,9 @@ impl ToolShared {
     /// engine while it is still locked. `None` when streaming is off.
     fn drained<R>(&self, read: impl FnOnce(&mut StreamingEngine) -> R) -> Option<R> {
         let mut guard = self.engine.lock();
-        guard.as_mut().map(|engine| {
-            self.drain_locked(engine);
-            read(engine)
+        guard.as_mut().map(|live| {
+            self.drain_locked(live);
+            read(&mut live.engine)
         })
     }
 
@@ -409,9 +360,9 @@ impl ToolShared {
         } else {
             self.engine.try_lock()
         };
-        if let Some(Some(engine)) = guard.as_deref_mut() {
-            self.drain_locked(engine);
-            self.harvest_locked(engine);
+        if let Some(Some(live)) = guard.as_deref_mut() {
+            self.drain_locked(live);
+            self.harvest_locked(&mut live.engine);
         }
     }
 }
@@ -562,23 +513,16 @@ impl ToolHandle {
     }
 
     /// Current streaming window sizes (`None` when streaming is off).
-    /// Drains first — otherwise events sitting in the ingest rings
-    /// would be invisible to the count.
+    /// Drains first — otherwise events sitting in the shards' pending
+    /// queues would be invisible to the count.
     pub fn stream_buffer_stats(&self) -> Option<StreamBufferStats> {
         self.shared.drained(|engine| engine.buffer_stats())
     }
 
-    /// Events that overflowed their shard's ingest ring and took the
-    /// mutex-protected spill path instead (streaming mode; total
-    /// across shards). From half full on, every push tries to drain,
-    /// so a ring overflows only while another drain or an observer
-    /// holds the engine for the whole second half of
-    /// [`ToolConfig::ring_capacity`]. Nothing is lost or reordered
-    /// either way: the drain feeds each spilled event back at the ring
-    /// position it was refused at.
+    /// Events that overflowed a shard's queue: always 0, a queue grows
+    /// until a drain takes it. Kept for readers of the old counter.
     pub fn spilled_events(&self) -> u64 {
-        let ingests = self.shared.ingests.lock();
-        ingests.iter().map(|tail| tail.lock().spilled).sum()
+        0
     }
 
     /// Aggregate trace health: what the collector and the streaming
@@ -592,8 +536,8 @@ impl ToolHandle {
         let mut health = TraceHealth::default();
         // Lock order: engine → shard list → one shard.
         let guard = self.shared.engine.lock();
-        if let Some(engine) = guard.as_ref() {
-            health.merge(&engine.health());
+        if let Some(live) = guard.as_ref() {
+            health.merge(&live.engine.health());
         }
         let shards = self.shared.shards.lock();
         for s in shards.iter() {
@@ -607,10 +551,10 @@ impl ToolHandle {
     /// full drain first, so no shard-buffered event is lost.
     pub fn take_stream_engine(&self) -> Option<StreamingEngine> {
         let mut guard = self.shared.engine.lock();
-        if let Some(engine) = guard.as_mut() {
-            self.shared.drain_locked(engine);
+        if let Some(live) = guard.as_mut() {
+            self.shared.drain_locked(live);
         }
-        guard.take()
+        guard.take().map(|live| live.engine)
     }
 }
 
@@ -777,8 +721,11 @@ impl OmpDataPerfTool {
                 ..Default::default()
             }),
             shards: Mutex::new(Vec::new()),
-            ingests: Mutex::new(Vec::new()),
-            engine: Mutex::new(cfg.stream.then(StreamingEngine::default)),
+            pending: Mutex::new(Vec::new()),
+            engine: Mutex::new(cfg.stream.then(|| Live {
+                engine: StreamingEngine::default(),
+                spare: Vec::new(),
+            })),
             watermark: GlobalWatermark::with_capacity(GlobalWatermark::DEFAULT_SHARDS),
             stall: Mutex::new(
                 cfg.stall_timeout
@@ -796,23 +743,17 @@ impl OmpDataPerfTool {
     fn new_shard(shared: Arc<ToolShared>) -> OmpDataPerfTool {
         let slot = shared.watermark.register();
         let cfg = shared.cfg;
-        // The ingest channel exists only in streaming mode: non-stream
-        // runs never queue events, so they skip the ring allocation.
-        let ingest = cfg.stream.then(|| {
-            let (tx, rx) = ring::spsc(cfg.ring_capacity.unwrap_or(DEFAULT_RING_CAPACITY));
-            let tail = Arc::new(Mutex::new(IngestTail {
-                consumer: rx,
-                spill: Vec::new(),
-                spilled: 0,
-            }));
-            shared.ingests.lock().push(tail.clone());
-            (tx, tail)
+        // Only streaming runs queue events.
+        let pending = cfg.stream.then(|| {
+            let queue = PendingQueue::default();
+            shared.pending.lock().push(queue.clone());
+            queue
         });
         let shard = Arc::new(Mutex::new(ShardState {
             log: TraceLog::for_shard(slot.index() as u32),
             hash_meter: ShardMeter::default(),
             health: TraceHealth::default(),
-            ingest,
+            pending,
         }));
         shared.shards.lock().push(shard.clone());
         shared.control.lock().spawned_shards += 1;
@@ -836,9 +777,9 @@ impl OmpDataPerfTool {
     /// taken the op's Begin out of the open table and observed `end`.
     /// `record` appends to the shard's log under the shard lock and
     /// hands back the event (`start == None`: a begin-only runtime, the
-    /// op is an instant); in streaming mode the event then rides the
-    /// ring ahead of the clock edge its span closes, and a due drain
-    /// runs once the shard lock is released.
+    /// op is an instant); in streaming mode the event is then queued
+    /// ahead of the clock edge its span closes, and a due drain runs
+    /// once the shard lock is released.
     fn record(
         &self,
         start: Option<SimTime>,
@@ -1097,13 +1038,13 @@ impl Tool for OmpDataPerfTool {
                 let rate = handle.hash_rate_gb_per_s();
                 let mut lines = vec![format!("info: effective hash rate {rate:.1} GB/s")];
                 // What the live path cost: how many events shared each
-                // engine lock, what the rings and the reorder lanes
-                // could not take in order, and the heap the engine
-                // holds at exit, per structure.
+                // engine lock, what the reorder lanes could not take in
+                // order, and the heap the engine holds at exit, per
+                // structure.
                 let engine = self.shared.engine.lock();
                 let stats = engine
                     .as_ref()
-                    .map(|e| (e.buffer_stats(), e.retained_bytes()));
+                    .map(|live| (live.engine.buffer_stats(), live.engine.retained_bytes()));
                 drop(engine);
                 if let Some((s, retained)) = stats {
                     let retained: Vec<String> = retained
@@ -1111,11 +1052,10 @@ impl Tool for OmpDataPerfTool {
                         .map(|&(name, bytes)| format!("{name} {}", human_bytes(bytes as u64)))
                         .collect();
                     lines.push(format!(
-                        "info: stream: {} drains, mean batch {:.1}, {} ring overflows, \
+                        "info: stream: {} drains, mean batch {:.1}, \
                          {} reorder inversions; retained {}",
                         s.drains,
                         s.drained_events as f64 / s.drains.max(1) as f64,
-                        handle.spilled_events(),
                         s.reorder_inversions,
                         retained.join(", "),
                     ));
@@ -1952,64 +1892,58 @@ mod tests {
     }
 
     #[test]
-    fn full_ring_spills_without_losing_or_reordering_events() {
+    fn a_blocked_drain_loses_and_reorders_nothing() {
         use crate::detect::{testutil::assert_live_matches, EventView};
-        let (mut tool, handle) = OmpDataPerfTool::new(ToolConfig {
-            stream: true,
-            ring_capacity: Some(2),
-            ..Default::default()
-        });
-        tool.initialize(&CompilerProfile::LlvmClang.capabilities());
+        const N: u64 = 3 * DRAIN_BATCH as u64 + 7;
+        let (mut tool, handle) = streaming_tool();
         let payload = vec![6u8; 64];
-        // Hold the engine lock: every callback-side maybe_drain
-        // try_lock fails, so nothing consumes the capacity-2 ring and
-        // the 3rd..10th events MUST take the spill path.
+        let op = DataOpType::TransferToDevice;
+        // Hold the engine lock: every callback-side try_lock fails, so
+        // the shard's queue grows well past the drain batch.
         let engine_guard = handle.shared.engine.lock();
-        for id in 0..10u64 {
-            tool.on_data_op(&data_op(
-                Endpoint::Begin,
-                id,
-                DataOpType::TransferToDevice,
-                id * 10,
-                None,
-            ));
-            tool.on_data_op(&data_op(
-                Endpoint::End,
-                id,
-                DataOpType::TransferToDevice,
-                id * 10 + 5,
-                Some(&payload),
-            ));
+        for id in 0..N {
+            tool.on_data_op(&data_op(Endpoint::Begin, id, op, id * 10, None));
+            tool.on_data_op(&data_op(Endpoint::End, id, op, id * 10 + 5, Some(&payload)));
         }
-        assert_eq!(handle.spilled_events(), 8, "2 ring slots + 8 spilled");
         drop(engine_guard);
-        tool.finalize(1_000);
-        assert!(queues_are_empty(&handle), "finalize drained ring and spill");
+        assert_eq!(engine_stats(&handle).drained_events, 0);
+        // The next push finds the engine free and drains everything.
+        tool.on_data_op(&data_op(Endpoint::Begin, N, op, N * 10, None));
+        tool.on_data_op(&data_op(Endpoint::End, N, op, N * 10 + 5, Some(&payload)));
         let stats = engine_stats(&handle);
-        assert_eq!(stats.drained_events, 10);
-        assert_eq!(stats.reorder_inversions, 0, "the spill re-merged in order");
+        assert_eq!(
+            (stats.drains, stats.drained_events),
+            (1, N + 1),
+            "{stats:?}"
+        );
+        assert!(queues_are_empty(&handle));
+        tool.finalize(100 * N);
+        let stats = engine_stats(&handle);
+        assert_eq!(stats.reorder_inversions, 0, "each lane saw arrival order");
+        assert_eq!(stats.buffered_now, 0, "{stats:?}");
         let trace = handle.take_trace();
-        assert_eq!(trace.data_op_count(), 10, "no event was lost");
+        assert_eq!(trace.data_op_count(), N as usize + 1, "no event was lost");
         let mut engine = handle.take_stream_engine().expect("engine");
         let view = EventView::from_log(&trace);
         let report = engine.finalize(&view);
-        assert_eq!(report.counts().dd, 9, "all ten transfers were seen");
-        // Spilled events re-merge in order: the live stream is exact.
+        assert_eq!(report.counts().dd, N as usize, "every transfer was seen");
         assert_live_matches(engine.take_findings(), &report);
     }
 
     /// The engine's counters, read under its lock *without* draining.
     fn engine_stats(handle: &ToolHandle) -> StreamBufferStats {
         let guard = handle.shared.engine.lock();
-        guard.as_ref().expect("streaming engine").buffer_stats()
+        guard
+            .as_ref()
+            .expect("streaming engine")
+            .engine
+            .buffer_stats()
     }
 
-    /// Is every shard's ring and spill empty?
+    /// Is every shard's pending queue empty?
     fn queues_are_empty(handle: &ToolHandle) -> bool {
-        handle.shared.ingests.lock().iter().all(|tail| {
-            let mut tail = tail.lock();
-            tail.spill.is_empty() && tail.consumer.is_empty()
-        })
+        let pending = handle.shared.pending.lock();
+        pending.iter().all(|queue| queue.lock().is_empty())
     }
 
     /// `n` sequential transfers of fresh content, ids and times from `base`.
@@ -2023,10 +1957,10 @@ mod tests {
     }
 
     #[test]
-    fn a_ring_reaching_half_its_capacity_drains_every_shard() {
+    fn a_queue_reaching_the_drain_batch_drains_every_shard() {
+        const BATCH: u64 = DRAIN_BATCH as u64;
         let (mut t0, handle) = OmpDataPerfTool::new(ToolConfig {
             stream: true,
-            ring_capacity: Some(8),
             ..Default::default()
         });
         let mut t1 = handle.fork_tool();
@@ -2034,22 +1968,26 @@ mod tests {
         t0.initialize(&caps);
         t1.initialize(&caps);
         // Below the mark on both shards: the callbacks only queue.
-        transfers(&mut t1, 100, 2);
-        transfers(&mut t0, 0, 3);
+        transfers(&mut t1, 1_000_000, 2);
+        transfers(&mut t0, 0, BATCH - 1);
         let stats = engine_stats(&handle);
         assert_eq!((stats.drains, stats.drained_events), (0, 0), "{stats:?}");
         assert!(!queues_are_empty(&handle));
-        // Shard 0's fourth event is half of eight: that push sweeps its
-        // own ring and shard 1's, which never reached the mark.
-        transfers(&mut t0, 3, 1);
+        // Shard 0's next event fills its batch: that push sweeps its own
+        // queue and shard 1's, which never reached the mark.
+        transfers(&mut t0, BATCH - 1, 1);
         let stats = engine_stats(&handle);
-        assert_eq!((stats.drains, stats.drained_events), (1, 6), "{stats:?}");
+        assert_eq!(
+            (stats.drains, stats.drained_events),
+            (1, BATCH + 2),
+            "{stats:?}"
+        );
         assert!(queues_are_empty(&handle));
-        // The next batch starts from an empty ring again.
-        transfers(&mut t0, 4, 3);
+        // The next batch starts from an empty queue again.
+        transfers(&mut t0, BATCH, BATCH - 1);
         assert_eq!(engine_stats(&handle).drains, 1);
-        transfers(&mut t0, 7, 1);
-        assert_eq!(engine_stats(&handle).drained_events, 10);
+        transfers(&mut t0, 2 * BATCH - 1, 1);
+        assert_eq!(engine_stats(&handle).drained_events, 2 * BATCH + 2);
     }
 
     #[test]
@@ -2065,7 +2003,7 @@ mod tests {
         transfers(&mut t0, 0, 5);
         transfers(&mut t1, 100, 5);
         assert_eq!(engine_stats(&handle).drains, 0, "far below 512");
-        // Every blocking observer drains both rings, whoever asks.
+        // Every blocking observer drains both queues, whoever asks.
         assert_eq!(handle.stream_counts(), Some(IssueCounts::default()));
         assert!(queues_are_empty(&handle));
         assert_eq!(engine_stats(&handle).drained_events, 10);
@@ -2090,20 +2028,17 @@ mod tests {
 
     #[test]
     fn the_callback_drain_sees_the_current_clock() {
-        // A two-slot ring is half full after every push, so every End
-        // drains from the callback path — and the watermark it
-        // snapshots already covers the edge that End just closed.
-        let (mut tool, handle) = OmpDataPerfTool::new(ToolConfig {
-            stream: true,
-            ring_capacity: Some(2),
-            ..Default::default()
-        });
-        tool.initialize(&CompilerProfile::LlvmClang.capabilities());
-        for id in 0..3 {
-            transfers(&mut tool, id, 1);
+        // The End that fills a batch drains from the callback path — and
+        // the watermark it snapshots already covers the edge that End
+        // just closed.
+        const BATCH: u64 = DRAIN_BATCH as u64;
+        let (mut tool, handle) = streaming_tool();
+        for batch in 0..3 {
+            transfers(&mut tool, batch * BATCH, BATCH);
             let stats = engine_stats(&handle);
-            assert_eq!(stats.drains, id + 1, "{stats:?}");
-            assert_eq!(stats.buffered_now, 0, "transfer {id}: {stats:?}");
+            assert_eq!(stats.drains, batch + 1, "{stats:?}");
+            assert_eq!(stats.drained_events, (batch + 1) * BATCH, "{stats:?}");
+            assert_eq!(stats.buffered_now, 0, "batch {batch}: {stats:?}");
         }
     }
 

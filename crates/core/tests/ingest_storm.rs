@@ -1,15 +1,14 @@
-//! SPSC-ingest-ring storm suite (satellite of the columnar/ring PR).
+//! Live-ingest storm suite.
 //!
 //! The sharded collector hands events from callback threads to the
-//! streaming drain through fixed-capacity lock-free rings with a
-//! mutex-protected spill for overflow. These storms force the shapes
-//! the unit tests can't: index wraparound under sustained load,
-//! full-ring spilling at the capacity boundary while drains race the
-//! producers and the watermark publishers, and shards finalizing while
-//! others still produce. The oracle everywhere is the streaming
-//! invariant — the live findings of the whole run are exactly the
-//! projection of the fused report over the merged trace — plus "no
-//! event lost" trace counts.
+//! streaming drain through one pending queue per shard, which a drain
+//! swaps out whole. These storms force the shapes the unit tests
+//! can't: drains racing the producers and the watermark publishers —
+//! a live observer hammering the engine makes them frequent — and
+//! shards finalizing while others still produce. The oracle everywhere
+//! is the streaming invariant — the live findings of the whole run are
+//! exactly the projection of the fused report over the merged trace —
+//! plus "no event lost" trace counts.
 //!
 //! CI runs this suite twice: free-running, and with
 //! `RUST_TEST_THREADS=1` so every test's *internal* threads still race
@@ -134,35 +133,13 @@ fn assert_oracle(handle: &ToolHandle, drained: Vec<StreamFinding>, label: &str) 
     assert_live_matches(live, &report, label);
 }
 
-/// Tiny rings: sustained storms wrap the ring indices thousands of
-/// times, and engine-lock contention between
-/// drains forces the full-ring spill path. Whatever mix of ring and
-/// spill each event took, the detected findings must not change.
+/// A live observer hammers the findings stream, so drains race the
+/// producers on almost every push. Everything drained live plus the
+/// final counts must account for every finding exactly once.
 #[test]
-fn tiny_rings_wraparound_and_spill_keep_findings_byte_identical() {
-    for (seed, cap) in [1usize, 2, 4, 1].into_iter().enumerate() {
-        let cfg = ToolConfig {
-            stream: true,
-            ring_capacity: Some(cap),
-            ..Default::default()
-        };
-        let handle = run_storm(cfg, 4, seed as u64, 600);
-        // Spills are scheduling-dependent (they need drain contention),
-        // so the count is informational; correctness must hold at any
-        // value.
-        let _spilled = handle.spilled_events();
-        assert_oracle(&handle, Vec::new(), &format!("cap={cap} seed={seed}"));
-    }
-}
-
-/// A live observer hammers the findings stream while tiny rings race at
-/// the capacity boundary. Everything drained live plus the final
-/// counts must account for every finding exactly once.
-#[test]
-fn capacity_boundary_racing_with_live_observer() {
+fn drains_racing_with_live_observer() {
     let cfg = ToolConfig {
         stream: true,
-        ring_capacity: Some(1),
         ..Default::default()
     };
     let (tool0, handle) = OmpDataPerfTool::new(cfg);
@@ -199,17 +176,16 @@ fn capacity_boundary_racing_with_live_observer() {
     assert!(!drained.is_empty(), "findings must flow during the run");
     let counts = handle.stream_counts().expect("streaming on");
     assert_eq!(counts.total(), drained.len(), "no finding lost or doubled");
-    assert_oracle(&handle, drained, "cap=1 live observer");
+    assert_oracle(&handle, drained, "live observer");
 }
 
 /// Half the shards finalize (retiring their watermark slots) while the
-/// other half keep producing into their rings. Late producers' events
+/// other half keep producing into their queues. Late producers' events
 /// must still merge and detect exactly.
 #[test]
 fn finalize_while_producing_keeps_the_oracle() {
     let cfg = ToolConfig {
         stream: true,
-        ring_capacity: Some(2),
         ..Default::default()
     };
     const THREADS: usize = 4;
@@ -245,13 +221,11 @@ fn finalize_while_producing_keeps_the_oracle() {
 }
 
 /// Same seed, same config, two runs: the merged trace must be
-/// byte-identical no matter how rings, spills, and drains interleaved
-/// (scheduling independence survives the ring rewrite).
+/// byte-identical no matter how pushes and drains interleaved.
 #[test]
-fn ring_ingest_is_scheduling_independent() {
+fn live_ingest_is_scheduling_independent() {
     let cfg = ToolConfig {
         stream: true,
-        ring_capacity: Some(2),
         ..Default::default()
     };
     let t1 = run_storm(cfg, 8, 11, 300).take_trace();
@@ -264,24 +238,17 @@ fn ring_ingest_is_scheduling_independent() {
     );
 }
 
-/// An event spills *because* the ring ahead of it is full, so a drain
-/// that fed the spill before the ring handed the shard's lane a later
-/// key first and every ring event after it counted as an inversion — on
-/// a program that has none. Two strictly sequential shards on two-slot
-/// rings, with an observer holding the engine so the rings overflow:
-/// whatever spills, the lanes must see each shard in arrival order.
+/// Two strictly sequential shards, with an observer draining as fast
+/// as it can so drains race every push: whatever the interleaving, the
+/// lanes must see each shard in arrival order.
 #[test]
-fn overflow_feeds_each_lane_in_arrival_order() {
+fn racing_drains_feed_each_lane_in_arrival_order() {
     let cfg = ToolConfig {
         stream: true,
-        ring_capacity: Some(2),
         ..Default::default()
     };
     let caps = CompilerProfile::LlvmClang.capabilities();
     let payload = vec![3u8; 64];
-    let mut spilled = 0;
-    // Overflow needs the observer to hold the engine while a producer
-    // pushes a third event — all but certain per attempt, not a given.
     for attempt in 0..20 {
         let (tool0, handle) = OmpDataPerfTool::new(cfg);
         let tools = vec![tool0, handle.fork_tool()];
@@ -305,17 +272,7 @@ fn overflow_feeds_each_lane_in_arrival_order() {
             }
         });
         let stats = handle.stream_buffer_stats().expect("streaming enabled");
-        assert_eq!(
-            stats.reorder_inversions,
-            0,
-            "attempt {attempt}: {} spilled, {stats:?}",
-            handle.spilled_events()
-        );
-        spilled += handle.spilled_events();
-        assert_oracle(&handle, Vec::new(), "sequential overflow");
-        if spilled > 0 {
-            break;
-        }
+        assert_eq!(stats.reorder_inversions, 0, "attempt {attempt}: {stats:?}");
+        assert_oracle(&handle, Vec::new(), "sequential racing drains");
     }
-    assert!(spilled > 0, "no attempt overflowed a two-slot ring");
 }

@@ -28,17 +28,12 @@
 //!   at or below it (`None` while any shard may still emit at t=0).
 //!   A shard publishes on every clock edge: two release stores to its
 //!   own cache line, so the merge is never behind any shard's clock;
-//! * [`ring`] — the lock-free SPSC ingest ring each callback shard uses
-//!   to hand completed events to the streaming drain path without a
-//!   mutex on the producer side;
 //! * `advice` — the feedback extension real OMPT lacks: a
 //!   [`MapAdvisor`] the runtime consults at every map-clause item so a
 //!   live analysis can rewrite inefficient mappings mid-run, with
 //!   per-cause [`RemediationStats`] accounting what the rewrites saved.
 
-// `deny`, not `forbid`: the `ring` module opts back in with a scoped
-// `allow` and per-block SAFETY proofs; everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
@@ -47,7 +42,6 @@ pub(crate) mod advice;
 pub(crate) mod callback;
 pub(crate) mod capability;
 pub(crate) mod progress;
-pub mod ring;
 pub(crate) mod tool;
 pub(crate) mod version;
 
