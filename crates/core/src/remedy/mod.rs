@@ -27,18 +27,19 @@
 //! release while other regions still hold the mapping, and the exit-side
 //! `from` copy of a persisted mapping survives as a targeted update.
 //!
-//! **Host visibility is not guaranteed.** A `skip_from` rule ("the host
-//! provably has the bytes") is honoured at every exit of its site: also
-//! the first copy-back of a seeded re-run, and after a kernel has written
-//! the variable since the host last received it — the kernel's result
-//! then never reaches the host. `crates/static/tests/remedy_oracle.rs`
-//! compares every host variable's final bytes with the unremediated
-//! run's and pins the cases that differ today (`KNOWN_UNSOUND`); the
-//! candidate rule is to honour `skip_from` only while no kernel has
-//! written the variable since the host's last copy (ROADMAP, aim 3).
-//! That rule has one home: the copy-back decision in `odp_sim`'s
-//! `Runtime::map_exit`, the one place the runtime reads
-//! `MapAdvice::skip_from`.
+//! **Host visibility is kept.** A rule names a copy the findings say
+//! is redundant; the runtime drops it only while that is provable from
+//! what it saw: the device and host copies agree because a transfer
+//! between them came after every kernel on that device that wrote the
+//! variable (declared in its writes, or its buffer taken mutably by its
+//! body) and after every host write. That holds both for a `skip_from`
+//! copy-back and for the re-send a persisted mapping's re-entry stands
+//! for; otherwise the copy happens as written. So a seeded re-run still
+//! fetches a kernel's first result, and an adaptive run fetches every
+//! result a kernel recomputed. The decision has one home, `odp_sim`'s
+//! `Runtime::in_sync`; `crates/static/tests/remedy_oracle.rs` compares
+//! every host variable's final bytes with the unremediated run's and
+//! finds no case that differs (`KNOWN_UNSOUND` is empty).
 //!
 //! One advisor serves every run: a [`Remediator`] owns the policy, and
 //! every runtime thread attaches the same one. Two ways to fill the

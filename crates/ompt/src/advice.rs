@@ -43,11 +43,15 @@ pub struct MapAdvice {
     /// Drop the clause entirely (never allocate or copy).
     pub elide: Option<FindingKind>,
     /// Keep the mapping resident at region exit (skip the release and
-    /// the delete); later entries reuse the present-table entry.
+    /// the delete); later entries reuse the present-table entry, and
+    /// skip its `to` copy only while the device and host copies agree.
     pub persist: Option<FindingKind>,
     /// Skip the enter-side host→device copy (`to` → `alloc`).
     pub skip_to: Option<FindingKind>,
-    /// Skip the exit-side device→host copy (`from` → `release`).
+    /// Skip the exit-side device→host copy (`from` → `release`), only
+    /// while the device and host copies agree: no kernel on the device
+    /// wrote the variable and the host did not write it since the last
+    /// transfer between the two.
     pub skip_from: Option<FindingKind>,
 }
 

@@ -35,7 +35,7 @@
 //! decision logic moved.
 
 use crate::config::RuntimeConfig;
-use crate::memory::DeviceMemory;
+use crate::memory::{DeviceMemory, HostWrites};
 use crate::present::PresentTable;
 use odp_model::{FindingKind, SimTime};
 use parking_lot::{Mutex, MutexGuard};
@@ -78,6 +78,9 @@ impl DeviceState {
 #[derive(Clone)]
 pub struct SharedDevices {
     devices: Arc<Vec<Mutex<DeviceState>>>,
+    /// The latest host write per address, noted by every runtime that
+    /// consults an advisor on this set.
+    pub(crate) host_writes: Arc<HostWrites>,
 }
 
 impl SharedDevices {
@@ -90,6 +93,7 @@ impl SharedDevices {
                     .map(|i| Mutex::new(DeviceState::new(i, cfg.device_memory_bytes)))
                     .collect(),
             ),
+            host_writes: Arc::default(),
         }
     }
 

@@ -78,6 +78,9 @@ impl KernelCost {
 /// access. Handed to kernel bodies.
 pub struct DeviceView<'a> {
     pub(crate) vars: Vec<(VarId, &'a mut Vec<u8>)>,
+    /// Variables the body took through [`DeviceView::bytes_mut`]: what
+    /// it may have written, whatever the kernel declared.
+    pub(crate) written: Vec<VarId>,
 }
 
 impl<'a> DeviceView<'a> {
@@ -92,6 +95,9 @@ impl<'a> DeviceView<'a> {
 
     /// Mutable raw bytes of `var`'s device buffer.
     pub fn bytes_mut(&mut self, var: VarId) -> &mut Vec<u8> {
+        if !self.written.contains(&var) {
+            self.written.push(var);
+        }
         self.vars
             .iter_mut()
             .find(|(v, _)| *v == var)
@@ -280,17 +286,22 @@ mod tests {
         let mut buf = vec![0u8; 16];
         let mut view = DeviceView {
             vars: vec![(VarId(0), &mut buf)],
+            written: Vec::new(),
         };
         view.write_f64(VarId(0), &[1.5, -2.0]);
         assert_eq!(view.read_f64(VarId(0)), vec![1.5, -2.0]);
         view.set_scalar_u32(VarId(0), 0, 42);
         assert_eq!(view.scalar_u32(VarId(0), 0), 42);
+        assert_eq!(view.written, [VarId(0)]);
     }
 
     #[test]
     #[should_panic(expected = "unmapped var")]
     fn device_view_panics_on_unmapped_access() {
-        let view = DeviceView { vars: vec![] };
+        let view = DeviceView {
+            vars: vec![],
+            written: Vec::new(),
+        };
         let _ = view.bytes(VarId(9));
     }
 }

@@ -7,7 +7,9 @@
 //! the duplicate/round-trip detectors — honest rather than modeled.
 
 use crate::alloc::FreeListAllocator;
+use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Handle to a host variable (a mapped array or scalar).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,11 +26,23 @@ pub struct HostVar {
     pub data: Vec<u8>,
 }
 
+/// The host's copy of the variable at one address, named by the latest
+/// write to it: equal stamps mean no write in between.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct HostCopy(u64);
+
+/// The write count and the latest write to each host address, shared by
+/// the runtimes of one device set: threads of one program, laid out
+/// alike, so one host address space.
+pub(crate) type HostWrites = Mutex<(u64, HashMap<u64, HostCopy>)>;
+
 /// The host memory space.
 #[derive(Debug, Default)]
 pub struct HostMemory {
     vars: Vec<HostVar>,
     next_addr: u64,
+    /// Where writes are noted; `None` while nothing needs to know.
+    pub(crate) writes: Option<Arc<HostWrites>>,
 }
 
 /// Base of the synthetic host heap (stack/heap-looking addresses).
@@ -40,6 +54,7 @@ impl HostMemory {
         HostMemory {
             vars: Vec::new(),
             next_addr: HOST_BASE,
+            writes: None,
         }
     }
 
@@ -62,9 +77,21 @@ impl HostMemory {
         &self.vars[id.0 as usize]
     }
 
-    /// Mutable access to the variable's bytes.
+    /// Mutable access to the variable's bytes, counted as a write.
     pub(crate) fn bytes_mut(&mut self, id: VarId) -> &mut [u8] {
-        &mut self.vars[id.0 as usize].data
+        let var = &mut self.vars[id.0 as usize];
+        if let Some(writes) = &self.writes {
+            let (count, latest) = &mut *writes.lock();
+            *count += 1;
+            latest.insert(var.addr, HostCopy(*count));
+        }
+        &mut var.data
+    }
+
+    /// The variable's current host copy (`None`: writes go untracked).
+    pub(crate) fn copy(&self, id: VarId) -> Option<HostCopy> {
+        let writes = self.writes.as_ref()?.lock();
+        Some(writes.1.get(&self.addr(id)).copied().unwrap_or_default())
     }
 
     /// Shared access to the variable's bytes.
@@ -175,6 +202,31 @@ mod tests {
         let a = h.alloc("a", 8);
         h.bytes_mut(a).copy_from_slice(&42u64.to_le_bytes());
         assert_eq!(u64::from_le_bytes(h.bytes(a).try_into().unwrap()), 42);
+    }
+
+    #[test]
+    fn a_host_copy_changes_with_each_write_to_its_address() {
+        let writes = Arc::new(HostWrites::default());
+        let (mut h0, mut h1) = (HostMemory::new(), HostMemory::new());
+        let (a0, b0) = (h0.alloc("a", 8), h0.alloc("b", 8));
+        assert_eq!(h0.copy(a0), None, "untracked");
+        h0.writes = Some(writes.clone());
+        h1.writes = Some(writes);
+        let before = h0.copy(a0);
+        assert!(before.is_some());
+        h0.bytes_mut(b0)[0] = 1;
+        assert_eq!(h0.copy(a0), before, "another variable's write");
+        h0.bytes_mut(a0)[0] = 0;
+        let written = h0.copy(a0);
+        assert_ne!(written, before, "a write, even of the same bytes");
+        // Two host memories of one device set share the address space:
+        // a write through either is a write to the one host copy.
+        let a1 = h1.alloc("a", 8);
+        assert_eq!(h1.addr(a1), h0.addr(a0));
+        assert_eq!(h1.copy(a1), written);
+        h1.bytes_mut(a1)[0] = 0;
+        assert_ne!(h0.copy(a0), written);
+        assert_eq!(h0.copy(a0), h1.copy(a1));
     }
 
     #[test]

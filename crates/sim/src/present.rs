@@ -8,6 +8,7 @@
 //! reaches zero. This is the mechanism whose misuse produces every
 //! inefficiency pattern in §4.
 
+use crate::memory::HostCopy;
 use std::collections::HashMap;
 
 /// One present-table entry.
@@ -19,6 +20,9 @@ pub struct PresentEntry {
     pub bytes: u64,
     /// Reference count.
     pub refcount: u32,
+    /// The host copy this one last equalled (a transfer either way);
+    /// `None` when fresh or a kernel may have written it since.
+    pub(crate) synced: Option<HostCopy>,
 }
 
 /// The present table for one device, keyed by host base address.
@@ -51,9 +55,17 @@ impl PresentTable {
                 dev_addr,
                 bytes,
                 refcount: 1,
+                synced: None,
             },
         );
         debug_assert!(prev.is_none(), "mapping inserted over a live entry");
+    }
+
+    /// Record which host copy the mapping at `host_addr` now equals.
+    pub(crate) fn set_synced(&mut self, host_addr: u64, synced: Option<HostCopy>) {
+        if let Some(e) = self.entries.get_mut(&host_addr) {
+            e.synced = synced;
+        }
     }
 
     /// Increment the reference count; returns the new count.

@@ -44,6 +44,7 @@ use crate::faults::{
 };
 use crate::kernel::{DeviceView, Kernel};
 use crate::memory::{HostMemory, VarId};
+use crate::present::PresentEntry;
 use odp_model::{CodePtr, DeviceId, FindingKind, MapModifier, MapType, SimDuration, SimTime};
 use odp_ompt::{
     AccessRange, CallbackKind, DataOpCallback, DataOpType, Endpoint, HostAccessInfo,
@@ -262,6 +263,8 @@ impl Runtime {
     pub(crate) fn attach_advisor(&mut self, advisor: Arc<dyn MapAdvisor>) {
         assert!(self.advisor.is_none(), "an advisor is already attached");
         self.advisor = Some(advisor);
+        // Only rewrites ask whether a device copy still equals the host's.
+        self.host.writes = Some(self.devices.host_writes.clone());
     }
 
     /// What the advisor's rewrites recovered so far (empty without one).
@@ -673,9 +676,11 @@ impl Runtime {
         // Execute the body (real compute) or the default mutation now,
         // deterministically; logically it completes at `end`.
         let mut kernel = kernel;
-        {
+        let tracked = self.advisor.is_some();
+        let body_wrote = {
             let mut view = DeviceView {
                 vars: taken.iter_mut().map(|(v, _, b)| (*v, b)).collect(),
+                written: Vec::new(),
             };
             match kernel.body.take() {
                 Some(body) => body(&mut view),
@@ -686,12 +691,18 @@ impl Runtime {
                     }
                 }
             }
-        }
+            view.written
+        };
 
-        // Return the buffers to the device.
-        for (_, dev_addr, buf) in taken {
+        // Return the buffers to the device. What the kernel declared
+        // writing, or its body took mutably, no longer equals the host's.
+        for (var, dev_addr, buf) in taken {
             if let Some(slot) = dev.mem.bytes_mut(dev_addr) {
                 *slot = buf;
+                let written = [&kernel.writes, &kernel.masked_writes, &body_wrote];
+                if tracked && written.iter().any(|vars| vars.contains(&var)) {
+                    dev.present.set_synced(self.host.addr(var), None);
+                }
             }
         }
 
@@ -820,16 +831,20 @@ impl Runtime {
                 };
                 if let Some(cause) = adopted {
                     self.note_avoided_alloc(device, cause, bytes);
+                    // Standing for a fresh mapping, it skips the `to` copy
+                    // only while the resident copy equals the host's.
+                    let stale = !self.in_sync(&entry, m.var);
                     // Under `always` the copy below happens (or is booked
                     // by skip_to) regardless of residency, so only a plain
                     // `to` re-entry actually saves a transfer here.
-                    if m.map_type.copies_to_device() && !m.modifier.always {
+                    if m.map_type.copies_to_device() && !m.modifier.always && !stale {
                         self.note_avoided_transfer(device, cause, bytes, true);
                     }
+                    (entry.dev_addr, stale)
                 } else {
                     dev.present.retain(haddr);
+                    (entry.dev_addr, false)
                 }
-                (entry.dev_addr, false)
             }
             None => {
                 if !m.map_type.allocates() {
@@ -861,10 +876,20 @@ impl Runtime {
                 Some(cause) if !force_map => {
                     self.note_avoided_transfer(device, cause, bytes, true);
                     self.remedy.counter_mut(device, cause).rewrites += 1;
+                    // To the program the copy happened (no kernel reads
+                    // the variable first; one that writes it clears this).
+                    dev.present.set_synced(haddr, self.host.copy(m.var));
                 }
                 _ => self.do_transfer(&mut dev, at, m.var, dev_addr, true),
             }
         }
+    }
+
+    /// Does the device copy `entry` provably equal the host's copy of
+    /// `var` (no kernel or host write since the last transfer between
+    /// the two)? Tracked only while an advisor, the one reader, is on.
+    fn in_sync(&self, entry: &PresentEntry, var: VarId) -> bool {
+        entry.synced.is_some() && entry.synced == self.host.copy(var)
     }
 
     /// One map item on a region-exit path.
@@ -904,9 +929,10 @@ impl Runtime {
             // preserved, no delete/re-send round trip) and is booked
             // under that rewrite, not as one of its own.
             let update_of = keep.filter(|_| !m.modifier.always);
-            match advice.skip_from {
-                // from → release: the copy-back is provably redundant
-                // (the host already holds the bytes).
+            // from → release only while the copy-back is provably
+            // redundant: the host already holds the device's bytes.
+            let host_holds_it = self.in_sync(&entry, m.var);
+            match advice.skip_from.filter(|_| host_holds_it) {
                 Some(cause) => {
                     self.note_avoided_transfer(device, cause, bytes, false);
                     if update_of.is_none() {
@@ -995,16 +1021,21 @@ impl Runtime {
         // thread's different-sized same-address mapping — surfaced as a
         // warning, never silent.
         if let Some(buf) = dev.mem.bytes_mut(dev_addr) {
-            let host = self.host.bytes_mut(var);
-            let n = host.len().min(buf.len());
-            let (src, dest) = if h2d {
-                (&host[..n], &mut buf[..n])
+            let n = (bytes as usize).min(buf.len());
+            if h2d {
+                let staged = self.host.bytes(var)[..n].to_vec();
+                buf[..n].copy_from_slice(&staged);
             } else {
-                (&buf[..n], &mut host[..n])
-            };
-            let staged = src.to_vec();
-            dest.copy_from_slice(&staged);
-            if buf.len() as u64 != bytes {
+                let staged = buf[..n].to_vec();
+                self.host.bytes_mut(var)[..n].copy_from_slice(&staged);
+            }
+            let whole = buf.len() as u64 == bytes;
+            if let Some(copy) = self.host.copy(var) {
+                // Only a whole copy makes the two equal.
+                dev.present
+                    .set_synced(self.host.addr(var), whole.then_some(copy));
+            }
+            if !whole {
                 self.warnings.push(RuntimeWarning::MappingSizeMismatch {
                     var: self.host.var(var).name.clone(),
                     mapped: buf.len() as u64,

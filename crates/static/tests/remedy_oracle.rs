@@ -8,8 +8,7 @@
 //! unremediated report, and keeps **every host variable's final bytes**.
 //! Where they differ from the unremediated run's the remediator lost a
 //! result the host was entitled to: [`KNOWN_UNSOUND`] lists those cases
-//! and must match exactly — a fix shrinks the table, a regression fails
-//! it. (ROADMAP: the `skip_from` item under aim 3.)
+//! and must match exactly, so a regression fails it.
 //!
 //! The same runs set the three producers of "the fix" side by side —
 //! `odp static plan` ([`Variant::Fixed`]), the seeded re-run, and the
@@ -65,17 +64,12 @@ fn host_after(program: &IrWorkload, remedy: Remedy) -> (RunOutcome, Vec<(String,
 }
 
 /// `(program, remedy, variable)`: host bytes a remediated run gets
-/// wrong today. `on_duplicate`'s host-bound arm sets `skip_from` ("the
-/// host provably has the bytes") and `map_exit` honours it
-/// unconditionally — also for the *first* copy-back of a seeded re-run,
-/// and after a kernel has written the variable again.
-const KNOWN_UNSOUND: &[(&str, &str, &str)] = &[
-    ("ir-bfs", "adaptive", "mask"),
-    ("ir-bfs", "seeded", "mask"),
-    ("mem1", "seeded", "z"),
-    ("mem2", "seeded", "z"),
-    ("mem4", "seeded", "z"),
-];
+/// wrong. None: the runtime drops a copy-back (`skip_from`), or the
+/// re-send a resident mapping's re-entry stands for, only while the
+/// device and host copies provably agree — no kernel on the device
+/// wrote the variable and the host did not write it since the last
+/// transfer between the two.
+const KNOWN_UNSOUND: &[(&str, &str, &str)] = &[];
 
 #[test]
 fn a_remediated_run_leaves_the_host_what_the_program_computed() {

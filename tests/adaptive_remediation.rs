@@ -2,9 +2,10 @@
 //!
 //! Property (seeded re-run): for every targeted workload, a re-run
 //! whose advisor was seeded from the baseline findings must (a) report
-//! **zero** findings of the remediated kinds, (b) move strictly fewer
-//! bytes than the baseline, and (c) account recovered transfer time
-//! greater than zero.
+//! **zero** findings of the remediated kinds beyond the transfers the
+//! host needs, (b) move strictly fewer bytes than the baseline whenever
+//! it dropped a transfer, and (c) account recovered time greater than
+//! zero.
 //!
 //! Property (no-op): an *empty* policy must change nothing — findings
 //! byte-identical to the baseline, identical transfer totals.
@@ -31,42 +32,52 @@ fn run_as(w: &dyn Workload, size: ProblemSize, variant: Variant, remedy: Remedy)
     )
 }
 
-/// The per-workload expectation for a seeded re-run. `inherent_dd`
-/// counts duplicates remediation cannot remove: identical content
-/// flowing through *different* variables (bfs ships one — the
-/// mask/visited initial images), which no mapping rewrite of a single
-/// clause can unify.
+/// The per-workload expectation for a seeded re-run: the duplicates
+/// and round trips remediation must keep. Identical content flowing
+/// through *different* variables (bfs's mask/visited initial images) is
+/// one no rewrite of a single clause can unify. And a copy is dropped
+/// only while the device and host copies provably agree: bfs's stop
+/// flag is written by the host before every level and by the kernel
+/// after, so each of its transfers carries a value the other side
+/// needs — bfs keeps every duplicate and round trip it has and
+/// recovers only allocation work.
 struct Expect {
     name: &'static str,
     size: ProblemSize,
-    inherent_dd: usize,
+    kept_dd: usize,
+    kept_rt: usize,
 }
 
 const GRID: &[Expect] = &[
     Expect {
         name: "babelstream",
         size: ProblemSize::Small,
-        inherent_dd: 0,
+        kept_dd: 0,
+        kept_rt: 0,
     },
     Expect {
         name: "babelstream",
         size: ProblemSize::Medium,
-        inherent_dd: 0,
+        kept_dd: 0,
+        kept_rt: 0,
     },
     Expect {
         name: "bfs",
         size: ProblemSize::Small,
-        inherent_dd: 1,
+        kept_dd: 10,
+        kept_rt: 6,
     },
     Expect {
         name: "bfs",
         size: ProblemSize::Medium,
-        inherent_dd: 1,
+        kept_dd: 18,
+        kept_rt: 10,
     },
     Expect {
         name: "xsbench",
         size: ProblemSize::Small,
-        inherent_dd: 0,
+        kept_dd: 0,
+        kept_rt: 0,
     },
 ];
 
@@ -86,13 +97,13 @@ fn seeded_rerun_eliminates_the_remediated_kinds() {
 
         let c = rerun.report.counts;
         assert_eq!(
-            c.dd, e.inherent_dd,
-            "{} ({:?}): duplicate transfers must drop to the inherent floor, got {c:?}",
+            c.dd, e.kept_dd,
+            "{} ({:?}): duplicate transfers must drop to the ones the host needs, got {c:?}",
             e.name, e.size
         );
         assert_eq!(
-            c.rt, 0,
-            "{} ({:?}): round trips remain: {c:?}",
+            c.rt, e.kept_rt,
+            "{} ({:?}): round trips must drop to the ones the host needs, got {c:?}",
             e.name, e.size
         );
         assert_eq!(
@@ -100,18 +111,27 @@ fn seeded_rerun_eliminates_the_remediated_kinds() {
             "{} ({:?}): repeated allocations remain: {c:?}",
             e.name, e.size
         );
-        assert!(
-            rerun.stats.bytes_transferred < baseline.stats.bytes_transferred,
-            "{} ({:?}): remediated run must move strictly fewer bytes ({} vs {})",
-            e.name,
-            e.size,
-            rerun.stats.bytes_transferred,
-            baseline.stats.bytes_transferred
-        );
+        let base = baseline.report.counts;
+        if (c.dd, c.rt) == (base.dd, base.rt) {
+            assert_eq!(
+                rerun.stats.bytes_transferred, baseline.stats.bytes_transferred,
+                "{} ({:?}): a re-run that keeps every transfer moves the same bytes",
+                e.name, e.size
+            );
+        } else {
+            assert!(
+                rerun.stats.bytes_transferred < baseline.stats.bytes_transferred,
+                "{} ({:?}): remediated run must move strictly fewer bytes ({} vs {})",
+                e.name,
+                e.size,
+                rerun.stats.bytes_transferred,
+                baseline.stats.bytes_transferred
+            );
+        }
         let remediation = rerun.remediation.unwrap();
         assert!(
             remediation.recovered_time().as_nanos() > 0,
-            "{} ({:?}): recovered transfer time must be measurable",
+            "{} ({:?}): recovered time must be measurable",
             e.name,
             e.size
         );
@@ -155,7 +175,10 @@ fn empty_policy_is_a_no_op() {
 fn adaptive_single_run_recovers_on_iterative_workloads() {
     // babelstream and bfs iterate their inefficient pattern, so the
     // findings from iteration n rewrite iteration n+1 within ONE run.
-    for name in ["babelstream", "bfs"] {
+    // bfs's only rewrite is keeping its stop flag's mapping resident:
+    // every transfer of the flag carries a value the host or the kernel
+    // needs, so it recovers allocation work and moves the same bytes.
+    for (name, saves_bytes) in [("babelstream", true), ("bfs", false)] {
         let w = odp_workloads::by_name(name).unwrap();
         let baseline = run_as(&*w, ProblemSize::Small, Variant::Original, Remedy::Off);
         let adaptive = run_as(&*w, ProblemSize::Small, Variant::Original, Remedy::Adaptive);
@@ -163,10 +186,17 @@ fn adaptive_single_run_recovers_on_iterative_workloads() {
             adaptive.remediation.unwrap().recovered_time().as_nanos() > 0,
             "{name}: one adaptive run must recover transfer time"
         );
-        assert!(
-            adaptive.stats.bytes_transferred < baseline.stats.bytes_transferred,
-            "{name}: adaptive run must move strictly fewer bytes"
-        );
+        if saves_bytes {
+            assert!(
+                adaptive.stats.bytes_transferred < baseline.stats.bytes_transferred,
+                "{name}: adaptive run must move strictly fewer bytes"
+            );
+        } else {
+            assert_eq!(
+                adaptive.stats.bytes_transferred, baseline.stats.bytes_transferred,
+                "{name}: adaptive run must move the same bytes"
+            );
+        }
         assert!(
             adaptive.report.counts.total() > 0,
             "{name}: the pre-rewrite iterations are still reported"

@@ -7,11 +7,14 @@
 //! therefore of two kinds:
 //!
 //! * **Scheduling-independent properties** of free-running runs: a
-//!   policy seeded from a threaded baseline eliminates the remediated
-//!   finding kinds in a threaded re-run; adaptive runs move strictly
-//!   fewer bytes than the baseline; streaming finalize stays
-//!   byte-identical to post-mortem detection over the same merged
-//!   trace.
+//!   policy seeded from a threaded baseline eliminates repeated
+//!   allocations in a threaded re-run; adaptive runs recover work;
+//!   streaming finalize stays byte-identical to post-mortem detection
+//!   over the same merged trace. A rewrite drops a copy only while the
+//!   device and host copies provably agree, and the threads of a run
+//!   share one host address space, so which duplicates and round trips
+//!   a re-run keeps depends on how the threads' host writes interleave
+//!   with the transfers — those counts are not asserted.
 //! * **Forced interleavings**: turn-taking runs (the
 //!   `sharded_stress.rs` style) pin down that a fixed directive
 //!   interleaving produces an identical merged trace every time, that
@@ -53,20 +56,12 @@ fn advisor(remediator: Remediator) -> Arc<dyn MapAdvisor> {
     Arc::new(remediator)
 }
 
-/// Duplicates remediation cannot remove: identical content flowing
-/// through *different* variables (bfs's mask/visited initial images).
-fn inherent_dd(name: &str) -> usize {
-    match name {
-        "bfs" => 1,
-        _ => 0,
-    }
-}
-
-/// Did this run still report findings of the kinds remediation targets
-/// here (duplicates above the inherent floor, round trips, repeated
-/// allocations)?
-fn remediated_kinds_remain(name: &str, c: &ompdataperf::detect::IssueCounts) -> bool {
-    c.dd > inherent_dd(name) || c.rt > 0 || c.ra > 0
+/// Did this run still report findings of the kinds remediation removes
+/// under every schedule? That is repeated allocations: keeping a
+/// mapping resident never needs the copies to agree. Duplicates and
+/// round trips go only where no host or kernel write came between.
+fn remediated_kinds_remain(c: &ompdataperf::detect::IssueCounts) -> bool {
+    c.ra > 0
 }
 
 #[test]
@@ -77,17 +72,16 @@ fn seeded_threaded_reruns_converge_to_zero_remediated_kinds() {
     // The scheduling-independent property is CONVERGENCE: absorbing each
     // run's findings into the policy monotonically accumulates site
     // rules, and within a few rounds a seeded re-run reports zero
-    // findings of the remediated kinds — and moves strictly fewer bytes
-    // than the last run that still had them.
+    // repeated allocations — and recovers work. Its bytes are not
+    // compared: which re-sends a re-run still needs depends on how the
+    // threads' host writes fell between the transfers.
     for name in ["babelstream", "bfs", "xsbench"] {
         for threads in [2u32, 4, 8] {
             let w = odp_workloads::by_name(name).unwrap();
             let baseline = shared_run(&*w, threads, Remedy::Seeded(RemediationPolicy::new()));
 
             let mut policy = RemediationPolicy::from_findings(&baseline.report.findings);
-            let mut last_unremediated_bytes =
-                remediated_kinds_remain(name, &baseline.report.counts)
-                    .then_some(baseline.stats.bytes_transferred);
+            let mut had_remediated_kinds = remediated_kinds_remain(&baseline.report.counts);
             let mut converged = None;
             for _round in 0..5 {
                 let rerun = shared_run(&*w, threads, Remedy::Seeded(policy.clone()));
@@ -95,10 +89,10 @@ fn seeded_threaded_reruns_converge_to_zero_remediated_kinds() {
                     rerun.remediation.as_ref().unwrap().actual_transfer_bytes,
                     rerun.stats.bytes_transferred
                 );
-                if remediated_kinds_remain(name, &rerun.report.counts) {
+                if remediated_kinds_remain(&rerun.report.counts) {
                     // A schedule exposed sites the policy had no rules
                     // for yet: absorb and go again.
-                    last_unremediated_bytes = Some(rerun.stats.bytes_transferred);
+                    had_remediated_kinds = true;
                     policy.absorb(&rerun.report.findings);
                 } else {
                     converged = Some(rerun);
@@ -109,23 +103,16 @@ fn seeded_threaded_reruns_converge_to_zero_remediated_kinds() {
                 panic!("{name} x{threads}: no convergence within 5 seeding rounds")
             });
             let c = rerun.report.counts;
-            assert!(
-                c.dd <= inherent_dd(name) && c.rt == 0 && c.ra == 0,
-                "{name} x{threads}: remediated kinds must be gone, got {c:?}"
+            assert_eq!(
+                c.ra, 0,
+                "{name} x{threads}: repeated allocations remain: {c:?}"
             );
-            // Strictly fewer bytes than the last run that still showed
-            // the remediated kinds (when any run did — an all-quiet
-            // schedule has nothing to recover).
-            if let Some(unremediated) = last_unremediated_bytes {
-                assert!(
-                    rerun.stats.bytes_transferred < unremediated,
-                    "{name} x{threads}: converged run must move strictly fewer bytes ({} vs {})",
-                    rerun.stats.bytes_transferred,
-                    unremediated
-                );
+            // Work recovered when any run showed the remediated kinds (an
+            // all-quiet schedule has nothing to recover).
+            if had_remediated_kinds {
                 assert!(
                     rerun.remediation.unwrap().recovered_time().as_nanos() > 0,
-                    "{name} x{threads}: recovered transfer time must be measurable"
+                    "{name} x{threads}: recovered time must be measurable"
                 );
             }
         }
@@ -137,8 +124,10 @@ fn adaptive_threaded_run_recovers_live() {
     // One live threaded run on bfs (its iterated pattern produces
     // findings under every schedule): thread A's diagnosis rewrites
     // thread B's next region through the shared policy, so the run
-    // must recover transfer traffic relative to its own unremediated
-    // execution (actual + recovered = what it would have moved).
+    // must recover work relative to its own unremediated execution
+    // (actual + recovered = what it would have done). Every transfer of
+    // bfs's stop flag carries a value the host or the kernel needs, so
+    // what it recovers is allocation work.
     for threads in [2u32, 4] {
         let w = odp_workloads::by_name("bfs").unwrap();
         let adaptive = shared_run(&*w, threads, Remedy::Adaptive);
@@ -148,8 +137,8 @@ fn adaptive_threaded_run_recovers_live() {
             "x{threads}: live findings must rewrite later iterations"
         );
         assert!(
-            remediation.recovered_transfer_bytes > 0,
-            "x{threads}: recovered bytes must be accounted"
+            remediation.recovered_mgmt_time.as_nanos() > 0,
+            "x{threads}: recovered allocation work must be accounted"
         );
         assert!(
             adaptive.report.counts.total() > 0,
