@@ -38,6 +38,7 @@
 //! the tool on the interpreted program — is pinned by unit tests, a
 //! property suite, and golden fixtures.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
