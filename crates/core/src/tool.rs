@@ -201,21 +201,6 @@ struct ShardState {
     pending: Option<PendingQueue>,
 }
 
-impl ShardState {
-    /// Queue `event` for the drain, *before* the caller publishes the
-    /// clock edge that could unblock it (snapshot-then-sweep soundness).
-    /// Returns whether a drain is due ([`DRAIN_BATCH`] queued); the
-    /// caller drains *after* releasing the shard lock.
-    #[must_use]
-    fn queue(&mut self, event: StreamEvent) -> bool {
-        self.pending.as_ref().is_some_and(|pending| {
-            let mut pending = pending.lock();
-            pending.push(event);
-            pending.len() >= DRAIN_BATCH
-        })
-    }
-}
-
 /// Cold shared state: console lines, negotiation flags, the audit.
 #[derive(Debug, Default)]
 struct Control {
@@ -287,7 +272,7 @@ impl ToolShared {
         // at time zero: buffer only.
         let watermark = self.watermark.merged();
         for pending in self.pending.lock().iter() {
-            // Outside the queue's lock, in arrival order.
+            // The queue's lock is held for the swap only.
             std::mem::swap(&mut *pending.lock(), spare);
             for event in spare.drain(..) {
                 engine.push(event);
@@ -778,8 +763,9 @@ impl OmpDataPerfTool {
     /// `record` appends to the shard's log under the shard lock and
     /// hands back the event (`start == None`: a begin-only runtime, the
     /// op is an instant); in streaming mode the event is then queued
-    /// ahead of the clock edge its span closes, and a due drain runs
-    /// once the shard lock is released.
+    /// *before* the clock edge its span closes is published (the
+    /// drain's snapshot-then-sweep soundness), and once the shard lock
+    /// is released a drain runs if the queue holds [`DRAIN_BATCH`].
     fn record(
         &self,
         start: Option<SimTime>,
@@ -790,7 +776,11 @@ impl OmpDataPerfTool {
             let mut shard = self.shard.lock();
             let span = start.map_or(TimeSpan::at(end), |start| TimeSpan::new(start, end));
             let event = record(&mut shard, span);
-            shard.queue(event)
+            shard.pending.as_ref().is_some_and(|pending| {
+                let mut pending = pending.lock();
+                pending.push(event);
+                pending.len() >= DRAIN_BATCH
+            })
         };
         self.publish();
         if drain_due {

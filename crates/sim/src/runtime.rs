@@ -676,7 +676,6 @@ impl Runtime {
         // Execute the body (real compute) or the default mutation now,
         // deterministically; logically it completes at `end`.
         let mut kernel = kernel;
-        let tracked = self.advisor.is_some();
         let body_wrote = {
             let mut view = DeviceView {
                 vars: taken.iter_mut().map(|(v, _, b)| (*v, b)).collect(),
@@ -700,7 +699,7 @@ impl Runtime {
             if let Some(slot) = dev.mem.bytes_mut(dev_addr) {
                 *slot = buf;
                 let written = [&kernel.writes, &kernel.masked_writes, &body_wrote];
-                if tracked && written.iter().any(|vars| vars.contains(&var)) {
+                if written.iter().any(|vars| vars.contains(&var)) {
                     dev.present.set_synced(self.host.addr(var), None);
                 }
             }
