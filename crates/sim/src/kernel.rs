@@ -77,10 +77,9 @@ impl KernelCost {
 /// A device-side view over the buffers of the variables a kernel may
 /// access. Handed to kernel bodies.
 pub struct DeviceView<'a> {
-    pub(crate) vars: Vec<(VarId, &'a mut Vec<u8>)>,
-    /// Variables the body took through [`DeviceView::bytes_mut`]: what
-    /// it may have written, whatever the kernel declared.
-    pub(crate) written: Vec<VarId>,
+    /// Each variable's buffer, and whether the body took it through
+    /// [`DeviceView::bytes_mut`]: what it may have written.
+    pub(crate) vars: Vec<(VarId, &'a mut Vec<u8>, bool)>,
 }
 
 impl<'a> DeviceView<'a> {
@@ -88,20 +87,20 @@ impl<'a> DeviceView<'a> {
     pub fn bytes(&self, var: VarId) -> &[u8] {
         self.vars
             .iter()
-            .find(|(v, _)| *v == var)
-            .map(|(_, b)| b.as_slice())
+            .find(|(v, _, _)| *v == var)
+            .map(|(_, b, _)| b.as_slice())
             .unwrap_or_else(|| panic!("kernel accessed unmapped var {var:?}"))
     }
 
     /// Mutable raw bytes of `var`'s device buffer.
     pub fn bytes_mut(&mut self, var: VarId) -> &mut Vec<u8> {
-        if !self.written.contains(&var) {
-            self.written.push(var);
-        }
         self.vars
             .iter_mut()
-            .find(|(v, _)| *v == var)
-            .map(|(_, b)| &mut **b)
+            .find(|(v, _, _)| *v == var)
+            .map(|(_, b, written)| {
+                *written = true;
+                &mut **b
+            })
             .unwrap_or_else(|| panic!("kernel accessed unmapped var {var:?}"))
     }
 
@@ -285,23 +284,19 @@ mod tests {
     fn device_view_typed_access() {
         let mut buf = vec![0u8; 16];
         let mut view = DeviceView {
-            vars: vec![(VarId(0), &mut buf)],
-            written: Vec::new(),
+            vars: vec![(VarId(0), &mut buf, false)],
         };
         view.write_f64(VarId(0), &[1.5, -2.0]);
         assert_eq!(view.read_f64(VarId(0)), vec![1.5, -2.0]);
         view.set_scalar_u32(VarId(0), 0, 42);
         assert_eq!(view.scalar_u32(VarId(0), 0), 42);
-        assert_eq!(view.written, [VarId(0)]);
+        assert!(view.vars[0].2, "taken mutably");
     }
 
     #[test]
     #[should_panic(expected = "unmapped var")]
     fn device_view_panics_on_unmapped_access() {
-        let view = DeviceView {
-            vars: vec![],
-            written: Vec::new(),
-        };
+        let view = DeviceView { vars: vec![] };
         let _ = view.bytes(VarId(9));
     }
 }

@@ -9,6 +9,7 @@
 use crate::alloc::FreeListAllocator;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 /// Handle to a host variable (a mapped array or scalar).
@@ -27,9 +28,9 @@ pub struct HostVar {
 }
 
 /// The host's copy of the variable at one address, named by the latest
-/// write to it: equal stamps mean no write in between.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct HostCopy(u64);
+/// write to it (`MIN`: none yet): equal stamps mean no write in between.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct HostCopy(NonZeroU64);
 
 /// The write count and the latest write to each host address, shared by
 /// the runtimes of one device set: threads of one program, laid out
@@ -83,7 +84,7 @@ impl HostMemory {
         if let Some(writes) = &self.writes {
             let (count, latest) = &mut *writes.lock();
             *count += 1;
-            latest.insert(var.addr, HostCopy(*count));
+            latest.insert(var.addr, HostCopy(NonZeroU64::MIN.saturating_add(*count)));
         }
         &mut var.data
     }
@@ -91,7 +92,8 @@ impl HostMemory {
     /// The variable's current host copy (`None`: writes go untracked).
     pub(crate) fn copy(&self, id: VarId) -> Option<HostCopy> {
         let writes = self.writes.as_ref()?.lock();
-        Some(writes.1.get(&self.addr(id)).copied().unwrap_or_default())
+        let unwritten = HostCopy(NonZeroU64::MIN);
+        Some(writes.1.get(&self.addr(id)).copied().unwrap_or(unwritten))
     }
 
     /// Shared access to the variable's bytes.

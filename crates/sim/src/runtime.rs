@@ -676,10 +676,9 @@ impl Runtime {
         // Execute the body (real compute) or the default mutation now,
         // deterministically; logically it completes at `end`.
         let mut kernel = kernel;
-        let body_wrote = {
+        {
             let mut view = DeviceView {
-                vars: taken.iter_mut().map(|(v, _, b)| (*v, b)).collect(),
-                written: Vec::new(),
+                vars: taken.iter_mut().map(|(v, _, b)| (*v, b, false)).collect(),
             };
             match kernel.body.take() {
                 Some(body) => body(&mut view),
@@ -690,18 +689,21 @@ impl Runtime {
                     }
                 }
             }
-            view.written
-        };
-
-        // Return the buffers to the device. What the kernel declared
-        // writing, or its body took mutably, no longer equals the host's.
-        for (var, dev_addr, buf) in taken {
-            if let Some(slot) = dev.mem.bytes_mut(dev_addr) {
-                *slot = buf;
-                let written = [&kernel.writes, &kernel.masked_writes, &body_wrote];
-                if written.iter().any(|vars| vars.contains(&var)) {
+            // What the kernel declared writing, or its body took
+            // mutably, no longer equals the host's copy (tracked only
+            // for advised runs).
+            let tracked = self.advisor.is_some();
+            for &(var, _, took) in view.vars.iter().filter(|_| tracked) {
+                if took || kernel.writes.contains(&var) || kernel.masked_writes.contains(&var) {
                     dev.present.set_synced(self.host.addr(var), None);
                 }
+            }
+        }
+
+        // Return the buffers to the device.
+        for (_, dev_addr, buf) in taken {
+            if let Some(slot) = dev.mem.bytes_mut(dev_addr) {
+                *slot = buf;
             }
         }
 
