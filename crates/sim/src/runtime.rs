@@ -932,8 +932,7 @@ impl Runtime {
             let update_of = keep.filter(|_| !m.modifier.always);
             // from → release only while the copy-back is provably
             // redundant: the host already holds the device's bytes.
-            let host_holds_it = self.in_sync(&entry, m.var);
-            match advice.skip_from.filter(|_| host_holds_it) {
+            match advice.skip_from.filter(|_| self.in_sync(&entry, m.var)) {
                 Some(cause) => {
                     self.note_avoided_transfer(device, cause, bytes, false);
                     if update_of.is_none() {
