@@ -367,7 +367,7 @@ pub struct StreamBufferStats {
     /// trace length).
     pub reorder_pocket_peak: usize,
     /// Batches closed ([`StreamingEngine::advance`] calls; under the
-    /// tool, sweeps of the shards' ingest rings).
+    /// tool, sweeps of the shards' pending queues).
     pub drains: u64,
     /// Events those batches carried. `drained_events / drains` is the
     /// mean batch: how many events share one engine lock, one watermark

@@ -33,11 +33,21 @@
 //! callback records, queues and publishes until its *own* queue holds
 //! `DRAIN_BATCH` (512) events; only then does it `try_lock` the engine
 //! (a failure means another thread is draining: it asks again next
-//! event). The drain snapshots the merged watermark, swaps every
-//! shard's queue for the engine's one empty spare (O(1) under that
-//! queue's lock, so buffers circulate instead of being reallocated),
-//! pushes what it took out into the [`StreamingEngine`]'s reorder lanes
-//! in arrival order outside that lock, and advances the engine once.
+//! event). One shard is let off: a shard whose published bound alone
+//! holds the merged watermark back while another live shard is ahead
+//! leaves the drain to that shard until its own queue holds
+//! `DEFER_CAP` (8 192) events. Draining costs the drainer wall time;
+//! paid by the shard behind in virtual time, it keeps that shard behind
+//! and the shard ahead's events wait in the reorder lanes. Paid by the
+//! shard ahead, the shard behind catches up and the lanes stay short.
+//! Who drains changes nothing about what a drain may release: the
+//! decision reads only the published slots, never the wall clock.
+//!
+//! The drain snapshots the merged watermark, swaps every shard's queue
+//! for the engine's one empty spare (O(1) under that queue's lock, so
+//! buffers circulate instead of being reallocated), pushes what it took
+//! out into the [`StreamingEngine`]'s reorder lanes in arrival order
+//! outside that lock, and advances the engine once.
 //! Observers (taps, finalize, stats) run the same drain whenever they
 //! look, so they, not the callbacks, bound the latency of live
 //! findings. Every shard publishes every edge, so a drain decides
@@ -180,7 +190,16 @@ impl ShardMeter {
 
 /// Events a shard queues before its callback asks for a drain: one
 /// engine lock, one watermark merge and one release sweep per batch.
+/// A shard that holds the merged watermark back while another live
+/// shard is ahead leaves its batch to that shard, up to [`DEFER_CAP`].
 const DRAIN_BATCH: usize = 512;
+
+/// Events a shard that holds the merged watermark back queues before it
+/// drains anyway. Draining costs the drainer wall time, so the shard
+/// behind in virtual time leaves the drains to a shard ahead of it and
+/// catches up, and the events the watermark holds in the reorder lanes
+/// shrink; the cap bounds its queue should the shard ahead stall.
+const DEFER_CAP: usize = 16 * DRAIN_BATCH;
 
 /// One shard's undrained live events, in arrival order: pushed under the
 /// shard lock, swapped out whole by a drain that takes no shard lock.
@@ -765,25 +784,31 @@ impl OmpDataPerfTool {
     /// op is an instant); in streaming mode the event is then queued
     /// *before* the clock edge its span closes is published (the
     /// drain's snapshot-then-sweep soundness), and once the shard lock
-    /// is released a drain runs if the queue holds [`DRAIN_BATCH`].
+    /// is released a drain runs if the queue holds [`DRAIN_BATCH`] —
+    /// unless this shard holds the merged watermark back while a live
+    /// shard is ahead ([`GlobalWatermark::holds_back`]): then that
+    /// shard's next batch sweeps this queue too, and this one drains
+    /// itself only at [`DEFER_CAP`].
     fn record(
         &self,
         start: Option<SimTime>,
         end: SimTime,
         record: impl FnOnce(&mut ShardState, TimeSpan) -> StreamEvent,
     ) {
-        let drain_due = {
+        let queued = {
             let mut shard = self.shard.lock();
             let span = start.map_or(TimeSpan::at(end), |start| TimeSpan::new(start, end));
             let event = record(&mut shard, span);
-            shard.pending.as_ref().is_some_and(|pending| {
+            shard.pending.as_ref().map_or(0, |pending| {
                 let mut pending = pending.lock();
                 pending.push(event);
-                pending.len() >= DRAIN_BATCH
+                pending.len()
             })
         };
         self.publish();
-        if drain_due {
+        if queued >= DEFER_CAP
+            || (queued >= DRAIN_BATCH && !self.shared.watermark.holds_back(self.slot))
+        {
             self.shared.maybe_drain();
         }
     }
@@ -1946,9 +1971,15 @@ mod tests {
         }
     }
 
+    /// The number of events waiting in shard `ix`'s pending queue.
+    fn queued(handle: &ToolHandle, ix: usize) -> usize {
+        handle.shared.pending.lock()[ix].lock().len()
+    }
+
     #[test]
-    fn a_queue_reaching_the_drain_batch_drains_every_shard() {
+    fn the_shard_ahead_drains_and_the_shard_behind_waits_for_the_cap() {
         const BATCH: u64 = DRAIN_BATCH as u64;
+        const CAP: u64 = DEFER_CAP as u64;
         let (mut t0, handle) = OmpDataPerfTool::new(ToolConfig {
             stream: true,
             ..Default::default()
@@ -1957,27 +1988,184 @@ mod tests {
         let caps = CompilerProfile::LlvmClang.capabilities();
         t0.initialize(&caps);
         t1.initialize(&caps);
-        // Below the mark on both shards: the callbacks only queue.
+        // Shard 1 runs far ahead in virtual time; shard 0 alone holds
+        // the merged watermark back.
         transfers(&mut t1, 1_000_000, 2);
-        transfers(&mut t0, 0, BATCH - 1);
+        transfers(&mut t0, 0, BATCH);
         let stats = engine_stats(&handle);
         assert_eq!((stats.drains, stats.drained_events), (0, 0), "{stats:?}");
-        assert!(!queues_are_empty(&handle));
-        // Shard 0's next event fills its batch: that push sweeps its own
-        // queue and shard 1's, which never reached the mark.
-        transfers(&mut t0, BATCH - 1, 1);
+        assert_eq!(queued(&handle, 0), DRAIN_BATCH, "shard 0 leaves its batch");
+        // Shard 1's queue fills its batch: that push sweeps its own
+        // queue and shard 0's.
+        transfers(&mut t1, 1_000_002, BATCH - 3);
+        assert_eq!(engine_stats(&handle).drains, 0);
+        transfers(&mut t1, 1_000_000 + BATCH - 1, 1);
         let stats = engine_stats(&handle);
         assert_eq!(
             (stats.drains, stats.drained_events),
-            (1, BATCH + 2),
+            (1, 2 * BATCH),
             "{stats:?}"
         );
         assert!(queues_are_empty(&handle));
-        // The next batch starts from an empty queue again.
-        transfers(&mut t0, BATCH, BATCH - 1);
+        // Left alone, the shard behind drains at the cap and not before.
+        transfers(&mut t0, BATCH, CAP - 1);
         assert_eq!(engine_stats(&handle).drains, 1);
-        transfers(&mut t0, 2 * BATCH - 1, 1);
-        assert_eq!(engine_stats(&handle).drained_events, 2 * BATCH + 2);
+        assert_eq!(queued(&handle, 0), DEFER_CAP - 1);
+        transfers(&mut t0, BATCH + CAP - 1, 1);
+        let stats = engine_stats(&handle);
+        assert_eq!(
+            (stats.drains, stats.drained_events),
+            (2, 2 * BATCH + CAP),
+            "{stats:?}"
+        );
+        assert!(queues_are_empty(&handle));
+        // Once the shard ahead finalizes, nothing is ahead of shard 0:
+        // it drains at the batch again.
+        t1.finalize(100_000_000);
+        transfers(&mut t0, BATCH + CAP, BATCH - 1);
+        assert_eq!(engine_stats(&handle).drains, 2);
+        transfers(&mut t0, 2 * BATCH + CAP - 1, 1);
+        let stats = engine_stats(&handle);
+        assert_eq!(
+            (stats.drains, stats.drained_events),
+            (3, 3 * BATCH + CAP),
+            "{stats:?}"
+        );
+        assert!(queues_are_empty(&handle));
+    }
+
+    /// One step of an explored drain schedule.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// `DRAIN_BATCH` transfers on one shard; a shard's last burst
+        /// ends with its finalize.
+        Burst(usize),
+        /// A blocking observer drain (a findings tap).
+        Observe,
+    }
+
+    /// Every interleaving of `bursts` bursts per shard: bare, and with
+    /// one observer drain in each gap between two bursts.
+    fn schedules(shards: usize, bursts: usize) -> Vec<Vec<Step>> {
+        fn interleave(left: &mut [usize], prefix: &mut Vec<Step>, out: &mut Vec<Vec<Step>>) {
+            if left.iter().all(|&n| n == 0) {
+                out.push(prefix.clone());
+            }
+            for shard in 0..left.len() {
+                if left[shard] > 0 {
+                    left[shard] -= 1;
+                    prefix.push(Step::Burst(shard));
+                    interleave(left, prefix, out);
+                    prefix.pop();
+                    left[shard] += 1;
+                }
+            }
+        }
+        let mut bare = Vec::new();
+        interleave(&mut vec![bursts; shards], &mut Vec::new(), &mut bare);
+        let mut all = Vec::new();
+        for schedule in bare {
+            for gap in 0..schedule.len() {
+                let mut observed = schedule.clone();
+                if gap > 0 {
+                    observed.insert(gap, Step::Observe);
+                }
+                all.push(observed);
+            }
+        }
+        all
+    }
+
+    /// Drive real shards from this one thread through every schedule of
+    /// [`schedules`], the last shard's clock ahead of the others' by a
+    /// burst and a half (so which shard is behind depends on the
+    /// schedule), and check after every step what the drain rule
+    /// promises: the merged watermark never decreases, no queue exceeds
+    /// [`DEFER_CAP`], and a burst leaves its shard's queue at or past
+    /// [`DRAIN_BATCH`] only while that shard holds the merge back behind
+    /// a live shard — decided here from the bounds the bursts publish,
+    /// not from the watermark's own answer. At the end the live
+    /// findings must equal the fused report's projection.
+    fn explore_drain_schedules(shards: usize, bursts: u64) {
+        use crate::detect::EventView;
+        const BATCH: u64 = DRAIN_BATCH as u64;
+        let ahead = 3 * BATCH * 10 / 2;
+        let caps = CompilerProfile::LlvmClang.capabilities();
+        let op = DataOpType::TransferToDevice;
+        for schedule in schedules(shards, bursts as usize) {
+            let (t0, handle) = OmpDataPerfTool::new(ToolConfig {
+                stream: true,
+                ..Default::default()
+            });
+            let mut tools = vec![t0];
+            tools.extend((1..shards).map(|_| handle.fork_tool()));
+            for tool in &mut tools {
+                tool.initialize(&caps);
+            }
+            let tap = handle.tap_stream_findings();
+            let mut live = Vec::new();
+            let mut done = vec![0u64; shards];
+            // Each shard's published bound as the bursts move it: the
+            // origin, then its latest End, then retired.
+            let mut bound = vec![0u64; shards];
+            let mut last_merged = None;
+            for &step in &schedule {
+                match step {
+                    Step::Observe => live.extend(tap.take()),
+                    Step::Burst(shard) => {
+                        let base = if shard == shards - 1 { ahead } else { 0 };
+                        let first = done[shard] * BATCH;
+                        for i in first..first + BATCH {
+                            let (id, t) = ((shard as u64) << 32 | i, base + i * 10);
+                            let payload = [(i % 7) as u8; 16];
+                            let tool = &mut tools[shard];
+                            tool.on_data_op(&data_op(Endpoint::Begin, id, op, t, None));
+                            tool.on_data_op(&data_op(Endpoint::End, id, op, t + 5, Some(&payload)));
+                        }
+                        done[shard] += 1;
+                        bound[shard] = base + (first + BATCH - 1) * 10 + 5;
+                        let others = || (0..shards).filter(|&o| o != shard).map(|o| bound[o]);
+                        let behind =
+                            others().all(|b| b > bound[shard]) && others().any(|b| b != u64::MAX);
+                        assert!(
+                            queued(&handle, shard) < DRAIN_BATCH || behind,
+                            "shard {shard} left its batch undrained, not behind: {schedule:?}"
+                        );
+                        if done[shard] == bursts {
+                            tools[shard].finalize(u64::MAX);
+                            bound[shard] = u64::MAX;
+                        }
+                    }
+                }
+                for ix in 0..shards {
+                    assert!(queued(&handle, ix) <= DEFER_CAP, "{schedule:?}");
+                }
+                let merged = handle.shared.watermark.merged();
+                assert!(merged >= last_merged, "watermark fell: {schedule:?}");
+                last_merged = merged;
+            }
+            assert!(queues_are_empty(&handle), "{schedule:?}");
+            live.extend(tap.take());
+            let trace = handle.take_trace();
+            let mut engine = handle.take_stream_engine().expect("engine");
+            let report = engine.finalize(&EventView::from_log(&trace));
+            live.extend(engine.take_findings());
+            let mut projected: Vec<_> = report.stream_findings().collect();
+            live.sort_unstable();
+            projected.sort_unstable();
+            assert!(!projected.is_empty(), "the bursts repeat content");
+            assert_eq!(live, projected, "{schedule:?}");
+        }
+    }
+
+    #[test]
+    fn every_drain_schedule_of_two_shards_keeps_the_oracle() {
+        explore_drain_schedules(2, 4);
+    }
+
+    #[test]
+    fn every_drain_schedule_of_three_shards_keeps_the_oracle() {
+        explore_drain_schedules(3, 2);
     }
 
     #[test]

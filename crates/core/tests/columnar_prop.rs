@@ -1,5 +1,5 @@
-//! Property suite for the columnar trace hydration (satellite of the
-//! columnar/ring PR): on seeded shard-interleaved traces,
+//! Property suite for the columnar trace hydration: on seeded
+//! shard-interleaved traces,
 //! `TraceLog::columnar()` must equal an *independent* row-by-row
 //! hydration field for field, and every detection path must be
 //! byte-identical whether it sweeps the columnar view or the rows.
@@ -230,7 +230,8 @@ proptest! {
         let log = build_merged_log(&st);
         let mut engine = StreamingEngine::default();
         // Round-robin the shards' completion-order streams in `batch`-
-        // sized chunks — the shape the ring drain hands the engine.
+        // sized chunks — the shape a drain of the shards' pending
+        // queues hands the engine.
         // No watermark: everything buffers until finalize releases it;
         // the live findings must be the projection of the report over
         // the columnar view of the merged log.

@@ -4,11 +4,12 @@
 //! streaming drain through one pending queue per shard, which a drain
 //! swaps out whole. These storms force the shapes the unit tests
 //! can't: drains racing the producers and the watermark publishers —
-//! a live observer hammering the engine makes them frequent — and
-//! shards finalizing while others still produce. The oracle everywhere
-//! is the streaming invariant — the live findings of the whole run are
-//! exactly the projection of the fused report over the merged trace —
-//! plus "no event lost" trace counts.
+//! a live observer hammering the engine makes them frequent — shards
+//! finalizing while others still produce, and virtual clocks far
+//! apart, where the shard behind leaves its drains to the one ahead.
+//! The oracle everywhere is the streaming invariant — the live findings
+//! of the whole run are exactly the projection of the fused report over
+//! the merged trace — plus "no event lost" trace counts.
 //!
 //! CI runs this suite twice: free-running, and with
 //! `RUST_TEST_THREADS=1` so every test's *internal* threads still race
@@ -275,4 +276,47 @@ fn racing_drains_feed_each_lane_in_arrival_order() {
         assert_eq!(stats.reorder_inversions, 0, "attempt {attempt}: {stats:?}");
         assert_oracle(&handle, Vec::new(), "sequential racing drains");
     }
+}
+
+/// Two threads whose virtual clocks sit a second apart. The thread
+/// behind holds the merged watermark back for the whole run and leaves
+/// its drains to the thread ahead, which finishes first while the one
+/// behind keeps producing and from then on drains for itself. Every
+/// recorded event must reach the engine, none may wait in its lanes,
+/// and the live findings must match the oracle.
+#[test]
+fn skewed_clocks_leave_nothing_queued() {
+    let cfg = ToolConfig {
+        stream: true,
+        ..Default::default()
+    };
+    let (mut behind, handle) = OmpDataPerfTool::new(cfg);
+    let mut ahead = handle.fork_tool();
+    let caps = CompilerProfile::LlvmClang.capabilities();
+    let retired = Barrier::new(2);
+    std::thread::scope(|s| {
+        let (caps, retired) = (&caps, &retired);
+        s.spawn(move || {
+            ahead.initialize(caps);
+            storm(&mut ahead, 1, 9, 6_000, 1_000_000_000);
+            ahead.finalize(2_000_000_000);
+            retired.wait();
+        });
+        s.spawn(move || {
+            behind.initialize(caps);
+            storm(&mut behind, 0, 9, 4_000, 0);
+            retired.wait();
+            storm(&mut behind, 100, 9, 4_000, 200_000);
+            behind.finalize(2_000_000_000);
+        });
+    });
+    let trace = handle.take_trace();
+    let recorded = (trace.data_op_count() + trace.target_count()) as u64;
+    let mut engine = handle.take_stream_engine().expect("streaming enabled");
+    let stats = engine.buffer_stats();
+    assert_eq!(stats.drained_events, recorded, "{stats:?}");
+    assert_eq!(stats.buffered_now, 0, "{stats:?}");
+    let report = engine.finalize(&EventView::from_log(&trace));
+    assert!(report.counts().dd > 0, "the storm repeats content");
+    assert_live_matches(engine.take_findings(), &report, "skewed clocks");
 }

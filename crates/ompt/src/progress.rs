@@ -38,6 +38,12 @@
 //! With a single shard the subtraction is unnecessary (same-thread ties
 //! are ordered by monotonic sequence numbers) and the merge returns the
 //! shard's own watermark unchanged.
+//!
+//! The same slots also say which shard pins the merge:
+//! [`GlobalWatermark::holds_back`] is true for a shard strictly behind
+//! every other while some other shard is still live. A collector uses
+//! it to leave its drains to the shard ahead; it never changes what the
+//! merge releases.
 
 use odp_model::SimTime;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -193,6 +199,33 @@ impl GlobalWatermark {
         // `0 - 1 = 0` here would silently re-admit the exact race this
         // type exists to prevent).
         (min > 0).then(|| SimTime(min - 1))
+    }
+
+    /// Does `slot` alone hold the merged watermark back while some other
+    /// live shard is ahead of it? True when `slot`'s `safe_below` is
+    /// strictly below every other registered shard's and at least one of
+    /// those is not retired. A single shard, a shard tied with another
+    /// for the minimum, and a retired shard never hold back; retired and
+    /// unregistered slots never count as ahead. Reads the published
+    /// slots only — no lock, no clock — so a callback may ask on every
+    /// push. The answer is advisory: it decides who pays for a drain,
+    /// never what a drain may release.
+    pub fn holds_back(&self, slot: ShardSlot) -> bool {
+        let own = self.slots[slot.0].safe_below.load(Ordering::Acquire);
+        let mut ahead = false;
+        // A slot registered after the count was read is read as retired
+        // (or not at all): at worst the caller drains when it need not.
+        for (ix, s) in self.slots[..self.shard_count()].iter().enumerate() {
+            if ix == slot.0 {
+                continue;
+            }
+            match s.safe_below.load(Ordering::Acquire) {
+                other if other <= own => return false,
+                u64::MAX => {}
+                _ => ahead = true,
+            }
+        }
+        ahead
     }
 }
 
@@ -351,6 +384,96 @@ mod tests {
             g.merged() >= Some(SimTime(499)),
             "fully retired: nothing pins"
         );
+    }
+
+    #[test]
+    fn a_single_shard_never_holds_back() {
+        let g = GlobalWatermark::with_capacity(4);
+        let a = g.register();
+        assert!(!g.holds_back(a), "at the origin");
+        g.publish(a, Some(SimTime(10)), SimTime(90));
+        assert!(!g.holds_back(a), "pinned by its own open op");
+        g.publish(a, None, SimTime(500));
+        assert!(!g.holds_back(a));
+    }
+
+    #[test]
+    fn the_shard_strictly_behind_a_live_shard_holds_back() {
+        let g = GlobalWatermark::with_capacity(4);
+        let a = g.register();
+        let b = g.register();
+        let c = g.register();
+        assert!(
+            [a, b, c].iter().all(|&s| !g.holds_back(s)),
+            "all tied at the origin"
+        );
+        g.publish(a, None, SimTime(100));
+        g.publish(b, None, SimTime(100));
+        g.publish(c, None, SimTime(300));
+        assert!(
+            [a, b, c].iter().all(|&s| !g.holds_back(s)),
+            "a and b tie for the minimum: advancing either alone moves nothing"
+        );
+        g.publish(b, Some(SimTime(50)), SimTime(200));
+        assert!(g.holds_back(b), "b's open op pins the merge");
+        assert!(!g.holds_back(a) && !g.holds_back(c));
+        g.publish(b, None, SimTime(200));
+        assert!(g.holds_back(a), "b and c are both ahead of a");
+        assert!(!g.holds_back(b) && !g.holds_back(c));
+    }
+
+    #[test]
+    fn retired_and_unregistered_slots_never_count_as_ahead() {
+        let g = GlobalWatermark::with_capacity(8);
+        let a = g.register();
+        let b = g.register();
+        g.publish(a, None, SimTime(100));
+        g.publish(b, None, SimTime(900));
+        assert!(g.holds_back(a));
+        g.retire(b);
+        assert!(!g.holds_back(a), "b is done; six slots were never used");
+        assert!(!g.holds_back(b), "a retired shard holds nothing back");
+        g.retire(a);
+        assert!(!g.holds_back(a) && !g.holds_back(b));
+    }
+
+    #[test]
+    fn holding_back_changes_once_as_a_racing_publisher_passes() {
+        // Shard a sits idle at 1000 while shard b's publisher runs from
+        // 0 past it. Every bound b publishes only grows, so a reader
+        // sees b hold back, then a, and never the other way round.
+        use std::sync::Arc;
+        let g = Arc::new(GlobalWatermark::with_capacity(4));
+        let a = g.register();
+        let b = g.register();
+        g.publish(a, None, SimTime(1_000));
+        std::thread::scope(|s| {
+            let g1 = g.clone();
+            s.spawn(move || {
+                let step = if cfg!(miri) { 50 } else { 1 };
+                for t in (0..2_000u64).step_by(step) {
+                    g1.publish(b, Some(SimTime(t)), SimTime(t));
+                    g1.publish(b, None, SimTime(t + 1));
+                }
+            });
+            let g2 = g.clone();
+            s.spawn(move || {
+                let (mut a_seen, mut b_cleared) = (false, false);
+                let reads = if cfg!(miri) { 500 } else { 50_000 };
+                for _ in 0..reads {
+                    let (a_back, b_back) = (g2.holds_back(a), g2.holds_back(b));
+                    assert!(!(a_back && b_back), "only one shard can be strictly behind");
+                    assert!(!a_seen || a_back, "a held back, then stopped");
+                    assert!(
+                        !b_cleared || !b_back,
+                        "b stopped holding back, then resumed"
+                    );
+                    a_seen |= a_back;
+                    b_cleared |= !b_back;
+                }
+            });
+        });
+        assert!(g.holds_back(a) && !g.holds_back(b), "b ended at 2000");
     }
 
     #[test]

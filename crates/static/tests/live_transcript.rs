@@ -1,6 +1,6 @@
 //! The live findings stream of every program, pinned.
 //!
-//! `--stream` runs the five §5 machines behind the collector's rings,
+//! `--stream` runs the five §5 machines behind the collector's queues,
 //! watermark and reorder lanes. What comes out of that path — the live
 //! findings in the order the engine emitted them, and the engine's
 //! batch and window counters — is pinned per program, so a change to

@@ -14,10 +14,11 @@
 # `FnvHashMap` (deterministic order for a fixed insertion sequence) are
 # allowed and deliberately not matched.
 #
-# Three more gates, at the end, keep the wall clock out of the
-# collector's callbacks except where the hash meter reads it, the
-# version-1 byte-wise checksum off the `.odpt` write path, and a second
-# run driver out of `odp-static`.
+# More gates, at the end, keep the wall clock out of the collector's
+# callbacks except where the hash meter reads it and out of the
+# watermark merge that decides who drains, the version-1 byte-wise
+# checksum off the `.odpt` write path, a second run driver out of
+# `odp-static`, and `Value` trees off the output paths.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -78,6 +79,26 @@ if ! awk '
     exit 1
 fi
 echo "determinism_lint: OK — one wall-clock read in $TOOL, in the hash meter"
+
+# Who drains the live queues follows from the clocks the shards publish
+# into `GlobalWatermark`, never from the wall clock: its impl names no
+# `Instant`. The `StallDetector` in the same file keeps its timer.
+PROGRESS=crates/ompt/src/progress.rs
+if hits=$(awk '
+    /^impl GlobalWatermark \{/ { merge = 1 }
+    merge && /^\}/ { merge = 0 }
+    merge && /Instant/ && !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }
+' "$PROGRESS") && [ -n "$hits" ]; then
+    echo "determinism_lint: FAILED — impl GlobalWatermark reads the wall clock:" >&2
+    echo "$hits" >&2
+    echo "decide from the published slots only." >&2
+    exit 1
+fi
+if ! grep -q '^impl GlobalWatermark {' "$PROGRESS"; then
+    echo "determinism_lint: FAILED — impl GlobalWatermark not found in $PROGRESS" >&2
+    exit 1
+fi
+echo "determinism_lint: OK — impl GlobalWatermark in $PROGRESS names no Instant"
 
 # `.odpt` format version 1's checksum (`fnv1a64`, one byte per multiply,
 # ~0.75 GB/s) stays only to verify version-1 files: one call site
