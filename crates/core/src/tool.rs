@@ -2085,14 +2085,17 @@ mod tests {
     /// [`DRAIN_BATCH`] only while that shard holds the merge back behind
     /// a live shard — decided here from the bounds the bursts publish,
     /// not from the watermark's own answer. At the end the live
-    /// findings must equal the fused report's projection.
-    fn explore_drain_schedules(shards: usize, bursts: u64) {
+    /// findings must equal the fused report's projection. Returns how
+    /// many schedules ran and how many bursts left their batch queued.
+    fn explore_drain_schedules(shards: usize, bursts: u64) -> (usize, usize) {
         use crate::detect::EventView;
         const BATCH: u64 = DRAIN_BATCH as u64;
         let ahead = 3 * BATCH * 10 / 2;
         let caps = CompilerProfile::LlvmClang.capabilities();
         let op = DataOpType::TransferToDevice;
-        for schedule in schedules(shards, bursts as usize) {
+        let schedules = schedules(shards, bursts as usize);
+        let mut deferred = 0;
+        for schedule in &schedules {
             let (t0, handle) = OmpDataPerfTool::new(ToolConfig {
                 stream: true,
                 ..Default::default()
@@ -2109,7 +2112,7 @@ mod tests {
             // origin, then its latest End, then retired.
             let mut bound = vec![0u64; shards];
             let mut last_merged = None;
-            for &step in &schedule {
+            for &step in schedule {
                 match step {
                     Step::Observe => live.extend(tap.take()),
                     Step::Burst(shard) => {
@@ -2127,10 +2130,12 @@ mod tests {
                         let others = || (0..shards).filter(|&o| o != shard).map(|o| bound[o]);
                         let behind =
                             others().all(|b| b > bound[shard]) && others().any(|b| b != u64::MAX);
+                        let left = queued(&handle, shard) >= DRAIN_BATCH;
                         assert!(
-                            queued(&handle, shard) < DRAIN_BATCH || behind,
+                            !left || behind,
                             "shard {shard} left its batch undrained, not behind: {schedule:?}"
                         );
+                        deferred += usize::from(left);
                         if done[shard] == bursts {
                             tools[shard].finalize(u64::MAX);
                             bound[shard] = u64::MAX;
@@ -2156,16 +2161,23 @@ mod tests {
             assert!(!projected.is_empty(), "the bursts repeat content");
             assert_eq!(live, projected, "{schedule:?}");
         }
+        (schedules.len(), deferred)
     }
 
     #[test]
     fn every_drain_schedule_of_two_shards_keeps_the_oracle() {
-        explore_drain_schedules(2, 4);
+        // 8!/(4!·4!) = 70 interleavings, each bare or observed in 7 gaps.
+        let (explored, deferred) = explore_drain_schedules(2, 4);
+        assert_eq!(explored, 70 * 8);
+        assert!(deferred > 0, "some shard behind must leave its batch");
     }
 
     #[test]
     fn every_drain_schedule_of_three_shards_keeps_the_oracle() {
-        explore_drain_schedules(3, 2);
+        // 6!/(2!·2!·2!) = 90 interleavings, each bare or observed in 5 gaps.
+        let (explored, deferred) = explore_drain_schedules(3, 2);
+        assert_eq!(explored, 90 * 6);
+        assert!(deferred > 0, "some shard behind must leave its batch");
     }
 
     #[test]
