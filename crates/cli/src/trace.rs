@@ -74,6 +74,13 @@ fn save(args: &[String], out: Out<'_>) -> CmdResult {
     if runs.is_empty() {
         return fail("save needs --runs");
     }
+    // The corpus files captures by run id: a repeated name would merge
+    // two runs into one and invent findings.
+    for (i, run_id) in runs.iter().enumerate() {
+        if runs[..i].contains(run_id) {
+            return fail(format!("--runs names {run_id} twice"));
+        }
+    }
 
     let ingest = FleetIngest::new();
     for run_id in runs {

@@ -209,6 +209,7 @@ fn trace_save_load_diff_round_trip_in_a_temp_dir() {
     std::fs::remove_dir_all(&dir).expect("clean up");
 
     assert!(failure("trace save --out x.json --runs bfs --json").contains("unknown save option"));
+    assert!(failure("trace save --out x.json --runs bfs,bfs").contains("--runs names bfs twice"));
     assert!(failure("trace frobnicate").contains("Usage:"));
     assert!(failure("trace load").contains("exactly one file"));
 }

@@ -148,38 +148,26 @@
 //! `tool.callback_s`, `tool.stream_increment_s`,
 //! `detect.stream_finalize_s`).
 //!
-//! # The reorder buffer: a shard-run merge
+//! # The reorder buffer: one sorted lane per shard
 //!
 //! Per-shard arrival order is already *nearly* sorted (a shard records
 //! events in its own completion order), so the streaming engine's
-//! reorder stage, [`reorder::RunMergeBuffer`], keeps one append-only
-//! run per shard and compares across shards only on release:
+//! reorder stage, [`reorder::RunMergeBuffer`], keeps one sorted lane per
+//! shard and compares across shards only on release:
 //!
 //! ```text
 //!        push(shard, key = (start, id, family), event)
 //!                           │
-//!            key ≥ the shard lane's last pushed key?
+//!            key ≥ the back of the shard's lane?
 //!          yes (≈ every event) │           no (genuine intra-shard
 //!                ▼             │           inversion — late arrival)
-//!      RunLane[shard]          └─────────────────┐
-//!      append to keys[]/entries[] arenas         ▼
-//!      (O(1); no comparisons against       side pocket (small
-//!      other shards until release)         BinaryHeap, usually
-//!                │                         empty; counted in
-//!                │                         StreamBufferStats::
-//!                │                         reorder_inversions /
-//!                │                         reorder_pocket_peak)
+//!        lane.push_back        └──▶ lane.insert at partition_point,
+//!                │                  counted in StreamBufferStats::
+//!                │                  reorder_inversions
 //!                └──────────────┬────────────────┘
 //!                               ▼
-//!        LoserTree k-way merge over lane heads (+ pocket head,
-//!        entered only while non-empty): each node caches its
-//!        source's (key, shard), so a pop replays one leaf-to-root
-//!        path — one head probe plus log k tuple compares; appends
-//!        mark the tree dirty and it rebuilds once per release batch
-//!                               ▼
-//!        pop_if(key ≤ watermark): batch retirement in (start, id)
-//!        order — fully drained lanes reset their arenas in place,
-//!        long-lived backlogs compact amortized O(1) per event
+//!        pop_if(key ≤ watermark): the least (head key, shard) over
+//!        the lanes, one lane per recording thread, in (start, id) order
 //! ```
 //!
 //! `crates/core/tests/reorder_equivalence.rs` pins it: against a

@@ -19,11 +19,11 @@
 //! OMPT end callbacks fire when operations *finish*; overlapping
 //! (async) spans therefore arrive out of chronological start order,
 //! while every detector's precondition is `(start, log order)`. The
-//! engine keeps a shard-run reorder pipeline ([`crate::detect::reorder`]):
-//! each recording shard appends to an in-order run lane (arrival within
-//! a shard is near-sorted), a k-way loser-tree merge releases the global
-//! minimum, and genuine intra-shard inversions fall back to a small side
-//! pocket. Events release only at or below the caller-supplied
+//! engine keeps one sorted lane per recording shard
+//! ([`crate::detect::reorder`]): arrival within a shard is near-sorted,
+//! so an event almost always appends, and a genuine intra-shard
+//! inversion is inserted in order. Release takes the least head over the
+//! lanes. Events release only at or below the caller-supplied
 //! *watermark* — the earliest begin time of any still-open operation
 //! (see [`odp_ompt::GlobalWatermark`]). The buffer is bounded by the
 //! number of concurrently open operations, not by trace length.
@@ -358,14 +358,11 @@ pub struct StreamBufferStats {
     pub device_pending_peak: usize,
     /// Always 0 (there is no round-trip window); kept because `benchmark/` reads it.
     pub frontier_spilled: usize,
-    /// Intra-shard arrival inversions the reorder pipeline routed to its
-    /// side pocket (events that completed after a later-starting event
-    /// of the same shard). High values mean the trace is not near-sorted
-    /// and the run-lane fast path is not engaging.
+    /// Intra-shard arrival inversions: events that completed after a
+    /// later-starting event of the same shard, so their lane took them
+    /// by an ordered insert instead of an append. High values mean the
+    /// trace is not near-sorted.
     pub reorder_inversions: usize,
-    /// Side-pocket high-water mark (bounded by genuine overlap, not
-    /// trace length).
-    pub reorder_pocket_peak: usize,
     /// Batches closed ([`StreamingEngine::advance`] calls; under the
     /// tool, sweeps of the shards' pending queues).
     pub drains: u64,
@@ -377,7 +374,7 @@ pub struct StreamBufferStats {
 
 /// The shard an event id originated from: ids embed the recording
 /// shard in their high 32 bits (see `TraceLog::merge_shards`), which is
-/// what routes each event to its in-order run lane.
+/// what routes each event to its sorted lane.
 #[inline]
 fn shard_of(seq: Seq) -> u32 {
     (seq >> 32) as u32
@@ -464,9 +461,8 @@ impl DeviceMachine {
 /// report.
 #[derive(Debug, Default)]
 pub struct StreamingEngine {
-    /// Reorder buffer: per-shard in-order run lanes merged by a
-    /// loser tree, with a side pocket for genuine intra-shard
-    /// inversions (see [`crate::detect::reorder`]).
+    /// Reorder buffer: one sorted lane per shard, released by the
+    /// least head (see [`crate::detect::reorder`]).
     buffer: RunMergeBuffer<StreamEvent>,
     /// Everything at or below this start time has been released.
     watermark: SimTime,
@@ -513,7 +509,7 @@ pub struct StreamingEngine {
 
 impl StreamingEngine {
     /// Buffer an incoming event (any completion order) in its shard's
-    /// run lane; nothing is released until [`StreamingEngine::advance`]
+    /// lane; nothing is released until [`StreamingEngine::advance`]
     /// closes the batch. Non-kernel target constructs are ignored (no
     /// detector consumes them).
     pub fn push(&mut self, ev: StreamEvent) {
@@ -640,7 +636,6 @@ impl StreamingEngine {
         s.buffered_now = self.buffer.len();
         s.device_pending_now = self.machines.iter().map(|m| m.pending_len()).sum();
         s.reorder_inversions = self.buffer.inversions() as usize;
-        s.reorder_pocket_peak = self.buffer.pocket_peak();
         s
     }
 

@@ -1630,6 +1630,11 @@ mod tests {
             Some(&payload),
         ));
         tool.finalize(1_000);
+        let stats = handle.stream_buffer_stats().unwrap();
+        assert_eq!(
+            stats.reorder_inversions, 1,
+            "op 1 lands behind op 2 and the kernel in its lane"
+        );
 
         let trace = handle.take_trace();
         let mut engine = handle.take_stream_engine().expect("streaming engine");

@@ -20,8 +20,7 @@
 //! as *quarantined + survived*.
 //!
 //! The no-op plan (the default) is a single `bool` test on the hot
-//! path; the `fault_overhead` bench holds it within 5% of the plain
-//! callback fast path.
+//! path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
