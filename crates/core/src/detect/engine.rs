@@ -9,20 +9,20 @@
 //! Algorithms 4 and 5 both re-partition events by device. At
 //! million-event scale that redundancy dominates analysis time.
 //!
-//! This engine hydrates the trace **once** into a shared [`EventView`]
-//! — a thin facade over the struct-of-arrays
-//! [`odp_trace::ColumnarView`] (one dense column per event field) plus
-//! the side tables every algorithm needs (per-`(hash, dest)` reception
-//! queues, alloc/delete pairing, per-device partitions) — built in a
-//! single linear indexing sweep. Detection then runs one more
+//! This engine sweeps a trace hydrated **once** into the shared
+//! [`EventView`] — a thin facade over the struct-of-arrays
+//! [`odp_trace::ColumnarView`] (one dense column per event field).
+//! [`detect`] builds the side tables every algorithm needs (per-`(hash,
+//! dest)` reception queues, alloc/delete pairing, per-device
+//! partitions) in a single linear indexing pass, then runs one more
 //! chronological sweep in which all five algorithms advance as
 //! incremental state machines reading only the columns they need (a
-//! hash here, a start time there — never a whole ~96-byte row),
+//! hash here, a start time there — never a whole 88-byte row),
 //! producing *index-based* findings (`IndexFindings`): no event is
-//! materialized during detection. Owned [`Findings`] (byte-identical
-//! to the standalone detectors' output, group order included) are
-//! gathered from the columns only at the report boundary, by
-//! `IndexFindings::resolve` inside `detect`.
+//! materialized during detection. The tables are dropped once the sweep
+//! is done; owned [`Findings`] (byte-identical to the standalone
+//! detectors' output, group order included) are then gathered from the
+//! columns by `IndexFindings::resolve`.
 //!
 //! Equivalence with the five independent passes is enforced by the
 //! differential test suite in `crates/core/tests/fused_differential.rs`
@@ -85,11 +85,12 @@ impl OutOfRangeEvents {
 }
 
 /// One reception queue key: a `(hash, dest_device)` pair. The queue's
-/// events live in the view's CSR arrays (`rx_events`/`rx_bounds`) —
-/// one flat allocation for every queue instead of a `Vec` per slot,
+/// events live in the working set's CSR arrays (`rx_events`/`rx_bounds`)
+/// — one flat allocation for every queue instead of a `Vec` per slot,
 /// which on a trace with mostly-unique hashes would mean one heap
 /// allocation per transfer. Shared by Algorithms 1 (whole queue =
 /// duplicate group) and 2 (FIFO of pending receptions).
+#[derive(Clone, Copy)]
 struct RxSlot {
     hash: HashVal,
     dest: DeviceId,
@@ -167,24 +168,112 @@ impl OpenIndex {
 }
 
 /// An alloc/delete pairing by event index (the zero-copy counterpart of
-/// [`AllocDeletePair`]). Shared by Algorithms 3 and 4.
+/// [`AllocDeletePair`]). Shared by Algorithms 3 and 4, and kept in the
+/// findings of both until resolution.
+#[derive(Clone, Copy)]
 struct IdxPair {
     alloc: OpIx,
     delete: Option<OpIx>,
 }
 
-/// The shared, hydrated, indexed view of one trace.
+impl IdxPair {
+    fn resolve(&self, view: &EventView<'_>) -> AllocDeletePair {
+        AllocDeletePair {
+            alloc: view.op(self.alloc),
+            delete: self.delete.map(|d| view.op(d)),
+        }
+    }
+}
+
+/// The hydrated view of one trace that detection runs over.
 ///
 /// A thin facade over a borrowed struct-of-arrays [`ColumnarView`]
-/// (usually the trace log's memoized hydration) carrying the side
-/// tables that the fused sweep shares across all five algorithms. Building the view is one linear pass over the
-/// columns; the sweeps then stream over exactly the columns each state
-/// machine reads.
+/// (usually the trace log's memoized hydration), the number of target
+/// devices analyzed, and the count of events naming devices beyond it.
+/// The side tables the fused sweep shares across its five algorithms
+/// are not part of the view: [`detect`] builds them, sweeps, and drops
+/// them before it writes the findings' rows, so they are never alive
+/// beside the report.
 pub struct EventView<'a> {
     /// Columnar events, `(start, log order)`-sorted.
     cols: &'a ColumnarView,
     /// Number of target devices analyzed (Algorithms 4/5 iterate these).
     pub num_devices: u32,
+    /// Events Algorithms 4/5 exclude (device `>= num_devices`).
+    out_of_range: OutOfRangeEvents,
+}
+
+impl<'a> EventView<'a> {
+    /// Build the view over borrowed columnar hydration (zero-copy): one
+    /// pass over the device columns counts the events that name devices
+    /// `>= num_devices`.
+    pub fn over(cols: &'a ColumnarView, num_devices: u32) -> EventView<'a> {
+        let nd = num_devices as usize;
+        let beyond = |d: DeviceId| d.target_index().is_some_and(|ix| ix >= nd);
+        let mut out_of_range = OutOfRangeEvents {
+            kernels: cols.kernels.devices.iter().filter(|&&d| beyond(d)).count(),
+            ..OutOfRangeEvents::default()
+        };
+        for (&kind, &dest) in cols.ops.kinds.iter().zip(&cols.ops.dest_devices) {
+            match kind {
+                DataOpKind::Transfer if beyond(dest) => out_of_range.transfers += 1,
+                DataOpKind::Alloc if beyond(dest) => out_of_range.allocs += 1,
+                _ => {}
+            }
+        }
+        EventView {
+            cols,
+            num_devices,
+            out_of_range,
+        }
+    }
+
+    /// Events the per-device algorithms exclude because they name target
+    /// devices `>= num_devices`. Non-zero counts mean Algorithms 4/5 are
+    /// running over a subset of the trace — surface
+    /// [`OutOfRangeEvents::warning`] rather than ignoring it.
+    pub fn out_of_range(&self) -> OutOfRangeEvents {
+        self.out_of_range
+    }
+
+    /// Build a view over a trace log's memoized columnar hydration
+    /// (zero-copy borrow), inferring the device count from the columns.
+    pub fn from_log(log: &'a TraceLog) -> EventView<'a> {
+        let cols = log.columnar();
+        let num_devices = crate::analysis::infer_num_devices_columnar(cols);
+        EventView::over(cols, num_devices)
+    }
+
+    /// Data-op columns, `(start, log order)`-sorted.
+    #[inline]
+    pub fn ops(&self) -> &DataOpColumns {
+        &self.cols.ops
+    }
+
+    /// Number of data-op events in the view.
+    #[inline]
+    pub(crate) fn op_count(&self) -> usize {
+        self.ops().len()
+    }
+
+    /// Gather the event behind an index into an owned row (report
+    /// boundary only — the sweeps read individual columns instead).
+    #[inline]
+    fn op(&self, ix: OpIx) -> DataOpEvent {
+        self.ops().event(ix as usize)
+    }
+}
+
+/// The fused sweep's working set: the side tables its five algorithms
+/// share, built from the view's columns in one linear indexing pass
+/// (per-`(hash, dest)` reception queues, alloc/delete pairing,
+/// per-device partitions). [`detect`] owns it for the length of the
+/// sweep only.
+struct WorkingSet<'a> {
+    /// Data-op columns, `(start, log order)`-sorted.
+    ops: &'a DataOpColumns,
+    /// Kernel-execution columns, `(start, log order)`-sorted.
+    kerns: &'a TargetColumns,
     /// Reception queue keys in first-seen key order.
     rx_slots: Vec<RxSlot>,
     /// CSR storage for the reception queues: slot `s` holds the
@@ -220,33 +309,27 @@ pub struct EventView<'a> {
     pairs: Vec<IdxPair>,
     /// Per-target-device transfer indices (Algorithm 5 input).
     tx_by_device: Vec<Vec<OpIx>>,
-    /// Per-target-device kernel indices into `kernels` (Algorithms 4/5).
+    /// Per-target-device kernel indices into `kerns` (Algorithms 4/5).
     kernels_by_device: Vec<Vec<u32>>,
     /// Per-target-device pairing indices into `pairs` (Algorithm 4).
     pairs_by_device: Vec<Vec<u32>>,
-    /// Events excluded from the per-device tables (device `>= num_devices`).
-    out_of_range: OutOfRangeEvents,
 }
 
-impl<'a> EventView<'a> {
-    /// Build the view over borrowed columnar hydration (zero-copy) —
-    /// the single indexing pass: stream over the kind/hash/device/addr
-    /// columns and build every side table the five sweeps share.
-    pub fn over(cols: &'a ColumnarView, num_devices: u32) -> EventView<'a> {
-        let ops = &cols.ops;
-        let kerns = &cols.kernels;
-        let nd = num_devices as usize;
-
-        let mut out_of_range = OutOfRangeEvents::default();
+impl<'a> WorkingSet<'a> {
+    /// The single indexing pass: stream over the kind/hash/device/addr
+    /// columns and build every side table the five sweeps share. Events
+    /// on devices `>= num_devices` stay out of the per-device tables
+    /// (the view has counted them).
+    fn build(view: &EventView<'a>) -> WorkingSet<'a> {
+        let ops = &view.cols.ops;
+        let kerns = &view.cols.kernels;
+        let nd = view.num_devices as usize;
+        let in_range = |d: DeviceId| d.target_index().filter(|&ix| ix < nd);
 
         let mut kernels_by_device: Vec<Vec<u32>> = vec![Vec::new(); nd];
-        for (kx, d) in kerns.devices.iter().enumerate() {
-            if let Some(ix) = d.target_index() {
-                if ix < nd {
-                    kernels_by_device[ix].push(kx as u32);
-                } else {
-                    out_of_range.kernels += 1;
-                }
+        for (kx, &d) in kerns.devices.iter().enumerate() {
+            if let Some(ix) = in_range(d) {
+                kernels_by_device[ix].push(kx as u32);
             }
         }
 
@@ -332,13 +415,8 @@ impl<'a> EventView<'a> {
             let ox = ox as OpIx;
             match kind {
                 DataOpKind::Transfer => {
-                    let dest = ops.dest_devices[ox as usize];
-                    if let Some(ix) = dest.target_index() {
-                        if ix < nd {
-                            tx_by_device[ix].push(ox);
-                        } else {
-                            out_of_range.transfers += 1;
-                        }
+                    if let Some(ix) = in_range(ops.dest_devices[ox as usize]) {
+                        tx_by_device[ix].push(ox);
                     }
                 }
                 DataOpKind::Alloc => {
@@ -354,12 +432,8 @@ impl<'a> EventView<'a> {
                     *open.slot_mut(open_mix(dest, addr), |p| {
                         allocated_at(&pairs, p, dest, addr)
                     }) = pair_ix;
-                    if let Some(ix) = dest.target_index() {
-                        if ix < nd {
-                            pairs_by_device[ix].push(pair_ix);
-                        } else {
-                            out_of_range.allocs += 1;
-                        }
+                    if let Some(ix) = in_range(dest) {
+                        pairs_by_device[ix].push(pair_ix);
                     }
                 }
                 DataOpKind::Delete => {
@@ -400,9 +474,9 @@ impl<'a> EventView<'a> {
             *c += 1;
         }
 
-        EventView {
-            cols,
-            num_devices,
+        WorkingSet {
+            ops,
+            kerns,
             rx_slots,
             rx_events,
             rx_bounds,
@@ -415,56 +489,7 @@ impl<'a> EventView<'a> {
             tx_by_device,
             kernels_by_device,
             pairs_by_device,
-            out_of_range,
         }
-    }
-
-    /// Events the per-device tables excluded because they name target
-    /// devices `>= num_devices`. Non-zero counts mean Algorithms 4/5 are
-    /// running over a subset of the trace — surface
-    /// [`OutOfRangeEvents::warning`] rather than ignoring it.
-    pub fn out_of_range(&self) -> OutOfRangeEvents {
-        self.out_of_range
-    }
-
-    /// Build a view over a trace log's memoized columnar hydration
-    /// (zero-copy borrow), inferring the device count from the columns.
-    pub fn from_log(log: &'a TraceLog) -> EventView<'a> {
-        let cols = log.columnar();
-        let num_devices = crate::analysis::infer_num_devices_columnar(cols);
-        EventView::over(cols, num_devices)
-    }
-
-    /// The columnar event source (shared by every consumer of this
-    /// view: the fused sweeps, streaming finalize, resolution).
-    #[inline]
-    pub(crate) fn cols(&self) -> &ColumnarView {
-        self.cols
-    }
-
-    /// Data-op columns, `(start, log order)`-sorted.
-    #[inline]
-    pub fn ops(&self) -> &DataOpColumns {
-        &self.cols().ops
-    }
-
-    /// Kernel-execution columns, `(start, log order)`-sorted.
-    #[inline]
-    pub(crate) fn kernels(&self) -> &TargetColumns {
-        &self.cols().kernels
-    }
-
-    /// Number of data-op events in the view.
-    #[inline]
-    pub(crate) fn op_count(&self) -> usize {
-        self.ops().len()
-    }
-
-    /// Gather the event behind an index into an owned row (report
-    /// boundary only — the sweeps read individual columns instead).
-    #[inline]
-    pub(crate) fn op(&self, ix: OpIx) -> DataOpEvent {
-        self.ops().event(ix as usize)
     }
 
     /// Reception queue `s`: chronological hashed-transfer indices with
@@ -479,27 +504,21 @@ impl<'a> EventView<'a> {
     /// never-freed allocations) — `AllocDeletePair::lifetime_end`.
     fn pair_lifetime_end(&self, p: &IdxPair) -> SimTime {
         p.delete
-            .map(|d| self.ops().ends[d as usize])
+            .map(|d| self.ops.ends[d as usize])
             .unwrap_or(SimTime(u64::MAX))
-    }
-
-    fn resolve_pair(&self, p: &IdxPair) -> AllocDeletePair {
-        AllocDeletePair {
-            alloc: self.op(p.alloc),
-            delete: p.delete.map(|d| self.op(d)),
-        }
     }
 }
 
-/// Index-based findings: what the fused sweep produces. Events are
-/// referenced by their chronological index ([`OpIx`]) into the view —
-/// resolve one with [`EventView::op`] (its `.id` is the stable
-/// [`odp_model::EventId`]). [`IndexFindings::resolve`] materializes
-/// owned [`Findings`] for reports.
+/// Index-based findings: what the fused sweep produces, and all that
+/// resolution reads. Events are referenced by their chronological index
+/// ([`OpIx`]) into the view's columns; nothing here points into the
+/// sweep's working set, so it is dropped before
+/// [`IndexFindings::resolve`] materializes owned [`Findings`].
 #[derive(Default)]
 struct IndexFindings {
-    /// Algorithm 1: duplicate groups as `rx_slots` indices.
-    duplicates: Vec<u32>,
+    /// Algorithm 1: each duplicate group's `(hash, dest)` key and its
+    /// chronological transfers.
+    duplicates: Grouped<RxSlot, OpIx>,
     /// Algorithm 2: round-trip groups.
     round_trips: Vec<IdxRoundTripGroup>,
     /// Flat arena of `(outbound leg, completing reception, next)` trip
@@ -507,20 +526,49 @@ struct IndexFindings {
     /// with thousands of one-trip groups costs zero per-group heap
     /// allocations (`u32::MAX` terminates a chain).
     rt_trips: Vec<(OpIx, OpIx, u32)>,
-    /// Algorithm 3: repeated-allocation groups.
-    repeated_allocs: Vec<IdxRepeatedAllocGroup>,
-    /// Flat arena of `(pair index, next)` records for the
-    /// repeated-alloc groups' member chains — the same intrusive-chain
-    /// trick as `rt_trips`. Traces dominated by unique allocation
-    /// sites (most of them) would otherwise pay one heap-allocated
-    /// single-element `Vec` per site; the arena is one allocation
-    /// total, and singleton chains that never reach group size 2 just
-    /// sit unreferenced in it.
-    ra_pairs: Vec<(u32, u32)>,
-    /// Algorithm 4: unused allocations as `pairs` indices.
-    unused_allocs: Vec<u32>,
+    /// Algorithm 3: each repeated-allocation group's site and its
+    /// pairings in allocation order.
+    repeated_allocs: Grouped<AllocSite, IdxPair>,
+    /// Algorithm 4: unused allocations.
+    unused_allocs: Vec<IdxPair>,
     /// Algorithm 5: unused transfers.
     unused_transfers: Vec<(OpIx, UnusedTransferReason)>,
+}
+
+/// Groups stored flat: every group's members in one vector, group after
+/// group, and each key with the end of its members (a group starts where
+/// the previous one ends) — two allocations however many groups there
+/// are.
+struct Grouped<K, M> {
+    keys: Vec<(K, u32)>,
+    members: Vec<M>,
+}
+
+impl<K, M> Default for Grouped<K, M> {
+    fn default() -> Self {
+        Grouped {
+            keys: Vec::new(),
+            members: Vec::new(),
+        }
+    }
+}
+
+impl<K, M> Grouped<K, M> {
+    /// Append a group: its key, then its members in order.
+    fn push(&mut self, key: K, members: impl IntoIterator<Item = M>) {
+        self.members.extend(members);
+        self.keys.push((key, self.members.len() as u32));
+    }
+
+    /// Every group in push order, with its members.
+    fn iter(&self) -> impl Iterator<Item = (&K, &[M])> {
+        let mut start = 0;
+        self.keys.iter().map(move |(key, end)| {
+            let members = &self.members[start..*end as usize];
+            start = *end as usize;
+            (key, members)
+        })
+    }
 }
 
 struct IdxRoundTripGroup {
@@ -533,15 +581,12 @@ struct IdxRoundTripGroup {
     len: u32,
 }
 
-struct IdxRepeatedAllocGroup {
+/// Algorithm 3's grouping key: ⟨host addr, device, size⟩.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct AllocSite {
     host_addr: u64,
     device: DeviceId,
     bytes: u64,
-    /// Allocation-ordered member chain through
-    /// [`IndexFindings::ra_pairs`] (`u32::MAX` terminates).
-    head: u32,
-    tail: u32,
-    len: u32,
 }
 
 impl IndexFindings {
@@ -552,14 +597,11 @@ impl IndexFindings {
             duplicates: self
                 .duplicates
                 .iter()
-                .map(|&s| {
-                    let slot = &view.rx_slots[s as usize];
-                    DuplicateTransferGroup {
-                        hash: slot.hash,
-                        dest_device: slot.dest,
-                        events: view.rx_queue(s).iter().map(|&ox| view.op(ox)).collect(),
-                        confidence: Confidence::Confirmed,
-                    }
+                .map(|(key, events)| DuplicateTransferGroup {
+                    hash: key.hash,
+                    dest_device: key.dest,
+                    events: events.iter().map(|&ox| view.op(ox)).collect(),
+                    confidence: Confidence::Confirmed,
                 })
                 .collect(),
             round_trips: self
@@ -600,28 +642,19 @@ impl IndexFindings {
             repeated_allocs: self
                 .repeated_allocs
                 .iter()
-                .map(|g| RepeatedAllocGroup {
-                    host_addr: g.host_addr,
-                    device: g.device,
-                    bytes: g.bytes,
-                    pairs: {
-                        let mut pairs = Vec::with_capacity(g.len as usize);
-                        let mut p = g.head;
-                        while p != u32::MAX {
-                            let (px, next) = self.ra_pairs[p as usize];
-                            pairs.push(view.resolve_pair(&view.pairs[px as usize]));
-                            p = next;
-                        }
-                        pairs
-                    },
+                .map(|(site, pairs)| RepeatedAllocGroup {
+                    host_addr: site.host_addr,
+                    device: site.device,
+                    bytes: site.bytes,
+                    pairs: pairs.iter().map(|p| p.resolve(view)).collect(),
                     confidence: Confidence::Confirmed,
                 })
                 .collect(),
             unused_allocs: self
                 .unused_allocs
                 .iter()
-                .map(|&px| UnusedAlloc {
-                    pair: view.resolve_pair(&view.pairs[px as usize]),
+                .map(|p| UnusedAlloc {
+                    pair: p.resolve(view),
                     confidence: Confidence::Confirmed,
                 })
                 .collect(),
@@ -638,7 +671,7 @@ impl IndexFindings {
     }
 }
 
-/// Run all five detection algorithms over the view in one fused
+/// Run all five detection algorithms over the working set in one fused
 /// chronological sweep, returning index-based findings.
 ///
 /// The invariant every state machine below relies on: the view's
@@ -649,27 +682,32 @@ impl IndexFindings {
 /// match them byte for byte — group order, event order within groups,
 /// everything. The sweeps read only the columns they need (hash,
 /// device, address, time), streaming over dense arrays.
-fn detect_indexed(view: &EventView<'_>) -> IndexFindings {
-    let mut out = IndexFindings {
-        duplicates: alg1_duplicates(view),
-        ..Default::default()
-    };
-    let trips = alg2_scan(view);
-    alg2_link_groups(view, &trips, &mut out);
-    alg3_repeated_allocs(view, &mut out);
-    for dev in 0..view.num_devices as usize {
-        alg4_device(view, dev, &mut out.unused_allocs);
-        alg5_device(view, dev, &mut out.unused_transfers);
+fn detect_indexed(ws: &WorkingSet<'_>) -> IndexFindings {
+    let mut out = IndexFindings::default();
+    alg1_duplicates(ws, &mut out.duplicates);
+    let trips = alg2_scan(ws);
+    alg2_link_groups(ws, &trips, &mut out);
+    alg3_repeated_allocs(ws, &mut out.repeated_allocs);
+    for dev in 0..ws.kernels_by_device.len() {
+        alg4_device(ws, dev, &mut out.unused_allocs);
+        alg5_device(ws, dev, &mut out.unused_transfers);
     }
     out
 }
 
 /// Algorithm 1 — duplicate transfers. The reception queues *are* the
 /// groups: first-seen key order, chronological events.
-fn alg1_duplicates(view: &EventView<'_>) -> Vec<u32> {
-    (0..view.rx_slots.len() as u32)
-        .filter(|&sx| view.rx_queue(sx).len() >= 2)
-        .collect()
+fn alg1_duplicates(ws: &WorkingSet<'_>, out: &mut Grouped<RxSlot, OpIx>) {
+    let groups = || {
+        (0..ws.rx_slots.len() as u32)
+            .map(|sx| (ws.rx_slots[sx as usize], ws.rx_queue(sx)))
+            .filter(|(_, queue)| queue.len() >= 2)
+    };
+    out.members
+        .reserve_exact(groups().map(|(_, queue)| queue.len()).sum());
+    for (key, queue) in groups() {
+        out.push(key, queue.iter().copied());
+    }
 }
 
 /// Algorithm 2 scan — round trips: one chronological sweep consuming
@@ -685,12 +723,12 @@ fn alg1_duplicates(view: &EventView<'_>) -> Vec<u32> {
 /// two runs the queue machinery only for the survivors. Bloom-rejected
 /// transfers have zero state effect, which is what makes the split
 /// exact.
-fn alg2_scan(view: &EventView<'_>) -> Vec<(OpIx, OpIx)> {
-    let ops = view.ops();
-    let mut heads: Vec<u32> = vec![0; view.rx_slots.len()];
+fn alg2_scan(ws: &WorkingSet<'_>) -> Vec<(OpIx, OpIx)> {
+    let ops = ws.ops;
+    let mut heads: Vec<u32> = vec![0; ws.rx_slots.len()];
     let mut trips: Vec<(OpIx, OpIx)> = Vec::new();
-    let fmask = view.rx_filter.len() - 1;
-    let n = view.hashed_transfers.len();
+    let fmask = ws.rx_filter.len() - 1;
+    let n = ws.hashed_transfers.len();
     let mut hits: Vec<(u32, u32)> = Vec::new();
     let mut chunk = 0usize;
     while chunk < n {
@@ -698,8 +736,8 @@ fn alg2_scan(view: &EventView<'_>) -> Vec<(OpIx, OpIx)> {
         // Phase one: Bloom probes for the whole chunk.
         hits.clear();
         for tix in chunk..end {
-            let mix = view.src_mix[tix];
-            if view.rx_filter[(mix as usize >> 6) & fmask] & (1 << (mix % 64)) != 0 {
+            let mix = ws.src_mix[tix];
+            if ws.rx_filter[(mix as usize >> 6) & fmask] & (1 << (mix % 64)) != 0 {
                 hits.push((tix as u32, u32::MAX));
             }
         }
@@ -708,15 +746,15 @@ fn alg2_scan(view: &EventView<'_>) -> Vec<(OpIx, OpIx)> {
         // misses overlap instead of chaining.
         for hit in &mut hits {
             let tix = hit.0 as usize;
-            let ox = view.hashed_transfers[tix];
+            let ox = ws.hashed_transfers[tix];
             let Some(hash) = ops.hashes[ox as usize] else {
                 continue; // hashed_transfers holds hashed events only
             };
             let src = ops.src_devices[ox as usize];
             // A pending reception at the transfer's *source* device
             // completes a round trip.
-            let rx_slot = view.rx_index.get(view.src_mix[tix], |s| {
-                let key = &view.rx_slots[s as usize];
+            let rx_slot = ws.rx_index.get(ws.src_mix[tix], |s| {
+                let key = &ws.rx_slots[s as usize];
                 key.hash == hash && key.dest == src
             });
             if let Some(rx_slot) = rx_slot {
@@ -728,17 +766,17 @@ fn alg2_scan(view: &EventView<'_>) -> Vec<(OpIx, OpIx)> {
             if rx_slot == u32::MAX {
                 continue;
             }
-            let queue = view.rx_queue(rx_slot);
+            let queue = ws.rx_queue(rx_slot);
             if heads[rx_slot as usize] as usize >= queue.len() {
                 continue; // queue exhausted: data never returns
             }
             let rx = queue[heads[rx_slot as usize] as usize];
-            let ox = view.hashed_transfers[tix as usize];
+            let ox = ws.hashed_transfers[tix as usize];
             trips.push((ox, rx));
             // Dequeue this transfer from its own destination's queue so
             // it cannot later complete a different round trip. The slot
             // was recorded at enqueue time: no second hash lookup.
-            heads[view.dest_slot[tix as usize] as usize] += 1;
+            heads[ws.dest_slot[tix as usize] as usize] += 1;
         }
         chunk = end;
     }
@@ -748,11 +786,11 @@ fn alg2_scan(view: &EventView<'_>) -> Vec<(OpIx, OpIx)> {
 /// Build the Algorithm 2 groups from sweep-ordered trips: group
 /// creation order is first-trip order, member chains are sweep order —
 /// exactly what an interleaved scan-and-link would produce.
-fn alg2_link_groups(view: &EventView<'_>, trips: &[(OpIx, OpIx)], out: &mut IndexFindings) {
-    let ops = view.ops();
+fn alg2_link_groups(ws: &WorkingSet<'_>, trips: &[(OpIx, OpIx)], out: &mut IndexFindings) {
+    let ops = ws.ops;
     let mut group_ix = OpenIndex::with_capacity(trips.len());
     out.rt_trips.reserve(trips.len());
-    // Phased like the view's reception-queue indexing: (1) gather each
+    // Phased like the working set's reception-queue indexing: (1) gather each
     // trip's grouping key from the columns (sequential-ish reads), (2) a
     // tight probe-only loop resolving group indices (keeps many table
     // misses in flight), (3) chain linking over the now-dense group and
@@ -809,37 +847,48 @@ fn alg2_link_groups(view: &EventView<'_>, trips: &[(OpIx, OpIx)], out: &mut Inde
 /// Algorithm 3 — repeated allocations, over the shared pairing table
 /// (allocation order), grouped by ⟨host addr, device, size⟩ in
 /// first-seen key order; sites allocated only once are dropped.
-fn alg3_repeated_allocs(view: &EventView<'_>, out: &mut IndexFindings) {
-    let ops = view.ops();
-    let mut groups: Vec<IdxRepeatedAllocGroup> = Vec::new();
-    let chain = &mut out.ra_pairs;
-    let mut index = OpenIndex::with_capacity(view.pairs.len());
+fn alg3_repeated_allocs(ws: &WorkingSet<'_>, out: &mut Grouped<AllocSite, IdxPair>) {
+    /// A site's allocation-ordered member chain through `chain`
+    /// (`u32::MAX` terminates).
+    struct Site {
+        key: AllocSite,
+        head: u32,
+        tail: u32,
+        len: u32,
+    }
+    let ops = ws.ops;
+    let mut sites: Vec<Site> = Vec::new();
+    // Flat arena of `(pair index, next)` records for the sites' member
+    // chains. Traces dominated by unique allocation sites (most of
+    // them) would otherwise pay one heap-allocated single-element `Vec`
+    // per site; the arena is one allocation total, and singleton chains
+    // that never reach group size 2 just sit unreferenced in it.
+    let mut chain: Vec<(u32, u32)> = Vec::with_capacity(ws.pairs.len());
+    let mut index = OpenIndex::with_capacity(ws.pairs.len());
     // Allocation sites repeat in runs (the loop re-allocating the
     // same buffer is the pattern Algorithm 3 exists to catch), so a
     // one-entry cache short-circuits most of the index traffic.
-    let mut last: Option<((u64, DeviceId, u64), u32)> = None;
-    for (px, pair) in view.pairs.iter().enumerate() {
+    let mut last: Option<(AllocSite, u32)> = None;
+    for (px, pair) in ws.pairs.iter().enumerate() {
         let ax = pair.alloc as usize;
-        let (host_addr, device, bytes) = (ops.src_addrs[ax], ops.dest_devices[ax], ops.bytes[ax]);
-        let key = (host_addr, device, bytes);
-        let gx = match last {
-            Some((k, gx)) if k == key => gx,
+        let key = AllocSite {
+            host_addr: ops.src_addrs[ax],
+            device: ops.dest_devices[ax],
+            bytes: ops.bytes[ax],
+        };
+        let sx = match last {
+            Some((k, sx)) if k == key => sx,
             _ => {
                 let mix = avalanche(
-                    host_addr
-                        .wrapping_add((device.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                        .wrapping_add(bytes.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)),
+                    key.host_addr
+                        .wrapping_add((key.device.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                        .wrapping_add(key.bytes.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)),
                 );
-                let slot = index.slot_mut(mix, |g| {
-                    let g = &groups[g as usize];
-                    g.host_addr == host_addr && g.device == device && g.bytes == bytes
-                });
+                let slot = index.slot_mut(mix, |s| sites[s as usize].key == key);
                 if *slot == OpenIndex::EMPTY {
-                    *slot = groups.len() as u32;
-                    groups.push(IdxRepeatedAllocGroup {
-                        host_addr,
-                        device,
-                        bytes,
+                    *slot = sites.len() as u32;
+                    sites.push(Site {
+                        key,
                         head: u32::MAX,
                         tail: u32::MAX,
                         len: 0,
@@ -848,40 +897,55 @@ fn alg3_repeated_allocs(view: &EventView<'_>, out: &mut IndexFindings) {
                 *slot
             }
         };
-        last = Some((key, gx));
+        last = Some((key, sx));
         let link = chain.len() as u32;
         chain.push((px as u32, u32::MAX));
-        let group = &mut groups[gx as usize];
-        if group.tail == u32::MAX {
-            group.head = link;
+        let site = &mut sites[sx as usize];
+        if site.tail == u32::MAX {
+            site.head = link;
         } else {
-            chain[group.tail as usize].1 = link;
+            chain[site.tail as usize].1 = link;
         }
-        group.tail = link;
-        group.len += 1;
+        site.tail = link;
+        site.len += 1;
     }
-    groups.retain(|g| g.len >= 2);
-    out.repeated_allocs = groups;
+    sites.retain(|s| s.len >= 2);
+    out.members
+        .reserve_exact(sites.iter().map(|s| s.len as usize).sum());
+    for site in &sites {
+        let mut link = site.head;
+        out.push(
+            site.key,
+            std::iter::from_fn(|| {
+                if link == u32::MAX {
+                    return None;
+                }
+                let (px, next) = chain[link as usize];
+                link = next;
+                Some(ws.pairs[px as usize])
+            }),
+        );
+    }
 }
 
 /// Algorithm 4 — unused allocations on one device: advance a kernel
 /// cursor alongside the (allocation-ordered) pairings; an allocation
 /// whose lifetime precedes the next kernel on its device can never
 /// have been used.
-fn alg4_device(view: &EventView<'_>, dev: usize, out: &mut Vec<u32>) {
-    let ops = view.ops();
-    let kerns = view.kernels();
-    let kernels = &view.kernels_by_device[dev];
+fn alg4_device(ws: &WorkingSet<'_>, dev: usize, out: &mut Vec<IdxPair>) {
+    let ops = ws.ops;
+    let kerns = ws.kerns;
+    let kernels = &ws.kernels_by_device[dev];
     let mut kx = 0usize;
-    for &px in &view.pairs_by_device[dev] {
-        let pair = &view.pairs[px as usize];
+    for &px in &ws.pairs_by_device[dev] {
+        let pair = &ws.pairs[px as usize];
         let alloc_start = ops.starts[pair.alloc as usize];
         while kx < kernels.len() && kerns.ends[kernels[kx] as usize] < alloc_start {
             kx += 1;
         }
-        let lifetime_end = view.pair_lifetime_end(pair);
+        let lifetime_end = ws.pair_lifetime_end(pair);
         if kx == kernels.len() || kerns.starts[kernels[kx] as usize] > lifetime_end {
-            out.push(px);
+            out.push(*pair);
         }
     }
 }
@@ -890,13 +954,13 @@ fn alg4_device(view: &EventView<'_>, dev: usize, out: &mut Vec<u32>) {
 /// source address to the last transfer that wrote from it; kernel
 /// completions clear the candidates (the kernel may have consumed the
 /// data).
-fn alg5_device(view: &EventView<'_>, dev: usize, out: &mut Vec<(OpIx, UnusedTransferReason)>) {
-    let ops = view.ops();
-    let kerns = view.kernels();
-    let kernels = &view.kernels_by_device[dev];
+fn alg5_device(ws: &WorkingSet<'_>, dev: usize, out: &mut Vec<(OpIx, UnusedTransferReason)>) {
+    let ops = ws.ops;
+    let kerns = ws.kerns;
+    let kernels = &ws.kernels_by_device[dev];
     let mut kx = 0usize;
     let mut candidates: FnvHashMap<u64, OpIx> = FnvHashMap::default();
-    for &tx in &view.tx_by_device[dev] {
+    for &tx in &ws.tx_by_device[dev] {
         let tx_start = ops.starts[tx as usize];
         let src_addr = ops.src_addrs[tx as usize];
         while kx < kernels.len() && kerns.ends[kernels[kx] as usize] < tx_start {
@@ -921,9 +985,14 @@ fn alg5_device(view: &EventView<'_>, dev: usize, out: &mut Vec<(OpIx, UnusedTran
 /// Run the fused engine end to end: indexed detection plus owned
 /// materialization. The one producer of [`Findings`] outside the
 /// reference passes — [`Findings::detect_fused`] and the streaming
-/// engine's finalize both end here.
+/// engine's finalize both end here. The sweep's working set is built
+/// here and dropped before resolution writes the rows, so the side
+/// tables and the findings are never alive at once.
 pub(crate) fn detect(view: &EventView<'_>) -> Findings {
-    detect_indexed(view).resolve(view)
+    let ws = WorkingSet::build(view);
+    let found = detect_indexed(&ws);
+    drop(ws);
+    found.resolve(view)
 }
 
 #[cfg(test)]
@@ -992,6 +1061,12 @@ mod tests {
         let view = EventView::from_log(&log);
         let findings = detect(&view);
         assert_eq!(findings.counts().dd, 1);
+        // Each call builds and drops its own working set: a second
+        // sweep over the same view writes the same bytes.
+        assert_eq!(
+            serde_json::to_string(&detect(&view)).unwrap(),
+            serde_json::to_string(&findings).unwrap()
+        );
         // A second view re-borrows the same columnar hydration: no
         // further sorts.
         let view2 = EventView::from_log(&log);

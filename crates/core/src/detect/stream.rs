@@ -94,8 +94,8 @@ impl StreamEvent {
     /// The reorder buffer's release key, `(start, id, family)` — the
     /// same key the trace log's hydration sorts by (families tie
     /// arbitrarily; the detectors only compare spans across families).
-    /// Computed once at ingest and carried beside the event in the
-    /// reorder pipeline's lane arenas, so releases never re-derive it.
+    /// Computed once at ingest and carried beside the event in its
+    /// shard's reorder lane, so releases never re-derive it.
     fn key(&self) -> SortKey {
         match self {
             StreamEvent::Op(e) => (e.span.start, e.id.0, 0),

@@ -10,11 +10,11 @@
 //!
 //! Findings overlap (a round trip's re-send is often also a duplicate;
 //! an unused allocation is often also a repeat), so elimination is
-//! tracked in a global event-id set: each event's duration is subtracted
-//! exactly once no matter how many findings implicate it.
+//! tracked in a global event-id bitmap: each event's duration is
+//! subtracted exactly once no matter how many findings implicate it.
 
 use crate::detect::{charges, FindingKind, Findings};
-use odp_hash::fnv::FnvHashSet;
+use odp_hash::fnv::FnvHashMap;
 use odp_model::{DataOpEvent, EventId, SimDuration};
 use serde::Serialize;
 
@@ -65,23 +65,42 @@ pub struct Prediction {
     pub bytes_eliminated: u64,
 }
 
+/// A set of event ids as a paged bitmap: one 4 KiB page of bits per
+/// 32 768 consecutive ids, found by `id >> 15` through a small map.
+/// Ids are `shard << 32 | seq`, dense within a shard, so a shard that
+/// recorded `n` events needs at most `n / 32 768 + 1` pages. Any `u64`
+/// is a valid id; a corrupt one costs one page, never an allocation
+/// sized by its value.
+#[derive(Default)]
+struct IdBitmap {
+    pages: FnvHashMap<u64, Box<[u64; 512]>>,
+}
+
+impl IdBitmap {
+    /// Add `id`; false if it was already present.
+    fn insert(&mut self, id: EventId) -> bool {
+        let page = self
+            .pages
+            .entry(id.0 >> 15)
+            .or_insert_with(|| Box::new([0; 512]));
+        let bit = id.0 & 0x7FFF;
+        let word = &mut page[(bit >> 6) as usize];
+        let mask = 1 << (bit & 63);
+        let fresh = *word & mask == 0;
+        *word |= mask;
+        fresh
+    }
+}
+
+#[derive(Default)]
 struct Accumulator {
-    eliminated: FnvHashSet<EventId>,
+    eliminated: IdBitmap,
     ns: u64,
     ops: usize,
     bytes: u64,
 }
 
 impl Accumulator {
-    fn new() -> Self {
-        Accumulator {
-            eliminated: FnvHashSet::default(),
-            ns: 0,
-            ops: 0,
-            bytes: 0,
-        }
-    }
-
     /// Claim an event; returns the nanoseconds newly saved (0 if already
     /// claimed by an earlier category).
     fn claim(&mut self, e: &DataOpEvent) -> u64 {
@@ -101,7 +120,7 @@ impl Accumulator {
 /// Compute the optimization-potential estimate for `findings` against a
 /// program whose total runtime was `total_time`.
 pub fn predict(findings: &Findings, total_time: SimDuration) -> Prediction {
-    let mut acc = Accumulator::new();
+    let mut acc = Accumulator::default();
     let mut breakdown = SavingsBreakdown::default();
 
     charges(findings).for_each(|c| {
@@ -220,5 +239,103 @@ mod tests {
         assert_eq!(findings.counts().ra, 1);
         let p = predict(&findings, SimDuration(1_000));
         assert_eq!(p.breakdown.realloc_ns, 7, "second alloc (5) + delete (2)");
+    }
+
+    #[test]
+    fn ids_from_three_shards_are_charged_once_each() {
+        use crate::detect::{
+            AllocDeletePair, Confidence, DuplicateTransferGroup, RepeatedAllocGroup, RoundTrip,
+            RoundTripGroup, TripList, UnusedAlloc, UnusedTransfer, UnusedTransferReason,
+        };
+        use odp_model::{CodePtr, DataOpKind, DeviceId, HashVal, SimTime, TimeSpan};
+
+        // Ids are `shard << 32 | seq`; every shard counts from seq 0.
+        let ev = |shard: u32, seq: u32, kind: DataOpKind, ns: u64, bytes: u64| DataOpEvent {
+            id: EventId((shard as u64) << 32 | seq as u64),
+            kind,
+            src_device: DeviceId::HOST,
+            dest_device: DeviceId::target(0),
+            src_addr: 0x1000,
+            dest_addr: 0xd000,
+            bytes,
+            hash: None,
+            span: TimeSpan::new(SimTime(100), SimTime(100 + ns)),
+            codeptr: CodePtr(0x100),
+        };
+        let tx = |shard, seq, ns, bytes| ev(shard, seq, DataOpKind::Transfer, ns, bytes);
+        let alloc = |shard, seq, ns| ev(shard, seq, DataOpKind::Alloc, ns, 64);
+        let delete = |shard, seq, ns| ev(shard, seq, DataOpKind::Delete, ns, 64);
+        let trip = |a: DataOpEvent, b: DataOpEvent| RoundTrip {
+            tx: a,
+            rx: b,
+            spilled: false,
+        };
+        let max = u32::MAX;
+
+        let findings = Findings {
+            // seq 0 on all three shards: the first member is necessary,
+            // the other two are charged (20 + 40 ns, 200 + 400 B).
+            duplicates: vec![DuplicateTransferGroup {
+                hash: HashVal(7),
+                dest_device: DeviceId::target(0),
+                events: vec![tx(0, 0, 10, 100), tx(1, 0, 20, 200), tx(2, 0, 40, 400)],
+                confidence: Confidence::Confirmed,
+            }],
+            // The first trip's outbound leg is shard 2's duplicate,
+            // already claimed: only its reception counts (7 ns, 32 B).
+            // The second trip counts both legs (3 + 5 ns, 8 + 16 B).
+            round_trips: vec![RoundTripGroup {
+                hash: HashVal(7),
+                src_device: DeviceId::target(0),
+                dest_device: DeviceId::HOST,
+                trips: TripList::Many(vec![
+                    trip(tx(2, 0, 40, 400), tx(2, 1, 7, 32)),
+                    trip(tx(0, 1, 3, 8), tx(1, 1, 5, 16)),
+                ]),
+                confidence: Confidence::Confirmed,
+            }],
+            // The repeat's alloc and delete sit at the id space's edges
+            // (5 + 2 ns; allocation cycles move no bytes).
+            repeated_allocs: vec![RepeatedAllocGroup {
+                host_addr: 0x1000,
+                device: DeviceId::target(0),
+                bytes: 64,
+                pairs: vec![
+                    AllocDeletePair {
+                        alloc: alloc(0, 2, 5),
+                        delete: Some(delete(0, 3, 2)),
+                    },
+                    AllocDeletePair {
+                        alloc: alloc(max, 0, 5),
+                        delete: Some(delete(0, max, 2)),
+                    },
+                ],
+                confidence: Confidence::Confirmed,
+            }],
+            unused_allocs: vec![UnusedAlloc {
+                pair: AllocDeletePair {
+                    alloc: alloc(1, 2, 11),
+                    delete: None,
+                },
+                confidence: Confidence::Confirmed,
+            }],
+            // The largest id there is.
+            unused_transfers: vec![UnusedTransfer {
+                event: tx(max, max, 13, 64),
+                reason: UnusedTransferReason::AfterLastKernel,
+                confidence: Confidence::Confirmed,
+            }],
+        };
+
+        let p = predict(&findings, SimDuration(1_000));
+        assert_eq!(p.breakdown.duplicate_ns, 60);
+        assert_eq!(p.breakdown.round_trip_ns, 15);
+        assert_eq!(p.breakdown.realloc_ns, 7);
+        assert_eq!(p.breakdown.unused_alloc_ns, 11);
+        assert_eq!(p.breakdown.unused_transfer_ns, 13);
+        assert_eq!(p.time_saved, SimDuration(106));
+        assert_eq!(p.predicted_time, SimDuration(894));
+        assert_eq!(p.ops_eliminated, 9, "2 DD + 3 RT + 2 RA + 1 UA + 1 UT");
+        assert_eq!(p.bytes_eliminated, 600 + 56 + 64);
     }
 }

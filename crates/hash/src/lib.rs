@@ -228,6 +228,10 @@ impl HashAlgoId {
 impl Default for HashAlgoId {
     /// `t1ha0_avx2`, "the default hash function for OMPDataPerf since it
     /// consistently performed well across all problem sizes" (§B.1).
+    /// The released `tool.cc` hashes with rapidhash instead (SNIPPETS.md,
+    /// snippet 2). Changing this default changes every recorded hash,
+    /// hence the benchmark's `STORM_GOLDEN_DIGEST` and the golden `.odpt`
+    /// fixtures: it belongs in a `[benchmark]` change that re-pins them.
     fn default() -> Self {
         HashAlgoId::T1ha0_avx2
     }

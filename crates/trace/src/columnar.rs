@@ -3,7 +3,7 @@
 //! The five §5 detectors sweep the whole trace once, touching only a
 //! few fields per step (a hash here, a start time there). Hydrating
 //! into row-oriented `Vec<DataOpEvent>` makes every step drag a full
-//! ~96-byte row through the cache; hydrating into one column per field
+//! 88-byte row through the cache; hydrating into one column per field
 //! lets each state machine stream over the handful of dense arrays it
 //! actually reads. [`ColumnarView`] is that layout.
 //!

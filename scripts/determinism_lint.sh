@@ -23,12 +23,15 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # Paths whose output must be byte-deterministic: finding reports and
-# exports, fleet aggregation, trace persistence/export/stats, and the
+# exports, the savings estimate and the end-to-end analysis feeding them,
+# fleet aggregation, trace persistence/export/stats, and the
 # whole static-analysis crate (golden fixtures are pinned byte-for-byte).
 GATED_PATHS="
 crates/core/src/report
 crates/core/src/fleet
 crates/core/src/remedy
+crates/core/src/predict
+crates/core/src/analysis.rs
 crates/trace/src/persist.rs
 crates/trace/src/chrome.rs
 crates/trace/src/stats.rs
