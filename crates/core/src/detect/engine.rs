@@ -41,15 +41,13 @@ use odp_trace::{ColumnarView, DataOpColumns, TargetColumns, TraceLog};
 /// order).
 pub(crate) type OpIx = u32;
 
-/// Events that name a target device at or beyond the view's `num_devices`
-/// and are therefore excluded from the per-device algorithms (4 and 5).
+/// Events that name a target device at or beyond the view's `num_devices`.
 ///
-/// Historically these were dropped *silently*, which skews Algorithms 4/5
-/// without a trace: a kernel on an out-of-range device can neither mark
-/// allocations used nor clear transfer candidates. The view now counts
-/// what it drops so callers can surface a warning ([`OutOfRangeEvents::warning`]).
-/// Algorithms 1–3 are unaffected (they key on [`DeviceId`] directly and
-/// never index a per-device table).
+/// Algorithms 4 and 5 exclude them: a kernel on an out-of-range device
+/// neither marks allocations used nor clears transfer candidates, so a
+/// non-zero count means those two algorithms ran over a subset of the
+/// trace, and the caller surfaces [`OutOfRangeEvents::warning`].
+/// Algorithms 1–3 key on [`DeviceId`] directly and see every event.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OutOfRangeEvents {
     /// Kernel executions on devices `>= num_devices`.
@@ -84,13 +82,12 @@ impl OutOfRangeEvents {
     }
 }
 
-/// One reception queue key: a `(hash, dest_device)` pair. The queue's
-/// events live in the working set's CSR arrays (`rx_events`/`rx_bounds`)
-/// — one flat allocation for every queue instead of a `Vec` per slot,
-/// which on a trace with mostly-unique hashes would mean one heap
-/// allocation per transfer. Shared by Algorithms 1 (whole queue =
-/// duplicate group) and 2 (FIFO of pending receptions).
-#[derive(Clone, Copy)]
+/// One reception queue key: a `(hash, dest_device)` pair. The queues are
+/// the groups of the working set's `rx` ([`group_by`] output: one flat
+/// member vector for every queue instead of a `Vec` per key). Shared by
+/// Algorithms 1 (whole queue = duplicate group) and 2 (FIFO of pending
+/// receptions).
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct RxSlot {
     hash: HashVal,
     dest: DeviceId,
@@ -124,7 +121,7 @@ fn rx_key_mix(hash: HashVal, dev: DeviceId) -> u64 {
 /// power-of-two table sized to ≤50% load for the caller's key count (so
 /// it never grows), [`OpenIndex::EMPTY`] = vacant, tombstone-free (keys
 /// are never removed). Keys live in the caller's own records — the
-/// reception slots, the pairing table, the group vectors — so the table
+/// groups' key vectors, the pairing table — so the table
 /// stores only the 4-byte index and a probe touches one dense array;
 /// `is_key(ix)` tells the probe whether record `ix` holds the key being
 /// looked up.
@@ -170,7 +167,7 @@ impl OpenIndex {
 /// An alloc/delete pairing by event index (the zero-copy counterpart of
 /// [`AllocDeletePair`]). Shared by Algorithms 3 and 4, and kept in the
 /// findings of both until resolution.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct IdxPair {
     alloc: OpIx,
     delete: Option<OpIx>,
@@ -191,7 +188,7 @@ impl IdxPair {
 /// (usually the trace log's memoized hydration), the number of target
 /// devices analyzed, and the count of events naming devices beyond it.
 /// The side tables the fused sweep shares across its five algorithms
-/// are not part of the view: [`detect`] builds them, sweeps, and drops
+/// are not part of the view: `detect` builds them, sweeps, and drops
 /// them before it writes the findings' rows, so they are never alive
 /// beside the report.
 pub struct EventView<'a> {
@@ -274,14 +271,10 @@ struct WorkingSet<'a> {
     ops: &'a DataOpColumns,
     /// Kernel-execution columns, `(start, log order)`-sorted.
     kerns: &'a TargetColumns,
-    /// Reception queue keys in first-seen key order.
-    rx_slots: Vec<RxSlot>,
-    /// CSR storage for the reception queues: slot `s` holds the
-    /// chronological event indices `rx_events[rx_bounds[s]..rx_bounds[s+1]]`.
-    rx_events: Vec<OpIx>,
-    /// Queue boundaries into `rx_events` (`rx_slots.len() + 1` entries).
-    rx_bounds: Vec<u32>,
-    /// `(hash, dest_device)` → index into `rx_slots`.
+    /// The reception queues: one group per `(hash, dest_device)` key in
+    /// first-seen key order, each holding its chronological transfers.
+    rx: Grouped<RxSlot, OpIx>,
+    /// `(hash, dest_device)` → group index in `rx`.
     rx_index: OpenIndex,
     /// One-hash Bloom filter over the reception-queue keys (~8 bits per
     /// key). Algorithm 2 probes the reception index once per hashed
@@ -295,8 +288,8 @@ struct WorkingSet<'a> {
     /// over allocs, deletes, and hashless transfers.
     hashed_transfers: Vec<OpIx>,
     /// For each hashed transfer (parallel to `hashed_transfers`), the
-    /// `rx_slots` index it was enqueued into — precomputed so the sweep
-    /// dequeues without a second hash lookup.
+    /// `rx` group it was enqueued into — so the sweep dequeues without a
+    /// second hash lookup.
     dest_slot: Vec<u32>,
     /// For each hashed transfer (parallel to `hashed_transfers`), the
     /// [`rx_key_mix`] of its `(hash, src_device)` key — the probe
@@ -345,13 +338,9 @@ impl<'a> WorkingSet<'a> {
             }
         }
 
-        let mut rx_slots: Vec<RxSlot> = Vec::with_capacity(n_hashed_tx.min(1 << 16));
-        let mut rx_counts: Vec<u32> = Vec::with_capacity(n_hashed_tx.min(1 << 16));
-        let mut rx_index = OpenIndex::with_capacity(n_hashed_tx);
         let filter_words = ((n_hashed_tx * 8).next_power_of_two() / 64).clamp(16, 1 << 17);
         let mut rx_filter = vec![0u64; filter_words].into_boxed_slice();
         let mut hashed_transfers: Vec<OpIx> = Vec::with_capacity(n_hashed_tx);
-        let mut dest_slot: Vec<u32> = Vec::with_capacity(n_hashed_tx);
         let mut src_mix: Vec<u64> = Vec::with_capacity(n_hashed_tx);
         let mut pairs: Vec<IdxPair> = Vec::with_capacity(n_allocs);
         // `(device, device_addr)` → the *latest* pairing opened there: a
@@ -370,13 +359,13 @@ impl<'a> WorkingSet<'a> {
         let mut pairs_by_device: Vec<Vec<u32>> = vec![Vec::new(); nd];
 
         // Reception-queue indexing runs as its own phased sub-pass: at
-        // million-event scale the slot index outgrows the cache and
+        // million-event scale the queue index outgrows the cache and
         // every probe is a dependent memory miss, so burying the probes
         // inside the full per-kind loop body serializes them — the
         // instruction window fills with bookkeeping before the next
         // miss can issue. Splitting (a) a sequential collect of the
-        // hashed transfers and their key mixes from (b) a tight
-        // probe-only loop keeps many misses in flight at once.
+        // hashed transfers and their key mixes from (b) `group_by`'s
+        // tight probe loop keeps many misses in flight at once.
         let mut dest_mix: Vec<u64> = Vec::with_capacity(n_hashed_tx);
         for (ox, &kind) in ops.kinds.iter().enumerate() {
             if kind == DataOpKind::Transfer {
@@ -389,27 +378,21 @@ impl<'a> WorkingSet<'a> {
                 }
             }
         }
-        for (tix, &ox) in hashed_transfers.iter().enumerate() {
-            let Some(hash) = ops.hashes[ox as usize] else {
-                continue; // collected above: always hashed
-            };
-            let dest = ops.dest_devices[ox as usize];
-            // A new key appends its slot: first-seen slot order.
-            let slot = rx_index.slot_mut(dest_mix[tix], |s| {
-                let key = &rx_slots[s as usize];
-                key.hash == hash && key.dest == dest
-            });
-            if *slot == OpenIndex::EMPTY {
-                *slot = rx_slots.len() as u32;
-                rx_slots.push(RxSlot { hash, dest });
-            }
-            dest_slot.push(*slot);
-        }
+        let (rx, dest_slot, rx_index) = group_by(
+            hashed_transfers.len(),
+            |tix| {
+                let ox = hashed_transfers[tix] as usize;
+                RxSlot {
+                    // Collected above: always hashed.
+                    hash: ops.hashes[ox].unwrap_or_default(),
+                    dest: ops.dest_devices[ox],
+                }
+            },
+            |tix, _| dest_mix[tix],
+            |tix| hashed_transfers[tix],
+            1,
+        );
         drop(dest_mix);
-        rx_counts.resize(rx_slots.len(), 0);
-        for &slot in &dest_slot {
-            rx_counts[slot as usize] += 1;
-        }
 
         for (ox, &kind) in ops.kinds.iter().enumerate() {
             let ox = ox as OpIx;
@@ -456,30 +439,10 @@ impl<'a> WorkingSet<'a> {
             }
         }
 
-        // Second, hash-free pass: prefix-sum the queue lengths into CSR
-        // bounds and scatter the hashed transfers into their queues —
-        // chronological within each queue because `hashed_transfers` is.
-        let mut rx_bounds: Vec<u32> = Vec::with_capacity(rx_slots.len() + 1);
-        let mut acc = 0u32;
-        rx_bounds.push(0);
-        for &c in &rx_counts {
-            acc += c;
-            rx_bounds.push(acc);
-        }
-        let mut cursor: Vec<u32> = rx_bounds[..rx_slots.len()].to_vec();
-        let mut rx_events: Vec<OpIx> = vec![0; hashed_transfers.len()];
-        for (&ox, &slot) in hashed_transfers.iter().zip(&dest_slot) {
-            let c = &mut cursor[slot as usize];
-            rx_events[*c as usize] = ox;
-            *c += 1;
-        }
-
         WorkingSet {
             ops,
             kerns,
-            rx_slots,
-            rx_events,
-            rx_bounds,
+            rx,
             rx_index,
             rx_filter,
             hashed_transfers,
@@ -492,14 +455,6 @@ impl<'a> WorkingSet<'a> {
         }
     }
 
-    /// Reception queue `s`: chronological hashed-transfer indices with
-    /// the slot's `(hash, dest_device)` key (CSR slice).
-    #[inline]
-    fn rx_queue(&self, s: u32) -> &[OpIx] {
-        &self.rx_events
-            [self.rx_bounds[s as usize] as usize..self.rx_bounds[s as usize + 1] as usize]
-    }
-
     /// End of a pairing's lifetime (delete end, or program end for
     /// never-freed allocations) — `AllocDeletePair::lifetime_end`.
     fn pair_lifetime_end(&self, p: &IdxPair) -> SimTime {
@@ -507,32 +462,6 @@ impl<'a> WorkingSet<'a> {
             .map(|d| self.ops.ends[d as usize])
             .unwrap_or(SimTime(u64::MAX))
     }
-}
-
-/// Index-based findings: what the fused sweep produces, and all that
-/// resolution reads. Events are referenced by their chronological index
-/// ([`OpIx`]) into the view's columns; nothing here points into the
-/// sweep's working set, so it is dropped before
-/// [`IndexFindings::resolve`] materializes owned [`Findings`].
-#[derive(Default)]
-struct IndexFindings {
-    /// Algorithm 1: each duplicate group's `(hash, dest)` key and its
-    /// chronological transfers.
-    duplicates: Grouped<RxSlot, OpIx>,
-    /// Algorithm 2: round-trip groups.
-    round_trips: Vec<IdxRoundTripGroup>,
-    /// Flat arena of `(outbound leg, completing reception, next)` trip
-    /// records: every group's trips as an intrusive chain, so a trace
-    /// with thousands of one-trip groups costs zero per-group heap
-    /// allocations (`u32::MAX` terminates a chain).
-    rt_trips: Vec<(OpIx, OpIx, u32)>,
-    /// Algorithm 3: each repeated-allocation group's site and its
-    /// pairings in allocation order.
-    repeated_allocs: Grouped<AllocSite, IdxPair>,
-    /// Algorithm 4: unused allocations.
-    unused_allocs: Vec<IdxPair>,
-    /// Algorithm 5: unused transfers.
-    unused_transfers: Vec<(OpIx, UnusedTransferReason)>,
 }
 
 /// Groups stored flat: every group's members in one vector, group after
@@ -544,41 +473,140 @@ struct Grouped<K, M> {
     members: Vec<M>,
 }
 
-impl<K, M> Default for Grouped<K, M> {
-    fn default() -> Self {
-        Grouped {
-            keys: Vec::new(),
-            members: Vec::new(),
+impl<K, M> Grouped<K, M> {
+    /// Group `g`'s members.
+    #[inline]
+    fn group(&self, g: usize) -> &[M] {
+        let start = g
+            .checked_sub(1)
+            .map_or(0, |prev| self.keys[prev].1 as usize);
+        &self.members[start..self.keys[g].1 as usize]
+    }
+
+    /// Every group in first-seen key order, with its members.
+    fn iter(&self) -> impl Iterator<Item = (&K, &[M])> {
+        self.keys
+            .iter()
+            .enumerate()
+            .map(|(g, (key, _))| (key, self.group(g)))
+    }
+
+    /// A copy of the groups of `min_len` or more members, reserved
+    /// exactly.
+    fn at_least(&self, min_len: usize) -> Grouped<K, M>
+    where
+        K: Copy,
+        M: Copy,
+    {
+        let kept = || self.iter().filter(|(_, members)| members.len() >= min_len);
+        let mut out = Grouped {
+            keys: Vec::with_capacity(kept().count()),
+            members: Vec::with_capacity(kept().map(|(_, members)| members.len()).sum()),
+        };
+        for (key, members) in kept() {
+            out.members.extend_from_slice(members);
+            out.keys.push((*key, out.members.len() as u32));
+        }
+        out
+    }
+}
+
+/// The one group-by behind Algorithms 1–3: items `0..n`, keyed by
+/// `key(i)`, grouped in first-seen key order with each group's members
+/// (`member(i)`) in item order. Groups of fewer than `min_len` items get
+/// no room in the members vector and are dropped.
+///
+/// Also returns each item's group and the key → group index, both
+/// numbered before the drop (so only meaningful as group indices into
+/// the result when `min_len` is 1). `mix(i, key)` is the key's
+/// [`OpenIndex`] probe position; an item with the same key as the one
+/// before it skips the mix and the probe (keys repeat in runs: a loop
+/// re-sending or re-allocating the same buffer).
+///
+/// Two passes, no hashing in the second: probe and count, then
+/// prefix-sum the counts into starts and scatter the members, each
+/// group's start advancing to its end.
+fn group_by<K: Copy + PartialEq, M: Copy + Default>(
+    n: usize,
+    key: impl Fn(usize) -> K,
+    mix: impl Fn(usize, &K) -> u64,
+    member: impl Fn(usize) -> M,
+    min_len: u32,
+) -> (Grouped<K, M>, Vec<u32>, OpenIndex) {
+    let mut keys: Vec<(K, u32)> = Vec::new();
+    let mut group_of: Vec<u32> = Vec::with_capacity(n);
+    let mut index = OpenIndex::with_capacity(n);
+    let mut last: Option<(K, u32)> = None;
+    for i in 0..n {
+        let k = key(i);
+        let g = match last {
+            Some((prev, g)) if prev == k => g,
+            _ => {
+                let slot = index.slot_mut(mix(i, &k), |g| keys[g as usize].0 == k);
+                if *slot == OpenIndex::EMPTY {
+                    *slot = keys.len() as u32;
+                    keys.push((k, 0));
+                }
+                *slot
+            }
+        };
+        last = Some((k, g));
+        keys[g as usize].1 += 1;
+        group_of.push(g);
+    }
+    let mut total = 0u32;
+    for (_, len) in &mut keys {
+        if *len >= min_len {
+            total += *len;
+            *len = total - *len;
+        } else {
+            *len = u32::MAX;
         }
     }
+    let mut members = vec![M::default(); total as usize];
+    for (i, &g) in group_of.iter().enumerate() {
+        let at = &mut keys[g as usize].1;
+        if *at != u32::MAX {
+            members[*at as usize] = member(i);
+            *at += 1;
+        }
+    }
+    if min_len > 1 {
+        // `keys` had room for every group; only the survivors outlive
+        // the sweep.
+        keys.retain(|&(_, end)| end != u32::MAX);
+        keys.shrink_to_fit();
+    }
+    (Grouped { keys, members }, group_of, index)
 }
 
-impl<K, M> Grouped<K, M> {
-    /// Append a group: its key, then its members in order.
-    fn push(&mut self, key: K, members: impl IntoIterator<Item = M>) {
-        self.members.extend(members);
-        self.keys.push((key, self.members.len() as u32));
-    }
-
-    /// Every group in push order, with its members.
-    fn iter(&self) -> impl Iterator<Item = (&K, &[M])> {
-        let mut start = 0;
-        self.keys.iter().map(move |(key, end)| {
-            let members = &self.members[start..*end as usize];
-            start = *end as usize;
-            (key, members)
-        })
-    }
+/// Index-based findings: what the fused sweep produces, and all that
+/// resolution reads. Events are referenced by their chronological index
+/// ([`OpIx`]) into the view's columns; nothing here points into the
+/// sweep's working set, so it is dropped before
+/// [`IndexFindings::resolve`] materializes owned [`Findings`].
+struct IndexFindings {
+    /// Algorithm 1: each duplicate group's `(hash, dest)` key and its
+    /// chronological transfers.
+    duplicates: Grouped<RxSlot, OpIx>,
+    /// Algorithm 2: each round-trip group's key and its
+    /// `(outbound leg, completing reception)` trips in sweep order.
+    round_trips: Grouped<TripKey, (OpIx, OpIx)>,
+    /// Algorithm 3: each repeated-allocation group's site and its
+    /// pairings in allocation order.
+    repeated_allocs: Grouped<AllocSite, IdxPair>,
+    /// Algorithm 4: unused allocations.
+    unused_allocs: Vec<IdxPair>,
+    /// Algorithm 5: unused transfers.
+    unused_transfers: Vec<(OpIx, UnusedTransferReason)>,
 }
 
-struct IdxRoundTripGroup {
+/// Algorithm 2's grouping key: ⟨hash, src, dest⟩ of the outbound leg.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct TripKey {
     hash: HashVal,
     src: DeviceId,
     dest: DeviceId,
-    /// Chronological trip chain through [`IndexFindings::rt_trips`].
-    head: u32,
-    tail: u32,
-    len: u32,
 }
 
 /// Algorithm 3's grouping key: ⟨host addr, device, size⟩.
@@ -593,6 +621,11 @@ impl IndexFindings {
     /// Materialize owned findings — the one place events are cloned,
     /// and only the events that appear in findings.
     fn resolve(&self, view: &EventView<'_>) -> Findings {
+        let trip = |&(tx, rx): &(OpIx, OpIx)| RoundTrip {
+            tx: view.op(tx),
+            rx: view.op(rx),
+            spilled: false,
+        };
         Findings {
             duplicates: self
                 .duplicates
@@ -607,34 +640,17 @@ impl IndexFindings {
             round_trips: self
                 .round_trips
                 .iter()
-                .map(|g| RoundTripGroup {
-                    hash: g.hash,
-                    src_device: g.src,
-                    dest_device: g.dest,
-                    trips: {
-                        // Single-trip groups dominate realistic traces;
-                        // building them inline skips one heap Vec per
-                        // group (the malloc otherwise costs more than
-                        // the gather at million-event scale).
-                        let gather = |t: u32| {
-                            let (tx, rx, _) = self.rt_trips[t as usize];
-                            RoundTrip {
-                                tx: view.op(tx),
-                                rx: view.op(rx),
-                                spilled: false,
-                            }
-                        };
-                        if g.len == 1 {
-                            TripList::One([gather(g.head)])
-                        } else {
-                            let mut trips = Vec::with_capacity(g.len as usize);
-                            let mut t = g.head;
-                            while t != u32::MAX {
-                                trips.push(gather(t));
-                                t = self.rt_trips[t as usize].2;
-                            }
-                            TripList::Many(trips)
-                        }
+                .map(|(key, trips)| RoundTripGroup {
+                    hash: key.hash,
+                    src_device: key.src,
+                    dest_device: key.dest,
+                    // Single-trip groups dominate realistic traces;
+                    // building them inline skips one heap Vec per group
+                    // (the malloc otherwise costs more than the gather at
+                    // million-event scale).
+                    trips: match trips {
+                        [one] => TripList::One([trip(one)]),
+                        _ => TripList::Many(trips.iter().map(trip).collect()),
                     },
                     confidence: Confidence::Confirmed,
                 })
@@ -672,7 +688,9 @@ impl IndexFindings {
 }
 
 /// Run all five detection algorithms over the working set in one fused
-/// chronological sweep, returning index-based findings.
+/// chronological sweep, returning index-based findings. The working
+/// set is dropped here, before resolution writes any row, so the side
+/// tables and the findings' rows are never alive at once.
 ///
 /// The invariant every state machine below relies on: the view's
 /// data-op and kernel columns are chronological (start, then log
@@ -682,39 +700,34 @@ impl IndexFindings {
 /// match them byte for byte — group order, event order within groups,
 /// everything. The sweeps read only the columns they need (hash,
 /// device, address, time), streaming over dense arrays.
-fn detect_indexed(ws: &WorkingSet<'_>) -> IndexFindings {
-    let mut out = IndexFindings::default();
-    alg1_duplicates(ws, &mut out.duplicates);
-    let trips = alg2_scan(ws);
-    alg2_link_groups(ws, &trips, &mut out);
-    alg3_repeated_allocs(ws, &mut out.repeated_allocs);
+fn detect_indexed(ws: WorkingSet<'_>) -> IndexFindings {
+    let round_trips = alg2_round_trips(&ws);
+    let repeated_allocs = alg3_repeated_allocs(&ws);
+    let mut unused_allocs = Vec::new();
+    let mut unused_transfers = Vec::new();
     for dev in 0..ws.kernels_by_device.len() {
-        alg4_device(ws, dev, &mut out.unused_allocs);
-        alg5_device(ws, dev, &mut out.unused_transfers);
+        alg4_device(&ws, dev, &mut unused_allocs);
+        alg5_device(&ws, dev, &mut unused_transfers);
     }
-    out
-}
-
-/// Algorithm 1 — duplicate transfers. The reception queues *are* the
-/// groups: first-seen key order, chronological events.
-fn alg1_duplicates(ws: &WorkingSet<'_>, out: &mut Grouped<RxSlot, OpIx>) {
-    let groups = || {
-        (0..ws.rx_slots.len() as u32)
-            .map(|sx| (ws.rx_slots[sx as usize], ws.rx_queue(sx)))
-            .filter(|(_, queue)| queue.len() >= 2)
-    };
-    out.members
-        .reserve_exact(groups().map(|(_, queue)| queue.len()).sum());
-    for (key, queue) in groups() {
-        out.push(key, queue.iter().copied());
+    IndexFindings {
+        // Algorithm 1: the reception queues of two or more transfers *are*
+        // the duplicate groups. Copying them out lets every queue drop
+        // with the working set, before resolution writes any row.
+        duplicates: ws.rx.at_least(2),
+        round_trips,
+        repeated_allocs,
+        unused_allocs,
+        unused_transfers,
     }
 }
 
-/// Algorithm 2 scan — round trips: one chronological sweep consuming
-/// the shared reception queues through per-slot cursors (the
-/// standalone detector's FIFO pops, without cloning the queues).
-/// Returns completed trips as `(outbound leg, completing reception)`
-/// in sweep order; [`alg2_link_groups`] groups them afterwards.
+/// Algorithm 2 — round trips: one chronological sweep consuming the
+/// shared reception queues through per-queue cursors (the standalone
+/// detector's FIFO pops, without cloning the queues). Completed trips
+/// `(outbound leg, completing reception)` come out in sweep order and
+/// are grouped by ⟨hash, src, dest⟩ afterwards: group order is
+/// first-trip order, members are sweep order — exactly what an
+/// interleaved scan-and-link would produce.
 ///
 /// The sweep is two-phase over chunks: phase one probes the Bloom
 /// filter for a whole chunk of precomputed key mixes (a pure scan with
@@ -723,9 +736,9 @@ fn alg1_duplicates(ws: &WorkingSet<'_>, out: &mut Grouped<RxSlot, OpIx>) {
 /// two runs the queue machinery only for the survivors. Bloom-rejected
 /// transfers have zero state effect, which is what makes the split
 /// exact.
-fn alg2_scan(ws: &WorkingSet<'_>) -> Vec<(OpIx, OpIx)> {
+fn alg2_round_trips(ws: &WorkingSet<'_>) -> Grouped<TripKey, (OpIx, OpIx)> {
     let ops = ws.ops;
-    let mut heads: Vec<u32> = vec![0; ws.rx_slots.len()];
+    let mut heads: Vec<u32> = vec![0; ws.rx.keys.len()];
     let mut trips: Vec<(OpIx, OpIx)> = Vec::new();
     let fmask = ws.rx_filter.len() - 1;
     let n = ws.hashed_transfers.len();
@@ -741,7 +754,7 @@ fn alg2_scan(ws: &WorkingSet<'_>) -> Vec<(OpIx, OpIx)> {
                 hits.push((tix as u32, u32::MAX));
             }
         }
-        // Phase two: resolve the survivors' reception slots — read-only
+        // Phase two: resolve the survivors' reception queues — read-only
         // probes with no cross-iteration dependency, so their cache
         // misses overlap instead of chaining.
         for hit in &mut hits {
@@ -750,13 +763,15 @@ fn alg2_scan(ws: &WorkingSet<'_>) -> Vec<(OpIx, OpIx)> {
             let Some(hash) = ops.hashes[ox as usize] else {
                 continue; // hashed_transfers holds hashed events only
             };
-            let src = ops.src_devices[ox as usize];
             // A pending reception at the transfer's *source* device
             // completes a round trip.
-            let rx_slot = ws.rx_index.get(ws.src_mix[tix], |s| {
-                let key = &ws.rx_slots[s as usize];
-                key.hash == hash && key.dest == src
-            });
+            let key = RxSlot {
+                hash,
+                dest: ops.src_devices[ox as usize],
+            };
+            let rx_slot = ws
+                .rx_index
+                .get(ws.src_mix[tix], |s| ws.rx.keys[s as usize].0 == key);
             if let Some(rx_slot) = rx_slot {
                 hit.1 = rx_slot;
             }
@@ -766,166 +781,54 @@ fn alg2_scan(ws: &WorkingSet<'_>) -> Vec<(OpIx, OpIx)> {
             if rx_slot == u32::MAX {
                 continue;
             }
-            let queue = ws.rx_queue(rx_slot);
-            if heads[rx_slot as usize] as usize >= queue.len() {
+            let queue = ws.rx.group(rx_slot as usize);
+            let Some(&rx) = queue.get(heads[rx_slot as usize] as usize) else {
                 continue; // queue exhausted: data never returns
-            }
-            let rx = queue[heads[rx_slot as usize] as usize];
-            let ox = ws.hashed_transfers[tix as usize];
-            trips.push((ox, rx));
+            };
+            trips.push((ws.hashed_transfers[tix as usize], rx));
             // Dequeue this transfer from its own destination's queue so
-            // it cannot later complete a different round trip. The slot
+            // it cannot later complete a different round trip. The queue
             // was recorded at enqueue time: no second hash lookup.
             heads[ws.dest_slot[tix as usize] as usize] += 1;
         }
         chunk = end;
     }
-    trips
-}
-
-/// Build the Algorithm 2 groups from sweep-ordered trips: group
-/// creation order is first-trip order, member chains are sweep order —
-/// exactly what an interleaved scan-and-link would produce.
-fn alg2_link_groups(ws: &WorkingSet<'_>, trips: &[(OpIx, OpIx)], out: &mut IndexFindings) {
-    let ops = ws.ops;
-    let mut group_ix = OpenIndex::with_capacity(trips.len());
-    out.rt_trips.reserve(trips.len());
-    // Phased like the working set's reception-queue indexing: (1) gather each
-    // trip's grouping key from the columns (sequential-ish reads), (2) a
-    // tight probe-only loop resolving group indices (keeps many table
-    // misses in flight), (3) chain linking over the now-dense group and
-    // trip arrays.
-    let mut keyed: Vec<(HashVal, DeviceId, DeviceId, OpIx, OpIx)> = Vec::with_capacity(trips.len());
-    for &(ox, rx) in trips {
-        let Some(hash) = ops.hashes[ox as usize] else {
-            continue; // trips reference hashed transfers only
-        };
-        keyed.push((
-            hash,
-            ops.src_devices[ox as usize],
-            ops.dest_devices[ox as usize],
-            ox,
-            rx,
-        ));
-    }
-    let mut gxs: Vec<u32> = Vec::with_capacity(keyed.len());
-    let groups = &mut out.round_trips;
-    for &(hash, src, dest, _, _) in &keyed {
-        let mix = rx_key_mix(hash, src) ^ (dest.0 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        let slot = group_ix.slot_mut(mix, |g| {
-            let g = &groups[g as usize];
-            g.hash == hash && g.src == src && g.dest == dest
-        });
-        // A new key appends an empty group: first-trip group order.
-        if *slot == OpenIndex::EMPTY {
-            *slot = groups.len() as u32;
-            groups.push(IdxRoundTripGroup {
-                hash,
-                src,
-                dest,
-                head: u32::MAX,
-                tail: u32::MAX,
-                len: 0,
-            });
+    let key = |i: usize| {
+        let ox = trips[i].0 as usize;
+        TripKey {
+            // Trips start at hashed transfers only.
+            hash: ops.hashes[ox].unwrap_or_default(),
+            src: ops.src_devices[ox],
+            dest: ops.dest_devices[ox],
         }
-        gxs.push(*slot);
-    }
-    for (&gx, &(_, _, _, ox, rx)) in gxs.iter().zip(&keyed) {
-        let trip = out.rt_trips.len() as u32;
-        out.rt_trips.push((ox, rx, u32::MAX));
-        let group = &mut out.round_trips[gx as usize];
-        if group.tail == u32::MAX {
-            group.head = trip;
-        } else {
-            out.rt_trips[group.tail as usize].2 = trip;
-        }
-        group.tail = trip;
-        group.len += 1;
-    }
+    };
+    let mix = |_, k: &TripKey| {
+        rx_key_mix(k.hash, k.src) ^ (k.dest.0 as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+    };
+    group_by(trips.len(), key, mix, |i| trips[i], 1).0
 }
 
 /// Algorithm 3 — repeated allocations, over the shared pairing table
 /// (allocation order), grouped by ⟨host addr, device, size⟩ in
 /// first-seen key order; sites allocated only once are dropped.
-fn alg3_repeated_allocs(ws: &WorkingSet<'_>, out: &mut Grouped<AllocSite, IdxPair>) {
-    /// A site's allocation-ordered member chain through `chain`
-    /// (`u32::MAX` terminates).
-    struct Site {
-        key: AllocSite,
-        head: u32,
-        tail: u32,
-        len: u32,
-    }
+fn alg3_repeated_allocs(ws: &WorkingSet<'_>) -> Grouped<AllocSite, IdxPair> {
     let ops = ws.ops;
-    let mut sites: Vec<Site> = Vec::new();
-    // Flat arena of `(pair index, next)` records for the sites' member
-    // chains. Traces dominated by unique allocation sites (most of
-    // them) would otherwise pay one heap-allocated single-element `Vec`
-    // per site; the arena is one allocation total, and singleton chains
-    // that never reach group size 2 just sit unreferenced in it.
-    let mut chain: Vec<(u32, u32)> = Vec::with_capacity(ws.pairs.len());
-    let mut index = OpenIndex::with_capacity(ws.pairs.len());
-    // Allocation sites repeat in runs (the loop re-allocating the
-    // same buffer is the pattern Algorithm 3 exists to catch), so a
-    // one-entry cache short-circuits most of the index traffic.
-    let mut last: Option<(AllocSite, u32)> = None;
-    for (px, pair) in ws.pairs.iter().enumerate() {
-        let ax = pair.alloc as usize;
-        let key = AllocSite {
+    let key = |px: usize| {
+        let ax = ws.pairs[px].alloc as usize;
+        AllocSite {
             host_addr: ops.src_addrs[ax],
             device: ops.dest_devices[ax],
             bytes: ops.bytes[ax],
-        };
-        let sx = match last {
-            Some((k, sx)) if k == key => sx,
-            _ => {
-                let mix = avalanche(
-                    key.host_addr
-                        .wrapping_add((key.device.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                        .wrapping_add(key.bytes.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)),
-                );
-                let slot = index.slot_mut(mix, |s| sites[s as usize].key == key);
-                if *slot == OpenIndex::EMPTY {
-                    *slot = sites.len() as u32;
-                    sites.push(Site {
-                        key,
-                        head: u32::MAX,
-                        tail: u32::MAX,
-                        len: 0,
-                    });
-                }
-                *slot
-            }
-        };
-        last = Some((key, sx));
-        let link = chain.len() as u32;
-        chain.push((px as u32, u32::MAX));
-        let site = &mut sites[sx as usize];
-        if site.tail == u32::MAX {
-            site.head = link;
-        } else {
-            chain[site.tail as usize].1 = link;
         }
-        site.tail = link;
-        site.len += 1;
-    }
-    sites.retain(|s| s.len >= 2);
-    out.members
-        .reserve_exact(sites.iter().map(|s| s.len as usize).sum());
-    for site in &sites {
-        let mut link = site.head;
-        out.push(
-            site.key,
-            std::iter::from_fn(|| {
-                if link == u32::MAX {
-                    return None;
-                }
-                let (px, next) = chain[link as usize];
-                link = next;
-                Some(ws.pairs[px as usize])
-            }),
-        );
-    }
+    };
+    let mix = |_, k: &AllocSite| {
+        avalanche(
+            k.host_addr
+                .wrapping_add((k.device.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_add(k.bytes.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)),
+        )
+    };
+    group_by(ws.pairs.len(), key, mix, |px| ws.pairs[px], 2).0
 }
 
 /// Algorithm 4 — unused allocations on one device: advance a kernel
@@ -985,14 +888,9 @@ fn alg5_device(ws: &WorkingSet<'_>, dev: usize, out: &mut Vec<(OpIx, UnusedTrans
 /// Run the fused engine end to end: indexed detection plus owned
 /// materialization. The one producer of [`Findings`] outside the
 /// reference passes — [`Findings::detect_fused`] and the streaming
-/// engine's finalize both end here. The sweep's working set is built
-/// here and dropped before resolution writes the rows, so the side
-/// tables and the findings are never alive at once.
+/// engine's finalize both end here.
 pub(crate) fn detect(view: &EventView<'_>) -> Findings {
-    let ws = WorkingSet::build(view);
-    let found = detect_indexed(&ws);
-    drop(ws);
-    found.resolve(view)
+    detect_indexed(WorkingSet::build(view)).resolve(view)
 }
 
 #[cfg(test)]
@@ -1024,6 +922,39 @@ mod tests {
             serde_json::to_string(&separate).unwrap()
         );
         assert_eq!(fused.counts(), separate.counts());
+    }
+
+    #[test]
+    fn group_by_keeps_first_seen_order_through_colliding_probes() {
+        // One constant mix for every key: each probe starts on the
+        // table's last slot, collides with every key placed before it
+        // and wraps around to the front.
+        let keys = [7u32, 7, 3, 9, 3, 7, 11, 9, 11, 11, 5];
+        let key = |i: usize| keys[i];
+        let mix = |_, _: &u32| u64::MAX;
+        let (grouped, group_of, index) = group_by(keys.len(), key, mix, |i| i as u32, 1);
+        let order: Vec<u32> = grouped.keys.iter().map(|&(key, _)| key).collect();
+        assert_eq!(order, [7, 3, 9, 11, 5], "first-seen key order");
+        let members: Vec<&[u32]> = grouped.iter().map(|(_, members)| members).collect();
+        let expected: [&[u32]; 5] = [&[0, 1, 5], &[2, 4], &[3, 7], &[6, 8, 9], &[10]];
+        assert_eq!(members, expected, "members in item order");
+        for (i, &g) in group_of.iter().enumerate() {
+            assert_eq!(grouped.keys[g as usize].0, keys[i], "item {i}'s group");
+            let found = index.get(u64::MAX, |s| grouped.keys[s as usize].0 == keys[i]);
+            assert_eq!(found, Some(g), "item {i}'s key in the index");
+        }
+
+        // Dropping singletons during the scatter leaves what copying
+        // the larger groups out afterwards leaves.
+        let (pairs, _, _) = group_by(keys.len(), key, mix, |i| i as u32, 2);
+        let copied = grouped.at_least(2);
+        assert_eq!(pairs.keys, [(7, 3), (3, 5), (9, 7), (11, 10)]);
+        assert_eq!(pairs.members, [0, 1, 5, 2, 4, 3, 7, 6, 8, 9]);
+        assert_eq!((copied.keys, copied.members), (pairs.keys, pairs.members));
+
+        let (empty, group_of, _) = group_by(0, key, mix, |i| i as u32, 1);
+        assert!(empty.keys.is_empty() && empty.members.is_empty());
+        assert!(group_of.is_empty());
     }
 
     #[test]

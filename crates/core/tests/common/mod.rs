@@ -66,6 +66,31 @@ impl Rng {
     }
 }
 
+/// How many distinct values [`random_trace_in`] draws the key fields
+/// from: host and device addresses, and payload hashes.
+#[derive(Clone, Copy, Debug)]
+pub struct Pools {
+    pub addrs: u64,
+    pub hashes: u64,
+}
+
+impl Pools {
+    /// Five addresses and six hashes: every key the detectors group by
+    /// collides constantly.
+    pub const NARROW: Pools = Pools {
+        addrs: 5,
+        hashes: 6,
+    };
+
+    /// Thousands of values per field, the regime of a large run: most
+    /// allocation sites, reception keys and round-trip groups are
+    /// singletons, and the detectors' key tables hold thousands of keys.
+    pub const WIDE: Pools = Pools {
+        addrs: 4096,
+        hashes: 4096,
+    };
+}
+
 /// Build a random chronological trace. Small pools of addresses, hashes,
 /// and devices force every collision class the detectors key on:
 /// duplicate receptions, round trips, address reuse with matching and
@@ -76,6 +101,16 @@ pub fn random_trace(
     seed: u64,
     len: usize,
     num_devices: u32,
+) -> (Vec<DataOpEvent>, Vec<TargetEvent>) {
+    random_trace_in(seed, len, num_devices, Pools::NARROW)
+}
+
+/// [`random_trace`] with the key fields drawn from `pools`.
+pub fn random_trace_in(
+    seed: u64,
+    len: usize,
+    num_devices: u32,
+    pools: Pools,
 ) -> (Vec<DataOpEvent>, Vec<TargetEvent>) {
     let mut rng = Rng::new(seed);
     let mut data_ops = Vec::new();
@@ -92,10 +127,10 @@ pub fn random_trace(
         let dur = rng.below(25);
         let span = TimeSpan::new(SimTime(t), SimTime(t + dur));
         let dev = DeviceId::target(rng.below(num_devices as u64) as u32);
-        let haddr = 0x1000 + rng.below(5) * 0x100;
-        let daddr = 0xd000 + rng.below(5) * 0x100;
+        let haddr = 0x1000 + rng.below(pools.addrs) * 0x100;
+        let daddr = 0xd000 + rng.below(pools.addrs) * 0x100;
         let bytes = 64 << rng.below(3);
-        let hash = HashVal(rng.below(6));
+        let hash = HashVal(rng.below(pools.hashes));
         let codeptr = CodePtr(0x400_000 + rng.below(4) * 0x10);
         match rng.below(12) {
             0..=3 => data_ops.push(DataOpEvent {

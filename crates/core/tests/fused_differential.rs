@@ -9,6 +9,7 @@
 mod common;
 
 use common::{random_trace, shard_partition};
+use common::{random_trace_in, Pools};
 use odp_model::{DataOpEvent, TargetEvent};
 use odp_trace::ColumnarView;
 use ompdataperf::detect::{EventView, Findings};
@@ -45,6 +46,23 @@ fn fused_equals_separate_on_random_traces() {
 fn fused_equals_separate_on_large_trace() {
     let (ops, kernels) = random_trace(0xDEAD_BEEF, 20_000, 3);
     assert_identical(&ops, &kernels, 3, "large trace");
+}
+
+#[test]
+fn fused_equals_separate_on_wide_key_pools() {
+    // Thousands of addresses and hashes: the regime of a large run, where
+    // most allocation sites, reception keys and round-trip groups are
+    // singletons and the sweep's key tables hold thousands of keys. Every
+    // grouped kind still has groups of two or more.
+    for (seed, devices) in [(0x51DE_u64, 2u32), (0xB16_F00D, 3)] {
+        let (ops, kernels) = random_trace_in(seed, 20_000, devices, Pools::WIDE);
+        let counts = Findings::detect_separate(&ops, &kernels, devices).counts();
+        assert!(
+            counts.dd > 0 && counts.rt > 0 && counts.ra > 0,
+            "{counts:?}"
+        );
+        assert_identical(&ops, &kernels, devices, &format!("wide seed {seed}"));
+    }
 }
 
 #[test]

@@ -14,6 +14,7 @@
 mod common;
 
 use common::{assert_live_matches, finalize, random_trace, shard_partition, Rng};
+use common::{random_trace_in, Pools};
 use odp_model::{DataOpEvent, DeviceId, SimTime, TargetEvent};
 use odp_ompt::GlobalWatermark;
 use odp_trace::{TraceLog, MAX_PLAUSIBLE_DEVICES};
@@ -109,6 +110,16 @@ fn streaming_equals_postmortem_on_random_traces() {
 fn streaming_equals_postmortem_on_large_trace() {
     let (ops, kernels) = random_trace(0xDEAD_BEEF, 20_000, 3);
     assert_streaming_identical(&ops, &kernels, 3, "large trace");
+}
+
+#[test]
+fn streaming_equals_postmortem_on_wide_key_pools() {
+    // Thousands of addresses and hashes: mostly singleton keys, and key
+    // tables that hold thousands of them (see the fused suite's case).
+    for (seed, devices) in [(0x51DE_u64, 2u32), (0xB16_F00D, 3)] {
+        let (ops, kernels) = random_trace_in(seed, 20_000, devices, Pools::WIDE);
+        assert_streaming_identical(&ops, &kernels, devices, &format!("wide seed {seed}"));
+    }
 }
 
 #[test]

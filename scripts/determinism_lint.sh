@@ -23,11 +23,13 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # Paths whose output must be byte-deterministic: finding reports and
-# exports, the savings estimate and the end-to-end analysis feeding them,
+# exports, the detectors (a finding group's position is its position in
+# the report), the savings estimate and the end-to-end analysis feeding them,
 # fleet aggregation, trace persistence/export/stats, and the
 # whole static-analysis crate (golden fixtures are pinned byte-for-byte).
 GATED_PATHS="
 crates/core/src/report
+crates/core/src/detect
 crates/core/src/fleet
 crates/core/src/remedy
 crates/core/src/predict
