@@ -192,7 +192,7 @@ pub(crate) mod stream;
 pub(crate) mod unused_alloc;
 pub mod unused_transfer;
 
-use odp_model::{DataOpEvent, TargetEvent};
+use odp_model::{DataOpEvent, HashVal, TargetEvent};
 use serde::{Deserialize, Serialize};
 
 pub use duplicate::{find_duplicate_transfers, DuplicateTransferGroup};
@@ -266,6 +266,18 @@ impl IssueCounts {
     pub fn is_clean(&self) -> bool {
         self.total() == 0
     }
+
+    /// Count one finding of `kind` — every per-kind count (the report's,
+    /// the live engine's, a console sink's) goes through here.
+    pub(crate) fn add(&mut self, kind: FindingKind) {
+        *match kind {
+            FindingKind::DuplicateTransfer => &mut self.dd,
+            FindingKind::RoundTrip => &mut self.rt,
+            FindingKind::RepeatedAlloc => &mut self.ra,
+            FindingKind::UnusedAlloc => &mut self.ua,
+            FindingKind::UnusedTransfer => &mut self.ut,
+        } += 1;
+    }
 }
 
 /// The combined output of all five detectors.
@@ -312,13 +324,7 @@ impl Findings {
     /// Table 1-style issue counts: [`charges`] counted per category.
     pub fn counts(&self) -> IssueCounts {
         let mut counts = IssueCounts::default();
-        charges(self).for_each(|c| match c.evidence.kind() {
-            FindingKind::DuplicateTransfer => counts.dd += 1,
-            FindingKind::RoundTrip => counts.rt += 1,
-            FindingKind::RepeatedAlloc => counts.ra += 1,
-            FindingKind::UnusedAlloc => counts.ua += 1,
-            FindingKind::UnusedTransfer => counts.ut += 1,
-        });
+        charges(self).for_each(|c| counts.add(c.evidence.kind()));
         counts
     }
 }
@@ -334,6 +340,8 @@ pub struct Charge<'f> {
     pub bytes: u64,
     /// The events behind the instance.
     pub evidence: Evidence<'f>,
+    /// Trust level of the group the instance belongs to.
+    pub(crate) confidence: Confidence,
 }
 
 /// The events behind one [`Charge`], borrowed from the [`Findings`].
@@ -341,13 +349,16 @@ pub struct Charge<'f> {
 pub enum Evidence<'f> {
     /// `event` re-delivers what the group's `earlier` members delivered.
     Duplicate {
+        /// The group's content hash.
+        hash: HashVal,
         /// The group's members before `event`, chronological.
         earlier: &'f [DataOpEvent],
         /// The redundant transfer.
         event: &'f DataOpEvent,
     },
-    /// A completed round trip.
-    RoundTrip(&'f RoundTrip),
+    /// A completed round trip, with its group (content hash, sending
+    /// and intermediate device).
+    RoundTrip(&'f RoundTripGroup, &'f RoundTrip),
     /// `pair` re-allocates what the group's `earlier` pairs allocated.
     RepeatedAlloc {
         /// The group's pairs before `pair`, chronological.
@@ -366,7 +377,7 @@ impl<'f> Evidence<'f> {
     pub fn kind(&self) -> FindingKind {
         match self {
             Evidence::Duplicate { .. } => FindingKind::DuplicateTransfer,
-            Evidence::RoundTrip(_) => FindingKind::RoundTrip,
+            Evidence::RoundTrip(..) => FindingKind::RoundTrip,
             Evidence::RepeatedAlloc { .. } => FindingKind::RepeatedAlloc,
             Evidence::UnusedAlloc(_) => FindingKind::UnusedAlloc,
             Evidence::UnusedTransfer(_) => FindingKind::UnusedTransfer,
@@ -379,7 +390,7 @@ impl<'f> Evidence<'f> {
     pub fn charged(&self) -> &'f DataOpEvent {
         match *self {
             Evidence::Duplicate { event, .. } => event,
-            Evidence::RoundTrip(trip) => &trip.rx,
+            Evidence::RoundTrip(_, trip) => &trip.rx,
             Evidence::RepeatedAlloc { pair, .. } | Evidence::UnusedAlloc(pair) => &pair.alloc,
             Evidence::UnusedTransfer(ut) => &ut.event,
         }
@@ -391,7 +402,7 @@ impl<'f> Evidence<'f> {
     pub(crate) fn eliminable(&self) -> impl Iterator<Item = &'f DataOpEvent> {
         let (first, second) = match *self {
             Evidence::Duplicate { event, .. } => (event, None),
-            Evidence::RoundTrip(trip) => (&trip.tx, Some(&trip.rx)),
+            Evidence::RoundTrip(_, trip) => (&trip.tx, Some(&trip.rx)),
             Evidence::RepeatedAlloc { pair, .. } | Evidence::UnusedAlloc(pair) => {
                 (&pair.alloc, pair.delete.as_ref())
             }
@@ -408,9 +419,11 @@ impl<'f> Evidence<'f> {
 /// own site, a round trip at its reception leg's site for both legs'
 /// bytes on the intermediate device, unused allocations and transfers at
 /// their own site for their own bytes. Counts ([`Findings::counts`]),
-/// the §7.6 estimate, the report's sections and the fleet's site
-/// findings are all folds over this walk (`for_each` over the five-way
-/// chain is measurably cheaper than stepping it with `next`).
+/// the §7.6 estimate, the report's sections, the fleet's site findings
+/// and the live projection ([`Findings::stream_findings`], one live
+/// finding per instance) are all folds or maps over this walk
+/// (`for_each` over the five-way chain is measurably cheaper than
+/// stepping it with `next`).
 pub fn charges(findings: &Findings) -> impl Iterator<Item = Charge<'_>> {
     let dd = findings.duplicates.iter().flat_map(|g| {
         (1..g.events.len()).map(move |i| Charge {
@@ -418,9 +431,11 @@ pub fn charges(findings: &Findings) -> impl Iterator<Item = Charge<'_>> {
             device: g.dest_device.raw(),
             bytes: g.events[i].bytes,
             evidence: Evidence::Duplicate {
+                hash: g.hash,
                 earlier: &g.events[..i],
                 event: &g.events[i],
             },
+            confidence: g.confidence,
         })
     });
     let rt = findings.round_trips.iter().flat_map(|g| {
@@ -428,7 +443,8 @@ pub fn charges(findings: &Findings) -> impl Iterator<Item = Charge<'_>> {
             codeptr: t.rx.codeptr.0,
             device: g.dest_device.raw(),
             bytes: t.tx.bytes + t.rx.bytes,
-            evidence: Evidence::RoundTrip(t),
+            evidence: Evidence::RoundTrip(g, t),
+            confidence: g.confidence,
         })
     });
     let ra = findings.repeated_allocs.iter().flat_map(|g| {
@@ -440,6 +456,7 @@ pub fn charges(findings: &Findings) -> impl Iterator<Item = Charge<'_>> {
                 earlier: &g.pairs[..i],
                 pair: &g.pairs[i],
             },
+            confidence: g.confidence,
         })
     });
     let ua = findings.unused_allocs.iter().map(|ua| Charge {
@@ -447,12 +464,14 @@ pub fn charges(findings: &Findings) -> impl Iterator<Item = Charge<'_>> {
         device: ua.pair.alloc.dest_device.raw(),
         bytes: ua.pair.alloc.bytes,
         evidence: Evidence::UnusedAlloc(&ua.pair),
+        confidence: ua.confidence,
     });
     let ut = findings.unused_transfers.iter().map(|ut| Charge {
         codeptr: ut.event.codeptr.0,
         device: ut.event.dest_device.raw(),
         bytes: ut.event.bytes,
         evidence: Evidence::UnusedTransfer(ut),
+        confidence: ut.confidence,
     });
     dd.chain(rt).chain(ra).chain(ua).chain(ut)
 }

@@ -68,7 +68,8 @@
 use crate::detect::engine::{self, EventView, OutOfRangeEvents};
 use crate::detect::reorder::{RunMergeBuffer, SortKey};
 use crate::detect::{
-    Confidence, Findings, IssueCounts, RoundTrip, RoundTripGroup, UnusedTransferReason,
+    charges, Confidence, Evidence, FindingKind, Findings, IssueCounts, RoundTrip, RoundTripGroup,
+    UnusedTransferReason,
 };
 use odp_hash::fnv::FnvHashMap;
 use odp_model::{
@@ -218,6 +219,17 @@ impl StreamFinding {
             | StreamFinding::UnusedTransfer { confidence, .. } => confidence,
         }
     }
+
+    /// The inefficiency class the finding belongs to.
+    pub(crate) fn kind(&self) -> FindingKind {
+        match self {
+            StreamFinding::DuplicateTransfer { .. } => FindingKind::DuplicateTransfer,
+            StreamFinding::RoundTrip { .. } => FindingKind::RoundTrip,
+            StreamFinding::RepeatedAlloc { .. } => FindingKind::RepeatedAlloc,
+            StreamFinding::UnusedAlloc { .. } => FindingKind::UnusedAlloc,
+            StreamFinding::UnusedTransfer { .. } => FindingKind::UnusedTransfer,
+        }
+    }
 }
 
 impl Findings {
@@ -225,70 +237,58 @@ impl Findings {
     /// the [`StreamFinding`]s a streaming engine emits over a run whose
     /// trace yields this report (as a multiset — live emission order
     /// interleaves the kinds, and round trips arrive only at finalize).
-    /// Algorithm 1 emits every reception after a group's first,
-    /// Algorithm 3 every allocation after a site's first, the others one
-    /// finding per trip / allocation / transfer. This is the invariant
-    /// the differential suites hold the engine to, and how
-    /// [`crate::remedy::RemediationPolicy`] seeds itself from a report.
+    /// One live finding per instance [`charges`] yields, in its order,
+    /// so which instances a report and a live stream hold is stated
+    /// once. This is the invariant the differential suites hold the
+    /// engine to, and how [`crate::remedy::RemediationPolicy`] seeds
+    /// itself from a report.
     pub fn stream_findings(&self) -> impl Iterator<Item = StreamFinding> + '_ {
-        let dd = self.duplicates.iter().flat_map(|g| {
-            let first = g.events.first().map_or(0, |e| e.id.0);
-            g.events.iter().enumerate().skip(1).map(move |(i, e)| {
-                StreamFinding::DuplicateTransfer {
-                    hash: g.hash,
-                    src_device: e.src_device,
-                    dest_device: e.dest_device,
-                    host_addr: host_side_addr(e),
-                    codeptr: e.codeptr,
-                    event: e.id.0,
-                    first,
-                    occurrence: i as u32 + 1,
-                    confidence: g.confidence,
-                }
-            })
-        });
-        let rt = self
-            .round_trips
-            .iter()
-            .flat_map(|g| g.trips.iter().map(move |t| trip_finding(g, t)));
-        let ra = self.repeated_allocs.iter().flat_map(|g| {
-            g.pairs
-                .iter()
-                .enumerate()
-                .skip(1)
-                .map(move |(i, p)| StreamFinding::RepeatedAlloc {
-                    host_addr: g.host_addr,
-                    device: g.device,
-                    bytes: g.bytes,
-                    codeptr: p.alloc.codeptr,
-                    alloc: p.alloc.id.0,
-                    occurrence: i as u32 + 1,
-                    confidence: g.confidence,
-                })
-        });
-        let ua = self
-            .unused_allocs
-            .iter()
-            .map(|ua| StreamFinding::UnusedAlloc {
-                device: ua.pair.alloc.dest_device,
-                host_addr: ua.pair.alloc.src_addr,
-                codeptr: ua.pair.alloc.codeptr,
-                alloc: ua.pair.alloc.id.0,
-                delete: ua.pair.delete.as_ref().map(|d| d.id.0),
-                confidence: ua.confidence,
-            });
-        let ut = self
-            .unused_transfers
-            .iter()
-            .map(|ut| StreamFinding::UnusedTransfer {
-                device: ut.event.dest_device,
-                host_addr: ut.event.src_addr,
-                codeptr: ut.event.codeptr,
-                event: ut.event.id.0,
-                reason: ut.reason,
-                confidence: ut.confidence,
-            });
-        dd.chain(rt).chain(ra).chain(ua).chain(ut)
+        charges(self).map(|c| {
+            let confidence = c.confidence;
+            match c.evidence {
+                Evidence::Duplicate {
+                    hash,
+                    earlier,
+                    event,
+                } => StreamFinding::DuplicateTransfer {
+                    hash,
+                    src_device: event.src_device,
+                    dest_device: event.dest_device,
+                    host_addr: host_side_addr(event),
+                    codeptr: event.codeptr,
+                    event: event.id.0,
+                    first: earlier.first().map_or(0, |e| e.id.0),
+                    occurrence: earlier.len() as u32 + 1,
+                    confidence,
+                },
+                Evidence::RoundTrip(group, trip) => trip_finding(group, trip),
+                Evidence::RepeatedAlloc { earlier, pair } => StreamFinding::RepeatedAlloc {
+                    host_addr: pair.alloc.src_addr,
+                    device: pair.alloc.dest_device,
+                    bytes: pair.alloc.bytes,
+                    codeptr: pair.alloc.codeptr,
+                    alloc: pair.alloc.id.0,
+                    occurrence: earlier.len() as u32 + 1,
+                    confidence,
+                },
+                Evidence::UnusedAlloc(pair) => StreamFinding::UnusedAlloc {
+                    device: pair.alloc.dest_device,
+                    host_addr: pair.alloc.src_addr,
+                    codeptr: pair.alloc.codeptr,
+                    alloc: pair.alloc.id.0,
+                    delete: pair.delete.as_ref().map(|d| d.id.0),
+                    confidence,
+                },
+                Evidence::UnusedTransfer(ut) => StreamFinding::UnusedTransfer {
+                    device: ut.event.dest_device,
+                    host_addr: ut.event.src_addr,
+                    codeptr: ut.event.codeptr,
+                    event: ut.event.id.0,
+                    reason: ut.reason,
+                    confidence,
+                },
+            }
+        })
     }
 
     /// Tag every group of the report as degraded evidence.
@@ -352,9 +352,8 @@ pub struct StreamBufferStats {
     pub buffered_peak: usize,
     /// Always 0 (there is no round-trip window); kept because `benchmark/` reads it.
     pub frontier_peak: usize,
-    /// Per-device pending work (pairs + transfers + buffered kernels).
-    pub device_pending_now: usize,
-    /// Per-device pending high-water mark.
+    /// Per-device pending work (pairs + transfers + buffered kernels),
+    /// high-water mark.
     pub device_pending_peak: usize,
     /// Always 0 (there is no round-trip window); kept because `benchmark/` reads it.
     pub frontier_spilled: usize,
@@ -634,7 +633,6 @@ impl StreamingEngine {
     pub fn buffer_stats(&self) -> StreamBufferStats {
         let mut s = self.stats;
         s.buffered_now = self.buffer.len();
-        s.device_pending_now = self.machines.iter().map(|m| m.pending_len()).sum();
         s.reorder_inversions = self.buffer.inversions() as usize;
         s
     }
@@ -713,9 +711,9 @@ impl StreamingEngine {
             .flat_map(|g| g.trips.iter().map(move |t| (g, t)))
             .collect();
         trips.sort_unstable_by_key(|(_, t)| (t.tx.span.start, t.tx.id));
-        self.counts.rt += trips.len();
-        self.emitted
-            .extend(trips.into_iter().map(|(g, t)| trip_finding(g, t)));
+        for (g, t) in trips {
+            self.emit(trip_finding(g, t));
+        }
 
         // Algorithms 4/5: no kernel will ever arrive; drain the pending
         // queues with the end-of-trace rules.
@@ -730,7 +728,6 @@ impl StreamingEngine {
                     reason: UnusedTransferReason::AfterLastKernel,
                     confidence: self.confidence(),
                 });
-                self.counts.ut += 1;
             }
         }
         findings
@@ -815,7 +812,6 @@ impl StreamingEngine {
                 occurrence,
                 confidence: self.confidence(),
             });
-            self.counts.dd += 1;
         }
     }
 
@@ -853,7 +849,6 @@ impl StreamingEngine {
                 occurrence,
                 confidence: self.confidence(),
             });
-            self.counts.ra += 1;
         }
 
         // Algorithm 4: the pairing waits for a kernel able to prove use.
@@ -918,7 +913,6 @@ impl StreamingEngine {
             confidence: self.confidence(),
         };
         self.emit(finding);
-        self.counts.ua += 1;
     }
 
     // ---- Algorithm 5 ---------------------------------------------------
@@ -937,52 +931,47 @@ impl StreamingEngine {
             m.pending_tx.push_back(tx); // preserve order behind the stall
             return;
         }
-        if let Some(stalled) =
-            Self::alg5_process_tx(m, tx, dev, conf, &mut self.emitted, &mut self.counts)
-        {
-            m.pending_tx.push_back(stalled); // queue was empty: order holds
+        match Self::alg5_process_tx(m, tx, dev, conf) {
+            Ok(unused) => unused.into_iter().for_each(|f| self.emit(f)),
+            Err(stalled) => m.pending_tx.push_back(stalled), // queue was empty: order holds
         }
     }
 
     /// The reference per-transfer step: advance the kernel cursor
     /// (clearing candidates per passed kernel), then classify against
-    /// the next kernel — or return the transfer to stall until one
+    /// the next kernel, yielding the earlier transfer it proves unused
+    /// if any — or hand the transfer back to stall until a kernel
     /// arrives.
     fn alg5_process_tx(
         m: &mut DeviceMachine,
         tx: PendingTx,
         dev: usize,
         confidence: Confidence,
-        emitted: &mut Vec<StreamFinding>,
-        counts: &mut IssueCounts,
-    ) -> Option<PendingTx> {
+    ) -> Result<Option<StreamFinding>, PendingTx> {
         while m.kq5.front().is_some_and(|k| k.end < tx.start) {
             m.kq5.pop_front();
             m.candidates.clear();
         }
         match m.kq5.front() {
-            None => return Some(tx),
+            None => Err(tx),
             Some(k) if k.start > tx.start => {
-                if let Some(&(cand, cand_cp)) = m.candidates.get(&tx.src_addr) {
-                    emitted.push(StreamFinding::UnusedTransfer {
-                        device: DeviceId::target(dev as u32),
-                        host_addr: tx.src_addr,
-                        codeptr: cand_cp,
-                        event: cand,
-                        reason: UnusedTransferReason::OverwrittenBeforeUse,
-                        confidence,
-                    });
-                    counts.ut += 1;
-                }
-                m.candidates.insert(tx.src_addr, (tx.seq, tx.codeptr));
+                let unused = m.candidates.insert(tx.src_addr, (tx.seq, tx.codeptr));
+                Ok(unused.map(|(cand, cand_cp)| StreamFinding::UnusedTransfer {
+                    device: DeviceId::target(dev as u32),
+                    host_addr: tx.src_addr,
+                    codeptr: cand_cp,
+                    event: cand,
+                    reason: UnusedTransferReason::OverwrittenBeforeUse,
+                    confidence,
+                }))
             }
             Some(_) => {
                 // Overlaps a running kernel (asynchronous mapping):
                 // conservatively forget all candidates.
                 m.candidates.clear();
+                Ok(None)
             }
         }
-        None
     }
 
     /// A kernel arrived: transfers that stalled on an empty cursor can
@@ -990,23 +979,26 @@ impl StreamingEngine {
     /// it is exactly the reference's `kernels[idx]`).
     fn alg5_on_kernel(&mut self, dev: usize) {
         let conf = self.confidence();
-        let m = &mut self.machines[dev];
-        while !m.kq5.is_empty() {
+        while !self.machines[dev].kq5.is_empty() {
+            let m = &mut self.machines[dev];
             let Some(tx) = m.pending_tx.pop_front() else {
                 break;
             };
-            if let Some(stalled) =
-                Self::alg5_process_tx(m, tx, dev, conf, &mut self.emitted, &mut self.counts)
-            {
-                m.pending_tx.push_front(stalled); // re-stalled: keep order
-                break;
+            match Self::alg5_process_tx(m, tx, dev, conf) {
+                Ok(unused) => unused.into_iter().for_each(|f| self.emit(f)),
+                Err(stalled) => {
+                    m.pending_tx.push_front(stalled); // re-stalled: keep order
+                    break;
+                }
             }
         }
     }
 
     // ---- bookkeeping --------------------------------------------------
 
+    /// The one emit path: count the finding, queue it for the taps.
     fn emit(&mut self, f: StreamFinding) {
+        self.counts.add(f.kind());
         self.emitted.push(f);
     }
 

@@ -120,6 +120,7 @@ impl RemediationPolicy {
         if finding.confidence().is_degraded() {
             return;
         }
+        self.observed[finding.kind().index()] += 1;
         match *finding {
             StreamFinding::DuplicateTransfer {
                 src_device,
@@ -177,7 +178,6 @@ impl RemediationPolicy {
     }
 
     fn on_duplicate(&mut self, src: DeviceId, dest: DeviceId, host_addr: u64) {
-        self.observed[FindingKind::DuplicateTransfer.index()] += 1;
         if let Some(ix) = dest.target_index() {
             // Re-send to a device: keep the mapping resident instead.
             let r = self.rule_mut(ix as u32, host_addr);
@@ -190,7 +190,6 @@ impl RemediationPolicy {
     }
 
     fn on_round_trip(&mut self, src: DeviceId, dest: DeviceId, host_addr: u64) {
-        self.observed[FindingKind::RoundTrip.index()] += 1;
         if src.is_host() {
             // Host content bounced off a device and came back unchanged:
             // the copy-back is redundant.
@@ -208,7 +207,6 @@ impl RemediationPolicy {
     }
 
     fn on_repeated_alloc(&mut self, device: DeviceId, host_addr: u64) {
-        self.observed[FindingKind::RepeatedAlloc.index()] += 1;
         if let Some(ix) = device.target_index() {
             let r = self.rule_mut(ix as u32, host_addr);
             r.persist = r.persist.or(Some(FindingKind::RepeatedAlloc));
@@ -216,7 +214,6 @@ impl RemediationPolicy {
     }
 
     fn on_unused_alloc(&mut self, device: DeviceId, host_addr: u64) {
-        self.observed[FindingKind::UnusedAlloc.index()] += 1;
         if let Some(ix) = device.target_index() {
             let r = self.rule_mut(ix as u32, host_addr);
             r.elide = r.elide.or(Some(FindingKind::UnusedAlloc));
@@ -224,7 +221,6 @@ impl RemediationPolicy {
     }
 
     fn on_unused_transfer(&mut self, device: DeviceId, host_addr: u64) {
-        self.observed[FindingKind::UnusedTransfer.index()] += 1;
         if let Some(ix) = device.target_index() {
             let r = self.rule_mut(ix as u32, host_addr);
             r.skip_to = r.skip_to.or(Some(FindingKind::UnusedTransfer));

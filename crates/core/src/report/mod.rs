@@ -263,13 +263,7 @@ impl SnapshotStreamSink {
 
     /// One finding became final.
     pub fn on_finding(&mut self, finding: &StreamFinding) {
-        match finding {
-            StreamFinding::DuplicateTransfer { .. } => self.counts.dd += 1,
-            StreamFinding::RoundTrip { .. } => self.counts.rt += 1,
-            StreamFinding::RepeatedAlloc { .. } => self.counts.ra += 1,
-            StreamFinding::UnusedAlloc { .. } => self.counts.ua += 1,
-            StreamFinding::UnusedTransfer { .. } => self.counts.ut += 1,
-        }
+        self.counts.add(finding.kind());
         self.lines.push(render_stream_finding(finding));
     }
 }

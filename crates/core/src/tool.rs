@@ -43,28 +43,33 @@
 //! Who drains changes nothing about what a drain may release: the
 //! decision reads only the published slots, never the wall clock.
 //!
-//! The drain snapshots the merged watermark, swaps every shard's queue
-//! for the engine's one empty spare (O(1) under that queue's lock, so
-//! buffers circulate instead of being reallocated), pushes what it took
-//! out into the [`StreamingEngine`]'s reorder lanes in arrival order
-//! outside that lock, and advances the engine once.
-//! Observers (taps, finalize, stats) run the same drain whenever they
-//! look, so they, not the callbacks, bound the latency of live
-//! findings. Every shard publishes every edge, so a drain decides
+//! One routine drains, whoever asks — a callback whose batch is due
+//! (it only `try_lock`s: a busy engine means another thread drains on
+//! its behalf), an observer (taps, finalize, counts, stats) and the
+//! final drain that takes the engine out. It snapshots the merged
+//! watermark, swaps every shard's queue for the one empty spare (O(1)
+//! under that queue's lock, so buffers circulate), pushes what it took
+//! into the [`StreamingEngine`]'s reorder lanes in arrival order outside
+//! that lock, and advances the engine once; a tap then harvests the new
+//! findings into every tap's buffer (the tee). Observers drain whenever
+//! they look, so they, not the callbacks, bound the latency of live
+//! findings; every shard publishes every edge, so a drain decides
 //! everything its shards' clocks allow right now. Snapshot-*then*-drain
 //! is what makes this sound: each shard queues an event *before*
 //! publishing the clock edge that could unblock it, so any event at or
 //! below a snapshotted watermark is already visible to the sweep.
 //!
-//! Lock order (outermost first): engine → shard list → one shard →
-//! control; one shard → its pending queue (a push); engine → pending
-//! list → one pending queue; engine → stall → control; and engine → tap
-//! list → one tap buffer (the findings tee). The fast path takes its own
+//! What only a drain touches — the engine, the queue list, the stall
+//! detector, the tap list — sits behind the one engine lock, as
+//! upstream's collector keeps its log behind one mutex. Lock order
+//! (outermost first): engine → shard list → one shard → control; engine
+//! → one pending queue, one tap buffer or control (a stall warning);
+//! one shard → its pending queue (a push). The fast path takes its own
 //! shard's (uncontended) lock and, under it, its own pending queue's;
-//! drains take no shard lock. `control` guards cold data (console
-//! lines, flags, the opt-in collision audit, which serializes by
-//! design); taps are touched only by findings consumers, never by
-//! callbacks.
+//! drains take no shard lock. A tap reads its buffer under that
+//! buffer's lock alone, so it collects what another drainer delivered
+//! while the engine is busy. `control` guards cold data (console lines,
+//! flags, the opt-in collision audit, which serializes by design).
 //!
 //! Construction returns the tool plus a [`ToolHandle`] sharing its
 //! collector, so the harness can extract the merged trace after the
@@ -252,47 +257,74 @@ struct ToolShared {
     control: Mutex<Control>,
     /// All shards, fork order (= shard id order).
     shards: Mutex<Vec<Arc<Mutex<ShardState>>>>,
-    /// Per-shard pending queues, fork order (streaming mode only).
-    pending: Mutex<Vec<PendingQueue>>,
-    /// The online detection engine (`stream` mode only). Fast-path
-    /// callbacks never block on it: they `try_lock` to drain, and only
-    /// when their queue says a batch is due.
+    /// The live path (`stream` mode only). Fast-path callbacks never
+    /// block on it: they `try_lock` to drain, and only when their queue
+    /// says a batch is due.
     engine: Mutex<Option<Live>>,
     /// Per-shard clock merge (lock-free).
     watermark: GlobalWatermark,
-    /// The watermark stall detector (`stall_timeout` + `stream` only).
-    /// Lock order: engine → stall (the drain consults it while holding
-    /// the engine).
-    stall: Mutex<Option<StallDetector>>,
-    /// The live-findings tee: every finding harvested from the engine
-    /// is appended to **each** registered tap, so independent consumers
-    /// (a snapshot poller, a remediation policy) compose instead of
-    /// stealing from one drain-once stream.
-    taps: Mutex<Vec<TapBuf>>,
 }
 
-/// The streaming engine, and the empty queue buffer a drain swaps into
-/// the next shard it takes a queue from.
+/// The live path: the streaming engine and everything only a drain
+/// touches, all behind the engine lock.
 struct Live {
     engine: StreamingEngine,
+    /// Every shard's pending queue, fork order (registered at fork).
+    queues: Vec<PendingQueue>,
+    /// The empty buffer a drain swaps into the next queue it takes.
     spare: Vec<StreamEvent>,
+    /// The watermark stall detector (`stall_timeout` only).
+    stall: Option<StallDetector>,
+    /// The live-findings tee: a harvest appends every new finding to
+    /// **each** registered tap, so independent consumers (a snapshot
+    /// poller, a remediation policy) compose instead of stealing from
+    /// one drain-once stream.
+    taps: Vec<TapBuf>,
+}
+
+impl Live {
+    /// Move the engine's emitted findings into every tap.
+    fn harvest(&mut self) {
+        let new = self.engine.take_findings();
+        if new.is_empty() {
+            return;
+        }
+        for tap in &self.taps {
+            tap.lock().extend(new.iter().copied());
+        }
+    }
 }
 
 impl ToolShared {
-    /// Sweep every shard's pending queue into the engine and advance it
-    /// to the merged watermark. The engine lock must be held by the
-    /// caller.
-    fn drain_locked(&self, live: &mut Live) {
-        let Live { engine, spare } = live;
+    /// The one drain: lock the engine — or, unless `block`, give up when
+    /// another thread holds it (that thread drains on our behalf) —
+    /// sweep every shard's pending queue into the engine, advance it to
+    /// the merged watermark, and run `f` on the drained live path while
+    /// the lock is still held. `None` when streaming is off or the lock
+    /// was busy.
+    fn with_drained<R>(&self, block: bool, f: impl FnOnce(&mut Live) -> R) -> Option<R> {
+        let mut guard = if block {
+            self.engine.lock()
+        } else {
+            self.engine.try_lock()?
+        };
+        let live = guard.as_mut()?;
+        let Live {
+            engine,
+            queues,
+            spare,
+            stall,
+            ..
+        } = &mut *live;
         // Snapshot BEFORE sweeping: every event at or below this merged
         // watermark was queued before its shard published the edge that
         // enabled it (shards queue, then publish), so the sweep below
         // is guaranteed to see it. `None` = some shard may still emit
         // at time zero: buffer only.
         let watermark = self.watermark.merged();
-        for pending in self.pending.lock().iter() {
+        for queue in queues.iter() {
             // The queue's lock is held for the swap only.
-            std::mem::swap(&mut *pending.lock(), spare);
+            std::mem::swap(&mut *queue.lock(), spare);
             for event in spare.drain(..) {
                 engine.push(event);
             }
@@ -303,8 +335,7 @@ impl ToolShared {
         // stream forever. Past the configured timeout the drain
         // force-releases the reorder buffer; the engine tags every
         // finding decided afterwards as degraded.
-        let mut stall = self.stall.lock();
-        if let Some(detector) = stall.as_mut() {
+        if let Some(detector) = stall {
             if detector.check(watermark, engine.buffer_stats().buffered_now) {
                 let released = engine.force_release_all();
                 if released > 0 {
@@ -319,55 +350,7 @@ impl ToolShared {
                 }
             }
         }
-    }
-
-    /// Opportunistic drain from the callback fast path, once its queue
-    /// says a batch is due: never blocks.
-    fn maybe_drain(&self) {
-        let Some(mut guard) = self.engine.try_lock() else {
-            return; // another thread is already draining
-        };
-        if let Some(live) = guard.as_mut() {
-            self.drain_locked(live);
-        }
-    }
-
-    /// Blocking drain for observers and finalization, then `read` the
-    /// engine while it is still locked. `None` when streaming is off.
-    fn drained<R>(&self, read: impl FnOnce(&mut StreamingEngine) -> R) -> Option<R> {
-        let mut guard = self.engine.lock();
-        guard.as_mut().map(|live| {
-            self.drain_locked(live);
-            read(&mut live.engine)
-        })
-    }
-
-    /// Move the engine's emitted findings into every registered tap.
-    /// `engine` must be locked by the caller.
-    fn harvest_locked(&self, engine: &mut StreamingEngine) {
-        let new = engine.take_findings();
-        if new.is_empty() {
-            return;
-        }
-        let taps = self.taps.lock();
-        for tap in taps.iter() {
-            tap.lock().extend(new.iter().copied());
-        }
-    }
-
-    /// Drain shard queues into the engine and harvest everything it
-    /// emitted into the taps. `block` decides whether to wait for a
-    /// contended engine lock or skip (another thread is already at it).
-    fn drain_and_harvest(&self, block: bool) {
-        let mut guard = if block {
-            Some(self.engine.lock())
-        } else {
-            self.engine.try_lock()
-        };
-        if let Some(Some(live)) = guard.as_deref_mut() {
-            self.drain_locked(live);
-            self.harvest_locked(&mut live.engine);
-        }
+        Some(f(live))
     }
 }
 
@@ -388,16 +371,16 @@ impl FindingsTap {
     /// first, so the caller sees everything decidable at the current
     /// merged watermark.
     pub fn take(&self) -> Vec<StreamFinding> {
-        self.shared.drain_and_harvest(true);
+        self.shared.with_drained(true, Live::harvest);
         std::mem::take(&mut *self.buf.lock())
     }
 
     /// Like [`FindingsTap::take`], but never waits on a contended
     /// engine lock (another thread drains on our behalf): returns
-    /// whatever has already been delivered. The cheap per-consult pump
-    /// of `remedy::Remediator`.
+    /// whatever has already been delivered, read under this tap's own
+    /// lock. The cheap per-consult pump of `remedy::Remediator`.
     pub(crate) fn try_take(&self) -> Vec<StreamFinding> {
-        self.shared.drain_and_harvest(false);
+        self.shared.with_drained(false, Live::harvest);
         std::mem::take(&mut *self.buf.lock())
     }
 }
@@ -502,8 +485,10 @@ impl ToolHandle {
     /// call while the program runs and yields nothing when streaming is
     /// off.
     pub fn tap_stream_findings(&self) -> FindingsTap {
-        let buf: TapBuf = Arc::new(Mutex::new(Vec::new()));
-        self.shared.taps.lock().push(buf.clone());
+        let buf = TapBuf::default();
+        if let Some(live) = self.shared.engine.lock().as_mut() {
+            live.taps.push(buf.clone());
+        }
         FindingsTap {
             shared: self.shared.clone(),
             buf,
@@ -513,14 +498,16 @@ impl ToolHandle {
     /// Issue counts of everything the streaming engine has emitted so
     /// far (`None` when streaming is off).
     pub fn stream_counts(&self) -> Option<IssueCounts> {
-        self.shared.drained(|engine| engine.live_counts())
+        self.shared
+            .with_drained(true, |live| live.engine.live_counts())
     }
 
     /// Current streaming window sizes (`None` when streaming is off).
     /// Drains first — otherwise events sitting in the shards' pending
     /// queues would be invisible to the count.
     pub fn stream_buffer_stats(&self) -> Option<StreamBufferStats> {
-        self.shared.drained(|engine| engine.buffer_stats())
+        self.shared
+            .with_drained(true, |live| live.engine.buffer_stats())
     }
 
     /// Events that overflowed a shard's queue: always 0, a queue grows
@@ -554,11 +541,8 @@ impl ToolHandle {
     /// extracted trace (leaves streaming detached). Performs a final
     /// full drain first, so no shard-buffered event is lost.
     pub fn take_stream_engine(&self) -> Option<StreamingEngine> {
-        let mut guard = self.shared.engine.lock();
-        if let Some(live) = guard.as_mut() {
-            self.shared.drain_locked(live);
-        }
-        guard.take().map(|live| live.engine)
+        self.shared.with_drained(true, |_| ())?;
+        self.shared.engine.lock().take().map(|live| live.engine)
     }
 }
 
@@ -725,18 +709,14 @@ impl OmpDataPerfTool {
                 ..Default::default()
             }),
             shards: Mutex::new(Vec::new()),
-            pending: Mutex::new(Vec::new()),
             engine: Mutex::new(cfg.stream.then(|| Live {
                 engine: StreamingEngine::default(),
+                queues: Vec::new(),
                 spare: Vec::new(),
+                stall: cfg.stall_timeout.map(StallDetector::new),
+                taps: Vec::new(),
             })),
             watermark: GlobalWatermark::with_capacity(GlobalWatermark::DEFAULT_SHARDS),
-            stall: Mutex::new(
-                cfg.stall_timeout
-                    .filter(|_| cfg.stream)
-                    .map(StallDetector::new),
-            ),
-            taps: Mutex::new(Vec::new()),
         });
         let handle = ToolHandle {
             shared: shared.clone(),
@@ -747,10 +727,10 @@ impl OmpDataPerfTool {
     fn new_shard(shared: Arc<ToolShared>) -> OmpDataPerfTool {
         let slot = shared.watermark.register();
         let cfg = shared.cfg;
-        // Only streaming runs queue events.
-        let pending = cfg.stream.then(|| {
+        // Only streaming runs queue events; the live path sweeps them.
+        let pending = shared.engine.lock().as_mut().map(|live| {
             let queue = PendingQueue::default();
-            shared.pending.lock().push(queue.clone());
+            live.queues.push(queue.clone());
             queue
         });
         let shard = Arc::new(Mutex::new(ShardState {
@@ -809,7 +789,7 @@ impl OmpDataPerfTool {
         if queued >= DEFER_CAP
             || (queued >= DRAIN_BATCH && !self.shared.watermark.holds_back(self.slot))
         {
-            self.shared.maybe_drain();
+            self.shared.with_drained(false, |_| ());
         }
     }
 
@@ -1041,11 +1021,11 @@ impl Tool for OmpDataPerfTool {
             c.finalized_shards >= c.spawned_shards
         };
         if all_done {
-            if self.cfg.stream {
-                // Final full (blocking) sweep: nothing may be left in a
-                // shard queue once the program is over.
-                self.shared.drained(|_| ());
-            }
+            // Final full (blocking) sweep: nothing may be left in a shard
+            // queue once the program is over.
+            let stats = self.shared.with_drained(true, |live| {
+                (live.engine.buffer_stats(), live.engine.retained_bytes())
+            });
             if self.cfg.verbose {
                 let handle = ToolHandle {
                     shared: self.shared.clone(),
@@ -1056,11 +1036,6 @@ impl Tool for OmpDataPerfTool {
                 // engine lock, what the reorder lanes could not take in
                 // order, and the heap the engine holds at exit, per
                 // structure.
-                let engine = self.shared.engine.lock();
-                let stats = engine
-                    .as_ref()
-                    .map(|live| (live.engine.buffer_stats(), live.engine.retained_bytes()));
-                drop(engine);
                 if let Some((s, retained)) = stats {
                     let retained: Vec<String> = retained
                         .iter()
@@ -1912,6 +1887,40 @@ mod tests {
     }
 
     #[test]
+    fn a_tap_collects_what_the_poller_harvested_while_the_engine_is_held() {
+        // The remediation pump (`try_take`) never waits for the engine:
+        // what the poller's drain delivered to its tap must reach it
+        // even while another thread holds the engine lock.
+        let (mut tool, handle) = streaming_tool();
+        let poller = handle.tap_stream_findings();
+        let pump = handle.tap_stream_findings();
+        let payload = vec![7u8; 64];
+        let op = DataOpType::TransferToDevice;
+        // Three identical transfers → two duplicate findings.
+        for (id, t) in [(1u64, 0u64), (2, 20), (3, 40)] {
+            tool.on_data_op(&data_op(Endpoint::Begin, id, op, t, None));
+            tool.on_data_op(&data_op(Endpoint::End, id, op, t + 10, Some(&payload)));
+        }
+        let polled = poller.take();
+        assert_eq!(polled.len(), 2, "{polled:?}");
+
+        let (held, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let pumped = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _engine = handle.shared.engine.lock();
+                held.wait();
+                release.wait();
+            });
+            held.wait();
+            let pumped = pump.try_take();
+            release.wait();
+            pumped
+        });
+        assert_eq!(pumped, polled, "the pump got the poller's harvest");
+        assert!(pump.try_take().is_empty());
+    }
+
+    #[test]
     fn a_blocked_drain_loses_and_reorders_nothing() {
         use crate::detect::{testutil::assert_live_matches, EventView};
         const N: u64 = 3 * DRAIN_BATCH as u64 + 7;
@@ -1962,8 +1971,8 @@ mod tests {
 
     /// Is every shard's pending queue empty?
     fn queues_are_empty(handle: &ToolHandle) -> bool {
-        let pending = handle.shared.pending.lock();
-        pending.iter().all(|queue| queue.lock().is_empty())
+        let shards = handle.shared.shards.lock().len();
+        (0..shards).all(|ix| queued(handle, ix) == 0)
     }
 
     /// `n` sequential transfers of fresh content, ids and times from `base`.
@@ -1978,7 +1987,15 @@ mod tests {
 
     /// The number of events waiting in shard `ix`'s pending queue.
     fn queued(handle: &ToolHandle, ix: usize) -> usize {
-        handle.shared.pending.lock()[ix].lock().len()
+        let shards = handle.shared.shards.lock();
+        let shard = shards[ix].lock();
+        let len = shard
+            .pending
+            .as_ref()
+            .expect("streaming shard")
+            .lock()
+            .len();
+        len
     }
 
     #[test]

@@ -70,9 +70,6 @@ pub(crate) type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 /// A `HashMap` keyed with FNV (drop-in for detection's grouping maps).
 pub type FnvHashMap<K, V> = std::collections::HashMap<K, V, FnvBuildHasher>;
 
-/// A `HashSet` keyed with FNV.
-pub type FnvHashSet<T> = std::collections::HashSet<T, FnvBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

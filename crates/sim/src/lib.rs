@@ -65,7 +65,7 @@ pub use faults::{FaultConfig, FaultCounts, FaultPlan, FaultProfile};
 pub use kernel::{DeviceView, Kernel, KernelCost};
 pub use memory::VarId;
 pub use runtime::{Map, Runtime, RuntimeStats, RuntimeWarning};
-pub use threads::{merged_stats, run_on_threads, run_on_threads_shared};
+pub use threads::{merged_stats, run_on_threads, run_on_threads_advised, run_on_threads_shared};
 pub use timing::TransferModel;
 
 use odp_model::{MapModifier, MapType};

@@ -18,6 +18,10 @@
 //!   mapping reuse is real, and every thread may consult one shared
 //!   `MapAdvisor` (remediation under concurrency).
 //!
+//! [`run_on_threads_advised`], what a profiled run calls, takes the
+//! second shape exactly when an advisor attaches; all three share one
+//! launcher.
+//!
 //! Each thread's virtual timeline is deterministic, and sharded trace
 //! merging orders events by `(timestamp, shard, per-shard order)`, so
 //! the *merged* observation is byte-identical across runs no matter how
@@ -48,34 +52,7 @@ where
     R: Send,
     F: Fn(u32, &mut Runtime) -> R + Sync,
 {
-    assert_eq!(tools.len(), threads as usize, "one tool per runtime thread");
-    std::thread::scope(|scope| {
-        let body = &body;
-        let handles: Vec<_> = tools
-            .into_iter()
-            .enumerate()
-            .map(|(i, tool)| {
-                let mut cfg = cfg.clone();
-                // Each shard draws an independent, reproducible fault
-                // stream; totals stay shared across the shards.
-                cfg.faults = cfg.faults.for_shard(i as u32);
-                scope.spawn(move || {
-                    let mut rt = Runtime::new(cfg);
-                    rt.attach_tool(tool);
-                    let out = body(i as u32, &mut rt);
-                    let stats = rt.finish();
-                    (out, stats)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(panic) => std::panic::resume_unwind(panic),
-            })
-            .collect()
-    })
+    launch(threads, cfg, tools, None, None, body).0
 }
 
 /// Outcome of a shared-device threaded run.
@@ -116,28 +93,73 @@ where
     R: Send,
     F: Fn(u32, &mut Runtime) -> R + Sync,
 {
-    assert_eq!(tools.len(), threads as usize, "one tool per runtime thread");
     let devices = SharedDevices::new(cfg);
-    let results = std::thread::scope(|scope| {
+    let (results, remediation) = launch(threads, cfg, tools, Some(&devices), advisor, body);
+    SharedThreadOutcome {
+        results,
+        remediation,
+        devices,
+    }
+}
+
+/// [`run_on_threads_shared`] with an `advisor`, [`run_on_threads`]
+/// without one — how a profiled run lays itself out. Returns the
+/// per-thread results and the merged advisor rewrites.
+pub fn run_on_threads_advised<R, F>(
+    threads: u32,
+    cfg: &RuntimeConfig,
+    tools: Vec<Box<dyn Tool>>,
+    advisor: Option<Arc<dyn MapAdvisor>>,
+    body: F,
+) -> (Vec<(R, RuntimeStats)>, RemediationStats)
+where
+    R: Send,
+    F: Fn(u32, &mut Runtime) -> R + Sync,
+{
+    let devices = advisor.as_ref().map(|_| SharedDevices::new(cfg));
+    launch(threads, cfg, tools, devices.as_ref(), advisor, body)
+}
+
+/// The one launcher: thread `i` runs `body` on a runtime over `devices`
+/// (its own set when `None`) with `tools[i]` and `advisor` attached;
+/// results come back in thread-index order, rewrites merged.
+fn launch<R, F>(
+    threads: u32,
+    cfg: &RuntimeConfig,
+    tools: Vec<Box<dyn Tool>>,
+    devices: Option<&SharedDevices>,
+    advisor: Option<Arc<dyn MapAdvisor>>,
+    body: F,
+) -> (Vec<(R, RuntimeStats)>, RemediationStats)
+where
+    R: Send,
+    F: Fn(u32, &mut Runtime) -> R + Sync,
+{
+    assert_eq!(tools.len(), threads as usize, "one tool per runtime thread");
+    let per_thread = std::thread::scope(|scope| {
         let body = &body;
         let handles: Vec<_> = tools
             .into_iter()
             .enumerate()
             .map(|(i, tool)| {
                 let mut cfg = cfg.clone();
+                // Each shard draws an independent, reproducible fault
+                // stream; totals stay shared across the shards.
                 cfg.faults = cfg.faults.for_shard(i as u32);
-                let devices = devices.clone();
+                let devices = devices.cloned();
                 let advisor = advisor.clone();
                 scope.spawn(move || {
-                    let mut rt = Runtime::with_shared_devices(cfg, devices);
+                    let mut rt = match devices {
+                        Some(devices) => Runtime::with_shared_devices(cfg, devices),
+                        None => Runtime::new(cfg),
+                    };
                     rt.attach_tool(tool);
                     if let Some(advisor) = advisor {
                         rt.attach_advisor(advisor);
                     }
                     let out = body(i as u32, &mut rt);
                     let stats = rt.finish();
-                    let remedy = rt.remediation_stats();
-                    (out, stats, remedy)
+                    (out, stats, rt.remediation_stats())
                 })
             })
             .collect();
@@ -150,18 +172,14 @@ where
             .collect::<Vec<_>>()
     });
     let mut remediation = RemediationStats::default();
-    let results = results
+    let results = per_thread
         .into_iter()
         .map(|(out, stats, remedy)| {
             remediation.merge(&remedy);
             (out, stats)
         })
         .collect();
-    SharedThreadOutcome {
-        results,
-        remediation,
-        devices,
-    }
+    (results, remediation)
 }
 
 /// Aggregate per-thread run statistics: counters and cumulative times

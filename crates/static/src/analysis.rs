@@ -179,13 +179,13 @@ impl CertaintyFold<'_> {
         match *evidence {
             // A certain duplicate (or repeat) needs a certain *earlier*
             // member: the necessary first one must exist in every run.
-            Evidence::Duplicate { earlier, event } => {
+            Evidence::Duplicate { earlier, event, .. } => {
                 self.certain(event) && earlier.iter().any(|e| self.certain(e))
             }
             Evidence::RepeatedAlloc { earlier, pair } => {
                 self.pair_certain(pair) && earlier.iter().any(|p| self.pair_certain(p))
             }
-            Evidence::RoundTrip(trip) => {
+            Evidence::RoundTrip(_, trip) => {
                 let stable = self
                     .trace
                     .facts_of(trip.tx.id)

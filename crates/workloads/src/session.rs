@@ -10,12 +10,13 @@
 //! `ompdataperf::analysis::finish_run`, the one end-of-run protocol, so
 //! every caller gets the same report for the same run.
 //!
-//! How a run is laid out on threads follows from the spec alone:
+//! How a run is laid out on threads follows from the spec alone, in one
+//! call to `odp_sim::run_on_threads_advised`:
 //!
 //! | `remedy` | shape |
 //! |----------|-------|
-//! | `Off` | `odp_sim::run_on_threads`: a private runtime and device set per thread — the rank-per-thread shape, whose merged trace is independent of OS scheduling |
-//! | `Adaptive` / `Seeded` | `odp_sim::run_on_threads_shared`: one device data environment (true `libomptarget` semantics) and one `Remediator` every thread attaches |
+//! | `Off` | no advisor: a private runtime and device set per thread (`odp_sim::run_on_threads`) — the rank-per-thread shape, whose merged trace is independent of OS scheduling |
+//! | `Adaptive` / `Seeded` | one device data environment (true `libomptarget` semantics) and one `Remediator` every thread attaches (`odp_sim::run_on_threads_shared`) |
 //!
 //! A one-thread run is the same call with one thread.
 
@@ -24,8 +25,7 @@ use crate::{ProblemSize, Variant, Workload};
 use odp_model::TraceHealth;
 use odp_ompt::{MapAdvisor, RemediationStats, Tool};
 use odp_sim::{
-    merged_stats, run_on_threads, run_on_threads_shared, Runtime, RuntimeConfig, RuntimeStats,
-    RuntimeWarning,
+    merged_stats, run_on_threads_advised, Runtime, RuntimeConfig, RuntimeStats, RuntimeWarning,
 };
 use odp_trace::TraceLog;
 use ompdataperf::analysis::{finish_run, FinishedRun, LiveStream};
@@ -215,13 +215,7 @@ fn drive(
         let debug_info = w.run(rt, size, variant);
         (debug_info, rt.warnings().to_vec())
     };
-    let (results, remediation) = if advisor.is_some() {
-        let shared = run_on_threads_shared(threads, cfg, tools, advisor, body);
-        (shared.results, shared.remediation)
-    } else {
-        let results = run_on_threads(threads, cfg, tools, body);
-        (results, RemediationStats::default())
-    };
+    let (results, remediation) = run_on_threads_advised(threads, cfg, tools, advisor, body);
     let stats: Vec<RuntimeStats> = results.iter().map(|(_, stats)| *stats).collect();
     let mut outputs = results.into_iter().map(|(output, _)| output);
     // The debug info is identical on every thread; keep the first.
