@@ -20,9 +20,18 @@ use std::num::NonZeroUsize;
 /// greater overhead."
 pub(super) fn fig2(args: &PaperArgs, out: Out<'_>) -> CmdResult {
     const REPS: usize = 5;
-    let mut table = Table::new(&["program", "size", "baseline", "tooled", "slowdown"]);
+    let mut table = Table::new(&[
+        "program",
+        "size",
+        "baseline",
+        "baseline min-max",
+        "tooled",
+        "tooled min-max",
+        "slowdown",
+    ]);
     let mut slowdowns = Vec::new();
     let mut records = Vec::new();
+    let mut overlapping = 0;
 
     for w in odp_workloads::paper_benchmarks() {
         for &size in args.sizes() {
@@ -48,19 +57,31 @@ pub(super) fn fig2(args: &PaperArgs, out: Out<'_>) -> CmdResult {
             let tooled = tool_samples[REPS / 2];
             let slowdown = tooled.as_secs_f64() / baseline.as_secs_f64().max(1e-9);
             slowdowns.push(slowdown);
+            let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+            let base_range = [ms(base_samples[0]), ms(base_samples[REPS - 1])];
+            let tool_range = [ms(tool_samples[0]), ms(tool_samples[REPS - 1])];
+            // Overlapping ranges: the cell's slowdown is within its noise.
+            let overlap = tool_range[0] <= base_range[1] && base_range[0] <= tool_range[1];
+            overlapping += usize::from(overlap);
+            let span = |[lo, hi]: [f64; 2]| format!("{lo:.3}-{hi:.3} ms");
             table.row(vec![
                 w.name().to_string(),
                 size.name().to_string(),
-                format!("{:.2} ms", baseline.as_secs_f64() * 1e3),
-                format!("{:.2} ms", tooled.as_secs_f64() * 1e3),
-                format!("{slowdown:.3}x"),
+                format!("{:.3} ms", ms(baseline)),
+                span(base_range),
+                format!("{:.3} ms", ms(tooled)),
+                span(tool_range),
+                format!("{slowdown:.3}x{}", if overlap { " ~" } else { "" }),
             ]);
             records.push(json!({
                 "program": w.name(),
                 "size": size.name(),
-                "baseline_ms": baseline.as_secs_f64() * 1e3,
-                "tooled_ms": tooled.as_secs_f64() * 1e3,
+                "baseline_ms": ms(baseline),
+                "tooled_ms": ms(tooled),
                 "slowdown": slowdown,
+                "baseline_range_ms": base_range,
+                "tooled_range_ms": tool_range,
+                "overlap": overlap,
             }));
         }
     }
@@ -71,9 +92,12 @@ pub(super) fn fig2(args: &PaperArgs, out: Out<'_>) -> CmdResult {
         out,
         "Figure 2: runtime overhead when analyzing with OMPDataPerf (lower is better)\n\n\
          {}\n\
+         ~ : the {REPS} baseline and {REPS} tooled samples' ranges overlap \
+         ({overlapping} of {} cells); that slowdown is within the noise\n\
          geometric-mean slowdown : {gmean:.3}x   (paper: 1.05x)\n\
          worst-case slowdown     : {worst:.3}x   (paper: 1.33x, xsbench Large)",
-        table.render()
+        table.render(),
+        slowdowns.len(),
     )?;
     args.emit_json(
         out,

@@ -101,7 +101,8 @@ impl FreeListAllocator {
     }
 
     /// Number of live allocations.
-    pub fn live_blocks(&self) -> usize {
+    #[cfg(test)]
+    fn live_blocks(&self) -> usize {
         self.live.len()
     }
 }

@@ -118,11 +118,6 @@ impl SharedDevices {
     pub fn present_mappings(&self, device: u32) -> usize {
         self.lock(device).present.len()
     }
-
-    /// Peak device memory in use on `device`.
-    pub fn peak_bytes(&self, device: u32) -> u64 {
-        self.lock(device).mem.peak_in_use()
-    }
 }
 
 #[cfg(test)]

@@ -345,11 +345,6 @@ pub struct FaultSession {
 }
 
 impl FaultSession {
-    /// The plan this session draws from.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     #[inline]
     fn next(&mut self) -> u64 {
         // SplitMix64: the same finalizer the kernel default mutation

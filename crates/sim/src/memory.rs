@@ -178,8 +178,24 @@ impl DeviceMemory {
         self.buffers.get_mut(&addr)
     }
 
+    /// Move the buffer at `addr` out, leaving an unallocated `Vec` in its
+    /// slot until [`DeviceMemory::restore`] puts it back: a kernel holds
+    /// its buffers without a second allocation of their size.
+    pub(crate) fn lend(&mut self, addr: u64) -> Option<Vec<u8>> {
+        self.buffers.get_mut(&addr).map(std::mem::take)
+    }
+
+    /// Put a lent buffer back at `addr`; dropped if `addr` holds no
+    /// allocation.
+    pub(crate) fn restore(&mut self, addr: u64, buf: Vec<u8>) {
+        if let Some(slot) = self.buffers.get_mut(&addr) {
+            *slot = buf;
+        }
+    }
+
     /// Peak bytes allocated on this device.
-    pub fn peak_in_use(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn peak_in_use(&self) -> u64 {
         self.allocator.peak_in_use()
     }
 }
@@ -250,6 +266,25 @@ mod tests {
         assert!(d.free(p));
         assert!(d.bytes(p).is_none());
         assert!(!d.free(p), "double free rejected");
+    }
+
+    #[test]
+    fn a_lent_buffer_returns_as_the_same_allocation() {
+        let mut d = DeviceMemory::new(0, 1 << 20);
+        let p = d.alloc(4096).unwrap();
+        let mut buf = d.lend(p).unwrap();
+        let slot = d.bytes_mut(p).unwrap();
+        assert_eq!((slot.len(), slot.capacity()), (0, 0), "an unallocated slot");
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        assert!(cap >= 4096);
+        buf[0] = 9;
+        d.restore(p, buf);
+        let slot = d.bytes_mut(p).unwrap();
+        assert_eq!((slot.as_ptr(), slot.capacity()), (ptr, cap));
+        assert_eq!(slot[0], 9);
+        assert!(d.lend(p + 1).is_none(), "no allocation there");
+        d.restore(p + 1, vec![1; 8]);
+        assert!(d.bytes(p + 1).is_none(), "restore creates no slot");
     }
 
     #[test]

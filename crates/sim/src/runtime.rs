@@ -39,9 +39,7 @@
 
 use crate::config::RuntimeConfig;
 use crate::device::{DeviceState, SharedDevices};
-use crate::faults::{
-    flip_payload_bit, DataOpFault, FaultCounts, FaultSession, CORRUPT_DEVICE_OFFSET,
-};
+use crate::faults::{flip_payload_bit, DataOpFault, FaultSession, CORRUPT_DEVICE_OFFSET};
 use crate::kernel::{DeviceView, Kernel};
 use crate::memory::{HostMemory, VarId};
 use crate::present::PresentEntry;
@@ -270,12 +268,6 @@ impl Runtime {
     /// What the advisor's rewrites recovered so far (empty without one).
     pub(crate) fn remediation_stats(&self) -> RemediationStats {
         self.remedy.clone()
-    }
-
-    /// Injected-fault totals so far, summed over every runtime sharing
-    /// this config's plan (all zero without a fault plan).
-    pub fn fault_counts(&self) -> FaultCounts {
-        self.faults.plan().counts()
     }
 
     /// Current virtual time.
@@ -630,8 +622,9 @@ impl Runtime {
         let end = start + dur;
         self.emit_submit(Endpoint::Begin, at, kernel.num_teams, start);
 
-        // Gather device buffers for the kernel's variables: temporarily
-        // take ownership so the body can hold simultaneous &mut views.
+        // Gather device buffers for the kernel's variables: borrow each
+        // by move (`DeviceMemory::lend`) so the body can hold simultaneous
+        // &mut views; write-back restores the same allocations.
         let mut taken: Vec<(VarId, u64, Vec<u8>)> = Vec::with_capacity(referenced.len());
         for &var in referenced {
             let haddr = self.host.addr(var);
@@ -642,8 +635,7 @@ impl Runtime {
             // discarded, instead of tearing the run down.
             let buf_for = |dev: &mut DeviceState| {
                 let entry = dev.present.lookup(haddr).copied()?;
-                let buf = dev.mem.bytes_mut(entry.dev_addr)?.split_off(0);
-                Some((entry.dev_addr, buf))
+                Some((entry.dev_addr, dev.mem.lend(entry.dev_addr)?))
             };
             match buf_for(&mut dev) {
                 Some((dev_addr, buf)) => taken.push((var, dev_addr, buf)),
@@ -702,9 +694,7 @@ impl Runtime {
 
         // Return the buffers to the device.
         for (_, dev_addr, buf) in taken {
-            if let Some(slot) = dev.mem.bytes_mut(dev_addr) {
-                *slot = buf;
-            }
+            dev.mem.restore(dev_addr, buf);
         }
 
         if wait {
@@ -1238,8 +1228,9 @@ impl Runtime {
     }
 
     /// Peak device memory in use on `device`.
-    pub fn device_peak_bytes(&self, device: u32) -> u64 {
-        self.devices.peak_bytes(device)
+    #[cfg(test)]
+    fn device_peak_bytes(&self, device: u32) -> u64 {
+        self.devices.lock(device).mem.peak_in_use()
     }
 
     /// Live present-table mappings on `device` (testing aid).
@@ -1578,6 +1569,8 @@ mod tests {
     }
 
     fn transcript_digest(pre_emi: bool, faults: crate::faults::FaultPlan) -> u64 {
+        // Clones of a plan share its totals.
+        let totals = faults.clone();
         let mut cfg = RuntimeConfig::default().with_devices(2).with_faults(faults);
         if pre_emi {
             cfg = cfg.pre_emi();
@@ -1604,7 +1597,7 @@ mod tests {
             d.word(rt.device_peak_bytes(dev));
             d.word(rt.present_mappings(dev) as u64);
         }
-        d.text(&rt.fault_counts().summary());
+        d.text(&totals.counts().summary());
         d.0
     }
 
@@ -1770,6 +1763,32 @@ mod tests {
         rt.finish();
         let vals = rt.host_read_f64(x);
         assert_eq!(vals, vec![0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]);
+    }
+
+    #[test]
+    fn a_launch_writes_into_the_device_buffer_it_was_lent() {
+        let mut rt = Runtime::with_defaults();
+        let x = rt.host_alloc("x", 4096);
+        rt.target_enter_data(0, CodePtr(1), &[map(MapType::Alloc, x)]);
+        let slot = |rt: &Runtime| {
+            let dev = rt.devices.lock(0);
+            let entry = dev.present.lookup(rt.host.addr(x)).copied().unwrap();
+            let buf = dev.mem.bytes(entry.dev_addr).unwrap();
+            (buf.as_ptr(), buf.len(), buf[..4].to_vec())
+        };
+        let (ptr, len, _) = slot(&rt);
+        let mut body = |view: &mut DeviceView<'_>| view.bytes_mut(x)[..4].copy_from_slice(b"odp!");
+        rt.target(
+            0,
+            CodePtr(2),
+            &[],
+            Kernel::new("w", KernelCost::fixed(10))
+                .writes(&[x])
+                .body(&mut body),
+        );
+        assert_eq!(slot(&rt), (ptr, len, b"odp!".to_vec()));
+        rt.target_exit_data(0, CodePtr(3), &[map(MapType::Delete, x)]);
+        rt.finish();
     }
 
     #[test]

@@ -18,7 +18,8 @@
 # callbacks except where the hash meter reads it and out of the
 # watermark merge that decides who drains, the version-1 byte-wise
 # checksum off the `.odpt` write path, a second run driver out of
-# `odp-static`, and `Value` trees off the output paths.
+# `odp-static`, `Value` trees off the output paths, and per-launch
+# buffer copies out of the simulator.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -160,3 +161,17 @@ if hits=$(find crates/*/src -name '*.rs' | sort | xargs awk '
     exit 1
 fi
 echo "determinism_lint: OK — no .to_value() or serde_json::to_value( outside tests in crates/*/src"
+
+# A kernel launch borrows its device buffers by move
+# (`DeviceMemory::lend` / `restore`). `split_off(0)` takes a buffer by
+# allocating a replacement of the same capacity: per referenced
+# variable per launch, the allocator churn that once doubled a small
+# program's tooled run time.
+SIM=crates/sim/src
+if hits=$(grep -rn 'split_off(0)' "$SIM"); then
+    echo "determinism_lint: FAILED — split_off(0) in $SIM:" >&2
+    echo "$hits" >&2
+    echo "move the buffer out with std::mem::take (DeviceMemory::lend) instead." >&2
+    exit 1
+fi
+echo "determinism_lint: OK — no split_off(0) in $SIM"
