@@ -10,6 +10,7 @@ use odp_workloads::ProblemSize;
 use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
 use serde_json::json;
 use std::num::NonZeroUsize;
+use std::time::Duration;
 
 /// Figure 2 — runtime overhead of profiling with OMPDataPerf, expressed
 /// as slowdown over an untooled run, per benchmark and problem size.
@@ -19,7 +20,13 @@ use std::num::NonZeroUsize;
 /// dominated by host/device communication activity tended to incur
 /// greater overhead."
 pub(super) fn fig2(args: &PaperArgs, out: Out<'_>) -> CmdResult {
-    const REPS: usize = 5;
+    // Samples per side of a cell: enough that the baseline's add up to
+    // `CELL_BUDGET`, at least `MIN_REPS` and at most `MAX_REPS`, so a
+    // 10–30 µs cell takes its median over many samples instead of a few
+    // timer-bound ones.
+    const MIN_REPS: usize = 5;
+    const MAX_REPS: usize = 200;
+    const CELL_BUDGET: Duration = Duration::from_millis(2);
     let mut table = Table::new(&[
         "program",
         "size",
@@ -43,23 +50,25 @@ pub(super) fn fig2(args: &PaperArgs, out: Out<'_>) -> CmdResult {
                 let (tool, _handle) = OmpDataPerfTool::new(ToolConfig::default());
                 timed_run(w.as_ref(), size, Some(tool))
             };
-            let _ = run_baseline(); // warm-up
+            let warm = run_baseline();
             let _ = run_tooled();
-            let mut base_samples = Vec::with_capacity(REPS);
-            let mut tool_samples = Vec::with_capacity(REPS);
-            for _ in 0..REPS {
+            let reps = CELL_BUDGET.as_nanos().div_ceil(warm.as_nanos().max(1));
+            let reps = (reps.min(MAX_REPS as u128) as usize).max(MIN_REPS);
+            let mut base_samples = Vec::with_capacity(reps);
+            let mut tool_samples = Vec::with_capacity(reps);
+            for _ in 0..reps {
                 base_samples.push(run_baseline());
                 tool_samples.push(run_tooled());
             }
             base_samples.sort();
             tool_samples.sort();
-            let baseline = base_samples[REPS / 2];
-            let tooled = tool_samples[REPS / 2];
+            let baseline = base_samples[reps / 2];
+            let tooled = tool_samples[reps / 2];
             let slowdown = tooled.as_secs_f64() / baseline.as_secs_f64().max(1e-9);
             slowdowns.push(slowdown);
-            let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-            let base_range = [ms(base_samples[0]), ms(base_samples[REPS - 1])];
-            let tool_range = [ms(tool_samples[0]), ms(tool_samples[REPS - 1])];
+            let ms = |d: Duration| d.as_secs_f64() * 1e3;
+            let base_range = [ms(base_samples[0]), ms(base_samples[reps - 1])];
+            let tool_range = [ms(tool_samples[0]), ms(tool_samples[reps - 1])];
             // Overlapping ranges: the cell's slowdown is within its noise.
             let overlap = tool_range[0] <= base_range[1] && base_range[0] <= tool_range[1];
             overlapping += usize::from(overlap);
@@ -78,6 +87,7 @@ pub(super) fn fig2(args: &PaperArgs, out: Out<'_>) -> CmdResult {
                 "size": size.name(),
                 "baseline_ms": ms(baseline),
                 "tooled_ms": ms(tooled),
+                "samples": reps,
                 "slowdown": slowdown,
                 "baseline_range_ms": base_range,
                 "tooled_range_ms": tool_range,
@@ -92,12 +102,14 @@ pub(super) fn fig2(args: &PaperArgs, out: Out<'_>) -> CmdResult {
         out,
         "Figure 2: runtime overhead when analyzing with OMPDataPerf (lower is better)\n\n\
          {}\n\
-         ~ : the {REPS} baseline and {REPS} tooled samples' ranges overlap \
-         ({overlapping} of {} cells); that slowdown is within the noise\n\
+         ~ : the cell's baseline and tooled samples' ranges overlap \
+         ({overlapping} of {} cells; {MIN_REPS}-{MAX_REPS} samples a side, \
+         ~{} ms of baseline); that slowdown is within the noise\n\
          geometric-mean slowdown : {gmean:.3}x   (paper: 1.05x)\n\
          worst-case slowdown     : {worst:.3}x   (paper: 1.33x, xsbench Large)",
         table.render(),
         slowdowns.len(),
+        CELL_BUDGET.as_millis(),
     )?;
     args.emit_json(
         out,

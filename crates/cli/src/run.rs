@@ -64,7 +64,7 @@ pub(crate) fn usage() -> String {
          \x20 --stream-interval MS  Print live findings + snapshot every MS ms (implies --stream)\n\
          \x20 --threads N           Drive the workload from N OS threads (sharded collection)\n\
          \x20 --remediate           Rewrite inefficient mappings mid-run from live findings (implies --stream;\n\
-         \x20                       with --threads: shared device tables + one shared advisor)\n\
+         \x20                       with --threads: one advisor every thread consults)\n\
          \x20 --fault-profile NAME  Inject seeded runtime faults: {}\n\
          \x20 --fault-seed N        With --fault-profile: deterministic fault seed (default: 42)\n\
          \x20 --stall-timeout MS    With streaming on: force-release the reorder buffer after MS ms\n\

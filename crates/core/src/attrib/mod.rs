@@ -71,7 +71,8 @@ impl DebugInfo {
     }
 
     /// Register a line-table range entry starting at `addr`.
-    pub fn register_range(&mut self, addr: u64, file: &str, line: u32, function: &str) {
+    #[cfg(test)]
+    pub(crate) fn register_range(&mut self, addr: u64, file: &str, line: u32, function: &str) {
         let f = self.intern_file(file);
         let fun = self.intern_func(function);
         self.entries.push(LineEntry {
@@ -85,7 +86,8 @@ impl DebugInfo {
 
     /// Finish construction: sort the line table (idempotent; `resolve`
     /// calls it implicitly through `resolved` views being pre-sorted).
-    pub fn seal(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn seal(&mut self) {
         self.entries.sort_by_key(|e| e.addr);
         self.sorted = true;
     }

@@ -32,7 +32,8 @@ impl DuplicateTransferGroup {
     }
 
     /// Bytes wasted by the redundant transfers.
-    pub fn wasted_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn wasted_bytes(&self) -> u64 {
         self.events.iter().skip(1).map(|e| e.bytes).sum()
     }
 }

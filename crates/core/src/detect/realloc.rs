@@ -34,7 +34,8 @@ pub struct RepeatedAllocGroup {
 
 impl RepeatedAllocGroup {
     /// Number of redundant allocation cycles.
-    pub fn repeat_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn repeat_count(&self) -> usize {
         self.pairs.len().saturating_sub(1)
     }
 }

@@ -105,7 +105,8 @@ pub struct RoundTripGroup {
 
 impl RoundTripGroup {
     /// Bytes carried by eliminable legs (both legs of each trip).
-    pub fn wasted_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn wasted_bytes(&self) -> u64 {
         self.trips.iter().map(|t| t.tx.bytes + t.rx.bytes).sum()
     }
 }

@@ -100,13 +100,9 @@ impl RemediationPolicy {
         p
     }
 
-    /// Merge a (further) report's findings into the policy — iterative
-    /// re-seeding. Under free-running shared-device threading each run's
-    /// schedule may expose sites a previous run never exercised; rules
-    /// are monotone per site, so absorbing successive reports converges
-    /// to a fixed point where the remediated kinds stay eliminated on
-    /// every schedule.
-    pub fn absorb(&mut self, findings: &Findings) {
+    /// Merge a report's findings into the policy; rules are monotone
+    /// per site.
+    pub(crate) fn absorb(&mut self, findings: &Findings) {
         for finding in findings.stream_findings() {
             self.observe(&finding);
         }
@@ -239,7 +235,7 @@ impl RemediationPolicy {
 /// ([`ToolHandle::tap_stream_findings`]), so a live console poller
 /// draining its own tap concurrently loses nothing to the policy (and
 /// vice versa). Per-thread `RemediationStats` stay in each runtime and
-/// merge at finalize (`odp_sim::run_on_threads_shared`).
+/// merge when the threads join (`odp_sim::run_on_threads_advised`).
 pub struct Remediator {
     /// `None` in seeded mode (nothing to learn mid-run).
     tap: Option<FindingsTap>,

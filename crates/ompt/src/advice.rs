@@ -193,8 +193,8 @@ impl RemediationStats {
     }
 
     /// Accumulate another runtime's stats into this one (per-device,
-    /// per-cause) — how a shared-device threaded run folds each
-    /// thread's advisor accounting into one report.
+    /// per-cause) — how a threaded run folds each thread's advisor
+    /// accounting into one report.
     pub fn merge(&mut self, other: &RemediationStats) {
         for (device, row) in other.devices.iter().enumerate() {
             for (cause, counter) in FindingKind::ALL.iter().zip(row.iter()) {

@@ -25,15 +25,12 @@
 //! A single [`Runtime`] instance is single-threaded and fully
 //! deterministic (the detection algorithms need chronologically ordered
 //! logs, and the prediction-accuracy experiment needs reproducible
-//! timings). Multi-threaded callback emission — the shape a real
-//! runtime presents to an OMPT tool — comes from `threads`, in two
-//! flavors: [`threads::run_on_threads`] gives every OS thread its own
-//! runtime *and devices* (rank-per-thread; merged observation stays
-//! reproducible while the callback interleaving is genuinely
-//! concurrent), and [`threads::run_on_threads_shared`] attaches all
-//! threads to **one** `SharedDevices` set — `libomptarget`'s real
-//! shape, where threads contend on the same per-device present tables
-//! and cross-thread mapping reuse is visible to tools and advisors.
+//! timings), and owns its host memory and devices outright.
+//! Multi-threaded callback emission — the shape a real runtime presents
+//! to an OMPT tool — comes from [`threads::run_on_threads`]: every OS
+//! thread gets its own runtime and devices (rank-per-thread), so the
+//! merged observation stays reproducible while the callback
+//! interleaving is genuinely concurrent.
 //!
 //! Beyond observation, the runtime accepts an
 //! [`odp_ompt::MapAdvisor`] (`Runtime::attach_advisor`): a live
@@ -65,7 +62,7 @@ pub use faults::{FaultConfig, FaultCounts, FaultPlan, FaultProfile};
 pub use kernel::{DeviceView, Kernel, KernelCost};
 pub use memory::VarId;
 pub use runtime::{Map, Runtime, RuntimeStats, RuntimeWarning};
-pub use threads::{merged_stats, run_on_threads, run_on_threads_advised, run_on_threads_shared};
+pub use threads::{merged_stats, run_on_threads, run_on_threads_advised};
 pub use timing::TransferModel;
 
 use odp_model::{MapModifier, MapType};

@@ -7,10 +7,8 @@
 //! the duplicate/round-trip detectors — honest rather than modeled.
 
 use crate::alloc::FreeListAllocator;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::num::NonZeroU64;
-use std::sync::Arc;
 
 /// Handle to a host variable (a mapped array or scalar).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -25,28 +23,27 @@ pub struct HostVar {
     pub addr: u64,
     /// The actual bytes.
     pub data: Vec<u8>,
+    /// The latest tracked write to the variable.
+    written: HostCopy,
 }
 
-/// The host's copy of the variable at one address, named by the latest
-/// write to it (`MIN`: none yet): equal stamps mean no write in between.
+/// The host's copy of a variable, named by the latest write to it
+/// (`MIN`: none yet): equal stamps mean no write in between.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct HostCopy(NonZeroU64);
-
-/// The write count and the latest write to each host address, shared by
-/// the runtimes of one device set: threads of one program, laid out
-/// alike, so one host address space.
-pub(crate) type HostWrites = Mutex<(u64, HashMap<u64, HostCopy>)>;
 
 /// The host memory space.
 #[derive(Debug, Default)]
 pub struct HostMemory {
     vars: Vec<HostVar>,
     next_addr: u64,
-    /// Where writes are noted; `None` while nothing needs to know.
-    pub(crate) writes: Option<Arc<HostWrites>>,
+    /// Writes counted so far; `None` while nothing needs to know.
+    pub(crate) writes: Option<u64>,
 }
 
-/// Base of the synthetic host heap (stack/heap-looking addresses).
+/// Base of the synthetic host heap (stack/heap-looking addresses). Every
+/// `HostMemory` starts here, so the arrays of a threaded run's runtimes
+/// share host addresses in the merged trace.
 const HOST_BASE: u64 = 0x7f40_0000_0000;
 
 impl HostMemory {
@@ -69,6 +66,7 @@ impl HostMemory {
             name: name.to_string(),
             addr,
             data: vec![0u8; bytes],
+            written: HostCopy(NonZeroU64::MIN),
         });
         id
     }
@@ -81,19 +79,16 @@ impl HostMemory {
     /// Mutable access to the variable's bytes, counted as a write.
     pub(crate) fn bytes_mut(&mut self, id: VarId) -> &mut [u8] {
         let var = &mut self.vars[id.0 as usize];
-        if let Some(writes) = &self.writes {
-            let (count, latest) = &mut *writes.lock();
+        if let Some(count) = &mut self.writes {
             *count += 1;
-            latest.insert(var.addr, HostCopy(NonZeroU64::MIN.saturating_add(*count)));
+            var.written = HostCopy(NonZeroU64::MIN.saturating_add(*count));
         }
         &mut var.data
     }
 
     /// The variable's current host copy (`None`: writes go untracked).
     pub(crate) fn copy(&self, id: VarId) -> Option<HostCopy> {
-        let writes = self.writes.as_ref()?.lock();
-        let unwritten = HostCopy(NonZeroU64::MIN);
-        Some(writes.1.get(&self.addr(id)).copied().unwrap_or(unwritten))
+        self.writes.map(|_| self.vars[id.0 as usize].written)
     }
 
     /// Shared access to the variable's bytes.
@@ -224,27 +219,22 @@ mod tests {
 
     #[test]
     fn a_host_copy_changes_with_each_write_to_its_address() {
-        let writes = Arc::new(HostWrites::default());
-        let (mut h0, mut h1) = (HostMemory::new(), HostMemory::new());
-        let (a0, b0) = (h0.alloc("a", 8), h0.alloc("b", 8));
-        assert_eq!(h0.copy(a0), None, "untracked");
-        h0.writes = Some(writes.clone());
-        h1.writes = Some(writes);
-        let before = h0.copy(a0);
-        assert!(before.is_some());
-        h0.bytes_mut(b0)[0] = 1;
-        assert_eq!(h0.copy(a0), before, "another variable's write");
-        h0.bytes_mut(a0)[0] = 0;
-        let written = h0.copy(a0);
+        let mut h = HostMemory::new();
+        let (a, b) = (h.alloc("a", 8), h.alloc("b", 8));
+        h.bytes_mut(a)[0] = 1;
+        assert_eq!(h.copy(a), None, "untracked");
+        h.writes = Some(0);
+        let before = h.copy(a);
+        assert!(before.is_some(), "tracked from here");
+        h.bytes_mut(b)[0] = 1;
+        assert_eq!(h.copy(a), before, "another variable's write");
+        h.bytes_mut(a)[0] = 1;
+        let written = h.copy(a);
         assert_ne!(written, before, "a write, even of the same bytes");
-        // Two host memories of one device set share the address space:
-        // a write through either is a write to the one host copy.
-        let a1 = h1.alloc("a", 8);
-        assert_eq!(h1.addr(a1), h0.addr(a0));
-        assert_eq!(h1.copy(a1), written);
-        h1.bytes_mut(a1)[0] = 0;
-        assert_ne!(h0.copy(a0), written);
-        assert_eq!(h0.copy(a0), h1.copy(a1));
+        h.bytes_mut(a)[0] = 1;
+        assert_ne!(h.copy(a), written, "every write is a new copy");
+        let c = h.alloc("c", 8);
+        assert_eq!(h.copy(c), before, "a fresh variable is unwritten");
     }
 
     #[test]

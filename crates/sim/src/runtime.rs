@@ -38,7 +38,7 @@
 //!   data-op emitters alike.
 
 use crate::config::RuntimeConfig;
-use crate::device::{DeviceState, SharedDevices};
+use crate::device::DeviceState;
 use crate::faults::{flip_payload_bit, DataOpFault, FaultSession, CORRUPT_DEVICE_OFFSET};
 use crate::kernel::{DeviceView, Kernel};
 use crate::memory::{HostMemory, VarId};
@@ -80,21 +80,6 @@ pub enum RuntimeWarning {
     DeleteOfAbsentData {
         /// Variable name.
         var: String,
-    },
-    /// A transfer reused a present-table entry whose allocation size
-    /// differs from the variable's host size — only possible in
-    /// shared-device mode, when another thread mapped a different-sized
-    /// variable at the same host address. The copy is clamped to the
-    /// smaller size, so the simulation proceeds, but timing and content
-    /// no longer reflect a real runtime (which would have failed the
-    /// present-table size check).
-    MappingSizeMismatch {
-        /// Variable name.
-        var: String,
-        /// Bytes of the present-table entry actually used.
-        mapped: u64,
-        /// Bytes the variable's clause requested.
-        requested: u64,
     },
     /// A device allocation failed (capacity exhausted, or an injected
     /// OOM fault). The mapping is skipped; kernels referencing the
@@ -176,9 +161,8 @@ pub struct Runtime {
     clock: SimTime,
     host: HostMemory,
     /// Per-device state (memory, present table, phantom-reference
-    /// marks) behind one lock per device — private to this runtime by
-    /// default, shared across runtimes in shared-device threaded mode.
-    devices: SharedDevices,
+    /// marks), indexed by device number.
+    devices: Vec<DeviceState>,
     tool: Option<ToolSlot>,
     /// Online mapping advisor (`--remediate`), possibly shared with
     /// other runtimes: consulted at every map-clause item; `None` leaves
@@ -198,22 +182,11 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Create a runtime from `cfg` with its own private device set.
+    /// Create a runtime from `cfg` with its own devices.
     pub fn new(cfg: RuntimeConfig) -> Self {
-        let devices = SharedDevices::new(&cfg);
-        Self::with_shared_devices(cfg, devices)
-    }
-
-    /// Create a runtime attached to an existing (possibly shared)
-    /// device set: the true multi-threaded shape, where every host
-    /// thread's directives operate on the **same** present tables.
-    /// `devices` must match `cfg.num_devices`.
-    pub(crate) fn with_shared_devices(cfg: RuntimeConfig, devices: SharedDevices) -> Self {
-        assert_eq!(
-            devices.len(),
-            cfg.num_devices as usize,
-            "shared device set does not match cfg.num_devices"
-        );
+        let devices = (0..cfg.num_devices)
+            .map(|i| DeviceState::new(i, cfg.device_memory_bytes))
+            .collect();
         let caps = if cfg.pre_emi_runtime {
             cfg.profile.capabilities_pre_emi()
         } else {
@@ -262,7 +235,7 @@ impl Runtime {
         assert!(self.advisor.is_none(), "an advisor is already attached");
         self.advisor = Some(advisor);
         // Only rewrites ask whether a device copy still equals the host's.
-        self.host.writes = Some(self.devices.host_writes.clone());
+        self.host.writes = Some(0);
     }
 
     /// What the advisor's rewrites recovered so far (empty without one).
@@ -496,11 +469,10 @@ impl Runtime {
     fn target_update(&mut self, device: u32, codeptr: CodePtr, vars: &[VarId], h2d: bool) {
         let at = self.open_directive(device, codeptr);
         self.construct(TargetConstructKind::TargetUpdate, at, |rt| {
-            let devices = rt.devices.clone();
             for &var in vars {
-                let mut dev = devices.lock(device);
-                match dev.present.lookup(rt.host.addr(var)).map(|e| e.dev_addr) {
-                    Some(dev_addr) => rt.do_transfer(&mut dev, at, var, dev_addr, h2d),
+                let present = &rt.devices[device as usize].present;
+                match present.lookup(rt.host.addr(var)).map(|e| e.dev_addr) {
+                    Some(dev_addr) => rt.do_transfer(at, var, dev_addr, h2d),
                     None => rt.warnings.push(RuntimeWarning::UpdateOfAbsentData {
                         var: rt.host.var(var).name.clone(),
                     }),
@@ -570,13 +542,10 @@ impl Runtime {
             // kernel whenever it moves or frees data the kernel may
             // still be using.
             if !wait {
-                let devices = rt.devices.clone();
+                let present = &rt.devices[device as usize].present;
                 let must_sync = effective.iter().any(|m| {
-                    let haddr = rt.host.addr(m.var);
-                    let refcount = devices
-                        .lock(device)
-                        .present
-                        .lookup(haddr)
+                    let refcount = present
+                        .lookup(rt.host.addr(m.var))
                         .map(|e| e.refcount)
                         .unwrap_or(0);
                     m.map_type.copies_from_device()
@@ -597,7 +566,7 @@ impl Runtime {
     /// asynchronously launched kernels complete.
     pub fn taskwait(&mut self, device: u32) {
         self.assert_running(device);
-        let busy = self.devices.lock(device).busy_until;
+        let busy = self.devices[device as usize].busy_until;
         if busy > self.clock {
             self.clock = busy;
         }
@@ -610,13 +579,7 @@ impl Runtime {
     /// (`target`); without, the host returns after the launch overhead
     /// and the device stays busy (`target nowait`).
     fn run_kernel(&mut self, at: Directive, kernel: Kernel<'_>, referenced: &[VarId], wait: bool) {
-        // Hold the device lock across gather / execute / write-back:
-        // the device runs one kernel at a time (its queue semantics),
-        // so concurrent threads' kernels take turns and no other thread
-        // may free or take a buffer mid-kernel.
-        let devices = self.devices.clone();
-        let mut dev = devices.lock(at.device);
-        let start = dev.busy_until.max(self.clock);
+        let start = self.devices[at.device as usize].busy_until.max(self.clock);
         let launch = SimDuration(self.cfg.timing.kernel_launch_ns);
         let dur = launch + kernel.cost.duration();
         let end = start + dur;
@@ -625,43 +588,37 @@ impl Runtime {
         // Gather device buffers for the kernel's variables: borrow each
         // by move (`DeviceMemory::lend`) so the body can hold simultaneous
         // &mut views; write-back restores the same allocations.
+        let dev = &mut self.devices[at.device as usize];
         let mut taken: Vec<(VarId, u64, Vec<u8>)> = Vec::with_capacity(referenced.len());
         for &var in referenced {
             let haddr = self.host.addr(var);
             // A referenced var is mapped after map_enter — unless the
-            // mapping was skipped by a device OOM (or a concurrent
-            // map(delete:), which is a program data race). The kernel
-            // then computes on zeroed scratch storage whose writes are
+            // mapping was skipped by a device OOM. The kernel then
+            // computes on zeroed scratch storage whose writes are
             // discarded, instead of tearing the run down.
             let buf_for = |dev: &mut DeviceState| {
                 let entry = dev.present.lookup(haddr).copied()?;
                 Some((entry.dev_addr, dev.mem.lend(entry.dev_addr)?))
             };
-            match buf_for(&mut dev) {
+            match buf_for(dev) {
                 Some((dev_addr, buf)) => taken.push((var, dev_addr, buf)),
                 None => taken.push((var, u64::MAX, vec![0u8; self.host.size(var) as usize])),
             }
         }
 
-        // Instrumentation feed for access-tracking tools.
+        // Instrumentation feed for access-tracking tools. Every variable
+        // the kernel reads or writes is in `taken`.
+        let range = |&var: &VarId| AccessRange {
+            host_addr: self.host.addr(var),
+            dev_addr: taken.iter().find(|(v, _, _)| *v == var).map_or(0, |t| t.1),
+            bytes: self.host.size(var),
+        };
         let access_info = KernelAccessInfo {
             device: DeviceId::target(at.device),
             target_id: at.target_id,
-            reads: kernel
-                .reads
-                .iter()
-                .map(|&v| self.access_range(&dev, v, &taken))
-                .collect(),
-            writes: kernel
-                .writes
-                .iter()
-                .map(|&v| self.access_range(&dev, v, &taken))
-                .collect(),
-            masked_writes: kernel
-                .masked_writes
-                .iter()
-                .map(|&v| self.access_range(&dev, v, &taken))
-                .collect(),
+            reads: kernel.reads.iter().map(range).collect(),
+            writes: kernel.writes.iter().map(range).collect(),
+            masked_writes: kernel.masked_writes.iter().map(range).collect(),
             time: start,
         };
 
@@ -698,42 +655,18 @@ impl Runtime {
         }
 
         if wait {
-            // The host resumes when the kernel ends. `busy_until` stays
-            // untouched: threads of a shared-device run keep private
-            // clocks, and one thread's synchronous kernel must not
-            // delay another's.
+            // The host resumes when the kernel ends.
             self.clock = end;
         } else {
             dev.busy_until = end;
             self.clock += launch;
         }
-        drop(dev);
         self.stats.kernels += 1;
         self.stats.kernel_time += dur;
         if let Some(slot) = self.tool.as_mut() {
             slot.tool.on_kernel_access(&access_info);
         }
         self.emit_submit(Endpoint::End, at, kernel.num_teams, end);
-    }
-
-    fn access_range(
-        &self,
-        dev: &DeviceState,
-        var: VarId,
-        taken: &[(VarId, u64, Vec<u8>)],
-    ) -> AccessRange {
-        let haddr = self.host.addr(var);
-        let dev_addr = taken
-            .iter()
-            .find(|(v, _, _)| *v == var)
-            .map(|(_, d, _)| *d)
-            .or_else(|| dev.present.lookup(haddr).map(|e| e.dev_addr))
-            .unwrap_or(0);
-        AccessRange {
-            host_addr: haddr,
-            dev_addr,
-            bytes: self.host.size(var),
-        }
     }
 
     // ---------------------------------------------------------------
@@ -784,12 +717,8 @@ impl Runtime {
         let haddr = self.host.addr(m.var);
         let bytes = self.host.size(m.var);
         let advice = self.consult(device, haddr);
-        // One lock for the whole clause: the lookup, the refcount or
-        // insert it decides on, and phantom-reference adoption must be
-        // atomic with respect to other threads mapping the same range.
-        let devices = self.devices.clone();
-        let mut dev = devices.lock(device);
-        let present = dev.present.lookup(haddr).copied();
+        let d = device as usize;
+        let present = self.devices[d].present.lookup(haddr).copied();
 
         // Elide: drop the clause. Only meaningful while the data is
         // absent; present data is simply reused (persist semantics).
@@ -816,7 +745,7 @@ impl Runtime {
                 // count the re-allocation + re-send the baseline would
                 // have performed as recovered.
                 let adopted = if entry.refcount == 1 {
-                    dev.retained.remove(&haddr)
+                    self.devices[d].retained.remove(&haddr)
                 } else {
                     None
                 };
@@ -833,7 +762,7 @@ impl Runtime {
                     }
                     (entry.dev_addr, stale)
                 } else {
-                    dev.present.retain(haddr);
+                    self.devices[d].present.retain(haddr);
                     (entry.dev_addr, false)
                 }
             }
@@ -846,12 +775,12 @@ impl Runtime {
                     });
                     return;
                 }
-                let Some(dev_addr) = self.do_alloc(&mut dev, at, m.var) else {
+                let Some(dev_addr) = self.do_alloc(at, m.var) else {
                     // Device OOM: the mapping is skipped; the kernel
                     // path substitutes scratch storage.
                     return;
                 };
-                dev.present.insert(haddr, dev_addr, bytes);
+                self.devices[d].present.insert(haddr, dev_addr, bytes);
                 (dev_addr, true)
             }
         };
@@ -869,9 +798,11 @@ impl Runtime {
                     self.remedy.counter_mut(device, cause).rewrites += 1;
                     // To the program the copy happened (no kernel reads
                     // the variable first; one that writes it clears this).
-                    dev.present.set_synced(haddr, self.host.copy(m.var));
+                    self.devices[d]
+                        .present
+                        .set_synced(haddr, self.host.copy(m.var));
                 }
-                _ => self.do_transfer(&mut dev, at, m.var, dev_addr, true),
+                _ => self.do_transfer(at, m.var, dev_addr, true),
             }
         }
     }
@@ -889,12 +820,9 @@ impl Runtime {
         let haddr = self.host.addr(m.var);
         let bytes = self.host.size(m.var);
         let advice = self.consult(device, haddr);
-        // One lock for the whole clause (see map_enter): the release
-        // decision and any copy-back/free it triggers are atomic.
-        let devices = self.devices.clone();
-        let mut dev = devices.lock(device);
+        let d = device as usize;
         let delete = m.map_type == MapType::Delete;
-        let Some(entry) = dev.present.lookup(haddr).copied() else {
+        let Some(entry) = self.devices[d].present.lookup(haddr).copied() else {
             // Elided at enter: exit silently too.
             if advice.elide.is_none() {
                 let var = self.host.var(m.var).name.clone();
@@ -930,7 +858,7 @@ impl Runtime {
                     }
                 }
                 None => {
-                    self.do_transfer(&mut dev, at, m.var, entry.dev_addr, false);
+                    self.do_transfer(at, m.var, entry.dev_addr, false);
                     if let Some(cause) = update_of {
                         let c = self.remedy.counter_mut(device, cause);
                         c.updates_injected += 1;
@@ -941,18 +869,19 @@ impl Runtime {
         }
 
         if let Some(cause) = keep {
-            dev.retained.insert(haddr, cause);
+            self.devices[d].retained.insert(haddr, cause);
             self.note_avoided_delete(device, cause);
             self.remedy.counter_mut(device, cause).rewrites += 1;
             return;
         }
+        let present = &mut self.devices[d].present;
         let freed = if delete {
-            dev.present.force_remove(haddr)
+            present.force_remove(haddr)
         } else {
-            dev.present.release(haddr)
+            present.release(haddr)
         };
         if freed.is_some() {
-            self.do_delete(&mut dev, at, m.var, entry.dev_addr);
+            self.do_delete(at, m.var, entry.dev_addr);
         }
     }
 
@@ -966,12 +895,12 @@ impl Runtime {
     /// emitted — when capacity is exhausted or an injected OOM fault
     /// fires; the caller skips the mapping and the run degrades
     /// gracefully instead of panicking.
-    fn do_alloc(&mut self, dev: &mut DeviceState, at: Directive, var: VarId) -> Option<u64> {
+    fn do_alloc(&mut self, at: Directive, var: VarId) -> Option<u64> {
         let bytes = self.host.size(var);
         let dev_addr = if self.faults.alloc_fails() {
             None
         } else {
-            dev.mem.alloc(bytes)
+            self.devices[at.device as usize].mem.alloc(bytes)
         };
         let Some(dev_addr) = dev_addr else {
             self.warnings.push(RuntimeWarning::DeviceOutOfMemory {
@@ -987,8 +916,8 @@ impl Runtime {
         Some(dev_addr)
     }
 
-    fn do_delete(&mut self, dev: &mut DeviceState, at: Directive, var: VarId, dev_addr: u64) {
-        let freed = dev.mem.free(dev_addr);
+    fn do_delete(&mut self, at: Directive, var: VarId, dev_addr: u64) {
+        let freed = self.devices[at.device as usize].mem.free(dev_addr);
         debug_assert!(freed, "delete of unallocated device memory");
         let dur = self.cfg.timing.alloc.free_duration();
         self.stats.alloc_time += dur;
@@ -996,41 +925,23 @@ impl Runtime {
     }
 
     /// Copy `var` host → device (`h2d`) or device → host.
-    fn do_transfer(
-        &mut self,
-        dev: &mut DeviceState,
-        at: Directive,
-        var: VarId,
-        dev_addr: u64,
-        h2d: bool,
-    ) {
+    fn do_transfer(&mut self, at: Directive, var: VarId, dev_addr: u64, h2d: bool) {
         let bytes = self.host.size(var);
         // Real byte movement through a staging copy (part of the
         // simulator's per-transfer cost, which the ledger's `slowdown`
-        // divides by). Clamped when a shared-device run reuses another
-        // thread's different-sized same-address mapping — surfaced as a
-        // warning, never silent.
+        // divides by). A mapping is allocated at its variable's size, and
+        // each host address belongs to one variable.
+        let dev = &mut self.devices[at.device as usize];
         if let Some(buf) = dev.mem.bytes_mut(dev_addr) {
-            let n = (bytes as usize).min(buf.len());
             if h2d {
-                let staged = self.host.bytes(var)[..n].to_vec();
-                buf[..n].copy_from_slice(&staged);
+                let staged = self.host.bytes(var).to_vec();
+                buf.copy_from_slice(&staged);
             } else {
-                let staged = buf[..n].to_vec();
-                self.host.bytes_mut(var)[..n].copy_from_slice(&staged);
+                let staged = buf.to_vec();
+                self.host.bytes_mut(var).copy_from_slice(&staged);
             }
-            let whole = buf.len() as u64 == bytes;
             if let Some(copy) = self.host.copy(var) {
-                // Only a whole copy makes the two equal.
-                dev.present
-                    .set_synced(self.host.addr(var), whole.then_some(copy));
-            }
-            if !whole {
-                self.warnings.push(RuntimeWarning::MappingSizeMismatch {
-                    var: self.host.var(var).name.clone(),
-                    mapped: buf.len() as u64,
-                    requested: bytes,
-                });
+                dev.present.set_synced(self.host.addr(var), Some(copy));
             }
         }
         self.absorb_transfer_retries(var, bytes, h2d);
@@ -1230,12 +1141,12 @@ impl Runtime {
     /// Peak device memory in use on `device`.
     #[cfg(test)]
     fn device_peak_bytes(&self, device: u32) -> u64 {
-        self.devices.lock(device).mem.peak_in_use()
+        self.devices[device as usize].mem.peak_in_use()
     }
 
     /// Live present-table mappings on `device` (testing aid).
     pub fn present_mappings(&self, device: u32) -> usize {
-        self.devices.present_mappings(device)
+        self.devices[device as usize].present.len()
     }
 
     /// Advance the clock by the host-side directive dispatch overhead.
@@ -1771,7 +1682,7 @@ mod tests {
         let x = rt.host_alloc("x", 4096);
         rt.target_enter_data(0, CodePtr(1), &[map(MapType::Alloc, x)]);
         let slot = |rt: &Runtime| {
-            let dev = rt.devices.lock(0);
+            let dev = &rt.devices[0];
             let entry = dev.present.lookup(rt.host.addr(x)).copied().unwrap();
             let buf = dev.mem.bytes(entry.dev_addr).unwrap();
             (buf.as_ptr(), buf.len(), buf[..4].to_vec())

@@ -3,24 +3,17 @@
 //! A real OpenMP program's host threads each issue target directives,
 //! so an OMPT tool observes callbacks arriving concurrently from every
 //! runtime thread. This module reproduces that concurrency with *real
-//! OS threads*, in two shapes:
-//!
-//! * [`run_on_threads`] gives each thread its own [`Runtime`] instance
-//!   — its own virtual clock, host memory, and device state (the
-//!   rank-per-thread offload shape, as when each host thread drives
-//!   its own data environment) — and attaches one caller-supplied tool
-//!   per thread. A sharded tool (e.g.
-//!   `ompdataperf::tool::ToolHandle::fork_tool`) turns those
-//!   per-thread callback streams back into one deterministic trace.
-//! * [`run_on_threads_shared`] attaches every thread's runtime to one
-//!   [`SharedDevices`] set — `libomptarget`'s true shape: all threads
-//!   contend on the same per-device present tables, cross-thread
-//!   mapping reuse is real, and every thread may consult one shared
-//!   `MapAdvisor` (remediation under concurrency).
-//!
-//! [`run_on_threads_advised`], what a profiled run calls, takes the
-//! second shape exactly when an advisor attaches; all three share one
-//! launcher.
+//! OS threads*: [`run_on_threads`] gives each thread its own [`Runtime`]
+//! instance — its own virtual clock, host memory and devices (the
+//! rank-per-thread offload shape, as when each host thread drives its
+//! own data environment) — and attaches one caller-supplied tool per
+//! thread. A sharded tool (e.g. `ompdataperf::tool::ToolHandle::fork_tool`)
+//! turns those per-thread callback streams back into one deterministic
+//! trace. [`run_on_threads_advised`], what a profiled run calls, is the
+//! same run with one `MapAdvisor` every thread consults, so a rewrite
+//! learned from one thread's findings applies to every thread's next
+//! region. An advisor changes what the threads' directives do, never
+//! how the run is laid out.
 //!
 //! Each thread's virtual timeline is deterministic, and sharded trace
 //! merging orders events by `(timestamp, shard, per-shard order)`, so
@@ -29,7 +22,6 @@
 //! suite pins down.
 
 use crate::config::RuntimeConfig;
-use crate::device::SharedDevices;
 use crate::runtime::{Runtime, RuntimeStats};
 use odp_ompt::{MapAdvisor, RemediationStats, Tool};
 use std::sync::Arc;
@@ -52,82 +44,19 @@ where
     R: Send,
     F: Fn(u32, &mut Runtime) -> R + Sync,
 {
-    launch(threads, cfg, tools, None, None, body).0
+    run_on_threads_advised(threads, cfg, tools, None, body).0
 }
 
-/// Outcome of a shared-device threaded run.
-pub struct SharedThreadOutcome<R> {
-    /// Per-thread `(body output, run statistics)`, thread-index order.
-    pub results: Vec<(R, RuntimeStats)>,
-    /// Per-thread advisor rewrites merged across all runtimes.
-    pub remediation: RemediationStats,
-    /// The device set the threads shared (for post-run inspection).
-    pub devices: SharedDevices,
-}
-
-/// Run `body` on `threads` OS threads that all operate on **one shared
-/// device set** — the true `libomptarget` shape, where every host
-/// thread's directives contend on the same per-device present tables.
-/// Thread `i` gets its own `Runtime` (private virtual clock and host
-/// memory) attached to the shared devices, with `tools[i]` and, when
-/// provided, a clone of `advisor` attached.
-///
-/// Unlike [`run_on_threads`], the *interleaving* of present-table
-/// operations is real: which thread allocates a mapping first (and who
-/// merely retains it) depends on OS scheduling, exactly as in a real
-/// runtime. Deterministic assertions over such runs must force the
-/// interleaving (barriers), or assert scheduling-independent facts
-/// (e.g. a seeded remediation policy eliminates its finding kinds).
+/// [`run_on_threads`] with `advisor`, when given, attached to every
+/// thread's runtime — how a profiled run lays itself out. Returns the
+/// per-thread results and the advisor rewrites merged across threads.
 ///
 /// # Panics
-/// Propagates a panic from any runtime thread; panics when
-/// `tools.len() != threads`.
-pub fn run_on_threads_shared<R, F>(
-    threads: u32,
-    cfg: &RuntimeConfig,
-    tools: Vec<Box<dyn Tool>>,
-    advisor: Option<Arc<dyn MapAdvisor>>,
-    body: F,
-) -> SharedThreadOutcome<R>
-where
-    R: Send,
-    F: Fn(u32, &mut Runtime) -> R + Sync,
-{
-    let devices = SharedDevices::new(cfg);
-    let (results, remediation) = launch(threads, cfg, tools, Some(&devices), advisor, body);
-    SharedThreadOutcome {
-        results,
-        remediation,
-        devices,
-    }
-}
-
-/// [`run_on_threads_shared`] with an `advisor`, [`run_on_threads`]
-/// without one — how a profiled run lays itself out. Returns the
-/// per-thread results and the merged advisor rewrites.
+/// As [`run_on_threads`].
 pub fn run_on_threads_advised<R, F>(
     threads: u32,
     cfg: &RuntimeConfig,
     tools: Vec<Box<dyn Tool>>,
-    advisor: Option<Arc<dyn MapAdvisor>>,
-    body: F,
-) -> (Vec<(R, RuntimeStats)>, RemediationStats)
-where
-    R: Send,
-    F: Fn(u32, &mut Runtime) -> R + Sync,
-{
-    let devices = advisor.as_ref().map(|_| SharedDevices::new(cfg));
-    launch(threads, cfg, tools, devices.as_ref(), advisor, body)
-}
-
-/// The one launcher: thread `i` runs `body` on a runtime over `devices`
-/// (its own set when `None`) with `tools[i]` and `advisor` attached;
-/// results come back in thread-index order, rewrites merged.
-fn launch<R, F>(
-    threads: u32,
-    cfg: &RuntimeConfig,
-    tools: Vec<Box<dyn Tool>>,
-    devices: Option<&SharedDevices>,
     advisor: Option<Arc<dyn MapAdvisor>>,
     body: F,
 ) -> (Vec<(R, RuntimeStats)>, RemediationStats)
@@ -146,13 +75,9 @@ where
                 // Each shard draws an independent, reproducible fault
                 // stream; totals stay shared across the shards.
                 cfg.faults = cfg.faults.for_shard(i as u32);
-                let devices = devices.cloned();
                 let advisor = advisor.clone();
                 scope.spawn(move || {
-                    let mut rt = match devices {
-                        Some(devices) => Runtime::with_shared_devices(cfg, devices),
-                        None => Runtime::new(cfg),
-                    };
+                    let mut rt = Runtime::new(cfg);
                     rt.attach_tool(tool);
                     if let Some(advisor) = advisor {
                         rt.attach_advisor(advisor);
@@ -287,15 +212,12 @@ mod tests {
     }
 
     #[test]
-    fn shared_devices_are_reused_across_threads() {
+    fn an_advised_run_gives_every_thread_its_own_copy() {
         use crate::map;
         use odp_model::MapType;
-        use std::sync::Barrier;
 
-        // All threads open a data region over the same host address and
-        // hold it across a barrier: whatever the interleaving, exactly
-        // one thread allocates + transfers (map_enter is atomic on the
-        // shared present table) and the rest retain the entry. One
+        // Every thread opens a data region over its own array at the
+        // same host address: each allocates and sends its own copy. One
         // advisor serves all four threads.
         let threads = 4u32;
         let transfers = Arc::new(AtomicUsize::new(0));
@@ -306,9 +228,8 @@ mod tests {
                 }) as Box<dyn Tool>
             })
             .collect();
-        let barrier = Barrier::new(threads as usize);
         let consults = Arc::new(Consults::default());
-        let outcome = run_on_threads_shared(
+        let (results, remediation) = run_on_threads_advised(
             threads,
             &RuntimeConfig::default(),
             tools,
@@ -316,26 +237,24 @@ mod tests {
             |_, rt| {
                 let a = rt.host_alloc("a", 256);
                 let region = rt.target_data_begin(0, CodePtr(0x10), &[map(MapType::To, a)]);
-                barrier.wait(); // every region is open before any closes
                 rt.target_data_end(region);
+                rt.present_mappings(0)
             },
         );
-        let stats: Vec<RuntimeStats> = outcome.results.iter().map(|(_, s)| *s).collect();
-        let merged = merged_stats(&stats);
-        assert_eq!(merged.allocs, 1, "one shared allocation: {merged:?}");
-        assert_eq!(merged.transfers, 1, "one shared H2D: {merged:?}");
-        assert_eq!(transfers.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            outcome.devices.present_mappings(0),
-            0,
-            "the last release frees the shared mapping"
+        assert!(
+            results.iter().all(|(left, _)| *left == 0),
+            "each run frees its own"
         );
+        let merged = merged_stats(&results.iter().map(|(_, s)| *s).collect::<Vec<_>>());
+        assert_eq!(merged.allocs, 4, "one allocation per thread: {merged:?}");
+        assert_eq!(merged.transfers, 4, "one H2D per thread: {merged:?}");
+        assert_eq!(transfers.load(Ordering::Relaxed), 4);
         // One clause per thread, consulted at entry and at exit.
         assert_eq!(
             consults.0.load(Ordering::Relaxed),
             2 * threads as usize,
             "every thread consults the one advisor"
         );
-        assert!(!outcome.remediation.any_rewrites(), "KEEP rewrites nothing");
+        assert!(!remediation.any_rewrites(), "KEEP rewrites nothing");
     }
 }

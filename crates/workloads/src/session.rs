@@ -10,15 +10,12 @@
 //! `ompdataperf::analysis::finish_run`, the one end-of-run protocol, so
 //! every caller gets the same report for the same run.
 //!
-//! How a run is laid out on threads follows from the spec alone, in one
-//! call to `odp_sim::run_on_threads_advised`:
-//!
-//! | `remedy` | shape |
-//! |----------|-------|
-//! | `Off` | no advisor: a private runtime and device set per thread (`odp_sim::run_on_threads`) — the rank-per-thread shape, whose merged trace is independent of OS scheduling |
-//! | `Adaptive` / `Seeded` | one device data environment (true `libomptarget` semantics) and one `Remediator` every thread attaches (`odp_sim::run_on_threads_shared`) |
-//!
-//! A one-thread run is the same call with one thread.
+//! A run is laid out on threads in one call to
+//! `odp_sim::run_on_threads_advised`: every thread drives its own
+//! runtime and devices (the rank-per-thread shape), whether or not the
+//! run remediates. Under [`Remedy::Adaptive`] or [`Remedy::Seeded`] one
+//! `Remediator` is the advisor every thread consults. A one-thread run
+//! is the same call with one thread.
 
 use crate::adaptive::Remedy;
 use crate::{ProblemSize, Variant, Workload};
@@ -195,8 +192,8 @@ struct Driven {
     remediation: RemediationStats,
 }
 
-/// Execute the program on `tools.len()` threads (the table in the
-/// module docs), every thread consulting `advisor`.
+/// Execute the program on `tools.len()` threads, each on its own
+/// runtime, every thread consulting `advisor`.
 fn drive(
     w: &dyn Workload,
     size: ProblemSize,
@@ -331,9 +328,16 @@ mod tests {
         let private = on(4, Remedy::Off);
         assert_eq!(private.stats.allocs, 4 * one.stats.allocs);
         assert!(private.remediation.is_none() && private.live.is_none());
-        // Adaptive: streaming is implied, the threads share one policy.
+        // Adaptive: streaming is implied, the threads share one policy,
+        // and each still works on its own devices.
         let adaptive = on(4, Remedy::Adaptive);
         assert!(adaptive.live.is_some(), "Adaptive turns streaming on");
-        assert!(adaptive.remediation.unwrap().consults > 0);
+        let remediation = adaptive.remediation.unwrap();
+        assert!(remediation.consults > 0);
+        assert_eq!(
+            remediation.actual_transfer_bytes + remediation.recovered_transfer_bytes,
+            private.stats.bytes_transferred,
+            "the baseline is the unremediated run of the same shape"
+        );
     }
 }

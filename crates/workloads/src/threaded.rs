@@ -2,14 +2,15 @@
 //!
 //! `RunSpec::threads > 1` ([`crate::session`]) drives one workload's
 //! offload pattern from N real OS threads at once: every thread owns a
-//! simulated `Runtime` (its own virtual clock; its own data environment
-//! unless the run remediates) and an attached tool shard, so the
-//! collector observes genuinely concurrent OMPT callbacks. Because each
-//! thread's virtual timeline is deterministic and sharded traces merge
-//! by `(timestamp, shard, per-shard order)`, the merged observation of
-//! a private-device run is identical across runs regardless of OS
-//! scheduling — while the callback *interleaving* (what the sharded
-//! fast path and the watermark merge must survive) is real.
+//! simulated `Runtime` (its own virtual clock and data environment,
+//! whether or not the run remediates) and an attached tool shard, so
+//! the collector observes genuinely concurrent OMPT callbacks. Because
+//! each thread's virtual timeline is deterministic and sharded traces
+//! merge by `(timestamp, shard, per-shard order)`, the merged
+//! observation of a run without a live advisor is identical across runs
+//! regardless of OS scheduling — while the callback *interleaving*
+//! (what the sharded fast path and the watermark merge must survive) is
+//! real.
 
 use crate::Workload;
 

@@ -19,7 +19,7 @@
 # watermark merge that decides who drains, the version-1 byte-wise
 # checksum off the `.odpt` write path, a second run driver out of
 # `odp-static`, `Value` trees off the output paths, and per-launch
-# buffer copies out of the simulator.
+# buffer copies and locks out of the simulator.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -175,3 +175,21 @@ if hits=$(grep -rn 'split_off(0)' "$SIM"); then
     exit 1
 fi
 echo "determinism_lint: OK — no split_off(0) in $SIM"
+
+# A runtime owns its host memory and devices outright; the threads of a
+# threaded run share only the advisor they consult and the fault plan's
+# totals (atomics). A lock in the simulator is a shared data environment
+# growing back: its interleaving is the OS scheduler's, not the program's.
+if hits=$(find "$SIM" -name '*.rs' | sort | xargs awk '
+    FNR == 1 { live = 1 }
+    /^#\[cfg\(test\)\]/ { live = 0 }
+    live && /Mutex|parking_lot/ && !/^[[:space:]]*\/\// {
+        print FILENAME ":" FNR ": " $0
+    }
+') && [ -n "$hits" ]; then
+    echo "determinism_lint: FAILED — a lock in $SIM:" >&2
+    echo "$hits" >&2
+    echo "give each runtime its own state; share only through the advisor." >&2
+    exit 1
+fi
+echo "determinism_lint: OK — no Mutex or parking_lot outside tests in $SIM"
