@@ -8,20 +8,21 @@
 
 use odp_static::registry;
 use odp_workloads::session::{run_observed, RunSpec};
-use odp_workloads::Workload;
+use odp_workloads::{ProblemSize, Workload};
 use ompdataperf::detect::StreamFinding;
 use ompdataperf::tool::ToolConfig;
 use std::cell::RefCell;
 
-/// One streamed run of `w` (one thread, Small). The digest is
+/// One streamed run of `w` (one thread, at `size`). The digest is
 /// `checksum64` over the live findings in emission order — a tap's
 /// takes, then what no tap had drained when the program exited — and
 /// the engine's `drains, drained_events, reorder_inversions`.
 /// `buffered_peak` rides beside it in the clear: it is the one counter
 /// that depends on how fresh the published watermark is when a drain
 /// releases.
-fn live_transcript(w: &dyn Workload) -> (u64, usize) {
+fn live_transcript(w: &dyn Workload, size: ProblemSize) -> (u64, usize) {
     let spec = RunSpec {
+        size,
         tool: ToolConfig {
             stream: true,
             ..ToolConfig::default()
@@ -87,8 +88,35 @@ fn live_stream_transcript_is_pinned() {
     let got: Vec<(&str, u64, usize)> = programs
         .iter()
         .map(|w| {
-            let (digest, buffered_peak) = live_transcript(&**w);
+            let (digest, buffered_peak) = live_transcript(&**w, ProblemSize::Small);
             (w.name(), digest, buffered_peak)
+        })
+        .collect();
+    assert_eq!(
+        got, EXPECTED,
+        "(program, live digest, buffered_peak); got:\n{got:#x?}"
+    );
+}
+
+/// Three programs at Medium: Algorithm 1's table grows through several
+/// doublings on `tealeaf` and `bspline-vgh-omp`, and one drain releases
+/// hundreds of events at once on all three.
+#[test]
+fn live_stream_transcript_at_medium_is_pinned() {
+    const EXPECTED: [(&str, u64, usize); 3] = [
+        ("tealeaf", 0x0fc6_530c_e4ba_c3aa, 0),
+        ("bspline-vgh-omp", 0xb5ea_fc39_b724_e2c8, 0),
+        ("babelstream", 0xa898_05fb_d0ad_3b79, 0),
+    ];
+    let got: Vec<(&str, u64, usize)> = EXPECTED
+        .iter()
+        .map(|&(name, _, _)| {
+            let w = odp_workloads::all()
+                .into_iter()
+                .find(|w| w.name() == name)
+                .expect("a shipped program");
+            let (digest, buffered_peak) = live_transcript(&*w, ProblemSize::Medium);
+            (name, digest, buffered_peak)
         })
         .collect();
     assert_eq!(
