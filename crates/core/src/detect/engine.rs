@@ -108,9 +108,10 @@ fn avalanche(mut x: u64) -> u64 {
 /// Mix of a reception-queue key `(hash, device)`. The build pass and
 /// Algorithm 2 compute it once per transfer and use it for both the
 /// Bloom filter bit and the [`OpenIndex`] probe position — indexing a
-/// key costs no second hash.
+/// key costs no second hash. The streaming engine's duplicate table
+/// slots its keys by it too.
 #[inline]
-fn rx_key_mix(hash: HashVal, dev: DeviceId) -> u64 {
+pub(crate) fn rx_key_mix(hash: HashVal, dev: DeviceId) -> u64 {
     avalanche(
         hash.0
             .wrapping_add((dev.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),

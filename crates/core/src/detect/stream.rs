@@ -57,13 +57,25 @@
 //! All detection state is index-based (`u32`/`u64` sequence numbers);
 //! the engine never clones an event after the reorder buffer releases
 //! it, and it keeps no history for a report: Algorithm 1 keeps one
-//! `(hash, dest) → (first, count)` entry per distinct reception key, an
-//! allocation site keeps a count, and decided Algorithm 4/5 verdicts are
-//! emitted and forgotten. What grows with the trace is that table, one
-//! small record per allocation (Algorithm 4 needs the pairing until its
-//! delete and next kernel arrive) and one count per allocation site;
-//! [`StreamingEngine::retained_bytes`] says how much each structure
-//! holds.
+//! 24-byte `(hash, dest) → (first, count)` entry per distinct reception
+//! key, an allocation site keeps a count, and decided Algorithm 4/5
+//! verdicts are emitted and forgotten. A pairing lives only while its
+//! allocation is open or Algorithm 4 has yet to decide it; then its slot
+//! is reused. What grows with the trace is the duplicate table (one
+//! entry per distinct content a device received) and one count per
+//! allocation site; the pairings grow with the allocations alive at
+//! once. [`StreamingEngine::retained_bytes`] says how much each
+//! structure holds.
+//!
+//! # Release in chunks
+//!
+//! A release takes up to [`RELEASE_CHUNK`] events off the lanes, then
+//! probes Algorithm 1's table for every hashed transfer among them in
+//! one tight loop, and only then runs the in-order machines over the
+//! chunk. The probes do not wait on each other, so their cache misses
+//! overlap instead of each one stalling behind a detector's bookkeeping
+//! (the fused sweep's `group_by` does the same). Each duplicate finding
+//! is still emitted at its event's place in the stream.
 
 use crate::detect::engine::{self, EventView, OutOfRangeEvents};
 use crate::detect::reorder::{RunMergeBuffer, SortKey};
@@ -395,7 +407,141 @@ fn buf_bytes<T>(capacity: usize) -> usize {
     capacity * std::mem::size_of::<T>()
 }
 
-/// The streaming twin of an alloc/delete pairing.
+/// Most events one release step takes off the lanes before it probes
+/// Algorithm 1's table for all of their hashed transfers at once.
+const RELEASE_CHUNK: usize = 256;
+
+/// Algorithm 1's key: a reception of content `hash` by device `dest`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RxKey {
+    hash: HashVal,
+    dest: DeviceId,
+}
+
+impl RxKey {
+    /// The key of a hashed transfer; `None` for any other operation.
+    fn of(e: &DataOpEvent) -> Option<RxKey> {
+        e.hash.filter(|_| e.is_transfer()).map(|hash| RxKey {
+            hash,
+            dest: e.dest_device,
+        })
+    }
+}
+
+/// One reception key's first delivery and reception count. The key's
+/// fields sit flat beside the counts (24 bytes, where a nested key
+/// struct would pad the entry to 32).
+#[derive(Clone, Copy, Debug)]
+struct DupEntry {
+    hash: HashVal,
+    first: Seq,
+    dest: DeviceId,
+    count: u32,
+}
+
+impl DupEntry {
+    fn key(&self) -> RxKey {
+        RxKey {
+            hash: self.hash,
+            dest: self.dest,
+        }
+    }
+}
+
+/// Algorithm 1's table, `(hash, dest) → (first, count)`: the entries in
+/// first-reception order, and an open-addressed slot array of entry
+/// indices (linear probing from the key's [`engine::rx_key_mix`], at
+/// most half full, [`DuplicateTable::EMPTY`] = vacant). Keys are never
+/// removed, so there are no tombstones. Growth doubles the slot array
+/// and re-slots each entry by its mix; the entries stay where they are.
+/// `MIX_MASK` narrows the mix so that tests can force keys to collide;
+/// it keeps every bit otherwise.
+#[derive(Debug)]
+struct DuplicateTable<const MIX_MASK: u64 = { u64::MAX }> {
+    slots: Box<[u32]>,
+    entries: Vec<DupEntry>,
+}
+
+impl<const MIX_MASK: u64> Default for DuplicateTable<MIX_MASK> {
+    fn default() -> Self {
+        DuplicateTable {
+            slots: vec![Self::EMPTY; 16].into_boxed_slice(),
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<const MIX_MASK: u64> DuplicateTable<MIX_MASK> {
+    const EMPTY: u32 = u32::MAX;
+
+    #[inline]
+    fn mix(key: RxKey) -> usize {
+        (engine::rx_key_mix(key.hash, key.dest) & MIX_MASK) as usize
+    }
+
+    /// The first vacant slot of `slots` probing from `mix`.
+    #[inline]
+    fn vacant(slots: &[u32], mix: usize) -> usize {
+        let mask = slots.len() - 1;
+        let mut i = mix & mask;
+        while slots[i] != Self::EMPTY {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Count one reception of `key` by event `seq`: its first reception
+    /// and this reception's 1-based occurrence number.
+    #[inline]
+    fn record(&mut self, key: RxKey, seq: Seq) -> (Seq, u32) {
+        let mix = Self::mix(key);
+        let mask = self.slots.len() - 1;
+        let mut i = mix & mask;
+        while self.slots[i] != Self::EMPTY {
+            let e = &mut self.entries[self.slots[i] as usize];
+            if e.key() == key {
+                e.count += 1;
+                return (e.first, e.count);
+            }
+            i = (i + 1) & mask;
+        }
+        // A new key: keep the slots at most half full.
+        if (self.entries.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+            i = Self::vacant(&self.slots, mix);
+        }
+        self.slots[i] = self.entries.len() as u32;
+        if self.entries.len() == self.entries.capacity() {
+            // Grow by half, not double: the entries are most of the
+            // table's bytes.
+            self.entries.reserve_exact((self.entries.len() / 2).max(16));
+        }
+        self.entries.push(DupEntry {
+            hash: key.hash,
+            first: seq,
+            dest: key.dest,
+            count: 1,
+        });
+        (seq, 1)
+    }
+
+    /// Double the slots and re-slot every entry by its mix.
+    fn grow(&mut self) {
+        let mut slots = vec![Self::EMPTY; self.slots.len() * 2].into_boxed_slice();
+        for (ix, e) in self.entries.iter().enumerate() {
+            slots[Self::vacant(&slots, Self::mix(e.key()))] = ix as u32;
+        }
+        self.slots = slots;
+    }
+
+    fn heap_bytes(&self) -> usize {
+        buf_bytes::<u32>(self.slots.len()) + buf_bytes::<DupEntry>(self.entries.capacity())
+    }
+}
+
+/// The streaming twin of an alloc/delete pairing. Its slot in
+/// `StreamingEngine::pairs` is free again once it is neither `open` nor
+/// `pending`: nothing can name it any more.
 #[derive(Debug)]
 struct StreamPair {
     alloc_seq: Seq,
@@ -406,6 +552,11 @@ struct StreamPair {
     delete_seq: Option<Seq>,
     /// Valid iff `delete_seq.is_some()`.
     delete_end: SimTime,
+    /// An `open_pairs` entry names it: no delete or newer allocation at
+    /// its device address has arrived.
+    open: bool,
+    /// Waiting in its device's Algorithm 4 queue.
+    pending: bool,
 }
 
 /// A buffered kernel span (per-device queues for Algorithms 4/5).
@@ -472,10 +623,16 @@ pub struct StreamingEngine {
 
     /// Algorithm 1: first reception and reception count per
     /// `(hash, dest_device)`.
-    duplicates: FnvHashMap<(HashVal, DeviceId), (Seq, u32)>,
+    duplicates: DuplicateTable,
+    /// The release step's reused buffers: one chunk's events, and the
+    /// `(first, occurrence)` of each hashed transfer among them.
+    chunk: Vec<StreamEvent>,
+    receptions: Vec<(Seq, u32)>,
 
-    /// Alloc/delete pairings in allocation order (Algorithms 3/4).
+    /// Alloc/delete pairings that are open or undecided (Algorithms
+    /// 3/4), and the slots free for reuse.
     pairs: Vec<StreamPair>,
+    free_pairs: Vec<u32>,
     open_pairs: FnvHashMap<(DeviceId, u64), u32>,
     /// Allocations seen so far per ⟨host addr, device, size⟩ site
     /// (Algorithm 3's occurrence number).
@@ -549,22 +706,52 @@ impl StreamingEngine {
     }
 
     /// The one release loop: everything buffered at or below `bound`
-    /// goes to the detectors in merge order.
+    /// goes to the detectors in merge order, one chunk at a time.
     fn release_through(&mut self, bound: SimTime) {
-        while let Some(entry) = self.buffer.pop_if(|key| key.0 <= bound) {
-            debug_assert!(
-                self.last_released.is_none_or(|last| last <= entry.key()),
-                "watermark violated: released {:?} after {:?} (watermark {:?})",
-                entry.key(),
-                self.last_released,
-                self.watermark
-            );
-            self.last_released = Some(entry.key());
-            match entry {
-                StreamEvent::Op(e) => self.ingest_op(&e),
-                StreamEvent::Kernel(k) => self.ingest_kernel(&k),
+        let mut chunk = std::mem::take(&mut self.chunk);
+        let mut receptions = std::mem::take(&mut self.receptions);
+        loop {
+            while chunk.len() < RELEASE_CHUNK {
+                let Some(entry) = self.buffer.pop_if(|key| key.0 <= bound) else {
+                    break;
+                };
+                debug_assert!(
+                    self.last_released.is_none_or(|last| last <= entry.key()),
+                    "watermark violated: released {:?} after {:?} (watermark {:?})",
+                    entry.key(),
+                    self.last_released,
+                    self.watermark
+                );
+                self.last_released = Some(entry.key());
+                chunk.push(entry);
+            }
+            let more = chunk.len() == RELEASE_CHUNK;
+            // Algorithm 1 over the whole chunk first (see the module
+            // docs), in release order, so every count is what the
+            // in-order pass would have seen.
+            for entry in &chunk {
+                if let StreamEvent::Op(e) = entry {
+                    if let Some(key) = RxKey::of(e) {
+                        receptions.push(self.duplicates.record(key, e.id.0));
+                    }
+                }
+            }
+            let mut received = receptions.drain(..);
+            for entry in chunk.drain(..) {
+                match entry {
+                    StreamEvent::Op(e) => {
+                        let reception = RxKey::of(&e).and_then(|_| received.next());
+                        self.ingest_op(&e, reception);
+                    }
+                    StreamEvent::Kernel(k) => self.ingest_kernel(&k),
+                }
+            }
+            if !more {
+                break;
             }
         }
+        self.chunk = chunk;
+        self.receptions = receptions;
         self.note_peaks();
     }
 
@@ -643,12 +830,17 @@ impl StreamingEngine {
     }
 
     /// Heap bytes the engine holds right now, per structure: the
-    /// reorder lanes, Algorithm 1's duplicate table, the alloc/delete
-    /// pairings and allocation-site counts (Algorithms 3/4), the
-    /// per-device machines (Algorithms 4/5) and the findings no consumer
-    /// has drained. Capacities, not lengths: what the allocator holds.
+    /// reorder lanes with the release chunk, Algorithm 1's duplicate
+    /// table, the alloc/delete pairings and allocation-site counts
+    /// (Algorithms 3/4), the per-device machines (Algorithms 4/5) and the
+    /// findings no consumer has drained. Capacities, not lengths: what
+    /// the allocator holds.
     pub fn retained_bytes(&self) -> [(&'static str, usize); 5] {
+        let lanes = self.buffer.heap_bytes()
+            + buf_bytes::<StreamEvent>(self.chunk.capacity())
+            + buf_bytes::<(Seq, u32)>(self.receptions.capacity());
         let pairings = buf_bytes::<StreamPair>(self.pairs.capacity())
+            + buf_bytes::<u32>(self.free_pairs.capacity())
             + map_bytes(&self.open_pairs)
             + map_bytes(&self.realloc_counts);
         let devices = buf_bytes::<DeviceMachine>(self.machines.capacity())
@@ -658,8 +850,8 @@ impl StreamingEngine {
                 .map(DeviceMachine::heap_bytes)
                 .sum::<usize>();
         [
-            ("lanes", self.buffer.heap_bytes()),
-            ("duplicates", map_bytes(&self.duplicates)),
+            ("lanes", lanes),
+            ("duplicates", self.duplicates.heap_bytes()),
             ("pairings", pairings),
             ("devices", devices),
             (
@@ -735,10 +927,12 @@ impl StreamingEngine {
 
     // ---- event routing --------------------------------------------------
 
-    fn ingest_op(&mut self, e: &DataOpEvent) {
+    /// `reception` is Algorithm 1's `(first, occurrence)` for a hashed
+    /// transfer, counted by the release step's probe loop.
+    fn ingest_op(&mut self, e: &DataOpEvent, reception: Option<(Seq, u32)>) {
         if e.is_transfer() {
-            if let Some(hash) = e.hash {
-                self.on_hashed_transfer(e, hash);
+            if let (Some(hash), Some((first, occurrence))) = (e.hash, reception) {
+                self.on_reception(e, hash, first, occurrence);
             }
             if let Some(ix) = e.dest_device.target_index() {
                 if Self::in_range(ix) {
@@ -793,13 +987,7 @@ impl StreamingEngine {
 
     /// Group membership is final on arrival: the second and every later
     /// reception of a `(hash, dest)` key is a duplicate of the first.
-    fn on_hashed_transfer(&mut self, e: &DataOpEvent, hash: HashVal) {
-        let (first, count) = self
-            .duplicates
-            .entry((hash, e.dest_device))
-            .or_insert((e.id.0, 0));
-        *count += 1;
-        let (first, occurrence) = (*first, *count);
+    fn on_reception(&mut self, e: &DataOpEvent, hash: HashVal, first: Seq, occurrence: u32) {
         if occurrence >= 2 {
             self.emit(StreamFinding::DuplicateTransfer {
                 hash,
@@ -818,19 +1006,35 @@ impl StreamingEngine {
     // ---- Algorithms 3 + 4 ----------------------------------------------
 
     fn on_alloc(&mut self, e: &DataOpEvent) {
-        let pair_ix = self.pairs.len() as u32;
-        // A new allocation at an address shadows any stale open entry
-        // (same contract as `alloc_delete_pairs`).
-        self.open_pairs
-            .insert((e.dest_device, e.dest_addr), pair_ix);
-        self.pairs.push(StreamPair {
+        let pair = StreamPair {
             alloc_seq: e.id.0,
             alloc_start: e.span.start,
             alloc_haddr: e.src_addr,
             alloc_codeptr: e.codeptr,
             delete_seq: None,
             delete_end: SimTime(0),
-        });
+            open: true,
+            pending: false,
+        };
+        let pair_ix = match self.free_pairs.pop() {
+            Some(pix) => {
+                self.pairs[pix as usize] = pair;
+                pix
+            }
+            None => {
+                self.pairs.push(pair);
+                (self.pairs.len() - 1) as u32
+            }
+        };
+        // A new allocation at an address shadows any stale open entry
+        // (same contract as `alloc_delete_pairs`).
+        if let Some(shadowed) = self
+            .open_pairs
+            .insert((e.dest_device, e.dest_addr), pair_ix)
+        {
+            self.pairs[shadowed as usize].open = false;
+            self.free_if_settled(shadowed);
+        }
 
         // Algorithm 3: group membership is final at allocation time.
         let seen = self
@@ -854,6 +1058,7 @@ impl StreamingEngine {
         // Algorithm 4: the pairing waits for a kernel able to prove use.
         if let Some(ix) = e.dest_device.target_index() {
             if Self::in_range(ix) {
+                self.pairs[pair_ix as usize].pending = true;
                 self.machine(ix).pending_pairs.push_back(pair_ix);
                 self.alg4_advance(ix, false);
             } else {
@@ -867,8 +1072,19 @@ impl StreamingEngine {
             let p = &mut self.pairs[pix as usize];
             p.delete_seq = Some(e.id.0);
             p.delete_end = e.span.end;
+            p.open = false;
+            self.free_if_settled(pix);
         }
         // A delete with no open alloc is a runtime anomaly; ignored.
+    }
+
+    /// Give a pairing's slot back once nothing names it: its delete (or
+    /// a shadowing allocation) arrived and Algorithm 4 decided it.
+    fn free_if_settled(&mut self, pix: u32) {
+        let p = &self.pairs[pix as usize];
+        if !p.open && !p.pending {
+            self.free_pairs.push(pix);
+        }
     }
 
     /// Decide pending pairings in allocation order. The front pairing is
@@ -899,6 +1115,8 @@ impl StreamingEngine {
             if unused {
                 self.emit_unused_alloc(dev, pix);
             }
+            self.pairs[pix as usize].pending = false;
+            self.free_if_settled(pix);
         }
     }
 
@@ -1023,6 +1241,7 @@ mod tests {
     use crate::detect::testutil::{assert_live_matches, finalize, EventFactory};
     use odp_model::TimeSpan;
     use odp_trace::ColumnarView;
+    use std::collections::BTreeMap;
 
     /// Feed events in chronological order with a trailing watermark.
     fn feed_chronological(
@@ -1266,6 +1485,79 @@ mod tests {
             projected.sort_unstable();
             assert_ne!(live, projected, "the mismatch must be observable");
         }
+    }
+
+    #[test]
+    fn duplicate_table_matches_an_oracle_through_colliding_growths() {
+        // Every key's probe starts in one of 8 slots, so the keys pile
+        // up in long runs that each growth has to re-slot.
+        let mut table = DuplicateTable::<0b111>::default();
+        let mut oracle: BTreeMap<(u64, i32), (Seq, u32)> = BTreeMap::new();
+        let mut growths = 0;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for seq in 0..2_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = RxKey {
+                hash: HashVal(x % 300),
+                dest: DeviceId::target((x >> 32) as u32 % 3),
+            };
+            let slots = table.slots.len();
+            let got = table.record(key, seq);
+            growths += usize::from(table.slots.len() != slots);
+            let want = oracle.entry((key.hash.0, key.dest.0)).or_insert((seq, 0));
+            want.1 += 1;
+            assert_eq!(got, *want, "reception {seq} of {key:?}");
+        }
+        assert!(growths >= 3, "only {growths} growths");
+        let held: BTreeMap<(u64, i32), (Seq, u32)> = table
+            .entries
+            .iter()
+            .map(|e| ((e.hash.0, e.dest.0), (e.first, e.count)))
+            .collect();
+        assert_eq!(held, oracle);
+    }
+
+    #[test]
+    fn one_advance_over_many_chunks_emits_what_per_event_advances_emit() {
+        // A seeded mix of every operation on two devices, fed once with
+        // an advance per event and once with a single advance that
+        // releases it all, several chunks at a time.
+        let mut f = EventFactory::new();
+        let (mut ops, mut kernels) = (Vec::new(), Vec::new());
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..1_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (t, dev, addr) = (i * 20, (x % 2) as u32, 0x1000 + (x >> 8) % 4 * 0x100);
+            match (x >> 4) % 6 {
+                0 => ops.push(f.alloc(t, dev, addr, 0xd000 + addr, 64)),
+                1 => ops.push(f.delete(t, dev, addr, 0xd000 + addr, 64)),
+                2 => kernels.push(f.kernel(t, t + 15, dev)),
+                3 => ops.push(f.d2h(t, dev, addr, (x >> 16) % 16, 64)),
+                _ => ops.push(f.h2d(t, dev, addr, (x >> 16) % 16, 64)),
+            }
+        }
+        let mut per_event = StreamingEngine::default();
+        feed_chronological(&mut per_event, &ops, &kernels);
+        let mut at_once = StreamingEngine::default();
+        for op in &ops {
+            at_once.push(StreamEvent::Op(op.clone()));
+        }
+        for k in &kernels {
+            at_once.push(StreamEvent::Kernel(k.clone()));
+        }
+        assert!(at_once.buffer_stats().buffered_now > 3 * RELEASE_CHUNK);
+        at_once.advance(Some(SimTime(20_000)));
+        assert_eq!(at_once.buffer_stats().buffered_now, 0);
+
+        let expected = per_event.take_findings();
+        let c = per_event.live_counts();
+        assert!(c.dd > 0 && c.ra > 0 && c.ua > 0 && c.ut > 0, "{c:?}");
+        assert_eq!(at_once.take_findings(), expected);
+        assert_eq!(at_once.live_counts(), c);
     }
 
     #[test]

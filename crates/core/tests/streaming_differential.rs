@@ -400,12 +400,13 @@ fn sharded_delivery_is_insensitive_to_the_interleaving_choice() {
 
 #[test]
 fn steady_state_memory_is_independent_of_trace_length() {
-    // The acceptance criterion: the engine's windows and Algorithm 1's
-    // table must not grow with trace length for steady-state workloads.
-    // Build an iterative ping-pong — content leaves and returns each
-    // iteration, kernels keep every cursor moving — at 1× and 10×
-    // length and compare high-water marks and the table's bytes.
-    fn run(iters: usize) -> (ompdataperf::detect::StreamBufferStats, usize, usize) {
+    // The acceptance criterion: the engine's windows, Algorithm 1's
+    // table and the alloc/delete pairings must not grow with trace
+    // length for steady-state workloads. Build an iterative ping-pong —
+    // content leaves and returns each iteration, kernels keep every
+    // cursor moving — at 1× and 10× length and compare high-water marks
+    // and the retained bytes.
+    fn run(iters: usize) -> (ompdataperf::detect::StreamBufferStats, [usize; 2], usize) {
         use odp_model::{CodePtr, DataOpKind, DeviceId, EventId, HashVal, TargetKind, TimeSpan};
         let mut ops = Vec::new();
         let mut kernels = Vec::new();
@@ -491,18 +492,27 @@ fn steady_state_memory_is_independent_of_trace_length() {
         let mut engine = StreamingEngine::default();
         feed_completion_order(&mut engine, &ops, &kernels);
         let stats = engine.buffer_stats();
-        let (name, table) = engine.retained_bytes()[1];
-        assert_eq!(name, "duplicates");
+        let retained = engine.retained_bytes();
+        let names = retained.map(|(name, _)| name);
+        assert_eq!(
+            names,
+            ["lanes", "duplicates", "pairings", "devices", "findings"]
+        );
+        let held = [retained[1].1, retained[2].1];
         let report = finalize(&mut engine, &ops, &kernels, 1);
         assert_live_matches(engine.take_findings(), &report, "ping-pong");
-        (stats, table, ops.len() + kernels.len())
+        (stats, held, ops.len() + kernels.len())
     }
-    let (small, small_table, small_events) = run(100);
-    let (large, large_table, large_events) = run(1_000);
+    let (small, [small_table, small_pairs], small_events) = run(100);
+    let (large, [large_table, large_pairs], large_events) = run(1_000);
     assert!(large_events >= 10 * small_events - 10);
     assert_eq!(
         small_table, large_table,
         "Algorithm 1's table grew with trace length"
+    );
+    assert_eq!(
+        small_pairs, large_pairs,
+        "the alloc/delete pairings grew with trace length"
     );
     assert_eq!(small.buffered_peak, large.buffered_peak);
     assert_eq!(small.device_pending_peak, large.device_pending_peak);
