@@ -3,9 +3,8 @@
 //! The native tool resolves each event's `codeptr_ra` to `file:line`
 //! through DWARF debug info read with libdw (§6, Figure 1); programs must
 //! be compiled with `-g` for line numbers. Our simulated programs
-//! register equivalent debug info here: modules with address-ranged line
-//! tables, resolved by binary search exactly like a `.debug_line`
-//! lookup.
+//! register equivalent debug info here: one `file:line` in a function
+//! per directive call site, looked up by its exact code pointer.
 //!
 //! Workloads build their "compilation" with [`SourceFile`], which both
 //! allocates code pointers and registers their locations, so directive
@@ -15,25 +14,13 @@ use odp_hash::fnv::FnvHashMap;
 use odp_model::{CodePtr, SourceLoc};
 use serde::Serialize;
 
-/// A line-table entry: `[addr, next.addr)` maps to `line` of `file`.
-#[derive(Clone, Debug, Serialize)]
-struct LineEntry {
-    addr: u64,
-    file_ix: u32,
-    func_ix: u32,
-    line: u32,
-}
-
 /// Debug information for the monitored program.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct DebugInfo {
     files: Vec<String>,
     functions: Vec<String>,
-    /// Sorted by address (a DWARF line program, flattened).
-    entries: Vec<LineEntry>,
-    /// Exact-pointer overrides (highest precedence).
+    /// Code pointer → `(file, function, line)` indices.
     exact: FnvHashMap<u64, (u32, u32, u32)>,
-    sorted: bool,
 }
 
 impl DebugInfo {
@@ -70,60 +57,22 @@ impl DebugInfo {
         self.exact.insert(codeptr.0, (f, fun, line));
     }
 
-    /// Register a line-table range entry starting at `addr`.
-    #[cfg(test)]
-    pub(crate) fn register_range(&mut self, addr: u64, file: &str, line: u32, function: &str) {
-        let f = self.intern_file(file);
-        let fun = self.intern_func(function);
-        self.entries.push(LineEntry {
-            addr,
-            file_ix: f,
-            func_ix: fun,
-            line,
-        });
-        self.sorted = false;
-    }
-
-    /// Finish construction: sort the line table (idempotent; `resolve`
-    /// calls it implicitly through `resolved` views being pre-sorted).
-    #[cfg(test)]
-    pub(crate) fn seal(&mut self) {
-        self.entries.sort_by_key(|e| e.addr);
-        self.sorted = true;
-    }
-
     /// Resolve a code pointer to a source location.
     pub(crate) fn resolve(&self, codeptr: CodePtr) -> Option<SourceLoc> {
         if codeptr.is_null() {
             return None;
         }
-        if let Some(&(f, fun, line)) = self.exact.get(&codeptr.0) {
-            return Some(SourceLoc::new(
-                self.files[f as usize].clone(),
-                line,
-                self.functions[fun as usize].clone(),
-            ));
-        }
-        if !self.sorted || self.entries.is_empty() {
-            return None;
-        }
-        // Greatest entry with addr <= codeptr — the `.debug_line` row.
-        let ix = match self.entries.binary_search_by_key(&codeptr.0, |e| e.addr) {
-            Ok(ix) => ix,
-            Err(0) => return None,
-            Err(ins) => ins - 1,
-        };
-        let e = &self.entries[ix];
+        let &(f, fun, line) = self.exact.get(&codeptr.0)?;
         Some(SourceLoc::new(
-            self.files[e.file_ix as usize].clone(),
-            e.line,
-            self.functions[e.func_ix as usize].clone(),
+            self.files[f as usize].clone(),
+            line,
+            self.functions[fun as usize].clone(),
         ))
     }
 
-    /// Number of registered locations (exact + ranged).
+    /// Number of registered locations.
     pub(crate) fn len(&self) -> usize {
-        self.exact.len() + self.entries.len()
+        self.exact.len()
     }
 
     /// No registrations?
@@ -180,30 +129,6 @@ mod tests {
         let mut d = DebugInfo::new();
         d.register(CodePtr(0x1), "x.c", 1, "f");
         assert!(d.resolve(CodePtr::NULL).is_none());
-    }
-
-    #[test]
-    fn range_resolution_binary_search() {
-        let mut d = DebugInfo::new();
-        d.register_range(0x1000, "a.c", 10, "f");
-        d.register_range(0x1100, "a.c", 20, "g");
-        d.register_range(0x1200, "b.c", 5, "h");
-        d.seal();
-        assert_eq!(d.resolve(CodePtr(0x1000)).unwrap().line, 10);
-        assert_eq!(d.resolve(CodePtr(0x10ff)).unwrap().line, 10);
-        assert_eq!(d.resolve(CodePtr(0x1100)).unwrap().line, 20);
-        assert_eq!(d.resolve(CodePtr(0x1250)).unwrap().file, "b.c");
-        assert!(d.resolve(CodePtr(0xfff)).is_none(), "below first entry");
-    }
-
-    #[test]
-    fn exact_beats_range() {
-        let mut d = DebugInfo::new();
-        d.register_range(0x1000, "a.c", 10, "f");
-        d.register(CodePtr(0x1050), "a.c", 15, "f_inlined");
-        d.seal();
-        assert_eq!(d.resolve(CodePtr(0x1050)).unwrap().line, 15);
-        assert_eq!(d.resolve(CodePtr(0x1040)).unwrap().line, 10);
     }
 
     #[test]
