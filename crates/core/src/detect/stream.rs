@@ -64,8 +64,9 @@
 //! is reused. What grows with the trace is the duplicate table (one
 //! entry per distinct content a device received) and one count per
 //! allocation site; the pairings grow with the allocations alive at
-//! once. [`StreamingEngine::retained_bytes`] says how much each
-//! structure holds.
+//! once and those still waiting for their device's next kernel.
+//! [`StreamingEngine::retained_bytes`] says how much each structure
+//! holds.
 //!
 //! # Release in chunks
 //!
@@ -439,6 +440,8 @@ struct DupEntry {
     count: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<DupEntry>() == 24);
+
 impl DupEntry {
     fn key(&self) -> RxKey {
         RxKey {
@@ -527,6 +530,12 @@ impl<const MIX_MASK: u64> DuplicateTable<MIX_MASK> {
 
     /// Double the slots and re-slot every entry by its mix.
     fn grow(&mut self) {
+        // At most half full, so a `u32` index below `EMPTY` names every
+        // entry of a table with up to 2^32 slots.
+        assert!(
+            self.slots.len() <= 1 << 31,
+            "duplicate table outgrew its u32 slots"
+        );
         let mut slots = vec![Self::EMPTY; self.slots.len() * 2].into_boxed_slice();
         for (ix, e) in self.entries.iter().enumerate() {
             slots[Self::vacant(&slots, Self::mix(e.key()))] = ix as u32;
