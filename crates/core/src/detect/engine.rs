@@ -86,11 +86,11 @@ impl OutOfRangeEvents {
 /// the groups of the working set's `rx` ([`group_by`] output: one flat
 /// member vector for every queue instead of a `Vec` per key). Shared by
 /// Algorithms 1 (whole queue = duplicate group) and 2 (FIFO of pending
-/// receptions).
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct RxSlot {
-    hash: HashVal,
-    dest: DeviceId,
+/// receptions), and the key of the streaming engine's duplicate table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RxSlot {
+    pub(crate) hash: HashVal,
+    pub(crate) dest: DeviceId,
 }
 
 /// The avalanche finalizer behind every key mix in this module: every
@@ -109,7 +109,7 @@ fn avalanche(mut x: u64) -> u64 {
 /// Algorithm 2 compute it once per transfer and use it for both the
 /// Bloom filter bit and the [`OpenIndex`] probe position — indexing a
 /// key costs no second hash. The streaming engine's duplicate table
-/// slots its keys by it too.
+/// probes its index by it too.
 #[inline]
 pub(crate) fn rx_key_mix(hash: HashVal, dev: DeviceId) -> u64 {
     avalanche(
@@ -119,27 +119,42 @@ pub(crate) fn rx_key_mix(hash: HashVal, dev: DeviceId) -> u64 {
 }
 
 /// Open-addressed key → `u32` record-index table: linear probing over a
-/// power-of-two table sized to ≤50% load for the caller's key count (so
-/// it never grows), [`OpenIndex::EMPTY`] = vacant, tombstone-free (keys
-/// are never removed). Keys live in the caller's own records — the
-/// groups' key vectors, the pairing table — so the table
-/// stores only the 4-byte index and a probe touches one dense array;
-/// `is_key(ix)` tells the probe whether record `ix` holds the key being
-/// looked up.
-struct OpenIndex {
+/// power-of-two table, [`OpenIndex::EMPTY`] = vacant, tombstone-free
+/// (keys are never removed). The fused sweep sizes each index to ≤50%
+/// load for its key count, so there it never grows; the streaming
+/// engine's duplicate table, whose keys arrive one at a time, keeps it
+/// at most half full with [`OpenIndex::grow`]. Keys live in the
+/// caller's own records — the groups' key vectors, the pairing table,
+/// the duplicate entries — so the table stores only the 4-byte index
+/// and a probe touches one dense array; `is_key(ix)` tells the probe
+/// whether record `ix` holds the key being looked up.
+#[derive(Debug)]
+pub(crate) struct OpenIndex {
     mask: usize,
     slots: Box<[u32]>,
 }
 
-impl OpenIndex {
-    const EMPTY: u32 = u32::MAX;
+/// The smallest index: 16 vacant slots.
+impl Default for OpenIndex {
+    fn default() -> Self {
+        OpenIndex::with_capacity(0)
+    }
+}
 
-    fn with_capacity(keys: usize) -> OpenIndex {
+impl OpenIndex {
+    pub(crate) const EMPTY: u32 = u32::MAX;
+
+    pub(crate) fn with_capacity(keys: usize) -> OpenIndex {
         let cap = (keys * 2).next_power_of_two().max(16);
         OpenIndex {
             mask: cap - 1,
             slots: vec![Self::EMPTY; cap].into_boxed_slice(),
         }
+    }
+
+    /// How many slots the table has.
+    pub(crate) fn slots(&self) -> usize {
+        self.slots.len()
     }
 
     /// Where probing for a key stops: at the slot holding the index of
@@ -155,13 +170,32 @@ impl OpenIndex {
 
     /// The table slot for a key, for the caller to read or fill.
     #[inline]
-    fn slot_mut(&mut self, mix: u64, is_key: impl Fn(u32) -> bool) -> &mut u32 {
+    pub(crate) fn slot_mut(&mut self, mix: u64, is_key: impl Fn(u32) -> bool) -> &mut u32 {
         &mut self.slots[self.probe(mix, is_key)]
     }
 
     #[inline]
     fn get(&self, mix: u64, is_key: impl Fn(u32) -> bool) -> Option<u32> {
         Some(self.slots[self.probe(mix, is_key)]).filter(|&s| s != Self::EMPTY)
+    }
+
+    /// Double the slots and re-slot records `0, 1, …` by the probe
+    /// positions of their keys, which `mixes` lists in record order
+    /// (reading the records in order, not in slot order, keeps the
+    /// reads sequential). Every record must be indexed; the records
+    /// stay where they are.
+    pub(crate) fn grow(&mut self, mixes: impl Iterator<Item = u64>) {
+        // At most half full, so a `u32` index below `EMPTY` names every
+        // record of a table with up to 2^32 slots.
+        assert!(
+            self.slots.len() <= 1 << 31,
+            "open index outgrew its u32 slots"
+        );
+        // Room at ≤50% load for as many keys as there are slots now.
+        *self = OpenIndex::with_capacity(self.slots.len());
+        for (ix, mix) in mixes.enumerate() {
+            *self.slot_mut(mix, |_| false) = ix as u32;
+        }
     }
 }
 
@@ -898,6 +932,7 @@ pub(crate) fn detect(view: &EventView<'_>) -> Findings {
 mod tests {
     use super::*;
     use crate::detect::testutil::EventFactory;
+    use std::collections::BTreeMap;
 
     #[test]
     fn fused_matches_standalone_on_mixed_trace() {
@@ -956,6 +991,46 @@ mod tests {
         let (empty, group_of, _) = group_by(0, key, mix, |i| i as u32, 1);
         assert!(empty.keys.is_empty() && empty.members.is_empty());
         assert!(group_of.is_empty());
+    }
+
+    #[test]
+    fn open_index_matches_an_oracle_through_colliding_growths() {
+        // Every key's probe starts in one of 8 slots, so the keys pile
+        // up in long runs that each growth has to re-slot.
+        let mix = |key: u64| avalanche(key) & 0b111;
+        let mut index = OpenIndex::with_capacity(0);
+        let mut records: Vec<u64> = Vec::new();
+        let mut oracle: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut growths = 0;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..1_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = x % 400;
+            let slot = index.slot_mut(mix(key), |ix| records[ix as usize] == key);
+            if *slot == OpenIndex::EMPTY {
+                *slot = records.len() as u32;
+                records.push(key);
+            }
+            let got = *slot;
+            if records.len() * 2 > index.slots() {
+                index.grow(records.iter().map(|&key| mix(key)));
+                growths += 1;
+            }
+            let first_seen = oracle.len() as u32;
+            assert_eq!(got, *oracle.entry(key).or_insert(first_seen), "key {key}");
+        }
+        assert!(growths >= 3, "only {growths} growths");
+        let found: BTreeMap<u64, u32> = oracle
+            .keys()
+            .map(|&key| {
+                let ix = index.get(mix(key), |ix| records[ix as usize] == key);
+                (key, ix.expect("every key is found again"))
+            })
+            .collect();
+        assert_eq!(found, oracle);
+        assert_eq!(index.get(mix(400), |ix| records[ix as usize] == 400), None);
     }
 
     #[test]

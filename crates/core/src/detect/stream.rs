@@ -58,7 +58,9 @@
 //! the engine never clones an event after the reorder buffer releases
 //! it, and it keeps no history for a report: Algorithm 1 keeps one
 //! 24-byte `(hash, dest) → (first, count)` entry per distinct reception
-//! key, an allocation site keeps a count, and decided Algorithm 4/5
+//! key, found through the fused sweep's own key (`RxSlot`), mix and
+//! open-addressed index (`OpenIndex`, which doubles as keys arrive), an
+//! allocation site keeps a count, and decided Algorithm 4/5
 //! verdicts are emitted and forgotten. A pairing lives only while its
 //! allocation is open or Algorithm 4 has yet to decide it; then its slot
 //! is reused. What grows with the trace is the duplicate table (one
@@ -78,7 +80,7 @@
 //! (the fused sweep's `group_by` does the same). Each duplicate finding
 //! is still emitted at its event's place in the stream.
 
-use crate::detect::engine::{self, EventView, OutOfRangeEvents};
+use crate::detect::engine::{self, rx_key_mix, EventView, OpenIndex, OutOfRangeEvents, RxSlot};
 use crate::detect::reorder::{RunMergeBuffer, SortKey};
 use crate::detect::{
     charges, Confidence, Evidence, FindingKind, Findings, IssueCounts, RoundTrip, RoundTripGroup,
@@ -412,21 +414,13 @@ fn buf_bytes<T>(capacity: usize) -> usize {
 /// Algorithm 1's table for all of their hashed transfers at once.
 const RELEASE_CHUNK: usize = 256;
 
-/// Algorithm 1's key: a reception of content `hash` by device `dest`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct RxKey {
-    hash: HashVal,
-    dest: DeviceId,
-}
-
-impl RxKey {
-    /// The key of a hashed transfer; `None` for any other operation.
-    fn of(e: &DataOpEvent) -> Option<RxKey> {
-        e.hash.filter(|_| e.is_transfer()).map(|hash| RxKey {
-            hash,
-            dest: e.dest_device,
-        })
-    }
+/// Algorithm 1's key of a hashed transfer: content `hash` received by
+/// device `dest`; `None` for any other operation.
+fn reception_key(e: &DataOpEvent) -> Option<RxSlot> {
+    e.hash.filter(|_| e.is_transfer()).map(|hash| RxSlot {
+        hash,
+        dest: e.dest_device,
+    })
 }
 
 /// One reception key's first delivery and reception count. The key's
@@ -443,8 +437,8 @@ struct DupEntry {
 const _: () = assert!(std::mem::size_of::<DupEntry>() == 24);
 
 impl DupEntry {
-    fn key(&self) -> RxKey {
-        RxKey {
+    fn key(&self) -> RxSlot {
+        RxSlot {
             hash: self.hash,
             dest: self.dest,
         }
@@ -452,99 +446,50 @@ impl DupEntry {
 }
 
 /// Algorithm 1's table, `(hash, dest) → (first, count)`: the entries in
-/// first-reception order, and an open-addressed slot array of entry
-/// indices (linear probing from the key's [`engine::rx_key_mix`], at
-/// most half full, [`DuplicateTable::EMPTY`] = vacant). Keys are never
-/// removed, so there are no tombstones. Growth doubles the slot array
-/// and re-slots each entry by its mix; the entries stay where they are.
-/// `MIX_MASK` narrows the mix so that tests can force keys to collide;
-/// it keeps every bit otherwise.
-#[derive(Debug)]
-struct DuplicateTable<const MIX_MASK: u64 = { u64::MAX }> {
-    slots: Box<[u32]>,
+/// first-reception order behind the fused sweep's [`OpenIndex`] of
+/// entry indices, probed by the key's [`rx_key_mix`]. A new key that
+/// fills the index past half grows it; the entries stay where they are.
+#[derive(Debug, Default)]
+struct DuplicateTable {
+    index: OpenIndex,
     entries: Vec<DupEntry>,
 }
 
-impl<const MIX_MASK: u64> Default for DuplicateTable<MIX_MASK> {
-    fn default() -> Self {
-        DuplicateTable {
-            slots: vec![Self::EMPTY; 16].into_boxed_slice(),
-            entries: Vec::new(),
-        }
-    }
-}
-
-impl<const MIX_MASK: u64> DuplicateTable<MIX_MASK> {
-    const EMPTY: u32 = u32::MAX;
-
-    #[inline]
-    fn mix(key: RxKey) -> usize {
-        (engine::rx_key_mix(key.hash, key.dest) & MIX_MASK) as usize
-    }
-
-    /// The first vacant slot of `slots` probing from `mix`.
-    #[inline]
-    fn vacant(slots: &[u32], mix: usize) -> usize {
-        let mask = slots.len() - 1;
-        let mut i = mix & mask;
-        while slots[i] != Self::EMPTY {
-            i = (i + 1) & mask;
-        }
-        i
-    }
-
+impl DuplicateTable {
     /// Count one reception of `key` by event `seq`: its first reception
     /// and this reception's 1-based occurrence number.
     #[inline]
-    fn record(&mut self, key: RxKey, seq: Seq) -> (Seq, u32) {
-        let mix = Self::mix(key);
-        let mask = self.slots.len() - 1;
-        let mut i = mix & mask;
-        while self.slots[i] != Self::EMPTY {
-            let e = &mut self.entries[self.slots[i] as usize];
-            if e.key() == key {
-                e.count += 1;
-                return (e.first, e.count);
-            }
-            i = (i + 1) & mask;
+    fn record(&mut self, key: RxSlot, seq: Seq) -> (Seq, u32) {
+        let entries = &mut self.entries;
+        let slot = self.index.slot_mut(rx_key_mix(key.hash, key.dest), |ix| {
+            entries[ix as usize].key() == key
+        });
+        if *slot != OpenIndex::EMPTY {
+            let e = &mut entries[*slot as usize];
+            e.count += 1;
+            return (e.first, e.count);
         }
-        // A new key: keep the slots at most half full.
-        if (self.entries.len() + 1) * 2 > self.slots.len() {
-            self.grow();
-            i = Self::vacant(&self.slots, mix);
-        }
-        self.slots[i] = self.entries.len() as u32;
-        if self.entries.len() == self.entries.capacity() {
+        *slot = entries.len() as u32;
+        if entries.len() == entries.capacity() {
             // Grow by half, not double: the entries are most of the
             // table's bytes.
-            self.entries.reserve_exact((self.entries.len() / 2).max(16));
+            entries.reserve_exact((entries.len() / 2).max(16));
         }
-        self.entries.push(DupEntry {
+        entries.push(DupEntry {
             hash: key.hash,
             first: seq,
             dest: key.dest,
             count: 1,
         });
+        if entries.len() * 2 > self.index.slots() {
+            self.index
+                .grow(entries.iter().map(|e| rx_key_mix(e.hash, e.dest)));
+        }
         (seq, 1)
     }
 
-    /// Double the slots and re-slot every entry by its mix.
-    fn grow(&mut self) {
-        // At most half full, so a `u32` index below `EMPTY` names every
-        // entry of a table with up to 2^32 slots.
-        assert!(
-            self.slots.len() <= 1 << 31,
-            "duplicate table outgrew its u32 slots"
-        );
-        let mut slots = vec![Self::EMPTY; self.slots.len() * 2].into_boxed_slice();
-        for (ix, e) in self.entries.iter().enumerate() {
-            slots[Self::vacant(&slots, Self::mix(e.key()))] = ix as u32;
-        }
-        self.slots = slots;
-    }
-
     fn heap_bytes(&self) -> usize {
-        buf_bytes::<u32>(self.slots.len()) + buf_bytes::<DupEntry>(self.entries.capacity())
+        buf_bytes::<u32>(self.index.slots()) + buf_bytes::<DupEntry>(self.entries.capacity())
     }
 }
 
@@ -740,7 +685,7 @@ impl StreamingEngine {
             // in-order pass would have seen.
             for entry in &chunk {
                 if let StreamEvent::Op(e) = entry {
-                    if let Some(key) = RxKey::of(e) {
+                    if let Some(key) = reception_key(e) {
                         receptions.push(self.duplicates.record(key, e.id.0));
                     }
                 }
@@ -749,7 +694,7 @@ impl StreamingEngine {
             for entry in chunk.drain(..) {
                 match entry {
                     StreamEvent::Op(e) => {
-                        let reception = RxKey::of(&e).and_then(|_| received.next());
+                        let reception = reception_key(&e).and_then(|_| received.next());
                         self.ingest_op(&e, reception);
                     }
                     StreamEvent::Kernel(k) => self.ingest_kernel(&k),
@@ -1498,9 +1443,9 @@ mod tests {
 
     #[test]
     fn duplicate_table_matches_an_oracle_through_colliding_growths() {
-        // Every key's probe starts in one of 8 slots, so the keys pile
-        // up in long runs that each growth has to re-slot.
-        let mut table = DuplicateTable::<0b111>::default();
+        // 2 000 receptions of up to 900 distinct keys: the index keeps
+        // growing from its 16 slots, re-slotting every entry each time.
+        let mut table = DuplicateTable::default();
         let mut oracle: BTreeMap<(u64, i32), (Seq, u32)> = BTreeMap::new();
         let mut growths = 0;
         let mut x = 0x2545_F491_4F6C_DD1Du64;
@@ -1508,13 +1453,13 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let key = RxKey {
+            let key = RxSlot {
                 hash: HashVal(x % 300),
                 dest: DeviceId::target((x >> 32) as u32 % 3),
             };
-            let slots = table.slots.len();
+            let slots = table.index.slots();
             let got = table.record(key, seq);
-            growths += usize::from(table.slots.len() != slots);
+            growths += usize::from(table.index.slots() != slots);
             let want = oracle.entry((key.hash.0, key.dest.0)).or_insert((seq, 0));
             want.1 += 1;
             assert_eq!(got, *want, "reception {seq} of {key:?}");
