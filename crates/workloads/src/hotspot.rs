@@ -47,18 +47,14 @@ fn params(size: ProblemSize) -> Params {
 }
 
 fn syn_plan(size: ProblemSize) -> InjectionPlan {
-    let medium = InjectionPlan {
+    InjectionPlan {
         dd: 10,
         rt: 4,
         ra: 10,
         ua: 0,
         ut: 0,
-    };
-    match size {
-        ProblemSize::Small => medium.scaled(1, 2),
-        ProblemSize::Medium => medium,
-        ProblemSize::Large => medium.scaled(2, 1),
     }
+    .at_size(size, 2)
 }
 
 impl Workload for Hotspot {

@@ -11,6 +11,7 @@
 //! programs, where fixing an issue removes the redundant data management
 //! but keeps the computation.
 
+use crate::ProblemSize;
 use odp_model::MapType;
 use odp_sim::{map, Kernel, KernelCost, Runtime};
 use ompdataperf::attrib::SourceFile;
@@ -227,14 +228,17 @@ pub(crate) struct InjectionPlan {
 }
 
 impl InjectionPlan {
-    /// Scale the Medium-size plan to another problem size the way the
-    /// paper's injections scale with the program's key-kernel count.
-    pub(crate) fn scaled(self, factor_num: usize, factor_den: usize) -> InjectionPlan {
-        let s = |v: usize| {
-            (v * factor_num)
-                .div_ceil(factor_den)
-                .max(usize::from(v > 0))
+    /// This Medium-size plan at `size`, scaled the way the paper's
+    /// injections scale with the program's key-kernel count: Small
+    /// divides every count by `small_divisor`, Large doubles it. A
+    /// count rounds up, so one that is not zero stays so.
+    pub(crate) fn at_size(self, size: ProblemSize, small_divisor: usize) -> InjectionPlan {
+        let (num, den) = match size {
+            ProblemSize::Small => (1, small_divisor),
+            ProblemSize::Medium => (1, 1),
+            ProblemSize::Large => (2, 1),
         };
+        let s = |v: usize| (v * num).div_ceil(den).max(usize::from(v > 0));
         InjectionPlan {
             dd: s(self.dd),
             rt: s(self.rt),
@@ -386,13 +390,15 @@ mod tests {
             ua: 1,
             ut: 3,
         };
-        let s = m.scaled(1, 2);
+        let s = m.at_size(ProblemSize::Small, 2);
         assert_eq!(s.dd, 5);
         assert_eq!(s.rt, 2);
         assert_eq!(s.ra, 0, "zero stays zero");
         assert_eq!(s.ua, 1);
         assert_eq!(s.ut, 2);
-        let l = m.scaled(2, 1);
+        assert_eq!(m.at_size(ProblemSize::Small, 4).dd, 3);
+        assert_eq!(m.at_size(ProblemSize::Medium, 2).rt, 4);
+        let l = m.at_size(ProblemSize::Large, 2);
         assert_eq!(l.dd, 20);
     }
 }

@@ -31,18 +31,14 @@ fn params(size: ProblemSize) -> Params {
 }
 
 fn syn_plan(size: ProblemSize) -> InjectionPlan {
-    let medium = InjectionPlan {
+    InjectionPlan {
         dd: 1737,
         rt: 1243,
         ra: 747,
         ua: 250,
         ut: 252,
-    };
-    match size {
-        ProblemSize::Small => medium.scaled(1, 4),
-        ProblemSize::Medium => medium,
-        ProblemSize::Large => medium.scaled(2, 1),
     }
+    .at_size(size, 4)
 }
 
 impl Workload for Lud {

@@ -45,18 +45,14 @@ fn params(size: ProblemSize) -> Params {
 }
 
 fn syn_plan(size: ProblemSize) -> InjectionPlan {
-    let medium = InjectionPlan {
+    InjectionPlan {
         dd: 72,
         rt: 64,
         ra: 57,
         ua: 57,
         ut: 76,
-    };
-    match size {
-        ProblemSize::Small => medium.scaled(1, 2),
-        ProblemSize::Medium => medium,
-        ProblemSize::Large => medium.scaled(2, 1),
     }
+    .at_size(size, 2)
 }
 
 impl Workload for MiniFmm {

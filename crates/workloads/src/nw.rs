@@ -22,18 +22,14 @@ fn dim(size: ProblemSize) -> usize {
 }
 
 fn syn_plan(size: ProblemSize) -> InjectionPlan {
-    let medium = InjectionPlan {
+    InjectionPlan {
         dd: 8,
         rt: 0,
         ra: 4,
         ua: 1,
         ut: 3,
-    };
-    match size {
-        ProblemSize::Small => medium.scaled(1, 2),
-        ProblemSize::Medium => medium,
-        ProblemSize::Large => medium.scaled(2, 1),
     }
+    .at_size(size, 2)
 }
 
 impl Workload for Nw {

@@ -57,18 +57,14 @@ fn params(size: ProblemSize) -> Params {
 fn syn_plan(size: ProblemSize) -> InjectionPlan {
     // (syn) deltas over the original counts: DD 17408-4720 = 12688,
     // RT 25614-11 = 25603, UT 1.
-    let medium = InjectionPlan {
+    InjectionPlan {
         dd: 12_688,
         rt: 25_603,
         ra: 0,
         ua: 0,
         ut: 1,
-    };
-    match size {
-        ProblemSize::Small => medium.scaled(1, 4),
-        ProblemSize::Medium => medium,
-        ProblemSize::Large => medium.scaled(2, 1),
     }
+    .at_size(size, 4)
 }
 
 impl Workload for TeaLeaf {

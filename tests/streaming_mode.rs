@@ -16,6 +16,7 @@ use ompdataperf::tool::{OmpDataPerfTool, ToolConfig};
 
 fn streamed_run(
     name: &str,
+    variant: Variant,
     pre_emi: bool,
 ) -> (odp_trace::TraceLog, ompdataperf::detect::StreamingEngine) {
     let w = odp_workloads::by_name(name).unwrap();
@@ -30,7 +31,7 @@ fn streamed_run(
         ..Default::default()
     });
     rt.attach_tool(Box::new(tool));
-    w.run(&mut rt, ProblemSize::Small, Variant::Original);
+    w.run(&mut rt, ProblemSize::Small, variant);
     rt.finish();
     let trace = handle.take_trace();
     let engine = handle.take_stream_engine().expect("streaming was enabled");
@@ -39,17 +40,24 @@ fn streamed_run(
 
 #[test]
 fn streaming_matches_postmortem_on_every_workload() {
+    // The synthetic variants' injected duplicate groups are the densest
+    // Algorithm 1 input among the shipped programs.
     for w in odp_workloads::all() {
-        let (trace, mut engine) = streamed_run(w.name(), false);
-        let view = EventView::from_log(&trace);
-        let report = engine.finalize(&view);
-        assert_eq!(
-            engine.live_counts(),
-            report.counts(),
-            "live counts diverged on {}",
-            w.name()
-        );
-        assert_live_matches(engine.take_findings(), &report, w.name());
+        for variant in [Variant::Original, Variant::Synthetic] {
+            if !w.supports(variant) {
+                continue;
+            }
+            let (trace, mut engine) = streamed_run(w.name(), variant, false);
+            let view = EventView::from_log(&trace);
+            let report = engine.finalize(&view);
+            let label = format!("{} ({variant:?})", w.name());
+            assert_eq!(
+                engine.live_counts(),
+                report.counts(),
+                "live counts diverged on {label}"
+            );
+            assert_live_matches(engine.take_findings(), &report, &label);
+        }
     }
 }
 
@@ -57,7 +65,7 @@ fn streaming_matches_postmortem_on_every_workload() {
 fn streaming_emits_findings_for_known_antipatterns() {
     // bfs's per-iteration remapping is the paper's flagship anti-pattern:
     // the engine must surface findings live, not only at finalize.
-    let (_trace, mut engine) = streamed_run("bfs", false);
+    let (_trace, mut engine) = streamed_run("bfs", Variant::Original, false);
     let live = engine.take_findings();
     assert!(
         !live.is_empty(),
@@ -74,7 +82,7 @@ fn streaming_emits_findings_for_known_antipatterns() {
 fn streaming_works_on_degraded_runtimes() {
     // Pre-EMI: begin-only callbacks, zero-duration spans, watermark
     // always current — the reorder buffer passes straight through.
-    let (trace, mut engine) = streamed_run("hotspot", true);
+    let (trace, mut engine) = streamed_run("hotspot", Variant::Original, true);
     assert_eq!(engine.buffer_stats().buffered_now, 0);
     let view = EventView::from_log(&trace);
     let report = engine.finalize(&view);
@@ -87,7 +95,7 @@ fn streaming_reorder_buffer_stays_small() {
     // simulated runtime is small regardless of how many events a
     // workload emits.
     for name in ["bfs", "xsbench", "minife"] {
-        let (trace, engine) = streamed_run(name, false);
+        let (trace, engine) = streamed_run(name, Variant::Original, false);
         let stats = engine.buffer_stats();
         assert!(
             stats.buffered_peak <= 64,
