@@ -241,7 +241,8 @@ impl FleetIngest {
 
 /// Deterministically merge one run's submissions and run the fused
 /// engine over the combined trace: decode, order, merge, detect — each
-/// submitted byte is read once and no column is copied before the merge.
+/// submitted byte is read once and no data-op column is copied before
+/// the merge.
 fn compact_run(run_id: &str, submissions: &[Vec<u8>]) -> RunReport {
     let mut health = TraceHealth::default();
     // The run's program name: the least non-empty one any submission
@@ -268,22 +269,10 @@ fn compact_run(run_id: &str, submissions: &[Vec<u8>]) -> RunReport {
 
     // Producers are not trusted to keep (shard, seq) ids unique across
     // submissions: count every id claimed by more than one shard block
-    // (within a block, merge-time accounting already ran on save). With
-    // each block's ids deduplicated, an id claimed by c blocks appears
-    // c times in the sorted pool, i.e. as c - 1 adjacent repeats.
-    let mut claimed: Vec<u64> =
-        Vec::with_capacity(shards.iter().map(|s| s.ops.len() + s.targets.len()).sum());
-    let mut block: Vec<u64> = Vec::new();
-    for s in &shards {
-        block.clear();
-        block.extend(s.ops.ids.iter().chain(&s.targets.ids).map(|id| id.0));
-        block.sort_unstable();
-        block.dedup();
-        claimed.extend_from_slice(&block);
-    }
-    claimed.sort_unstable();
-    let cross_duplicates = claimed.windows(2).filter(|w| w[0] == w[1]).count() as u64;
-    health.duplicate_ids = health.duplicate_ids.saturating_add(cross_duplicates);
+    // (within a block, merge-time accounting already ran on save). Only
+    // blocks whose id ranges chain together are compared id by id; an
+    // honest run's blocks never do, so it pays one pass over its ids.
+    health.duplicate_ids = health.duplicate_ids.saturating_add(shared_ids(&shards));
 
     let cols = TraceArtifact {
         shards,
@@ -299,6 +288,60 @@ fn compact_run(run_id: &str, submissions: &[Vec<u8>]) -> RunReport {
         counts: findings.counts(),
         findings: site_findings(&findings),
     }
+}
+
+/// How many times an id is claimed again by another shard block: an id
+/// in c blocks counts c - 1 times.
+///
+/// Two blocks can share an id only when their `[min, max]` id ranges
+/// intersect, and an honest run's blocks never do (ids carry the shard
+/// in their high half). So one pass takes each block's range, a sweep
+/// over the ranges sorted by `min` chains intersecting ones into
+/// groups, and only a group of two or more blocks pools its ids: each
+/// block's ids deduplicated, the pool sorted, repeats counted. The
+/// ranges come from the ids themselves, never from the declared shard,
+/// so a hostile id is counted wherever it lands.
+fn shared_ids(shards: &[ShardColumns]) -> u64 {
+    fn ids(s: &ShardColumns) -> impl Iterator<Item = u64> + '_ {
+        s.ops.ids.iter().chain(&s.targets.ids).map(|id| id.0)
+    }
+    let mut ranges: Vec<(u64, u64, usize)> = shards
+        .iter()
+        .enumerate()
+        .filter_map(|(b, s)| {
+            let (lo, hi) = ids(s).fold((u64::MAX, 0), |(lo, hi), id| (lo.min(id), hi.max(id)));
+            (lo <= hi).then_some((lo, hi, b))
+        })
+        .collect();
+    ranges.sort_unstable();
+    let mut shared = 0;
+    let mut pool: Vec<u64> = Vec::new();
+    let mut block: Vec<u64> = Vec::new();
+    let mut group = 0;
+    while group < ranges.len() {
+        // The group runs on while the next range starts at or below the
+        // highest id any range in it reaches.
+        let mut reach = ranges[group].1;
+        let mut end = group + 1;
+        while end < ranges.len() && ranges[end].0 <= reach {
+            reach = reach.max(ranges[end].1);
+            end += 1;
+        }
+        if end - group > 1 {
+            pool.clear();
+            for &(_, _, b) in &ranges[group..end] {
+                block.clear();
+                block.extend(ids(&shards[b]));
+                block.sort_unstable();
+                block.dedup();
+                pool.extend_from_slice(&block);
+            }
+            pool.sort_unstable();
+            shared += pool.windows(2).filter(|w| w[0] == w[1]).count() as u64;
+        }
+        group = end;
+    }
+    shared
 }
 
 /// Aggregate per-run site findings into the fleet rollup.
@@ -587,6 +630,151 @@ mod tests {
             "every id claimed twice: 2 ops + 2 kernels"
         );
         assert!(run.health.warning().is_some());
+    }
+
+    /// The oracle `shared_ids` must equal: every block's deduplicated
+    /// ids in one sorted pool, each repeat one extra claim.
+    fn pooled_ids(shards: &[ShardColumns]) -> u64 {
+        let mut pool: Vec<u64> = Vec::new();
+        for s in shards {
+            let mut block: Vec<u64> = s
+                .ops
+                .ids
+                .iter()
+                .chain(&s.targets.ids)
+                .map(|id| id.0)
+                .collect();
+            block.sort_unstable();
+            block.dedup();
+            pool.extend(block);
+        }
+        pool.sort_unstable();
+        pool.windows(2).filter(|w| w[0] == w[1]).count() as u64
+    }
+
+    /// A block declaring `shard` whose op and target columns hold these
+    /// ids; only the id columns matter to the count.
+    fn block(shard: u32, ops: &[u64], targets: &[u64]) -> ShardColumns {
+        use odp_model::EventId;
+        let mut b = ShardColumns {
+            shard,
+            ..ShardColumns::default()
+        };
+        b.ops.ids = ops.iter().map(|&id| EventId(id)).collect();
+        b.targets.ids = targets.iter().map(|&id| EventId(id)).collect();
+        b
+    }
+
+    /// Id `seq` of shard `shard`, as producers build them.
+    fn id(shard: u64, seq: u64) -> u64 {
+        shard << 32 | seq
+    }
+
+    #[test]
+    fn the_range_count_equals_the_pooled_count() {
+        let cases: Vec<(&str, Vec<ShardColumns>, u64)> = vec![
+            (
+                "disjoint ranges",
+                (0..4)
+                    .map(|s| block(s, &[id(s.into(), 0), id(s.into(), 7)], &[id(s.into(), 3)]))
+                    .collect(),
+                0,
+            ),
+            (
+                "one range nested in another, no shared id",
+                vec![block(0, &[0, 100], &[]), block(1, &[10, 20], &[30])],
+                0,
+            ),
+            (
+                // B nests in A and ends before C starts: only A's reach
+                // puts C in the group.
+                "a nested range, and a shared id past its end",
+                vec![
+                    block(0, &[0, 55, 100], &[]),
+                    block(1, &[10, 20], &[]),
+                    block(2, &[50, 55, 60], &[]),
+                ],
+                1,
+            ),
+            (
+                "identical duplicate blocks",
+                vec![block(0, &[1, 2, 3], &[4, 5]); 3],
+                10,
+            ),
+            (
+                "a chain: A meets B and B meets C, A does not meet C",
+                vec![
+                    block(0, &[0, 9, 10], &[]),
+                    block(1, &[8, 9], &[19, 20]),
+                    block(2, &[18, 19, 30], &[]),
+                ],
+                2,
+            ),
+            (
+                "empty blocks",
+                vec![
+                    block(0, &[], &[]),
+                    block(1, &[1, 2], &[]),
+                    block(2, &[], &[]),
+                    block(3, &[], &[2]),
+                ],
+                1,
+            ),
+            (
+                "a block carrying another shard's high half",
+                vec![
+                    block(0, &[id(0, 0), id(0, 1), id(0, 2)], &[]),
+                    block(1, &[id(1, 0), id(0, 1)], &[id(1, 1)]),
+                    block(2, &[id(2, 0)], &[id(2, 1), id(0, 2)]),
+                ],
+                2,
+            ),
+            (
+                "ops and targets of one block claim the same id",
+                vec![block(0, &[4, 4, 5], &[5]), block(1, &[6], &[])],
+                0,
+            ),
+        ];
+        for (what, shards, expected) in &cases {
+            assert_eq!(pooled_ids(shards), *expected, "oracle: {what}");
+            assert_eq!(shared_ids(shards), *expected, "{what}");
+        }
+
+        // Generated sets: few shards, short seq ranges, some ids under
+        // another shard's high half, some blocks empty or repeated.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..2_000 {
+            let mut shards: Vec<ShardColumns> = Vec::new();
+            for _ in 0..next(7) {
+                if !shards.is_empty() && next(6) == 0 {
+                    let again = shards[next(shards.len() as u64) as usize].clone();
+                    shards.push(again);
+                    continue;
+                }
+                let shard = next(4);
+                // Up to `most - 1` ids, mostly under the block's shard.
+                let mut ids = |most: u64| -> Vec<u64> {
+                    let len = next(most);
+                    (0..len)
+                        .map(|_| {
+                            let high = if next(8) == 0 { next(4) } else { shard };
+                            let base = next(3) * 40;
+                            id(high, base + next(24))
+                        })
+                        .collect()
+                };
+                let (ops, targets) = (ids(12), ids(5));
+                shards.push(block(shard as u32, &ops, &targets));
+            }
+            shards.sort_unstable();
+            assert_eq!(shared_ids(&shards), pooled_ids(&shards), "{shards:?}");
+        }
     }
 
     #[test]

@@ -326,34 +326,52 @@ pub(crate) trait Cursor {
 /// on trust, and at the first row that breaks the order the merge stops
 /// there and returns `false`, `out` and `stats` partial.
 ///
-/// A part keeps the floor while its head stays below the least other
-/// head, so a run costs one scan of the heads and each row one
-/// comparison; the last part standing drains without another scan.
+/// Each live part's head key is cached beside it and written back only
+/// when that part's run ends. A part keeps the floor while its head
+/// stays below the least other head, so a run costs one scan of the
+/// cached heads (which yields the floor and the bound together) and
+/// each row one comparison; the last part standing drains without
+/// another scan.
 pub(crate) fn merge<C: Cursor>(
     mut parts: Vec<C>,
     out: &mut C::Out,
     mut stats: Option<&mut TraceStats>,
 ) -> bool {
-    // Drained parts leave, the rest keep their order: comparing
-    // `(head, index)` sends equal heads to the earlier part, and heads
-    // of different parts never tie.
+    // Drained parts leave, the rest keep their order. Each part's
+    // `(head, index)`, `heads[i]` for `parts[i]`, orders it: equal heads
+    // go to the earlier part, and no two parts tie.
     parts.retain(|p| p.head().is_some());
-    let least = |parts: &[C], skip: usize| {
-        let heads = parts.iter().enumerate().filter(|&(i, _)| i != skip);
-        heads.filter_map(|(i, p)| Some((p.head()?, i))).min()
-    };
-    while let Some((mut head, floor)) = least(&parts, usize::MAX) {
-        let bound = least(&parts, floor);
+    let mut heads: Vec<(Key, usize)> = parts
+        .iter()
+        .enumerate()
+        .filter_map(|(i, p)| Some((p.head()?, i)))
+        .collect();
+    while !heads.is_empty() {
+        // The least head is the floor, the second least the bound.
+        let (mut floor, mut bound) = (0, None);
+        for (at, &key) in heads.iter().enumerate().skip(1) {
+            if key < heads[floor] {
+                bound = Some(heads[floor]);
+                floor = at;
+            } else if bound.is_none_or(|b| key < b) {
+                bound = Some(key);
+            }
+        }
+        let (mut head, index) = heads[floor];
         let part = &mut parts[floor];
         loop {
             part.pop_into(out, stats.as_deref_mut());
             match part.head() {
                 None => {
                     parts.remove(floor);
+                    heads.remove(floor);
                     break;
                 }
                 Some(next) if next < head => return false,
-                Some(next) if bound.is_some_and(|b| (next, floor) > b) => break,
+                Some(next) if bound.is_some_and(|b| (next, index) > b) => {
+                    heads[floor].0 = next;
+                    break;
+                }
                 Some(next) => head = next,
             }
         }
@@ -642,5 +660,110 @@ mod tests {
         assert_eq!((stats.transfers, stats.h2d_transfers), (5, 5));
         assert_eq!(stats.bytes_transferred, 5 * 64);
         assert_eq!(stats.transfer_time.as_nanos(), 5 * 10);
+    }
+
+    /// The order [`merge`] must give: the parts concatenated in order,
+    /// then stably sorted by `(start, id)`.
+    fn concat_sorted(parts: &[&DataOpColumns]) -> DataOpColumns {
+        let mut rows: Vec<DataOpEvent> = parts.iter().flat_map(|p| p.to_events()).collect();
+        rows.sort_by_key(|e| (e.span.start, e.id));
+        DataOpColumns::from_events(&rows)
+    }
+
+    #[test]
+    fn merge_edges_match_the_concat_sort() {
+        let cases: Vec<(&str, Vec<DataOpColumns>)> = vec![
+            (
+                "three parts and more with equal keys across parts",
+                vec![
+                    keyed(0xa0, &[(1, 0), (5, 1), (5, 1), (7, 2)]),
+                    keyed(0xb0, &[(1, 0), (5, 1), (7, 2)]),
+                    keyed(0xc0, &[(1, 0), (5, 1), (5, 1), (9, 3)]),
+                    keyed(0xd0, &[(5, 1), (7, 2)]),
+                ],
+            ),
+            (
+                // Part a drains after its first row, inside b's run of
+                // equal keys, and the parts after it keep their ties.
+                "a part drains in the middle of another part's run",
+                vec![
+                    keyed(0xa0, &[(5, 1)]),
+                    keyed(0xb0, &[(1, 0), (5, 1), (5, 1), (6, 2)]),
+                    keyed(0xc0, &[(2, 0), (5, 1), (6, 2)]),
+                    keyed(0xd0, &[(3, 0), (4, 0)]),
+                ],
+            ),
+            (
+                // a's run reaches b's head exactly: a is earlier, so it
+                // keeps the floor through the tie.
+                "a run ends exactly at the bound, earlier part first",
+                vec![
+                    keyed(0xa0, &[(1, 0), (2, 0), (3, 0), (4, 0)]),
+                    keyed(0xb0, &[(3, 0), (3, 1)]),
+                ],
+            ),
+            (
+                // The same keys with the parts swapped: b stops at the
+                // tie and hands the floor over.
+                "a run ends exactly at the bound, later part first",
+                vec![
+                    keyed(0xb0, &[(3, 0), (3, 1)]),
+                    keyed(0xa0, &[(1, 0), (2, 0), (3, 0), (4, 0)]),
+                ],
+            ),
+            ("one part and empty parts", {
+                let empty = DataOpColumns::default();
+                vec![empty.clone(), keyed(0xa0, &[(1, 0), (1, 0)]), empty]
+            }),
+        ];
+        for (what, parts) in &cases {
+            let parts: Vec<&DataOpColumns> = parts.iter().collect();
+            assert_eq!(merged(&parts), concat_sorted(&parts), "{what}");
+        }
+
+        // Generated: up to five sorted parts over a few keys, so ties
+        // across parts and parts that drain mid-run are common.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..2_000 {
+            let parts: Vec<DataOpColumns> = (0..1 + next(5))
+                .map(|p| {
+                    let mut keys: Vec<(u64, u64)> =
+                        (0..next(7)).map(|_| (next(6), next(3))).collect();
+                    keys.sort_unstable();
+                    keyed(0x100 * (p + 1), &keys)
+                })
+                .collect();
+            let parts: Vec<&DataOpColumns> = parts.iter().collect();
+            assert_eq!(merged(&parts), concat_sorted(&parts), "{parts:?}");
+        }
+    }
+
+    #[test]
+    fn a_trusted_part_that_breaks_mid_run_stops_the_merge() {
+        // The trusted part runs 1, 2, 3 below the other part's head,
+        // then steps back to 2: the merge stops there, with the rows
+        // before the break out in order.
+        let trusted = keyed(0xa0, &[(1, 0), (2, 0), (3, 0), (2, 5), (9, 0)]);
+        let other = keyed(0xb0, &[(0, 1), (8, 1)]);
+        let parts = vec![
+            Columns::new(Cow::Borrowed(&other)),
+            Columns {
+                cols: Cow::Borrowed(&trusted),
+                at: 0,
+            },
+        ];
+        let mut out = DataOpColumns::default();
+        assert!(!merge(parts, &mut out, None));
+        assert_eq!(out.src_addrs, vec![0xb0, 0xa0, 0xa1, 0xa2]);
+        let before_break = keyed(0xa0, &[(1, 0), (2, 0), (3, 0)]);
+        let oracle = concat_sorted(&[&other, &before_break]);
+        let oracle_prefix = oracle.to_events()[..out.len()].to_vec();
+        assert_eq!(out.to_events(), oracle_prefix);
     }
 }
