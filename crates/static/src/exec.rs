@@ -839,4 +839,143 @@ mod tests {
         assert_eq!(t.warnings, 1);
         assert!(ops(&t).is_empty());
     }
+
+    /// Letter `k` of the 64-step alphabet over variable 0 on device 0:
+    /// `enter data`, `exit data`, a data region, and `target` with and
+    /// without a kernel write, each for all 6 map types × `always`; then
+    /// an implicit-`tofrom` `target` with and without a write, `update
+    /// to` and `update from`.
+    fn letter(k: usize, site: u64) -> Step {
+        const TYPES: [MapType; 6] = [
+            MapType::To,
+            MapType::From,
+            MapType::ToFrom,
+            MapType::Alloc,
+            MapType::Release,
+            MapType::Delete,
+        ];
+        let x = VarRef(0);
+        let kernel = |write: bool| KernelSpec {
+            name: "k".into(),
+            reads: vec![x],
+            writes: if write {
+                vec![KernelWrite::unique(x)]
+            } else {
+                vec![]
+            },
+        };
+        let (device, maps) = (0, |m: MapClause| vec![m]);
+        if k >= 60 {
+            return match k {
+                60 | 61 => Step::Target {
+                    site,
+                    device,
+                    maps: vec![],
+                    kernel: kernel(k == 61),
+                },
+                62 => Step::UpdateTo {
+                    site,
+                    device,
+                    vars: vec![x],
+                },
+                _ => Step::UpdateFrom {
+                    site,
+                    device,
+                    vars: vec![x],
+                },
+            };
+        }
+        let m = MapClause {
+            var: x,
+            map_type: TYPES[k % 6],
+            always: k % 12 >= 6,
+        };
+        match k / 12 {
+            0 => Step::EnterData {
+                site,
+                device,
+                maps: maps(m),
+            },
+            1 => Step::ExitData {
+                site,
+                device,
+                maps: maps(m),
+            },
+            2 => Step::DataRegion {
+                site,
+                device,
+                maps: maps(m),
+                body: vec![],
+            },
+            kind => Step::Target {
+                site,
+                device,
+                maps: maps(m),
+                kernel: kernel(kind == 4),
+            },
+        }
+    }
+
+    /// Records the kind and site of every data op the runtime reports.
+    struct DataOps(std::sync::Arc<std::sync::Mutex<Vec<(&'static str, u64)>>>);
+
+    impl odp_ompt::Tool for DataOps {
+        fn initialize(
+            &mut self,
+            caps: &odp_ompt::RuntimeCapabilities,
+        ) -> odp_ompt::ToolRegistration {
+            odp_ompt::ToolRegistration::negotiate(&[odp_ompt::CallbackKind::TargetDataOpEmi], caps)
+        }
+
+        fn on_data_op(&mut self, cb: &odp_ompt::DataOpCallback<'_>) {
+            use odp_ompt::DataOpType as T;
+            if cb.endpoint != odp_ompt::Endpoint::End {
+                return;
+            }
+            let kind = match cb.optype {
+                T::Alloc => "alloc",
+                T::TransferToDevice => "h2d",
+                T::TransferFromDevice => "d2h",
+                T::Delete => "delete",
+                T::Associate | T::Disassociate => "associate",
+            };
+            self.0.lock().unwrap().push((kind, cb.codeptr_ra.0));
+        }
+    }
+
+    /// Every program of one variable on one device up to three steps
+    /// long, over the 64-step alphabet of [`letter`]: the abstract
+    /// executor and the simulated runtime running the same program
+    /// emit the same data ops at the same sites, in the same order, and
+    /// record the same number of warnings.
+    #[test]
+    fn abstract_run_agrees_with_the_runtime_on_every_short_program() {
+        let mut programs = 0u32;
+        for len in 1..=3u32 {
+            for word in 0..64usize.pow(len) {
+                let steps = (0..len)
+                    .map(|i| letter(word / 64usize.pow(i) % 64, u64::from(i) + 1))
+                    .collect();
+                let p = prog(steps);
+                p.validate().expect("valid");
+                let t = abstract_run(&p);
+                let abstract_ops: Vec<(&str, u64)> =
+                    ops(&t).iter().map(|o| (o.kind, o.codeptr)).collect();
+
+                let seen = std::sync::Arc::default();
+                let mut rt = odp_sim::Runtime::with_defaults();
+                rt.attach_tool(Box::new(DataOps(std::sync::Arc::clone(&seen))));
+                crate::lower::interpret(&p, &mut rt);
+                let runtime_ops = seen.lock().unwrap().clone();
+                assert_eq!(
+                    (abstract_ops, t.warnings as usize),
+                    (runtime_ops, rt.warnings().len()),
+                    "{:?}",
+                    p.steps
+                );
+                programs += 1;
+            }
+        }
+        assert_eq!(programs, 64 + 64 * 64 + 64 * 64 * 64);
+    }
 }
