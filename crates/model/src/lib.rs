@@ -32,6 +32,6 @@ pub use device::DeviceId;
 pub use event::{DataOpEvent, DataOpKind, EventId, HashVal, TargetEvent, TargetKind};
 pub use finding::FindingKind;
 pub use health::TraceHealth;
-pub use map::{MapModifier, MapType};
+pub use map::{MapModifier, MapStep, MapType};
 pub use source::{CodePtr, SourceLoc};
 pub use time::{SimDuration, SimTime, TimeSpan};

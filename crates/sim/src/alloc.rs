@@ -20,7 +20,7 @@ fn align_up(v: u64) -> u64 {
 
 /// A first-fit free-list allocator over a contiguous address space.
 #[derive(Debug)]
-pub struct FreeListAllocator {
+pub(crate) struct FreeListAllocator {
     /// Free blocks: start → len. Coalesced on free.
     free: BTreeMap<u64, u64>,
     /// Live blocks: start → len.
@@ -90,13 +90,9 @@ impl FreeListAllocator {
         Some(len)
     }
 
-    /// Bytes currently allocated.
-    pub fn in_use(&self) -> u64 {
-        self.in_use
-    }
-
     /// Peak bytes ever allocated simultaneously.
-    pub fn peak_in_use(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn peak_in_use(&self) -> u64 {
         self.peak_in_use
     }
 
@@ -171,7 +167,7 @@ mod tests {
         let p2 = a.alloc(1000).unwrap();
         a.free(p1).unwrap();
         a.free(p2).unwrap();
-        assert_eq!(a.in_use(), 0);
+        assert_eq!(a.in_use, 0);
         assert_eq!(a.peak_in_use(), 2048);
     }
 
@@ -196,7 +192,7 @@ mod tests {
                 }
             }
             prop_assert_eq!(a.live_blocks(), live.len());
-            prop_assert_eq!(a.in_use(), live.len() as u64 * 512);
+            prop_assert_eq!(a.in_use, live.len() as u64 * 512);
         }
     }
 }

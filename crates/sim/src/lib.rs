@@ -9,8 +9,8 @@
 //! * N target devices, each with its own memory space, a first-fit
 //!   allocator that **reuses freed addresses** (required for the paper's
 //!   discussion of Algorithm 3's false-positive mitigation), and a
-//!   reference-counted **present table** implementing `map` clause
-//!   semantics exactly as `libomptarget` does;
+//!   reference-counted **present table** stepped by `odp_model`'s `map`
+//!   clause transition, which states `libomptarget`'s rules once;
 //! * the `target`, `target data`, `target enter/exit data` and
 //!   `target update` directives, including the implicit data-mapping
 //!   rules for variables referenced by a kernel but not explicitly
@@ -46,13 +46,13 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod alloc;
+pub(crate) mod alloc;
 pub(crate) mod config;
 pub(crate) mod device;
 pub(crate) mod faults;
 pub(crate) mod kernel;
-pub mod memory;
-pub mod present;
+pub(crate) mod memory;
+pub(crate) mod present;
 pub(crate) mod runtime;
 pub(crate) mod threads;
 pub(crate) mod timing;

@@ -16,7 +16,7 @@ pub struct VarId(pub u32);
 
 /// A named host buffer.
 #[derive(Debug)]
-pub struct HostVar {
+pub(crate) struct HostVar {
     /// Variable name (for reports and debug info).
     pub name: String,
     /// Synthetic host virtual address.
@@ -34,7 +34,7 @@ pub(crate) struct HostCopy(NonZeroU64);
 
 /// The host memory space.
 #[derive(Debug, Default)]
-pub struct HostMemory {
+pub(crate) struct HostMemory {
     vars: Vec<HostVar>,
     next_addr: u64,
     /// Writes counted so far; `None` while nothing needs to know.
@@ -113,21 +113,11 @@ impl HostMemory {
             .position(|v| v.name == name)
             .map(|i| VarId(i as u32))
     }
-
-    /// Number of live variables.
-    pub fn len(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Is the space empty?
-    pub fn is_empty(&self) -> bool {
-        self.vars.is_empty()
-    }
 }
 
 /// One device's memory space.
 #[derive(Debug)]
-pub struct DeviceMemory {
+pub(crate) struct DeviceMemory {
     allocator: FreeListAllocator,
     buffers: HashMap<u64, Vec<u8>>,
 }
@@ -161,11 +151,6 @@ impl DeviceMemory {
         } else {
             false
         }
-    }
-
-    /// Buffer at `addr`.
-    pub fn bytes(&self, addr: u64) -> Option<&[u8]> {
-        self.buffers.get(&addr).map(|v| v.as_slice())
     }
 
     /// Mutable buffer at `addr`.
@@ -252,9 +237,9 @@ mod tests {
         let mut d = DeviceMemory::new(0, 1 << 20);
         let p = d.alloc(16).unwrap();
         d.bytes_mut(p).unwrap()[0] = 7;
-        assert_eq!(d.bytes(p).unwrap()[0], 7);
+        assert_eq!(d.bytes_mut(p).unwrap()[0], 7);
         assert!(d.free(p));
-        assert!(d.bytes(p).is_none());
+        assert!(d.bytes_mut(p).is_none());
         assert!(!d.free(p), "double free rejected");
     }
 
@@ -274,7 +259,7 @@ mod tests {
         assert_eq!(slot[0], 9);
         assert!(d.lend(p + 1).is_none(), "no allocation there");
         d.restore(p + 1, vec![1; 8]);
-        assert!(d.bytes(p + 1).is_none(), "restore creates no slot");
+        assert!(d.bytes_mut(p + 1).is_none(), "restore creates no slot");
     }
 
     #[test]

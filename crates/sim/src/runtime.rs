@@ -24,11 +24,12 @@
 //!   dispatch cost, the construct's id) and `construct` (Begin, body,
 //!   End) carry every directive; `target` and `target nowait` are one
 //!   `target_construct(.., wait)`.
-//! * **Map clauses** — `map_enter` resolves a clause to
-//!   `(device address, fresh?)` and then makes the one copy-in decision;
-//!   `map_exit` makes one copy-back decision and one keep-resident
-//!   decision. Clause semantics come first, the advisor's rewrite of
-//!   them second.
+//! * **Map clauses** — `map_enter` / `map_exit` step the clause
+//!   transition `odp_model::MapType::enter` / `exit` (which data
+//!   operations, and the refcount after), the one statement of the map
+//!   rules the static executor steps too. Around it they keep only the
+//!   advisor's rewrite: elision, phantom-reference adoption, `skip_to`,
+//!   `skip_from` under `in_sync`, persist and device OOM.
 //! * **Data-op primitive** — `do_alloc` / `do_delete` / `do_transfer`
 //!   keep only what differs (allocator call, byte copy, statistics);
 //!   `data_op` charges the clock, takes the op id, derives operands and
@@ -707,11 +708,12 @@ impl Runtime {
         c.mgmt_time_avoided += dur;
     }
 
-    /// One map item on a region-entry path. `force_map` pins the clause
-    /// for a variable the launching kernel references: elision and
-    /// enter-copy downgrades (`skip_to`) are overridden (a mispredicting
-    /// advisor may waste bandwidth but never leave a kernel without its
-    /// data).
+    /// One map item on a region-entry path: the clause's transition
+    /// (`MapType::enter`), then the advisor's rewrite of it. `force_map`
+    /// pins the clause for a variable the launching kernel references:
+    /// elision and enter-copy downgrades (`skip_to`) are overridden (a
+    /// mispredicting advisor may waste bandwidth but never leave a kernel
+    /// without its data).
     fn map_enter(&mut self, at: Directive, m: Map, force_map: bool) {
         let device = at.device;
         let haddr = self.host.addr(m.var);
@@ -719,75 +721,68 @@ impl Runtime {
         let advice = self.consult(device, haddr);
         let d = device as usize;
         let present = self.devices[d].present.lookup(haddr).copied();
+        // A mapping alive only because remediation skipped its release
+        // holds one *phantom* reference (the skip left the refcount at 1
+        // with no real holder). A re-entry adopts it, standing for the
+        // fresh mapping the baseline would make here.
+        let phantom = present
+            .filter(|e| e.refcount == 1)
+            .and_then(|_| self.devices[d].retained.get(&haddr).copied());
+        let refcount = present.map(|e| e.refcount).filter(|_| phantom.is_none());
+        let mut step = m.map_type.enter(refcount, m.modifier.always);
 
         // Elide: drop the clause. Only meaningful while the data is
         // absent; present data is simply reused (persist semantics).
-        if let Some(cause) = advice.elide {
-            if !force_map && present.is_none() {
-                if m.map_type.allocates() {
-                    self.note_avoided_alloc(device, cause, bytes);
-                    if m.map_type.copies_to_device() {
-                        self.note_avoided_transfer(device, cause, bytes, true);
-                    }
-                    self.remedy.counter_mut(device, cause).rewrites += 1;
+        if let Some(cause) = advice.elide.filter(|_| !force_map && present.is_none()) {
+            if step.alloc {
+                self.note_avoided_alloc(device, cause, bytes);
+                if step.to {
+                    self.note_avoided_transfer(device, cause, bytes, true);
                 }
-                return;
+                self.remedy.counter_mut(device, cause).rewrites += 1;
             }
+            return;
+        }
+        if step.absent {
+            // release/delete of absent data on an *enter* path is a
+            // programming error; record and move on.
+            self.warnings.push(RuntimeWarning::ReleaseOfAbsentData {
+                var: self.host.var(m.var).name.clone(),
+            });
+            return;
         }
 
-        // Present data gains a reference; absent data is allocated.
-        let (dev_addr, fresh) = match present {
+        let dev_addr = match present {
             Some(entry) => {
-                // A mapping alive only because remediation skipped its
-                // release holds one *phantom* reference (the skip left
-                // the refcount at 1 with no real holder). This re-entry
-                // adopts it — consume the mark, skip the retain, and
-                // count the re-allocation + re-send the baseline would
-                // have performed as recovered.
-                let adopted = if entry.refcount == 1 {
-                    self.devices[d].retained.remove(&haddr)
-                } else {
-                    None
-                };
-                if let Some(cause) = adopted {
+                // Adoption consumes the mark and keeps the phantom
+                // reference, counting the re-allocation the baseline
+                // would have made as recovered. It skips the `to` copy
+                // only while the resident copy equals the host's; under
+                // `always` the copy happens (or is booked by skip_to)
+                // regardless of residency.
+                if let Some(cause) = phantom {
+                    self.devices[d].retained.remove(&haddr);
                     self.note_avoided_alloc(device, cause, bytes);
-                    // Standing for a fresh mapping, it skips the `to` copy
-                    // only while the resident copy equals the host's.
-                    let stale = !self.in_sync(&entry, m.var);
-                    // Under `always` the copy below happens (or is booked
-                    // by skip_to) regardless of residency, so only a plain
-                    // `to` re-entry actually saves a transfer here.
-                    if m.map_type.copies_to_device() && !m.modifier.always && !stale {
+                    if step.to && !m.modifier.always && self.in_sync(&entry, m.var) {
                         self.note_avoided_transfer(device, cause, bytes, true);
+                        step.to = false;
                     }
-                    (entry.dev_addr, stale)
-                } else {
-                    self.devices[d].present.retain(haddr);
-                    (entry.dev_addr, false)
                 }
+                self.devices[d].present.set_refcount(haddr, step.refcount);
+                entry.dev_addr
             }
             None => {
-                if !m.map_type.allocates() {
-                    // release/delete of absent data on an *enter* path is
-                    // a programming error; record and move on.
-                    self.warnings.push(RuntimeWarning::ReleaseOfAbsentData {
-                        var: self.host.var(m.var).name.clone(),
-                    });
-                    return;
-                }
                 let Some(dev_addr) = self.do_alloc(at, m.var) else {
                     // Device OOM: the mapping is skipped; the kernel
                     // path substitutes scratch storage.
                     return;
                 };
-                self.devices[d].present.insert(haddr, dev_addr, bytes);
-                (dev_addr, true)
+                self.devices[d].present.insert(haddr, dev_addr);
+                dev_addr
             }
         };
 
-        // `to` data is copied in when the mapping is new, or on every
-        // entry under `always`.
-        if m.map_type.copies_to_device() && (fresh || m.modifier.always) {
+        if step.to {
             match advice.skip_to {
                 // to → alloc: the data lands uninitialized (or stays as
                 // it was), which Algorithm 5 proved no kernel will
@@ -814,19 +809,23 @@ impl Runtime {
         entry.synced.is_some() && entry.synced == self.host.copy(var)
     }
 
-    /// One map item on a region-exit path.
+    /// One map item on a region-exit path: the clause's transition
+    /// (`MapType::exit`), then the advisor's rewrite of it.
     fn map_exit(&mut self, at: Directive, m: Map) {
         let device = at.device;
         let haddr = self.host.addr(m.var);
         let bytes = self.host.size(m.var);
         let advice = self.consult(device, haddr);
         let d = device as usize;
-        let delete = m.map_type == MapType::Delete;
-        let Some(entry) = self.devices[d].present.lookup(haddr).copied() else {
+        let entry = self.devices[d].present.lookup(haddr).copied();
+        let step = m
+            .map_type
+            .exit(entry.map(|e| e.refcount), m.modifier.always);
+        let Some(entry) = entry.filter(|_| !step.absent) else {
             // Elided at enter: exit silently too.
             if advice.elide.is_none() {
                 let var = self.host.var(m.var).name.clone();
-                self.warnings.push(if delete {
+                self.warnings.push(if m.map_type == MapType::Delete {
                     RuntimeWarning::DeleteOfAbsentData { var }
                 } else {
                     RuntimeWarning::ReleaseOfAbsentData { var }
@@ -834,15 +833,11 @@ impl Runtime {
             }
             return;
         };
-        // `delete` drops every reference, any other type one.
-        let last = entry.refcount == 1;
         // Persist: an exit that would free the mapping keeps it resident
         // under a phantom reference instead; re-entries adopt it.
-        let keep = advice.persist.or(advice.elide).filter(|_| delete || last);
+        let keep = advice.persist.or(advice.elide).filter(|_| step.free);
 
-        // `from` data is copied back when the last reference goes, or on
-        // every exit under `always`.
-        if m.map_type.copies_from_device() && (m.modifier.always || last) {
+        if step.from {
             // The last-reference copy of a kept mapping survives as the
             // persist rewrite's targeted update (host visibility
             // preserved, no delete/re-send round trip) and is booked
@@ -874,13 +869,8 @@ impl Runtime {
             self.remedy.counter_mut(device, cause).rewrites += 1;
             return;
         }
-        let present = &mut self.devices[d].present;
-        let freed = if delete {
-            present.force_remove(haddr)
-        } else {
-            present.release(haddr)
-        };
-        if freed.is_some() {
+        self.devices[d].present.set_refcount(haddr, step.refcount);
+        if step.free {
             self.do_delete(at, m.var, entry.dev_addr);
         }
     }
@@ -1144,8 +1134,9 @@ impl Runtime {
         self.devices[device as usize].mem.peak_in_use()
     }
 
-    /// Live present-table mappings on `device` (testing aid).
-    pub fn present_mappings(&self, device: u32) -> usize {
+    /// Live present-table mappings on `device`.
+    #[cfg(test)]
+    pub(crate) fn present_mappings(&self, device: u32) -> usize {
         self.devices[device as usize].present.len()
     }
 
@@ -1681,13 +1672,14 @@ mod tests {
         let mut rt = Runtime::with_defaults();
         let x = rt.host_alloc("x", 4096);
         rt.target_enter_data(0, CodePtr(1), &[map(MapType::Alloc, x)]);
-        let slot = |rt: &Runtime| {
-            let dev = &rt.devices[0];
-            let entry = dev.present.lookup(rt.host.addr(x)).copied().unwrap();
-            let buf = dev.mem.bytes(entry.dev_addr).unwrap();
+        let slot = |rt: &mut Runtime| {
+            let haddr = rt.host.addr(x);
+            let dev = &mut rt.devices[0];
+            let entry = dev.present.lookup(haddr).copied().unwrap();
+            let buf = dev.mem.bytes_mut(entry.dev_addr).unwrap();
             (buf.as_ptr(), buf.len(), buf[..4].to_vec())
         };
-        let (ptr, len, _) = slot(&rt);
+        let (ptr, len, _) = slot(&mut rt);
         let mut body = |view: &mut DeviceView<'_>| view.bytes_mut(x)[..4].copy_from_slice(b"odp!");
         rt.target(
             0,
@@ -1697,7 +1689,7 @@ mod tests {
                 .writes(&[x])
                 .body(&mut body),
         );
-        assert_eq!(slot(&rt), (ptr, len, b"odp!".to_vec()));
+        assert_eq!(slot(&mut rt), (ptr, len, b"odp!".to_vec()));
         rt.target_exit_data(0, CodePtr(3), &[map(MapType::Delete, x)]);
         rt.finish();
     }
@@ -2001,6 +1993,41 @@ mod tests {
         assert!(rec.transfer_time_avoided > SimDuration::ZERO);
         assert_eq!(rec.allocs_avoided, 2);
         assert!(rec.rewrites >= 1);
+    }
+
+    #[test]
+    fn a_release_entering_over_a_phantom_reference_warns_as_the_baseline_does() {
+        // Under persist advice the first region's exit leaves a phantom
+        // reference where the baseline freed the data. A `release` on an
+        // enter path steps the transition as the baseline would, over
+        // absent data: it warns, and the phantom reference stays for the
+        // next real re-entry to adopt.
+        let run = |persist: bool| {
+            let (mut rt, events, _) = recorder_runtime();
+            let a = rt.host_alloc("a", 256);
+            if persist {
+                let advice = MapAdvice {
+                    persist: Some(FindingKind::RepeatedAlloc),
+                    ..MapAdvice::KEEP
+                };
+                rt.attach_advisor(advise(&rt, a, advice));
+            }
+            let kernel = || Kernel::new("k", KernelCost::fixed(10)).reads(&[a]);
+            rt.target(0, CodePtr(1), &[map(MapType::To, a)], kernel());
+            rt.target_enter_data(0, CodePtr(2), &[map(MapType::Release, a)]);
+            rt.target(0, CodePtr(3), &[map(MapType::To, a)], kernel());
+            rt.finish();
+            let ev = events.lock().unwrap();
+            let allocs = ev.iter().filter(|e| e.contains("Alloc")).count();
+            let stats = rt.remediation_stats();
+            let avoided = stats.counter(0, FindingKind::RepeatedAlloc);
+            (rt.warnings().to_vec(), allocs, avoided.allocs_avoided)
+        };
+        let (baseline_warnings, baseline_allocs, _) = run(false);
+        let (warnings, allocs, avoided) = run(true);
+        assert_eq!(baseline_warnings.len(), 1);
+        assert_eq!(warnings, baseline_warnings);
+        assert_eq!((baseline_allocs, allocs, avoided), (2, 1, 1));
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! Abstract execution of a [`MappingProgram`]: the static mirror of
-//! `odp_sim::Runtime`'s present-table semantics.
+//! Abstract execution of a [`MappingProgram`]: `odp_sim::Runtime`'s
+//! directive execution over content tokens.
 //!
 //! The executor walks the step tree exactly the way the runtime
 //! executes the lowered program — reference-counted present tables per
-//! device, enter/exit clause ordering, implicit `tofrom` maps — but
-//! with *content tokens* in place of byte buffers: a token names a
+//! device, enter/exit clause ordering, implicit `tofrom` maps — and
+//! steps the same clause transition (`odp_model::MapType::enter` /
+//! `exit`); around it, it keeps only tokens, taint and event emission.
+//! *Content tokens* stand in for byte buffers: a token names a
 //! provably-known byte pattern (`Pat::Init`) or a unique kernel
 //! result (`Pat::Uniq`). Token equality implies byte equality in any
 //! concrete execution, which is what keeps `Certain` predictions sound.
@@ -30,8 +32,8 @@
 
 use crate::ir::{Fires, Init, MapClause, MappingProgram, Step, TripCount, VarRef, WriteContent};
 use odp_model::{
-    CodePtr, DataOpEvent, DataOpKind, DeviceId, EventId, HashVal, MapType, SimTime, TargetEvent,
-    TargetKind, TimeSpan,
+    CodePtr, DataOpEvent, DataOpKind, DeviceId, EventId, HashVal, SimTime, TargetEvent, TargetKind,
+    TimeSpan,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -82,8 +84,8 @@ pub(crate) struct AbsTrace {
     pub kernels: Vec<TargetEvent>,
     /// `facts[i]` describes `ops[i]`.
     pub facts: Vec<OpFacts>,
-    /// Mirrored runtime warnings (release/delete/update of absent
-    /// data) encountered during symbolic execution.
+    /// The runtime warnings (release/delete/update of absent data)
+    /// encountered during symbolic execution.
     pub warnings: u32,
 }
 
@@ -389,7 +391,7 @@ impl<'p> Exec<'p> {
         Tok { pat, len }
     }
 
-    // -- mirrored runtime primitives --------------------------------
+    // -- the runtime's primitives over tokens ------------------------
 
     fn base_certain(&self, device: u32, var: VarRef) -> bool {
         self.may_depth == 0 && !self.st.res_taint.contains(&(device, var.0))
@@ -483,73 +485,56 @@ impl<'p> Exec<'p> {
         self.trace.facts.push(facts);
     }
 
+    /// Write a clause's resulting reference count back: `None` removes
+    /// the entry, and a new entry holds a zero-filled allocation.
+    fn set_refcount(&mut self, device: u32, var: VarRef, refcount: Option<u32>) {
+        let table = &mut self.st.dev[device as usize];
+        let Some(refcount) = refcount else {
+            table.remove(&var.0);
+            return;
+        };
+        let pat = Pat::Init(Init::Byte(0));
+        let tok = Tok {
+            pat,
+            len: self.p.vars[var.0].bytes as u64,
+        };
+        let fresh = Entry {
+            refcount,
+            tok,
+            tainted: false,
+        };
+        table.entry(var.0).or_insert(fresh).refcount = refcount;
+    }
+
     fn map_enter(&mut self, device: u32, m: MapClause, codeptr: u64) {
-        let var = m.var;
-        let present = self.st.dev[device as usize].contains_key(&var.0);
-        if present {
-            if let Some(e) = self.st.dev[device as usize].get_mut(&var.0) {
-                e.refcount += 1;
-            }
-            if m.always && m.map_type.copies_to_device() {
-                self.h2d(device, var, codeptr);
-            }
-        } else {
-            if !m.map_type.allocates() {
-                // release/delete of absent data on an enter path.
-                self.trace.warnings += 1;
-                return;
-            }
-            self.alloc_op(DataOpKind::Alloc, device, var, codeptr);
-            let len = self.p.vars[var.0].bytes as u64;
-            // Device allocations are zero-filled.
-            self.st.dev[device as usize].insert(
-                var.0,
-                Entry {
-                    refcount: 1,
-                    tok: Tok {
-                        pat: Pat::Init(Init::Byte(0)),
-                        len,
-                    },
-                    tainted: false,
-                },
-            );
-            if m.map_type.copies_to_device() {
-                self.h2d(device, var, codeptr);
-            }
+        let present = self.st.dev[device as usize].get(&m.var.0);
+        let step = m.map_type.enter(present.map(|e| e.refcount), m.always);
+        if step.absent {
+            self.trace.warnings += 1;
+            return;
+        }
+        if step.alloc {
+            self.alloc_op(DataOpKind::Alloc, device, m.var, codeptr);
+        }
+        self.set_refcount(device, m.var, step.refcount);
+        if step.to {
+            self.h2d(device, m.var, codeptr);
         }
     }
 
     fn map_exit(&mut self, device: u32, m: MapClause, codeptr: u64) {
-        let var = m.var;
-        if m.map_type == MapType::Delete {
-            if self.st.dev[device as usize].contains_key(&var.0) {
-                self.alloc_op(DataOpKind::Delete, device, var, codeptr);
-                self.st.dev[device as usize].remove(&var.0);
-            } else {
-                self.trace.warnings += 1;
-            }
-            return;
-        }
-        if !self.st.dev[device as usize].contains_key(&var.0) {
+        let present = self.st.dev[device as usize].get(&m.var.0);
+        let step = m.map_type.exit(present.map(|e| e.refcount), m.always);
+        if step.absent {
             self.trace.warnings += 1;
             return;
         }
-        if m.always && m.map_type.copies_from_device() {
-            self.d2h(device, var, codeptr);
+        if step.from {
+            self.d2h(device, m.var, codeptr);
         }
-        let freed = match self.st.dev[device as usize].get_mut(&var.0) {
-            Some(e) => {
-                e.refcount -= 1;
-                e.refcount == 0
-            }
-            None => return,
-        };
-        if freed {
-            if m.map_type.copies_from_device() && !m.always {
-                self.d2h(device, var, codeptr);
-            }
-            self.alloc_op(DataOpKind::Delete, device, var, codeptr);
-            self.st.dev[device as usize].remove(&var.0);
+        self.set_refcount(device, m.var, step.refcount);
+        if step.free {
+            self.alloc_op(DataOpKind::Delete, device, m.var, codeptr);
         }
     }
 }
@@ -558,6 +543,7 @@ impl<'p> Exec<'p> {
 mod tests {
     use super::*;
     use crate::ir::{KernelSpec, KernelWrite, VarDecl};
+    use odp_model::MapType;
 
     fn prog(steps: Vec<Step>) -> MappingProgram {
         MappingProgram {

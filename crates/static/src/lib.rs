@@ -10,9 +10,10 @@
 //! 1. [`ir`] — the declarative IR: variables with deterministic
 //!    initializers, map clauses, kernels with read/write sets, loop
 //!    structure. One description drives both sides.
-//! 2. `exec` — the abstract executor: symbolic content tokens stand
-//!    in for buffer hashes, data-dependent loops are unrolled and
-//!    probed. It emits the dynamic engine's own event model
+//! 2. `exec` — the abstract executor: it steps the same clause
+//!    transition as the simulator (`odp_model::MapType::enter` /
+//!    `exit`), symbolic content tokens stand in for buffer hashes,
+//!    data-dependent loops are unrolled and probed. It emits the dynamic engine's own event model
 //!    (`odp_model::DataOpEvent` / `TargetEvent`) plus one
 //!    `exec::OpFacts` per data op carrying the certainty bit.
 //! 3. [`analysis`] — the fused dynamic engine (`ompdataperf::detect`)
