@@ -818,9 +818,8 @@ impl Runtime {
         let advice = self.consult(device, haddr);
         let d = device as usize;
         let entry = self.devices[d].present.lookup(haddr).copied();
-        let step = m
-            .map_type
-            .exit(entry.map(|e| e.refcount), m.modifier.always);
+        let refcount = entry.map(|e| e.refcount);
+        let step = m.map_type.exit(refcount, m.modifier.always);
         let Some(entry) = entry.filter(|_| !step.absent) else {
             // Elided at enter: exit silently too.
             if advice.elide.is_none() {

@@ -544,6 +544,11 @@ mod tests {
     use super::*;
     use crate::ir::{KernelSpec, KernelWrite, VarDecl};
     use odp_model::MapType;
+    use odp_ompt::{
+        CallbackKind, DataOpCallback, DataOpType, Endpoint, RuntimeCapabilities, Tool,
+        ToolRegistration,
+    };
+    use std::sync::{Arc, Mutex};
 
     fn prog(steps: Vec<Step>) -> MappingProgram {
         MappingProgram {
@@ -850,7 +855,7 @@ mod tests {
                 vec![]
             },
         };
-        let (device, maps) = (0, |m: MapClause| vec![m]);
+        let device = 0;
         if k >= 60 {
             return match k {
                 60 | 61 => Step::Target {
@@ -880,42 +885,39 @@ mod tests {
             0 => Step::EnterData {
                 site,
                 device,
-                maps: maps(m),
+                maps: vec![m],
             },
             1 => Step::ExitData {
                 site,
                 device,
-                maps: maps(m),
+                maps: vec![m],
             },
             2 => Step::DataRegion {
                 site,
                 device,
-                maps: maps(m),
+                maps: vec![m],
                 body: vec![],
             },
             kind => Step::Target {
                 site,
                 device,
-                maps: maps(m),
+                maps: vec![m],
                 kernel: kernel(kind == 4),
             },
         }
     }
 
     /// Records the kind and site of every data op the runtime reports.
-    struct DataOps(std::sync::Arc<std::sync::Mutex<Vec<(&'static str, u64)>>>);
+    struct DataOps(Arc<Mutex<Vec<(&'static str, u64)>>>);
 
-    impl odp_ompt::Tool for DataOps {
-        fn initialize(
-            &mut self,
-            caps: &odp_ompt::RuntimeCapabilities,
-        ) -> odp_ompt::ToolRegistration {
-            odp_ompt::ToolRegistration::negotiate(&[odp_ompt::CallbackKind::TargetDataOpEmi], caps)
+    impl Tool for DataOps {
+        fn initialize(&mut self, caps: &RuntimeCapabilities) -> ToolRegistration {
+            ToolRegistration::negotiate(&[CallbackKind::TargetDataOpEmi], caps)
         }
 
-        fn on_data_op(&mut self, cb: &odp_ompt::DataOpCallback<'_>) {
-            use odp_ompt::DataOpType as T;
-            if cb.endpoint != odp_ompt::Endpoint::End {
+        fn on_data_op(&mut self, cb: &DataOpCallback<'_>) {
+            use DataOpType as T;
+            if cb.endpoint != Endpoint::End {
                 return;
             }
             let kind = match cb.optype {
@@ -948,9 +950,9 @@ mod tests {
                 let abstract_ops: Vec<(&str, u64)> =
                     ops(&t).iter().map(|o| (o.kind, o.codeptr)).collect();
 
-                let seen = std::sync::Arc::default();
+                let seen = Arc::default();
                 let mut rt = odp_sim::Runtime::with_defaults();
-                rt.attach_tool(Box::new(DataOps(std::sync::Arc::clone(&seen))));
+                rt.attach_tool(Box::new(DataOps(Arc::clone(&seen))));
                 crate::lower::interpret(&p, &mut rt);
                 let runtime_ops = seen.lock().unwrap().clone();
                 assert_eq!(

@@ -32,11 +32,12 @@ function count(crate, file,    line, indent, pending, skip, end, code, items) {
             if (line == end) skip = 0
             continue
         }
-        if (line ~ /^[ \t]*#\[cfg\(test\)\][ \t]*$/) {
-            pending = 1
+        # `#[cfg(test)]` and the attributes after it are held back until
+        # the item they annotate shows whether it is a test module.
+        if (line ~ /^[ \t]*#\[cfg\(test\)\][ \t]*$/ || pending && line ~ /^[ \t]*#\[/) {
+            pending++
             continue
         }
-        if (pending && line ~ /^[ \t]*#\[/) continue
         if (pending && line ~ /^[ \t]*(pub(\([^)]*\))? )?mod [A-Za-z_0-9]+ \{[ \t]*$/) {
             indent = line
             sub(/[^ \t].*$/, "", indent)
@@ -45,6 +46,7 @@ function count(crate, file,    line, indent, pending, skip, end, code, items) {
             pending = 0
             continue
         }
+        code += pending
         pending = 0
         if (line ~ /^[ \t]*$/ || line ~ /^[ \t]*\/\//) continue
         code++
