@@ -63,11 +63,11 @@ fn threaded_detection_scales_the_single_thread_counts() {
     // N identical host threads each run the same offload pattern: every
     // per-thread inefficiency appears N times, so the counts are at least
     // N× the single-thread ones. The excess over N× is aliasing, not a
-    // cross-thread finding (ROADMAP item 1): every thread's private
-    // device set numbers itself device 0, and every thread's private
-    // host memory starts at the same base, so different threads'
-    // variables share host addresses and device ids in the merged trace.
-    // The bound stays `>=` until that aliasing is gone.
+    // cross-thread finding (ROADMAP, "Threaded runs are right"): every
+    // thread's private device set numbers itself device 0, and every
+    // thread's private host memory starts at the same base, so different
+    // threads' variables share host addresses and device ids in the
+    // merged trace. The bound stays `>=` until that aliasing is gone.
     let (h1, _) = threaded_run("bfs", 1, ToolConfig::default());
     let (h4, _) = threaded_run("bfs", 4, ToolConfig::default());
     let t1 = h1.take_trace();
