@@ -85,6 +85,71 @@ impl PresentTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odp_model::{MapStep, MapType};
+
+    /// One region-entry clause as the runtime steps it: the shared
+    /// transition on the entry's count, written back to the table.
+    fn enter(t: &mut PresentTable, host_addr: u64, mt: MapType) -> MapStep {
+        let step = mt.enter(t.lookup(host_addr).map(|e| e.refcount), false);
+        if step.alloc {
+            t.insert(host_addr, host_addr + 0xc000);
+        }
+        t.set_refcount(host_addr, step.refcount);
+        step
+    }
+
+    /// One region-exit clause as the runtime steps it.
+    fn exit(t: &mut PresentTable, host_addr: u64, mt: MapType) -> MapStep {
+        let step = mt.exit(t.lookup(host_addr).map(|e| e.refcount), false);
+        t.set_refcount(host_addr, step.refcount);
+        step
+    }
+
+    #[test]
+    fn nested_regions_refcount() {
+        // target data { target { ... } }: the inner region must not free
+        // or re-transfer — that is exactly how Listing 1's fix works.
+        let mut t = PresentTable::new();
+        let outer = enter(&mut t, 0x1000, MapType::ToFrom);
+        assert!(outer.alloc && outer.to);
+        let inner = enter(&mut t, 0x1000, MapType::ToFrom);
+        assert!(!inner.alloc && !inner.to, "inner entry reuses the data");
+        assert_eq!(t.lookup(0x1000).map(|e| e.refcount), Some(2));
+        let inner = exit(&mut t, 0x1000, MapType::ToFrom);
+        assert!(!inner.from && !inner.free, "inner exit keeps data");
+        assert_eq!(
+            t.lookup(0x1000).map(|e| (e.dev_addr, e.refcount)),
+            Some((0xd000, 1))
+        );
+        let outer = exit(&mut t, 0x1000, MapType::ToFrom);
+        assert!(outer.from && outer.free, "outer exit copies back and frees");
+        assert_eq!(t.len(), 0);
+    }
+
+    #[test]
+    fn retain_absent_returns_none() {
+        let mut t = PresentTable::new();
+        let step = enter(&mut t, 0x1, MapType::Release);
+        assert!(step.absent && !step.alloc);
+        assert_eq!(step.refcount, None);
+        assert!(t.lookup(0x1).is_none());
+        let step = exit(&mut t, 0x1, MapType::ToFrom);
+        assert!(step.absent && !step.from && !step.free);
+        assert_eq!(t.len(), 0);
+    }
+
+    #[test]
+    fn force_remove_ignores_refcount() {
+        let mut t = PresentTable::new();
+        for _ in 0..3 {
+            enter(&mut t, 0x1000, MapType::To);
+        }
+        assert_eq!(t.lookup(0x1000).map(|e| e.refcount), Some(3));
+        let step = exit(&mut t, 0x1000, MapType::Delete);
+        assert!(step.free);
+        assert_eq!(step.refcount, None);
+        assert_eq!(t.len(), 0);
+    }
 
     #[test]
     fn absent_lookup() {
